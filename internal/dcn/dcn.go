@@ -39,28 +39,60 @@ type Host struct {
 	Index    int // j: position within the rack
 	Capacity float64
 	rack     *Rack
-	vms      map[int]*VM
+	vms      []*VM // residents, ascending by VM ID
 }
 
 // Rack returns the rack containing the host.
 func (h *Host) Rack() *Rack { return h.rack }
 
 // VMs returns the VMs on the host, ordered by VM ID so every consumer —
-// knapsack selection, summation, iteration — is deterministic.
-func (h *Host) VMs() []*VM {
-	out := make([]*VM, 0, len(h.vms))
-	for _, v := range h.vms {
-		out = append(out, v)
+// knapsack selection, summation, iteration — is deterministic. The slice
+// is a copy: callers move VMs while ranging over it.
+func (h *Host) VMs() []*VM { return append([]*VM(nil), h.vms...) }
+
+// Conflict reports whether a resident VM is dependent on vmID in deps, and
+// which one (the lowest-ID conflict) — the χ = 0 co-hosting check, walked
+// in place.
+func (h *Host) Conflict(deps *DependencyGraph, vmID int) (resident int, ok bool) {
+	for _, r := range h.vms {
+		if deps.Dependent(vmID, r.ID) {
+			return r.ID, true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return 0, false
+}
+
+// find returns the position of the VM ID in the resident slice, or where
+// it would be inserted.
+func (h *Host) find(id int) (int, bool) {
+	i := sort.Search(len(h.vms), func(i int) bool { return h.vms[i].ID >= id })
+	return i, i < len(h.vms) && h.vms[i].ID == id
+}
+
+func (h *Host) insert(vm *VM) {
+	i, ok := h.find(vm.ID)
+	if ok {
+		h.vms[i] = vm
+		return
+	}
+	h.vms = append(h.vms, nil)
+	copy(h.vms[i+1:], h.vms[i:])
+	h.vms[i] = vm
+}
+
+func (h *Host) remove(id int) {
+	if i, ok := h.find(id); ok {
+		h.vms = append(h.vms[:i], h.vms[i+1:]...)
+	}
 }
 
 // Used returns the total capacity consumed by resident VMs. Summation
-// follows VM-ID order for bit-level reproducibility.
+// follows VM-ID order for bit-level reproducibility; it is recomputed on
+// every call rather than kept as a running sum, whose rounding would
+// depend on the order VMs came and went.
 func (h *Host) Used() float64 {
 	sum := 0.0
-	for _, v := range h.VMs() {
+	for _, v := range h.vms {
 		sum += v.Capacity
 	}
 	return sum
@@ -171,7 +203,6 @@ func NewCluster(g *topology.Graph, cfg Config) (*Cluster, error) {
 				Index:    j,
 				Capacity: cfg.HostCapacity,
 				rack:     r,
-				vms:      make(map[int]*VM),
 			}
 			r.Hosts = append(r.Hosts, h)
 			c.hosts = append(c.hosts, h)
@@ -248,12 +279,10 @@ func (c *Cluster) place(vm *VM, h *Host) error {
 	if h.Free() < vm.Capacity {
 		return fmt.Errorf("%w: host %d free %.1f < need %.1f", ErrInsufficientCapacity, h.ID, h.Free(), vm.Capacity)
 	}
-	for _, resident := range h.vms {
-		if c.Deps.Dependent(vm.ID, resident.ID) {
-			return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d", ErrDependencyConflict, vm.ID, resident.ID, h.ID)
-		}
+	if resident, ok := h.Conflict(c.Deps, vm.ID); ok {
+		return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d", ErrDependencyConflict, vm.ID, resident, h.ID)
 	}
-	h.vms[vm.ID] = vm
+	h.insert(vm)
 	vm.host = h
 	return nil
 }
@@ -266,11 +295,11 @@ func (c *Cluster) Move(vm *VM, dst *Host) error {
 	}
 	src := vm.host
 	if src != nil {
-		delete(src.vms, vm.ID)
+		src.remove(vm.ID)
 	}
 	if err := c.place(vm, dst); err != nil {
 		if src != nil {
-			src.vms[vm.ID] = vm // restore
+			src.insert(vm) // restore
 			vm.host = src
 		}
 		return err
@@ -293,16 +322,14 @@ func (c *Cluster) MoveOversub(vm *VM, dst *Host, factor float64) error {
 		return fmt.Errorf("%w: host %d used %.1f + need %.1f exceeds %.2f×%.1f",
 			ErrInsufficientCapacity, dst.ID, dst.Used(), vm.Capacity, factor, dst.Capacity)
 	}
-	for _, resident := range dst.vms {
-		if c.Deps.Dependent(vm.ID, resident.ID) {
-			return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d",
-				ErrDependencyConflict, vm.ID, resident.ID, dst.ID)
-		}
+	if resident, ok := dst.Conflict(c.Deps, vm.ID); ok {
+		return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d",
+			ErrDependencyConflict, vm.ID, resident, dst.ID)
 	}
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.remove(vm.ID)
 	}
-	dst.vms[vm.ID] = vm
+	dst.insert(vm)
 	vm.host = dst
 	return nil
 }
@@ -314,7 +341,7 @@ func (c *Cluster) MoveOversub(vm *VM, dst *Host, factor float64) error {
 // placement through the migration retry queue.
 func (c *Cluster) Evict(vm *VM) {
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.remove(vm.ID)
 		vm.host = nil
 	}
 }
@@ -322,7 +349,7 @@ func (c *Cluster) Evict(vm *VM) {
 // Remove deletes a VM from the cluster.
 func (c *Cluster) Remove(vm *VM) {
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.remove(vm.ID)
 		vm.host = nil
 	}
 	delete(c.vms, vm.ID)

@@ -2,7 +2,10 @@ package dcn
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -350,4 +353,152 @@ func TestCapacityConservationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestHostResidencyStaysIDOrdered drives a seeded random mix of every
+// operation that touches a host's resident list and checks after each one
+// that VMs() is strictly ascending by ID, agrees with VM.Host(), and that
+// Used() is the ID-ordered sum.
+func TestHostResidencyStaysIDOrdered(t *testing.T) {
+	c := testCluster(t, 4)
+	rng := rand.New(rand.NewSource(7))
+	hosts := c.Hosts()
+	var live []*VM
+	check := func(op string) {
+		t.Helper()
+		placed := 0
+		for _, h := range hosts {
+			vms := h.VMs()
+			sum := 0.0
+			for i, vm := range vms {
+				if i > 0 && vms[i-1].ID >= vm.ID {
+					t.Fatalf("after %s: host %d residents out of order: %d before %d", op, h.ID, vms[i-1].ID, vm.ID)
+				}
+				if vm.Host() != h {
+					t.Fatalf("after %s: vm %d listed on host %d but Host() disagrees", op, vm.ID, h.ID)
+				}
+				sum += vm.Capacity
+			}
+			if h.Used() != sum {
+				t.Fatalf("after %s: host %d Used() = %v, ID-ordered sum %v", op, h.ID, h.Used(), sum)
+			}
+			placed += len(vms)
+		}
+		want := 0
+		for _, vm := range live {
+			if vm.Host() != nil {
+				want++
+			}
+		}
+		if placed != want {
+			t.Fatalf("after %s: %d VMs resident, %d have a host", op, placed, want)
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		h := hosts[rng.Intn(len(hosts))]
+		switch op := rng.Intn(6); {
+		case op == 0 || len(live) < 8:
+			if vm, err := c.AddVM(h, 1+rng.Float64()*19, 1, false); err == nil {
+				live = append(live, vm)
+			}
+			check("AddVM")
+		case op == 1:
+			_ = c.Move(live[rng.Intn(len(live))], h)
+			check("Move")
+		case op == 2:
+			_ = c.MoveOversub(live[rng.Intn(len(live))], h, 1.5)
+			check("MoveOversub")
+		case op == 3:
+			c.Evict(live[rng.Intn(len(live))])
+			check("Evict")
+		case op == 4:
+			i := rng.Intn(len(live))
+			c.Remove(live[i])
+			live = append(live[:i], live[i+1:]...)
+			check("Remove")
+		default:
+			snap := c.Snapshot()
+			c2 := testCluster(t, 4)
+			// Evicted VMs (host -1) cannot be restored; skip those states.
+			detached := false
+			for _, rec := range snap.VMs {
+				detached = detached || rec.HostID < 0
+			}
+			if detached {
+				continue
+			}
+			if err := c2.Restore(snap); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			for i, h2 := range c2.Hosts() {
+				a, b := hosts[i].VMs(), h2.VMs()
+				if len(a) != len(b) {
+					t.Fatalf("restored host %d has %d residents, want %d", i, len(b), len(a))
+				}
+				for k := range a {
+					if a[k].ID != b[k].ID {
+						t.Fatalf("restored host %d resident %d = vm %d, want vm %d", i, k, b[k].ID, a[k].ID)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVMsReturnsCopy pins the contract callers rely on: they move VMs
+// while ranging over the returned slice.
+func TestVMsReturnsCopy(t *testing.T) {
+	c := testCluster(t, 4)
+	src, dst := c.Hosts()[0], c.Hosts()[1]
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddVM(src, 10, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := 0
+	for _, vm := range src.VMs() {
+		seen++
+		if err := c.Move(vm, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen != 4 || len(src.VMs()) != 0 || len(dst.VMs()) != 4 {
+		t.Fatalf("ranged over %d VMs; src keeps %d, dst has %d", seen, len(src.VMs()), len(dst.VMs()))
+	}
+}
+
+// TestDependencyConflictNamesLowestResident: the error text used to depend
+// on map iteration order when several residents conflicted.
+func TestDependencyConflictNamesLowestResident(t *testing.T) {
+	c := testCluster(t, 4)
+	h := c.Hosts()[0]
+	a, _ := c.AddVM(h, 5, 1, false)
+	b, _ := c.AddVM(h, 5, 1, false)
+	vm, _ := c.AddVM(c.Hosts()[1], 5, 1, false)
+	c.Deps.AddDependency(vm.ID, b.ID)
+	c.Deps.AddDependency(vm.ID, a.ID)
+	want := fmt.Sprintf("conflicts with resident vm %d on host %d", a.ID, h.ID)
+	for i := 0; i < 20; i++ {
+		for _, err := range []error{c.Move(vm, h), c.MoveOversub(vm, h, 2)} {
+			if !errors.Is(err, ErrDependencyConflict) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want ErrDependencyConflict naming %q", err, want)
+			}
+		}
+	}
+}
+
+// TestAccountingSteadyStateAllocs is the allocation gate for the per-step
+// bookkeeping reads (CI "Allocation gate" step).
+func TestAccountingSteadyStateAllocs(t *testing.T) {
+	c := testCluster(t, 4)
+	c.Populate(PopulateOptions{Seed: 3})
+	h := c.Hosts()[0]
+	var sink float64
+	if n := testing.AllocsPerRun(20, func() { sink += h.Free() + h.Utilization() }); n != 0 {
+		t.Errorf("Host.Free/Utilization allocate %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sink += c.WorkloadStdDev() }); n != 0 {
+		t.Errorf("Cluster.WorkloadStdDev allocates %v times per call, want 0", n)
+	}
+	_ = sink
 }

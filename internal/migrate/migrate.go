@@ -660,10 +660,8 @@ func pairCost(c *dcn.Cluster, m *cost.Model, vm *dcn.VM, h *dcn.Host, pol placem
 	} else if h.Free() < vm.Capacity {
 		return matching.Forbidden, 0
 	}
-	for _, resident := range h.VMs() {
-		if c.Deps.Dependent(vm.ID, resident.ID) {
-			return matching.Forbidden, 0
-		}
+	if _, conflict := h.Conflict(c.Deps, vm.ID); conflict {
+		return matching.Forbidden, 0
 	}
 	if vm.Host() == nil {
 		base = m.Params().Cr
