@@ -20,6 +20,8 @@ package cost
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"sheriff/internal/dcn"
 	"sheriff/internal/pool"
@@ -59,32 +61,41 @@ func (p Params) Validate() error {
 var ErrBandwidthBelowFloor = errors.New("cost: no path with bandwidth above threshold")
 
 // Model evaluates migration costs over one cluster. Construct with New;
-// call Refresh after changing link bandwidths.
+// call Refresh (or RefreshSources) after changing link bandwidths.
+//
+// Queries may run from several goroutines at once (the parallel
+// coordinator shares one Model); Refresh and RefreshSources must not run
+// concurrently with queries or each other.
 type Model struct {
 	params  Params
 	cluster *dcn.Cluster
 
-	trans *topology.MultiSource // Σ (δT+ηP) from every rack, cheapest path
-	dist  *topology.MultiSource // Σ D(e): physical distance from every rack
+	// trans holds Σ (δT+ηP) along the cheapest path from every rack. Its
+	// weight vector is refilled by every refresh; its rows are swept on
+	// demand: swept[r] is the weight generation row r was last swept at,
+	// and a row is current iff that equals gen. mu serializes the sweeps
+	// queries trigger; the stamp is the lock-free fast path.
+	trans *topology.MultiSource
+	swept []atomic.Uint64
+	gen   uint64
+	mu    sync.Mutex
+	ready atomic.Bool // tables built (false until a deferred model's first use)
 
-	racks     []int             // cached rack sources, rebuilt on wiring change
+	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
+
+	dist *topology.MultiSource // Σ D(e): physical distance from every rack
+
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
-	structVer uint64            // Graph.StructVersion behind racks and dist
+	structVer uint64            // Graph.StructVersion behind trans's rows and dist
+	rows      []int             // RefreshSources scratch
+	one       [1]int            // on-demand sweep scratch (under mu)
 }
 
 // New builds a cost model, computing rack-sourced shortest-path tables.
 func New(c *dcn.Cluster, p Params) (*Model, error) {
-	if err := p.Validate(); err != nil {
+	m, err := NewDeferred(c, p)
+	if err != nil {
 		return nil, err
-	}
-	m := &Model{params: p, cluster: c}
-	m.transCost = func(e topology.Edge) float64 {
-		if e.Bandwidth <= 0 || e.Bandwidth < p.BandwidthFloor {
-			return topology.Inf
-		}
-		t := p.RefSize / e.Bandwidth // T(e) for the reference size
-		u := e.Bandwidth / e.Capacity
-		return p.Delta*t + p.Eta*u
 	}
 	m.Refresh()
 	return m, nil
@@ -93,7 +104,7 @@ func New(c *dcn.Cluster, p Params) (*Model, error) {
 // NewDeferred builds a cost model without computing the rack-sourced
 // shortest-path tables: construction is O(1) instead of |racks| Dijkstra
 // sweeps over dense per-source tables. The tables are built by the first
-// Refresh — which the runtime's management phase already issues before any
+// refresh — which the runtime's management phase already issues before any
 // shim consults the model — or lazily by the first cost query. On a
 // 5,000-rack fabric the eager tables cost hundreds of MB and tens of
 // seconds; a scale run that never raises an alert should pay neither.
@@ -106,18 +117,23 @@ func NewDeferred(c *dcn.Cluster, p Params) (*Model, error) {
 		if e.Bandwidth <= 0 || e.Bandwidth < p.BandwidthFloor {
 			return topology.Inf
 		}
-		t := p.RefSize / e.Bandwidth
+		t := p.RefSize / e.Bandwidth // T(e) for the reference size
 		u := e.Bandwidth / e.Capacity
 		return p.Delta*t + p.Eta*u
 	}
 	return m, nil
 }
 
-// ensure makes the tables usable for a deferred model queried before its
-// first Refresh.
+// ensure builds the tables of a deferred model queried before its first
+// refresh.
 func (m *Model) ensure() {
-	if m.trans == nil {
-		m.Refresh()
+	if m.ready.Load() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.ready.Load() {
+		m.RefreshSources(nil)
 	}
 }
 
@@ -125,24 +141,73 @@ func (m *Model) ensure() {
 // Only rack nodes are sources — Eqn. (1) is evaluated between delegation
 // nodes, so per-rack Dijkstra replaces the paper's Floyd–Warshall with
 // identical results at far lower cost on large fabrics.
+func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes()) }
+
+// RefreshSources is Refresh for callers that know which racks will price
+// migrations before the next refresh: the transmission weights are
+// refilled once from current link state, and only the rows of the named
+// rack nodes are swept now. Every other row is left stale and swept by the
+// first query that reads it — against the weights retained from this
+// call, so whenever a row is swept it is exactly the row a full Refresh
+// here would have produced. Naming too few racks costs a late sweep,
+// never a wrong answer; unknown and repeated nodes are ignored.
 //
-// The refresh is fused: when the wiring changed (or on first build), the
-// transmission and distance metrics run as one pass over the graph's CSR
-// view — both edge-cost vectors materialized in a single edge scan, both
-// sweeps per source back-to-back on the same hot scratch, one pool
-// fan-out. In steady state only bandwidths change, and physical distance
-// does not depend on them, so the distance table is carried over
-// untouched and Refresh pays for the transmission sweep alone, reusing
-// the previous tables (allocation-free after warmup).
-func (m *Model) Refresh() {
+// Physical distance does not depend on bandwidth, so the distance table
+// is swept in full only when the wiring changed (or on first build) and
+// carried over otherwise; in steady state the call allocates nothing.
+func (m *Model) RefreshSources(rackNodes []int) {
 	g := m.cluster.Graph
-	if m.trans == nil || g.StructVersion() != m.structVer {
+	if !m.ready.Load() || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
-		m.racks = g.Racks()
-		m.trans, m.dist = topology.DijkstraPairInto(g, m.racks, m.transCost, topology.DistanceCost, m.trans, m.dist)
-		return
+		racks := g.RackNodes()
+		m.dist = topology.DijkstraFromInto(g, racks, topology.DistanceCost, m.dist)
+		if m.trans == nil {
+			m.trans = &topology.MultiSource{}
+		}
+		m.trans.Reset(g, racks)
+		m.swept = make([]atomic.Uint64, len(racks))
+		m.gen = 0
 	}
-	m.trans = topology.DijkstraFromInto(g, m.racks, m.transCost, m.trans)
+	m.trans.Reweigh(m.transCost)
+	m.gen++
+	rows := m.rows[:0]
+	for _, node := range rackNodes {
+		if r := m.trans.Row(node); r >= 0 && m.swept[r].Load() != m.gen {
+			m.swept[r].Store(m.gen)
+			rows = append(rows, r)
+		}
+	}
+	m.rows = rows
+	m.trans.SweepRows(rows)
+	m.prepared.Add(uint64(len(rows)))
+	m.ready.Store(true)
+}
+
+// SweepCounts returns how many transmission rows have been swept ahead of
+// use by Refresh/RefreshSources and how many on demand by a query that
+// found its row stale. A high on-demand share means the caller of
+// RefreshSources is naming the wrong racks.
+func (m *Model) SweepCounts() (prepared, onDemand uint64) {
+	return m.prepared.Load(), m.onDemand.Load()
+}
+
+// transFrom returns the transmission table with the row of the source
+// rack node current, sweeping it first when it is stale.
+func (m *Model) transFrom(src int) *topology.MultiSource {
+	m.ensure()
+	r := m.trans.Row(src)
+	if r < 0 || m.swept[r].Load() == m.gen {
+		return m.trans
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.swept[r].Load() != m.gen {
+		m.one[0] = r
+		m.trans.SweepRows(m.one[:])
+		m.swept[r].Store(m.gen)
+		m.onDemand.Add(1)
+	}
+	return m.trans
 }
 
 // refreshNaive is the seed's Refresh, kept as the "before" side of
@@ -161,8 +226,13 @@ func (m *Model) refreshNaive() {
 		},
 	)
 	m.trans, m.dist = trans, dist
-	m.racks = racks
 	m.structVer = m.cluster.Graph.StructVersion()
+	m.gen = 1
+	m.swept = make([]atomic.Uint64, len(racks))
+	for i := range m.swept {
+		m.swept[i].Store(m.gen)
+	}
+	m.ready.Store(true)
 }
 
 // Params returns the model constants.
@@ -174,20 +244,20 @@ func (m *Model) Params() Params { return m.params }
 // the actual size. Returns ErrBandwidthBelowFloor when no feasible path
 // exists.
 func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, error) {
-	m.ensure()
 	if src == dst {
 		return 0, nil
 	}
-	path := m.trans.Path(src.NodeID, dst.NodeID)
-	if path == nil {
+	// The path's links come off the parent chain into a stack buffer (no
+	// node path, no adjacency rescans) and are summed src → dst: the float
+	// sum depends on the order.
+	var buf [16]int
+	edges, ok := m.transFrom(src.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
+	if !ok {
 		return 0, ErrBandwidthBelowFloor
 	}
 	total := 0.0
-	for i := 1; i < len(path); i++ {
-		e, ok := m.cluster.Graph.EdgeBetween(path[i-1], path[i])
-		if !ok {
-			return 0, fmt.Errorf("cost: path uses missing edge %d-%d", path[i-1], path[i])
-		}
+	for _, id := range edges {
+		e := m.cluster.Graph.EdgeAt(id)
 		if e.Bandwidth <= 0 || e.Bandwidth < m.params.BandwidthFloor {
 			return 0, ErrBandwidthBelowFloor
 		}
@@ -242,11 +312,10 @@ func (m *Model) Migration(vm *dcn.VM, dst *dcn.Host) (float64, error) {
 // reference-size VM — the inter-rack metric handed to the k-median
 // reduction of Sec. V.A. Same-rack cost is 0.
 func (m *Model) RackPairCost(a, b *dcn.Rack) float64 {
-	m.ensure()
 	if a == b {
 		return 0
 	}
-	d := m.trans.Dist(a.NodeID, b.NodeID)
+	d := m.transFrom(a.NodeID).Dist(a.NodeID, b.NodeID)
 	if d == topology.Inf {
 		return topology.Inf
 	}

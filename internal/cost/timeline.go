@@ -147,16 +147,14 @@ func (m *Model) MigrationTimeline(vm *dcn.VM, dst *dcn.Host, p TimelineParams) (
 // bottleneckBandwidth returns the minimum available bandwidth along the
 // cheapest path between two racks.
 func (m *Model) bottleneckBandwidth(src, dst *dcn.Rack) (float64, error) {
-	path := m.trans.Path(src.NodeID, dst.NodeID)
-	if path == nil {
+	var buf [16]int
+	edges, ok := m.transFrom(src.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
+	if !ok {
 		return 0, ErrBandwidthBelowFloor
 	}
 	min := -1.0
-	for i := 1; i < len(path); i++ {
-		e, ok := m.cluster.Graph.EdgeBetween(path[i-1], path[i])
-		if !ok {
-			return 0, fmt.Errorf("cost: path uses missing edge %d-%d", path[i-1], path[i])
-		}
+	for _, id := range edges {
+		e := m.cluster.Graph.EdgeAt(id)
 		if e.Bandwidth <= 0 {
 			return 0, ErrBandwidthBelowFloor
 		}

@@ -21,18 +21,22 @@ type Flow struct {
 	Rate           float64 // offered rate in capacity units
 	DelaySensitive bool
 
-	path []int // current route, inclusive of endpoints
+	path  []int // current route, inclusive of endpoints
+	edges []int // the route's directed-edge IDs: edges[i] is path[i]→path[i+1]
 }
 
 // Path returns the flow's current route (nil if unrouted). The slice is
 // owned by the network; treat it as read-only.
 func (f *Flow) Path() []int { return f.path }
 
-// Network tracks flows and per-link load over a topology graph.
+// Network tracks flows and per-link load over a topology graph. Link state
+// is dense: one float per directed edge, indexed by topology.Edge.ID, so a
+// load read is an array index and a flow's load accounting walks the edge
+// IDs kept beside its path.
 type Network struct {
 	g      *topology.Graph
-	flows  map[int]*Flow
-	load   map[[2]int]float64 // directed edge → offered load
+	flows  []*Flow   // ascending by ID (IDs are issued in increasing order)
+	load   []float64 // edge ID → offered load; grown by loads()
 	nextID int
 
 	// sweep is the reusable shortest-path table behind routing queries:
@@ -40,15 +44,31 @@ type Network struct {
 	// every admitted flow) but writes into the same dist/parent storage,
 	// so steady-state admission and reroute stop allocating tables.
 	sweep *topology.MultiSource
+
+	// Scratch reused across HotSwitches / RerouteAroundHot calls.
+	hot       []int
+	avoidHot  map[int]bool
+	hotSweeps map[int]*topology.MultiSource // per-source masked sweeps of one pass
+	spares    []*topology.MultiSource       // tables recycled from earlier passes
 }
 
 // NewNetwork wraps a topology graph. Link loads start at zero.
 func NewNetwork(g *topology.Graph) *Network {
 	return &Network{
-		g:     g,
-		flows: make(map[int]*Flow),
-		load:  make(map[[2]int]float64),
+		g:         g,
+		avoidHot:  make(map[int]bool, 1),
+		hotSweeps: make(map[int]*topology.MultiSource, 4),
 	}
+}
+
+// loads returns the load vector, extended with zeros when links were added
+// to the graph since the last call (edge IDs never move, so existing
+// entries stay put).
+func (n *Network) loads() []float64 {
+	if len(n.load) < n.g.NumEdges() {
+		n.load = append(n.load, make([]float64, n.g.NumEdges()-len(n.load))...)
+	}
+	return n.load
 }
 
 // ErrNoRoute is returned when no path (or no admissible path) exists.
@@ -65,130 +85,168 @@ func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flo
 		return nil, errors.New("flow: src == dst")
 	}
 	f := &Flow{ID: n.nextID, Src: src, Dst: dst, Rate: rate, DelaySensitive: delaySensitive}
-	path := n.cheapestPath(src, dst, nil)
+	path, edges := n.cheapestPath(src, dst, nil)
 	if path == nil {
 		return nil, ErrNoRoute
 	}
 	n.nextID++
-	n.flows[f.ID] = f
-	n.applyPath(f, path)
+	n.flows = append(n.flows, f)
+	n.applyPath(f, path, edges)
 	return f, nil
 }
 
-// cheapestPath picks the least-loaded shortest path, avoiding the given
-// switch nodes.
-func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) []int {
-	cost := func(e topology.Edge) float64 {
-		if avoid[e.To] && e.To != dst && e.To != src {
-			return topology.Inf
-		}
-		// Distance-dominant with a load-dependent tie-breaker so
-		// equal-length paths spread load.
-		u := n.load[[2]int{e.From, e.To}] / e.Capacity
-		return e.Distance * (1 + 0.1*u)
-	}
-	n.sweep = topology.DijkstraFromInto(n.g, []int{src}, cost, n.sweep)
-	return n.sweep.Path(src, dst)
+// routeCost is the routing metric: distance-dominant with a load-dependent
+// tie-breaker so equal-length paths spread load.
+func routeCost(load []float64, e topology.Edge) float64 {
+	u := load[e.ID] / e.Capacity
+	return e.Distance * (1 + 0.1*u)
 }
 
-func (n *Network) applyPath(f *Flow, path []int) {
-	for i := 1; i < len(path); i++ {
-		n.load[[2]int{path[i-1], path[i]}] += f.Rate
+// cheapestPath picks the least-loaded shortest path, avoiding the given
+// switch nodes, and returns it with its edge IDs.
+func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
+	load := n.loads()
+	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
+	if len(avoid) > 0 {
+		cost = func(e topology.Edge) float64 {
+			if avoid[e.To] && e.To != dst && e.To != src {
+				return topology.Inf
+			}
+			return routeCost(load, e)
+		}
 	}
-	f.path = path
+	n.sweep = topology.DijkstraFromInto(n.g, []int{src}, cost, n.sweep)
+	return route(n.sweep, src, dst)
+}
+
+// route reads a path and its edge IDs off a sweep; both nil when dst is
+// unreachable. The slices are fresh: the flow keeps them.
+func route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
+	path = ms.Path(src, dst)
+	if path == nil {
+		return nil, nil
+	}
+	edges, _ = ms.PathEdges(src, dst, make([]int, 0, len(path)-1))
+	return path, edges
+}
+
+func (n *Network) applyPath(f *Flow, path, edges []int) {
+	load := n.loads()
+	for _, id := range edges {
+		load[id] += f.Rate
+	}
+	f.path, f.edges = path, edges
+}
+
+// settle zeroes a load that a subtraction left within rounding of empty,
+// so an idle link reads exactly 0 rather than a residue of the flows that
+// came and went.
+func settle(load []float64, id int) {
+	if load[id] < 1e-12 {
+		load[id] = 0
+	}
 }
 
 func (n *Network) clearPath(f *Flow) {
-	for i := 1; i < len(f.path); i++ {
-		key := [2]int{f.path[i-1], f.path[i]}
-		n.load[key] -= f.Rate
-		if n.load[key] < 1e-12 {
-			delete(n.load, key)
-		}
+	load := n.loads()
+	for _, id := range f.edges {
+		load[id] -= f.Rate
+		settle(load, id)
 	}
-	f.path = nil
+	f.path, f.edges = nil, nil
 }
+
+// owns reports whether f is a live flow of this network.
+func (n *Network) owns(f *Flow) bool { return f != nil && n.Flow(f.ID) == f }
 
 // SetRate changes a flow's offered rate in place, adjusting the load on
 // its current path without re-routing it.
 func (n *Network) SetRate(f *Flow, rate float64) error {
-	if f == nil || n.flows[f.ID] != f {
+	if !n.owns(f) {
 		return errors.New("flow: unknown flow")
 	}
 	if rate <= 0 {
 		return fmt.Errorf("flow: rate must be > 0, got %v", rate)
 	}
 	delta := rate - f.Rate
-	for i := 1; i < len(f.path); i++ {
-		key := [2]int{f.path[i-1], f.path[i]}
-		n.load[key] += delta
-		if n.load[key] < 1e-12 {
-			delete(n.load, key)
-		}
+	load := n.loads()
+	for _, id := range f.edges {
+		load[id] += delta
+		settle(load, id)
 	}
 	f.Rate = rate
 	return nil
 }
 
+// index returns the position of flow id in the ID-ordered table.
+func (n *Network) index(id int) (int, bool) {
+	i := sort.Search(len(n.flows), func(i int) bool { return n.flows[i].ID >= id })
+	return i, i < len(n.flows) && n.flows[i].ID == id
+}
+
 // RemoveFlow withdraws a flow and releases its load.
 func (n *Network) RemoveFlow(id int) {
-	f := n.flows[id]
-	if f == nil {
+	i, ok := n.index(id)
+	if !ok {
 		return
 	}
-	n.clearPath(f)
-	delete(n.flows, id)
+	n.clearPath(n.flows[i])
+	n.flows = append(n.flows[:i], n.flows[i+1:]...)
 }
 
 // Flow returns the flow with the given ID, or nil.
-func (n *Network) Flow(id int) *Flow { return n.flows[id] }
-
-// Flows returns all flows ordered by ID.
-func (n *Network) Flows() []*Flow {
-	out := make([]*Flow, 0, len(n.flows))
-	for _, f := range n.flows {
-		out = append(out, f)
+func (n *Network) Flow(id int) *Flow {
+	if i, ok := n.index(id); ok {
+		return n.flows[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return nil
 }
 
+// Flows returns all flows ordered by ID.
+func (n *Network) Flows() []*Flow { return append([]*Flow(nil), n.flows...) }
+
 // LinkLoad returns the offered load on the directed link a→b.
-func (n *Network) LinkLoad(a, b int) float64 { return n.load[[2]int{a, b}] }
+func (n *Network) LinkLoad(a, b int) float64 {
+	if id := n.g.EdgeIndex(a, b); id >= 0 {
+		return n.loads()[id]
+	}
+	return 0
+}
 
 // LinkUtilization returns load/capacity on the directed link a→b, or 0
 // when the link does not exist.
 func (n *Network) LinkUtilization(a, b int) float64 {
 	e, ok := n.g.EdgeBetween(a, b)
-	if !ok || e.Capacity == 0 {
+	if !ok {
 		return 0
 	}
-	return n.load[[2]int{a, b}] / e.Capacity
+	return n.EdgeUtilization(e)
 }
 
 // EdgeUtilization returns load/capacity for an already-resolved edge,
-// skipping the O(degree) EdgeBetween lookup LinkUtilization pays. Link
-// capacity is symmetric (AddLink installs both directions alike), so the
-// reverse direction reuses e.Capacity.
+// skipping the O(degree) EdgeBetween lookup LinkUtilization pays.
 func (n *Network) EdgeUtilization(e topology.Edge) float64 {
 	if e.Capacity == 0 {
 		return 0
 	}
-	return n.load[[2]int{e.From, e.To}] / e.Capacity
+	return n.loads()[e.ID] / e.Capacity
 }
 
 // SwitchUtilization returns the maximum utilization over a switch's
 // incident directed links — the congestion signal a QCN-style CP reports.
+// Link capacity is symmetric (AddLink installs both directions alike), so
+// the inbound direction reuses e.Capacity.
 func (n *Network) SwitchUtilization(sw int) float64 {
+	load := n.loads()
 	max := 0.0
 	for _, e := range n.g.Edges(sw) {
 		if e.Capacity == 0 {
 			continue
 		}
-		if u := n.load[[2]int{e.From, e.To}] / e.Capacity; u > max {
+		if u := load[e.ID] / e.Capacity; u > max {
 			max = u
 		}
-		if u := n.load[[2]int{e.To, e.From}] / e.Capacity; u > max {
+		if u := load[topology.ReverseEdge(e.ID)] / e.Capacity; u > max {
 			max = u
 		}
 	}
@@ -196,22 +254,23 @@ func (n *Network) SwitchUtilization(sw int) float64 {
 }
 
 // HotSwitches returns switch node IDs whose utilization is at or above
-// the threshold fraction, in ascending ID order.
+// the threshold fraction, in ascending ID order. The slice is the
+// network's scratch, overwritten by the next HotSwitches call.
 func (n *Network) HotSwitches(threshold float64) []int {
-	var out []int
-	for _, sw := range n.g.Switches() {
+	n.hot = n.hot[:0]
+	for _, sw := range n.g.SwitchNodes() {
 		if n.SwitchUtilization(sw) >= threshold {
-			out = append(out, sw)
+			n.hot = append(n.hot, sw)
 		}
 	}
-	return out
+	return n.hot
 }
 
 // FlowsThrough returns the flows whose current path crosses the node, in
 // ID order.
 func (n *Network) FlowsThrough(node int) []*Flow {
 	var out []*Flow
-	for _, f := range n.Flows() {
+	for _, f := range n.flows {
 		for _, hop := range f.path {
 			if hop == node {
 				out = append(out, f)
@@ -226,17 +285,17 @@ func (n *Network) FlowsThrough(node int) []*Flow {
 // switches. It returns ErrNoRoute (leaving the flow untouched) when no
 // such path exists.
 func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
-	if f == nil || n.flows[f.ID] != f {
+	if !n.owns(f) {
 		return errors.New("flow: unknown flow")
 	}
-	old := f.path
+	oldPath, oldEdges := f.path, f.edges
 	n.clearPath(f)
-	path := n.cheapestPath(f.Src, f.Dst, avoid)
+	path, edges := n.cheapestPath(f.Src, f.Dst, avoid)
 	if path == nil {
-		n.applyPath(f, old) // restore
+		n.applyPath(f, oldPath, oldEdges) // restore
 		return ErrNoRoute
 	}
-	n.applyPath(f, path)
+	n.applyPath(f, path, edges)
 	return nil
 }
 
@@ -255,12 +314,12 @@ func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
 // and drift only in the 0.1·u load tie-break, which the next pass (or the
 // next hot-switch report) re-evaluates from fresh state.
 func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
-	avoid := map[int]bool{hot: true}
+	clear(n.avoidHot)
+	n.avoidHot[hot] = true
 	cands := n.FlowsThrough(hot)
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Rate > cands[j].Rate })
 	var moved []*Flow
-	sweeps := make(map[int]*topology.MultiSource, 4)
-	var spare *topology.MultiSource // storage recycled from invalidated sweeps
+	load := n.loads()
 	for _, f := range cands {
 		if n.SwitchUtilization(hot) < target {
 			break
@@ -271,34 +330,39 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 		if f.Src == hot || f.Dst == hot {
 			// cheapestPath exempts the endpoints from the avoid mask, so
 			// these flows see a flow-specific mask; route them exactly.
-			if err := n.Reroute(f, avoid); err == nil {
+			if err := n.Reroute(f, n.avoidHot); err == nil {
 				moved = append(moved, f)
 			}
 			continue
 		}
-		ms := sweeps[f.Src]
+		ms := n.hotSweeps[f.Src]
 		if ms == nil {
-			src := f.Src
 			cost := func(e topology.Edge) float64 {
 				if e.To == hot {
 					return topology.Inf
 				}
-				u := n.load[[2]int{e.From, e.To}] / e.Capacity
-				return e.Distance * (1 + 0.1*u)
+				return routeCost(load, e)
 			}
-			ms = topology.DijkstraFromInto(n.g, []int{src}, cost, spare)
-			spare = nil
-			sweeps[src] = ms
+			var spare *topology.MultiSource // storage recycled from dropped sweeps
+			if k := len(n.spares); k > 0 {
+				spare, n.spares = n.spares[k-1], n.spares[:k-1]
+			}
+			ms = topology.DijkstraFromInto(n.g, []int{f.Src}, cost, spare)
+			n.hotSweeps[f.Src] = ms
 		}
-		path := ms.Path(f.Src, f.Dst)
+		path, edges := route(ms, f.Src, f.Dst)
 		if path == nil {
 			continue // no route around the hot switch; flow stays put
 		}
 		n.clearPath(f)
-		n.applyPath(f, path)
+		n.applyPath(f, path, edges)
 		moved = append(moved, f)
-		delete(sweeps, f.Src)
-		spare = ms
+		delete(n.hotSweeps, f.Src)
+		n.spares = append(n.spares, ms)
+	}
+	for src, ms := range n.hotSweeps {
+		n.spares = append(n.spares, ms)
+		delete(n.hotSweeps, src)
 	}
 	return moved
 }
@@ -311,24 +375,24 @@ func (n *Network) AlternatePaths(f *Flow, k int) [][]int {
 
 // UpdateGraphBandwidth writes residual bandwidth (capacity − load) back
 // into the topology graph so the migration cost model sees the traffic
-// plane's state. Negative residuals clamp to zero.
+// plane's state. Negative residuals clamp to zero. A link's two
+// directions share one bandwidth figure; it is the smaller of the two
+// residuals, the conservative reading of the undirected link.
 func (n *Network) UpdateGraphBandwidth() {
-	for _, id := range append(n.g.Racks(), n.g.Switches()...) {
-		for _, e := range n.g.Edges(id) {
-			residual := e.Capacity - n.load[[2]int{e.From, e.To}]
-			if residual < 0 {
-				residual = 0
-			}
-			// SetBandwidth sets both directions; use the max of the two
-			// residuals to stay conservative per undirected link.
-			rev := e.Capacity - n.load[[2]int{e.To, e.From}]
-			if rev < 0 {
-				rev = 0
-			}
-			if rev < residual {
-				residual = rev
-			}
-			n.g.SetBandwidth(e.From, e.To, residual)
+	load := n.loads()
+	for id := 0; id < len(load); id += 2 { // one visit per link: IDs 2k and 2k+1
+		c := n.g.EdgeAt(id).Capacity
+		residual := c - load[id]
+		if residual < 0 {
+			residual = 0
 		}
+		rev := c - load[id+1]
+		if rev < 0 {
+			rev = 0
+		}
+		if rev < residual {
+			residual = rev
+		}
+		n.g.SetBandwidthAt(id, residual)
 	}
 }

@@ -1,0 +1,57 @@
+package flow
+
+import (
+	"fmt"
+	"math"
+)
+
+// CheckInvariants verifies the traffic plane's bookkeeping against a
+// recomputation from the flow table:
+//
+//   - every flow's edge list is its node path, hop for hop;
+//   - every link's load equals the sum of the rates of the flows routed
+//     over it, to within 1e-9 (the live value is accumulated incrementally,
+//     so it differs from the recomputed sum by rounding);
+//   - no link load is negative;
+//   - the flow table is strictly ascending by ID, below the next ID.
+//
+// It is O(flows × path length + links) and allocates; meant for tests and
+// debugging, not for the per-period path.
+func (n *Network) CheckInvariants() error {
+	load := n.loads()
+	want := make([]float64, len(load))
+	for i, f := range n.flows {
+		if f.ID >= n.nextID || (i > 0 && n.flows[i-1].ID >= f.ID) {
+			return fmt.Errorf("flow: table out of order at flow %d (next id %d)", f.ID, n.nextID)
+		}
+		if len(f.path) == 0 && len(f.edges) == 0 {
+			continue
+		}
+		if len(f.edges) != len(f.path)-1 {
+			return fmt.Errorf("flow: flow %d has %d edges for a %d-node path", f.ID, len(f.edges), len(f.path))
+		}
+		if f.path[0] != f.Src || f.path[len(f.path)-1] != f.Dst {
+			return fmt.Errorf("flow: flow %d path %v does not join %d→%d", f.ID, f.path, f.Src, f.Dst)
+		}
+		for k, id := range f.edges {
+			if id < 0 || id >= len(load) {
+				return fmt.Errorf("flow: flow %d edge %d out of range", f.ID, id)
+			}
+			if e := n.g.EdgeAt(id); e.From != f.path[k] || e.To != f.path[k+1] {
+				return fmt.Errorf("flow: flow %d edge %d is %d→%d, path hop is %d→%d",
+					f.ID, id, e.From, e.To, f.path[k], f.path[k+1])
+			}
+			want[id] += f.Rate
+		}
+	}
+	for id, got := range load {
+		if got < 0 {
+			return fmt.Errorf("flow: negative load %v on edge %d", got, id)
+		}
+		if math.Abs(got-want[id]) > 1e-9 {
+			e := n.g.EdgeAt(id)
+			return fmt.Errorf("flow: load on %d→%d is %v, routed flows sum to %v", e.From, e.To, got, want[id])
+		}
+	}
+	return nil
+}

@@ -1,0 +1,234 @@
+package flow
+
+import (
+	"encoding/json"
+	"math/rand"
+	"testing"
+
+	"sheriff/internal/topology"
+)
+
+// TestInvariantsUnderRandomOperations drives a seeded random mix of every
+// operation that touches link state — admit, withdraw, re-rate, reroute
+// around chosen switches, FLOWREROUTE around the hottest switch, bandwidth
+// write-back, snapshot → restore into a fresh network — on the three
+// fabrics, and asserts after each one that every link load is the sum of
+// the flows routed over it, none is negative, and every flow's edge list
+// is its node path (ROADMAP item 4).
+func TestInvariantsUnderRandomOperations(t *testing.T) {
+	ft := fatTree(t, 4)
+	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 12, Spines: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*topology.Graph{"fat-tree": ft.Graph, "bcube": bc.Graph, "leaf-spine": ls.Graph} {
+		g := g
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			racks, switches := g.Racks(), g.Switches()
+			n := NewNetwork(g)
+			check := func(op string) {
+				t.Helper()
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("after %s: %v", op, err)
+				}
+			}
+			pick := func() *Flow {
+				fs := n.Flows()
+				if len(fs) == 0 {
+					return nil
+				}
+				return fs[rng.Intn(len(fs))]
+			}
+			for step := 0; step < 1500; step++ {
+				op := rng.Intn(8)
+				f := pick()
+				switch {
+				case op <= 1 || f == nil:
+					a, b := racks[rng.Intn(len(racks))], racks[rng.Intn(len(racks))]
+					_, _ = n.AddFlow(a, b, 0.02+0.3*rng.Float64(), rng.Intn(4) == 0)
+					check("AddFlow")
+				case op == 2:
+					n.RemoveFlow(f.ID)
+					check("RemoveFlow")
+				case op == 3:
+					if err := n.SetRate(f, 0.02+0.3*rng.Float64()); err != nil {
+						t.Fatal(err)
+					}
+					check("SetRate")
+				case op == 4:
+					avoid := map[int]bool{switches[rng.Intn(len(switches))]: true}
+					before := append([]int(nil), f.Path()...)
+					if err := n.Reroute(f, avoid); err != nil && !equalInts(before, f.Path()) {
+						t.Fatalf("failed Reroute changed the path: %v -> %v", before, f.Path())
+					}
+					check("Reroute")
+				case op == 5:
+					hot, maxU := switches[0], -1.0
+					for _, sw := range switches {
+						if u := n.SwitchUtilization(sw); u > maxU {
+							hot, maxU = sw, u
+						}
+					}
+					n.RerouteAroundHot(hot, 0.5*maxU)
+					check("RerouteAroundHot")
+				case op == 6:
+					n.UpdateGraphBandwidth()
+					for id := 0; id < g.NumEdges(); id++ {
+						e := g.EdgeAt(id)
+						if e.Bandwidth < 0 || e.Bandwidth > e.Capacity || e.Bandwidth != g.EdgeAt(topology.ReverseEdge(id)).Bandwidth {
+							t.Fatalf("edge %d bandwidth %v out of [0,%v] or unlike its reverse", id, e.Bandwidth, e.Capacity)
+						}
+					}
+					check("UpdateGraphBandwidth")
+				default:
+					snap := n.Snapshot()
+					want, _ := json.Marshal(snap)
+					restored := NewNetwork(g)
+					if err := restored.Restore(snap); err != nil {
+						t.Fatalf("Restore: %v", err)
+					}
+					if got, _ := json.Marshal(restored.Snapshot()); string(got) != string(want) {
+						t.Fatalf("snapshot does not re-encode identically after restore")
+					}
+					n = restored
+					check("Restore")
+				}
+			}
+		})
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckInvariantsCatchesCorruption makes sure the checker is not
+// vacuous: each kind of damage it claims to detect is reported.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	ft := fatTree(t, 4)
+	fresh := func() (*Network, *Flow) {
+		n := NewNetwork(ft.Graph)
+		f, err := n.AddFlow(ft.RackIDs[0][0], ft.RackIDs[2][1], 0.4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return n, f
+	}
+	n, f := fresh()
+	n.load[f.edges[0]] += 0.1
+	if n.CheckInvariants() == nil {
+		t.Error("drifted link load not reported")
+	}
+	n, f = fresh()
+	n.load[topology.ReverseEdge(f.edges[0])] = -0.5
+	if n.CheckInvariants() == nil {
+		t.Error("negative link load not reported")
+	}
+	n, f = fresh()
+	f.edges[1] = topology.ReverseEdge(f.edges[1])
+	if n.CheckInvariants() == nil {
+		t.Error("edge list that does not follow the path not reported")
+	}
+	n, f = fresh()
+	f.edges = f.edges[:len(f.edges)-1]
+	if n.CheckInvariants() == nil {
+		t.Error("short edge list not reported")
+	}
+}
+
+// TestLoadVectorFollowsGraphGrowth: edge IDs are stable, so links added
+// after the network was built extend the load vector without disturbing
+// existing accounting.
+func TestLoadVectorFollowsGraphGrowth(t *testing.T) {
+	ft := fatTree(t, 4)
+	n := NewNetwork(ft.Graph)
+	a, b := ft.RackIDs[0][0], ft.RackIDs[3][1]
+	f, err := n.AddFlow(a, b, 0.3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ft.Graph.AddLink(a, b, 1, 1); err != nil { // a shortcut
+		t.Fatal(err)
+	}
+	if got := n.LinkLoad(a, b); got != 0 {
+		t.Fatalf("fresh link carries load %v", got)
+	}
+	g, err := n.AddFlow(a, b, 0.2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Path()) != 2 || n.LinkLoad(a, b) != 0.2 {
+		t.Fatalf("new flow path %v, shortcut load %v; want the direct link", g.Path(), n.LinkLoad(a, b))
+	}
+	if len(f.Path()) != 5 {
+		t.Fatalf("old flow rerouted itself: %v", f.Path())
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSteadyStateAllocs is the allocation gate for the per-period link-state
+// walks (CI "Allocation gate" step): hot-switch scan with hot switches
+// present, per-edge utilization, re-rating a routed flow, and the bandwidth
+// write-back.
+func TestSteadyStateAllocs(t *testing.T) {
+	ft := fatTree(t, 4)
+	n := NewNetwork(ft.Graph)
+	var flows []*Flow
+	for pod := 1; pod < 4; pod++ {
+		for i := 0; i < 2; i++ {
+			f, err := n.AddFlow(ft.RackIDs[0][0], ft.RackIDs[pod][i], 0.3, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows = append(flows, f)
+		}
+	}
+	if len(n.HotSwitches(0.5)) == 0 {
+		t.Fatal("scenario has no hot switch; the gate would not exercise the append path")
+	}
+	edges := ft.Graph.Edges(ft.RackIDs[0][0])
+	rate := 0.3
+	var sink float64
+	gates := map[string]func(){
+		"HotSwitches": func() { sink += float64(len(n.HotSwitches(0.5))) },
+		"EdgeUtilization": func() {
+			for _, e := range edges {
+				sink += n.EdgeUtilization(e)
+			}
+		},
+		"SetRate": func() {
+			rate = 0.55 - rate
+			for _, f := range flows {
+				if err := n.SetRate(f, rate); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"UpdateGraphBandwidth": n.UpdateGraphBandwidth,
+	}
+	for name, fn := range gates {
+		fn() // warm
+		if got := testing.AllocsPerRun(20, fn); got != 0 {
+			t.Errorf("%s allocates %v times per call in steady state, want 0", name, got)
+		}
+	}
+	_ = sink
+}

@@ -1,33 +1,18 @@
 package flow
 
 import (
-	"math"
 	"testing"
 
 	"sheriff/internal/topology"
 )
 
-// checkLoadConsistency recomputes the load map from every flow's current
-// path and compares it with the network's incremental accounting — the
-// invariant the cached-sweep reroute must preserve.
+// checkLoadConsistency asserts the network's invariants — above all that
+// the incremental load accounting equals a recomputation from every flow's
+// current path, which the cached-sweep reroute must preserve.
 func checkLoadConsistency(t *testing.T, n *Network) {
 	t.Helper()
-	want := make(map[[2]int]float64)
-	for _, f := range n.Flows() {
-		p := f.Path()
-		for i := 1; i < len(p); i++ {
-			want[[2]int{p[i-1], p[i]}] += f.Rate
-		}
-	}
-	for k, v := range want {
-		if got := n.load[k]; math.Abs(got-v) > 1e-9 {
-			t.Fatalf("load on %v = %v, want %v", k, got, v)
-		}
-	}
-	for k, v := range n.load {
-		if _, ok := want[k]; !ok && v > 1e-9 {
-			t.Fatalf("phantom load %v on %v", v, k)
-		}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,7 +37,8 @@ type Snapshot struct {
 	NextID int        `json:"next_id"`
 }
 
-// Snapshot returns a deep copy of the flow table, ordered by flow ID.
+// Snapshot returns a deep copy of the flow table, ordered by flow ID, and
+// the non-zero link loads, ordered by (A, B).
 func (n *Network) Snapshot() *Snapshot {
 	snap := &Snapshot{Flows: make([]FlowSnap, 0, len(n.flows)), NextID: n.nextID}
 	for _, f := range n.flows {
@@ -50,9 +51,11 @@ func (n *Network) Snapshot() *Snapshot {
 			Path:           append([]int(nil), f.path...),
 		})
 	}
-	sort.Slice(snap.Flows, func(i, j int) bool { return snap.Flows[i].ID < snap.Flows[j].ID })
-	for key, load := range n.load {
-		snap.Loads = append(snap.Loads, LinkLoad{A: key[0], B: key[1], Load: load})
+	for id, load := range n.loads() {
+		if load != 0 {
+			e := n.g.EdgeAt(id)
+			snap.Loads = append(snap.Loads, LinkLoad{A: e.From, B: e.To, Load: load})
+		}
 	}
 	sort.Slice(snap.Loads, func(i, j int) bool {
 		if snap.Loads[i].A != snap.Loads[j].A {
@@ -77,7 +80,8 @@ func (n *Network) Restore(snap *Snapshot) error {
 		return fmt.Errorf("flow: restore into non-empty network (%d flows)", len(n.flows))
 	}
 	seen := make(map[int]bool, len(snap.Flows))
-	for _, fs := range snap.Flows {
+	routes := make([][]int, len(snap.Flows))
+	for i, fs := range snap.Flows {
 		if seen[fs.ID] {
 			return fmt.Errorf("flow: snapshot has duplicate flow id %d", fs.ID)
 		}
@@ -85,31 +89,44 @@ func (n *Network) Restore(snap *Snapshot) error {
 		if fs.ID >= snap.NextID {
 			return fmt.Errorf("flow: snapshot flow id %d not below next_id %d", fs.ID, snap.NextID)
 		}
-		if err := n.validatePath(fs); err != nil {
+		edges, err := n.pathEdges(fs)
+		if err != nil {
 			return err
 		}
+		routes[i] = edges
 	}
-	for _, fs := range snap.Flows {
+	covered := make([]bool, len(n.loads())) // links some restored path crosses
+	links := 0
+	for i, fs := range snap.Flows {
 		f := &Flow{ID: fs.ID, Src: fs.Src, Dst: fs.Dst, Rate: fs.Rate, DelaySensitive: fs.DelaySensitive}
 		if len(fs.Path) > 0 {
-			n.applyPath(f, append([]int(nil), fs.Path...))
+			n.applyPath(f, append([]int(nil), fs.Path...), routes[i])
 		}
-		n.flows[f.ID] = f
+		for _, id := range routes[i] {
+			if !covered[id] {
+				covered[id] = true
+				links++
+			}
+		}
+		n.flows = append(n.flows, f)
 	}
+	sort.Slice(n.flows, func(i, j int) bool { return n.flows[i].ID < n.flows[j].ID })
 	if len(snap.Loads) > 0 {
-		load := make(map[[2]int]float64, len(snap.Loads))
+		load := make([]float64, len(covered))
+		installed := make([]bool, len(covered))
 		for _, ll := range snap.Loads {
-			key := [2]int{ll.A, ll.B}
-			if _, dup := load[key]; dup {
+			id := n.g.EdgeIndex(ll.A, ll.B)
+			if id >= 0 && installed[id] {
 				return fmt.Errorf("flow: snapshot has duplicate load entry for link %d→%d", ll.A, ll.B)
 			}
-			if _, recomputed := n.load[key]; !recomputed {
+			if id < 0 || !covered[id] {
 				return fmt.Errorf("flow: snapshot load entry %d→%d not covered by any flow path", ll.A, ll.B)
 			}
-			load[key] = ll.Load
+			installed[id] = true
+			load[id] = ll.Load
 		}
-		if len(load) != len(n.load) {
-			return fmt.Errorf("flow: snapshot carries %d load entries, flow paths cover %d links", len(load), len(n.load))
+		if len(snap.Loads) != links {
+			return fmt.Errorf("flow: snapshot carries %d load entries, flow paths cover %d links", len(snap.Loads), links)
 		}
 		n.load = load
 	}
@@ -117,22 +134,26 @@ func (n *Network) Restore(snap *Snapshot) error {
 	return nil
 }
 
-func (n *Network) validatePath(fs FlowSnap) error {
+// pathEdges validates a snapshot flow's path and resolves it to edge IDs.
+func (n *Network) pathEdges(fs FlowSnap) ([]int, error) {
 	if len(fs.Path) == 0 {
-		return nil
+		return nil, nil
 	}
 	if fs.Path[0] != fs.Src || fs.Path[len(fs.Path)-1] != fs.Dst {
-		return fmt.Errorf("flow: snapshot flow %d path endpoints %d→%d do not match flow %d→%d",
+		return nil, fmt.Errorf("flow: snapshot flow %d path endpoints %d→%d do not match flow %d→%d",
 			fs.ID, fs.Path[0], fs.Path[len(fs.Path)-1], fs.Src, fs.Dst)
 	}
+	edges := make([]int, 0, len(fs.Path)-1)
 	for i := 1; i < len(fs.Path); i++ {
 		a, b := fs.Path[i-1], fs.Path[i]
 		if a < 0 || a >= n.g.NumNodes() || b < 0 || b >= n.g.NumNodes() {
-			return fmt.Errorf("flow: snapshot flow %d path node out of range (%d→%d)", fs.ID, a, b)
+			return nil, fmt.Errorf("flow: snapshot flow %d path node out of range (%d→%d)", fs.ID, a, b)
 		}
-		if _, ok := n.g.EdgeBetween(a, b); !ok {
-			return fmt.Errorf("flow: snapshot flow %d path uses missing link %d→%d", fs.ID, a, b)
+		id := n.g.EdgeIndex(a, b)
+		if id < 0 {
+			return nil, fmt.Errorf("flow: snapshot flow %d path uses missing link %d→%d", fs.ID, a, b)
 		}
+		edges = append(edges, id)
 	}
-	return nil
+	return edges, nil
 }

@@ -434,7 +434,7 @@ func (r *Runtime) Run(n int) ([]StepStats, error) {
 // QCN's detection dynamics at the granularity this simulator resolves.
 func (r *Runtime) qcnHotSwitches(stats *StepStats) []int {
 	var hot []int
-	for _, sw := range r.Cluster.Graph.Switches() {
+	for _, sw := range r.Cluster.Graph.SwitchNodes() {
 		cp := r.cps[sw]
 		if cp == nil {
 			var err error

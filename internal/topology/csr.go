@@ -16,6 +16,7 @@ package topology
 type csr struct {
 	rowStart  []int32 // len n+1; edges of node u live in [rowStart[u], rowStart[u+1])
 	dstID     []int32 // len m
+	edgeID    []int32 // len m; CSR slot → Edge.ID
 	capacity  []float64
 	distance  []float64
 	bandwidth []float64
@@ -30,6 +31,7 @@ func buildCSR(g *Graph) *csr {
 	c := &csr{
 		rowStart:  make([]int32, n+1),
 		dstID:     make([]int32, m),
+		edgeID:    make([]int32, m),
 		capacity:  make([]float64, m),
 		distance:  make([]float64, m),
 		bandwidth: make([]float64, m),
@@ -39,6 +41,7 @@ func buildCSR(g *Graph) *csr {
 		c.rowStart[u] = idx
 		for _, e := range g.adj[u] {
 			c.dstID[idx] = int32(e.To)
+			c.edgeID[idx] = int32(e.ID)
 			c.capacity[idx] = e.Capacity
 			c.distance[idx] = e.Distance
 			c.bandwidth[idx] = e.Bandwidth
@@ -76,6 +79,7 @@ func (c *csr) fillWeights(w []wEdge, cost EdgeCost) {
 	for u := 0; u < n; u++ {
 		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
 			w[i] = wEdge{cost(Edge{
+				ID:        int(c.edgeID[i]),
 				From:      u,
 				To:        int(c.dstID[i]),
 				Capacity:  c.capacity[i],

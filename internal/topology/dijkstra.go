@@ -14,13 +14,25 @@ import (
 // racks). Tables are dense and source-rank indexed: row i of dist/parent
 // belongs to sources[i], and rank maps node ID → row, so lookups never
 // touch a map and the storage is reusable across sweeps.
+//
+// The three steps of a sweep are separable: Reset binds the source set,
+// Reweigh materializes the edge-cost vector, SweepRows runs the searches
+// of the rows asked for. The weight vector is retained, so a row swept
+// later — against the same weights — is exactly the row a full sweep at
+// Reweigh time would have produced. A row that has not been swept since
+// the last Reset holds garbage; callers that sweep selectively track
+// which rows are current (cost.Model does).
 type MultiSource struct {
+	g         *Graph
+	c         *csr   // g's CSR view as of Reset
+	structVer uint64 // g.StructVersion() as of Reset
+
 	n       int
 	sources []int32
 	rank    []int32    // node ID → row index, -1 when not a source
 	tree    []treeNode // len(sources) interleaved (dist, parent) rows of n
 
-	weights []wEdge // interleaved (cost, dst) vector of the last sweep
+	weights []wEdge // interleaved (cost, dst) vector of the last Reweigh
 	scratch []*sweepScratch
 }
 
@@ -40,59 +52,21 @@ func DijkstraFrom(g *Graph, sources []int, cost EdgeCost) *MultiSource {
 // allocation-free after warmup; prev's contents are overwritten and the
 // returned value is prev itself. Pass nil to allocate fresh tables.
 func DijkstraFromInto(g *Graph, sources []int, cost EdgeCost, prev *MultiSource) *MultiSource {
-	c := g.ensureCSR()
 	ms := prev
 	if ms == nil {
 		ms = &MultiSource{}
 	}
-	ms.reset(g, sources)
-	ms.weights = ensureWEdges(ms.weights, len(c.dstID))
-	c.fillWeights(ms.weights, cost)
-	ms.runSweeps(c, nil, nil)
+	ms.Reset(g, sources)
+	ms.Reweigh(cost)
+	ms.runSweeps(nil, len(ms.sources))
 	return ms
 }
 
-// DijkstraPairInto fuses two sweeps over the same sources — the cost
-// model's transmission and distance refresh — into one pass: both weight
-// vectors are materialized in a single edge scan, and each source runs
-// its two searches back-to-back on the same hot scratch within one pool
-// fan-out instead of two. The two metrics keep independent heaps (their
-// settle orders differ), so results are bit-identical to two separate
-// DijkstraFrom calls. msA/msB are reused like DijkstraFromInto's prev.
-func DijkstraPairInto(g *Graph, sources []int, costA, costB EdgeCost, msA, msB *MultiSource) (*MultiSource, *MultiSource) {
-	c := g.ensureCSR()
-	if msA == nil {
-		msA = &MultiSource{}
-	}
-	if msB == nil {
-		msB = &MultiSource{}
-	}
-	msA.reset(g, sources)
-	msB.reset(g, sources)
-	m := len(c.dstID)
-	msA.weights = ensureWEdges(msA.weights, m)
-	msB.weights = ensureWEdges(msB.weights, m)
-	wA, wB := msA.weights, msB.weights
-	n := len(c.rowStart) - 1
-	for u := 0; u < n; u++ {
-		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
-			e := Edge{
-				From:      u,
-				To:        int(c.dstID[i]),
-				Capacity:  c.capacity[i],
-				Distance:  c.distance[i],
-				Bandwidth: c.bandwidth[i],
-			}
-			wA[i] = wEdge{costA(e), c.dstID[i]}
-			wB[i] = wEdge{costB(e), c.dstID[i]}
-		}
-	}
-	msA.runSweeps(c, msB, wB)
-	return msA, msB
-}
-
-// reset points the tables at the new source set, reusing backing arrays.
-func (ms *MultiSource) reset(g *Graph, sources []int) {
+// Reset points the tables at a graph and source set, reusing backing
+// arrays. No row is swept and the weight vector is not filled. Required
+// again after any structural change to the graph.
+func (ms *MultiSource) Reset(g *Graph, sources []int) {
+	ms.g, ms.c, ms.structVer = g, g.ensureCSR(), g.structVer
 	n := g.NumNodes()
 	if len(ms.rank) >= n {
 		// Clear only the previous sources' entries; the rest is still -1.
@@ -117,31 +91,49 @@ func (ms *MultiSource) reset(g *Graph, sources []int) {
 		ms.rank[s] = int32(i)
 	}
 	ms.tree = ensureTreeNodes(ms.tree, len(sources)*n)
+	ms.weights = ensureWEdges(ms.weights, len(ms.c.dstID))
 }
 
-// runSweeps fans the per-source searches out over the shared worker pool.
-// When other is non-nil, each source also runs the second-metric sweep on
-// the same scratch (the fused refresh). Single-source sweeps run inline
-// so the steady-state path stays allocation-free.
-func (ms *MultiSource) runSweeps(c *csr, other *MultiSource, otherW []wEdge) {
-	s := len(ms.sources)
-	if s == 0 {
+// Reweigh refills the retained weight vector from the graph's current
+// link state: one cost call per directed edge, no sweeps. Rows swept
+// before the call keep describing the old weights until swept again.
+func (ms *MultiSource) Reweigh(cost EdgeCost) {
+	if ms.g.structVer != ms.structVer {
+		panic("topology: MultiSource.Reweigh after a structural change without Reset")
+	}
+	ms.c.fillWeights(ms.weights, cost)
+}
+
+// SweepRows runs the single-source search of each named row (an index
+// into the Reset source list, see Row) against the retained weights.
+// Several rows fan out over the shared worker pool; one row runs inline
+// on the caller's goroutine, allocation-free. Rows must be distinct.
+func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
+
+// Row returns the table row of a source node, or -1 when the node is not
+// in the source set.
+func (ms *MultiSource) Row(src int) int {
+	if src < 0 || src >= len(ms.rank) {
+		return -1
+	}
+	return int(ms.rank[src])
+}
+
+// runSweeps runs count searches: of rows[i], or of row i when rows is nil
+// (every row, without materializing the identity list). Single searches
+// run inline so the steady-state path stays allocation-free.
+func (ms *MultiSource) runSweeps(rows []int, count int) {
+	if count == 0 {
 		return
 	}
-	n := ms.n
-	m := len(c.dstID)
-	if s == 1 {
-		sc := ms.scratchFor(0, n, m)
-		src := ms.sources[0]
-		sc.sweep(c, src, ms.weights, ms.tree[:n])
-		if other != nil {
-			sc.sweep(c, src, otherW, other.tree[:n])
-		}
+	n, m := ms.n, len(ms.c.dstID)
+	if count == 1 {
+		ms.sweepRow(ms.scratchFor(0, n, m), rows, 0)
 		return
 	}
 	w := pool.Shared().Workers()
-	if w > s {
-		w = s
+	if w > count {
+		w = count
 	}
 	for k := 0; k < w; k++ {
 		ms.scratchFor(k, n, m)
@@ -151,16 +143,19 @@ func (ms *MultiSource) runSweeps(c *csr, other *MultiSource, otherW []wEdge) {
 		sc := ms.scratch[worker]
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= s {
+			if i >= count {
 				return
 			}
-			src := ms.sources[i]
-			sc.sweep(c, src, ms.weights, ms.tree[i*n:(i+1)*n])
-			if other != nil {
-				sc.sweep(c, src, otherW, other.tree[i*n:(i+1)*n])
-			}
+			ms.sweepRow(sc, rows, i)
 		}
 	})
+}
+
+func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, i int) {
+	if rows != nil {
+		i = rows[i]
+	}
+	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
 }
 
 func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
@@ -255,4 +250,31 @@ func (m *MultiSource) Path(src, dst int) []int {
 		i--
 	}
 	return out
+}
+
+// PathEdges returns the IDs of the directed edges of the path Path(src,
+// dst) would return, in src → dst order, appended to buf[:0]. ok is false
+// when dst is unreachable or src is not a source; src == dst is the empty
+// path. Each hop resolves to the first edge parent→child in the parent's
+// CSR row (EdgeBetween's rule for parallel links): a short scan of packed
+// node IDs, with no node path materialized on the way.
+func (m *MultiSource) PathEdges(src, dst int, buf []int) (edges []int, ok bool) {
+	t := m.row(src)
+	if t == nil || dst < 0 || dst >= m.n {
+		return nil, false
+	}
+	buf = buf[:0]
+	cur := dst
+	for cur != src {
+		p := t[cur].p
+		if p < 0 {
+			return nil, false
+		}
+		buf = append(buf, int(m.c.edgeID[m.c.edgeIndex(p, int32(cur))]))
+		cur = int(p)
+	}
+	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+	return buf, true
 }

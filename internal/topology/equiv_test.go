@@ -70,6 +70,29 @@ func assertSameMultiSource(t *testing.T, g *Graph, sources []int, ms *MultiSourc
 			if !equalPath(gp, wp) {
 				t.Fatalf("%s: Path(%d,%d) = %v, reference %v", label, s, d, gp, wp)
 			}
+			assertPathEdges(t, g, ms, s, d, label)
+		}
+	}
+}
+
+// assertPathEdges checks PathEdges against Path: same reachability, one
+// edge per hop, each edge joining the hop's endpoints, src → dst order.
+func assertPathEdges(t *testing.T, g *Graph, ms *MultiSource, s, d int, label string) {
+	t.Helper()
+	path := ms.Path(s, d)
+	edges, ok := ms.PathEdges(s, d, nil)
+	if ok != (path != nil) {
+		t.Fatalf("%s: PathEdges(%d,%d) ok = %v, Path = %v", label, s, d, ok, path)
+	}
+	if !ok {
+		return
+	}
+	if len(edges) != len(path)-1 {
+		t.Fatalf("%s: PathEdges(%d,%d) has %d edges for path %v", label, s, d, len(edges), path)
+	}
+	for i, id := range edges {
+		if e := g.EdgeAt(id); e.ID != id || e.From != path[i] || e.To != path[i+1] {
+			t.Fatalf("%s: PathEdges(%d,%d)[%d] = edge %d (%d→%d), path hop %d→%d", label, s, d, i, id, e.From, e.To, path[i], path[i+1])
 		}
 	}
 }
@@ -264,25 +287,75 @@ func TestDijkstraSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestDijkstraPairMatchesSeparateSweeps(t *testing.T) {
-	ft, err := NewFatTree(FatTreeConfig{Pods: 6})
+// TestSweepRowsLateEqualsFullSweep is the exactness argument behind the
+// cost model's demand-driven refresh: rows swept after Reweigh — in any
+// grouping, however late, even after the graph's bandwidths have moved on —
+// equal the rows of a full sweep taken at Reweigh time, because they run
+// against the retained weights.
+func TestSweepRowsLateEqualsFullSweep(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomEquivGraph(rng, 20+rng.Intn(12))
+		var sources []int
+		for i := 0; i < g.NumNodes(); i += 2 {
+			sources = append(sources, i)
+		}
+		ms := &MultiSource{}
+		ms.Reset(g, sources)
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 8; i++ {
+				g.SetBandwidthAt(rng.Intn(g.NumEdges()), float64(rng.Intn(4))/2)
+			}
+			ms.Reweigh(bandwidthCost)
+			want := referenceDijkstraFrom(g, sources, bandwidthCost)
+
+			perm := rng.Perm(len(sources))
+			cut := rng.Intn(len(perm) + 1)
+			ms.SweepRows(perm[:cut])
+			for i := 0; i < 8; i++ { // link state moves on; the weights do not
+				g.SetBandwidthAt(rng.Intn(g.NumEdges()), float64(rng.Intn(4))/2)
+			}
+			for _, row := range perm[cut:] {
+				ms.SweepRows([]int{row})
+			}
+			assertSameMultiSource(t, g, sources, ms, want, "late rows")
+		}
+	}
+}
+
+func TestRowMapsSourcesOnly(t *testing.T) {
+	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	racks := ft.Racks()
-	a, b := DijkstraPairInto(ft.Graph, racks, bandwidthCost, DistanceCost, nil, nil)
-	sa := DijkstraFrom(ft.Graph, racks, bandwidthCost)
-	sb := DijkstraFrom(ft.Graph, racks, DistanceCost)
-	for _, s := range racks {
-		for d := 0; d < ft.NumNodes(); d++ {
-			if a.Dist(s, d) != sa.Dist(s, d) || b.Dist(s, d) != sb.Dist(s, d) {
-				t.Fatalf("fused sweep diverges at (%d,%d)", s, d)
-			}
-			if !equalPath(a.Path(s, d), sa.Path(s, d)) || !equalPath(b.Path(s, d), sb.Path(s, d)) {
-				t.Fatalf("fused path diverges at (%d,%d)", s, d)
-			}
+	ms := &MultiSource{}
+	ms.Reset(ft.Graph, racks)
+	for i, r := range racks {
+		if got := ms.Row(r); got != i {
+			t.Fatalf("Row(%d) = %d, want %d", r, got, i)
 		}
 	}
+	for _, n := range append(ft.Switches(), -1, ft.NumNodes()) {
+		if got := ms.Row(n); got != -1 {
+			t.Fatalf("Row(%d) = %d for a non-source, want -1", n, got)
+		}
+	}
+}
+
+// TestReweighAfterStructuralChangePanics: the tables are bound to the CSR
+// view they were Reset against; reweighing across an AddLink is a bug.
+func TestReweighAfterStructuralChangePanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomEquivGraph(rng, 12)
+	ms := DijkstraFrom(g, []int{0}, DistanceCost)
+	g.AddNode(Switch, "late", -1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reweigh across a structural change did not panic")
+		}
+	}()
+	ms.Reweigh(DistanceCost)
 }
 
 // TestMultiSourceReuseAcrossShapes re-targets one MultiSource across

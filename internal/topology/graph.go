@@ -46,7 +46,14 @@ type Node struct {
 
 // Edge is a directed half of a physical link. Links are installed in both
 // directions with identical attributes.
+//
+// ID is the edge's stable index: the k-th link (in AddLink order) owns IDs
+// 2k (a→b) and 2k+1 (b→a), so IDs are dense in [0, NumEdges), never move
+// when the graph grows, and the opposite direction of edge i is
+// ReverseEdge(i). Per-link state kept outside the graph (the traffic
+// plane's loads) is a plain slice over it.
 type Edge struct {
+	ID        int
 	From, To  int
 	Capacity  float64 // C(e): maximum capacity
 	Distance  float64 // D(e): physical distance
@@ -61,11 +68,22 @@ type Edge struct {
 type Graph struct {
 	nodes []Node
 	adj   [][]Edge
+	loc   []edgeLoc // edge ID → adjacency slot
+
+	racks, switches []int // node IDs by kind, in creation order
 
 	structVer uint64 // bumped by AddNode/AddLink
 	csrMu     sync.Mutex
 	csrRep    *csr
 }
+
+// edgeLoc places a directed edge in the adjacency: adj[node][pos]. The CSR
+// keeps per-node insertion order, so the same edge is CSR slot
+// rowStart[node]+pos.
+type edgeLoc struct{ node, pos int32 }
+
+// ReverseEdge returns the ID of the opposite direction of the same link.
+func ReverseEdge(id int) int { return id ^ 1 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
@@ -75,6 +93,11 @@ func (g *Graph) AddNode(kind NodeKind, name string, pod, level int) int {
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Name: name, Pod: pod, Level: level})
 	g.adj = append(g.adj, nil)
+	if kind == Rack {
+		g.racks = append(g.racks, id)
+	} else if kind == Switch {
+		g.switches = append(g.switches, id)
+	}
 	g.invalidateCSR()
 	return id
 }
@@ -90,8 +113,10 @@ func (g *Graph) AddLink(a, b int, capacity, distance float64) error {
 	if a == b {
 		return fmt.Errorf("topology: self-loop on node %d", a)
 	}
-	g.adj[a] = append(g.adj[a], Edge{From: a, To: b, Capacity: capacity, Distance: distance, Bandwidth: capacity})
-	g.adj[b] = append(g.adj[b], Edge{From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
+	id := len(g.loc)
+	g.loc = append(g.loc, edgeLoc{int32(a), int32(len(g.adj[a]))}, edgeLoc{int32(b), int32(len(g.adj[b]))})
+	g.adj[a] = append(g.adj[a], Edge{ID: id, From: a, To: b, Capacity: capacity, Distance: distance, Bandwidth: capacity})
+	g.adj[b] = append(g.adj[b], Edge{ID: id + 1, From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
 	g.invalidateCSR()
 	return nil
 }
@@ -148,55 +173,59 @@ func (g *Graph) EdgeBetween(a, b int) (Edge, bool) {
 	return Edge{}, false
 }
 
+// NumEdges returns the number of directed edges; edge IDs are [0, NumEdges).
+func (g *Graph) NumEdges() int { return len(g.loc) }
+
+// EdgeAt returns the directed edge with the given ID.
+func (g *Graph) EdgeAt(id int) Edge {
+	l := g.loc[id]
+	return g.adj[l.node][l.pos]
+}
+
+// EdgeIndex returns the ID of the directed edge a→b (the first one
+// installed, as EdgeBetween), or -1 if no link exists.
+func (g *Graph) EdgeIndex(a, b int) int {
+	if e, ok := g.EdgeBetween(a, b); ok {
+		return e.ID
+	}
+	return -1
+}
+
 // SetBandwidth updates the available bandwidth on both directions of the
 // link a–b. It returns false if no such link exists.
 func (g *Graph) SetBandwidth(a, b int, bw float64) bool {
-	found := false
-	for dir := 0; dir < 2; dir++ {
-		from, to := a, b
-		if dir == 1 {
-			from, to = b, a
-		}
-		if from < 0 || from >= len(g.adj) {
-			return false
-		}
-		for i := range g.adj[from] {
-			if g.adj[from][i].To == to {
-				g.adj[from][i].Bandwidth = bw
-				if c := g.csrRep; c != nil {
-					// Patch the CSR in place: the i-th edge of the
-					// adjacency row is the i-th edge of the CSR row.
-					c.bandwidth[int(c.rowStart[from])+i] = bw
-				}
-				found = true
-				break
-			}
+	id := g.EdgeIndex(a, b)
+	if id < 0 {
+		return false
+	}
+	g.SetBandwidthAt(id, bw)
+	return true
+}
+
+// SetBandwidthAt is SetBandwidth for a link named by either of its edge
+// IDs: O(1), no adjacency scan. Both directions are updated and the CSR
+// view, when built, is patched in place.
+func (g *Graph) SetBandwidthAt(id int, bw float64) {
+	for _, l := range [2]edgeLoc{g.loc[id], g.loc[ReverseEdge(id)]} {
+		g.adj[l.node][l.pos].Bandwidth = bw
+		if c := g.csrRep; c != nil {
+			c.bandwidth[c.rowStart[l.node]+l.pos] = bw
 		}
 	}
-	return found
 }
 
 // Racks returns the IDs of all rack nodes, in creation order.
-func (g *Graph) Racks() []int {
-	var out []int
-	for _, n := range g.nodes {
-		if n.Kind == Rack {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+func (g *Graph) Racks() []int { return append([]int(nil), g.racks...) }
 
 // Switches returns the IDs of all switch nodes, in creation order.
-func (g *Graph) Switches() []int {
-	var out []int
-	for _, n := range g.nodes {
-		if n.Kind == Switch {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+func (g *Graph) Switches() []int { return append([]int(nil), g.switches...) }
+
+// RackNodes is Racks without the copy: the graph's own list, for per-step
+// callers. Treat it as read-only.
+func (g *Graph) RackNodes() []int { return g.racks }
+
+// SwitchNodes is Switches without the copy. Treat it as read-only.
+func (g *Graph) SwitchNodes() []int { return g.switches }
 
 // Neighbors returns the IDs adjacent to a node.
 func (g *Graph) Neighbors(id int) []int {

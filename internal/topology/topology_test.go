@@ -379,3 +379,81 @@ func TestFloydPathConsistencyProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeIDs pins the edge-index contract the traffic plane builds on:
+// link k owns IDs 2k and 2k+1, the two are each other's reverse, IDs do not
+// move when the graph grows, and SetBandwidthAt reaches both the adjacency
+// and an already-built CSR view.
+func TestEdgeIDs(t *testing.T) {
+	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ft.Graph
+	check := func() {
+		t.Helper()
+		seen := make([]bool, g.NumEdges())
+		for u := 0; u < g.NumNodes(); u++ {
+			for _, e := range g.Edges(u) {
+				if e.ID < 0 || e.ID >= g.NumEdges() || seen[e.ID] {
+					t.Fatalf("edge %d→%d has ID %d (out of range or repeated)", e.From, e.To, e.ID)
+				}
+				seen[e.ID] = true
+				if got := g.EdgeAt(e.ID); got != e {
+					t.Fatalf("EdgeAt(%d) = %+v, adjacency has %+v", e.ID, got, e)
+				}
+				if got := g.EdgeIndex(e.From, e.To); got != e.ID {
+					t.Fatalf("EdgeIndex(%d,%d) = %d, want %d", e.From, e.To, got, e.ID)
+				}
+				if r := g.EdgeAt(ReverseEdge(e.ID)); r.From != e.To || r.To != e.From {
+					t.Fatalf("ReverseEdge(%d) = %d→%d, want %d→%d", e.ID, r.From, r.To, e.To, e.From)
+				}
+			}
+		}
+	}
+	check()
+	if g.EdgeIndex(ft.RackIDs[0][0], ft.RackIDs[1][0]) != -1 || g.EdgeIndex(-1, 0) != -1 {
+		t.Fatal("EdgeIndex reported a link that does not exist")
+	}
+
+	a, b := ft.RackIDs[0][0], ft.AggIDs[0][0]
+	id := g.EdgeIndex(a, b)
+	before := DijkstraFrom(g, []int{a}, bandwidthCost).Dist(a, b) // builds the CSR view
+	if err := g.AddLink(ft.RackIDs[0][0], ft.RackIDs[1][0], 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.EdgeIndex(a, b); got != id {
+		t.Fatalf("edge ID moved from %d to %d when a link was added", id, got)
+	}
+	check()
+
+	ms := DijkstraFrom(g, []int{a}, bandwidthCost) // CSR rebuilt, then patched below
+	g.SetBandwidthAt(ReverseEdge(id), 0.25)
+	for _, e := range []Edge{g.EdgeAt(id), g.EdgeAt(ReverseEdge(id))} {
+		if e.Bandwidth != 0.25 {
+			t.Fatalf("edge %d bandwidth = %v after SetBandwidthAt, want 0.25", e.ID, e.Bandwidth)
+		}
+	}
+	ms = DijkstraFromInto(g, []int{a}, bandwidthCost, ms)
+	if got := ms.Dist(a, b); got == before {
+		t.Fatalf("sweep after SetBandwidthAt still sees the old link cost %v", got)
+	}
+	if !g.SetBandwidth(a, b, 1) || g.EdgeAt(id).Bandwidth != 1 || g.SetBandwidth(a, a, 1) {
+		t.Fatal("SetBandwidth by endpoints disagrees with SetBandwidthAt")
+	}
+}
+
+func TestKindListsAreCopies(t *testing.T) {
+	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	racks, switches := ft.Racks(), ft.Switches()
+	racks[0], switches[0] = -7, -7
+	if ft.RackNodes()[0] == -7 || ft.SwitchNodes()[0] == -7 {
+		t.Fatal("Racks/Switches hand out the graph's own slice")
+	}
+	if len(ft.RackNodes()) != len(racks) || len(ft.SwitchNodes()) != len(switches) {
+		t.Fatal("RackNodes/SwitchNodes disagree with Racks/Switches")
+	}
+}
