@@ -301,3 +301,42 @@ func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 		t.Fatal("restore accepted a conflicting trace kind")
 	}
 }
+
+// TestManagePhaseSweepsOnlyAskingRacks pins the demand-driven cost refresh:
+// over the same alerting run the sharded engine — which hands
+// RefreshSources the racks whose shims are about to price moves — sweeps
+// fewer rows than the reference engine's full Refresh, its queries find the
+// rows they need already swept, and (TestShardedMatchesReference) every
+// decision is still the same.
+func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
+	sc := equivScenario{name: "surge", steps: 20}
+	opts := Options{Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
+	refOpts := opts
+	refOpts.Reference = true
+	ref := buildEquivRuntime(t, 11, refOpts)
+	sharded := buildEquivRuntime(t, 11, opts)
+	refHist, shHist := driveEquiv(t, ref, sc), driveEquiv(t, sharded, sc)
+	migrations := 0
+	for i := range refHist {
+		if refHist[i].Migrations != shHist[i].Migrations || refHist[i].MigrationCost != shHist[i].MigrationCost {
+			t.Fatalf("step %d: engines diverge (%d/%v vs %d/%v)", i,
+				refHist[i].Migrations, refHist[i].MigrationCost, shHist[i].Migrations, shHist[i].MigrationCost)
+		}
+		migrations += shHist[i].Migrations
+	}
+	if migrations == 0 {
+		t.Fatal("scenario raised no migrations; nothing priced")
+	}
+	refAhead, refLate := ref.Model.SweepCounts()
+	ahead, late := sharded.Model.SweepCounts()
+	if refLate != 0 {
+		t.Fatalf("reference engine's full Refresh left %d rows for queries to sweep", refLate)
+	}
+	if ahead+late >= refAhead {
+		t.Fatalf("sharded engine swept %d+%d rows, reference %d: nothing saved", ahead, late, refAhead)
+	}
+	if late*10 > ahead {
+		t.Fatalf("%d rows swept on demand against %d named ahead: the manage phase names the wrong racks", late, ahead)
+	}
+}

@@ -119,6 +119,8 @@ type shardState struct {
 	keyBuf   [][2]int
 	admitBuf [][2]int
 
+	sourceBuf []int // manage-phase scratch: rack nodes handed to RefreshSources
+
 	// Prebuilt phase closures (method values) so Shards.Do never allocates.
 	predictFn func(int)
 	flowsFn   func(int)
@@ -542,6 +544,33 @@ func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder, exter
 	}
 }
 
+// costSources names the rack nodes whose shims will price migrations this
+// period: racks with a ToR alert, with a server alert on one of their own
+// hosts (a shim ignores alerts for VMs that have left its rack), or with
+// VMs parked in the retry queue.
+func (r *Runtime) costSources() []int {
+	sh := r.sh
+	out := sh.sourceBuf[:0]
+	for idx, alerts := range sh.alertsByRack {
+		rack := r.Cluster.Racks[idx]
+		prices := r.shims[idx].QueueLen() > 0
+		for i := 0; i < len(alerts) && !prices; i++ {
+			switch a := alerts[i]; a.Kind {
+			case alert.FromLocalToR:
+				prices = true
+			case alert.FromServer:
+				h := r.Cluster.Host(a.HostID)
+				prices = h != nil && h.Rack() == rack
+			}
+		}
+		if prices {
+			out = append(out, rack.NodeID)
+		}
+	}
+	sh.sourceBuf = out
+	return out
+}
+
 // advanceSharded is the sharded step body.
 func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 	sh := r.sh
@@ -612,8 +641,13 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 			continue
 		}
 		if r.modelStale {
+			// Sheriff is regional: a shim prices moves out of its own rack
+			// only, so the cost tables are swept from the racks about to ask
+			// and no others. A source the list misses (a preempted VM priced
+			// out of a neighbour rack, a queued VM that has since moved) is
+			// swept by its first query, against the same weights.
 			r.Flows.UpdateGraphBandwidth()
-			r.Model.Refresh()
+			r.Model.RefreshSources(r.costSources())
 			r.modelStale = false
 		}
 		shim := r.shims[idx]
