@@ -39,17 +39,23 @@ type Network struct {
 	load   []float64 // edge ID → offered load; grown by loads()
 	nextID int
 
-	// sweep is the reusable shortest-path table behind routing queries:
-	// every cheapestPath call re-sweeps (the load-aware cost changes with
-	// every admitted flow) but writes into the same dist/parent storage,
-	// so steady-state admission and reroute stop allocating tables.
-	sweep *topology.MultiSource
+	// sweep is the reusable shortest-path table behind admission: every
+	// cheapestPath call re-sweeps (the load-aware cost changes with every
+	// admitted flow) into the same dist/parent storage, and its retained
+	// weight vector is re-priced only on the links whose load has changed
+	// since — priced[id] is the load edge id's weight was computed from,
+	// pricedVer the graph structure it was computed over.
+	sweep     *topology.MultiSource
+	priced    []float64
+	pricedVer uint64
+	stale     []int  // re-pricing scratch
+	one       [1]int // single-source / single-row argument scratch
 
 	// Scratch reused across HotSwitches / RerouteAroundHot calls.
 	hot       []int
 	avoidHot  map[int]bool
 	hotSweeps map[int]*topology.MultiSource // per-source masked sweeps of one pass
-	spares    []*topology.MultiSource       // tables recycled from earlier passes
+	spares    []*topology.MultiSource       // masked-query tables, recycled
 }
 
 // NewNetwork wraps a topology graph. Link loads start at zero.
@@ -106,17 +112,56 @@ func routeCost(load []float64, e topology.Edge) float64 {
 // switch nodes, and returns it with its edge IDs.
 func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
 	load := n.loads()
-	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
+	n.one[0] = src
 	if len(avoid) > 0 {
-		cost = func(e topology.Edge) float64 {
+		// A masked query prices a different metric; it borrows a spare
+		// table so the admission weights stay valid.
+		cost := func(e topology.Edge) float64 {
 			if avoid[e.To] && e.To != dst && e.To != src {
 				return topology.Inf
 			}
 			return routeCost(load, e)
 		}
+		ms := topology.DijkstraFromInto(n.g, n.one[:], cost, n.takeSpare())
+		n.spares = append(n.spares, ms)
+		return route(ms, src, dst)
 	}
-	n.sweep = topology.DijkstraFromInto(n.g, []int{src}, cost, n.sweep)
+	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
+	if n.sweep == nil {
+		n.sweep = &topology.MultiSource{}
+	}
+	n.sweep.Reset(n.g, n.one[:])
+	if ver := n.g.StructVersion(); n.priced == nil || ver != n.pricedVer {
+		n.sweep.Reweigh(cost)
+		n.priced = append(n.priced[:0], load...)
+		n.pricedVer = ver
+	} else {
+		// The metric is a function of the link's load alone (capacity and
+		// distance are fixed), so only links whose load moved need a call.
+		stale := n.stale[:0]
+		for id, l := range load {
+			if l != n.priced[id] {
+				n.priced[id] = l
+				stale = append(stale, id)
+			}
+		}
+		n.stale = stale
+		n.sweep.ReweighEdges(stale, cost)
+	}
+	n.one[0] = 0
+	n.sweep.SweepRows(n.one[:])
 	return route(n.sweep, src, dst)
+}
+
+// takeSpare pops a recycled routing table, or returns nil.
+func (n *Network) takeSpare() *topology.MultiSource {
+	k := len(n.spares)
+	if k == 0 {
+		return nil
+	}
+	ms := n.spares[k-1]
+	n.spares = n.spares[:k-1]
+	return ms
 }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
@@ -343,11 +388,8 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 				}
 				return routeCost(load, e)
 			}
-			var spare *topology.MultiSource // storage recycled from dropped sweeps
-			if k := len(n.spares); k > 0 {
-				spare, n.spares = n.spares[k-1], n.spares[:k-1]
-			}
-			ms = topology.DijkstraFromInto(n.g, []int{f.Src}, cost, spare)
+			n.one[0] = f.Src
+			ms = topology.DijkstraFromInto(n.g, n.one[:], cost, n.takeSpare())
 			n.hotSweeps[f.Src] = ms
 		}
 		path, edges := route(ms, f.Src, f.Dst)

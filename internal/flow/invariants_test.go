@@ -50,7 +50,10 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 				switch {
 				case op <= 1 || f == nil:
 					a, b := racks[rng.Intn(len(racks))], racks[rng.Intn(len(racks))]
-					_, _ = n.AddFlow(a, b, 0.02+0.3*rng.Float64(), rng.Intn(4) == 0)
+					want := freshCheapestPath(n, a, b)
+					if added, err := n.AddFlow(a, b, 0.02+0.3*rng.Float64(), rng.Intn(4) == 0); err == nil && !equalInts(added.Path(), want) {
+						t.Fatalf("AddFlow(%d,%d) routed %v; a sweep over freshly priced links gives %v", a, b, added.Path(), want)
+					}
 					check("AddFlow")
 				case op == 2:
 					n.RemoveFlow(f.ID)
@@ -101,6 +104,15 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// freshCheapestPath prices every link from the current loads and sweeps
+// from scratch: what admission must agree with although it re-prices only
+// the links whose load changed since its last query.
+func freshCheapestPath(n *Network, src, dst int) []int {
+	load := n.loads()
+	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
+	return topology.DijkstraFrom(n.g, []int{src}, cost).Path(src, dst)
 }
 
 func equalInts(a, b []int) bool {
@@ -178,6 +190,12 @@ func TestLoadVectorFollowsGraphGrowth(t *testing.T) {
 	}
 	if len(f.Path()) != 5 {
 		t.Fatalf("old flow rerouted itself: %v", f.Path())
+	}
+	c := ft.RackIDs[1][0]
+	if want := freshCheapestPath(n, a, c); want == nil {
+		t.Fatal("no path to compare")
+	} else if h, err := n.AddFlow(a, c, 0.1, false); err != nil || !equalInts(h.Path(), want) {
+		t.Fatalf("admission after the graph grew routed %v (%v), fresh sweep %v", h.Path(), err, want)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)

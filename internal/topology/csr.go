@@ -72,20 +72,25 @@ type wEdge struct {
 	v int32
 }
 
+// edge rebuilds the Edge value of CSR slot i in node u's row.
+func (c *csr) edge(u int, i int32) Edge {
+	return Edge{
+		ID:        int(c.edgeID[i]),
+		From:      u,
+		To:        int(c.dstID[i]),
+		Capacity:  c.capacity[i],
+		Distance:  c.distance[i],
+		Bandwidth: c.bandwidth[i],
+	}
+}
+
 // fillWeights materializes the edge-cost vector for one sweep: one
 // EdgeCost call per directed edge, shared by every source of the sweep.
 func (c *csr) fillWeights(w []wEdge, cost EdgeCost) {
 	n := len(c.rowStart) - 1
 	for u := 0; u < n; u++ {
 		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
-			w[i] = wEdge{cost(Edge{
-				ID:        int(c.edgeID[i]),
-				From:      u,
-				To:        int(c.dstID[i]),
-				Capacity:  c.capacity[i],
-				Distance:  c.distance[i],
-				Bandwidth: c.bandwidth[i],
-			}), c.dstID[i]}
+			w[i] = wEdge{cost(c.edge(u, i)), c.dstID[i]}
 		}
 	}
 }

@@ -104,6 +104,20 @@ func (ms *MultiSource) Reweigh(cost EdgeCost) {
 	ms.c.fillWeights(ms.weights, cost)
 }
 
+// ReweighEdges is Reweigh for the named edge IDs only: when the caller
+// knows which links' state changed since the vector was last filled, the
+// other weights are already what a full Reweigh would write.
+func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
+	if ms.g.structVer != ms.structVer {
+		panic("topology: MultiSource.ReweighEdges after a structural change without Reset")
+	}
+	for _, id := range ids {
+		l := ms.g.loc[id]
+		i := ms.c.rowStart[l.node] + l.pos
+		ms.weights[i].w = cost(ms.c.edge(int(l.node), i))
+	}
+}
+
 // SweepRows runs the single-source search of each named row (an index
 // into the Reset source list, see Row) against the retained weights.
 // Several rows fan out over the shared worker pool; one row runs inline

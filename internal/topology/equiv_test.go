@@ -302,18 +302,28 @@ func TestSweepRowsLateEqualsFullSweep(t *testing.T) {
 		}
 		ms := &MultiSource{}
 		ms.Reset(g, sources)
-		for round := 0; round < 4; round++ {
+		var moved []int // links patched since the last Reweigh, both directions
+		for round := 0; round < 6; round++ {
 			for i := 0; i < 8; i++ {
-				g.SetBandwidthAt(rng.Intn(g.NumEdges()), float64(rng.Intn(4))/2)
+				id := rng.Intn(g.NumEdges())
+				g.SetBandwidthAt(id, float64(rng.Intn(4))/2)
+				moved = append(moved, id, ReverseEdge(id))
 			}
-			ms.Reweigh(bandwidthCost)
+			if round%2 == 0 {
+				ms.Reweigh(bandwidthCost)
+			} else { // re-pricing just the patched links is the same vector
+				ms.ReweighEdges(moved, bandwidthCost)
+			}
+			moved = moved[:0]
 			want := referenceDijkstraFrom(g, sources, bandwidthCost)
 
 			perm := rng.Perm(len(sources))
 			cut := rng.Intn(len(perm) + 1)
 			ms.SweepRows(perm[:cut])
 			for i := 0; i < 8; i++ { // link state moves on; the weights do not
-				g.SetBandwidthAt(rng.Intn(g.NumEdges()), float64(rng.Intn(4))/2)
+				id := rng.Intn(g.NumEdges())
+				g.SetBandwidthAt(id, float64(rng.Intn(4))/2)
+				moved = append(moved, id, ReverseEdge(id))
 			}
 			for _, row := range perm[cut:] {
 				ms.SweepRows([]int{row})
