@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sheriff/internal/dcn"
+	"sheriff/internal/pool"
 )
 
 // Demand-driven refresh: a model driven by RefreshSources (some rows swept
@@ -209,10 +210,11 @@ func TestRefreshSourcesSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:1]) }); got != 0 {
 		t.Errorf("RefreshSources(1 rack) allocates %v times per call in steady state, want 0", got)
 	}
-	two := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:2]) })
+	k := max(2, min(pool.Shared().Workers(), len(all))) // fewest rows that use every worker
+	wide := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:k]) })
 	full := testing.AllocsPerRun(20, func() { m.Refresh() })
-	if full > two {
-		t.Errorf("Refresh (all %d racks) allocates %v times per call, RefreshSources(2 racks) %v: allocation grows with rows", len(all), full, two)
+	if full > wide {
+		t.Errorf("Refresh (all %d racks) allocates %v times per call, RefreshSources(%d racks) %v: allocation grows with rows", len(all), full, k, wide)
 	}
 	var sink float64
 	a, b := c.Racks[0], c.Racks[len(c.Racks)-1]
