@@ -71,7 +71,7 @@ func (h *Host) find(id int) (int, bool) {
 
 func (h *Host) insert(vm *VM) {
 	i, ok := h.find(vm.ID)
-	if ok {
+	if ok { // same ID again (a snapshot naming a VM twice): last one wins
 		h.vms[i] = vm
 		return
 	}

@@ -148,7 +148,7 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 		n.stale = stale
 		n.sweep.ReweighEdges(stale, cost)
 	}
-	n.one[0] = 0
+	n.one[0] = 0 // row 0: the only source
 	n.sweep.SweepRows(n.one[:])
 	return route(n.sweep, src, dst)
 }
@@ -402,10 +402,10 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 		delete(n.hotSweeps, f.Src)
 		n.spares = append(n.spares, ms)
 	}
-	for src, ms := range n.hotSweeps {
+	for _, ms := range n.hotSweeps {
 		n.spares = append(n.spares, ms)
-		delete(n.hotSweeps, src)
 	}
+	clear(n.hotSweeps)
 	return moved
 }
 

@@ -98,19 +98,24 @@ func (ms *MultiSource) Reset(g *Graph, sources []int) {
 // link state: one cost call per directed edge, no sweeps. Rows swept
 // before the call keep describing the old weights until swept again.
 func (ms *MultiSource) Reweigh(cost EdgeCost) {
-	if ms.g.structVer != ms.structVer {
-		panic("topology: MultiSource.Reweigh after a structural change without Reset")
-	}
+	ms.mustBeBound()
 	ms.c.fillWeights(ms.weights, cost)
+}
+
+// mustBeBound panics when the graph's wiring changed since Reset: the
+// tables index a CSR view that no longer receives bandwidth patches, so
+// pricing from it would be silently wrong. Only a caller bug gets here.
+func (ms *MultiSource) mustBeBound() {
+	if ms.g.structVer != ms.structVer {
+		panic("topology: MultiSource reweighed after a structural change without Reset")
+	}
 }
 
 // ReweighEdges is Reweigh for the named edge IDs only: when the caller
 // knows which links' state changed since the vector was last filled, the
 // other weights are already what a full Reweigh would write.
 func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
-	if ms.g.structVer != ms.structVer {
-		panic("topology: MultiSource.ReweighEdges after a structural change without Reset")
-	}
+	ms.mustBeBound()
 	for _, id := range ids {
 		l := ms.g.loc[id]
 		i := ms.c.rowStart[l.node] + l.pos
