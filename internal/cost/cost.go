@@ -83,7 +83,11 @@ type Model struct {
 
 	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
 
-	dist *topology.MultiSource // Σ D(e): physical distance from every rack
+	// dist is Σ D(e) between racks, row-major by trans row. Distance does
+	// not depend on bandwidth, so it is swept (through trans's tables, before
+	// they take the transmission metric) only when the wiring changes, and
+	// only the rack × rack block anyone reads is kept.
+	dist []float64
 
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
 	structVer uint64            // Graph.StructVersion behind trans's rows and dist
@@ -152,19 +156,25 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes()) }
 // here would have produced. Naming too few racks costs a late sweep,
 // never a wrong answer; unknown and repeated nodes are ignored.
 //
-// Physical distance does not depend on bandwidth, so the distance table
-// is swept in full only when the wiring changed (or on first build) and
-// carried over otherwise; in steady state the call allocates nothing.
+// Physical distance does not depend on bandwidth, so it is swept (from
+// every rack) only when the wiring changed or on first build, and carried
+// over otherwise; in steady state the call allocates nothing.
 func (m *Model) RefreshSources(rackNodes []int) {
 	g := m.cluster.Graph
 	if !m.ready.Load() || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
 		racks := g.RackNodes()
-		m.dist = topology.DijkstraFromInto(g, racks, topology.DistanceCost, m.dist)
 		if m.trans == nil {
 			m.trans = &topology.MultiSource{}
 		}
 		m.trans.Reset(g, racks)
+		m.trans.Reweigh(topology.DistanceCost)
+		m.rows = m.rows[:0]
+		for r := range racks {
+			m.rows = append(m.rows, r)
+		}
+		m.trans.SweepRows(m.rows)
+		m.setDistances(m.trans)
 		m.swept = make([]atomic.Uint64, len(racks))
 		m.gen = 0
 	}
@@ -181,6 +191,32 @@ func (m *Model) RefreshSources(rackNodes []int) {
 	m.trans.SweepRows(rows)
 	m.prepared.Add(uint64(len(rows)))
 	m.ready.Store(true)
+}
+
+// setDistances copies the rack × rack block out of a table swept under
+// topology.DistanceCost from every rack, in trans's row order.
+func (m *Model) setDistances(ms *topology.MultiSource) {
+	racks := m.cluster.Graph.RackNodes()
+	if need := len(racks) * len(racks); cap(m.dist) >= need {
+		m.dist = m.dist[:need]
+	} else {
+		m.dist = make([]float64, need)
+	}
+	for i, a := range racks {
+		for j, b := range racks {
+			m.dist[i*len(racks)+j] = ms.Dist(a, b)
+		}
+	}
+}
+
+// distance is Σ D(e) between two rack nodes, Inf for a node that is not a
+// rack.
+func (m *Model) distance(a, b int) float64 {
+	i, j := m.trans.Row(a), m.trans.Row(b)
+	if i < 0 || j < 0 {
+		return topology.Inf
+	}
+	return m.dist[i*len(m.swept)+j]
 }
 
 // SweepCounts returns how many transmission rows have been swept ahead of
@@ -225,7 +261,8 @@ func (m *Model) refreshNaive() {
 			dist = topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
 		},
 	)
-	m.trans, m.dist = trans, dist
+	m.trans = trans
+	m.setDistances(dist)
 	m.structVer = m.cluster.Graph.StructVersion()
 	m.gen = 1
 	m.swept = make([]atomic.Uint64, len(racks))
@@ -269,7 +306,7 @@ func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, err
 // Distance returns the physical-distance metric Σ D(e) between two racks.
 func (m *Model) Distance(a, b *dcn.Rack) float64 {
 	m.ensure()
-	return m.dist.Dist(a.NodeID, b.NodeID)
+	return m.distance(a.NodeID, b.NodeID)
 }
 
 // DependencyCost returns C_d times the net change in distance between the
@@ -284,7 +321,7 @@ func (m *Model) DependencyCost(vm *dcn.VM, src, dst *dcn.Rack) float64 {
 	total := 0.0
 	for _, idx := range m.cluster.Deps.PeerRacks(m.cluster, vm.ID) {
 		peer := m.cluster.Racks[idx]
-		total += m.dist.Dist(dst.NodeID, peer.NodeID) - m.dist.Dist(src.NodeID, peer.NodeID)
+		total += m.distance(dst.NodeID, peer.NodeID) - m.distance(src.NodeID, peer.NodeID)
 	}
 	return m.params.Cd * total
 }
