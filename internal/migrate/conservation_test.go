@@ -60,7 +60,7 @@ func (c consCell) preemptOptions() PreemptOptions {
 // types share.
 type consOutcome struct {
 	migrations  []Migration
-	rejected    int // -1: the path's result has no such counter
+	rejected    int
 	preemptions int
 	retried     int
 	requeued    int
@@ -294,11 +294,11 @@ func (sc *consScenario) runCoordinator(t *testing.T) []*RetryQueue {
 			t.Fatalf("%s: Round: %v", sc.cell, err)
 		}
 		sc.check(t, fmt.Sprintf("round %d", round), inputs, before, consOutcome{
-			migrations: rep.Migrations, rejected: -1, preemptions: rep.Preemptions,
+			migrations: rep.Migrations, rejected: rep.Rejected, preemptions: rep.Preemptions,
 			retried: rep.Retried, requeued: rep.Requeued, unplaced: rep.Unplaced,
 		})
-		if n := sc.countSince(before, obs.KindReject); rep.Collisions > n {
-			t.Errorf("%s round %d: %d collisions but only %d reject events", sc.cell, round, rep.Collisions, n)
+		if rep.Collisions > rep.Rejected {
+			t.Errorf("%s round %d: %d collisions among %d rejections", sc.cell, round, rep.Collisions, rep.Rejected)
 		}
 	}
 	var queues []*RetryQueue
@@ -369,16 +369,6 @@ func (sc *consScenario) since(seq uint64) []obs.Event {
 	return out
 }
 
-func (sc *consScenario) countSince(seq uint64, kind obs.Kind) int {
-	n := 0
-	for _, e := range sc.since(seq) {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // check replays one call's events against its result and the cluster.
 func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, before uint64, out consOutcome) {
 	t.Helper()
@@ -423,11 +413,6 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 			evictionsBy[e.Shim]++
 			domain[e.VM] = true
 			last[e.VM] = e
-			// The distributed protocol parks its victim on the spot and
-			// counts it requeued, without a requeue event.
-			if cell.path == consDistributed {
-				sc.parked[e.VM]++
-			}
 		case obs.KindAck:
 			// Checked where events are in causal order. The protocol does
 			// not bar the host: a victim that is also a candidate with a
@@ -491,9 +476,7 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 				fail("VM %d acknowledged onto host %d but sits on host %d", id, e.Host, vm.Host().ID)
 			}
 		case e.Kind == obs.KindPreempt:
-			if cell.path != consDistributed {
-				fail("victim %d was evicted and never settled", id)
-			}
+			fail("victim %d was evicted and never settled", id)
 		case e.Kind == obs.KindUnplaced:
 			// A victim that could neither land nor park is put back where it
 			// was if the slot is still open; without a fail-queue to keep it,
@@ -512,7 +495,7 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 	if got := len(out.migrations); got != count[obs.KindAck] {
 		fail("%d migrations, %d ack events", got, count[obs.KindAck])
 	}
-	if out.rejected >= 0 && out.rejected != count[obs.KindReject] {
+	if out.rejected != count[obs.KindReject] {
 		fail("Rejected = %d, %d reject events", out.rejected, count[obs.KindReject])
 	}
 	if want := count[obs.KindPreempt] - rollbacks; out.preemptions != want {
@@ -521,12 +504,8 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 	if out.retried != queueRetries {
 		fail("Retried = %d, %d queue retry events", out.retried, queueRetries)
 	}
-	wantRequeued := count[obs.KindRequeue]
-	if cell.path == consDistributed {
-		wantRequeued += count[obs.KindPreempt]
-	}
-	if out.requeued != wantRequeued {
-		fail("Requeued = %d, events account for %d", out.requeued, wantRequeued)
+	if out.requeued != count[obs.KindRequeue] {
+		fail("Requeued = %d, %d requeue events", out.requeued, count[obs.KindRequeue])
 	}
 	if len(out.unplaced) != count[obs.KindUnplaced] {
 		fail("%d unplaced, %d unplaced events", len(out.unplaced), count[obs.KindUnplaced])

@@ -8,8 +8,6 @@ import (
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/knapsack"
-	"sheriff/internal/matching"
-	"sheriff/internal/obs"
 	"sheriff/internal/pool"
 )
 
@@ -34,15 +32,9 @@ func NewCoordinator(c *dcn.Cluster, m *cost.Model, shims []*Shim) *Coordinator {
 
 // RoundReport aggregates one coordinated round.
 type RoundReport struct {
-	Migrations  []Migration
-	TotalCost   float64
-	SearchSpace int
-	Collisions  int // commits refused because another shim won the slot
-	Rounds      int // recompute iterations until quiescence
-	Preemptions int // victims evicted by the leftover pass
-	Retried     int // fail-queued VMs drained into this round
-	Requeued    int // VMs parked in shim fail-queues for a later round
-	Unplaced    []*dcn.VM
+	Tally          // Rejected also counts the leftover pass's refusals
+	Collisions int // FCFS commits refused because another shim won the slot
+	Rounds     int // recompute iterations until quiescence
 }
 
 // proposal is one shim's desired placement for one VM.
@@ -112,41 +104,19 @@ func (co *Coordinator) Round(alertsByShim [][]alert.Alert) (*RoundReport, error)
 		// for message arrival order. The destination rack's shim (when the
 		// coordinator manages it) applies its own RequestPolicy, mirroring
 		// the message protocol's destination-side admission.
-		var next [][]*dcn.VM = make([][]*dcn.VM, len(co.shims))
+		next := make([][]*dcn.VM, len(co.shims))
 		committed := false
-		for i := range co.shims {
-			src := co.shims[i]
-			rec := src.params.Recorder
+		for i, src := range co.shims {
+			k := src.core(&report.Tally)
 			for _, p := range proposals[i] {
-				rec.Record(obs.Event{Kind: obs.KindRequest, Round: report.Rounds,
-					Shim: src.Rack.Index, VM: p.vm.ID, Host: p.dst.ID, Value: p.cost})
-				granted := RequestWith(src.policy, p.vm, p.dst)
-				if granted {
-					if dstShim := shimByRack[p.dst.Rack().Index]; dstShim != nil {
-						if pol := dstShim.params.RequestPolicy; pol != nil && !pol(p.vm, p.dst) {
-							granted = false
-						}
-					}
+				var local RequestPolicy
+				if dstShim := shimByRack[p.dst.Rack().Index]; dstShim != nil {
+					local = dstShim.params.RequestPolicy
 				}
-				if granted {
-					from := p.vm.Host()
-					if err := commitMove(co.cluster, src.policy, p.vm, p.dst); err != nil {
-						report.Collisions++
-						next[i] = append(next[i], p.vm)
-						rec.Record(obs.Event{Kind: obs.KindReject, Round: report.Rounds,
-							Shim: src.Rack.Index, VM: p.vm.ID, Host: p.dst.ID, Value: p.cost})
-						continue
-					}
-					report.Migrations = append(report.Migrations, Migration{VM: p.vm, From: from, To: p.dst, Cost: p.cost})
-					report.TotalCost += p.cost
+				if k.request(p.vm, p.dst, p.cost, src.Rack.Index, report.Rounds, local) {
 					committed = true
-					rec.Record(obs.Event{Kind: obs.KindAck, Round: report.Rounds,
-						Shim: src.Rack.Index, VM: p.vm.ID, Host: p.dst.ID, Value: p.cost})
 				} else {
-					report.Collisions++
 					next[i] = append(next[i], p.vm)
-					rec.Record(obs.Event{Kind: obs.KindReject, Round: report.Rounds,
-						Shim: src.Rack.Index, VM: p.vm.ID, Host: p.dst.ID, Value: p.cost})
 				}
 			}
 		}
@@ -165,6 +135,7 @@ func (co *Coordinator) Round(alertsByShim [][]alert.Alert) (*RoundReport, error)
 			break
 		}
 	}
+	report.Collisions = report.Rejected
 	// Leftover pass: VMs the FCFS protocol never placed were silently
 	// dropped before the fail-queue existed. Shims that opted into
 	// preemption or retries now hand their leftovers (and any VMs parked
@@ -181,13 +152,7 @@ func (co *Coordinator) Round(alertsByShim [][]alert.Alert) (*RoundReport, error)
 		if err != nil {
 			return report, err
 		}
-		report.Migrations = append(report.Migrations, res.Migrations...)
-		report.TotalCost += res.TotalCost
-		report.SearchSpace += res.SearchSpace
-		report.Preemptions += res.Preemptions
-		report.Retried += res.Retried
-		report.Requeued += res.Requeued
-		report.Unplaced = append(report.Unplaced, res.Unplaced...)
+		report.Add(&res.Tally)
 	}
 	return report, nil
 }
@@ -200,23 +165,13 @@ func (s *Shim) propose(vms []*dcn.VM) ([]proposal, int) {
 	if len(hosts) == 0 || len(vms) == 0 {
 		return nil, 0
 	}
-	costs := make([][]float64, len(vms))
-	bases := make([][]float64, len(vms))
-	for i, vm := range vms {
-		costs[i] = make([]float64, len(hosts))
-		bases[i] = make([]float64, len(hosts))
-		for j, h := range hosts {
-			costs[i][j], bases[i][j] = pairCost(s.cluster, s.model, vm, h, s.policy)
-		}
-	}
-	sol, err := matching.Solve(costs)
-	if err != nil {
-		return nil, len(vms) * len(hosts)
-	}
+	k := s.core(nil)
+	// Solve refuses only an empty or ragged matrix, which match never builds.
+	assign, bases, _ := k.match(vms, hosts, nil)
 	var out []proposal
 	for i, vm := range vms {
-		if j := sol.Assign[i]; j >= 0 {
-			out = append(out, proposal{vm: vm, dst: hosts[j], cost: bases[i][j]})
+		if assign != nil && assign[i] >= 0 {
+			out = append(out, proposal{vm: vm, dst: hosts[assign[i]], cost: bases[i][assign[i]]})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].vm.ID < out[b].vm.ID })

@@ -1,0 +1,315 @@
+package migrate
+
+import (
+	"fmt"
+	"strconv"
+
+	"sheriff/internal/alert"
+	"sheriff/internal/cost"
+	"sheriff/internal/dcn"
+	"sheriff/internal/matching"
+	"sheriff/internal/obs"
+	"sheriff/internal/placement"
+)
+
+// Tally holds what every migration result counts. Report, MigrationResult,
+// RoundReport and DistResult embed it, so one Add folds any of them into
+// any other.
+type Tally struct {
+	Migrations  []Migration
+	TotalCost   float64
+	SearchSpace int       // candidate (VM, destination) pairs examined
+	Rejected    int       // REQUEST handshakes answered with REJECT
+	Preemptions int       // resident VMs evicted to admit higher-severity ones
+	Retried     int       // fail-queued VMs drained into the call
+	Requeued    int       // VMs parked in the fail-queue for a later call
+	Unplaced    []*dcn.VM // VMs no destination would accept and no queue kept
+}
+
+// Add folds o into t.
+func (t *Tally) Add(o *Tally) {
+	t.Migrations = append(t.Migrations, o.Migrations...)
+	t.TotalCost += o.TotalCost
+	t.SearchSpace += o.SearchSpace
+	t.Rejected += o.Rejected
+	t.Preemptions += o.Preemptions
+	t.Retried += o.Retried
+	t.Requeued += o.Requeued
+	t.Unplaced = append(t.Unplaced, o.Unplaced...)
+}
+
+// The stage of the Alg. 4 decision that refused a REQUEST.
+const (
+	causePolicy   = "policy"
+	causeCapacity = "capacity"
+	causeRace     = "race" // granted, but the placement itself failed
+)
+
+// core is the management protocol of Sec. V.B written once: the Alg. 3
+// matching step, the Alg. 4 grant, eviction for a stuck VM, and the
+// fail-queue's drain and park, all counting into one Tally. Migrate,
+// Coordinator.Round and DistributedVMMigration each build one on their
+// stack and differ only in how a matched pair travels to the deciding
+// delegation node: a call, a parallel propose with FCFS commit, or bus
+// messages.
+type core struct {
+	c   *dcn.Cluster
+	m   *cost.Model
+	pol placement.Policy // never nil: policyOrSheriff resolves the default
+	// admit is the call-wide admission hook; grant also takes the deciding
+	// shim's own. Nil allows.
+	admit     RequestPolicy
+	rec       *obs.Recorder
+	preempt   PreemptOptions
+	queue     *RetryQueue
+	evictions int
+	// attempts is what the queue recorded for each VM drained this call.
+	attempts map[int]int
+	tally    *Tally
+}
+
+// policyOrSheriff resolves the public contract "a nil placement policy is
+// the paper's rule" where a core is built, so nothing below branches on it.
+func policyOrSheriff(p placement.Policy) placement.Policy {
+	if p == nil {
+		p, _ = placement.PolicyOptions{}.New() // zero options always validate
+	}
+	return p
+}
+
+// pairCost evaluates one (VM, destination) edge of Alg. 3's bipartite
+// graph G_m under the placement policy: score is the matching weight
+// (Forbidden when the destination cannot host the VM), base the Eqn. (1)
+// migration cost actually charged on commit. A detached (preempted) VM has
+// no source rack, so its base reduces to the fixed restart cost Cr.
+func (k *core) pairCost(vm *dcn.VM, h *dcn.Host) (score, base float64) {
+	if h == vm.Host() {
+		return matching.Forbidden, 0 // must actually move
+	}
+	if !k.pol.Feasible(vm.Capacity, h) {
+		return matching.Forbidden, 0
+	}
+	if _, conflict := h.Conflict(k.c.Deps, vm.ID); conflict {
+		return matching.Forbidden, 0
+	}
+	if vm.Host() == nil {
+		base = k.m.Params().Cr
+	} else {
+		mc, err := k.m.Migration(vm, h)
+		if err != nil {
+			return matching.Forbidden, 0
+		}
+		base = mc
+	}
+	return k.pol.Score(vm.Capacity, h, base), base
+}
+
+// match is Alg. 3's matching step: price every (VM, host) pair the caller
+// does not bar and solve the minimum-weight assignment. assign[i] indexes
+// hosts (-1: unmatched) and bases holds the cost to charge on commit;
+// assign is nil when no pair is feasible at all. barred may be nil.
+func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (assign []int, bases [][]float64, err error) {
+	costs := make([][]float64, len(vms))
+	bases = make([][]float64, len(vms))
+	feasible := false
+	for i, vm := range vms {
+		costs[i] = make([]float64, len(hosts))
+		bases[i] = make([]float64, len(hosts))
+		for j, h := range hosts {
+			if barred != nil && barred(vm, j) {
+				costs[i][j] = matching.Forbidden
+				continue
+			}
+			costs[i][j], bases[i][j] = k.pairCost(vm, h)
+			if costs[i][j] != matching.Forbidden {
+				feasible = true
+			}
+		}
+	}
+	if !feasible {
+		return nil, nil, nil
+	}
+	sol, err := matching.Solve(costs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("migrate: matching: %w", err)
+	}
+	return sol.Assign, bases, nil
+}
+
+// admits is the Alg. 4 decision without its effect: the call-wide and the
+// deciding shim's admission policies, then the FCFS capacity check under
+// the placement policy's capacity rule (so an oversubscription policy
+// relaxes the handshake too). cause names the refusing stage.
+func (k *core) admits(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
+	if k.admit != nil && !k.admit(vm, dst) {
+		return false, causePolicy
+	}
+	if local != nil && !local(vm, dst) {
+		return false, causePolicy
+	}
+	if !k.pol.Feasible(vm.Capacity, dst) {
+		return false, causeCapacity
+	}
+	return true, ""
+}
+
+// grant answers one REQUEST at the destination's delegation node: admits,
+// then the move itself. An oversubscribing policy (one exposing Factor)
+// commits through MoveOversub so the relaxed capacity rule the decision
+// granted also holds at placement.
+func (k *core) grant(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
+	if ok, cause = k.admits(vm, dst, local); !ok {
+		return false, cause
+	}
+	var err error
+	if oc, oversub := k.pol.(interface{ Factor() float64 }); oversub {
+		err = k.c.MoveOversub(vm, dst, oc.Factor())
+	} else {
+		err = k.c.Move(vm, dst)
+	}
+	if err != nil {
+		return false, causeRace // e.g. a dependency raced in
+	}
+	return true, ""
+}
+
+// request is the whole handshake where source and destination share an
+// address space: REQUEST, grant, then ACK with the migration tallied, or
+// REJECT with the refusing stage.
+func (k *core) request(vm *dcn.VM, dst *dcn.Host, moveCost float64, shim, round int, local RequestPolicy) bool {
+	k.rec.Record(obs.Event{Kind: obs.KindRequest, Round: round, Shim: shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
+	from := vm.Host()
+	ok, cause := k.grant(vm, dst, local)
+	if !ok {
+		k.tally.Rejected++
+		if k.rec.Enabled() {
+			k.rec.Record(obs.Event{Kind: obs.KindReject, Round: round, Shim: shim, VM: vm.ID, Host: dst.ID,
+				Value: moveCost, Attrs: map[string]string{"cause": cause}})
+		}
+		return false
+	}
+	k.tally.Migrations = append(k.tally.Migrations, Migration{VM: vm, From: from, To: dst, Cost: moveCost})
+	k.tally.TotalCost += moveCost
+	k.rec.Record(obs.Event{Kind: obs.KindAck, Round: round, Shim: shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
+	return true
+}
+
+// mayEvict reports whether preemption is on and inside its budget.
+func (k *core) mayEvict() bool {
+	return k.preempt.Enabled && k.evictions < k.preempt.MaxEvictions
+}
+
+// evictFor frees room for vm on dst by detaching the cheapest resident vm
+// dominates by the severity gap (never one in skip), and returns the
+// victim, or nil when the budget is spent or nobody qualifies. Where the
+// victim goes next is the caller's business.
+func (k *core) evictFor(vm *dcn.VM, dst *dcn.Host, skip map[int]bool, shim, round int) *dcn.VM {
+	if !k.mayEvict() {
+		return nil
+	}
+	victim := preemptVictim(k.c, vm, dst, k.preempt, skip)
+	if victim == nil {
+		return nil
+	}
+	k.c.Evict(victim)
+	k.evictions++
+	k.tally.Preemptions++
+	if k.rec.Enabled() {
+		k.rec.Record(obs.Event{Kind: obs.KindPreempt, Round: round, Shim: shim, VM: victim.ID, Host: dst.ID,
+			Value: victim.Value, Attrs: map[string]string{
+				"for":             strconv.Itoa(vm.ID),
+				"severity":        alert.ClassifySeverity(vm.Alert).String(),
+				"victim-severity": alert.ClassifySeverity(victim.Alert).String(),
+			}})
+	}
+	return victim
+}
+
+// preemptVictim selects the cheapest evictable resident of dst whose
+// severity tier the incoming VM dominates by the configured gap: lowest
+// knapsack Value first (the Alg. 2 preference), lowest ID on ties, never
+// delay-sensitive VMs or IDs in skip, and only when the eviction
+// actually makes room and leaves no dependency conflict. Returns nil
+// when no resident qualifies.
+func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, po PreemptOptions, skip map[int]bool) *dcn.VM {
+	sev := alert.ClassifySeverity(vm.Alert)
+	if int(sev) < po.MinSeverityGap {
+		return nil
+	}
+	var victim *dcn.VM
+	for _, resident := range dst.VMs() {
+		if resident.DelaySensitive || resident.ID == vm.ID || skip[resident.ID] {
+			continue
+		}
+		if int(alert.ClassifySeverity(resident.Alert))+po.MinSeverityGap > int(sev) {
+			continue
+		}
+		if dst.Free()+resident.Capacity < vm.Capacity {
+			continue
+		}
+		conflict := false
+		for _, other := range dst.VMs() {
+			if other != resident && c.Deps.Dependent(vm.ID, other.ID) {
+				conflict = true
+				break
+			}
+		}
+		if conflict {
+			continue
+		}
+		if victim == nil || resident.Value < victim.Value {
+			victim = resident
+		}
+	}
+	return victim
+}
+
+// drain empties the fail-queue into the call: entries whose VM left the
+// cluster while parked are dropped, the rest are counted and traced as
+// retries and returned in FIFO order for the caller to route.
+func (k *core) drain() []RetryEntry {
+	entries := k.queue.TakeAll()
+	live := entries[:0]
+	for _, e := range entries {
+		if k.c.VM(e.VM.ID) != e.VM {
+			continue
+		}
+		if k.attempts == nil {
+			k.attempts = make(map[int]int)
+		}
+		k.attempts[e.VM.ID] = e.Attempts
+		k.tally.Retried++
+		if k.rec.Enabled() {
+			k.rec.Record(obs.Event{Kind: obs.KindRetry, Shim: e.Shim, VM: e.VM.ID, Host: ShimUnknown,
+				Value: float64(e.Attempts), Attrs: map[string]string{"cause": "queue"}})
+		}
+		live = append(live, e)
+	}
+	return live
+}
+
+// park puts a VM the call could not place into the fail-queue for the
+// next one, one attempt older, and reports whether the queue took it: no
+// queue, or an attached VM past the attempt budget, and the caller must
+// report the VM itself. A detached VM is a preemption victim and is
+// always kept.
+func (k *core) park(vm *dcn.VM, shim, round int) bool {
+	att := k.attempts[vm.ID] + 1
+	if !k.queue.Put(RetryEntry{VM: vm, Shim: shim, Attempts: att, Evicted: vm.Host() == nil}) {
+		return false
+	}
+	k.tally.Requeued++
+	if k.rec.Enabled() {
+		k.rec.Record(obs.Event{Kind: obs.KindRequeue, Round: round, Shim: shim, VM: vm.ID, Host: ShimUnknown,
+			Value: float64(att), Attrs: map[string]string{"attempts": strconv.Itoa(att)}})
+	}
+	return true
+}
+
+// exclude bars one (VM, destination key) pair from later matchings.
+func exclude(m map[int]map[int]bool, vmID, key int) {
+	if m[vmID] == nil {
+		m[vmID] = make(map[int]bool)
+	}
+	m[vmID][key] = true
+}

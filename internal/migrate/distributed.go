@@ -5,11 +5,9 @@ import (
 	"sort"
 	"strconv"
 
-	"sheriff/internal/alert"
 	"sheriff/internal/comm"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
-	"sheriff/internal/matching"
 	"sheriff/internal/obs"
 	"sheriff/internal/placement"
 )
@@ -114,18 +112,11 @@ func (o DistOptions) WithDefaults() DistOptions {
 
 // DistResult summarizes a distributed migration run.
 type DistResult struct {
-	Migrations  []Migration
-	TotalCost   float64
-	SearchSpace int
-	Rejected    int
+	Tally
 	Retransmits int // requests re-sent after a presumed loss
 	Suppressed  int // duplicate requests/replies discarded by dedup
 	Fallbacks   int // VMs degraded to local sequential placement
 	Rounds      int
-	Unplaced    []*dcn.VM
-	Preemptions int // residents evicted by destination shims
-	Retried     int // fail-queued VMs drained into this run
-	Requeued    int // VMs parked in the fail-queue for the next run
 }
 
 // outstanding tracks one in-flight request at its source shim.
@@ -184,19 +175,15 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 	opts = opts.WithDefaults()
 	rec := opts.Recorder
 	res := &DistResult{}
-	var pol placement.Policy
-	if opts.Placement.Kind != placement.Sheriff {
-		p, err := opts.Placement.New()
-		if err != nil {
-			return nil, err
-		}
-		pol = p
+	pol, err := opts.Placement.New()
+	if err != nil {
+		return nil, err
 	}
+	k := core{c: c, m: m, pol: pol, admit: opts.RequestPolicy, rec: rec,
+		preempt: opts.Preempt, queue: opts.Queue, tally: &res.Tally}
 
-	shimByRack := make(map[int]*Shim, len(shims))
 	shimIdxByRack := make(map[int]int, len(shims))
 	for i, s := range shims {
-		shimByRack[s.Rack.Index] = s
 		shimIdxByRack[s.Rack.Index] = i
 	}
 	remaining := make([][]*dcn.VM, len(shims))
@@ -205,30 +192,13 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 	}
 	// Drain the cross-invocation fail-queue: parked VMs re-enter their
 	// owning shim's candidate set (unattributed entries go to shim 0).
-	queueAttempts := make(map[int]int)
-	queueEvicted := make(map[int]bool)
-	if opts.Queue != nil {
-		for _, e := range opts.Queue.TakeAll() {
-			if c.VM(e.VM.ID) != e.VM {
-				continue // removed from the cluster while parked
-			}
-			i, ok := shimIdxByRack[e.Shim]
-			if !ok {
-				i = 0
-			}
-			queueAttempts[e.VM.ID] = e.Attempts
-			if e.Evicted {
-				queueEvicted[e.VM.ID] = true
-			}
-			remaining[i] = append(remaining[i], e.VM)
-			res.Retried++
-			if rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.KindRetry, Shim: e.Shim, VM: e.VM.ID, Host: ShimUnknown,
-					Value: float64(e.Attempts), Attrs: map[string]string{"cause": "queue"}})
-			}
+	for _, e := range k.drain() {
+		i, ok := shimIdxByRack[e.Shim]
+		if !ok {
+			i = 0
 		}
+		remaining[i] = append(remaining[i], e.VM)
 	}
-	evictions := 0
 	// Per-shim excluded (vmID, hostID) pairs after explicit REJECTs.
 	excluded := make([]map[int]map[int]bool, len(shims))
 	for i := range excluded {
@@ -297,31 +267,20 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 				remaining[i] = waiting
 				continue
 			}
-			costs := make([][]float64, len(ready))
-			bases := make([][]float64, len(ready))
-			feasible := false
 			cut := make(map[int]bool) // host index -> across a partition
 			for hi, h := range hosts {
 				if _, p := bus.Partitioned(shim.Rack.Index, h.Rack().Index); p {
 					cut[hi] = true
 				}
 			}
-			for vi, vm := range ready {
-				costs[vi] = make([]float64, len(hosts))
-				bases[vi] = make([]float64, len(hosts))
-				for hi, h := range hosts {
-					if cut[hi] || excluded[i][vm.ID][h.ID] {
-						costs[vi][hi] = matching.Forbidden
-						continue
-					}
-					costs[vi][hi], bases[vi][hi] = pairCost(c, m, vm, h, pol)
-					if costs[vi][hi] != matching.Forbidden {
-						feasible = true
-					}
-				}
+			assign, bases, err := k.match(ready, hosts, func(vm *dcn.VM, hi int) bool {
+				return cut[hi] || excluded[i][vm.ID][hosts[hi].ID]
+			})
+			if err != nil {
+				return nil, err
 			}
 			res.SearchSpace += len(ready) * len(hosts)
-			if !feasible {
+			if assign == nil {
 				cause := "no-destination"
 				if len(cut) > 0 {
 					cause = "partition"
@@ -332,13 +291,9 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 				remaining[i] = waiting
 				continue
 			}
-			sol, err := matching.Solve(costs)
-			if err != nil {
-				return nil, fmt.Errorf("migrate: distributed matching: %w", err)
-			}
 			keep := waiting
 			for vi, vm := range ready {
-				hi := sol.Assign[vi]
+				hi := assign[vi]
 				if hi < 0 {
 					keep = append(keep, vm)
 					continue
@@ -377,35 +332,19 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 				dst := c.Host(msg.HostID)
 				reply = comm.MsgReject
 				if vm != nil && dst != nil && dst.Rack() == shim.Rack {
-					granted := allowRequestWith(pol, opts.RequestPolicy, shim, vm, dst)
+					local := shim.params.RequestPolicy
+					ok, cause := k.grant(vm, dst, local)
 					// Destination-side preemption: a capacity refusal may
 					// evict one strictly lower-severity resident; the victim
 					// parks in the fail-queue and finds a new home later.
-					if !granted && opts.Preempt.Enabled && opts.Queue != nil &&
-						evictions < opts.Preempt.MaxEvictions &&
-						allowRequestPolicies(opts.RequestPolicy, shim, vm, dst) {
-						if victim := preemptVictim(c, vm, dst, opts.Preempt, nil); victim != nil {
-							c.Evict(victim)
-							evictions++
-							res.Preemptions++
-							opts.Queue.Put(RetryEntry{VM: victim, Shim: shim.Rack.Index, Evicted: true})
-							res.Requeued++
-							if rec.Enabled() {
-								rec.Record(obs.Event{Kind: obs.KindPreempt, Round: res.Rounds,
-									Shim: shim.Rack.Index, VM: victim.ID, Host: dst.ID,
-									Value: victim.Value, Attrs: map[string]string{
-										"for":             strconv.Itoa(vm.ID),
-										"severity":        alert.ClassifySeverity(vm.Alert).String(),
-										"victim-severity": alert.ClassifySeverity(victim.Alert).String(),
-									}})
-							}
-							granted = allowRequestWith(pol, opts.RequestPolicy, shim, vm, dst)
+					if !ok && cause == causeCapacity && k.queue != nil {
+						if victim := k.evictFor(vm, dst, nil, shim.Rack.Index, res.Rounds); victim != nil {
+							k.park(victim, shim.Rack.Index, res.Rounds)
+							ok, _ = k.grant(vm, dst, local)
 						}
 					}
-					if granted {
-						if err := commitMove(c, pol, vm, dst); err == nil {
-							reply = comm.MsgAck
-						}
+					if ok {
+						reply = comm.MsgAck
 					}
 				}
 				seen[msg.Seq] = reply
@@ -470,7 +409,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
 				case comm.MsgReject:
 					res.Rejected++
-					excludeDist(excluded[i], req.vm.ID, req.dst.ID)
+					exclude(excluded[i], req.vm.ID, req.dst.ID)
 					remaining[i] = append(remaining[i], req.vm)
 					rec.Record(obs.Event{Kind: obs.KindReject, Round: res.Rounds,
 						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
@@ -566,20 +505,9 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		}
 		vms := make([]*dcn.VM, 0, len(fallback[i]))
 		for _, f := range fallback[i] {
-			vm := f.vm
-			if opts.Queue != nil {
-				att := queueAttempts[vm.ID] + 1
-				if opts.Queue.Put(RetryEntry{VM: vm, Shim: shim.Rack.Index, Attempts: att, Evicted: queueEvicted[vm.ID]}) {
-					res.Requeued++
-					if rec.Enabled() {
-						rec.Record(obs.Event{Kind: obs.KindRequeue, Round: res.Rounds,
-							Shim: shim.Rack.Index, VM: vm.ID, Host: ShimUnknown,
-							Value: float64(att), Attrs: map[string]string{"attempts": strconv.Itoa(att)}})
-					}
-					continue
-				}
+			if !k.park(f.vm, shim.Rack.Index, res.Rounds) {
+				vms = append(vms, f.vm)
 			}
-			vms = append(vms, vm)
 		}
 		if len(vms) == 0 {
 			continue
@@ -594,20 +522,16 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 			res.Unplaced = append(res.Unplaced, vms...)
 			continue
 		}
-		lr, err := Migrate(c, m, vms, hosts, MigrationOptions{
-			Policy:    composePolicy(opts.RequestPolicy, shim.params.RequestPolicy),
-			Recorder:  rec,
-			Shim:      shim.Rack.Index,
-			Placement: pol,
-		})
-		if err != nil {
+		// The last rung neither evicts nor parks, and the shim decides for
+		// its whole region. It counts into a tally of its own, folded in
+		// afterwards, so that TotalCost sums in the order it always has.
+		var lt Tally
+		last := k
+		last.preempt, last.queue, last.tally = PreemptOptions{}, nil, &lt
+		if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, false, shim.params.RequestPolicy); err != nil {
 			return nil, fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
 		}
-		res.Migrations = append(res.Migrations, lr.Migrations...)
-		res.TotalCost += lr.TotalCost
-		res.SearchSpace += lr.SearchSpace
-		res.Rejected += lr.Rejected
-		res.Unplaced = append(res.Unplaced, lr.Unplaced...)
+		res.Add(&lt)
 	}
 	if opts.DisableFallback && rec.Enabled() {
 		for _, vm := range res.Unplaced {
@@ -615,80 +539,4 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		}
 	}
 	return res, nil
-}
-
-// composePolicy ANDs two request policies, treating nil as always-allow.
-func composePolicy(a, b RequestPolicy) RequestPolicy {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(vm *dcn.VM, dst *dcn.Host) bool { return a(vm, dst) && b(vm, dst) }
-}
-
-// allowRequestPolicies composes the protocol-wide policy and the
-// destination shim's own policy (the admission stages, without the
-// capacity check).
-func allowRequestPolicies(protocol RequestPolicy, dstShim *Shim, vm *dcn.VM, dst *dcn.Host) bool {
-	if protocol != nil && !protocol(vm, dst) {
-		return false
-	}
-	if p := dstShim.params.RequestPolicy; p != nil && !p(vm, dst) {
-		return false
-	}
-	return true
-}
-
-// allowRequestWith composes the admission policies and the Alg. 4
-// capacity check under the placement policy's capacity rule.
-func allowRequestWith(pol placement.Policy, protocol RequestPolicy, dstShim *Shim, vm *dcn.VM, dst *dcn.Host) bool {
-	return allowRequestPolicies(protocol, dstShim, vm, dst) && RequestWith(pol, vm, dst)
-}
-
-// preemptVictim selects the cheapest evictable resident of dst whose
-// severity tier the incoming VM dominates by the configured gap: lowest
-// knapsack Value first (the Alg. 2 preference), lowest ID on ties, never
-// delay-sensitive VMs or IDs in skip, and only when the eviction
-// actually makes room and leaves no dependency conflict. Returns nil
-// when no resident qualifies.
-func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, po PreemptOptions, skip map[int]bool) *dcn.VM {
-	sev := alert.ClassifySeverity(vm.Alert)
-	if int(sev) < po.MinSeverityGap {
-		return nil
-	}
-	var victim *dcn.VM
-	for _, resident := range dst.VMs() {
-		if resident.DelaySensitive || resident.ID == vm.ID || skip[resident.ID] {
-			continue
-		}
-		if int(alert.ClassifySeverity(resident.Alert))+po.MinSeverityGap > int(sev) {
-			continue
-		}
-		if dst.Free()+resident.Capacity < vm.Capacity {
-			continue
-		}
-		conflict := false
-		for _, other := range dst.VMs() {
-			if other != resident && c.Deps.Dependent(vm.ID, other.ID) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		if victim == nil || resident.Value < victim.Value {
-			victim = resident
-		}
-	}
-	return victim
-}
-
-func excludeDist(m map[int]map[int]bool, vmID, hostID int) {
-	if m[vmID] == nil {
-		m[vmID] = make(map[int]bool)
-	}
-	m[vmID][hostID] = true
 }

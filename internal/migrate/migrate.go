@@ -17,7 +17,6 @@ import (
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/knapsack"
-	"sheriff/internal/matching"
 	"sheriff/internal/obs"
 	"sheriff/internal/placement"
 )
@@ -32,14 +31,8 @@ type Migration struct {
 
 // Report summarizes one shim management round (one Alg. 1 execution).
 type Report struct {
-	Migrations  []Migration
-	TotalCost   float64
-	SearchSpace int // candidate (VM, destination) pairs examined
-	Rerouted    []*dcn.VM
-	Rejected    int // REQUEST handshakes answered with REJECT
-	Preemptions int // resident VMs evicted to admit higher-severity ones
-	Retried     int // fail-queued VMs re-entering this round
-	Requeued    int // VMs parked in the fail-queue for a later round
+	Tally
+	Rerouted []*dcn.VM
 }
 
 // RequestPolicy decides whether a REQUEST handshake may be granted,
@@ -136,8 +129,7 @@ type Shim struct {
 	model   *cost.Model
 	params  Params
 
-	// policy is the destination-scoring policy (nil = the Sheriff rule,
-	// which keeps the pre-policy fast path bit-exact).
+	// policy is the destination-scoring policy params.Placement selects.
 	policy placement.Policy
 	// queue is the shim's fail-queue (nil when retries are disabled).
 	queue *RetryQueue
@@ -151,14 +143,11 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 		return nil, err
 	}
 	p = p.WithDefaults()
-	s := &Shim{Rack: rack, cluster: c, model: m, params: p}
-	if p.Placement.Kind != placement.Sheriff {
-		pol, err := p.Placement.New()
-		if err != nil {
-			return nil, err
-		}
-		s.policy = pol
+	pol, err := p.Placement.New()
+	if err != nil {
+		return nil, err
 	}
+	s := &Shim{Rack: rack, cluster: c, model: m, params: p, policy: pol}
 	if p.Retry.Enabled {
 		q, err := NewRetryQueue(p.Retry)
 		if err != nil {
@@ -189,8 +178,15 @@ func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 // Alerts or a protocol run.
 func (s *Shim) SetRequestPolicy(p RequestPolicy) { s.params.RequestPolicy = p }
 
-// Policy returns the shim's destination-scoring policy (nil = Sheriff).
+// Policy returns the shim's destination-scoring policy.
 func (s *Shim) Policy() placement.Policy { return s.policy }
+
+// core builds the shim's view of the protocol for one coordinated round:
+// its own placement policy and recorder, counting into t. Admission is
+// the destination shim's and reaches grant per request.
+func (s *Shim) core(t *Tally) core {
+	return core{c: s.cluster, m: s.model, pol: s.policy, rec: s.params.Recorder, tally: t}
+}
 
 // Queue returns the shim's fail-queue (nil when retries are disabled).
 // Safe on a nil shim, as is QueueLen — the runtime's sharded engine keeps
@@ -252,13 +248,20 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	// VMs from earlier rounds re-enter through the host-set migration —
 	// the queue is drained inside Migrate — so the round runs even with an
 	// empty alert-selected set while retries are pending.
+	migrate := func(vms []*dcn.VM, hosts []*dcn.Host, o MigrationOptions) error {
+		res, err := Migrate(s.cluster, s.model, vms, hosts, o)
+		if err == nil {
+			report.Add(&res.Tally)
+		}
+		return err
+	}
 	if len(hostSet) > 0 || s.QueueLen() > 0 {
-		if err := report.merge(Migrate(s.cluster, s.model, hostSet, s.regionHosts(true), s.migrationOptions())); err != nil {
+		if err := migrate(hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
 			return report, err
 		}
 	}
 	if len(torSet) > 0 {
-		if err := report.merge(Migrate(s.cluster, s.model, torSet, s.regionHosts(false), s.migrationOptionsDeferred())); err != nil {
+		if err := migrate(torSet, s.regionHosts(false), s.migrationOptionsDeferred()); err != nil {
 			return report, err
 		}
 	}
@@ -285,21 +288,6 @@ func (s *Shim) migrationOptionsDeferred() MigrationOptions {
 	o := s.migrationOptions()
 	o.DeferDrain = true
 	return o
-}
-
-// merge folds a VMMIGRATION result into the round report.
-func (r *Report) merge(res *MigrationResult, err error) error {
-	if err != nil {
-		return err
-	}
-	r.Migrations = append(r.Migrations, res.Migrations...)
-	r.TotalCost += res.TotalCost
-	r.SearchSpace += res.SearchSpace
-	r.Rejected += res.Rejected
-	r.Preemptions += res.Preemptions
-	r.Retried += res.Retried
-	r.Requeued += res.Requeued
-	return nil
 }
 
 // vmsUsingSwitch approximates "VMs with flows out through s_j": with no
@@ -338,15 +326,8 @@ func (s *Shim) regionHosts(includeOwn bool) []*dcn.Host {
 
 // MigrationResult is the outcome of one VMMIGRATION invocation (Alg. 3).
 type MigrationResult struct {
-	Migrations  []Migration
-	TotalCost   float64
-	SearchSpace int
-	Rejected    int
-	Unplaced    []*dcn.VM // VMs no destination would accept (and no queue kept)
-	Preemptions int       // victims evicted to admit higher-severity VMs
-	Evicted     []*dcn.VM // the victims, in eviction order
-	Retried     int       // fail-queued VMs drained into this call
-	Requeued    int       // VMs parked in the fail-queue by this call
+	Tally
+	Evicted []*dcn.VM // the victims, in eviction order
 }
 
 // ErrNoCandidates is returned when the destination set is empty.
@@ -390,18 +371,12 @@ type MigrationOptions struct {
 // ShimUnknown marks events whose source shim is not identified.
 const ShimUnknown = -1
 
-// decide runs one Alg. 4 handshake decision: policy first, then the FCFS
-// capacity check (under the placement policy's capacity rule, so an
-// oversubscription policy relaxes the handshake). The cause names the
-// refusing stage for trace events.
+// decide is the Alg. 4 decision under these options. The frozen oracle in
+// reference.go calls it; everything else goes through core.grant, which
+// shares the decision and adds the move.
 func (o *MigrationOptions) decide(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
-	if o.Policy != nil && !o.Policy(vm, dst) {
-		return false, "policy"
-	}
-	if !RequestWith(o.Placement, vm, dst) {
-		return false, "capacity"
-	}
-	return true, ""
+	k := core{pol: policyOrSheriff(o.Placement), admit: o.Policy}
+	return k.admits(vm, dst, nil)
 }
 
 // VMMigration implements Alg. 3 with default options: while the candidate
@@ -428,58 +403,59 @@ func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host,
 	if err := o.Preempt.Validate(); err != nil {
 		return nil, err
 	}
-	o.Preempt = o.Preempt.WithDefaults()
 	res := &MigrationResult{}
-	rec := o.Recorder
+	k := core{c: c, m: m, pol: policyOrSheriff(o.Placement), admit: o.Policy, rec: o.Recorder,
+		preempt: o.Preempt.WithDefaults(), queue: o.Queue, tally: &res.Tally}
+	var err error
+	res.Evicted, err = k.sequential(f, candidates, o.Shim, o.ForbidSameRack, !o.DeferDrain, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// sequential is the protocol by direct call — the transport of Migrate,
+// and the last rung of the distributed protocol's fallback ladder: match,
+// send each matched pair through the handshake, rematch what was refused
+// or left over, evict when nothing fits, and finally park or give up.
+// shim tags the events; forbidSameRack bars a VM's own rack; drain first
+// empties the fail-queue into the candidate set; local is the deciding
+// shim's admission policy. It returns the victims, in eviction order.
+func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack, drain bool, local RequestPolicy) ([]*dcn.VM, error) {
 	remaining := append([]*dcn.VM(nil), f...)
-	// attempts carries prior placement attempts for fail-queued VMs;
-	// evictedSet marks detached VMs (exempt from the attempt budget);
-	// evictedFrom remembers each victim's original host for rollback.
-	attempts := make(map[int]int)
-	evictedSet := make(map[int]bool)
-	evictedFrom := make(map[int]*dcn.Host)
-	if o.Queue != nil && !o.DeferDrain {
+	if drain && k.queue != nil {
 		inSet := make(map[int]bool, len(remaining))
 		for _, vm := range remaining {
 			inSet[vm.ID] = true
 		}
-		for _, e := range o.Queue.TakeAll() {
-			if c.VM(e.VM.ID) != e.VM {
-				continue // removed from the cluster while parked
-			}
-			attempts[e.VM.ID] = e.Attempts
-			if e.Evicted {
-				evictedSet[e.VM.ID] = true
-			}
+		for _, e := range k.drain() {
 			if !inSet[e.VM.ID] {
 				inSet[e.VM.ID] = true
 				remaining = append(remaining, e.VM)
-			}
-			res.Retried++
-			if rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.KindRetry, Shim: o.Shim, VM: e.VM.ID, Host: ShimUnknown,
-					Value: float64(e.Attempts), Attrs: map[string]string{"cause": "queue"}})
 			}
 		}
 	}
 	// Destinations that rejected a VM are excluded from its later rounds
 	// ("v_i should recalculate possible migration destinations"), as is
 	// the host a victim was evicted from (no preemption ping-pong). The
-	// exclusion set only grows, so the loop terminates.
+	// exclusion set, keyed by candidate index, only grows, so the loop
+	// terminates.
 	excluded := make(map[int]map[int]bool)
-	exclude := func(vmID, j int) {
-		if excluded[vmID] == nil {
-			excluded[vmID] = make(map[int]bool)
-		}
-		excluded[vmID][j] = true
+	barred := func(vm *dcn.VM, j int) bool {
+		// Eqn. (6): v_p ∈ N(v_i). A detached VM has no rack to leave.
+		return excluded[vm.ID][j] ||
+			forbidSameRack && vm.Host() != nil && candidates[j].Rack() == vm.Host().Rack()
 	}
-	evictions := 0
-	// preempt frees capacity for the stuck VMs by evicting one strictly
-	// lower-severity resident from a candidate host, returning whether an
-	// eviction happened (the caller then rebuilds the cost matrix). The
-	// victim joins the remaining set and must find a new home itself.
+	// evicted lists this call's victims; evictedFrom remembers each one's
+	// original host for the rollback.
+	var evicted []*dcn.VM
+	evictedFrom := make(map[int]*dcn.Host)
+	// preempt frees capacity for the stuck VMs by evicting one resident of
+	// a candidate host, returning whether an eviction happened (the caller
+	// then rematches). The victim joins the stuck set and must find a new
+	// home itself; a VM already in the set is never a victim.
 	preempt := func(stuck []*dcn.VM) ([]*dcn.VM, bool) {
-		if !o.Preempt.Enabled || evictions >= o.Preempt.MaxEvictions {
+		if !k.mayEvict() {
 			return stuck, false
 		}
 		inSet := make(map[int]bool, len(stuck))
@@ -496,196 +472,72 @@ func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host,
 			return order[i].ID < order[j].ID
 		})
 		for _, vm := range order {
-			sev := alert.ClassifySeverity(vm.Alert)
-			if int(sev) < o.Preempt.MinSeverityGap {
-				continue // cannot dominate anyone by the required gap
-			}
 			for j, h := range candidates {
-				if excluded[vm.ID][j] || h == vm.Host() {
+				if h == vm.Host() || barred(vm, j) {
 					continue
 				}
-				if o.ForbidSameRack && vm.Host() != nil && h.Rack() == vm.Host().Rack() {
-					continue
-				}
-				victim := preemptVictim(c, vm, h, o.Preempt, inSet)
+				// Round 0: the sequential path has never stamped its preempt
+				// events, and the golden trace pins that.
+				victim := k.evictFor(vm, h, inSet, shim, 0)
 				if victim == nil {
 					continue
 				}
 				evictedFrom[victim.ID] = h
-				c.Evict(victim)
-				evictions++
-				res.Preemptions++
-				res.Evicted = append(res.Evicted, victim)
-				evictedSet[victim.ID] = true
-				exclude(victim.ID, j) // no ping-pong back onto h
-				stuck = append(stuck, victim)
-				if rec.Enabled() {
-					rec.Record(obs.Event{Kind: obs.KindPreempt, Shim: o.Shim, VM: victim.ID, Host: h.ID,
-						Value: victim.Value, Attrs: map[string]string{
-							"for":             fmt.Sprintf("%d", vm.ID),
-							"severity":        sev.String(),
-							"victim-severity": alert.ClassifySeverity(victim.Alert).String(),
-						}})
-				}
-				return stuck, true
+				evicted = append(evicted, victim)
+				exclude(excluded, victim.ID, j) // no ping-pong back onto h
+				return append(stuck, victim), true
 			}
 		}
 		return stuck, false
 	}
 
-	pol := o.Placement
 	round := 0
 	for len(remaining) > 0 {
 		round++
-		costs := make([][]float64, len(remaining))
-		bases := make([][]float64, len(remaining))
-		feasible := false
-		for i, vm := range remaining {
-			costs[i] = make([]float64, len(candidates))
-			bases[i] = make([]float64, len(candidates))
-			for j, h := range candidates {
-				if excluded[vm.ID][j] {
-					costs[i][j] = matching.Forbidden
-					continue
-				}
-				if o.ForbidSameRack && vm.Host() != nil && h.Rack() == vm.Host().Rack() {
-					costs[i][j] = matching.Forbidden
-					continue
-				}
-				costs[i][j], bases[i][j] = pairCost(c, m, vm, h, pol)
-				if costs[i][j] != matching.Forbidden {
-					feasible = true
-				}
-			}
-		}
-		res.SearchSpace += len(remaining) * len(candidates)
-		if !feasible {
-			var evicted bool
-			if remaining, evicted = preempt(remaining); evicted {
-				continue
-			}
-			break
-		}
-		sol, err := matching.Solve(costs)
+		assign, bases, err := k.match(remaining, candidates, barred)
 		if err != nil {
-			return nil, fmt.Errorf("migrate: matching: %w", err)
+			return nil, err
 		}
-		var next []*dcn.VM
+		k.tally.SearchSpace += len(remaining) * len(candidates)
 		anyMatched := false
-		for i, vm := range remaining {
-			j := sol.Assign[i]
-			if j < 0 {
-				next = append(next, vm)
-				continue
-			}
-			anyMatched = true
-			dst := candidates[j]
-			moveCost := bases[i][j]
-			rec.Record(obs.Event{Kind: obs.KindRequest, Round: round, Shim: o.Shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
-			// Alg. 4 REQUEST: the destination's delegation node re-checks
-			// capacity (FCFS) and replies ACK or REJECT.
-			ok, cause := o.decide(vm, dst)
-			if ok {
-				from := vm.Host()
-				if err := commitMove(c, pol, vm, dst); err != nil {
-					// The handshake said yes but placement failed (e.g. a
-					// dependency raced in): treat as a rejection.
-					ok, cause = false, "race"
-				} else {
-					res.Migrations = append(res.Migrations, Migration{VM: vm, From: from, To: dst, Cost: moveCost})
-					res.TotalCost += moveCost
-					rec.Record(obs.Event{Kind: obs.KindAck, Round: round, Shim: o.Shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
+		if assign != nil {
+			var next []*dcn.VM
+			for i, vm := range remaining {
+				j := assign[i]
+				if j < 0 {
+					next = append(next, vm)
+					continue
 				}
-			}
-			if !ok {
-				res.Rejected++
-				exclude(vm.ID, j)
-				next = append(next, vm)
-				if rec.Enabled() {
-					rec.Record(obs.Event{Kind: obs.KindReject, Round: round, Shim: o.Shim, VM: vm.ID, Host: dst.ID,
-						Value: moveCost, Attrs: map[string]string{"cause": cause}})
+				anyMatched = true
+				if !k.request(vm, candidates[j], bases[i][j], shim, round, local) {
+					exclude(excluded, vm.ID, j)
+					next = append(next, vm)
 				}
-			}
-		}
-		if !anyMatched {
-			var evicted bool
-			if remaining, evicted = preempt(next); evicted {
-				continue
 			}
 			remaining = next
-			break
 		}
-		remaining = next
+		if !anyMatched {
+			var evictedOne bool
+			if remaining, evictedOne = preempt(remaining); !evictedOne {
+				break
+			}
+		}
 	}
 	// Whatever is left found no home this call: park it in the fail-queue
 	// when one is attached and the attempt budget allows, otherwise report
 	// it unplaced. A detached victim that cannot park rolls back onto its
-	// original host if the slot is still open.
+	// original host if the slot is still open, and then was never evicted.
 	for _, vm := range remaining {
-		att := attempts[vm.ID] + 1
-		if o.Queue != nil && o.Queue.Put(RetryEntry{VM: vm, Shim: o.Shim, Attempts: att, Evicted: evictedSet[vm.ID]}) {
-			res.Requeued++
-			if rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.KindRequeue, Round: round, Shim: o.Shim, VM: vm.ID, Host: ShimUnknown,
-					Value: float64(att), Attrs: map[string]string{"attempts": fmt.Sprintf("%d", att)}})
-			}
+		if k.park(vm, shim, round) {
 			continue
 		}
-		if vm.Host() == nil && evictedSet[vm.ID] {
-			if home := evictedFrom[vm.ID]; home != nil && c.Move(vm, home) == nil {
-				res.Preemptions-- // rolled back: the eviction did not stick
-			}
+		if home := evictedFrom[vm.ID]; home != nil && vm.Host() == nil && k.c.Move(vm, home) == nil {
+			k.tally.Preemptions--
 		}
-		res.Unplaced = append(res.Unplaced, vm)
-		rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: round, Shim: o.Shim, VM: vm.ID, Host: ShimUnknown})
+		k.tally.Unplaced = append(k.tally.Unplaced, vm)
+		k.rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: round, Shim: shim, VM: vm.ID, Host: ShimUnknown})
 	}
-	return res, nil
-}
-
-// pairCost evaluates one (VM, destination) edge of Alg. 3's bipartite
-// graph G_m under the placement policy: score is the matching weight
-// (Forbidden when the destination cannot host the VM), base the Eqn. (1)
-// migration cost actually charged on commit. With a nil policy both are
-// the raw migration cost — the pre-policy behavior, bit for bit. A
-// detached (preempted) VM has no source rack, so its base reduces to the
-// fixed restart cost Cr.
-func pairCost(c *dcn.Cluster, m *cost.Model, vm *dcn.VM, h *dcn.Host, pol placement.Policy) (score, base float64) {
-	if h == vm.Host() {
-		return matching.Forbidden, 0 // must actually move
-	}
-	if pol != nil {
-		if !pol.Feasible(vm.Capacity, h) {
-			return matching.Forbidden, 0
-		}
-	} else if h.Free() < vm.Capacity {
-		return matching.Forbidden, 0
-	}
-	if _, conflict := h.Conflict(c.Deps, vm.ID); conflict {
-		return matching.Forbidden, 0
-	}
-	if vm.Host() == nil {
-		base = m.Params().Cr
-	} else {
-		mc, err := m.Migration(vm, h)
-		if err != nil {
-			return matching.Forbidden, 0
-		}
-		base = mc
-	}
-	if pol != nil {
-		return pol.Score(vm.Capacity, h, base), base
-	}
-	return base, base
-}
-
-// commitMove applies an ACKed migration. An oversubscribing policy (one
-// exposing Factor) commits through dcn.MoveOversub so the relaxed
-// capacity rule the handshake granted also holds at placement.
-func commitMove(c *dcn.Cluster, pol placement.Policy, vm *dcn.VM, dst *dcn.Host) error {
-	if oc, ok := pol.(interface{ Factor() float64 }); ok {
-		return c.MoveOversub(vm, dst, oc.Factor())
-	}
-	return c.Move(vm, dst)
+	return evicted, nil
 }
 
 // Request implements Alg. 4: the receiving delegation node grants the
@@ -696,15 +548,4 @@ func commitMove(c *dcn.Cluster, pol placement.Policy, vm *dcn.VM, dst *dcn.Host)
 // (it was unsafe under the parallel coordinator).
 func Request(vm *dcn.VM, dst *dcn.Host) bool {
 	return dst.Free() >= vm.Capacity
-}
-
-// RequestWith is Request under a placement policy: the destination-side
-// capacity rule becomes the policy's Feasible check, so e.g. an
-// oversubscription policy also relaxes the Alg. 4 handshake. A nil
-// policy is the paper's rule.
-func RequestWith(pol placement.Policy, vm *dcn.VM, dst *dcn.Host) bool {
-	if pol != nil {
-		return pol.Feasible(vm.Capacity, dst)
-	}
-	return Request(vm, dst)
 }

@@ -25,8 +25,8 @@ import (
 // one final time with the queue detached, so every leftover either places
 // or takes the fallback ladder — restoring the protocol's unplaced==0
 // guarantee on fabrics where the fallback is enabled. Returns the
-// aggregate result and the number of protocol invocations used.
-func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOptions, rounds int) (*migrate.DistResult, int, error) {
+// aggregate tally and the number of protocol invocations used.
+func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOptions, rounds int) (*migrate.Tally, int, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -39,7 +39,7 @@ func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOption
 		queue = q
 		opts.Queue = queue
 	}
-	total := &migrate.DistResult{}
+	total := &migrate.Tally{}
 	used := 0
 	for r := 0; r < rounds; r++ {
 		if r > 0 && queue.Len() == 0 {
@@ -58,7 +58,7 @@ func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOption
 			return nil, used, err
 		}
 		used++
-		foldDist(total, res)
+		total.Add(&res.Tally)
 	}
 	if queue.Len() > 0 || len(total.Unplaced) > 0 {
 		vmSets := make([][]*dcn.VM, len(s.Shims))
@@ -107,7 +107,7 @@ func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOption
 			}
 			used++
 			total.Retried += drained
-			foldDist(total, res)
+			total.Add(&res.Tally)
 		}
 	}
 	return total, used, nil
@@ -121,22 +121,6 @@ func (s *Sim) runProtocol(busOpts comm.Options, opts migrate.DistOptions, vmSets
 		return nil, err
 	}
 	return migrate.DistributedVMMigration(s.Cluster, s.Model, bus, s.Shims, vmSets, opts)
-}
-
-// foldDist accumulates one invocation's result into the aggregate.
-func foldDist(total, res *migrate.DistResult) {
-	total.Migrations = append(total.Migrations, res.Migrations...)
-	total.TotalCost += res.TotalCost
-	total.SearchSpace += res.SearchSpace
-	total.Rejected += res.Rejected
-	total.Retransmits += res.Retransmits
-	total.Suppressed += res.Suppressed
-	total.Fallbacks += res.Fallbacks
-	total.Rounds += res.Rounds
-	total.Unplaced = append(total.Unplaced, res.Unplaced...)
-	total.Preemptions += res.Preemptions
-	total.Retried += res.Retried
-	total.Requeued += res.Requeued
 }
 
 // PolicyConfig sizes one cell of the policy × topology × fault grid.
@@ -225,15 +209,25 @@ func RunPolicy(cfg PolicyConfig) (*PolicyResult, error) {
 		VMs:           len(s.Cluster.VMs()),
 		InitialStdDev: s.Cluster.WorkloadStdDev(),
 	}
-	if cfg.Distributed {
-		if err := s.runPolicyDistributed(cfg, res); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := s.runPolicySequential(cfg, res); err != nil {
-			return nil, err
-		}
+	pol, err := cfg.Policy.New()
+	if err != nil {
+		return nil, err
 	}
+	run := s.runPolicySequential
+	if cfg.Distributed {
+		run = s.runPolicyDistributed
+	}
+	total, err := run(cfg, pol, res)
+	if err != nil {
+		return nil, err
+	}
+	res.Migrations = len(total.Migrations)
+	res.MigrationCost = total.TotalCost
+	res.SearchSpace = total.SearchSpace
+	res.Preemptions = total.Preemptions
+	res.Requeued = total.Requeued
+	res.Retried = total.Retried
+	res.Unplaced = len(total.Unplaced)
 	res.FinalStdDev = s.Cluster.WorkloadStdDev()
 	if res.InitialStdDev > 0 {
 		res.StdDevDecay = (res.InitialStdDev - res.FinalStdDev) / res.InitialStdDev
@@ -241,21 +235,37 @@ func RunPolicy(cfg PolicyConfig) (*PolicyResult, error) {
 	return res, nil
 }
 
-// runPolicyDistributed runs the cell through RunDistributedRounds.
-func (s *Sim) runPolicyDistributed(cfg PolicyConfig, res *PolicyResult) error {
+// cellOptions is what every direct Migrate call of a cell shares: leave
+// the rack, the cell's policy and preemption, no queue. The rack-by-rack
+// rounds add their shim's queue; the last-resort pass both cell kinds end
+// with (Alg. 3's "recalculate possible migration destinations" over the
+// widened region) runs it as is, so leftovers place or surface unplaced.
+func cellOptions(cfg PolicyConfig, pol placement.Policy, shim *migrate.Shim) migrate.MigrationOptions {
+	return migrate.MigrationOptions{
+		ForbidSameRack: true,
+		Recorder:       cfg.Recorder,
+		Shim:           shim.Rack.Index,
+		Placement:      pol,
+		Preempt:        cfg.Preempt,
+	}
+}
+
+// runPolicyDistributed runs the cell through RunDistributedRounds, fills
+// res.Alerted and res.Rounds, and returns what the cell tallied.
+func (s *Sim) runPolicyDistributed(cfg PolicyConfig, pol placement.Policy, res *PolicyResult) (*migrate.Tally, error) {
 	queue, err := migrate.NewRetryQueue(cfg.Retry)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	busOpts := comm.Options{Seed: s.Config.Seed, Recorder: cfg.Recorder}
 	if cfg.Fault != nil {
 		inj, err := faults.New(*cfg.Fault)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		busOpts.Injector = inj
 	}
-	dr, used, err := s.RunDistributedRounds(busOpts, migrate.DistOptions{
+	total, used, err := s.RunDistributedRounds(busOpts, migrate.DistOptions{
 		Seed:      s.Config.Seed,
 		Recorder:  cfg.Recorder,
 		Placement: cfg.Policy,
@@ -263,7 +273,7 @@ func (s *Sim) runPolicyDistributed(cfg PolicyConfig, res *PolicyResult) error {
 		Queue:     queue,
 	}, cfg.Rounds)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, vm := range s.Cluster.VMs() {
 		if vm.Alert > 0 {
@@ -271,84 +281,49 @@ func (s *Sim) runPolicyDistributed(cfg PolicyConfig, res *PolicyResult) error {
 		}
 	}
 	res.Rounds = used
-	res.Migrations = len(dr.Migrations)
-	res.MigrationCost = dr.TotalCost
-	res.SearchSpace = dr.SearchSpace
-	res.Preemptions = dr.Preemptions
-	res.Requeued = dr.Requeued
-	res.Retried = dr.Retried
-	res.Unplaced = len(dr.Unplaced)
-	if res.Unplaced > 0 {
-		// The protocol's fallback ladder only sees each shim's one-hop
-		// region; when a hot pod is full that is not enough. Mirror the
-		// sequential path's escalation: recalculate destinations over the
-		// widened region (Alg. 3) with preemption for whatever is left.
-		var pol placement.Policy
-		if cfg.Policy.Kind != placement.Sheriff {
-			p, err := cfg.Policy.New()
-			if err != nil {
-				return err
-			}
-			pol = p
+	// The protocol's fallback ladder only sees each shim's one-hop region;
+	// when a hot pod is full that is not enough. Mirror the sequential
+	// path's escalation: recalculate destinations over the widened region
+	// (Alg. 3) with preemption for whatever is left.
+	byShim := make(map[int][]*dcn.VM)
+	for _, vm := range total.Unplaced {
+		if s.Cluster.VM(vm.ID) != vm {
+			continue
 		}
-		byShim := make(map[int][]*dcn.VM)
-		for _, vm := range dr.Unplaced {
-			if s.Cluster.VM(vm.ID) != vm {
-				continue
-			}
-			idx := 0
-			if vm.Host() != nil {
-				idx = vm.Host().Rack().Index
-			}
-			byShim[idx] = append(byShim[idx], vm)
+		idx := 0
+		if vm.Host() != nil {
+			idx = vm.Host().Rack().Index
 		}
-		res.Unplaced = 0
-		for _, shim := range s.Shims {
-			vms := byShim[shim.Rack.Index]
-			if len(vms) == 0 {
-				continue
-			}
-			res.Retried += len(vms)
-			mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), migrate.MigrationOptions{
-				ForbidSameRack: true,
-				Recorder:       cfg.Recorder,
-				Shim:           shim.Rack.Index,
-				Placement:      pol,
-				Preempt:        cfg.Preempt,
-			})
-			if err != nil {
-				return err
-			}
-			res.Migrations += len(mr.Migrations)
-			res.MigrationCost += mr.TotalCost
-			res.SearchSpace += mr.SearchSpace
-			res.Preemptions += mr.Preemptions
-			res.Unplaced += len(mr.Unplaced)
-		}
+		byShim[idx] = append(byShim[idx], vm)
 	}
-	return nil
+	total.Unplaced = nil
+	for _, shim := range s.Shims {
+		vms := byShim[shim.Rack.Index]
+		if len(vms) == 0 {
+			continue
+		}
+		total.Retried += len(vms)
+		mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), cellOptions(cfg, pol, shim))
+		if err != nil {
+			return nil, err
+		}
+		total.Add(&mr.Tally)
+	}
+	return total, nil
 }
 
 // runPolicySequential runs the cell rack by rack: each shim migrates its
 // alerted VMs into its one-hop region with its own fail-queue, parked VMs
 // retry in later rounds, and whatever survives every round gets one last
-// widened-region pass without a queue (the Alg. 3 "recalculate possible
-// migration destinations" escalation), so leftovers either place or
-// surface honestly as unplaced.
-func (s *Sim) runPolicySequential(cfg PolicyConfig, res *PolicyResult) error {
-	var pol placement.Policy
-	if cfg.Policy.Kind != placement.Sheriff {
-		p, err := cfg.Policy.New()
-		if err != nil {
-			return err
-		}
-		pol = p
-	}
+// widened-region pass without a queue, so leftovers either place or
+// surface honestly as unplaced. It fills res.Alerted and res.Rounds and
+// returns what the cell tallied.
+func (s *Sim) runPolicySequential(cfg PolicyConfig, pol placement.Policy, res *PolicyResult) (*migrate.Tally, error) {
 	queues := make([]*migrate.RetryQueue, len(s.Shims))
 	for i := range queues {
 		q, err := migrate.NewRetryQueue(cfg.Retry)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		queues[i] = q
 	}
@@ -357,15 +332,8 @@ func (s *Sim) runPolicySequential(cfg PolicyConfig, res *PolicyResult) error {
 		res.Alerted += len(vms)
 	}
 	hops := s.Config.Migrate.NeighborSwitchHops
+	total := &migrate.Tally{}
 	leftover := make([][]*dcn.VM, len(s.Shims))
-	fold := func(mr *migrate.MigrationResult) {
-		res.Migrations += len(mr.Migrations)
-		res.MigrationCost += mr.TotalCost
-		res.SearchSpace += mr.SearchSpace
-		res.Preemptions += mr.Preemptions
-		res.Requeued += mr.Requeued
-		res.Retried += mr.Retried
-	}
 	for r := 0; r < cfg.Rounds; r++ {
 		work := false
 		for i, shim := range s.Shims {
@@ -377,18 +345,13 @@ func (s *Sim) runPolicySequential(cfg PolicyConfig, res *PolicyResult) error {
 				continue
 			}
 			work = true
-			mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, hops), migrate.MigrationOptions{
-				ForbidSameRack: true,
-				Recorder:       cfg.Recorder,
-				Shim:           shim.Rack.Index,
-				Placement:      pol,
-				Preempt:        cfg.Preempt,
-				Queue:          queues[i],
-			})
+			o := cellOptions(cfg, pol, shim)
+			o.Queue = queues[i]
+			mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, hops), o)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fold(mr)
+			total.Add(&mr.Tally)
 			// Attempt-budget refusals fall out of the queue here; carry
 			// them to the final widened pass instead of dropping them.
 			leftover[i] = append(leftover[i], mr.Unplaced...)
@@ -398,6 +361,7 @@ func (s *Sim) runPolicySequential(cfg PolicyConfig, res *PolicyResult) error {
 		}
 		res.Rounds++
 	}
+	total.Unplaced = nil // all in leftover, about to get their last pass
 	for i, shim := range s.Shims {
 		vms := leftover[i]
 		for _, e := range queues[i].TakeAll() {
@@ -409,19 +373,12 @@ func (s *Sim) runPolicySequential(cfg PolicyConfig, res *PolicyResult) error {
 		if len(vms) == 0 {
 			continue
 		}
-		res.Retried += len(vms)
-		mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), migrate.MigrationOptions{
-			ForbidSameRack: true,
-			Recorder:       cfg.Recorder,
-			Shim:           shim.Rack.Index,
-			Placement:      pol,
-			Preempt:        cfg.Preempt,
-		})
+		total.Retried += len(vms)
+		mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), cellOptions(cfg, pol, shim))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fold(mr)
-		res.Unplaced += len(mr.Unplaced)
+		total.Add(&mr.Tally)
 	}
-	return nil
+	return total, nil
 }
