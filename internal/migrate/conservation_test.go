@@ -251,6 +251,10 @@ func (sc *consScenario) runMigrate(t *testing.T) []*RetryQueue {
 				migrations: res.Migrations, rejected: res.Rejected, preemptions: res.Preemptions,
 				retried: res.Retried, requeued: res.Requeued, unplaced: res.Unplaced,
 			})
+			if len(res.Evicted) != res.Preemptions {
+				t.Errorf("%s round %d shim %d: %d VMs listed evicted, Preemptions = %d",
+					sc.cell, round, i, len(res.Evicted), res.Preemptions)
+			}
 		}
 	}
 	return queues

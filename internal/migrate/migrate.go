@@ -327,7 +327,8 @@ func (s *Shim) regionHosts(includeOwn bool) []*dcn.Host {
 // MigrationResult is the outcome of one VMMIGRATION invocation (Alg. 3).
 type MigrationResult struct {
 	Tally
-	Evicted []*dcn.VM // the victims, in eviction order
+	// Evicted lists the victims whose eviction stuck, in eviction order.
+	Evicted []*dcn.VM
 }
 
 // ErrNoCandidates is returned when the destination set is empty.
@@ -420,7 +421,7 @@ func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host,
 // or left over, evict when nothing fits, and finally park or give up.
 // shim tags the events; forbidSameRack bars a VM's own rack; drain first
 // empties the fail-queue into the candidate set; local is the deciding
-// shim's admission policy. It returns the victims, in eviction order.
+// shim's admission policy. It returns the victims whose eviction stuck.
 func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack, drain bool, local RequestPolicy) ([]*dcn.VM, error) {
 	remaining := append([]*dcn.VM(nil), f...)
 	if drain && k.queue != nil {
@@ -533,6 +534,12 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 		}
 		if home := evictedFrom[vm.ID]; home != nil && vm.Host() == nil && k.c.Move(vm, home) == nil {
 			k.tally.Preemptions--
+			for i, v := range evicted {
+				if v == vm {
+					evicted = append(evicted[:i], evicted[i+1:]...)
+					break
+				}
+			}
 		}
 		k.tally.Unplaced = append(k.tally.Unplaced, vm)
 		k.rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: round, Shim: shim, VM: vm.ID, Host: ShimUnknown})

@@ -298,6 +298,43 @@ func TestSequentialPreemptThenRetry(t *testing.T) {
 	}
 }
 
+// TestSequentialPreemptRollback: with no fail-queue a victim that finds no
+// other home goes back where it was if the slot is still open, and the
+// result then says, in both places, that nothing was evicted.
+func TestSequentialPreemptRollback(t *testing.T) {
+	fx := newFixture(t, 4, 1)
+	h0 := fx.cluster.Racks[0].Hosts[0]
+	h1 := fx.cluster.Racks[1].Hosts[0]
+	in, err := fx.cluster.AddVM(h0, 40, 5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Alert = 0.96
+	victim, err := fx.cluster.AddVM(h1, 70, 1, false) // h1 free 30 < 40
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only h1 is offered, and admission refuses the incoming VM there: the
+	// eviction makes room nobody may use, and the victim has nowhere to go.
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{in}, []*dcn.Host{h1}, MigrationOptions{
+		Shim:    0,
+		Policy:  func(vm *dcn.VM, dst *dcn.Host) bool { return vm != in },
+		Preempt: PreemptOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if victim.Host() != h1 || in.Host() != h0 {
+		t.Fatalf("victim on %v, incoming on %v; want both where they started", victim.Host(), in.Host())
+	}
+	if res.Preemptions != 0 || len(res.Evicted) != 0 {
+		t.Fatalf("rolled-back eviction still reported: Preemptions=%d Evicted=%v", res.Preemptions, res.Evicted)
+	}
+	if len(res.Migrations) != 0 || len(res.Unplaced) != 2 {
+		t.Fatalf("want no migrations and both VMs unplaced, got %d and %d", len(res.Migrations), len(res.Unplaced))
+	}
+}
+
 // TestDistributedPreemptThenRetry stages the destination-side version: two
 // critical VMs race for one destination host's capacity, FCFS grants the
 // first, the second's refusal triggers a preemption, the victim parks in
