@@ -62,7 +62,12 @@ type daemonState struct {
 // closing the trace, flushing counters — always fires; main's only job
 // is the exit code. A -fail-step failure therefore still leaves a
 // closed, parseable trace.
-func run(args []string, out io.Writer) (err error) {
+func run(args []string, out io.Writer) error { return runTapped(args, out, nil) }
+
+// runTapped is run with a tap on what the reporters offer at each step,
+// so a test can hold a restarted daemon's offered profiles against an
+// uninterrupted one's. The slice is reused between steps.
+func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest.Update)) (err error) {
 	fs := flag.NewFlagSet("sheriffd", flag.ContinueOnError)
 	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
 	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
@@ -157,6 +162,10 @@ func run(args []string, out io.Writer) (err error) {
 	var rt *runtime.Runtime
 	var svc *ingest.Service
 	startStep := 0
+	// admission is the rack each VM was in when the ingest partition was
+	// fixed, which is also the rack its reporter stream is keyed by: a VM
+	// keeps reporting the same stream wherever it migrates.
+	admission := make(map[int]int)
 	if *snapshot != "" {
 		blob, rerr := os.ReadFile(*snapshot)
 		switch {
@@ -182,6 +191,11 @@ func run(args []string, out io.Writer) (err error) {
 				return fmt.Errorf("snapshot %s: %w", *snapshot, err)
 			}
 			startStep = st.Runtime.Step
+			for _, sh := range st.Ingest.Shards {
+				for _, sl := range sh.Slots {
+					admission[sl.VM] = sh.Rack
+				}
+			}
 			fmt.Fprintf(out, "sheriffd: resumed from %s at step %d (no cold fit)\n", *snapshot, startStep)
 		case errors.Is(rerr, os.ErrNotExist):
 			// fresh start below
@@ -196,6 +210,9 @@ func run(args []string, out io.Writer) (err error) {
 		if svc, err = ingest.FromCluster(rt.Cluster, inOpts); err != nil {
 			return err
 		}
+		for _, vm := range rt.Cluster.VMs() {
+			admission[vm.ID] = vm.Host().Rack().Index
+		}
 	}
 	defer rt.Close()
 
@@ -209,7 +226,7 @@ func run(args []string, out io.Writer) (err error) {
 	tgen := rt.TraceGen()
 	gens := make([]traces.Source, len(vms))
 	for i, vm := range vms {
-		gens[i] = tgen.Source(vm.ID, vm.Host().Rack().Index)
+		gens[i] = tgen.Source(vm.ID, admission[vm.ID])
 		gens[i].Skip(startStep)
 	}
 
@@ -269,6 +286,9 @@ loop:
 			p := gens[j].Next()
 			updates = append(updates, ingest.Update{VM: vm.ID, Profile: p})
 			ext = append(ext, runtime.ExternalUpdate{VM: vm.ID, Profile: p})
+		}
+		if tap != nil {
+			tap(startStep+i+1, updates)
 		}
 		if _, err = svc.OfferBatch(updates); err != nil {
 			return err

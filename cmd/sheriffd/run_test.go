@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
+	"sheriff/internal/sim"
+	"sheriff/internal/traces"
 )
 
 // stepLines extracts the per-step status lines (those starting with a
@@ -91,6 +95,88 @@ func TestRunSnapshotRestartContinuesExactly(t *testing.T) {
 			t.Fatalf("step %d diverged after restart:\n uninterrupted: %s\n split:         %s", i, want[i], got[i])
 		}
 	}
+}
+
+// TestRunRestartKeepsReporterStreams: a VM reports the same stream
+// wherever it migrates, so a daemon restarted after migrations must offer,
+// step for step, the profiles the uninterrupted one offers. Surge streams
+// are rack-correlated, which is what re-keying a migrated VM's stream by
+// its new rack used to break.
+func TestRunRestartKeepsReporterStreams(t *testing.T) {
+	const split, total = 60, 100
+	base := []string{"-size", "4", "-hosts", "2", "-vms", "4", "-seed", "2", "-traces", "surge"}
+	steps := func(n int, extra ...string) []string {
+		return append(append([]string{"-steps", strconv.Itoa(n)}, extra...), base...)
+	}
+	tail := func(dst map[int][]traces.Profile) func(int, []ingest.Update) {
+		return func(step int, offered []ingest.Update) {
+			if step > split {
+				for _, u := range offered {
+					dst[u.VM] = append(dst[u.VM], u.Profile)
+				}
+			}
+		}
+	}
+	var out bytes.Buffer
+	straight := map[int][]traces.Profile{}
+	if err := runTapped(steps(total), &out, tail(straight)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := filepath.Join(t.TempDir(), "daemon.snap")
+	if err := run(steps(split, "-snapshot", snap), &out); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot must hold a VM that has left the rack it was admitted
+	// in, or the comparison below proves nothing.
+	blob, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st daemonState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	cluster, _, err := sim.BuildCluster(st.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := map[int]int{}
+	for _, sh := range st.Ingest.Shards {
+		for _, sl := range sh.Slots {
+			admitted[sl.VM] = sh.Rack
+		}
+	}
+	moved := 0
+	for _, vm := range st.Runtime.Cluster.VMs {
+		if cluster.Host(vm.HostID).Rack().Index != admitted[vm.ID] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("no VM changed rack in the first %d steps; pick a scenario that migrates", split)
+	}
+
+	resumed := map[int][]traces.Profile{}
+	if err := runTapped(steps(total-split, "-snapshot", snap), &out, tail(resumed)); err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != len(straight) || len(straight) == 0 {
+		t.Fatalf("uninterrupted run offered for %d VMs, restarted run for %d", len(straight), len(resumed))
+	}
+	for vm, want := range straight {
+		got := resumed[vm]
+		if len(got) != len(want) {
+			t.Fatalf("VM %d: %d tail profiles uninterrupted, %d restarted", vm, len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("VM %d (admitted in rack %d), step %d: restarted daemon offered %+v, uninterrupted %+v",
+					vm, admitted[vm], split+1+i, got[i], want[i])
+			}
+		}
+	}
+	t.Logf("%d of %d VMs had changed rack at the restart", moved, len(admitted))
 }
 
 // TestRunSnapshotConfigMismatch pins the refusal to resume a snapshot
