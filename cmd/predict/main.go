@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 	if period > 0 {
 		fmt.Fprintf(out, "detected season length: %d samples\n", period)
 	}
-	pool, err := predictor.ExtendedPool(train, period, *seed)
+	pool, err := predictor.Pool(train, predictor.Options{Pool: predictor.PoolExtended, Period: period, Seed: *seed})
 	if err != nil {
 		return fmt.Errorf("building pool: %w", err)
 	}

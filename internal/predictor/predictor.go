@@ -131,10 +131,9 @@ func New(train *timeseries.Series, opts Options) (*Selector, error) {
 }
 
 // Pool builds the candidate pool the options select without wrapping it in
-// a Selector — the Options-driven construction surface that subsumed the
-// positional DefaultPool / ExtendedPool pair. Opts.Burst appends the
-// change-point candidate after the family pool, so it never displaces the
-// paper's candidates, only competes with them.
+// a Selector. Opts.Burst appends the change-point candidate after the
+// family pool, so it never displaces the paper's candidates, only competes
+// with them.
 func Pool(train *timeseries.Series, opts Options) ([]*Candidate, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -329,15 +328,6 @@ func (s *Selector) Run(test *timeseries.Series) (pred []float64, winShare map[st
 	return pred, winShare, nil
 }
 
-// ExtendedPool builds the extended candidate family with positional
-// arguments.
-//
-// Deprecated: use Pool with Options{Pool: PoolExtended, Period: period,
-// Seed: seed}. Kept one PR for external callers.
-func ExtendedPool(train *timeseries.Series, period int, seed int64) ([]*Candidate, error) {
-	return extendedPool(train, period, seed)
-}
-
 // extendedPool builds defaultPool plus the exponential-smoothing family:
 // Holt's linear method and, when period >= 2, additive Holt–Winters with
 // that season length. Pass period = 0 to skip the seasonal candidate.
@@ -379,15 +369,6 @@ func extendedPool(train *timeseries.Series, period int, seed int64) ([]*Candidat
 			errors.Join(baseErr, holtErr, hwErr))
 	}
 	return out, nil
-}
-
-// DefaultPool builds the paper's four-candidate pool with positional
-// arguments.
-//
-// Deprecated: use Pool with Options{Seed: seed}. Kept one PR for external
-// callers.
-func DefaultPool(train *timeseries.Series, seed int64) ([]*Candidate, error) {
-	return defaultPool(train, seed)
 }
 
 // defaultPool builds the paper's four-candidate pool on a training series:

@@ -201,12 +201,12 @@ func TestDefaultPool(t *testing.T) {
 	s := timeseries.FromFunc(400, func(t int) float64 {
 		return 50 + 20*math.Sin(float64(t)/10) + rng.NormFloat64()
 	})
-	pool, err := DefaultPool(s, 1)
+	pool, err := defaultPool(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pool) < 3 {
-		t.Fatalf("DefaultPool size = %d, want >= 3 of 4 candidates", len(pool))
+		t.Fatalf("defaultPool size = %d, want >= 3 of 4 candidates", len(pool))
 	}
 	names := map[string]bool{}
 	for _, c := range pool {
@@ -218,7 +218,7 @@ func TestDefaultPool(t *testing.T) {
 }
 
 func TestDefaultPoolTooShort(t *testing.T) {
-	if _, err := DefaultPool(timeseries.New([]float64{1, 2}), 1); err == nil {
+	if _, err := defaultPool(timeseries.New([]float64{1, 2}), 1); err == nil {
 		t.Fatal("expected error on tiny series")
 	}
 }
@@ -243,7 +243,7 @@ func TestExtendedPool(t *testing.T) {
 	s := timeseries.FromFunc(400, func(tt int) float64 {
 		return 50 + 20*math.Sin(2*math.Pi*float64(tt)/24) + rng.NormFloat64()
 	})
-	pool, err := ExtendedPool(s, 24, 1)
+	pool, err := extendedPool(s, 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestExtendedPool(t *testing.T) {
 	}
 	// The extended pool must run end-to-end through a selector.
 	train, test := s.Split(0.9)
-	pool2, err := ExtendedPool(train, 24, 1)
+	pool2, err := extendedPool(train, 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestExtendedPool(t *testing.T) {
 func TestExtendedPoolNoSeason(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := timeseries.FromFunc(300, func(int) float64 { return 10 + rng.NormFloat64() })
-	pool, err := ExtendedPool(s, 0, 1)
+	pool, err := extendedPool(s, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
