@@ -7,7 +7,6 @@ import (
 	"sheriff/internal/alert"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
-	"sheriff/internal/knapsack"
 	"sheriff/internal/pool"
 )
 
@@ -58,26 +57,12 @@ func (co *Coordinator) Round(alertsByShim [][]alert.Alert) (*RoundReport, error)
 	// out over the shared worker pool).
 	vmSets := make([][]*dcn.VM, len(co.shims))
 	pool.Shared().ForEach(len(co.shims), func(i int) {
-		shim := co.shims[i]
-		var set []*dcn.VM
 		seen := map[int]bool{}
 		for _, a := range alertsByShim[i] {
-			if a.Kind != alert.FromServer {
-				continue
-			}
-			h := co.cluster.Host(a.HostID)
-			if h == nil || h.Rack() != shim.Rack {
-				continue
-			}
-			budget := shim.params.Alpha * h.Capacity
-			for _, vm := range knapsack.Priority(h.VMs(), knapsack.Alpha, budget) {
-				if !seen[vm.ID] {
-					seen[vm.ID] = true
-					set = append(set, vm)
-				}
+			if a.Kind == alert.FromServer {
+				vmSets[i] = appendNew(vmSets[i], seen, co.shims[i].overloadSet(a))
 			}
 		}
-		vmSets[i] = set
 	})
 
 	shimByRack := make(map[int]*Shim, len(co.shims))

@@ -238,6 +238,16 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		}
 	}
 
+	// suppress discards a message whose seq the shim has already settled.
+	suppress := func(shim *Shim, msg comm.Message) {
+		res.Suppressed++
+		if rec.Enabled() {
+			rec.Record(obs.Event{Kind: obs.KindSuppress, Round: res.Rounds,
+				Shim: shim.Rack.Index, VM: msg.VMID, Host: msg.HostID,
+				Attrs: map[string]string{"msg": msg.Type.String(), "seq": strconv.Itoa(msg.Seq)}})
+		}
+	}
+
 	for round := 0; round < opts.MaxRounds; round++ {
 		res.Rounds = round + 1
 		// Phase A: sources with free candidates propose via matching.
@@ -321,12 +331,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 			seen := answered[shim.Rack.Index]
 			reply, dup := seen[msg.Seq]
 			if dup {
-				res.Suppressed++
-				if rec.Enabled() {
-					rec.Record(obs.Event{Kind: obs.KindSuppress, Round: res.Rounds,
-						Shim: shim.Rack.Index, VM: msg.VMID, Host: msg.HostID,
-						Attrs: map[string]string{"msg": comm.MsgRequest.String(), "seq": strconv.Itoa(msg.Seq)}})
-				}
+				suppress(shim, msg)
 			} else {
 				vm := c.VM(msg.VMID)
 				dst := c.Host(msg.HostID)
@@ -388,12 +393,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 					// A duplicated or late reply for a seq already settled
 					// (or timed out): suppress, never double-count.
 					if resolved[i][msg.Seq] {
-						res.Suppressed++
-						if rec.Enabled() {
-							rec.Record(obs.Event{Kind: obs.KindSuppress, Round: res.Rounds,
-								Shim: shims[i].Rack.Index, VM: msg.VMID, Host: msg.HostID,
-								Attrs: map[string]string{"msg": msg.Type.String(), "seq": strconv.Itoa(msg.Seq)}})
-						}
+						suppress(shims[i], msg)
 					}
 					continue
 				}

@@ -210,16 +210,6 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	var hostSet, torSet []*dcn.VM
 	inSet := make(map[int]bool)
 	torAlerted := false
-
-	add := func(dst *[]*dcn.VM, vms []*dcn.VM) {
-		for _, vm := range vms {
-			if !inSet[vm.ID] {
-				inSet[vm.ID] = true
-				*dst = append(*dst, vm)
-			}
-		}
-	}
-
 	for _, a := range alerts {
 		switch a.Kind {
 		case alert.FromOuterSwitch:
@@ -230,17 +220,12 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 		case alert.FromLocalToR:
 			torAlerted = true
 		case alert.FromServer:
-			h := s.cluster.Host(a.HostID)
-			if h == nil || h.Rack() != s.Rack {
-				continue // not ours
-			}
-			budget := s.params.Alpha * h.Capacity
-			add(&hostSet, knapsack.Priority(h.VMs(), knapsack.Alpha, budget))
+			hostSet = appendNew(hostSet, inSet, s.overloadSet(a))
 		}
 	}
 	if torAlerted {
 		budget := s.params.Beta * s.Rack.ToRCapacity
-		add(&torSet, knapsack.Priority(s.Rack.VMs(), knapsack.Beta, budget))
+		torSet = appendNew(torSet, inSet, knapsack.Priority(s.Rack.VMs(), knapsack.Beta, budget))
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
@@ -261,11 +246,37 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 		}
 	}
 	if len(torSet) > 0 {
-		if err := migrate(torSet, s.regionHosts(false), s.migrationOptionsDeferred()); err != nil {
+		// The host-set migration already drained the queue; this one must not
+		// re-drain VMs parked moments ago in the same round. Its own unplaced
+		// VMs still park.
+		o := s.migrationOptions()
+		o.DeferDrain = true
+		if err := migrate(torSet, s.regionHosts(false), o); err != nil {
 			return report, err
 		}
 	}
 	return report, nil
+}
+
+// overloadSet is Alg. 1's server-alert branch: the α-knapsack over the
+// alerted host's VMs, or nothing when the host is not in the shim's rack.
+func (s *Shim) overloadSet(a alert.Alert) []*dcn.VM {
+	h := s.cluster.Host(a.HostID)
+	if h == nil || h.Rack() != s.Rack {
+		return nil
+	}
+	return knapsack.Priority(h.VMs(), knapsack.Alpha, s.params.Alpha*h.Capacity)
+}
+
+// appendNew appends the VMs not yet in seen to dst, marking them.
+func appendNew(dst []*dcn.VM, seen map[int]bool, vms []*dcn.VM) []*dcn.VM {
+	for _, vm := range vms {
+		if !seen[vm.ID] {
+			seen[vm.ID] = true
+			dst = append(dst, vm)
+		}
+	}
+	return dst
 }
 
 // migrationOptions projects the shim's params onto one VMMIGRATION call.
@@ -278,16 +289,6 @@ func (s *Shim) migrationOptions() MigrationOptions {
 		Preempt:   s.params.Preempt,
 		Queue:     s.queue,
 	}
-}
-
-// migrationOptionsDeferred is migrationOptions with queue draining off:
-// the ToR-relief migration runs after the host-set one already drained
-// the queue, and must not re-drain VMs parked moments earlier in the
-// same round — but its own unplaced VMs still park.
-func (s *Shim) migrationOptionsDeferred() MigrationOptions {
-	o := s.migrationOptions()
-	o.DeferDrain = true
-	return o
 }
 
 // vmsUsingSwitch approximates "VMs with flows out through s_j": with no
