@@ -154,9 +154,9 @@ func (s *Shim) propose(vms []*dcn.VM) ([]proposal, int) {
 	// Solve refuses only an empty or ragged matrix, which match never builds.
 	assign, bases, _ := k.match(vms, hosts, nil)
 	var out []proposal
-	for i, vm := range vms {
-		if assign != nil && assign[i] >= 0 {
-			out = append(out, proposal{vm: vm, dst: hosts[assign[i]], cost: bases[i][assign[i]]})
+	for i, j := range assign {
+		if j >= 0 {
+			out = append(out, proposal{vm: vms[i], dst: hosts[j], cost: bases[i][j]})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].vm.ID < out[b].vm.ID })

@@ -298,18 +298,26 @@ func (s *Sim) runPolicyDistributed(cfg PolicyConfig, pol placement.Policy, res *
 	}
 	total.Unplaced = nil
 	for _, shim := range s.Shims {
-		vms := byShim[shim.Rack.Index]
-		if len(vms) == 0 {
-			continue
-		}
-		total.Retried += len(vms)
-		mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), cellOptions(cfg, pol, shim))
-		if err != nil {
+		if err := s.lastResort(cfg, pol, shim, byShim[shim.Rack.Index], total); err != nil {
 			return nil, err
 		}
-		total.Add(&mr.Tally)
 	}
 	return total, nil
+}
+
+// lastResort retries one shim's leftovers over the widened region, with
+// preemption and no queue, and folds the outcome into total.
+func (s *Sim) lastResort(cfg PolicyConfig, pol placement.Policy, shim *migrate.Shim, vms []*dcn.VM, total *migrate.Tally) error {
+	if len(vms) == 0 {
+		return nil
+	}
+	total.Retried += len(vms)
+	mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), cellOptions(cfg, pol, shim))
+	if err != nil {
+		return err
+	}
+	total.Add(&mr.Tally)
+	return nil
 }
 
 // runPolicySequential runs the cell rack by rack: each shim migrates its
@@ -370,15 +378,9 @@ func (s *Sim) runPolicySequential(cfg PolicyConfig, pol placement.Policy, res *P
 			}
 			vms = append(vms, e.VM)
 		}
-		if len(vms) == 0 {
-			continue
-		}
-		total.Retried += len(vms)
-		mr, err := migrate.Migrate(s.Cluster, s.Model, vms, regionHosts(s.Cluster, shim.Rack, wideHops), cellOptions(cfg, pol, shim))
-		if err != nil {
+		if err := s.lastResort(cfg, pol, shim, vms, total); err != nil {
 			return nil, err
 		}
-		total.Add(&mr.Tally)
 	}
 	return total, nil
 }
