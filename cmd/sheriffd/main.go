@@ -174,6 +174,12 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 			if uerr := json.Unmarshal(blob, &st); uerr != nil {
 				return fmt.Errorf("snapshot %s: %w", *snapshot, uerr)
 			}
+			switch {
+			case st.Runtime == nil:
+				return fmt.Errorf("snapshot %s: \"runtime\" is missing or null", *snapshot)
+			case st.Runtime.Cluster == nil:
+				return fmt.Errorf("snapshot %s: \"runtime.cluster\" is missing or null", *snapshot)
+			}
 			if st.Config != cfg || st.Deep != *deep {
 				return fmt.Errorf("snapshot %s was taken with a different configuration; refusing to resume", *snapshot)
 			}

@@ -179,6 +179,104 @@ func TestRunRestartKeepsReporterStreams(t *testing.T) {
 	t.Logf("%d of %d VMs had changed rack at the restart", moved, len(admitted))
 }
 
+// TestRunRestartAfterMigrationsContinuesExactly: the step engine orders
+// VMs by the rack they were admitted on, so a daemon restarted after VMs
+// have changed rack must rebuild that order from the snapshot, not from
+// where the VMs live now. Rebuilt from the live placement, a dependency
+// pair takes its rate from the other endpoint and the Fat-Tree run below
+// prices step 77's migrations at 217.2 instead of 216.3; the BCube one
+// parts at step 93.
+func TestRunRestartAfterMigrationsContinuesExactly(t *testing.T) {
+	const split, total = 60, 100
+	for _, topo := range []string{"fat-tree", "bcube"} {
+		t.Run(topo, func(t *testing.T) {
+			base := []string{"-topology", topo, "-size", "4", "-hosts", "2", "-vms", "4", "-seed", "2", "-traces", "surge"}
+			steps := func(n int, extra ...string) []string {
+				return append(append([]string{"-steps", strconv.Itoa(n)}, extra...), base...)
+			}
+			var straight, first, second bytes.Buffer
+			if err := run(steps(total), &straight); err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(t.TempDir(), "daemon.snap")
+			if err := run(steps(split, "-snapshot", snap), &first); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(steps(total-split, "-snapshot", snap), &second); err != nil {
+				t.Fatal(err)
+			}
+			want := stepLines(straight.String())
+			got := append(stepLines(first.String()), stepLines(second.String())...)
+			if len(want) != total || len(got) != total {
+				t.Fatalf("step line counts: uninterrupted %d, split %d", len(want), len(got))
+			}
+			migrated := false
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("step %d diverged after the restart at %d:\n uninterrupted: %s\n split:         %s", i, split, want[i], got[i])
+				}
+				if f := strings.Fields(want[i]); i < split && f[5] != "0" {
+					migrated = true
+				}
+			}
+			if !migrated {
+				t.Fatalf("no migration in the first %d steps; pick a scenario that migrates", split)
+			}
+		})
+	}
+}
+
+// TestRunRejectsBrokenSnapshot: whatever a snapshot file holds, the
+// daemon answers with an error that names the file — never a panic, never
+// a half-restored run.
+func TestRunRejectsBrokenSnapshot(t *testing.T) {
+	base := []string{"-size", "4", "-hosts", "2", "-vms", "2"}
+	snap := filepath.Join(t.TempDir(), "daemon.snap")
+	var out bytes.Buffer
+	if err := run(append([]string{"-steps", "3", "-snapshot", snap}, base...), &out); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(doc map[string]any)
+		want   string
+	}{
+		{"null runtime", func(doc map[string]any) { doc["runtime"] = nil }, `"runtime" is missing`},
+		{"null cluster", func(doc map[string]any) { doc["runtime"].(map[string]any)["cluster"] = nil }, `"runtime.cluster" is missing`},
+		{"VM listed twice", func(doc map[string]any) {
+			vms := doc["runtime"].(map[string]any)["vms"].([]any)
+			vms[1] = vms[0]
+		}, "twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(good, &doc); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(doc)
+			blob, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snap, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = run(append([]string{"-steps", "1", "-snapshot", snap}, base...), &out)
+			if err == nil || !strings.Contains(err.Error(), snap) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resume from a snapshot with %s: err = %v, want one naming %s and %q", tc.name, err, snap, tc.want)
+			}
+			after, rerr := os.ReadFile(snap)
+			if rerr != nil || !bytes.Equal(after, blob) {
+				t.Fatalf("refused resume rewrote the snapshot file (read err %v)", rerr)
+			}
+		})
+	}
+}
+
 // TestRunSnapshotConfigMismatch pins the refusal to resume a snapshot
 // under different build flags.
 func TestRunSnapshotConfigMismatch(t *testing.T) {

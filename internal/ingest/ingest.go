@@ -34,6 +34,7 @@ import (
 	"sheriff/internal/obs"
 	"sheriff/internal/pool"
 	"sheriff/internal/quant"
+	"sheriff/internal/smoothing"
 	"sheriff/internal/traces"
 )
 
@@ -164,44 +165,28 @@ type queued struct {
 }
 
 // slot is one VM's triage state: a Holt smoother over the dominant
-// profile component plus the edge-trigger latch.
+// profile component plus the edge-trigger latch. The service's mode
+// decides which smoother runs — the float triple under TriageFloat, q
+// under TriageQuant — and the other one stays zero.
 type slot struct {
 	vm           int
 	level, trend float64
 	seen         int
+	q            quant.Holt
 	alerted      bool
 }
 
 // shard is one rack's intake lane. All fields past the lock are guarded
 // by it; the queue and scratch buffers are allocated once at capacity.
-// Exactly one of slots (TriageFloat) and qslots (TriageQuant) is
-// populated, depending on the service mode.
 type shard struct {
 	rack int
 
 	mu     sync.Mutex
 	queue  []queued
 	slots  []slot
-	qslots []qslot
 	alerts []Alert   // raised, not yet polled
 	lat    []float64 // drain scratch: latencies in seconds
 	drains int       // drain cycles with at least one update
-}
-
-// numSlots returns the VM count regardless of mode.
-func (sh *shard) numSlots() int {
-	if sh.qslots != nil {
-		return len(sh.qslots)
-	}
-	return len(sh.slots)
-}
-
-// slotVM returns slot j's VM ID regardless of mode.
-func (sh *shard) slotVM(j int) int {
-	if sh.qslots != nil {
-		return sh.qslots[j].vm
-	}
-	return sh.slots[j].vm
 }
 
 // loc addresses one VM's triage slot.
@@ -230,10 +215,6 @@ type Service struct {
 
 	subMu sync.Mutex
 	subs  []*Subscription
-
-	loopMu   sync.Mutex
-	stopLoop chan struct{}
-	loopDone chan struct{}
 }
 
 // New builds a service over an explicit rack partition: vmsByRack[i]
@@ -260,11 +241,7 @@ func New(vmsByRack [][]int, opts Options) (*Service, error) {
 			rack:  i,
 			queue: make([]queued, 0, opts.QueueLimit),
 			lat:   make([]float64, 0, opts.QueueLimit),
-		}
-		if opts.Mode == TriageQuant {
-			sh.qslots = make([]qslot, 0, len(vms))
-		} else {
-			sh.slots = make([]slot, 0, len(vms))
+			slots: make([]slot, 0, len(vms)),
 		}
 		for _, vm := range vms {
 			if vm < 0 {
@@ -273,12 +250,8 @@ func New(vmsByRack [][]int, opts Options) (*Service, error) {
 			if _, dup := s.vmLoc[vm]; dup {
 				return nil, fmt.Errorf("ingest: VM %d assigned to more than one rack", vm)
 			}
-			s.vmLoc[vm] = loc{shard: i, slot: sh.numSlots()}
-			if opts.Mode == TriageQuant {
-				sh.qslots = append(sh.qslots, qslot{vm: vm})
-			} else {
-				sh.slots = append(sh.slots, slot{vm: vm})
-			}
+			s.vmLoc[vm] = loc{shard: i, slot: len(sh.slots)}
+			sh.slots = append(sh.slots, slot{vm: vm})
 		}
 		s.shard = append(s.shard, sh)
 	}
@@ -383,11 +356,15 @@ func (s *Service) ProcessPending() int {
 	return int(total.Load())
 }
 
-// drainShard runs triage over one shard's queue, dispatching to the
-// mode's drain loop. The shard lock is held for the whole drain, so
-// offers to this shard wait — that is the backpressure contract:
-// accepted updates are processed exactly once, in order, before anything
-// newer.
+// drainShard runs triage over one shard's queue: each update folds
+// into its VM's smoother — smoothing.HoltStep under TriageFloat,
+// quant.(*Holt).Observe under TriageQuant, where the fold, the lead
+// extrapolation and the threshold compare are all integer — and a
+// prediction above the threshold raises the edge-triggered pre-alert.
+// The loop is allocation-free in steady state. The shard lock is held
+// for the whole drain, so offers to this shard wait — that is the
+// backpressure contract: accepted updates are processed exactly once,
+// in order, before anything newer.
 func (s *Service) drainShard(sh *shard, now time.Time) int {
 	sh.mu.Lock()
 	n := len(sh.queue)
@@ -396,10 +373,34 @@ func (s *Service) drainShard(sh *shard, now time.Time) int {
 		return 0
 	}
 	sh.lat = sh.lat[:0]
-	if s.opts.Mode == TriageQuant {
-		s.drainQuant(sh, now)
-	} else {
-		s.drainFloat(sh, now)
+	quantized := s.opts.Mode == TriageQuant
+	// The quantized signal saturates at quant.Max, the hottest state it
+	// can represent, so a threshold at or past the rail is held one step
+	// below it: a signal pinned to the rail still alerts.
+	qthresh := min(s.qthresh, quant.Max-1)
+	for i := range sh.queue {
+		q := &sh.queue[i]
+		sl := &sh.slots[q.slot]
+		var pred float64
+		var sig quant.Q
+		var hot bool
+		if quantized {
+			sig = sl.q.Observe(q.qv, s.opts.Quant)
+			hot = sig > qthresh
+		} else {
+			pred = sl.observe(q.v, s.opts.Alpha, s.opts.Beta)
+			hot = pred > s.opts.HotThreshold
+		}
+		sh.lat = append(sh.lat, now.Sub(q.at).Seconds())
+		if hot && !sl.alerted {
+			if quantized {
+				pred = sig.Float() // the integer path turns float only to report
+			}
+			sh.alerts = append(sh.alerts, Alert{Rack: sh.rack, VM: sl.vm, Value: pred})
+			s.alerts.Add(1)
+			s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "alert", Shim: sh.rack, VM: sl.vm, Host: -1, Value: pred})
+		}
+		sl.alerted = hot
 	}
 	sh.queue = sh.queue[:0]
 	sh.drains++
@@ -416,38 +417,13 @@ func (s *Service) drainShard(sh *shard, now time.Time) int {
 	return n
 }
 
-// drainFloat is the float64 triage loop — the seed path, bit-exact with
-// the pre-quantization service. It runs under the shard lock and is
-// allocation-free in steady state.
-func (s *Service) drainFloat(sh *shard, now time.Time) {
-	for i := range sh.queue {
-		q := &sh.queue[i]
-		sl := &sh.slots[q.slot]
-		pred := sl.observe(q.v, s.opts.Alpha, s.opts.Beta)
-		sh.lat = append(sh.lat, now.Sub(q.at).Seconds())
-		if pred > s.opts.HotThreshold {
-			if !sl.alerted {
-				sl.alerted = true
-				sh.alerts = append(sh.alerts, Alert{Rack: sh.rack, VM: sl.vm, Value: pred})
-				s.alerts.Add(1)
-				s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "alert", Shim: sh.rack, VM: sl.vm, Host: -1, Value: pred})
-			}
-		} else {
-			sl.alerted = false
-		}
-	}
-}
-
-// observe folds one observation into the Holt state and returns the
-// one-step-ahead prediction.
+// observe folds one observation into the float Holt state and returns
+// the one-step-ahead prediction.
 func (sl *slot) observe(v, alpha, beta float64) float64 {
-	switch sl.seen {
-	case 0:
+	if sl.seen == 0 {
 		sl.level, sl.trend = v, 0
-	default:
-		prev := sl.level
-		sl.level = alpha*v + (1-alpha)*(sl.level+sl.trend)
-		sl.trend = beta*(sl.level-prev) + (1-beta)*sl.trend
+	} else {
+		sl.level, sl.trend = smoothing.HoltStep(sl.level, sl.trend, v, alpha, beta)
 	}
 	sl.seen++
 	return sl.level + sl.trend
@@ -493,51 +469,6 @@ func (s *Service) Stats() Stats {
 	}
 	s.statsMu.Unlock()
 	return st
-}
-
-// Start launches a background drain loop that calls ProcessPending
-// every interval. It errors if the loop is already running.
-func (s *Service) Start(interval time.Duration) error {
-	if interval <= 0 {
-		return fmt.Errorf("ingest: drain interval must be > 0, got %v", interval)
-	}
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
-	if s.stopLoop != nil {
-		return fmt.Errorf("ingest: drain loop already running")
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.stopLoop, s.loopDone = stop, done
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.ProcessPending()
-			}
-		}
-	}()
-	return nil
-}
-
-// Stop halts the drain loop and runs one final synchronous drain so no
-// accepted update is left unprocessed. It is a no-op when not running.
-func (s *Service) Stop() {
-	s.loopMu.Lock()
-	stop, done := s.stopLoop, s.loopDone
-	s.stopLoop, s.loopDone = nil, nil
-	s.loopMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-	s.ProcessPending()
 }
 
 // Subscription is a live event stream handle returned by Subscribe. The

@@ -304,32 +304,6 @@ func TestSnapshotGuards(t *testing.T) {
 	}
 }
 
-func TestStartStopDrainLoop(t *testing.T) {
-	s := build(t, Options{Clock: nil})
-	if err := s.Start(0); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if err := s.Start(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(time.Millisecond); err == nil {
-		t.Fatal("double start accepted")
-	}
-	for i := 0; i < 50; i++ {
-		s.Offer(Update{VM: i % 5, Profile: cool()})
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Pending > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Offer(Update{VM: 0, Profile: cool()})
-	s.Stop() // final drain must pick up the straggler
-	s.Stop() // idempotent
-	if st := s.Stats(); st.Pending != 0 || st.Processed != st.Accepted {
-		t.Fatalf("loop left work behind: %+v", st)
-	}
-}
-
 // TestHotPathZeroAlloc pins the steady-state allocation contract for
 // both triage modes: once queues are warm, an offer+drain cycle does not
 // allocate.

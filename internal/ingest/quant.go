@@ -1,24 +1,19 @@
-// The quantized triage path: the integer twin of the float Holt drain
-// loop, built on internal/quant. A service in TriageQuant mode keeps one
-// quant.Holt (two int32 words) per VM instead of the float level/trend
-// pair; offers convert the observed stress to Q16.16 once at the intake
+// The triage arithmetics. A service in TriageQuant mode folds each VM's
+// quant.Holt (two int32 words) instead of the float level/trend pair;
+// offers convert the observed stress to Q16.16 once at the intake
 // boundary, and from there the smoothing recursion, the lead
 // extrapolation, and the threshold compare are integer-only — the shape
 // of a pipeline that drops onto a programmable-switch datapath. The
 // coefficients are dyadic rationals distilled offline from the deep
 // ARIMA/NARNET pool's alerts (experiments.DistillQuant), so the cheap
 // filter front-runs the expensive pool instead of merely approximating
-// the float filter.
+// the float filter. Both arithmetics run in the one drain loop
+// (drainShard); this file only names them.
 package ingest
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"time"
-
-	"sheriff/internal/obs"
-	"sheriff/internal/quant"
 )
 
 // TriageMode selects the per-update triage arithmetic.
@@ -55,139 +50,4 @@ func ParseTriageMode(s string) (TriageMode, error) {
 	default:
 		return 0, fmt.Errorf("ingest: unknown triage mode %q (want float or quantized)", s)
 	}
-}
-
-// qslot is one VM's quantized triage state: the integer Holt smoother
-// plus the same edge-trigger latch the float slot carries.
-type qslot struct {
-	vm      int
-	h       quant.Holt
-	alerted bool
-}
-
-// satq clamps an int64 intermediate to the Q16.16 rails — the drain
-// loop's local copy of quant's saturation, kept as a leaf function so it
-// inlines. min/max compile to branch-free conditional moves, so the three
-// clamps per update cost no branch slots in the drain loop.
-func satq(v int64) int64 {
-	return min(max(v, int64(quant.Min)), int64(quant.Max))
-}
-
-// drainQuant is the integer twin of drainFloat: same queue walk, same
-// latency bookkeeping, same edge-triggered latch — but the smoothing fold
-// and the threshold compare run in saturating int32/int64 arithmetic on
-// the Q16.16 value captured at offer time. Like drainFloat it runs under
-// the shard lock and performs no allocation in steady state.
-//
-// The recursion is quant.(*Holt).Observe unrolled into the loop — the
-// method is past the inlining budget, and the per-update call costs the
-// quantized path its throughput edge over float. Every saturation point
-// (both dyadic folds and the signal clamp) must stay bit-identical to the
-// method; TestDrainQuantMatchesHolt compares the two word for word on
-// random streams.
-func (s *Service) drainQuant(sh *shard, now time.Time) {
-	c := s.opts.Quant
-	// The raw (unclamped) signal compares against the threshold exactly
-	// like the clamped one as long as the threshold sits below the rail,
-	// so the signal's satq moves into the cold alert branch. At a
-	// threshold pinned to the rail itself, a raw signal past Max still
-	// alerts — the rail is the hottest representable state.
-	thresh := int64(s.qthresh)
-	if thresh >= int64(quant.Max) {
-		thresh = int64(quant.Max) - 1
-	}
-	if c.Shift == quant.DefaultShift && c.Lead == 1 {
-		s.drainQuantDefault(sh, now, thresh)
-		return
-	}
-	var (
-		alphaN = int64(c.AlphaNum)
-		betaN  = int64(c.BetaNum)
-		shift  = c.Shift
-		half   = int64(1) << (c.Shift - 1)
-		lead   = int64(c.Lead)
-	)
-	for i := range sh.queue {
-		q := &sh.queue[i]
-		sl := &sh.qslots[q.slot]
-		level, trend := int64(sl.h.Level), int64(sl.h.Trend)
-		if sl.h.Seen == 0 {
-			level, trend = int64(q.qv), 0
-		} else {
-			base := level + trend
-			next := satq((alphaN*(int64(q.qv)-base) + base<<shift + half) >> shift)
-			trend = satq((betaN*(next-level-trend) + trend<<shift + half) >> shift)
-			level = next
-		}
-		if sl.h.Seen < math.MaxInt32 {
-			sl.h.Seen++
-		}
-		sl.h.Level, sl.h.Trend = quant.Q(level), quant.Q(trend)
-		sig := level + trend*lead
-		sh.lat = append(sh.lat, now.Sub(q.at).Seconds())
-		if sig > thresh {
-			if !sl.alerted {
-				s.raiseQuantAlert(sh, sl, sig)
-			}
-		} else {
-			sl.alerted = false
-		}
-	}
-}
-
-// drainQuantDefault is drainQuant's loop specialized to the common
-// operating point the distiller emits: Shift == DefaultShift and a
-// one-step lead. It exists for register pressure, not cleverness: the
-// integer loop competes with the queue/latency bookkeeping for the one
-// general-purpose register file (the float loop keeps its arithmetic in
-// XMM registers), and carrying the shift count, rounding constant, and
-// lead as loop-invariant variables pushed the generic loop into
-// per-iteration stack spills. With the shift a compile-time constant,
-// registers free up and the four shifts drop from three uops each
-// (baseline GOAMD64 has no flagless variable shifts) to one; the unit
-// lead turns the signal extrapolation into a plain add.
-func (s *Service) drainQuantDefault(sh *shard, now time.Time, thresh int64) {
-	c := s.opts.Quant
-	alphaN, betaN := int64(c.AlphaNum), int64(c.BetaNum)
-	const ds, dh = quant.DefaultShift, int64(1) << (quant.DefaultShift - 1)
-	for i := range sh.queue {
-		q := &sh.queue[i]
-		sl := &sh.qslots[q.slot]
-		level, trend := int64(sl.h.Level), int64(sl.h.Trend)
-		if sl.h.Seen == 0 {
-			level, trend = int64(q.qv), 0
-		} else {
-			base := level + trend
-			next := satq((alphaN*(int64(q.qv)-base) + base<<ds + dh) >> ds)
-			trend = satq((betaN*(next-level-trend) + trend<<ds + dh) >> ds)
-			level = next
-		}
-		if sl.h.Seen < math.MaxInt32 {
-			sl.h.Seen++
-		}
-		sl.h.Level, sl.h.Trend = quant.Q(level), quant.Q(trend)
-		sig := level + trend
-		sh.lat = append(sh.lat, now.Sub(q.at).Seconds())
-		if sig > thresh {
-			if !sl.alerted {
-				s.raiseQuantAlert(sh, sl, sig)
-			}
-		} else {
-			sl.alerted = false
-		}
-	}
-}
-
-// raiseQuantAlert latches and publishes one pre-alert. Kept out of the
-// drain loops: alerts are rare, and inlining the append/record machinery
-// into the loop body costs hot-path registers and icache for code that
-// almost never runs.
-//
-//go:noinline
-func (s *Service) raiseQuantAlert(sh *shard, sl *qslot, sig int64) {
-	sl.alerted = true
-	v := quant.Q(satq(sig)).Float()
-	sh.alerts = append(sh.alerts, Alert{Rack: sh.rack, VM: sl.vm, Value: v})
-	s.alerts.Add(1)
-	s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "alert", Shim: sh.rack, VM: sl.vm, Host: -1, Value: v})
 }

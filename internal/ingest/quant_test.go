@@ -113,14 +113,11 @@ func TestQuantMatchesFloatAtDefaults(t *testing.T) {
 	}
 }
 
-// TestDrainQuantMatchesHolt pins the unrolled drain recursion to
-// quant.(*Holt).Observe bit for bit: the service's in-loop integer math
-// and the method the distiller grades offline must be the same filter,
-// including at the saturation rails (huge Lead drives the signal clamp).
+// TestDrainQuantMatchesHolt pins the drain's slot state to
+// quant.(*Holt).Observe bit for bit: the service and the method the
+// distiller grades offline must be the same filter, including at the
+// saturation rails (huge Lead drives the signal clamp).
 func TestDrainQuantMatchesHolt(t *testing.T) {
-	// Several coefficient shapes spanning both drain loops: the
-	// (Shift=DefaultShift, Lead=1) case takes the specialized
-	// drainQuantDefault path, every other shape the generic loop.
 	for _, coeffs := range []quant.Coeffs{
 		{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 1},
 		{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 30000},
@@ -138,10 +135,61 @@ func TestDrainQuantMatchesHolt(t *testing.T) {
 			s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: v}})
 			s.ProcessPending()
 			ref.Observe(quant.FromFloat(v), coeffs)
-			if got := s.shard[0].qslots[0].h; got != ref {
+			if got := s.shard[0].slots[0].q; got != ref {
 				t.Fatalf("coeffs %+v step %d: drain state %+v, Holt.Observe %+v", coeffs, i, got, ref)
 			}
 		}
+	}
+}
+
+// TestQuantAlertsAtTheRail covers a threshold at or past what Q16.16 can
+// represent: the signal saturates at quant.Max, so that is where the
+// pre-alert must fire — once per excursion, carrying the rail as its
+// value — instead of never.
+func TestQuantAlertsAtTheRail(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		thresh float64
+		coeffs quant.Coeffs
+		surge  float64 // observed stress that must drive the signal to the rail
+	}{
+		{"rail/default", 32768, quant.Coeffs{}, 1e6},
+		{"past-rail/default", 1e9, quant.Coeffs{}, 1e6},
+		{"rail/generic-shift", 32768, quant.Coeffs{AlphaNum: 700, BetaNum: 150, Shift: 11, Lead: 1}, 1e6},
+		{"past-rail/long-lead", 1e9, quant.Coeffs{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 30000}, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New([][]int{{0}}, Options{Mode: TriageQuant, Quant: tc.coeffs, Clock: fixedClock(), HotThreshold: tc.thresh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := func(v float64, times int) []Alert {
+				var out []Alert
+				for i := 0; i < times; i++ {
+					s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: v}})
+					s.ProcessPending()
+					out = append(out, s.Poll()...)
+				}
+				return out
+			}
+			if got := feed(0.2, 5); len(got) != 0 {
+				t.Fatalf("cool stream alerted: %+v", got)
+			}
+			for excursion := 1; excursion <= 2; excursion++ {
+				got := feed(tc.surge, 20)
+				if len(got) != 1 || got[0].VM != 0 || got[0].Value != quant.Max.Float() {
+					t.Fatalf("excursion %d raised %+v, want one alert at the rail %v", excursion, got, quant.Max.Float())
+				}
+				// Falling back must clear the latch silently. Zero input
+				// with a long lead swings the signal to the other rail.
+				if got := feed(0, 40); len(got) != 0 {
+					t.Fatalf("cooling after excursion %d alerted: %+v", excursion, got)
+				}
+			}
+			if got := s.Stats().Alerts; got != 2 {
+				t.Fatalf("alert counter %d, want 2", got)
+			}
+		})
 	}
 }
 
@@ -149,8 +197,8 @@ func TestDrainQuantMatchesHolt(t *testing.T) {
 func quantState(s *Service) []quant.Holt {
 	var out []quant.Holt
 	for _, sh := range s.shard {
-		for _, sl := range sh.qslots {
-			out = append(out, sl.h)
+		for _, sl := range sh.slots {
+			out = append(out, sl.q)
 		}
 	}
 	return out

@@ -79,22 +79,14 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("ingest: snapshot with %d unpolled alerts on shard %d (Poll first)", n, sh.rack)
 		}
-		ss := ShardSnap{Rack: sh.rack, Slots: make([]SlotSnap, 0, sh.numSlots())}
-		if s.opts.Mode == TriageQuant {
-			for _, sl := range sh.qslots {
-				ss.Slots = append(ss.Slots, SlotSnap{
-					VM:     sl.vm,
-					Level:  sl.h.Level.Float(),
-					Trend:  sl.h.Trend.Float(),
-					Seen:   int(sl.h.Seen),
-					QLevel: int32(sl.h.Level), QTrend: int32(sl.h.Trend),
-					Alerted: sl.alerted,
-				})
+		ss := ShardSnap{Rack: sh.rack, Slots: make([]SlotSnap, 0, len(sh.slots))}
+		for _, sl := range sh.slots {
+			sn := SlotSnap{VM: sl.vm, Level: sl.level, Trend: sl.trend, Seen: sl.seen, Alerted: sl.alerted}
+			if s.opts.Mode == TriageQuant {
+				sn.Level, sn.Trend, sn.Seen = sl.q.Level.Float(), sl.q.Trend.Float(), int(sl.q.Seen)
+				sn.QLevel, sn.QTrend = int32(sl.q.Level), int32(sl.q.Trend)
 			}
-		} else {
-			for _, sl := range sh.slots {
-				ss.Slots = append(ss.Slots, SlotSnap{VM: sl.vm, Level: sl.level, Trend: sl.trend, Seen: sl.seen, Alerted: sl.alerted})
-			}
+			ss.Slots = append(ss.Slots, sn)
 		}
 		sh.mu.Unlock()
 		snap.Shards = append(snap.Shards, ss)
@@ -169,12 +161,12 @@ func (s *Service) Restore(snap *Snapshot) error {
 		if ss.Rack != sh.rack {
 			return fmt.Errorf("ingest: snapshot shard %d is rack %d, service shard is rack %d", i, ss.Rack, sh.rack)
 		}
-		if len(ss.Slots) != sh.numSlots() {
-			return fmt.Errorf("ingest: snapshot rack %d covers %d VMs, service has %d", ss.Rack, len(ss.Slots), sh.numSlots())
+		if len(ss.Slots) != len(sh.slots) {
+			return fmt.Errorf("ingest: snapshot rack %d covers %d VMs, service has %d", ss.Rack, len(ss.Slots), len(sh.slots))
 		}
 		for j, sl := range ss.Slots {
-			if sl.VM != sh.slotVM(j) {
-				return fmt.Errorf("ingest: snapshot rack %d slot %d is VM %d, service has VM %d", ss.Rack, j, sl.VM, sh.slotVM(j))
+			if sl.VM != sh.slots[j].vm {
+				return fmt.Errorf("ingest: snapshot rack %d slot %d is VM %d, service has VM %d", ss.Rack, j, sl.VM, sh.slots[j].vm)
 			}
 			if sl.Seen < 0 {
 				return fmt.Errorf("ingest: snapshot VM %d has negative observation count", sl.VM)
@@ -185,17 +177,17 @@ func (s *Service) Restore(snap *Snapshot) error {
 		sh := s.shard[i]
 		sh.mu.Lock()
 		for j, sl := range ss.Slots {
-			if s.opts.Mode == TriageQuant {
-				h := quant.Holt{Level: quant.Q(sl.QLevel), Trend: quant.Q(sl.QTrend), Seen: clampSeen(sl.Seen)}
-				if mode == TriageFloat {
-					// The one lossy, deterministic conversion: quantize the
-					// float state at the restore boundary.
-					h.Level, h.Trend = quant.FromFloat(sl.Level), quant.FromFloat(sl.Trend)
-				}
-				sh.qslots[j] = qslot{vm: sl.VM, h: h, alerted: sl.Alerted}
-			} else {
+			if s.opts.Mode != TriageQuant {
 				sh.slots[j] = slot{vm: sl.VM, level: sl.Level, trend: sl.Trend, seen: sl.Seen, alerted: sl.Alerted}
+				continue
 			}
+			h := quant.Holt{Level: quant.Q(sl.QLevel), Trend: quant.Q(sl.QTrend), Seen: clampSeen(sl.Seen)}
+			if mode == TriageFloat {
+				// The one lossy, deterministic conversion: quantize the
+				// float state at the restore boundary.
+				h.Level, h.Trend = quant.FromFloat(sl.Level), quant.FromFloat(sl.Trend)
+			}
+			sh.slots[j] = slot{vm: sl.VM, q: h, alerted: sl.Alerted}
 		}
 		sh.mu.Unlock()
 	}

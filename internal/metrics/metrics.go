@@ -190,53 +190,3 @@ func (q *Quantile) Value() float64 {
 
 // Count returns the number of observations.
 func (q *Quantile) Count() int { return q.count }
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi); out-of-range
-// observations land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	buckets   []int
-	underflow int
-	overflow  int
-	total     int
-}
-
-// NewHistogram builds a histogram with n equal buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 {
-		return nil, errors.New("metrics: need at least 1 bucket")
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("metrics: invalid range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, buckets: make([]int, n)}, nil
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	switch {
-	case v < h.Lo:
-		h.underflow++
-	case v >= h.Hi:
-		h.overflow++
-	default:
-		idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.buckets)))
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Total returns the total observations (including out-of-range).
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.underflow, h.overflow }

@@ -159,69 +159,3 @@ func TestQuantileExponentialTail(t *testing.T) {
 		t.Fatalf("p99 estimate %v vs exact %v", q.Value(), exact)
 	}
 }
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestHistogramBucketing(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1.9, 2, 5, 9.99, -1, 10, 42} {
-		h.Observe(v)
-	}
-	if h.NumBuckets() != 5 {
-		t.Fatalf("buckets = %d", h.NumBuckets())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Fatalf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(2) != 1 { // 5
-		t.Fatalf("bucket 2 = %d", h.Bucket(2))
-	}
-	if h.Bucket(4) != 1 { // 9.99
-		t.Fatalf("bucket 4 = %d", h.Bucket(4))
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-// Property: histogram counts always sum to Total.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewHistogram(-10, 10, 7)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Observe(v)
-		}
-		sum := 0
-		for i := 0; i < h.NumBuckets(); i++ {
-			sum += h.Bucket(i)
-		}
-		u, o := h.OutOfRange()
-		return sum+u+o == h.Total()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

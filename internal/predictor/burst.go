@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 
+	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
 )
 
@@ -233,9 +234,7 @@ func (b *Burst) fold(st *burstState, t int, x float64) {
 		alpha, beta = cfg.FastAlpha, cfg.FastBeta
 		st.fastLeft--
 	}
-	prevLevel := st.level
-	st.level = alpha*x + (1-alpha)*(st.level+st.trend)
-	st.trend = beta*(st.level-prevLevel) + (1-beta)*st.trend
+	st.level, st.trend = smoothing.HoltStep(st.level, st.trend, x, alpha, beta)
 	st.prevX = x
 }
 

@@ -286,6 +286,13 @@ func (r *Runtime) PhaseSummaries() map[string]*metrics.Summary {
 
 // New assembles a runtime over an already populated cluster.
 func New(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error) {
+	return build(cluster, model, opts, nil)
+}
+
+// build is New with the engine's VM order given: admission maps a VM ID
+// to the rack it was admitted on, and a VM it does not list is admitted
+// where it lives now (New: all of them; Restore lists every VM).
+func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[int]int) (*Runtime, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,7 +321,7 @@ func New(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error
 	if opts.Reference {
 		err = r.initReference()
 	} else {
-		err = r.initSharded()
+		err = r.initSharded(admission)
 	}
 	if err != nil {
 		return nil, err

@@ -24,6 +24,7 @@ import (
 	"sheriff/internal/obs"
 	"sheriff/internal/pool"
 	"sheriff/internal/predictor"
+	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
@@ -36,13 +37,10 @@ const queueThreshold = 0.9
 // same fold method so the arithmetic is expression-identical.
 var holtCoeff = ewmaTrend{alpha: 0.5, beta: 0.3}
 
-// fold advances one Holt (level, trend) state by one observation, the
-// exact recursion of ewmaTrend.ForecastFrom.
+// fold advances one Holt (level, trend) state by one observation with
+// e's coefficients.
 func (e ewmaTrend) fold(level, trend, x float64) (float64, float64) {
-	prev := level
-	level = e.alpha*x + (1-e.alpha)*(level+trend)
-	trend = e.beta*(level-prev) + (1-e.beta)*trend
-	return level, trend
+	return smoothing.HoltStep(level, trend, x, e.alpha, e.beta)
 }
 
 // holtState is one component's incremental Holt smoothing state.
@@ -132,20 +130,26 @@ type shardState struct {
 // persistent worker group. Shims are built lazily on a rack's first alert
 // (their neighbor scans are O(racks) each — eager construction would be
 // quadratic on a 5,000-rack leaf-spine).
-func (r *Runtime) initSharded() error {
+func (r *Runtime) initSharded(admission map[int]int) error {
 	racks := len(r.Cluster.Racks)
 	if racks == 0 {
 		return fmt.Errorf("runtime: cluster has no racks")
 	}
 	vms := r.Cluster.VMs()
 	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	rackOf := func(vm *dcn.VM) int {
+		if rk, ok := admission[vm.ID]; ok {
+			return rk
+		}
+		return vm.Host().Rack().Index
+	}
 
 	sh := &shardState{}
 	// Dense rack-major order: count per rack, prefix-sum, then place VMs
 	// in ascending-ID order within each rack's range.
 	sh.rackStart = make([]int32, racks+1)
 	for _, vm := range vms {
-		sh.rackStart[vm.Host().Rack().Index+1]++
+		sh.rackStart[rackOf(vm)+1]++
 	}
 	for i := 0; i < racks; i++ {
 		sh.rackStart[i+1] += sh.rackStart[i]
@@ -168,7 +172,7 @@ func (r *Runtime) initSharded() error {
 	fill := make([]int32, racks)
 	copy(fill, sh.rackStart[:racks])
 	for _, vm := range vms {
-		rk := vm.Host().Rack().Index
+		rk := rackOf(vm)
 		i := fill[rk]
 		fill[rk]++
 		sh.vms[i] = vm

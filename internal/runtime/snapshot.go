@@ -21,13 +21,25 @@ import (
 // 4 unbounded series. Queue monitors are carried the same way. Because
 // the state is global (not per shard), the shard count is free to change
 // between save and restore.
-const SnapshotVersion = 2
+//
+// Version 3 added each VM's admission rack. The engines fix their
+// rack-major VM order — which shard predicts a VM, which rack's bucket
+// its server alert lands in, which endpoint's TRF a dependency flow takes
+// its rate from, which rack its trace source is seeded with — when the
+// runtime is built, and migrations do not move it. A restore therefore
+// has to rebuild that order from where the VMs were admitted, not from
+// where the restored cluster holds them now, or the resumed run parts
+// from the straight one at the first step the two orders disagree on.
+const SnapshotVersion = 3
 
-// VMSnap is one VM's forecasting state: the generator replay position,
-// the last observed profile, the observation count, and the per-component
-// Holt (level, trend) pairs in profile order (CPU, Mem, IO, TRF).
+// VMSnap is one VM's forecasting state: the rack it was admitted on (its
+// place in the engine's order, see SnapshotVersion), the generator replay
+// position, the last observed profile, the observation count, and the
+// per-component Holt (level, trend) pairs in profile order (CPU, Mem,
+// IO, TRF).
 type VMSnap struct {
 	ID      int            `json:"id"`
+	Rack    int            `json:"rack"`
 	GenPos  int            `json:"gen_pos"`
 	Current traces.Profile `json:"current"`
 	Hist    int            `json:"hist"`
@@ -57,7 +69,7 @@ type Snapshot struct {
 }
 
 // foldHolt cold-smooths a full history into its Holt state — how the
-// reference engine (which keeps histories, not states) emits version-2
+// reference engine (which keeps histories, not states) emits its
 // snapshots. Bit-exact with the sharded engine's incremental fold.
 func foldHolt(h []float64) [2]float64 {
 	if len(h) == 0 {
@@ -92,7 +104,7 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	if r.ref != nil {
 		for _, st := range r.ref.vms {
 			h := st.pred.Histories()
-			vs := VMSnap{ID: st.vm.ID, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
+			vs := VMSnap{ID: st.vm.ID, Rack: st.rack, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
 			for c := 0; c < 4; c++ {
 				vs.Trend[c] = foldHolt(h[c])
 			}
@@ -117,7 +129,7 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 			} else {
 				pos = sh.srcs[i].Pos()
 			}
-			vs := VMSnap{ID: sh.vms[i].ID, GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
+			vs := VMSnap{ID: sh.vms[i].ID, Rack: int(sh.rack[i]), GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
 			for c := 0; c < 4; c++ {
 				vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
 			}
@@ -209,7 +221,23 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		}
 	}
 	opts.Seed = snap.Seed
-	r, err := New(cluster, model, opts)
+	if n := len(cluster.VMs()); len(snap.VMs) != n {
+		return nil, fmt.Errorf("runtime: snapshot has %d VMs, cluster has %d", len(snap.VMs), n)
+	}
+	admission := make(map[int]int, len(snap.VMs))
+	for _, vs := range snap.VMs {
+		if cluster.VM(vs.ID) == nil {
+			return nil, fmt.Errorf("runtime: snapshot VM %d not present in cluster", vs.ID)
+		}
+		if _, dup := admission[vs.ID]; dup {
+			return nil, fmt.Errorf("runtime: snapshot lists VM %d twice", vs.ID)
+		}
+		if vs.Rack < 0 || vs.Rack >= len(cluster.Racks) {
+			return nil, fmt.Errorf("runtime: snapshot VM %d admitted on rack %d, cluster has %d racks", vs.ID, vs.Rack, len(cluster.Racks))
+		}
+		admission[vs.ID] = vs.Rack
+	}
+	r, err := build(cluster, model, opts, admission)
 	if err != nil {
 		return nil, err
 	}
@@ -217,14 +245,8 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	r.modelStale = snap.ModelStale
 
 	sh := r.sh
-	if len(snap.VMs) != len(sh.vms) {
-		return nil, fmt.Errorf("runtime: snapshot has %d VMs, cluster has %d", len(snap.VMs), len(sh.vms))
-	}
 	for _, vs := range snap.VMs {
-		i, ok := sh.vmIndex[vs.ID]
-		if !ok {
-			return nil, fmt.Errorf("runtime: snapshot VM %d not present in cluster", vs.ID)
-		}
+		i := sh.vmIndex[vs.ID]
 		if vs.GenPos < 0 {
 			return nil, fmt.Errorf("runtime: snapshot VM %d has negative generator position", vs.ID)
 		}

@@ -105,6 +105,16 @@ type smoothState struct {
 	season []float64 // length Period (HoltWinters only)
 }
 
+// HoltStep advances one Holt (level, trend) state by one observation x.
+// It is the tree's one float Holt recursion: ingest triage, the runtime's
+// predictors, Burst and the models here (Holt–Winters passes x - season)
+// all fold through it, and snapshots, golden traces and the bench digests
+// pin its bits — the expression order is the contract.
+func HoltStep(level, trend, x, alpha, beta float64) (float64, float64) {
+	next := alpha*x + (1-alpha)*(level+trend)
+	return next, beta*(next-level) + (1-beta)*trend
+}
+
 // minLen returns the minimum series length for the method.
 func (c Config) minLen() int {
 	switch c.Method {
@@ -194,9 +204,7 @@ func run(s *timeseries.Series, cfg Config, h int, out []float64) (float64, error
 			pred := level + trend
 			e := s.At(t) - pred
 			sse += e * e
-			newLevel := cfg.Alpha*s.At(t) + (1-cfg.Alpha)*(level+trend)
-			trend = cfg.Beta*(newLevel-level) + (1-cfg.Beta)*trend
-			level = newLevel
+			level, trend = HoltStep(level, trend, s.At(t), cfg.Alpha, cfg.Beta)
 		}
 		for k := 0; k < h; k++ {
 			out[k] = level + trend*float64(k+1)
@@ -231,10 +239,8 @@ func run(s *timeseries.Series, cfg Config, h int, out []float64) (float64, error
 			pred := level + trend + season[si]
 			e := s.At(t) - pred
 			sse += e * e
-			newLevel := cfg.Alpha*(s.At(t)-season[si]) + (1-cfg.Alpha)*(level+trend)
-			trend = cfg.Beta*(newLevel-level) + (1-cfg.Beta)*trend
-			season[si] = cfg.Gamma*(s.At(t)-newLevel) + (1-cfg.Gamma)*season[si]
-			level = newLevel
+			level, trend = HoltStep(level, trend, s.At(t)-season[si], cfg.Alpha, cfg.Beta)
+			season[si] = cfg.Gamma*(s.At(t)-level) + (1-cfg.Gamma)*season[si]
 		}
 		for k := 0; k < h; k++ {
 			out[k] = level + trend*float64(k+1) + season[(n+k)%p]
@@ -335,18 +341,14 @@ func (m *Model) advanceState(st *smoothState, history *timeseries.Series) {
 		}
 	case Holt:
 		for t := st.n; t < n; t++ {
-			newLevel := cfg.Alpha*history.At(t) + (1-cfg.Alpha)*(st.level+st.trend)
-			st.trend = cfg.Beta*(newLevel-st.level) + (1-cfg.Beta)*st.trend
-			st.level = newLevel
+			st.level, st.trend = HoltStep(st.level, st.trend, history.At(t), cfg.Alpha, cfg.Beta)
 		}
 	case HoltWinters:
 		p := cfg.Period
 		for t := st.n; t < n; t++ {
 			si := t % p
-			newLevel := cfg.Alpha*(history.At(t)-st.season[si]) + (1-cfg.Alpha)*(st.level+st.trend)
-			st.trend = cfg.Beta*(newLevel-st.level) + (1-cfg.Beta)*st.trend
-			st.season[si] = cfg.Gamma*(history.At(t)-newLevel) + (1-cfg.Gamma)*st.season[si]
-			st.level = newLevel
+			st.level, st.trend = HoltStep(st.level, st.trend, history.At(t)-st.season[si], cfg.Alpha, cfg.Beta)
+			st.season[si] = cfg.Gamma*(history.At(t)-st.level) + (1-cfg.Gamma)*st.season[si]
 		}
 	}
 	st.n = n
