@@ -18,18 +18,20 @@ import (
 type BurstConfig struct {
 	// Lambda is the Page–Hinkley detection threshold, in units of the
 	// training series' one-step-difference standard deviation (default 6).
-	Lambda float64
+	Lambda float64 `json:"lambda"`
 	// Delta is the Page–Hinkley drift tolerance in the same units
 	// (default 0.5): residual drifts smaller than this never accumulate.
-	Delta float64
+	Delta float64 `json:"delta"`
 	// Hold is how many steps the forecaster stays in the fast-adapting
 	// regime after a trigger before relaxing back (default 30).
-	Hold int
+	Hold int `json:"hold"`
 	// SlowAlpha/SlowBeta are the steady-state Holt constants
 	// (default 0.30/0.10); FastAlpha/FastBeta apply during the Hold window
 	// after a change point (default 0.80/0.50).
-	SlowAlpha, SlowBeta float64
-	FastAlpha, FastBeta float64
+	SlowAlpha float64 `json:"slow_alpha"`
+	SlowBeta  float64 `json:"slow_beta"`
+	FastAlpha float64 `json:"fast_alpha"`
+	FastBeta  float64 `json:"fast_beta"`
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
@@ -249,45 +251,37 @@ func (b *Burst) Triggers() int {
 	return b.st.triggerCounter
 }
 
-// burstJSON is the serialized form: the resolved (absolute-scale) config.
-// The fold recursion is deterministic in (config, history) and the
-// Selector serializes the shared history, so a restored model cold-folds
-// back to the identical state.
-type burstJSON struct {
-	Lambda    float64 `json:"lambda"`
-	Delta     float64 `json:"delta"`
-	Hold      int     `json:"hold"`
-	SlowAlpha float64 `json:"slow_alpha"`
-	SlowBeta  float64 `json:"slow_beta"`
-	FastAlpha float64 `json:"fast_alpha"`
-	FastBeta  float64 `json:"fast_beta"`
-}
-
-// MarshalJSON serializes the resolved config (see burstJSON).
-func (b *Burst) MarshalJSON() ([]byte, error) {
+// State returns the model as plain data: its resolved (absolute-scale)
+// config, which is also its JSON form. The fold recursion is deterministic
+// in (config, history) and the Selector carries the shared history, so a
+// restored model cold-folds back to the identical state.
+func (b *Burst) State() BurstConfig {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return json.Marshal(burstJSON{
-		Lambda: b.cfg.Lambda, Delta: b.cfg.Delta, Hold: b.cfg.Hold,
-		SlowAlpha: b.cfg.SlowAlpha, SlowBeta: b.cfg.SlowBeta,
-		FastAlpha: b.cfg.FastAlpha, FastBeta: b.cfg.FastBeta,
-	})
+	return b.cfg
 }
 
-// UnmarshalJSON restores a model serialized by MarshalJSON.
-func (b *Burst) UnmarshalJSON(data []byte) error {
-	var dto burstJSON
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return fmt.Errorf("predictor: unmarshal burst: %w", err)
+// Restore replaces the model with the one the resolved config st describes.
+func (b *Burst) Restore(st BurstConfig) error {
+	if err := st.Validate(); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.cfg = BurstConfig{
-		Lambda: dto.Lambda, Delta: dto.Delta, Hold: dto.Hold,
-		SlowAlpha: dto.SlowAlpha, SlowBeta: dto.SlowBeta,
-		FastAlpha: dto.FastAlpha, FastBeta: dto.FastBeta,
-	}.WithDefaults()
+	b.cfg = st.WithDefaults()
 	b.minLen = 2
 	b.st = nil
 	return nil
+}
+
+// MarshalJSON serializes the resolved config (see State).
+func (b *Burst) MarshalJSON() ([]byte, error) { return json.Marshal(b.State()) }
+
+// UnmarshalJSON restores a model serialized by MarshalJSON.
+func (b *Burst) UnmarshalJSON(data []byte) error {
+	var st BurstConfig
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("predictor: unmarshal burst: %w", err)
+	}
+	return b.Restore(st)
 }

@@ -11,133 +11,185 @@ import (
 )
 
 // Forecaster kind tags used in the serialized form. Exponential-smoothing
-// candidates have no serializer and make MarshalJSON fail with a clear
+// candidates have no plain-data state and make State fail with a clear
 // error rather than silently dropping a pool member.
 const (
-	kindARIMA   = "arima"
-	kindSARIMA  = "sarima"
-	kindNARNET  = "narnet"
-	kindBurst   = "burst"
-	kindUnknown = ""
+	kindARIMA  = "arima"
+	kindSARIMA = "sarima"
+	kindNARNET = "narnet"
+	kindBurst  = "burst"
 )
 
-// candidateJSON is one serialized pool member: the kind tag picks the
-// concrete forecaster type on restore, and the rolling MSE ring travels
-// whole so fitness ranking resumes exactly where it stopped.
-type candidateJSON struct {
-	Name  string                 `json:"name"`
-	Kind  string                 `json:"kind"`
-	Model json.RawMessage        `json:"model"`
-	MSE   *timeseries.RollingMSE `json:"mse"`
+// CandidateState is one pool member as plain data: Model holds the
+// forecaster's own state value (arima.ModelState, arima.SeasonalState,
+// narnet.State or BurstConfig), the kind tag names which for the decoder,
+// and the rolling MSE ring travels whole so fitness ranking resumes
+// exactly where it stopped.
+type CandidateState struct {
+	Name  string                   `json:"name"`
+	Kind  string                   `json:"kind"`
+	Model any                      `json:"model"`
+	MSE   *timeseries.RollingState `json:"mse"`
 }
 
-// selectorJSON is the serialized form of a Selector. LastPred uses NaN
-// for candidates that failed to forecast; since JSON has no NaN, the
-// cached predictions are only carried when valid (HavePred), encoded as
-// pointers with nil standing in for NaN.
-type selectorJSON struct {
-	Candidates   []candidateJSON `json:"candidates"`
-	History      []float64       `json:"history"`
-	LastPred     []*float64      `json:"last_pred,omitempty"`
-	HavePred     bool            `json:"have_pred"`
-	Selection    int             `json:"selection"`
-	HasSelection bool            `json:"has_selection"`
+// SelectorState is a Selector as plain data, and its JSON form: encoding
+// it is one reflection pass with no Marshaler underneath. LastPred uses
+// NaN for candidates that failed to forecast; since JSON has no NaN, the
+// cached predictions are only carried when valid (HavePred), as pointers
+// with nil standing in for NaN.
+type SelectorState struct {
+	Candidates   []CandidateState `json:"candidates"`
+	History      []float64        `json:"history"`
+	LastPred     []*float64       `json:"last_pred,omitempty"`
+	HavePred     bool             `json:"have_pred"`
+	Selection    int              `json:"selection"`
+	HasSelection bool             `json:"has_selection"`
 }
 
-func forecasterKind(f Forecaster) string {
-	switch f.(type) {
+// modelState returns a pool member's kind tag and state value, or "" for
+// a forecaster type that has none (the smoothing family).
+func modelState(f Forecaster) (kind string, state any) {
+	switch m := f.(type) {
 	case *arima.Model:
-		return kindARIMA
+		return kindARIMA, m.State()
 	case *arima.SeasonalModel:
-		return kindSARIMA
+		return kindSARIMA, m.State()
 	case *narnet.Network:
-		return kindNARNET
+		return kindNARNET, m.State()
 	case *Burst:
-		return kindBurst
-	default:
-		return kindUnknown
+		return kindBurst, m.State()
 	}
+	return "", nil
 }
 
-// MarshalJSON serializes the selector: every candidate's model and
+// forecaster rebuilds the pool member Model describes.
+func (c CandidateState) forecaster() (Forecaster, error) {
+	switch st := c.Model.(type) {
+	case arima.ModelState:
+		m := new(arima.Model)
+		return m, m.Restore(st)
+	case arima.SeasonalState:
+		m := new(arima.SeasonalModel)
+		return m, m.Restore(st)
+	case narnet.State:
+		n := new(narnet.Network)
+		return n, n.Restore(st)
+	case BurstConfig:
+		b := new(Burst)
+		return b, b.Restore(st)
+	}
+	return nil, fmt.Errorf("model state of type %T has no forecaster", c.Model)
+}
+
+// UnmarshalJSON decodes one pool member, picking Model's type by the kind
+// tag.
+func (c *CandidateState) UnmarshalJSON(b []byte) error {
+	var raw struct {
+		Name  string                   `json:"name"`
+		Kind  string                   `json:"kind"`
+		Model json.RawMessage          `json:"model"`
+		MSE   *timeseries.RollingState `json:"mse"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	var (
+		model any
+		err   error
+	)
+	switch raw.Kind {
+	case kindARIMA:
+		model, err = decodeModel[arima.ModelState](raw.Model)
+	case kindSARIMA:
+		model, err = decodeModel[arima.SeasonalState](raw.Model)
+	case kindNARNET:
+		model, err = decodeModel[narnet.State](raw.Model)
+	case kindBurst:
+		model, err = decodeModel[BurstConfig](raw.Model)
+	default:
+		err = fmt.Errorf("unknown kind %q", raw.Kind)
+	}
+	if err != nil {
+		return fmt.Errorf("predictor: candidate %q: %w", raw.Name, err)
+	}
+	*c = CandidateState{Name: raw.Name, Kind: raw.Kind, Model: model, MSE: raw.MSE}
+	return nil
+}
+
+func decodeModel[S any](b []byte) (any, error) {
+	var st S
+	err := json.Unmarshal(b, &st)
+	return st, err
+}
+
+// State returns the selector as plain data: every candidate's model and
 // rolling fitness window, the shared history, and the selection state, so
-// a restored selector predicts and ranks bit-identically to one that
-// never stopped. Candidates whose forecaster type has no serializer
-// (the smoothing family) are an error.
-func (s *Selector) MarshalJSON() ([]byte, error) {
-	dto := selectorJSON{
-		Candidates:   make([]candidateJSON, len(s.candidates)),
-		History:      s.history.Values(),
+// a selector restored from it predicts and ranks bit-identically to one
+// that never stopped. A held state is a value: it copies what the next
+// Predict or Observe writes (the MSE rings, the cached predictions) and
+// shares what they never write — the fitted models' coefficients and
+// training histories, and the selector history, which Observe only appends
+// to, so the len(History) elements the state holds are never written again.
+// Candidates whose forecaster type has no state (the smoothing family) are
+// an error.
+func (s *Selector) State() (SelectorState, error) {
+	st := SelectorState{
+		Candidates:   make([]CandidateState, len(s.candidates)),
+		History:      s.history.Raw(),
 		HavePred:     s.havePred,
 		Selection:    s.selection,
 		HasSelection: s.hasSelection,
 	}
 	for i, c := range s.candidates {
-		kind := forecasterKind(c.F)
-		if kind == kindUnknown {
-			return nil, fmt.Errorf("predictor: candidate %q: forecaster type %T has no serializer", c.Name, c.F)
+		kind, model := modelState(c.F)
+		if kind == "" {
+			return SelectorState{}, fmt.Errorf("predictor: candidate %q: forecaster type %T has no serializer", c.Name, c.F)
 		}
-		blob, err := json.Marshal(c.F)
-		if err != nil {
-			return nil, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
-		}
-		dto.Candidates[i] = candidateJSON{Name: c.Name, Kind: kind, Model: blob, MSE: c.mse}
+		mse := c.mse.State()
+		st.Candidates[i] = CandidateState{Name: c.Name, Kind: kind, Model: model, MSE: &mse}
 	}
 	if s.havePred {
-		dto.LastPred = make([]*float64, len(s.lastPred))
-		for i, p := range s.lastPred {
-			if !math.IsNaN(p) {
-				v := p
-				dto.LastPred[i] = &v
+		pred := append([]float64(nil), s.lastPred...)
+		st.LastPred = make([]*float64, len(pred))
+		for i := range pred {
+			if !math.IsNaN(pred[i]) {
+				st.LastPred[i] = &pred[i]
 			}
 		}
 	}
-	return json.Marshal(dto)
+	return st, nil
 }
 
-// UnmarshalJSON restores a selector serialized by MarshalJSON.
-func (s *Selector) UnmarshalJSON(b []byte) error {
-	var dto selectorJSON
-	if err := json.Unmarshal(b, &dto); err != nil {
-		return fmt.Errorf("predictor: unmarshal: %w", err)
+// Restore replaces the selector with the one st describes.
+func (s *Selector) Restore(st SelectorState) error {
+	if len(st.Candidates) == 0 {
+		return fmt.Errorf("predictor: restore: empty candidate pool")
 	}
-	if len(dto.Candidates) == 0 {
-		return fmt.Errorf("predictor: unmarshal: empty candidate pool")
+	cands := make([]*Candidate, len(st.Candidates))
+	for i, cs := range st.Candidates {
+		f, err := cs.forecaster()
+		if err != nil {
+			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
+		}
+		if cs.MSE == nil {
+			return fmt.Errorf("predictor: restore: candidate %q missing mse state", cs.Name)
+		}
+		mse := new(timeseries.RollingMSE)
+		if err := mse.Restore(*cs.MSE); err != nil {
+			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
+		}
+		cands[i] = &Candidate{Name: cs.Name, F: f, mse: mse}
 	}
-	cands := make([]*Candidate, len(dto.Candidates))
-	for i, cj := range dto.Candidates {
-		var f Forecaster
-		switch cj.Kind {
-		case kindARIMA:
-			f = new(arima.Model)
-		case kindSARIMA:
-			f = new(arima.SeasonalModel)
-		case kindNARNET:
-			f = new(narnet.Network)
-		case kindBurst:
-			f = new(Burst)
-		default:
-			return fmt.Errorf("predictor: unmarshal: candidate %q has unknown kind %q", cj.Name, cj.Kind)
-		}
-		if err := json.Unmarshal(cj.Model, f); err != nil {
-			return fmt.Errorf("predictor: unmarshal candidate %q: %w", cj.Name, err)
-		}
-		if cj.MSE == nil {
-			return fmt.Errorf("predictor: unmarshal: candidate %q missing mse state", cj.Name)
-		}
-		cands[i] = &Candidate{Name: cj.Name, F: f, mse: cj.MSE}
-	}
-	if dto.Selection < 0 || dto.Selection >= len(cands) {
-		return fmt.Errorf("predictor: unmarshal: selection %d out of range", dto.Selection)
+	if st.Selection < 0 || st.Selection >= len(cands) {
+		return fmt.Errorf("predictor: restore: selection %d out of range", st.Selection)
 	}
 	lastPred := make([]float64, len(cands))
-	havePred := dto.HavePred
-	if havePred {
-		if len(dto.LastPred) != len(cands) {
-			return fmt.Errorf("predictor: unmarshal: %d cached predictions for %d candidates",
-				len(dto.LastPred), len(cands))
+	if st.HavePred {
+		if len(st.LastPred) != len(cands) {
+			return fmt.Errorf("predictor: restore: %d cached predictions for %d candidates",
+				len(st.LastPred), len(cands))
 		}
-		for i, p := range dto.LastPred {
+		for i, p := range st.LastPred {
 			if p == nil {
 				lastPred[i] = math.NaN()
 			} else {
@@ -146,10 +198,28 @@ func (s *Selector) UnmarshalJSON(b []byte) error {
 		}
 	}
 	s.candidates = cands
-	s.history = timeseries.New(dto.History)
+	s.history = timeseries.New(st.History)
 	s.lastPred = lastPred
-	s.havePred = havePred
-	s.selection = dto.Selection
-	s.hasSelection = dto.HasSelection
+	s.havePred = st.HavePred
+	s.selection = st.Selection
+	s.hasSelection = st.HasSelection
 	return nil
+}
+
+// MarshalJSON serializes the selector's State.
+func (s *Selector) MarshalJSON() ([]byte, error) {
+	st, err := s.State()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
+
+// UnmarshalJSON restores a selector serialized by MarshalJSON.
+func (s *Selector) UnmarshalJSON(b []byte) error {
+	var st SelectorState
+	if err := json.Unmarshal(b, &st); err != nil {
+		return fmt.Errorf("predictor: unmarshal: %w", err)
+	}
+	return s.Restore(st)
 }

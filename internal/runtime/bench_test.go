@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/json"
 	"strconv"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/obs"
 	"sheriff/internal/topology"
+	"sheriff/internal/traces"
 )
 
 // buildBenchRuntime assembles the 48-pod Fat-Tree runtime used by
@@ -126,4 +128,54 @@ func BenchmarkRuntimeStepRecorded(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+var snapshotSink []byte
+
+// BenchmarkSnapshotDeep measures what a snapshotting daemon's loop stalls
+// for on the runtime's side: Snapshot() plus json.Marshal of the result, on
+// the BENCHMARK.json bc8-deep-snap fabric (BCube-8, surge traces) with
+// every rack's deep pool fitted:
+//
+//	go test -run - -bench BenchmarkSnapshotDeep -benchtime 20x -benchmem ./internal/runtime/
+func BenchmarkSnapshotDeep(b *testing.B) {
+	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster, err := dcn.NewCluster(bc.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
+	model, err := cost.New(cluster, cost.PaperParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := New(cluster, model, Options{Seed: 1, Shards: 2, DeepPredict: true,
+		Traces: traces.Options{Kind: traces.Surge}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	if _, err := r.Run(r.opts.DeepFitAfter + 16); err != nil {
+		b.Fatal(err)
+	}
+	for rk := range cluster.Racks {
+		if !r.DeepReady(rk) {
+			b.Fatalf("rack %d: deep pool not fitted", rk)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := r.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if snapshotSink, err = json.Marshal(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(snapshotSink)))
 }

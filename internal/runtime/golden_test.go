@@ -1,0 +1,205 @@
+package runtime
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sheriff/internal/dcn"
+	"sheriff/internal/predictor"
+	"sheriff/internal/timeseries"
+	"sheriff/internal/traces"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden snapshot files")
+
+// deepGoldenSnapshot runs a two-rack surge fabric past the deep fit and
+// returns its snapshot's JSON. No run produces a NaN prediction on its own
+// (a fitted pool's candidates can always forecast from the history they
+// were fitted on), so rack 0's pool is rebuilt over the first 17 points of
+// its history and advanced one round: ARIMA(2,1,2) needs 21 points, cannot
+// forecast, and its cached prediction is the NaN the document writes as
+// null.
+func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
+	t.Helper()
+	const seed, fitAfter, steps = 1, 24, 32
+	cluster, model := buildParts(t, 2)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+	r, err := New(cluster, model, Options{Seed: seed, Reference: reference, Shards: 2,
+		DeepPredict: true, DeepFitAfter: fitAfter,
+		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	for rk := range cluster.Racks {
+		if !r.DeepReady(rk) {
+			t.Fatalf("rack %d: deep pool not fitted after %d steps", rk, steps)
+		}
+	}
+
+	hist := r.deep[0].History().Raw()
+	short, err := predictor.NewSelector(timeseries.New(hist[:17]), predictor.Config{}, r.deep[0].Candidates()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := short.Predict(); err != nil {
+		t.Fatal(err)
+	}
+	short.Observe(hist[17])
+	if _, err := short.Predict(); err != nil {
+		t.Fatal(err)
+	}
+	r.deep[0] = short
+
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestDeepSnapshotGolden pins the snapshot document byte for byte: both
+// engines must write testdata/deep_snapshot.golden.json, and a runtime
+// restored from that file must write it again — so a file from before a
+// codec change restores after it, and the other way round. Regenerate
+// with: go test ./internal/runtime/ -run TestDeepSnapshotGolden -update
+func TestDeepSnapshotGolden(t *testing.T) {
+	path := filepath.Join("testdata", "deep_snapshot.golden.json")
+	got := deepGoldenSnapshot(t, false)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(got, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.TrimSuffix(want, []byte("\n"))
+
+	// The file must hold what the comparison is for before equality with
+	// it means anything.
+	var doc struct {
+		Deep []*struct {
+			Candidates []struct {
+				Kind string `json:"kind"`
+			} `json:"candidates"`
+			LastPred []*float64 `json:"last_pred"`
+		} `json:"deep"`
+	}
+	if err := json.Unmarshal(want, &doc); err != nil {
+		t.Fatal(err)
+	}
+	nulls, kinds := 0, map[string]bool{}
+	for rk, d := range doc.Deep {
+		if d == nil {
+			t.Fatalf("golden: rack %d has no fitted pool", rk)
+		}
+		for _, c := range d.Candidates {
+			kinds[c.Kind] = true
+		}
+		for _, p := range d.LastPred {
+			if p == nil {
+				nulls++
+			}
+		}
+	}
+	if len(doc.Deep) == 0 || nulls == 0 || !kinds["arima"] || !kinds["narnet"] {
+		t.Fatalf("golden covers %d racks, %d null predictions, kinds %v; want both model kinds and a null", len(doc.Deep), nulls, kinds)
+	}
+
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sharded engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(got), len(want))
+	}
+	if ref := deepGoldenSnapshot(t, true); !bytes.Equal(ref, want) {
+		t.Fatalf("reference engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(ref), len(want))
+	}
+
+	var loaded Snapshot
+	if err := json.Unmarshal(want, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	cluster, model := buildParts(t, 2)
+	if err := cluster.Restore(loaded.Cluster); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(cluster, model, Options{DeepPredict: true, DeepFitAfter: 24}, &loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	snap, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("a runtime restored from the golden file writes %d bytes that differ from it", len(again))
+	}
+}
+
+// TestSnapshotIsAValue: a held snapshot shares nothing the runtime writes
+// again. It must encode to the same bytes while the runtime it was taken
+// from steps on (under -race, with the shard workers writing) and after.
+func TestSnapshotIsAValue(t *testing.T) {
+	const fitAfter = 24
+	r := buildEquivRuntime(t, 11, Options{Shards: 2, DeepPredict: true, DeepFitAfter: fitAfter,
+		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	if _, err := r.Run(fitAfter + 6); err != nil {
+		t.Fatal(err)
+	}
+	for rk := range r.Cluster.Racks {
+		if !r.DeepReady(rk) {
+			t.Fatalf("rack %d: deep pool not fitted", rk)
+		}
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := r.Run(16)
+		stepped <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-stepped:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		got, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("held snapshot changed under the stepping runtime")
+		}
+	}
+}

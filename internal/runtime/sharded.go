@@ -83,7 +83,7 @@ type shardState struct {
 	cur       []traces.Profile
 	pred      [][4]holtState   // per-component Holt state, profile order
 	nObs      []int32          // profiles folded per VM
-	srcs      []traces.Source  // per-VM streams; nil when Kind == Lite
+	srcs      []traces.Source  // per-VM streams, opened on first draw (source); nil when Kind == Lite
 	lite      []traces.LiteGen // Lite fast path: value slice, no per-VM heap state
 	rackStart []int32          // dense VM range of each rack (len racks+1)
 
@@ -182,8 +182,6 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 			// Store the O(1)-state generator by value: a million-VM run
 			// carries 3 words per VM instead of a heap object.
 			sh.lite[i] = *(r.gen.Source(vm.ID, rk).(*traces.LiteGen))
-		} else {
-			sh.srcs[i] = r.gen.Source(vm.ID, rk)
 		}
 	}
 
@@ -238,6 +236,20 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	return nil
 }
 
+// source returns VM i's stream, opening it on the first draw: a
+// materialized stream is a normalized week of three series, and a runtime
+// driven by StepExternal never draws from one. An unopened stream stands at
+// position 0. predictShard opens streams inside the shard round; that is
+// race-free because shard s touches only srcs[vmLo[s]:vmHi[s]] and a
+// Generator hands out independent Sources over read-only shared state.
+func (r *Runtime) source(i int) traces.Source {
+	sh := r.sh
+	if sh.srcs[i] == nil {
+		sh.srcs[i] = r.gen.Source(sh.vms[i].ID, int(sh.rack[i]))
+	}
+	return sh.srcs[i]
+}
+
 // predictShard is phase 1 for one shard: observe (generator, or the
 // external overlay), fold the Holt states, and raise server pre-alerts
 // into the shard-owned per-rack buckets — ascending VM ID within each
@@ -259,7 +271,7 @@ func (r *Runtime) predictShard(s int) {
 		case sh.lite != nil:
 			p = sh.lite[i].Next()
 		default:
-			p = sh.srcs[i].Next()
+			p = r.source(i).Next()
 		}
 		sh.cur[i] = p
 		hp := &sh.pred[i]

@@ -1,8 +1,9 @@
 package runtime
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sheriff/internal/cost"
@@ -52,20 +53,20 @@ type VMSnap struct {
 // state, not simulation state, and is not carried. Both engines emit the
 // same snapshot for the same trajectory (VMs in ascending ID order).
 type Snapshot struct {
-	Version    int               `json:"version"`
-	Step       int               `json:"step"`
-	Seed       int64             `json:"seed"`
-	Lite       bool              `json:"lite,omitempty"`   // legacy traces regime flag (Kind == Lite)
-	Traces     *traces.Options   `json:"traces,omitempty"` // resolved trace options; replay requires them verbatim
-	CostParams cost.Params       `json:"cost_params"`
-	Cluster    *dcn.Snapshot     `json:"cluster"`
-	Flows      *flow.Snapshot    `json:"flows"`
-	FlowPairs  [][3]int          `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
-	VMs        []VMSnap          `json:"vms"`
-	Queues     [][3]float64      `json:"queues"` // per-rack monitor (level, trend, count)
-	ModelStale bool              `json:"model_stale"`
-	Deep       []json.RawMessage `json:"deep,omitempty"`      // per-rack fitted selector (null = unfit)
-	DeepHist   [][]float64       `json:"deep_hist,omitempty"` // per-rack pre-fit history
+	Version    int                        `json:"version"`
+	Step       int                        `json:"step"`
+	Seed       int64                      `json:"seed"`
+	Lite       bool                       `json:"lite,omitempty"`   // legacy traces regime flag (Kind == Lite)
+	Traces     *traces.Options            `json:"traces,omitempty"` // resolved trace options; replay requires them verbatim
+	CostParams cost.Params                `json:"cost_params"`
+	Cluster    *dcn.Snapshot              `json:"cluster"`
+	Flows      *flow.Snapshot             `json:"flows"`
+	FlowPairs  [][3]int                   `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
+	VMs        []VMSnap                   `json:"vms"`
+	Queues     [][3]float64               `json:"queues"` // per-rack monitor (level, trend, count)
+	ModelStale bool                       `json:"model_stale"`
+	Deep       []*predictor.SelectorState `json:"deep,omitempty"`      // per-rack fitted selector (null = unfit)
+	DeepHist   [][]float64                `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
 // foldHolt cold-smooths a full history into its Holt state — how the
@@ -126,7 +127,7 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 			pos := 0
 			if sh.lite != nil {
 				pos = sh.lite[i].Pos()
-			} else {
+			} else if sh.srcs[i] != nil {
 				pos = sh.srcs[i].Pos()
 			}
 			vs := VMSnap{ID: sh.vms[i].ID, Rack: int(sh.rack[i]), GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
@@ -142,41 +143,27 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	for pair, id := range r.flowByPair {
 		snap.FlowPairs = append(snap.FlowPairs, [3]int{pair[0], pair[1], id})
 	}
-	sortPairs(snap.FlowPairs)
+	slices.SortFunc(snap.FlowPairs, func(a, b [3]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	if r.opts.DeepPredict {
-		snap.Deep = make([]json.RawMessage, len(r.deep))
+		snap.Deep = make([]*predictor.SelectorState, len(r.deep))
 		snap.DeepHist = make([][]float64, len(r.deepHist))
 		for i, sel := range r.deep {
 			if sel == nil {
-				snap.Deep[i] = json.RawMessage("null")
 				continue
 			}
-			blob, err := json.Marshal(sel)
+			st, err := sel.State()
 			if err != nil {
 				return nil, fmt.Errorf("runtime: snapshot deep pool %d: %w", i, err)
 			}
-			snap.Deep[i] = blob
+			snap.Deep[i] = &st
 		}
 		for i, h := range r.deepHist {
 			snap.DeepHist[i] = h.Values()
 		}
 	}
 	return snap, nil
-}
-
-func sortPairs(p [][3]int) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && less3(p[j], p[j-1]); j-- {
-			p[j], p[j-1] = p[j-1], p[j]
-		}
-	}
-}
-
-func less3(a, b [3]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
 }
 
 // Restore rebuilds a runtime from a snapshot over a cluster that has
@@ -255,8 +242,8 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		}
 		if sh.lite != nil {
 			sh.lite[i].Skip(vs.GenPos)
-		} else {
-			sh.srcs[i].Skip(vs.GenPos)
+		} else if vs.GenPos > 0 {
+			r.source(int(i)).Skip(vs.GenPos)
 		}
 		sh.cur[i] = vs.Current
 		sh.nObs[i] = int32(vs.Hist)
@@ -287,12 +274,12 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		if len(snap.Deep) != len(r.deep) || len(snap.DeepHist) != len(r.deepHist) {
 			return nil, fmt.Errorf("runtime: snapshot deep state covers %d racks, cluster has %d", len(snap.Deep), len(r.deep))
 		}
-		for i, blob := range snap.Deep {
-			if string(blob) == "null" {
+		for i, st := range snap.Deep {
+			if st == nil {
 				continue
 			}
 			sel := new(predictor.Selector)
-			if err := json.Unmarshal(blob, sel); err != nil {
+			if err := sel.Restore(*st); err != nil {
 				return nil, fmt.Errorf("runtime: restore deep pool %d: %w", i, err)
 			}
 			r.deep[i] = sel

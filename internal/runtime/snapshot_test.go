@@ -214,3 +214,88 @@ func TestSnapshotRejectsQCN(t *testing.T) {
 		t.Fatal("unknown snapshot version accepted")
 	}
 }
+
+// TestLazyStreamsMixedDrive pins the on-demand streams across the two
+// ways of driving a runtime: StepExternal opens none, the first Step opens
+// them all at position 0, and a snapshot taken in either state restores
+// the generator positions — the restored runtime's Step() draws what the
+// original's does. That Step()×N from unopened streams is the eager order
+// bit for bit, at any shard count and under -race, is what
+// TestShardedMatchesReference holds: the reference engine opens every
+// stream when it is built.
+func TestLazyStreamsMixedDrive(t *testing.T) {
+	const seed = 17
+	opts := Options{Seed: seed, Shards: 2, Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
+	orig := buildEquivRuntime(t, seed, opts)
+	external := func(r *Runtime, step int) {
+		t.Helper()
+		var updates []ExternalUpdate
+		for _, vm := range r.Cluster.VMs() {
+			updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(step, vm.ID)})
+		}
+		if _, err := r.StepExternal(updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore := func(wantPos int) *Runtime {
+		t.Helper()
+		snap, err := orig.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vs := range snap.VMs {
+			if vs.GenPos != wantPos {
+				t.Fatalf("VM %d: snapshot generator position %d, want %d", vs.ID, vs.GenPos, wantPos)
+			}
+		}
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loaded Snapshot
+		if err := json.Unmarshal(blob, &loaded); err != nil {
+			t.Fatal(err)
+		}
+		cluster, model := buildParts(t, 4)
+		if err := cluster.Restore(loaded.Cluster); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(cluster, model, opts, &loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	stepBoth := func(a, b *Runtime, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			sa, err := a.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := b.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStats(t, "mixed drive", *sa, *sb)
+		}
+	}
+
+	for step := 0; step < 3; step++ {
+		external(orig, step)
+	}
+	unopened := restore(0)
+	for _, r := range []*Runtime{orig, unopened} {
+		for i, src := range r.sh.srcs {
+			if src != nil {
+				t.Fatalf("stream %d opened though only StepExternal ran", i)
+			}
+		}
+	}
+	stepBoth(orig, unopened, 2)
+
+	external(orig, 5)
+	stepBoth(orig, restore(2), 3)
+}

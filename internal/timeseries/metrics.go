@@ -127,38 +127,48 @@ func (r *RollingMSE) Reset() {
 	r.next, r.filled, r.sum = 0, 0, 0
 }
 
-// rollingJSON is the serialized form of RollingMSE. The running sum is
-// carried explicitly rather than recomputed so a roundtrip reproduces
-// Value() bit-identically, including any accumulated floating-point
-// drift of the subtract-and-add ring update.
-type rollingJSON struct {
+// RollingState is a RollingMSE as plain data: what its JSON form and the
+// snapshots that embed it carry. The running sum is carried explicitly
+// rather than recomputed so a roundtrip reproduces Value() bit-identically,
+// including any accumulated floating-point drift of the subtract-and-add
+// ring update.
+type RollingState struct {
 	Window []float64 `json:"window"`
 	Next   int       `json:"next"`
 	Filled int       `json:"filled"`
 	Sum    float64   `json:"sum"`
 }
 
-// MarshalJSON implements json.Marshaler.
-func (r *RollingMSE) MarshalJSON() ([]byte, error) {
-	return json.Marshal(rollingJSON{Window: r.window, Next: r.next, Filled: r.filled, Sum: r.sum})
+// State returns the tracker's state. The ring is copied: the next Observe
+// writes into it.
+func (r *RollingMSE) State() RollingState {
+	return RollingState{Window: append([]float64(nil), r.window...), Next: r.next, Filled: r.filled, Sum: r.sum}
 }
+
+// Restore replaces the tracker's state with st, copying the ring.
+func (r *RollingMSE) Restore(st RollingState) error {
+	if len(st.Window) == 0 {
+		return errors.New("timeseries: RollingMSE with empty window")
+	}
+	if st.Next < 0 || st.Next >= len(st.Window) || st.Filled < 0 || st.Filled > len(st.Window) {
+		return fmt.Errorf("timeseries: RollingMSE state out of range (next=%d filled=%d size=%d)",
+			st.Next, st.Filled, len(st.Window))
+	}
+	r.window = append([]float64(nil), st.Window...)
+	r.next = st.Next
+	r.filled = st.Filled
+	r.sum = st.Sum
+	return nil
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r *RollingMSE) MarshalJSON() ([]byte, error) { return json.Marshal(r.State()) }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (r *RollingMSE) UnmarshalJSON(data []byte) error {
-	var js rollingJSON
-	if err := json.Unmarshal(data, &js); err != nil {
+	var st RollingState
+	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	if len(js.Window) == 0 {
-		return errors.New("timeseries: RollingMSE with empty window")
-	}
-	if js.Next < 0 || js.Next >= len(js.Window) || js.Filled < 0 || js.Filled > len(js.Window) {
-		return fmt.Errorf("timeseries: RollingMSE state out of range (next=%d filled=%d size=%d)",
-			js.Next, js.Filled, len(js.Window))
-	}
-	r.window = js.Window
-	r.next = js.Next
-	r.filled = js.Filled
-	r.sum = js.Sum
-	return nil
+	return r.Restore(st)
 }
