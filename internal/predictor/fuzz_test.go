@@ -65,16 +65,14 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, edit := range [][2]string{{"history", `[]`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
-			broken := map[string]json.RawMessage{}
-			for k, v := range doc {
-				broken[k] = v
-			}
-			broken[edit[0]] = json.RawMessage(edit[1])
-			blob, err := json.Marshal(broken)
+			intact := doc[edit[0]]
+			doc[edit[0]] = json.RawMessage(edit[1])
+			blob, err := json.Marshal(doc)
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(blob)
+			doc[edit[0]] = intact
 		}
 	}
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":null,"mse":{"window":[0],"next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))

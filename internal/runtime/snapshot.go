@@ -52,6 +52,12 @@ type VMSnap struct {
 // (timings aside) to the original continuing. Step history is reporting
 // state, not simulation state, and is not carried. Both engines emit the
 // same snapshot for the same trajectory (VMs in ascending ID order).
+//
+// A Snapshot is plain data — encoding it is one reflection pass, with no
+// Marshaler and no pre-encoded blob underneath — and it is a value: the
+// runtime it was taken from never writes into it (see Selector.State for
+// what a deep pool's state shares and why that is safe), so a caller may
+// hold it, encode it later, or encode it while the runtime steps on.
 type Snapshot struct {
 	Version    int                        `json:"version"`
 	Step       int                        `json:"step"`
