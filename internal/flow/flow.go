@@ -7,8 +7,10 @@
 package flow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sheriff/internal/topology"
@@ -49,22 +51,24 @@ type Network struct {
 	priced    []float64
 	pricedVer uint64
 	stale     []int  // re-pricing scratch
-	one       [1]int // single-source / single-row argument scratch
+	one       [1]int // single-source argument scratch
+
+	// masked is the table of the queries that price a different metric
+	// than admission (some switches cost Inf): Reroute's one query, or a
+	// whole RerouteAroundHot pass. The two never overlap.
+	masked *topology.MultiSource
 
 	// Scratch reused across HotSwitches / RerouteAroundHot calls.
-	hot       []int
-	avoidHot  map[int]bool
-	hotSweeps map[int]*topology.MultiSource // per-source masked sweeps of one pass
-	spares    []*topology.MultiSource       // masked-query tables, recycled
+	hot     []int
+	cands   []*Flow // a pass's candidates, largest rate first
+	moved   []*Flow // a pass's result
+	srcs    []int   // a pass's distinct sources: the rows of masked
+	rowFull []bool  // rowFull[r]: row r exhausted its component; still good
 }
 
 // NewNetwork wraps a topology graph. Link loads start at zero.
 func NewNetwork(g *topology.Graph) *Network {
-	return &Network{
-		g:         g,
-		avoidHot:  make(map[int]bool, 1),
-		hotSweeps: make(map[int]*topology.MultiSource, 4),
-	}
+	return &Network{g: g, sweep: &topology.MultiSource{}, masked: &topology.MultiSource{}}
 }
 
 // loads returns the load vector, extended with zeros when links were added
@@ -109,27 +113,25 @@ func routeCost(load []float64, e topology.Edge) float64 {
 }
 
 // cheapestPath picks the least-loaded shortest path, avoiding the given
-// switch nodes, and returns it with its edge IDs.
+// switch nodes, and returns it with its edge IDs. The search is point to
+// point: it stops when dst settles.
 func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
 	load := n.loads()
 	n.one[0] = src
 	if len(avoid) > 0 {
-		// A masked query prices a different metric; it borrows a spare
+		// A masked query prices a different metric; it fills its own
 		// table so the admission weights stay valid.
-		cost := func(e topology.Edge) float64 {
+		n.masked.Reset(n.g, n.one[:])
+		n.masked.Reweigh(func(e topology.Edge) float64 {
 			if avoid[e.To] && e.To != dst && e.To != src {
 				return topology.Inf
 			}
 			return routeCost(load, e)
-		}
-		ms := topology.DijkstraFromInto(n.g, n.one[:], cost, n.takeSpare())
-		n.spares = append(n.spares, ms)
-		return route(ms, src, dst)
+		})
+		n.masked.SweepRowTo(0, dst)
+		return route(n.masked, src, dst)
 	}
 	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
-	if n.sweep == nil {
-		n.sweep = &topology.MultiSource{}
-	}
 	n.sweep.Reset(n.g, n.one[:])
 	if ver := n.g.StructVersion(); n.priced == nil || ver != n.pricedVer {
 		n.sweep.Reweigh(cost)
@@ -148,20 +150,8 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 		n.stale = stale
 		n.sweep.ReweighEdges(stale, cost)
 	}
-	n.one[0] = 0 // row 0: the only source
-	n.sweep.SweepRows(n.one[:])
+	n.sweep.SweepRowTo(0, dst)
 	return route(n.sweep, src, dst)
-}
-
-// takeSpare pops a recycled routing table, or returns nil.
-func (n *Network) takeSpare() *topology.MultiSource {
-	k := len(n.spares)
-	if k == 0 {
-		return nil
-	}
-	ms := n.spares[k-1]
-	n.spares = n.spares[:k-1]
-	return ms
 }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
@@ -314,13 +304,13 @@ func (n *Network) HotSwitches(threshold float64) []int {
 // FlowsThrough returns the flows whose current path crosses the node, in
 // ID order.
 func (n *Network) FlowsThrough(node int) []*Flow {
-	var out []*Flow
+	return n.appendFlowsThrough(nil, node)
+}
+
+func (n *Network) appendFlowsThrough(out []*Flow, node int) []*Flow {
 	for _, f := range n.flows {
-		for _, hop := range f.path {
-			if hop == node {
-				out = append(out, f)
-				break
-			}
+		if slices.Contains(f.path, node) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -349,64 +339,82 @@ func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
 // until the switch's utilization drops below target (or no flow can
 // move). Flows are tried largest-rate first — moving the biggest
 // offenders first minimizes the number of touched flows. It returns the
-// flows actually rerouted.
-// One masked Dijkstra sweep is computed per distinct source per pass and
-// shared by every candidate flow from that source, instead of rerunning a
-// full single-source search for each congested flow. A successful move
-// only changes the load on the moved flow's old and new links, so just
-// that source's sweep is dropped (its tree certainly shifted); the other
-// sources keep their cached trees. Those stay exact for the distance term
-// and drift only in the 0.1·u load tie-break, which the next pass (or the
-// next hot-switch report) re-evaluates from fresh state.
+// flows actually rerouted, in the network's scratch: the slice is
+// overwritten by the next RerouteAroundHot call.
+//
+// A pass prices one weight vector — the admission metric with Inf on every
+// edge into the hot switch — fills it once, and after each move re-prices
+// only the moved flow's old and new links: the metric depends on a link's
+// own load alone, so the patched vector is the vector a fresh fill would
+// give. Each candidate is then one search from its source that stops at
+// its destination. A search that found its destination is spent (the move
+// it led to shifted the loads under it). A search that did not has
+// exhausted the source's component, so its row is complete and is kept for
+// the source's remaining candidates: their answer cannot turn from "no
+// path" into a path within the pass, and for a destination the row does
+// reach, its distances are exact and only the 0.1·u load tie-break is as
+// of the sweep — which the next pass re-evaluates from fresh state.
 func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
-	clear(n.avoidHot)
-	n.avoidHot[hot] = true
-	cands := n.FlowsThrough(hot)
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Rate > cands[j].Rate })
-	var moved []*Flow
+	n.moved = n.moved[:0]
+	n.cands = n.appendFlowsThrough(n.cands[:0], hot)
+	if len(n.cands) == 0 {
+		return n.moved
+	}
+	slices.SortStableFunc(n.cands, func(a, b *Flow) int { return cmp.Compare(b.Rate, a.Rate) })
+	n.srcs = n.srcs[:0]
+	for _, f := range n.cands {
+		n.srcs = append(n.srcs, f.Src)
+	}
+	slices.Sort(n.srcs)
+	n.srcs = slices.Compact(n.srcs)
+	n.rowFull = slices.Grow(n.rowFull[:0], len(n.srcs))[:len(n.srcs)]
+	clear(n.rowFull)
+
 	load := n.loads()
-	for _, f := range cands {
+	cost := func(e topology.Edge) float64 {
+		if e.To == hot {
+			return topology.Inf
+		}
+		return routeCost(load, e)
+	}
+	ms := n.masked
+	ms.Reset(n.g, n.srcs)
+	ms.Reweigh(cost)
+	for _, f := range n.cands {
 		if n.SwitchUtilization(hot) < target {
 			break
 		}
 		if f.DelaySensitive {
 			continue // the PRIORITY rule: delay-sensitive flows stay put
 		}
+		old := f.edges
 		if f.Src == hot || f.Dst == hot {
-			// cheapestPath exempts the endpoints from the avoid mask, so
-			// these flows see a flow-specific mask; route them exactly.
-			if err := n.Reroute(f, n.avoidHot); err == nil {
-				moved = append(moved, f)
+			// The mask exempts a flow's endpoints, so this flow is routed
+			// unmasked, off its own load: admission's metric, and
+			// admission's table. Even a failed attempt takes the flow's
+			// rate off its links and puts it back, which can move a load
+			// by an ulp, so the links are re-priced either way.
+			if err := n.Reroute(f, nil); err == nil {
+				n.moved = append(n.moved, f)
 			}
-			continue
-		}
-		ms := n.hotSweeps[f.Src]
-		if ms == nil {
-			cost := func(e topology.Edge) float64 {
-				if e.To == hot {
-					return topology.Inf
-				}
-				return routeCost(load, e)
+		} else {
+			row := ms.Row(f.Src)
+			if !n.rowFull[row] {
+				n.rowFull[row] = !ms.SweepRowTo(row, f.Dst)
 			}
-			n.one[0] = f.Src
-			ms = topology.DijkstraFromInto(n.g, n.one[:], cost, n.takeSpare())
-			n.hotSweeps[f.Src] = ms
+			path, edges := route(ms, f.Src, f.Dst)
+			if path == nil {
+				continue // no route around the hot switch; flow stays put
+			}
+			n.rowFull[row] = false
+			n.clearPath(f)
+			n.applyPath(f, path, edges)
+			n.moved = append(n.moved, f)
 		}
-		path, edges := route(ms, f.Src, f.Dst)
-		if path == nil {
-			continue // no route around the hot switch; flow stays put
-		}
-		n.clearPath(f)
-		n.applyPath(f, path, edges)
-		moved = append(moved, f)
-		delete(n.hotSweeps, f.Src)
-		n.spares = append(n.spares, ms)
+		ms.ReweighEdges(old, cost)
+		ms.ReweighEdges(f.edges, cost)
 	}
-	for _, ms := range n.hotSweeps {
-		n.spares = append(n.spares, ms)
-	}
-	clear(n.hotSweeps)
-	return moved
+	return n.moved
 }
 
 // AlternatePaths returns up to k loopless alternatives for a flow,

@@ -3,6 +3,7 @@ package flow
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sheriff/internal/topology"
@@ -77,8 +78,16 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 							hot, maxU = sw, u
 						}
 					}
-					n.RerouteAroundHot(hot, 0.5*maxU)
-					check("RerouteAroundHot")
+					// The hottest switch, then — the runtime's sequence — one
+					// pass after another over every switch still that hot.
+					for _, sw := range append([]int{hot}, n.HotSwitches(0.5*maxU)...) {
+						for _, f := range n.RerouteAroundHot(sw, 0.5*maxU) {
+							if i := slices.Index(f.Path(), sw); i > 0 && i < len(f.Path())-1 {
+								t.Fatalf("flow %d moved around %d onto %v", f.ID, sw, f.Path())
+							}
+						}
+						check("RerouteAroundHot")
+					}
 				case op == 6:
 					n.UpdateGraphBandwidth()
 					for id := 0; id < g.NumEdges(); id++ {
@@ -204,8 +213,9 @@ func TestLoadVectorFollowsGraphGrowth(t *testing.T) {
 
 // TestSteadyStateAllocs is the allocation gate for the per-period link-state
 // walks (CI "Allocation gate" step): hot-switch scan with hot switches
-// present, per-edge utilization, re-rating a routed flow, and the bandwidth
-// write-back.
+// present, per-edge utilization, re-rating a routed flow, the bandwidth
+// write-back, and the FLOWREROUTE pass, which may allocate the path and
+// edge slices its moved flows keep and nothing else.
 func TestSteadyStateAllocs(t *testing.T) {
 	ft := fatTree(t, 4)
 	n := NewNetwork(ft.Graph)
@@ -249,4 +259,42 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	_ = sink
+
+	// Same-pod flows can cross either aggregation switch of the pod: a pass
+	// around one herds every movable flow onto the other, so alternating
+	// passes repeat one cycle. A second pass around the switch just emptied
+	// finds only the delay-sensitive flows, prices its vector, tries each
+	// and moves none.
+	n = NewNetwork(ft.Graph)
+	for i := 0; i < 6; i++ {
+		for _, dst := range []int{ft.RackIDs[0][1], ft.RackIDs[2][i%2]} {
+			if _, err := n.AddFlow(ft.RackIDs[0][0], dst, 0.05+0.01*float64(i), i%3 == 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	moved, tried := 0, 0
+	cycle := func() {
+		for _, agg := range ft.AggIDs[0] {
+			moved += len(n.RerouteAroundHot(agg, 0))
+			tried += len(n.cands)
+			if left := n.RerouteAroundHot(agg, 0); len(left) != 0 || len(n.cands) == 0 {
+				t.Fatalf("second pass around %d moved %d of %d candidates, want 0 of some", agg, len(left), len(n.cands))
+			}
+		}
+	}
+	cycle() // warm
+	moved, tried = 0, 0
+	const runs = 20
+	got := testing.AllocsPerRun(runs, cycle)
+	perCycle := moved / (runs + 1) // AllocsPerRun warms up with one more call
+	if perCycle < 8 || moved%(runs+1) != 0 || tried <= moved {
+		t.Fatalf("cycle moved %d flows of %d tried over %d calls: not the steady cycle the gate needs", moved, tried, runs+1)
+	}
+	if want := float64(2 * perCycle); got != want {
+		t.Errorf("a cycle of passes moving %d flows allocates %v times, want %v: the moved flows' path and edge slices and nothing else", perCycle, got, want)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

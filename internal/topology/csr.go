@@ -203,7 +203,15 @@ func (s *sweepScratch) nextMaskEpoch() uint32 {
 // and u < -1 is impossible) — exactly the no-op the seed's `continue`
 // produced, minus a branch per edge. sweepMasked keeps its skips because
 // the epoch masks are not encoded in the weights.
-func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
+//
+// A stop node (≥ 0) ends the sweep the moment it settles, before its own
+// edges relax. Relaxations come only from settled nodes and a settled
+// node's parent is frozen, so the whole parent chain stop → … → src was
+// final by then: Path, PathEdges and Dist read for stop are bit for bit
+// what the full sweep gives. Every other entry of the row may still be
+// tentative. A stop node that is never reached (or stop < 0) lets the
+// queue drain: that is the full sweep.
+func (s *sweepScratch) sweep(c *csr, src, stop int32, w []wEdge, tree []treeNode) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
@@ -279,6 +287,12 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 			continue
 		}
 		settled[u] = ep
+		if u == stop {
+			// The levels still queued stay in lb as recycled storage: the
+			// next sweep starts its window at zero and truncates each
+			// bucket it takes.
+			break
+		}
 		for _, e := range w[rowStart[u]:rowStart[u+1]] {
 			nd := d + e.w
 			tv := &tree[e.v]
@@ -331,8 +345,9 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 // sweepMasked is sweep with the epoch block masks active: edges whose
 // index is stamped with the current mask epoch and edges into stamped
 // nodes are skipped. Used by the Yen spur searches and the hot-switch
-// avoidance primitives in place of per-call filter closures and maps.
-func (s *sweepScratch) sweepMasked(c *csr, src int32, w []wEdge, tree []treeNode) {
+// avoidance primitives in place of per-call filter closures and maps. The
+// stop node works as in sweep.
+func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree []treeNode) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
@@ -389,6 +404,9 @@ func (s *sweepScratch) sweepMasked(c *csr, src int32, w []wEdge, tree []treeNode
 			continue
 		}
 		settled[u] = ep
+		if u == stop {
+			break
+		}
 		for i := rowStart[u]; i < rowStart[u+1]; i++ {
 			if edgeMask[i] == mep {
 				continue

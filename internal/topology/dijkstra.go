@@ -17,10 +17,11 @@ import (
 //
 // The three steps of a sweep are separable: Reset binds the source set,
 // Reweigh materializes the edge-cost vector, SweepRows runs the searches
-// of the rows asked for. The weight vector is retained, so a row swept
-// later — against the same weights — is exactly the row a full sweep at
-// Reweigh time would have produced. A row that has not been swept since
-// the last Reset holds garbage; callers that sweep selectively track
+// of the rows asked for (SweepRowTo: one row, only as far as the one
+// destination the caller will read). The weight vector is retained, so a
+// row swept later — against the same weights — is exactly the row a full
+// sweep at Reweigh time would have produced. A row that has not been swept
+// since the last Reset holds garbage; callers that sweep selectively track
 // which rows are current (cost.Model does).
 type MultiSource struct {
 	g         *Graph
@@ -129,6 +130,20 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 // on the caller's goroutine, allocation-free. Rows must be distinct.
 func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
 
+// SweepRowTo is the point-to-point form of SweepRows: it runs one row's
+// search inline and stops as soon as dst settles, reporting whether it
+// did. Afterwards Path, PathEdges and Dist from the row's source to dst
+// are bit for bit those of the full row; its other entries may be
+// tentative and must not be read. When dst is not reached the search has
+// exhausted the source's component, so the row is the full row in every
+// entry and stays valid for any destination until the weights change.
+func (ms *MultiSource) SweepRowTo(row, dst int) bool {
+	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
+	tree := ms.tree[row*ms.n : (row+1)*ms.n]
+	sc.sweep(ms.c, ms.sources[row], int32(dst), ms.weights, tree)
+	return tree[dst].d < Inf
+}
+
 // Row returns the table row of a source node, or -1 when the node is not
 // in the source set.
 func (ms *MultiSource) Row(src int) int {
@@ -174,7 +189,7 @@ func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, i int) {
 	if rows != nil {
 		i = rows[i]
 	}
-	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
+	sc.sweep(ms.c, ms.sources[i], -1, ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
 }
 
 func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {

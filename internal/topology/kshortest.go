@@ -93,7 +93,8 @@ func KShortestPaths(g *Graph, src, dst, k int, cost EdgeCost) [][]int {
 	defer kspCache.Put(st)
 	st.prepare(c, cost)
 
-	st.sweep(c, int32(src), st.weights, st.tree)
+	// Every search below reads dst alone, so each stops when dst settles.
+	st.sweep(c, int32(src), int32(dst), st.weights, st.tree)
 	first := st.pathInto(src, dst, nil)
 	if first == nil {
 		return nil
@@ -124,7 +125,7 @@ func KShortestPaths(g *Graph, src, dst, k int, cost EdgeCost) [][]int {
 				st.nodeMask[n] = mep
 			}
 
-			st.sweepMasked(c, int32(spurNode), st.weights, st.tree)
+			st.sweepMasked(c, int32(spurNode), int32(dst), st.weights, st.tree)
 			spurPath := st.pathInto(spurNode, dst, st.pathBuf)
 			if spurPath == nil {
 				continue
@@ -238,6 +239,6 @@ func ShortestPathAvoidingNodes(g *Graph, src, dst int, avoid map[int]bool, cost 
 			st.nodeMask[n] = mep
 		}
 	}
-	st.sweepMasked(c, int32(src), st.weights, st.tree)
+	st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree)
 	return st.pathInto(src, dst, nil)
 }
