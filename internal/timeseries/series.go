@@ -153,6 +153,14 @@ func (s *Series) Split(frac float64) (train, test *Series) {
 // zeros. The paper requires each workload-profile component normalized to
 // [0, 1] (Sec. IV.A).
 func (s *Series) Normalized() (*Series, Scale) {
+	out := s.Clone()
+	return out, out.Normalize()
+}
+
+// Normalize is Normalized in place: it rescales the series' own storage,
+// the slice Raw exposes, and returns the transform. For a series nobody
+// else holds, such as a freshly generated trace.
+func (s *Series) Normalize() Scale {
 	lo, hi := s.Min(), s.Max()
 	sc := Scale{Offset: lo, Factor: hi - lo}
 	if sc.Factor == 0 || math.IsInf(lo, 0) {
@@ -161,11 +169,10 @@ func (s *Series) Normalized() (*Series, Scale) {
 			sc.Offset = 0
 		}
 	}
-	out := make([]float64, len(s.data))
 	for i, v := range s.data {
-		out[i] = (v - sc.Offset) / sc.Factor
+		s.data[i] = (v - sc.Offset) / sc.Factor
 	}
-	return &Series{data: out}, sc
+	return sc
 }
 
 // Scale is the affine transform y = (x - Offset) / Factor used by

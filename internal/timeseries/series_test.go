@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,24 @@ func TestNormalizedConstantSeries(t *testing.T) {
 		}
 		if sc.Invert(n.At(i)) != 5 {
 			t.Fatalf("Invert should restore constant 5, got %v", sc.Invert(n.At(i)))
+		}
+	}
+}
+
+func TestNormalizeInPlaceMatchesNormalized(t *testing.T) {
+	for _, vals := range [][]float64{{10, 20, 30}, {5, 5, 5}, {-3, 0.1, 7.25, 1e-9}, {}} {
+		s := New(vals)
+		want, wantSc := s.Normalized()
+		if !slices.Equal(s.Values(), vals) {
+			t.Fatalf("Normalized changed its receiver: %v", s.Values())
+		}
+		if sc := s.Normalize(); sc != wantSc {
+			t.Fatalf("Normalize scale %v, Normalized scale %v", sc, wantSc)
+		}
+		for i := 0; i < s.Len(); i++ {
+			if math.Float64bits(s.At(i)) != math.Float64bits(want.At(i)) {
+				t.Fatalf("%v: Normalize[%d] = %v, Normalized[%d] = %v", vals, i, s.At(i), i, want.At(i))
+			}
 		}
 	}
 }

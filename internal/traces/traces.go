@@ -63,8 +63,11 @@ func (c CPUConfig) withDefaults() CPUConfig {
 // CPU generates a diurnal CPU utilization trace in percent, clamped to
 // [0, 100].
 func CPU(cfg CPUConfig) *timeseries.Series {
+	return cpuFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+func cpuFrom(cfg CPUConfig, rng *rand.Rand) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Hours * SamplesPerHour
 	spike := 0.0
 	return timeseries.FromFunc(n, func(t int) float64 {
@@ -112,8 +115,11 @@ func (c DiskIOConfig) withDefaults() DiskIOConfig {
 // DiskIO generates a bursty disk I/O rate trace in MB/s (non-negative,
 // heavy right tail like the raw data of Fig. 4).
 func DiskIO(cfg DiskIOConfig) *timeseries.Series {
+	return diskIOFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+func diskIOFrom(cfg DiskIOConfig, rng *rand.Rand) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Hours * SamplesPerHour
 	burst := 0.0
 	return timeseries.FromFunc(n, func(t int) float64 {
@@ -183,8 +189,11 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 // Fig. 5: regular daily peaks and troughs, weekend damping, slight upward
 // trend, autocorrelated noise, and a slow nonlinear amplitude modulation.
 func WeeklyTraffic(cfg TrafficConfig) *timeseries.Series {
+	return weeklyTrafficFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+func weeklyTrafficFrom(cfg TrafficConfig, rng *rand.Rand) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Days * cfg.PerDay
 	ar := 0.0
 	return timeseries.FromFunc(n, func(t int) float64 {
@@ -248,17 +257,27 @@ type WorkloadGen struct {
 // NewWorkloadGen builds a workload generator with the given horizon (in
 // hours) and seed.
 func NewWorkloadGen(hours int, seed int64) *WorkloadGen {
-	cpu, _ := CPU(CPUConfig{Hours: hours, Seed: seed}).Normalized()
-	io, _ := DiskIO(DiskIOConfig{Hours: hours, Seed: seed + 1}).Normalized()
+	// Opening a fabric's sources builds one of these per VM, so it keeps
+	// what it allocates to what it retains: one generator reseeded for each
+	// trace (Seed leaves it as NewSource would), each trace normalized in
+	// its own storage.
+	rng := rand.New(rand.NewSource(seed))
+	cpu := cpuFrom(CPUConfig{Hours: hours}, rng)
+	cpu.Normalize()
+	rng.Seed(seed + 1)
+	io := diskIOFrom(DiskIOConfig{Hours: hours}, rng)
+	io.Normalize()
 	days := hours/24 + 1
-	trfRaw := WeeklyTraffic(TrafficConfig{Days: days, PerDay: SamplesPerDay, Seed: seed + 2})
-	trf, _ := trfRaw.Normalized()
+	rng.Seed(seed + 2)
+	trf := weeklyTrafficFrom(TrafficConfig{Days: days, PerDay: SamplesPerDay}, rng)
+	trf.Normalize()
+	rng.Seed(seed + 3)
 	return &WorkloadGen{
 		cpu: cpu,
 		io:  io,
 		trf: trf,
 		mem: 0.4,
-		rng: rand.New(rand.NewSource(seed + 3)),
+		rng: rng,
 	}
 }
 

@@ -2,6 +2,7 @@ package traces
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,30 @@ func TestWorkloadGenDeterministic(t *testing.T) {
 		if g1.Next() != g2.Next() {
 			t.Fatalf("same-seed generators diverged at %d", i)
 		}
+	}
+}
+
+// The generator reseeds one rand.Rand and normalizes in place; its stream
+// must be the one four separate generators and three copies gave, and
+// building it must allocate only what it keeps.
+func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
+	for _, seed := range []int64{0, 11, -7} {
+		const hours = 2
+		cpu, _ := CPU(CPUConfig{Hours: hours, Seed: seed}).Normalized()
+		io, _ := DiskIO(DiskIOConfig{Hours: hours, Seed: seed + 1}).Normalized()
+		trf, _ := WeeklyTraffic(TrafficConfig{Days: hours/24 + 1, PerDay: SamplesPerDay, Seed: seed + 2}).Normalized()
+		want := &WorkloadGen{cpu: cpu, io: io, trf: trf, mem: 0.4, rng: rand.New(rand.NewSource(seed + 3))}
+		got := NewWorkloadGen(hours, seed)
+		for i := 0; i < 2*got.Len()+5; i++ {
+			if g, w := got.Next(), want.Next(); g != w {
+				t.Fatalf("seed %d step %d: %+v, separate generators give %+v", seed, i, g, w)
+			}
+		}
+	}
+	// Three series and their headers, the Rand and its source, the
+	// generator; separate generators and copies made it 21.
+	if n := testing.AllocsPerRun(20, func() { NewWorkloadGen(2, 11) }); n > 9 {
+		t.Errorf("NewWorkloadGen allocates %v objects, want 9", n)
 	}
 }
 
