@@ -191,7 +191,7 @@ func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
 		}
 	}
 	// Three series and their headers, the Rand and its source, the
-	// generator; separate generators and copies made it 21.
+	// generator; separate generators and copies made it 18.
 	if n := testing.AllocsPerRun(20, func() { NewWorkloadGen(2, 11) }); n > 9 {
 		t.Errorf("NewWorkloadGen allocates %v objects, want 9", n)
 	}
