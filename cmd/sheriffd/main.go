@@ -84,7 +84,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	tracesKind := fs.String("traces", "", "trace-generator family: diurnal, lite, surge, surge-lite (\"\" = diurnal)")
 	triage := fs.String("triage", "", "ingest triage arithmetic: float or quantized (\"\" = float); snapshots restore across modes")
 	failStep := fs.Int("fail-step", 0, "inject a failure after this step (testing the crash-safe trace path)")
-	shards := fs.Int("shards", 0, "step-engine shard workers (0 = number of CPUs)")
+	shards := fs.Int("shards", 0, "step-engine shard workers (0 = GOMAXPROCS)")
 	historyLimit := fs.Int("history-limit", 0, "retain only the last N steps of in-memory stats (0 = unbounded)")
 	if perr := fs.Parse(args); perr != nil {
 		if errors.Is(perr, flag.ErrHelp) {

@@ -90,11 +90,10 @@ func run(args []string, out io.Writer) (err error) {
 	racks := fs.Int("racks", 1000, "leaf racks in the leaf-spine fabric (mode=scale)")
 	spines := fs.Int("spines", 0, "spine switches (mode=scale; 0 = topology default)")
 	steps := fs.Int("steps", 10, "collection periods to run (mode=scale)")
-	shards := fs.Int("shards", 0, "shard workers (mode=scale; 0 = number of CPUs)")
+	shards := fs.Int("shards", 0, "shard workers (mode=scale; 0 = GOMAXPROCS)")
 	threshold := fs.Float64("threshold", 0.9, "alert threshold for all profile components (mode=scale; >1 = alert-free)")
 	dep := fs.Float64("dep", 0, "dependency probability (mode=scale)")
 	tracesKind := fs.String("traces", "", "trace-generator family: diurnal, lite, surge, surge-lite (mode=scale; \"\" = diurnal)")
-	reference := fs.Bool("reference", false, "drive the seed reference engine instead of the sharded one (mode=scale)")
 	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=scale, policy, surge)")
 	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge, ingest)")
 	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge, ingest; 0 = predictor default)")
@@ -211,7 +210,6 @@ func run(args []string, out io.Writer) (err error) {
 			DependencyProb: *dep,
 			Threshold:      *threshold,
 			TraceKind:      *tracesKind,
-			Reference:      *reference,
 		}, *jsonOut)
 	case "surge":
 		return runSurge(out, experiments.SurgeConfig{
@@ -531,12 +529,8 @@ func runScale(out io.Writer, cfg sim.ScaleConfig, jsonPath string) error {
 	if err != nil {
 		return err
 	}
-	engine := "sharded"
-	if cfg.Reference {
-		engine = "reference"
-	}
-	fmt.Fprintf(out, "scale %s: %d racks %d hosts %d VMs | %d steps in %.2fs (%.1f ms/step, max %.1f) | %.0f allocs/step %.1f MB peak RSS | alerts %d/%d migrations %d\n",
-		engine, res.Racks, res.Hosts, res.VMs, res.Steps, res.TotalSeconds,
+	fmt.Fprintf(out, "scale sharded: %d racks %d hosts %d VMs | %d steps in %.2fs (%.1f ms/step, max %.1f) | %.0f allocs/step %.1f MB peak RSS | alerts %d/%d migrations %d\n",
+		res.Racks, res.Hosts, res.VMs, res.Steps, res.TotalSeconds,
 		res.MeanStepSeconds*1e3, res.MaxStepSeconds*1e3,
 		res.AllocsPerStep, res.PeakRSSMB, res.ServerAlerts, res.ToRAlerts, res.Migrations)
 	if jsonPath == "" {

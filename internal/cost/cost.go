@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"sheriff/internal/dcn"
-	"sheriff/internal/pool"
 	"sheriff/internal/topology"
 )
 
@@ -244,32 +243,6 @@ func (m *Model) transFrom(src int) *topology.MultiSource {
 		m.onDemand.Add(1)
 	}
 	return m.trans
-}
-
-// refreshNaive is the seed's Refresh, kept as the "before" side of
-// BENCH_route.json and as ground truth for the fused-refresh equivalence
-// test: two independent full sweeps with fresh map-backed tables, run
-// concurrently on the shared pool.
-func (m *Model) refreshNaive() {
-	racks := m.cluster.Graph.Racks()
-	var trans, dist *topology.MultiSource
-	pool.Shared().Run(
-		func() {
-			trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
-		},
-		func() {
-			dist = topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
-		},
-	)
-	m.trans = trans
-	m.setDistances(dist)
-	m.structVer = m.cluster.Graph.StructVersion()
-	m.gen = 1
-	m.swept = make([]atomic.Uint64, len(racks))
-	for i := range m.swept {
-		m.swept[i].Store(m.gen)
-	}
-	m.ready.Store(true)
 }
 
 // Params returns the model constants.

@@ -3,9 +3,11 @@ package cost
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sheriff/internal/dcn"
+	"sheriff/internal/pool"
 	"sheriff/internal/topology"
 )
 
@@ -14,6 +16,32 @@ import (
 // seed's two independent fresh sweeps, including across in-place bandwidth
 // updates. "fused" is the name the production side has carried since the
 // two metrics were swept in one pass.
+
+// refreshNaive is the seed's Refresh, kept as the "before" side of
+// BENCH_route.json and as ground truth for the fused-refresh equivalence
+// test: two independent full sweeps with fresh map-backed tables, run
+// concurrently on the shared pool.
+func (m *Model) refreshNaive() {
+	racks := m.cluster.Graph.Racks()
+	var trans, dist *topology.MultiSource
+	pool.Shared().Run(
+		func() {
+			trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
+		},
+		func() {
+			dist = topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
+		},
+	)
+	m.trans = trans
+	m.setDistances(dist)
+	m.structVer = m.cluster.Graph.StructVersion()
+	m.gen = 1
+	m.swept = make([]atomic.Uint64, len(racks))
+	for i := range m.swept {
+		m.swept[i].Store(m.gen)
+	}
+	m.ready.Store(true)
+}
 
 func assertModelsAgree(t *testing.T, c *dcn.Cluster, fused, naive *Model, label string) {
 	t.Helper()

@@ -13,7 +13,7 @@ import (
 // Before/after benchmarks for the migration-planning engine. "delta" is
 // the incremental engine (cached nearest/second-nearest, lazy candidate
 // ranks, pooled scan); "naive" is the seed implementation preserved in
-// reference.go. BENCH_kmedian.json records a pinned run of both sides;
+// reference_test.go. BENCH_kmedian.json records a pinned run of both sides;
 // regenerate with the commands listed there (fixed -benchtime counts so
 // iteration counts match across runs).
 

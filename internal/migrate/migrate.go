@@ -373,14 +373,6 @@ type MigrationOptions struct {
 // ShimUnknown marks events whose source shim is not identified.
 const ShimUnknown = -1
 
-// decide is the Alg. 4 decision under these options. The frozen oracle in
-// reference.go calls it; everything else goes through core.grant, which
-// shares the decision and adds the move.
-func (o *MigrationOptions) decide(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
-	k := core{pol: policyOrSheriff(o.Placement), admit: o.Policy}
-	return k.admits(vm, dst, nil)
-}
-
 // VMMigration implements Alg. 3 with default options: while the candidate
 // set is non-empty, build the bipartite cost graph between candidate VMs
 // and destination slots, compute a minimum-weight matching (Kuhn–

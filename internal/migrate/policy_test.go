@@ -48,10 +48,18 @@ func migResultSignature(res *MigrationResult) string {
 	return b.String()
 }
 
+// decide is the Alg. 4 decision under these options, as the frozen oracle
+// in reference_test.go asks for it; the product goes through core.grant,
+// which shares the decision and adds the move.
+func (o *MigrationOptions) decide(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
+	k := core{pol: policyOrSheriff(o.Placement), admit: o.Policy}
+	return k.admits(vm, dst, nil)
+}
+
 // TestMigrateMatchesReference pins the tentpole equivalence guarantee:
 // Migrate with default options (nil placement policy, no preemption, no
 // queue) is bit-exact with the frozen pre-policy implementation in
-// reference.go — same migrations in the same order with the same costs,
+// reference_test.go — same migrations in the same order with the same costs,
 // same totals, same search space, same unplaced set — on every seed.
 func TestMigrateMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 11, 42} {

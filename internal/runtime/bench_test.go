@@ -23,6 +23,19 @@ func buildBenchRuntime(b *testing.B, pods int) *Runtime {
 
 func buildBenchRuntimeOpts(b *testing.B, pods int, opts Options) *Runtime {
 	b.Helper()
+	cluster, model, opts := buildBenchParts(b, pods, opts)
+	r, err := New(cluster, model, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	return r
+}
+
+// buildBenchParts is what both engines are built from: the populated
+// fabric, its cost model, and the benchmark's seed and thresholds in opts.
+func buildBenchParts(b *testing.B, pods int, opts Options) (*dcn.Cluster, *cost.Model, Options) {
+	b.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: pods})
 	if err != nil {
 		b.Fatal(err)
@@ -38,12 +51,7 @@ func buildBenchRuntimeOpts(b *testing.B, pods int, opts Options) *Runtime {
 	}
 	opts.Seed = 42
 	opts.Thresholds.CPU, opts.Thresholds.Mem, opts.Thresholds.IO, opts.Thresholds.TRF = 2, 2, 2, 2
-	r, err := New(cluster, model, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(r.Close)
-	return r
+	return cluster, model, opts
 }
 
 // BenchmarkRuntimeStep measures one collection period T on a 48-pod
@@ -69,10 +77,13 @@ func BenchmarkRuntimeStep(b *testing.B) {
 }
 
 // BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed
-// reference engine — the "before" side of the sharded-engine speedup and
-// allocation comparison (BENCH_scale.json).
+// engine (reference_test.go) — the "before" side of the sharded-engine
+// speedup and allocation comparison (BENCH_scale.json).
 func BenchmarkRuntimeStepReference(b *testing.B) {
-	r := buildBenchRuntimeOpts(b, 48, Options{Reference: true})
+	r, err := newReference(buildBenchParts(b, 48, Options{}))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < 15; i++ {
 		if _, err := r.Step(); err != nil {
 			b.Fatal(err)

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
 
@@ -15,7 +18,11 @@ type equivScenario struct {
 	steps    int
 	external bool // drive via StepExternal instead of Step
 	mutate   func(*Options)
+	parts    partsFunc // nil is equivParts' 4-pod Fat-Tree
 }
+
+// partsFunc builds a populated fabric and its cost model from a seed.
+type partsFunc func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model)
 
 func equivScenarios() []equivScenario {
 	return []equivScenario{
@@ -44,7 +51,42 @@ func equivScenarios() []equivScenario {
 			o.Traces = traces.Options{Kind: traces.SurgeLite,
 				Surge: traces.SurgeParams{MeanDwell: 4, BurstWeight: 1, RackFraction: 0.5}}
 		}},
+		// The scale harness's smoke fabric (sim.TestRunScaleSmoke): sparse
+		// racks, a deferred cost model, thresholds low enough to alert.
+		{name: "leaf-spine", steps: 4, parts: leafSpineParts, mutate: func(o *Options) {
+			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
+		}},
 	}
+}
+
+// leafSpineParts is a 50-rack leaf-spine, 1 host × 2 VMs a rack, sparse
+// dependencies, over a cost model that sweeps nothing until asked.
+func leafSpineParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+	t.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := dcn.NewCluster(ls.Graph, dcn.Config{HostsPerRack: 1, HostCapacity: 100, ToRCapacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.1, CrossRackDependencyProb: 0.1, Seed: seed})
+	model, err := cost.NewDeferred(cluster, cost.PaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster, model
+}
+
+// equivParts is the fabric the equivalence runtimes stand on unless a
+// scenario brings its own: a 4-pod Fat-Tree, 3 VMs a host, dense
+// dependencies.
+func equivParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+	t.Helper()
+	cluster, model := buildParts(t, 4)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+	return cluster, model
 }
 
 // externalProfile is a deterministic pseudo-measurement for the external
@@ -59,8 +101,12 @@ func externalProfile(step, vmID int) traces.Profile {
 
 func buildEquivRuntime(t *testing.T, seed int64, opts Options) *Runtime {
 	t.Helper()
-	cluster, model := buildParts(t, 4)
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+	return buildEquivOn(t, equivParts, seed, opts)
+}
+
+func buildEquivOn(t *testing.T, parts partsFunc, seed int64, opts Options) *Runtime {
+	t.Helper()
+	cluster, model := parts(t, seed)
 	opts.Seed = seed
 	r, err := New(cluster, model, opts)
 	if err != nil {
@@ -70,13 +116,25 @@ func buildEquivRuntime(t *testing.T, seed int64, opts Options) *Runtime {
 	return r
 }
 
-func driveEquiv(t *testing.T, r *Runtime, sc equivScenario) []StepStats {
+// buildEquivReference is buildEquivOn for the seed engine.
+func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options) *refRuntime {
+	t.Helper()
+	cluster, model := parts(t, seed)
+	opts.Seed = seed
+	r, err := newReference(cluster, model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
 	for step := 0; step < sc.steps; step++ {
 		var err error
 		if sc.external {
 			var updates []ExternalUpdate
-			for _, vm := range r.Cluster.VMs() {
+			for _, vm := range runtimeOf(r).Cluster.VMs() {
 				// Every third VM is silent each step, exercising the
 				// repeat-last-profile path.
 				if (vm.ID+step)%3 == 0 {
@@ -102,12 +160,17 @@ func TestShardedMatchesReference(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			refOpts := Options{Reference: true}
+			parts := sc.parts
+			if parts == nil {
+				parts = equivParts
+			}
+			refOpts := Options{}
 			if sc.mutate != nil {
 				sc.mutate(&refOpts)
 			}
-			ref := buildEquivRuntime(t, 11, refOpts)
+			ref := buildEquivReference(t, parts, 11, refOpts)
 			refHist := driveEquiv(t, ref, sc)
+			refPlaced := placement(ref.Cluster)
 
 			var refSnap []byte
 			if !refOpts.UseQCN {
@@ -126,13 +189,18 @@ func TestShardedMatchesReference(t *testing.T) {
 				if sc.mutate != nil {
 					sc.mutate(&shOpts)
 				}
-				sh := buildEquivRuntime(t, 11, shOpts)
+				sh := buildEquivOn(t, parts, 11, shOpts)
 				shHist := driveEquiv(t, sh, sc)
 				if len(shHist) != len(refHist) {
 					t.Fatalf("shards=%d: %d steps, reference has %d", shards, len(shHist), len(refHist))
 				}
 				for i := range refHist {
 					sameStats(t, sc.name, refHist[i], shHist[i])
+				}
+				for id, host := range placement(sh.Cluster) {
+					if refPlaced[id] != host {
+						t.Fatalf("shards=%d: VM %d ends on host %d, on %d under the reference engine", shards, id, host, refPlaced[id])
+					}
 				}
 				if refSnap != nil {
 					snap, err := sh.Snapshot()
@@ -150,6 +218,18 @@ func TestShardedMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// placement maps every VM to the host it lives on (-1 = none).
+func placement(c *dcn.Cluster) map[int]int {
+	out := make(map[int]int)
+	for _, vm := range c.VMs() {
+		out[vm.ID] = -1
+		if h := vm.Host(); h != nil {
+			out[vm.ID] = h.ID
+		}
+	}
+	return out
 }
 
 // TestShardedDeterministicAcrossShardCounts pins the determinism argument
@@ -312,9 +392,7 @@ func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 	sc := equivScenario{name: "surge", steps: 20}
 	opts := Options{Traces: traces.Options{Kind: traces.Surge,
 		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
-	refOpts := opts
-	refOpts.Reference = true
-	ref := buildEquivRuntime(t, 11, refOpts)
+	ref := buildEquivReference(t, equivParts, 11, opts)
 	sharded := buildEquivRuntime(t, 11, opts)
 	refHist, shHist := driveEquiv(t, ref, sc), driveEquiv(t, sharded, sc)
 	migrations := 0

@@ -28,16 +28,24 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 	const seed, fitAfter, steps = 1, 24, 32
 	cluster, model := buildParts(t, 2)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
-	r, err := New(cluster, model, Options{Seed: seed, Reference: reference, Shards: 2,
+	opts := Options{Seed: seed, Shards: 2,
 		DeepPredict: true, DeepFitAfter: fitAfter,
-		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
+	var e engine
+	var err error
+	if reference {
+		e, err = newReference(cluster, model, opts)
+	} else {
+		e, err = New(cluster, model, opts)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if _, err := r.Run(steps); err != nil {
+	defer e.Close()
+	if _, err := e.Run(steps); err != nil {
 		t.Fatal(err)
 	}
+	r := runtimeOf(e)
 	for rk := range cluster.Racks {
 		if !r.DeepReady(rk) {
 			t.Fatalf("rack %d: deep pool not fitted after %d steps", rk, steps)
@@ -58,7 +66,7 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 	}
 	r.deep[0] = short
 
-	snap, err := r.Snapshot()
+	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/migrate"
 	"sheriff/internal/obs"
@@ -16,10 +18,13 @@ import (
 )
 
 // This file preserves the seed step engine — one data-parallel fan-out
-// over a flat []*vmState with per-step fold allocations — selected by
-// Options.Reference. It is the ground truth the sharded SoA engine is
-// proven bit-exact against (see equiv_test.go), the same convention as
-// kmedian/reference.go and topology/reference.go.
+// over a flat []*vmState with per-step fold allocations — for the tests
+// alone: the product no longer compiles it. It is the ground truth the
+// sharded SoA engine is proven bit-exact against (see equiv_test.go), the
+// same convention as kmedian/reference_test.go and
+// topology/reference_test.go. The phase bodies are the seed's, verbatim;
+// only the receiver changed, from the Runtime that once carried both
+// engines to refRuntime below.
 
 // vmState is one VM's monitoring stack in the reference engine: its
 // synthetic workload source and the per-component profile predictor.
@@ -43,9 +48,165 @@ type refState struct {
 	workers  *pool.Pool
 }
 
+// refRuntime is the seed engine's Runtime: the engine-independent part
+// (newRuntime, without initSharded) stepped and snapshotted by the code in
+// this file. It shadows every Runtime method that reaches the step engine.
+type refRuntime struct {
+	*Runtime
+	ref *refState
+}
+
+// newReference is New for the seed engine.
+func newReference(cluster *dcn.Cluster, model *cost.Model, opts Options) (*refRuntime, error) {
+	base, err := newRuntime(cluster, model, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &refRuntime{Runtime: base}
+	if err := r.initReference(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// engine is what a test drives when it runs the same scenario on both: the
+// product's *Runtime or the seed engine's *refRuntime.
+type engine interface {
+	Step() (*StepStats, error)
+	StepExternal([]ExternalUpdate) (*StepStats, error)
+	Run(int) ([]StepStats, error)
+	History() []StepStats
+	Snapshot() (*Snapshot, error)
+	Close()
+}
+
+// runtimeOf returns the Runtime under either engine: the cluster, cost
+// model, traffic plane and deep pools are its fields whoever steps it.
+func runtimeOf(e engine) *Runtime {
+	if ref, ok := e.(*refRuntime); ok {
+		return ref.Runtime
+	}
+	return e.(*Runtime)
+}
+
+// Close has nothing to release: the seed engine borrows the shared pool.
+func (r *refRuntime) Close() {}
+
+func (r *refRuntime) Step() (*StepStats, error) { return r.advanceRef(nil) }
+
+func (r *refRuntime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
+	external := make(map[int]traces.Profile, len(updates))
+	for _, u := range updates {
+		if r.Cluster.VM(u.VM) == nil {
+			return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
+		}
+		external[u.VM] = u.Profile
+	}
+	return r.advanceRef(external)
+}
+
+func (r *refRuntime) Run(n int) ([]StepStats, error) {
+	for i := 0; i < n; i++ {
+		if _, err := r.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return r.History(), nil
+}
+
+// Snapshot fills the per-VM and queue rows the way the seed engine holds
+// them — histories, cold-smoothed into Holt states — and leaves the rest
+// of the document to the Runtime.
+func (r *refRuntime) Snapshot() (*Snapshot, error) {
+	var vms []VMSnap
+	for _, st := range r.ref.vms {
+		h := st.pred.Histories()
+		vs := VMSnap{ID: st.vm.ID, Rack: st.rack, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
+		for c := 0; c < 4; c++ {
+			vs.Trend[c] = foldHolt(h[c])
+		}
+		vms = append(vms, vs)
+	}
+	var queues [][3]float64
+	for _, qm := range r.ref.queueMon {
+		h := qm.History()
+		lt := foldHolt(h)
+		queues = append(queues, [3]float64{lt[0], lt[1], float64(len(h))})
+	}
+	return r.snapshotDoc(vms, queues)
+}
+
+// foldHolt cold-smooths a full history into its Holt state — how the
+// reference engine (which keeps histories, not states) emits its
+// snapshots. Bit-exact with the sharded engine's incremental fold.
+func foldHolt(h []float64) [2]float64 {
+	if len(h) == 0 {
+		return [2]float64{}
+	}
+	level, trend := h[0], 0.0
+	for t := 1; t < len(h); t++ {
+		level, trend = holtCoeff.fold(level, trend, h[t])
+	}
+	return [2]float64{level, trend}
+}
+
+// ForecastFrom implements alert.ComponentForecaster.
+func (e ewmaTrend) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+	if h.Len() == 0 {
+		return nil, errors.New("runtime: empty history")
+	}
+	level := h.At(0)
+	trend := 0.0
+	for t := 1; t < h.Len(); t++ {
+		level, trend = e.fold(level, trend, h.At(t))
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = level + trend*float64(i+1)
+	}
+	return out, nil
+}
+
+// trendState is ewmaTrend with suffix-aware incremental state: the level
+// and trend fully determine both the forecast and the continuation of the
+// recursion, so a bound history that only grows (the per-step collection
+// pattern) costs O(new points) per forecast instead of a full O(n)
+// re-smoothing. The continuation is bit-exact with ewmaTrend's cold pass.
+// Each trendState must be bound to exactly one append-only history; it is
+// not safe for concurrent use (each VM component and queue monitor owns
+// its own instance).
+type trendState struct {
+	ewmaTrend
+	n            int     // observations folded into level/trend
+	last         float64 // history.At(n-1), to detect non-append mutation
+	level, trend float64
+}
+
+// ForecastFrom implements alert.ComponentForecaster incrementally.
+func (ts *trendState) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+	if h.Len() == 0 {
+		return nil, errors.New("runtime: empty history")
+	}
+	start := ts.n
+	if start < 1 || start > h.Len() || h.At(start-1) != ts.last {
+		ts.level, ts.trend = h.At(0), 0
+		start = 1
+	}
+	for t := start; t < h.Len(); t++ {
+		ts.level, ts.trend = ts.fold(ts.level, ts.trend, h.At(t))
+	}
+	ts.n = h.Len()
+	ts.last = h.At(h.Len() - 1)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = ts.level + ts.trend*float64(i+1)
+	}
+	return out, nil
+}
+
 // initReference assembles the seed engine: eager per-rack shims and queue
 // monitors, one vmState per VM.
-func (r *Runtime) initReference() error {
+func (r *refRuntime) initReference() error {
 	ref := &refState{
 		byRack:  make([][]*vmState, len(r.Cluster.Racks)),
 		workers: pool.Shared(),
@@ -86,7 +247,7 @@ func (r *Runtime) initReference() error {
 // the synthetic generators" (Step); non-nil means profiles come from the
 // ingest plane (StepExternal) and the map is read-only under the
 // parallel phase.
-func (r *Runtime) advanceRef(external map[int]traces.Profile) (*StepStats, error) {
+func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, error) {
 	ref := r.ref
 	stats := &StepStats{Step: r.step}
 	r.step++
@@ -235,7 +396,7 @@ func (r *Runtime) advanceRef(external map[int]traces.Profile) (*StepStats, error
 // counted as a deep warning when it crosses the hot threshold. Fits and
 // predictions are deterministic (seeded NARNETs, fixed pool order), so
 // deep state snapshots and restores bit-exactly.
-func (r *Runtime) deepStepRef(stats *StepStats, rec *obs.Recorder) {
+func (r *refRuntime) deepStepRef(stats *StepStats, rec *obs.Recorder) {
 	for idx := range r.ref.byRack {
 		if len(r.ref.byRack[idx]) == 0 {
 			continue
@@ -282,7 +443,7 @@ func (r *Runtime) deepStepRef(stats *StepStats, rec *obs.Recorder) {
 // the pair's current traffic component. Existing flows keep their routes
 // (so reroutes survive across steps); only rate changes are applied in
 // place, and flows whose endpoints migrated are re-created.
-func (r *Runtime) syncFlowsRef() {
+func (r *refRuntime) syncFlowsRef() {
 	type want struct {
 		src, dst int
 		rate     float64

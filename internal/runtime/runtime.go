@@ -4,16 +4,15 @@
 // region — VM migration for server/ToR alerts, flow rerouting for hot
 // outer switches (Sec. II–V assembled).
 //
-// Two step engines share this API. The default is the sharded SoA engine
-// (sharded.go): VM state in flat arrays partitioned into contiguous
-// rack-range shards owned by persistent workers, sized for 5,000-rack /
-// million-VM fabrics. Options.Reference selects the seed engine
-// (reference.go) — per-VM heap states fanned out over the shared pool —
-// kept as the ground truth the sharded engine is proven bit-exact against.
+// There is one step engine, the sharded SoA engine (sharded.go): VM state
+// in flat arrays partitioned into contiguous rack-range shards owned by
+// persistent workers, sized for 5,000-rack / million-VM fabrics. The seed
+// engine it replaced — per-VM heap states fanned out over the shared pool
+// — is compiled by the tests only (reference_test.go), as the ground truth
+// the sharded engine is proven bit-exact against.
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	stdruntime "runtime"
@@ -64,8 +63,8 @@ type Options struct {
 	// DeepFitAfter is the rack-history length that triggers the deep
 	// fit (default 48, minimum large enough for the NARNET delay lines).
 	DeepFitAfter int
-	// Shards is the number of persistent shard workers in the sharded
-	// engine (0 = number of CPUs, clamped to the rack count). Step
+	// Shards is the number of persistent shard workers (0 = GOMAXPROCS,
+	// the size of the shared pool; clamped to the rack count). Step
 	// results are bit-identical for every shard count.
 	Shards int
 	// HistoryLimit bounds the in-memory per-step stats kept by History():
@@ -79,9 +78,6 @@ type Options struct {
 	// Seed when zero, so the default configuration stays bit-exact with
 	// the pre-Options engines.
 	Traces traces.Options
-	// Reference selects the seed step engine instead of the sharded one.
-	// Slower and memory-hungry at scale; used as the equivalence oracle.
-	Reference bool
 }
 
 // Validate reports whether the options are usable. Negative values are
@@ -133,7 +129,7 @@ func (o Options) WithDefaults() Options {
 		o.DeepFitAfter = 48
 	}
 	if o.Shards == 0 {
-		o.Shards = stdruntime.NumCPU()
+		o.Shards = stdruntime.GOMAXPROCS(0)
 	}
 	// The trace seed defaults to the runtime seed so pre-Options
 	// configurations replay bit-exactly.
@@ -144,65 +140,11 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// ewmaTrend is a cheap ComponentForecaster: exponentially weighted level
-// plus trend (Holt's linear method), adequate for per-step pre-alerts
+// ewmaTrend is the cheap per-step forecaster's coefficients: exponentially
+// weighted level plus trend (Holt's linear method), adequate for pre-alerts
 // where fitting a full ARIMA per VM per tick would be wasteful.
 type ewmaTrend struct {
 	alpha, beta float64
-}
-
-// ForecastFrom implements alert.ComponentForecaster.
-func (e ewmaTrend) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
-	if h.Len() == 0 {
-		return nil, errors.New("runtime: empty history")
-	}
-	level := h.At(0)
-	trend := 0.0
-	for t := 1; t < h.Len(); t++ {
-		level, trend = e.fold(level, trend, h.At(t))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = level + trend*float64(i+1)
-	}
-	return out, nil
-}
-
-// trendState is ewmaTrend with suffix-aware incremental state: the level
-// and trend fully determine both the forecast and the continuation of the
-// recursion, so a bound history that only grows (the per-step collection
-// pattern) costs O(new points) per forecast instead of a full O(n)
-// re-smoothing. The continuation is bit-exact with ewmaTrend's cold pass.
-// Each trendState must be bound to exactly one append-only history; it is
-// not safe for concurrent use (each VM component and queue monitor owns
-// its own instance).
-type trendState struct {
-	ewmaTrend
-	n            int     // observations folded into level/trend
-	last         float64 // history.At(n-1), to detect non-append mutation
-	level, trend float64
-}
-
-// ForecastFrom implements alert.ComponentForecaster incrementally.
-func (ts *trendState) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
-	if h.Len() == 0 {
-		return nil, errors.New("runtime: empty history")
-	}
-	start := ts.n
-	if start < 1 || start > h.Len() || h.At(start-1) != ts.last {
-		ts.level, ts.trend = h.At(0), 0
-		start = 1
-	}
-	for t := start; t < h.Len(); t++ {
-		ts.level, ts.trend = ts.fold(ts.level, ts.trend, h.At(t))
-	}
-	ts.n = h.Len()
-	ts.last = h.At(h.Len() - 1)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = ts.level + ts.trend*float64(i+1)
-	}
-	return out, nil
 }
 
 // PhaseTimings holds one step's wall-clock phase durations. Timings are
@@ -242,7 +184,7 @@ type Runtime struct {
 
 	opts       Options
 	gen        traces.Generator             // trace family (opts.Traces), built once
-	shims      []*migrate.Shim              // indexed by rack; nil until first alert (sharded)
+	shims      []*migrate.Shim              // indexed by rack; nil until first alert
 	cps        map[int]*qcn.CongestionPoint // per-switch CPs (UseQCN)
 	flowByPair map[[2]int]int               // dependency pair -> flow ID
 	rng        *rand.Rand
@@ -251,8 +193,7 @@ type Runtime struct {
 	histStart  int  // ring head once history is full (HistoryLimit > 0)
 	modelStale bool // link bandwidth changed since the last Model.Refresh
 
-	ref *refState   // seed engine (Options.Reference)
-	sh  *shardState // sharded engine (default)
+	sh *shardState // the step engine's VM, monitor and scratch arrays
 
 	// Deep forecasting pools (DeepPredict): per-rack aggregate stress
 	// history and, once fitted, the dynamic-selection pool over it.
@@ -260,28 +201,25 @@ type Runtime struct {
 	deep     []*predictor.Selector
 
 	phaseSummaries [4]metrics.Summary // per-phase duration stats, seconds
-	skewSummaries  [3]metrics.Summary // shard-round load skew (sharded engine)
+	skewSummaries  [3]metrics.Summary // shard-round load skew
 }
 
 // PhaseSummaries returns streaming duration statistics (in seconds) for
 // the four Step phases, aggregated over every step so far, keyed
-// "predict", "flows", "congestion", "manage". Under the sharded engine it
-// additionally exposes the shard-round load skew of the fanned-out phases
-// ("predict_skew", "flows_skew", "congestion_skew": max shard time over
-// mean shard time per round, 1.0 = perfectly balanced).
+// "predict", "flows", "congestion", "manage", and the shard-round load
+// skew of the fanned-out phases ("predict_skew", "flows_skew",
+// "congestion_skew": max shard time over mean shard time per round,
+// 1.0 = perfectly balanced).
 func (r *Runtime) PhaseSummaries() map[string]*metrics.Summary {
-	out := map[string]*metrics.Summary{
-		"predict":    &r.phaseSummaries[0],
-		"flows":      &r.phaseSummaries[1],
-		"congestion": &r.phaseSummaries[2],
-		"manage":     &r.phaseSummaries[3],
+	return map[string]*metrics.Summary{
+		"predict":         &r.phaseSummaries[0],
+		"flows":           &r.phaseSummaries[1],
+		"congestion":      &r.phaseSummaries[2],
+		"manage":          &r.phaseSummaries[3],
+		"predict_skew":    &r.skewSummaries[0],
+		"flows_skew":      &r.skewSummaries[1],
+		"congestion_skew": &r.skewSummaries[2],
 	}
-	if r.sh != nil {
-		out["predict_skew"] = &r.skewSummaries[0]
-		out["flows_skew"] = &r.skewSummaries[1]
-		out["congestion_skew"] = &r.skewSummaries[2]
-	}
-	return out
 }
 
 // New assembles a runtime over an already populated cluster.
@@ -293,6 +231,21 @@ func New(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error
 // to the rack it was admitted on, and a VM it does not list is admitted
 // where it lives now (New: all of them; Restore lists every VM).
 func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[int]int) (*Runtime, error) {
+	r, err := newRuntime(cluster, model, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.initSharded(admission); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newRuntime is everything of a Runtime that does not depend on how VMs
+// are stepped: validated options with defaults, the trace generator, an
+// empty traffic plane and the deep-pool arrays. initSharded adds the step
+// engine; the tests' seed engine (reference_test.go) adds its own.
+func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -318,14 +271,6 @@ func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[
 			r.deepHist[i] = timeseries.New(nil)
 		}
 	}
-	if opts.Reference {
-		err = r.initReference()
-	} else {
-		err = r.initSharded(admission)
-	}
-	if err != nil {
-		return nil, err
-	}
 	return r, nil
 }
 
@@ -335,12 +280,8 @@ func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[
 func (r *Runtime) TraceGen() traces.Generator { return r.gen }
 
 // Close releases the engine's persistent shard workers. Safe to call more
-// than once; the reference engine has nothing to release.
-func (r *Runtime) Close() {
-	if r.sh != nil {
-		r.sh.workers.Close()
-	}
-}
+// than once.
+func (r *Runtime) Close() { r.sh.workers.Close() }
 
 // History returns the per-step statistics retained so far, oldest first.
 // With HistoryLimit set this is at most the last HistoryLimit steps.
@@ -367,12 +308,8 @@ func (r *Runtime) recordHistory(s StepStats) {
 }
 
 // Step advances one collection period T. Prediction and monitoring fan
-// out over the engine's shard workers (or the shared pool under
-// Options.Reference); management is serialized.
+// out over the engine's shard workers; management is serialized.
 func (r *Runtime) Step() (*StepStats, error) {
-	if r.ref != nil {
-		return r.advanceRef(nil)
-	}
 	return r.advanceSharded(false)
 }
 
@@ -391,19 +328,9 @@ type ExternalUpdate struct {
 // error. The synthetic generators do not advance, so a daemon fed real
 // measurements never consumes generator state.
 func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
-	if r.ref != nil {
-		external := make(map[int]traces.Profile, len(updates))
-		for _, u := range updates {
-			if r.Cluster.VM(u.VM) == nil {
-				return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
-			}
-			external[u.VM] = u.Profile
-		}
-		return r.advanceRef(external)
-	}
-	// The sharded path stamps profiles into a persistent overlay keyed by
-	// dense VM index; bumping the epoch invalidates the previous step's
-	// stamps, so a steady ingest loop allocates nothing.
+	// Profiles are stamped into a persistent overlay keyed by dense VM
+	// index; bumping the epoch invalidates the previous step's stamps, so a
+	// steady ingest loop allocates nothing.
 	sh := r.sh
 	sh.extEpoch++
 	for _, u := range updates {

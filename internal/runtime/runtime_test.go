@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	stdruntime "runtime"
 	"testing"
 
 	"sheriff/internal/cost"
@@ -195,6 +196,18 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.FlowRate(0.5) <= 0 {
 		t.Fatal("default flow rate non-positive")
+	}
+}
+
+// TestDefaultShardsFollowGOMAXPROCS: the default shard count is the
+// scheduler's parallelism, like the shared pool's size, not the host's core
+// count — a daemon held to GOMAXPROCS=1 runs one shard worker.
+func TestDefaultShardsFollowGOMAXPROCS(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	r := buildRuntime(t, 4, 1)
+	defer r.Close()
+	if r.sh.n != 1 {
+		t.Fatalf("default options under GOMAXPROCS(1) built %d shards, want 1", r.sh.n)
 	}
 }
 

@@ -1,4 +1,4 @@
-// The sharded step engine: the default since the hyperscale rework.
+// The step engine.
 //
 // VM state lives in flat struct-of-arrays slices ordered rack-major
 // (ascending rack index, ascending VM ID within a rack), partitioned into
@@ -6,8 +6,8 @@
 // Each phase is one batched round: the coordinator wakes every shard, the
 // shards work only on the ranges they own, and the coordinator folds the
 // per-shard results in shard order — which, because shards are contiguous
-// in the global rack-major order, reproduces the reference engine's
-// deterministic global fold exactly. Per-VM predictor state is the Holt
+// in the global rack-major order, reproduces the global fold of the seed
+// engine (reference_test.go, compiled by the tests only) exactly. Per-VM predictor state is the Holt
 // (level, trend) pair per component — bit-exact with re-smoothing the full
 // history (see TestTrendStateMatchesEwmaTrend) at 1/500th the memory.
 package runtime
@@ -33,8 +33,8 @@ import (
 const queueThreshold = 0.9
 
 // holtCoeff carries the Holt smoothing coefficients shared by every
-// predictor in the system. Both engines route the recursion through the
-// same fold method so the arithmetic is expression-identical.
+// predictor in the system. The tests' seed engine routes its recursion
+// through the same fold method, so the arithmetic is expression-identical.
 var holtCoeff = ewmaTrend{alpha: 0.5, beta: 0.3}
 
 // fold advances one Holt (level, trend) state by one observation with
@@ -325,9 +325,9 @@ func (r *Runtime) predictShard(s int) {
 }
 
 // deepShard advances the deep forecasting pools of the shard's racks; the
-// semantics mirror deepStepRef exactly (same aggregation order, same fit
-// trigger, same seeds), but the obs events are deferred to the coordinator
-// so the trace stays in rack order.
+// semantics mirror the seed engine's deep step (reference_test.go) exactly
+// — same aggregation order, same fit trigger, same seeds — but the obs
+// events are deferred to the coordinator so the trace stays in rack order.
 func (r *Runtime) deepShard(s int) {
 	sh := r.sh
 	for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {

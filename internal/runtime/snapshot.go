@@ -23,7 +23,7 @@ import (
 // the state is global (not per shard), the shard count is free to change
 // between save and restore.
 //
-// Version 3 added each VM's admission rack. The engines fix their
+// Version 3 added each VM's admission rack. The engine fixes its
 // rack-major VM order — which shard predicts a VM, which rack's bucket
 // its server alert lands in, which endpoint's TRF a dependency flow takes
 // its rate from, which rack its trace source is seeded with — when the
@@ -50,8 +50,8 @@ type VMSnap struct {
 // Snapshot is the serializable state of a Runtime: everything needed so
 // that a restored runtime's subsequent StepStats are bit-identical
 // (timings aside) to the original continuing. Step history is reporting
-// state, not simulation state, and is not carried. Both engines emit the
-// same snapshot for the same trajectory (VMs in ascending ID order).
+// state, not simulation state, and is not carried. VMs are listed in
+// ascending ID order, whatever the shard count.
 //
 // A Snapshot is plain data — encoding it is one reflection pass, with no
 // Marshaler and no pre-encoded blob underneath — and it is a value: the
@@ -75,24 +75,42 @@ type Snapshot struct {
 	DeepHist   [][]float64                `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
-// foldHolt cold-smooths a full history into its Holt state — how the
-// reference engine (which keeps histories, not states) emits its
-// snapshots. Bit-exact with the sharded engine's incremental fold.
-func foldHolt(h []float64) [2]float64 {
-	if len(h) == 0 {
-		return [2]float64{}
-	}
-	level, trend := h[0], 0.0
-	for t := 1; t < len(h); t++ {
-		level, trend = holtCoeff.fold(level, trend, h[t])
-	}
-	return [2]float64{level, trend}
-}
-
 // Snapshot captures the runtime's full resumable state. It fails under
 // UseQCN (congestion-point dynamics are not serialized) and when a fitted
 // deep pool contains an unserializable candidate.
 func (r *Runtime) Snapshot() (*Snapshot, error) {
+	sh := r.sh
+	order := make([]int, len(sh.vms))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
+	var vms []VMSnap
+	for _, i := range order {
+		pos := 0
+		if sh.lite != nil {
+			pos = sh.lite[i].Pos()
+		} else if sh.srcs[i] != nil {
+			pos = sh.srcs[i].Pos()
+		}
+		vs := VMSnap{ID: sh.vms[i].ID, Rack: int(sh.rack[i]), GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
+		for c := 0; c < 4; c++ {
+			vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
+		}
+		vms = append(vms, vs)
+	}
+	var queues [][3]float64
+	for rk := range sh.qHolt {
+		queues = append(queues, [3]float64{sh.qHolt[rk].level, sh.qHolt[rk].trend, float64(sh.qN[rk])})
+	}
+	return r.snapshotDoc(vms, queues)
+}
+
+// snapshotDoc is the snapshot around the step engine's own rows — the
+// per-VM forecasting states in ascending VM ID order and the per-rack
+// queue monitors — which it takes as given: cluster, traffic plane, flow
+// pairs and deep pools are the Runtime's whoever steps it.
+func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, error) {
 	if r.opts.UseQCN {
 		return nil, fmt.Errorf("runtime: snapshot under UseQCN is not supported (congestion-point state is not serialized)")
 	}
@@ -106,45 +124,9 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 		CostParams: r.Model.Params(),
 		Cluster:    r.Cluster.Snapshot(),
 		Flows:      r.Flows.Snapshot(),
+		VMs:        vms,
+		Queues:     queues,
 		ModelStale: r.modelStale,
-	}
-	if r.ref != nil {
-		for _, st := range r.ref.vms {
-			h := st.pred.Histories()
-			vs := VMSnap{ID: st.vm.ID, Rack: st.rack, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
-			for c := 0; c < 4; c++ {
-				vs.Trend[c] = foldHolt(h[c])
-			}
-			snap.VMs = append(snap.VMs, vs)
-		}
-		for _, qm := range r.ref.queueMon {
-			h := qm.History()
-			lt := foldHolt(h)
-			snap.Queues = append(snap.Queues, [3]float64{lt[0], lt[1], float64(len(h))})
-		}
-	} else {
-		sh := r.sh
-		order := make([]int, len(sh.vms))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
-		for _, i := range order {
-			pos := 0
-			if sh.lite != nil {
-				pos = sh.lite[i].Pos()
-			} else if sh.srcs[i] != nil {
-				pos = sh.srcs[i].Pos()
-			}
-			vs := VMSnap{ID: sh.vms[i].ID, Rack: int(sh.rack[i]), GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
-			for c := 0; c < 4; c++ {
-				vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
-			}
-			snap.VMs = append(snap.VMs, vs)
-		}
-		for rk := range sh.qHolt {
-			snap.Queues = append(snap.Queues, [3]float64{sh.qHolt[rk].level, sh.qHolt[rk].trend, float64(sh.qN[rk])})
-		}
 	}
 	for pair, id := range r.flowByPair {
 		snap.FlowPairs = append(snap.FlowPairs, [3]int{pair[0], pair[1], id})
@@ -178,9 +160,8 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 // opts must describe the same regime as the original run — in particular
 // Seed is taken from the snapshot (the generators replay from it),
 // Traces must match the snapshot's regime, and UseQCN must be off.
-// The restored runtime always uses the sharded engine; the shard count
-// may differ from the run that produced the snapshot (the state is
-// global, so the partition is free to change). A restored runtime
+// The shard count may differ from the run that produced the snapshot (the
+// state is global, so the partition is free to change). A restored runtime
 // resumes forecasting incrementally: per-VM Holt states, queue monitors,
 // flow routes, and any fitted deep pools continue bit-exactly without
 // cold-fitting.
@@ -193,9 +174,6 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	}
 	if opts.UseQCN {
 		return nil, fmt.Errorf("runtime: restore under UseQCN is not supported")
-	}
-	if opts.Reference {
-		return nil, fmt.Errorf("runtime: restore into the reference engine is not supported")
 	}
 	if snap.Traces != nil {
 		// Modern snapshot: the resolved trace options travel whole — adopt

@@ -25,6 +25,33 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
+// newGraph builds the fabric of the given kind and size (Fat-Tree pods,
+// BCube switches per level, leaf-spine leaves).
+func newGraph(kind Kind, size int) (*topology.Graph, error) {
+	switch kind {
+	case FatTree:
+		ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: size})
+		if err != nil {
+			return nil, err
+		}
+		return ft.Graph, nil
+	case BCube:
+		b, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: size})
+		if err != nil {
+			return nil, err
+		}
+		return b.Graph, nil
+	case LeafSpine:
+		ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: size})
+		if err != nil {
+			return nil, err
+		}
+		return ls.Graph, nil
+	default:
+		return nil, fmt.Errorf("sim: unknown topology kind %d", kind)
+	}
+}
+
 // RuntimeConfig sizes the assembled-system build shared by sheriffd and
 // its tests: topology, cluster shape, and the deterministic seed. Zero
 // fields take the daemon's defaults.
@@ -58,28 +85,9 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 // overlaying a snapshot.
 func BuildCluster(cfg RuntimeConfig) (*dcn.Cluster, *cost.Model, error) {
 	cfg = cfg.withDefaults()
-	var g *topology.Graph
-	switch cfg.Kind {
-	case FatTree:
-		ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: cfg.Size})
-		if err != nil {
-			return nil, nil, err
-		}
-		g = ft.Graph
-	case BCube:
-		b, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: cfg.Size})
-		if err != nil {
-			return nil, nil, err
-		}
-		g = b.Graph
-	case LeafSpine:
-		ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: cfg.Size})
-		if err != nil {
-			return nil, nil, err
-		}
-		g = ls.Graph
-	default:
-		return nil, nil, fmt.Errorf("sim: unknown topology kind %d", cfg.Kind)
+	g, err := newGraph(cfg.Kind, cfg.Size)
+	if err != nil {
+		return nil, nil, err
 	}
 	cluster, err := dcn.NewCluster(g, dcn.Config{
 		HostsPerRack: cfg.HostsPerRack,

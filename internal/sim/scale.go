@@ -18,16 +18,15 @@ import (
 
 // ScaleConfig sizes one hyperscale step-engine run: a leaf–spine fabric
 // of Racks leaves, HostsPerRack×VMsPerHost VMs per rack, driven Steps
-// collection periods through the sharded engine (or the reference engine
-// when Reference is set, for before/after curves). Zero fields take
-// defaults chosen for the scale harness, not the paper experiments.
+// collection periods through the step engine. Zero fields take defaults
+// chosen for the scale harness, not the paper experiments.
 type ScaleConfig struct {
 	Racks        int   `json:"racks"`
 	Spines       int   `json:"spines,omitempty"` // 0 = topology default
 	HostsPerRack int   `json:"hosts_per_rack"`   // default 2
 	VMsPerHost   int   `json:"vms_per_host"`     // default 4
 	Steps        int   `json:"steps"`            // default 10
-	Shards       int   `json:"shards"`           // 0 = number of CPUs
+	Shards       int   `json:"shards"`           // 0 = GOMAXPROCS
 	Seed         int64 `json:"seed"`
 	// DependencyProb seeds the dependency graph (and with it the flow
 	// plane). Default 0: the hyperscale runs exercise the predict plane;
@@ -41,7 +40,6 @@ type ScaleConfig struct {
 	// TraceKind selects the trace-generator family ("diurnal", "lite",
 	// "surge", "surge-lite"; "" = diurnal) — see traces.ParseKind.
 	TraceKind string `json:"trace_kind,omitempty"`
-	Reference bool   `json:"reference"`
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -138,7 +136,6 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		Shards:       cfg.Shards,
 		HistoryLimit: cfg.HistoryLimit,
 		Traces:       traces.Options{Kind: kind},
-		Reference:    cfg.Reference,
 		Thresholds:   alert.Thresholds{CPU: th, Mem: th, IO: th, TRF: th},
 	})
 	if err != nil {

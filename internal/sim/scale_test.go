@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// TestRunScaleSmoke drives a small leaf-spine scenario through both
-// engines and requires identical alert/migration totals — the scale
-// harness inherits the engines' bit-exact equivalence.
+// TestRunScaleSmoke drives a small leaf-spine scenario through the scale
+// harness. That the seed engine reads the same on this fabric is
+// runtime.TestShardedMatchesReference/leaf-spine.
 func TestRunScaleSmoke(t *testing.T) {
-	base := ScaleConfig{
+	sharded, err := RunScale(ScaleConfig{
 		Racks:          50,
 		HostsPerRack:   1,
 		VMsPerHost:     2,
@@ -15,8 +15,7 @@ func TestRunScaleSmoke(t *testing.T) {
 		Seed:           21,
 		DependencyProb: 0.1,
 		Threshold:      0.5,
-	}
-	sharded, err := RunScale(base)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +27,6 @@ func TestRunScaleSmoke(t *testing.T) {
 	}
 	if sharded.MeanStepSeconds <= 0 || sharded.TotalSeconds <= 0 {
 		t.Fatal("timing fields not populated")
-	}
-
-	ref := base
-	ref.Reference = true
-	refRes, err := RunScale(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refRes.ServerAlerts != sharded.ServerAlerts ||
-		refRes.ToRAlerts != sharded.ToRAlerts ||
-		refRes.Migrations != sharded.Migrations {
-		t.Fatalf("engines diverged: sharded (%d,%d,%d) vs reference (%d,%d,%d)",
-			sharded.ServerAlerts, sharded.ToRAlerts, sharded.Migrations,
-			refRes.ServerAlerts, refRes.ToRAlerts, refRes.Migrations)
 	}
 }
 

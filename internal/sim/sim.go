@@ -22,7 +22,6 @@ import (
 	"sheriff/internal/faults"
 	"sheriff/internal/kmedian"
 	"sheriff/internal/migrate"
-	"sheriff/internal/topology"
 )
 
 // Kind selects the simulated topology.
@@ -110,28 +109,9 @@ type Sim struct {
 // The cluster starts empty; call Populate or PopulateSkewed before running.
 func Build(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
-	var g *topology.Graph
-	switch cfg.Kind {
-	case FatTree:
-		ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: cfg.Size})
-		if err != nil {
-			return nil, err
-		}
-		g = ft.Graph
-	case BCube:
-		b, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: cfg.Size})
-		if err != nil {
-			return nil, err
-		}
-		g = b.Graph
-	case LeafSpine:
-		ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: cfg.Size})
-		if err != nil {
-			return nil, err
-		}
-		g = ls.Graph
-	default:
-		return nil, fmt.Errorf("sim: unknown topology kind %d", cfg.Kind)
+	g, err := newGraph(cfg.Kind, cfg.Size)
+	if err != nil {
+		return nil, err
 	}
 	cluster, err := dcn.NewCluster(g, dcn.Config{
 		HostsPerRack: cfg.HostsPerRack,

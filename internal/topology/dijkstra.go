@@ -201,20 +201,6 @@ func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
 	return sc
 }
 
-func ensureFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-func ensureInt32s(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
 func ensureWEdges(s []wEdge, n int) []wEdge {
 	if cap(s) >= n {
 		return s[:n]

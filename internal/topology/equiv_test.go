@@ -8,7 +8,7 @@ import (
 )
 
 // Equivalence harness for the CSR routing core: results must be
-// bit-identical to the seed walkers preserved in reference.go (both sides
+// bit-identical to the seed walkers preserved in reference_test.go (both sides
 // share the smallest-predecessor tie rule, so their shortest-path trees
 // are pure functions of the graph), and distances must agree with the
 // Floyd–Warshall oracle on the paper's small fabrics.
