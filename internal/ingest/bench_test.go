@@ -7,7 +7,8 @@ import (
 	"sheriff/internal/traces"
 )
 
-// benchService builds a racks×vmsPerRack service.
+// benchService builds a racks×vmsPerRack service; queueLimit 0 takes the
+// default.
 func benchService(b *testing.B, racks, vmsPerRack, queueLimit int, mode TriageMode) (*Service, []Update) {
 	b.Helper()
 	vmsByRack := make([][]int, racks)
@@ -37,12 +38,14 @@ func benchService(b *testing.B, racks, vmsPerRack, queueLimit int, mode TriageMo
 // Note the p99 caveat: the whole batch is offered before any drain, so
 // the reported p99 includes the queue wait of a maximally deep backlog —
 // it measures burst absorption, not steady-state latency (see
-// BenchmarkOfferProcessInterleaved for that).
+// BenchmarkOfferProcessInterleaved for that). The racks=1000/vms=8 row is
+// the end-to-end harness's ls1000-calm shape at the default QueueLimit:
+// many shallow shards, where the per-shard plumbing outweighs triage.
 func BenchmarkOfferProcess(b *testing.B) {
 	for _, mode := range []TriageMode{TriageFloat, TriageQuant} {
-		for _, cfg := range []struct{ racks, vms int }{{8, 16}, {32, 32}} {
+		for _, cfg := range []struct{ racks, vms, limit int }{{8, 16, 8 * 16}, {32, 32, 32 * 32}, {1000, 8, 0}} {
 			b.Run(fmt.Sprintf("mode=%s/racks=%d/vms=%d", mode, cfg.racks, cfg.vms), func(b *testing.B) {
-				s, updates := benchService(b, cfg.racks, cfg.vms, cfg.racks*cfg.vms, mode)
+				s, updates := benchService(b, cfg.racks, cfg.vms, cfg.limit, mode)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -340,6 +340,12 @@ func TestFromClusterAndNewValidation(t *testing.T) {
 	if _, err := New([][]int{{-1}}, Options{}); err == nil {
 		t.Fatal("negative VM accepted")
 	}
+	if _, err := New([][]int{{0, 1}, {1 << 40}}, Options{}); err == nil {
+		t.Fatal("VM id too sparse for the dense table accepted")
+	}
+	if _, err := New([][]int{{1000, 3}, {40}}, Options{}); err != nil {
+		t.Fatalf("near-sequential ids with holes refused: %v", err)
+	}
 	if _, err := New([][]int{{0}}, Options{QueueLimit: -1}); err == nil {
 		t.Fatal("negative queue limit accepted")
 	}

@@ -159,3 +159,91 @@ func TestQuantileExponentialTail(t *testing.T) {
 		t.Fatalf("p99 estimate %v vs exact %v", q.Value(), exact)
 	}
 }
+
+// ObserveN and Merge are Observe regrouped: same count, mean, variance
+// and extremes as feeding every value one at a time.
+func TestSummaryObserveNAndMergeMatchObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var one, runs, left, right Summary
+	for i := 0; i < 200; i++ {
+		v, n := rng.NormFloat64()*3+10, rng.Intn(9)
+		for j := 0; j < n; j++ {
+			one.Observe(v)
+		}
+		runs.ObserveN(v, n)
+		if i%2 == 0 {
+			left.ObserveN(v, n)
+		} else {
+			right.ObserveN(v, n)
+		}
+	}
+	left.Merge(right)
+	for name, got := range map[string]Summary{"ObserveN": runs, "Merge": left} {
+		if got.Count() != one.Count() || got.Min() != one.Min() || got.Max() != one.Max() ||
+			math.Abs(got.Mean()-one.Mean()) > 1e-9 || math.Abs(got.Variance()-one.Variance()) > 1e-9 {
+			t.Errorf("%s: %s, one at a time: %s", name, got.String(), one.String())
+		}
+	}
+	var empty Summary
+	empty.ObserveN(5, 0)
+	empty.Merge(Summary{})
+	if empty.Count() != 0 {
+		t.Errorf("empty folds counted %d", empty.Count())
+	}
+}
+
+// The histogram's quantile stays within its stated 12.5 % of the exact
+// order statistic across seven decades, and merging lanes equals
+// observing everything in one.
+func TestLogHistogramQuantileWithinResolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var all, a, b LogHistogram
+	var vals []float64
+	for i := 0; i < 20000; i++ {
+		v := int64(math.Exp(rng.Float64()*18 + 5)) // ~150 … 9.7e9
+		vals = append(vals, float64(v))
+		all.ObserveN(v, 1)
+		if i%3 == 0 {
+			a.ObserveN(v, 1)
+		} else {
+			b.ObserveN(v, 1)
+		}
+	}
+	a.Merge(&b)
+	if a != all {
+		t.Fatal("merged lanes differ from one histogram")
+	}
+	sort.Float64s(vals)
+	for _, p := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
+		exact := vals[int(math.Ceil(p*float64(len(vals))))-1]
+		if got := all.Quantile(p); math.Abs(got-exact) > 0.125*exact {
+			t.Errorf("p%v = %v, exact %v: off by more than 12.5 %%", p*100, got, exact)
+		}
+	}
+}
+
+func TestLogHistogramEdges(t *testing.T) {
+	var h LogHistogram
+	if !math.IsNaN(h.Quantile(0.99)) || h.Count() != 0 {
+		t.Fatal("empty histogram not empty")
+	}
+	h.ObserveN(-5, 2) // negative counts as zero
+	h.ObserveN(63, 1)
+	if h.Count() != 3 || h.Quantile(1) != 32 {
+		t.Fatalf("first bucket: count %d, p100 %v", h.Count(), h.Quantile(1))
+	}
+	h.ObserveN(math.MaxInt64, 7)
+	if got := h.Quantile(0.99); got != 1<<36 {
+		t.Fatalf("open last bucket reports %v, want its lower edge", got)
+	}
+	// Every bucket edge lands in the bucket it opens.
+	for i := 1; i < logHistBuckets; i++ {
+		lo, _ := logHistBounds(i)
+		if got := logHistBucket(int64(lo)); got != i {
+			t.Fatalf("edge %v of bucket %d lands in bucket %d", lo, i, got)
+		}
+		if got := logHistBucket(int64(lo) - 1); got != i-1 {
+			t.Fatalf("value below edge %v lands in bucket %d, want %d", lo, got, i-1)
+		}
+	}
+}

@@ -334,8 +334,11 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 	sh := r.sh
 	sh.extEpoch++
 	for _, u := range updates {
-		i, ok := sh.vmIndex[u.VM]
-		if !ok {
+		i := int32(-1)
+		if uint(u.VM) < uint(len(sh.vmIndex)) {
+			i = sh.vmIndex[u.VM]
+		}
+		if i < 0 {
 			return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
 		}
 		sh.extProf[i] = u.Profile

@@ -98,8 +98,9 @@ type shardState struct {
 	deepOK  []bool
 
 	// External-profile overlay (StepExternal), epoch-stamped so a steady
-	// ingest loop never rebuilds a map.
-	vmIndex  map[int]int32
+	// ingest loop never rebuilds a map. vmIndex is indexed by VM ID (the
+	// cluster hands IDs out sequentially) and holds -1 where no VM has it.
+	vmIndex  []int32
 	extProf  []traces.Profile
 	extMark  []uint64
 	extEpoch uint64
@@ -160,7 +161,17 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	sh.cur = make([]traces.Profile, n)
 	sh.pred = make([][4]holtState, n)
 	sh.nObs = make([]int32, n)
-	sh.vmIndex = make(map[int]int32, n)
+	if n > 0 {
+		// A restored cluster's IDs come from a file; the table must not be
+		// sized by a wild one.
+		if lo, hi := vms[0].ID, vms[n-1].ID; lo < 0 || hi >= 4*n+1024 {
+			return fmt.Errorf("runtime: VM ids %d..%d too sparse for %d VMs (ids index a dense table)", lo, hi, n)
+		}
+		sh.vmIndex = make([]int32, vms[n-1].ID+1)
+		for i := range sh.vmIndex {
+			sh.vmIndex[i] = -1
+		}
+	}
 	sh.extProf = make([]traces.Profile, n)
 	sh.extMark = make([]uint64, n)
 	liteKind := r.gen.Kind() == traces.Lite

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"sheriff/internal/cost"
@@ -191,8 +192,47 @@ func TestStepExternalFeedsProfiles(t *testing.T) {
 			t.Fatalf("VM %d generator advanced to %d under StepExternal", vs.ID, vs.GenPos)
 		}
 	}
-	if _, err := r.StepExternal([]ExternalUpdate{{VM: 99999}}); err == nil {
-		t.Fatal("unknown VM accepted by StepExternal")
+}
+
+// TestStepExternalRejectsUnknownVM covers the three ways an ID misses the
+// dense VM table: past it, below it, and a hole inside it.
+func TestStepExternalRejectsUnknownVM(t *testing.T) {
+	cluster, model := buildParts(t, 4)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, Seed: 11})
+	vms := cluster.VMs()
+	hole := vms[len(vms)/2].ID
+	cluster.Remove(cluster.VM(hole))
+	r, err := New(cluster, model, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{99999, -1, hole} {
+		want := fmt.Sprintf("runtime: external update for unknown VM %d", id)
+		if _, err := r.StepExternal([]ExternalUpdate{{VM: id}}); err == nil || err.Error() != want {
+			t.Fatalf("StepExternal(VM %d) = %v, want %q", id, err, want)
+		}
+	}
+	if _, err := r.StepExternal([]ExternalUpdate{{VM: vms[0].ID}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewRejectsWildVMIDs: a restored cluster's VM IDs come from a file,
+// and the engine indexes a dense table by them — a wild or negative ID is
+// an error, not a terabyte allocation or an index panic.
+func TestNewRejectsWildVMIDs(t *testing.T) {
+	for _, id := range []int{1 << 40, -3} {
+		donor, _ := buildParts(t, 4)
+		donor.Populate(dcn.PopulateOptions{VMsPerHost: 1, MinCapacity: 5, MaxCapacity: 20, Seed: 3})
+		snap := donor.Snapshot()
+		snap.VMs[0].ID = id
+		cluster, model := buildParts(t, 4)
+		if err := cluster.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cluster, model, Options{Seed: 3}); err == nil {
+			t.Fatalf("cluster with VM id %d accepted", id)
+		}
 	}
 }
 
