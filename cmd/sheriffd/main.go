@@ -263,11 +263,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 		if serr != nil {
 			return serr
 		}
-		tmp := *snapshot + ".tmp"
-		if werr := os.WriteFile(tmp, blob, 0o644); werr != nil {
-			return werr
-		}
-		return os.Rename(tmp, *snapshot)
+		return replaceFile(*snapshot, blob)
 	}
 
 	fmt.Fprintf(out, "sheriffd: %s size %d — %d racks, %d hosts, %d VMs, %d dependency edges\n",
@@ -334,6 +330,29 @@ loop:
 	fmt.Fprintf(out, "ingest: %d offered %d accepted %d dropped %d processed | latency mean %.1fµs p99 %.1fµs\n",
 		st.Offered, st.Accepted, st.Dropped, st.Processed, st.Latency.Mean()*1e6, st.LatencyP99*1e6)
 	return nil
+}
+
+// replaceFile puts blob at path so that a crash at any point leaves the
+// old file or the new one, whole: the bytes are on disk before the rename
+// gives them the name. Without the Sync a power loss can leave the name on
+// an empty file, which the next start refuses to resume from.
+func replaceFile(path string, blob []byte) error {
+	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(blob); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // serveSubscribers attaches each TCP client to the live event stream.

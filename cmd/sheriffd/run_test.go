@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -240,11 +241,15 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(snap + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the writer left its temp file behind (stat err %v)", err)
+	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(doc map[string]any)
+		mutate func(doc map[string]any) // nil: the file is empty
 		want   string
 	}{
+		{"no bytes", nil, "unexpected end of JSON input"}, // what a rename ahead of its data leaves after a power loss
 		{"null runtime", func(doc map[string]any) { doc["runtime"] = nil }, `"runtime" is missing`},
 		{"null cluster", func(doc map[string]any) { doc["runtime"].(map[string]any)["cluster"] = nil }, `"runtime.cluster" is missing`},
 		{"VM listed twice", func(doc map[string]any) {
@@ -253,14 +258,16 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 		}, "twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var doc map[string]any
-			if err := json.Unmarshal(good, &doc); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(doc)
-			blob, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatal(err)
+			blob := []byte{}
+			if tc.mutate != nil {
+				var doc map[string]any
+				if err := json.Unmarshal(good, &doc); err != nil {
+					t.Fatal(err)
+				}
+				tc.mutate(doc)
+				if blob, err = json.Marshal(doc); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := os.WriteFile(snap, blob, 0o644); err != nil {
 				t.Fatal(err)

@@ -11,13 +11,13 @@ import (
 // training history needed to forecast from the model's own end point —
 // and its JSON form.
 type ModelState struct {
-	Order     Order     `json:"order"`
-	Phi       []float64 `json:"phi,omitempty"`
-	Theta     []float64 `json:"theta,omitempty"`
-	Intercept float64   `json:"intercept"`
-	Sigma2    float64   `json:"sigma2"`
-	N         int       `json:"n"`
-	History   []float64 `json:"history"`
+	Order     Order           `json:"order"`
+	Phi       []float64       `json:"phi,omitempty"`
+	Theta     []float64       `json:"theta,omitempty"`
+	Intercept float64         `json:"intercept"`
+	Sigma2    float64         `json:"sigma2"`
+	N         int             `json:"n"`
+	History   timeseries.Bits `json:"history"`
 }
 
 // State returns the fitted model's state. It shares the coefficients and
@@ -75,15 +75,15 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 
 // SeasonalState is a fitted SeasonalModel as plain data, and its JSON form.
 type SeasonalState struct {
-	Order     SeasonalOrder `json:"order"`
-	Phi       []float64     `json:"phi,omitempty"`
-	Theta     []float64     `json:"theta,omitempty"`
-	SPhi      []float64     `json:"sphi,omitempty"`
-	STheta    []float64     `json:"stheta,omitempty"`
-	Intercept float64       `json:"intercept"`
-	Sigma2    float64       `json:"sigma2"`
-	N         int           `json:"n"`
-	History   []float64     `json:"history"`
+	Order     SeasonalOrder   `json:"order"`
+	Phi       []float64       `json:"phi,omitempty"`
+	Theta     []float64       `json:"theta,omitempty"`
+	SPhi      []float64       `json:"sphi,omitempty"`
+	STheta    []float64       `json:"stheta,omitempty"`
+	Intercept float64         `json:"intercept"`
+	Sigma2    float64         `json:"sigma2"`
+	N         int             `json:"n"`
+	History   timeseries.Bits `json:"history"`
 }
 
 // State returns the fitted seasonal model's state, sharing what

@@ -10,13 +10,13 @@ import (
 // State is a trained Network as plain data — weights, normalization, and
 // the history needed for closed-loop forecasting — and its JSON form.
 type State struct {
-	Config     Config    `json:"config"`
-	W1         []float64 `json:"w1"`
-	W2         []float64 `json:"w2"`
-	Offset     float64   `json:"scale_offset"`
-	Factor     float64   `json:"scale_factor"`
-	History    []float64 `json:"history"`
-	TrainedMSE float64   `json:"trained_mse"`
+	Config     Config          `json:"config"`
+	W1         timeseries.Bits `json:"w1"`
+	W2         timeseries.Bits `json:"w2"`
+	Offset     float64         `json:"scale_offset"`
+	Factor     float64         `json:"scale_factor"`
+	History    timeseries.Bits `json:"history"`
+	TrainedMSE float64         `json:"trained_mse"`
 }
 
 // State returns the trained network's state. It shares the weights and

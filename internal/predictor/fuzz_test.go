@@ -13,7 +13,9 @@ import (
 // re-encodes byte-stably and survives three predict/observe rounds.
 // Seeds: a fitted pool mid-stream (with and without a pending
 // prediction), the same with a burst candidate, and broken variants of
-// the first — truncated, empty history, and counts that disagree.
+// the first — truncated, empty history (in the decimal spelling older
+// files hold and in base64), a history carrying a NaN, and counts that
+// disagree; then hand-written pools in each spelling.
 func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	train := trainSeries(120)
 	pools := []*Selector{}
@@ -64,7 +66,7 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 		if err := json.Unmarshal(pending, &doc); err != nil {
 			f.Fatal(err)
 		}
-		for _, edit := range [][2]string{{"history", `[]`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
+		for _, edit := range [][2]string{{"history", `[]`}, {"history", `""`}, {"history", `"AAAAAAAA8D8BAAAAAAD4fw=="`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
 			intact := doc[edit[0]]
 			doc[edit[0]] = json.RawMessage(edit[1])
 			blob, err := json.Marshal(doc)
@@ -77,6 +79,8 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":null,"mse":{"window":[0],"next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"narnet","model":{"config":{"Inputs":2,"Hidden":1},"w1":[1,2],"w2":[1,2],"scale_factor":1},"mse":null}]}`))
+	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
+	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":[1,2,3]},"mse":{"window":"AAAAAAAA8D8BAAAAAAD4fw==","next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Selector

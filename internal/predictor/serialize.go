@@ -39,7 +39,7 @@ type CandidateState struct {
 // with nil standing in for NaN.
 type SelectorState struct {
 	Candidates   []CandidateState `json:"candidates"`
-	History      []float64        `json:"history"`
+	History      timeseries.Bits  `json:"history"`
 	LastPred     []*float64       `json:"last_pred,omitempty"`
 	HavePred     bool             `json:"have_pred"`
 	Selection    int              `json:"selection"`

@@ -143,13 +143,10 @@ func BenchmarkRuntimeStepRecorded(b *testing.B) {
 
 var snapshotSink []byte
 
-// BenchmarkSnapshotDeep measures what a snapshotting daemon's loop stalls
-// for on the runtime's side: Snapshot() plus json.Marshal of the result, on
-// the BENCHMARK.json bc8-deep-snap fabric (BCube-8, surge traces) with
-// every rack's deep pool fitted:
-//
-//	go test -run - -bench BenchmarkSnapshotDeep -benchtime 20x -benchmem ./internal/runtime/
-func BenchmarkSnapshotDeep(b *testing.B) {
+// deepSnapParts builds the BENCHMARK.json bc8-deep-snap fabric (BCube-8)
+// with no VMs on it: what a restore starts from.
+func deepSnapParts(b *testing.B) (*dcn.Cluster, *cost.Model) {
+	b.Helper()
 	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -158,25 +155,56 @@ func BenchmarkSnapshotDeep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
 	model, err := cost.New(cluster, cost.PaperParams())
 	if err != nil {
 		b.Fatal(err)
 	}
+	return cluster, model
+}
+
+// deepSnapRuntime populates that fabric and runs it until every rack's deep
+// pool is fitted, fed the way sheriffd feeds it — the VMs' surge streams
+// through StepExternal — so the runtime opens no trace source of its own
+// and restoring its snapshot replays none.
+func deepSnapRuntime(b *testing.B) *Runtime {
+	b.Helper()
+	cluster, model := deepSnapParts(b)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
 	r, err := New(cluster, model, Options{Seed: 1, Shards: 2, DeepPredict: true,
 		Traces: traces.Options{Kind: traces.Surge}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(r.Close)
-	if _, err := r.Run(r.opts.DeepFitAfter + 16); err != nil {
-		b.Fatal(err)
+	vms := cluster.VMs()
+	srcs := make([]traces.Source, len(vms))
+	for i, vm := range vms {
+		srcs[i] = r.TraceGen().Source(vm.ID, vm.Host().Rack().Index)
+	}
+	updates := make([]ExternalUpdate, len(vms))
+	for step := 0; step < r.opts.DeepFitAfter+16; step++ {
+		for i, vm := range vms {
+			updates[i] = ExternalUpdate{VM: vm.ID, Profile: srcs[i].Next()}
+		}
+		if _, err := r.StepExternal(updates); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for rk := range cluster.Racks {
 		if !r.DeepReady(rk) {
 			b.Fatalf("rack %d: deep pool not fitted", rk)
 		}
 	}
+	return r
+}
+
+// BenchmarkSnapshotDeep measures what a snapshotting daemon's loop stalls
+// for on the runtime's side: Snapshot() plus json.Marshal of the result,
+// with MB/s over the document's bytes:
+//
+//	go test -run - -bench 'Benchmark(Snapshot|Restore)Deep' -benchtime 20x -benchmem ./internal/runtime/
+func BenchmarkSnapshotDeep(b *testing.B) {
+	r := deepSnapRuntime(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,4 +217,40 @@ func BenchmarkSnapshotDeep(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(snapshotSink)))
+}
+
+// BenchmarkRestoreDeep is the way back: json.Unmarshal of that document
+// plus the cluster's and the runtime's Restore, what a restart pays before
+// its first period. Building the empty fabric is off the clock.
+func BenchmarkRestoreDeep(b *testing.B) {
+	snap, err := deepSnapRuntime(b).Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cluster, model := deepSnapParts(b)
+		b.StartTimer()
+		var loaded Snapshot
+		if err := json.Unmarshal(doc, &loaded); err != nil {
+			b.Fatal(err)
+		}
+		if err := cluster.Restore(loaded.Cluster); err != nil {
+			b.Fatal(err)
+		}
+		r, err := Restore(cluster, model, Options{Shards: 2, DeepPredict: true}, &loaded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		r.Close()
+		b.StartTimer()
+	}
 }

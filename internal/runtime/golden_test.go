@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sheriff/internal/dcn"
@@ -82,6 +84,8 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 // restored from that file must write it again — so a file from before a
 // codec change restores after it, and the other way round. Regenerate
 // with: go test ./internal/runtime/ -run TestDeepSnapshotGolden -update
+// (deep_snapshot.v3.golden.json is the last version 3 file and is never
+// regenerated: see TestRestoreAcrossSnapshotVersions).
 func TestDeepSnapshotGolden(t *testing.T) {
 	path := filepath.Join("testdata", "deep_snapshot.golden.json")
 	got := deepGoldenSnapshot(t, false)
@@ -138,8 +142,16 @@ func TestDeepSnapshotGolden(t *testing.T) {
 		t.Fatalf("reference engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(ref), len(want))
 	}
 
+	if again := encodeSnapshot(t, restoreGolden(t, want)); !bytes.Equal(again, want) {
+		t.Fatalf("a runtime restored from the golden file writes %d bytes that differ from it", len(again))
+	}
+}
+
+// restoreGolden restores the golden fabric from a snapshot document.
+func restoreGolden(t *testing.T, doc []byte) *Runtime {
+	t.Helper()
 	var loaded Snapshot
-	if err := json.Unmarshal(want, &loaded); err != nil {
+	if err := json.Unmarshal(doc, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	cluster, model := buildParts(t, 2)
@@ -150,17 +162,77 @@ func TestDeepSnapshotGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	snap, err := restored.Snapshot()
+	t.Cleanup(restored.Close)
+	return restored
+}
+
+func encodeSnapshot(t *testing.T, r *Runtime) []byte {
+	t.Helper()
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := json.Marshal(snap)
+	blob, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, want) {
-		t.Fatalf("a runtime restored from the golden file writes %d bytes that differ from it", len(again))
+	return blob
+}
+
+// TestRestoreAcrossSnapshotVersions: the version 3 golden (the same state,
+// its long arrays spelled in decimal) restores into the runtime the
+// version 4 golden restores into. Each writes the version 4 file's bytes,
+// and the two step identically from there.
+func TestRestoreAcrossSnapshotVersions(t *testing.T) {
+	read := func(name string, version int) []byte {
+		doc, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(doc, &head); err != nil {
+			t.Fatal(err)
+		}
+		if head.Version != version {
+			t.Fatalf("%s is a version %d document, want %d", name, head.Version, version)
+		}
+		return bytes.TrimSuffix(doc, []byte("\n"))
+	}
+	v3 := read("deep_snapshot.v3.golden.json", 3)
+	v4 := read("deep_snapshot.golden.json", SnapshotVersion)
+	if bytes.Contains(v3, []byte(`"history":"`)) || !bytes.Contains(v4, []byte(`"history":"`)) {
+		t.Fatal("want decimal histories in the version 3 file and base64 ones in the version 4 file")
+	}
+
+	old, cur := restoreGolden(t, v3), restoreGolden(t, v4)
+	for tag, r := range map[string]*Runtime{"version 3": old, "version 4": cur} {
+		if again := encodeSnapshot(t, r); !bytes.Equal(again, v4) {
+			t.Fatalf("a runtime restored from the %s file writes %d bytes that differ from the version 4 file", tag, len(again))
+		}
+	}
+	for i := 0; i < 16; i++ {
+		a, err := old.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cur.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStats(t, fmt.Sprintf("step %d after restore", i+1), *a, *b)
+	}
+	if a, b := encodeSnapshot(t, old), encodeSnapshot(t, cur); !bytes.Equal(a, b) {
+		t.Fatal("the two runtimes' snapshots differ after 16 steps")
+	}
+
+	// Versions on either side of those two are refused, not guessed at.
+	cluster, model := buildParts(t, 2)
+	for _, v := range []int{2, SnapshotVersion + 1} {
+		if _, err := Restore(cluster, model, Options{}, &Snapshot{Version: v}); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("restore from a version %d snapshot: err = %v, want a refusal", v, err)
+		}
 	}
 }
 

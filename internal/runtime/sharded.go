@@ -86,6 +86,7 @@ type shardState struct {
 	srcs      []traces.Source  // per-VM streams, opened on first draw (source); nil when Kind == Lite
 	lite      []traces.LiteGen // Lite fast path: value slice, no per-VM heap state
 	rackStart []int32          // dense VM range of each rack (len racks+1)
+	byID      []int32          // the dense indices in ascending VM ID order, as Snapshot lists them
 
 	// Per-rack monitor state and reused alert buckets.
 	qHolt        []holtState
@@ -161,6 +162,7 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	sh.cur = make([]traces.Profile, n)
 	sh.pred = make([][4]holtState, n)
 	sh.nObs = make([]int32, n)
+	sh.byID = make([]int32, n)
 	if n > 0 {
 		// A restored cluster's IDs come from a file; the table must not be
 		// sized by a wild one.
@@ -182,10 +184,11 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	}
 	fill := make([]int32, racks)
 	copy(fill, sh.rackStart[:racks])
-	for _, vm := range vms {
+	for k, vm := range vms {
 		rk := rackOf(vm)
 		i := fill[rk]
 		fill[rk]++
+		sh.byID[k] = i
 		sh.vms[i] = vm
 		sh.rack[i] = int32(rk)
 		sh.vmIndex[vm.ID] = i

@@ -4,17 +4,18 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/flow"
 	"sheriff/internal/predictor"
+	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
-// SnapshotVersion is the current snapshot format version. Restore rejects
-// other versions rather than guessing at field semantics.
+// SnapshotVersion is the snapshot format version Snapshot writes. Restore
+// accepts versions 3 and 4 and rejects the rest rather than guessing at
+// field semantics.
 //
 // Version 2 replaced the per-VM component histories of version 1 with the
 // Holt (level, trend) states that fully determine the forecast
@@ -31,7 +32,12 @@ import (
 // has to rebuild that order from where the VMs were admitted, not from
 // where the restored cluster holds them now, or the resumed run parts
 // from the straight one at the first step the two orders disagree on.
-const SnapshotVersion = 3
+//
+// Version 4 changed how the deep section's long arrays are spelled — base64
+// of their bits (timeseries.Bits) where version 3 wrote decimal arrays —
+// and no field's meaning, so a version 3 document still restores: the
+// arrays' decoder reads either spelling.
+const SnapshotVersion = 4
 
 // VMSnap is one VM's forecasting state: the rack it was admitted on (its
 // place in the engine's order, see SnapshotVersion), the generator replay
@@ -54,10 +60,18 @@ type VMSnap struct {
 // ascending ID order, whatever the shard count.
 //
 // A Snapshot is plain data — encoding it is one reflection pass, with no
-// Marshaler and no pre-encoded blob underneath — and it is a value: the
-// runtime it was taken from never writes into it (see Selector.State for
-// what a deep pool's state shares and why that is safe), so a caller may
-// hold it, encode it later, or encode it while the runtime steps on.
+// nested document and no pre-encoded blob underneath — and it is a value:
+// the runtime it was taken from never writes into it (see Selector.State
+// for what a deep pool's state shares and why that is safe), so a caller
+// may hold it, encode it later, or encode it while the runtime steps on.
+//
+// The one codec below the reflection pass is a leaf: the deep section's
+// long arrays (selector and training histories, NARNET weights, MSE rings,
+// DeepHist) are timeseries.Bits, written as a base64 string of their bits
+// because formatting ~100 000 shortest decimals was most of the cost of
+// writing a deep snapshot. Everything an operator reads — VM rows, queue
+// monitors, cluster, flows, the models' short coefficient vectors — stays
+// decimal.
 type Snapshot struct {
 	Version    int                        `json:"version"`
 	Step       int                        `json:"step"`
@@ -72,7 +86,7 @@ type Snapshot struct {
 	Queues     [][3]float64               `json:"queues"` // per-rack monitor (level, trend, count)
 	ModelStale bool                       `json:"model_stale"`
 	Deep       []*predictor.SelectorState `json:"deep,omitempty"`      // per-rack fitted selector (null = unfit)
-	DeepHist   [][]float64                `json:"deep_hist,omitempty"` // per-rack pre-fit history
+	DeepHist   []timeseries.Bits          `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
 // Snapshot captures the runtime's full resumable state. It fails under
@@ -80,13 +94,8 @@ type Snapshot struct {
 // deep pool contains an unserializable candidate.
 func (r *Runtime) Snapshot() (*Snapshot, error) {
 	sh := r.sh
-	order := make([]int, len(sh.vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
-	var vms []VMSnap
-	for _, i := range order {
+	vms := make([]VMSnap, 0, len(sh.byID))
+	for _, i := range sh.byID {
 		pos := 0
 		if sh.lite != nil {
 			pos = sh.lite[i].Pos()
@@ -136,7 +145,7 @@ func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, err
 	})
 	if r.opts.DeepPredict {
 		snap.Deep = make([]*predictor.SelectorState, len(r.deep))
-		snap.DeepHist = make([][]float64, len(r.deepHist))
+		snap.DeepHist = make([]timeseries.Bits, len(r.deepHist))
 		for i, sel := range r.deep {
 			if sel == nil {
 				continue
@@ -169,8 +178,8 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	if snap == nil {
 		return nil, fmt.Errorf("runtime: restore from nil snapshot")
 	}
-	if snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("runtime: snapshot version %d not supported (want %d)", snap.Version, SnapshotVersion)
+	if snap.Version < 3 || snap.Version > SnapshotVersion {
+		return nil, fmt.Errorf("runtime: snapshot version %d not supported (want 3..%d)", snap.Version, SnapshotVersion)
 	}
 	if opts.UseQCN {
 		return nil, fmt.Errorf("runtime: restore under UseQCN is not supported")

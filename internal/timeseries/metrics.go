@@ -133,10 +133,10 @@ func (r *RollingMSE) Reset() {
 // including any accumulated floating-point drift of the subtract-and-add
 // ring update.
 type RollingState struct {
-	Window []float64 `json:"window"`
-	Next   int       `json:"next"`
-	Filled int       `json:"filled"`
-	Sum    float64   `json:"sum"`
+	Window Bits    `json:"window"`
+	Next   int     `json:"next"`
+	Filled int     `json:"filled"`
+	Sum    float64 `json:"sum"`
 }
 
 // State returns the tracker's state. The ring is copied: the next Observe
