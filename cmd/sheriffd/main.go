@@ -19,6 +19,7 @@
 //	sheriffd -size 8 -steps 20 -trace run.jsonl -snapshot run.snap
 //	sheriffd -size 8 -steps 30 -deep -listen 127.0.0.1:7070
 //	sheriffd -size 8 -steps 30 -triage quantized
+//	sheriffd -topology leaf-spine -size 1000 -traces lite -history-limit 64 -steps 6   # a large fabric
 package main
 
 import (
@@ -69,8 +70,8 @@ func run(args []string, out io.Writer) error { return runTapped(args, out, nil) 
 // uninterrupted one's. The slice is reused between steps.
 func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest.Update)) (err error) {
 	fs := flag.NewFlagSet("sheriffd", flag.ContinueOnError)
-	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
-	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
+	topo := fs.String("topology", "fat-tree", "fat-tree, bcube, or leaf-spine")
+	size := fs.Int("size", 8, "pods (fat-tree), switches per level (bcube), or leaves (leaf-spine)")
 	steps := fs.Int("steps", 50, "collection periods to run in this invocation")
 	hostsPerRack := fs.Int("hosts", 2, "hosts per rack")
 	vmsPerHost := fs.Int("vms", 3, "VMs per host")

@@ -256,6 +256,10 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 			vms := doc["runtime"].(map[string]any)["vms"].([]any)
 			vms[1] = vms[0]
 		}, "twice"},
+		{"VM resident on two hosts", func(doc map[string]any) {
+			vms := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].([]any)
+			vms[len(vms)-1].(map[string]any)["id"] = vms[0].(map[string]any)["id"]
+		}, "lists VM 0 twice, on host 0 and on host 15"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := []byte{}

@@ -9,11 +9,9 @@
 //	sheriffsim -mode plan -size 16 -exact   # adds the branch-and-bound OPT
 //	sheriffsim -mode dist -size 8 -loss 0.05 -trace out.jsonl
 //	sheriffsim -mode chaos -seed 42 -drop 0.2 -dup 0.25 -partition 1:3:0 -trace chaos.jsonl
-//	sheriffsim -mode scale -racks 1000 -vms 4 -steps 10 -shards 4 -json BENCH_scale.json
-//	sheriffsim -mode scale -racks 5000 -hosts 20 -vms 10 -traces lite -threshold 2  # 1M VMs
-//	sheriffsim -mode policy -size 4 -json BENCH_policy.json
-//	sheriffsim -mode surge -seed 1 -json BENCH_surge.json
-//	sheriffsim -mode ingest -seed 1 -json BENCH_ingest.json
+//	sheriffsim -mode policy -size 4 -json policy.jsonl
+//	sheriffsim -mode surge -seed 1 -json surge.jsonl
+//	sheriffsim -mode distill -seed 1
 //
 // Surge mode evaluates the burst-extended predictor pool over the regime
 // grid (diurnal control, training-job waves, flash crowds, correlated
@@ -22,10 +20,10 @@
 // (lead time, precision, recall), then a cluster pass drives correlated
 // multi-rack bursts through the sharded step engine.
 //
-// Ingest mode distills the deep pool into the fixed-point triage filter
+// Distill mode distills the deep pool into the fixed-point triage filter
 // and grades it: per-regime alert precision/recall/lead-time of the
-// quantized filter against the pool's alerts, plus the float-vs-quantized
-// ingest service benchmark (throughput, drain p99, allocs/update).
+// quantized filter against the pool's alerts. Nothing here is timed; what
+// Sheriff costs is measured by bench/ (BENCHMARK.json).
 //
 // -trace writes a JSONL event stream (see internal/obs); with no explicit
 // -mode it implies -mode dist, the message-level protocol whose
@@ -68,7 +66,7 @@ func main() {
 // parseable JSONL trace.
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sheriffsim", flag.ContinueOnError)
-	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, scale, policy, surge, or ingest")
+	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, policy, surge, or distill")
 	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
 	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
 	sizes := fs.String("sizes", "", "comma-separated size sweep (mode=sweep)")
@@ -87,22 +85,12 @@ func run(args []string, out io.Writer) (err error) {
 	delay := fs.Int("delay", 0, "fault plan: fixed extra delivery delay in rounds (mode=chaos)")
 	jitter := fs.Int("jitter", 1, "fault plan: uniform extra delay bound in rounds (mode=chaos)")
 	partition := fs.String("partition", "", "fault plan: partition windows as start:rounds:node,node[;...] (mode=chaos)")
-	racks := fs.Int("racks", 1000, "leaf racks in the leaf-spine fabric (mode=scale)")
-	spines := fs.Int("spines", 0, "spine switches (mode=scale; 0 = topology default)")
-	steps := fs.Int("steps", 10, "collection periods to run (mode=scale)")
-	shards := fs.Int("shards", 0, "shard workers (mode=scale; 0 = GOMAXPROCS)")
-	threshold := fs.Float64("threshold", 0.9, "alert threshold for all profile components (mode=scale; >1 = alert-free)")
-	dep := fs.Float64("dep", 0, "dependency probability (mode=scale)")
-	tracesKind := fs.String("traces", "", "trace-generator family: diurnal, lite, surge, surge-lite (mode=scale; \"\" = diurnal)")
-	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=scale, policy, surge)")
-	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge, ingest)")
-	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge, ingest; 0 = predictor default)")
-	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge, ingest)")
-	intensity := fs.Float64("intensity", 1.5, "surge amplitude scale (mode=surge, ingest)")
-	tolerance := fs.Int("tolerance", 0, "alert-matching window in steps vs the pool's alerts (mode=ingest; 0 = 3)")
-	benchRacks := fs.Int("bench-racks", 0, "benchmarked ingest service racks (mode=ingest; 0 = 32)")
-	benchVMs := fs.Int("bench-vms", 0, "benchmarked VMs per rack (mode=ingest; 0 = 32)")
-	benchRounds := fs.Int("bench-rounds", 0, "timed full-fleet sweeps per mode (mode=ingest; 0 = 2000)")
+	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=policy, surge)")
+	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge, distill)")
+	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge, distill; 0 = predictor default)")
+	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge, distill)")
+	intensity := fs.Float64("intensity", 1.5, "surge amplitude scale (mode=surge, distill)")
+	tolerance := fs.Int("tolerance", 0, "alert-matching window in steps vs the pool's alerts (mode=distill; 0 = 3)")
 	clusterRacks := fs.Int("cluster-racks", 0, "racks in the correlated-burst cluster pass (mode=surge; 0 = 8)")
 	clusterSteps := fs.Int("cluster-steps", 0, "steps in the cluster pass (mode=surge; 0 = 120)")
 	noCluster := fs.Bool("no-cluster", false, "skip the cluster pass (mode=surge)")
@@ -198,19 +186,6 @@ func run(args []string, out io.Writer) (err error) {
 		return runChaos(out, cfg, plan, rec)
 	case "policy":
 		return runPolicyGrid(out, cfg, *size, *jsonOut, rec)
-	case "scale":
-		return runScale(out, sim.ScaleConfig{
-			Racks:          *racks,
-			Spines:         *spines,
-			HostsPerRack:   *hostsPerRack,
-			VMsPerHost:     *vmsPerHost,
-			Steps:          *steps,
-			Shards:         *shards,
-			Seed:           *seed,
-			DependencyProb: *dep,
-			Threshold:      *threshold,
-			TraceKind:      *tracesKind,
-		}, *jsonOut)
 	case "surge":
 		return runSurge(out, experiments.SurgeConfig{
 			Seed:         *seed,
@@ -222,20 +197,15 @@ func run(args []string, out io.Writer) (err error) {
 			ClusterSteps: *clusterSteps,
 			SkipCluster:  *noCluster,
 		}, *jsonOut)
-	case "ingest":
-		return runIngest(out, experiments.IngestConfig{
-			DistillConfig: experiments.DistillConfig{
-				Seed:      *seed,
-				Hours:     *hours,
-				Window:    *window,
-				MaxLead:   *maxLead,
-				Intensity: *intensity,
-				Tolerance: *tolerance,
-			},
-			BenchRacks:  *benchRacks,
-			BenchVMs:    *benchVMs,
-			BenchRounds: *benchRounds,
-		}, *jsonOut)
+	case "distill":
+		return runDistill(out, experiments.DistillConfig{
+			Seed:      *seed,
+			Hours:     *hours,
+			Window:    *window,
+			MaxLead:   *maxLead,
+			Intensity: *intensity,
+			Tolerance: *tolerance,
+		})
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -244,7 +214,7 @@ func run(args []string, out io.Writer) (err error) {
 // runSurge prints the regime × candidate early-warning grid (winners
 // starred) and the correlated-burst cluster pass; with -json each cell is
 // appended as one JSON line, then one summary line with the winners map
-// and cluster stats (BENCH_surge.json).
+// and cluster stats. Every figure is seed-deterministic.
 func runSurge(out io.Writer, cfg experiments.SurgeConfig, jsonPath string) error {
 	res, err := experiments.RunSurge(cfg)
 	if err != nil {
@@ -295,16 +265,14 @@ func runSurge(out io.Writer, cfg experiments.SurgeConfig, jsonPath string) error
 	return f.Close()
 }
 
-// runIngest distills the fixed-point triage filter from the deep pool and
-// grades it, printing the per-regime fidelity rows and the two-mode
-// service benchmark; with -json the whole report is appended as one JSON
-// line (BENCH_ingest.json).
-func runIngest(out io.Writer, cfg experiments.IngestConfig, jsonPath string) error {
-	res, err := experiments.RunIngest(cfg)
+// runDistill distills the fixed-point triage filter from the deep pool
+// and prints the fit and its per-regime fidelity rows — a pure function of
+// the flags, so two runs print the same bytes.
+func runDistill(out io.Writer, cfg experiments.DistillConfig) error {
+	d, err := experiments.DistillQuant(cfg)
 	if err != nil {
 		return err
 	}
-	d := res.Distill
 	fmt.Fprintf(out, "ingest distilled: alpha %d/%d beta %d/%d (α %.3f β %.3f) lead %d | fit score %.2f/%d\n",
 		d.Coeffs.AlphaNum, int64(1)<<d.Coeffs.Shift, d.Coeffs.BetaNum, int64(1)<<d.Coeffs.Shift,
 		d.Coeffs.Alpha(), d.Coeffs.Beta(), d.Coeffs.Lead, d.Score, len(d.Regimes))
@@ -314,23 +282,7 @@ func runIngest(out io.Writer, cfg experiments.IngestConfig, jsonPath string) err
 			reg.PoolAlerts, reg.QuantAlerts, reg.Matched,
 			reg.Precision, reg.Recall, reg.MeanLead, reg.PoolLead)
 	}
-	for _, p := range []experiments.IngestModePerf{res.Float, res.Quant} {
-		fmt.Fprintf(out, "ingest bench %-9s: %10.0f updates/s | p99 %6.1f µs | %.3f allocs/update | alerts %d\n",
-			p.Mode, p.UpdatesPerSec, p.P99Micros, p.AllocsPerUpdate, p.Alerts)
-	}
-	fmt.Fprintf(out, "ingest speedup: %.2fx quantized over float\n", res.Speedup)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.OpenFile(jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := json.NewEncoder(f).Encode(res); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // runPolicyGrid runs the placement-policy ablation: every matching-capable
@@ -339,7 +291,8 @@ func runIngest(out io.Writer, cfg experiments.IngestConfig, jsonPath string) err
 // protocol with preemption and the fail-queue enabled. Each row ends with
 // its "unplaced N" count and the summary line reports the grid total —
 // "total unplaced 0" is the grid's resilience criterion (CI greps for it).
-// With -json each cell appends one JSON line (BENCH_policy.json).
+// With -json each cell appends one JSON line; the rows hold no timing and
+// are seed-deterministic.
 func runPolicyGrid(out io.Writer, cfg sim.Config, size int, jsonPath string, rec *obs.Recorder) error {
 	var enc *json.Encoder
 	if jsonPath != "" {
@@ -519,33 +472,6 @@ func runPlan(out io.Writer, cfg sim.Config, k, p int, exact bool) error {
 	}
 	fmt.Fprintln(out)
 	return nil
-}
-
-// runScale drives one hyperscale step-engine scenario and prints the
-// scaling-curve point; with -json the result is appended as one JSON line
-// so a sweep accumulates into a JSONL dataset (BENCH_scale.json).
-func runScale(out io.Writer, cfg sim.ScaleConfig, jsonPath string) error {
-	res, err := sim.RunScale(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "scale sharded: %d racks %d hosts %d VMs | %d steps in %.2fs (%.1f ms/step, max %.1f) | %.0f allocs/step %.1f MB peak RSS | alerts %d/%d migrations %d\n",
-		res.Racks, res.Hosts, res.VMs, res.Steps, res.TotalSeconds,
-		res.MeanStepSeconds*1e3, res.MaxStepSeconds*1e3,
-		res.AllocsPerStep, res.PeakRSSMB, res.ServerAlerts, res.ToRAlerts, res.Migrations)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.OpenFile(jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(res); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func parseSizes(csv string, fallback int) ([]int, error) {

@@ -20,10 +20,9 @@ func TestRunModes(t *testing.T) {
 		{"-mode plan -size 4 -exact", "ratio 1.0000"},
 		{"-mode dist -size 4 -hosts 2 -vms 2", "dist: "},
 		{"-mode chaos -size 8 -seed 42 -partition 1:3:0,1", "unplaced 0"},
-		{"-mode scale -racks 20 -hosts 2 -vms 4 -steps 3 -threshold 2 -traces lite", "160 VMs"},
 		{"-mode policy -size 4", "total unplaced 0"},
 		{"-mode surge -hours 4 -cluster-racks 2 -cluster-steps 24", "surge cluster:"},
-		{"-mode ingest -hours 4 -bench-racks 2 -bench-vms 4 -bench-rounds 20", "ingest speedup:"},
+		{"-mode distill -hours 4", "fit score"},
 	} {
 		t.Run(strings.Fields(tc.args)[1], func(t *testing.T) {
 			var out bytes.Buffer
@@ -37,10 +36,30 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
+// TestRunUnknownMode covers the two retired modes too: what they timed is
+// bench/'s to measure.
 func TestRunUnknownMode(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-mode", "nope"}, &out)
-	if err == nil || !strings.Contains(err.Error(), `unknown mode "nope"`) {
-		t.Fatalf("unknown mode: err = %v", err)
+	for _, mode := range []string{"nope", "scale", "ingest"} {
+		var out bytes.Buffer
+		err := run([]string{"-mode", mode}, &out)
+		if err == nil || !strings.Contains(err.Error(), `unknown mode "`+mode+`"`) {
+			t.Fatalf("-mode %s: err = %v", mode, err)
+		}
+	}
+}
+
+// TestDistillOutputIsDeterministic holds because the mode prints no
+// wall-clock figure: the same arguments give the same bytes.
+func TestDistillOutputIsDeterministic(t *testing.T) {
+	args := strings.Fields("-mode distill -hours 4 -seed 3")
+	var a, b bytes.Buffer
+	if err := run(args, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", a.String(), b.String())
 	}
 }

@@ -20,7 +20,7 @@ func busRound(b *Bus, nodes, round int) {
 
 // BenchmarkBusSendDeliver measures the raw send/deliver/receive cycle —
 // the path every injected fault rides on. The nil-injector variant is the
-// overhead budget for the faults hook (BENCH_faults.json, <= 2% median).
+// overhead budget for the faults hook (<= 2% median over -count 5).
 func BenchmarkBusSendDeliver(b *testing.B) {
 	const nodes = 64
 	bus, err := NewBus(Options{Seed: 7})

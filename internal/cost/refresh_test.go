@@ -18,7 +18,7 @@ import (
 // two metrics were swept in one pass.
 
 // refreshNaive is the seed's Refresh, kept as the "before" side of
-// BENCH_route.json and as ground truth for the fused-refresh equivalence
+// BenchmarkModelRefresh and as ground truth for the fused-refresh equivalence
 // test: two independent full sweeps with fresh map-backed tables, run
 // concurrently on the shared pool.
 func (m *Model) refreshNaive() {

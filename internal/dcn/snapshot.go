@@ -77,6 +77,15 @@ func (c *Cluster) Restore(s *Snapshot) error {
 	if len(c.vms) != 0 {
 		return fmt.Errorf("dcn: Restore requires an empty cluster, have %d VMs", len(c.vms))
 	}
+	// A repeated ID would leave its first copy resident on one host,
+	// consuming capacity, while c.vms knows only the second.
+	hostOf := make(map[int]int, len(s.VMs))
+	for _, rec := range s.VMs {
+		if first, dup := hostOf[rec.ID]; dup {
+			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", rec.ID, first, rec.HostID)
+		}
+		hostOf[rec.ID] = rec.HostID
+	}
 	// Install dependencies first so placement conflicts are enforced on
 	// the way in.
 	for _, edge := range s.Deps {

@@ -2,6 +2,7 @@ package dcn
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -93,6 +94,27 @@ func TestRestoreRejectsBadHost(t *testing.T) {
 		VMs: []VMRecord{{ID: 0, Capacity: 5, HostID: 9999}}}
 	if err := c.Restore(snap); err == nil {
 		t.Fatal("bad host reference accepted")
+	}
+}
+
+// TestRestoreRejectsRepeatedVM: one ID on two hosts would leave the first
+// copy resident, and counted against its host, with c.vms holding only the
+// second. The refusal comes before anything is placed.
+func TestRestoreRejectsRepeatedVM(t *testing.T) {
+	c := testCluster(t, 4)
+	snap := &Snapshot{Racks: len(c.Racks), Hosts: len(c.Hosts()),
+		VMs: []VMRecord{{ID: 3, Capacity: 5, HostID: 0}, {ID: 4, Capacity: 5, HostID: 1}, {ID: 3, Capacity: 5, HostID: 2}}}
+	err := c.Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "VM 3 twice, on host 0 and on host 2") {
+		t.Fatalf("err = %v, want one naming VM 3 and hosts 0 and 2", err)
+	}
+	if n := len(c.VMs()); n != 0 {
+		t.Fatalf("refused restore left %d VMs in the cluster", n)
+	}
+	for _, h := range c.Hosts() {
+		if h.Used() != 0 {
+			t.Fatalf("refused restore left host %d with %v used", h.ID, h.Used())
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Distillation of the deep predictor pool into the fixed-point triage
-// filter (`sheriffsim -mode ingest`). The teacher is the burst-extended
+// filter (`sheriffsim -mode distill`). The teacher is the burst-extended
 // ARIMA/NARNET pool behind the surge grid: per regime it rolls over the
 // test half and raises a pre-alert wherever the MaxLead-step forecast
 // path crosses the overload threshold. The student is the quantized Holt
@@ -8,18 +8,12 @@
 // coefficient space (α, β numerators, lead horizon, per-regime alert
 // threshold offset) for the configuration whose alert stream best
 // reproduces the teacher's, scored as tolerance-window precision/recall
-// per regime. RunIngest then grades the distilled filter inside the real
-// ingest service — throughput and p99 per mode, fidelity per regime —
-// producing the numbers in BENCH_ingest.json.
+// per regime.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"time"
 
-	"sheriff/internal/ingest"
 	"sheriff/internal/predictor"
 	"sheriff/internal/quant"
 	"sheriff/internal/traces"
@@ -358,194 +352,6 @@ func DistillQuant(cfg DistillConfig) (*DistillResult, error) {
 		reg.MeanLead = sc.MeanLead
 		res.Offsets[lb.name] = best.offsets[li]
 		res.Regimes = append(res.Regimes, reg)
-	}
-	return res, nil
-}
-
-// IngestConfig sizes a full `sheriffsim -mode ingest` grading run:
-// distillation plus the two-mode service benchmark.
-type IngestConfig struct {
-	DistillConfig
-	// BenchRacks × BenchVMs size the benchmarked service (defaults 32×32);
-	// BenchRounds is how many full-fleet offer+drain sweeps each mode is
-	// timed over (default 2000).
-	BenchRacks  int `json:"bench_racks"`
-	BenchVMs    int `json:"bench_vms"`
-	BenchRounds int `json:"bench_rounds"`
-}
-
-func (c IngestConfig) withDefaults() IngestConfig {
-	c.DistillConfig = c.DistillConfig.withDefaults()
-	if c.BenchRacks == 0 {
-		c.BenchRacks = 32
-	}
-	if c.BenchVMs == 0 {
-		c.BenchVMs = 32
-	}
-	if c.BenchRounds == 0 {
-		c.BenchRounds = 2000
-	}
-	return c
-}
-
-// IngestModePerf is one triage mode's measured service performance.
-type IngestModePerf struct {
-	Mode            string  `json:"mode"`
-	UpdatesPerSec   float64 `json:"updates_per_sec"`
-	P99Micros       float64 `json:"p99_us"`
-	AllocsPerUpdate float64 `json:"allocs_per_update"`
-	Alerts          uint64  `json:"alerts"`
-}
-
-// IngestResult is the `sheriffsim -mode ingest` report: the distilled
-// filter's fidelity per regime plus the float-vs-quantized service
-// benchmark.
-type IngestResult struct {
-	Config  IngestConfig   `json:"config"`
-	Distill *DistillResult `json:"distill"`
-	Float   IngestModePerf `json:"float"`
-	Quant   IngestModePerf `json:"quantized"`
-	// Speedup is quantized updates/s over float updates/s.
-	Speedup float64 `json:"speedup"`
-}
-
-// benchRig is one triage mode's service under measurement plus its
-// per-block timed nanoseconds and steady-state allocation rate.
-type benchRig struct {
-	mode    ingest.TriageMode
-	svc     *ingest.Service
-	blocks  []time.Duration
-	elapsed time.Duration // current block's accumulator
-	allocs  float64
-}
-
-// benchModes drives a float and a quantized service through BenchRounds
-// full-fleet sweeps each, interleaved round by round (and alternating
-// which mode goes first within a round). Host clock drift, thermal
-// throttling, and background load change on timescales of seconds, so
-// timing the modes in whole passes lets that drift masquerade as a mode
-// difference; at per-round (~100µs) interleaving both modes sample the
-// same machine conditions. The rounds are split into benchBlocks blocks
-// and each mode reports its best block — the usual min-cost estimator,
-// filtering the GC cycles and scheduler preemptions that land in one
-// block but not another. Allocation rates are taken over the warm-up
-// sweeps — the same steady-state code path — so the timed region carries
-// no ReadMemStats stops.
-const benchBlocks = 4
-
-func benchModes(cfg IngestConfig, coeffs quant.Coeffs) (flt, qnt IngestModePerf, err error) {
-	vmsByRack := make([][]int, cfg.BenchRacks)
-	id := 0
-	for r := range vmsByRack {
-		for v := 0; v < cfg.BenchVMs; v++ {
-			vmsByRack[r] = append(vmsByRack[r], id)
-			id++
-		}
-	}
-	gen := traces.NewWorkloadGen(24, cfg.Seed+2)
-	updates := make([]ingest.Update, id)
-	for i := range updates {
-		updates[i] = ingest.Update{VM: i, Profile: gen.Next()}
-	}
-	rigs := [2]*benchRig{{mode: ingest.TriageFloat}, {mode: ingest.TriageQuant}}
-	for _, rig := range rigs {
-		rig.svc, err = ingest.New(vmsByRack, ingest.Options{
-			Mode:       rig.mode,
-			Quant:      coeffs,
-			QueueLimit: cfg.BenchRacks * cfg.BenchVMs,
-		})
-		if err != nil {
-			return flt, qnt, err
-		}
-	}
-	sweep := func(s *ingest.Service) error {
-		if _, err := s.OfferBatch(updates); err != nil {
-			return err
-		}
-		s.ProcessPending()
-		s.Poll()
-		return nil
-	}
-	warm := cfg.BenchRounds / 10
-	if warm < 8 {
-		warm = 8
-	}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	prev := m.Mallocs
-	for _, rig := range rigs {
-		for i := 0; i < warm; i++ {
-			if err := sweep(rig.svc); err != nil {
-				return flt, qnt, err
-			}
-		}
-		runtime.ReadMemStats(&m)
-		rig.allocs = float64(m.Mallocs-prev) / float64(warm*len(updates))
-		prev = m.Mallocs
-	}
-	perBlock := cfg.BenchRounds / benchBlocks
-	if perBlock < 1 {
-		perBlock = 1
-	}
-	// Steady state is allocation-free (reported separately as
-	// allocs/update), so GC cycles landing inside the timed region are
-	// pure noise; park the collector for the measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < cfg.BenchRounds; i++ {
-		first, second := rigs[i%2], rigs[1-i%2]
-		for _, rig := range [2]*benchRig{first, second} {
-			start := time.Now()
-			if err := sweep(rig.svc); err != nil {
-				return flt, qnt, err
-			}
-			rig.elapsed += time.Since(start)
-			if (i+1)%perBlock == 0 || i == cfg.BenchRounds-1 {
-				rig.blocks = append(rig.blocks, rig.elapsed)
-				rig.elapsed = 0
-			}
-		}
-	}
-	perf := func(rig *benchRig) IngestModePerf {
-		st := rig.svc.Stats()
-		best, rounds := rig.blocks[0], perBlock
-		for i, b := range rig.blocks {
-			// The tail block can be short; scale by its actual round count.
-			r := perBlock
-			if i == len(rig.blocks)-1 {
-				r = cfg.BenchRounds - perBlock*(len(rig.blocks)-1)
-			}
-			if b.Seconds()/float64(r) < best.Seconds()/float64(rounds) {
-				best, rounds = b, r
-			}
-		}
-		return IngestModePerf{
-			Mode:            rig.mode.String(),
-			UpdatesPerSec:   float64(rounds*len(updates)) / best.Seconds(),
-			P99Micros:       st.LatencyP99 * 1e6,
-			AllocsPerUpdate: rig.allocs,
-			Alerts:          st.Alerts,
-		}
-	}
-	return perf(rigs[0]), perf(rigs[1]), nil
-}
-
-// RunIngest distills the fixed-point triage filter from the deep pool and
-// grades it: alert fidelity per regime (from the distillation) and the
-// float-vs-quantized ingest service benchmark, with the two modes timed
-// round-robin under identical machine conditions (see benchModes).
-func RunIngest(cfg IngestConfig) (*IngestResult, error) {
-	cfg = cfg.withDefaults()
-	dist, err := DistillQuant(cfg.DistillConfig)
-	if err != nil {
-		return nil, err
-	}
-	res := &IngestResult{Config: cfg, Distill: dist}
-	res.Float, res.Quant, err = benchModes(cfg, dist.Coeffs)
-	if err != nil {
-		return nil, err
-	}
-	if res.Float.UpdatesPerSec > 0 {
-		res.Speedup = res.Quant.UpdatesPerSec / res.Float.UpdatesPerSec
 	}
 	return res, nil
 }

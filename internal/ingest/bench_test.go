@@ -32,9 +32,9 @@ func benchService(b *testing.B, racks, vmsPerRack, queueLimit int, mode TriageMo
 	return s, updates
 }
 
-// BenchmarkOfferProcess is the sustained-ingest benchmark behind
-// BENCH_ingest.json: one op offers every VM's update and drains all
-// shards, so updates/s is the end-to-end ingest-to-triage throughput.
+// BenchmarkOfferProcess is the sustained-ingest benchmark, the layer view
+// beside bench/'s ingest.ns_per_update: one op offers every VM's update
+// and drains all shards, so updates/s is the ingest-to-triage throughput.
 // Note the p99 caveat: the whole batch is offered before any drain, so
 // the reported p99 includes the queue wait of a maximally deep backlog —
 // it measures burst absorption, not steady-state latency (see

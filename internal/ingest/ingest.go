@@ -22,8 +22,11 @@
 // profile's dominant component, the same α=0.5/β=0.3 filter the runtime
 // uses for cheap trend forecasts. A VM whose one-step-ahead prediction
 // crosses HotThreshold raises an edge-triggered pre-alert (cleared when
-// the prediction recedes), which is exactly the signal the Sheriff shims
-// consume — the daemon forwards polled alerts into the migration plane.
+// the prediction recedes). It is an early, cheap reading of the signal the
+// Sheriff shims act on, not their input: sheriffd polls the pre-alerts and
+// counts them (its pre-alerts column and total) and hands the same updates
+// to runtime.StepExternal, whose own forecasts raise the alerts that drive
+// migration.
 package ingest
 
 import (

@@ -307,8 +307,8 @@ func TestCrossModeSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRestores pins backward compatibility: a version-1 (float,
-// pre-Mode) snapshot restores into both modes.
+// TestV1SnapshotRestores: it does not. Restore takes the one version the
+// daemon writes and a mode it can name, nothing older or other.
 func TestV1SnapshotRestores(t *testing.T) {
 	s := build(t, Options{})
 	s.Offer(Update{VM: 0, Profile: cool()})
@@ -317,12 +317,9 @@ func TestV1SnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Version, snap.Mode = 1, ""
-	for _, opts := range []Options{{}, {Mode: TriageQuant}} {
-		r := build(t, opts)
-		if err := r.Restore(snap); err != nil {
-			t.Fatalf("v1 restore into %v: %v", opts.Mode, err)
-		}
+	snap.Version = 1
+	if err := build(t, Options{}).Restore(snap); err == nil {
+		t.Fatal("v1 snapshot accepted")
 	}
 	snap.Version = 2
 	snap.Mode = "analog"

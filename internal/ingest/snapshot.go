@@ -6,9 +6,10 @@ import (
 	"sheriff/internal/quant"
 )
 
-// SnapshotVersion is the ingest snapshot format version. Version 2 added
-// the triage mode and the fixed-point state mirror; version 1 snapshots
-// (float-only) are still restored, into either mode.
+// SnapshotVersion is the ingest snapshot format version, and the only one
+// Restore takes. Version 2 added the triage mode and the fixed-point state
+// mirror; a version 1 section only ever sat in a daemon file beside a
+// runtime section runtime.Restore refuses.
 const SnapshotVersion = 2
 
 // SlotSnap is one VM's serialized triage state. Level/Trend always carry
@@ -46,7 +47,7 @@ type ShardSnap struct {
 type Snapshot struct {
 	Version int `json:"version"`
 	// Mode records the triage arithmetic the state was captured under
-	// ("float" or "quantized"; "" in version-1 snapshots means float).
+	// ("float" or "quantized").
 	Mode      string      `json:"mode,omitempty"`
 	Shards    []ShardSnap `json:"shards"`
 	Offered   uint64      `json:"offered"`
@@ -123,15 +124,6 @@ func FromSnapshot(snap *Snapshot, opts Options) (*Service, error) {
 	return s, nil
 }
 
-// snapMode resolves a snapshot's recorded triage mode. Version-1
-// snapshots predate the field and are always float.
-func snapMode(snap *Snapshot) (TriageMode, error) {
-	if snap.Version == 1 {
-		return TriageFloat, nil
-	}
-	return ParseTriageMode(snap.Mode)
-}
-
 // Restore installs a snapshot into a freshly built service with the
 // same rack partition. A same-mode restore continues bit-exactly (same
 // smoother state, same alert latches, so no spurious re-alerts after a
@@ -143,10 +135,10 @@ func (s *Service) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("ingest: restore from nil snapshot")
 	}
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return fmt.Errorf("ingest: snapshot version %d not supported (want 1..%d)", snap.Version, SnapshotVersion)
+	if snap.Version != SnapshotVersion {
+		return fmt.Errorf("ingest: snapshot version %d not supported (want %d)", snap.Version, SnapshotVersion)
 	}
-	mode, err := snapMode(snap)
+	mode, err := ParseTriageMode(snap.Mode)
 	if err != nil {
 		return fmt.Errorf("ingest: snapshot %w", err)
 	}

@@ -13,9 +13,11 @@ import (
 // Before/after benchmarks for the migration-planning engine. "delta" is
 // the incremental engine (cached nearest/second-nearest, lazy candidate
 // ranks, pooled scan); "naive" is the seed implementation preserved in
-// reference_test.go. BENCH_kmedian.json records a pinned run of both sides;
-// regenerate with the commands listed there (fixed -benchtime counts so
-// iteration counts match across runs).
+// reference_test.go. Run both sides with fixed -benchtime counts so
+// iteration counts match across runs:
+//
+//	go test -run - -bench 'BenchmarkFatTreePlanning48|BenchmarkExact' -benchtime 1x -benchmem -timeout 0 ./internal/kmedian/
+//	go test -run - -bench 'BenchmarkLocalSearch/(line|metric)/n=(64|256)' -benchtime 3x ./internal/kmedian/
 
 const benchSeed = 20150707
 

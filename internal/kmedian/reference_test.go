@@ -10,7 +10,7 @@ import (
 // sort.Ints cleanup): referenceLocalSearch re-evaluates every trial swap
 // from scratch and materializes both combination sets per scan, and
 // referenceExact enumerates every K-subset. They are the ground truth for
-// the equivalence tests and the "before" side of BENCH_kmedian.json — kept
+// the equivalence tests and the "before" side of the planner benchmarks — kept
 // unexported so production callers can only reach the fast paths.
 
 // referenceLocalSearch is the seed's Alg. 5: cold evaluate per trial swap,

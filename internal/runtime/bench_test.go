@@ -78,7 +78,7 @@ func BenchmarkRuntimeStep(b *testing.B) {
 
 // BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed
 // engine (reference_test.go) — the "before" side of the sharded-engine
-// speedup and allocation comparison (BENCH_scale.json).
+// speedup and allocation comparison.
 func BenchmarkRuntimeStepReference(b *testing.B) {
 	r, err := newReference(buildBenchParts(b, 48, Options{}))
 	if err != nil {

@@ -51,8 +51,8 @@ func equivScenarios() []equivScenario {
 			o.Traces = traces.Options{Kind: traces.SurgeLite,
 				Surge: traces.SurgeParams{MeanDwell: 4, BurstWeight: 1, RackFraction: 0.5}}
 		}},
-		// The scale harness's smoke fabric (sim.TestRunScaleSmoke): sparse
-		// racks, a deferred cost model, thresholds low enough to alert.
+		// A leaf-spine fabric: sparse racks, a deferred cost model,
+		// thresholds low enough to alert.
 		{name: "leaf-spine", steps: 4, parts: leafSpineParts, mutate: func(o *Options) {
 			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
 		}},

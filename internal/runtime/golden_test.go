@@ -150,20 +150,31 @@ func TestDeepSnapshotGolden(t *testing.T) {
 // restoreGolden restores the golden fabric from a snapshot document.
 func restoreGolden(t *testing.T, doc []byte) *Runtime {
 	t.Helper()
+	restored, err := restoreMutated(t, doc, func(*Snapshot) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// restoreMutated decodes a golden document, lets mutate edit it, and
+// restores it over a fresh copy of the golden's fabric.
+func restoreMutated(t *testing.T, doc []byte, mutate func(*Snapshot)) (*Runtime, error) {
+	t.Helper()
 	var loaded Snapshot
 	if err := json.Unmarshal(doc, &loaded); err != nil {
 		t.Fatal(err)
 	}
+	mutate(&loaded)
 	cluster, model := buildParts(t, 2)
 	if err := cluster.Restore(loaded.Cluster); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(cluster, model, Options{DeepPredict: true, DeepFitAfter: 24}, &loaded)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Cleanup(restored.Close)
 	}
-	t.Cleanup(restored.Close)
-	return restored
+	return restored, err
 }
 
 func encodeSnapshot(t *testing.T, r *Runtime) []byte {
@@ -233,6 +244,37 @@ func TestRestoreAcrossSnapshotVersions(t *testing.T) {
 		if _, err := Restore(cluster, model, Options{}, &Snapshot{Version: v}); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Fatalf("restore from a version %d snapshot: err = %v, want a refusal", v, err)
 		}
+	}
+}
+
+// TestRestoreRefusesNarrowedCounts: the engine keeps a VM's history length
+// and a rack's queue sample count as int32, the document carries an int and
+// a float64. A count that does not survive the narrowing is refused by
+// name, as is a document without its trace options, which no version this
+// Restore takes was written without.
+func TestRestoreRefusesNarrowedCounts(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+		want   string
+	}{
+		{"hist past int32", func(s *Snapshot) { s.VMs[1].Hist = 1 << 32 }, "VM 1 has history length 4294967296"},
+		{"hist negative", func(s *Snapshot) { s.VMs[1].Hist = -1 }, "history length -1"},
+		{"queue count negative", func(s *Snapshot) { s.Queues[1][2] = -1 }, "rack 1 has queue sample count -1"},
+		{"queue count fractional", func(s *Snapshot) { s.Queues[1][2] = 1.5 }, "rack 1 has queue sample count 1.5"},
+		{"queue count past int32", func(s *Snapshot) { s.Queues[1][2] = 1e12 }, "rack 1 has queue sample count 1e+12"},
+		{"no trace options", func(s *Snapshot) { s.Traces = nil }, `"traces" is missing`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := restoreMutated(t, doc, tc.mutate)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"sheriff/internal/cost"
@@ -76,7 +77,6 @@ type Snapshot struct {
 	Version    int                        `json:"version"`
 	Step       int                        `json:"step"`
 	Seed       int64                      `json:"seed"`
-	Lite       bool                       `json:"lite,omitempty"`   // legacy traces regime flag (Kind == Lite)
 	Traces     *traces.Options            `json:"traces,omitempty"` // resolved trace options; replay requires them verbatim
 	CostParams cost.Params                `json:"cost_params"`
 	Cluster    *dcn.Snapshot              `json:"cluster"`
@@ -128,7 +128,6 @@ func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, err
 		Version:    SnapshotVersion,
 		Step:       r.step,
 		Seed:       r.opts.Seed,
-		Lite:       trOpts.Kind == traces.Lite,
 		Traces:     &trOpts,
 		CostParams: r.Model.Params(),
 		Cluster:    r.Cluster.Snapshot(),
@@ -184,22 +183,17 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	if opts.UseQCN {
 		return nil, fmt.Errorf("runtime: restore under UseQCN is not supported")
 	}
-	if snap.Traces != nil {
-		// Modern snapshot: the resolved trace options travel whole — adopt
-		// them verbatim (the generators must replay the exact streams), but
-		// refuse a caller who explicitly asked for a different family.
-		if opts.Traces.Kind != traces.Diurnal && opts.Traces.Kind != snap.Traces.Kind {
-			return nil, fmt.Errorf("runtime: snapshot traces kind %v does not match options kind %v",
-				snap.Traces.Kind, opts.Traces.Kind)
-		}
-		opts.Traces = *snap.Traces
-	} else {
-		// Legacy snapshot: only the lite flag survives.
-		wantLite := opts.Traces.Kind == traces.Lite
-		if snap.Lite != wantLite {
-			return nil, fmt.Errorf("runtime: snapshot traces regime (lite=%v) does not match options (lite=%v)", snap.Lite, wantLite)
-		}
+	if snap.Traces == nil {
+		return nil, fmt.Errorf(`runtime: snapshot "traces" is missing`)
 	}
+	// The resolved trace options travel whole — adopt them verbatim (the
+	// generators must replay the exact streams), but refuse a caller who
+	// explicitly asked for a different family.
+	if opts.Traces.Kind != traces.Diurnal && opts.Traces.Kind != snap.Traces.Kind {
+		return nil, fmt.Errorf("runtime: snapshot traces kind %v does not match options kind %v",
+			snap.Traces.Kind, opts.Traces.Kind)
+	}
+	opts.Traces = *snap.Traces
 	opts.Seed = snap.Seed
 	if n := len(cluster.VMs()); len(snap.VMs) != n {
 		return nil, fmt.Errorf("runtime: snapshot has %d VMs, cluster has %d", len(snap.VMs), n)
@@ -230,8 +224,8 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		if vs.GenPos < 0 {
 			return nil, fmt.Errorf("runtime: snapshot VM %d has negative generator position", vs.ID)
 		}
-		if vs.Hist < 0 {
-			return nil, fmt.Errorf("runtime: snapshot VM %d has negative history length", vs.ID)
+		if vs.Hist < 0 || vs.Hist > math.MaxInt32 {
+			return nil, fmt.Errorf("runtime: snapshot VM %d has history length %d, want 0..%d", vs.ID, vs.Hist, math.MaxInt32)
 		}
 		if sh.lite != nil {
 			sh.lite[i].Skip(vs.GenPos)
@@ -249,6 +243,10 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		return nil, fmt.Errorf("runtime: snapshot has %d queue monitors, cluster has %d racks", len(snap.Queues), len(sh.qHolt))
 	}
 	for rk, q := range snap.Queues {
+		// Written as what is accepted so that NaN is refused too.
+		if n := q[2]; !(n >= 0 && n <= math.MaxInt32 && n == math.Trunc(n)) {
+			return nil, fmt.Errorf("runtime: snapshot rack %d has queue sample count %v, want an integer in 0..%d", rk, n, math.MaxInt32)
+		}
 		sh.qHolt[rk] = holtState{level: q[0], trend: q[1]}
 		sh.qN[rk] = int32(q[2])
 	}

@@ -3,11 +3,15 @@ package sim
 import (
 	"testing"
 
+	"sheriff/internal/alert"
 	"sheriff/internal/runtime"
+	"sheriff/internal/traces"
 )
 
 func TestParseKind(t *testing.T) {
-	for in, want := range map[string]Kind{"fat-tree": FatTree, "FT": FatTree, "bcube": BCube, "BC": BCube} {
+	for in, want := range map[string]Kind{
+		"fat-tree": FatTree, "FT": FatTree, "bcube": BCube, "BC": BCube, "leaf-spine": LeafSpine, "ls": LeafSpine,
+	} {
 		got, err := ParseKind(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseKind(%q) = %v, %v", in, got, err)
@@ -43,5 +47,32 @@ func TestBuildRuntimeMatchesBuildCluster(t *testing.T) {
 	}
 	if _, _, err := BuildCluster(RuntimeConfig{Kind: Kind(99), Size: 4}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestBuildRuntimeLeafSpineCalm is the large-fabric shape at toy size:
+// closed-form traces and unreachable thresholds leave only the predict
+// plane running.
+func TestBuildRuntimeLeafSpineCalm(t *testing.T) {
+	rt, err := BuildRuntime(RuntimeConfig{Kind: LeafSpine, Size: 40, VMsPerHost: 2, Seed: 5}, runtime.Options{
+		Shards:     3,
+		Traces:     traces.Options{Kind: traces.Lite},
+		Thresholds: alert.Thresholds{CPU: 2, Mem: 2, IO: 2, TRF: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := len(rt.Cluster.VMs()); got != 160 {
+		t.Fatalf("VMs = %d, want 160", got)
+	}
+	for i := 0; i < 3; i++ {
+		stats, err := rt.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ServerAlerts != 0 || stats.ToRAlerts != 0 || stats.Migrations != 0 {
+			t.Fatalf("step %d: thresholds 2 should be alert-free, got %+v", i, stats)
+		}
 	}
 }

@@ -148,7 +148,7 @@ type PolicyConfig struct {
 }
 
 // PolicyResult is one cell of the grid — one JSON line of
-// BENCH_policy.json.
+// `sheriffsim -mode policy -json`. No field is timed.
 type PolicyResult struct {
 	Policy      string `json:"policy"`
 	Topology    string `json:"topology"`

@@ -37,8 +37,8 @@ func TestRunPolicyChaosPlacesEverything(t *testing.T) {
 }
 
 // TestRunPolicyDeterministic pins that the same PolicyConfig yields a
-// bit-identical PolicyResult — the property the ablation grid and the
-// BENCH_policy.json artifact rely on.
+// bit-identical PolicyResult — the property that lets the ablation grid
+// be regenerated instead of stored.
 func TestRunPolicyDeterministic(t *testing.T) {
 	run := func(distributed bool) *PolicyResult {
 		res, err := RunPolicy(PolicyConfig{

@@ -6,9 +6,8 @@ import (
 
 // Routing-core benchmarks: each pair runs the CSR implementation against
 // the preserved seed walker on the planning-scale fabric of ISSUE PR 5
-// (48-pod Fat-Tree: 2 880 switches, ~110 k directed links). Record with a
-// fixed -benchtime so before/after numbers in BENCH_route.json stay
-// comparable:
+// (48-pod Fat-Tree: 2 880 switches, ~110 k directed links). Run with a
+// fixed -benchtime so before/after numbers stay comparable:
 //
 //	go test -run=^$ -bench 'DijkstraFrom|MultiSourceSweep' -benchtime=2x -benchmem ./internal/topology/
 //	go test -run=^$ -bench KShortest -benchtime=50x -benchmem ./internal/topology/

@@ -12,7 +12,7 @@ import (
 // relaxation, container/heap with interface boxing, map-backed result
 // tables, and Yen spur searches that rebuild filter closures and maps per
 // spur. They are the ground truth for the equivalence tests and the
-// "before" side of BENCH_route.json, kept unexported so production
+// "before" side of the routing benchmarks, kept unexported so production
 // callers can only reach the CSR paths. The single deviation from the
 // seed is the smallest-predecessor tie rule on equal path costs (the
 // `nd == dist && u < parent` branch), which both implementations apply so
