@@ -56,42 +56,103 @@ func BenchmarkFlowAddRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowRerouteAroundHot times the runtime's congestion remedy —
-// one FLOWREROUTE pass per switch at or above the hot threshold — from a
-// congested state: seeded random rack-to-rack flows, admitted until
-// several switches run hot. Every iteration puts that state back outside
-// the timer (same network, so the pass scratch stays warm, as in a running
+// rerouteScenarios are the congested states BenchmarkFlowRerouteAroundHot
+// starts from. ceiling bounds the nodes a route search may settle on
+// average over the scenario's FLOWREROUTE passes: the count repeats
+// exactly, so a probe or bound that stops working shows as a number, not
+// as a timing (8.1 and 20.5 today; 21 and 24 with a single greedy walk; 54
+// and 59 of 80 nodes with no bound at all).
+var rerouteScenarios = []struct {
+	name    string
+	build   func() (*topology.Graph, error)
+	flows   int
+	ceiling float64
+}{
+	{"bcube8", func() (*topology.Graph, error) {
+		bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 8})
+		return bc.Graph, err
+	}, 320, 12},
+	{"fattree8", func() (*topology.Graph, error) {
+		ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 8})
+		return ft.Graph, err
+	}, 480, 22},
+}
+
+const rerouteHotThreshold = 0.9
+
+// congestedNetwork admits seeded random rack-to-rack flows until several
+// switches run hot, and returns the network with a snapshot of that state.
+func congestedNetwork(tb testing.TB, g *topology.Graph, flows int) (*flow.Network, *flow.Snapshot) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(16))
+	racks := g.Racks()
+	n := flow.NewNetwork(g)
+	for admitted := 0; admitted < flows; {
+		src, dst := racks[rng.Intn(len(racks))], racks[rng.Intn(len(racks))]
+		if src == dst {
+			continue
+		}
+		if _, err := n.AddFlow(src, dst, 0.05+0.25*rng.Float64(), rng.Intn(5) == 0); err != nil {
+			tb.Fatal(err)
+		}
+		admitted++
+	}
+	return n, n.Snapshot()
+}
+
+// rerouteHot is the runtime's congestion remedy: one FLOWREROUTE pass per
+// switch at or above the hot threshold. It returns the flows moved.
+func rerouteHot(n *flow.Network) int {
+	moved := 0
+	for _, sw := range n.HotSwitches(rerouteHotThreshold) {
+		moved += len(n.RerouteAroundHot(sw, rerouteHotThreshold))
+	}
+	return moved
+}
+
+// checkSettledCeiling fails when the searches run since (searches0,
+// settled0) settled more nodes each than the scenario allows, and returns
+// the nodes settled.
+func checkSettledCeiling(tb testing.TB, n *flow.Network, searches0, settled0 int, ceiling float64) int {
+	tb.Helper()
+	searches, settled := n.SearchStats()
+	searches, settled = searches-searches0, settled-settled0
+	if searches == 0 || float64(settled) > ceiling*float64(searches) {
+		tb.Fatalf("%d route searches settled %d nodes, ceiling %v each", searches, settled, ceiling)
+	}
+	return settled
+}
+
+// TestRerouteSearchSettledCeiling holds the goal-directed route search to
+// its work: see rerouteScenarios.
+func TestRerouteSearchSettledCeiling(t *testing.T) {
+	for _, sc := range rerouteScenarios {
+		g, err := sc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := congestedNetwork(t, g, sc.flows)
+		searches0, settled0 := n.SearchStats()
+		if rerouteHot(n) == 0 {
+			t.Fatalf("%s: no flow moved", sc.name)
+		}
+		checkSettledCeiling(t, n, searches0, settled0, sc.ceiling)
+	}
+}
+
+// BenchmarkFlowRerouteAroundHot times the runtime's congestion remedy from
+// a congested state. Every iteration puts that state back outside the
+// timer (same network, so the pass scratch stays warm, as in a running
 // daemon) and must move at least one flow.
 func BenchmarkFlowRerouteAroundHot(b *testing.B) {
-	const threshold = 0.9
-	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name  string
-		g     *topology.Graph
-		flows int
-	}{{"bcube8", bc.Graph, 320}, {"fattree8", ft.Graph, 480}} {
-		b.Run(tc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(16))
-			racks := tc.g.Racks()
-			n := flow.NewNetwork(tc.g)
-			for admitted := 0; admitted < tc.flows; {
-				src, dst := racks[rng.Intn(len(racks))], racks[rng.Intn(len(racks))]
-				if src == dst {
-					continue
-				}
-				if _, err := n.AddFlow(src, dst, 0.05+0.25*rng.Float64(), rng.Intn(5) == 0); err != nil {
-					b.Fatal(err)
-				}
-				admitted++
+	for _, sc := range rerouteScenarios {
+		b.Run(sc.name, func(b *testing.B) {
+			g, err := sc.build()
+			if err != nil {
+				b.Fatal(err)
 			}
-			congested := n.Snapshot()
+			n, congested := congestedNetwork(b, g, sc.flows)
+			searches0, settled0 := n.SearchStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			reroutes := 0
@@ -104,16 +165,15 @@ func BenchmarkFlowRerouteAroundHot(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				moved := 0
-				for _, sw := range n.HotSwitches(threshold) {
-					moved += len(n.RerouteAroundHot(sw, threshold))
-				}
+				moved := rerouteHot(n)
 				if moved == 0 {
 					b.Fatal("no flow moved: the benchmark is timing an empty scan")
 				}
 				reroutes += moved
 			}
 			b.ReportMetric(float64(reroutes)/float64(b.N), "reroutes/op")
+			settled := checkSettledCeiling(b, n, searches0, settled0, sc.ceiling)
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 		})
 	}
 }

@@ -10,8 +10,12 @@
 // cold-fitting), rewritten atomically every -snapshot-every steps, and
 // flushed on SIGINT/SIGTERM or normal exit. With -listen it serves the
 // live JSONL event stream to TCP subscribers, who attach and detach
-// without disturbing the run. -trace writes the same stream to a file;
-// the trace is closed and parseable even when the run fails mid-way.
+// without disturbing the run: a subscriber that stops reading is cut off
+// after one second's stalled write. -trace writes the same stream to a
+// file; the trace is closed and parseable even when the run fails mid-way.
+// With -check the placement and traffic-plane invariants are verified after
+// every period, and the daemon exits non-zero naming the first one violated
+// and the step.
 //
 // Usage:
 //
@@ -19,6 +23,7 @@
 //	sheriffd -size 8 -steps 20 -trace run.jsonl -snapshot run.snap
 //	sheriffd -size 8 -steps 30 -deep -listen 127.0.0.1:7070
 //	sheriffd -size 8 -steps 30 -triage quantized
+//	sheriffd -topology bcube -size 4 -traces surge -steps 120 -check
 //	sheriffd -topology leaf-spine -size 1000 -traces lite -history-limit 64 -steps 6   # a large fabric
 package main
 
@@ -34,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"syscall"
+	"time"
 
 	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
@@ -87,6 +93,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	failStep := fs.Int("fail-step", 0, "inject a failure after this step (testing the crash-safe trace path)")
 	shards := fs.Int("shards", 0, "step-engine shard workers (0 = GOMAXPROCS)")
 	historyLimit := fs.Int("history-limit", 0, "retain only the last N steps of in-memory stats (0 = unbounded)")
+	check := fs.Bool("check", false, "verify the placement and traffic-plane invariants after every step; exit non-zero naming the first violation")
 	if perr := fs.Parse(args); perr != nil {
 		if errors.Is(perr, flag.ErrHelp) {
 			return nil
@@ -310,6 +317,11 @@ loop:
 			s.Step, len(pre), s.ServerAlerts, s.ToRAlerts, s.SwitchAlerts,
 			s.Migrations, s.MigrationCost, s.Reroutes, s.HotSwitches,
 			s.WorkloadStdDev, s.MaxUplinkUtil)
+		if *check {
+			if cerr := rt.CheckInvariants(); cerr != nil {
+				return fmt.Errorf("invariant violated after step %d: %w", s.Step, cerr)
+			}
+		}
 		if *snapshot != "" && *snapEvery > 0 && (i+1)%*snapEvery == 0 {
 			if werr := writeSnap(); werr != nil {
 				return werr
@@ -365,15 +377,44 @@ func serveSubscribers(ln net.Listener, svc *ingest.Service) {
 		if err != nil {
 			return
 		}
-		sub, err := svc.Subscribe(obs.NewJSONL(conn))
+		sub, err := subscribeConn(svc, conn)
 		if err != nil {
 			conn.Close()
 			continue
 		}
 		go func() {
-			io.Copy(io.Discard, conn) // block until the client hangs up
+			io.Copy(io.Discard, conn) // block until the client hangs up, or a failed write closes conn
 			svc.Unsubscribe(sub)
 			conn.Close()
 		}()
 	}
+}
+
+// subscriberWriteTimeout is how long one event may take to reach a
+// subscriber's socket: ample for a line of JSON, and the longest a client
+// that stopped reading can hold up the period loop — once.
+const subscriberWriteTimeout = time.Second
+
+// subscribeConn attaches a connection to the live event stream. Events are
+// written from inside the recorder's emit path, on the period loop's
+// goroutine, so a write must not block for good: each has a deadline, and a
+// write that fails — the deadline passing, or anything else — closes the
+// connection. The failure is a sink error, which marks the subscription
+// dead (Subscription.Err keeps it) and detaches it at the next drain.
+func subscribeConn(svc *ingest.Service, conn net.Conn) (*ingest.Subscription, error) {
+	return svc.Subscribe(obs.NewJSONL(deadlineWriter{conn}))
+}
+
+type deadlineWriter struct{ conn net.Conn }
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	err := w.conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
+	n := 0
+	if err == nil {
+		n, err = w.conn.Write(p)
+	}
+	if err != nil {
+		w.conn.Close()
+	}
+	return n, err
 }

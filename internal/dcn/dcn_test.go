@@ -393,6 +393,9 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 		if placed != want {
 			t.Fatalf("after %s: %d VMs resident, %d have a host", op, placed, want)
 		}
+		if err := c.CheckInvariants(1.5); err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
 	}
 	for step := 0; step < 2000; step++ {
 		h := hosts[rng.Intn(len(hosts))]
@@ -441,6 +444,39 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCheckInvariantsNamesTheViolation breaks a sound cluster one way at a
+// time, behind the API's back, and wants each break reported by VM and host.
+func TestCheckInvariantsNamesTheViolation(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cluster, a, b *Host)
+		want    string
+	}{
+		{"back-pointer", func(c *Cluster, a, b *Host) { a.vms[0].host = b }, "vm 0 is resident on host 0 but points at host 1"},
+		{"detached yet listed", func(c *Cluster, a, b *Host) { a.vms[0].host = nil }, "vm 0 is resident on host 0 but points at no host"},
+		{"on two hosts", func(c *Cluster, a, b *Host) { b.insert(a.vms[0]) }, "vm 0 is resident on host 1 but points at host 0"},
+		{"attached yet unlisted", func(c *Cluster, a, b *Host) { a.remove(1) }, "vm 1 points at host 0, which does not list it"},
+		{"stranger", func(c *Cluster, a, b *Host) { delete(c.vms, 1) }, "host 0 holds a vm 1 the cluster does not know"},
+		{"out of order", func(c *Cluster, a, b *Host) { a.vms[0], a.vms[1] = a.vms[1], a.vms[0] }, "host 0 lists vm 0 after vm 1"},
+		{"over capacity", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 150 }, "host 0 holds 160, over 1.2 × capacity 100"},
+	} {
+		c := testCluster(t, 4)
+		a, b := c.Hosts()[0], c.Hosts()[1]
+		for i := 0; i < 2; i++ {
+			if _, err := c.AddVM(a, 10, 1, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CheckInvariants(1.2); err != nil {
+			t.Fatalf("%s: sound cluster rejected: %v", tc.name, err)
+		}
+		tc.corrupt(c, a, b)
+		if err := c.CheckInvariants(1.2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want it to say %q", tc.name, err, tc.want)
 		}
 	}
 }

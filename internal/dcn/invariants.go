@@ -1,0 +1,70 @@
+package dcn
+
+import "fmt"
+
+// CheckInvariants verifies the placement state against itself:
+//
+//   - the host table is in ID order and every host sits in its rack's list
+//     at its own index;
+//   - a host's residents are strictly ascending by VM ID, each is the VM the
+//     cluster knows under that ID, and each points back at the host;
+//   - every VM of the cluster is detached (no host: evicted, awaiting
+//     placement) or resident on the host it points at — together with the
+//     line above, on exactly one host;
+//   - no host holds more than oversub × its capacity, where oversub is the
+//     factor the placement policy commits under (1 for the policies that
+//     respect capacity; values below 1 count as 1).
+//
+// Host.Used and Rack.Used are recomputed from the residents on every call,
+// so accounting cannot drift from them; what can go wrong is the resident
+// lists and back-pointers checked here. Errors name the VM and the host.
+// It is O(hosts + VMs) and meant for tests and `sheriffd -check`, not for
+// the per-period path.
+func (c *Cluster) CheckInvariants(oversub float64) error {
+	if oversub < 1 {
+		oversub = 1
+	}
+	for id, h := range c.hosts {
+		if h.ID != id {
+			return fmt.Errorf("dcn: host table slot %d holds host %d", id, h.ID)
+		}
+		if r := h.rack; r == nil || h.Index >= len(r.Hosts) || r.Hosts[h.Index] != h {
+			return fmt.Errorf("dcn: host %d is not at index %d of its rack", h.ID, h.Index)
+		}
+		for i, vm := range h.vms {
+			if i > 0 && h.vms[i-1].ID >= vm.ID {
+				return fmt.Errorf("dcn: host %d lists vm %d after vm %d", h.ID, vm.ID, h.vms[i-1].ID)
+			}
+			if c.vms[vm.ID] != vm {
+				return fmt.Errorf("dcn: host %d holds a vm %d the cluster does not know", h.ID, vm.ID)
+			}
+			if vm.host != h {
+				return fmt.Errorf("dcn: vm %d is resident on host %d but points at %s", vm.ID, h.ID, hostName(vm.host))
+			}
+		}
+		if used := h.Used(); used > oversub*h.Capacity+1e-9 {
+			return fmt.Errorf("dcn: host %d holds %v, over %v × capacity %v", h.ID, used, oversub, h.Capacity)
+		}
+	}
+	for _, vm := range c.VMs() { // in ID order: the first violation reported is always the same one
+		if c.vms[vm.ID] != vm {
+			return fmt.Errorf("dcn: vm %d is registered under another ID", vm.ID)
+		}
+		if vm.host == nil {
+			continue
+		}
+		// A listed VM points back at the host listing it (above), so being
+		// listed here means being listed nowhere else.
+		if i, ok := vm.host.find(vm.ID); !ok || vm.host.vms[i] != vm {
+			return fmt.Errorf("dcn: vm %d points at host %d, which does not list it", vm.ID, vm.host.ID)
+		}
+	}
+	return nil
+}
+
+func hostName(h *Host) string {
+	if h == nil {
+		return "no host"
+	}
+	return fmt.Sprintf("host %d", h.ID)
+}

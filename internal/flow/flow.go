@@ -42,21 +42,34 @@ type Network struct {
 	nextID int
 
 	// sweep is the reusable shortest-path table behind admission: every
-	// cheapestPath call re-sweeps (the load-aware cost changes with every
-	// admitted flow) into the same dist/parent storage, and its retained
-	// weight vector is re-priced only on the links whose load has changed
-	// since — priced[id] is the load edge id's weight was computed from,
-	// pricedVer the graph structure it was computed over.
+	// cheapestPath call searches again (the load-aware cost changes with
+	// every admitted flow) in the same dist/parent storage, and its retained
+	// weight vector is re-priced only on the links whose load was written
+	// since: stale lists them, each once (isStale), and every write of a
+	// load goes through touch. priced[id] is the load edge id's weight was
+	// computed from — CheckInvariants holds every unlisted link to it —
+	// and pricedVer the graph structure the vector was filled over.
 	sweep     *topology.MultiSource
 	priced    []float64
 	pricedVer uint64
-	stale     []int  // re-pricing scratch
+	stale     []int
+	isStale   []bool // edge ID → listed in stale; grown by loads()
 	one       [1]int // single-source argument scratch
 
 	// masked is the table of the queries that price a different metric
 	// than admission (some switches cost Inf): Reroute's one query, or a
 	// whole RerouteAroundHot pass. The two never overlap.
 	masked *topology.MultiSource
+
+	// lower makes both tables' searches goal-directed: the static
+	// DistanceCost distances from every rack, which routeCost never
+	// undercuts on any edge (masked or not). It is built by the first search
+	// (a network that routes nothing never allocates it), against the
+	// wiring of lowerVer, and a rack's row is swept the first time the rack
+	// is a destination.
+	lower      *topology.MultiSource
+	lowerVer   uint64
+	lowerSwept []bool
 
 	// Scratch reused across HotSwitches / RerouteAroundHot calls.
 	hot     []int
@@ -75,10 +88,20 @@ func NewNetwork(g *topology.Graph) *Network {
 // to the graph since the last call (edge IDs never move, so existing
 // entries stay put).
 func (n *Network) loads() []float64 {
-	if len(n.load) < n.g.NumEdges() {
-		n.load = append(n.load, make([]float64, n.g.NumEdges()-len(n.load))...)
+	if grow := n.g.NumEdges() - len(n.load); grow > 0 {
+		n.load = append(n.load, make([]float64, grow)...)
+		n.isStale = append(n.isStale, make([]bool, grow)...)
 	}
 	return n.load
+}
+
+// touch records that the load of link id is being written: its admission
+// weight is out of date until the next admission search re-prices it.
+func (n *Network) touch(id int) {
+	if !n.isStale[id] {
+		n.isStale[id] = true
+		n.stale = append(n.stale, id)
+	}
 }
 
 // ErrNoRoute is returned when no path (or no admissible path) exists.
@@ -112,11 +135,39 @@ func routeCost(load []float64, e topology.Edge) float64 {
 	return e.Distance * (1 + 0.1*u)
 }
 
+// lowerBound returns the table whose row for dst bounds a search towards
+// dst from below (topology.MultiSource.SweepRowTo), or nil when dst is not
+// a rack: such a search runs unbounded.
+func (n *Network) lowerBound(dst int) *topology.MultiSource {
+	if ver := n.g.StructVersion(); n.lower == nil || ver != n.lowerVer {
+		if n.lower == nil {
+			n.lower = &topology.MultiSource{}
+		}
+		racks := n.g.RackNodes()
+		n.lower.Reset(n.g, racks)
+		n.lower.Reweigh(topology.DistanceCost)
+		n.lowerVer = ver
+		n.lowerSwept = slices.Grow(n.lowerSwept[:0], len(racks))[:len(racks)]
+		clear(n.lowerSwept)
+	}
+	row := n.lower.Row(dst)
+	if row < 0 {
+		return nil
+	}
+	if !n.lowerSwept[row] {
+		n.one[0] = row
+		n.lower.SweepRows(n.one[:])
+		n.lowerSwept[row] = true
+	}
+	return n.lower
+}
+
 // cheapestPath picks the least-loaded shortest path, avoiding the given
 // switch nodes, and returns it with its edge IDs. The search is point to
 // point: it stops when dst settles.
 func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
 	load := n.loads()
+	lower := n.lowerBound(dst)
 	n.one[0] = src
 	if len(avoid) > 0 {
 		// A masked query prices a different metric; it fills its own
@@ -128,7 +179,7 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 			}
 			return routeCost(load, e)
 		})
-		n.masked.SweepRowTo(0, dst)
+		n.masked.SweepRowTo(0, dst, lower)
 		return route(n.masked, src, dst)
 	}
 	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
@@ -140,18 +191,23 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 	} else {
 		// The metric is a function of the link's load alone (capacity and
 		// distance are fixed), so only links whose load moved need a call.
-		stale := n.stale[:0]
-		for id, l := range load {
-			if l != n.priced[id] {
-				n.priced[id] = l
-				stale = append(stale, id)
-			}
-		}
-		n.stale = stale
-		n.sweep.ReweighEdges(stale, cost)
+		n.sweep.ReweighEdges(n.stale, cost)
 	}
-	n.sweep.SweepRowTo(0, dst)
+	for _, id := range n.stale {
+		n.priced[id] = load[id]
+		n.isStale[id] = false
+	}
+	n.stale = n.stale[:0]
+	n.sweep.SweepRowTo(0, dst, lower)
 	return route(n.sweep, src, dst)
+}
+
+// SearchStats returns how many point-to-point route searches the network
+// has run (admissions, reroutes) and how many nodes they settled in total.
+func (n *Network) SearchStats() (searches, settled int) {
+	s1, n1 := n.sweep.SearchStats()
+	s2, n2 := n.masked.SearchStats()
+	return s1 + s2, n1 + n2
 }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
@@ -169,6 +225,7 @@ func (n *Network) applyPath(f *Flow, path, edges []int) {
 	load := n.loads()
 	for _, id := range edges {
 		load[id] += f.Rate
+		n.touch(id)
 	}
 	f.path, f.edges = path, edges
 }
@@ -187,6 +244,7 @@ func (n *Network) clearPath(f *Flow) {
 	for _, id := range f.edges {
 		load[id] -= f.Rate
 		settle(load, id)
+		n.touch(id)
 	}
 	f.path, f.edges = nil, nil
 }
@@ -208,6 +266,7 @@ func (n *Network) SetRate(f *Flow, rate float64) error {
 	for _, id := range f.edges {
 		load[id] += delta
 		settle(load, id)
+		n.touch(id)
 	}
 	f.Rate = rate
 	return nil
@@ -400,7 +459,7 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 		} else {
 			row := ms.Row(f.Src)
 			if !n.rowFull[row] {
-				n.rowFull[row] = !ms.SweepRowTo(row, f.Dst)
+				n.rowFull[row] = !ms.SweepRowTo(row, f.Dst, n.lowerBound(f.Dst))
 			}
 			path, edges := route(ms, f.Src, f.Dst)
 			if path == nil {

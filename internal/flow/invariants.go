@@ -13,6 +13,10 @@ import (
 //     over it, to within 1e-9 (the live value is accumulated incrementally,
 //     so it differs from the recomputed sum by rounding);
 //   - no link load is negative;
+//   - every link whose load was written since admission's weight vector was
+//     priced is listed for re-pricing (exactly once), and every other link's
+//     weight was priced from the load it carries now — the re-priced vector
+//     is the vector a fresh fill would give;
 //   - the flow table is strictly ascending by ID, below the next ID.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and
@@ -51,6 +55,20 @@ func (n *Network) CheckInvariants() error {
 		if math.Abs(got-want[id]) > 1e-9 {
 			e := n.g.EdgeAt(id)
 			return fmt.Errorf("flow: load on %d→%d is %v, routed flows sum to %v", e.From, e.To, got, want[id])
+		}
+	}
+	if n.priced != nil && n.pricedVer == n.g.StructVersion() {
+		listed := 0
+		for id, got := range load {
+			if n.isStale[id] {
+				listed++
+			} else if got != n.priced[id] {
+				e := n.g.EdgeAt(id)
+				return fmt.Errorf("flow: load on %d→%d moved from %v to %v without being listed for re-pricing", e.From, e.To, n.priced[id], got)
+			}
+		}
+		if listed != len(n.stale) {
+			return fmt.Errorf("flow: %d links marked for re-pricing, %d listed", listed, len(n.stale))
 		}
 	}
 	return nil

@@ -128,6 +128,11 @@ func (n *Network) Restore(snap *Snapshot) error {
 		if len(snap.Loads) != links {
 			return fmt.Errorf("flow: snapshot carries %d load entries, flow paths cover %d links", len(snap.Loads), links)
 		}
+		for id, l := range load {
+			if l != n.load[id] {
+				n.touch(id)
+			}
+		}
 		n.load = load
 	}
 	n.nextID = snap.NextID

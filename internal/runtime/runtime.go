@@ -347,6 +347,26 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 	return r.advanceSharded(true)
 }
 
+// CheckInvariants verifies what must hold between two steps: the cluster's
+// placement state (dcn.Cluster.CheckInvariants, with the capacity rule of
+// the configured placement policy) and the traffic plane's bookkeeping
+// (flow.Network.CheckInvariants). The error names the violated invariant.
+// It costs a walk of every host, VM, flow and link: for tests and
+// `sheriffd -check`, not for the period loop of a production run.
+func (r *Runtime) CheckInvariants() error {
+	oversub := 1.0
+	if pol, err := r.opts.Migrate.Placement.New(); err == nil {
+		// The commit path's own test for the relaxed capacity rule.
+		if oc, ok := pol.(interface{ Factor() float64 }); ok {
+			oversub = oc.Factor()
+		}
+	}
+	if err := r.Cluster.CheckInvariants(oversub); err != nil {
+		return err
+	}
+	return r.Flows.CheckInvariants()
+}
+
 // DeepReady reports whether the rack's deep forecasting pool has been
 // fitted — after a Restore this is true immediately, without refitting.
 func (r *Runtime) DeepReady(rack int) bool {

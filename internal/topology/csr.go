@@ -204,18 +204,10 @@ func (s *sweepScratch) nextMaskEpoch() uint32 {
 // produced, minus a branch per edge. sweepMasked keeps its skips because
 // the epoch masks are not encoded in the weights.
 //
-// A stop node (≥ 0) ends the sweep once it has settled. Relaxations come
-// only from settled nodes and a settled node's parent is frozen, so the
-// whole parent chain stop → … → src was final by then: Path, PathEdges and
-// Dist read for stop are bit for bit what the full sweep gives. Every
-// other entry of the row may still be tentative. A stop node that is never
-// reached (or stop < 0) lets the queue drain: that is the full sweep. The
-// test sits after the stop node's own relaxations, which cost a stopped
-// sweep one node's edges: there the full sweep compiles to a loop as fast
-// as one without the test (k=16 Fat-Tree, all racks, alternated in one
-// process: −2…−5 % against the loop before the stop node existed), where
-// testing before the relaxations read +2…4 % on every full sweep.
-func (s *sweepScratch) sweep(c *csr, src, stop int32, w []wEdge, tree []treeNode) {
+// This is the full sweep and nothing else: the cost model runs 41 % of an
+// ft16-surge step in it, and a stop test in this loop read +2…4 % on every
+// full sweep (PR 16). Point-to-point searches run in sweepMasked.
+func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
@@ -336,23 +328,43 @@ func (s *sweepScratch) sweep(c *csr, src, stop int32, w []wEdge, tree []treeNode
 				tv.p = u
 			}
 		}
-		if u == stop {
-			// The levels still queued stay in lb as recycled storage: the
-			// next sweep starts its window at zero and truncates each
-			// bucket it takes.
-			break
-		}
 	}
 	s.heap = h[:0]
 }
 
-// sweepMasked is sweep with the epoch block masks active: edges whose
-// index is stamped with the current mask epoch and edges into stamped
-// nodes are skipped. Used by the Yen spur searches and the hot-switch
-// avoidance primitives in place of per-call filter closures and maps. A
-// stop node ends it as in sweep; it is tested the moment the node settles,
-// since no full sweep runs through this loop.
-func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree []treeNode) {
+// sweepMasked is the point-to-point loop: sweep on a plain 4-ary heap, with
+// the epoch block masks active (edges whose index is stamped with the
+// current mask epoch and edges into stamped nodes are skipped), a stop node,
+// and an optional goal-directed bound. It serves Yen's searches,
+// ShortestPathAvoidingNodes and MultiSource.SweepRowTo, and returns the
+// number of nodes it settled.
+//
+// A stop node (≥ 0) ends the search the moment it settles. Relaxations come
+// only from settled nodes and a settled node's parent is frozen, so the
+// whole parent chain stop → … → src was final by then: the path and distance
+// read for stop are bit for bit what the full search gives. Every other
+// entry of the row may still be tentative. A stop node that is never reached
+// (or stop < 0) lets the queue drain: that is the full search.
+//
+// The bound: lower[v].d must never exceed the cost of the cheapest v → stop
+// path under w, and ub must be the cost of some real src → stop path (with
+// its rounding slack already in). A relaxation reaching v at nd is dropped
+// when nd + lower[v].d > ub. Why the answer for stop is still that of the
+// full search: (1) a node x on any cheapest src → stop path has
+// d(x) + lower[x] ≤ d(stop) ≤ ub, so no relaxation that gives x its final
+// distance is dropped and x settles at d(x), by induction along the path;
+// (2) an equal-cost predecessor of a node on such a path lies on such a path
+// itself, so every candidate of the smallest-predecessor tie rule still
+// relaxes the node; (3) the pop order is by distance from src alone, as
+// without the bound, and with positive weights every equal-cost predecessor
+// pops before the node settles. Hence each parent on the chain stop → … →
+// src is the one the full search picks. A zero-weight link between two
+// equal-distance nodes is the one case decided by queue order, which neither
+// a bound nor the bucket queue of sweep preserves: callers that need the
+// full row's tree bit for bit price every link above zero. lower == nil is
+// no bound; ub is then unused. With stop unreachable no real path exists, so
+// ub is Inf, nothing is dropped and the row is the full row.
+func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, lower []treeNode, ub float64) (settledNodes int) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
@@ -409,6 +421,7 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree []tr
 			continue
 		}
 		settled[u] = ep
+		settledNodes++
 		if u == stop {
 			break
 		}
@@ -425,6 +438,9 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree []tr
 				continue
 			}
 			nd := d + wc
+			if lower != nil && nd+lower[v].d > ub {
+				continue
+			}
 			tv := &tree[v]
 			if nd < tv.d {
 				tv.d = nd
@@ -447,4 +463,90 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree []tr
 		}
 	}
 	s.heap = h[:0]
+	return settledNodes
+}
+
+// probeSteps bounds one greedy walk of probe: data-center fabrics are a
+// handful of hops across, and a walk that has not arrived by then would
+// give a bound too loose to prune with.
+const probeSteps = 32
+
+// probe finds one real path src → dst under w by walking greedily and
+// returns its cost, the upper bound of a goal-directed sweepMasked; Inf when
+// it finds none. A walk that was turned aside usually ends well above the
+// cheapest path — on BCube a blocked switch next to dst is seen only two
+// hops before it, and the way round costs half as much again as the route
+// through the source's other port — so probe then walks once more from the
+// other side of the first fork and keeps the cheaper of the two.
+func (s *sweepScratch) probe(c *csr, src, dst int32, w []wEdge, lower []treeNode) float64 {
+	cost, first, straight := s.walk(c, src, dst, -1, w, lower)
+	if !straight && first >= 0 {
+		again, _, _ := s.walk(c, src, dst, first, w, lower)
+		cost = min(cost, again)
+	}
+	return cost
+}
+
+// walk is one greedy walk of probe. Each step takes the unvisited neighbour
+// with the smallest w + lower (the edge, then the cheapest way on if every
+// link cost what lower assumes), and looks one step past it: a neighbour
+// other than dst with no finite edge to an unvisited node is a dead end —
+// the server whose only other port leads into the masked switch — and is
+// struck off instead of entered. skip (≥ 0) is a node the walk may not
+// enter. It returns the cost of the path walked (Inf when it gives up), the
+// first node after src, and whether the walk went straight: no dead end
+// struck off and every step closer to dst by lower's measure. Edges priced
+// Inf are the only masks it honours; SweepRowTo runs it with no epoch mask
+// set.
+func (s *sweepScratch) walk(c *csr, src, dst, skip int32, w []wEdge, lower []treeNode) (cost float64, first int32, straight bool) {
+	ep := s.nextEpoch()
+	seen := s.settled
+	seen[src] = ep
+	if skip >= 0 {
+		seen[skip] = ep
+	}
+	first, straight = -1, true
+	cur := src
+	for steps := 0; cur != dst; steps++ {
+		if steps == probeSteps {
+			return Inf, first, false
+		}
+		for {
+			next, nextW, best := int32(-1), 0.0, Inf
+			for _, e := range w[c.rowStart[cur]:c.rowStart[cur+1]] {
+				if seen[e.v] == ep {
+					continue
+				}
+				if sc := e.w + lower[e.v].d; sc < best {
+					next, nextW, best = e.v, e.w, sc
+				}
+			}
+			if next < 0 {
+				return Inf, first, false
+			}
+			seen[next] = ep
+			open := next == dst
+			if !open {
+				for _, e := range w[c.rowStart[next]:c.rowStart[next+1]] {
+					if seen[e.v] != ep && e.w < Inf {
+						open = true
+						break
+					}
+				}
+			}
+			if !open {
+				straight = false
+				continue
+			}
+			if lower[next].d >= lower[cur].d {
+				straight = false
+			}
+			if first < 0 {
+				first = next
+			}
+			cur, cost = next, cost+nextW
+			break
+		}
+	}
+	return cost, first, straight
 }

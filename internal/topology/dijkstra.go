@@ -35,6 +35,8 @@ type MultiSource struct {
 
 	weights []wEdge // interleaved (cost, dst) vector of the last Reweigh
 	scratch []*sweepScratch
+
+	searches, settled int // SweepRowTo calls and the nodes they settled
 }
 
 // DijkstraFrom computes shortest paths from each source under the edge
@@ -133,16 +135,48 @@ func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
 // SweepRowTo is the point-to-point form of SweepRows: it runs one row's
 // search inline and stops as soon as dst settles, reporting whether it
 // did. Afterwards Path, PathEdges and Dist from the row's source to dst
-// are bit for bit those of the full row; its other entries may be
-// tentative and must not be read. When dst is not reached the search has
-// exhausted the source's component, so the row is the full row in every
-// entry and stays valid for any destination until the weights change.
-func (ms *MultiSource) SweepRowTo(row, dst int) bool {
+// are bit for bit those of the full row, given weights above zero; the
+// row's other entries may be tentative and must not be read. When dst is
+// not reached the search has exhausted the source's component, so the row
+// is the full row in every entry and stays valid for any destination until
+// the weights change.
+//
+// lower makes the search goal-directed. It must be bound to the same graph,
+// have dst's row swept, and price every edge at or below this table's
+// weights on a graph whose links cost the same both ways, so that its
+// distance from dst to v never exceeds the cost left from v to dst. The
+// search then walks one real path first (probe) and settles only nodes that
+// could lie on a path no dearer than that one (see sweepMasked). With lower
+// nil, or dst not one of its sources, the search is the plain stopped one.
+func (ms *MultiSource) SweepRowTo(row, dst int, lower *MultiSource) bool {
 	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
 	tree := ms.tree[row*ms.n : (row+1)*ms.n]
-	sc.sweep(ms.c, ms.sources[row], int32(dst), ms.weights, tree)
+	src := ms.sources[row]
+	var h []treeNode
+	ub := Inf
+	if lower != nil {
+		if lower.c != ms.c {
+			panic("topology: SweepRowTo lower-bound table is bound to another graph")
+		}
+		if h = lower.row(dst); h != nil {
+			// The slack covers the rounding between this path's sum and an
+			// equal-cost path's, or lower's sum taken from the other end.
+			ub = sc.probe(ms.c, src, int32(dst), ms.weights, h) * (1 + 1e-9)
+		}
+	}
+	if ub == Inf {
+		h = nil
+	}
+	sc.nextMaskEpoch() // a fresh epoch: only what the weights price Inf is blocked
+	ms.searches++
+	ms.settled += sc.sweepMasked(ms.c, src, int32(dst), ms.weights, tree, h, ub)
 	return tree[dst].d < Inf
 }
+
+// SearchStats returns how many point-to-point searches (SweepRowTo) the
+// table has run and how many nodes they settled in total: the work of the
+// traffic plane's routing, as counts that repeat exactly.
+func (ms *MultiSource) SearchStats() (searches, settled int) { return ms.searches, ms.settled }
 
 // Row returns the table row of a source node, or -1 when the node is not
 // in the source set.
@@ -189,7 +223,7 @@ func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, i int) {
 	if rows != nil {
 		i = rows[i]
 	}
-	sc.sweep(ms.c, ms.sources[i], -1, ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
+	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
 }
 
 func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {

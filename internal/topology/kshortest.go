@@ -94,7 +94,8 @@ func KShortestPaths(g *Graph, src, dst, k int, cost EdgeCost) [][]int {
 	st.prepare(c, cost)
 
 	// Every search below reads dst alone, so each stops when dst settles.
-	st.sweep(c, int32(src), int32(dst), st.weights, st.tree)
+	st.nextMaskEpoch() // nothing blocked yet
+	st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree, nil, 0)
 	first := st.pathInto(src, dst, nil)
 	if first == nil {
 		return nil
@@ -125,7 +126,7 @@ func KShortestPaths(g *Graph, src, dst, k int, cost EdgeCost) [][]int {
 				st.nodeMask[n] = mep
 			}
 
-			st.sweepMasked(c, int32(spurNode), int32(dst), st.weights, st.tree)
+			st.sweepMasked(c, int32(spurNode), int32(dst), st.weights, st.tree, nil, 0)
 			spurPath := st.pathInto(spurNode, dst, st.pathBuf)
 			if spurPath == nil {
 				continue
@@ -239,6 +240,6 @@ func ShortestPathAvoidingNodes(g *Graph, src, dst int, avoid map[int]bool, cost 
 			st.nodeMask[n] = mep
 		}
 	}
-	st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree)
+	st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree, nil, 0)
 	return st.pathInto(src, dst, nil)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,11 +32,12 @@ func stopFabrics(t *testing.T) map[string]*Graph {
 }
 
 // stopWeights draws one weight per directed edge. "ties" keeps to three
-// values and one free link, so equal-cost paths and zero-weight steps
-// abound and the whole sweep stays inside the bucket window; "spread"
-// draws the load-aware metric under random loads, whose many distinct
-// distances overflow the window into the heap; "cut" is "ties" with every
-// edge into one node priced Inf, which leaves that node unreachable.
+// values, so equal-cost paths abound and a full sweep stays inside the
+// bucket window; "spread" draws the load-aware metric under random loads,
+// whose many distinct distances overflow the window into the heap; "cut"
+// is "ties" with every edge into one node priced Inf, which leaves that
+// node unreachable; "free" is "ties" with one zero-weight link, the case
+// whose tie between the link's two ends goes by queue order.
 func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 	w := make([]float64, g.NumEdges())
 	for id := range w {
@@ -46,8 +48,10 @@ func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 			w[id] = 1 + float64(rng.Intn(3))/2
 		}
 	}
-	free := rng.Intn(len(w))
-	w[free], w[ReverseEdge(free)] = 0, 0
+	if regime == "free" {
+		free := rng.Intn(len(w))
+		w[free], w[ReverseEdge(free)] = 0, 0
+	}
 	cut := -1
 	if regime == "cut" {
 		cut = rng.Intn(g.NumNodes())
@@ -61,15 +65,18 @@ func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 }
 
 // TestSweepRowToEqualsFullRow is the exactness argument behind the
-// point-to-point queries of the traffic plane: for every (src, dst) the
-// stopped row answers Path, PathEdges and Dist for dst exactly as the full
-// row does; a destination that is not reached leaves the full row in every
-// entry; and an early exit leaves the scratch (bucket window, heap, settled
-// epoch) fit for whatever sweep comes next — stopped and full sweeps
-// interleave on one scratch throughout.
+// point-to-point queries of the traffic plane, without a bound: for every
+// (src, dst) the stopped row answers Path, PathEdges and Dist for dst
+// exactly as the full row does; a destination that is not reached leaves the
+// full row in every entry; and an early exit leaves the scratch (heap,
+// settled epoch) fit for whatever sweep comes next — stopped and full sweeps
+// interleave on one scratch throughout. With a zero-weight link ("free") the
+// stopped search runs on another queue than the full sweep and may break the
+// tie between the link's ends the other way: there the distance must match
+// and the path must be a real one of that cost.
 func TestSweepRowToEqualsFullRow(t *testing.T) {
 	for name, g := range stopFabrics(t) {
-		for _, regime := range []string{"ties", "spread", "cut"} {
+		for _, regime := range []string{"ties", "spread", "cut", "free"} {
 			rng := rand.New(rand.NewSource(16))
 			cost := stopWeights(rng, g, regime)
 			n := g.NumNodes()
@@ -85,21 +92,20 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 			for src := 0; src < n; src++ {
 				fullRow := full.row(src)
 				for dst := 0; dst < n; dst++ {
-					reached := ms.SweepRowTo(src, dst)
+					reached := ms.SweepRowTo(src, dst, nil)
 					if want := full.Dist(src, dst) < Inf; reached != want {
 						t.Fatalf("%s/%s: SweepRowTo(%d,%d) = %v, full row reaches it: %v", name, regime, src, dst, reached, want)
 					}
 					if got, want := ms.Dist(src, dst), full.Dist(src, dst); got != want {
 						t.Fatalf("%s/%s: stopped Dist(%d,%d) = %v, full %v", name, regime, src, dst, got, want)
 					}
-					if got, want := ms.Path(src, dst), full.Path(src, dst); !slices.Equal(got, want) {
-						t.Fatalf("%s/%s: stopped Path(%d,%d) = %v, full %v", name, regime, src, dst, got, want)
+					if regime == "free" {
+						if got := ms.Path(src, dst); PathCost(g, got, cost) != full.Dist(src, dst) {
+							t.Fatalf("%s/%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", name, regime, src, dst, got, PathCost(g, got, cost), full.Dist(src, dst))
+						}
+						continue
 					}
-					got, gotOK := ms.PathEdges(src, dst, nil)
-					want, wantOK := full.PathEdges(src, dst, nil)
-					if gotOK != wantOK || !slices.Equal(got, want) {
-						t.Fatalf("%s/%s: stopped PathEdges(%d,%d) = %v %v, full %v %v", name, regime, src, dst, got, gotOK, want, wantOK)
-					}
+					samePath(t, name+"/"+regime, ms, full, src, dst)
 					if !reached {
 						unreached++
 						if !slices.Equal(ms.row(src), fullRow) {
@@ -114,8 +120,140 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 					}
 				}
 			}
-			if (regime == "cut") != (unreached > 0) {
+			if (regime == "cut") != (unreached > 0) && regime != "free" {
 				t.Fatalf("%s/%s: %d unreached destinations", name, regime, unreached)
+			}
+		}
+	}
+}
+
+// samePath fails the test unless got answers Path and PathEdges for
+// (src, dst) exactly as want does.
+func samePath(t *testing.T, label string, got, want *MultiSource, src, dst int) {
+	t.Helper()
+	if g, w := got.Path(src, dst), want.Path(src, dst); !slices.Equal(g, w) {
+		t.Fatalf("%s: Path(%d,%d) = %v, full row %v", label, src, dst, g, w)
+	}
+	g, gOK := got.PathEdges(src, dst, nil)
+	w, wOK := want.PathEdges(src, dst, nil)
+	if gOK != wOK || !slices.Equal(g, w) {
+		t.Fatalf("%s: PathEdges(%d,%d) = %v %v, full row %v %v", label, src, dst, g, gOK, w, wOK)
+	}
+}
+
+// boundFabrics are the fabrics of the goal-directed search's test. The last
+// one has distances that are not whole numbers, so that a path's cost summed
+// from its source and the lower bound summed from the destination differ in
+// the last bits: the case the bound's slack is for.
+func boundFabrics(t *testing.T) map[string]*Graph {
+	t.Helper()
+	out := map[string]*Graph{}
+	for _, k := range []int{4, 8} {
+		ft, err := NewFatTree(FatTreeConfig{Pods: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err := NewBCube(BCubeConfig{SwitchesPerLevel: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("fat-tree-%d", k)], out[fmt.Sprintf("bcube-%d", k)] = ft.Graph, bc.Graph
+	}
+	ls, err := NewLeafSpine(LeafSpineConfig{Leaves: 16, Spines: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["leaf-spine-16"] = ls.Graph
+	frac, err := NewFatTree(FatTreeConfig{Pods: 4, EdgeDistance: 0.1, CoreDistance: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["fat-tree-4-frac"] = frac.Graph
+	return out
+}
+
+// TestBoundedSweepRowToEqualsFullRow holds the goal-directed search to the
+// full row the way TestSweepRowToEqualsFullRow holds the stopped one. The
+// weights are the traffic plane's metric, Distance·(1 + 0.1·u), under three
+// loads: none (every cost ties — what the tie rule exists for), random
+// below capacity, and overloaded (u up to 3); the lower bound is the static
+// Distance table from every rack, as flow.Network keeps it. For every rack
+// pair, with no switch masked, one masked (every edge into it Inf), and
+// every neighbour of one rack masked (which cuts that rack off): reached,
+// Dist, Path and PathEdges are those of the full row, and a destination
+// that is not reached leaves the full row in every entry. A destination
+// that is not a rack has no row in the bound and takes the plain search.
+func TestBoundedSweepRowToEqualsFullRow(t *testing.T) {
+	for name, g := range boundFabrics(t) {
+		racks := g.Racks()
+		lower := DijkstraFrom(g, racks, DistanceCost)
+		for _, loads := range []string{"zero", "random", "overloaded"} {
+			rng := rand.New(rand.NewSource(21))
+			u := make([]float64, g.NumEdges())
+			for id := range u {
+				switch loads {
+				case "random":
+					u[id] = rng.Float64()
+				case "overloaded":
+					u[id] = 3 * rng.Float64()
+				}
+			}
+			hot := g.Switches()[rng.Intn(len(g.Switches()))]
+			cutOff := racks[rng.Intn(len(racks))]
+			for _, mask := range []string{"none", "switch", "cut"} {
+				label := name + "/" + loads + "/" + mask
+				masked := map[int]bool{}
+				switch mask {
+				case "switch":
+					masked[hot] = true
+				case "cut":
+					for _, v := range g.Neighbors(cutOff) {
+						masked[v] = true
+					}
+				}
+				cost := func(e Edge) float64 {
+					if masked[e.To] {
+						return Inf
+					}
+					return e.Distance * (1 + 0.1*u[e.ID])
+				}
+				full := DijkstraFrom(g, racks, cost)
+				ms := &MultiSource{}
+				ms.Reset(g, racks)
+				ms.Reweigh(cost)
+				unreached := 0
+				dsts := g.Racks()
+				for _, sw := range g.Switches() {
+					if !masked[sw] && len(dsts) < len(racks)+2 {
+						dsts = append(dsts, sw) // not racks: the search falls back
+					}
+				}
+				for row, src := range racks {
+					for _, dst := range dsts {
+						reached := ms.SweepRowTo(row, dst, lower)
+						if want := full.Dist(src, dst) < Inf; reached != want {
+							t.Fatalf("%s: SweepRowTo(%d,%d) = %v, full row reaches it: %v", label, src, dst, reached, want)
+						}
+						if got, want := ms.Dist(src, dst), full.Dist(src, dst); got != want {
+							t.Fatalf("%s: Dist(%d,%d) = %v, full row %v", label, src, dst, got, want)
+						}
+						samePath(t, label, ms, full, src, dst)
+						if !reached {
+							unreached++
+							if !slices.Equal(ms.row(src), full.row(src)) {
+								t.Fatalf("%s: search from %d never met %d yet its row is not the full row", label, src, dst)
+							}
+						}
+					}
+				}
+				if (mask == "cut") != (unreached > 0) {
+					t.Fatalf("%s: %d unreached destinations", label, unreached)
+				}
+				// The bound must have been at work, not merely harmless.
+				searches, settled := ms.SearchStats()
+				if mask == "none" && settled*2 > searches*g.NumNodes() {
+					t.Fatalf("%s: %d searches settled %d nodes of %d each: the bound prunes nothing", label, searches, settled, g.NumNodes())
+				}
 			}
 		}
 	}
@@ -143,9 +281,9 @@ func TestStoppedMaskedSweepEqualsFull(t *testing.T) {
 					e := rng.Intn(m)
 					st.edgeMask[e], ref.edgeMask[e] = mep, rep
 				}
-				ref.sweepMasked(c, int32(src), -1, st.weights, fullRow)
+				ref.sweepMasked(c, int32(src), -1, st.weights, fullRow, nil, 0)
 				for dst := 0; dst < n; dst++ {
-					st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree)
+					st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree, nil, 0)
 					if st.tree[dst].d != fullRow[dst].d {
 						t.Fatalf("%s/%s: stopped masked dist %d→%d = %v, full %v", name, regime, src, dst, st.tree[dst].d, fullRow[dst].d)
 					}
@@ -158,7 +296,7 @@ func TestStoppedMaskedSweepEqualsFull(t *testing.T) {
 						t.Fatalf("%s/%s: masked sweep from %d never met %d yet its row is not the full row", name, regime, src, dst)
 					}
 				}
-				st.sweepMasked(c, int32(src), -1, st.weights, st.tree)
+				st.sweepMasked(c, int32(src), -1, st.weights, st.tree, nil, 0)
 				if !slices.Equal(st.tree, fullRow) {
 					t.Fatalf("%s/%s: full masked sweep from %d after stopped ones differs from a clean one", name, regime, src)
 				}
