@@ -91,6 +91,7 @@ func (n *Network) loads() []float64 {
 	if grow := n.g.NumEdges() - len(n.load); grow > 0 {
 		n.load = append(n.load, make([]float64, grow)...)
 		n.isStale = append(n.isStale, make([]bool, grow)...)
+		n.stale = slices.Grow(n.stale, len(n.load)-len(n.stale)) // touch never allocates
 	}
 	return n.load
 }

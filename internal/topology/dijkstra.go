@@ -153,19 +153,17 @@ func (ms *MultiSource) SweepRowTo(row, dst int, lower *MultiSource) bool {
 	tree := ms.tree[row*ms.n : (row+1)*ms.n]
 	src := ms.sources[row]
 	var h []treeNode
-	ub := Inf
+	ub := Inf // with no bound, or no path walked, nothing is pruned
 	if lower != nil {
 		if lower.c != ms.c {
 			panic("topology: SweepRowTo lower-bound table is bound to another graph")
 		}
-		if h = lower.row(dst); h != nil {
-			// The slack covers the rounding between this path's sum and an
-			// equal-cost path's, or lower's sum taken from the other end.
-			ub = sc.probe(ms.c, src, int32(dst), ms.weights, h) * (1 + 1e-9)
-		}
+		h = lower.row(dst)
 	}
-	if ub == Inf {
-		h = nil
+	if h != nil {
+		// The slack covers the rounding between this path's sum and an
+		// equal-cost path's, or lower's sum taken from the other end.
+		ub = sc.probe(ms.c, src, int32(dst), ms.weights, h) * (1 + 1e-9)
 	}
 	sc.nextMaskEpoch() // a fresh epoch: only what the weights price Inf is blocked
 	ms.searches++
