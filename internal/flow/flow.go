@@ -53,7 +53,7 @@ type Network struct {
 	priced    []float64
 	pricedVer uint64
 	stale     []int
-	isStale   []bool // edge ID → listed in stale; grown by loads()
+	isStale   []bool // edge ID → listed in stale; sized when every link is priced
 	one       [1]int // single-source argument scratch
 
 	// masked is the table of the queries that price a different metric
@@ -86,21 +86,20 @@ func NewNetwork(g *topology.Graph) *Network {
 
 // loads returns the load vector, extended with zeros when links were added
 // to the graph since the last call (edge IDs never move, so existing
-// entries stay put). It has to stay small enough to inline: the runtime
-// reads a load through it once per uplink per period, and as a call that
-// alone read +4 % on a 1,000-rack period.
+// entries stay put).
 func (n *Network) loads() []float64 {
 	if len(n.load) < n.g.NumEdges() {
 		n.load = append(n.load, make([]float64, n.g.NumEdges()-len(n.load))...)
-		n.isStale = append(n.isStale, make([]bool, len(n.load)-len(n.isStale))...)
 	}
 	return n.load
 }
 
 // touch records that the load of link id is being written: its admission
-// weight is out of date until the next admission search re-prices it.
+// weight is out of date until the next admission search re-prices it. A
+// link the marks do not cover yet — nothing priced so far, or wired since —
+// needs no record: the next admission prices every link.
 func (n *Network) touch(id int) {
-	if !n.isStale[id] {
+	if id < len(n.isStale) && !n.isStale[id] {
 		n.isStale[id] = true
 		n.stale = append(n.stale, id)
 	}
@@ -190,17 +189,21 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 		n.sweep.Reweigh(cost)
 		n.priced = append(n.priced[:0], load...)
 		n.pricedVer = ver
-		n.stale = slices.Grow(n.stale, len(load)-len(n.stale)) // room for every link: touch stops allocating
+		// Marks for every link, none set, and room to list them all, so
+		// that touch never allocates.
+		n.isStale = slices.Grow(n.isStale[:0], len(load))[:len(load)]
+		clear(n.isStale)
+		n.stale = slices.Grow(n.stale[:0], len(load))
 	} else {
 		// The metric is a function of the link's load alone (capacity and
 		// distance are fixed), so only links whose load moved need a call.
 		n.sweep.ReweighEdges(n.stale, cost)
+		for _, id := range n.stale {
+			n.priced[id] = load[id]
+			n.isStale[id] = false
+		}
+		n.stale = n.stale[:0]
 	}
-	for _, id := range n.stale {
-		n.priced[id] = load[id]
-		n.isStale[id] = false
-	}
-	n.stale = n.stale[:0]
 	n.sweep.SweepRowTo(0, dst, lower)
 	return route(n.sweep, src, dst)
 }
