@@ -71,7 +71,9 @@ func TestInvariantsHoldThroughSurgeRun(t *testing.T) {
 			if reroutes == 0 || migrations == 0 {
 				t.Fatalf("%s shards=%d: %d reroutes, %d migrations: the run did not exercise both remedies", name, shards, reroutes, migrations)
 			}
-			t.Logf("%s shards=%d: %d reroutes, %d migrations, invariants held after each of 256 steps", name, shards, reroutes, migrations)
+			searches, settled := r.Flows.SearchStats()
+			t.Logf("%s shards=%d: %d reroutes, %d migrations, %d route searches settling %d nodes; invariants held after each of 256 steps",
+				name, shards, reroutes, migrations, searches, settled)
 		}
 	}
 }
