@@ -45,14 +45,14 @@ func (w *addrWriter) Write(p []byte) (int, error) {
 // TCP client attaches to -listen and never reads. Once the socket buffers
 // are full the daemon's next event write blocks — inside the recorder, on
 // the period loop — and without a write deadline the run never ends. With
-// it the run finishes, having written the whole stream to -trace and only
-// what the buffers took to the client.
+// it the run finishes and the daemon has hung up on the client. The daemon
+// asks for a small send buffer (subscriberSendBuffer), so a few hundred
+// steps' events are more than the connection holds.
 func TestRunSurvivesHungSubscriber(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "run.jsonl")
 	out := &addrWriter{addr: make(chan string, 1)}
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-size", "4", "-traces", "surge", "-steps", "8000", "-trace", trace, "-listen", "127.0.0.1:0"}, out)
+		done <- run([]string{"-size", "4", "-traces", "surge", "-steps", "1500", "-listen", "127.0.0.1:0"}, out)
 	}()
 	var conn net.Conn
 	select {
@@ -75,24 +75,18 @@ func TestRunSurvivesHungSubscriber(t *testing.T) {
 	case <-time.After(90 * time.Second):
 		t.Fatal("the run did not finish: a subscriber that never reads has stalled the period loop")
 	}
-	// The stream must have been more than a loopback connection buffers
-	// (Linux lets a send buffer grow to 4 MB), or nothing ever blocked.
-	st, err := os.Stat(trace)
-	if err != nil {
+	// The subscription died: the daemon closed the connection, so reading
+	// it now ends (EOF, or a reset) instead of waiting for more. A run that
+	// never filled the buffers leaves the connection open and this times out.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() < 8<<20 {
-		t.Fatalf("the event stream was only %d bytes: too short to fill the socket buffers", st.Size())
+	n, err := io.Copy(io.Discard, conn)
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatalf("after %d bytes the hung subscriber's connection is still open: the daemon never gave up on it", n)
 	}
-	// What reached the client: it ends at the point the daemon gave up,
-	// whether the kernel then delivers the rest of its buffer or not.
-	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := io.Copy(io.Discard, conn)
-	if n == 0 || n > st.Size()/2 {
-		t.Fatalf("the hung subscriber was sent %d bytes of a %d-byte stream; want some, and well short of all", n, st.Size())
-	}
+	t.Logf("hung subscriber: %d bytes before the daemon hung up (read ended with %v)", n, err)
 }
 
 // TestSubscriberWriteTimeoutIsASinkError pins what a stalled write turns

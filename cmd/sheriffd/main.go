@@ -377,6 +377,9 @@ func serveSubscribers(ln net.Listener, svc *ingest.Service) {
 		if err != nil {
 			return
 		}
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.SetWriteBuffer(subscriberSendBuffer) // best effort
+		}
 		sub, err := subscribeConn(svc, conn)
 		if err != nil {
 			conn.Close()
@@ -389,6 +392,12 @@ func serveSubscribers(ln net.Listener, svc *ingest.Service) {
 		}()
 	}
 }
+
+// subscriberSendBuffer is the kernel send buffer asked for on a subscriber's
+// connection: how far a subscriber may fall behind before writes to it start
+// to wait. Left to the host it grows to megabytes per connection, and a
+// client that stopped reading is found out only once all of that is full.
+const subscriberSendBuffer = 64 << 10
 
 // subscriberWriteTimeout is how long one event may take to reach a
 // subscriber's socket: ample for a line of JSON, and the longest a client

@@ -138,7 +138,11 @@ func routeCost(load []float64, e topology.Edge) float64 {
 
 // lowerBound returns the table whose row for dst bounds a search towards
 // dst from below (topology.MultiSource.SweepRowTo), or nil when dst is not
-// a rack: such a search runs unbounded.
+// a rack: such a search runs unbounded. Precondition: every load is ≥ 0, so
+// that routeCost ≥ Distance on every edge. A negative load would let the
+// bound overestimate and the search drop the cheapest path; the live network
+// never produces one (rates are > 0, settle zeroes what a subtraction
+// leaves) and Restore refuses a snapshot that carries one.
 func (n *Network) lowerBound(dst int) *topology.MultiSource {
 	if ver := n.g.StructVersion(); n.lower == nil || ver != n.lowerVer {
 		if n.lower == nil {

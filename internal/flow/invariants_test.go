@@ -2,8 +2,11 @@ package flow
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"sheriff/internal/topology"
@@ -170,6 +173,37 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	f.edges = f.edges[:len(f.edges)-1]
 	if n.CheckInvariants() == nil {
 		t.Error("short edge list not reported")
+	}
+}
+
+// TestRestoreRefusesALoadBelowZero: the route searches are pruned by a bound
+// that holds only while every load is ≥ 0, so a snapshot with a negative or
+// NaN load is refused, naming the link. A load that is merely wrong is taken
+// verbatim (CheckInvariants reports it).
+func TestRestoreRefusesALoadBelowZero(t *testing.T) {
+	ft := fatTree(t, 4)
+	src := NewNetwork(ft.Graph)
+	if _, err := src.AddFlow(ft.RackIDs[0][0], ft.RackIDs[2][1], 0.4, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{-0.4, -1e-300, math.NaN()} {
+		snap := src.Snapshot()
+		snap.Loads[1].Load = bad
+		n := NewNetwork(ft.Graph)
+		err := n.Restore(snap)
+		want := fmt.Sprintf("on link %d→%d", snap.Loads[1].A, snap.Loads[1].B)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Restore with load %v: error %v, want one naming the link (%q)", bad, err, want)
+		}
+	}
+	snap := src.Snapshot()
+	snap.Loads[1].Load += 0.25
+	n := NewNetwork(ft.Graph)
+	if err := n.Restore(snap); err != nil {
+		t.Fatalf("Restore with a drifted load: %v", err)
+	}
+	if n.CheckInvariants() == nil {
+		t.Error("drifted restored load not reported")
 	}
 }
 

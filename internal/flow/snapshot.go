@@ -70,8 +70,10 @@ func (n *Network) Snapshot() *Snapshot {
 // empty (freshly constructed over the same topology graph); every path
 // must be a walk over existing links with the flow's endpoints at its
 // ends. When the snapshot carries link loads they are installed verbatim
-// (preserving the live network's accumulated floating-point state);
-// otherwise loads are recomputed from the restored paths.
+// (preserving the live network's accumulated floating-point state), except
+// that a negative or NaN load is refused: the route searches' lower bound
+// rests on load ≥ 0 (lowerBound). Otherwise loads are recomputed from the
+// restored paths.
 func (n *Network) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("flow: restore from nil snapshot")
@@ -121,6 +123,9 @@ func (n *Network) Restore(snap *Snapshot) error {
 			}
 			if id < 0 || !covered[id] {
 				return fmt.Errorf("flow: snapshot load entry %d→%d not covered by any flow path", ll.A, ll.B)
+			}
+			if !(ll.Load >= 0) { // negative or NaN: the live network never holds one (settle)
+				return fmt.Errorf("flow: snapshot load %v on link %d→%d is not a load (want ≥ 0)", ll.Load, ll.A, ll.B)
 			}
 			installed[id] = true
 			load[id] = ll.Load

@@ -466,50 +466,28 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, low
 	return settledNodes
 }
 
-// probeSteps bounds one greedy walk of probe: data-center fabrics are a
+// probeSteps bounds the greedy walk of probe: data-center fabrics are a
 // handful of hops across, and a walk that has not arrived by then would
 // give a bound too loose to prune with.
 const probeSteps = 32
 
 // probe finds one real path src → dst under w by walking greedily and
 // returns its cost, the upper bound of a goal-directed sweepMasked; Inf when
-// it finds none. A walk that was turned aside usually ends well above the
-// cheapest path — on BCube a blocked switch next to dst is seen only two
-// hops before it, and the way round costs half as much again as the route
-// through the source's other port — so probe then walks once more from the
-// other side of the first fork and keeps the cheaper of the two.
-func (s *sweepScratch) probe(c *csr, src, dst int32, w []wEdge, lower []treeNode) float64 {
-	cost, first, straight := s.walk(c, src, dst, -1, w, lower)
-	if !straight && first >= 0 {
-		again, _, _ := s.walk(c, src, dst, first, w, lower)
-		cost = min(cost, again)
-	}
-	return cost
-}
-
-// walk is one greedy walk of probe. Each step takes the unvisited neighbour
-// with the smallest w + lower (the edge, then the cheapest way on if every
-// link cost what lower assumes), and looks one step past it: a neighbour
-// other than dst with no finite edge to an unvisited node is a dead end —
-// the server whose only other port leads into the masked switch — and is
-// struck off instead of entered. skip (≥ 0) is a node the walk may not
-// enter. It returns the cost of the path walked (Inf when it gives up), the
-// first node after src, and whether the walk went straight: no dead end
-// struck off and every step closer to dst by lower's measure. Edges priced
-// Inf are the only masks it honours; SweepRowTo runs it with no epoch mask
-// set.
-func (s *sweepScratch) walk(c *csr, src, dst, skip int32, w []wEdge, lower []treeNode) (cost float64, first int32, straight bool) {
+// it finds none. Each step takes the unvisited neighbour with the smallest
+// w + lower (the edge, then the cheapest way on if every link cost what
+// lower assumes), and looks one step past it: a neighbour other than dst
+// with no finite edge to an unvisited node is a dead end — the server whose
+// only other port leads into the masked switch — and is struck off instead
+// of entered. Edges priced Inf are the only masks it honours; SweepRowTo
+// runs it with no epoch mask set.
+func (s *sweepScratch) probe(c *csr, src, dst int32, w []wEdge, lower []treeNode) (cost float64) {
 	ep := s.nextEpoch()
 	seen := s.settled
 	seen[src] = ep
-	if skip >= 0 {
-		seen[skip] = ep
-	}
-	first, straight = -1, true
 	cur := src
 	for steps := 0; cur != dst; steps++ {
 		if steps == probeSteps {
-			return Inf, first, false
+			return Inf
 		}
 		for {
 			next, nextW, best := int32(-1), 0.0, Inf
@@ -522,7 +500,7 @@ func (s *sweepScratch) walk(c *csr, src, dst, skip int32, w []wEdge, lower []tre
 				}
 			}
 			if next < 0 {
-				return Inf, first, false
+				return Inf
 			}
 			seen[next] = ep
 			open := next == dst
@@ -534,19 +512,11 @@ func (s *sweepScratch) walk(c *csr, src, dst, skip int32, w []wEdge, lower []tre
 					}
 				}
 			}
-			if !open {
-				straight = false
-				continue
+			if open {
+				cur, cost = next, cost+nextW
+				break
 			}
-			if lower[next].d >= lower[cur].d {
-				straight = false
-			}
-			if first < 0 {
-				first = next
-			}
-			cur, cost = next, cost+nextW
-			break
 		}
 	}
-	return cost, first, straight
+	return cost
 }

@@ -36,7 +36,7 @@ func stopFabrics(t *testing.T) map[string]*Graph {
 // bucket window; "spread" draws the load-aware metric under random loads,
 // whose many distinct distances overflow the window into the heap; "cut"
 // is "ties" with every edge into one node priced Inf, which leaves that
-// node unreachable; "free" is "ties" with one zero-weight link, the case
+// node unreachable; "free" is "cut" with one zero-weight link, the case
 // whose tie between the link's two ends goes by queue order.
 func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 	w := make([]float64, g.NumEdges())
@@ -53,7 +53,7 @@ func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 		w[free], w[ReverseEdge(free)] = 0, 0
 	}
 	cut := -1
-	if regime == "cut" {
+	if regime == "cut" || regime == "free" {
 		cut = rng.Intn(g.NumNodes())
 	}
 	return func(e Edge) float64 {
@@ -72,8 +72,9 @@ func stopWeights(rng *rand.Rand, g *Graph, regime string) EdgeCost {
 // settled epoch) fit for whatever sweep comes next — stopped and full sweeps
 // interleave on one scratch throughout. With a zero-weight link ("free") the
 // stopped search runs on another queue than the full sweep and may break the
-// tie between the link's ends the other way: there the distance must match
-// and the path must be a real one of that cost.
+// tie between the link's ends the other way: there the distance is still the
+// full sweep's, and the tree is held bit for bit to the point-to-point loop
+// run to exhaustion, of which a stopped search is a prefix.
 func TestSweepRowToEqualsFullRow(t *testing.T) {
 	for name, g := range stopFabrics(t) {
 		for _, regime := range []string{"ties", "spread", "cut", "free"} {
@@ -88,40 +89,51 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 			ms := &MultiSource{}
 			ms.Reset(g, all)
 			ms.Reweigh(cost)
+			// tree is the table Path and PathEdges are held to: the full
+			// sweep's, or under "free" the unstopped point-to-point loop's.
+			tree := full
+			if regime == "free" {
+				tree = &MultiSource{}
+				tree.Reset(g, all)
+				tree.Reweigh(cost)
+				sc := tree.scratchFor(0, n, len(tree.c.dstID))
+				sc.nextMaskEpoch()
+				for src := 0; src < n; src++ {
+					sc.sweepMasked(tree.c, int32(src), -1, tree.weights, tree.row(src), nil, 0)
+				}
+			}
+			label := name + "/" + regime
 			unreached := 0
 			for src := 0; src < n; src++ {
 				fullRow := full.row(src)
 				for dst := 0; dst < n; dst++ {
 					reached := ms.SweepRowTo(src, dst, nil)
 					if want := full.Dist(src, dst) < Inf; reached != want {
-						t.Fatalf("%s/%s: SweepRowTo(%d,%d) = %v, full row reaches it: %v", name, regime, src, dst, reached, want)
+						t.Fatalf("%s: SweepRowTo(%d,%d) = %v, full row reaches it: %v", label, src, dst, reached, want)
 					}
 					if got, want := ms.Dist(src, dst), full.Dist(src, dst); got != want {
-						t.Fatalf("%s/%s: stopped Dist(%d,%d) = %v, full %v", name, regime, src, dst, got, want)
+						t.Fatalf("%s: stopped Dist(%d,%d) = %v, full %v", label, src, dst, got, want)
 					}
-					if regime == "free" {
-						if got := ms.Path(src, dst); PathCost(g, got, cost) != full.Dist(src, dst) {
-							t.Fatalf("%s/%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", name, regime, src, dst, got, PathCost(g, got, cost), full.Dist(src, dst))
-						}
-						continue
+					if got := ms.Path(src, dst); reached && PathCost(g, got, cost) != full.Dist(src, dst) {
+						t.Fatalf("%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", label, src, dst, got, PathCost(g, got, cost), full.Dist(src, dst))
 					}
-					samePath(t, name+"/"+regime, ms, full, src, dst)
+					samePath(t, label, ms, tree, src, dst)
 					if !reached {
 						unreached++
-						if !slices.Equal(ms.row(src), fullRow) {
-							t.Fatalf("%s/%s: sweep from %d never met %d yet its row is not the full row", name, regime, src, dst)
+						if !slices.Equal(ms.row(src), tree.row(src)) {
+							t.Fatalf("%s: sweep from %d never met %d yet its row is not the full row", label, src, dst)
 						}
 					}
 					if dst%5 == 0 { // a full sweep right after an early exit
 						ms.SweepRows([]int{src})
 						if !slices.Equal(ms.row(src), fullRow) {
-							t.Fatalf("%s/%s: full sweep from %d after a stopped one differs from a clean full sweep", name, regime, src)
+							t.Fatalf("%s: full sweep from %d after a stopped one differs from a clean full sweep", label, src)
 						}
 					}
 				}
 			}
-			if (regime == "cut") != (unreached > 0) && regime != "free" {
-				t.Fatalf("%s/%s: %d unreached destinations", name, regime, unreached)
+			if (regime == "cut" || regime == "free") != (unreached > 0) {
+				t.Fatalf("%s: %d unreached destinations", label, unreached)
 			}
 		}
 	}
@@ -261,10 +273,11 @@ func TestBoundedSweepRowToEqualsFullRow(t *testing.T) {
 
 // TestStoppedMaskedSweepEqualsFull is the same argument for the masked
 // sweep behind Yen's spur searches and ShortestPathAvoidingNodes, under
-// random node and edge blocks.
+// random node and edge blocks; "free" puts a zero-weight link under it, the
+// case the loop's settled guard on parent steals is for.
 func TestStoppedMaskedSweepEqualsFull(t *testing.T) {
 	for name, g := range stopFabrics(t) {
-		for _, regime := range []string{"ties", "spread"} {
+		for _, regime := range []string{"ties", "spread", "free"} {
 			rng := rand.New(rand.NewSource(7))
 			c := g.ensureCSR()
 			n, m := g.NumNodes(), len(c.dstID)
