@@ -260,6 +260,13 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 			vms := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].([]any)
 			vms[len(vms)-1].(map[string]any)["id"] = vms[0].(map[string]any)["id"]
 		}, "lists VM 0 twice, on host 0 and on host 15"},
+		{"wild VM id", func(doc map[string]any) {
+			vms := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].([]any)
+			vms[0].(map[string]any)["id"] = 1 << 40
+		}, "VM id 1099511627776 outside"},
+		{"dependency on a VM nobody lists", func(doc map[string]any) {
+			doc["runtime"].(map[string]any)["cluster"].(map[string]any)["deps"] = []any{[]any{0, 1 << 40}}
+		}, "dependency 0–1099511627776 names VM 1099511627776"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := []byte{}

@@ -287,21 +287,41 @@ func (m *Model) Distance(a, b *dcn.Rack) float64 {
 // the realization of the (Σ_{e∈G_r[N_d(v_i)]}D(e) − Σ_{e∈G_r[N_d(v_p)]}D(e))·C_d
 // term of Sec. III.C. Moving toward peers yields a negative contribution.
 func (m *Model) DependencyCost(vm *dcn.VM, src, dst *dcn.Rack) float64 {
+	var buf [8]int
+	return m.dependencyCost(src, dst, m.cluster.Deps.PeerRacks(m.cluster, vm.ID, buf[:0]))
+}
+
+// dependencyCost is DependencyCost over the peer racks themselves, summed
+// in the order given.
+func (m *Model) dependencyCost(src, dst *dcn.Rack, peerRacks []int) float64 {
 	m.ensure()
 	if src == dst {
 		return 0
 	}
 	total := 0.0
-	for _, idx := range m.cluster.Deps.PeerRacks(m.cluster, vm.ID) {
+	for _, idx := range peerRacks {
 		peer := m.cluster.Racks[idx]
 		total += m.distance(dst.NodeID, peer.NodeID) - m.distance(src.NodeID, peer.NodeID)
 	}
 	return m.params.Cd * total
 }
 
+// RackMigration is Eqn. (1) between racks, which is all it depends on: the
+// cost of moving a VM of the given size from src to any host of dst, when
+// its dependent peers sit in peerRacks (rack indices, as
+// dcn.DependencyGraph.PeerRacks lists them): C_r + dependency cost +
+// transmission cost. Every host of a rack prices the same, so a caller
+// pricing many hosts asks once per rack.
+func (m *Model) RackMigration(src, dst *dcn.Rack, size float64, peerRacks []int) (float64, error) {
+	trans, err := m.TransmissionCost(src, dst, size)
+	if err != nil {
+		return 0, err
+	}
+	return m.params.Cr + m.dependencyCost(src, dst, peerRacks) + trans, nil
+}
+
 // Migration returns the full Eqn. (1) cost of migrating vm to the
-// destination host: C_r + dependency cost + transmission cost. Migrating
-// within the same host costs zero.
+// destination host. Migrating within the same host costs zero.
 func (m *Model) Migration(vm *dcn.VM, dst *dcn.Host) (float64, error) {
 	srcHost := vm.Host()
 	if srcHost == nil {
@@ -310,12 +330,9 @@ func (m *Model) Migration(vm *dcn.VM, dst *dcn.Host) (float64, error) {
 	if srcHost == dst {
 		return 0, nil
 	}
-	src, dstRack := srcHost.Rack(), dst.Rack()
-	trans, err := m.TransmissionCost(src, dstRack, vm.Capacity)
-	if err != nil {
-		return 0, err
-	}
-	return m.params.Cr + m.DependencyCost(vm, src, dstRack) + trans, nil
+	var buf [8]int
+	peerRacks := m.cluster.Deps.PeerRacks(m.cluster, vm.ID, buf[:0])
+	return m.RackMigration(srcHost.Rack(), dst.Rack(), vm.Capacity, peerRacks)
 }
 
 // RackPairCost returns the collapsed pair cost G(v_i, v_p) + C_r for a

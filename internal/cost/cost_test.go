@@ -272,3 +272,52 @@ func TestRefreshPicksUpBandwidthChanges(t *testing.T) {
 		t.Fatalf("cost should rise after bandwidth halves: %v -> %v", before, after)
 	}
 }
+
+// TestDependencyCostBitStable: Eqn. (1)'s dependency term is a float sum
+// over the racks of a VM's peers, and with link distances that are not whole
+// numbers the order it adds in shows in the last bits. It follows the VM's
+// peers in ascending ID order, so the same VM prices the same on every call
+// and in two clusters that differ only in the order their edges were added.
+// (Over the map the graph used to be, the order — and on this fabric the
+// sum — changed from call to call.)
+func TestDependencyCostBitStable(t *testing.T) {
+	peerRacks := []int{5, 1, 5, 4, 2, 1, 3} // racks of VMs 1..7; VM 0 sits in rack 0 and prices a move to rack 5
+	build := func(backwards bool) (*Model, *dcn.Cluster) {
+		ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 4, EdgeDistance: 0.1, CoreDistance: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := dcn.NewCluster(ft.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rack := range append([]int{0}, peerRacks...) {
+			if _, err := c.AddVM(c.Racks[rack].Hosts[0], 5, 1, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i <= len(peerRacks); i++ {
+			peer := i
+			if backwards {
+				peer = len(peerRacks) + 1 - i
+			}
+			c.Deps.AddDependency(0, peer)
+		}
+		return testModel(t, c), c
+	}
+	m, c := build(false)
+	want := m.DependencyCost(c.VM(0), c.Racks[0], c.Racks[5])
+	if want == 0 {
+		t.Fatal("the move prices no dependency change; the test measures nothing")
+	}
+	seen := map[uint64]int{}
+	for _, backwards := range []bool{false, true} {
+		m, c := build(backwards)
+		for call := 0; call < 200; call++ {
+			seen[math.Float64bits(m.DependencyCost(c.VM(0), c.Racks[0], c.Racks[5]))]++
+		}
+	}
+	if len(seen) != 1 || seen[math.Float64bits(want)] != 400 {
+		t.Fatalf("DependencyCost took %d distinct values over 400 calls (bits → calls: %v), want the one value %v", len(seen), seen, want)
+	}
+}

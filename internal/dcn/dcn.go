@@ -177,10 +177,13 @@ type Cluster struct {
 	Deps   *DependencyGraph
 	config Config
 
-	rackByNode map[int]*Rack
-	vms        map[int]*VM
-	hosts      []*Host
-	nextVMID   int
+	rackByNode []*Rack // by topology vertex ID; nil for a vertex that is not a rack
+	// vms is indexed by VM ID: IDs are handed out in sequence, so the next
+	// one is len(vms), and a removed VM leaves a nil slot behind. numVMs
+	// counts the slots in use.
+	vms    []*VM
+	numVMs int
+	hosts  []*Host
 }
 
 // NewCluster builds a cluster with one Rack per rack-kind vertex of the
@@ -192,8 +195,7 @@ func NewCluster(g *topology.Graph, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		Graph:      g,
 		config:     cfg,
-		rackByNode: make(map[int]*Rack),
-		vms:        make(map[int]*VM),
+		rackByNode: make([]*Rack, g.NumNodes()),
 	}
 	for i, nodeID := range g.Racks() {
 		r := &Rack{Index: i, NodeID: nodeID, ToRCapacity: cfg.ToRCapacity}
@@ -233,18 +235,29 @@ func (c *Cluster) Host(id int) *Host {
 
 // RackByNode returns the rack whose ToR occupies the given topology
 // vertex, or nil.
-func (c *Cluster) RackByNode(nodeID int) *Rack { return c.rackByNode[nodeID] }
+func (c *Cluster) RackByNode(nodeID int) *Rack {
+	if nodeID < 0 || nodeID >= len(c.rackByNode) {
+		return nil
+	}
+	return c.rackByNode[nodeID]
+}
 
 // VM returns the VM with the given ID, or nil.
-func (c *Cluster) VM(id int) *VM { return c.vms[id] }
+func (c *Cluster) VM(id int) *VM {
+	if id < 0 || id >= len(c.vms) {
+		return nil
+	}
+	return c.vms[id]
+}
 
 // VMs returns every VM in the cluster, ordered by VM ID.
 func (c *Cluster) VMs() []*VM {
-	out := make([]*VM, 0, len(c.vms))
+	out := make([]*VM, 0, c.numVMs)
 	for _, v := range c.vms {
-		out = append(out, v)
+		if v != nil {
+			out = append(out, v)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -260,9 +273,10 @@ var ErrDependencyConflict = errors.New("dcn: dependent VMs cannot share a host")
 // AddVM creates a VM and places it on the host. Capacity and dependency
 // constraints are enforced.
 func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (*VM, error) {
+	id := len(c.vms)
 	vm := &VM{
-		ID:             c.nextVMID,
-		Name:           fmt.Sprintf("vm-%d", c.nextVMID),
+		ID:             id,
+		Name:           fmt.Sprintf("vm-%d", id),
 		Capacity:       capacity,
 		Value:          value,
 		DelaySensitive: delaySensitive,
@@ -270,8 +284,8 @@ func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (
 	if err := c.place(vm, h); err != nil {
 		return nil, err
 	}
-	c.nextVMID++
-	c.vms[vm.ID] = vm
+	c.vms = append(c.vms, vm)
+	c.numVMs++
 	return vm, nil
 }
 
@@ -352,7 +366,10 @@ func (c *Cluster) Remove(vm *VM) {
 		vm.host.remove(vm.ID)
 		vm.host = nil
 	}
-	delete(c.vms, vm.ID)
+	if c.VM(vm.ID) == vm {
+		c.vms[vm.ID] = nil
+		c.numVMs--
+	}
 	c.Deps.RemoveVM(vm.ID)
 }
 

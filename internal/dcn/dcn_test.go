@@ -12,7 +12,7 @@ import (
 	"sheriff/internal/topology"
 )
 
-func testCluster(t *testing.T, pods int) *Cluster {
+func testCluster(t testing.TB, pods int) *Cluster {
 	t.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: pods})
 	if err != nil {
@@ -306,7 +306,7 @@ func TestPeerRacks(t *testing.T) {
 	c.Deps.AddDependency(a.ID, b.ID)
 	c.Deps.AddDependency(a.ID, e.ID)
 	c.Deps.AddDependency(a.ID, f.ID)
-	racks := c.Deps.PeerRacks(c, a.ID)
+	racks := c.Deps.PeerRacks(c, a.ID, nil)
 	if len(racks) != 2 {
 		t.Fatalf("PeerRacks = %v, want 2 distinct racks", racks)
 	}
@@ -399,7 +399,7 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 	}
 	for step := 0; step < 2000; step++ {
 		h := hosts[rng.Intn(len(hosts))]
-		switch op := rng.Intn(6); {
+		switch op := rng.Intn(8); {
 		case op == 0 || len(live) < 8:
 			if vm, err := c.AddVM(h, 1+rng.Float64()*19, 1, false); err == nil {
 				live = append(live, vm)
@@ -419,6 +419,17 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 			c.Remove(live[i])
 			live = append(live[:i], live[i+1:]...)
 			check("Remove")
+		case op == 5:
+			// Only Move and MoveOversub refuse a conflict; an edge between two
+			// VMs already sharing a host is the caller's to avoid.
+			x, y := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+			if x.Host() == nil || x.Host() != y.Host() {
+				c.Deps.AddDependency(x.ID, y.ID)
+			}
+			check("AddDependency")
+		case op == 6:
+			c.Deps.RemoveDependency(live[rng.Intn(len(live))].ID, live[rng.Intn(len(live))].ID)
+			check("RemoveDependency")
 		default:
 			snap := c.Snapshot()
 			c2 := testCluster(t, 4)
@@ -460,17 +471,30 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 		{"detached yet listed", func(c *Cluster, a, b *Host) { a.vms[0].host = nil }, "vm 0 is resident on host 0 but points at no host"},
 		{"on two hosts", func(c *Cluster, a, b *Host) { b.insert(a.vms[0]) }, "vm 0 is resident on host 1 but points at host 0"},
 		{"attached yet unlisted", func(c *Cluster, a, b *Host) { a.remove(1) }, "vm 1 points at host 0, which does not list it"},
-		{"stranger", func(c *Cluster, a, b *Host) { delete(c.vms, 1) }, "host 0 holds a vm 1 the cluster does not know"},
+		{"stranger", func(c *Cluster, a, b *Host) { c.vms[1] = nil }, "host 0 holds a vm 1 the cluster does not know"},
 		{"out of order", func(c *Cluster, a, b *Host) { a.vms[0], a.vms[1] = a.vms[1], a.vms[0] }, "host 0 lists vm 0 after vm 1"},
 		{"over capacity", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 150 }, "host 0 holds 160, over 1.2 × capacity 100"},
+		{"peers out of order", func(c *Cluster, a, b *Host) { p := c.Deps.peers[2]; p[0], p[1] = p[1], p[0] }, "vm 2 lists peer 0 after peer 1"},
+		{"self-edge", func(c *Cluster, a, b *Host) { c.Deps.peers[2] = append(c.Deps.peers[2], 2) }, "vm 2 is its own dependency"},
+		{"one-sided edge", func(c *Cluster, a, b *Host) { c.Deps.peers[0] = nil }, "vm 2 lists peer 0, which does not list it back"},
+		{"edge to a stranger", func(c *Cluster, a, b *Host) { c.Deps.AddDependency(0, 7) }, "dependency 0–7 names a vm the cluster does not know"},
+		{"dependent vms co-hosted", func(c *Cluster, a, b *Host) {
+			vm := b.vms[0]
+			b.remove(vm.ID)
+			a.insert(vm)
+			vm.host = a
+		}, "dependent vms 0 and 2 share host 0"},
 	} {
+		// VMs 0 and 1 on host a, VM 2 on host b and dependent on both.
 		c := testCluster(t, 4)
 		a, b := c.Hosts()[0], c.Hosts()[1]
-		for i := 0; i < 2; i++ {
-			if _, err := c.AddVM(a, 10, 1, false); err != nil {
+		for _, h := range []*Host{a, a, b} {
+			if _, err := c.AddVM(h, 10, 1, false); err != nil {
 				t.Fatal(err)
 			}
 		}
+		c.Deps.AddDependency(2, 1)
+		c.Deps.AddDependency(2, 0)
 		if err := c.CheckInvariants(1.2); err != nil {
 			t.Fatalf("%s: sound cluster rejected: %v", tc.name, err)
 		}
@@ -521,6 +545,87 @@ func TestDependencyConflictNamesLowestResident(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPeerRacksOrderIsDeterministic: racks come in the order the ascending
+// peer list first reaches them — not in the order edges were added, and not
+// in an order that changes from call to call (as a map's did, and with it
+// the order Eqn. (1)'s dependency term summed in).
+func TestPeerRacksOrderIsDeterministic(t *testing.T) {
+	peerRacks := []int{6, 1, 6, 4, 7, 1, 3} // racks of VMs 1..7; VM 0 sits in rack 0
+	build := func(backwards bool) *Cluster {
+		c := testCluster(t, 4)
+		for _, rack := range append([]int{0}, peerRacks...) {
+			if _, err := c.AddVM(c.Racks[rack].Hosts[0], 5, 1, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i <= len(peerRacks); i++ {
+			peer := i
+			if backwards {
+				peer = len(peerRacks) + 1 - i
+			}
+			c.Deps.AddDependency(0, peer)
+		}
+		return c
+	}
+	want := []int{6, 1, 4, 7, 3}
+	var buf [8]int
+	for _, c := range []*Cluster{build(false), build(true)} {
+		for call := 0; call < 200; call++ {
+			got := c.Deps.PeerRacks(c, 0, buf[:0])
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("call %d: PeerRacks = %v, want %v", call, got, want)
+			}
+		}
+	}
+	c := build(false)
+	c.Evict(c.VM(1)) // rack 6 is now first reached through VM 3
+	if got := c.Deps.PeerRacks(c, 0, buf[:0]); fmt.Sprint(got) != fmt.Sprint([]int{1, 6, 4, 7, 3}) {
+		t.Fatalf("after evicting VM 1: PeerRacks = %v, want [1 6 4 7 3]", got)
+	}
+	if got := c.Deps.PeerRacks(c, 0, []int{9}); fmt.Sprint(got) != fmt.Sprint([]int{9, 1, 6, 4, 7, 3}) {
+		t.Fatalf("PeerRacks onto [9] = %v, want it appended", got)
+	}
+}
+
+// TestDependencyReadsZeroAlloc is the allocation gate for the per-period
+// walk over G_d (CI "Allocation gate" step): the runtime asks Peers of every
+// VM every period, and a migration asks Dependent of every resident of every
+// candidate host.
+func TestDependencyReadsZeroAlloc(t *testing.T) {
+	c := testCluster(t, 4)
+	c.Populate(PopulateOptions{DependencyProb: 0.8, CrossRackDependencyProb: 0.5, Seed: 3})
+	vms := c.VMs()
+	if c.Deps.NumEdges() == 0 {
+		t.Fatal("no dependencies to read")
+	}
+	sink := 0
+	if n := testing.AllocsPerRun(20, func() {
+		for _, vm := range vms {
+			sink += len(c.Deps.Peers(vm.ID))
+		}
+	}); n != 0 {
+		t.Errorf("Peers allocates %v times per sweep over the VMs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, vm := range vms {
+			if c.Deps.Dependent(vm.ID, vms[0].ID) {
+				sink++
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Dependent allocates %v times per sweep over the VMs, want 0", n)
+	}
+	var buf [8]int
+	if n := testing.AllocsPerRun(20, func() {
+		for _, vm := range vms {
+			sink += len(c.Deps.PeerRacks(c, vm.ID, buf[:0]))
+		}
+	}); n != 0 {
+		t.Errorf("PeerRacks into a caller's buffer allocates %v times per sweep over the VMs, want 0", n)
+	}
+	_ = sink
 }
 
 // TestAccountingSteadyStateAllocs is the allocation gate for the per-step

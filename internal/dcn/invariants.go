@@ -13,13 +13,17 @@ import "fmt"
 //     line above, on exactly one host;
 //   - no host holds more than oversub × its capacity, where oversub is the
 //     factor the placement policy commits under (1 for the policies that
-//     respect capacity; values below 1 count as 1).
+//     respect capacity; values below 1 count as 1);
+//   - the dependency graph is a graph over the cluster's VMs: every peer
+//     list strictly ascending, no VM its own peer, every edge listed from
+//     both ends, both ends VMs the cluster knows;
+//   - no two dependent VMs are resident on one host (χ = 0, Eqn. 7).
 //
 // Host.Used and Rack.Used are recomputed from the residents on every call,
 // so accounting cannot drift from them; what can go wrong is the resident
-// lists and back-pointers checked here. Errors name the VM and the host.
-// It is O(hosts + VMs) and meant for tests and `sheriffd -check`, not for
-// the per-period path.
+// lists, back-pointers and peer lists checked here. Errors name the VMs and
+// the host. It is O(hosts + VMs + dependencies) and meant for tests and
+// `sheriffd -check`, not for the per-period path.
 func (c *Cluster) CheckInvariants(oversub float64) error {
 	if oversub < 1 {
 		oversub = 1
@@ -35,7 +39,7 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 			if i > 0 && h.vms[i-1].ID >= vm.ID {
 				return fmt.Errorf("dcn: host %d lists vm %d after vm %d", h.ID, vm.ID, h.vms[i-1].ID)
 			}
-			if c.vms[vm.ID] != vm {
+			if c.VM(vm.ID) != vm {
 				return fmt.Errorf("dcn: host %d holds a vm %d the cluster does not know", h.ID, vm.ID)
 			}
 			if vm.host != h {
@@ -47,7 +51,7 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 		}
 	}
 	for _, vm := range c.VMs() { // in ID order: the first violation reported is always the same one
-		if c.vms[vm.ID] != vm {
+		if c.VM(vm.ID) != vm {
 			return fmt.Errorf("dcn: vm %d is registered under another ID", vm.ID)
 		}
 		if vm.host == nil {
@@ -57,6 +61,31 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 		// listed here means being listed nowhere else.
 		if i, ok := vm.host.find(vm.ID); !ok || vm.host.vms[i] != vm {
 			return fmt.Errorf("dcn: vm %d points at host %d, which does not list it", vm.ID, vm.host.ID)
+		}
+	}
+	// Order first, over every list: Dependent, below, searches sorted lists.
+	for id, peers := range c.Deps.peers {
+		for i, peer := range peers {
+			if i > 0 && peers[i-1] >= peer {
+				return fmt.Errorf("dcn: vm %d lists peer %d after peer %d", id, peer, peers[i-1])
+			}
+			if peer == id {
+				return fmt.Errorf("dcn: vm %d is its own dependency", id)
+			}
+		}
+	}
+	for id, peers := range c.Deps.peers {
+		for _, peer := range peers {
+			a, b := c.VM(id), c.VM(peer)
+			if a == nil || b == nil {
+				return fmt.Errorf("dcn: dependency %d–%d names a vm the cluster does not know", id, peer)
+			}
+			if !c.Deps.Dependent(peer, id) {
+				return fmt.Errorf("dcn: vm %d lists peer %d, which does not list it back", id, peer)
+			}
+			if a.host != nil && a.host == b.host {
+				return fmt.Errorf("dcn: dependent vms %d and %d share host %d", id, peer, a.host.ID)
+			}
 		}
 	}
 	return nil

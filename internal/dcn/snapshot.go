@@ -3,7 +3,6 @@ package dcn
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Snapshot is a serializable record of a cluster's logical state: VM
@@ -32,8 +31,7 @@ type VMRecord struct {
 // Snapshot captures the cluster's current VM placements and dependencies.
 func (c *Cluster) Snapshot() *Snapshot {
 	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts)}
-	vms := c.VMs()
-	for _, vm := range vms {
+	for _, vm := range c.VMs() {
 		hostID := -1
 		if vm.Host() != nil {
 			hostID = vm.Host().ID
@@ -43,73 +41,90 @@ func (c *Cluster) Snapshot() *Snapshot {
 			DelaySensitive: vm.DelaySensitive, Alert: vm.Alert, HostID: hostID,
 		})
 	}
-	seen := make(map[[2]int]bool)
-	for _, vm := range vms {
-		for _, peer := range c.Deps.Peers(vm.ID) {
-			a, b := vm.ID, peer
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int{a, b}
-			if !seen[key] {
-				seen[key] = true
-				s.Deps = append(s.Deps, key)
+	// Ascending IDs over ascending peers: each edge once, from its lower
+	// end, already in order.
+	for id, peers := range c.Deps.peers {
+		for _, peer := range peers {
+			if peer > id {
+				s.Deps = append(s.Deps, [2]int{id, peer})
 			}
 		}
 	}
-	sort.Slice(s.Deps, func(i, j int) bool {
-		if s.Deps[i][0] != s.Deps[j][0] {
-			return s.Deps[i][0] < s.Deps[j][0]
-		}
-		return s.Deps[i][1] < s.Deps[j][1]
-	})
 	return s
 }
 
 // Restore applies a snapshot to this cluster. The cluster must be empty
 // and shaped identically (same rack and host counts). VM IDs are
 // preserved so dependency edges and external references stay valid.
+//
+// IDs index tables here and in the runtime, and a snapshot is a file
+// someone else may have written: before anything is allocated or placed,
+// Restore refuses a VM ID that is negative or too sparse for the number of
+// VMs listed, a VM listed twice, a negative capacity, a host that does not
+// exist, and a dependency whose endpoint is not a VM the snapshot lists.
+// VMs are placed in ascending ID order whatever order the file lists them
+// in, so a cluster restored from its own snapshot repeats the placements
+// that built it.
 func (c *Cluster) Restore(s *Snapshot) error {
 	if len(c.Racks) != s.Racks || len(c.hosts) != s.Hosts {
 		return fmt.Errorf("dcn: snapshot shape %d racks/%d hosts does not match cluster %d/%d",
 			s.Racks, s.Hosts, len(c.Racks), len(c.hosts))
 	}
-	if len(c.vms) != 0 {
-		return fmt.Errorf("dcn: Restore requires an empty cluster, have %d VMs", len(c.vms))
+	if c.numVMs != 0 {
+		return fmt.Errorf("dcn: Restore requires an empty cluster, have %d VMs", c.numVMs)
 	}
-	// A repeated ID would leave its first copy resident on one host,
-	// consuming capacity, while c.vms knows only the second.
-	hostOf := make(map[int]int, len(s.VMs))
+	bound := 4*len(s.VMs) + 1024
+	size := 0
 	for _, rec := range s.VMs {
-		if first, dup := hostOf[rec.ID]; dup {
-			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", rec.ID, first, rec.HostID)
+		if rec.ID < 0 || rec.ID >= bound {
+			return fmt.Errorf("dcn: snapshot VM id %d outside [0, %d) for %d VMs (ids index a dense table)", rec.ID, bound, len(s.VMs))
 		}
-		hostOf[rec.ID] = rec.HostID
+		if !(rec.Capacity >= 0) { // a VM that frees room where it lands; also NaN
+			return fmt.Errorf("dcn: snapshot VM %d has capacity %v", rec.ID, rec.Capacity)
+		}
+		if c.Host(rec.HostID) == nil {
+			return fmt.Errorf("dcn: snapshot VM %d references missing host %d", rec.ID, rec.HostID)
+		}
+		size = max(size, rec.ID+1)
+	}
+	// recOf[id] is one more than the position of the VM's record. A repeated
+	// ID would leave its first copy resident on one host, consuming capacity,
+	// while the table knows only the second.
+	recOf := make([]int32, size)
+	for i, rec := range s.VMs {
+		if first := recOf[rec.ID]; first != 0 {
+			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", rec.ID, s.VMs[first-1].HostID, rec.HostID)
+		}
+		recOf[rec.ID] = int32(i + 1)
+	}
+	for _, edge := range s.Deps {
+		for _, id := range edge {
+			if id < 0 || id >= size || recOf[id] == 0 {
+				return fmt.Errorf("dcn: snapshot dependency %d–%d names VM %d, which the snapshot does not list", edge[0], edge[1], id)
+			}
+		}
 	}
 	// Install dependencies first so placement conflicts are enforced on
 	// the way in.
 	for _, edge := range s.Deps {
 		c.Deps.AddDependency(edge[0], edge[1])
 	}
-	maxID := -1
-	for _, rec := range s.VMs {
-		h := c.Host(rec.HostID)
-		if h == nil {
-			return fmt.Errorf("dcn: snapshot VM %d references missing host %d", rec.ID, rec.HostID)
+	c.vms = make([]*VM, size)
+	for _, at := range recOf {
+		if at == 0 {
+			continue
 		}
+		rec := s.VMs[at-1]
 		vm := &VM{
 			ID: rec.ID, Name: rec.Name, Capacity: rec.Capacity, Value: rec.Value,
 			DelaySensitive: rec.DelaySensitive, Alert: rec.Alert,
 		}
-		if err := c.place(vm, h); err != nil {
+		if err := c.place(vm, c.hosts[rec.HostID]); err != nil {
 			return fmt.Errorf("dcn: restoring VM %d: %w", rec.ID, err)
 		}
 		c.vms[vm.ID] = vm
-		if vm.ID > maxID {
-			maxID = vm.ID
-		}
+		c.numVMs++
 	}
-	c.nextVMID = maxID + 1
 	return nil
 }
 

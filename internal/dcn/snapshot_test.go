@@ -134,3 +134,73 @@ func TestSnapshotDeterministic(t *testing.T) {
 		t.Fatal("snapshot serialization not deterministic")
 	}
 }
+
+// TestRestoreRejectsHostileIDs: VM IDs index tables, here and in the
+// runtime, and a snapshot is a file. An ID that is negative or too sparse
+// for the number of VMs listed, and a dependency on a VM the snapshot does
+// not list, are refused by name before anything is allocated or placed.
+func TestRestoreRejectsHostileIDs(t *testing.T) {
+	two := []VMRecord{{ID: 0, Capacity: 5, HostID: 0}, {ID: 5, Capacity: 5, HostID: 1}}
+	for _, tc := range []struct {
+		name string
+		vms  []VMRecord
+		deps [][2]int
+		want string // "" = accepted
+	}{
+		{"wild id", []VMRecord{{ID: 1 << 40, Capacity: 5, HostID: 0}}, nil, "VM id 1099511627776 outside [0, 1028) for 1 VMs"},
+		{"negative id", []VMRecord{{ID: -3, Capacity: 5, HostID: 0}}, nil, "VM id -3 outside"},
+		{"first id past the bound", []VMRecord{{ID: 1028, Capacity: 5, HostID: 0}}, nil, "VM id 1028 outside [0, 1028)"},
+		{"last id inside the bound", []VMRecord{{ID: 1027, Capacity: 5, HostID: 0}}, nil, ""},
+		{"edge between listed VMs", two, [][2]int{{5, 0}}, ""},
+		{"edge to a hole", two, [][2]int{{0, 3}}, "dependency 0–3 names VM 3, which the snapshot does not list"},
+		{"edge past the table", two, [][2]int{{0, 6}}, "dependency 0–6 names VM 6"},
+		{"edge to a wild id", two, [][2]int{{1 << 40, 5}}, "dependency 1099511627776–5 names VM 1099511627776"},
+		{"edge to a negative id", two, [][2]int{{5, -1}}, "dependency 5–-1 names VM -1"},
+	} {
+		c := testCluster(t, 4)
+		err := c.Restore(&Snapshot{Racks: len(c.Racks), Hosts: len(c.Hosts()), VMs: tc.vms, Deps: tc.deps})
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: Restore = %v, want it accepted", tc.name, err)
+			} else if err := c.CheckInvariants(1); err != nil {
+				t.Errorf("%s: restored cluster: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want a refusal saying %q", tc.name, err, tc.want)
+		}
+		if len(c.VMs()) != 0 || c.Deps.NumEdges() != 0 || len(c.vms) != 0 {
+			t.Errorf("%s: refused restore left %d VMs, %d edges and a table of %d behind",
+				tc.name, len(c.VMs()), c.Deps.NumEdges(), len(c.vms))
+		}
+	}
+}
+
+// TestRestorePlacesInIDOrder: the order a file lists its VMs in is not
+// state. Two files that differ only in it restore to the same cluster, by
+// the same placements in the same order.
+func TestRestorePlacesInIDOrder(t *testing.T) {
+	donor := testCluster(t, 4)
+	donor.Populate(PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 30,
+		DependencyProb: 0.5, CrossRackDependencyProb: 0.3, Seed: 34})
+	snap := donor.Snapshot()
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := 0, len(snap.VMs)-1; i < j; i, j = i+1, j-1 {
+		snap.VMs[i], snap.VMs[j] = snap.VMs[j], snap.VMs[i]
+	}
+	c := testCluster(t, 4)
+	if err := c.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("a snapshot listing its VMs backwards restored to a different cluster")
+	}
+}

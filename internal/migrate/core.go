@@ -66,6 +66,29 @@ type core struct {
 	// attempts is what the queue recorded for each VM drained this call.
 	attempts map[int]int
 	tally    *Tally
+
+	// scratch is match's, built by its first call and kept across the rounds
+	// of one protocol call. Each core has its own (the parallel Coordinator's
+	// shims share only the Model); a copy of a core shares it, stamp and all.
+	scratch *matchScratch
+}
+
+// matchScratch holds the racks of the peers of the VM match is pricing and,
+// by rack index, that VM's Eqn. (1) price — current iff its stamp is the
+// VM's.
+type matchScratch struct {
+	peerRacks []int
+	prices    []rackPrice
+	stamp     int
+	priced    int // rack prices computed (each is one TransmissionCost)
+}
+
+// rackPrice is what moving one VM into one rack costs; ok is false when no
+// path to the rack clears the bandwidth floor.
+type rackPrice struct {
+	stamp int
+	base  float64
+	ok    bool
 }
 
 // policyOrSheriff resolves the public contract "a nil placement policy is
@@ -77,55 +100,12 @@ func policyOrSheriff(p placement.Policy) placement.Policy {
 	return p
 }
 
-// pairCost evaluates one (VM, destination) edge of Alg. 3's bipartite
-// graph G_m under the placement policy: score is the matching weight
-// (Forbidden when the destination cannot host the VM), base the Eqn. (1)
-// migration cost actually charged on commit. A detached (preempted) VM has
-// no source rack, so its base reduces to the fixed restart cost Cr.
-func (k *core) pairCost(vm *dcn.VM, h *dcn.Host) (score, base float64) {
-	if h == vm.Host() {
-		return matching.Forbidden, 0 // must actually move
-	}
-	if !k.pol.Feasible(vm.Capacity, h) {
-		return matching.Forbidden, 0
-	}
-	if _, conflict := h.Conflict(k.c.Deps, vm.ID); conflict {
-		return matching.Forbidden, 0
-	}
-	if vm.Host() == nil {
-		base = k.m.Params().Cr
-	} else {
-		mc, err := k.m.Migration(vm, h)
-		if err != nil {
-			return matching.Forbidden, 0
-		}
-		base = mc
-	}
-	return k.pol.Score(vm.Capacity, h, base), base
-}
-
 // match is Alg. 3's matching step: price every (VM, host) pair the caller
 // does not bar and solve the minimum-weight assignment. assign[i] indexes
 // hosts (-1: unmatched) and bases holds the cost to charge on commit;
 // assign is nil when no pair is feasible at all. barred may be nil.
 func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (assign []int, bases [][]float64, err error) {
-	costs := make([][]float64, len(vms))
-	bases = make([][]float64, len(vms))
-	feasible := false
-	for i, vm := range vms {
-		costs[i] = make([]float64, len(hosts))
-		bases[i] = make([]float64, len(hosts))
-		for j, h := range hosts {
-			if barred != nil && barred(vm, j) {
-				costs[i][j] = matching.Forbidden
-				continue
-			}
-			costs[i][j], bases[i][j] = k.pairCost(vm, h)
-			if costs[i][j] != matching.Forbidden {
-				feasible = true
-			}
-		}
-	}
+	costs, bases, feasible := k.price(vms, hosts, barred)
 	if !feasible {
 		return nil, nil, nil
 	}
@@ -134,6 +114,74 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, h
 		return nil, nil, fmt.Errorf("migrate: matching: %w", err)
 	}
 	return sol.Assign, bases, nil
+}
+
+// price evaluates the edges of Alg. 3's bipartite graph G_m under the
+// placement policy: costs[i][j] is the matching weight of moving vms[i] to
+// hosts[j] — Forbidden when the pair is barred, the host is the VM's own,
+// the policy finds it infeasible, it holds a VM dependent on this one, or
+// no path to its rack clears the bandwidth floor — and bases[i][j] the
+// Eqn. (1) cost charged on commit. Eqn. (1) depends on the destination rack
+// only, so it is evaluated once per (VM, rack), when the first host of the
+// rack gets that far; the policy scores every host on its own. Both
+// matrices are rows of one array.
+func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (costs, bases [][]float64, feasible bool) {
+	nv, nh := len(vms), len(hosts)
+	flat := make([]float64, 2*nv*nh)
+	rows := make([][]float64, 2*nv)
+	costs, bases = rows[:nv:nv], rows[nv:]
+	if k.scratch == nil {
+		k.scratch = &matchScratch{prices: make([]rackPrice, len(k.c.Racks))}
+	}
+	sc := k.scratch
+	for i, vm := range vms {
+		costs[i], flat = flat[:nh:nh], flat[nh:]
+		bases[i], flat = flat[:nh:nh], flat[nh:]
+		sc.stamp++
+		sc.peerRacks = k.c.Deps.PeerRacks(k.c, vm.ID, sc.peerRacks[:0])
+		for j, h := range hosts {
+			costs[i][j] = matching.Forbidden
+			if barred != nil && barred(vm, j) {
+				continue
+			}
+			if h == vm.Host() || !k.pol.Feasible(vm.Capacity, h) { // must actually move
+				continue
+			}
+			if _, conflict := h.Conflict(k.c.Deps, vm.ID); conflict {
+				continue
+			}
+			base, ok := k.rackBase(vm, h.Rack())
+			if !ok {
+				continue
+			}
+			bases[i][j] = base
+			costs[i][j] = k.pol.Score(vm.Capacity, h, base)
+			if costs[i][j] != matching.Forbidden {
+				feasible = true
+			}
+		}
+	}
+	return costs, bases, feasible
+}
+
+// rackBase is the Eqn. (1) cost of moving the VM match is pricing into the
+// rack, computed on first request. A detached (preempted) VM has no source
+// rack, so its cost reduces to the fixed restart cost Cr.
+func (k *core) rackBase(vm *dcn.VM, dst *dcn.Rack) (base float64, ok bool) {
+	sc := k.scratch
+	p := &sc.prices[dst.Index]
+	if p.stamp != sc.stamp {
+		p.stamp = sc.stamp
+		sc.priced++
+		if src := vm.Host(); src == nil {
+			p.base, p.ok = k.m.Params().Cr, true
+		} else {
+			var err error
+			p.base, err = k.m.RackMigration(src.Rack(), dst, vm.Capacity, sc.peerRacks)
+			p.ok = err == nil
+		}
+	}
+	return p.base, p.ok
 }
 
 // admits is the Alg. 4 decision without its effect: the call-wide and the

@@ -296,8 +296,9 @@ func (s *Shim) migrationOptions() MigrationOptions {
 // leaves the rack (it has dependent peers in other racks) is a candidate.
 func (s *Shim) vmsUsingSwitch(switchID int) []*dcn.VM {
 	var out []*dcn.VM
+	var buf [8]int
 	for _, vm := range s.Rack.VMs() {
-		for _, peerRack := range s.cluster.Deps.PeerRacks(s.cluster, vm.ID) {
+		for _, peerRack := range s.cluster.Deps.PeerRacks(s.cluster, vm.ID, buf[:0]) {
 			if peerRack != s.Rack.Index {
 				out = append(out, vm)
 				break

@@ -15,6 +15,7 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/matching"
 	"sheriff/internal/obs"
+	"sheriff/internal/placement"
 )
 
 // referenceVMMigration is the pre-policy VMMigrationWith, byte for byte.
@@ -136,4 +137,30 @@ func refPairCost(c *dcn.Cluster, m *cost.Model, vm *dcn.VM, h *dcn.Host) float64
 		return matching.Forbidden
 	}
 	return mc
+}
+
+// refHostPairCost is core.pairCost as it stood while Alg. 3 priced every
+// (VM, host) pair on its own — one Eqn. (1) evaluation per host — verbatim
+// but for taking the core's fields as arguments. It is the oracle of
+// TestMatchPricesRacksOnce.
+func refHostPairCost(c *dcn.Cluster, m *cost.Model, pol placement.Policy, vm *dcn.VM, h *dcn.Host) (score, base float64) {
+	if h == vm.Host() {
+		return matching.Forbidden, 0 // must actually move
+	}
+	if !pol.Feasible(vm.Capacity, h) {
+		return matching.Forbidden, 0
+	}
+	if _, conflict := h.Conflict(c.Deps, vm.ID); conflict {
+		return matching.Forbidden, 0
+	}
+	if vm.Host() == nil {
+		base = m.Params().Cr
+	} else {
+		mc, err := m.Migration(vm, h)
+		if err != nil {
+			return matching.Forbidden, 0
+		}
+		base = mc
+	}
+	return pol.Score(vm.Capacity, h, base), base
 }

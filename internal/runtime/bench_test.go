@@ -76,6 +76,45 @@ func BenchmarkRuntimeStep(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowShard is phase 2's scatter alone — every shard's walk over
+// G_d, listing the flows its VMs want — on the 16-pod Fat-Tree of the
+// ft16-surge workload (128 racks, 768 VMs): with the populated dependency
+// graph, and with none, where the walk is one Peers call per VM and nothing
+// else (the ls1000-calm shape).
+func BenchmarkFlowShard(b *testing.B) {
+	for _, deps := range []bool{true, false} {
+		name := "deps"
+		if !deps {
+			name = "no-deps"
+		}
+		b.Run(name, func(b *testing.B) {
+			cluster, model, opts := buildBenchParts(b, 16, Options{})
+			if !deps {
+				for _, vm := range cluster.VMs() {
+					cluster.Deps.RemoveVM(vm.ID)
+				}
+			}
+			r, err := New(cluster, model, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(r.Close)
+			for i := 0; i < 3; i++ {
+				if _, err := r.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < r.sh.n; s++ {
+					r.flowShard(s)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed
 // engine (reference_test.go) — the "before" side of the sharded-engine
 // speedup and allocation comparison.

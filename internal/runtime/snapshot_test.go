@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sheriff/internal/cost"
@@ -218,21 +219,47 @@ func TestStepExternalRejectsUnknownVM(t *testing.T) {
 }
 
 // TestNewRejectsWildVMIDs: a restored cluster's VM IDs come from a file,
-// and the engine indexes a dense table by them — a wild or negative ID is
-// an error, not a terabyte allocation or an index panic.
+// and the cluster and the engine index dense tables by them — a wild or
+// negative ID is an error where the file is read (dcn.Cluster.Restore), not
+// a terabyte allocation or an index panic. The engine keeps its own check
+// for the cluster that got sparse on its own, by removing VMs.
 func TestNewRejectsWildVMIDs(t *testing.T) {
-	for _, id := range []int{1 << 40, -3} {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*dcn.Snapshot)
+		want    string
+	}{
+		{"wild VM id", func(s *dcn.Snapshot) { s.VMs[0].ID = 1 << 40 }, "VM id 1099511627776"},
+		{"negative VM id", func(s *dcn.Snapshot) { s.VMs[0].ID = -3 }, "VM id -3"},
+		{"wild dependency endpoint", func(s *dcn.Snapshot) { s.Deps = append(s.Deps, [2]int{0, 1 << 40}) }, "dependency 0–1099511627776 names VM 1099511627776"},
+	} {
 		donor, _ := buildParts(t, 4)
 		donor.Populate(dcn.PopulateOptions{VMsPerHost: 1, MinCapacity: 5, MaxCapacity: 20, Seed: 3})
 		snap := donor.Snapshot()
-		snap.VMs[0].ID = id
-		cluster, model := buildParts(t, 4)
-		if err := cluster.Restore(snap); err != nil {
+		tc.corrupt(snap)
+		cluster, _ := buildParts(t, 4)
+		if err := cluster.Restore(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+		if n := len(cluster.VMs()); n != 0 {
+			t.Errorf("%s: refused restore left %d VMs behind", tc.name, n)
+		}
+	}
+
+	cluster, model := buildParts(t, 4)
+	h := cluster.Hosts()[0]
+	var last *dcn.VM
+	for i := 0; i < 1100; i++ {
+		if last != nil {
+			cluster.Remove(last)
+		}
+		var err error
+		if last, err = cluster.AddVM(h, 1, 1, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(cluster, model, Options{Seed: 3}); err == nil {
-			t.Fatalf("cluster with VM id %d accepted", id)
-		}
+	}
+	if _, err := New(cluster, model, Options{Seed: 3}); err == nil || !strings.Contains(err.Error(), "too sparse") {
+		t.Fatalf("New over one VM with id %d = %v, want a too-sparse refusal", last.ID, err)
 	}
 }
 

@@ -243,7 +243,7 @@ func (g *Graph) Neighbors(id int) []int {
 // The origin rack is not included.
 func (g *Graph) RackNeighbors(id int, maxSwitchHops int) []int {
 	type state struct{ node, switchHops int }
-	seen := make(map[int]bool, len(g.nodes))
+	seen := make([]bool, len(g.nodes))
 	seen[id] = true
 	var out []int
 	queue := []state{{id, 0}}

@@ -218,3 +218,33 @@ func referenceShortestPathAvoidingNodes(g *Graph, src, dst int, avoid map[int]bo
 	ms := referenceDijkstraFrom(g, []int{src}, filtered)
 	return ms.Path(src, dst)
 }
+
+// referenceRackNeighbors is RackNeighbors as it was while it marked visited
+// nodes in a map built per call, verbatim.
+func referenceRackNeighbors(g *Graph, id int, maxSwitchHops int) []int {
+	type state struct{ node, switchHops int }
+	seen := make(map[int]bool, len(g.nodes))
+	seen[id] = true
+	var out []int
+	queue := []state{{id, 0}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, e := range g.adj[cur.node] {
+			n := g.nodes[e.To]
+			if seen[n.ID] {
+				continue
+			}
+			if n.Kind == Rack {
+				seen[n.ID] = true
+				out = append(out, n.ID)
+				continue // do not traverse through racks
+			}
+			if cur.switchHops < maxSwitchHops {
+				seen[n.ID] = true
+				queue = append(queue, state{n.ID, cur.switchHops + 1})
+			}
+		}
+	}
+	return out
+}

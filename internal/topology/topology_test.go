@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -275,6 +276,41 @@ func TestFloydWarshallDisconnected(t *testing.T) {
 	}
 	if ap.Path(a, b) != nil {
 		t.Fatal("path between disconnected nodes should be nil")
+	}
+}
+
+// TestRackNeighborsOrderPinned: a shim's region is listed in the order the
+// breadth-first walk reaches its racks, and migrate sorts it only by rack
+// index afterwards — so the walk's order, with visited nodes marked in a
+// slice, is held to the map-marked walk it replaced, on every rack of each
+// kind of fabric, at one and at two switch hops.
+func TestRackNeighborsOrderPinned(t *testing.T) {
+	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := NewBCube(BCubeConfig{SwitchesPerLevel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := NewLeafSpine(LeafSpineConfig{Leaves: 16, Spines: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"fat-tree-4": ft.Graph, "bcube-4": bc.Graph, "leaf-spine-16": ls.Graph} {
+		for _, hops := range []int{1, 2} {
+			reached := 0
+			for _, rack := range g.Racks() {
+				got, want := g.RackNeighbors(rack, hops), referenceRackNeighbors(g, rack, hops)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: RackNeighbors(%d, %d) = %v, the map-marked walk gives %v", name, rack, hops, got, want)
+				}
+				reached += len(got)
+			}
+			if reached == 0 {
+				t.Fatalf("%s: no rack has a neighbour within %d hops; the test compares nothing", name, hops)
+			}
+		}
 	}
 }
 
