@@ -13,7 +13,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -471,12 +473,15 @@ func (r *Runtime) mergeFlows() {
 	}
 }
 
+// sortKeys orders flow keys by (src, dst). They are map keys, hence unique,
+// so any correct sort gives the same order; this one runs every period and
+// does not allocate.
 func sortKeys(keys [][2]int) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return keys[i][1] < keys[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -28,6 +29,47 @@ func benchCost(e Edge) float64 {
 		return Inf
 	}
 	return 10/e.Bandwidth + e.Bandwidth/e.Capacity
+}
+
+// loadFabric patches every link's available bandwidth to a seeded random
+// 5…100 % of its capacity: a loaded fabric as benchCost reads it, where
+// nearly every path has its own cost and a row keeps dozens to hundreds of
+// distinct tentative distances pending.
+func loadFabric(g *Graph, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for id := 0; id < g.NumEdges(); id += 2 {
+		g.SetBandwidthAt(id, g.EdgeAt(id).Capacity*(0.05+0.95*rng.Float64()))
+	}
+}
+
+// BenchmarkSweepRow is the unit of the cost model's refresh: one rack row
+// of a 16-pod Fat-Tree (the ft16 workloads' fabric), swept inline on warm
+// tables; an op is one row, cycling over the racks. pristine prices links
+// by DistanceCost, so nearly every relaxation ties; loaded prices them by
+// benchCost after loadFabric, so nearly none does.
+//
+//	go test -run=^$ -bench SweepRow -benchtime=20000x -benchmem ./internal/topology/
+func BenchmarkSweepRow(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cost EdgeCost
+	}{{"pristine", DistanceCost}, {"loaded", benchCost}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ft := benchFatTree(b, 16)
+			if tc.name == "loaded" {
+				loadFabric(ft.Graph, 1)
+			}
+			racks := ft.Racks()
+			ms := DijkstraFromInto(ft.Graph, racks, tc.cost, nil)
+			row := []int{0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row[0] = i % len(racks)
+				ms.SweepRows(row)
+			}
+		})
+	}
 }
 
 // BenchmarkDijkstraFrom measures one steady-state single-source sweep:

@@ -1,5 +1,10 @@
 package topology
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Compressed-sparse-row view of a Graph and the reusable scratch behind
 // the shortest-path sweeps. The adjacency is flattened once into parallel
 // arrays (rowStart/dstID/capacity/distance/bandwidth) so the Dijkstra hot
@@ -104,31 +109,24 @@ type treeNode struct {
 	p int32
 }
 
-// heapEnt is one 4-ary heap entry. Distance first: the sift loops compare
-// on .d, and the layout keeps both fields in one cache line per slot.
+// heapEnt is one queue entry, distance first so that a slot is one
+// 16-byte unit. The two loops share the storage: sweepMasked keeps a 4-ary
+// heap in it and ignores next; sweep threads its radix buckets through it
+// as linked lists, next being the following entry of the same bucket (-1
+// ends the list). Each loop pushes at most once per directed edge plus the
+// source, so m+1 slots never grow.
 type heapEnt struct {
-	d float64
-	v int32
+	d    float64
+	v    int32
+	next int32
 }
 
-// maxLevels bounds the bucket-level window of the main sweep's monotone
-// queue. Fat-Tree and BCube sweeps keep at most a handful of distinct
-// tentative distances pending (three on a pristine 48-pod fabric), so
-// nearly every push and pop is an O(1) bucket operation; graphs with many
-// distinct path costs overflow into the 4-ary heap and degrade gracefully
-// to plain heap behavior.
-const maxLevels = 16
-
-// sweepScratch is the per-worker reusable state of one Dijkstra sweep: a
-// bounded bucket-level window over an index-based 4-ary overflow heap (no
-// container/heap, no interface boxing) plus epoch-stamped settled and
-// block masks, so clearing between sweeps is a single counter increment
-// rather than an O(n+m) wipe.
+// sweepScratch is the per-worker reusable state of one Dijkstra sweep: the
+// queue storage (no container/heap, no interface boxing) plus
+// epoch-stamped settled and block masks, so clearing between sweeps is a
+// single counter increment rather than an O(n+m) wipe.
 type sweepScratch struct {
-	heap   []heapEnt
-	lvlKey []float64 // len maxLevels; ascending keys of the active window
-	lvlBkt [][]int32 // len maxLevels; lvlBkt[i] holds nodes at lvlKey[i];
-	// slots beyond the active count park recycled bucket storage
+	heap []heapEnt // cap m+1: sweepMasked's heap, or sweep's radix arena
 
 	settled   []uint32 // settled[v] == epoch ⇒ v finalized this sweep
 	epoch     uint32
@@ -156,10 +154,6 @@ func (s *sweepScratch) ensure(n, m int) {
 	if cap(s.heap) < m+1 {
 		s.heap = make([]heapEnt, 0, m+1)
 	}
-	if s.lvlBkt == nil {
-		s.lvlKey = make([]float64, maxLevels)
-		s.lvlBkt = make([][]int32, maxLevels)
-	}
 }
 
 // nextEpoch advances the settled epoch, wiping the array on wraparound.
@@ -184,19 +178,27 @@ func (s *sweepScratch) nextMaskEpoch() uint32 {
 	return s.maskEpoch
 }
 
-// The 4-ary min-heap with lazy deletion (stale entries skipped via the
-// settled epoch on pop) lives inline in the sweep loops below: the sift
-// operations are too large for the inliner as methods, and the call
-// overhead plus per-access field reloads showed up as ~30% of the sweep
-// profile. Both loops work on a local copy of the heap slice and write it
-// back (with its grown capacity) on exit.
+// Both queues live inline in their loops, with lazy deletion (a stale
+// entry is skipped via the settled epoch on pop): as methods they are too
+// large for the inliner, and the call overhead plus per-access field
+// reloads showed up as ~30% of the sweep profile. Both loops work on a
+// local copy of the slice and write it back on exit.
 
 // sweep runs one single-source Dijkstra over the CSR with the
 // materialized weight vector, writing into the caller's dist/parent rows.
 // Ties in path cost resolve to the smallest predecessor ID, making the
 // shortest-path tree a pure function of the graph and weights rather than
-// of heap pop order; the reference walker applies the same rule, so the
+// of queue pop order; the reference walker applies the same rule, so the
 // two implementations are bit-identical.
+//
+// The queue is a monotone radix heap over the IEEE-754 bits of the keys,
+// which order non-negative doubles as integers do. A key goes to bucket
+// bits.Len64(key ^ last): O(1), and a key equal to the last one popped —
+// every tie on a pristine fabric — lands in bucket 0, which pops without
+// further work. Its precondition is every weight ≥ 0 or +Inf, so that no
+// key pushed is below the last key popped; NaN or negative weights break
+// it, as they break Dijkstra.
+//
 // An Inf edge weight needs no explicit skip here: d is always finite, so
 // nd becomes Inf, which can neither improve dist[v] (Inf < x is false for
 // every x) nor steal the tie (nd == dv == Inf implies parent[v] == -1,
@@ -204,9 +206,10 @@ func (s *sweepScratch) nextMaskEpoch() uint32 {
 // produced, minus a branch per edge. sweepMasked keeps its skips because
 // the epoch masks are not encoded in the weights.
 //
-// This is the full sweep and nothing else: the cost model runs 41 % of an
-// ft16-surge step in it, and a stop test in this loop read +2…4 % on every
-// full sweep (PR 16). Point-to-point searches run in sweepMasked.
+// This is the full sweep and nothing else: the cost model's rows, most of
+// ft16-surge's manage phase, run in it, and a stop test in this loop read
+// +2…4 % on every full sweep (PR 16). Point-to-point searches run in
+// sweepMasked, whose searches settle too few nodes to pay for a refill.
 func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
@@ -214,71 +217,46 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 	ep := s.nextEpoch()
 	settled := s.settled
 	rowStart := c.rowStart
-	lk := s.lvlKey
-	lb := s.lvlBkt
-	ln := 0
+	// The radix queue: head[b] is the newest entry of bucket b in the arena
+	// a, low[b] the smallest key bucket b has held since it was last
+	// emptied, and bit b of full is set while bucket b may be non-empty.
+	var head [64]int32
+	var low [64]uint64
+	for b := range head {
+		head[b], low[b] = -1, math.MaxUint64
+	}
 	tree[src].d = 0
-	h := s.heap[:0]
-	h = append(h, heapEnt{0, src})
-	for ln > 0 || len(h) > 0 {
-		var u int32
-		var d float64
-		if ln > 0 && (len(h) == 0 || lk[0] <= h[0].d) {
-			// Bucket fast path: the head level is the global minimum.
-			b := lb[0]
-			u, d = b[len(b)-1], lk[0]
-			b = b[:len(b)-1]
-			lb[0] = b
-			if len(b) == 0 {
-				// Retire the level, parking its storage past the window.
-				ln--
-				copy(lk[:ln], lk[1:ln+1])
-				copy(lb[:ln], lb[1:ln+1])
-				lb[ln] = b
+	a := append(s.heap[:0], heapEnt{0, src, -1})
+	head[0] = 0
+	full, last := uint64(1), uint64(0) // last: the bits of the last key popped
+	for {
+		if head[0] < 0 {
+			full &^= 1
+			if full == 0 {
+				break
 			}
-		} else {
-			u, d = h[0].v, h[0].d
-			last := len(h) - 1
-			e := h[last]
-			h = h[:last]
-			// Hole sift-down: walk the min-child chain moving children
-			// up, and drop the displaced tail entry into the final hole —
-			// half the stores of swap-based sifting and one fewer compare
-			// per level.
-			i := 0
-			for {
-				c0 := i<<2 + 1
-				if c0 >= last {
-					break
-				}
-				min := c0
-				if c0+4 <= last {
-					if h[c0+1].d < h[min].d {
-						min = c0 + 1
-					}
-					if h[c0+2].d < h[min].d {
-						min = c0 + 2
-					}
-					if h[c0+3].d < h[min].d {
-						min = c0 + 3
-					}
-				} else {
-					for c1 := c0 + 1; c1 < last; c1++ {
-						if h[c1].d < h[min].d {
-							min = c1
-						}
-					}
-				}
-				if h[min].d >= e.d {
-					break
-				}
-				h[i] = h[min]
-				i = min
-			}
-			if last > 0 {
-				h[i] = e
+			// Refill: the lowest non-empty bucket holds the next key. Make
+			// its smallest key the last one and redistribute the bucket:
+			// every entry shares more high bits with it than with the old
+			// last, so it lands strictly lower, the smallest in bucket 0.
+			b := bits.TrailingZeros64(full)
+			i := head[b]
+			last = low[b]
+			head[b], low[b], full = -1, math.MaxUint64, full&^(1<<b)
+			for i >= 0 {
+				e := &a[i]
+				next := e.next
+				key := math.Float64bits(e.d)
+				k := bits.Len64(key^last) & 63
+				e.next, head[k] = head[k], i
+				low[k] = min(low[k], key)
+				full |= 1 << k
+				i = next
 			}
 		}
+		top := a[head[0]]
+		head[0] = top.next
+		u, d := top.v, top.d
 		if settled[u] == ep {
 			continue
 		}
@@ -289,34 +267,15 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 			if nd < tv.d {
 				tv.d = nd
 				tv.p = u
-				// Push: match or insert a bucket level (scanning from the
-				// tail — new keys are almost always at or past it), or
-				// overflow into the heap when the window is full.
-				p := ln
-				for p > 0 && lk[p-1] > nd {
-					p--
-				}
-				if p > 0 && lk[p-1] == nd {
-					lb[p-1] = append(lb[p-1], e.v)
-				} else if ln < maxLevels {
-					fb := lb[ln]
-					copy(lk[p+1:ln+1], lk[p:ln])
-					copy(lb[p+1:ln+1], lb[p:ln])
-					lk[p] = nd
-					lb[p] = append(fb[:0], e.v)
-					ln++
-				} else {
-					h = append(h, heapEnt{nd, e.v})
-					i := len(h) - 1
-					for i > 0 {
-						p := (i - 1) >> 2
-						if h[i].d >= h[p].d {
-							break
-						}
-						h[i], h[p] = h[p], h[i]
-						i = p
-					}
-				}
+				// Push: the key's bucket is the length of the prefix it
+				// shares with the last key. Both sign bits are clear, so
+				// k < 64 and the mask only tells the compiler so.
+				key := math.Float64bits(nd)
+				k := bits.Len64(key^last) & 63
+				a = append(a, heapEnt{nd, e.v, head[k]})
+				head[k] = int32(len(a) - 1)
+				low[k] = min(low[k], key)
+				full |= 1 << k
 			} else if nd == tv.d && u < tv.p && settled[e.v] != ep {
 				// Tie updates stop once v settles: with a zero-weight
 				// edge between two equal-distance nodes, a post-settle
@@ -329,7 +288,7 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 			}
 		}
 	}
-	s.heap = h[:0]
+	s.heap = a[:0]
 }
 
 // sweepMasked is the point-to-point loop: sweep on a plain 4-ary heap, with
@@ -360,7 +319,7 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 // pops before the node settles. Hence each parent on the chain stop → … →
 // src is the one the full search picks. A zero-weight link between two
 // equal-distance nodes is the one case decided by queue order, which neither
-// a bound nor the bucket queue of sweep preserves: callers that need the
+// a bound nor the radix queue of sweep preserves: callers that need the
 // full row's tree bit for bit price every link above zero. lower == nil is
 // no bound; ub is then unused. With stop unreachable no real path exists, so
 // ub is Inf, nothing is dropped and the row is the full row.
@@ -375,7 +334,7 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, low
 	edgeMask := s.edgeMask
 	rowStart := c.rowStart
 	tree[src].d = 0
-	h := append(s.heap[:0], heapEnt{0, src})
+	h := append(s.heap[:0], heapEnt{d: 0, v: src})
 	for len(h) > 0 {
 		u, d := h[0].v, h[0].d
 		last := len(h) - 1
@@ -445,7 +404,7 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, low
 			if nd < tv.d {
 				tv.d = nd
 				tv.p = u
-				h = append(h, heapEnt{nd, v})
+				h = append(h, heapEnt{d: nd, v: v})
 				i := len(h) - 1
 				for i > 0 {
 					p := (i - 1) >> 2

@@ -1,8 +1,11 @@
 package topology
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -134,6 +137,183 @@ func TestCSRDijkstraMatchesReferenceOnRandomGraphs(t *testing.T) {
 		ms = DijkstraFromInto(g, sources, bandwidthCost, ms)
 		ref = referenceDijkstraFrom(g, sources, bandwidthCost)
 		assertSameMultiSource(t, g, sources, ms, ref, "relinked")
+	}
+}
+
+// binadeGraph is randomEquivGraph priced across sixteen decades: each
+// directed weight is drawn log-uniformly from 1e-8…1e8, or a third of the
+// time repeats one of four shared draws, so exact duplicates keep
+// equal-cost paths tying; one random edge is Inf. Three pendant nodes add
+// the extremes: "tiny" hangs on a subnormal link, and "far" → "farther"
+// hang one way on links near 1e150, their ways back Inf. The one-way rule is
+// what keeps the oracle exact: from a node past a 1e150 link every other
+// distance would round to that link's cost, ties the queue would decide —
+// the zero-weight regime. The subnormal link is safe both ways, its far end
+// having a single neighbour.
+func binadeGraph(rng *rand.Rand, n int) (*Graph, EdgeCost) {
+	g := randomEquivGraph(rng, n)
+	tiny := g.AddNode(Rack, "tiny", -1, 0)
+	far := g.AddNode(Rack, "far", -1, 0)
+	farther := g.AddNode(Rack, "farther", -1, 0)
+	hub, gate := rng.Intn(n), rng.Intn(n)
+	for _, l := range [][2]int{{tiny, hub}, {gate, far}, {far, farther}} {
+		if err := g.AddLink(l[0], l[1], 1, 1); err != nil {
+			panic(err)
+		}
+	}
+	logUniform := func() float64 { return math.Pow(10, 16*rng.Float64()-8) }
+	shared := [4]float64{logUniform(), logUniform(), logUniform(), logUniform()}
+	w := make([]float64, g.NumEdges())
+	for id := range w {
+		if rng.Intn(3) == 0 {
+			w[id] = shared[rng.Intn(len(shared))]
+		} else {
+			w[id] = logUniform()
+		}
+	}
+	w[rng.Intn(2*n)] = Inf
+	sub := 3 * math.SmallestNonzeroFloat64
+	w[g.EdgeIndex(tiny, hub)], w[g.EdgeIndex(hub, tiny)] = sub, sub
+	w[g.EdgeIndex(gate, far)], w[g.EdgeIndex(far, gate)] = 1e150, Inf
+	w[g.EdgeIndex(far, farther)], w[g.EdgeIndex(farther, far)] = math.Nextafter(1e150, Inf), Inf
+	return g, func(e Edge) float64 { return w[e.ID] }
+}
+
+// maxPendingKeys replays the lazy-deletion Dijkstra from src and returns
+// the most distinct keys its queue ever held at once, stale entries
+// included: the load a row puts on the queue, whatever the queue is.
+func maxPendingKeys(g *Graph, src int, cost EdgeCost) int {
+	dist := make([]float64, g.NumNodes())
+	for i := range dist {
+		dist[i] = Inf
+	}
+	dist[src] = 0
+	done := make([]bool, g.NumNodes())
+	pending := map[float64]int{0: 1}
+	q := &refPQ{{src, 0}}
+	most := 0
+	for q.Len() > 0 {
+		most = max(most, len(pending))
+		it := heap.Pop(q).(refPQItem)
+		if pending[it.dist]--; pending[it.dist] == 0 {
+			delete(pending, it.dist)
+		}
+		if done[it.node] {
+			continue
+		}
+		done[it.node] = true
+		for _, e := range g.Edges(it.node) {
+			if nd := it.dist + cost(e); nd < dist[e.To] {
+				dist[e.To] = nd
+				heap.Push(q, refPQItem{e.To, nd})
+				pending[nd]++
+			}
+		}
+	}
+	return most
+}
+
+// TestSweepMatchesReferenceAcrossBinades stresses the full sweep's radix
+// queue, whose buckets follow the bits of the keys: on random graphs priced
+// by binadeGraph (keys from subnormal to 1e150, exact duplicates, Inf
+// edges), and on Fat-Tree 16, BCube 8 and a 16-spine leaf-spine under
+// loadFabric, where a row holds dozens to hundreds of distinct keys
+// pending at once. Every row's distances (as bits), parents, Path and
+// PathEdges must be the reference walker's. All rows of all graphs
+// interleave on one scratch, each after a stopped search on it, so neither
+// a refill's leftovers nor sweepMasked's can leak into the next sweep.
+func TestSweepMatchesReferenceAcrossBinades(t *testing.T) {
+	type tcase struct {
+		label   string
+		g       *Graph
+		cost    EdgeCost
+		sources []int
+		ms      *MultiSource
+	}
+	var cases []*tcase
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(400 + seed))
+		g, cost := binadeGraph(rng, 30+rng.Intn(30))
+		all := make([]int, g.NumNodes())
+		for i := range all {
+			all[i] = i
+		}
+		cases = append(cases, &tcase{label: fmt.Sprintf("binades-%d", seed), g: g, cost: cost, sources: all})
+	}
+	ft, err := NewFatTree(FatTreeConfig{Pods: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := NewBCube(BCubeConfig{SwitchesPerLevel: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := NewLeafSpine(LeafSpineConfig{Leaves: 64, Spines: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []struct {
+		name  string
+		g     *Graph
+		floor int // the fewest distinct keys a rack row must hold pending at once
+	}{
+		{"fat-tree-16", ft.Graph, 64},
+		{"bcube-8", bc.Graph, 40}, // 80 nodes: its rows peak at 41…71
+		{"leaf-spine-16", ls.Graph, 64},
+	} {
+		loadFabric(f.g, int64(i+1))
+		racks := f.g.Racks()
+		for _, r := range racks {
+			if p := maxPendingKeys(f.g, r, benchCost); p < f.floor {
+				t.Fatalf("%s: the row of rack %d holds at most %d distinct keys pending, want ≥ %d", f.name, r, p, f.floor)
+			}
+		}
+		cases = append(cases, &tcase{label: f.name, g: f.g, cost: benchCost, sources: racks})
+	}
+
+	shared := &sweepScratch{}
+	most := 0
+	for _, tc := range cases {
+		tc.ms = &MultiSource{scratch: []*sweepScratch{shared}}
+		tc.ms.Reset(tc.g, tc.sources)
+		tc.ms.Reweigh(tc.cost)
+		most = max(most, len(tc.sources))
+	}
+	rng := rand.New(rand.NewSource(25))
+	for row := 0; row < most; row++ {
+		for _, tc := range cases {
+			if row >= len(tc.sources) {
+				continue
+			}
+			tc.ms.SweepRowTo(row, rng.Intn(tc.g.NumNodes()), nil)
+			tc.ms.SweepRows([]int{row})
+		}
+	}
+	for _, tc := range cases {
+		ref := referenceDijkstraFrom(tc.g, tc.sources, tc.cost)
+		n := tc.g.NumNodes()
+		for _, s := range tc.sources {
+			for d := 0; d < n; d++ {
+				if got, want := tc.ms.Dist(s, d), ref.Dist(s, d); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Dist(%d,%d) = %v, reference %v", tc.label, s, d, got, want)
+				}
+				if got, want := tc.ms.row(s)[d].p, ref.parent[s][d]; got != want {
+					t.Fatalf("%s: parent of %d from %d = %d, reference %d", tc.label, d, s, got, want)
+				}
+				path := ref.Path(s, d)
+				if got := tc.ms.Path(s, d); !equalPath(got, path) {
+					t.Fatalf("%s: Path(%d,%d) = %v, reference %v", tc.label, s, d, got, path)
+				}
+				var want []int
+				for i := 1; i < len(path); i++ {
+					want = append(want, tc.g.EdgeIndex(path[i-1], path[i]))
+				}
+				got, ok := tc.ms.PathEdges(s, d, nil)
+				if ok != (path != nil) || !slices.Equal(got, want) {
+					t.Fatalf("%s: PathEdges(%d,%d) = %v %v, reference path %v", tc.label, s, d, got, ok, path)
+				}
+			}
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // stopFabrics are the fabrics of the stop-rule tests: the three small ones,
-// and a BCube(8) wide enough that "spread" weights keep more than
-// maxLevels distinct distances pending and spill into the heap.
+// and a BCube(8) wide enough that "spread" weights keep dozens of distinct
+// distances pending, spread over many of the full sweep's radix buckets.
 func stopFabrics(t *testing.T) map[string]*Graph {
 	t.Helper()
 	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
@@ -32,9 +32,9 @@ func stopFabrics(t *testing.T) map[string]*Graph {
 }
 
 // stopWeights draws one weight per directed edge. "ties" keeps to three
-// values, so equal-cost paths abound and a full sweep stays inside the
-// bucket window; "spread" draws the load-aware metric under random loads,
-// whose many distinct distances overflow the window into the heap; "cut"
+// values, so equal-cost paths abound and a full sweep pops most keys from
+// its radix queue's bucket 0; "spread" draws the load-aware metric under
+// random loads, whose many distinct distances make it refill; "cut"
 // is "ties" with every edge into one node priced Inf, which leaves that
 // node unreachable; "free" is "cut" with one zero-weight link, the case
 // whose tie between the link's two ends goes by queue order.
