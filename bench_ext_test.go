@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sheriff/internal/alert"
 	"sheriff/internal/arima"
 	"sheriff/internal/comm"
 	"sheriff/internal/cost"
@@ -18,7 +17,7 @@ import (
 	"sheriff/internal/topology"
 )
 
-// --- Extended substrate benches: QCN, flow plane, runtime, coordinator ---
+// --- Extended substrate benches: QCN, flow plane, runtime, migration ---
 
 func BenchmarkQCNTunnelStep(b *testing.B) {
 	cp, err := qcn.NewCongestionPoint(qcn.CPConfig{QEq: 600})
@@ -257,43 +256,6 @@ func BenchmarkRuntimeStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rt.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoordinatorRound(b *testing.B) {
-	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster, err := dcn.NewCluster(ft.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 4, MinCapacity: 5, MaxCapacity: 20, Seed: benchSeed})
-	model, err := cost.New(cluster, cost.PaperParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var shims []*migrate.Shim
-	for _, r := range cluster.Racks {
-		s, err := migrate.NewShim(cluster, model, r, migrate.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		shims = append(shims, s)
-	}
-	co := migrate.NewCoordinator(cluster, model, shims)
-	alerts := make([][]alert.Alert, len(shims))
-	for i, shim := range shims {
-		for _, h := range shim.Rack.Hosts {
-			alerts[i] = append(alerts[i], alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.92})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := co.Round(alerts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sheriff/internal/alert"
 	"sheriff/internal/dcn"
 	"sheriff/internal/traces"
 )
@@ -72,29 +71,6 @@ func TestNewFlowNetworkFacade(t *testing.T) {
 	}
 	if len(f.Path()) < 3 {
 		t.Fatalf("path = %v", f.Path())
-	}
-}
-
-func TestNewCoordinatorFacade(t *testing.T) {
-	cluster, model, shims, err := NewFatTreeCluster(4, 2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := cluster.Racks[0].Hosts[0]
-	for i := 0; i < 4; i++ {
-		if _, err := cluster.AddVM(h, 20, 1, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	co := NewCoordinator(cluster, model, shims)
-	alerts := make([][]Alert, len(shims))
-	alerts[0] = []Alert{{Kind: alert.FromServer, HostID: h.ID, Value: 0.95}}
-	rep, err := co.Round(alerts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Migrations) == 0 {
-		t.Fatal("coordinator moved nothing")
 	}
 }
 

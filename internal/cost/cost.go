@@ -62,8 +62,8 @@ var ErrBandwidthBelowFloor = errors.New("cost: no path with bandwidth above thre
 // Model evaluates migration costs over one cluster. Construct with New;
 // call Refresh (or RefreshSources) after changing link bandwidths.
 //
-// Queries may run from several goroutines at once (the parallel
-// coordinator shares one Model); Refresh and RefreshSources must not run
+// Queries may run from several goroutines at once, and a row they find
+// stale is swept once; Refresh and RefreshSources must not run
 // concurrently with queries or each other.
 type Model struct {
 	params  Params

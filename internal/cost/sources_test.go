@@ -131,9 +131,9 @@ func TestRefreshSourcesMatchesFullRefresh(t *testing.T) {
 }
 
 // TestStaleRowsQueriedConcurrently is the -race test for the on-demand
-// path: the parallel coordinator shares one Model between goroutines, so
-// several may meet the same stale row at once. The stamp check is the
-// atomic fast path; the sweep happens once, behind the model's lock.
+// path: queries are safe from several goroutines, so several may meet the
+// same stale row at once. The stamp check is the atomic fast path; the
+// sweep happens once, behind the model's lock.
 func TestStaleRowsQueriedConcurrently(t *testing.T) {
 	for _, deferred := range []bool{false, true} {
 		full, lazy := newTwin(t, false), newTwin(t, deferred)

@@ -10,12 +10,11 @@ import (
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
 	"sheriff/internal/faults"
-	"sheriff/internal/knapsack"
 	"sheriff/internal/obs"
 	"sheriff/internal/placement"
 )
 
-// The conservation test drives all three migration paths over seeded
+// The conservation test drives both migration transports over seeded
 // random clusters and checks, after every call, what must hold whatever
 // the path, policy or options: every VM a call was given ends placed,
 // parked or unplaced and the result says which; preemption never touches
@@ -31,12 +30,11 @@ type consPath int
 
 const (
 	consMigrate consPath = iota
-	consCoordinator
 	consDistributed
 )
 
 func (p consPath) String() string {
-	return [...]string{"migrate", "coordinator", "distributed"}[p]
+	return [...]string{"migrate", "distributed"}[p]
 }
 
 // consCell is one point of the grid a scenario runs in.
@@ -56,7 +54,7 @@ func (c consCell) preemptOptions() PreemptOptions {
 	return PreemptOptions{Enabled: c.preempt, MaxEvictions: consMaxEvictions}
 }
 
-// consOutcome is what one call reported, in the shape the three result
+// consOutcome is what one call reported, in the shape the two result
 // types share.
 type consOutcome struct {
 	migrations  []Migration
@@ -160,11 +158,11 @@ func (sc *consScenario) alertedIn(r *dcn.Rack) []*dcn.VM {
 	return out
 }
 
-func (sc *consScenario) shims(t *testing.T, p Params) []*Shim {
+func (sc *consScenario) shims(t *testing.T) []*Shim {
 	t.Helper()
 	var shims []*Shim
 	for _, r := range sc.fx.cluster.Racks {
-		s, err := NewShim(sc.fx.cluster, sc.fx.model, r, p)
+		s, err := NewShim(sc.fx.cluster, sc.fx.model, r, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +193,6 @@ func (sc *consScenario) run(t *testing.T) {
 	switch sc.cell.path {
 	case consMigrate:
 		queues = sc.runMigrate(t)
-	case consCoordinator:
-		queues = sc.runCoordinator(t)
 	case consDistributed:
 		queues = sc.runDistributed(t)
 	}
@@ -220,7 +216,7 @@ func (sc *consScenario) run(t *testing.T) {
 
 func (sc *consScenario) runMigrate(t *testing.T) []*RetryQueue {
 	c, m := sc.fx.cluster, sc.fx.model
-	shims := sc.shims(t, DefaultParams())
+	shims := sc.shims(t)
 	queues := make([]*RetryQueue, len(shims))
 	for i := range queues {
 		queues[i] = sc.newQueue(t)
@@ -260,61 +256,9 @@ func (sc *consScenario) runMigrate(t *testing.T) []*RetryQueue {
 	return queues
 }
 
-func (sc *consScenario) runCoordinator(t *testing.T) []*RetryQueue {
-	c := sc.fx.cluster
-	p := DefaultParams()
-	p.RequestPolicy = consAdmission
-	p.Recorder = sc.rec
-	p.Placement = placement.PolicyOptions{Kind: sc.cell.kind}
-	p.Preempt = sc.cell.preemptOptions()
-	p.Retry = RetryOptions{Enabled: sc.cell.queue}
-	shims := sc.shims(t, p)
-	co := NewCoordinator(c, sc.fx.model, shims)
-	for round := 0; round < 2; round++ {
-		alerts := make([][]alert.Alert, len(shims))
-		var inputs []*dcn.VM
-		if round == 0 {
-			// The round selects its own candidates with PRIORITY; the same
-			// pure selection, made first, says what it was given.
-			seen := map[int]bool{}
-			for i, shim := range shims {
-				for _, h := range shim.Rack.Hosts {
-					if h.Utilization() <= 0.7 {
-						continue
-					}
-					alerts[i] = append(alerts[i], alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: h.Utilization()})
-					for _, vm := range knapsack.Priority(h.VMs(), knapsack.Alpha, p.Alpha*h.Capacity) {
-						if !seen[vm.ID] {
-							seen[vm.ID] = true
-							inputs = append(inputs, vm)
-						}
-					}
-				}
-			}
-		}
-		before := sc.rec.Seq()
-		rep, err := co.Round(alerts)
-		if err != nil {
-			t.Fatalf("%s: Round: %v", sc.cell, err)
-		}
-		sc.check(t, fmt.Sprintf("round %d", round), inputs, before, consOutcome{
-			migrations: rep.Migrations, rejected: rep.Rejected, preemptions: rep.Preemptions,
-			retried: rep.Retried, requeued: rep.Requeued, unplaced: rep.Unplaced,
-		})
-		if rep.Collisions > rep.Rejected {
-			t.Errorf("%s round %d: %d collisions among %d rejections", sc.cell, round, rep.Collisions, rep.Rejected)
-		}
-	}
-	var queues []*RetryQueue
-	for _, s := range shims {
-		queues = append(queues, s.Queue())
-	}
-	return queues
-}
-
 func (sc *consScenario) runDistributed(t *testing.T) []*RetryQueue {
 	c := sc.fx.cluster
-	shims := sc.shims(t, DefaultParams())
+	shims := sc.shims(t)
 	q := sc.newQueue(t)
 	for round := 0; round < 2; round++ {
 		if round > 0 && q.Len() == 0 {
@@ -393,7 +337,6 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 	count := map[obs.Kind]int{}
 	queueRetries := 0
 	evictedFrom := map[int]map[int]bool{}
-	evictionsBy := map[int]int{}
 	for _, e := range sc.since(before) {
 		count[e.Kind]++
 		switch e.Kind {
@@ -414,7 +357,6 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 				evictedFrom[e.VM] = map[int]bool{}
 			}
 			evictedFrom[e.VM][e.Host] = true
-			evictionsBy[e.Shim]++
 			domain[e.VM] = true
 			last[e.VM] = e
 		case obs.KindAck:
@@ -433,17 +375,9 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 		}
 	}
 
-	// The eviction budget is per Migrate call and per protocol run; a
-	// coordinated round gives each shim's leftover pass its own.
-	total := 0
-	for shim, n := range evictionsBy {
-		total += n
-		if cell.path == consCoordinator && n > consMaxEvictions {
-			fail("shim %d evicted %d VMs, budget %d", shim, n, consMaxEvictions)
-		}
-	}
-	if cell.path != consCoordinator && total > consMaxEvictions {
-		fail("%d evictions, budget %d", total, consMaxEvictions)
+	// The eviction budget is per Migrate call and per protocol run.
+	if n := count[obs.KindPreempt]; n > consMaxEvictions {
+		fail("%d evictions, budget %d", n, consMaxEvictions)
 	}
 
 	unplaced := map[int]bool{}
@@ -462,11 +396,10 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 		}
 		switch {
 		case !settled:
-			// Two known leaks. A coordinated round forgets a VM its matching
-			// left unmatched in an iteration where some other VM committed.
-			// The protocol may run out of rounds with a request in flight
-			// whose move was applied; the VM then sits at its destination.
-			if cell.path != consCoordinator && !(cell.path == consDistributed && vm.Host() != nil) {
+			// One known leak: the protocol may run out of rounds with a
+			// request in flight whose move was applied; the VM then sits at
+			// its destination.
+			if !(cell.path == consDistributed && vm.Host() != nil) {
 				fail("VM %d was given to the call and ended neither placed, parked nor unplaced", id)
 			}
 		case e.Kind == obs.KindAck:
@@ -547,12 +480,12 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 	sc.totals.unplaced += count[obs.KindUnplaced]
 }
 
-// TestMigrationConservation runs the grid: three paths × {sheriff,
+// TestMigrationConservation runs the grid: two transports × {sheriff,
 // best-fit, oversub} × preemption on/off × fail-queue on/off × seeds.
 func TestMigrationConservation(t *testing.T) {
 	const seeds = 12
 	var totals consTotals
-	for _, path := range []consPath{consMigrate, consCoordinator, consDistributed} {
+	for _, path := range []consPath{consMigrate, consDistributed} {
 		for _, kind := range []placement.Kind{placement.Sheriff, placement.BestFit, placement.Oversub} {
 			for _, preempt := range []bool{false, true} {
 				for _, queue := range []bool{false, true} {

@@ -12,9 +12,8 @@ import (
 	"sheriff/internal/placement"
 )
 
-// Tally holds what every migration result counts. Report, MigrationResult,
-// RoundReport and DistResult embed it, so one Add folds any of them into
-// any other.
+// Tally holds what every migration result counts. Report, MigrationResult
+// and DistResult embed it, so one Add folds any of them into any other.
 type Tally struct {
 	Migrations  []Migration
 	TotalCost   float64
@@ -47,11 +46,10 @@ const (
 
 // core is the management protocol of Sec. V.B written once: the Alg. 3
 // matching step, the Alg. 4 grant, eviction for a stuck VM, and the
-// fail-queue's drain and park, all counting into one Tally. Migrate,
-// Coordinator.Round and DistributedVMMigration each build one on their
-// stack and differ only in how a matched pair travels to the deciding
-// delegation node: a call, a parallel propose with FCFS commit, or bus
-// messages.
+// fail-queue's drain and park, all counting into one Tally. Migrate and
+// DistributedVMMigration each build one on their stack and differ only in
+// how a matched pair travels to the deciding delegation node: a call, or
+// bus messages.
 type core struct {
 	c   *dcn.Cluster
 	m   *cost.Model
@@ -68,8 +66,8 @@ type core struct {
 	tally    *Tally
 
 	// scratch is match's, built by its first call and kept across the rounds
-	// of one protocol call. Each core has its own (the parallel Coordinator's
-	// shims share only the Model); a copy of a core shares it, stamp and all.
+	// of one protocol call. Each core has its own; a copy of a core shares
+	// it, stamp and all.
 	scratch *matchScratch
 }
 

@@ -38,7 +38,7 @@ type Report struct {
 // RequestPolicy decides whether a REQUEST handshake may be granted,
 // before the Alg. 4 capacity check. It is the injectable admission /
 // failure-injection point: per-call (MigrationOptions, DistOptions) or
-// per-shim (Params), so concurrent coordinators never share mutable
+// per-shim (Params), so concurrent protocol runs never share mutable
 // global state. A nil policy always allows.
 type RequestPolicy func(vm *dcn.VM, dst *dcn.Host) bool
 
@@ -56,8 +56,8 @@ type Params struct {
 	// one-hop wired neighbors).
 	NeighborSwitchHops int
 	// RequestPolicy, when non-nil, is consulted on every handshake the
-	// shim answers or commits (ProcessAlerts, Coordinator commits,
-	// DistributedVMMigration destinations).
+	// shim answers or commits (ProcessAlerts, DistributedVMMigration
+	// destinations).
 	RequestPolicy RequestPolicy
 	// Recorder, when non-nil, receives request/ack/reject/unplaced events
 	// from the shim's migration rounds.
@@ -180,13 +180,6 @@ func (s *Shim) SetRequestPolicy(p RequestPolicy) { s.params.RequestPolicy = p }
 
 // Policy returns the shim's destination-scoring policy.
 func (s *Shim) Policy() placement.Policy { return s.policy }
-
-// core builds the shim's view of the protocol for one coordinated round:
-// its own placement policy and recorder, counting into t. Admission is
-// the destination shim's and reaches grant per request.
-func (s *Shim) core(t *Tally) core {
-	return core{c: s.cluster, m: s.model, pol: s.policy, rec: s.params.Recorder, tally: t}
-}
 
 // Queue returns the shim's fail-queue (nil when retries are disabled).
 // Safe on a nil shim, as is QueueLen — the runtime's sharded engine keeps
@@ -546,7 +539,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 // (first come, first served). It does not mutate state; the actual move
 // follows on ACK. Admission and failure injection compose in front of
 // this check through RequestPolicy — the old package-global gate is gone
-// (it was unsafe under the parallel coordinator).
+// (it was unsafe under concurrent callers).
 func Request(vm *dcn.VM, dst *dcn.Host) bool {
 	return dst.Free() >= vm.Capacity
 }

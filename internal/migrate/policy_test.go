@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"sheriff/internal/alert"
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
 	"sheriff/internal/obs"
@@ -127,46 +126,6 @@ func TestPolicyDeterminismSequential(t *testing.T) {
 	}
 }
 
-// TestPolicyDeterminismCoordinator does the same through concurrent
-// coordinated rounds: the FCFS commit order must make the parallel path
-// reproducible under every policy.
-func TestPolicyDeterminismCoordinator(t *testing.T) {
-	run := func(kind placement.Kind) string {
-		fx := newFixture(t, 4, 2)
-		fx.cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 25, Seed: 8})
-		params := DefaultParams()
-		params.Placement = placement.PolicyOptions{Kind: kind, Seed: 9}
-		params.Preempt = PreemptOptions{Enabled: true}
-		params.Retry = RetryOptions{Enabled: true}
-		var shims []*Shim
-		for _, r := range fx.cluster.Racks {
-			s, err := NewShim(fx.cluster, fx.model, r, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shims = append(shims, s)
-		}
-		co := NewCoordinator(fx.cluster, fx.model, shims)
-		sets := makeHotAlerts(shims)
-		rep, err := co.Round(sets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, mg := range rep.Migrations {
-			fmt.Fprintf(&b, "%d->%d@%.9f;", mg.VM.ID, mg.To.ID, mg.Cost)
-		}
-		fmt.Fprintf(&b, "|cost=%.9f|pre=%d|req=%d", rep.TotalCost, rep.Preemptions, rep.Requeued)
-		return b.String()
-	}
-	for _, kind := range placement.Kinds() {
-		a, b := run(kind), run(kind)
-		if a != b {
-			t.Errorf("%s: coordinated round not reproducible\n a: %s\n b: %s", kind, a, b)
-		}
-	}
-}
-
 // TestPolicyDeterminismDistributed runs every grid policy twice through
 // the message-passing protocol over a clean seeded bus.
 func TestPolicyDeterminismDistributed(t *testing.T) {
@@ -218,19 +177,6 @@ func TestPolicyDeterminismDistributed(t *testing.T) {
 			t.Errorf("%s: distributed run not reproducible\n a: %s\n b: %s", kind, a, b)
 		}
 	}
-}
-
-// makeHotAlerts raises one server alert per host loaded above 50%.
-func makeHotAlerts(shims []*Shim) [][]alert.Alert {
-	out := make([][]alert.Alert, len(shims))
-	for i, shim := range shims {
-		for _, h := range shim.Rack.Hosts {
-			if h.Utilization() > 0.5 {
-				out[i] = append(out[i], alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.92})
-			}
-		}
-	}
-	return out
 }
 
 // TestSequentialPreemptThenRetry is the fail-queue round-trip: a critical

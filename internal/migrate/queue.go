@@ -102,8 +102,8 @@ func (o RetryOptions) WithDefaults() RetryOptions {
 type RetryEntry struct {
 	VM *dcn.VM
 	// Shim is the rack index of the shim that parked the VM (ShimUnknown
-	// when unattributed); the coordinator and distributed rounds use it to
-	// route the retry back to the owning shim.
+	// when unattributed); the distributed protocol uses it to route the
+	// retry back to the owning shim.
 	Shim int
 	// Attempts counts placement attempts so far (≥ 1 once parked).
 	Attempts int

@@ -1,7 +1,7 @@
 // Package pool provides the shared bounded worker pool behind Sheriff's
 // parallel phases: the runtime's per-VM prediction fan-out, candidate
-// fitting in the predictor pools, the migrate coordinator's per-shim
-// rounds, and the cost model's per-source shortest-path refresh.
+// fitting in the predictor pools, and the cost model's per-source
+// shortest-path refresh.
 //
 // The pool is deliberately minimal: work is distributed over item indices
 // through an atomic counter, the calling goroutine participates as one of

@@ -31,10 +31,6 @@ func equivScenarios() []equivScenario {
 			o.DeepPredict = true
 			o.DeepFitAfter = 6
 		}},
-		{name: "qcn", steps: 10, mutate: func(o *Options) {
-			o.UseQCN = true
-			o.FlowRate = func(trf float64) float64 { return 0.5 + 0.5*trf }
-		}},
 		{name: "no-reroute", steps: 10, mutate: func(o *Options) {
 			o.DisableReroute = true
 			o.FlowRate = func(trf float64) float64 { return 0.5 + 0.5*trf }
@@ -172,16 +168,13 @@ func TestShardedMatchesReference(t *testing.T) {
 			refHist := driveEquiv(t, ref, sc)
 			refPlaced := placement(ref.Cluster)
 
-			var refSnap []byte
-			if !refOpts.UseQCN {
-				snap, err := ref.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				refSnap, err = json.Marshal(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
+			snap, err := ref.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSnap, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			for _, shards := range []int{1, 2, 5} {
@@ -202,18 +195,16 @@ func TestShardedMatchesReference(t *testing.T) {
 						t.Fatalf("shards=%d: VM %d ends on host %d, on %d under the reference engine", shards, id, host, refPlaced[id])
 					}
 				}
-				if refSnap != nil {
-					snap, err := sh.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := json.Marshal(snap)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(got) != string(refSnap) {
-						t.Fatalf("shards=%d: snapshot diverged from reference engine", shards)
-					}
+				snap, err := sh.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(refSnap) {
+					t.Fatalf("shards=%d: snapshot diverged from reference engine", shards)
 				}
 			}
 		})

@@ -217,7 +217,7 @@ func (r *refRuntime) initReference() error {
 			return err
 		}
 		r.shims = append(r.shims, shim)
-		qm, err := alert.NewQueueMonitor(&trendState{ewmaTrend: holtCoeff}, r.opts.QueueLimit, queueThreshold)
+		qm, err := alert.NewQueueMonitor(&trendState{ewmaTrend: holtCoeff}, queueLimit, queueThreshold)
 		if err != nil {
 			return err
 		}
@@ -308,19 +308,14 @@ func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, er
 	// Phase 3: switch-side congestion. Hot outer switches trigger
 	// FLOWREROUTE; ToR uplink monitors raise FromLocalToR alerts.
 	phaseStart = time.Now()
-	var hot []int
-	if r.opts.UseQCN {
-		hot = r.qcnHotSwitches(stats)
-	} else {
-		hot = r.Flows.HotSwitches(r.opts.HotThreshold)
-	}
+	hot := r.Flows.HotSwitches(hotThreshold)
 	stats.HotSwitches = len(hot)
 	for _, sw := range hot {
 		stats.SwitchAlerts++
 		if r.opts.DisableReroute {
 			continue
 		}
-		moved := r.Flows.RerouteAroundHot(sw, r.opts.HotThreshold)
+		moved := r.Flows.RerouteAroundHot(sw, hotThreshold)
 		stats.Reroutes += len(moved)
 	}
 	for idx, rack := range r.Cluster.Racks {
@@ -432,7 +427,7 @@ func (r *refRuntime) deepStepRef(stats *StepStats, rec *obs.Recorder) {
 		}
 		rec.Record(obs.Event{Kind: obs.KindForecast, Phase: "predict",
 			Shim: idx, VM: -1, Host: -1, Value: p})
-		if p > r.opts.HotThreshold {
+		if p > hotThreshold {
 			stats.DeepWarnings++
 		}
 	}

@@ -26,25 +26,18 @@ import (
 	"sheriff/internal/migrate"
 	"sheriff/internal/obs"
 	"sheriff/internal/predictor"
-	"sheriff/internal/qcn"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
 // Options configures a Runtime.
 type Options struct {
-	Thresholds   alert.Thresholds // ALERT trigger levels (default 0.9)
-	HotThreshold float64          // switch utilization treated as hot (default 0.9)
-	QueueLimit   float64          // ToR uplink queue capacity (default 1.0 = full utilization)
-	Seed         int64
-	Migrate      migrate.Params
+	Thresholds alert.Thresholds // ALERT trigger levels (default 0.9)
+	Seed       int64
+	Migrate    migrate.Params
 	// FlowRate maps a dependent VM pair's mean TRF to a flow rate in
 	// link-capacity units (default 0.05 + 0.4·TRF).
 	FlowRate func(trf float64) float64
-	// UseQCN detects switch congestion through per-switch QCN congestion
-	// points (queue dynamics + Fb sampling) instead of a bare utilization
-	// threshold.
-	UseQCN bool
 	// DisableReroute turns FLOWREROUTE off (hot switches stay hot) — the
 	// ablation baseline.
 	DisableReroute bool
@@ -83,12 +76,6 @@ type Options struct {
 // Validate reports whether the options are usable. Negative values are
 // errors; zero values mean "use the default".
 func (o Options) Validate() error {
-	if o.HotThreshold < 0 {
-		return fmt.Errorf("runtime: HotThreshold must be >= 0 (0 = default), got %v", o.HotThreshold)
-	}
-	if o.QueueLimit < 0 {
-		return fmt.Errorf("runtime: QueueLimit must be >= 0 (0 = default), got %v", o.QueueLimit)
-	}
 	if o.DeepFitAfter < 0 {
 		return fmt.Errorf("runtime: DeepFitAfter must be >= 0 (0 = default), got %v", o.DeepFitAfter)
 	}
@@ -105,18 +92,12 @@ func (o Options) Validate() error {
 }
 
 // WithDefaults returns the options with zero fields replaced by their
-// defaults (thresholds 0.9, full queue, Holt-style flow-rate mapping),
+// defaults (thresholds 0.9, Holt-style flow-rate mapping),
 // with the recorder threaded into the migrate params unless one is
 // already set there.
 func (o Options) WithDefaults() Options {
 	if o.Thresholds == (alert.Thresholds{}) {
 		o.Thresholds = alert.DefaultThresholds()
-	}
-	if o.HotThreshold == 0 {
-		o.HotThreshold = 0.9
-	}
-	if o.QueueLimit == 0 {
-		o.QueueLimit = 1.0
 	}
 	o.Migrate = o.Migrate.WithDefaults()
 	if o.Migrate.Recorder == nil {
@@ -171,7 +152,6 @@ type StepStats struct {
 	HotSwitches    int
 	WorkloadStdDev float64
 	MaxUplinkUtil  float64
-	QCNFeedbacks   int // congestion messages sampled (UseQCN only)
 	DeepWarnings   int // racks whose deep pool predicted stress above threshold
 	Timings        PhaseTimings
 }
@@ -183,10 +163,9 @@ type Runtime struct {
 	Flows   *flow.Network
 
 	opts       Options
-	gen        traces.Generator             // trace family (opts.Traces), built once
-	shims      []*migrate.Shim              // indexed by rack; nil until first alert
-	cps        map[int]*qcn.CongestionPoint // per-switch CPs (UseQCN)
-	flowByPair map[[2]int]int               // dependency pair -> flow ID
+	gen        traces.Generator // trace family (opts.Traces), built once
+	shims      []*migrate.Shim  // indexed by rack; nil until first alert
+	flowByPair map[[2]int]int   // dependency pair -> flow ID
 	rng        *rand.Rand
 	step       int
 	history    []StepStats
@@ -261,7 +240,6 @@ func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime
 		opts:       opts,
 		gen:        gen,
 		rng:        rand.New(rand.NewSource(opts.Seed)),
-		cps:        make(map[int]*qcn.CongestionPoint),
 		flowByPair: make(map[[2]int]int),
 	}
 	if opts.DeepPredict {
@@ -381,34 +359,6 @@ func (r *Runtime) Run(n int) ([]StepStats, error) {
 		}
 	}
 	return r.History(), nil
-}
-
-// qcnHotSwitches advances each switch's congestion point by one step and
-// returns the switches whose CP signaled congestion. The queue runs in
-// normalized units: each step enqueues the switch's worst incident-link
-// utilization and drains the hot-threshold's worth, so a link persistently
-// above the threshold builds standing queue and triggers the Fb sample —
-// QCN's detection dynamics at the granularity this simulator resolves.
-func (r *Runtime) qcnHotSwitches(stats *StepStats) []int {
-	var hot []int
-	for _, sw := range r.Cluster.Graph.SwitchNodes() {
-		cp := r.cps[sw]
-		if cp == nil {
-			var err error
-			cp, err = qcn.NewCongestionPoint(qcn.CPConfig{QEq: 0.25, Capacity: 2})
-			if err != nil {
-				continue
-			}
-			r.cps[sw] = cp
-		}
-		cp.Enqueue(r.Flows.SwitchUtilization(sw))
-		cp.Dequeue(r.opts.HotThreshold)
-		if _, congested := cp.Sample(); congested {
-			hot = append(hot, sw)
-			stats.QCNFeedbacks++
-		}
-	}
-	return hot
 }
 
 // uplinkUtilization returns the maximum utilization over the rack's ToR

@@ -191,7 +191,7 @@ func TestRuntimeHostsNeverOversubscribed(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.Thresholds.CPU != 0.9 || o.HotThreshold != 0.9 || o.QueueLimit != 1.0 {
+	if o.Thresholds.CPU != 0.9 || o.DeepFitAfter != 48 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if o.FlowRate(0.5) <= 0 {

@@ -31,8 +31,15 @@ import (
 	"sheriff/internal/traces"
 )
 
-// queueThreshold is the ToR queue-occupancy alert fraction (of QueueLimit).
-const queueThreshold = 0.9
+// The congestion levels, in units of full link utilization: a switch at or
+// above hotThreshold is hot (FLOWREROUTE moves flows off it, and a deep
+// forecast above it is a warning), and a rack's ToR alerts when its
+// forecast uplink occupancy of queueLimit passes queueThreshold.
+const (
+	hotThreshold   = 0.9
+	queueLimit     = 1.0
+	queueThreshold = 0.9
+)
 
 // holtCoeff carries the Holt smoothing coefficients shared by every
 // predictor in the system. The tests' seed engine routes its recursion
@@ -494,7 +501,6 @@ func (r *Runtime) monitorShard(s int) {
 	start := time.Now()
 	maxU := 0.0
 	tor := 0
-	limit := r.opts.QueueLimit
 	for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {
 		util := r.uplinkUtilization(r.Cluster.Racks[rk])
 		if util > maxU {
@@ -507,7 +513,7 @@ func (r *Runtime) monitorShard(s int) {
 			q.level, q.trend = holtCoeff.fold(q.level, q.trend, util)
 		}
 		sh.qN[rk]++
-		occ := clamp01((q.level + q.trend*1) / limit)
+		occ := clamp01((q.level + q.trend*1) / queueLimit)
 		if occ > queueThreshold {
 			sh.alertsByRack[rk] = append(sh.alertsByRack[rk],
 				alert.Alert{Kind: alert.FromLocalToR, Value: occ, RackIndex: rk})
@@ -572,7 +578,7 @@ func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder, exter
 			p := sh.deepVal[rk]
 			rec.Record(obs.Event{Kind: obs.KindForecast, Phase: "predict",
 				Shim: rk, VM: -1, Host: -1, Value: p})
-			if p > r.opts.HotThreshold {
+			if p > hotThreshold {
 				stats.DeepWarnings++
 			}
 		}
@@ -631,19 +637,14 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 	// flow network); the per-rack uplink monitors then run as a shard
 	// round over the settled network.
 	phaseStart = time.Now()
-	var hot []int
-	if r.opts.UseQCN {
-		hot = r.qcnHotSwitches(stats)
-	} else {
-		hot = r.Flows.HotSwitches(r.opts.HotThreshold)
-	}
+	hot := r.Flows.HotSwitches(hotThreshold)
 	stats.HotSwitches = len(hot)
 	for _, sw := range hot {
 		stats.SwitchAlerts++
 		if r.opts.DisableReroute {
 			continue
 		}
-		moved := r.Flows.RerouteAroundHot(sw, r.opts.HotThreshold)
+		moved := r.Flows.RerouteAroundHot(sw, hotThreshold)
 		stats.Reroutes += len(moved)
 	}
 	sh.workers.Do(sh.monitorFn)

@@ -89,9 +89,8 @@ type Snapshot struct {
 	DeepHist   []timeseries.Bits          `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
-// Snapshot captures the runtime's full resumable state. It fails under
-// UseQCN (congestion-point dynamics are not serialized) and when a fitted
-// deep pool contains an unserializable candidate.
+// Snapshot captures the runtime's full resumable state. It fails when a
+// fitted deep pool contains an unserializable candidate.
 func (r *Runtime) Snapshot() (*Snapshot, error) {
 	sh := r.sh
 	vms := make([]VMSnap, 0, len(sh.byID))
@@ -120,9 +119,6 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 // queue monitors — which it takes as given: cluster, traffic plane, flow
 // pairs and deep pools are the Runtime's whoever steps it.
 func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, error) {
-	if r.opts.UseQCN {
-		return nil, fmt.Errorf("runtime: snapshot under UseQCN is not supported (congestion-point state is not serialized)")
-	}
 	trOpts := r.opts.Traces
 	snap := &Snapshot{
 		Version:    SnapshotVersion,
@@ -167,7 +163,7 @@ func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, err
 // then dcn.Cluster.Restore) and a cost model built over that cluster.
 // opts must describe the same regime as the original run — in particular
 // Seed is taken from the snapshot (the generators replay from it),
-// Traces must match the snapshot's regime, and UseQCN must be off.
+// Traces must match the snapshot's regime.
 // The shard count may differ from the run that produced the snapshot (the
 // state is global, so the partition is free to change). A restored runtime
 // resumes forecasting incrementally: per-VM Holt states, queue monitors,
@@ -179,9 +175,6 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	}
 	if snap.Version < 3 || snap.Version > SnapshotVersion {
 		return nil, fmt.Errorf("runtime: snapshot version %d not supported (want 3..%d)", snap.Version, SnapshotVersion)
-	}
-	if opts.UseQCN {
-		return nil, fmt.Errorf("runtime: restore under UseQCN is not supported")
 	}
 	if snap.Traces == nil {
 		return nil, fmt.Errorf(`runtime: snapshot "traces" is missing`)

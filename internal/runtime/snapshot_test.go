@@ -263,25 +263,6 @@ func TestNewRejectsWildVMIDs(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsQCN pins the v1 limitation.
-func TestSnapshotRejectsQCN(t *testing.T) {
-	cluster, model := buildParts(t, 4)
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, Seed: 1})
-	r, err := New(cluster, model, Options{Seed: 1, UseQCN: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Snapshot(); err == nil {
-		t.Fatal("snapshot under UseQCN accepted")
-	}
-	if _, err := Restore(cluster, model, Options{UseQCN: true}, &Snapshot{Version: SnapshotVersion}); err == nil {
-		t.Fatal("restore under UseQCN accepted")
-	}
-	if _, err := Restore(cluster, model, Options{}, &Snapshot{Version: 99}); err == nil {
-		t.Fatal("unknown snapshot version accepted")
-	}
-}
-
 // TestLazyStreamsMixedDrive pins the on-demand streams across the two
 // ways of driving a runtime: StepExternal opens none, the first Step opens
 // them all at position 0, and a snapshot taken in either state restores

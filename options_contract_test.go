@@ -67,13 +67,13 @@ func TestOptionsContract(t *testing.T) {
 		},
 		{
 			name:     "runtime.Options",
-			negative: func() error { return runtime.Options{HotThreshold: -1}.Validate() },
+			negative: func() error { return runtime.Options{DeepFitAfter: -1}.Validate() },
 			zeroOK:   func() error { return runtime.Options{}.Validate() },
 			defaulted: func() (any, any) {
-				return runtime.Options{}.WithDefaults().HotThreshold, 0.9
+				return runtime.Options{}.WithDefaults().DeepFitAfter, 48
 			},
 			preserved: func() (any, any) {
-				return runtime.Options{HotThreshold: 0.7}.WithDefaults().HotThreshold, 0.7
+				return runtime.Options{DeepFitAfter: 12}.WithDefaults().DeepFitAfter, 12
 			},
 		},
 		{

@@ -94,8 +94,6 @@ type (
 	RuntimeOptions = runtime.Options
 	// RuntimeStats summarizes one Runtime step.
 	RuntimeStats = runtime.StepStats
-	// Coordinator runs concurrent shim rounds with FCFS commits.
-	Coordinator = migrate.Coordinator
 	// MigrationTimeline is the Fig. 2 six-stage live-migration schedule.
 	MigrationTimeline = cost.Timeline
 	// CostTimelineParams tunes the pre-copy timeline model.
@@ -282,11 +280,6 @@ func NewRuntime(cluster *Cluster, model *CostModel, opts RuntimeOptions) (*Runti
 // FLOWREROUTE.
 func NewFlowNetwork(cluster *Cluster) *FlowNetwork {
 	return flow.NewNetwork(cluster.Graph)
-}
-
-// NewCoordinator builds a parallel shim coordinator over the cluster.
-func NewCoordinator(cluster *Cluster, model *CostModel, shims []*Shim) *Coordinator {
-	return migrate.NewCoordinator(cluster, model, shims)
 }
 
 // NewPredictor builds the paper's dynamic-selection predictor on the
