@@ -135,7 +135,7 @@ func TestSubscriberWriteTimeoutIsASinkError(t *testing.T) {
 // restore installs loads verbatim) it fails after the first step (steps
 // count from 0, so the resumed run's first is 12), naming the step, the link
 // and the two figures. Without -check the same run goes
-// through.
+// through. Tampered ingest counters fail the same way.
 func TestRunCheckNamesTheViolation(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "daemon.snap")
 	base := []string{"-topology", "bcube", "-size", "4", "-traces", "surge", "-snapshot", snap}
@@ -147,6 +147,7 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := blob
 	var st daemonState
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
@@ -176,5 +177,28 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	}
 	if err := run(append([]string{"-steps", "3"}, base...), &out); err != nil {
 		t.Fatalf("the same run without -check: %v", err)
+	}
+
+	// A tail drop the snapshot counts but never offered breaks ingest
+	// conservation, and -check names that identity instead.
+	var ist daemonState
+	if err := json.Unmarshal(orig, &ist); err != nil {
+		t.Fatal(err)
+	}
+	ist.Ingest.Dropped++
+	if blob, err = json.Marshal(ist); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(append([]string{"-steps", "3", "-check"}, base...), &out)
+	if err == nil {
+		t.Fatal("-check passed a run whose ingest counters do not add up")
+	}
+	for _, want := range []string{"invariant violated after step 12", "ingest: offered = accepted + dropped fails"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("-check error %q does not say %q", err, want)
+		}
 	}
 }

@@ -13,9 +13,9 @@
 // without disturbing the run: a subscriber that stops reading is cut off
 // after one second's stalled write. -trace writes the same stream to a
 // file; the trace is closed and parseable even when the run fails mid-way.
-// With -check the placement and traffic-plane invariants are verified after
-// every period, and the daemon exits non-zero naming the first one violated
-// and the step.
+// With -check the placement, traffic-plane and ingest-conservation
+// invariants are verified after every period, and the daemon exits non-zero
+// naming the first one violated and the step.
 //
 // Usage:
 //
@@ -93,7 +93,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	failStep := fs.Int("fail-step", 0, "inject a failure after this step (testing the crash-safe trace path)")
 	shards := fs.Int("shards", 0, "step-engine shard workers (0 = GOMAXPROCS)")
 	historyLimit := fs.Int("history-limit", 0, "retain only the last N steps of in-memory stats (0 = unbounded)")
-	check := fs.Bool("check", false, "verify the placement and traffic-plane invariants after every step; exit non-zero naming the first violation")
+	check := fs.Bool("check", false, "verify the placement, traffic-plane and ingest-conservation invariants after every step; exit non-zero naming the first violation")
 	if perr := fs.Parse(args); perr != nil {
 		if errors.Is(perr, flag.ErrHelp) {
 			return nil
@@ -318,7 +318,11 @@ loop:
 			s.Migrations, s.MigrationCost, s.Reroutes, s.HotSwitches,
 			s.WorkloadStdDev, s.MaxUplinkUtil)
 		if *check {
-			if cerr := rt.CheckInvariants(); cerr != nil {
+			cerr := rt.CheckInvariants()
+			if cerr == nil {
+				cerr = svc.CheckInvariants()
+			}
+			if cerr != nil {
 				return fmt.Errorf("invariant violated after step %d: %w", s.Step, cerr)
 			}
 		}

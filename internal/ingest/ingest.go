@@ -527,6 +527,28 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
+// CheckInvariants verifies the service's conservation of updates: every
+// update offered was accepted or tail-dropped (Offered = Accepted +
+// Dropped), and every update accepted was drained through triage or is
+// still queued (Accepted = Processed + Pending). The error names the
+// identity that failed and its counts. The counters are service-wide, so
+// the offer path pays no per-shard atomics for this; call it between
+// periods, with no Offer or ProcessPending in flight, since a counter is
+// bumped after the shard lock that queues or drains the updates it counts.
+// It is meant for tests and `sheriffd -check`, not for the per-period path.
+func (s *Service) CheckInvariants() error {
+	st := s.Stats()
+	if st.Offered != st.Accepted+st.Dropped {
+		return fmt.Errorf("ingest: offered = accepted + dropped fails: offered %d, accepted %d, dropped %d",
+			st.Offered, st.Accepted, st.Dropped)
+	}
+	if st.Accepted != st.Processed+uint64(st.Pending) {
+		return fmt.Errorf("ingest: accepted = processed + pending fails: accepted %d, processed %d, pending %d",
+			st.Accepted, st.Processed, st.Pending)
+	}
+	return nil
+}
+
 // Subscription is a live event stream handle returned by Subscribe. The
 // wrapped sink receives every recorder event until it returns an error
 // (auto-detach) or Unsubscribe is called.

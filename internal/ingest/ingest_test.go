@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,6 +94,47 @@ func TestBackpressureTailDrop(t *testing.T) {
 	// The queue is reusable after a drain.
 	if ok, _ := s.Offer(Update{VM: 0, Profile: cool()}); !ok {
 		t.Fatal("offer after drain rejected")
+	}
+}
+
+// TestCheckInvariantsNamesTheViolation holds the conservation identities
+// through drops, a pending queue and a drain, then breaks each counter
+// behind the API's back and wants the broken identity named.
+func TestCheckInvariantsNamesTheViolation(t *testing.T) {
+	sound := func() *Service {
+		s := build(t, Options{QueueLimit: 2})
+		for step := 0; step < 3; step++ {
+			if _, err := s.OfferBatch([]Update{{VM: 0}, {VM: 1}, {VM: 2}, {VM: 3}}); err != nil { // one drop on rack 0
+				t.Fatal(err)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("step %d, pending: %v", step, err)
+			}
+			s.ProcessPending()
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("step %d, drained: %v", step, err)
+			}
+		}
+		if st := s.Stats(); st.Dropped != 3 || st.Processed != 9 {
+			t.Fatalf("counters %+v, want 3 dropped and 9 processed", st)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Service)
+		want    string
+	}{
+		{"lost offer", func(s *Service) { s.offered.Add(1) }, "offered = accepted + dropped fails: offered 13, accepted 9, dropped 3"},
+		{"phantom drop", func(s *Service) { s.dropped.Add(1) }, "offered = accepted + dropped fails: offered 12, accepted 9, dropped 4"},
+		{"lost update", func(s *Service) { s.processed.Add(^uint64(0)) }, "accepted = processed + pending fails: accepted 9, processed 8, pending 0"},
+		{"stray queue entry", func(s *Service) { s.shard[1].queue = append(s.shard[1].queue, queued{}) }, "accepted = processed + pending fails: accepted 9, processed 9, pending 1"},
+	} {
+		s := sound()
+		tc.corrupt(s)
+		if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want it to say %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -82,7 +82,10 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 
 // BuildCluster constructs the topology, an empty cluster over it, and a
 // paper-parameter cost model — the pieces runtime.Restore needs before
-// overlaying a snapshot.
+// overlaying a snapshot. The model is deferred (cost.NewDeferred): the
+// runtime's management phase refreshes it before any shim prices a move,
+// so sweeping every rack's tables here would only delay the first period
+// (about 15 s at 5,000 racks).
 func BuildCluster(cfg RuntimeConfig) (*dcn.Cluster, *cost.Model, error) {
 	cfg = cfg.withDefaults()
 	g, err := newGraph(cfg.Kind, cfg.Size)
@@ -97,7 +100,7 @@ func BuildCluster(cfg RuntimeConfig) (*dcn.Cluster, *cost.Model, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	model, err := cost.New(cluster, cost.PaperParams())
+	model, err := cost.NewDeferred(cluster, cost.PaperParams())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -108,11 +111,18 @@ func BuildCluster(cfg RuntimeConfig) (*dcn.Cluster, *cost.Model, error) {
 // runtime around it. Use BuildCluster + runtime.Restore instead when
 // resuming from a snapshot.
 func BuildRuntime(cfg RuntimeConfig, opts runtime.Options) (*runtime.Runtime, error) {
-	cfg = cfg.withDefaults()
 	cluster, model, err := BuildCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return assemble(cluster, model, cfg, opts)
+}
+
+// assemble populates an empty cluster from cfg and builds the runtime over
+// it and model: BuildRuntime past BuildCluster, so a test can hand it an
+// eager model.
+func assemble(cluster *dcn.Cluster, model *cost.Model, cfg RuntimeConfig, opts runtime.Options) (*runtime.Runtime, error) {
+	cfg = cfg.withDefaults()
 	cluster.Populate(dcn.PopulateOptions{
 		VMsPerHost:              cfg.VMsPerHost,
 		MinCapacity:             5,

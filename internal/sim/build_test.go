@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/runtime"
 	"sheriff/internal/traces"
 )
@@ -47,6 +48,52 @@ func TestBuildRuntimeMatchesBuildCluster(t *testing.T) {
 	}
 	if _, _, err := BuildCluster(RuntimeConfig{Kind: Kind(99), Size: 4}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+
+	// The model is deferred: building it sweeps no table, and the runtime's
+	// first management phase prices exactly as eager tables would.
+	if prepared, onDemand := model.SweepCounts(); prepared != 0 || onDemand != 0 {
+		t.Fatalf("BuildCluster's model swept %d rows ahead and %d on demand, want none", prepared, onDemand)
+	}
+	for _, kind := range []Kind{FatTree, BCube} {
+		cfg := RuntimeConfig{Kind: kind, Size: 4, Seed: 5, TraceKind: traces.Surge.String()}
+		deferred, err := BuildRuntime(cfg, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster, _, err := BuildCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := cost.New(cluster, cost.PaperParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager, err := assemble(cluster, model, cfg, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrations := 0
+		for i := 0; i < 60; i++ {
+			got, err := deferred.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eager.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Timings, want.Timings = runtime.PhaseTimings{}, runtime.PhaseTimings{}
+			if *got != *want {
+				t.Fatalf("%v step %d over the deferred model: %+v, over cost.New: %+v", kind, i, *got, *want)
+			}
+			migrations += got.Migrations
+		}
+		if migrations == 0 {
+			t.Fatalf("%v: no migration in 60 surge steps, so no step priced a move", kind)
+		}
+		deferred.Close()
+		eager.Close()
 	}
 }
 

@@ -184,22 +184,23 @@ func applySurge(p Profile, reg Regime, phase int, member bool, intensity, noise 
 }
 
 // surgeFactory is the Surge generator: a shared regime schedule over the
-// materialized diurnal baseline.
+// materialized diurnal baseline, whose curves it shares the same way.
 type surgeFactory struct {
 	opts     Options
+	curves   *curves
 	schedule *regimeSchedule
 }
 
 func newSurgeFactory(o Options) *surgeFactory {
 	n := o.Hours * SamplesPerHour
-	return &surgeFactory{opts: o, schedule: buildSchedule(n, o.Seed, o.Surge)}
+	return &surgeFactory{opts: o, curves: newCurves(o.Hours), schedule: buildSchedule(n, o.Seed, o.Surge)}
 }
 
 func (f *surgeFactory) Kind() Kind { return Surge }
 
 func (f *surgeFactory) Source(vmID, rack int) Source {
 	return &SurgeGen{
-		base:     NewWorkloadGen(f.opts.Hours, f.opts.Seed+int64(vmID)),
+		base:     f.curves.workloadGen(f.opts.Seed + int64(vmID)),
 		schedule: f.schedule,
 		vmSeed:   f.opts.Seed + int64(vmID),
 		rack:     rack,

@@ -63,22 +63,34 @@ func (c CPUConfig) withDefaults() CPUConfig {
 // CPU generates a diurnal CPU utilization trace in percent, clamped to
 // [0, 100].
 func CPU(cfg CPUConfig) *timeseries.Series {
-	return cpuFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	cfg = cfg.withDefaults()
+	return cpuFrom(cfg, cpuCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
 }
 
-func cpuFrom(cfg CPUConfig, rng *rand.Rand) *timeseries.Series {
-	cfg = cfg.withDefaults()
-	n := cfg.Hours * SamplesPerHour
-	spike := 0.0
-	return timeseries.FromFunc(n, func(t int) float64 {
+// cpuCurve is the seed-independent part of the CPU trace: the diurnal
+// baseline Base + Amplitude·sin(…) that spikes and noise ride on. cfg has
+// its defaults.
+func cpuCurve(cfg CPUConfig) []float64 {
+	curve := make([]float64, cfg.Hours*SamplesPerHour)
+	for t := range curve {
 		hour := float64(t) / SamplesPerHour
 		// Peak in the afternoon (hour 14), trough before dawn.
 		diurnal := cfg.Amplitude * math.Sin(2*math.Pi*(hour-8)/24)
+		curve[t] = cfg.Base + diurnal
+	}
+	return curve
+}
+
+// cpuFrom draws one seed's spikes and noise onto the curve, which it only
+// reads.
+func cpuFrom(cfg CPUConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
+	spike := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
 		if rng.Float64() < cfg.SpikeProb {
 			spike = cfg.SpikeSize * (0.5 + rng.Float64())
 		}
 		spike *= 0.9 // spikes decay geometrically
-		v := cfg.Base + diurnal + spike + cfg.Noise*rng.NormFloat64()
+		v := curve[t] + spike + cfg.Noise*rng.NormFloat64()
 		return clamp(v, 0, 100)
 	})
 }
@@ -115,23 +127,34 @@ func (c DiskIOConfig) withDefaults() DiskIOConfig {
 // DiskIO generates a bursty disk I/O rate trace in MB/s (non-negative,
 // heavy right tail like the raw data of Fig. 4).
 func DiskIO(cfg DiskIOConfig) *timeseries.Series {
-	return diskIOFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	cfg = cfg.withDefaults()
+	return diskIOFrom(cfg, diskIOCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
 }
 
-func diskIOFrom(cfg DiskIOConfig, rng *rand.Rand) *timeseries.Series {
-	cfg = cfg.withDefaults()
-	n := cfg.Hours * SamplesPerHour
-	burst := 0.0
-	return timeseries.FromFunc(n, func(t int) float64 {
+// diskIOCurve is the seed-independent part of the I/O trace: the floor
+// Base·(1 + 0.3·cos(…)) that bursts and noise ride on. cfg has its
+// defaults.
+func diskIOCurve(cfg DiskIOConfig) []float64 {
+	curve := make([]float64, cfg.Hours*SamplesPerHour)
+	for t := range curve {
 		hour := float64(t) / SamplesPerHour
 		// Mild diurnal shape: batch jobs at night raise the floor.
-		base := cfg.Base * (1 + 0.3*math.Cos(2*math.Pi*hour/24))
+		curve[t] = cfg.Base * (1 + 0.3*math.Cos(2*math.Pi*hour/24))
+	}
+	return curve
+}
+
+// diskIOFrom draws one seed's bursts and noise onto the curve, which it
+// only reads.
+func diskIOFrom(cfg DiskIOConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
+	burst := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
 		if rng.Float64() < cfg.BurstProb {
 			// Exponential burst sizes give the heavy tail.
 			burst = cfg.BurstMean * rng.ExpFloat64()
 		}
 		burst *= 0.8
-		v := base + burst
+		v := curve[t] + burst
 		v *= 1 + cfg.Noise*rng.NormFloat64()
 		if v < 0 {
 			v = 0
@@ -189,14 +212,16 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 // Fig. 5: regular daily peaks and troughs, weekend damping, slight upward
 // trend, autocorrelated noise, and a slow nonlinear amplitude modulation.
 func WeeklyTraffic(cfg TrafficConfig) *timeseries.Series {
-	return weeklyTrafficFrom(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	cfg = cfg.withDefaults()
+	return weeklyTrafficFrom(cfg, weeklyTrafficCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
 }
 
-func weeklyTrafficFrom(cfg TrafficConfig, rng *rand.Rand) *timeseries.Series {
-	cfg = cfg.withDefaults()
-	n := cfg.Days * cfg.PerDay
-	ar := 0.0
-	return timeseries.FromFunc(n, func(t int) float64 {
+// weeklyTrafficCurve is the seed-independent part of the traffic trace:
+// Base + Trend·day + the modulated daily swing, which the AR(1) noise
+// rides on. cfg has its defaults.
+func weeklyTrafficCurve(cfg TrafficConfig) []float64 {
+	curve := make([]float64, cfg.Days*cfg.PerDay)
+	for t := range curve {
 		day := float64(t) / float64(cfg.PerDay)
 		frac := day - math.Floor(day) // time of day in [0,1)
 		// Daily peak mid-day; weekend (days 5,6 of each week) damped.
@@ -210,8 +235,18 @@ func weeklyTrafficFrom(cfg TrafficConfig, rng *rand.Rand) *timeseries.Series {
 		// linear ARIMA cannot express.
 		envelope := 1 + cfg.Nonlinear*math.Sin(2*math.Pi*day/3.3)
 		daily := cfg.DailyAmp * envelope * damp * math.Sin(2*math.Pi*(frac-0.25))
+		curve[t] = cfg.Base + cfg.Trend*day + daily
+	}
+	return curve
+}
+
+// weeklyTrafficFrom draws one seed's AR(1) noise onto the curve, which it
+// only reads.
+func weeklyTrafficFrom(cfg TrafficConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
+	ar := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
 		ar = cfg.NoisePhi*ar + cfg.NoiseSigma*rng.NormFloat64()
-		v := cfg.Base + cfg.Trend*day + daily + ar
+		v := curve[t] + ar
 		if v < 0 {
 			v = 0
 		}
@@ -255,21 +290,47 @@ type WorkloadGen struct {
 }
 
 // NewWorkloadGen builds a workload generator with the given horizon (in
-// hours) and seed.
+// hours) and seed. A Generator opening many of them computes the shared
+// curves once instead.
 func NewWorkloadGen(hours int, seed int64) *WorkloadGen {
+	return newCurves(hours).workloadGen(seed)
+}
+
+// curves are the seed-independent parts of a WorkloadGen's three traces
+// over one horizon, with the configurations that made them. The diurnal
+// and surge Generators build them once and every Source reads them; no
+// one writes them after newCurves.
+type curves struct {
+	cpuCfg       CPUConfig
+	ioCfg        DiskIOConfig
+	trfCfg       TrafficConfig
+	cpu, io, trf []float64
+}
+
+func newCurves(hours int) *curves {
+	c := &curves{
+		cpuCfg: CPUConfig{Hours: hours}.withDefaults(),
+		ioCfg:  DiskIOConfig{Hours: hours}.withDefaults(),
+		trfCfg: TrafficConfig{Days: hours/24 + 1, PerDay: SamplesPerDay}.withDefaults(),
+	}
+	c.cpu, c.io, c.trf = cpuCurve(c.cpuCfg), diskIOCurve(c.ioCfg), weeklyTrafficCurve(c.trfCfg)
+	return c
+}
+
+// workloadGen builds one seed's generator over the curves.
+func (c *curves) workloadGen(seed int64) *WorkloadGen {
 	// Opening a fabric's sources builds one of these per VM, so it keeps
 	// what it allocates to what it retains: one generator reseeded for each
 	// trace (Seed leaves it as NewSource would), each trace normalized in
 	// its own storage.
 	rng := rand.New(rand.NewSource(seed))
-	cpu := cpuFrom(CPUConfig{Hours: hours}, rng)
+	cpu := cpuFrom(c.cpuCfg, c.cpu, rng)
 	cpu.Normalize()
 	rng.Seed(seed + 1)
-	io := diskIOFrom(DiskIOConfig{Hours: hours}, rng)
+	io := diskIOFrom(c.ioCfg, c.io, rng)
 	io.Normalize()
-	days := hours/24 + 1
 	rng.Seed(seed + 2)
-	trf := weeklyTrafficFrom(TrafficConfig{Days: days, PerDay: SamplesPerDay}, rng)
+	trf := weeklyTrafficFrom(c.trfCfg, c.trf, rng)
 	trf.Normalize()
 	rng.Seed(seed + 3)
 	return &WorkloadGen{

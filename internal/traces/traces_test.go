@@ -174,8 +174,7 @@ func TestWorkloadGenDeterministic(t *testing.T) {
 }
 
 // The generator reseeds one rand.Rand and normalizes in place; its stream
-// must be the one four separate generators and three copies gave, and
-// building it must allocate only what it keeps.
+// must be the one four separate generators and three copies gave.
 func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
 	for _, seed := range []int64{0, 11, -7} {
 		const hours = 2
@@ -190,12 +189,73 @@ func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A Generator computes each trace's seed-independent curve once and every
+// Source adds only its own noise. Several Sources of one Generator (so
+// that one writing the shared curves would show) must stream, bit for bit,
+// what a standalone generator of the same seed gives, and opening one must
+// allocate only what it keeps.
+func TestGeneratorSourceMatchesStandalone(t *testing.T) {
+	for _, kind := range []Kind{Diurnal, Surge} {
+		for _, hours := range []int{1, 24, 48} {
+			for _, seed := range []int64{0, 11, -7} {
+				opts := Options{Kind: kind, Seed: seed, Hours: hours}
+				gen, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				schedule := buildSchedule(hours*SamplesPerHour, seed, opts.WithDefaults().Surge)
+				for vm := 0; vm < 3; vm++ {
+					rack := vm % 2
+					got := gen.Source(vm, rack)
+					base := NewWorkloadGen(hours, seed+int64(vm))
+					var want Source = base
+					if kind == Surge {
+						want = &SurgeGen{base: base, schedule: schedule, vmSeed: seed + int64(vm), rack: rack}
+					}
+					for i := 0; i < 2*base.Len()+5; i++ {
+						if g, w := got.Next(), want.Next(); g != w {
+							t.Fatalf("%v hours %d seed %d vm %d step %d: Source gives %+v, standalone %+v", kind, hours, seed, vm, i, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+
 	// Three series and their headers, the Rand and its source, the
-	// generator; separate generators and copies made it 18.
-	if n := testing.AllocsPerRun(20, func() { NewWorkloadGen(2, 11) }); n > 9 {
-		t.Errorf("NewWorkloadGen allocates %v objects, want 9", n)
+	// generator, and the surge wrapper around it; the curves are the
+	// Generator's. Separate generators and copies made the diurnal one 18.
+	for kind, most := range map[Kind]float64{Diurnal: 9, Surge: 10} {
+		gen, err := New(Options{Kind: kind, Seed: 11, Hours: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { gen.Source(3, 1) }); n > most {
+			t.Errorf("%v Source allocates %v objects, want %v", kind, n, most)
+		}
 	}
 }
+
+// BenchmarkGeneratorSource opens one surge Source at the ft16-surge shape
+// (24 hours, cluster seed 1, 768 VMs on 128 racks): the per-VM cost a
+// daemon pays once per reporter before its first period.
+func BenchmarkGeneratorSource(b *testing.B) {
+	const vms, racks = 768, 128
+	gen, err := New(Options{Kind: Surge, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm := i % vms
+		sourceSink = gen.Source(vm, vm*racks/vms)
+	}
+}
+
+var sourceSink Source
 
 func TestDescribe(t *testing.T) {
 	s := timeseries.New([]float64{1, 2, 3})
