@@ -50,6 +50,11 @@ func (h *Host) Rack() *Rack { return h.rack }
 // is a copy: callers move VMs while ranging over it.
 func (h *Host) VMs() []*VM { return append([]*VM(nil), h.vms...) }
 
+// Residents returns the VMs on the host, ordered by VM ID, without the copy
+// VMs makes. The slice is the host's own: read it, never modify it, and
+// never keep it past the next change to the host's residents.
+func (h *Host) Residents() []*VM { return h.vms }
+
 // Conflict reports whether a resident VM is dependent on vmID in deps, and
 // which one (the lowest-ID conflict) — the χ = 0 co-hosting check, walked
 // in place.
@@ -122,11 +127,12 @@ type Rack struct {
 	ToRCapacity float64
 }
 
-// VMs returns every VM hosted in the rack.
+// VMs returns every VM hosted in the rack, host by host, each host's in ID
+// order. The slice is a copy.
 func (r *Rack) VMs() []*VM {
 	var out []*VM
 	for _, h := range r.Hosts {
-		out = append(out, h.VMs()...)
+		out = append(out, h.vms...)
 	}
 	return out
 }

@@ -12,9 +12,10 @@
 package knapsack
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sheriff/internal/dcn"
 )
@@ -22,12 +23,35 @@ import (
 // SelectByBudget runs the Alg. 2 knapsack branch: it returns the subset of
 // non-delay-sensitive VMs whose total capacity is maximal without
 // exceeding budget; among subsets of that capacity, total Value is
-// minimized. The returned slice is ordered by VM ID for determinism.
+// minimized. The returned slice is ordered by VM ID for determinism and
+// is the caller's.
 func SelectByBudget(vms []*dcn.VM, budget float64) []*dcn.VM {
+	var s Scratch
+	return s.SelectByBudget(vms, budget)
+}
+
+// Scratch is SelectByBudget's working memory, kept by a caller that runs
+// the knapsack again and again (a shim, once per alert). The zero value is
+// ready; once it has grown to the largest instance a call allocates
+// nothing. It is not safe for concurrent use.
+type Scratch struct {
+	cands []*dcn.VM
+	sizes []int
+	d     []float64
+	// kept is an n × (c+1) bit table, one row of words per item: bit j of
+	// row i is set when item i lowered d[j].
+	kept []uint64
+	out  []*dcn.VM
+}
+
+// SelectByBudget is the package function over s's memory. The returned
+// slice is s's and is overwritten by the next call.
+func (s *Scratch) SelectByBudget(vms []*dcn.VM, budget float64) []*dcn.VM {
 	if budget <= 0 {
 		return nil
 	}
-	cands := eliminateDelaySensitive(vms)
+	s.cands = eliminateDelaySensitive(s.cands[:0], vms)
+	cands := s.cands
 	if len(cands) == 0 {
 		return nil
 	}
@@ -35,8 +59,10 @@ func SelectByBudget(vms []*dcn.VM, budget float64) []*dcn.VM {
 	if c <= 0 {
 		return nil
 	}
+	n := len(cands)
 	// Integer sizes: round up so the budget is never exceeded.
-	sizes := make([]int, len(cands))
+	s.sizes = slices.Grow(s.sizes[:0], n)[:n]
+	sizes := s.sizes
 	for i, vm := range cands {
 		sizes[i] = int(math.Ceil(vm.Capacity))
 		if sizes[i] <= 0 {
@@ -45,47 +71,59 @@ func SelectByBudget(vms []*dcn.VM, budget float64) []*dcn.VM {
 	}
 	const inf = math.MaxFloat64
 	// d[j]: minimal total value of a subset with total size exactly j.
-	d := make([]float64, c+1)
-	choice := make([][]int32, c+1) // chosen VM indices per cell
+	s.d = slices.Grow(s.d[:0], c+1)[:c+1]
+	d := s.d
+	d[0] = 0
 	for j := 1; j <= c; j++ {
 		d[j] = inf
 	}
+	words := c/64 + 1
+	s.kept = slices.Grow(s.kept[:0], n*words)[:n*words]
+	clear(s.kept)
 	for i, vm := range cands {
 		sz := sizes[i]
+		row := s.kept[i*words : (i+1)*words]
 		for j := c; j >= sz; j-- {
 			if d[j-sz] == inf {
 				continue
 			}
 			if nv := d[j-sz] + vm.Value; nv < d[j] {
 				d[j] = nv
-				sel := make([]int32, len(choice[j-sz])+1)
-				copy(sel, choice[j-sz])
-				sel[len(sel)-1] = int32(i)
-				choice[j] = sel
+				row[j/64] |= 1 << (j % 64)
 			}
 		}
 	}
 	// Largest reachable size wins; d already holds the min value there.
-	for j := c; j >= 1; j-- {
-		if d[j] != inf {
-			out := make([]*dcn.VM, len(choice[j]))
-			for k, idx := range choice[j] {
-				out[k] = cands[idx]
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-			return out
+	best := c
+	for best >= 1 && d[best] == inf {
+		best--
+	}
+	if best < 1 {
+		return nil
+	}
+	// Walk the rounds back: cell j's subset after item i is cell j−sz's
+	// after item i−1 plus i when item i lowered d[j], and cell j's after
+	// item i−1 otherwise. Cell 0 holds the empty subset.
+	s.out = s.out[:0]
+	for i, j := n-1, best; j > 0; i-- {
+		if s.kept[i*words+j/64]&(1<<(j%64)) != 0 {
+			s.out = append(s.out, cands[i])
+			j -= sizes[i]
 		}
 	}
-	return nil
+	slices.SortFunc(s.out, func(a, b *dcn.VM) int { return cmp.Compare(a.ID, b.ID) })
+	return s.out
 }
 
 // SelectMaxAlert runs the Alg. 2 ω = 1 branch: the single
 // non-delay-sensitive VM with the highest ALERT value (ties broken by
 // lowest VM ID). It returns nil when no candidate remains.
 func SelectMaxAlert(vms []*dcn.VM) []*dcn.VM {
-	cands := eliminateDelaySensitive(vms)
 	var best *dcn.VM
-	for _, vm := range cands {
+	for _, vm := range vms {
+		if vm.DelaySensitive {
+			continue
+		}
 		if best == nil || vm.Alert > best.Alert || (vm.Alert == best.Alert && vm.ID < best.ID) {
 			best = vm
 		}
@@ -96,15 +134,15 @@ func SelectMaxAlert(vms []*dcn.VM) []*dcn.VM {
 	return []*dcn.VM{best}
 }
 
-// eliminateDelaySensitive implements the first line of Alg. 2.
-func eliminateDelaySensitive(vms []*dcn.VM) []*dcn.VM {
-	out := make([]*dcn.VM, 0, len(vms))
+// eliminateDelaySensitive implements the first line of Alg. 2, appending
+// the remaining VMs to dst.
+func eliminateDelaySensitive(dst, vms []*dcn.VM) []*dcn.VM {
 	for _, vm := range vms {
 		if !vm.DelaySensitive {
-			out = append(out, vm)
+			dst = append(dst, vm)
 		}
 	}
-	return out
+	return dst
 }
 
 // Factor identifies which Alg. 2 branch to run.

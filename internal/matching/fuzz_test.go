@@ -5,15 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzSolve feeds arbitrary square matrices to the Hungarian solver: it
-// must never panic, and every returned assignment must be injective with
-// a cost equal to the sum of its chosen cells.
+// FuzzSolve feeds arbitrary matrices to the Hungarian solver: it must never
+// panic, every returned assignment must be injective with a cost equal to
+// the sum of its chosen cells, and a Workspace reused across the fuzzer's
+// inputs must agree with the allocating oracle bit for bit.
 func FuzzSolve(f *testing.F) {
-	f.Add(uint8(2), int64(1))
-	f.Add(uint8(5), int64(42))
-	f.Fuzz(func(t *testing.T, nRaw uint8, seed int64) {
-		n := int(nRaw%7) + 1
-		cost := make([][]float64, n)
+	f.Add(uint8(2), uint8(2), int64(1))
+	f.Add(uint8(5), uint8(5), int64(42))
+	f.Add(uint8(3), uint8(6), int64(7))
+	f.Add(uint8(6), uint8(2), int64(9))
+	var w Workspace
+	f.Fuzz(func(t *testing.T, rRaw, cRaw uint8, seed int64) {
+		rows, cols := int(rRaw%7)+1, int(cRaw%7)+1
+		cost := make([][]float64, rows)
 		s := seed
 		next := func() float64 {
 			s = s*6364136223846793005 + 1442695040888963407
@@ -24,14 +28,18 @@ func FuzzSolve(f *testing.F) {
 			return v
 		}
 		for i := range cost {
-			cost[i] = make([]float64, n)
+			cost[i] = make([]float64, cols)
 			for j := range cost[i] {
 				cost[i][j] = next()
 			}
 		}
-		r, err := Solve(cost)
+		r, err := w.Solve(cost)
 		if err != nil {
 			t.Fatalf("Solve errored on valid shape: %v", err)
+		}
+		want, _ := referenceSolve(cost)
+		if !sameResult(r, want) {
+			t.Fatalf("reused workspace gives %v cost %v, oracle %v cost %v", r.Assign, r.Cost, want.Assign, want.Cost)
 		}
 		seen := map[int]bool{}
 		total := 0.0
@@ -39,7 +47,7 @@ func FuzzSolve(f *testing.F) {
 			if j == -1 {
 				continue
 			}
-			if j < 0 || j >= n {
+			if j < 0 || j >= cols {
 				t.Fatalf("assignment out of range: %d", j)
 			}
 			if seen[j] {

@@ -12,6 +12,7 @@ package matching
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Forbidden marks an impossible assignment in the cost matrix.
@@ -33,18 +34,41 @@ type Result struct {
 // If rows > columns, only `columns` rows are matched (the cheapest
 // overall); unmatched rows get -1.
 func Solve(cost [][]float64) (*Result, error) {
+	var w Workspace
+	res, err := w.Solve(cost)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Workspace is the solver's working memory, kept by a caller that solves
+// again and again (a shim, once per matching round). The zero value is
+// ready; once it has grown to the largest instance a solve allocates
+// nothing. It is not safe for concurrent use.
+type Workspace struct {
+	a             []float64 // rows × width padded weights, row-major
+	u, v, minv    []float64
+	way, matchCol []int
+	used          []bool
+	assign        []int
+}
+
+// Solve is the package function over w's memory. The returned Assign is
+// w's and is overwritten by the next solve.
+func (w *Workspace) Solve(cost [][]float64) (Result, error) {
 	n := len(cost)
 	if n == 0 {
-		return nil, ErrBadShape
+		return Result{}, ErrBadShape
 	}
 	m := len(cost[0])
 	for _, row := range cost {
 		if len(row) != m {
-			return nil, ErrBadShape
+			return Result{}, ErrBadShape
 		}
 	}
 	if m == 0 {
-		return nil, ErrBadShape
+		return Result{}, ErrBadShape
 	}
 
 	// The potentials-based Hungarian algorithm needs rows <= cols; if the
@@ -66,38 +90,42 @@ func Solve(cost [][]float64) (*Result, error) {
 	if rows > cols {
 		width = rows // pad columns
 	}
-	a := make([][]float64, rows)
-	for i := range a {
-		a[i] = make([]float64, width)
+	w.a = slices.Grow(w.a[:0], rows*width)[:rows*width]
+	a := w.a
+	for i := 0; i < rows; i++ {
 		for j := 0; j < width; j++ {
 			switch {
 			case j >= cols:
-				a[i][j] = big // dummy column
+				a[i*width+j] = big // dummy column
 			case math.IsInf(cost[i][j], 1):
-				a[i][j] = big
+				a[i*width+j] = big
 			default:
-				a[i][j] = cost[i][j]
+				a[i*width+j] = cost[i][j]
 			}
 		}
 	}
 
-	// Potentials u (rows), v (cols); matchCol[j] = row matched to column j;
-	// way[j] = previous column on the alternating path through column j.
-	u := make([]float64, rows+1)
-	v := make([]float64, width+1)
-	way := make([]int, width+1)
-	matchCol := make([]int, width+1)
-	for j := range matchCol {
-		matchCol[j] = 0 // 1-based sentinel; 0 = free
-	}
+	// Potentials u (rows), v (cols); matchCol[j] = row matched to column j
+	// (1-based, 0 = free); way[j] = previous column on the alternating path
+	// through column j. All start at zero, as freshly made slices would.
+	w.u = slices.Grow(w.u[:0], rows+1)[:rows+1]
+	w.v = slices.Grow(w.v[:0], width+1)[:width+1]
+	w.way = slices.Grow(w.way[:0], width+1)[:width+1]
+	w.matchCol = slices.Grow(w.matchCol[:0], width+1)[:width+1]
+	w.minv = slices.Grow(w.minv[:0], width+1)[:width+1]
+	w.used = slices.Grow(w.used[:0], width+1)[:width+1]
+	u, v, way, matchCol, minv, used := w.u, w.v, w.way, w.matchCol, w.minv, w.used
+	clear(u)
+	clear(v)
+	clear(way)
+	clear(matchCol)
 	// 1-based loop (classic e-maxx formulation).
 	for i := 1; i <= rows; i++ {
 		matchCol[0] = i
 		j0 := 0
-		minv := make([]float64, width+1)
-		used := make([]bool, width+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true
@@ -108,7 +136,7 @@ func Solve(cost [][]float64) (*Result, error) {
 				if used[j] {
 					continue
 				}
-				cur := a[i0-1][j-1] - u[i0] - v[j]
+				cur := a[(i0-1)*width+j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -139,7 +167,8 @@ func Solve(cost [][]float64) (*Result, error) {
 		}
 	}
 
-	res := &Result{Assign: make([]int, rows)}
+	w.assign = slices.Grow(w.assign[:0], rows)[:rows]
+	res := Result{Assign: w.assign}
 	for i := range res.Assign {
 		res.Assign[i] = -1
 	}

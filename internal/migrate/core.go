@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"sheriff/internal/alert"
@@ -65,20 +66,28 @@ type core struct {
 	attempts map[int]int
 	tally    *Tally
 
-	// scratch is match's, built by its first call and kept across the rounds
-	// of one protocol call. Each core has its own; a copy of a core shares
-	// it, stamp and all.
+	// scratch is match's memory. A shim's cores share the shim's, across
+	// calls; a standalone Migrate or DistributedVMMigration builds one on
+	// the first match and keeps it across the rounds of the call. A copy of
+	// a core shares it, stamp and all.
 	scratch *matchScratch
 }
 
-// matchScratch holds the racks of the peers of the VM match is pricing and,
-// by rack index, that VM's Eqn. (1) price — current iff its stamp is the
-// VM's.
+// matchScratch is the memory of Alg. 3's matching step: the racks of the
+// peers of the VM match is pricing and, by rack index, that VM's Eqn. (1)
+// price — current iff its stamp is the VM's — then the two matrices price
+// fills and the Hungarian solver's workspace. The matrices and the
+// assignment match returns stay valid until the next match on the same
+// scratch.
 type matchScratch struct {
 	peerRacks []int
 	prices    []rackPrice
 	stamp     int
 	priced    int // rack prices computed (each is one TransmissionCost)
+
+	flat   []float64   // the costs rows, then the bases rows
+	rows   [][]float64 // costs, then bases
+	solver matching.Workspace
 }
 
 // rackPrice is what moving one VM into one rack costs; ok is false when no
@@ -107,7 +116,7 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, h
 	if !feasible {
 		return nil, nil, nil
 	}
-	sol, err := matching.Solve(costs)
+	sol, err := k.scratch.solver.Solve(costs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("migrate: matching: %w", err)
 	}
@@ -119,22 +128,29 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, h
 // hosts[j] — Forbidden when the pair is barred, the host is the VM's own,
 // the policy finds it infeasible, it holds a VM dependent on this one, or
 // no path to its rack clears the bandwidth floor — and bases[i][j] the
-// Eqn. (1) cost charged on commit. Eqn. (1) depends on the destination rack
-// only, so it is evaluated once per (VM, rack), when the first host of the
-// rack gets that far; the policy scores every host on its own. Both
-// matrices are rows of one array.
+// Eqn. (1) cost charged on commit, zero where the weight is Forbidden
+// before scoring. Eqn. (1) depends on the destination rack only, so it is
+// evaluated once per (VM, rack), when the first host of the rack gets that
+// far; the policy scores every host on its own. Both matrices are rows of
+// the scratch's one array, overwritten by the next call.
 func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (costs, bases [][]float64, feasible bool) {
 	nv, nh := len(vms), len(hosts)
-	flat := make([]float64, 2*nv*nh)
-	rows := make([][]float64, 2*nv)
-	costs, bases = rows[:nv:nv], rows[nv:]
 	if k.scratch == nil {
-		k.scratch = &matchScratch{prices: make([]rackPrice, len(k.c.Racks))}
+		k.scratch = &matchScratch{}
 	}
 	sc := k.scratch
+	if sc.prices == nil {
+		sc.prices = make([]rackPrice, len(k.c.Racks))
+	}
+	sc.flat = slices.Grow(sc.flat[:0], 2*nv*nh)[:2*nv*nh]
+	sc.rows = slices.Grow(sc.rows[:0], 2*nv)[:2*nv]
+	clear(sc.flat[nv*nh:]) // a base left from the last call must not leak
+	costs, bases = sc.rows[:nv:nv], sc.rows[nv:]
+	for i := range vms {
+		costs[i] = sc.flat[i*nh : (i+1)*nh : (i+1)*nh]
+		bases[i] = sc.flat[(nv+i)*nh : (nv+i+1)*nh : (nv+i+1)*nh]
+	}
 	for i, vm := range vms {
-		costs[i], flat = flat[:nh:nh], flat[nh:]
-		bases[i], flat = flat[:nh:nh], flat[nh:]
 		sc.stamp++
 		sc.peerRacks = k.c.Deps.PeerRacks(k.c, vm.ID, sc.peerRacks[:0])
 		for j, h := range hosts {
@@ -353,9 +369,21 @@ func (k *core) park(vm *dcn.VM, shim, round int) bool {
 }
 
 // exclude bars one (VM, destination key) pair from later matchings.
-func exclude(m map[int]map[int]bool, vmID, key int) {
-	if m[vmID] == nil {
-		m[vmID] = make(map[int]bool)
+func exclude(m *map[int]map[int]bool, vmID, key int) {
+	keys := made(m)[vmID]
+	if keys == nil {
+		keys = make(map[int]bool)
+		(*m)[vmID] = keys
 	}
-	m[vmID][key] = true
+	keys[key] = true
+}
+
+// made returns *m, making it first when it is nil. The protocol's
+// bookkeeping maps are made on their first write: a nil map reads as
+// empty, and most calls never write most of them.
+func made[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	return *m
 }

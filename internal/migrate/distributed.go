@@ -199,15 +199,10 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		}
 		remaining[i] = append(remaining[i], e.VM)
 	}
+	// The per-shim maps below are made on their first write (see made).
 	// Per-shim excluded (vmID, hostID) pairs after explicit REJECTs.
 	excluded := make([]map[int]map[int]bool, len(shims))
-	for i := range excluded {
-		excluded[i] = make(map[int]map[int]bool)
-	}
 	pending := make([]map[int]*outstanding, len(shims)) // seq -> request
-	for i := range pending {
-		pending[i] = make(map[int]*outstanding)
-	}
 	// Source-side protocol-hardening state, all keyed per shim:
 	// resolved seqs (for duplicate-reply suppression), per-VM timeout
 	// attempts, and per-VM backoff deadlines (protocol round numbers).
@@ -215,17 +210,10 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 	attempts := make([]map[int]int, len(shims))
 	deferUntil := make([]map[int]int, len(shims))
 	fallback := make([][]fallbackVM, len(shims))
-	for i := range shims {
-		resolved[i] = make(map[int]bool)
-		attempts[i] = make(map[int]int)
-		deferUntil[i] = make(map[int]int)
-	}
-	// Destination-side dedup: seq -> reply already sent, so a duplicated
-	// REQUEST is re-answered identically instead of re-applying the move.
+	// Destination-side dedup, by rack index: seq -> reply already sent, so
+	// a duplicated REQUEST is re-answered identically instead of
+	// re-applying the move.
 	answered := make(map[int]map[int]comm.Type, len(shims))
-	for _, s := range shims {
-		answered[s.Rack.Index] = make(map[int]comm.Type)
-	}
 	seq := 0
 
 	// degrade moves one VM out of the distributed protocol.
@@ -277,10 +265,10 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 				remaining[i] = waiting
 				continue
 			}
-			cut := make(map[int]bool) // host index -> across a partition
+			var cut map[int]bool // host index -> across a partition
 			for hi, h := range hosts {
 				if _, p := bus.Partitioned(shim.Rack.Index, h.Rack().Index); p {
-					cut[hi] = true
+					made(&cut)[hi] = true
 				}
 			}
 			assign, bases, err := k.match(ready, hosts, func(vm *dcn.VM, hi int) bool {
@@ -310,7 +298,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 				}
 				dst := hosts[hi]
 				seq++
-				pending[i][seq] = &outstanding{vm: vm, dst: dst, cost: bases[vi][hi]}
+				made(&pending[i])[seq] = &outstanding{vm: vm, dst: dst, cost: bases[vi][hi]}
 				rec.Record(obs.Event{Kind: obs.KindRequest, Round: res.Rounds,
 					Shim: shim.Rack.Index, VM: vm.ID, Host: dst.ID, Value: bases[vi][hi]})
 				bus.Send(comm.Message{
@@ -328,8 +316,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		// REQUEST seq already answered (a fabric duplicate) is re-answered
 		// with the recorded reply instead of re-applying the move.
 		answerRequest := func(shim *Shim, msg comm.Message) {
-			seen := answered[shim.Rack.Index]
-			reply, dup := seen[msg.Seq]
+			reply, dup := answered[shim.Rack.Index][msg.Seq]
 			if dup {
 				suppress(shim, msg)
 			} else {
@@ -351,6 +338,11 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 					if ok {
 						reply = comm.MsgAck
 					}
+				}
+				seen := answered[shim.Rack.Index]
+				if seen == nil {
+					seen = make(map[int]comm.Type)
+					answered[shim.Rack.Index] = seen
 				}
 				seen[msg.Seq] = reply
 			}
@@ -398,7 +390,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 					continue
 				}
 				delete(pending[i], msg.Seq)
-				resolved[i][msg.Seq] = true
+				made(&resolved[i])[msg.Seq] = true
 				switch msg.Type {
 				case comm.MsgAck:
 					res.Migrations = append(res.Migrations, Migration{
@@ -409,7 +401,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
 				case comm.MsgReject:
 					res.Rejected++
-					exclude(excluded[i], req.vm.ID, req.dst.ID)
+					exclude(&excluded[i], req.vm.ID, req.dst.ID)
 					remaining[i] = append(remaining[i], req.vm)
 					rec.Record(obs.Event{Kind: obs.KindReject, Round: res.Rounds,
 						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
@@ -427,7 +419,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 			for _, s := range expired {
 				req := pending[i][s]
 				delete(pending[i], s)
-				resolved[i][s] = true
+				made(&resolved[i])[s] = true
 				if req.vm.Host() == req.dst {
 					// The move happened; only the ACK was lost.
 					res.Migrations = append(res.Migrations, Migration{
@@ -441,7 +433,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 					}
 					continue
 				}
-				attempts[i][req.vm.ID]++
+				made(&attempts[i])[req.vm.ID]++
 				attempt := attempts[i][req.vm.ID]
 				if attempt > opts.RetryBudget {
 					degrade(i, req.vm, res.Rounds, "budget")
@@ -456,7 +448,7 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 					backoff = opts.BackoffMax
 				}
 				backoff += backoffJitter(opts.Seed, req.vm.ID, attempt, backoff)
-				deferUntil[i][req.vm.ID] = round + backoff
+				made(&deferUntil[i])[req.vm.ID] = round + backoff
 				remaining[i] = append(remaining[i], req.vm)
 				if rec.Enabled() {
 					rec.Record(obs.Event{Kind: obs.KindRetry, Round: res.Rounds,

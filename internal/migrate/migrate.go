@@ -122,7 +122,8 @@ func (p Params) Validate() error {
 }
 
 // Shim is the delegation node v_i: it monitors one rack and manages its
-// dominating region.
+// dominating region. ProcessAlerts works in memory the shim keeps from
+// round to round, so one goroutine at a time may use a shim.
 type Shim struct {
 	Rack    *dcn.Rack
 	cluster *dcn.Cluster
@@ -135,6 +136,16 @@ type Shim struct {
 	queue *RetryQueue
 
 	neighborRacks []*dcn.Rack // cached one-hop region
+	// region is the dominating region's hosts, the rack's own first; see
+	// regionHosts.
+	region []*dcn.Host
+
+	// The memory of the management path, reused from round to round: the
+	// Alg. 2 knapsack's, the VMs a round has already selected, and the
+	// Alg. 3 matching step's (matrices, rack prices, solver workspace).
+	knap    knapsack.Scratch
+	inSet   map[int]bool
+	scratch matchScratch
 }
 
 // NewShim builds the shim for one rack.
@@ -163,6 +174,10 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 	sort.Slice(s.neighborRacks, func(i, j int) bool {
 		return s.neighborRacks[i].Index < s.neighborRacks[j].Index
 	})
+	s.region = append(s.region, rack.Hosts...)
+	for _, r := range s.neighborRacks {
+		s.region = append(s.region, r.Hosts...)
+	}
 	return s, nil
 }
 
@@ -201,7 +216,7 @@ func (s *Shim) QueueLen() int { return s.Queue().Len() }
 func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	report := &Report{}
 	var hostSet, torSet []*dcn.VM
-	inSet := make(map[int]bool)
+	clear(s.inSet)
 	torAlerted := false
 	for _, a := range alerts {
 		switch a.Kind {
@@ -213,12 +228,13 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 		case alert.FromLocalToR:
 			torAlerted = true
 		case alert.FromServer:
-			hostSet = appendNew(hostSet, inSet, s.overloadSet(a))
+			hostSet = s.appendNew(hostSet, s.overloadSet(a))
 		}
 	}
 	if torAlerted {
+		// PRIORITY with ω = β over the rack's VMs.
 		budget := s.params.Beta * s.Rack.ToRCapacity
-		torSet = appendNew(torSet, inSet, knapsack.Priority(s.Rack.VMs(), knapsack.Beta, budget))
+		torSet = s.appendNew(torSet, s.knap.SelectByBudget(s.Rack.VMs(), budget))
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
@@ -227,7 +243,7 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	// the queue is drained inside Migrate — so the round runs even with an
 	// empty alert-selected set while retries are pending.
 	migrate := func(vms []*dcn.VM, hosts []*dcn.Host, o MigrationOptions) error {
-		res, err := Migrate(s.cluster, s.model, vms, hosts, o)
+		res, err := migrateOn(&s.scratch, s.cluster, s.model, vms, hosts, o)
 		if err == nil {
 			report.Add(&res.Tally)
 		}
@@ -251,21 +267,23 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	return report, nil
 }
 
-// overloadSet is Alg. 1's server-alert branch: the α-knapsack over the
+// overloadSet is Alg. 1's server-alert branch: PRIORITY with ω = α over the
 // alerted host's VMs, or nothing when the host is not in the shim's rack.
+// The slice is the shim's knapsack output, overwritten by the next call.
 func (s *Shim) overloadSet(a alert.Alert) []*dcn.VM {
 	h := s.cluster.Host(a.HostID)
 	if h == nil || h.Rack() != s.Rack {
 		return nil
 	}
-	return knapsack.Priority(h.VMs(), knapsack.Alpha, s.params.Alpha*h.Capacity)
+	return s.knap.SelectByBudget(h.Residents(), s.params.Alpha*h.Capacity)
 }
 
-// appendNew appends the VMs not yet in seen to dst, marking them.
-func appendNew(dst []*dcn.VM, seen map[int]bool, vms []*dcn.VM) []*dcn.VM {
+// appendNew appends to dst the VMs this round has not selected yet,
+// marking them.
+func (s *Shim) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
 	for _, vm := range vms {
-		if !seen[vm.ID] {
-			seen[vm.ID] = true
+		if !s.inSet[vm.ID] {
+			made(&s.inSet)[vm.ID] = true
 			dst = append(dst, vm)
 		}
 	}
@@ -307,16 +325,13 @@ func (s *Shim) vmsUsingSwitch(switchID int) []*dcn.VM {
 // regionHosts returns destination hosts in the dominating region. With
 // includeOwn, the rack's own hosts are included (host-overload relief may
 // stay local); otherwise only neighbor racks qualify (ToR relief).
-// Exclusion of a VM's current host happens in the cost matrix.
+// Exclusion of a VM's current host happens in the cost matrix. The slice is
+// the shim's: read it, do not modify it.
 func (s *Shim) regionHosts(includeOwn bool) []*dcn.Host {
-	var out []*dcn.Host
 	if includeOwn {
-		out = append(out, s.Rack.Hosts...)
+		return s.region
 	}
-	for _, r := range s.neighborRacks {
-		out = append(out, r.Hosts...)
-	}
-	return out
+	return s.region[len(s.Rack.Hosts):]
 }
 
 // MigrationResult is the outcome of one VMMIGRATION invocation (Alg. 3).
@@ -385,6 +400,12 @@ func VMMigration(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.H
 // VMs still unplaced at the end park in the fail-queue (if attached) for
 // a later management round.
 func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
+	return migrateOn(nil, c, m, f, candidates, o)
+}
+
+// migrateOn is Migrate over a matching scratch the caller keeps (a shim's),
+// or over one of the call's own when sc is nil.
+func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
@@ -393,7 +414,7 @@ func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host,
 	}
 	res := &MigrationResult{}
 	k := core{c: c, m: m, pol: policyOrSheriff(o.Placement), admit: o.Policy, rec: o.Recorder,
-		preempt: o.Preempt.WithDefaults(), queue: o.Queue, tally: &res.Tally}
+		preempt: o.Preempt.WithDefaults(), queue: o.Queue, tally: &res.Tally, scratch: sc}
 	var err error
 	res.Evicted, err = k.sequential(f, candidates, o.Shim, o.ForbidSameRack, !o.DeferDrain, nil)
 	if err != nil {
@@ -428,7 +449,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 	// the host a victim was evicted from (no preemption ping-pong). The
 	// exclusion set, keyed by candidate index, only grows, so the loop
 	// terminates.
-	excluded := make(map[int]map[int]bool)
+	var excluded map[int]map[int]bool
 	barred := func(vm *dcn.VM, j int) bool {
 		// Eqn. (6): v_p ∈ N(v_i). A detached VM has no rack to leave.
 		return excluded[vm.ID][j] ||
@@ -437,7 +458,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 	// evicted lists this call's victims; evictedFrom remembers each one's
 	// original host for the rollback.
 	var evicted []*dcn.VM
-	evictedFrom := make(map[int]*dcn.Host)
+	var evictedFrom map[int]*dcn.Host
 	// preempt frees capacity for the stuck VMs by evicting one resident of
 	// a candidate host, returning whether an eviction happened (the caller
 	// then rematches). The victim joins the stuck set and must find a new
@@ -470,9 +491,9 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 				if victim == nil {
 					continue
 				}
-				evictedFrom[victim.ID] = h
+				made(&evictedFrom)[victim.ID] = h
 				evicted = append(evicted, victim)
-				exclude(excluded, victim.ID, j) // no ping-pong back onto h
+				exclude(&excluded, victim.ID, j) // no ping-pong back onto h
 				return append(stuck, victim), true
 			}
 		}
@@ -498,7 +519,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 				}
 				anyMatched = true
 				if !k.request(vm, candidates[j], bases[i][j], shim, round, local) {
-					exclude(excluded, vm.ID, j)
+					exclude(&excluded, vm.ID, j)
 					next = append(next, vm)
 				}
 			}

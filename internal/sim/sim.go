@@ -8,9 +8,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -286,7 +288,7 @@ func (s *Sim) SeedAlerts() map[int][]*dcn.VM {
 	out := make(map[int][]*dcn.VM)
 	for _, r := range s.Cluster.Racks {
 		vms := r.VMs()
-		sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+		slices.SortFunc(vms, func(a, b *dcn.VM) int { return cmp.Compare(a.ID, b.ID) })
 		n := int(float64(len(vms)) * s.Config.AlertFraction)
 		if n < 1 && len(vms) > 0 {
 			n = 1
