@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"sheriff/internal/arima"
-	"sheriff/internal/narnet"
 	"sheriff/internal/predictor"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
@@ -115,32 +114,22 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// rolling forecasts test one step at a time, revealing each true value
+// after predicting it (the paper's Fig. 7 protocol), into one reused
+// buffer; nil when f cannot forecast.
 func rolling(f predictor.Forecaster, train, test *timeseries.Series) []float64 {
-	type roller interface {
-		RollingForecast(train, test *timeseries.Series) ([]float64, error)
+	history := train.Clone()
+	out := make([]float64, test.Len())
+	var fc []float64
+	for t := range out {
+		var err error
+		if fc, err = f.ForecastFrom(fc[:0], history, 1); err != nil {
+			return nil
+		}
+		out[t] = fc[0]
+		history.Append(test.At(t))
 	}
-	switch m := f.(type) {
-	case *arima.Model:
-		out, err := m.RollingForecast(train, test)
-		if err != nil {
-			return nil
-		}
-		return out
-	case *narnet.Network:
-		out, err := m.RollingForecast(train, test)
-		if err != nil {
-			return nil
-		}
-		return out
-	case roller:
-		out, err := m.RollingForecast(train, test)
-		if err != nil {
-			return nil
-		}
-		return out
-	default:
-		return nil
-	}
+	return out
 }
 
 func loadSeries(file, trace string, seed int64) (*timeseries.Series, error) {

@@ -138,9 +138,10 @@ func Evaluate(p traces.Profile, th Thresholds) (value float64, fired bool) {
 }
 
 // ComponentForecaster predicts one workload-profile component from its
-// history (both ARIMA models and NARNETs satisfy this).
+// history, appending h forecasts to dst (both ARIMA models and NARNETs
+// satisfy this; see predictor.Forecaster).
 type ComponentForecaster interface {
-	ForecastFrom(history *timeseries.Series, h int) ([]float64, error)
+	ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error)
 }
 
 // ProfilePredictor forecasts a full workload profile one collection
@@ -177,7 +178,7 @@ func (pp *ProfilePredictor) HistoryLen() int { return pp.hCPU.Len() }
 // to [0,1] since the profile is normalized by definition.
 func (pp *ProfilePredictor) Predict() (traces.Profile, error) {
 	get := func(f ComponentForecaster, h *timeseries.Series) (float64, error) {
-		fc, err := f.ForecastFrom(h, 1)
+		fc, err := f.ForecastFrom(nil, h, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -281,7 +282,7 @@ func (q *QueueMonitor) RestoreHistory(h []float64) { q.history = timeseries.New(
 // Check predicts the next queue length and fires when it exceeds
 // threshold×limit. The alert Value is predicted occupancy in [0,1].
 func (q *QueueMonitor) Check() (Alert, bool, error) {
-	fc, err := q.forecast.ForecastFrom(q.history, 1)
+	fc, err := q.forecast.ForecastFrom(nil, q.history, 1)
 	if err != nil {
 		return Alert{}, false, fmt.Errorf("alert: queue forecast: %w", err)
 	}

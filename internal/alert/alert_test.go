@@ -81,18 +81,18 @@ func TestEvaluateValueProperty(t *testing.T) {
 // naiveForecaster predicts the last observed value.
 type naiveForecaster struct{}
 
-func (naiveForecaster) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+func (naiveForecaster) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = h.Last()
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // trendForecaster extrapolates the last difference.
 type trendForecaster struct{}
 
-func (trendForecaster) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+func (trendForecaster) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	last := h.Last()
 	slope := 0.0
 	if h.Len() >= 2 {
@@ -102,7 +102,7 @@ func (trendForecaster) ForecastFrom(h *timeseries.Series, n int) ([]float64, err
 	for i := range out {
 		out[i] = last + slope*float64(i+1)
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 func TestProfilePredictorObserveAndPredict(t *testing.T) {
@@ -205,7 +205,7 @@ func TestQueueMonitorQuietWhenStable(t *testing.T) {
 // errorForecaster fails on demand to exercise error propagation.
 type errorForecaster struct{ fail bool }
 
-func (e errorForecaster) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+func (e errorForecaster) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	if e.fail {
 		return nil, errForecast
 	}
@@ -213,7 +213,7 @@ func (e errorForecaster) ForecastFrom(h *timeseries.Series, n int) ([]float64, e
 	for i := range out {
 		out[i] = h.Last()
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 var errForecast = &forecastError{}

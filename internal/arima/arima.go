@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sheriff/internal/linalg"
@@ -53,6 +54,27 @@ type Model struct {
 
 	mu sync.Mutex
 	fc *suffixState // incremental forecast context (see ForecastFrom)
+	sc scratch      // forecast working memory, used under mu
+}
+
+// scratch is the memory a forecast works in. A model owns one and uses it
+// under its lock, so a warm forecast allocates nothing. Each buffer grows
+// on first use to what the order and horizon need (a SeasonalModel's, to
+// the history) and stays there; the length checks before it bound that by
+// the history, so an order decoded from a file cannot make it large.
+type scratch struct {
+	win     []float64 // observations, differenced in place
+	tails   []float64 // difference tails the re-integration anchors on
+	ext     []float64 // differenced values, then the forecasts
+	extRes  []float64 // innovations, then their zero future means
+	anchors []float64 // per seasonal level, the last season (SeasonalModel)
+}
+
+// grow returns buf resliced to n, its contents undefined, reallocating
+// only when it is too short — and then with append's headroom, so a
+// buffer that follows a growing history reallocates rarely.
+func grow(buf []float64, n int) []float64 {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // suffixState is the O(max(p,q)) forecasting context cached between
@@ -264,13 +286,14 @@ func variance(v []float64) float64 {
 // Forecast returns the h-step-ahead MMSE forecasts from the end of the
 // training series, on the original (undifferenced) scale.
 func (m *Model) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(m.history, h)
+	return m.ForecastFrom(nil, m.history, h)
 }
 
-// ForecastFrom returns h-step-ahead MMSE forecasts treating history as the
-// observed past. One-step-ahead is the direct conditional mean; k-step uses
-// the recursion in which earlier forecasts stand in for unobserved values
-// and future innovations are replaced by their zero mean (paper Sec. IV.B,
+// ForecastFrom appends to dst the h-step-ahead MMSE forecasts treating
+// history as the observed past, and returns the extended slice (nil on
+// error). One-step-ahead is the direct conditional mean; k-step uses the
+// recursion in which earlier forecasts stand in for unobserved values and
+// future innovations are replaced by their zero mean (paper Sec. IV.B,
 // ONE-STEP-AHEAD / K-STEP-AHEAD).
 //
 // Repeated calls with the same *Series value hit a suffix-aware fast path:
@@ -278,16 +301,21 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 // collection loop's append-only pattern), the cached forecast context is
 // advanced over the new suffix in O(new points) instead of re-deriving the
 // full innovation sequence in O(n). Histories that shrank or were mutated
-// in place fall back to the full recompute.
-func (m *Model) ForecastFrom(history *timeseries.Series, h int) ([]float64, error) {
+// in place fall back to the full recompute. Such a warm call works in the
+// model's scratch and, into a dst with room, allocates nothing.
+func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("arima: forecast horizon must be positive")
 	}
-	if history.Len() < minObservations(m.Order) {
+	// The second test holds where the first overflows: a decoded order
+	// can be anything.
+	if n := history.Len(); n < minObservations(m.Order) || n <= m.Order.D {
 		return nil, fmt.Errorf("arima: history length %d too short for %s", history.Len(), m.Order)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.sc.win = grow(m.sc.win, m.Order.D+1)
+	m.sc.tails = grow(m.sc.tails, m.Order.D)
 	st := m.fc
 	if st == nil || st.src != history || st.yLen > history.Len() ||
 		history.At(st.yLen-1) != st.yLast {
@@ -297,11 +325,9 @@ func (m *Model) ForecastFrom(history *timeseries.Series, h int) ([]float64, erro
 		}
 		m.fc = st
 	} else if st.yLen < history.Len() {
-		if err := m.advanceState(st, history); err != nil {
-			return nil, err
-		}
+		m.advanceState(st, history)
 	}
-	return m.forecastFromState(st, history, h)
+	return m.forecastFromState(dst, st, history, h), nil
 }
 
 // rebuildState derives the forecast context from scratch — the original
@@ -334,16 +360,19 @@ func (m *Model) rebuildState(history *timeseries.Series) (*suffixState, error) {
 }
 
 // advanceState folds the freshly appended observations into the cached
-// context. New differenced values come from a local window (differencing
-// is a local operator, so the window result is bit-exact with the global
-// pass), and the innovation recursion continues from the cached tails.
-func (m *Model) advanceState(st *suffixState, history *timeseries.Series) error {
+// context. Differencing is a local operator — ∇ᵈ at t reads y[t−d..t]
+// alone — so each new differenced value comes from differencing that
+// window in the model's scratch, bit-exact with the global pass, and the
+// innovation recursion continues from the cached tails.
+func (m *Model) advanceState(st *suffixState, history *timeseries.Series) {
 	p, q, d := m.Order.P, m.Order.Q, m.Order.D
-	window, err := timeseries.DiffN(history.Slice(st.yLen-d, history.Len()), d)
-	if err != nil {
-		return err
-	}
-	for _, v := range window.Raw() {
+	y := history.Raw()
+	for t := st.yLen; t < len(y); t++ {
+		w := m.sc.win[:copy(m.sc.win, y[t-d:t+1])]
+		for range d {
+			w = timeseries.DiffInPlace(w)
+		}
+		v := w[0]
 		pred := m.Intercept
 		for i := 1; i <= p; i++ {
 			pred += m.Phi[i-1] * st.wTail[i-1]
@@ -361,25 +390,28 @@ func (m *Model) advanceState(st *suffixState, history *timeseries.Series) error 
 			st.rTail[0] = r
 		}
 	}
-	st.yLen = history.Len()
-	st.yLast = history.Last()
-	return nil
+	st.yLen = len(y)
+	st.yLast = y[len(y)-1]
 }
 
 // forecastFromState runs the MMSE forecast recursion off the cached tails
-// and re-integrates when the model differences.
-func (m *Model) forecastFromState(st *suffixState, history *timeseries.Series, h int) ([]float64, error) {
+// in the model's scratch, appends the forecasts to dst and re-integrates
+// them there when the model differences.
+func (m *Model) forecastFromState(dst []float64, st *suffixState, history *timeseries.Series, h int) []float64 {
 	p, q, d := m.Order.P, m.Order.Q, m.Order.D
 	// Extended arrays: the p (resp. q) tail values, oldest first, then the
 	// forecast horizon. Future innovations stay at their zero mean.
-	ext := make([]float64, p+h)
+	m.sc.ext = grow(m.sc.ext, p+h)
+	ext := m.sc.ext
 	for i := 0; i < p; i++ {
 		ext[p-1-i] = st.wTail[i]
 	}
-	extRes := make([]float64, q+h)
+	m.sc.extRes = grow(m.sc.extRes, q+h)
+	extRes := m.sc.extRes
 	for j := 0; j < q; j++ {
 		extRes[q-1-j] = st.rTail[j]
 	}
+	clear(extRes[q:])
 	for k := 0; k < h; k++ {
 		pred := m.Intercept
 		for i := 1; i <= p; i++ {
@@ -390,17 +422,16 @@ func (m *Model) forecastFromState(st *suffixState, history *timeseries.Series, h
 		}
 		ext[p+k] = pred
 	}
-	fc := ext[p:]
+	out := append(dst, ext[p:]...)
 	if d == 0 {
-		return fc, nil
+		return out
 	}
-	// Difference tails only need the last d observations (each ∇^i tail is
-	// a function of the final i+1 values), so a window keeps this O(d²).
-	tails, err := timeseries.DiffTails(history.Slice(history.Len()-d-1, history.Len()), d)
-	if err != nil {
-		return nil, err
-	}
-	return timeseries.IntegrateForecast(fc, tails), nil
+	// Difference tails only need the last d+1 observations (each ∇^i tail
+	// is a function of the final i+1 values), so this stays O(d²).
+	y := history.Raw()
+	timeseries.DiffTailsInPlace(m.sc.tails, m.sc.win[:copy(m.sc.win, y[len(y)-d-1:])])
+	timeseries.IntegrateInPlace(out[len(dst):], m.sc.tails)
+	return out
 }
 
 // ForecastInterval returns the h-step forecasts plus symmetric prediction

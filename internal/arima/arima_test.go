@@ -198,7 +198,7 @@ func TestForecastFromShortHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ForecastFrom(timeseries.New([]float64{1, 2}), 1); err == nil {
+	if _, err := m.ForecastFrom(nil, timeseries.New([]float64{1, 2}), 1); err == nil {
 		t.Error("short history should error")
 	}
 }
@@ -334,8 +334,8 @@ func TestForecastFiniteProperty(t *testing.T) {
 	}
 }
 
-// Property: the first forecast of ForecastFrom(history, h) equals the
-// single forecast of ForecastFrom(history, 1) — recursion consistency.
+// Property: the first forecast of Forecast(h) equals the single forecast
+// of Forecast(1) — recursion consistency.
 func TestKStepConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		s := simulateARMA(800, []float64{0.6}, []float64{0.2}, 0, seed)
@@ -367,5 +367,50 @@ func TestFitIntegratedSeries(t *testing.T) {
 	}
 	if math.Abs(m.Phi[0]-0.5) > 0.1 {
 		t.Errorf("phi on integrated series = %.3f, want ≈ 0.5", m.Phi[0])
+	}
+}
+
+// TestForecastFromSteadyStateAllocs: a warm forecast into a reused dst
+// allocates nothing, also when the history grew since the last one — the
+// suffix advance, the re-integration and the seasonal model's full pass
+// all run in the model's scratch. (The seasonal scratch follows the
+// history's length, so it grows on append's schedule, rarely enough to
+// amortize to nothing.) The history is given room first, so that its own
+// appends allocate nothing either.
+func TestForecastFromSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	ar, err := Fit(integrate(simulateARMA(400, []float64{0.5, -0.2}, []float64{0.3}, 0.2, 3)), Order{P: 2, D: 1, Q: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sar, err := FitSeasonal(seasonalSeries(240, 12, 3), SeasonalOrder{Order: Order{P: 1, D: 1, Q: 1}, SP: 1, SD: 1, Period: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		f    func(dst []float64, history *timeseries.Series, h int) ([]float64, error)
+		hist *timeseries.Series
+	}{
+		{"ARIMA(2,1,2)", ar.ForecastFrom, ar.history},
+		{"SARIMA", sar.ForecastFrom, sar.history},
+	} {
+		hist := c.hist.Clone()
+		next := func() { hist.Append(hist.At(hist.Len() - 12)) } // a season back
+		for cap(hist.Raw())-hist.Len() <= runs {
+			next()
+		}
+		dst, err := c.f(nil, hist, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(runs, func() {
+			next()
+			if dst, err = c.f(dst[:0], hist, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: a warm ForecastFrom allocates %v times, want 0", c.name, got)
+		}
 	}
 }

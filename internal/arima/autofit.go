@@ -82,9 +82,10 @@ func AutoFit(s *timeseries.Series, space SearchSpace) (*Model, error) {
 func (m *Model) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
 	history := train.Clone()
 	out := make([]float64, test.Len())
+	var fc []float64
 	for t := 0; t < test.Len(); t++ {
-		fc, err := m.ForecastFrom(history, 1)
-		if err != nil {
+		var err error
+		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
 			return nil, fmt.Errorf("arima: rolling forecast at step %d: %w", t, err)
 		}
 		out[t] = fc[0]

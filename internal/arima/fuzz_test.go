@@ -60,7 +60,7 @@ func FuzzModelUnmarshalJSON(f *testing.F) {
 		}
 		stable(t, &m, new(Model))
 		_, _ = m.Forecast(3)
-		_, _ = m.ForecastFrom(other, 3)
+		_, _ = m.ForecastFrom(nil, other, 3)
 	})
 }
 
@@ -90,6 +90,6 @@ func FuzzSeasonalModelUnmarshalJSON(f *testing.F) {
 		}
 		stable(t, &m, new(SeasonalModel))
 		_, _ = m.Forecast(3)
-		_, _ = m.ForecastFrom(other, 3)
+		_, _ = m.ForecastFrom(nil, other, 3)
 	})
 }

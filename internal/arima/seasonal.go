@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"sheriff/internal/linalg"
 	"sheriff/internal/timeseries"
@@ -55,6 +56,9 @@ type SeasonalModel struct {
 	N         int
 
 	history *timeseries.Series
+
+	mu sync.Mutex
+	sc scratch // forecast working memory, used under mu
 }
 
 func (o SeasonalOrder) maxARLag() int {
@@ -191,7 +195,8 @@ func FitSeasonal(s *timeseries.Series, order SeasonalOrder) (*SeasonalModel, err
 	stabilize(m.Theta)
 	stabilize(m.STheta)
 
-	res := m.residuals(wr)
+	res := make([]float64, len(wr))
+	m.residuals(res, wr)
 	m.Sigma2 = variance(res)
 	if math.IsNaN(m.Sigma2) || math.IsInf(m.Sigma2, 0) {
 		return nil, errors.New("arima: seasonal estimation produced non-finite variance")
@@ -227,99 +232,98 @@ func (m *SeasonalModel) predictOne(w, e []float64, t int) float64 {
 	return pred
 }
 
-func (m *SeasonalModel) residuals(w []float64) []float64 {
-	res := make([]float64, len(w))
+// residuals writes the in-sample innovations of w into res (len(w)).
+func (m *SeasonalModel) residuals(res, w []float64) {
 	for t := range w {
 		res[t] = w[t] - m.predictOne(w, res, t)
 	}
-	return res
 }
 
 // Forecast returns h-step-ahead forecasts from the training series.
 func (m *SeasonalModel) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(m.history, h)
+	return m.ForecastFrom(nil, m.history, h)
 }
 
-// ForecastFrom returns h-step-ahead MMSE forecasts on the original scale:
-// the SARMA recursion on the doubly differenced series, then inversion of
-// ∇ᵈ and ∇ˢᴰ.
-func (m *SeasonalModel) ForecastFrom(history *timeseries.Series, h int) ([]float64, error) {
+// ForecastFrom appends to dst the h-step-ahead MMSE forecasts on the
+// original scale — the SARMA recursion on the doubly differenced series,
+// then inversion of ∇ᵈ and ∇ˢᴰ — and returns the extended slice (nil on
+// error). Each call is a full O(n) pass, run in the model's scratch, so a
+// warm call into a dst with room allocates nothing.
+func (m *SeasonalModel) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("arima: forecast horizon must be positive")
 	}
 	o := m.Order
-	if history.Len() < o.minObservations() {
+	// As in Model.ForecastFrom, the second test holds where the first
+	// overflows: ∇ᵈ∇ˢᴰ must leave at least one value.
+	if n := history.Len(); n < o.minObservations() || n <= o.D || (o.SD > 0 && o.SD > (n-o.D-1)/o.Period) {
 		return nil, fmt.Errorf("arima: history length %d too short for %s", history.Len(), o)
 	}
-	w, err := seasonalDifference(history, o)
-	if err != nil {
-		return nil, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sc := &m.sc
+	// Difference a copy of the history in place at the front of ext,
+	// keeping on the way what the inversions read: each seasonal level's
+	// last season, and the ∇ᵈ tails of the seasonally differenced series.
+	y := history.Raw()
+	sc.ext = grow(sc.ext, len(y)+h)
+	w := sc.ext[:copy(sc.ext, y)]
+	sc.anchors = grow(sc.anchors, o.SD*o.Period)
+	for level := 0; level < o.SD; level++ {
+		copy(sc.anchors[level*o.Period:], w[len(w)-o.Period:])
+		w = timeseries.SeasonalDiffInPlace(w, o.Period)
 	}
-	wr := w.Raw()
-	n := len(wr)
-	ext := make([]float64, n+h)
-	copy(ext, wr)
-	extRes := make([]float64, n+h)
-	copy(extRes, m.residuals(wr))
+	sc.win = grow(sc.win, o.D+1)
+	sc.tails = grow(sc.tails, o.D)
+	if o.D > 0 {
+		timeseries.DiffTailsInPlace(sc.tails, sc.win[:copy(sc.win, w[len(w)-o.D-1:])])
+	}
+	for range o.D {
+		w = timeseries.DiffInPlace(w)
+	}
+	n := len(w)
+	ext := sc.ext[:n+h]
+	sc.extRes = grow(sc.extRes, n+h)
+	extRes := sc.extRes
+	m.residuals(extRes[:n], w)
+	clear(extRes[n:])
 	for k := 0; k < h; k++ {
 		t := n + k
 		ext[t] = m.predictOne(ext, extRes, t)
 	}
-	fc := ext[n:]
+	out := append(dst, ext[n:]...)
+	fc := out[len(dst):]
 
 	// Invert ∇ᵈ first (innermost), anchored on the seasonal-differenced
 	// history.
-	if o.D > 0 {
-		seasonalHist := history
-		for i := 0; i < o.SD; i++ {
-			next, err := timeseries.SeasonalDiff(seasonalHist, o.Period)
-			if err != nil {
-				return nil, err
-			}
-			seasonalHist = next
-		}
-		tails, err := timeseries.DiffTails(seasonalHist, o.D)
-		if err != nil {
-			return nil, err
-		}
-		fc = timeseries.IntegrateForecast(fc, tails)
-	}
-	// Invert ∇ˢᴰ: Y_{t+k} = x_{t+k} + Y_{t+k−s}, recursively per level.
+	timeseries.IntegrateInPlace(fc, sc.tails)
+	// Invert ∇ˢᴰ: Y_{t+k} = x_{t+k} + Y_{t+k−s}, recursively per level,
+	// reading the anchors of the (SD−level−1)-times seasonally differenced
+	// history.
 	for level := 0; level < o.SD; level++ {
-		// Reconstruct the (SD−level−1)-times seasonally differenced
-		// history to read the seasonal anchors from.
-		anchor := history
-		for i := 0; i < o.SD-level-1; i++ {
-			next, err := timeseries.SeasonalDiff(anchor, o.Period)
-			if err != nil {
-				return nil, err
-			}
-			anchor = next
-		}
-		ar := anchor.Raw()
-		out := make([]float64, len(fc))
+		ar := sc.anchors[(o.SD-level-1)*o.Period:][:o.Period]
 		for k := range fc {
 			back := k - o.Period
 			var prev float64
 			if back >= 0 {
-				prev = out[back]
+				prev = fc[back]
 			} else {
-				prev = ar[len(ar)+back]
+				prev = ar[o.Period+back]
 			}
-			out[k] = fc[k] + prev
+			fc[k] += prev
 		}
-		fc = out
 	}
-	return fc, nil
+	return out, nil
 }
 
 // RollingForecast mirrors Model.RollingForecast for seasonal models.
 func (m *SeasonalModel) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
 	history := train.Clone()
 	out := make([]float64, test.Len())
+	var fc []float64
 	for t := 0; t < test.Len(); t++ {
-		fc, err := m.ForecastFrom(history, 1)
-		if err != nil {
+		var err error
+		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
 			return nil, fmt.Errorf("arima: seasonal rolling forecast at step %d: %w", t, err)
 		}
 		out[t] = fc[0]

@@ -134,7 +134,7 @@ func TestSeasonalForecastValidation(t *testing.T) {
 	if _, err := m.Forecast(0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := m.ForecastFrom(timeseries.New([]float64{1, 2, 3}), 1); err == nil {
+	if _, err := m.ForecastFrom(nil, timeseries.New([]float64{1, 2, 3}), 1); err == nil {
 		t.Error("short history accepted")
 	}
 }

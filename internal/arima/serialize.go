@@ -3,6 +3,7 @@ package arima
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"sheriff/internal/timeseries"
 )
@@ -20,19 +21,22 @@ type ModelState struct {
 	History   timeseries.Bits `json:"history"`
 }
 
-// State returns the fitted model's state. It shares the coefficients and
-// the training history with the model: neither changes after a fit, and
-// Restore replaces them rather than writing into them.
-func (m *Model) State() ModelState {
+// State returns a copy of the fitted model's state, its training history
+// packed. It fails when the history holds a NaN or ±Inf.
+func (m *Model) State() (ModelState, error) {
+	hist, err := timeseries.Pack(m.history.Raw())
+	if err != nil {
+		return ModelState{}, fmt.Errorf("arima: state: history: %w", err)
+	}
 	return ModelState{
 		Order:     m.Order,
-		Phi:       m.Phi,
-		Theta:     m.Theta,
+		Phi:       slices.Clone(m.Phi),
+		Theta:     slices.Clone(m.Theta),
 		Intercept: m.Intercept,
 		Sigma2:    m.Sigma2,
 		N:         m.N,
-		History:   m.history.Raw(),
-	}
+		History:   hist,
+	}, nil
 }
 
 // Restore replaces the model with the one st describes.
@@ -44,6 +48,10 @@ func (m *Model) Restore(st ModelState) error {
 		return fmt.Errorf("arima: restore: coefficient counts (%d,%d) do not match %s",
 			len(st.Phi), len(st.Theta), st.Order)
 	}
+	hist, err := st.History.Floats()
+	if err != nil {
+		return fmt.Errorf("arima: restore: history: %w", err)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Order = st.Order
@@ -52,7 +60,7 @@ func (m *Model) Restore(st ModelState) error {
 	m.Intercept = st.Intercept
 	m.Sigma2 = st.Sigma2
 	m.N = st.N
-	m.history = timeseries.New(st.History)
+	m.history = timeseries.New(hist)
 	// Drop the incremental forecast context: it caches innovations
 	// computed under the previous coefficients, and a source series
 	// pointer from before the restore could otherwise revalidate it.
@@ -62,7 +70,15 @@ func (m *Model) Restore(st ModelState) error {
 
 // MarshalJSON serializes the fitted model, history included, so a shim
 // can persist trained predictors across restarts.
-func (m *Model) MarshalJSON() ([]byte, error) { return json.Marshal(m.State()) }
+func (m *Model) MarshalJSON() ([]byte, error) { return marshalState(m.State()) }
+
+// marshalState encodes a State result, passing its error through.
+func marshalState[S any](st S, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
 
 // UnmarshalJSON restores a model serialized by MarshalJSON.
 func (m *Model) UnmarshalJSON(b []byte) error {
@@ -86,20 +102,24 @@ type SeasonalState struct {
 	History   timeseries.Bits `json:"history"`
 }
 
-// State returns the fitted seasonal model's state, sharing what
-// Model.State shares.
-func (m *SeasonalModel) State() SeasonalState {
+// State returns a copy of the fitted seasonal model's state, as
+// Model.State does.
+func (m *SeasonalModel) State() (SeasonalState, error) {
+	hist, err := timeseries.Pack(m.history.Raw())
+	if err != nil {
+		return SeasonalState{}, fmt.Errorf("arima: seasonal state: history: %w", err)
+	}
 	return SeasonalState{
 		Order:     m.Order,
-		Phi:       m.Phi,
-		Theta:     m.Theta,
-		SPhi:      m.SPhi,
-		STheta:    m.STheta,
+		Phi:       slices.Clone(m.Phi),
+		Theta:     slices.Clone(m.Theta),
+		SPhi:      slices.Clone(m.SPhi),
+		STheta:    slices.Clone(m.STheta),
 		Intercept: m.Intercept,
 		Sigma2:    m.Sigma2,
 		N:         m.N,
-		History:   m.history.Raw(),
-	}
+		History:   hist,
+	}, nil
 }
 
 // Restore replaces the seasonal model with the one st describes.
@@ -111,6 +131,12 @@ func (m *SeasonalModel) Restore(st SeasonalState) error {
 		len(st.SPhi) != st.Order.SP || len(st.STheta) != st.Order.SQ {
 		return fmt.Errorf("arima: restore seasonal: coefficient counts do not match %s", st.Order)
 	}
+	hist, err := st.History.Floats()
+	if err != nil {
+		return fmt.Errorf("arima: restore seasonal: history: %w", err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.Order = st.Order
 	m.Phi = st.Phi
 	m.Theta = st.Theta
@@ -119,12 +145,12 @@ func (m *SeasonalModel) Restore(st SeasonalState) error {
 	m.Intercept = st.Intercept
 	m.Sigma2 = st.Sigma2
 	m.N = st.N
-	m.history = timeseries.New(st.History)
+	m.history = timeseries.New(hist)
 	return nil
 }
 
 // MarshalJSON serializes the fitted seasonal model.
-func (m *SeasonalModel) MarshalJSON() ([]byte, error) { return json.Marshal(m.State()) }
+func (m *SeasonalModel) MarshalJSON() ([]byte, error) { return marshalState(m.State()) }
 
 // UnmarshalJSON restores a seasonal model serialized by MarshalJSON.
 func (m *SeasonalModel) UnmarshalJSON(b []byte) error {

@@ -30,7 +30,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 
 	// Warm mA's incremental context on a live history pointer.
 	hist := sA.Clone()
-	if _, err := mA.ForecastFrom(hist, 1); err != nil {
+	if _, err := mA.ForecastFrom(nil, hist, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,7 +42,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	}
 	hist.Append(0.31, -0.12, 0.47)
 
-	got, err := mA.ForecastFrom(hist, 3)
+	got, err := mA.ForecastFrom(nil, hist, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	if err := json.Unmarshal(blob, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.ForecastFrom(hist, 3)
+	want, err := fresh.ForecastFrom(nil, hist, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

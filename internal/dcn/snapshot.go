@@ -66,6 +66,9 @@ func (c *Cluster) Snapshot() *Snapshot {
 // in, so a cluster restored from its own snapshot repeats the placements
 // that built it.
 func (c *Cluster) Restore(s *Snapshot) error {
+	if s == nil {
+		return fmt.Errorf("dcn: restore from nil snapshot")
+	}
 	if len(c.Racks) != s.Racks || len(c.hosts) != s.Hosts {
 		return fmt.Errorf("dcn: snapshot shape %d racks/%d hosts does not match cluster %d/%d",
 			s.Racks, s.Hosts, len(c.Racks), len(c.hosts))

@@ -204,11 +204,14 @@ func RunSurge(cfg SurgeConfig) (*SurgeResult, error) {
 			pred1[ci] = make([]float64, test.Len())
 			alertPath[ci] = make([]float64, test.Len())
 			hist := train.Clone()
+			var buf []float64
 			for t := 0; t < test.Len(); t++ {
-				fc, err := c.F.ForecastFrom(hist, cfg.MaxLead)
+				fc, err := c.F.ForecastFrom(buf[:0], hist, cfg.MaxLead)
 				if err != nil {
 					// A candidate that cannot forecast predicts "no change".
 					fc = []float64{hist.Last()}
+				} else {
+					buf = fc
 				}
 				pred1[ci][t] = fc[0]
 				path := fc[0]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -204,6 +205,45 @@ func TestRestoreRefusesALoadBelowZero(t *testing.T) {
 	}
 	if n.CheckInvariants() == nil {
 		t.Error("drifted restored load not reported")
+	}
+}
+
+// TestRestoreTakesItsOwnZeroLoads: a flow whose rate is below settle's
+// rounding leaves the links it crosses at load 0, which Snapshot leaves
+// out. The network restored from that snapshot holds those links at 0 and
+// writes the snapshot again. A rate AddFlow and SetRate would refuse is
+// refused.
+func TestRestoreTakesItsOwnZeroLoads(t *testing.T) {
+	ft := fatTree(t, 4)
+	src := NewNetwork(ft.Graph)
+	if _, err := src.AddFlow(ft.RackIDs[0][0], ft.RackIDs[2][1], 0.4, false); err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := src.AddFlow(ft.RackIDs[1][0], ft.RackIDs[3][1], 0.3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetRate(tiny, 1e-13); err != nil {
+		t.Fatal(err)
+	}
+	snap := src.Snapshot()
+	if len(snap.Loads) != len(snap.Flows[0].Path)-1 {
+		t.Fatalf("snapshot carries %d loads, want only the first flow's %d", len(snap.Loads), len(snap.Flows[0].Path)-1)
+	}
+	n := NewNetwork(ft.Graph)
+	if err := n.Restore(snap); err != nil {
+		t.Fatalf("a network refuses its own snapshot: %v", err)
+	}
+	if again := n.Snapshot(); !reflect.DeepEqual(again, snap) {
+		t.Fatalf("restored network writes\n%+v\nnot\n%+v", again, snap)
+	}
+
+	for _, bad := range []float64{0, -0.1} {
+		snap := src.Snapshot()
+		snap.Flows[1].Rate = bad
+		if err := NewNetwork(ft.Graph).Restore(snap); err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Errorf("Restore with rate %v: error %v, want one naming the rate", bad, err)
+		}
 	}
 }
 

@@ -55,6 +55,6 @@ func FuzzNetworkUnmarshalJSON(f *testing.F) {
 			t.Fatalf("encoding is not stable:\n%s\n%s", first, second)
 		}
 		_, _ = n.Forecast(3)
-		_, _ = n.ForecastFrom(other, 3)
+		_, _ = n.ForecastFrom(nil, other, 3)
 	})
 }

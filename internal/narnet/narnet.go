@@ -83,6 +83,7 @@ type lineState struct {
 	yLen  int
 	yLast float64
 	line  []float64 // normalized values, most recent first, len = ni
+	loop  []float64 // the closed-loop copy of line a forecast feeds
 }
 
 // Train fits a NARNET to the series. The series must contain at least
@@ -253,14 +254,17 @@ func (n *Network) Config() Config { return n.cfg }
 // Forecast returns h-step-ahead predictions from the end of the training
 // series, feeding each prediction back into the delay line (closed loop).
 func (n *Network) Forecast(h int) ([]float64, error) {
-	return n.ForecastFrom(n.history, h)
+	return n.ForecastFrom(nil, n.history, h)
 }
 
-// ForecastFrom returns h-step-ahead predictions treating history as the
-// observed past. Repeated calls with the same *Series value reuse the
-// cached delay line when the history has only grown (append-only);
-// anything else rebuilds the line from the last ni observations.
-func (n *Network) ForecastFrom(history *timeseries.Series, h int) ([]float64, error) {
+// ForecastFrom appends to dst h-step-ahead predictions treating history
+// as the observed past, and returns the extended slice (nil on error).
+// Repeated calls with the same *Series value reuse the cached delay line
+// when the history has only grown (append-only); anything else rebuilds
+// the line from the last ni observations. The closed loop runs on a copy
+// of the line kept beside it, under the lock, so a warm call into a dst
+// with room allocates nothing.
+func (n *Network) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("narnet: forecast horizon must be positive")
 	}
@@ -269,14 +273,18 @@ func (n *Network) ForecastFrom(history *timeseries.Series, h int) ([]float64, er
 		return nil, fmt.Errorf("narnet: history length %d shorter than delay line %d", history.Len(), ni)
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	st := n.fc
 	grown := ni // default: rebuild the whole line
 	if st != nil && st.src == history && st.yLen <= history.Len() &&
 		history.At(st.yLen-1) == st.yLast {
 		grown = history.Len() - st.yLen
 	} else {
-		st = &lineState{src: history, line: make([]float64, ni)}
-		n.fc = st
+		if st == nil {
+			st = &lineState{line: make([]float64, ni), loop: make([]float64, ni)}
+			n.fc = st
+		}
+		st.src = history
 	}
 	if grown > ni {
 		grown = ni
@@ -289,19 +297,17 @@ func (n *Network) ForecastFrom(history *timeseries.Series, h int) ([]float64, er
 	}
 	st.yLen = history.Len()
 	st.yLast = history.Last()
-	// Work on a copy: the closed-loop recursion feeds predictions back
-	// into the line, which must not leak into the cached observed state.
-	line := append([]float64(nil), st.line...)
-	n.mu.Unlock()
-
-	out := make([]float64, h)
+	// The closed-loop recursion feeds predictions back into the line,
+	// which must not leak into the cached observed state.
+	line := st.loop
+	copy(line, st.line)
 	for k := 0; k < h; k++ {
 		p := n.forwardNormalized(line, nil)
-		out[k] = n.scale.Invert(p)
+		dst = append(dst, n.scale.Invert(p))
 		copy(line[1:], line[:ni-1])
 		line[0] = p
 	}
-	return out, nil
+	return dst, nil
 }
 
 // RollingForecast produces one-step-ahead out-of-sample predictions over
@@ -310,9 +316,10 @@ func (n *Network) ForecastFrom(history *timeseries.Series, h int) ([]float64, er
 func (n *Network) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
 	history := train.Clone()
 	out := make([]float64, test.Len())
+	var fc []float64
 	for t := 0; t < test.Len(); t++ {
-		fc, err := n.ForecastFrom(history, 1)
-		if err != nil {
+		var err error
+		if fc, err = n.ForecastFrom(fc[:0], history, 1); err != nil {
 			return nil, fmt.Errorf("narnet: rolling forecast at step %d: %w", t, err)
 		}
 		out[t] = fc[0]

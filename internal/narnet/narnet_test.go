@@ -84,7 +84,7 @@ func TestForecastHorizonValidation(t *testing.T) {
 	if _, err := net.Forecast(0); err == nil {
 		t.Error("zero horizon should error")
 	}
-	if _, err := net.ForecastFrom(timeseries.New([]float64{1}), 1); err == nil {
+	if _, err := net.ForecastFrom(nil, timeseries.New([]float64{1}), 1); err == nil {
 		t.Error("short history should error")
 	}
 }
@@ -249,5 +249,35 @@ func TestRPROPBoundsRespected(t *testing.T) {
 	}
 	if r.delta[0] < rpropDeltaMin {
 		t.Errorf("delta under min: %v", r.delta[0])
+	}
+}
+
+// TestForecastFromSteadyStateAllocs: a warm forecast into a reused dst
+// allocates nothing, also when the history grew since the last one — the
+// closed loop runs on the copy the lineState keeps. The history is given
+// room first, so that its own appends allocate nothing either.
+func TestForecastFromSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	s := sineSeries(200, 24, 0.3, 1)
+	n, err := Train(s, Config{Inputs: 8, Hidden: 20, Seed: 1, Epochs: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := s.Clone()
+	next := func() { hist.Append(hist.At(hist.Len() - 24)) } // a period back
+	for cap(hist.Raw())-hist.Len() <= runs {
+		next()
+	}
+	dst, err := n.ForecastFrom(nil, hist, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		next()
+		if dst, err = n.ForecastFrom(dst[:0], hist, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("a warm ForecastFrom allocates %v times, want 0", got)
 	}
 }

@@ -29,7 +29,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 
 	// Warm nA's delay-line cache on a live history pointer.
 	hist := sA.Clone()
-	if _, err := nA.ForecastFrom(hist, 1); err != nil {
+	if _, err := nA.ForecastFrom(nil, hist, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,7 +41,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	}
 	hist.Append(0.9, 1.4)
 
-	got, err := nA.ForecastFrom(hist, 3)
+	got, err := nA.ForecastFrom(nil, hist, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	if err := json.Unmarshal(blob, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.ForecastFrom(hist, 3)
+	want, err := fresh.ForecastFrom(nil, hist, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

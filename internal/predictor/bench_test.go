@@ -18,8 +18,11 @@ func benchSeries(n int) *timeseries.Series {
 
 // BenchmarkSelectorPredict measures one Predict/Observe cycle of the
 // dynamic selection loop after a long accumulated history — the per-VM
-// per-period cost of the shim prediction phase. Run with a fixed iteration
-// count for before/after comparisons (the history keeps growing):
+// per-period cost of the shim prediction phase. Every candidate forecasts
+// into the selector's one buffer from its own scratch, so -benchmem reads
+// 0 allocs/op; B/op is the history's amortized growth. Run with a fixed
+// iteration count for before/after comparisons (the history keeps
+// growing):
 //
 //	go test -run - -bench BenchmarkSelectorPredict -benchtime 2000x ./internal/predictor/
 func BenchmarkSelectorPredict(b *testing.B) {

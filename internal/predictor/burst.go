@@ -160,10 +160,12 @@ func FitBurst(train *timeseries.Series, cfg BurstConfig) (*Burst, error) {
 }
 
 // ForecastFrom folds the history through the gated Holt recursion and
-// extrapolates h steps from the current level and trend — the
-// predictor-pool contract. Append-only growth since the previous call is
-// folded incrementally.
-func (b *Burst) ForecastFrom(history *timeseries.Series, h int) ([]float64, error) {
+// appends to dst the h-step extrapolation from the current level and
+// trend — the predictor-pool contract — returning the extended slice (nil
+// on error). Append-only growth since the previous call is folded
+// incrementally, and such a warm call into a dst with room allocates
+// nothing.
+func (b *Burst) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("predictor: burst forecast horizon must be positive")
 	}
@@ -192,11 +194,10 @@ func (b *Burst) ForecastFrom(history *timeseries.Series, h int) ([]float64, erro
 	st.n = history.Len()
 	st.last = history.At(st.n - 1)
 
-	out := make([]float64, h)
-	for i := range out {
-		out[i] = st.level + float64(i+1)*st.trend
+	for i := range h {
+		dst = append(dst, st.level+float64(i+1)*st.trend)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // fold advances the state by one observation: residual → Page–Hinkley →

@@ -29,7 +29,7 @@ func TestBurstDetectsStep(t *testing.T) {
 	hist := s.Slice(0, 100)
 	var preds []float64
 	for tt := 100; tt < 400; tt++ {
-		fc, err := b.ForecastFrom(hist, 1)
+		fc, err := b.ForecastFrom(nil, hist, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestBurstQuietOnRamp(t *testing.T) {
 	}
 	hist := s.Slice(0, 100)
 	for tt := 100; tt < 400; tt++ {
-		if _, err := b.ForecastFrom(hist, 1); err != nil {
+		if _, err := b.ForecastFrom(nil, hist, 1); err != nil {
 			t.Fatal(err)
 		}
 		hist.Append(s.At(tt))
@@ -83,7 +83,7 @@ func TestBurstRecoversFromSpike(t *testing.T) {
 	hist := s.Slice(0, 100)
 	var last float64
 	for tt := 100; tt < 400; tt++ {
-		fc, err := b.ForecastFrom(hist, 1)
+		fc, err := b.ForecastFrom(nil, hist, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestBurstIncrementalMatchesCold(t *testing.T) {
 	hist := s.Slice(0, 50)
 	var warmFc []float64
 	for tt := 50; tt < 300; tt++ {
-		fc, err := warm.ForecastFrom(hist, 3)
+		fc, err := warm.ForecastFrom(nil, hist, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestBurstIncrementalMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, err := cold.ForecastFrom(s.Slice(0, tt), 3)
+		fc, err := cold.ForecastFrom(nil, s.Slice(0, tt), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,5 +217,39 @@ func TestBurstWinsSelectionUnderSurge(t *testing.T) {
 	diurnal := run(traces.Diurnal, traces.SurgeParams{})
 	if share := diurnal["Burst"]; share > 0.5 {
 		t.Errorf("Burst won %.0f%% of diurnal steps, want classical pool to lead (shares %v)", 100*share, diurnal)
+	}
+}
+
+// TestForecastFromSteadyStateAllocs: a warm Burst forecast into a reused
+// dst allocates nothing, also when the history grew — across a change
+// point — since the last one. The history is given room first, so that
+// its own appends allocate nothing either.
+func TestForecastFromSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	s := stepSeries(120, 80, 1, 5)
+	b, err := FitBurst(s.Slice(0, 60), BurstConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := s.Clone()
+	step := 0
+	next := func() { step++; hist.Append(5 + 4*float64(step/40%2)) } // a burst every 40 steps
+	for cap(hist.Raw())-hist.Len() <= runs {
+		next()
+	}
+	dst, err := b.ForecastFrom(nil, hist, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		next()
+		if dst, err = b.ForecastFrom(dst[:0], hist, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("a warm ForecastFrom allocates %v times, want 0", got)
+	}
+	if b.Triggers() == 0 {
+		t.Fatal("no change point fired during the gate")
 	}
 }

@@ -20,9 +20,12 @@ import (
 )
 
 // Forecaster is the contract shared by ARIMA models and NARNETs: predict h
-// steps ahead given the observed history.
+// steps ahead given the observed history, appending the forecasts to dst
+// and returning the extended slice (nil on error). A forecaster holds on
+// to dst no longer than the call, so a caller that hands the same buffer
+// back each round forecasts without allocating.
 type Forecaster interface {
-	ForecastFrom(history *timeseries.Series, h int) ([]float64, error)
+	ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error)
 }
 
 // Candidate pairs a named forecaster with its rolling fitness tracker.
@@ -44,6 +47,7 @@ type Selector struct {
 
 	lastPred     []float64 // cached one-step prediction per candidate
 	havePred     bool      // lastPred is valid for the current history
+	dst          []float64 // the buffer every candidate forecasts into
 	selection    int       // index of last winning candidate
 	hasSelection bool      // a Predict has succeeded since the last failure
 }
@@ -205,13 +209,14 @@ func NewCandidate(name string, f Forecaster) *Candidate {
 func (s *Selector) Predict() (float64, error) {
 	if !s.havePred {
 		for i, c := range s.candidates {
-			fc, err := c.F.ForecastFrom(s.history, 1)
+			fc, err := c.F.ForecastFrom(s.dst[:0], s.history, 1)
 			if err != nil {
 				// A candidate that cannot forecast simply does not compete
 				// this round; record a non-prediction.
 				s.lastPred[i] = math.NaN()
 				continue
 			}
+			s.dst = fc
 			s.lastPred[i] = fc[0]
 		}
 		s.havePred = true
@@ -260,7 +265,7 @@ func (s *Selector) PredictK(h int) ([]float64, string, error) {
 	})
 	var firstErr error
 	for _, i := range order {
-		fc, err := s.candidates[i].F.ForecastFrom(s.history, h)
+		fc, err := s.candidates[i].F.ForecastFrom(nil, s.history, h)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -15,18 +15,18 @@ import (
 // constantForecaster always predicts the same value.
 type constantForecaster struct{ v float64 }
 
-func (c constantForecaster) ForecastFrom(_ *timeseries.Series, h int) ([]float64, error) {
+func (c constantForecaster) ForecastFrom(dst []float64, _ *timeseries.Series, h int) ([]float64, error) {
 	out := make([]float64, h)
 	for i := range out {
 		out[i] = c.v
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // failingForecaster always errors.
 type failingForecaster struct{}
 
-func (failingForecaster) ForecastFrom(*timeseries.Series, int) ([]float64, error) {
+func (failingForecaster) ForecastFrom([]float64, *timeseries.Series, int) ([]float64, error) {
 	return nil, errEveryTime
 }
 
@@ -454,7 +454,7 @@ type switchableForecaster struct {
 	broken bool
 }
 
-func (s *switchableForecaster) ForecastFrom(_ *timeseries.Series, h int) ([]float64, error) {
+func (s *switchableForecaster) ForecastFrom(dst []float64, _ *timeseries.Series, h int) ([]float64, error) {
 	if s.broken {
 		return nil, errEveryTime
 	}
@@ -462,7 +462,7 @@ func (s *switchableForecaster) ForecastFrom(_ *timeseries.Series, h int) ([]floa
 	for i := range out {
 		out[i] = s.v
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // TestIncrementalForecastMatchesCold drives one fitted model of each
@@ -494,11 +494,11 @@ func TestIncrementalForecastMatchesCold(t *testing.T) {
 	hist := train.Clone()
 	for step := 0; step < 40; step++ {
 		for _, m := range models {
-			warm, err := m.f.ForecastFrom(hist, 3)
+			warm, err := m.f.ForecastFrom(nil, hist, 3)
 			if err != nil {
 				t.Fatalf("%s warm step %d: %v", m.name, step, err)
 			}
-			cold, err := m.f.ForecastFrom(hist.Clone(), 3)
+			cold, err := m.f.ForecastFrom(nil, hist.Clone(), 3)
 			if err != nil {
 				t.Fatalf("%s cold step %d: %v", m.name, step, err)
 			}
@@ -511,5 +511,33 @@ func TestIncrementalForecastMatchesCold(t *testing.T) {
 		}
 		next := 50 + 20*math.Sin(2*math.Pi*float64(300+step)/24) + rng.NormFloat64()
 		hist.Append(next)
+	}
+}
+
+// TestSelectorSteadyStateAllocs: a warm Predict+Observe cycle of the
+// paper's default pool allocates nothing — every candidate forecasts into
+// the selector's one buffer. Observe's append to the history grows it on
+// append's schedule, which 500 runs amortize to nothing.
+func TestSelectorSteadyStateAllocs(t *testing.T) {
+	s, err := New(benchSeries(200), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Candidates()); n != 4 {
+		t.Fatalf("default pool has %d candidates, want 4", n)
+	}
+	step := 200
+	cycle := func() {
+		if _, err := s.Predict(); err != nil {
+			t.Fatal(err)
+		}
+		s.Observe(0.5 + 0.3*math.Sin(2*math.Pi*float64(step)/24) + 0.05*math.Sin(float64(step)*1.7))
+		step++
+	}
+	for range 50 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(500, cycle); got != 0 {
+		t.Fatalf("a warm Predict+Observe allocates %v times, want 0", got)
 	}
 }

@@ -48,18 +48,21 @@ type SelectorState struct {
 
 // modelState returns a pool member's kind tag and state value, or "" for
 // a forecaster type that has none (the smoothing family).
-func modelState(f Forecaster) (kind string, state any) {
+func modelState(f Forecaster) (kind string, state any, err error) {
 	switch m := f.(type) {
 	case *arima.Model:
-		return kindARIMA, m.State()
+		state, err = m.State()
+		return kindARIMA, state, err
 	case *arima.SeasonalModel:
-		return kindSARIMA, m.State()
+		state, err = m.State()
+		return kindSARIMA, state, err
 	case *narnet.Network:
-		return kindNARNET, m.State()
+		state, err = m.State()
+		return kindNARNET, state, err
 	case *Burst:
-		return kindBurst, m.State()
+		return kindBurst, m.State(), nil
 	}
-	return "", nil
+	return "", nil, nil
 }
 
 // forecaster rebuilds the pool member Model describes.
@@ -125,27 +128,33 @@ func decodeModel[S any](b []byte) (any, error) {
 // State returns the selector as plain data: every candidate's model and
 // rolling fitness window, the shared history, and the selection state, so
 // a selector restored from it predicts and ranks bit-identically to one
-// that never stopped. A held state is a value: it copies what the next
-// Predict or Observe writes (the MSE rings, the cached predictions) and
-// shares what they never write — the fitted models' coefficients and
-// training histories, and the selector history, which Observe only appends
-// to, so the len(History) elements the state holds are never written again.
-// Candidates whose forecaster type has no state (the smoothing family) are
-// an error.
+// that never stopped. It is a copy, its long arrays packed. Candidates
+// whose forecaster type has no state (the smoothing family) are an error,
+// and so is a NaN or ±Inf in a packed array.
 func (s *Selector) State() (SelectorState, error) {
+	hist, err := timeseries.Pack(s.history.Raw())
+	if err != nil {
+		return SelectorState{}, fmt.Errorf("predictor: state: history: %w", err)
+	}
 	st := SelectorState{
 		Candidates:   make([]CandidateState, len(s.candidates)),
-		History:      s.history.Raw(),
+		History:      hist,
 		HavePred:     s.havePred,
 		Selection:    s.selection,
 		HasSelection: s.hasSelection,
 	}
 	for i, c := range s.candidates {
-		kind, model := modelState(c.F)
+		kind, model, err := modelState(c.F)
+		if err != nil {
+			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
+		}
 		if kind == "" {
 			return SelectorState{}, fmt.Errorf("predictor: candidate %q: forecaster type %T has no serializer", c.Name, c.F)
 		}
-		mse := c.mse.State()
+		mse, err := c.mse.State()
+		if err != nil {
+			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
+		}
 		st.Candidates[i] = CandidateState{Name: c.Name, Kind: kind, Model: model, MSE: &mse}
 	}
 	if s.havePred {
@@ -197,8 +206,12 @@ func (s *Selector) Restore(st SelectorState) error {
 			}
 		}
 	}
+	hist, err := st.History.Floats()
+	if err != nil {
+		return fmt.Errorf("predictor: restore: history: %w", err)
+	}
 	s.candidates = cands
-	s.history = timeseries.New(st.History)
+	s.history = timeseries.New(hist)
 	s.lastPred = lastPred
 	s.havePred = st.HavePred
 	s.selection = st.Selection

@@ -166,15 +166,30 @@ func restoreMutated(t *testing.T, doc []byte, mutate func(*Snapshot)) (*Runtime,
 		t.Fatal(err)
 	}
 	mutate(&loaded)
+	return restoreSnapshot(t, &loaded, true)
+}
+
+// restoreSnapshot restores snap over a fresh copy of the golden's fabric.
+// A cluster that refuses snap.Cluster fails the test when clusterMustTake
+// is set, and is the error otherwise. An error comes with no runtime.
+func restoreSnapshot(t *testing.T, snap *Snapshot, clusterMustTake bool) (*Runtime, error) {
+	t.Helper()
 	cluster, model := buildParts(t, 2)
-	if err := cluster.Restore(loaded.Cluster); err != nil {
-		t.Fatal(err)
+	if err := cluster.Restore(snap.Cluster); err != nil {
+		if clusterMustTake {
+			t.Fatal(err)
+		}
+		return nil, err
 	}
-	restored, err := Restore(cluster, model, Options{DeepPredict: true, DeepFitAfter: 24}, &loaded)
-	if err == nil {
-		t.Cleanup(restored.Close)
+	restored, err := Restore(cluster, model, Options{DeepPredict: true, DeepFitAfter: 24}, snap)
+	if err != nil {
+		if restored != nil {
+			t.Fatalf("Restore refused the snapshot (%v) but returned a runtime", err)
+		}
+		return nil, err
 	}
-	return restored, err
+	t.Cleanup(restored.Close)
+	return restored, nil
 }
 
 func encodeSnapshot(t *testing.T, r *Runtime) []byte {
@@ -245,6 +260,55 @@ func TestRestoreAcrossSnapshotVersions(t *testing.T) {
 			t.Fatalf("restore from a version %d snapshot: err = %v, want a refusal", v, err)
 		}
 	}
+}
+
+// FuzzRuntimeRestore: arbitrary bytes are either refused — by the
+// decoder, the cluster's Restore or the runtime's, which then returns no
+// runtime — or restore into a runtime whose own snapshot restores into
+// one that writes it again byte for byte. Never a panic. Seeded with both
+// goldens, so the fuzzer starts from every section a deep snapshot has,
+// in both spellings of its long arrays. A document that asks for more
+// work than a fuzzer can wait on — a trace horizon past a week, a
+// generator replay past 4,096 steps — is skipped: Restore materializes
+// the horizon and replays the position, by design, at the cost they name.
+func FuzzRuntimeRestore(f *testing.F) {
+	for _, name := range []string{"deep_snapshot.golden.json", "deep_snapshot.v3.golden.json"} {
+		doc, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var loaded Snapshot
+		if json.Unmarshal(data, &loaded) != nil {
+			return
+		}
+		if loaded.Traces != nil && loaded.Traces.Hours > 7*24 {
+			return
+		}
+		for _, vs := range loaded.VMs {
+			if vs.GenPos > 1<<12 {
+				return
+			}
+		}
+		r, err := restoreSnapshot(t, &loaded, false)
+		if err != nil {
+			return
+		}
+		first := encodeSnapshot(t, r)
+		var again Snapshot
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("own snapshot does not decode: %v", err)
+		}
+		r2, err := restoreSnapshot(t, &again, false)
+		if err != nil {
+			t.Fatalf("own snapshot refused: %v", err)
+		}
+		if second := encodeSnapshot(t, r2); !bytes.Equal(first, second) {
+			t.Fatalf("snapshot is not stable across a restore:\n%s\n%s", first, second)
+		}
+	})
 }
 
 // TestRestoreRefusesNarrowedCounts: the engine keeps a VM's history length

@@ -151,7 +151,7 @@ func foldHolt(h []float64) [2]float64 {
 }
 
 // ForecastFrom implements alert.ComponentForecaster.
-func (e ewmaTrend) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+func (e ewmaTrend) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	if h.Len() == 0 {
 		return nil, errors.New("runtime: empty history")
 	}
@@ -164,7 +164,7 @@ func (e ewmaTrend) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) 
 	for i := range out {
 		out[i] = level + trend*float64(i+1)
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // trendState is ewmaTrend with suffix-aware incremental state: the level
@@ -183,7 +183,7 @@ type trendState struct {
 }
 
 // ForecastFrom implements alert.ComponentForecaster incrementally.
-func (ts *trendState) ForecastFrom(h *timeseries.Series, n int) ([]float64, error) {
+func (ts *trendState) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	if h.Len() == 0 {
 		return nil, errors.New("runtime: empty history")
 	}
@@ -201,7 +201,7 @@ func (ts *trendState) ForecastFrom(h *timeseries.Series, n int) ([]float64, erro
 	for i := range out {
 		out[i] = ts.level + ts.trend*float64(i+1)
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // initReference assembles the seed engine: eager per-rack shims and queue

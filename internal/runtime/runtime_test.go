@@ -37,7 +37,7 @@ func TestEwmaTrendForecast(t *testing.T) {
 	f := ewmaTrend{alpha: 0.5, beta: 0.3}
 	// A perfect linear ramp should be extrapolated upward.
 	h := timeseries.FromFunc(20, func(t int) float64 { return float64(t) })
-	out, err := f.ForecastFrom(h, 2)
+	out, err := f.ForecastFrom(nil, h, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEwmaTrendForecast(t *testing.T) {
 	if out[1] <= out[0] {
 		t.Fatal("multi-step trend should keep rising")
 	}
-	if _, err := f.ForecastFrom(timeseries.New(nil), 1); err == nil {
+	if _, err := f.ForecastFrom(nil, timeseries.New(nil), 1); err == nil {
 		t.Fatal("empty history accepted")
 	}
 }
@@ -241,11 +241,11 @@ func TestTrendStateMatchesEwmaTrend(t *testing.T) {
 	warm := &trendState{ewmaTrend: cold}
 	h := timeseries.New([]float64{3})
 	for step := 0; step < 50; step++ {
-		w, err := warm.ForecastFrom(h, 2)
+		w, err := warm.ForecastFrom(nil, h, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cold.ForecastFrom(h, 2)
+		c, err := cold.ForecastFrom(nil, h, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +257,11 @@ func TestTrendStateMatchesEwmaTrend(t *testing.T) {
 	// A rewritten history (different last value at the cached position)
 	// must reset the cache rather than continue from stale state.
 	h2 := timeseries.New([]float64{100, 90, 80})
-	w, err := warm.ForecastFrom(h2, 1)
+	w, err := warm.ForecastFrom(nil, h2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cold.ForecastFrom(h2, 1)
+	c, err := cold.ForecastFrom(nil, h2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

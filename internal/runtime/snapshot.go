@@ -152,7 +152,11 @@ func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, err
 			snap.Deep[i] = &st
 		}
 		for i, h := range r.deepHist {
-			snap.DeepHist[i] = h.Values()
+			b, err := timeseries.Pack(h.Raw())
+			if err != nil {
+				return nil, fmt.Errorf("runtime: snapshot deep history %d: %w", i, err)
+			}
+			snap.DeepHist[i] = b
 		}
 	}
 	return snap, nil
@@ -268,7 +272,11 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 			}
 			r.deep[i] = sel
 		}
-		for i, h := range snap.DeepHist {
+		for i, b := range snap.DeepHist {
+			h, err := b.Floats()
+			if err != nil {
+				return nil, fmt.Errorf("runtime: restore deep history %d: %w", i, err)
+			}
 			r.deepHist[i].Append(h...)
 		}
 	}

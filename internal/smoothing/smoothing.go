@@ -254,18 +254,20 @@ func run(s *timeseries.Series, cfg Config, h int, out []float64) (float64, error
 
 // Forecast returns h-step forecasts from the training series end.
 func (m *Model) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(m.history, h)
+	return m.ForecastFrom(nil, m.history, h)
 }
 
 // ForecastFrom smooths through the history with the fitted constants and
-// extrapolates h steps — the predictor-pool contract.
+// appends the h-step extrapolation to dst — the predictor-pool contract —
+// returning the extended slice (nil on error).
 //
 // Repeated calls with the same *Series value hit a suffix-aware fast
 // path: when the history has only grown since the previous call, the
 // cached level/trend/season state is advanced over the new suffix in
 // O(new points) instead of re-smoothing the whole series. Histories that
-// shrank or were mutated in place fall back to a full pass.
-func (m *Model) ForecastFrom(history *timeseries.Series, h int) ([]float64, error) {
+// shrank or were mutated in place fall back to a full pass. A warm call
+// into a dst with room allocates nothing.
+func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("smoothing: forecast horizon must be positive")
 	}
@@ -284,7 +286,7 @@ func (m *Model) ForecastFrom(history *timeseries.Series, h int) ([]float64, erro
 		m.fc = st
 	}
 	m.advanceState(st, history)
-	return m.forecastState(st, history.Len(), h), nil
+	return m.forecastState(dst, st, history.Len(), h), nil
 }
 
 // initState seeds the smoothing recursion exactly as run does: SES starts
@@ -355,26 +357,21 @@ func (m *Model) advanceState(st *smoothState, history *timeseries.Series) {
 	st.last = history.At(n - 1)
 }
 
-// forecastState extrapolates h steps from the folded state; n is the
-// history length the extrapolation starts from (seasonal indexing).
-func (m *Model) forecastState(st *smoothState, n, h int) []float64 {
-	out := make([]float64, h)
-	switch m.Config.Method {
-	case SES:
-		for k := range out {
-			out[k] = st.level
-		}
-	case Holt:
-		for k := range out {
-			out[k] = st.level + st.trend*float64(k+1)
-		}
-	case HoltWinters:
-		p := m.Config.Period
-		for k := range out {
-			out[k] = st.level + st.trend*float64(k+1) + st.season[(n+k)%p]
+// forecastState appends the h-step extrapolation from the folded state to
+// dst; n is the history length the extrapolation starts from (seasonal
+// indexing).
+func (m *Model) forecastState(dst []float64, st *smoothState, n, h int) []float64 {
+	for k := range h {
+		switch m.Config.Method {
+		case SES:
+			dst = append(dst, st.level)
+		case Holt:
+			dst = append(dst, st.level+st.trend*float64(k+1))
+		case HoltWinters:
+			dst = append(dst, st.level+st.trend*float64(k+1)+st.season[(n+k)%m.Config.Period])
 		}
 	}
-	return out
+	return dst
 }
 
 // RollingForecast produces one-step-ahead predictions over test, matching
@@ -382,9 +379,10 @@ func (m *Model) forecastState(st *smoothState, n, h int) []float64 {
 func (m *Model) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
 	history := train.Clone()
 	out := make([]float64, test.Len())
+	var fc []float64
 	for t := 0; t < test.Len(); t++ {
-		fc, err := m.ForecastFrom(history, 1)
-		if err != nil {
+		var err error
+		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
 			return nil, fmt.Errorf("smoothing: rolling forecast at step %d: %w", t, err)
 		}
 		out[t] = fc[0]

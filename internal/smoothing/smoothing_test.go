@@ -163,7 +163,7 @@ func TestForecastValidation(t *testing.T) {
 	if _, err := m.Forecast(0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := m.ForecastFrom(timeseries.New([]float64{1}), 1); err == nil {
+	if _, err := m.ForecastFrom(nil, timeseries.New([]float64{1}), 1); err == nil {
 		t.Error("short history accepted")
 	}
 }
@@ -197,5 +197,37 @@ func TestForecastFiniteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestForecastFromSteadyStateAllocs: a warm forecast into a reused dst
+// allocates nothing, also when the history grew since the last one, for
+// each method. The history is given room first, so that its own appends
+// allocate nothing either.
+func TestForecastFromSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	s := timeseries.FromFunc(96, func(t int) float64 { return 10 + 3*math.Sin(2*math.Pi*float64(t)/12) + 0.1*float64(t) })
+	for _, cfg := range []Config{{Method: SES}, {Method: Holt}, {Method: HoltWinters, Period: 12}} {
+		m, err := Fit(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := s.Clone()
+		next := func() { hist.Append(hist.At(hist.Len()-12) + 1.2) } // a season on
+		for cap(hist.Raw())-hist.Len() <= runs {
+			next()
+		}
+		dst, err := m.ForecastFrom(nil, hist, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(runs, func() {
+			next()
+			if dst, err = m.ForecastFrom(dst[:0], hist, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: a warm ForecastFrom allocates %v times, want 0", cfg.Method, got)
+		}
 	}
 }

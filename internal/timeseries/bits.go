@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,46 +8,68 @@ import (
 	"math"
 )
 
-// Bits is a []float64 whose JSON form is a string: the base64 (standard
-// alphabet, padded) of its values' IEEE-754 bits, eight little-endian
-// bytes each. It is for the long arrays a snapshot carries that nobody
-// reads by eye — histories, weights, error rings — where shortest-decimal
-// formatting is most of the cost of writing the document. Decoding also
-// accepts the decimal array such a field held before it was typed Bits;
-// encoding writes the string only.
+// Bits holds a []float64 packed for a snapshot: eight little-endian bytes
+// of each value's IEEE-754 bits, in order. It types the long arrays a
+// snapshot carries that nobody reads by eye — histories, weights, error
+// rings — where shortest-decimal formatting would be most of the cost of
+// writing the document. Pack builds one, refusing NaN and ±Inf, and Floats
+// reads it back.
 //
-// To read one from a file:
+// Being a byte slice, it is written by encoding/json's own []byte path: a
+// base64 string (standard alphabet, padded), the very bytes the float
+// array's text marshaler wrote before Bits was packed. That is why it has
+// no MarshalText: a text marshaler would send the same string through a
+// buffer of its own and encoding/json's escape scan, for nothing.
+// Decoding also accepts the decimal array such a field held before it was
+// typed Bits. A nil Bits encodes as null; Pack never returns one.
+//
+// Reading one from a file is as it always was:
 //
 //	jq -r '.runtime.deep[0].history' f.snap | base64 -d | od -An -t f8
-type Bits []float64
+type Bits []byte
 
 // expMask selects a float64's exponent; all ones there is NaN or ±Inf.
 const expMask = 0x7FF << 52
 
-// MarshalText is the string form. It refuses NaN and ±Inf, which the
-// decimal form could not carry either, so nothing is written that
-// UnmarshalJSON would not read back.
-func (b Bits) MarshalText() ([]byte, error) {
-	// The values pass through a fixed scratch a chunk at a time, so the
-	// text is the only buffer. A chunk's byte count is a multiple of
-	// three: base64 pads nothing but the last one.
-	const chunk = 384
-	var raw [8 * chunk]byte
-	enc := base64.StdEncoding
-	text := make([]byte, enc.EncodedLen(8*len(b)))
-	for at, dst := 0, text; at < len(b); at += chunk {
-		part := b[at:min(at+chunk, len(b))]
-		for i, v := range part {
-			u := math.Float64bits(v)
-			if u&expMask == expMask {
-				return nil, fmt.Errorf("timeseries: bits: value %d is %v, which has no encoding", at+i, v)
-			}
-			binary.LittleEndian.PutUint64(raw[8*i:], u)
+// Pack packs v. It refuses NaN and ±Inf, which the decimal form could not
+// carry either, so nothing is written that UnmarshalJSON would not read
+// back.
+func Pack(v []float64) (Bits, error) {
+	b := make(Bits, 8*len(v))
+	for i, x := range v {
+		u := math.Float64bits(x)
+		if u&expMask == expMask {
+			return nil, fmt.Errorf("timeseries: bits: value %d is %v, which has no encoding", i, x)
 		}
-		enc.Encode(dst, raw[:8*len(part)])
-		dst = dst[enc.EncodedLen(8*len(part)):]
+		binary.LittleEndian.PutUint64(b[8*i:], u)
 	}
-	return text, nil
+	return b, nil
+}
+
+// Floats unpacks b. It fails on what Pack could not have written: a
+// length that is not a whole number of float64s, or a NaN or ±Inf.
+func (b Bits) Floats() ([]float64, error) {
+	if err := b.check(); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out, nil
+}
+
+// check reports whether b is something Pack could have written.
+func (b Bits) check() error {
+	if len(b)%8 != 0 {
+		return fmt.Errorf("timeseries: bits: %d bytes is not a whole number of float64s", len(b))
+	}
+	for i := 0; i < len(b); i += 8 {
+		if u := binary.LittleEndian.Uint64(b[i:]); u&expMask == expMask {
+			return fmt.Errorf("timeseries: bits: value %d is %v, want a finite number", i/8, math.Float64frombits(u))
+		}
+	}
+	return nil
 }
 
 // UnmarshalJSON reads the string form or a decimal array. A string must
@@ -66,25 +87,21 @@ func (b *Bits) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(data, &dec); err != nil {
 			return fmt.Errorf("timeseries: bits: decimal array: %w", err)
 		}
-		*b = dec
+		packed, err := Pack(dec)
+		if err != nil {
+			return err
+		}
+		*b = packed
 		return nil
 	case '"':
 		var raw []byte // encoding/json unquotes the string and decodes its base64
 		if err := json.Unmarshal(data, &raw); err != nil {
 			return fmt.Errorf("timeseries: bits: malformed base64: %w", err)
 		}
-		if len(raw)%8 != 0 {
-			return fmt.Errorf("timeseries: bits: %d bytes is not a whole number of float64s", len(raw))
+		if err := Bits(raw).check(); err != nil {
+			return err
 		}
-		out := make(Bits, len(raw)/8)
-		for i := range out {
-			u := binary.LittleEndian.Uint64(raw[8*i:])
-			if u&expMask == expMask {
-				return fmt.Errorf("timeseries: bits: value %d is %v, want a finite number", i, math.Float64frombits(u))
-			}
-			out[i] = math.Float64frombits(u)
-		}
-		*b = out
+		*b = raw
 		return nil
 	}
 	return errors.New("timeseries: bits: want a base64 string or an array of numbers")

@@ -20,21 +20,56 @@ func rawBits(us ...uint64) string {
 	return `"` + base64.StdEncoding.EncodeToString(raw) + `"`
 }
 
-// TestBitsRoundTrip: finite values survive bit for bit — the edges of the
-// format first, then random bit patterns — at lengths on both sides of
-// MarshalText's chunk and of base64's three-byte groups.
-func TestBitsRoundTrip(t *testing.T) {
-	edges := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, math.Pi,
-		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022}
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 4, len(edges), 383, 384, 385, 768, 1000} {
-		in := append(Bits{}, edges[:min(n, len(edges))]...)
-		for len(in) < n {
-			if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
-				in = append(in, v)
-			}
+// pack is Pack for values the test knows are finite.
+func pack(t testing.TB, v []float64) Bits {
+	t.Helper()
+	b, err := Pack(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// unpack is Floats for a value the test knows is well formed.
+func unpack(t testing.TB, b Bits) []float64 {
+	t.Helper()
+	v, err := b.Floats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// edgeFloats are the values at the edges of the format: both zeros, the
+// subnormals, the extremes, and values with no short decimal.
+var edgeFloats = []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, math.Pi,
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1030, -0x1.8p-1040, 0x1p-1022}
+
+// finiteFloats returns n values: the edges cycled through every seventh
+// slot, random finite bit patterns in between.
+func finiteFloats(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		if len(out)%7 == 0 {
+			out = append(out, edgeFloats[len(out)/7%len(edgeFloats)])
+			continue
 		}
-		doc, err := json.Marshal(struct{ A Bits }{in})
+		if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestBitsRoundTrip: finite values survive bit for bit, through Pack, the
+// JSON string and Floats, at lengths on both sides of base64's three-byte
+// groups.
+func TestBitsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 4, len(edgeFloats), 383, 384, 385, 768, 1000} {
+		in := finiteFloats(rng, n)
+		doc, err := json.Marshal(struct{ A Bits }{pack(t, in)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -45,40 +80,64 @@ func TestBitsRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(doc, &out); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(out.A) != n {
-			t.Fatalf("n=%d: decoded %d values", n, len(out.A))
+		got := unpack(t, out.A)
+		if len(got) != n {
+			t.Fatalf("n=%d: decoded %d values", n, len(got))
 		}
 		for i := range in {
-			if math.Float64bits(in[i]) != math.Float64bits(out.A[i]) {
-				t.Fatalf("n=%d: value %d: wrote %x, read %x", n, i, math.Float64bits(in[i]), math.Float64bits(out.A[i]))
+			if math.Float64bits(in[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("n=%d: value %d: wrote %x, read %x", n, i, math.Float64bits(in[i]), math.Float64bits(got[i]))
 			}
+		}
+	}
+}
+
+// TestBitsSpellingUnchanged: encoding/json writes a packed array as the
+// very bytes the float array's MarshalText wrote (textBits, the oracle),
+// at every length up to 1,200 — across the oracle's 384-value chunk edges
+// and base64's three-byte groups, with both zeros and subnormals among
+// the values. Files written before Bits was packed are the files written
+// after.
+func TestBitsSpellingUnchanged(t *testing.T) {
+	v := finiteFloats(rand.New(rand.NewSource(2)), 1200)
+	for n := 0; n <= len(v); n++ {
+		got, err := json.Marshal(struct{ A Bits }{pack(t, v[:n])})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want, err := json.Marshal(struct{ A textBits }{v[:n]})
+		if err != nil {
+			t.Fatalf("n=%d: oracle: %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: packed array spells\n%s\nthe oracle spells\n%s", n, got, want)
 		}
 	}
 }
 
 // TestBitsDecodesDecimal: the array form older files hold decodes to the
 // values it always did, null leaves the field alone, and only the string
-// form is ever written back.
+// form is written back.
 func TestBitsDecodesDecimal(t *testing.T) {
 	var got struct{ A, B Bits }
 	if err := json.Unmarshal([]byte(`{"A":[0.5,-1e-3,3],"B":null}`), &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.A) != 3 || got.A[0] != 0.5 || got.A[1] != -1e-3 || got.A[2] != 3 || got.B != nil {
-		t.Fatalf("decoded %+v", got)
+	if a := unpack(t, got.A); len(a) != 3 || a[0] != 0.5 || a[1] != -1e-3 || a[2] != 3 || got.B != nil {
+		t.Fatalf("decoded %v and %v", a, got.B)
 	}
 	doc, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"A":"AAAAAAAA4D/8qfHSTWJQvwAAAAAAAAhA","B":""}`; string(doc) != want {
+	if want := `{"A":"AAAAAAAA4D/8qfHSTWJQvwAAAAAAAAhA","B":null}`; string(doc) != want {
 		t.Fatalf("encoded %s, want %s", doc, want)
 	}
 }
 
 // TestBitsRejects: what decimal JSON could not carry, and what is not a
 // float array at all, fail to decode with an error that says which; and a
-// non-finite value fails to encode, as it did in decimal.
+// non-finite value fails to pack, as it failed to encode in decimal.
 func TestBitsRejects(t *testing.T) {
 	nan, inf := math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1))
 	for _, c := range []struct{ doc, want string }{
@@ -102,23 +161,42 @@ func TestBitsRejects(t *testing.T) {
 		}
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := json.Marshal(Bits{1, v}); err == nil || !strings.Contains(err.Error(), "value 1") {
-			t.Errorf("encoding %v: error %v, want one naming value 1", v, err)
+		if _, err := Pack([]float64{1, v}); err == nil || !strings.Contains(err.Error(), "value 1") {
+			t.Errorf("packing %v: error %v, want one naming value 1", v, err)
 		}
 	}
 }
 
-// TestBitsEncodeAllocs: an array costs its text and nothing else the
-// codec controls (encoding/json boxes the slice header once more when it
-// reaches the field through a pointer).
+// TestBitsEncodeAllocs: packing costs the packed bytes alone, and
+// encoding/json writes them with no buffer of the codec's own — a
+// document holding a packed array costs what one holding no array does.
 func TestBitsEncodeAllocs(t *testing.T) {
-	b := make(Bits, 1000)
+	v := make([]float64, 1000)
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := b.MarshalText(); err != nil {
+		if _, err := Pack(v); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 1 {
-		t.Fatalf("MarshalText allocates %v times, want 1", got)
+		t.Fatalf("Pack allocates %v times, want 1", got)
+	}
+	type doc struct {
+		N int
+		A Bits
+	}
+	encode := func(d *doc) float64 {
+		var buf bytes.Buffer
+		buf.Grow(16 << 10)
+		enc := json.NewEncoder(&buf)
+		return testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if err := enc.Encode(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	with, without := encode(&doc{A: pack(t, v)}), encode(&doc{})
+	if with != without {
+		t.Fatalf("encoding a packed array allocates %v times, a document without one %v", with, without)
 	}
 }
 
@@ -144,21 +222,19 @@ func FuzzBitsDecode(f *testing.F) {
 		if json.Unmarshal(data, &b) != nil {
 			return
 		}
+		if _, err := b.Floats(); err != nil {
+			t.Fatalf("accepted value %x does not unpack: %v", b, err)
+		}
 		first, err := json.Marshal(b)
 		if err != nil {
-			t.Fatalf("accepted value %v does not encode: %v", b, err)
+			t.Fatalf("accepted value %x does not encode: %v", b, err)
 		}
 		var again Bits
 		if err := json.Unmarshal(first, &again); err != nil {
 			t.Fatalf("own encoding %s refused: %v", first, err)
 		}
-		if len(again) != len(b) {
-			t.Fatalf("%d values came back as %d", len(b), len(again))
-		}
-		for i := range b {
-			if math.Float64bits(b[i]) != math.Float64bits(again[i]) {
-				t.Fatalf("value %d: %x came back as %x", i, math.Float64bits(b[i]), math.Float64bits(again[i]))
-			}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("%x came back as %x", b, again)
 		}
 		second, err := json.Marshal(again)
 		if err != nil {

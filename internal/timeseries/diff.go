@@ -71,17 +71,21 @@ func Integrate(diffed *Series, head float64) *Series {
 // for i = 0..d-1 (tails[0] is the last original observation). This is the
 // recursion the paper's Eqn. (12) expresses as P_t Y_{t+h} = (∇^{-d}) P_t y.
 func IntegrateForecast(forecast []float64, tails []float64) []float64 {
-	out := make([]float64, len(forecast))
-	copy(out, forecast)
+	out := append([]float64(nil), forecast...)
+	IntegrateInPlace(out, tails)
+	return out
+}
+
+// IntegrateInPlace is IntegrateForecast writing over forecast itself.
+func IntegrateInPlace(forecast []float64, tails []float64) {
 	// Undo one level of differencing at a time, innermost first.
 	for level := len(tails) - 1; level >= 0; level-- {
 		prev := tails[level]
-		for i := range out {
-			out[i] += prev
-			prev = out[i]
+		for i := range forecast {
+			forecast[i] += prev
+			prev = forecast[i]
 		}
 	}
-	return out
 }
 
 // DiffTails returns, for differencing order d, the tail values needed by
@@ -102,4 +106,35 @@ func DiffTails(s *Series, d int) ([]float64, error) {
 		cur = next
 	}
 	return tails, nil
+}
+
+// DiffTailsInPlace fills tails with DiffTails of window for d = len(tails),
+// differencing window (at least d+1 observations) in place. ∇^i's final
+// value depends on the last i+1 observations alone, so the last d+1 of a
+// series give the tails of the whole series, bit for bit.
+func DiffTailsInPlace(tails, window []float64) {
+	for i := range tails {
+		tails[i] = window[len(window)-1]
+		window = DiffInPlace(window)
+	}
+}
+
+// DiffInPlace is Diff writing over v itself: v[t] becomes v[t+1] − v[t],
+// and the differenced series, one observation shorter, is returned as a
+// prefix of v.
+func DiffInPlace(v []float64) []float64 {
+	for t := 1; t < len(v); t++ {
+		v[t-1] = v[t] - v[t-1]
+	}
+	return v[:max(len(v)-1, 0)]
+}
+
+// SeasonalDiffInPlace is SeasonalDiff writing over v itself; the result,
+// period observations shorter, is returned as a prefix of v. v must hold
+// more than period observations.
+func SeasonalDiffInPlace(v []float64, period int) []float64 {
+	for t := period; t < len(v); t++ {
+		v[t-period] = v[t] - v[t-period]
+	}
+	return v[:len(v)-period]
 }

@@ -139,22 +139,30 @@ type RollingState struct {
 	Sum    float64 `json:"sum"`
 }
 
-// State returns the tracker's state. The ring is copied: the next Observe
-// writes into it.
-func (r *RollingMSE) State() RollingState {
-	return RollingState{Window: append([]float64(nil), r.window...), Next: r.next, Filled: r.filled, Sum: r.sum}
+// State returns the tracker's state, its ring packed. It fails when the
+// ring holds a NaN or ±Inf (an overflowed squared error).
+func (r *RollingMSE) State() (RollingState, error) {
+	w, err := Pack(r.window)
+	if err != nil {
+		return RollingState{}, fmt.Errorf("timeseries: rolling mse: window: %w", err)
+	}
+	return RollingState{Window: w, Next: r.next, Filled: r.filled, Sum: r.sum}, nil
 }
 
-// Restore replaces the tracker's state with st, copying the ring.
+// Restore replaces the tracker's state with st, unpacking the ring.
 func (r *RollingMSE) Restore(st RollingState) error {
-	if len(st.Window) == 0 {
+	w, err := st.Window.Floats()
+	if err != nil {
+		return fmt.Errorf("timeseries: rolling mse: window: %w", err)
+	}
+	if len(w) == 0 {
 		return errors.New("timeseries: RollingMSE with empty window")
 	}
-	if st.Next < 0 || st.Next >= len(st.Window) || st.Filled < 0 || st.Filled > len(st.Window) {
+	if st.Next < 0 || st.Next >= len(w) || st.Filled < 0 || st.Filled > len(w) {
 		return fmt.Errorf("timeseries: RollingMSE state out of range (next=%d filled=%d size=%d)",
-			st.Next, st.Filled, len(st.Window))
+			st.Next, st.Filled, len(w))
 	}
-	r.window = append([]float64(nil), st.Window...)
+	r.window = w
 	r.next = st.Next
 	r.filled = st.Filled
 	r.sum = st.Sum
@@ -162,7 +170,13 @@ func (r *RollingMSE) Restore(st RollingState) error {
 }
 
 // MarshalJSON implements json.Marshaler.
-func (r *RollingMSE) MarshalJSON() ([]byte, error) { return json.Marshal(r.State()) }
+func (r *RollingMSE) MarshalJSON() ([]byte, error) {
+	st, err := r.State()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (r *RollingMSE) UnmarshalJSON(data []byte) error {
