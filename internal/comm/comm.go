@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"sheriff/internal/obs"
@@ -140,7 +140,8 @@ type Bus struct {
 	nextID   int
 	round    int // completed Deliver rounds, stamps event rounds
 	inFlight []pending
-	inbox    map[int][]Message
+	inbox    [][]Message // by node address, grown on demand
+	slab     []Message   // unused room the inboxes grow into
 	dropped  int
 	sent     int
 
@@ -155,17 +156,17 @@ type pending struct {
 	delay int
 }
 
-// NewBus builds a bus for nodes addressed 0..n-1 (addresses outside the
-// range are still accepted; inboxes are created on demand).
+// NewBus builds a bus. Nodes are addressed by non-negative integers (rack
+// indices) and their inboxes are made on the first delivery; a message to
+// a negative address is dropped with cause "address".
 func NewBus(opts Options) (*Bus, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.WithDefaults()
 	return &Bus{
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		inbox: make(map[int][]Message),
+		opts: opts,
+		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}, nil
 }
 
@@ -192,12 +193,7 @@ func (b *Bus) Send(m Message) int {
 		rec.Record(b.event(obs.KindSend, m))
 	}
 	if b.opts.LossRate > 0 && b.rng.Float64() < b.opts.LossRate {
-		b.dropped++
-		if rec.Enabled() {
-			e := b.event(obs.KindDrop, m)
-			e.Attrs["cause"] = "loss"
-			rec.Record(e)
-		}
+		b.drop(m, "loss", rec)
 		return m.ID
 	}
 	delay := 0
@@ -207,12 +203,7 @@ func (b *Bus) Send(m Message) int {
 	if inj := b.opts.Injector; inj != nil {
 		v := inj.Judge(b.round, m)
 		if v.Drop {
-			b.dropped++
-			if rec.Enabled() {
-				e := b.event(obs.KindDrop, m)
-				e.Attrs["cause"] = v.Cause
-				rec.Record(e)
-			}
+			b.drop(m, v.Cause, rec)
 			return m.ID
 		}
 		delay += v.ExtraDelay
@@ -276,21 +267,49 @@ func (b *Bus) Deliver() int {
 // deposit moves one due message into its destination inbox, enforcing the
 // InboxLimit tail drop. It returns 1 when delivered, 0 when dropped.
 func (b *Bus) deposit(m Message, rec *obs.Recorder) int {
+	if m.To < 0 {
+		return b.drop(m, "address", rec)
+	}
+	if m.To >= len(b.inbox) {
+		b.inbox = slices.Grow(b.inbox, m.To+1-len(b.inbox))[:m.To+1]
+	}
 	q := b.inbox[m.To]
 	if len(q) >= b.opts.InboxLimit {
-		b.dropped++
-		if rec.Enabled() {
-			e := b.event(obs.KindDrop, m)
-			e.Attrs["cause"] = "overflow"
-			rec.Record(e)
-		}
-		return 0
+		return b.drop(m, "overflow", rec)
+	}
+	if len(q) == cap(q) {
+		q = b.grow(q)
 	}
 	b.inbox[m.To] = append(q, m)
 	if rec.Enabled() {
 		rec.Record(b.event(obs.KindDeliver, m))
 	}
 	return 1
+}
+
+// drop counts one lost or undeliverable message and traces its cause; it
+// returns the 0 deposit reports for it.
+func (b *Bus) drop(m Message, cause string, rec *obs.Recorder) int {
+	b.dropped++
+	if rec.Enabled() {
+		e := b.event(obs.KindDrop, m)
+		e.Attrs["cause"] = cause
+		rec.Record(e)
+	}
+	return 0
+}
+
+// grow moves a full inbox into room for twice as many messages, cut from
+// the bus's slab: one allocation serves many nodes' inboxes, and an inbox
+// that has grown once is reused by every later delivery.
+func (b *Bus) grow(q []Message) []Message {
+	n := max(2*cap(q), 4)
+	if len(b.slab) < n {
+		b.slab = make([]Message, max(n, 256))
+	}
+	room := b.slab[:0:n]
+	b.slab = b.slab[n:]
+	return append(room, q...)
 }
 
 // ShimlessNode marks trace identity fields with no protocol entity (the
@@ -320,10 +339,15 @@ func (b *Bus) FaultStats() (duplicated, reordered int) {
 	return b.duplicated, b.reordered
 }
 
-// Receive drains and returns the node's inbox in delivery order.
+// Receive drains and returns the node's inbox in delivery order. The slice
+// is the inbox's own memory: it stays valid until the next Deliver, which
+// refills it. Copy what must outlive that.
 func (b *Bus) Receive(node int) []Message {
+	if node < 0 || node >= len(b.inbox) {
+		return nil
+	}
 	msgs := b.inbox[node]
-	delete(b.inbox, node)
+	b.inbox[node] = msgs[:0]
 	return msgs
 }
 
@@ -336,11 +360,12 @@ func (b *Bus) Stats() (sent, dropped int) { return b.sent, b.dropped }
 // Nodes returns the addresses that currently have queued inbox messages,
 // in ascending order.
 func (b *Bus) Nodes() []int {
-	out := make([]int, 0, len(b.inbox))
-	for n := range b.inbox {
-		out = append(out, n)
+	var out []int
+	for n, q := range b.inbox {
+		if len(q) > 0 {
+			out = append(out, n)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -176,3 +176,69 @@ func TestConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBusSteadyStateAllocs pins the hot path allocation-free: once every
+// inbox has grown to its round's traffic, a send/deliver/receive round
+// allocates nothing, with and without an injector installed.
+func TestBusSteadyStateAllocs(t *testing.T) {
+	const nodes = 64
+	for _, inj := range []Injector{nil, passInjector{}} {
+		bus, err := NewBus(Options{Seed: 7, Injector: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := 0
+		busRound(bus, nodes, round) // warm: the inboxes and the in-flight queue grow once
+		if got := testing.AllocsPerRun(50, func() {
+			round++
+			busRound(bus, nodes, round)
+		}); got != 0 {
+			t.Errorf("injector %v: a warm bus round allocates %v times, want 0", inj, got)
+		}
+	}
+}
+
+// TestReceiveKeepsInboxUntilDeliver pins Receive's lifetime: the slice it
+// returns is the inbox's memory, intact until the next Deliver refills it.
+func TestReceiveKeepsInboxUntilDeliver(t *testing.T) {
+	bus, err := NewBus(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Send(Message{To: 2, Seq: 1})
+	bus.Deliver()
+	got := bus.Receive(2)
+	bus.Send(Message{To: 2, Seq: 2}) // sending leaves the inbox alone
+	if len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("Receive = %v, want the one message of seq 1", got)
+	}
+	if again := bus.Receive(2); len(again) != 0 {
+		t.Fatalf("a drained inbox returned %v", again)
+	}
+	bus.Deliver()
+	if next := bus.Receive(2); len(next) != 1 || next[0].Seq != 2 {
+		t.Fatalf("after Deliver, Receive = %v, want seq 2", next)
+	}
+	if bus.Receive(-1) != nil || bus.Receive(99) != nil {
+		t.Fatal("an address with no inbox returned messages")
+	}
+}
+
+// TestNegativeAddressDropped: rack indices are never negative, so a
+// message to a negative address is counted as a drop, not queued.
+func TestNegativeAddressDropped(t *testing.T) {
+	bus, err := NewBus(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Send(Message{To: -3})
+	if got := bus.Deliver(); got != 0 {
+		t.Fatalf("delivered %d messages to a negative address", got)
+	}
+	if _, dropped := bus.Stats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+	if nodes := bus.Nodes(); len(nodes) != 0 {
+		t.Fatalf("Nodes = %v after a dropped message", nodes)
+	}
+}

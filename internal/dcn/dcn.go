@@ -128,9 +128,17 @@ type Rack struct {
 }
 
 // VMs returns every VM hosted in the rack, host by host, each host's in ID
-// order. The slice is a copy.
+// order. The slice is a copy, made in one allocation; an empty rack's is
+// nil.
 func (r *Rack) VMs() []*VM {
-	var out []*VM
+	n := 0
+	for _, h := range r.Hosts {
+		n += len(h.vms)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*VM, 0, n)
 	for _, h := range r.Hosts {
 		out = append(out, h.vms...)
 	}

@@ -643,3 +643,36 @@ func TestAccountingSteadyStateAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestRackVMsOneAlloc pins Rack.VMs to one allocation (the copy), none for
+// an empty rack: the shim's ToR branch and its switch-alert path call it
+// on every alert they handle.
+func TestRackVMsOneAlloc(t *testing.T) {
+	c := testCluster(t, 4)
+	empty := c.Racks[0]
+	c.Populate(PopulateOptions{Seed: 3})
+	for _, h := range empty.Hosts {
+		for _, vm := range h.VMs() {
+			c.Remove(vm)
+		}
+	}
+	full := c.Racks[1]
+	want := 0
+	for _, h := range full.Hosts {
+		want += len(h.Residents())
+	}
+	if want == 0 {
+		t.Fatal("populated rack is empty")
+	}
+	if got := full.VMs(); len(got) != want {
+		t.Fatalf("Rack.VMs = %d VMs, want %d", len(got), want)
+	}
+	var sink int
+	if n := testing.AllocsPerRun(20, func() { sink += len(full.VMs()) }); n != 1 {
+		t.Errorf("Rack.VMs allocates %v times on a populated rack, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { sink += len(empty.VMs()) }); n != 0 {
+		t.Errorf("Rack.VMs allocates %v times on an empty rack, want 0", n)
+	}
+	_ = sink
+}

@@ -383,7 +383,7 @@ func AblationPolicy(seed int64) (*Table, error) {
 // migrations on few destination racks (easier to provision) at some cost
 // premium over free-form matching.
 func AblationKMedianPlanning(seed int64) (*Table, error) {
-	build := func() (*sim.Sim, map[int][]*dcn.VM, error) {
+	build := func() (*sim.Sim, [][]*dcn.VM, error) {
 		s, err := sim.Build(sim.Config{Kind: sim.FatTree, Size: 8, Seed: seed})
 		if err != nil {
 			return nil, nil, err
@@ -429,7 +429,6 @@ func AblationKMedianPlanning(seed int64) (*Table, error) {
 			sources = append(sources, idx)
 		}
 	}
-	sort.Ints(sources)
 	k := len(sources) / 3
 	if k < 1 {
 		k = 1

@@ -110,8 +110,9 @@ func policyOrSheriff(p placement.Policy) placement.Policy {
 // match is Alg. 3's matching step: price every (VM, host) pair the caller
 // does not bar and solve the minimum-weight assignment. assign[i] indexes
 // hosts (-1: unmatched) and bases holds the cost to charge on commit;
-// assign is nil when no pair is feasible at all. barred may be nil.
-func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (assign []int, bases [][]float64, err error) {
+// assign is nil when no pair is feasible at all. barred, which may be nil,
+// is asked about pairs by index into vms and hosts.
+func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) bool) (assign []int, bases [][]float64, err error) {
 	costs, bases, feasible := k.price(vms, hosts, barred)
 	if !feasible {
 		return nil, nil, nil
@@ -133,7 +134,7 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, h
 // evaluated once per (VM, rack), when the first host of the rack gets that
 // far; the policy scores every host on its own. Both matrices are rows of
 // the scratch's one array, overwritten by the next call.
-func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, hi int) bool) (costs, bases [][]float64, feasible bool) {
+func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) bool) (costs, bases [][]float64, feasible bool) {
 	nv, nh := len(vms), len(hosts)
 	if k.scratch == nil {
 		k.scratch = &matchScratch{}
@@ -155,7 +156,7 @@ func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vm *dcn.VM, h
 		sc.peerRacks = k.c.Deps.PeerRacks(k.c, vm.ID, sc.peerRacks[:0])
 		for j, h := range hosts {
 			costs[i][j] = matching.Forbidden
-			if barred != nil && barred(vm, j) {
+			if barred != nil && barred(i, j) {
 				continue
 			}
 			if h == vm.Host() || !k.pol.Feasible(vm.Capacity, h) { // must actually move
@@ -378,9 +379,9 @@ func exclude(m *map[int]map[int]bool, vmID, key int) {
 	keys[key] = true
 }
 
-// made returns *m, making it first when it is nil. The protocol's
-// bookkeeping maps are made on their first write: a nil map reads as
-// empty, and most calls never write most of them.
+// made returns *m, making it first when it is nil. The shim's and
+// sequential's bookkeeping maps are made on their first write: a nil map
+// reads as empty, and most calls never write most of them.
 func made[K comparable, V any](m *map[K]V) map[K]V {
 	if *m == nil {
 		*m = make(map[K]V)

@@ -1,8 +1,9 @@
 package migrate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"sheriff/internal/comm"
@@ -65,20 +66,14 @@ type DistOptions struct {
 // Validate reports whether the options are usable. Negative values are
 // errors; zero values mean "use the default".
 func (o DistOptions) Validate() error {
-	if o.MaxRounds < 0 {
-		return fmt.Errorf("migrate: MaxRounds must be >= 0 (0 = default), got %d", o.MaxRounds)
-	}
-	if o.RequestTimeout < 0 {
-		return fmt.Errorf("migrate: RequestTimeout must be >= 0 (0 = default), got %d", o.RequestTimeout)
-	}
-	if o.RetryBudget < 0 {
-		return fmt.Errorf("migrate: RetryBudget must be >= 0 (0 = default), got %d", o.RetryBudget)
-	}
-	if o.BackoffBase < 0 {
-		return fmt.Errorf("migrate: BackoffBase must be >= 0 (0 = default), got %d", o.BackoffBase)
-	}
-	if o.BackoffMax < 0 {
-		return fmt.Errorf("migrate: BackoffMax must be >= 0 (0 = default), got %d", o.BackoffMax)
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"MaxRounds", o.MaxRounds}, {"RequestTimeout", o.RequestTimeout}, {"RetryBudget", o.RetryBudget},
+		{"BackoffBase", o.BackoffBase}, {"BackoffMax", o.BackoffMax}} {
+		if f.v < 0 {
+			return fmt.Errorf("migrate: %s must be >= 0 (0 = default), got %d", f.name, f.v)
+		}
 	}
 	if err := o.Placement.Validate(); err != nil {
 		return err
@@ -90,21 +85,11 @@ func (o DistOptions) Validate() error {
 // defaults (parity with Params.WithDefaults; zero = default, negative =
 // Validate error).
 func (o DistOptions) WithDefaults() DistOptions {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 30
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 3
-	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 4
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 1
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 8
-	}
+	o.MaxRounds = cmp.Or(o.MaxRounds, 30)
+	o.RequestTimeout = cmp.Or(o.RequestTimeout, 3)
+	o.RetryBudget = cmp.Or(o.RetryBudget, 4)
+	o.BackoffBase = cmp.Or(o.BackoffBase, 1)
+	o.BackoffMax = cmp.Or(o.BackoffMax, 8)
 	o.Placement = o.Placement.WithDefaults()
 	o.Preempt = o.Preempt.WithDefaults()
 	return o
@@ -117,14 +102,6 @@ type DistResult struct {
 	Suppressed  int // duplicate requests/replies discarded by dedup
 	Fallbacks   int // VMs degraded to local sequential placement
 	Rounds      int
-}
-
-// outstanding tracks one in-flight request at its source shim.
-type outstanding struct {
-	vm   *dcn.VM
-	dst  *dcn.Host
-	cost float64
-	age  int
 }
 
 // backoffJitter derives the deterministic jitter for one (seed, vm,
@@ -143,11 +120,53 @@ func backoffJitter(seed int64, vmID, attempt, span int) int {
 	return int(x % uint64(span+1))
 }
 
-// fallbackVM is one VM degraded out of the distributed protocol, with the
-// cause for its trace event.
-type fallbackVM struct {
-	vm    *dcn.VM
-	cause string
+// candidate is one VM a source shim must relocate, with what the shim
+// keeps on it across retries. A VM listed twice for one shim has one.
+type candidate struct {
+	vm         *dcn.VM
+	shim       int   // index of the shim relocating it
+	attempts   int   // timeouts so far
+	deferUntil int   // the protocol round its backoff ends
+	excluded   []int // IDs of the hosts that rejected it
+}
+
+// request is one REQUEST the call sent, stored at its seq. The source
+// settles it on a reply or a timeout; the destination keeps its answer on
+// it, to answer a duplicated REQUEST again instead of moving the VM twice.
+// A seq reaches one destination rack only, so one answer suffices.
+type request struct {
+	cand     int // the source's candidate record
+	dst      *dcn.Host
+	cost     float64
+	age      int
+	settled  bool // the source has its reply, or gave up waiting
+	answered bool // the destination has decided; reply is its answer
+	reply    comm.Type
+}
+
+// protocol is one DistributedVMMigration call, on tables built once per
+// call. remaining and open hold, per shim, the candidates still to propose
+// and the seqs awaiting a reply, ascending: capped segments of one array as
+// long as the shim's VM list, since a listed VM sits in at most one of them.
+type protocol struct {
+	core
+	bus   *comm.Bus
+	shims []*Shim
+	opts  DistOptions
+	res   *DistResult
+
+	cands     []candidate
+	remaining [][]int
+	open      [][]int
+	reqs      []request // by seq; seq 0 is never sent
+	fallback  []int     // degraded candidates
+
+	// One proposal's scratch, reused by the next.
+	ready    []int // candidate records
+	readyVMs []*dcn.VM
+	hosts    []*dcn.Host
+	cut      []bool // hosts across an active partition
+	barred   func(vi, hi int) bool
 }
 
 // DistributedVMMigration runs Alg. 3 + Alg. 4 as an actual message
@@ -157,14 +176,15 @@ type fallbackVM struct {
 // reply ACK or REJECT. The protocol survives an adverse fabric (see
 // internal/faults): lost messages are handled by timeout and exponential
 // backoff with seeded jitter, fabric-duplicated REQUESTs and replies are
-// suppressed by message ID, destinations across an active partition
-// window are not proposed to, and when a VM's retry budget exhausts (or
-// the rounds run out) it degrades to local sequential placement instead
-// of staying unplaced. A lost ACK is detected by observing that the VM
-// already sits at the requested destination.
+// suppressed by seq, destinations across an active partition window are
+// not proposed to, and when a VM's retry budget exhausts (or the rounds
+// run out) it degrades to local sequential placement instead of staying
+// unplaced. A lost ACK is detected by observing that the VM already sits
+// at the requested destination.
 //
 // vmSets[i] holds the VMs shims[i] must relocate. Shims are addressed on
-// the bus by rack index.
+// the bus by rack index. The bus carries this call's traffic: a message
+// with a seq the call did not send is ignored.
 func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims []*Shim, vmSets [][]*dcn.VM, opts DistOptions) (*DistResult, error) {
 	if len(vmSets) != len(shims) {
 		return nil, fmt.Errorf("migrate: %d VM sets for %d shims", len(vmSets), len(shims))
@@ -173,362 +193,341 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		return nil, err
 	}
 	opts = opts.WithDefaults()
-	rec := opts.Recorder
-	res := &DistResult{}
 	pol, err := opts.Placement.New()
 	if err != nil {
 		return nil, err
 	}
-	k := core{c: c, m: m, pol: pol, admit: opts.RequestPolicy, rec: rec,
-		preempt: opts.Preempt, queue: opts.Queue, tally: &res.Tally}
-
-	shimIdxByRack := make(map[int]int, len(shims))
-	for i, s := range shims {
-		shimIdxByRack[s.Rack.Index] = i
+	res := &DistResult{}
+	p := &protocol{core: core{c: c, m: m, pol: pol, admit: opts.RequestPolicy, rec: opts.Recorder,
+		preempt: opts.Preempt, queue: opts.Queue, tally: &res.Tally}, bus: bus, shims: shims, opts: opts, res: res}
+	p.barred = func(vi, hi int) bool {
+		return p.cut[hi] || slices.Contains(p.cands[p.ready[vi]].excluded, p.hosts[hi].ID)
 	}
-	remaining := make([][]*dcn.VM, len(shims))
-	for i, set := range vmSets {
-		remaining[i] = append([]*dcn.VM(nil), set...)
-	}
-	// Drain the cross-invocation fail-queue: parked VMs re-enter their
-	// owning shim's candidate set (unattributed entries go to shim 0).
-	for _, e := range k.drain() {
-		i, ok := shimIdxByRack[e.Shim]
-		if !ok {
-			i = 0
-		}
-		remaining[i] = append(remaining[i], e.VM)
-	}
-	// The per-shim maps below are made on their first write (see made).
-	// Per-shim excluded (vmID, hostID) pairs after explicit REJECTs.
-	excluded := make([]map[int]map[int]bool, len(shims))
-	pending := make([]map[int]*outstanding, len(shims)) // seq -> request
-	// Source-side protocol-hardening state, all keyed per shim:
-	// resolved seqs (for duplicate-reply suppression), per-VM timeout
-	// attempts, and per-VM backoff deadlines (protocol round numbers).
-	resolved := make([]map[int]bool, len(shims))
-	attempts := make([]map[int]int, len(shims))
-	deferUntil := make([]map[int]int, len(shims))
-	fallback := make([][]fallbackVM, len(shims))
-	// Destination-side dedup, by rack index: seq -> reply already sent, so
-	// a duplicated REQUEST is re-answered identically instead of
-	// re-applying the move.
-	answered := make(map[int]map[int]comm.Type, len(shims))
-	seq := 0
-
-	// degrade moves one VM out of the distributed protocol.
-	degrade := func(i int, vm *dcn.VM, round int, cause string) {
-		fallback[i] = append(fallback[i], fallbackVM{vm: vm, cause: cause})
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindFallback, Round: round,
-				Shim: shims[i].Rack.Index, VM: vm.ID, Host: ShimUnknown,
-				Attrs: map[string]string{"cause": cause}})
-		}
-	}
-
-	// suppress discards a message whose seq the shim has already settled.
-	suppress := func(shim *Shim, msg comm.Message) {
-		res.Suppressed++
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindSuppress, Round: res.Rounds,
-				Shim: shim.Rack.Index, VM: msg.VMID, Host: msg.HostID,
-				Attrs: map[string]string{"msg": msg.Type.String(), "seq": strconv.Itoa(msg.Seq)}})
-		}
-	}
+	p.load(vmSets)
 
 	for round := 0; round < opts.MaxRounds; round++ {
 		res.Rounds = round + 1
-		// Phase A: sources with free candidates propose via matching.
-		// VMs inside a backoff window sit this round out; destinations
-		// across an active partition are not proposed to.
-		for i, shim := range shims {
-			if len(remaining[i]) == 0 {
-				continue
-			}
-			var ready, waiting []*dcn.VM
-			for _, vm := range remaining[i] {
-				if deferUntil[i][vm.ID] > round {
-					waiting = append(waiting, vm)
-				} else {
-					ready = append(ready, vm)
-				}
-			}
-			if len(ready) == 0 {
-				remaining[i] = waiting
-				continue
-			}
-			hosts := shim.regionHosts(true)
-			if len(hosts) == 0 {
-				for _, vm := range ready {
-					degrade(i, vm, res.Rounds, "no-destination")
-				}
-				remaining[i] = waiting
-				continue
-			}
-			var cut map[int]bool // host index -> across a partition
-			for hi, h := range hosts {
-				if _, p := bus.Partitioned(shim.Rack.Index, h.Rack().Index); p {
-					made(&cut)[hi] = true
-				}
-			}
-			assign, bases, err := k.match(ready, hosts, func(vm *dcn.VM, hi int) bool {
-				return cut[hi] || excluded[i][vm.ID][hosts[hi].ID]
-			})
-			if err != nil {
+		for i := range shims {
+			if err := p.propose(i, round); err != nil {
 				return nil, err
 			}
-			res.SearchSpace += len(ready) * len(hosts)
-			if assign == nil {
-				cause := "no-destination"
-				if len(cut) > 0 {
-					cause = "partition"
-				}
-				for _, vm := range ready {
-					degrade(i, vm, res.Rounds, cause)
-				}
-				remaining[i] = waiting
-				continue
-			}
-			keep := waiting
-			for vi, vm := range ready {
-				hi := assign[vi]
-				if hi < 0 {
-					keep = append(keep, vm)
-					continue
-				}
-				dst := hosts[hi]
-				seq++
-				made(&pending[i])[seq] = &outstanding{vm: vm, dst: dst, cost: bases[vi][hi]}
-				rec.Record(obs.Event{Kind: obs.KindRequest, Round: res.Rounds,
-					Shim: shim.Rack.Index, VM: vm.ID, Host: dst.ID, Value: bases[vi][hi]})
-				bus.Send(comm.Message{
-					Type: comm.MsgRequest,
-					From: shim.Rack.Index,
-					To:   dst.Rack().Index,
-					VMID: vm.ID, HostID: dst.ID, Seq: seq,
-				})
-			}
-			remaining[i] = keep
 		}
 		bus.Deliver()
-
-		// answerRequest runs one destination-side Alg. 4 decision. A
-		// REQUEST seq already answered (a fabric duplicate) is re-answered
-		// with the recorded reply instead of re-applying the move.
-		answerRequest := func(shim *Shim, msg comm.Message) {
-			reply, dup := answered[shim.Rack.Index][msg.Seq]
-			if dup {
-				suppress(shim, msg)
-			} else {
-				vm := c.VM(msg.VMID)
-				dst := c.Host(msg.HostID)
-				reply = comm.MsgReject
-				if vm != nil && dst != nil && dst.Rack() == shim.Rack {
-					local := shim.params.RequestPolicy
-					ok, cause := k.grant(vm, dst, local)
-					// Destination-side preemption: a capacity refusal may
-					// evict one strictly lower-severity resident; the victim
-					// parks in the fail-queue and finds a new home later.
-					if !ok && cause == causeCapacity && k.queue != nil {
-						if victim := k.evictFor(vm, dst, nil, shim.Rack.Index, res.Rounds); victim != nil {
-							k.park(victim, shim.Rack.Index, res.Rounds)
-							ok, _ = k.grant(vm, dst, local)
-						}
-					}
-					if ok {
-						reply = comm.MsgAck
-					}
-				}
-				seen := answered[shim.Rack.Index]
-				if seen == nil {
-					seen = make(map[int]comm.Type)
-					answered[shim.Rack.Index] = seen
-				}
-				seen[msg.Seq] = reply
-			}
-			bus.Send(comm.Message{
-				Type: reply,
-				From: shim.Rack.Index,
-				To:   msg.From,
-				VMID: msg.VMID, HostID: msg.HostID, Seq: msg.Seq,
-			})
-		}
-
-		// Phase B: destinations grant FCFS in arrival order and apply the
-		// move themselves (they own the host), then reply.
+		// Destinations grant FCFS in arrival order, apply the move
+		// themselves (they own the host), then reply.
 		for _, shim := range shims {
 			for _, msg := range bus.Receive(shim.Rack.Index) {
-				if msg.Type != comm.MsgRequest {
-					continue
+				if msg.Type == comm.MsgRequest {
+					p.answer(shim, msg)
 				}
-				answerRequest(shim, msg)
 			}
 		}
 		bus.Deliver()
-
-		// Phase C: sources collect replies and age out lost requests.
-		// Delay-faulted REQUESTs landing in this half-round are answered
-		// here rather than discarded (the reply reaches its source next
-		// round).
 		done := true
 		for i := range shims {
-			for _, msg := range bus.Receive(shims[i].Rack.Index) {
-				if msg.Type == comm.MsgRequest {
-					answerRequest(shims[i], msg)
-					continue
-				}
-				if msg.Type != comm.MsgAck && msg.Type != comm.MsgReject {
-					continue
-				}
-				req := pending[i][msg.Seq]
-				if req == nil {
-					// A duplicated or late reply for a seq already settled
-					// (or timed out): suppress, never double-count.
-					if resolved[i][msg.Seq] {
-						suppress(shims[i], msg)
-					}
-					continue
-				}
-				delete(pending[i], msg.Seq)
-				made(&resolved[i])[msg.Seq] = true
-				switch msg.Type {
-				case comm.MsgAck:
-					res.Migrations = append(res.Migrations, Migration{
-						VM: req.vm, From: nil, To: req.dst, Cost: req.cost,
-					})
-					res.TotalCost += req.cost
-					rec.Record(obs.Event{Kind: obs.KindAck, Round: res.Rounds,
-						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
-				case comm.MsgReject:
-					res.Rejected++
-					exclude(&excluded[i], req.vm.ID, req.dst.ID)
-					remaining[i] = append(remaining[i], req.vm)
-					rec.Record(obs.Event{Kind: obs.KindReject, Round: res.Rounds,
-						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID, Value: req.cost})
-				}
-			}
-			// Timeouts: either the request or its reply was lost.
-			var expired []int
-			for s, req := range pending[i] {
-				req.age++
-				if req.age >= opts.RequestTimeout {
-					expired = append(expired, s)
-				}
-			}
-			sort.Ints(expired)
-			for _, s := range expired {
-				req := pending[i][s]
-				delete(pending[i], s)
-				made(&resolved[i])[s] = true
-				if req.vm.Host() == req.dst {
-					// The move happened; only the ACK was lost.
-					res.Migrations = append(res.Migrations, Migration{
-						VM: req.vm, From: nil, To: req.dst, Cost: req.cost,
-					})
-					res.TotalCost += req.cost
-					if rec.Enabled() {
-						rec.Record(obs.Event{Kind: obs.KindAck, Round: res.Rounds,
-							Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID,
-							Value: req.cost, Attrs: map[string]string{"cause": "lost-ack"}})
-					}
-					continue
-				}
-				made(&attempts[i])[req.vm.ID]++
-				attempt := attempts[i][req.vm.ID]
-				if attempt > opts.RetryBudget {
-					degrade(i, req.vm, res.Rounds, "budget")
-					continue
-				}
-				res.Retransmits++
-				// Exponential backoff before the VM proposes again:
-				// base·2^(attempt-1) capped at BackoffMax, plus seeded
-				// jitter in [0, backoff].
-				backoff := opts.BackoffBase << (attempt - 1)
-				if backoff > opts.BackoffMax || backoff <= 0 {
-					backoff = opts.BackoffMax
-				}
-				backoff += backoffJitter(opts.Seed, req.vm.ID, attempt, backoff)
-				made(&deferUntil[i])[req.vm.ID] = round + backoff
-				remaining[i] = append(remaining[i], req.vm)
-				if rec.Enabled() {
-					rec.Record(obs.Event{Kind: obs.KindRetry, Round: res.Rounds,
-						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID,
-						Value: req.cost, Attrs: map[string]string{"cause": "timeout"}})
-					rec.Record(obs.Event{Kind: obs.KindBackoff, Round: res.Rounds,
-						Shim: shims[i].Rack.Index, VM: req.vm.ID, Host: req.dst.ID,
-						Value: float64(backoff), Attrs: map[string]string{"attempt": strconv.Itoa(attempt)}})
-				}
-			}
-			if len(remaining[i]) > 0 || len(pending[i]) > 0 {
-				done = false
-			}
+			done = p.collect(i, round) && done
 		}
 		if done {
 			break
 		}
 	}
-	// Whatever is still waiting after MaxRounds degrades too. Pending maps
-	// drain in seq order so the result (and its trace) is deterministic.
+	// Whatever is still waiting after MaxRounds degrades too, open requests
+	// in seq order, so the result (and its trace) is deterministic.
 	for i := range shims {
-		for _, vm := range remaining[i] {
-			degrade(i, vm, res.Rounds, "rounds")
+		for _, ci := range p.remaining[i] {
+			p.degrade(ci, "rounds")
 		}
-		remaining[i] = nil
-		var waiting []int
-		for s := range pending[i] {
-			waiting = append(waiting, s)
-		}
-		sort.Ints(waiting)
-		for _, s := range waiting {
-			if req := pending[i][s]; req.vm.Host() != req.dst {
-				degrade(i, req.vm, res.Rounds, "rounds")
+		for _, seq := range p.open[i] {
+			if r := &p.reqs[seq]; p.cands[r.cand].vm.Host() != r.dst {
+				p.degrade(r.cand, "rounds")
 			}
 		}
 	}
-	// Degradation ladder, last rung: each shim places its degraded VMs
-	// with local sequential VMMIGRATION over its own region — no bus, no
-	// retries — so a hostile fabric costs optimality, not placement. With
-	// a fail-queue attached, VMs inside the attempt budget park for the
-	// next protocol run instead of degrading; budget-exhausted ones still
-	// take the ladder so in-call unplaced==0 guarantees hold.
-	for i, shim := range shims {
-		if len(fallback[i]) == 0 {
-			continue
-		}
-		vms := make([]*dcn.VM, 0, len(fallback[i]))
-		for _, f := range fallback[i] {
-			if !k.park(f.vm, shim.Rack.Index, res.Rounds) {
-				vms = append(vms, f.vm)
-			}
-		}
-		if len(vms) == 0 {
-			continue
-		}
-		if opts.DisableFallback {
-			res.Unplaced = append(res.Unplaced, vms...)
-			continue
-		}
-		res.Fallbacks += len(vms)
-		hosts := shim.regionHosts(true)
-		if len(hosts) == 0 {
-			res.Unplaced = append(res.Unplaced, vms...)
-			continue
-		}
-		// The last rung neither evicts nor parks, and the shim decides for
-		// its whole region. It counts into a tally of its own, folded in
-		// afterwards, so that TotalCost sums in the order it always has.
-		var lt Tally
-		last := k
-		last.preempt, last.queue, last.tally = PreemptOptions{}, nil, &lt
-		if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, false, shim.params.RequestPolicy); err != nil {
-			return nil, fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
-		}
-		res.Add(&lt)
-	}
-	if opts.DisableFallback && rec.Enabled() {
-		for _, vm := range res.Unplaced {
-			rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: res.Rounds, Shim: ShimUnknown, VM: vm.ID, Host: ShimUnknown})
-		}
+	if err := p.lastRung(); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// load builds the call's tables. A shim's remaining list is its VM set,
+// then the fail-queue's parked VMs it owns, one candidate record per VM ID.
+func (p *protocol) load(vmSets [][]*dcn.VM) {
+	parked := p.drain()
+	total := len(parked)
+	for _, set := range vmSets {
+		total += len(set)
+	}
+	owner := make([]int, len(parked)) // by shim index; unattributed VMs go to shim 0
+	for j, e := range parked {
+		owner[j] = max(slices.IndexFunc(p.shims, func(s *Shim) bool { return s.Rack.Index == e.Shim }), 0)
+	}
+	lists := make([]int, 2*total)
+	p.remaining, p.open = make([][]int, len(p.shims)), make([][]int, len(p.shims))
+	p.cands = make([]candidate, 0, total)
+	p.reqs = make([]request, 1, 1+2*total)
+	p.res.Migrations = make([]Migration, 0, total)
+	at := 0
+	for i, set := range vmSets {
+		first, list := len(p.cands), lists[at:at]
+		add := func(vm *dcn.VM) {
+			ci := slices.IndexFunc(p.cands[first:], func(cd candidate) bool { return cd.vm.ID == vm.ID })
+			if ci < 0 {
+				ci = len(p.cands) - first
+				p.cands = append(p.cands, candidate{vm: vm, shim: i})
+			}
+			list = append(list, first+ci)
+		}
+		for _, vm := range set {
+			add(vm)
+		}
+		for j, e := range parked {
+			if owner[j] == i {
+				add(e.VM)
+			}
+		}
+		n := len(list)
+		p.remaining[i], p.open[i] = lists[at:at+n:at+n], lists[at+n:at+n:at+2*n]
+		at += 2 * n
+	}
+}
+
+// propose is one source shim's turn: its candidates outside a backoff
+// window are matched against its region, barring hosts across an active
+// partition and hosts that rejected the VM, and each matched pair goes
+// out as a REQUEST. Unmatched candidates wait for the next round; when no
+// pair is feasible at all, the ready ones degrade.
+func (p *protocol) propose(i, round int) error {
+	shim := p.shims[i]
+	waiting := p.remaining[i][:0]
+	p.ready, p.readyVMs = p.ready[:0], p.readyVMs[:0]
+	for _, ci := range p.remaining[i] {
+		if p.cands[ci].deferUntil > round {
+			waiting = append(waiting, ci)
+		} else {
+			p.ready, p.readyVMs = append(p.ready, ci), append(p.readyVMs, p.cands[ci].vm)
+		}
+	}
+	p.remaining[i] = waiting
+	if len(p.ready) == 0 {
+		return nil
+	}
+	p.hosts = shim.regionHosts(true)
+	cause := "no-destination"
+	if len(p.hosts) > 0 {
+		p.cut = slices.Grow(p.cut[:0], len(p.hosts))[:len(p.hosts)]
+		for hi, h := range p.hosts {
+			if _, p.cut[hi] = p.bus.Partitioned(shim.Rack.Index, h.Rack().Index); p.cut[hi] {
+				cause = "partition"
+			}
+		}
+		assign, bases, err := p.match(p.readyVMs, p.hosts, p.barred)
+		if err != nil {
+			return err
+		}
+		p.res.SearchSpace += len(p.ready) * len(p.hosts)
+		if assign != nil {
+			for vi, ci := range p.ready {
+				hi := assign[vi]
+				if hi < 0 {
+					p.remaining[i] = append(p.remaining[i], ci)
+					continue
+				}
+				vm, dst, cost := p.readyVMs[vi], p.hosts[hi], bases[vi][hi]
+				seq := len(p.reqs)
+				p.reqs = append(p.reqs, request{cand: ci, dst: dst, cost: cost})
+				p.open[i] = append(p.open[i], seq)
+				p.rec.Record(obs.Event{Kind: obs.KindRequest, Round: p.res.Rounds,
+					Shim: shim.Rack.Index, VM: vm.ID, Host: dst.ID, Value: cost})
+				p.bus.Send(comm.Message{Type: comm.MsgRequest, From: shim.Rack.Index, To: dst.Rack().Index,
+					VMID: vm.ID, HostID: dst.ID, Seq: seq})
+			}
+			return nil
+		}
+	}
+	for _, ci := range p.ready {
+		p.degrade(ci, cause)
+	}
+	return nil
+}
+
+// answer runs one destination-side Alg. 4 decision and replies. A REQUEST
+// already answered (a fabric duplicate) gets the recorded reply again.
+func (p *protocol) answer(shim *Shim, msg comm.Message) {
+	if msg.Seq <= 0 || msg.Seq >= len(p.reqs) {
+		return // not a seq this call sent
+	}
+	r := &p.reqs[msg.Seq]
+	if r.answered {
+		p.suppress(shim, msg)
+	} else {
+		r.answered, r.reply = true, comm.MsgReject
+		vm, dst := p.c.VM(msg.VMID), p.c.Host(msg.HostID)
+		if vm != nil && dst != nil && dst.Rack() == shim.Rack {
+			ok, cause := p.grant(vm, dst, shim.params.RequestPolicy)
+			// Destination-side preemption: a capacity refusal may evict one
+			// strictly lower-severity resident, which parks in the fail-queue.
+			if !ok && cause == causeCapacity && p.queue != nil {
+				if victim := p.evictFor(vm, dst, nil, shim.Rack.Index, p.res.Rounds); victim != nil {
+					p.park(victim, shim.Rack.Index, p.res.Rounds)
+					ok, _ = p.grant(vm, dst, shim.params.RequestPolicy)
+				}
+			}
+			if ok {
+				r.reply = comm.MsgAck
+			}
+		}
+	}
+	p.bus.Send(comm.Message{Type: r.reply, From: shim.Rack.Index, To: msg.From,
+		VMID: msg.VMID, HostID: msg.HostID, Seq: msg.Seq})
+}
+
+// collect is one source shim's end of a round. It answers the REQUESTs a
+// delay fault landed in this half-round (the reply reaches its source next
+// round), settles the replies to its own requests, then ages its open
+// requests and expires the timed-out ones, in seq order. It reports
+// whether the shim has nothing left to wait for.
+func (p *protocol) collect(i, round int) bool {
+	shim := p.shims[i]
+	for _, msg := range p.bus.Receive(shim.Rack.Index) {
+		if msg.Type == comm.MsgRequest {
+			p.answer(shim, msg)
+			continue
+		}
+		if msg.Type != comm.MsgAck && msg.Type != comm.MsgReject || msg.Seq <= 0 || msg.Seq >= len(p.reqs) {
+			continue
+		}
+		r := &p.reqs[msg.Seq]
+		cd := &p.cands[r.cand]
+		switch {
+		case cd.shim != i:
+		case r.settled: // a duplicated or late reply: suppress, never double-count
+			p.suppress(shim, msg)
+		case msg.Type == comm.MsgAck:
+			r.settled = true
+			p.acked(r)
+			p.rec.Record(obs.Event{Kind: obs.KindAck, Round: p.res.Rounds, Shim: shim.Rack.Index, VM: cd.vm.ID, Host: r.dst.ID, Value: r.cost})
+		default:
+			r.settled = true
+			p.res.Rejected++
+			cd.excluded = append(cd.excluded, r.dst.ID)
+			p.remaining[i] = append(p.remaining[i], r.cand)
+			p.rec.Record(obs.Event{Kind: obs.KindReject, Round: p.res.Rounds, Shim: shim.Rack.Index, VM: cd.vm.ID, Host: r.dst.ID, Value: r.cost})
+		}
+	}
+	open := p.open[i][:0]
+	for _, seq := range p.open[i] {
+		if r := &p.reqs[seq]; !r.settled {
+			if r.age++; r.age < p.opts.RequestTimeout {
+				open = append(open, seq)
+			} else {
+				r.settled = true
+				p.expire(i, r, round)
+			}
+		}
+	}
+	p.open[i] = open
+	return len(p.remaining[i]) == 0 && len(open) == 0
+}
+
+// expire handles a request that timed out: it or its reply was lost. A VM
+// sitting at the destination lost only its ACK. Any other retries after
+// an exponential backoff — base·2^(attempt-1) capped at BackoffMax, plus
+// seeded jitter in [0, backoff] — until its retry budget is spent.
+func (p *protocol) expire(i int, r *request, round int) {
+	shim, cd := p.shims[i].Rack.Index, &p.cands[r.cand]
+	if cd.vm.Host() == r.dst {
+		p.acked(r)
+		if p.rec.Enabled() {
+			p.rec.Record(obs.Event{Kind: obs.KindAck, Round: p.res.Rounds, Shim: shim, VM: cd.vm.ID, Host: r.dst.ID,
+				Value: r.cost, Attrs: map[string]string{"cause": "lost-ack"}})
+		}
+		return
+	}
+	if cd.attempts++; cd.attempts > p.opts.RetryBudget {
+		p.degrade(r.cand, "budget")
+		return
+	}
+	p.res.Retransmits++
+	backoff := p.opts.BackoffBase << (cd.attempts - 1)
+	if backoff > p.opts.BackoffMax || backoff <= 0 {
+		backoff = p.opts.BackoffMax
+	}
+	backoff += backoffJitter(p.opts.Seed, cd.vm.ID, cd.attempts, backoff)
+	cd.deferUntil = round + backoff
+	p.remaining[i] = append(p.remaining[i], r.cand)
+	if p.rec.Enabled() {
+		p.rec.Record(obs.Event{Kind: obs.KindRetry, Round: p.res.Rounds, Shim: shim, VM: cd.vm.ID, Host: r.dst.ID,
+			Value: r.cost, Attrs: map[string]string{"cause": "timeout"}})
+		p.rec.Record(obs.Event{Kind: obs.KindBackoff, Round: p.res.Rounds, Shim: shim, VM: cd.vm.ID, Host: r.dst.ID,
+			Value: float64(backoff), Attrs: map[string]string{"attempt": strconv.Itoa(cd.attempts)}})
+	}
+}
+
+// acked books the migration an acknowledged request made.
+func (p *protocol) acked(r *request) {
+	p.res.Migrations = append(p.res.Migrations, Migration{VM: p.cands[r.cand].vm, To: r.dst, Cost: r.cost})
+	p.res.TotalCost += r.cost
+}
+
+// degrade moves one candidate out of the distributed protocol.
+func (p *protocol) degrade(ci int, cause string) {
+	p.fallback = append(p.fallback, ci)
+	if cd := p.cands[ci]; p.rec.Enabled() {
+		p.rec.Record(obs.Event{Kind: obs.KindFallback, Round: p.res.Rounds, Shim: p.shims[cd.shim].Rack.Index,
+			VM: cd.vm.ID, Host: ShimUnknown, Attrs: map[string]string{"cause": cause}})
+	}
+}
+
+// suppress discards a message whose seq has already been settled.
+func (p *protocol) suppress(shim *Shim, msg comm.Message) {
+	p.res.Suppressed++
+	if p.rec.Enabled() {
+		p.rec.Record(obs.Event{Kind: obs.KindSuppress, Round: p.res.Rounds, Shim: shim.Rack.Index, VM: msg.VMID,
+			Host: msg.HostID, Attrs: map[string]string{"msg": msg.Type.String(), "seq": strconv.Itoa(msg.Seq)}})
+	}
+}
+
+// lastRung is the degradation ladder's last rung: each shim places its
+// degraded VMs with local sequential VMMIGRATION over its own region — no
+// bus, no retries — so a hostile fabric costs optimality, not placement.
+// With a fail-queue attached, VMs inside the attempt budget park for the
+// next run instead; budget-exhausted ones still take the ladder.
+func (p *protocol) lastRung() error {
+	res := p.res
+	var vms []*dcn.VM
+	for i, shim := range p.shims {
+		vms = vms[:0]
+		for _, ci := range p.fallback {
+			if cd := p.cands[ci]; cd.shim == i && !p.park(cd.vm, shim.Rack.Index, res.Rounds) {
+				vms = append(vms, cd.vm)
+			}
+		}
+		hosts := shim.regionHosts(true)
+		switch {
+		case len(vms) == 0:
+		case p.opts.DisableFallback:
+			res.Unplaced = append(res.Unplaced, vms...)
+		case len(hosts) == 0:
+			res.Fallbacks += len(vms)
+			res.Unplaced = append(res.Unplaced, vms...)
+		default:
+			res.Fallbacks += len(vms)
+			// The last rung neither evicts nor parks, and the shim decides
+			// for its whole region. It counts into a tally of its own, folded
+			// in afterwards, so that TotalCost sums in the order it always has.
+			var lt Tally
+			last := p.core
+			last.preempt, last.queue, last.tally = PreemptOptions{}, nil, &lt
+			if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, false, shim.params.RequestPolicy); err != nil {
+				return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
+			}
+			res.Add(&lt)
+		}
+	}
+	if p.opts.DisableFallback && p.rec.Enabled() {
+		for _, vm := range res.Unplaced {
+			p.rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: res.Rounds, Shim: ShimUnknown, VM: vm.ID, Host: ShimUnknown})
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"runtime"
 	"testing"
 
 	"sheriff/internal/comm"
@@ -141,5 +142,56 @@ func TestDistributedMigrationEmptySets(t *testing.T) {
 	}
 	if len(res.Migrations) != 0 || res.TotalCost != 0 || res.Rounds != 1 {
 		t.Fatalf("empty run = %+v", res)
+	}
+}
+
+// TestDistributedAllocsDoNotGrowWithShims pins the protocol's bookkeeping
+// to tables built once per call: on Fat-Tree 8, a call with 32 one-VM
+// shims allocates about as often as one with 8. Every host first takes
+// and loses one VM, so its resident slice has room, the moves themselves
+// allocate nothing, and the count is the protocol's.
+func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
+	allocs := func(shimCount int) uint64 {
+		fx := newFixture(t, 8, 2)
+		for _, h := range fx.cluster.Hosts() {
+			vm, err := fx.cluster.AddVM(h, 1, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fx.cluster.Remove(vm)
+		}
+		shims := make([]*Shim, shimCount)
+		sets := make([][]*dcn.VM, shimCount)
+		for i, r := range fx.cluster.Racks[:shimCount] {
+			s, err := NewShim(fx.cluster, fx.model, r, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm, err := fx.cluster.AddVM(r.Hosts[0], 20, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shims[i], sets[i] = s, []*dcn.VM{vm}
+		}
+		bus, err := comm.NewBus(comm.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, DistOptions{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Migrations) != shimCount {
+			t.Fatalf("%d shims placed %d VMs", shimCount, len(res.Migrations))
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	few, many := allocs(8), allocs(32)
+	t.Logf("8 shims: %d allocs, 32 shims: %d", few, many)
+	if many >= few+16 {
+		t.Fatalf("a call allocates %d times with 32 shims against %d with 8: the bookkeeping grows with the shims", many, few)
 	}
 }

@@ -94,7 +94,7 @@ func TestMatchPricesRacksOnce(t *testing.T) {
 					home := detached.Host()
 					c.Evict(detached)
 					salt := rng.Intn(1 << 16)
-					barred := func(vm *dcn.VM, j int) bool { return (vm.ID*31+j*17+salt)%9 == 0 }
+					barred := func(i, j int) bool { return (vms[i].ID*31+j*17+salt)%9 == 0 }
 
 					type vmRack struct{ vm, rack int }
 					priced := map[vmRack]bool{}
@@ -105,7 +105,7 @@ func TestMatchPricesRacksOnce(t *testing.T) {
 						wantCosts[i] = make([]float64, len(hosts))
 						wantBases[i] = make([]float64, len(hosts))
 						for j, h := range hosts {
-							if barred(vm, j) {
+							if barred(i, j) {
 								wantCosts[i][j] = math.Inf(1)
 								continue
 							}

@@ -455,6 +455,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 		return excluded[vm.ID][j] ||
 			forbidSameRack && vm.Host() != nil && candidates[j].Rack() == vm.Host().Rack()
 	}
+	barredAt := func(i, j int) bool { return barred(remaining[i], j) }
 	// evicted lists this call's victims; evictedFrom remembers each one's
 	// original host for the rollback.
 	var evicted []*dcn.VM
@@ -503,7 +504,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 	round := 0
 	for len(remaining) > 0 {
 		round++
-		assign, bases, err := k.match(remaining, candidates, barred)
+		assign, bases, err := k.match(remaining, candidates, barredAt)
 		if err != nil {
 			return nil, err
 		}

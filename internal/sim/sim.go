@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"sheriff/internal/alert"
@@ -282,22 +281,46 @@ func (s *Sim) RunBalancing(rounds int, margin float64) ([]float64, error) {
 }
 
 // SeedAlerts marks the paper's "5% of VMs in each pod" (here: each rack)
-// as raising migration alerts and returns them grouped by rack index.
-// Selection is deterministic under the sim seed.
-func (s *Sim) SeedAlerts() map[int][]*dcn.VM {
-	out := make(map[int][]*dcn.VM)
-	for _, r := range s.Cluster.Racks {
-		vms := r.VMs()
-		slices.SortFunc(vms, func(a, b *dcn.VM) int { return cmp.Compare(a.ID, b.ID) })
-		n := int(float64(len(vms)) * s.Config.AlertFraction)
-		if n < 1 && len(vms) > 0 {
+// as raising migration alerts and returns them indexed by rack index; a
+// rack with no VM has none. Selection is deterministic under the sim seed.
+// The racks' lists are capped segments of one array.
+func (s *Sim) SeedAlerts() [][]*dcn.VM {
+	alerted := func(vms int) int {
+		n := int(float64(vms) * s.Config.AlertFraction)
+		if n < 1 && vms > 0 {
 			n = 1
 		}
+		return n
+	}
+	total, most := 0, 0
+	for _, r := range s.Cluster.Racks {
+		vms := 0
+		for _, h := range r.Hosts {
+			vms += len(h.Residents())
+		}
+		total += alerted(vms)
+		most = max(most, vms)
+	}
+	out := make([][]*dcn.VM, len(s.Cluster.Racks))
+	flat := make([]*dcn.VM, 0, total)
+	vms := make([]*dcn.VM, 0, most)
+	for _, r := range s.Cluster.Racks {
+		vms = vms[:0]
+		for _, h := range r.Hosts {
+			vms = append(vms, h.Residents()...)
+		}
+		slices.SortFunc(vms, func(a, b *dcn.VM) int { return cmp.Compare(a.ID, b.ID) })
+		n := alerted(len(vms))
 		s.rng.Shuffle(len(vms), func(i, j int) { vms[i], vms[j] = vms[j], vms[i] })
+		if n == 0 {
+			continue
+		}
 		for _, vm := range vms[:n] {
 			vm.Alert = 0.9 + 0.1*s.rng.Float64()
-			out[r.Index] = append(out[r.Index], vm)
 		}
+		start := len(flat)
+		flat = append(flat, vms[:n]...)
+		out[r.Index] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }
@@ -410,13 +433,8 @@ func Compare(cfg Config) (*CompareResult, error) {
 
 	// Centralized: one manager, global candidate pool, all alerted VMs.
 	var all []*dcn.VM
-	var rackOrder []int
-	for idx := range alertsG {
-		rackOrder = append(rackOrder, idx)
-	}
-	sort.Ints(rackOrder)
-	for _, idx := range rackOrder {
-		all = append(all, alertsG[idx]...)
+	for _, vms := range alertsG {
+		all = append(all, vms...)
 	}
 	mg, err := migrate.Migrate(global.Cluster, global.Model, all, global.Cluster.Hosts(), migrate.MigrationOptions{ForbidSameRack: true, Shim: migrate.ShimUnknown})
 	if err != nil {
@@ -468,13 +486,12 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 	}
 	s.PopulateHotPods(0.5, 0.85, 0.35)
 	alerts := s.SeedAlerts()
-	clients := make([]int, 0, len(alerts))
+	var clients []int
 	for idx, vms := range alerts {
 		if len(vms) > 0 {
 			clients = append(clients, idx)
 		}
 	}
-	sort.Ints(clients)
 	if len(clients) == 0 {
 		return nil, errors.New("sim: no alerted racks to plan for")
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"sheriff/internal/faults"
@@ -146,33 +147,27 @@ func TestSeedAlertsFraction(t *testing.T) {
 	}
 }
 
+// TestSeedAlertsDeterministic pins the alerted VM IDs of Fat-Tree 4 at
+// seed 8, rack by rack, to the selection SeedAlerts has always made: the
+// same sort, shuffle and RNG draws, whatever memory it runs in.
 func TestSeedAlertsDeterministic(t *testing.T) {
-	build := func() map[int][]int {
-		s, err := Build(Config{Kind: FatTree, Size: 4, Seed: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Populate()
-		out := map[int][]int{}
-		for rack, vms := range s.SeedAlerts() {
-			for _, vm := range vms {
-				out[rack] = append(out[rack], vm.ID)
-			}
-		}
-		return out
+	s, err := Build(Config{Kind: FatTree, Size: 4, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := build(), build()
-	if len(a) != len(b) {
-		t.Fatal("different rack sets")
+	s.Populate()
+	want := [][]int{{15}, {25}, {32}, {55}, {75}, {94}, {108}, {120}}
+	alerts := s.SeedAlerts()
+	if len(alerts) != len(want) {
+		t.Fatalf("alerts for %d racks, want %d", len(alerts), len(want))
 	}
-	for rack, ids := range a {
-		if len(ids) != len(b[rack]) {
-			t.Fatalf("rack %d differs", rack)
+	for rack, vms := range alerts {
+		var ids []int
+		for _, vm := range vms {
+			ids = append(ids, vm.ID)
 		}
-		for i := range ids {
-			if ids[i] != b[rack][i] {
-				t.Fatalf("rack %d vm %d differs", rack, i)
-			}
+		if !slices.Equal(ids, want[rack]) {
+			t.Fatalf("rack %d alerted VMs %v, want %v", rack, ids, want[rack])
 		}
 	}
 }
