@@ -179,20 +179,6 @@ func BenchmarkFlowRerouteAroundHot(b *testing.B) {
 	}
 }
 
-func BenchmarkKShortestPaths(b *testing.B) {
-	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, dst := ft.RackIDs[0][0], ft.RackIDs[4][0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if paths := topology.KShortestPaths(ft.Graph, src, dst, 4, topology.DistanceCost); len(paths) == 0 {
-			b.Fatal("no paths")
-		}
-	}
-}
-
 func BenchmarkDijkstraAllRacks(b *testing.B) {
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 16})
 	if err != nil {

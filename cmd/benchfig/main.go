@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"sheriff/internal/experiments"
 )
@@ -28,8 +30,14 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
+	names := make([]string, 0, len(experiments.Ablations))
+	for name := range experiments.Ablations {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ablations := strings.Join(names, ", ")
 	fig := fs.String("fig", "", "figure to regenerate (3..14); empty = all")
-	ablation := fs.String("ablation", "", "ablation to run (swap-size, model-selection, priority, region-size)")
+	ablation := fs.String("ablation", "", "ablation to run ("+ablations+")")
 	seed := fs.Int64("seed", 20150707, "deterministic seed")
 	summary := fs.Bool("summary", false, "print only headers and notes, not data rows")
 	if perr := fs.Parse(args); perr != nil {
@@ -42,7 +50,7 @@ func run(args []string, out io.Writer) error {
 	if *ablation != "" {
 		gen, ok := experiments.Ablations[*ablation]
 		if !ok {
-			return fmt.Errorf("unknown ablation %q", *ablation)
+			return fmt.Errorf("unknown ablation %q (want one of %s)", *ablation, ablations)
 		}
 		return emit(out, gen, *seed, *summary)
 	}

@@ -486,12 +486,6 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 	return n.moved
 }
 
-// AlternatePaths returns up to k loopless alternatives for a flow,
-// cheapest first, for inspection and tests.
-func (n *Network) AlternatePaths(f *Flow, k int) [][]int {
-	return topology.KShortestPaths(n.g, f.Src, f.Dst, k, topology.DistanceCost)
-}
-
 // UpdateGraphBandwidth writes residual bandwidth (capacity − load) back
 // into the topology graph so the migration cost model sees the traffic
 // plane's state. Negative residuals clamp to zero. A link's two

@@ -227,19 +227,6 @@ func TestRerouteAroundHotSkipsDelaySensitive(t *testing.T) {
 	}
 }
 
-func TestAlternatePaths(t *testing.T) {
-	ft := fatTree(t, 4)
-	n := NewNetwork(ft.Graph)
-	f, err := n.AddFlow(ft.RackIDs[0][0], ft.RackIDs[0][1], 0.5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alts := n.AlternatePaths(f, 3)
-	if len(alts) < 2 {
-		t.Fatalf("want >= 2 alternates, got %d", len(alts))
-	}
-}
-
 func TestUpdateGraphBandwidth(t *testing.T) {
 	ft := fatTree(t, 4)
 	n := NewNetwork(ft.Graph)

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 
 	"sheriff/internal/topology"
@@ -108,8 +109,9 @@ func TestCheapestPathReusesSweep(t *testing.T) {
 }
 
 // TestRerouteAroundHotEquivalentAvoidance cross-checks the cached pass
-// against the exact single-flow primitive: every flow it moves must land
-// on a path the exact avoidance query also considers reachable.
+// against an independent oracle, Floyd–Warshall with every edge into the
+// hot switch priced Inf (endpoints exempt): every flow it moves must leave
+// the hot switch off its path and be as short as the oracle's path.
 func TestRerouteAroundHotEquivalentAvoidance(t *testing.T) {
 	ft := fatTree(t, 4)
 	n := NewNetwork(ft.Graph)
@@ -127,13 +129,31 @@ func TestRerouteAroundHotEquivalentAvoidance(t *testing.T) {
 		}
 	}
 	moved := n.RerouteAroundHot(hot, 0.8)
+	if len(moved) == 0 {
+		t.Fatal("no flow moved")
+	}
 	for _, f := range moved {
-		exact := topology.ShortestPathAvoidingNodes(ft.Graph, f.Src, f.Dst, map[int]bool{hot: true}, topology.DistanceCost)
-		if exact == nil {
+		oracle := topology.FloydWarshall(ft.Graph, func(e topology.Edge) float64 {
+			if e.To == hot && e.To != f.Src && e.To != f.Dst {
+				return topology.Inf
+			}
+			return e.Distance
+		})
+		want := oracle.Dist(f.Src, f.Dst)
+		if want == topology.Inf {
 			t.Fatalf("cached pass moved flow %d but no avoiding path exists", f.ID)
 		}
-		if len(f.Path()) != len(exact) {
-			t.Fatalf("moved flow %d path length %d, exact avoidance %d", f.ID, len(f.Path()), len(exact))
+		p := f.Path()
+		if slices.Contains(p[1:len(p)-1], hot) {
+			t.Fatalf("moved flow %d still crosses hot switch %d: %v", f.ID, hot, p)
+		}
+		got := 0.0
+		for i := 1; i < len(p); i++ {
+			e, _ := ft.Graph.EdgeBetween(p[i-1], p[i])
+			got += e.Distance
+		}
+		if got != want {
+			t.Fatalf("moved flow %d path %v has distance %v, oracle %v", f.ID, p, got, want)
 		}
 	}
 	checkLoadConsistency(t, n)

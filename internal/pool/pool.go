@@ -97,25 +97,3 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 func (p *Pool) Run(tasks ...func()) {
 	p.ForEach(len(tasks), func(i int) { tasks[i]() })
 }
-
-// Cache is a typed free-list for reusable scratch objects (shortest-path
-// sweep state, per-pass route tables). It wraps sync.Pool so steady-state
-// hot loops stop allocating after warmup; like sync.Pool, cached items may
-// be dropped under memory pressure, so Get must always be usable on a
-// fresh value from the constructor.
-type Cache[T any] struct {
-	p sync.Pool
-}
-
-// NewCache returns a cache whose Get falls back to newFn when empty.
-func NewCache[T any](newFn func() T) *Cache[T] {
-	c := &Cache[T]{}
-	c.p.New = func() any { return newFn() }
-	return c
-}
-
-// Get returns a cached value or a freshly constructed one.
-func (c *Cache[T]) Get() T { return c.p.Get().(T) }
-
-// Put returns a value to the cache for reuse.
-func (c *Cache[T]) Put(v T) { c.p.Put(v) }

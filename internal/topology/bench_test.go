@@ -11,7 +11,6 @@ import (
 // fixed -benchtime so before/after numbers stay comparable:
 //
 //	go test -run=^$ -bench 'DijkstraFrom|MultiSourceSweep' -benchtime=2x -benchmem ./internal/topology/
-//	go test -run=^$ -bench KShortest -benchtime=50x -benchmem ./internal/topology/
 
 func benchFatTree(b *testing.B, pods int) *FatTree {
 	b.Helper()
@@ -113,28 +112,6 @@ func BenchmarkMultiSourceSweep(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			referenceDijkstraFrom(ft.Graph, racks, benchCost)
-		}
-	})
-}
-
-// BenchmarkKShortest exercises Yen's spur loop (FLOWREROUTE alternatives)
-// between far-apart racks. The fabric is smaller (8 pods) because the
-// reference side rebuilds maps and filter closures per spur.
-func BenchmarkKShortest(b *testing.B) {
-	ft := benchFatTree(b, 8)
-	src, dst := ft.RackIDs[0][0], ft.RackIDs[7][3]
-	b.Run("csr", func(b *testing.B) {
-		KShortestPaths(ft.Graph, src, dst, 8, benchCost) // warmup
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			KShortestPaths(ft.Graph, src, dst, 8, benchCost)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			referenceKShortestPaths(ft.Graph, src, dst, 8, benchCost)
 		}
 	})
 }

@@ -110,7 +110,7 @@ type treeNode struct {
 }
 
 // heapEnt is one queue entry, distance first so that a slot is one
-// 16-byte unit. The two loops share the storage: sweepMasked keeps a 4-ary
+// 16-byte unit. The two loops share the storage: sweepTo keeps a 4-ary
 // heap in it and ignores next; sweep threads its radix buckets through it
 // as linked lists, next being the following entry of the same bucket (-1
 // ends the list). Each loop pushes at most once per directed edge plus the
@@ -122,34 +122,21 @@ type heapEnt struct {
 }
 
 // sweepScratch is the per-worker reusable state of one Dijkstra sweep: the
-// queue storage (no container/heap, no interface boxing) plus
-// epoch-stamped settled and block masks, so clearing between sweeps is a
-// single counter increment rather than an O(n+m) wipe.
+// queue storage (no container/heap, no interface boxing) plus an
+// epoch-stamped settled array, so clearing between sweeps is a single
+// counter increment rather than an O(n) wipe.
 type sweepScratch struct {
-	heap []heapEnt // cap m+1: sweepMasked's heap, or sweep's radix arena
+	heap []heapEnt // cap m+1: sweepTo's heap, or sweep's radix arena
 
-	settled   []uint32 // settled[v] == epoch ⇒ v finalized this sweep
-	epoch     uint32
-	nodeMask  []uint32 // nodeMask[v] == maskEpoch ⇒ edges into v are blocked
-	edgeMask  []uint32 // edgeMask[i] == maskEpoch ⇒ directed edge i is blocked
-	maskEpoch uint32
+	settled []uint32 // settled[v] == epoch ⇒ v finalized this sweep
+	epoch   uint32
 }
 
 // ensure grows the scratch to cover n nodes and m directed edges.
-// Resetting maskEpoch to 0 restarts the epoch counter, so any mask array
-// retained across the reset must be wiped: its old stamps would otherwise
-// collide with the reissued low epochs and spuriously block nodes/edges.
 func (s *sweepScratch) ensure(n, m int) {
 	if len(s.settled) < n {
 		s.settled = make([]uint32, n)
-		s.nodeMask = make([]uint32, n)
-		s.epoch, s.maskEpoch = 0, 0
-		clear(s.edgeMask)
-	}
-	if len(s.edgeMask) < m {
-		s.edgeMask = make([]uint32, m)
-		s.maskEpoch = 0
-		clear(s.nodeMask)
+		s.epoch = 0
 	}
 	if cap(s.heap) < m+1 {
 		s.heap = make([]heapEnt, 0, m+1)
@@ -164,18 +151,6 @@ func (s *sweepScratch) nextEpoch() uint32 {
 		s.epoch = 1
 	}
 	return s.epoch
-}
-
-// nextMaskEpoch advances the block-mask epoch, wiping both mask arrays on
-// wraparound. Entries from older epochs are dead without being cleared.
-func (s *sweepScratch) nextMaskEpoch() uint32 {
-	s.maskEpoch++
-	if s.maskEpoch == 0 {
-		clear(s.nodeMask)
-		clear(s.edgeMask)
-		s.maskEpoch = 1
-	}
-	return s.maskEpoch
 }
 
 // Both queues live inline in their loops, with lazy deletion (a stale
@@ -203,13 +178,14 @@ func (s *sweepScratch) nextMaskEpoch() uint32 {
 // nd becomes Inf, which can neither improve dist[v] (Inf < x is false for
 // every x) nor steal the tie (nd == dv == Inf implies parent[v] == -1,
 // and u < -1 is impossible) — exactly the no-op the seed's `continue`
-// produced, minus a branch per edge. sweepMasked keeps its skips because
-// the epoch masks are not encoded in the weights.
+// produced, minus a branch per edge. sweepTo keeps the skip: its searches
+// are the ones that meet Inf edges (the reroute pass prices every edge into
+// the hot switch Inf), and the skip spares them the bound and tree loads.
 //
 // This is the full sweep and nothing else: the cost model's rows, most of
 // ft16-surge's manage phase, run in it, and a stop test in this loop read
 // +2…4 % on every full sweep (PR 16). Point-to-point searches run in
-// sweepMasked, whose searches settle too few nodes to pay for a refill.
+// sweepTo, whose searches settle too few nodes to pay for a refill.
 func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
@@ -291,12 +267,11 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 	s.heap = a[:0]
 }
 
-// sweepMasked is the point-to-point loop: sweep on a plain 4-ary heap, with
-// the epoch block masks active (edges whose index is stamped with the
-// current mask epoch and edges into stamped nodes are skipped), a stop node,
-// and an optional goal-directed bound. It serves Yen's searches,
-// ShortestPathAvoidingNodes and MultiSource.SweepRowTo, and returns the
-// number of nodes it settled.
+// sweepTo is the point-to-point loop: sweep on a plain 4-ary heap, with a
+// stop node and an optional goal-directed bound. Edges priced Inf are
+// skipped, and that is the only way a search avoids anything: the reroute
+// pass steers around a hot switch by pricing every edge into it Inf. It
+// serves MultiSource.SweepRowTo and returns the number of nodes it settled.
 //
 // A stop node (≥ 0) ends the search the moment it settles. Relaxations come
 // only from settled nodes and a settled node's parent is frozen, so the
@@ -323,15 +298,12 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 // full row's tree bit for bit price every link above zero. lower == nil is
 // no bound; ub is then unused. With stop unreachable no real path exists, so
 // ub is Inf, nothing is dropped and the row is the full row.
-func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, lower []treeNode, ub float64) (settledNodes int) {
+func (s *sweepScratch) sweepTo(c *csr, src, stop int32, w []wEdge, tree, lower []treeNode, ub float64) (settledNodes int) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
 	ep := s.nextEpoch()
-	mep := s.maskEpoch
 	settled := s.settled
-	nodeMask := s.nodeMask
-	edgeMask := s.edgeMask
 	rowStart := c.rowStart
 	tree[src].d = 0
 	h := append(s.heap[:0], heapEnt{d: 0, v: src})
@@ -384,19 +356,12 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, low
 		if u == stop {
 			break
 		}
-		for i := rowStart[u]; i < rowStart[u+1]; i++ {
-			if edgeMask[i] == mep {
+		for _, e := range w[rowStart[u]:rowStart[u+1]] {
+			if e.w == Inf {
 				continue
 			}
-			wc := w[i].w
-			if wc == Inf {
-				continue
-			}
-			v := w[i].v
-			if nodeMask[v] == mep {
-				continue
-			}
-			nd := d + wc
+			v := e.v
+			nd := d + e.w
 			if lower != nil && nd+lower[v].d > ub {
 				continue
 			}
@@ -431,14 +396,13 @@ func (s *sweepScratch) sweepMasked(c *csr, src, stop int32, w []wEdge, tree, low
 const probeSteps = 32
 
 // probe finds one real path src → dst under w by walking greedily and
-// returns its cost, the upper bound of a goal-directed sweepMasked; Inf when
-// it finds none. Each step takes the unvisited neighbour with the smallest
+// returns its cost, the upper bound of a goal-directed sweepTo; Inf when it
+// finds none. Each step takes the unvisited neighbour with the smallest
 // w + lower (the edge, then the cheapest way on if every link cost what
 // lower assumes), and looks one step past it: a neighbour other than dst
 // with no finite edge to an unvisited node is a dead end — the server whose
-// only other port leads into the masked switch — and is struck off instead
-// of entered. Edges priced Inf are the only masks it honours; SweepRowTo
-// runs it with no epoch mask set.
+// only other port leads into the Inf-priced hot switch — and is struck off
+// instead of entered.
 func (s *sweepScratch) probe(c *csr, src, dst int32, w []wEdge, lower []treeNode) (cost float64) {
 	ep := s.nextEpoch()
 	seen := s.settled

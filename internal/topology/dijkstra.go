@@ -146,7 +146,7 @@ func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
 // weights on a graph whose links cost the same both ways, so that its
 // distance from dst to v never exceeds the cost left from v to dst. The
 // search then walks one real path first (probe) and settles only nodes that
-// could lie on a path no dearer than that one (see sweepMasked). With lower
+// could lie on a path no dearer than that one (see sweepTo). With lower
 // nil, or dst not one of its sources, the search is the plain stopped one.
 func (ms *MultiSource) SweepRowTo(row, dst int, lower *MultiSource) bool {
 	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
@@ -165,9 +165,8 @@ func (ms *MultiSource) SweepRowTo(row, dst int, lower *MultiSource) bool {
 		// equal-cost path's, or lower's sum taken from the other end.
 		ub = sc.probe(ms.c, src, int32(dst), ms.weights, h) * (1 + 1e-9)
 	}
-	sc.nextMaskEpoch() // a fresh epoch: only what the weights price Inf is blocked
 	ms.searches++
-	ms.settled += sc.sweepMasked(ms.c, src, int32(dst), ms.weights, tree, h, ub)
+	ms.settled += sc.sweepTo(ms.c, src, int32(dst), ms.weights, tree, h, ub)
 	return tree[dst].d < Inf
 }
 

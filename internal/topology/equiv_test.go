@@ -70,7 +70,7 @@ func assertSameMultiSource(t *testing.T, g *Graph, sources []int, ms *MultiSourc
 				t.Fatalf("%s: Dist(%d,%d) = %v, reference %v", label, s, d, got, want)
 			}
 			gp, wp := ms.Path(s, d), ref.Path(s, d)
-			if !equalPath(gp, wp) {
+			if !slices.Equal(gp, wp) {
 				t.Fatalf("%s: Path(%d,%d) = %v, reference %v", label, s, d, gp, wp)
 			}
 			assertPathEdges(t, g, ms, s, d, label)
@@ -221,7 +221,7 @@ func maxPendingKeys(g *Graph, src int, cost EdgeCost) int {
 // pending at once. Every row's distances (as bits), parents, Path and
 // PathEdges must be the reference walker's. All rows of all graphs
 // interleave on one scratch, each after a stopped search on it, so neither
-// a refill's leftovers nor sweepMasked's can leak into the next sweep.
+// a refill's leftovers nor sweepTo's can leak into the next sweep.
 func TestSweepMatchesReferenceAcrossBinades(t *testing.T) {
 	type tcase struct {
 		label   string
@@ -301,7 +301,7 @@ func TestSweepMatchesReferenceAcrossBinades(t *testing.T) {
 					t.Fatalf("%s: parent of %d from %d = %d, reference %d", tc.label, d, s, got, want)
 				}
 				path := ref.Path(s, d)
-				if got := tc.ms.Path(s, d); !equalPath(got, path) {
+				if got := tc.ms.Path(s, d); !slices.Equal(got, path) {
 					t.Fatalf("%s: Path(%d,%d) = %v, reference %v", tc.label, s, d, got, path)
 				}
 				var want []int
@@ -348,49 +348,12 @@ func TestCSRDijkstraMatchesFloydOracleExactly(t *testing.T) {
 	}
 }
 
-func TestKShortestMatchesReference(t *testing.T) {
-	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		g        *Graph
-		src, dst int
-	}{
-		{ft.Graph, ft.RackIDs[0][0], ft.RackIDs[2][1]},
-		{ft.Graph, ft.RackIDs[0][0], ft.RackIDs[0][1]},
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		g := randomEquivGraph(rng, 16+rng.Intn(12))
-		var racks []int
-		for i := 0; i < g.NumNodes(); i++ {
-			if g.Node(i).Kind == Rack {
-				racks = append(racks, i)
-			}
-		}
-		cases = append(cases, struct {
-			g        *Graph
-			src, dst int
-		}{g, racks[0], racks[len(racks)-1]})
-	}
-	for i, tc := range cases {
-		for _, k := range []int{1, 3, 8} {
-			got := KShortestPaths(tc.g, tc.src, tc.dst, k, DistanceCost)
-			want := referenceKShortestPaths(tc.g, tc.src, tc.dst, k, DistanceCost)
-			if len(got) != len(want) {
-				t.Fatalf("case %d k=%d: %d paths, reference %d", i, k, len(got), len(want))
-			}
-			for j := range got {
-				if !equalPath(got[j], want[j]) {
-					t.Fatalf("case %d k=%d path %d: %v, reference %v", i, k, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
+// TestShortestPathAvoidingNodesMatchesReference holds the one way a search
+// avoids a node — every edge into it priced Inf, the endpoints exempt — to
+// the seed walker on random graphs: the stopped point-to-point search finds
+// the path the reference's full search does.
 func TestShortestPathAvoidingNodesMatchesReference(t *testing.T) {
+	ms := &MultiSource{}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		g := randomEquivGraph(rng, 20)
@@ -400,49 +363,18 @@ func TestShortestPathAvoidingNodesMatchesReference(t *testing.T) {
 			for j := 0; j < 3; j++ {
 				avoid[rng.Intn(g.NumNodes())] = true
 			}
-			got := ShortestPathAvoidingNodes(g, src, dst, avoid, bandwidthCost)
-			want := referenceShortestPathAvoidingNodes(g, src, dst, avoid, bandwidthCost)
-			if !equalPath(got, want) {
+			cost := func(e Edge) float64 {
+				if avoid[e.To] && e.To != src && e.To != dst {
+					return Inf
+				}
+				return bandwidthCost(e)
+			}
+			ms.Reset(g, []int{src})
+			ms.Reweigh(cost)
+			ms.SweepRowTo(0, dst, nil)
+			got, want := ms.Path(src, dst), referenceDijkstraFrom(g, []int{src}, cost).Path(src, dst)
+			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d avoid %v: %v, reference %v", seed, avoid, got, want)
-			}
-		}
-	}
-}
-
-// TestKShortestLooplessProperty is the randomized property test of Yen's
-// invariants: loopless paths, nondecreasing costs, no duplicates, correct
-// endpoints.
-func TestKShortestLooplessProperty(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		g := randomEquivGraph(rng, 14+rng.Intn(14))
-		src := rng.Intn(g.NumNodes())
-		dst := rng.Intn(g.NumNodes())
-		if src == dst {
-			continue
-		}
-		paths := KShortestPaths(g, src, dst, 6, DistanceCost)
-		prev := -1.0
-		for pi, p := range paths {
-			if p[0] != src || p[len(p)-1] != dst {
-				t.Fatalf("seed %d: bad endpoints %v", seed, p)
-			}
-			seen := map[int]bool{}
-			for _, n := range p {
-				if seen[n] {
-					t.Fatalf("seed %d: loop in %v", seed, p)
-				}
-				seen[n] = true
-			}
-			c := PathCost(g, p, DistanceCost)
-			if c < prev {
-				t.Fatalf("seed %d: cost %v after %v", seed, c, prev)
-			}
-			prev = c
-			for qi := pi + 1; qi < len(paths); qi++ {
-				if equalPath(p, paths[qi]) {
-					t.Fatalf("seed %d: duplicate path %v", seed, p)
-				}
 			}
 		}
 	}
@@ -589,7 +521,7 @@ func TestMultiSourceReuseAcrossShapes(t *testing.T) {
 }
 
 // TestConcurrentSweepsShareCSR drives concurrent readers through the lazy
-// CSR build and the scratch cache; run under -race in CI.
+// CSR build; run under -race in CI.
 func TestConcurrentSweepsShareCSR(t *testing.T) {
 	ft, err := NewFatTree(FatTreeConfig{Pods: 6})
 	if err != nil {
@@ -609,7 +541,7 @@ func TestConcurrentSweepsShareCSR(t *testing.T) {
 			src := fresh.RackIDs[w%6][0]
 			ms := DijkstraFrom(fresh.Graph, []int{src}, DistanceCost)
 			if w%2 == 0 {
-				KShortestPaths(fresh.Graph, src, fresh.RackIDs[(w+2)%6][1], 3, DistanceCost)
+				DijkstraFrom(fresh.Graph, []int{fresh.RackIDs[(w+2)%6][1]}, DistanceCost)
 			}
 			if got := ms.Dist(src, src); got != 0 {
 				t.Errorf("self distance %v", got)

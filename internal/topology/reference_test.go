@@ -2,16 +2,14 @@ package topology
 
 import (
 	"container/heap"
-	"sort"
 
 	"sheriff/internal/pool"
 )
 
 // This file preserves the seed's routing walkers essentially verbatim:
 // pointer-chasing [][]Edge adjacency, an EdgeCost closure call per
-// relaxation, container/heap with interface boxing, map-backed result
-// tables, and Yen spur searches that rebuild filter closures and maps per
-// spur. They are the ground truth for the equivalence tests and the
+// relaxation, container/heap with interface boxing and map-backed result
+// tables. They are the ground truth for the equivalence tests and the
 // "before" side of the routing benchmarks, kept unexported so production
 // callers can only reach the CSR paths. The single deviation from the
 // seed is the smallest-predecessor tie rule on equal path costs (the
@@ -136,87 +134,6 @@ func (m *refMultiSource) Path(src, dst int) []int {
 		out[len(rev)-1-i] = v
 	}
 	return out
-}
-
-// referenceKShortestPaths is the seed's Yen: per-spur blocked-node and
-// blocked-edge maps wrapped in a fresh filter closure, a full map-backed
-// Dijkstra per spur, and candidate paths copied before deduplication.
-func referenceKShortestPaths(g *Graph, src, dst, k int, cost EdgeCost) [][]int {
-	if k <= 0 || src < 0 || dst < 0 || src >= g.NumNodes() || dst >= g.NumNodes() {
-		return nil
-	}
-	first := referenceShortestPathAvoiding(g, src, dst, cost, nil, nil)
-	if first == nil {
-		return nil
-	}
-	paths := [][]int{first}
-	var candidates []kspCandidate
-
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		for i := 0; i < len(prev)-1; i++ {
-			spurNode := prev[i]
-			rootPath := prev[:i+1]
-
-			blockedEdges := make(map[[2]int]bool)
-			for _, p := range paths {
-				if len(p) > i && equalPrefix(p, rootPath) {
-					blockedEdges[[2]int{p[i], p[i+1]}] = true
-				}
-			}
-			blockedNodes := make(map[int]bool)
-			for _, n := range rootPath[:len(rootPath)-1] {
-				blockedNodes[n] = true
-			}
-
-			spurPath := referenceShortestPathAvoiding(g, spurNode, dst, cost, blockedNodes, blockedEdges)
-			if spurPath == nil {
-				continue
-			}
-			total := append(append([]int(nil), rootPath[:len(rootPath)-1]...), spurPath...)
-			if containsPath(paths, total) || containsCandidate(candidates, total) {
-				continue
-			}
-			candidates = append(candidates, kspCandidate{path: total, cost: PathCost(g, total, cost)})
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.SliceStable(candidates, func(a, b int) bool { return candidates[a].cost < candidates[b].cost })
-		paths = append(paths, candidates[0].path)
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
-func referenceShortestPathAvoiding(g *Graph, src, dst int, cost EdgeCost, blockedNodes map[int]bool, blockedEdges map[[2]int]bool) []int {
-	filtered := func(e Edge) float64 {
-		if blockedNodes[e.To] && e.To != dst {
-			return Inf
-		}
-		if blockedEdges[[2]int{e.From, e.To}] {
-			return Inf
-		}
-		return cost(e)
-	}
-	ms := referenceDijkstraFrom(g, []int{src}, filtered)
-	return ms.Path(src, dst)
-}
-
-// referenceShortestPathAvoidingNodes is the seed's hot-switch avoidance
-// primitive, for equivalence against ShortestPathAvoidingNodes.
-func referenceShortestPathAvoidingNodes(g *Graph, src, dst int, avoid map[int]bool, cost EdgeCost) []int {
-	if src < 0 || dst < 0 || src >= g.NumNodes() || dst >= g.NumNodes() {
-		return nil
-	}
-	filtered := func(e Edge) float64 {
-		if avoid[e.To] && e.To != dst && e.To != src {
-			return Inf
-		}
-		return cost(e)
-	}
-	ms := referenceDijkstraFrom(g, []int{src}, filtered)
-	return ms.Path(src, dst)
 }
 
 // referenceRackNeighbors is RackNeighbors as it was while it marked visited

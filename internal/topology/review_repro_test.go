@@ -5,64 +5,8 @@ import (
 	"time"
 )
 
-// Repro 1: ensure() resets maskEpoch to 0 when one mask array is
-// reallocated while the other keeps stale stamps.
-func TestReviewMaskEpochStaleAfterGrow(t *testing.T) {
-	s := &sweepScratch{}
-	s.ensure(4, 4)
-	mep := s.nextMaskEpoch() // epoch 1
-	s.nodeMask[2] = mep      // stamp node 2 in epoch 1
-
-	// Grow edge count only: edgeMask reallocated, maskEpoch reset to 0,
-	// nodeMask retained with its stale epoch-1 stamp.
-	s.ensure(4, 16)
-	mep2 := s.nextMaskEpoch()
-	if s.nodeMask[2] == mep2 {
-		t.Fatalf("stale nodeMask stamp collides with new epoch %d: node 2 spuriously blocked", mep2)
-	}
-}
-
-// Repro 1b: end-to-end through KShortestPaths + kspCache: run Yen, add a
-// link, run the avoidance primitive and compare against the reference.
-func TestReviewKSPStaleMaskEndToEnd(t *testing.T) {
-	g := NewGraph()
-	for i := 0; i < 6; i++ {
-		g.AddNode(Switch, "s", 0, 0)
-	}
-	g.AddLink(0, 1, 10, 1)
-	g.AddLink(1, 2, 10, 1)
-	g.AddLink(0, 3, 10, 1)
-	g.AddLink(3, 2, 10, 1)
-	g.AddLink(0, 4, 10, 1)
-	g.AddLink(4, 2, 10, 1)
-
-	// First Yen run stamps node masks with low epochs.
-	KShortestPaths(g, 0, 2, 3, DistanceCost)
-
-	// Structural change grows m so edgeMask reallocates and maskEpoch
-	// resets while nodeMask keeps stale stamps.
-	g.AddLink(1, 5, 10, 1)
-	g.AddLink(5, 2, 10, 1)
-
-	got := KShortestPaths(g, 0, 2, 3, DistanceCost)
-	want := referenceKShortestPaths(g, 0, 2, 3, DistanceCost)
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("path %d: got %v want %v", i, got, want)
-		}
-		for j := range got[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("path %d: got %v want %v", i, got, want)
-			}
-		}
-	}
-}
-
-// Repro 2: zero-weight edges + smallest-predecessor tie rule can create a
-// parent cycle, hanging Path reconstruction.
+// Zero-weight edges + smallest-predecessor tie rule can create a parent
+// cycle, hanging Path reconstruction.
 func TestReviewZeroCostParentCycle(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(Switch, "a", 0, 0) // 0

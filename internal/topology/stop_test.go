@@ -97,9 +97,8 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 				tree.Reset(g, all)
 				tree.Reweigh(cost)
 				sc := tree.scratchFor(0, n, len(tree.c.dstID))
-				sc.nextMaskEpoch()
 				for src := 0; src < n; src++ {
-					sc.sweepMasked(tree.c, int32(src), -1, tree.weights, tree.row(src), nil, 0)
+					sc.sweepTo(tree.c, int32(src), -1, tree.weights, tree.row(src), nil, 0)
 				}
 			}
 			label := name + "/" + regime
@@ -114,8 +113,8 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 					if got, want := ms.Dist(src, dst), full.Dist(src, dst); got != want {
 						t.Fatalf("%s: stopped Dist(%d,%d) = %v, full %v", label, src, dst, got, want)
 					}
-					if got := ms.Path(src, dst); reached && PathCost(g, got, cost) != full.Dist(src, dst) {
-						t.Fatalf("%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", label, src, dst, got, PathCost(g, got, cost), full.Dist(src, dst))
+					if got := ms.Path(src, dst); reached && pathCost(g, got, cost) != full.Dist(src, dst) {
+						t.Fatalf("%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", label, src, dst, got, pathCost(g, got, cost), full.Dist(src, dst))
 					}
 					samePath(t, label, ms, tree, src, dst)
 					if !reached {
@@ -137,6 +136,20 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pathCost sums the edge costs along a node path, in path order; Inf when a
+// hop has no edge.
+func pathCost(g *Graph, path []int, cost EdgeCost) float64 {
+	total := 0.0
+	for i := 1; i < len(path); i++ {
+		e, ok := g.EdgeBetween(path[i-1], path[i])
+		if !ok {
+			return Inf
+		}
+		total += cost(e)
+	}
+	return total
 }
 
 // samePath fails the test unless got answers Path and PathEdges for
@@ -271,49 +284,101 @@ func TestBoundedSweepRowToEqualsFullRow(t *testing.T) {
 	}
 }
 
-// TestStoppedMaskedSweepEqualsFull is the same argument for the masked
-// sweep behind Yen's spur searches and ShortestPathAvoidingNodes, under
-// random node and edge blocks; "free" puts a zero-weight link under it, the
-// case the loop's settled guard on parent steals is for.
-func TestStoppedMaskedSweepEqualsFull(t *testing.T) {
+// TestStoppedSweepToEqualsFull is the same argument for the point-to-point
+// loop on its own, under random blocks priced into the weights: for each
+// source, three random edges cost Inf, and so does every edge into three
+// random nodes. "free" puts a zero-weight link under it, the case the
+// loop's settled guard on parent steals is for.
+func TestStoppedSweepToEqualsFull(t *testing.T) {
 	for name, g := range stopFabrics(t) {
 		for _, regime := range []string{"ties", "spread", "free"} {
 			rng := rand.New(rand.NewSource(7))
 			c := g.ensureCSR()
 			n, m := g.NumNodes(), len(c.dstID)
-			var st, ref kspScratch
-			st.prepare(c, stopWeights(rng, g, regime))
+			base := stopWeights(rng, g, regime)
+			var st, ref sweepScratch
+			st.ensure(n, m)
 			ref.ensure(n, m)
-			fullRow := make([]treeNode, n)
+			w := make([]wEdge, m)
+			tree, fullRow := make([]treeNode, n), make([]treeNode, n)
+			edgeBlocked, nodeBlocked := make([]bool, m), make([]bool, n)
+			blocked := func(e Edge) float64 {
+				if edgeBlocked[e.ID] || nodeBlocked[e.To] {
+					return Inf
+				}
+				return base(e)
+			}
 			for src := 0; src < n; src++ {
-				mep, rep := st.nextMaskEpoch(), ref.nextMaskEpoch()
+				clear(edgeBlocked)
+				clear(nodeBlocked)
 				for k := 0; k < 3; k++ {
 					if v := rng.Intn(n); v != src {
-						st.nodeMask[v], ref.nodeMask[v] = mep, rep
+						nodeBlocked[v] = true
 					}
-					e := rng.Intn(m)
-					st.edgeMask[e], ref.edgeMask[e] = mep, rep
+					edgeBlocked[rng.Intn(m)] = true
 				}
-				ref.sweepMasked(c, int32(src), -1, st.weights, fullRow, nil, 0)
+				c.fillWeights(w, blocked)
+				ref.sweepTo(c, int32(src), -1, w, fullRow, nil, 0)
 				for dst := 0; dst < n; dst++ {
-					st.sweepMasked(c, int32(src), int32(dst), st.weights, st.tree, nil, 0)
-					if st.tree[dst].d != fullRow[dst].d {
-						t.Fatalf("%s/%s: stopped masked dist %d→%d = %v, full %v", name, regime, src, dst, st.tree[dst].d, fullRow[dst].d)
+					st.sweepTo(c, int32(src), int32(dst), w, tree, nil, 0)
+					if tree[dst].d != fullRow[dst].d {
+						t.Fatalf("%s/%s: stopped dist %d→%d = %v, full %v", name, regime, src, dst, tree[dst].d, fullRow[dst].d)
 					}
 					for v := dst; v != src && fullRow[v].p >= 0; v = int(fullRow[v].p) {
-						if st.tree[v] != fullRow[v] {
-							t.Fatalf("%s/%s: stopped masked sweep %d→%d differs from the full one at node %d", name, regime, src, dst, v)
+						if tree[v] != fullRow[v] {
+							t.Fatalf("%s/%s: stopped sweep %d→%d differs from the full one at node %d", name, regime, src, dst, v)
 						}
 					}
-					if fullRow[dst].d == Inf && !slices.Equal(st.tree, fullRow) {
-						t.Fatalf("%s/%s: masked sweep from %d never met %d yet its row is not the full row", name, regime, src, dst)
+					if fullRow[dst].d == Inf && !slices.Equal(tree, fullRow) {
+						t.Fatalf("%s/%s: sweep from %d never met %d yet its row is not the full row", name, regime, src, dst)
 					}
 				}
-				st.sweepMasked(c, int32(src), -1, st.weights, st.tree, nil, 0)
-				if !slices.Equal(st.tree, fullRow) {
-					t.Fatalf("%s/%s: full masked sweep from %d after stopped ones differs from a clean one", name, regime, src)
+				st.sweepTo(c, int32(src), -1, w, tree, nil, 0)
+				if !slices.Equal(tree, fullRow) {
+					t.Fatalf("%s/%s: full sweep from %d after stopped ones differs from a clean one", name, regime, src)
 				}
 			}
+		}
+	}
+}
+
+// TestShortestPathAvoidingNodes: a search avoids a node when every edge
+// into it is priced Inf. On the diamond a → {b, c} → d, whose cheap middle
+// is b, avoiding b detours through c, and avoiding both middles leaves d
+// unreachable.
+func TestShortestPathAvoidingNodes(t *testing.T) {
+	g := NewGraph()
+	a := g.AddNode(Rack, "a", 0, 0)
+	b := g.AddNode(Switch, "b", 0, 1)
+	c := g.AddNode(Switch, "c", 0, 1)
+	d := g.AddNode(Rack, "d", 0, 0)
+	for _, l := range []struct {
+		from, to int
+		dist     float64
+	}{{a, b, 1}, {b, d, 1}, {a, c, 2}, {c, d, 2}} {
+		if err := g.AddLink(l.from, l.to, 1, l.dist); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms := &MultiSource{}
+	ms.Reset(g, []int{a})
+	for _, tc := range []struct {
+		avoid, want []int
+		dist        float64
+	}{
+		{nil, []int{a, b, d}, 2},
+		{[]int{b}, []int{a, c, d}, 4},
+		{[]int{b, c}, nil, Inf},
+	} {
+		ms.Reweigh(func(e Edge) float64 {
+			if slices.Contains(tc.avoid, e.To) {
+				return Inf
+			}
+			return e.Distance
+		})
+		reached := ms.SweepRowTo(0, d, nil)
+		if got := ms.Path(a, d); reached != (tc.want != nil) || !slices.Equal(got, tc.want) || ms.Dist(a, d) != tc.dist {
+			t.Fatalf("avoiding %v: path %v at %v (reached %v), want %v at %v", tc.avoid, got, ms.Dist(a, d), reached, tc.want, tc.dist)
 		}
 	}
 }
