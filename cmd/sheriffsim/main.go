@@ -319,8 +319,6 @@ func runPolicyGrid(out io.Writer, cfg sim.Config, size int, jsonPath string, rec
 				res, err := sim.RunPolicy(sim.PolicyConfig{
 					Sim:         c,
 					Policy:      placement.PolicyOptions{Kind: pol, Seed: cfg.Seed},
-					Preempt:     migrate.PreemptOptions{Enabled: true},
-					Retry:       migrate.RetryOptions{Enabled: true},
 					Fault:       fp.plan,
 					FaultName:   fp.name,
 					Distributed: true,

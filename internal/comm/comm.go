@@ -95,11 +95,6 @@ type Options struct {
 	MaxDelay int
 	// Seed drives loss and delay draws.
 	Seed int64
-	// InboxLimit caps each node's queued inbox; messages delivered beyond
-	// it are dropped with cause "overflow" (tail drop), bounding memory
-	// under duplication storms. Zero means the default (4096); negative is
-	// an error.
-	InboxLimit int
 	// Recorder, when non-nil, receives a send/deliver/drop event per
 	// message movement; drop causes are seed-deterministic.
 	Recorder *obs.Recorder
@@ -116,21 +111,13 @@ func (o Options) Validate() error {
 	if o.MaxDelay < 0 {
 		return fmt.Errorf("comm: MaxDelay must be >= 0, got %d", o.MaxDelay)
 	}
-	if o.InboxLimit < 0 {
-		return fmt.Errorf("comm: InboxLimit must be >= 0 (0 = default), got %d", o.InboxLimit)
-	}
 	return nil
 }
 
-// WithDefaults returns the options with zero fields replaced by their
-// defaults (the Validate + WithDefaults option convention; zero = default,
-// negative = Validate error).
-func (o Options) WithDefaults() Options {
-	if o.InboxLimit == 0 {
-		o.InboxLimit = 4096
-	}
-	return o
-}
+// inboxLimit caps each node's queued inbox; messages delivered beyond it
+// are dropped with cause "overflow" (tail drop), bounding memory under
+// duplication storms.
+const inboxLimit = 4096
 
 // Bus is a deterministic in-memory message network. It is not safe for
 // concurrent use; protocols drive it round by round.
@@ -163,7 +150,6 @@ func NewBus(opts Options) (*Bus, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.WithDefaults()
 	return &Bus{
 		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
@@ -265,7 +251,7 @@ func (b *Bus) Deliver() int {
 }
 
 // deposit moves one due message into its destination inbox, enforcing the
-// InboxLimit tail drop. It returns 1 when delivered, 0 when dropped.
+// inboxLimit tail drop. It returns 1 when delivered, 0 when dropped.
 func (b *Bus) deposit(m Message, rec *obs.Recorder) int {
 	if m.To < 0 {
 		return b.drop(m, "address", rec)
@@ -274,7 +260,7 @@ func (b *Bus) deposit(m Message, rec *obs.Recorder) int {
 		b.inbox = slices.Grow(b.inbox, m.To+1-len(b.inbox))[:m.To+1]
 	}
 	q := b.inbox[m.To]
-	if len(q) >= b.opts.InboxLimit {
+	if len(q) >= inboxLimit {
 		return b.drop(m, "overflow", rec)
 	}
 	if len(q) == cap(q) {

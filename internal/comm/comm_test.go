@@ -1,8 +1,11 @@
 package comm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"sheriff/internal/obs"
 )
 
 func TestTypeString(t *testing.T) {
@@ -240,5 +243,48 @@ func TestNegativeAddressDropped(t *testing.T) {
 	}
 	if nodes := bus.Nodes(); len(nodes) != 0 {
 		t.Fatalf("Nodes = %v after a dropped message", nodes)
+	}
+}
+
+// TestInboxOverflowTailDrop pins the inbox cap: of the inboxLimit+1
+// messages one Deliver queues for a node, the last is dropped, counted and
+// traced with cause "overflow", while the first inboxLimit stay queued and
+// another node's inbox is unaffected.
+func TestInboxOverflowTailDrop(t *testing.T) {
+	rec, err := obs.New(obs.Options{Ring: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus, err := NewBus(Options{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= inboxLimit; i++ {
+		bus.Send(Message{To: 1, VMID: i, Seq: i})
+	}
+	bus.Send(Message{To: 2, VMID: -1})
+	if got := bus.Deliver(); got != inboxLimit+1 {
+		t.Fatalf("delivered %d, want %d", got, inboxLimit+1)
+	}
+	if _, dropped := bus.Stats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+	q := bus.Receive(1)
+	if len(q) != inboxLimit || q[len(q)-1].Seq != inboxLimit-1 {
+		t.Fatalf("node 1 holds %d messages ending at seq %d, want %d ending at %d",
+			len(q), q[len(q)-1].Seq, inboxLimit, inboxLimit-1)
+	}
+	if len(bus.Receive(2)) != 1 {
+		t.Fatal("the overflow of node 1 touched node 2's inbox")
+	}
+	if n := rec.Count(obs.KindDrop); n != 1 {
+		t.Fatalf("%d drop events, want 1", n)
+	}
+	i := slices.IndexFunc(rec.Events(), func(e obs.Event) bool { return e.Kind == obs.KindDrop })
+	if i < 0 {
+		t.Fatal("the drop event left the ring")
+	}
+	if e := rec.Events()[i]; e.VM != inboxLimit || e.Attrs["cause"] != "overflow" {
+		t.Fatalf("drop event for VM %d with cause %q, want VM %d with cause overflow", e.VM, e.Attrs["cause"], inboxLimit)
 	}
 }

@@ -360,10 +360,8 @@ func AblationPolicy(seed int64) (*Table, error) {
 	}
 	for row, kind := range placement.Kinds() {
 		res, err := sim.RunPolicy(sim.PolicyConfig{
-			Sim:     sim.Config{Kind: sim.FatTree, Size: 4, Seed: seed},
-			Policy:  placement.PolicyOptions{Kind: kind, Seed: seed},
-			Preempt: migrate.PreemptOptions{Enabled: true},
-			Retry:   migrate.RetryOptions{Enabled: true},
+			Sim:    sim.Config{Kind: sim.FatTree, Size: 4, Seed: seed},
+			Policy: placement.PolicyOptions{Kind: kind, Seed: seed},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: policy ablation %s: %w", kind, err)

@@ -92,6 +92,18 @@ func TestFig6ARIMAPredictsWell(t *testing.T) {
 	if sumAbsErr/sumAbs > 0.25 {
 		t.Fatalf("ARIMA mean relative error %.2f%% too large", 100*sumAbsErr/sumAbs)
 	}
+	checkNotesLiteral(t, tab)
+}
+
+// checkNotesLiteral fails when a note still carries a format escape: the
+// notes are plain strings, so a "%%" there prints as is.
+func checkNotesLiteral(t *testing.T, tab *Table) {
+	t.Helper()
+	for _, n := range tab.Notes {
+		if strings.Contains(n, "%%") {
+			t.Errorf("note %q prints %%%%", n)
+		}
+	}
 }
 
 func TestFig7NARNETPredictsWell(t *testing.T) {
@@ -107,6 +119,7 @@ func TestFig7NARNETPredictsWell(t *testing.T) {
 	if sumAbsErr/sumAbs > 0.25 {
 		t.Fatalf("NARNET mean relative error %.2f%% too large", 100*sumAbsErr/sumAbs)
 	}
+	checkNotesLiteral(t, tab)
 }
 
 func TestFig8CombinedNotWorseThanWorstModel(t *testing.T) {

@@ -96,7 +96,7 @@ func Fig6ARIMA(seed int64) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("test MSE = %.4f, MAPE = %.2f%%", mse, mape),
-		"50%% train / 50%% test split, as in the paper")
+		"50% train / 50% test split, as in the paper")
 	return t, nil
 }
 
@@ -127,7 +127,7 @@ func Fig7NARNET(seed int64) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("test MSE = %.4f", mse),
-		"70%% train / 30%% test split, as in the paper")
+		"70% train / 30% test split, as in the paper")
 	return t, nil
 }
 

@@ -6,7 +6,7 @@
 // The design borrows three disciplines already proven elsewhere in the
 // tree. Sharding and drain fan-out reuse the internal/pool worker model
 // (one shard per rack, indices claimed dynamically, the caller
-// participates). Backpressure is comm.Bus's InboxLimit tail drop: each
+// participates). Backpressure is comm.Bus's inbox tail drop: each
 // shard's pending queue has a hard cap, an offer beyond it is counted
 // and dropped — never blocking the producer and never evicting an
 // already accepted update. The accept/drain path costs what it carries:
@@ -64,7 +64,7 @@ type Alert struct {
 // Options configures a Service. Zero values take the defaults.
 type Options struct {
 	// QueueLimit caps each rack shard's pending-update queue; offers
-	// beyond it are dropped (tail drop, the comm.InboxLimit discipline).
+	// beyond it are dropped (tail drop, the comm.Bus inbox discipline).
 	// Zero means the default (4096); negative is an error.
 	QueueLimit int
 	// HotThreshold is the predicted stress above which a VM raises a

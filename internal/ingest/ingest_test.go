@@ -67,7 +67,7 @@ func TestOfferValidationAndCounters(t *testing.T) {
 	}
 }
 
-// TestBackpressureTailDrop pins the comm.InboxLimit discipline: offers
+// TestBackpressureTailDrop pins the comm.Bus inbox discipline: offers
 // beyond the shard queue cap are dropped and counted, accepted updates
 // are all processed, and other shards are unaffected.
 func TestBackpressureTailDrop(t *testing.T) {

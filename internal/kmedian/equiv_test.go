@@ -228,7 +228,7 @@ func TestLocalSearchAndReferenceBothLocalOptimal(t *testing.T) {
 		}
 		// The fast engine's end state must itself admit no improving 1-swap.
 		st := newState(in, fast.Open)
-		if sw := st.findSwap(closedOf(in, st), 1, 0, 1e-9, pool.New(1), 0); sw != nil {
+		if sw := st.findSwap(closedOf(in, st), 1, 0, pool.New(1), 0); sw != nil {
 			t.Fatalf("seed %d: fast result not 1-swap optimal (found %v→%v)", seed, sw.outs, sw.ins)
 		}
 	}

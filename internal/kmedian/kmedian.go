@@ -104,7 +104,6 @@ type Options struct {
 	P        int   // swap size p of Alg. 5 (ratio 3 + 2/p); default 1
 	Seed     int64 // randomization seed for the initial solution
 	MaxSwaps int   // safety cap on improving swaps; default 100000
-	Epsilon  float64
 
 	// Pool bounds the parallel candidate scan; nil uses pool.Shared().
 	// The chosen swap is identical for any pool size (first-improvement
@@ -126,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSwaps <= 0 {
 		o.MaxSwaps = 100000
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-9
 	}
 	if o.Pool == nil {
 		o.Pool = pool.Shared()
@@ -181,7 +177,7 @@ func LocalSearch(in *Instance, opts Options) (*Solution, error) {
 		// p = 1 swaps first (cheap and usually sufficient), then widen to
 		// the configured swap size.
 		for size := 1; size <= opts.P && !improved; size++ {
-			sw := st.findSwap(closed, size, resume[size], opts.Epsilon, opts.Pool, opts.ScanChunk)
+			sw := st.findSwap(closed, size, resume[size], opts.Pool, opts.ScanChunk)
 			if rec.Enabled() {
 				// Ranks covered by the scan in deterministic rank order:
 				// up to and including the accepted candidate, or the whole

@@ -37,7 +37,7 @@ func referenceLocalSearch(in *Instance, opts Options) (*Solution, error) {
 	for swaps < opts.MaxSwaps {
 		improved := false
 		for size := 1; size <= opts.P && !improved; size++ {
-			if sw := findImprovingSwap(in, open, openSet, cur, size, opts.Epsilon, rng); sw != nil {
+			if sw := findImprovingSwap(in, open, openSet, cur, size, epsilon, rng); sw != nil {
 				applySwap(open, openSet, sw.out, sw.in)
 				_, cur = evaluate(in, open)
 				swaps++

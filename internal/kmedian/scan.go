@@ -34,7 +34,7 @@ type swapCand struct {
 // scan, but deterministic. A full wrap with no improvement proves local
 // optimality. The scan reads the state's caches but never mutates them, so
 // chunks can run concurrently.
-func (st *state) findSwap(closed []int, size int, start int64, eps float64, pl *pool.Pool, chunk int) *swapCand {
+func (st *state) findSwap(closed []int, size int, start int64, pl *pool.Pool, chunk int) *swapCand {
 	nOpen, nClosed := len(st.open), len(closed)
 	if nClosed < size || nOpen < size {
 		return nil
@@ -79,7 +79,7 @@ func (st *state) findSwap(closed []int, size int, start int64, eps float64, pl *
 			} else {
 				nc = st.trialMulti(outs, ins)
 			}
-			if nc < st.cost-eps {
+			if nc < st.cost-epsilon {
 				found[k] = &swapCand{
 					outs:    append([]int(nil), outs...),
 					ins:     append([]int(nil), ins...),
@@ -102,6 +102,10 @@ func (st *state) findSwap(closed []int, size int, start int64, eps float64, pl *
 	}
 	return nil
 }
+
+// epsilon is the least cost drop that makes a swap improving, so that
+// rounding noise cannot keep the search swapping.
+const epsilon = 1e-9
 
 // defaultScanChunk is the number of candidates per parallel scan chunk.
 // Each candidate costs O(clients), so 64 keeps chunks coarse enough to

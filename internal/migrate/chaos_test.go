@@ -141,9 +141,11 @@ func TestChaosDuplicateSuppression(t *testing.T) {
 	}
 }
 
-// TestChaosDisableFallback pins the opt-out: with the ladder disabled, a
-// total partition leaves the VMs unplaced (the pre-hardening behaviour).
-func TestChaosDisableFallback(t *testing.T) {
+// TestChaosFallbackThenUnplaced pins the ladder's end: under a total
+// partition with every host of the region full, each VM degrades to the
+// fallback rung, and the rung, finding no room either, reports it
+// unplaced — fallback events first, then one unplaced event per VM.
+func TestChaosFallbackThenUnplaced(t *testing.T) {
 	plan := faults.Plan{Seed: 1, Partitions: []faults.Partition{{Name: "all", Start: 0, Rounds: 1000, Nodes: []int{0, 1}}}}
 	rec, err := obs.New(obs.Options{})
 	if err != nil {
@@ -151,7 +153,7 @@ func TestChaosDisableFallback(t *testing.T) {
 	}
 	fx, shims, sets, bus := chaosScenario(t, plan, rec)
 	// The partition isolates both shims' racks from the rest of the
-	// region but not from each other, and region hosts include the own
+	// fabric but not from each other, and region hosts include the own
 	// rack — so to force unplacement the VMs must not fit locally. Fill
 	// the local hosts first.
 	for _, r := range fx.cluster.Racks[:2] {
@@ -164,18 +166,32 @@ func TestChaosDisableFallback(t *testing.T) {
 		}
 	}
 	res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets,
-		DistOptions{Recorder: rec, DisableFallback: true, MaxRounds: 6})
+		DistOptions{Recorder: rec, MaxRounds: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Unplaced) == 0 {
-		t.Fatal("expected unplaced VMs with fallback disabled under a full partition")
+	want := len(sets[0]) + len(sets[1])
+	if len(res.Migrations) != 0 || len(res.Unplaced) != want || res.Fallbacks != want {
+		t.Fatalf("%d migrations, %d unplaced, %d fallbacks; want 0, %d, %d",
+			len(res.Migrations), len(res.Unplaced), res.Fallbacks, want, want)
 	}
-	if res.Fallbacks != 0 {
-		t.Fatalf("fallback ran despite DisableFallback: %d", res.Fallbacks)
+	var kinds []obs.Kind
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindFallback || e.Kind == obs.KindUnplaced {
+			kinds = append(kinds, e.Kind)
+		}
 	}
-	if rec.Count(obs.KindUnplaced) == 0 {
-		t.Fatal("no unplaced events recorded")
+	if len(kinds) != 2*want {
+		t.Fatalf("%d fallback and unplaced events, want %d", len(kinds), 2*want)
+	}
+	for i, k := range kinds {
+		wantKind := obs.KindFallback
+		if i >= want {
+			wantKind = obs.KindUnplaced
+		}
+		if k != wantKind {
+			t.Fatalf("event %d of the ladder is %s, want %s", i, k, wantKind)
+		}
 	}
 }
 

@@ -171,16 +171,11 @@ func (sc *consScenario) shims(t *testing.T) []*Shim {
 	return shims
 }
 
-func (sc *consScenario) newQueue(t *testing.T) *RetryQueue {
-	t.Helper()
+func (sc *consScenario) newQueue() *RetryQueue {
 	if !sc.cell.queue {
 		return nil
 	}
-	q, err := NewRetryQueue(RetryOptions{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
+	return NewRetryQueue()
 }
 
 // run drives the cell's path for two management rounds — the second with
@@ -219,7 +214,7 @@ func (sc *consScenario) runMigrate(t *testing.T) []*RetryQueue {
 	shims := sc.shims(t)
 	queues := make([]*RetryQueue, len(shims))
 	for i := range queues {
-		queues[i] = sc.newQueue(t)
+		queues[i] = sc.newQueue()
 	}
 	for round := 0; round < 2; round++ {
 		for i, shim := range shims {
@@ -259,7 +254,7 @@ func (sc *consScenario) runMigrate(t *testing.T) []*RetryQueue {
 func (sc *consScenario) runDistributed(t *testing.T) []*RetryQueue {
 	c := sc.fx.cluster
 	shims := sc.shims(t)
-	q := sc.newQueue(t)
+	q := sc.newQueue()
 	for round := 0; round < 2; round++ {
 		if round > 0 && q.Len() == 0 {
 			break

@@ -263,14 +263,14 @@ func (k *core) mayEvict() bool {
 }
 
 // evictFor frees room for vm on dst by detaching the cheapest resident vm
-// dominates by the severity gap (never one in skip), and returns the
+// dominates by minSeverityGap (never one in skip), and returns the
 // victim, or nil when the budget is spent or nobody qualifies. Where the
 // victim goes next is the caller's business.
 func (k *core) evictFor(vm *dcn.VM, dst *dcn.Host, skip map[int]bool, shim, round int) *dcn.VM {
 	if !k.mayEvict() {
 		return nil
 	}
-	victim := preemptVictim(k.c, vm, dst, k.preempt, skip)
+	victim := preemptVictim(k.c, vm, dst, skip)
 	if victim == nil {
 		return nil
 	}
@@ -289,14 +289,14 @@ func (k *core) evictFor(vm *dcn.VM, dst *dcn.Host, skip map[int]bool, shim, roun
 }
 
 // preemptVictim selects the cheapest evictable resident of dst whose
-// severity tier the incoming VM dominates by the configured gap: lowest
+// severity tier the incoming VM dominates by minSeverityGap: lowest
 // knapsack Value first (the Alg. 2 preference), lowest ID on ties, never
 // delay-sensitive VMs or IDs in skip, and only when the eviction
 // actually makes room and leaves no dependency conflict. Returns nil
 // when no resident qualifies.
-func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, po PreemptOptions, skip map[int]bool) *dcn.VM {
+func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, skip map[int]bool) *dcn.VM {
 	sev := alert.ClassifySeverity(vm.Alert)
-	if int(sev) < po.MinSeverityGap {
+	if int(sev) < minSeverityGap {
 		return nil
 	}
 	var victim *dcn.VM
@@ -304,7 +304,7 @@ func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, po PreemptOptions,
 		if resident.DelaySensitive || resident.ID == vm.ID || skip[resident.ID] {
 			continue
 		}
-		if int(alert.ClassifySeverity(resident.Alert))+po.MinSeverityGap > int(sev) {
+		if int(alert.ClassifySeverity(resident.Alert))+minSeverityGap > int(sev) {
 			continue
 		}
 		if dst.Free()+resident.Capacity < vm.Capacity {

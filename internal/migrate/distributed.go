@@ -13,33 +13,29 @@ import (
 	"sheriff/internal/placement"
 )
 
+// The handshake's retry schedule, in protocol rounds. A request
+// unanswered for requestTimeout rounds is presumed lost; the source
+// retries it after an exponential backoff of backoffBase·2^(attempt-1),
+// capped at backoffMax, plus seeded jitter in [0, backoff]. A VM whose
+// request times out more than retryBudget times degrades to the fallback
+// ladder.
+const (
+	requestTimeout = 3
+	retryBudget    = 4
+	backoffBase    = 1
+	backoffMax     = 8
+)
+
 // DistOptions tunes the message-passing migration protocol. Zero fields
 // mean "use the default"; negative values are a Validate error.
 type DistOptions struct {
 	// MaxRounds bounds the protocol (a round = propose, deliver, decide,
 	// deliver, collect). Default 30.
 	MaxRounds int
-	// RequestTimeout is how many rounds a request may stay unanswered
-	// before the source assumes it was lost and retries. Default 3.
-	RequestTimeout int
-	// RetryBudget is how many times one VM's request may time out before
-	// the source stops retrying and degrades it to local sequential
-	// placement (see DisableFallback). Default 4.
-	RetryBudget int
-	// BackoffBase is the first backoff after a timeout, in rounds; each
-	// further timeout doubles it (exponential backoff with deterministic
-	// seeded jitter in [0, current backoff]). Default 1.
-	BackoffBase int
-	// BackoffMax caps the exponential backoff, in rounds. Default 8.
-	BackoffMax int
 	// Seed drives the backoff jitter. The jitter is a pure function of
 	// (Seed, VM ID, attempt), so it is deterministic regardless of map
 	// iteration or timeout order.
 	Seed int64
-	// DisableFallback leaves budget-exhausted and unreachable VMs
-	// unplaced instead of degrading them to local sequential placement
-	// (the pre-fault-injection behaviour; also the ablation baseline).
-	DisableFallback bool
 	// RequestPolicy, when non-nil, is consulted by every destination shim
 	// before its capacity check — the protocol-wide admission / failure
 	// injection point. Destination shims additionally apply their own
@@ -66,14 +62,8 @@ type DistOptions struct {
 // Validate reports whether the options are usable. Negative values are
 // errors; zero values mean "use the default".
 func (o DistOptions) Validate() error {
-	for _, f := range [...]struct {
-		name string
-		v    int
-	}{{"MaxRounds", o.MaxRounds}, {"RequestTimeout", o.RequestTimeout}, {"RetryBudget", o.RetryBudget},
-		{"BackoffBase", o.BackoffBase}, {"BackoffMax", o.BackoffMax}} {
-		if f.v < 0 {
-			return fmt.Errorf("migrate: %s must be >= 0 (0 = default), got %d", f.name, f.v)
-		}
+	if o.MaxRounds < 0 {
+		return fmt.Errorf("migrate: MaxRounds must be >= 0 (0 = default), got %d", o.MaxRounds)
 	}
 	if err := o.Placement.Validate(); err != nil {
 		return err
@@ -86,10 +76,6 @@ func (o DistOptions) Validate() error {
 // Validate error).
 func (o DistOptions) WithDefaults() DistOptions {
 	o.MaxRounds = cmp.Or(o.MaxRounds, 30)
-	o.RequestTimeout = cmp.Or(o.RequestTimeout, 3)
-	o.RetryBudget = cmp.Or(o.RetryBudget, 4)
-	o.BackoffBase = cmp.Or(o.BackoffBase, 1)
-	o.BackoffMax = cmp.Or(o.BackoffMax, 8)
 	o.Placement = o.Placement.WithDefaults()
 	o.Preempt = o.Preempt.WithDefaults()
 	return o
@@ -417,7 +403,7 @@ func (p *protocol) collect(i, round int) bool {
 	open := p.open[i][:0]
 	for _, seq := range p.open[i] {
 		if r := &p.reqs[seq]; !r.settled {
-			if r.age++; r.age < p.opts.RequestTimeout {
+			if r.age++; r.age < requestTimeout {
 				open = append(open, seq)
 			} else {
 				r.settled = true
@@ -431,8 +417,8 @@ func (p *protocol) collect(i, round int) bool {
 
 // expire handles a request that timed out: it or its reply was lost. A VM
 // sitting at the destination lost only its ACK. Any other retries after
-// an exponential backoff — base·2^(attempt-1) capped at BackoffMax, plus
-// seeded jitter in [0, backoff] — until its retry budget is spent.
+// an exponential backoff — backoffBase·2^(attempt-1) capped at backoffMax,
+// plus seeded jitter in [0, backoff] — until its retry budget is spent.
 func (p *protocol) expire(i int, r *request, round int) {
 	shim, cd := p.shims[i].Rack.Index, &p.cands[r.cand]
 	if cd.vm.Host() == r.dst {
@@ -443,15 +429,12 @@ func (p *protocol) expire(i int, r *request, round int) {
 		}
 		return
 	}
-	if cd.attempts++; cd.attempts > p.opts.RetryBudget {
+	if cd.attempts++; cd.attempts > retryBudget {
 		p.degrade(r.cand, "budget")
 		return
 	}
 	p.res.Retransmits++
-	backoff := p.opts.BackoffBase << (cd.attempts - 1)
-	if backoff > p.opts.BackoffMax || backoff <= 0 {
-		backoff = p.opts.BackoffMax
-	}
+	backoff := min(backoffBase<<(cd.attempts-1), backoffMax)
 	backoff += backoffJitter(p.opts.Seed, cd.vm.ID, cd.attempts, backoff)
 	cd.deferUntil = round + backoff
 	p.remaining[i] = append(p.remaining[i], r.cand)
@@ -505,8 +488,6 @@ func (p *protocol) lastRung() error {
 		hosts := shim.regionHosts(true)
 		switch {
 		case len(vms) == 0:
-		case p.opts.DisableFallback:
-			res.Unplaced = append(res.Unplaced, vms...)
 		case len(hosts) == 0:
 			res.Fallbacks += len(vms)
 			res.Unplaced = append(res.Unplaced, vms...)
@@ -518,15 +499,10 @@ func (p *protocol) lastRung() error {
 			var lt Tally
 			last := p.core
 			last.preempt, last.queue, last.tally = PreemptOptions{}, nil, &lt
-			if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, false, shim.params.RequestPolicy); err != nil {
+			if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, shim.params.RequestPolicy); err != nil {
 				return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
 			}
 			res.Add(&lt)
-		}
-	}
-	if p.opts.DisableFallback && p.rec.Enabled() {
-		for _, vm := range res.Unplaced {
-			p.rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: res.Rounds, Shim: ShimUnknown, VM: vm.ID, Host: ShimUnknown})
 		}
 	}
 	return nil

@@ -66,12 +66,6 @@ type Params struct {
 	// migration rounds. The zero value is the Sheriff rule (hard capacity
 	// check, pure Eqn. (1) cost), bit-exact with the pre-policy code.
 	Placement placement.PolicyOptions
-	// Preempt enables preemption-aware migration: evict a strictly
-	// lower-severity resident to admit a high-alert VM.
-	Preempt PreemptOptions
-	// Retry enables the shim's fail-queue: VMs unplaced in one management
-	// round retry in later rounds instead of being abandoned.
-	Retry RetryOptions
 }
 
 // DefaultParams matches the regional scheme: one-hop neighbors,
@@ -94,8 +88,6 @@ func (p Params) WithDefaults() Params {
 		p.NeighborSwitchHops = d.NeighborSwitchHops
 	}
 	p.Placement = p.Placement.WithDefaults()
-	p.Preempt = p.Preempt.WithDefaults()
-	p.Retry = p.Retry.WithDefaults()
 	return p
 }
 
@@ -112,13 +104,7 @@ func (p Params) Validate() error {
 	if p.NeighborSwitchHops < 0 {
 		return fmt.Errorf("migrate: NeighborSwitchHops must be >= 0 (0 = default), got %d", p.NeighborSwitchHops)
 	}
-	if err := p.Placement.Validate(); err != nil {
-		return err
-	}
-	if err := p.Preempt.Validate(); err != nil {
-		return err
-	}
-	return p.Retry.Validate()
+	return p.Placement.Validate()
 }
 
 // Shim is the delegation node v_i: it monitors one rack and manages its
@@ -132,8 +118,6 @@ type Shim struct {
 
 	// policy is the destination-scoring policy params.Placement selects.
 	policy placement.Policy
-	// queue is the shim's fail-queue (nil when retries are disabled).
-	queue *RetryQueue
 
 	neighborRacks []*dcn.Rack // cached one-hop region
 	// region is the dominating region's hosts, the rack's own first; see
@@ -159,13 +143,6 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 		return nil, err
 	}
 	s := &Shim{Rack: rack, cluster: c, model: m, params: p, policy: pol}
-	if p.Retry.Enabled {
-		q, err := NewRetryQueue(p.Retry)
-		if err != nil {
-			return nil, err
-		}
-		s.queue = q
-	}
 	for _, nodeID := range c.Graph.RackNeighbors(rack.NodeID, p.NeighborSwitchHops) {
 		if r := c.RackByNode(nodeID); r != nil {
 			s.neighborRacks = append(s.neighborRacks, r)
@@ -196,19 +173,6 @@ func (s *Shim) SetRequestPolicy(p RequestPolicy) { s.params.RequestPolicy = p }
 // Policy returns the shim's destination-scoring policy.
 func (s *Shim) Policy() placement.Policy { return s.policy }
 
-// Queue returns the shim's fail-queue (nil when retries are disabled).
-// Safe on a nil shim, as is QueueLen — the runtime's sharded engine keeps
-// nil slots for racks that never alerted.
-func (s *Shim) Queue() *RetryQueue {
-	if s == nil {
-		return nil
-	}
-	return s.queue
-}
-
-// QueueLen returns the number of VMs parked in the shim's fail-queue.
-func (s *Shim) QueueLen() int { return s.Queue().Len() }
-
 // ProcessAlerts runs Alg. 1 over one collection period's alert set:
 // outer-switch alerts feed FLOWREROUTE; host alerts select VMs with the
 // α-knapsack; ToR alerts are pooled and select with the β-knapsack; the
@@ -238,10 +202,7 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
-	// ("release the workload of ToR_i … to neighbor racks"). Fail-queued
-	// VMs from earlier rounds re-enter through the host-set migration —
-	// the queue is drained inside Migrate — so the round runs even with an
-	// empty alert-selected set while retries are pending.
+	// ("release the workload of ToR_i … to neighbor racks").
 	migrate := func(vms []*dcn.VM, hosts []*dcn.Host, o MigrationOptions) error {
 		res, err := migrateOn(&s.scratch, s.cluster, s.model, vms, hosts, o)
 		if err == nil {
@@ -249,18 +210,13 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 		}
 		return err
 	}
-	if len(hostSet) > 0 || s.QueueLen() > 0 {
+	if len(hostSet) > 0 {
 		if err := migrate(hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
 			return report, err
 		}
 	}
 	if len(torSet) > 0 {
-		// The host-set migration already drained the queue; this one must not
-		// re-drain VMs parked moments ago in the same round. Its own unplaced
-		// VMs still park.
-		o := s.migrationOptions()
-		o.DeferDrain = true
-		if err := migrate(torSet, s.regionHosts(false), o); err != nil {
+		if err := migrate(torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
 			return report, err
 		}
 	}
@@ -290,15 +246,14 @@ func (s *Shim) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
 	return dst
 }
 
-// migrationOptions projects the shim's params onto one VMMIGRATION call.
+// migrationOptions projects the shim's params onto one VMMIGRATION call:
+// no preemption and no fail-queue, which only per-call options carry.
 func (s *Shim) migrationOptions() MigrationOptions {
 	return MigrationOptions{
 		Policy:    s.params.RequestPolicy,
 		Recorder:  s.params.Recorder,
 		Shim:      s.Rack.Index,
 		Placement: s.policy,
-		Preempt:   s.params.Preempt,
-		Queue:     s.queue,
 	}
 }
 
@@ -370,13 +325,9 @@ type MigrationOptions struct {
 	// candidate VM has no feasible destination.
 	Preempt PreemptOptions
 	// Queue, when non-nil, is the fail-queue: parked VMs drain into the
-	// candidate set at the start of the call (unless DeferDrain) and VMs
-	// left unplaced park for a later round instead of being abandoned.
+	// candidate set at the start of the call and VMs left unplaced park
+	// for a later round instead of being abandoned.
 	Queue *RetryQueue
-	// DeferDrain leaves already-parked entries in the queue (a caller
-	// running several migrations per round drains only the first); VMs
-	// unplaced by this call still park.
-	DeferDrain bool
 }
 
 // ShimUnknown marks events whose source shim is not identified.
@@ -416,7 +367,7 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 	k := core{c: c, m: m, pol: policyOrSheriff(o.Placement), admit: o.Policy, rec: o.Recorder,
 		preempt: o.Preempt.WithDefaults(), queue: o.Queue, tally: &res.Tally, scratch: sc}
 	var err error
-	res.Evicted, err = k.sequential(f, candidates, o.Shim, o.ForbidSameRack, !o.DeferDrain, nil)
+	res.Evicted, err = k.sequential(f, candidates, o.Shim, o.ForbidSameRack, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -427,12 +378,12 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 // and the last rung of the distributed protocol's fallback ladder: match,
 // send each matched pair through the handshake, rematch what was refused
 // or left over, evict when nothing fits, and finally park or give up.
-// shim tags the events; forbidSameRack bars a VM's own rack; drain first
-// empties the fail-queue into the candidate set; local is the deciding
-// shim's admission policy. It returns the victims whose eviction stuck.
-func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack, drain bool, local RequestPolicy) ([]*dcn.VM, error) {
+// shim tags the events; forbidSameRack bars a VM's own rack; local is the
+// deciding shim's admission policy. An attached fail-queue is first emptied
+// into the candidate set. It returns the victims whose eviction stuck.
+func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool, local RequestPolicy) ([]*dcn.VM, error) {
 	remaining := append([]*dcn.VM(nil), f...)
-	if drain && k.queue != nil {
+	if k.queue != nil {
 		inSet := make(map[int]bool, len(remaining))
 		for _, vm := range remaining {
 			inSet[vm.ID] = true

@@ -105,10 +105,7 @@ func TestPolicyDeterminismSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewRetryQueue(RetryOptions{Enabled: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := NewRetryQueue()
 		res, err := Migrate(fx.cluster, fx.model, f, fx.cluster.Hosts(), MigrationOptions{
 			ForbidSameRack: true, Shim: ShimUnknown,
 			Placement: pol, Preempt: PreemptOptions{Enabled: true}, Queue: q,
@@ -150,10 +147,7 @@ func TestPolicyDeterminismDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewRetryQueue(RetryOptions{Enabled: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := NewRetryQueue()
 		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, DistOptions{
 			Seed:      12,
 			Placement: placement.PolicyOptions{Kind: kind, Seed: 9},
@@ -203,10 +197,7 @@ func TestSequentialPreemptThenRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := NewRetryQueue(RetryOptions{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewRetryQueue()
 	// Round N: only h1 is offered. The incoming VM does not fit until the
 	// victim is evicted; the victim itself (severity none) may not preempt
 	// and h1 is excluded for it (no ping-pong), so it parks.
@@ -333,10 +324,7 @@ func TestDistributedPreemptThenRetry(t *testing.T) {
 		}
 		shims = append(shims, s)
 	}
-	q, err := NewRetryQueue(RetryOptions{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewRetryQueue()
 	opts := DistOptions{Seed: 2, Preempt: PreemptOptions{Enabled: true}, Queue: q}
 
 	// Run 1: both alerted VMs can only go to h2 (free 45); the second
@@ -419,10 +407,7 @@ func TestPolicyTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := NewRetryQueue(RetryOptions{Enabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewRetryQueue()
 	// Round 1: the admission policy vetoes the feasible hA, forcing a
 	// reject; the rebuilt matrix is infeasible, so preemption evicts the
 	// hB resident, the critical VM lands, and the victim parks.

@@ -84,13 +84,11 @@ type Options struct {
 	// Seed drives NARNET weight initialization.
 	Seed int64
 	// Burst appends the change-point forecaster (Page–Hinkley gating a
-	// fast-adapting Holt — see Burst) to whichever pool Pool selects. It
+	// fast-adapting Holt — see Burst), at the zero BurstConfig's
+	// defaults, to whichever pool Pool selects. It
 	// composes with either kind; the default pool stays burst-free so
 	// existing scenarios and serialized deep pools are untouched.
 	Burst bool
-	// BurstConfig tunes the burst candidate; the zero value means the
-	// defaults. Ignored unless Burst is set.
-	BurstConfig BurstConfig
 }
 
 // Validate reports whether the options are usable: negative windows and
@@ -105,7 +103,7 @@ func (o Options) Validate() error {
 	if o.Window < 0 {
 		return fmt.Errorf("predictor: Window must be >= 0 (0 = default), got %d", o.Window)
 	}
-	return o.BurstConfig.Validate()
+	return nil
 }
 
 // WithDefaults returns the options with zero fields replaced by their
@@ -161,7 +159,7 @@ func Pool(train *timeseries.Series, opts Options) ([]*Candidate, error) {
 		return nil, err
 	}
 	if opts.Burst {
-		bm, berr := FitBurst(train, opts.BurstConfig)
+		bm, berr := FitBurst(train, BurstConfig{})
 		if berr != nil {
 			return nil, berr
 		}

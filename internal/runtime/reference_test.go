@@ -350,9 +350,8 @@ func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, er
 	phaseStart = time.Now()
 	r.modelStale = true
 	for idx, shim := range r.shims {
-		// A rack participates when it has fresh alerts or fail-queued VMs
-		// from an earlier step awaiting retry (queue disabled = never).
-		if len(alertsByRack[idx]) == 0 && shim.QueueLen() == 0 {
+		// A rack participates when it has fresh alerts.
+		if len(alertsByRack[idx]) == 0 {
 			continue
 		}
 		if r.modelStale {

@@ -140,14 +140,16 @@ type PhaseTimings struct {
 
 // StepStats summarizes one runtime step.
 type StepStats struct {
-	Step           int
-	ServerAlerts   int
-	ToRAlerts      int
-	SwitchAlerts   int
-	Migrations     int
-	MigrationCost  float64
-	Preemptions    int // victims evicted by preemption-aware shims
-	Requeued       int // VMs parked in shim fail-queues this step
+	Step          int
+	ServerAlerts  int
+	ToRAlerts     int
+	SwitchAlerts  int
+	Migrations    int
+	MigrationCost float64
+	// Preemptions and Requeued stay 0: a shim neither preempts nor parks
+	// (only per-call migrate options do). bench/ still reads them.
+	Preemptions    int
+	Requeued       int
 	Reroutes       int
 	HotSwitches    int
 	WorkloadStdDev float64

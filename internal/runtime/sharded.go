@@ -586,15 +586,14 @@ func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder, exter
 }
 
 // costSources names the rack nodes whose shims will price migrations this
-// period: racks with a ToR alert, with a server alert on one of their own
-// hosts (a shim ignores alerts for VMs that have left its rack), or with
-// VMs parked in the retry queue.
+// period: racks with a ToR alert or with a server alert on one of their own
+// hosts (a shim ignores alerts for VMs that have left its rack).
 func (r *Runtime) costSources() []int {
 	sh := r.sh
 	out := sh.sourceBuf[:0]
 	for idx, alerts := range sh.alertsByRack {
 		rack := r.Cluster.Racks[idx]
-		prices := r.shims[idx].QueueLen() > 0
+		prices := false
 		for i := 0; i < len(alerts) && !prices; i++ {
 			switch a := alerts[i]; a.Kind {
 			case alert.FromLocalToR:
@@ -671,17 +670,15 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 	r.modelStale = true
 	for idx := range sh.alertsByRack {
 		// As in the reference engine, a rack participates when it has fresh
-		// alerts or fail-queued VMs awaiting retry; a nil (never-alerted)
-		// shim cannot hold a queue, so the lazy path stays equivalent.
-		if len(sh.alertsByRack[idx]) == 0 && r.shims[idx].QueueLen() == 0 {
+		// alerts.
+		if len(sh.alertsByRack[idx]) == 0 {
 			continue
 		}
 		if r.modelStale {
 			// Sheriff is regional: a shim prices moves out of its own rack
 			// only, so the cost tables are swept from the racks about to ask
-			// and no others. A source the list misses (a preempted VM priced
-			// out of a neighbour rack, a queued VM that has since moved) is
-			// swept by its first query, against the same weights.
+			// and no others. A source the list missed would be swept by its
+			// first query, against the same weights.
 			r.Flows.UpdateGraphBandwidth()
 			r.Model.RefreshSources(r.costSources())
 			r.modelStale = false

@@ -34,10 +34,6 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := migrate.NewRetryQueue(migrate.RetryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := faults.Plan{
 			Seed:        seed,
 			Drop:        0.2,
@@ -47,7 +43,7 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 			Links:       []faults.LinkDrop{{From: 0, To: 1, Drop: 1}},
 			Partitions:  []faults.Partition{{Name: "pod-cut", Start: 1, Rounds: 3, Nodes: []int{0, 1, 2, 3}}},
 		}
-		opts := migrate.DistOptions{Seed: seed, Recorder: rec, Queue: q,
+		opts := migrate.DistOptions{Seed: seed, Recorder: rec, Queue: migrate.NewRetryQueue(),
 			Preempt: migrate.PreemptOptions{Enabled: true}}
 		for ep := 0; ep < 2; ep++ {
 			if _, err := s.RunChaos(plan, opts); err != nil {

@@ -32,11 +32,7 @@ func (s *Sim) RunDistributedRounds(busOpts comm.Options, opts migrate.DistOption
 	}
 	queue := opts.Queue
 	if queue == nil {
-		q, err := migrate.NewRetryQueue(migrate.RetryOptions{Enabled: true})
-		if err != nil {
-			return nil, 0, err
-		}
-		queue = q
+		queue = migrate.NewRetryQueue()
 		opts.Queue = queue
 	}
 	total := &migrate.Tally{}
@@ -129,10 +125,6 @@ type PolicyConfig struct {
 	// Policy selects the destination-scoring policy for the cell; the
 	// zero value is the Sheriff rule.
 	Policy placement.PolicyOptions
-	// Preempt and Retry configure preemption and the fail-queue (both
-	// normally Enabled for grid runs; zero structs disable them).
-	Preempt migrate.PreemptOptions
-	Retry   migrate.RetryOptions
 	// Rounds caps the queue-sharing management rounds (0 = default 4).
 	Rounds int
 	// Fault, when non-nil, perturbs the bus with the seeded fault plan
@@ -178,12 +170,6 @@ type PolicyResult struct {
 // fail-queue — sequentially per rack or through the distributed protocol.
 func RunPolicy(cfg PolicyConfig) (*PolicyResult, error) {
 	if err := cfg.Policy.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Preempt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Retry.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Rounds <= 0 {
@@ -236,7 +222,7 @@ func RunPolicy(cfg PolicyConfig) (*PolicyResult, error) {
 }
 
 // cellOptions is what every direct Migrate call of a cell shares: leave
-// the rack, the cell's policy and preemption, no queue. The rack-by-rack
+// the rack, the cell's policy, preemption on, no queue. The rack-by-rack
 // rounds add their shim's queue; the last-resort pass both cell kinds end
 // with (Alg. 3's "recalculate possible migration destinations" over the
 // widened region) runs it as is, so leftovers place or surface unplaced.
@@ -246,17 +232,13 @@ func cellOptions(cfg PolicyConfig, pol placement.Policy, shim *migrate.Shim) mig
 		Recorder:       cfg.Recorder,
 		Shim:           shim.Rack.Index,
 		Placement:      pol,
-		Preempt:        cfg.Preempt,
+		Preempt:        migrate.PreemptOptions{Enabled: true},
 	}
 }
 
 // runPolicyDistributed runs the cell through RunDistributedRounds, fills
 // res.Alerted and res.Rounds, and returns what the cell tallied.
 func (s *Sim) runPolicyDistributed(cfg PolicyConfig, pol placement.Policy, res *PolicyResult) (*migrate.Tally, error) {
-	queue, err := migrate.NewRetryQueue(cfg.Retry)
-	if err != nil {
-		return nil, err
-	}
 	busOpts := comm.Options{Seed: s.Config.Seed, Recorder: cfg.Recorder}
 	if cfg.Fault != nil {
 		inj, err := faults.New(*cfg.Fault)
@@ -269,8 +251,8 @@ func (s *Sim) runPolicyDistributed(cfg PolicyConfig, pol placement.Policy, res *
 		Seed:      s.Config.Seed,
 		Recorder:  cfg.Recorder,
 		Placement: cfg.Policy,
-		Preempt:   cfg.Preempt,
-		Queue:     queue,
+		Preempt:   migrate.PreemptOptions{Enabled: true},
+		Queue:     migrate.NewRetryQueue(),
 	}, cfg.Rounds)
 	if err != nil {
 		return nil, err
@@ -329,11 +311,7 @@ func (s *Sim) lastResort(cfg PolicyConfig, pol placement.Policy, shim *migrate.S
 func (s *Sim) runPolicySequential(cfg PolicyConfig, pol placement.Policy, res *PolicyResult) (*migrate.Tally, error) {
 	queues := make([]*migrate.RetryQueue, len(s.Shims))
 	for i := range queues {
-		q, err := migrate.NewRetryQueue(cfg.Retry)
-		if err != nil {
-			return nil, err
-		}
-		queues[i] = q
+		queues[i] = migrate.NewRetryQueue()
 	}
 	alerts := s.SeedAlerts()
 	for _, vms := range alerts {

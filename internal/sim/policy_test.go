@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sheriff/internal/faults"
-	"sheriff/internal/migrate"
 	"sheriff/internal/placement"
 )
 
@@ -18,8 +17,6 @@ func TestRunPolicyChaosPlacesEverything(t *testing.T) {
 		res, err := RunPolicy(PolicyConfig{
 			Sim:         Config{Kind: FatTree, Size: 4, Seed: 5},
 			Policy:      placement.PolicyOptions{Kind: kind, Seed: 5},
-			Preempt:     migrate.PreemptOptions{Enabled: true},
-			Retry:       migrate.RetryOptions{Enabled: true},
 			Fault:       plan,
 			FaultName:   "chaos",
 			Distributed: true,
@@ -44,8 +41,6 @@ func TestRunPolicyDeterministic(t *testing.T) {
 		res, err := RunPolicy(PolicyConfig{
 			Sim:         Config{Kind: BCube, Size: 4, Seed: 13},
 			Policy:      placement.PolicyOptions{Kind: placement.BestFit, Seed: 13},
-			Preempt:     migrate.PreemptOptions{Enabled: true},
-			Retry:       migrate.RetryOptions{Enabled: true},
 			Distributed: distributed,
 		})
 		if err != nil {
@@ -67,11 +62,9 @@ func TestRunPolicyDeterministic(t *testing.T) {
 // per-round regions could not take.
 func TestRunPolicySequentialRetries(t *testing.T) {
 	res, err := RunPolicy(PolicyConfig{
-		Sim:     Config{Kind: FatTree, Size: 4, Seed: 3},
-		Policy:  placement.PolicyOptions{Kind: placement.WorstFit, Seed: 3},
-		Preempt: migrate.PreemptOptions{Enabled: true},
-		Retry:   migrate.RetryOptions{Enabled: true},
-		Rounds:  3,
+		Sim:    Config{Kind: FatTree, Size: 4, Seed: 3},
+		Policy: placement.PolicyOptions{Kind: placement.WorstFit, Seed: 3},
+		Rounds: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

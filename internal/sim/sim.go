@@ -52,6 +52,13 @@ func (k Kind) String() string {
 	}
 }
 
+// The paper's workload: a VM needs at most vmMaxCapacity, and
+// alertFraction of the VMs raise migration alerts.
+const (
+	vmMaxCapacity = 20
+	alertFraction = 0.05
+)
+
 // Config sizes one simulation. Zero fields take the paper's defaults.
 type Config struct {
 	Kind Kind
@@ -60,9 +67,7 @@ type Config struct {
 	HostsPerRack   int     // default 4 (scaled down from 40 for speed)
 	HostCapacity   float64 // default 100
 	VMsPerHost     int     // default 4
-	VMMaxCapacity  float64 // default 20 (the paper's cap)
 	DependencyProb float64 // default 0.1
-	AlertFraction  float64 // default 0.05 (the paper's 5%)
 	Seed           int64
 
 	Migrate migrate.Params
@@ -79,14 +84,8 @@ func (c Config) withDefaults() Config {
 	if c.VMsPerHost <= 0 {
 		c.VMsPerHost = 4
 	}
-	if c.VMMaxCapacity <= 0 {
-		c.VMMaxCapacity = 20
-	}
 	if c.DependencyProb == 0 {
 		c.DependencyProb = 0.1
-	}
-	if c.AlertFraction <= 0 {
-		c.AlertFraction = 0.05
 	}
 	c.Migrate = c.Migrate.WithDefaults()
 	if c.Cost == (cost.Params{}) {
@@ -148,7 +147,7 @@ func (s *Sim) Populate() int {
 	return s.Cluster.Populate(dcn.PopulateOptions{
 		VMsPerHost:     s.Config.VMsPerHost,
 		MinCapacity:    1,
-		MaxCapacity:    s.Config.VMMaxCapacity,
+		MaxCapacity:    vmMaxCapacity,
 		DependencyProb: s.Config.DependencyProb,
 		Seed:           s.Config.Seed,
 	})
@@ -176,7 +175,7 @@ func (s *Sim) PopulateHotPods(hotFraction, hotLoad, coolLoad float64) int {
 		for _, h := range r.Hosts {
 			target := load * h.Capacity
 			for h.Used() < target {
-				capy := 1 + s.rng.Float64()*(s.Config.VMMaxCapacity-1)
+				capy := 1 + s.rng.Float64()*(vmMaxCapacity-1)
 				if capy > h.Free() {
 					break
 				}
@@ -209,7 +208,7 @@ func (s *Sim) PopulateSkewed(hotFraction float64) int {
 				target = 0.9 * h.Capacity
 			}
 			for h.Used() < target {
-				capy := 1 + s.rng.Float64()*(s.Config.VMMaxCapacity-1)
+				capy := 1 + s.rng.Float64()*(vmMaxCapacity-1)
 				if capy > h.Free() {
 					break
 				}
@@ -286,7 +285,7 @@ func (s *Sim) RunBalancing(rounds int, margin float64) ([]float64, error) {
 // The racks' lists are capped segments of one array.
 func (s *Sim) SeedAlerts() [][]*dcn.VM {
 	alerted := func(vms int) int {
-		n := int(float64(vms) * s.Config.AlertFraction)
+		n := int(float64(vms) * alertFraction)
 		if n < 1 && vms > 0 {
 			n = 1
 		}

@@ -3,7 +3,6 @@ package sheriff
 import (
 	"testing"
 
-	"sheriff/internal/comm"
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
 	"sheriff/internal/placement"
@@ -33,17 +32,6 @@ func TestOptionsContract(t *testing.T) {
 		preserved func() (any, any)
 	}{
 		{
-			name:     "comm.Options",
-			negative: func() error { return comm.Options{InboxLimit: -1}.Validate() },
-			zeroOK:   func() error { return comm.Options{}.Validate() },
-			defaulted: func() (any, any) {
-				return comm.Options{}.WithDefaults().InboxLimit, 4096
-			},
-			preserved: func() (any, any) {
-				return comm.Options{InboxLimit: 7}.WithDefaults().InboxLimit, 7
-			},
-		},
-		{
 			name:     "migrate.Params",
 			negative: func() error { return migrate.Params{Alpha: -0.5}.Validate() },
 			zeroOK:   func() error { return migrate.Params{}.Validate() },
@@ -56,13 +44,13 @@ func TestOptionsContract(t *testing.T) {
 		},
 		{
 			name:     "migrate.DistOptions",
-			negative: func() error { return migrate.DistOptions{RetryBudget: -2}.Validate() },
+			negative: func() error { return migrate.DistOptions{MaxRounds: -2}.Validate() },
 			zeroOK:   func() error { return migrate.DistOptions{}.Validate() },
 			defaulted: func() (any, any) {
-				return migrate.DistOptions{}.WithDefaults().RetryBudget, 4
+				return migrate.DistOptions{}.WithDefaults().MaxRounds, 30
 			},
 			preserved: func() (any, any) {
-				return migrate.DistOptions{RetryBudget: 9}.WithDefaults().RetryBudget, 9
+				return migrate.DistOptions{MaxRounds: 9}.WithDefaults().MaxRounds, 9
 			},
 		},
 		{
@@ -109,17 +97,6 @@ func TestOptionsContract(t *testing.T) {
 			},
 			preserved: func() (any, any) {
 				return migrate.PreemptOptions{MaxEvictions: 2}.WithDefaults().MaxEvictions, 2
-			},
-		},
-		{
-			name:     "migrate.RetryOptions",
-			negative: func() error { return migrate.RetryOptions{MaxAttempts: -1}.Validate() },
-			zeroOK:   func() error { return migrate.RetryOptions{}.Validate() },
-			defaulted: func() (any, any) {
-				return migrate.RetryOptions{}.WithDefaults().MaxAttempts, 3
-			},
-			preserved: func() (any, any) {
-				return migrate.RetryOptions{MaxAttempts: 7}.WithDefaults().MaxAttempts, 7
 			},
 		},
 		{

@@ -133,12 +133,13 @@ type (
 	// PreemptOptions enables eviction of lower-severity residents when an
 	// alerted VM has no feasible destination.
 	PreemptOptions = migrate.PreemptOptions
-	// RetryOptions configures the migration fail-queue.
-	RetryOptions = migrate.RetryOptions
-	// RetryQueue parks VMs no destination would accept for later rounds.
+	// RetryQueue parks VMs no destination would accept for later rounds,
+	// each at most three times; a preempted VM is always kept.
 	RetryQueue = migrate.RetryQueue
 	// MigrationOptions is the unified per-invocation migration
-	// configuration (policy, preemption, fail-queue, tracing).
+	// configuration (policy, preemption, fail-queue, tracing). Preemption
+	// and the fail-queue are per call only: a shim built from
+	// migrate.Params does neither.
 	MigrationOptions = migrate.MigrationOptions
 	// MigrationResult summarizes one Migrate invocation.
 	MigrationResult = migrate.MigrationResult
@@ -146,7 +147,8 @@ type (
 	// the preemption priority scale.
 	Severity = alert.Severity
 	// PolicyGridConfig sizes one cell of the policy × topology × fault
-	// evaluation grid (`sheriffsim -mode policy`).
+	// evaluation grid (`sheriffsim -mode policy`). Every cell preempts and
+	// queues.
 	PolicyGridConfig = sim.PolicyConfig
 	// PolicyGridResult is one cell's outcome.
 	PolicyGridResult = sim.PolicyResult
@@ -391,10 +393,9 @@ func NewPlacementPolicy(o PolicyOptions) (PlacementPolicy, error) { return o.New
 // "worst-fit", "oversub", ...) to its kind; "" is PlacementSheriff.
 func ParsePlacementKind(name string) (PlacementKind, error) { return placement.ParseKind(name) }
 
-// NewRetryQueue builds a migration fail-queue; hand it to
-// MigrationOptions.Queue, migrate.Params.Retry-enabled shims, or
-// migrate.DistOptions.Queue.
-func NewRetryQueue(o RetryOptions) (*RetryQueue, error) { return migrate.NewRetryQueue(o) }
+// NewRetryQueue builds an empty migration fail-queue; hand it to
+// MigrationOptions.Queue or migrate.DistOptions.Queue.
+func NewRetryQueue() *RetryQueue { return migrate.NewRetryQueue() }
 
 // ClassifySeverity maps an alert value to its severity tier — the scale
 // preemption uses to decide who may evict whom.
@@ -430,8 +431,9 @@ func ParseTraceKind(name string) (TraceKind, error) { return traces.ParseKind(na
 // TraceKinds lists the built-in trace-generator families.
 func TraceKinds() []TraceKind { return traces.Kinds() }
 
-// FitBurst fits the change-point-gated Holt forecaster to the data; add
-// it to a selection pool via PredictorOptions.Burst to let it compete
+// FitBurst fits the change-point-gated Holt forecaster to the data under
+// cfg. PredictorOptions.Burst adds one, fitted at the zero BurstConfig,
+// to a selection pool to let it compete
 // under surge workloads.
 func FitBurst(data []float64, cfg BurstConfig) (*BurstModel, error) {
 	return predictor.FitBurst(timeseries.New(data), cfg)
