@@ -11,10 +11,13 @@
 // VM and its dependent peers in G_d.
 //
 // Following Sec. V.A.2, transmission cost is collapsed from a path
-// function g(v_i, v_p, e_ip) into a pair function G(v_i, v_p) by running
-// Floyd–Warshall with the per-edge transmission cost, so the cost between
-// two racks never depends on which path is taken: the cheapest one is
-// always used.
+// function g(v_i, v_p, e_ip) into a pair function G(v_i, v_p): the cost
+// between two racks is that of the cheapest path under the per-edge
+// transmission cost, never of whichever path is taken. The paper runs
+// Floyd–Warshall; this model runs one Dijkstra row per source rack with
+// the same results. A row prepared by RefreshSources is regional: it is
+// swept only as far as the racks of its source's region need. A row read
+// for any other rack is swept in full on demand.
 package cost
 
 import (
@@ -72,13 +75,33 @@ type Model struct {
 	// trans holds Σ (δT+ηP) along the cheapest path from every rack. Its
 	// weight vector is refilled by every refresh; its rows are swept on
 	// demand: swept[r] is the weight generation row r was last swept at,
-	// and a row is current iff that equals gen. mu serializes the sweeps
+	// times two, plus one when the row is full. A full row is current iff
+	// that equals full(); a regional row (RefreshSources) one less, and
+	// then only for the racks of its region. mu serializes the sweeps
 	// queries trigger; the stamp is the lock-free fast path.
 	trans *topology.MultiSource
 	swept []atomic.Uint64
 	gen   uint64
 	mu    sync.Mutex
 	ready atomic.Bool // tables built (false until a deferred model's first use)
+
+	// The regions of regional rows, per trans row, built on the row's first
+	// regional sweep and kept until the wiring or the hop radius changes:
+	// serves holds row r's region racks as a bit set over trans rows
+	// (words per row), waitFor[r] the nodes whose settling finalizes the row
+	// for them — every neighbour of every rack of the region — as a slice
+	// of one shared arena. The rest is the building's reused memory, so a
+	// row first named mid-run allocates nothing once the arena has grown.
+	hops    int
+	built   []bool
+	serves  []uint64
+	words   int
+	waitFor [][]int32
+	arena   []int32
+	walk    topology.NeighborScratch
+	nbrs    []int
+	marked  []bool
+	until   [][]int32 // RefreshSources scratch, parallel to rows
 
 	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
 
@@ -91,7 +114,6 @@ type Model struct {
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
 	structVer uint64            // Graph.StructVersion behind trans's rows and dist
 	rows      []int             // RefreshSources scratch
-	one       [1]int            // on-demand sweep scratch (under mu)
 }
 
 // New builds a cost model, computing rack-sourced shortest-path tables.
@@ -136,29 +158,41 @@ func (m *Model) ensure() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.ready.Load() {
-		m.RefreshSources(nil)
+		m.RefreshSources(nil, -1)
 	}
 }
 
-// Refresh recomputes the shortest-path tables from current link state.
-// Only rack nodes are sources — Eqn. (1) is evaluated between delegation
-// nodes, so per-rack Dijkstra replaces the paper's Floyd–Warshall with
-// identical results at far lower cost on large fabrics.
-func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes()) }
+// Refresh recomputes the shortest-path tables from current link state,
+// full rows from every rack. Only rack nodes are sources — Eqn. (1) is
+// evaluated between delegation nodes, so per-rack Dijkstra replaces the
+// paper's Floyd–Warshall with identical results at far lower cost on large
+// fabrics.
+func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 
 // RefreshSources is Refresh for callers that know which racks will price
-// migrations before the next refresh: the transmission weights are
-// refilled once from current link state, and only the rows of the named
-// rack nodes are swept now. Every other row is left stale and swept by the
-// first query that reads it — against the weights retained from this
-// call, so whenever a row is swept it is exactly the row a full Refresh
-// here would have produced. Naming too few racks costs a late sweep,
-// never a wrong answer; unknown and repeated nodes are ignored.
+// migrations before the next refresh, and to where: the transmission
+// weights are refilled once from current link state, and only the rows of
+// the named rack nodes are swept now, each only as far as its region
+// needs. A source's region is the racks within hops interior switches of
+// it (topology.Graph.RackNeighbors, the shim's dominating region); its row
+// is swept until every neighbour of every region rack has settled and
+// relaxed its edges, which leaves the row's answers for those racks bit
+// for bit the full row's. hops < 0 sweeps the named rows in full.
+//
+// Every other row, and a regional row read for a rack outside its region,
+// is swept in full by the first query that needs it, against the weights
+// retained from this call: whenever a row is swept it is exactly the row a
+// full Refresh here would have produced. Naming too few racks, or too small
+// a radius, costs a late sweep, never a wrong answer; unknown and repeated
+// nodes are ignored. The stop is exact only when every weight is above
+// zero, so rows stay full when one is not (δ = η = 0, say).
 //
 // Physical distance does not depend on bandwidth, so it is swept (from
 // every rack) only when the wiring changed or on first build, and carried
-// over otherwise; in steady state the call allocates nothing.
-func (m *Model) RefreshSources(rackNodes []int) {
+// over otherwise. A row's region is built on its first regional sweep and
+// kept until the wiring or hops change; in steady state the call allocates
+// nothing.
+func (m *Model) RefreshSources(rackNodes []int, hops int) {
 	g := m.cluster.Graph
 	if !m.ready.Load() || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
@@ -176,20 +210,78 @@ func (m *Model) RefreshSources(rackNodes []int) {
 		m.setDistances(m.trans)
 		m.swept = make([]atomic.Uint64, len(racks))
 		m.gen = 0
+		m.built = nil
 	}
 	m.trans.Reweigh(m.transCost)
 	m.gen++
-	rows := m.rows[:0]
+	regional := hops >= 0 && m.trans.PositiveWeights()
+	rows, until := m.rows[:0], m.until[:0]
 	for _, node := range rackNodes {
-		if r := m.trans.Row(node); r >= 0 && m.swept[r].Load() != m.gen {
-			m.swept[r].Store(m.gen)
-			rows = append(rows, r)
+		r := m.trans.Row(node)
+		if r < 0 || m.swept[r].Load()>>1 == m.gen {
+			continue
 		}
+		var wait []int32
+		if regional {
+			wait = m.region(r, hops)
+		}
+		stamp := m.full()
+		if len(wait) > 0 {
+			stamp--
+		}
+		m.swept[r].Store(stamp)
+		rows, until = append(rows, r), append(until, wait)
 	}
-	m.rows = rows
-	m.trans.SweepRows(rows)
+	m.rows, m.until = rows, until
+	m.trans.SweepRowsUntil(rows, until)
 	m.prepared.Add(uint64(len(rows)))
 	m.ready.Store(true)
+}
+
+// full is the stamp of a row swept in full at the current weights.
+func (m *Model) full() uint64 { return m.gen<<1 | 1 }
+
+// region returns the nodes trans row r's regional sweep waits for under
+// the hop radius, building the row's region on first use.
+func (m *Model) region(r, hops int) []int32 {
+	g := m.cluster.Graph
+	racks := g.RackNodes() // trans's sources, in row order
+	if m.built == nil || hops != m.hops {
+		m.hops, m.words = hops, (len(racks)+63)/64
+		m.built = make([]bool, len(racks))
+		m.serves = make([]uint64, len(racks)*m.words)
+		m.waitFor = make([][]int32, len(racks))
+		m.marked = make([]bool, g.NumNodes())
+		m.arena = m.arena[:0]
+	}
+	if !m.built[r] {
+		set := m.serves[r*m.words : (r+1)*m.words]
+		start := len(m.arena)
+		m.nbrs = g.AppendRackNeighbors(m.nbrs[:0], racks[r], hops, &m.walk)
+		for _, t := range m.nbrs {
+			j := m.trans.Row(t)
+			set[j>>6] |= 1 << (j & 63)
+			for _, e := range g.Edges(t) {
+				if !m.marked[e.To] {
+					m.marked[e.To] = true
+					m.arena = append(m.arena, int32(e.To))
+				}
+			}
+		}
+		wait := m.arena[start:len(m.arena):len(m.arena)]
+		for _, v := range wait {
+			m.marked[v] = false
+		}
+		m.built[r], m.waitFor[r] = true, wait
+	}
+	return m.waitFor[r]
+}
+
+// inRegion reports whether trans row r, swept regionally, answers for the
+// rack node dst.
+func (m *Model) inRegion(r, dst int) bool {
+	j := m.trans.Row(dst)
+	return j >= 0 && m.serves[r*m.words+j>>6]&(1<<(j&63)) != 0
 }
 
 // setDistances copies the rack × rack block out of a table swept under
@@ -226,20 +318,26 @@ func (m *Model) SweepCounts() (prepared, onDemand uint64) {
 	return m.prepared.Load(), m.onDemand.Load()
 }
 
-// transFrom returns the transmission table with the row of the source
-// rack node current, sweeping it first when it is stale.
-func (m *Model) transFrom(src int) *topology.MultiSource {
+// transFor returns the transmission table with the row of the source rack
+// node current for dst, sweeping it in full first when it is stale, or
+// regional for a region dst is not in. That sweep writes no entry a
+// regional one left final, so queries reading the regional row meanwhile
+// are undisturbed.
+func (m *Model) transFor(src, dst int) *topology.MultiSource {
 	m.ensure()
 	r := m.trans.Row(src)
-	if r < 0 || m.swept[r].Load() == m.gen {
+	if r < 0 {
+		return m.trans
+	}
+	full := m.full()
+	if s := m.swept[r].Load(); s == full || s == full-1 && m.inRegion(r, dst) {
 		return m.trans
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.swept[r].Load() != m.gen {
-		m.one[0] = r
-		m.trans.SweepRows(m.one[:])
-		m.swept[r].Store(m.gen)
+	if m.swept[r].Load() != full {
+		m.trans.CompleteRow(r)
+		m.swept[r].Store(full)
 		m.onDemand.Add(1)
 	}
 	return m.trans
@@ -261,7 +359,7 @@ func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, err
 	// node path, no adjacency rescans) and are summed src → dst: the float
 	// sum depends on the order.
 	var buf [16]int
-	edges, ok := m.transFrom(src.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
+	edges, ok := m.transFor(src.NodeID, dst.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
 	if !ok {
 		return 0, ErrBandwidthBelowFloor
 	}
@@ -342,7 +440,7 @@ func (m *Model) RackPairCost(a, b *dcn.Rack) float64 {
 	if a == b {
 		return 0
 	}
-	d := m.transFrom(a.NodeID).Dist(a.NodeID, b.NodeID)
+	d := m.transFor(a.NodeID, b.NodeID).Dist(a.NodeID, b.NodeID)
 	if d == topology.Inf {
 		return topology.Inf
 	}

@@ -23,7 +23,12 @@ type twin struct {
 
 func newTwin(t *testing.T, deferred bool) *twin {
 	t.Helper()
-	c := testCluster(t)
+	return newTwinOn(t, testCluster(t), PaperParams(), deferred)
+}
+
+// newTwinOn is newTwin on a given cluster and model constants.
+func newTwinOn(t *testing.T, c *dcn.Cluster, p Params, deferred bool) *twin {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	tw := &twin{c: c}
 	for _, h := range c.Hosts() {
@@ -38,9 +43,9 @@ func newTwin(t *testing.T, deferred bool) *twin {
 	}
 	var err error
 	if deferred {
-		tw.m, err = NewDeferred(c, PaperParams())
+		tw.m, err = NewDeferred(c, p)
 	} else {
-		tw.m, err = New(c, PaperParams())
+		tw.m, err = New(c, p)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +115,7 @@ func TestRefreshSourcesMatchesFullRefresh(t *testing.T) {
 				if round%5 == 0 && len(sources) > 0 { // repeated and non-rack nodes are ignored
 					sources = append(sources, sources[0], lazy.c.Graph.SwitchNodes()[0], -1)
 				}
-				lazy.m.RefreshSources(sources)
+				lazy.m.RefreshSources(sources, 1)
 				// Link state moves on after the refresh; a row swept late
 				// must still come out as the refresh would have left it.
 				patch(rng, 4, full, lazy)
@@ -141,13 +146,18 @@ func TestStaleRowsQueriedConcurrently(t *testing.T) {
 		patch(rng, 20, full, lazy)
 		full.m.Refresh()
 		if !deferred {
-			lazy.m.RefreshSources([]int{lazy.c.Racks[0].NodeID})
+			lazy.m.RefreshSources([]int{lazy.c.Racks[0].NodeID}, 1)
 		}
 		racks := len(lazy.c.Racks)
 		preparedBefore, _ := lazy.m.SweepCounts()
 		stale := racks // rows no refresh has swept at the current weights
+		outOfRegion := 0
 		if !deferred {
+			// Rack 0's prepared row is regional: the first read for a rack
+			// outside its pod sweeps it in full, once, while other workers
+			// go on reading it for its pod.
 			stale--
+			outOfRegion = 1
 		}
 		type answer struct {
 			pair, trans, mig float64
@@ -190,9 +200,9 @@ func TestStaleRowsQueriedConcurrently(t *testing.T) {
 			}
 		}
 		prepared, onDemand := lazy.m.SweepCounts()
-		if prepared != preparedBefore || int(onDemand) != stale {
-			t.Fatalf("queries swept %d rows on demand (and %d ahead), want each of the %d stale rows swept exactly once",
-				onDemand, prepared-preparedBefore, stale)
+		if prepared != preparedBefore || int(onDemand) != stale+outOfRegion {
+			t.Fatalf("queries swept %d rows on demand (and %d ahead), want each of the %d stale rows and %d regional rows swept exactly once",
+				onDemand, prepared-preparedBefore, stale, outOfRegion)
 		}
 	}
 }
@@ -206,12 +216,12 @@ func TestRefreshSourcesSteadyStateAllocs(t *testing.T) {
 	c := testCluster(t)
 	m := testModel(t, c)
 	all := c.Graph.Racks()
-	m.RefreshSources(all) // warm every worker's scratch
-	if got := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:1]) }); got != 0 {
+	m.RefreshSources(all, 1) // warm every worker's scratch and every region
+	if got := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:1], 1) }); got != 0 {
 		t.Errorf("RefreshSources(1 rack) allocates %v times per call in steady state, want 0", got)
 	}
 	k := max(2, min(pool.Shared().Workers(), len(all))) // fewest rows that use every worker
-	wide := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:k]) })
+	wide := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:k], 1) })
 	full := testing.AllocsPerRun(20, func() { m.Refresh() })
 	if full > wide {
 		t.Errorf("Refresh (all %d racks) allocates %v times per call, RefreshSources(%d racks) %v: allocation grows with rows", len(all), full, k, wide)
@@ -231,7 +241,7 @@ func TestRefreshSourcesIgnoresUnknownNodes(t *testing.T) {
 	c := testCluster(t)
 	m := testModel(t, c)
 	before, _ := m.SweepCounts()
-	m.RefreshSources([]int{-3, c.Graph.NumNodes() + 4, c.Graph.SwitchNodes()[0], c.Racks[1].NodeID, c.Racks[1].NodeID})
+	m.RefreshSources([]int{-3, c.Graph.NumNodes() + 4, c.Graph.SwitchNodes()[0], c.Racks[1].NodeID, c.Racks[1].NodeID}, 1)
 	if after, _ := m.SweepCounts(); after-before != 1 {
 		t.Fatalf("swept %d rows for one real rack named twice among junk", after-before)
 	}

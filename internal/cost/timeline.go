@@ -148,7 +148,7 @@ func (m *Model) MigrationTimeline(vm *dcn.VM, dst *dcn.Host, p TimelineParams) (
 // cheapest path between two racks.
 func (m *Model) bottleneckBandwidth(src, dst *dcn.Rack) (float64, error) {
 	var buf [16]int
-	edges, ok := m.transFrom(src.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
+	edges, ok := m.transFor(src.NodeID, dst.NodeID).PathEdges(src.NodeID, dst.NodeID, buf[:0])
 	if !ok {
 		return 0, ErrBandwidthBelowFloor
 	}

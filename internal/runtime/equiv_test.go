@@ -409,3 +409,38 @@ func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 		t.Fatalf("%d rows swept on demand against %d named ahead: the manage phase names the wrong racks", late, ahead)
 	}
 }
+
+// TestRegionalRowsCoverEveryRead pins what the regional cost rows rest on:
+// every read the shims make of a prepared row is for a rack of the row's
+// region. Over a long surge on a sharded Fat-Tree 8 no query sweeps a row
+// on demand, and the manage phase prepares exactly as many rows as it did
+// when every prepared row was swept in full (the count below). A rack
+// that starts pricing without being named, or a shim that prices outside
+// its region, shows up here as an on-demand sweep.
+func TestRegionalRowsCoverEveryRead(t *testing.T) {
+	const periods, wantPrepared = 160, 255
+	parts := func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+		cluster, model := buildParts(t, 8)
+		cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+		return cluster, model
+	}
+	r := buildEquivOn(t, parts, 3, Options{Shards: 4, Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	before, _ := r.Model.SweepCounts() // cost.New's eager rows
+	migrations := 0
+	for i := 0; i < periods; i++ {
+		st, err := r.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrations += st.Migrations
+	}
+	prepared, onDemand := r.Model.SweepCounts()
+	t.Logf("%d periods: %d migrations, %d rows prepared, %d swept on demand", periods, migrations, prepared-before, onDemand)
+	if migrations == 0 {
+		t.Fatal("scenario raised no migrations; nothing priced")
+	}
+	if onDemand != 0 || prepared-before != wantPrepared {
+		t.Fatalf("%d rows prepared and %d swept on demand, want %d and 0", prepared-before, onDemand, wantPrepared)
+	}
+}

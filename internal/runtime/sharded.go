@@ -676,11 +676,12 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 		}
 		if r.modelStale {
 			// Sheriff is regional: a shim prices moves out of its own rack
-			// only, so the cost tables are swept from the racks about to ask
-			// and no others. A source the list missed would be swept by its
-			// first query, against the same weights.
+			// into its dominating region only, so the cost tables are swept
+			// from the racks about to ask, each only as far as its region.
+			// A source the list missed, or a read outside the region, would
+			// be swept in full by its first query, against the same weights.
 			r.Flows.UpdateGraphBandwidth()
-			r.Model.RefreshSources(r.costSources())
+			r.Model.RefreshSources(r.costSources(), r.opts.Migrate.NeighborSwitchHops)
 			r.modelStale = false
 		}
 		shim := r.shims[idx]

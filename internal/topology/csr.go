@@ -91,13 +91,19 @@ func (c *csr) edge(u int, i int32) Edge {
 
 // fillWeights materializes the edge-cost vector for one sweep: one
 // EdgeCost call per directed edge, shared by every source of the sweep.
-func (c *csr) fillWeights(w []wEdge, cost EdgeCost) {
+// It reports whether every weight is above zero (Inf included), the
+// condition under which a stopped sweep is exact (see sweep).
+func (c *csr) fillWeights(w []wEdge, cost EdgeCost) (positive bool) {
 	n := len(c.rowStart) - 1
+	positive = true
 	for u := 0; u < n; u++ {
 		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
-			w[i] = wEdge{cost(c.edge(u, i)), c.dstID[i]}
+			x := cost(c.edge(u, i))
+			positive = positive && x > 0
+			w[i] = wEdge{x, c.dstID[i]}
 		}
 	}
+	return positive
 }
 
 // treeNode is one entry of a shortest-path-tree row: tentative distance
@@ -124,12 +130,16 @@ type heapEnt struct {
 // sweepScratch is the per-worker reusable state of one Dijkstra sweep: the
 // queue storage (no container/heap, no interface boxing) plus an
 // epoch-stamped settled array, so clearing between sweeps is a single
-// counter increment rather than an O(n) wipe.
+// counter increment rather than an O(n) wipe. Epochs are even; sweep
+// stamps the nodes it waits for with epoch+1 in the same array, so telling
+// a marked node from a settled or untouched one costs no extra load.
 type sweepScratch struct {
 	heap []heapEnt // cap m+1: sweepTo's heap, or sweep's radix arena
 
-	settled []uint32 // settled[v] == epoch ⇒ v finalized this sweep
+	settled []uint32 // settled[v] == epoch ⇒ v finalized this sweep; epoch+1 ⇒ v marked
 	epoch   uint32
+
+	swept int // nodes settled by sweep, summed over the sweeps of this scratch
 }
 
 // ensure grows the scratch to cover n nodes and m directed edges.
@@ -143,12 +153,13 @@ func (s *sweepScratch) ensure(n, m int) {
 	}
 }
 
-// nextEpoch advances the settled epoch, wiping the array on wraparound.
+// nextEpoch advances the settled epoch by two (the odd value in between
+// is the sweep's mark), wiping the array on wraparound.
 func (s *sweepScratch) nextEpoch() uint32 {
-	s.epoch++
+	s.epoch += 2
 	if s.epoch == 0 {
 		clear(s.settled)
-		s.epoch = 1
+		s.epoch = 2
 	}
 	return s.epoch
 }
@@ -182,17 +193,36 @@ func (s *sweepScratch) nextEpoch() uint32 {
 // are the ones that meet Inf edges (the reroute pass prices every edge into
 // the hot switch Inf), and the skip spares them the bound and tree loads.
 //
-// This is the full sweep and nothing else: the cost model's rows, most of
-// ft16-surge's manage phase, run in it, and a stop test in this loop read
-// +2…4 % on every full sweep (PR 16). Point-to-point searches run in
-// sweepTo, whose searches settle too few nodes to pay for a refill.
-func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
+// The stop: with waitFor empty the sweep runs until the queue drains, the
+// full row. Otherwise it ends once every node of waitFor has settled and
+// relaxed its edges. The nodes are stamped with the odd mark ep+1 in the
+// settled array, so the settle branch tells a marked node by the value it
+// already loaded, and the countdown costs a full sweep one compare per
+// settled node. What a stopped row holds is exact, given every weight > 0:
+// the stopped sweep is a prefix of the full one, a settled node's entry
+// never changes again, and an entry whose every neighbour has settled and
+// relaxed its edges can only be changed by relaxations that never come.
+// Such an entry, and the chain of settled parents behind it, is bit for bit
+// the full row's. Every other entry may be tentative. Unreachable marks
+// never settle, and the row is then the full row.
+//
+// Point-to-point searches run in sweepTo, whose searches settle too few
+// nodes to pay for a refill of the radix queue.
+func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode, waitFor []int32) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
 	ep := s.nextEpoch()
 	settled := s.settled
 	rowStart := c.rowStart
+	mark, left := ep+1, 0
+	for _, v := range waitFor {
+		if settled[v] != mark {
+			settled[v] = mark
+			left++
+		}
+	}
+	count := 0
 	// The radix queue: head[b] is the newest entry of bucket b in the arena
 	// a, low[b] the smallest key bucket b has held since it was last
 	// emptied, and bit b of full is set while bucket b may be non-empty.
@@ -233,10 +263,12 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 		top := a[head[0]]
 		head[0] = top.next
 		u, d := top.v, top.d
-		if settled[u] == ep {
+		su := settled[u]
+		if su == ep {
 			continue
 		}
 		settled[u] = ep
+		count++
 		for _, e := range w[rowStart[u]:rowStart[u+1]] {
 			nd := d + e.w
 			tv := &tree[e.v]
@@ -263,8 +295,14 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode) {
 				tv.p = u
 			}
 		}
+		if su == mark {
+			if left--; left == 0 {
+				break
+			}
+		}
 	}
 	s.heap = a[:0]
+	s.swept += count
 }
 
 // sweepTo is the point-to-point loop: sweep on a plain 4-ary heap, with a

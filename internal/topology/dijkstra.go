@@ -17,8 +17,9 @@ import (
 //
 // The three steps of a sweep are separable: Reset binds the source set,
 // Reweigh materializes the edge-cost vector, SweepRows runs the searches
-// of the rows asked for (SweepRowTo: one row, only as far as the one
-// destination the caller will read). The weight vector is retained, so a
+// of the rows asked for (SweepRowsUntil: only until named nodes have
+// settled; SweepRowTo: one row, only as far as the one destination the
+// caller will read). The weight vector is retained, so a
 // row swept later — against the same weights — is exactly the row a full
 // sweep at Reweigh time would have produced. A row that has not been swept
 // since the last Reset holds garbage; callers that sweep selectively track
@@ -33,8 +34,10 @@ type MultiSource struct {
 	rank    []int32    // node ID → row index, -1 when not a source
 	tree    []treeNode // len(sources) interleaved (dist, parent) rows of n
 
-	weights []wEdge // interleaved (cost, dst) vector of the last Reweigh
-	scratch []*sweepScratch
+	weights  []wEdge // interleaved (cost, dst) vector of the last Reweigh
+	positive bool    // every weight > 0 (Inf included): stopped sweeps are exact
+	scratch  []*sweepScratch
+	spare    []treeNode // CompleteRow's row, swept aside
 
 	searches, settled int // SweepRowTo calls and the nodes they settled
 }
@@ -61,7 +64,7 @@ func DijkstraFromInto(g *Graph, sources []int, cost EdgeCost, prev *MultiSource)
 	}
 	ms.Reset(g, sources)
 	ms.Reweigh(cost)
-	ms.runSweeps(nil, len(ms.sources))
+	ms.runSweeps(nil, nil, len(ms.sources))
 	return ms
 }
 
@@ -102,8 +105,13 @@ func (ms *MultiSource) Reset(g *Graph, sources []int) {
 // before the call keep describing the old weights until swept again.
 func (ms *MultiSource) Reweigh(cost EdgeCost) {
 	ms.mustBeBound()
-	ms.c.fillWeights(ms.weights, cost)
+	ms.positive = ms.c.fillWeights(ms.weights, cost)
 }
+
+// PositiveWeights reports whether every weight of the vector is above zero
+// (Inf counts as above), as SweepRowsUntil needs to stop exactly. A zero
+// weight written by ReweighEdges clears it until the next Reweigh.
+func (ms *MultiSource) PositiveWeights() bool { return ms.positive }
 
 // mustBeBound panics when the graph's wiring changed since Reset: the
 // tables index a CSR view that no longer receives bandwidth patches, so
@@ -122,7 +130,9 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 	for _, id := range ids {
 		l := ms.g.loc[id]
 		i := ms.c.rowStart[l.node] + l.pos
-		ms.weights[i].w = cost(ms.c.edge(int(l.node), i))
+		w := cost(ms.c.edge(int(l.node), i))
+		ms.weights[i].w = w
+		ms.positive = ms.positive && w > 0
 	}
 }
 
@@ -130,7 +140,45 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 // into the Reset source list, see Row) against the retained weights.
 // Several rows fan out over the shared worker pool; one row runs inline
 // on the caller's goroutine, allocation-free. Rows must be distinct.
-func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
+func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, nil, len(rows)) }
+
+// SweepRowsUntil is SweepRows where the search of rows[i] ends once every
+// node of waitFor[i] has settled and relaxed its edges. Given
+// PositiveWeights, the row's entry for every node whose neighbours all
+// were in waitFor[i] — Dist, Path and PathEdges to it — is then bit for
+// bit the full row's; other entries may be tentative and must not be read.
+// An empty list sweeps the full row.
+func (ms *MultiSource) SweepRowsUntil(rows []int, waitFor [][]int32) {
+	ms.runSweeps(rows, waitFor, len(rows))
+}
+
+// CompleteRow sweeps one row in full, inline, without writing any entry
+// the full sweep leaves unchanged: the search runs into a spare row and
+// only the entries that differ are copied back. The entries a
+// SweepRowsUntil stop left final are therefore never written, so other
+// goroutines may go on reading them while the row is completed.
+func (ms *MultiSource) CompleteRow(row int) {
+	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
+	ms.spare = ensureTreeNodes(ms.spare, ms.n)
+	sc.sweep(ms.c, ms.sources[row], ms.weights, ms.spare, nil)
+	tree := ms.tree[row*ms.n : (row+1)*ms.n]
+	for v, x := range ms.spare {
+		if tree[v] != x {
+			tree[v] = x
+		}
+	}
+}
+
+// SweptNodes returns how many nodes the full and stopped sweeps
+// (SweepRows, SweepRowsUntil, CompleteRow, DijkstraFrom) have settled in
+// total: divided by the rows swept, the work of one row.
+func (ms *MultiSource) SweptNodes() int {
+	total := 0
+	for _, sc := range ms.scratch {
+		total += sc.swept
+	}
+	return total
+}
 
 // SweepRowTo is the point-to-point form of SweepRows: it runs one row's
 // search inline and stops as soon as dst settles, reporting whether it
@@ -185,15 +233,16 @@ func (ms *MultiSource) Row(src int) int {
 }
 
 // runSweeps runs count searches: of rows[i], or of row i when rows is nil
-// (every row, without materializing the identity list). Single searches
-// run inline so the steady-state path stays allocation-free.
-func (ms *MultiSource) runSweeps(rows []int, count int) {
+// (every row, without materializing the identity list), the i-th stopping
+// after waitFor[i] when waitFor is not nil. Single searches run inline so
+// the steady-state path stays allocation-free.
+func (ms *MultiSource) runSweeps(rows []int, waitFor [][]int32, count int) {
 	if count == 0 {
 		return
 	}
 	n, m := ms.n, len(ms.c.dstID)
 	if count == 1 {
-		ms.sweepRow(ms.scratchFor(0, n, m), rows, 0)
+		ms.sweepRow(ms.scratchFor(0, n, m), rows, waitFor, 0)
 		return
 	}
 	w := pool.Shared().Workers()
@@ -211,16 +260,20 @@ func (ms *MultiSource) runSweeps(rows []int, count int) {
 			if i >= count {
 				return
 			}
-			ms.sweepRow(sc, rows, i)
+			ms.sweepRow(sc, rows, waitFor, i)
 		}
 	})
 }
 
-func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, i int) {
+func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, waitFor [][]int32, i int) {
+	var until []int32
+	if waitFor != nil {
+		until = waitFor[i]
+	}
 	if rows != nil {
 		i = rows[i]
 	}
-	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n])
+	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n], until)
 }
 
 func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {

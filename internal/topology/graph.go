@@ -242,30 +242,55 @@ func (g *Graph) Neighbors(id int) []int {
 // maxSwitchHops = 1, the paper's "dominating one hop wired neighbors").
 // The origin rack is not included.
 func (g *Graph) RackNeighbors(id int, maxSwitchHops int) []int {
-	type state struct{ node, switchHops int }
-	seen := make([]bool, len(g.nodes))
-	seen[id] = true
-	var out []int
-	queue := []state{{id, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	return g.AppendRackNeighbors(nil, id, maxSwitchHops, &NeighborScratch{})
+}
+
+// NeighborScratch is the memory of AppendRackNeighbors' walk, reused from
+// call to call. The zero value is ready to use.
+type NeighborScratch struct {
+	seen  []uint32 // seen[v] == epoch ⇒ v visited this walk
+	epoch uint32
+	queue []switchHop
+}
+
+type switchHop struct{ node, switchHops int }
+
+// AppendRackNeighbors is RackNeighbors appending to out, with the walk's
+// memory in s: allocation-free once s and out have grown.
+func (g *Graph) AppendRackNeighbors(out []int, id int, maxSwitchHops int, s *NeighborScratch) []int {
+	if len(s.seen) < len(g.nodes) {
+		s.seen, s.epoch = make([]uint32, len(g.nodes)), 0
+	}
+	if s.epoch++; s.epoch == 0 {
+		clear(s.seen)
+		s.epoch = 1
+	}
+	ep, seen := s.epoch, s.seen
+	seen[id] = ep
+	if cap(s.queue) == 0 {
+		// Room for the first ring, all a one-hop region ever queues.
+		s.queue = make([]switchHop, 0, 1+len(g.adj[id]))
+	}
+	queue := append(s.queue[:0], switchHop{id, 0})
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, e := range g.adj[cur.node] {
 			n := g.nodes[e.To]
-			if seen[n.ID] {
+			if seen[n.ID] == ep {
 				continue
 			}
 			if n.Kind == Rack {
-				seen[n.ID] = true
+				seen[n.ID] = ep
 				out = append(out, n.ID)
 				continue // do not traverse through racks
 			}
 			if cur.switchHops < maxSwitchHops {
-				seen[n.ID] = true
-				queue = append(queue, state{n.ID, cur.switchHops + 1})
+				seen[n.ID] = ep
+				queue = append(queue, switchHop{n.ID, cur.switchHops + 1})
 			}
 		}
 	}
+	s.queue = queue[:0]
 	return out
 }
 
