@@ -17,10 +17,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 // chaosFT8Trace runs two RunChaos episodes on one Fat-Tree 8 hot-pod
-// cluster per seed, sharing a fail-queue so that the second episode drains
-// what the first parked, and returns the JSONL trace of all of them. The
-// plan holds every fault the bus knows: a dead link, a partition of pod 0,
-// loss, 25 % duplication, reordering and jitter; preemption is on.
+// cluster per seed, the second over what the first left, and returns the
+// JSONL trace of all of them. The plan holds every fault the bus knows: a
+// dead link, a partition of pod 0, loss, 25 % duplication, reordering and
+// jitter.
 func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -43,8 +43,7 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 			Links:       []faults.LinkDrop{{From: 0, To: 1, Drop: 1}},
 			Partitions:  []faults.Partition{{Name: "pod-cut", Start: 1, Rounds: 3, Nodes: []int{0, 1, 2, 3}}},
 		}
-		opts := migrate.DistOptions{Seed: seed, Recorder: rec, Queue: migrate.NewRetryQueue(),
-			Preempt: migrate.PreemptOptions{Enabled: true}}
+		opts := migrate.DistOptions{Seed: seed, Recorder: rec}
 		for ep := 0; ep < 2; ep++ {
 			if _, err := s.RunChaos(plan, opts); err != nil {
 				t.Fatal(err)
@@ -135,11 +134,10 @@ func BenchmarkRunChaos(b *testing.B) {
 // with: go test ./internal/sim/ -run TestChaosFT8Golden -update
 func TestChaosFT8Golden(t *testing.T) {
 	got := chaosFT8Trace(t, 3, 8)
-	// The trace must reach every path the golden is meant to hold: the
-	// fail-queue's drain and park, preemption, dedup, a lost ACK and the
-	// fallback ladder.
-	for _, want := range []string{`"cause":"queue"`, `"kind":"requeue"`, `"kind":"preempt"`,
-		`"kind":"suppress"`, `"cause":"lost-ack"`, `"kind":"fallback"`} {
+	// The trace must reach every path the golden is meant to hold: dedup, a
+	// lost ACK, the fallback ladder and a VM it could not place.
+	for _, want := range []string{`"kind":"suppress"`, `"cause":"lost-ack"`, `"kind":"fallback"`,
+		`"kind":"unplaced"`} {
 		if !bytes.Contains(got, []byte(want)) {
 			t.Fatalf("FT8 chaos trace missing %s", want)
 		}
