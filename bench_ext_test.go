@@ -10,7 +10,6 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/flow"
 	"sheriff/internal/migrate"
-	"sheriff/internal/placement"
 	"sheriff/internal/qcn"
 	"sheriff/internal/runtime"
 	"sheriff/internal/timeseries"
@@ -289,31 +288,5 @@ func BenchmarkDistributedVMMigration(b *testing.B) {
 		if _, err := migrate.DistributedVMMigration(cluster, model, bus, shims, sets, migrate.DistOptions{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPlacementPolicies(b *testing.B) {
-	caps := make([]float64, 48)
-	for i := range caps {
-		caps[i] = 10
-	}
-	for _, pol := range []placement.Kind{placement.FirstFit, placement.BestFit, placement.WorstFit} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cluster, err := dcn.NewCluster(ft.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := placement.New(cluster, pol, benchSeed).PlaceAll(caps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -96,6 +96,9 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}{
 		{[]string{"-fig", "99"}, []string{`unknown figure "99"`}},
 		{[]string{"-ablation", "nope"}, []string{`unknown ablation "nope"`, "swap-size", "planning-scale"}},
+		// The placement-policy ablations are deleted with the policies.
+		{[]string{"-ablation", "placement"}, []string{`unknown ablation "placement"`}},
+		{[]string{"-ablation", "policy"}, []string{`unknown ablation "policy"`}},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

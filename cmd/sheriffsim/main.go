@@ -9,7 +9,6 @@
 //	sheriffsim -mode plan -size 16 -exact   # adds the branch-and-bound OPT
 //	sheriffsim -mode dist -size 8 -loss 0.05 -trace out.jsonl
 //	sheriffsim -mode chaos -seed 42 -drop 0.2 -dup 0.25 -partition 1:3:0 -trace chaos.jsonl
-//	sheriffsim -mode policy -size 4 -json policy.jsonl
 //	sheriffsim -mode surge -seed 1 -json surge.jsonl
 //	sheriffsim -mode distill -seed 1
 //
@@ -50,7 +49,6 @@ import (
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 	"sheriff/internal/sim"
 )
 
@@ -66,7 +64,7 @@ func main() {
 // parseable JSONL trace.
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sheriffsim", flag.ContinueOnError)
-	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, policy, surge, or distill")
+	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, surge, or distill")
 	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
 	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
 	sizes := fs.String("sizes", "", "comma-separated size sweep (mode=sweep)")
@@ -85,7 +83,7 @@ func run(args []string, out io.Writer) (err error) {
 	delay := fs.Int("delay", 0, "fault plan: fixed extra delivery delay in rounds (mode=chaos)")
 	jitter := fs.Int("jitter", 1, "fault plan: uniform extra delay bound in rounds (mode=chaos)")
 	partition := fs.String("partition", "", "fault plan: partition windows as start:rounds:node,node[;...] (mode=chaos)")
-	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=policy, surge)")
+	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=surge)")
 	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge, distill)")
 	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge, distill; 0 = predictor default)")
 	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge, distill)")
@@ -184,8 +182,6 @@ func run(args []string, out io.Writer) (err error) {
 			Partitions:  windows,
 		}
 		return runChaos(out, cfg, plan, rec)
-	case "policy":
-		return runPolicyGrid(out, cfg, *size, *jsonOut, rec)
 	case "surge":
 		return runSurge(out, experiments.SurgeConfig{
 			Seed:         *seed,
@@ -282,67 +278,6 @@ func runDistill(out io.Writer, cfg experiments.DistillConfig) error {
 			reg.PoolAlerts, reg.QuantAlerts, reg.Matched,
 			reg.Precision, reg.Recall, reg.MeanLead, reg.PoolLead)
 	}
-	return nil
-}
-
-// runPolicyGrid runs the placement-policy ablation: every matching-capable
-// policy (sheriff, best-fit, worst-fit, oversub) × topology (fat-tree,
-// bcube) × fault plan (none, chaos), each cell through the distributed
-// protocol with preemption and the fail-queue enabled. Each row ends with
-// its "unplaced N" count and the summary line reports the grid total —
-// "total unplaced 0" is the grid's resilience criterion (CI greps for it).
-// With -json each cell appends one JSON line; the rows hold no timing and
-// are seed-deterministic.
-func runPolicyGrid(out io.Writer, cfg sim.Config, size int, jsonPath string, rec *obs.Recorder) error {
-	var enc *json.Encoder
-	if jsonPath != "" {
-		f, err := os.OpenFile(jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc = json.NewEncoder(f)
-	}
-	chaos := &faults.Plan{Seed: cfg.Seed, Drop: 0.1, DupRate: 0.1, ReorderRate: 0.2, Jitter: 1}
-	topos := []sim.Kind{sim.FatTree, sim.BCube}
-	plans := []struct {
-		name string
-		plan *faults.Plan
-	}{{"none", nil}, {"chaos", chaos}}
-	cells, totalUnplaced := 0, 0
-	for _, kind := range topos {
-		for _, pol := range placement.Kinds() {
-			for _, fp := range plans {
-				c := cfg
-				c.Kind = kind
-				c.Size = size
-				res, err := sim.RunPolicy(sim.PolicyConfig{
-					Sim:         c,
-					Policy:      placement.PolicyOptions{Kind: pol, Seed: cfg.Seed},
-					Fault:       fp.plan,
-					FaultName:   fp.name,
-					Distributed: true,
-					Recorder:    rec,
-				})
-				if err != nil {
-					return fmt.Errorf("policy grid %s/%s/%s: %w", pol, kind, fp.name, err)
-				}
-				cells++
-				totalUnplaced += res.Unplaced
-				fmt.Fprintf(out, "policy %-9s %-8s %-5s: stddev %6.3f -> %6.3f (decay %5.1f%%) | %3d migrations cost %9.1f | preempt %d requeue %d retry %d | unplaced %d\n",
-					res.Policy, res.Topology, res.Fault,
-					res.InitialStdDev, res.FinalStdDev, 100*res.StdDevDecay,
-					res.Migrations, res.MigrationCost,
-					res.Preemptions, res.Requeued, res.Retried, res.Unplaced)
-				if enc != nil {
-					if err := enc.Encode(res); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	fmt.Fprintf(out, "policy grid: %d cells, total unplaced %d\n", cells, totalUnplaced)
 	return nil
 }
 

@@ -20,7 +20,6 @@ func TestRunModes(t *testing.T) {
 		{"-mode plan -size 4 -exact", "ratio 1.0000"},
 		{"-mode dist -size 4 -hosts 2 -vms 2", "dist: "},
 		{"-mode chaos -size 8 -seed 42 -partition 1:3:0,1", "unplaced 0"},
-		{"-mode policy -size 4", "total unplaced 0"},
 		{"-mode surge -hours 4 -cluster-racks 2 -cluster-steps 24", "surge cluster:"},
 		{"-mode distill -hours 4", "fit score"},
 	} {
@@ -36,10 +35,11 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
-// TestRunUnknownMode covers the two retired modes too: what they timed is
-// bench/'s to measure.
+// TestRunUnknownMode covers the retired modes too: what scale and ingest
+// timed is bench/'s to measure, and policy ran the placement-policy grid,
+// which is deleted.
 func TestRunUnknownMode(t *testing.T) {
-	for _, mode := range []string{"nope", "scale", "ingest"} {
+	for _, mode := range []string{"nope", "scale", "ingest", "policy"} {
 		var out bytes.Buffer
 		err := run([]string{"-mode", mode}, &out)
 		if err == nil || !strings.Contains(err.Error(), `unknown mode "`+mode+`"`) {

@@ -57,9 +57,7 @@ type Alert struct {
 
 // Severity is the tiered urgency of an alert, derived from the ALERT
 // value: watch (reported activity, monitor), urgent (developing
-// situation), critical (immediate danger). Tiers give preemption a
-// principled priority signal — a migration may evict a resident VM only
-// when the incoming VM's tier strictly dominates the victim's.
+// situation), critical (immediate danger).
 type Severity int
 
 const (

@@ -38,10 +38,10 @@ func (m *Manager) Migrate(f []*dcn.VM) (*migrate.MigrationResult, error) {
 	return migrate.VMMigration(m.cluster, m.model, f, m.cluster.Hosts())
 }
 
-// MigrateOpts is Migrate with the full policy-carrying options: the
-// centralized baseline can run the same placement policies, preemption,
-// and fail-queue as the regional scheme, keeping the Figs. 11–14
-// comparison apples-to-apples under any policy.
+// MigrateOpts is Migrate with the full options: the centralized baseline
+// runs under the same Eqn. (6) constraint, admission hook and tracing as
+// the regional scheme, keeping the Figs. 11–14 comparison
+// apples-to-apples.
 func (m *Manager) MigrateOpts(f []*dcn.VM, o migrate.MigrationOptions) (*migrate.MigrationResult, error) {
 	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), o)
 }

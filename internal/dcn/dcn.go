@@ -335,45 +335,6 @@ func (c *Cluster) Move(vm *VM, dst *Host) error {
 	return nil
 }
 
-// MoveOversub migrates like Move but relaxes the capacity constraint to
-// factor × the destination's nominal capacity (factor ≥ 1) — the commit
-// path of oversubscription placement policies. Dependency constraints
-// still apply; on failure the VM stays where it was.
-func (c *Cluster) MoveOversub(vm *VM, dst *Host, factor float64) error {
-	if vm.host == dst {
-		return nil
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	if dst.Used()+vm.Capacity > factor*dst.Capacity {
-		return fmt.Errorf("%w: host %d used %.1f + need %.1f exceeds %.2f×%.1f",
-			ErrInsufficientCapacity, dst.ID, dst.Used(), vm.Capacity, factor, dst.Capacity)
-	}
-	if resident, ok := dst.Conflict(c.Deps, vm.ID); ok {
-		return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d",
-			ErrDependencyConflict, vm.ID, resident, dst.ID)
-	}
-	if vm.host != nil {
-		vm.host.remove(vm.ID)
-	}
-	dst.insert(vm)
-	vm.host = dst
-	return nil
-}
-
-// Evict detaches a VM from its host without deleting it from the
-// cluster: the VM keeps its identity, value, and dependency edges, but
-// Host() becomes nil until a later placement (Move) lands it somewhere.
-// This is the preemption primitive — an evicted VM is expected to re-enter
-// placement through the migration retry queue.
-func (c *Cluster) Evict(vm *VM) {
-	if vm.host != nil {
-		vm.host.remove(vm.ID)
-		vm.host = nil
-	}
-}
-
 // Remove deletes a VM from the cluster.
 func (c *Cluster) Remove(vm *VM) {
 	if vm.host != nil {

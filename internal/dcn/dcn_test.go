@@ -393,13 +393,13 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 		if placed != want {
 			t.Fatalf("after %s: %d VMs resident, %d have a host", op, placed, want)
 		}
-		if err := c.CheckInvariants(1.5); err != nil {
+		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("after %s: %v", op, err)
 		}
 	}
 	for step := 0; step < 2000; step++ {
 		h := hosts[rng.Intn(len(hosts))]
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(6); {
 		case op == 0 || len(live) < 8:
 			if vm, err := c.AddVM(h, 1+rng.Float64()*19, 1, false); err == nil {
 				live = append(live, vm)
@@ -409,38 +409,24 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 			_ = c.Move(live[rng.Intn(len(live))], h)
 			check("Move")
 		case op == 2:
-			_ = c.MoveOversub(live[rng.Intn(len(live))], h, 1.5)
-			check("MoveOversub")
-		case op == 3:
-			c.Evict(live[rng.Intn(len(live))])
-			check("Evict")
-		case op == 4:
 			i := rng.Intn(len(live))
 			c.Remove(live[i])
 			live = append(live[:i], live[i+1:]...)
 			check("Remove")
-		case op == 5:
-			// Only Move and MoveOversub refuse a conflict; an edge between two
-			// VMs already sharing a host is the caller's to avoid.
+		case op == 3:
+			// Only Move refuses a conflict; an edge between two VMs already
+			// sharing a host is the caller's to avoid.
 			x, y := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
-			if x.Host() == nil || x.Host() != y.Host() {
+			if x.Host() != y.Host() {
 				c.Deps.AddDependency(x.ID, y.ID)
 			}
 			check("AddDependency")
-		case op == 6:
+		case op == 4:
 			c.Deps.RemoveDependency(live[rng.Intn(len(live))].ID, live[rng.Intn(len(live))].ID)
 			check("RemoveDependency")
 		default:
 			snap := c.Snapshot()
 			c2 := testCluster(t, 4)
-			// Evicted VMs (host -1) cannot be restored; skip those states.
-			detached := false
-			for _, rec := range snap.VMs {
-				detached = detached || rec.HostID < 0
-			}
-			if detached {
-				continue
-			}
 			if err := c2.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -473,7 +459,8 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 		{"attached yet unlisted", func(c *Cluster, a, b *Host) { a.remove(1) }, "vm 1 points at host 0, which does not list it"},
 		{"stranger", func(c *Cluster, a, b *Host) { c.vms[1] = nil }, "host 0 holds a vm 1 the cluster does not know"},
 		{"out of order", func(c *Cluster, a, b *Host) { a.vms[0], a.vms[1] = a.vms[1], a.vms[0] }, "host 0 lists vm 0 after vm 1"},
-		{"over capacity", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 150 }, "host 0 holds 160, over 1.2 × capacity 100"},
+		{"on no host", func(c *Cluster, a, b *Host) { vm := a.vms[0]; a.remove(vm.ID); vm.host = nil }, "vm 0 is on no host"},
+		{"over capacity", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 100 }, "host 0 holds 110, over capacity 100"},
 		{"peers out of order", func(c *Cluster, a, b *Host) { p := c.Deps.peers[2]; p[0], p[1] = p[1], p[0] }, "vm 2 lists peer 0 after peer 1"},
 		{"self-edge", func(c *Cluster, a, b *Host) { c.Deps.peers[2] = append(c.Deps.peers[2], 2) }, "vm 2 is its own dependency"},
 		{"one-sided edge", func(c *Cluster, a, b *Host) { c.Deps.peers[0] = nil }, "vm 2 lists peer 0, which does not list it back"},
@@ -495,11 +482,11 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 		}
 		c.Deps.AddDependency(2, 1)
 		c.Deps.AddDependency(2, 0)
-		if err := c.CheckInvariants(1.2); err != nil {
+		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: sound cluster rejected: %v", tc.name, err)
 		}
 		tc.corrupt(c, a, b)
-		if err := c.CheckInvariants(1.2); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariants = %v, want it to say %q", tc.name, err, tc.want)
 		}
 	}
@@ -539,10 +526,8 @@ func TestDependencyConflictNamesLowestResident(t *testing.T) {
 	c.Deps.AddDependency(vm.ID, a.ID)
 	want := fmt.Sprintf("conflicts with resident vm %d on host %d", a.ID, h.ID)
 	for i := 0; i < 20; i++ {
-		for _, err := range []error{c.Move(vm, h), c.MoveOversub(vm, h, 2)} {
-			if !errors.Is(err, ErrDependencyConflict) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("err = %v, want ErrDependencyConflict naming %q", err, want)
-			}
+		if err := c.Move(vm, h); !errors.Is(err, ErrDependencyConflict) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want ErrDependencyConflict naming %q", err, want)
 		}
 	}
 }
@@ -580,9 +565,9 @@ func TestPeerRacksOrderIsDeterministic(t *testing.T) {
 		}
 	}
 	c := build(false)
-	c.Evict(c.VM(1)) // rack 6 is now first reached through VM 3
+	c.Remove(c.VM(1)) // rack 6 is now first reached through VM 3
 	if got := c.Deps.PeerRacks(c, 0, buf[:0]); fmt.Sprint(got) != fmt.Sprint([]int{1, 6, 4, 7, 3}) {
-		t.Fatalf("after evicting VM 1: PeerRacks = %v, want [1 6 4 7 3]", got)
+		t.Fatalf("after removing VM 1: PeerRacks = %v, want [1 6 4 7 3]", got)
 	}
 	if got := c.Deps.PeerRacks(c, 0, []int{9}); fmt.Sprint(got) != fmt.Sprint([]int{9, 1, 6, 4, 7, 3}) {
 		t.Fatalf("PeerRacks onto [9] = %v, want it appended", got)

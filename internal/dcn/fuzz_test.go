@@ -46,7 +46,7 @@ func FuzzClusterRestore(f *testing.F) {
 		if bound := 4*len(snap.VMs) + 1024; len(c.vms) > bound || len(c.Deps.peers) > bound {
 			t.Fatalf("%d VMs restored into tables of %d VMs and %d peer lists", len(snap.VMs), len(c.vms), len(c.Deps.peers))
 		}
-		if err := c.CheckInvariants(1); err != nil {
+		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("restored cluster: %v", err)
 		}
 		first, err := json.Marshal(c.Snapshot())

@@ -8,12 +8,9 @@ import "fmt"
 //     at its own index;
 //   - a host's residents are strictly ascending by VM ID, each is the VM the
 //     cluster knows under that ID, and each points back at the host;
-//   - every VM of the cluster is detached (no host: evicted, awaiting
-//     placement) or resident on the host it points at — together with the
-//     line above, on exactly one host;
-//   - no host holds more than oversub × its capacity, where oversub is the
-//     factor the placement policy commits under (1 for the policies that
-//     respect capacity; values below 1 count as 1);
+//   - every VM of the cluster is resident on the host it points at —
+//     together with the line above, on exactly one host;
+//   - no host holds more than its capacity;
 //   - the dependency graph is a graph over the cluster's VMs: every peer
 //     list strictly ascending, no VM its own peer, every edge listed from
 //     both ends, both ends VMs the cluster knows;
@@ -24,10 +21,7 @@ import "fmt"
 // lists, back-pointers and peer lists checked here. Errors name the VMs and
 // the host. It is O(hosts + VMs + dependencies) and meant for tests and
 // `sheriffd -check`, not for the per-period path.
-func (c *Cluster) CheckInvariants(oversub float64) error {
-	if oversub < 1 {
-		oversub = 1
-	}
+func (c *Cluster) CheckInvariants() error {
 	for id, h := range c.hosts {
 		if h.ID != id {
 			return fmt.Errorf("dcn: host table slot %d holds host %d", id, h.ID)
@@ -46,8 +40,8 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 				return fmt.Errorf("dcn: vm %d is resident on host %d but points at %s", vm.ID, h.ID, hostName(vm.host))
 			}
 		}
-		if used := h.Used(); used > oversub*h.Capacity+1e-9 {
-			return fmt.Errorf("dcn: host %d holds %v, over %v × capacity %v", h.ID, used, oversub, h.Capacity)
+		if used := h.Used(); used > h.Capacity+1e-9 {
+			return fmt.Errorf("dcn: host %d holds %v, over capacity %v", h.ID, used, h.Capacity)
 		}
 	}
 	for _, vm := range c.VMs() { // in ID order: the first violation reported is always the same one
@@ -55,7 +49,7 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 			return fmt.Errorf("dcn: vm %d is registered under another ID", vm.ID)
 		}
 		if vm.host == nil {
-			continue
+			return fmt.Errorf("dcn: vm %d is on no host", vm.ID)
 		}
 		// A listed VM points back at the host listing it (above), so being
 		// listed here means being listed nowhere else.
@@ -83,7 +77,7 @@ func (c *Cluster) CheckInvariants(oversub float64) error {
 			if !c.Deps.Dependent(peer, id) {
 				return fmt.Errorf("dcn: vm %d lists peer %d, which does not list it back", id, peer)
 			}
-			if a.host != nil && a.host == b.host {
+			if a.host == b.host {
 				return fmt.Errorf("dcn: dependent vms %d and %d share host %d", id, peer, a.host.ID)
 			}
 		}

@@ -96,7 +96,7 @@ func TestDependencyGraphMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := testCluster(t, 4)
-		const ids = 48 // VM IDs 0..31 exist (some get evicted), 32..47 never do
+		const ids = 48 // VM IDs 0..31 exist (some get removed), 32..47 never do
 		for i := 0; i < 32; i++ {
 			h := c.Hosts()[rng.Intn(len(c.Hosts()))]
 			vm, err := c.AddVM(h, 1, 1, false)
@@ -104,7 +104,7 @@ func TestDependencyGraphMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i%7 == 3 {
-				c.Evict(vm)
+				c.Remove(vm)
 			}
 		}
 		got, want := c.Deps, newReferenceDependencyGraph()

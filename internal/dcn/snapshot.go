@@ -32,13 +32,9 @@ type VMRecord struct {
 func (c *Cluster) Snapshot() *Snapshot {
 	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts)}
 	for _, vm := range c.VMs() {
-		hostID := -1
-		if vm.Host() != nil {
-			hostID = vm.Host().ID
-		}
 		s.VMs = append(s.VMs, VMRecord{
 			ID: vm.ID, Name: vm.Name, Capacity: vm.Capacity, Value: vm.Value,
-			DelaySensitive: vm.DelaySensitive, Alert: vm.Alert, HostID: hostID,
+			DelaySensitive: vm.DelaySensitive, Alert: vm.Alert, HostID: vm.Host().ID,
 		})
 	}
 	// Ascending IDs over ascending peers: each edge once, from its lower

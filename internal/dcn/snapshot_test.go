@@ -162,7 +162,7 @@ func TestRestoreRejectsHostileIDs(t *testing.T) {
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: Restore = %v, want it accepted", tc.name, err)
-			} else if err := c.CheckInvariants(1); err != nil {
+			} else if err := c.CheckInvariants(); err != nil {
 				t.Errorf("%s: restored cluster: %v", tc.name, err)
 			}
 			continue

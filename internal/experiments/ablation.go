@@ -13,7 +13,6 @@ import (
 	"sheriff/internal/kmedian"
 	"sheriff/internal/knapsack"
 	"sheriff/internal/migrate"
-	"sheriff/internal/placement"
 	"sheriff/internal/runtime"
 	"sheriff/internal/sim"
 	"sheriff/internal/timeseries"
@@ -307,72 +306,6 @@ func AblationReroute(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// AblationPlacement compares initial placement policies by the imbalance
-// they create and the migration effort Sheriff then spends erasing it:
-// best-fit packs tightly (worst start), worst-fit spreads (best start).
-func AblationPlacement(seed int64) (*Table, error) {
-	t := &Table{
-		Name:    "Ablation A7",
-		Title:   "Initial placement policy: starting imbalance and balancing effort",
-		Columns: []string{"policy", "initial_stddev", "final_stddev", "migrations"},
-		Notes:   []string{"policy: 0 = first-fit, 1 = best-fit, 2 = worst-fit, 3 = random"},
-	}
-	for row, kind := range []placement.Kind{placement.FirstFit, placement.BestFit, placement.WorstFit, placement.Random} {
-		s, err := sim.Build(sim.Config{Kind: sim.FatTree, Size: 4, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		placer := placement.New(s.Cluster, kind, seed)
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 60; i++ {
-			if _, err := placer.Place(5+rng.Float64()*15, 1+rng.Float64()*9, false); err != nil {
-				break
-			}
-		}
-		initial := s.Cluster.WorkloadStdDev()
-		migrations := 0
-		for round := 0; round < 12; round++ {
-			_, reps, err := s.BalancingRound(0.05)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range reps {
-				migrations += len(r.Migrations)
-			}
-		}
-		t.AddRow(float64(row), initial, s.Cluster.WorkloadStdDev(), float64(migrations))
-	}
-	return t, nil
-}
-
-// AblationPolicy runs the placement-policy grid sequentially on a 4-pod
-// Fat-Tree: every matching-capable policy relocates the same 5% alerted
-// VMs with preemption and the fail-queue enabled, exposing the
-// stddev-decay vs migration-cost trade-off each policy buys (best-fit
-// packs and pays in imbalance, worst-fit spreads and pays in cost,
-// oversubscription absorbs overflow in place).
-func AblationPolicy(seed int64) (*Table, error) {
-	t := &Table{
-		Name:    "Ablation A10",
-		Title:   "Migration placement policy: stddev decay vs migration cost",
-		Columns: []string{"policy", "initial_stddev", "final_stddev", "decay", "migration_cost", "migrations", "preemptions", "requeued", "unplaced"},
-		Notes:   []string{"policy: 0 = sheriff, 1 = best-fit, 2 = worst-fit, 3 = oversub(2x)"},
-	}
-	for row, kind := range placement.Kinds() {
-		res, err := sim.RunPolicy(sim.PolicyConfig{
-			Sim:    sim.Config{Kind: sim.FatTree, Size: 4, Seed: seed},
-			Policy: placement.PolicyOptions{Kind: kind, Seed: seed},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: policy ablation %s: %w", kind, err)
-		}
-		t.AddRow(float64(row), res.InitialStdDev, res.FinalStdDev, res.StdDevDecay,
-			res.MigrationCost, float64(res.Migrations), float64(res.Preemptions),
-			float64(res.Requeued), float64(res.Unplaced))
-	}
-	return t, nil
-}
-
 // AblationKMedianPlanning compares two ways to place alerted VMs:
 // (a) pure per-rack matching over the one-hop region (the distributed
 // Alg. 3 path), and (b) the Sec. V.A reduction — first pick k destination
@@ -513,8 +446,6 @@ var Ablations = map[string]func(seed int64) (*Table, error){
 	"region-size":     AblationRegionSize,
 	"seasonal":        AblationSeasonal,
 	"reroute":         AblationReroute,
-	"placement":       AblationPlacement,
-	"policy":          AblationPolicy,
 	"kmedian":         AblationKMedianPlanning,
 	"planning-scale":  AblationPlanningScale,
 }

@@ -333,24 +333,6 @@ func TestAblationReroute(t *testing.T) {
 	}
 }
 
-func TestAblationPlacement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runtime experiment")
-	}
-	tab, err := AblationPlacement(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Worst-fit (row 2) must start far more balanced than best-fit (row 1).
-	if tab.Rows[2][1] >= tab.Rows[1][1] {
-		t.Errorf("worst-fit initial stddev %.1f not below best-fit %.1f",
-			tab.Rows[2][1], tab.Rows[1][1])
-	}
-}
-
 func TestAblationKMedianPlanning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiment")

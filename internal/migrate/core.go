@@ -3,14 +3,11 @@ package migrate
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
-	"sheriff/internal/alert"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/matching"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 )
 
 // Tally holds what every migration result counts. Report, MigrationResult
@@ -18,12 +15,14 @@ import (
 type Tally struct {
 	Migrations  []Migration
 	TotalCost   float64
-	SearchSpace int       // candidate (VM, destination) pairs examined
-	Rejected    int       // REQUEST handshakes answered with REJECT
-	Preemptions int       // resident VMs evicted to admit higher-severity ones
-	Retried     int       // fail-queued VMs drained into the call
-	Requeued    int       // VMs parked in the fail-queue for a later call
-	Unplaced    []*dcn.VM // VMs no destination would accept and no queue kept
+	SearchSpace int // candidate (VM, destination) pairs examined
+	Rejected    int // REQUEST handshakes answered with REJECT
+	// Preemptions and Requeued are always 0: Alg. 4 answers a REQUEST with
+	// ACK or REJECT and never evicts or parks a VM. They stay because the
+	// bench harness (bench/workloads.go, bench/pipeline.go) still reads them.
+	Preemptions int
+	Requeued    int
+	Unplaced    []*dcn.VM // VMs no destination would accept
 }
 
 // Add folds o into t.
@@ -32,9 +31,6 @@ func (t *Tally) Add(o *Tally) {
 	t.TotalCost += o.TotalCost
 	t.SearchSpace += o.SearchSpace
 	t.Rejected += o.Rejected
-	t.Preemptions += o.Preemptions
-	t.Retried += o.Retried
-	t.Requeued += o.Requeued
 	t.Unplaced = append(t.Unplaced, o.Unplaced...)
 }
 
@@ -46,25 +42,18 @@ const (
 )
 
 // core is the management protocol of Sec. V.B written once: the Alg. 3
-// matching step, the Alg. 4 grant, eviction for a stuck VM, and the
-// fail-queue's drain and park, all counting into one Tally. Migrate and
+// matching step and the Alg. 4 grant, counting into one Tally. Migrate and
 // DistributedVMMigration each build one on their stack and differ only in
 // how a matched pair travels to the deciding delegation node: a call, or
 // bus messages.
 type core struct {
-	c   *dcn.Cluster
-	m   *cost.Model
-	pol placement.Policy // never nil: policyOrSheriff resolves the default
+	c *dcn.Cluster
+	m *cost.Model
 	// admit is the call-wide admission hook; grant also takes the deciding
 	// shim's own. Nil allows.
-	admit     RequestPolicy
-	rec       *obs.Recorder
-	preempt   PreemptOptions
-	queue     *RetryQueue
-	evictions int
-	// attempts is what the queue recorded for each VM drained this call.
-	attempts map[int]int
-	tally    *Tally
+	admit RequestPolicy
+	rec   *obs.Recorder
+	tally *Tally
 
 	// scratch is match's memory. A shim's cores share the shim's, across
 	// calls; a standalone Migrate or DistributedVMMigration builds one on
@@ -98,15 +87,6 @@ type rackPrice struct {
 	ok    bool
 }
 
-// policyOrSheriff resolves the public contract "a nil placement policy is
-// the paper's rule" where a core is built, so nothing below branches on it.
-func policyOrSheriff(p placement.Policy) placement.Policy {
-	if p == nil {
-		p, _ = placement.PolicyOptions{}.New() // zero options always validate
-	}
-	return p
-}
-
 // match is Alg. 3's matching step: price every (VM, host) pair the caller
 // does not bar and solve the minimum-weight assignment. assign[i] indexes
 // hosts (-1: unmatched) and bases holds the cost to charge on commit;
@@ -124,16 +104,16 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 	return sol.Assign, bases, nil
 }
 
-// price evaluates the edges of Alg. 3's bipartite graph G_m under the
-// placement policy: costs[i][j] is the matching weight of moving vms[i] to
-// hosts[j] — Forbidden when the pair is barred, the host is the VM's own,
-// the policy finds it infeasible, it holds a VM dependent on this one, or
-// no path to its rack clears the bandwidth floor — and bases[i][j] the
-// Eqn. (1) cost charged on commit, zero where the weight is Forbidden
-// before scoring. Eqn. (1) depends on the destination rack only, so it is
+// price evaluates the edges of Alg. 3's bipartite graph G_m:
+// costs[i][j] is the matching weight of moving vms[i] to hosts[j], its
+// Eqn. (1) cost — Forbidden when the pair is barred, the host is the VM's
+// own, it lacks the room (Alg. 4's capacity check), it holds a VM dependent
+// on this one, or no path to its rack clears the bandwidth floor — and
+// bases[i][j] the cost charged on commit, zero where the weight is
+// Forbidden. Eqn. (1) depends on the destination rack only, so it is
 // evaluated once per (VM, rack), when the first host of the rack gets that
-// far; the policy scores every host on its own. Both matrices are rows of
-// the scratch's one array, overwritten by the next call.
+// far. Both matrices are rows of the scratch's one array, overwritten by
+// the next call.
 func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) bool) (costs, bases [][]float64, feasible bool) {
 	nv, nh := len(vms), len(hosts)
 	if k.scratch == nil {
@@ -159,7 +139,7 @@ func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 			if barred != nil && barred(i, j) {
 				continue
 			}
-			if h == vm.Host() || !k.pol.Feasible(vm.Capacity, h) { // must actually move
+			if h == vm.Host() || !Request(vm, h) { // must actually move, and fit
 				continue
 			}
 			if _, conflict := h.Conflict(k.c.Deps, vm.ID); conflict {
@@ -169,9 +149,8 @@ func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 			if !ok {
 				continue
 			}
-			bases[i][j] = base
-			costs[i][j] = k.pol.Score(vm.Capacity, h, base)
-			if costs[i][j] != matching.Forbidden {
+			bases[i][j], costs[i][j] = base, base
+			if base != matching.Forbidden {
 				feasible = true
 			}
 		}
@@ -180,29 +159,23 @@ func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 }
 
 // rackBase is the Eqn. (1) cost of moving the VM match is pricing into the
-// rack, computed on first request. A detached (preempted) VM has no source
-// rack, so its cost reduces to the fixed restart cost Cr.
+// rack, computed on first request.
 func (k *core) rackBase(vm *dcn.VM, dst *dcn.Rack) (base float64, ok bool) {
 	sc := k.scratch
 	p := &sc.prices[dst.Index]
 	if p.stamp != sc.stamp {
 		p.stamp = sc.stamp
 		sc.priced++
-		if src := vm.Host(); src == nil {
-			p.base, p.ok = k.m.Params().Cr, true
-		} else {
-			var err error
-			p.base, err = k.m.RackMigration(src.Rack(), dst, vm.Capacity, sc.peerRacks)
-			p.ok = err == nil
-		}
+		var err error
+		p.base, err = k.m.RackMigration(vm.Host().Rack(), dst, vm.Capacity, sc.peerRacks)
+		p.ok = err == nil
 	}
 	return p.base, p.ok
 }
 
 // admits is the Alg. 4 decision without its effect: the call-wide and the
-// deciding shim's admission policies, then the FCFS capacity check under
-// the placement policy's capacity rule (so an oversubscription policy
-// relaxes the handshake too). cause names the refusing stage.
+// deciding shim's admission policies, then the FCFS capacity check. cause
+// names the refusing stage.
 func (k *core) admits(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
 	if k.admit != nil && !k.admit(vm, dst) {
 		return false, causePolicy
@@ -210,27 +183,19 @@ func (k *core) admits(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, 
 	if local != nil && !local(vm, dst) {
 		return false, causePolicy
 	}
-	if !k.pol.Feasible(vm.Capacity, dst) {
+	if !Request(vm, dst) {
 		return false, causeCapacity
 	}
 	return true, ""
 }
 
 // grant answers one REQUEST at the destination's delegation node: admits,
-// then the move itself. An oversubscribing policy (one exposing Factor)
-// commits through MoveOversub so the relaxed capacity rule the decision
-// granted also holds at placement.
+// then the move itself.
 func (k *core) grant(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
 	if ok, cause = k.admits(vm, dst, local); !ok {
 		return false, cause
 	}
-	var err error
-	if oc, oversub := k.pol.(interface{ Factor() float64 }); oversub {
-		err = k.c.MoveOversub(vm, dst, oc.Factor())
-	} else {
-		err = k.c.Move(vm, dst)
-	}
-	if err != nil {
+	if err := k.c.Move(vm, dst); err != nil {
 		return false, causeRace // e.g. a dependency raced in
 	}
 	return true, ""
@@ -254,118 +219,6 @@ func (k *core) request(vm *dcn.VM, dst *dcn.Host, moveCost float64, shim, round 
 	k.tally.Migrations = append(k.tally.Migrations, Migration{VM: vm, From: from, To: dst, Cost: moveCost})
 	k.tally.TotalCost += moveCost
 	k.rec.Record(obs.Event{Kind: obs.KindAck, Round: round, Shim: shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
-	return true
-}
-
-// mayEvict reports whether preemption is on and inside its budget.
-func (k *core) mayEvict() bool {
-	return k.preempt.Enabled && k.evictions < k.preempt.MaxEvictions
-}
-
-// evictFor frees room for vm on dst by detaching the cheapest resident vm
-// dominates by minSeverityGap (never one in skip), and returns the
-// victim, or nil when the budget is spent or nobody qualifies. Where the
-// victim goes next is the caller's business.
-func (k *core) evictFor(vm *dcn.VM, dst *dcn.Host, skip map[int]bool, shim, round int) *dcn.VM {
-	if !k.mayEvict() {
-		return nil
-	}
-	victim := preemptVictim(k.c, vm, dst, skip)
-	if victim == nil {
-		return nil
-	}
-	k.c.Evict(victim)
-	k.evictions++
-	k.tally.Preemptions++
-	if k.rec.Enabled() {
-		k.rec.Record(obs.Event{Kind: obs.KindPreempt, Round: round, Shim: shim, VM: victim.ID, Host: dst.ID,
-			Value: victim.Value, Attrs: map[string]string{
-				"for":             strconv.Itoa(vm.ID),
-				"severity":        alert.ClassifySeverity(vm.Alert).String(),
-				"victim-severity": alert.ClassifySeverity(victim.Alert).String(),
-			}})
-	}
-	return victim
-}
-
-// preemptVictim selects the cheapest evictable resident of dst whose
-// severity tier the incoming VM dominates by minSeverityGap: lowest
-// knapsack Value first (the Alg. 2 preference), lowest ID on ties, never
-// delay-sensitive VMs or IDs in skip, and only when the eviction
-// actually makes room and leaves no dependency conflict. Returns nil
-// when no resident qualifies.
-func preemptVictim(c *dcn.Cluster, vm *dcn.VM, dst *dcn.Host, skip map[int]bool) *dcn.VM {
-	sev := alert.ClassifySeverity(vm.Alert)
-	if int(sev) < minSeverityGap {
-		return nil
-	}
-	var victim *dcn.VM
-	for _, resident := range dst.VMs() {
-		if resident.DelaySensitive || resident.ID == vm.ID || skip[resident.ID] {
-			continue
-		}
-		if int(alert.ClassifySeverity(resident.Alert))+minSeverityGap > int(sev) {
-			continue
-		}
-		if dst.Free()+resident.Capacity < vm.Capacity {
-			continue
-		}
-		conflict := false
-		for _, other := range dst.VMs() {
-			if other != resident && c.Deps.Dependent(vm.ID, other.ID) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		if victim == nil || resident.Value < victim.Value {
-			victim = resident
-		}
-	}
-	return victim
-}
-
-// drain empties the fail-queue into the call: entries whose VM left the
-// cluster while parked are dropped, the rest are counted and traced as
-// retries and returned in FIFO order for the caller to route.
-func (k *core) drain() []RetryEntry {
-	entries := k.queue.TakeAll()
-	live := entries[:0]
-	for _, e := range entries {
-		if k.c.VM(e.VM.ID) != e.VM {
-			continue
-		}
-		if k.attempts == nil {
-			k.attempts = make(map[int]int)
-		}
-		k.attempts[e.VM.ID] = e.Attempts
-		k.tally.Retried++
-		if k.rec.Enabled() {
-			k.rec.Record(obs.Event{Kind: obs.KindRetry, Shim: e.Shim, VM: e.VM.ID, Host: ShimUnknown,
-				Value: float64(e.Attempts), Attrs: map[string]string{"cause": "queue"}})
-		}
-		live = append(live, e)
-	}
-	return live
-}
-
-// park puts a VM the call could not place into the fail-queue for the
-// next one, one attempt older, and reports whether the queue took it: no
-// queue, or an attached VM past the attempt budget, and the caller must
-// report the VM itself. A detached VM is a preemption victim and is
-// always kept.
-func (k *core) park(vm *dcn.VM, shim, round int) bool {
-	att := k.attempts[vm.ID] + 1
-	if !k.queue.Put(RetryEntry{VM: vm, Shim: shim, Attempts: att, Evicted: vm.Host() == nil}) {
-		return false
-	}
-	k.tally.Requeued++
-	if k.rec.Enabled() {
-		k.rec.Record(obs.Event{Kind: obs.KindRequeue, Round: round, Shim: shim, VM: vm.ID, Host: ShimUnknown,
-			Value: float64(att), Attrs: map[string]string{"attempts": strconv.Itoa(att)}})
-	}
 	return true
 }
 

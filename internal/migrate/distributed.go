@@ -10,7 +10,6 @@ import (
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 )
 
 // The handshake's retry schedule, in protocol rounds. A request
@@ -44,19 +43,6 @@ type DistOptions struct {
 	// Recorder, when non-nil, receives request/ack/reject/retry/backoff/
 	// suppress/fallback/unplaced events with protocol round numbers.
 	Recorder *obs.Recorder
-	// Placement selects the protocol-wide destination-scoring policy for
-	// source matchings and destination capacity grants. The zero value is
-	// the Sheriff rule, bit-exact with the pre-policy protocol.
-	Placement placement.PolicyOptions
-	// Preempt enables destination-side preemption: a shim refusing a
-	// REQUEST for capacity may evict a strictly lower-severity resident
-	// to grant it. Requires Queue (the victim must park somewhere).
-	Preempt PreemptOptions
-	// Queue, when non-nil, is the cross-invocation fail-queue: parked VMs
-	// drain into their owning shim's candidate set at the start of the
-	// run, and budget- or rounds-exhausted VMs park for the next run
-	// instead of degrading straight to the fallback ladder.
-	Queue *RetryQueue
 }
 
 // Validate reports whether the options are usable. Negative values are
@@ -65,10 +51,7 @@ func (o DistOptions) Validate() error {
 	if o.MaxRounds < 0 {
 		return fmt.Errorf("migrate: MaxRounds must be >= 0 (0 = default), got %d", o.MaxRounds)
 	}
-	if err := o.Placement.Validate(); err != nil {
-		return err
-	}
-	return o.Preempt.Validate()
+	return nil
 }
 
 // WithDefaults returns the options with zero fields replaced by their
@@ -76,8 +59,6 @@ func (o DistOptions) Validate() error {
 // Validate error).
 func (o DistOptions) WithDefaults() DistOptions {
 	o.MaxRounds = cmp.Or(o.MaxRounds, 30)
-	o.Placement = o.Placement.WithDefaults()
-	o.Preempt = o.Preempt.WithDefaults()
 	return o
 }
 
@@ -179,13 +160,9 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		return nil, err
 	}
 	opts = opts.WithDefaults()
-	pol, err := opts.Placement.New()
-	if err != nil {
-		return nil, err
-	}
 	res := &DistResult{}
-	p := &protocol{core: core{c: c, m: m, pol: pol, admit: opts.RequestPolicy, rec: opts.Recorder,
-		preempt: opts.Preempt, queue: opts.Queue, tally: &res.Tally}, bus: bus, shims: shims, opts: opts, res: res}
+	p := &protocol{core: core{c: c, m: m, admit: opts.RequestPolicy, rec: opts.Recorder, tally: &res.Tally},
+		bus: bus, shims: shims, opts: opts, res: res}
 	p.barred = func(vi, hi int) bool {
 		return p.cut[hi] || slices.Contains(p.cands[p.ready[vi]].excluded, p.hosts[hi].ID)
 	}
@@ -236,16 +213,11 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 }
 
 // load builds the call's tables. A shim's remaining list is its VM set,
-// then the fail-queue's parked VMs it owns, one candidate record per VM ID.
+// one candidate record per VM ID.
 func (p *protocol) load(vmSets [][]*dcn.VM) {
-	parked := p.drain()
-	total := len(parked)
+	total := 0
 	for _, set := range vmSets {
 		total += len(set)
-	}
-	owner := make([]int, len(parked)) // by shim index; unattributed VMs go to shim 0
-	for j, e := range parked {
-		owner[j] = max(slices.IndexFunc(p.shims, func(s *Shim) bool { return s.Rack.Index == e.Shim }), 0)
 	}
 	lists := make([]int, 2*total)
 	p.remaining, p.open = make([][]int, len(p.shims)), make([][]int, len(p.shims))
@@ -255,21 +227,13 @@ func (p *protocol) load(vmSets [][]*dcn.VM) {
 	at := 0
 	for i, set := range vmSets {
 		first, list := len(p.cands), lists[at:at]
-		add := func(vm *dcn.VM) {
+		for _, vm := range set {
 			ci := slices.IndexFunc(p.cands[first:], func(cd candidate) bool { return cd.vm.ID == vm.ID })
 			if ci < 0 {
 				ci = len(p.cands) - first
 				p.cands = append(p.cands, candidate{vm: vm, shim: i})
 			}
 			list = append(list, first+ci)
-		}
-		for _, vm := range set {
-			add(vm)
-		}
-		for j, e := range parked {
-			if owner[j] == i {
-				add(e.VM)
-			}
 		}
 		n := len(list)
 		p.remaining[i], p.open[i] = lists[at:at+n:at+n], lists[at+n:at+n:at+2*n]
@@ -349,16 +313,7 @@ func (p *protocol) answer(shim *Shim, msg comm.Message) {
 		r.answered, r.reply = true, comm.MsgReject
 		vm, dst := p.c.VM(msg.VMID), p.c.Host(msg.HostID)
 		if vm != nil && dst != nil && dst.Rack() == shim.Rack {
-			ok, cause := p.grant(vm, dst, shim.params.RequestPolicy)
-			// Destination-side preemption: a capacity refusal may evict one
-			// strictly lower-severity resident, which parks in the fail-queue.
-			if !ok && cause == causeCapacity && p.queue != nil {
-				if victim := p.evictFor(vm, dst, nil, shim.Rack.Index, p.res.Rounds); victim != nil {
-					p.park(victim, shim.Rack.Index, p.res.Rounds)
-					ok, _ = p.grant(vm, dst, shim.params.RequestPolicy)
-				}
-			}
-			if ok {
+			if ok, _ := p.grant(vm, dst, shim.params.RequestPolicy); ok {
 				r.reply = comm.MsgAck
 			}
 		}
@@ -473,15 +428,13 @@ func (p *protocol) suppress(shim *Shim, msg comm.Message) {
 // lastRung is the degradation ladder's last rung: each shim places its
 // degraded VMs with local sequential VMMIGRATION over its own region — no
 // bus, no retries — so a hostile fabric costs optimality, not placement.
-// With a fail-queue attached, VMs inside the attempt budget park for the
-// next run instead; budget-exhausted ones still take the ladder.
 func (p *protocol) lastRung() error {
 	res := p.res
 	var vms []*dcn.VM
 	for i, shim := range p.shims {
 		vms = vms[:0]
 		for _, ci := range p.fallback {
-			if cd := p.cands[ci]; cd.shim == i && !p.park(cd.vm, shim.Rack.Index, res.Rounds) {
+			if cd := p.cands[ci]; cd.shim == i {
 				vms = append(vms, cd.vm)
 			}
 		}
@@ -493,13 +446,13 @@ func (p *protocol) lastRung() error {
 			res.Unplaced = append(res.Unplaced, vms...)
 		default:
 			res.Fallbacks += len(vms)
-			// The last rung neither evicts nor parks, and the shim decides
-			// for its whole region. It counts into a tally of its own, folded
-			// in afterwards, so that TotalCost sums in the order it always has.
+			// The shim decides for its whole region. The rung counts into a
+			// tally of its own, folded in afterwards, so that TotalCost sums
+			// in the order it always has.
 			var lt Tally
 			last := p.core
-			last.preempt, last.queue, last.tally = PreemptOptions{}, nil, &lt
-			if _, err := last.sequential(vms, hosts, shim.Rack.Index, false, shim.params.RequestPolicy); err != nil {
+			last.tally = &lt
+			if err := last.sequential(vms, hosts, shim.Rack.Index, false, shim.params.RequestPolicy); err != nil {
 				return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
 			}
 			res.Add(&lt)

@@ -117,7 +117,7 @@ func TestDistributedMigrationContention(t *testing.T) {
 	}
 	// Invariants regardless of who won: no oversubscription, no VM on two
 	// hosts, no loss.
-	if err := fx.cluster.CheckInvariants(1); err != nil {
+	if err := fx.cluster.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if a.Host() == nil || b.Host() == nil {

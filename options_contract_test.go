@@ -5,7 +5,6 @@ import (
 
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
-	"sheriff/internal/placement"
 	"sheriff/internal/predictor"
 	"sheriff/internal/quant"
 	"sheriff/internal/runtime"
@@ -75,28 +74,6 @@ func TestOptionsContract(t *testing.T) {
 			preserved: func() (any, any) {
 				p := faults.Plan{Partitions: []faults.Partition{{Rounds: 5, Nodes: []int{0}}}}
 				return p.WithDefaults().Partitions[0].Rounds, 5
-			},
-		},
-		{
-			name:     "placement.PolicyOptions",
-			negative: func() error { return placement.PolicyOptions{OversubFactor: 0.5}.Validate() },
-			zeroOK:   func() error { return placement.PolicyOptions{}.Validate() },
-			defaulted: func() (any, any) {
-				return placement.PolicyOptions{Kind: placement.Oversub}.WithDefaults().OversubFactor, placement.DefaultOversubFactor
-			},
-			preserved: func() (any, any) {
-				return placement.PolicyOptions{Kind: placement.Oversub, OversubFactor: 3}.WithDefaults().OversubFactor, 3.0
-			},
-		},
-		{
-			name:     "migrate.PreemptOptions",
-			negative: func() error { return migrate.PreemptOptions{MaxEvictions: -1}.Validate() },
-			zeroOK:   func() error { return migrate.PreemptOptions{}.Validate() },
-			defaulted: func() (any, any) {
-				return migrate.PreemptOptions{}.WithDefaults().MaxEvictions, 8
-			},
-			preserved: func() (any, any) {
-				return migrate.PreemptOptions{MaxEvictions: 2}.WithDefaults().MaxEvictions, 2
 			},
 		},
 		{

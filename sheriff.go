@@ -15,7 +15,6 @@ import (
 	"sheriff/internal/migrate"
 	"sheriff/internal/narnet"
 	"sheriff/internal/obs"
-	"sheriff/internal/placement"
 	"sheriff/internal/predictor"
 	"sheriff/internal/runtime"
 	"sheriff/internal/sim"
@@ -120,38 +119,13 @@ type (
 	// injector to comm.Options.
 	FaultPlan = faults.Plan
 
-	// PlacementPolicy scores candidate destination hosts — the pluggable
-	// destination-selection vocabulary shared by initial placement
-	// (internal/placement.Placer) and migration (MigrationOptions,
-	// migrate.Params, migrate.DistOptions). Nil always means the paper's
-	// Sheriff rule.
-	PlacementPolicy = placement.Policy
-	// PlacementKind names a built-in placement policy.
-	PlacementKind = placement.Kind
-	// PolicyOptions selects and tunes a built-in placement policy.
-	PolicyOptions = placement.PolicyOptions
-	// PreemptOptions enables eviction of lower-severity residents when an
-	// alerted VM has no feasible destination.
-	PreemptOptions = migrate.PreemptOptions
-	// RetryQueue parks VMs no destination would accept for later rounds,
-	// each at most three times; a preempted VM is always kept.
-	RetryQueue = migrate.RetryQueue
-	// MigrationOptions is the unified per-invocation migration
-	// configuration (policy, preemption, fail-queue, tracing). Preemption
-	// and the fail-queue are per call only: a shim built from
-	// migrate.Params does neither.
+	// MigrationOptions is the per-invocation migration configuration
+	// (Eqn. (6) rack constraint, admission hook, tracing).
 	MigrationOptions = migrate.MigrationOptions
 	// MigrationResult summarizes one Migrate invocation.
 	MigrationResult = migrate.MigrationResult
-	// Severity is an alert severity tier (watch < urgent < critical) —
-	// the preemption priority scale.
+	// Severity is an alert severity tier (watch < urgent < critical).
 	Severity = alert.Severity
-	// PolicyGridConfig sizes one cell of the policy × topology × fault
-	// evaluation grid (`sheriffsim -mode policy`). Every cell preempts and
-	// queues.
-	PolicyGridConfig = sim.PolicyConfig
-	// PolicyGridResult is one cell's outcome.
-	PolicyGridResult = sim.PolicyResult
 
 	// TraceOptions selects and configures a trace-generator family
 	// (kind, seed, hours, surge parameters) behind NewTraceGenerator —
@@ -188,24 +162,6 @@ type (
 	SurgeGridResult = experiments.SurgeResult
 	// SurgeGridCell is one (regime, candidate) cell of the surge grid.
 	SurgeGridCell = experiments.SurgeCell
-)
-
-// Built-in placement policy kinds for PolicyOptions.Kind.
-const (
-	// PlacementSheriff is the paper's rule: hard capacity check, pure
-	// Eqn. (1) migration cost. The zero value, bit-exact with the
-	// pre-policy code path.
-	PlacementSheriff = placement.Sheriff
-	// PlacementFirstFit takes the first feasible host.
-	PlacementFirstFit = placement.FirstFit
-	// PlacementBestFit packs: least free capacity remaining wins.
-	PlacementBestFit = placement.BestFit
-	// PlacementWorstFit spreads: most free capacity remaining wins.
-	PlacementWorstFit = placement.WorstFit
-	// PlacementOversub admits up to OversubFactor × host capacity.
-	PlacementOversub = placement.Oversub
-	// PlacementRandom picks uniformly among feasible hosts (seeded).
-	PlacementRandom = placement.Random
 )
 
 // Predictor pool kinds for PredictorOptions.Pool.
@@ -378,31 +334,15 @@ func Figures() []string { return experiments.FigureIDs() }
 func LocalSearchRatio(p int) float64 { return kmedian.ApproximationRatio(p) }
 
 // Migrate relocates the candidate VMs into the destination hosts with the
-// Alg. 3 min-cost matching under the options' placement policy,
-// preemption, and fail-queue settings — the unified entry point that
-// subsumed the VMMigration / VMMigrationOpts / VMMigrationWith trio. The
-// zero MigrationOptions reproduce Alg. 3 exactly.
+// Alg. 3 min-cost matching under the Alg. 4 capacity check — the unified
+// entry point that subsumed the VMMigration / VMMigrationOpts /
+// VMMigrationWith trio. The zero MigrationOptions reproduce Alg. 3 exactly.
 func Migrate(cluster *Cluster, model *CostModel, candidates []*VM, hosts []*Host, o MigrationOptions) (*MigrationResult, error) {
 	return migrate.Migrate(cluster, model, candidates, hosts, o)
 }
 
-// NewPlacementPolicy builds one of the built-in placement policies.
-func NewPlacementPolicy(o PolicyOptions) (PlacementPolicy, error) { return o.New() }
-
-// ParsePlacementKind resolves a policy name ("sheriff", "best-fit",
-// "worst-fit", "oversub", ...) to its kind; "" is PlacementSheriff.
-func ParsePlacementKind(name string) (PlacementKind, error) { return placement.ParseKind(name) }
-
-// NewRetryQueue builds an empty migration fail-queue; hand it to
-// MigrationOptions.Queue or migrate.DistOptions.Queue.
-func NewRetryQueue() *RetryQueue { return migrate.NewRetryQueue() }
-
-// ClassifySeverity maps an alert value to its severity tier — the scale
-// preemption uses to decide who may evict whom.
+// ClassifySeverity maps an alert value to its severity tier.
 func ClassifySeverity(alertValue float64) Severity { return alert.ClassifySeverity(alertValue) }
-
-// RunPolicyGrid runs one cell of the policy × topology × fault grid.
-func RunPolicyGrid(cfg PolicyGridConfig) (*PolicyGridResult, error) { return sim.RunPolicy(cfg) }
 
 // NewRecorder builds an event recorder with the default in-memory ring
 // and the given sinks. Pass the result to RuntimeOptions.Recorder,
