@@ -41,14 +41,6 @@ func (c consCell) String() string {
 	return fmt.Sprintf("%s/seed=%d", c.path, c.seed)
 }
 
-// consOutcome is what one call reported, in the shape the two result
-// types share.
-type consOutcome struct {
-	migrations []Migration
-	rejected   int
-	unplaced   []*dcn.VM
-}
-
 // consTotals counts, over every scenario, how often each branch under
 // test was reached, so a grid that stops exercising one fails loudly.
 type consTotals struct {
@@ -170,9 +162,7 @@ func (sc *consScenario) runMigrate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Migrate shim %d: %v", sc.cell, i, err)
 		}
-		sc.check(t, fmt.Sprintf("shim %d", i), inputs, before, consOutcome{
-			migrations: res.Migrations, rejected: res.Rejected, unplaced: res.Unplaced,
-		})
+		sc.check(t, fmt.Sprintf("shim %d", i), inputs, before, &res.Tally)
 	}
 }
 
@@ -209,9 +199,7 @@ func (sc *consScenario) runDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: DistributedVMMigration: %v", sc.cell, err)
 	}
-	sc.check(t, "run", inputs, before, consOutcome{
-		migrations: res.Migrations, rejected: res.Rejected, unplaced: res.Unplaced,
-	})
+	sc.check(t, "run", inputs, before, &res.Tally)
 }
 
 // since returns the events recorded after sequence number seq.
@@ -225,8 +213,9 @@ func (sc *consScenario) since(seq uint64) []obs.Event {
 	return out
 }
 
-// check replays one call's events against its result and the cluster.
-func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, before uint64, out consOutcome) {
+// check replays one call's events against what it reported and the
+// cluster.
+func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, before uint64, out *Tally) {
 	t.Helper()
 	c := sc.fx.cluster
 	cell := sc.cell
@@ -247,7 +236,7 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 	}
 
 	unplaced := map[int]bool{}
-	for _, vm := range out.unplaced {
+	for _, vm := range out.Unplaced {
 		if unplaced[vm.ID] {
 			fail("VM %d reported unplaced twice", vm.ID)
 		}
@@ -273,14 +262,14 @@ func (sc *consScenario) check(t *testing.T, call string, inputs []*dcn.VM, befor
 		}
 	}
 
-	if got := len(out.migrations); got != count[obs.KindAck] {
+	if got := len(out.Migrations); got != count[obs.KindAck] {
 		fail("%d migrations, %d ack events", got, count[obs.KindAck])
 	}
-	if out.rejected != count[obs.KindReject] {
-		fail("Rejected = %d, %d reject events", out.rejected, count[obs.KindReject])
+	if out.Rejected != count[obs.KindReject] {
+		fail("Rejected = %d, %d reject events", out.Rejected, count[obs.KindReject])
 	}
-	if len(out.unplaced) != count[obs.KindUnplaced] {
-		fail("%d unplaced, %d unplaced events", len(out.unplaced), count[obs.KindUnplaced])
+	if len(out.Unplaced) != count[obs.KindUnplaced] {
+		fail("%d unplaced, %d unplaced events", len(out.Unplaced), count[obs.KindUnplaced])
 	}
 	// Every VM on exactly one host, none over capacity, no two dependent
 	// VMs sharing a host.
