@@ -39,7 +39,8 @@ type Host struct {
 	Index    int // j: position within the rack
 	Capacity float64
 	rack     *Rack
-	vms      []*VM // residents, ascending by VM ID
+	vms      []*VM   // residents, ascending by VM ID
+	placed   *uint64 // the cluster's placement counter, bumped by insert and remove
 }
 
 // Rack returns the rack containing the host.
@@ -83,11 +84,13 @@ func (h *Host) insert(vm *VM) {
 	h.vms = append(h.vms, nil)
 	copy(h.vms[i+1:], h.vms[i:])
 	h.vms[i] = vm
+	*h.placed++
 }
 
 func (h *Host) remove(id int) {
 	if i, ok := h.find(id); ok {
 		h.vms = append(h.vms[:i], h.vms[i+1:]...)
+		*h.placed++
 	}
 }
 
@@ -198,6 +201,17 @@ type Cluster struct {
 	vms    []*VM
 	numVMs int
 	hosts  []*Host
+
+	// placements counts changes to any host's residents (Host.insert and
+	// remove) and restores. WorkloadStdDev keeps its result with the count
+	// it was computed at, sd and sdAt, and sums the hosts again only once
+	// the count moved; sdOK is false until the first sum. hostSums counts
+	// the hosts those sums read.
+	placements uint64
+	sd         float64
+	sdAt       uint64
+	sdOK       bool
+	hostSums   int
 }
 
 // NewCluster builds a cluster with one Rack per rack-kind vertex of the
@@ -219,6 +233,7 @@ func NewCluster(g *topology.Graph, cfg Config) (*Cluster, error) {
 				Index:    j,
 				Capacity: cfg.HostCapacity,
 				rack:     r,
+				placed:   &c.placements,
 			}
 			r.Hosts = append(r.Hosts, h)
 			c.hosts = append(c.hosts, h)
@@ -418,9 +433,28 @@ func (c *Cluster) Populate(opt PopulateOptions) int {
 
 // WorkloadStdDev returns the standard deviation of per-host workload
 // percentages (Used/Capacity × 100) across every host — the metric of
-// the paper's Figs. 9–10.
+// the paper's Figs. 9–10. The result is kept until a VM is placed,
+// moved or removed, or the cluster is restored: a period that changes no
+// placement reads it back without summing a host. (VM and host capacities
+// are fixed once placed; nothing in the tree writes them after.) Keeping
+// the result is a write: callers do not share one cluster's calls across
+// goroutines.
 func (c *Cluster) WorkloadStdDev() float64 {
+	if !c.sdOK || c.sdAt != c.placements {
+		c.sd, c.sdAt, c.sdOK = c.workloadStdDev(), c.placements, true
+	}
+	return c.sd
+}
+
+// HostSums returns how many host workloads WorkloadStdDev has summed so
+// far: every host on a call after a placement changed, none on a call
+// after none did.
+func (c *Cluster) HostSums() int { return c.hostSums }
+
+// workloadStdDev is WorkloadStdDev summed afresh over every host.
+func (c *Cluster) workloadStdDev() float64 {
 	n := len(c.hosts)
+	c.hostSums += n
 	if n == 0 {
 		return 0
 	}

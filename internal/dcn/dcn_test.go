@@ -661,3 +661,69 @@ func TestRackVMsOneAlloc(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestWorkloadStdDevKeptUntilPlacementMoves: a period that places, moves
+// and removes nothing re-sums no host; every change to a host's residents
+// and every restore makes the next call sum again, and whatever it returns
+// equals a fresh sum bit for bit.
+func TestWorkloadStdDevKeptUntilPlacementMoves(t *testing.T) {
+	c := testCluster(t, 4)
+	c.Populate(PopulateOptions{Seed: 3, CrossRackDependencyProb: 0.3})
+	check := func(what string, wantSum bool) {
+		t.Helper()
+		before := c.HostSums()
+		got := c.WorkloadStdDev()
+		if summed := c.HostSums() != before; summed != wantSum {
+			t.Fatalf("%s: summed hosts = %v, want %v", what, summed, wantSum)
+		}
+		if want := c.workloadStdDev(); got != want {
+			t.Fatalf("%s: WorkloadStdDev %v, a fresh sum %v", what, got, want)
+		}
+	}
+	check("first call", true)
+	for i := 0; i < 3; i++ {
+		check("quiet period", false)
+	}
+	vm := c.VMs()[0]
+	var dst *Host
+	for _, h := range c.Hosts() {
+		if h != vm.Host() && h.Free() >= vm.Capacity && c.Move(vm, h) == nil {
+			dst = h
+			break
+		}
+	}
+	if dst == nil {
+		t.Fatal("no host takes the VM")
+	}
+	check("after Move", true)
+	check("quiet period after Move", false)
+	if err := c.Move(vm, dst); err != nil { // already there: no change
+		t.Fatal(err)
+	}
+	check("Move onto its own host", false)
+	c.Remove(vm)
+	check("after Remove", true)
+	if _, err := c.AddVM(c.Hosts()[len(c.Hosts())-1], 1, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddVM", true)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := testCluster(t, 4)
+	restored.WorkloadStdDev() // an empty cluster's result, kept
+	if err := restored.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.WorkloadStdDev(), c.WorkloadStdDev(); got != want {
+		t.Fatalf("restored cluster's WorkloadStdDev %v, the original's %v", got, want)
+	}
+
+	// A capacity written behind the counter's back is what CheckInvariants
+	// reports.
+	c.Hosts()[0].Capacity *= 2
+	if c.CheckInvariants() == nil {
+		t.Fatal("a kept WorkloadStdDev the hosts no longer sum to is not reported")
+	}
+}

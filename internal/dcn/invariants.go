@@ -14,7 +14,9 @@ import "fmt"
 //   - the dependency graph is a graph over the cluster's VMs: every peer
 //     list strictly ascending, no VM its own peer, every edge listed from
 //     both ends, both ends VMs the cluster knows;
-//   - no two dependent VMs are resident on one host (χ = 0, Eqn. 7).
+//   - no two dependent VMs are resident on one host (χ = 0, Eqn. 7);
+//   - a WorkloadStdDev kept since the last placement change equals a sum
+//     over the hosts now, bit for bit.
 //
 // Host.Used and Rack.Used are recomputed from the residents on every call,
 // so accounting cannot drift from them; what can go wrong is the resident
@@ -80,6 +82,11 @@ func (c *Cluster) CheckInvariants() error {
 			if a.host == b.host {
 				return fmt.Errorf("dcn: dependent vms %d and %d share host %d", id, peer, a.host.ID)
 			}
+		}
+	}
+	if c.sdOK && c.sdAt == c.placements {
+		if sd := c.workloadStdDev(); sd != c.sd {
+			return fmt.Errorf("dcn: kept workload std dev %v, the hosts sum to %v with no placement change since", c.sd, sd)
 		}
 	}
 	return nil

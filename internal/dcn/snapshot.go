@@ -103,6 +103,7 @@ func (c *Cluster) Restore(s *Snapshot) error {
 			}
 		}
 	}
+	c.placements++ // whatever the snapshot holds, results kept before it are void
 	// Install dependencies first so placement conflicts are enforced on
 	// the way in.
 	for _, edge := range s.Deps {

@@ -16,6 +16,13 @@ import (
 	"sheriff/internal/topology"
 )
 
+// nodeReading is one node's cached congestion reading (Network.readings).
+type nodeReading struct {
+	util     float64 // a switch's SwitchUtilization, a rack's OutUtilization
+	dirty    bool    // a load on the node's links was written since util was read
+	isSwitch bool
+}
+
 // Flow is one unidirectional traffic aggregate between two rack nodes.
 type Flow struct {
 	ID             int
@@ -71,6 +78,26 @@ type Network struct {
 	lowerVer   uint64
 	lowerSwept []bool
 
+	// The congestion monitors' input, kept per node: readings[v] is the
+	// reading the monitors take of v — for a switch the largest
+	// load/capacity over its incident links (HotSwitches), for a rack over
+	// its outgoing links, the ToR uplinks (the queue monitors) — and
+	// whether it is out of date. Loads are written a route at a time
+	// (applyPath, clearPath, SetRate), and the ends of a route's links are
+	// its nodes, so each write marks the route's nodes dirty (markPath);
+	// ndirty counts the marked nodes. HotSwitches first rescans them
+	// (refreshReadings) on the goroutine that writes loads; a read of a
+	// node marked since, or of the other kind's reading, scans in place and
+	// keeps nothing, so reads never write and the monitor shards only read.
+	// readVer is the wiring the entries cover; readOK is false until the
+	// first refresh and after a Restore, and then the next refresh rescans
+	// every node. marked counts the rescans refreshes are called on for.
+	readings []nodeReading
+	ndirty   int
+	readOK   bool
+	readVer  uint64
+	marked   int
+
 	// Scratch reused across HotSwitches / RerouteAroundHot calls.
 	hot     []int
 	cands   []*Flow // a pass's candidates, largest rate first
@@ -102,6 +129,21 @@ func (n *Network) touch(id int) {
 	if id < len(n.isStale) && !n.isStale[id] {
 		n.isStale[id] = true
 		n.stale = append(n.stale, id)
+	}
+}
+
+// markPath records that the loads of a route's links are being written:
+// the readings of its nodes, the ends of those links, are out of date
+// until the next refresh rescans them. A node the marks do not cover
+// yet — nothing refreshed so far, or wired since — needs no record: the
+// next refresh rescans every node.
+func (n *Network) markPath(path []int) {
+	for _, v := range path {
+		if v < len(n.readings) && !n.readings[v].dirty {
+			n.readings[v].dirty = true
+			n.ndirty++
+			n.marked++
+		}
 	}
 }
 
@@ -220,6 +262,13 @@ func (n *Network) SearchStats() (searches, settled int) {
 	return s1 + s2, n1 + n2
 }
 
+// Rescans returns how many node rescans the refreshes of the cached
+// congestion readings have been called on for so far: every node on the
+// first HotSwitches and on the first after a change of wiring or a
+// Restore, and after that each node of a route whose loads were written
+// since the node's last rescan, once.
+func (n *Network) Rescans() int { return n.marked }
+
 // route reads a path and its edge IDs off a sweep; both nil when dst is
 // unreachable. The slices are fresh: the flow keeps them.
 func route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
@@ -237,6 +286,7 @@ func (n *Network) applyPath(f *Flow, path, edges []int) {
 		load[id] += f.Rate
 		n.touch(id)
 	}
+	n.markPath(path)
 	f.path, f.edges = path, edges
 }
 
@@ -256,6 +306,7 @@ func (n *Network) clearPath(f *Flow) {
 		settle(load, id)
 		n.touch(id)
 	}
+	n.markPath(f.path)
 	f.path, f.edges = nil, nil
 }
 
@@ -278,6 +329,7 @@ func (n *Network) SetRate(f *Flow, rate float64) error {
 		settle(load, id)
 		n.touch(id)
 	}
+	n.markPath(f.path)
 	f.Rate = rate
 	return nil
 }
@@ -336,14 +388,14 @@ func (n *Network) EdgeUtilization(e topology.Edge) float64 {
 	return n.loads()[e.ID] / e.Capacity
 }
 
-// SwitchUtilization returns the maximum utilization over a switch's
-// incident directed links — the congestion signal a QCN-style CP reports.
-// Link capacity is symmetric (AddLink installs both directions alike), so
-// the inbound direction reuses e.Capacity.
-func (n *Network) SwitchUtilization(sw int) float64 {
+// scanAll returns the largest utilization over node v's incident links,
+// both directions, skipping links without capacity. Link capacity is
+// symmetric (AddLink installs both directions alike), so the inbound
+// direction reuses e.Capacity.
+func (n *Network) scanAll(v int) float64 {
 	load := n.loads()
 	max := 0.0
-	for _, e := range n.g.Edges(sw) {
+	for _, e := range n.g.Edges(v) {
 		if e.Capacity == 0 {
 			continue
 		}
@@ -357,13 +409,101 @@ func (n *Network) SwitchUtilization(sw int) float64 {
 	return max
 }
 
+// scanOut returns the largest utilization over node v's outgoing links,
+// skipping links without capacity.
+func (n *Network) scanOut(v int) float64 {
+	load := n.loads()
+	max := 0.0
+	for _, e := range n.g.Edges(v) {
+		if e.Capacity == 0 {
+			continue
+		}
+		if u := load[e.ID] / e.Capacity; u > max {
+			max = u
+		}
+	}
+	return max
+}
+
+// read takes node v's reading from its links: scanAll for a switch,
+// scanOut for a rack.
+func (n *Network) read(v int, isSwitch bool) float64 {
+	if isSwitch {
+		return n.scanAll(v)
+	}
+	return n.scanOut(v)
+}
+
+// refreshReadings brings the cached readings up to date: it rescans the
+// marked nodes, or every node when the entries do not cover the wiring
+// yet, or no longer (a change of wiring, a Restore). It walks the nodes in
+// order — the adjacency lists lie in that order, and on a busy fabric most
+// nodes are marked — and stops after the last marked one; with none
+// marked it costs nothing.
+func (n *Network) refreshReadings() {
+	if ver := n.g.StructVersion(); !n.readOK || ver != n.readVer {
+		nodes := n.g.NumNodes()
+		n.readings = slices.Grow(n.readings[:0], nodes)[:nodes]
+		for v := range n.readings {
+			sw := n.g.Node(v).Kind == topology.Switch
+			n.readings[v] = nodeReading{util: n.read(v, sw), isSwitch: sw}
+		}
+		n.ndirty = 0
+		n.marked += nodes
+		n.readOK, n.readVer = true, ver
+		return
+	}
+	for v := 0; n.ndirty > 0; v++ {
+		if r := &n.readings[v]; r.dirty {
+			r.util = n.read(v, r.isSwitch)
+			r.dirty = false
+			n.ndirty--
+		}
+	}
+}
+
+// cached returns node v's cached reading when it is current and of the
+// kind asked for (a switch's, or a rack's); ok is false otherwise.
+func (n *Network) cached(v int, isSwitch bool) (util float64, ok bool) {
+	if !n.readOK || n.readVer != n.g.StructVersion() {
+		return 0, false
+	}
+	r := n.readings[v]
+	return r.util, !r.dirty && r.isSwitch == isSwitch
+}
+
+// SwitchUtilization returns the maximum utilization over a switch's
+// incident directed links — the congestion signal a QCN-style CP reports.
+// It only reads: calls may run concurrently while no load is written.
+func (n *Network) SwitchUtilization(sw int) float64 {
+	if u, ok := n.cached(sw, true); ok {
+		return u
+	}
+	return n.scanAll(sw)
+}
+
+// OutUtilization returns the maximum utilization over a node's outgoing
+// links: for a rack, over its ToR uplinks, the quantity the shim's queue
+// monitor watches. It only reads: calls may run concurrently while no load
+// is written.
+func (n *Network) OutUtilization(node int) float64 {
+	if u, ok := n.cached(node, false); ok {
+		return u
+	}
+	return n.scanOut(node)
+}
+
 // HotSwitches returns switch node IDs whose utilization is at or above
-// the threshold fraction, in ascending ID order. The slice is the
-// network's scratch, overwritten by the next HotSwitches call.
+// the threshold fraction, in ascending ID order. It first rescans every
+// node whose links' loads were written since the last call, and then
+// reads the cache: on a fabric whose loads did not move, it scans no link.
+// The slice is the network's scratch, overwritten by the next HotSwitches
+// call.
 func (n *Network) HotSwitches(threshold float64) []int {
+	n.refreshReadings()
 	n.hot = n.hot[:0]
 	for _, sw := range n.g.SwitchNodes() {
-		if n.SwitchUtilization(sw) >= threshold {
+		if n.readings[sw].util >= threshold {
 			n.hot = append(n.hot, sw)
 		}
 	}

@@ -3,6 +3,8 @@ package flow
 import (
 	"fmt"
 	"math"
+
+	"sheriff/internal/topology"
 )
 
 // CheckInvariants verifies the traffic plane's bookkeeping against a
@@ -17,6 +19,9 @@ import (
 //     priced is listed for re-pricing (exactly once), and every other link's
 //     weight was priced from the load it carries now — the re-priced vector
 //     is the vector a fresh fill would give;
+//   - the count of nodes marked for a rescan is the number of marks, and
+//     every unmarked node's cached congestion reading equals a scan of its
+//     links bit for bit;
 //   - the flow table is strictly ascending by ID, below the next ID.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and
@@ -69,6 +74,20 @@ func (n *Network) CheckInvariants() error {
 		}
 		if listed != len(n.stale) {
 			return fmt.Errorf("flow: %d links marked for re-pricing, %d listed", listed, len(n.stale))
+		}
+	}
+	if n.readOK && n.readVer == n.g.StructVersion() {
+		listed := 0
+		for v, r := range n.readings {
+			if r.dirty {
+				listed++
+			} else if sw := n.g.Node(v).Kind == topology.Switch; r.isSwitch != sw || r.util != n.read(v, sw) {
+				return fmt.Errorf("flow: node %d's cached reading %v (switch %v) is not its links' %v, and it is not marked for a rescan",
+					v, r.util, r.isSwitch, n.read(v, sw))
+			}
+		}
+		if listed != n.ndirty {
+			return fmt.Errorf("flow: %d nodes marked for a rescan, %d counted", listed, n.ndirty)
 		}
 	}
 	return nil

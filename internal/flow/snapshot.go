@@ -74,7 +74,9 @@ func (n *Network) Snapshot() *Snapshot {
 // that a negative or NaN load is refused: the route searches' lower bound
 // rests on load ≥ 0 (lowerBound). A link a path crosses that has no entry
 // holds load 0, which Snapshot leaves out — a zero-rate flow's links, say.
-// Without any entries, loads are recomputed from the restored paths.
+// Without any entries, loads are recomputed from the restored paths. The
+// cached congestion readings are dropped; the next HotSwitches rescans
+// every node.
 func (n *Network) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("flow: restore from nil snapshot")
@@ -138,6 +140,7 @@ func (n *Network) Restore(snap *Snapshot) error {
 		n.load = load
 	}
 	n.nextID = snap.NextID
+	n.readOK = false // loads were installed wholesale, unmarked: the next refresh rescans every node
 	return nil
 }
 

@@ -5,9 +5,9 @@
 //
 // The design borrows three disciplines already proven elsewhere in the
 // tree. Sharding and drain fan-out reuse the internal/pool worker model
-// (one shard per rack, indices claimed dynamically, the caller
-// participates). Backpressure is comm.Bus's inbox tail drop: each
-// shard's pending queue has a hard cap, an offer beyond it is counted
+// (one shard per rack, contiguous blocks of shards claimed dynamically,
+// the caller participates). Backpressure is comm.Bus's inbox tail drop:
+// each shard's pending queue has a hard cap, an offer beyond it is counted
 // and dropped — never blocking the producer and never evicting an
 // already accepted update. The accept/drain path costs what it carries:
 // a shard's queue starts at one entry per VM and grows by append to its
@@ -192,6 +192,11 @@ type slot struct {
 // are guarded by it.
 type shard struct {
 	rack int
+
+	// unpolled is set, under the lock, by a drain that raises an alert and
+	// cleared, under the lock, by the Poll that takes it, so that Poll
+	// passes a quiet shard without locking it.
+	unpolled atomic.Bool
 
 	mu     sync.Mutex
 	queue  []queued
@@ -381,16 +386,27 @@ func (s *Service) OfferBatch(updates []Update) (int, error) {
 	return accepted, err
 }
 
-// ProcessPending drains every shard queue through triage, fanning the
-// shards out over the worker pool, and returns the number of updates
-// processed. Newly raised alerts accumulate for Poll. Dead
+// ProcessPending drains every shard queue through triage, fanning
+// contiguous blocks of shards out over the worker pool, and returns the
+// number of updates processed. A worker folds its block's counts and
+// publishes them once. Newly raised alerts accumulate for Poll. Dead
 // subscriptions (sinks that returned an error) are detached.
 func (s *Service) ProcessPending() int {
 	now := s.opts.Clock()
 	var total atomic.Int64
-	s.opts.Pool.ForEach(len(s.shard), func(i int) {
-		if n := s.drainShard(s.shard[i], now); n > 0 {
-			total.Add(int64(n))
+	s.opts.Pool.ForBlocks(len(s.shard), func(lo, hi int) {
+		processed, raised := 0, 0
+		for _, sh := range s.shard[lo:hi] {
+			n, r := s.drainShard(sh, now)
+			processed += n
+			raised += r
+		}
+		if processed > 0 {
+			s.processed.Add(uint64(processed))
+			total.Add(int64(processed))
+		}
+		if raised > 0 {
+			s.alerts.Add(uint64(raised))
 		}
 	})
 	s.sweepSubscriptions()
@@ -410,12 +426,15 @@ func (s *Service) ProcessPending() int {
 // Queue wait is accounted per run of updates sharing an arrival stamp
 // (a batch stamps once), each run folded with its length as weight, so
 // the summaries weigh every update and cost one fold per batch.
-func (s *Service) drainShard(sh *shard, now time.Time) int {
+//
+// It returns how many updates it processed and how many alerts it raised;
+// the caller adds them to the service's counters.
+func (s *Service) drainShard(sh *shard, now time.Time) (int, int) {
 	sh.mu.Lock()
 	n := len(sh.queue)
 	if n == 0 {
 		sh.mu.Unlock()
-		return 0
+		return 0, 0
 	}
 	nowNs := int64(now.Sub(s.epoch))
 	quantized := s.opts.Mode == TriageQuant
@@ -455,14 +474,13 @@ func (s *Service) drainShard(sh *shard, now time.Time) int {
 	}
 	sh.observeWait(nowNs-runAt, runLen)
 	sh.queue = sh.queue[:0]
+	if raised > 0 {
+		sh.unpolled.Store(true)
+	}
 	sh.mu.Unlock()
 
-	s.processed.Add(uint64(n))
-	if raised > 0 {
-		s.alerts.Add(uint64(raised))
-	}
 	s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "drain", Shim: sh.rack, VM: -1, Host: -1, Value: float64(n)})
-	return n
+	return n, raised
 }
 
 // observeWait folds n updates that each waited ns nanoseconds. A batch
@@ -488,14 +506,19 @@ func (sl *slot) observe(v, alpha, beta float64) float64 {
 
 // Poll returns the alerts raised since the previous Poll, sorted by
 // (rack, VM), and clears them. Shards are visited in rack order, so only
-// each shard's own run needs sorting.
+// each shard's own run needs sorting. A shard no drain has raised an alert
+// on since is passed without taking its lock.
 func (s *Service) Poll() []Alert {
 	var out []Alert
 	for _, sh := range s.shard {
+		if !sh.unpolled.Load() {
+			continue
+		}
 		sh.mu.Lock()
 		from := len(out)
 		out = append(out, sh.alerts...)
 		sh.alerts = sh.alerts[:0]
+		sh.unpolled.Store(false)
 		sh.mu.Unlock()
 		if len(out)-from > 1 {
 			slices.SortFunc(out[from:], func(a, b Alert) int { return cmp.Compare(a.VM, b.VM) })

@@ -175,7 +175,7 @@ func TestQueueGrowthStopsAtLimit(t *testing.T) {
 			t.Fatalf("queue holds %d, want %d", got, limit)
 		}
 		// The drain itself: ProcessPending's fan-out allocates its closure.
-		if got := s.drainShard(s.shard[0], s.opts.Clock()); got != limit {
+		if got, _ := s.drainShard(s.shard[0], s.opts.Clock()); got != limit {
 			t.Fatalf("processed %d, want %d", got, limit)
 		}
 	}
@@ -184,7 +184,9 @@ func TestQueueGrowthStopsAtLimit(t *testing.T) {
 		t.Fatalf("a cycle at the high-water mark allocates %.1f, want 0", allocs)
 	}
 	st := s.Stats()
-	if st.Accepted != 52*limit || st.Dropped != 52*(100-limit) || st.Latency.Count() != int(st.Processed) {
+	// drainShard leaves the service's counters to ProcessPending, so the
+	// latency summary is held to the updates the cycles drained.
+	if st.Accepted != 52*limit || st.Dropped != 52*(100-limit) || st.Latency.Count() != 52*limit {
 		t.Fatalf("after 52 cycles: %+v", st)
 	}
 }
@@ -261,8 +263,9 @@ func TestDropEventsOutsideShardLock(t *testing.T) {
 }
 
 // TestConcurrentOffersConserve hammers one service from several offering
-// goroutines against a ProcessPending/Poll loop (run it under -race).
-// Queues are small, so drops happen; conservation must hold and every
+// goroutines against a ProcessPending loop and a Poll loop of their own
+// (run it under -race). Queues are small, so drops happen; conservation
+// must hold, every alert raised must be polled exactly once, and every
 // VM's observation count must equal its offers minus its drop events.
 func TestConcurrentOffersConserve(t *testing.T) {
 	const (
@@ -330,7 +333,19 @@ func TestConcurrentOffersConserve(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	polled := 0
+	polledBy := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				polledBy <- n
+				return
+			default:
+			}
+			n += len(s.Poll())
+		}
+	}()
 	for running := true; running; {
 		select {
 		case <-done:
@@ -338,9 +353,9 @@ func TestConcurrentOffersConserve(t *testing.T) {
 		default:
 		}
 		s.ProcessPending()
-		polled += len(s.Poll())
 		s.Stats()
 	}
+	polled := <-polledBy
 	s.ProcessPending()
 	polled += len(s.Poll())
 
@@ -396,4 +411,53 @@ func TestServiceFootprint(t *testing.T) {
 		t.Fatalf("New retains %d bytes for 1000 racks × 8 VMs, budget %d", got, budget)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestPollSkipsQuietShards: Poll takes the lock of a shard only when a
+// drain has raised an alert there since the last Poll. With every quiet
+// shard's lock held by the test, a Poll that touched one would block.
+func TestPollSkipsQuietShards(t *testing.T) {
+	s := build(t, Options{})
+	// Three periods of the same hot profile on VM 3 (shard 1): the Holt
+	// prediction crosses the threshold once, the latch holds it after.
+	for i := 0; i < 3; i++ {
+		if _, err := s.OfferBatch([]Update{{VM: 0, Profile: cool()}, {VM: 3, Profile: hot()}}); err != nil {
+			t.Fatal(err)
+		}
+		s.ProcessPending()
+	}
+	poll := func(quiet ...int) []Alert {
+		t.Helper()
+		for _, i := range quiet {
+			s.shard[i].mu.Lock()
+		}
+		defer func() {
+			for _, i := range quiet {
+				s.shard[i].mu.Unlock()
+			}
+		}()
+		done := make(chan []Alert, 1)
+		go func() { done <- s.Poll() }()
+		select {
+		case got := <-done:
+			return got
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Poll blocked on a quiet shard's lock (held: %v)", quiet)
+			return nil
+		}
+	}
+	if got := poll(0, 2); len(got) != 1 || got[0].VM != 3 || got[0].Rack != 1 {
+		t.Fatalf("Poll = %+v, want VM 3's one alert on rack 1", got)
+	}
+	if got := poll(0, 1, 2); len(got) != 0 {
+		t.Fatalf("second Poll = %+v, want nothing", got)
+	}
+	// A drain that raises nothing leaves the shard quiet.
+	if _, err := s.OfferBatch([]Update{{VM: 3, Profile: hot()}, {VM: 1, Profile: cool()}}); err != nil {
+		t.Fatal(err)
+	}
+	s.ProcessPending()
+	if got := poll(0, 1, 2); len(got) != 0 {
+		t.Fatalf("Poll after a latched drain = %+v, want nothing", got)
+	}
 }

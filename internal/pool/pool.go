@@ -60,10 +60,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
+	w := min(p.workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -71,7 +68,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	work := func() {
+	spread(w, func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -79,7 +76,47 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			}
 			fn(i)
 		}
+	})
+}
+
+// blocksPerWorker is how many blocks ForBlocks cuts a range into per
+// worker: enough that a slow block does not leave the others idle, few
+// enough that claims stay rare.
+const blocksPerWorker = 4
+
+// ForBlocks invokes fn(lo, hi) over contiguous blocks [lo, hi) that cover
+// [0, n) once, distributing them over at most Workers goroutines (the
+// caller included) like ForEach and returning when all calls have
+// completed. A worker claims a whole block with one atomic add, so a
+// fan-out over many cheap items pays one claim per block instead of one
+// per item, and fn can fold its items' results locally and publish them
+// once. With one worker, fn(0, n) runs on the caller. fn must be safe to
+// call concurrently with itself for disjoint blocks.
+func (p *Pool) ForBlocks(n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
 	}
+	w := min(p.workers, n)
+	if w == 1 {
+		fn(0, n)
+		return
+	}
+	size := (n + w*blocksPerWorker - 1) / (w * blocksPerWorker)
+	var next atomic.Int64
+	spread(w, func() {
+		for {
+			lo := int(next.Add(int64(size))) - size
+			if lo >= n {
+				return
+			}
+			fn(lo, min(lo+size, n))
+		}
+	})
+}
+
+// spread runs work on w goroutines, the caller's included, and returns when
+// every one has returned.
+func spread(w int, work func()) {
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
 	for k := 0; k < w-1; k++ {

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/topology"
+	"sheriff/internal/traces"
 )
 
 // TestStepSteadyStateAllocs gates the sharded predict phase at zero heap
@@ -63,5 +66,67 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 				t.Fatal("gate ran without raising any alerts — thresholds did not bite")
 			}
 		})
+	}
+}
+
+// TestCalmPeriodRescansNothing: on a calm fabric — a leaf-spine with
+// no cross-rack dependency, so no flow, and thresholds no forecast reaches,
+// so no alert and no migration — a period writes no link load and moves no
+// VM, so it rescans no node's utilization maxima and sums no host's
+// workload, driven by the generators or by external profiles. The first
+// period scans every node once: the check that the counters are live.
+func TestCalmPeriodRescansNothing(t *testing.T) {
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := dcn.NewCluster(ls.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 4, MinCapacity: 5, MaxCapacity: 20, Seed: 5})
+	model, err := cost.NewDeferred(cluster, cost.PaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(cluster, model, Options{Seed: 5, Shards: 3, Traces: traces.Options{Kind: traces.Lite},
+		Thresholds: alert.Thresholds{CPU: 2, Mem: 2, IO: 2, TRF: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Flows.Rescans(), ls.Graph.NumNodes(); got != want {
+		t.Fatalf("first period rescanned %d nodes, want every node (%d)", got, want)
+	}
+	if got, want := cluster.HostSums(), len(cluster.Hosts()); got != want {
+		t.Fatalf("first period summed %d hosts, want every host (%d)", got, want)
+	}
+	updates := make([]ExternalUpdate, 0, 8)
+	for _, vm := range cluster.VMs()[:8] {
+		updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: traces.Profile{CPU: 0.3, Mem: 0.2, IO: 0.1, TRF: 0.1}})
+	}
+	rescanned, sums := r.Flows.Rescans(), cluster.HostSums()
+	for i := 0; i < 12; i++ {
+		var st *StepStats
+		if i%2 == 0 {
+			st, err = r.Step()
+		} else {
+			st, err = r.StepExternal(updates)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ServerAlerts+st.ToRAlerts+st.SwitchAlerts+st.Migrations != 0 || len(r.Flows.Flows()) != 0 {
+			t.Fatalf("period %d is not calm: %+v, %d flows", st.Step, *st, len(r.Flows.Flows()))
+		}
+		if got := r.Flows.Rescans() - rescanned; got != 0 {
+			t.Fatalf("calm period %d rescanned %d nodes, want 0", st.Step, got)
+		}
+		if got := cluster.HostSums() - sums; got != 0 {
+			t.Fatalf("calm period %d summed %d hosts, want 0", st.Step, got)
+		}
 	}
 }

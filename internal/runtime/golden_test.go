@@ -262,15 +262,101 @@ func TestRestoreAcrossSnapshotVersions(t *testing.T) {
 	}
 }
 
+// hostileDocs are the golden document with one field set to ask Restore
+// for unbounded work: a generator position past the snapshot's step,
+// which replaying would spin on, and a trace horizon past traces.MaxHours,
+// which materializing would allocate for.
+func hostileDocs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(doc, []byte(old)) {
+			tb.Fatalf("golden document has no %s", old)
+		}
+		return bytes.Replace(doc, []byte(old), []byte(new), 1)
+	}
+	return map[string][]byte{
+		"generator position past the step": edit(`"gen_pos":32`, `"gen_pos":1099511627776`),
+		"trace horizon past a week":        edit(`"Hours":24`, `"Hours":1073741824`),
+	}
+}
+
+// TestRestoreRefusesHostileWork: the two hostile documents are refused by
+// name, before any work they ask for.
+func TestRestoreRefusesHostileWork(t *testing.T) {
+	want := map[string]string{
+		"generator position past the step": "generator position 1099511627776, want 0..32",
+		"trace horizon past a week":        "Hours must be in 0..168",
+	}
+	for name, doc := range hostileDocs(t) {
+		t.Run(name, func(t *testing.T) {
+			_, err := restoreMutated(t, doc, func(*Snapshot) {})
+			if err == nil || !strings.Contains(err.Error(), want[name]) {
+				t.Fatalf("err = %v, want one containing %q", err, want[name])
+			}
+		})
+	}
+}
+
+// TestGenPosNeverPassesStep: Restore refuses a generator position past the
+// snapshot's step, so every snapshot the engine writes must keep to it. A
+// stream draws once a period under Step and not at all under StepExternal;
+// the streams of the materialized kinds open on their first draw. Each kind
+// is driven both ways, interleaved, and every snapshot restores.
+func TestGenPosNeverPassesStep(t *testing.T) {
+	for _, kind := range []traces.Kind{traces.Diurnal, traces.Lite, traces.Surge, traces.SurgeLite} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := buildEquivRuntime(t, 3, Options{Shards: 2, Traces: traces.Options{Kind: kind}})
+			var updates []ExternalUpdate
+			for _, vm := range r.Cluster.VMs() {
+				updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(0, vm.ID)})
+			}
+			for i, drive := range []string{"ext", "ext", "step", "ext", "step", "step", "ext"} {
+				var err error
+				if drive == "step" {
+					_, err = r.Step()
+				} else {
+					_, err = r.StepExternal(updates)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := r.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, vs := range snap.VMs {
+					if vs.GenPos > snap.Step {
+						t.Fatalf("after period %d (%s): VM %d at generator position %d, step %d", i, drive, vs.ID, vs.GenPos, snap.Step)
+					}
+				}
+				cluster, model := buildParts(t, 4)
+				if err := cluster.Restore(snap.Cluster); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := Restore(cluster, model, Options{}, snap)
+				if err != nil {
+					t.Fatalf("after period %d (%s): own snapshot refused: %v", i, drive, err)
+				}
+				restored.Close()
+			}
+		})
+	}
+}
+
 // FuzzRuntimeRestore: arbitrary bytes are either refused — by the
 // decoder, the cluster's Restore or the runtime's, which then returns no
 // runtime — or restore into a runtime whose own snapshot restores into
 // one that writes it again byte for byte. Never a panic. Seeded with both
 // goldens, so the fuzzer starts from every section a deep snapshot has,
-// in both spellings of its long arrays. A document that asks for more
-// work than a fuzzer can wait on — a trace horizon past a week, a
-// generator replay past 4,096 steps — is skipped: Restore materializes
-// the horizon and replays the position, by design, at the cost they name.
+// in both spellings of its long arrays, and with the hostile documents,
+// which Restore must refuse before the work they ask for. A document that
+// asks for more work than a fuzzer can wait on and is still valid — a
+// generator replay past 4,096 steps that its step allows — is skipped:
+// Restore replays the position, by design, at the cost it names.
 func FuzzRuntimeRestore(f *testing.F) {
 	for _, name := range []string{"deep_snapshot.golden.json", "deep_snapshot.v3.golden.json"} {
 		doc, err := os.ReadFile(filepath.Join("testdata", name))
@@ -279,16 +365,16 @@ func FuzzRuntimeRestore(f *testing.F) {
 		}
 		f.Add(doc)
 	}
+	for _, doc := range hostileDocs(f) {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded Snapshot
 		if json.Unmarshal(data, &loaded) != nil {
 			return
 		}
-		if loaded.Traces != nil && loaded.Traces.Hours > 7*24 {
-			return
-		}
 		for _, vs := range loaded.VMs {
-			if vs.GenPos > 1<<12 {
+			if vs.GenPos > 1<<12 && vs.GenPos <= loaded.Step {
 				return
 			}
 		}

@@ -357,13 +357,8 @@ func (r *Runtime) Run(n int) ([]StepStats, error) {
 }
 
 // uplinkUtilization returns the maximum utilization over the rack's ToR
-// uplinks — the quantity the shim's queue monitor watches.
+// uplinks — the quantity the shim's queue monitor watches — as the traffic
+// plane caches it (flow.Network.OutUtilization).
 func (r *Runtime) uplinkUtilization(rack *dcn.Rack) float64 {
-	max := 0.0
-	for _, e := range r.Cluster.Graph.Edges(rack.NodeID) {
-		if u := r.Flows.EdgeUtilization(e); u > max {
-			max = u
-		}
-	}
-	return max
+	return r.Flows.OutUtilization(rack.NodeID)
 }

@@ -493,9 +493,11 @@ func sortKeys(keys [][2]int) {
 }
 
 // monitorShard is phase 3's parallel half: per-rack uplink monitors over
-// the (read-only at this point) flow network. ToR alerts append to the
-// shard-owned rack buckets; the per-shard max utilization folds to the
-// global max afterwards.
+// the (read-only at this point) flow network. HotSwitches refreshed the
+// cached uplink maxima before the reroutes; a rack a reroute since moved
+// load onto or off is scanned in place (flow.Network.OutUtilization). ToR
+// alerts append to the shard-owned rack buckets; the per-shard max
+// utilization folds to the global max afterwards.
 func (r *Runtime) monitorShard(s int) {
 	sh := r.sh
 	start := time.Now()

@@ -190,8 +190,11 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		return nil, fmt.Errorf("runtime: snapshot traces kind %v does not match options kind %v",
 			snap.Traces.Kind, opts.Traces.Kind)
 	}
-	opts.Traces = *snap.Traces
+	opts.Traces = *snap.Traces // validated by build, which refuses a horizon past traces.MaxHours
 	opts.Seed = snap.Seed
+	if snap.Step < 0 {
+		return nil, fmt.Errorf("runtime: snapshot step %d is negative", snap.Step)
+	}
 	if n := len(cluster.VMs()); len(snap.VMs) != n {
 		return nil, fmt.Errorf("runtime: snapshot has %d VMs, cluster has %d", len(snap.VMs), n)
 	}
@@ -218,8 +221,11 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	sh := r.sh
 	for _, vs := range snap.VMs {
 		i := sh.vmIndex[vs.ID]
-		if vs.GenPos < 0 {
-			return nil, fmt.Errorf("runtime: snapshot VM %d has negative generator position", vs.ID)
+		// A stream advances at most once a period (Step draws once per VM,
+		// StepExternal not at all), so its position never passes the step.
+		// Replaying a position costs one draw per profile skipped.
+		if vs.GenPos < 0 || vs.GenPos > snap.Step {
+			return nil, fmt.Errorf("runtime: snapshot VM %d has generator position %d, want 0..%d (the step)", vs.ID, vs.GenPos, snap.Step)
 		}
 		if vs.Hist < 0 || vs.Hist > math.MaxInt32 {
 			return nil, fmt.Errorf("runtime: snapshot VM %d has history length %d, want 0..%d", vs.ID, vs.Hist, math.MaxInt32)

@@ -136,22 +136,32 @@ type Options struct {
 	// hashes the cluster seed alone so bursts correlate across VMs).
 	Seed int64
 	// Hours is the horizon of the materialized kinds before wrap-around
-	// (default 24). The counter-based kinds never wrap and ignore it.
+	// (default 24, at most MaxHours). The counter-based kinds never wrap
+	// and ignore it.
 	Hours int
 	// Surge tunes the surge kinds' regime process; ignored by the others.
 	Surge SurgeParams
 }
 
-// Validate reports whether the options are usable: unknown kinds and
-// negative fields are errors, zero fields mean defaults.
+// MaxHours is the longest horizon Options.Hours may ask for: a week, the
+// period of the longest curve (the weekly traffic pattern). A materialized
+// generator holds its curves, and every VM's stream a normalized copy of
+// them, in proportion to the horizon: three float64 series of 1,440
+// samples a day, about 35 KB a VM a day. An unbounded value, say from a
+// snapshot file, would be an unbounded allocation.
+const MaxHours = 7 * 24
+
+// Validate reports whether the options are usable: unknown kinds,
+// negative fields and a horizon past MaxHours are errors, zero fields
+// mean defaults.
 func (o Options) Validate() error {
 	switch o.Kind {
 	case Diurnal, Lite, Surge, SurgeLite:
 	default:
 		return fmt.Errorf("traces: unknown kind %d", int(o.Kind))
 	}
-	if o.Hours < 0 {
-		return fmt.Errorf("traces: Hours must be >= 0 (0 = default), got %d", o.Hours)
+	if o.Hours < 0 || o.Hours > MaxHours {
+		return fmt.Errorf("traces: Hours must be in 0..%d (0 = default), got %d", MaxHours, o.Hours)
 	}
 	return o.Surge.Validate()
 }
