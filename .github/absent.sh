@@ -66,5 +66,14 @@ src  \b(PreemptOptions|RetryQueue|MoveOversub|RunPolicy|PolicyConfig)\b
 doc  ./internal/migrate Preempt|Placement|RetryEntry|Evicted
 doc  ./internal/dcn Evict
 doc  . PlacementPolicy|PlacementKind|PolicyOptions|NewPlacementPolicy|ParsePlacementKind|PolicyGridConfig|PolicyGridResult|RunPolicyGrid
+# One way to inject each fault: a faults.Plan is the bus's only loss and delay, a per-call RequestPolicy the only refusal.
+src  \bLossRate\b
+src  \bMaxDelay\b
+src  \bSetRequestPolicy\b
+src  \bRunDistributed\b
+src  \bMsgAlert\b
+src  \bMsgCongestion\b
+doc  ./internal/comm.Options Seed
+doc  ./internal/migrate.Params RequestPolicy
 EOF
 exit $fail

@@ -8,6 +8,7 @@ import (
 	"sheriff/internal/comm"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/faults"
 	"sheriff/internal/flow"
 	"sheriff/internal/migrate"
 	"sheriff/internal/qcn"
@@ -280,10 +281,11 @@ func BenchmarkDistributedVMMigration(b *testing.B) {
 				sets[ri] = append(sets[ri], vm)
 			}
 		}
-		bus, err := comm.NewBus(comm.Options{LossRate: 0.1, Seed: benchSeed})
+		inj, err := faults.New(faults.Plan{Seed: benchSeed, Drop: 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		bus := comm.NewBus(comm.Options{Injector: inj})
 		b.StartTimer()
 		if _, err := migrate.DistributedVMMigration(cluster, model, bus, shims, sets, migrate.DistOptions{}); err != nil {
 			b.Fatal(err)

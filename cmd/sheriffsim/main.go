@@ -44,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"sheriff/internal/comm"
 	"sheriff/internal/experiments"
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
@@ -166,7 +165,7 @@ func run(args []string, out io.Writer) (err error) {
 	case "plan":
 		return runPlan(out, cfg, *k, *p, *exact)
 	case "dist":
-		return runDist(out, cfg, *loss, rec)
+		return runProtocol(out, *mode, cfg, faults.Plan{Seed: *seed, Drop: *loss}, rec)
 	case "chaos":
 		windows, err := parsePartitions(*partition)
 		if err != nil {
@@ -181,7 +180,7 @@ func run(args []string, out io.Writer) (err error) {
 			Jitter:      *jitter,
 			Partitions:  windows,
 		}
-		return runChaos(out, cfg, plan, rec)
+		return runProtocol(out, *mode, cfg, plan, rec)
 	case "surge":
 		return runSurge(out, experiments.SurgeConfig{
 			Seed:         *seed,
@@ -281,29 +280,6 @@ func runDistill(out io.Writer, cfg experiments.DistillConfig) error {
 	return nil
 }
 
-// runChaos is runDist under a seeded fault plan: the injected drops,
-// duplicates, reorderings, and partition cuts exercise the protocol's
-// retry/suppression/fallback ladder, and the summary line reports how far
-// down the ladder the run went. "unplaced 0" is the resilience criterion.
-func runChaos(out io.Writer, cfg sim.Config, plan faults.Plan, rec *obs.Recorder) error {
-	s, err := sim.Build(cfg)
-	if err != nil {
-		return err
-	}
-	n := s.PopulateHotPods(0.5, 0.85, 0.35)
-	fmt.Fprintf(out, "%s size %d: %d racks, %d hosts, %d VMs | plan: drop %.2f dup %.2f reorder %.2f delay %d+%d partitions %d\n",
-		cfg.Kind, cfg.Size, len(s.Cluster.Racks), len(s.Cluster.Hosts()), n,
-		plan.Drop, plan.DupRate, plan.ReorderRate, plan.Delay, plan.Jitter, len(plan.Partitions))
-	res, err := s.RunChaos(plan, migrate.DistOptions{Recorder: rec, Seed: plan.Seed})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "chaos: %d migrations cost %.1f | rejected %d retransmits %d suppressed %d fallbacks %d unplaced %d in %d rounds\n",
-		len(res.Migrations), res.TotalCost, res.Rejected, res.Retransmits,
-		res.Suppressed, res.Fallbacks, len(res.Unplaced), res.Rounds)
-	return nil
-}
-
 // parsePartitions decodes the -partition spec: semicolon-separated
 // windows, each start:rounds:node,node,... — e.g. "1:3:0,1;6:2:4".
 func parsePartitions(spec string) ([]faults.Partition, error) {
@@ -337,26 +313,42 @@ func parsePartitions(spec string) ([]faults.Partition, error) {
 	return out, nil
 }
 
-// runDist drives the Alg. 4 message protocol: pod-level hotspots force
-// cross-rack placement, the lossy bus forces retries, and every REQUEST,
-// ACK, REJECT, and timeout retry lands in the trace with its round number.
-func runDist(out io.Writer, cfg sim.Config, loss float64, rec *obs.Recorder) error {
+// runProtocol drives the Alg. 4 message protocol over a bus the plan
+// perturbs, on pod-level hotspots that force cross-rack placement: every
+// REQUEST, ACK, REJECT, and timeout retry lands in the trace with its
+// round number. Mode dist is a lossy bus with the protocol's backoff
+// seeded at 0; mode chaos is the whole fault vocabulary, whose drops,
+// duplicates, reorderings, and partition cuts exercise the retry,
+// suppression, and fallback ladder, with the backoff seeded by the plan.
+// Each mode prints its own header and summary line; in chaos mode
+// "unplaced 0" is the resilience criterion.
+func runProtocol(out io.Writer, mode string, cfg sim.Config, plan faults.Plan, rec *obs.Recorder) error {
 	s, err := sim.Build(cfg)
 	if err != nil {
 		return err
 	}
 	n := s.PopulateHotPods(0.5, 0.85, 0.35)
-	fmt.Fprintf(out, "%s size %d: %d racks, %d hosts, %d VMs, loss %.3f\n",
-		cfg.Kind, cfg.Size, len(s.Cluster.Racks), len(s.Cluster.Hosts()), n, loss)
-	res, err := s.RunDistributed(
-		comm.Options{LossRate: loss, Seed: cfg.Seed, Recorder: rec},
-		migrate.DistOptions{Recorder: rec},
-	)
+	fmt.Fprintf(out, "%s size %d: %d racks, %d hosts, %d VMs", cfg.Kind, cfg.Size, len(s.Cluster.Racks), len(s.Cluster.Hosts()), n)
+	opts := migrate.DistOptions{Recorder: rec}
+	if mode == "dist" {
+		fmt.Fprintf(out, ", loss %.3f\n", plan.Drop)
+	} else {
+		opts.Seed = plan.Seed
+		fmt.Fprintf(out, " | plan: drop %.2f dup %.2f reorder %.2f delay %d+%d partitions %d\n",
+			plan.Drop, plan.DupRate, plan.ReorderRate, plan.Delay, plan.Jitter, len(plan.Partitions))
+	}
+	res, err := s.RunChaos(plan, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "dist: %d migrations cost %.1f | rejected %d retransmits %d unplaced %d in %d rounds (space %d)\n",
-		len(res.Migrations), res.TotalCost, res.Rejected, res.Retransmits, len(res.Unplaced), res.Rounds, res.SearchSpace)
+	if mode == "dist" {
+		fmt.Fprintf(out, "dist: %d migrations cost %.1f | rejected %d retransmits %d unplaced %d in %d rounds (space %d)\n",
+			len(res.Migrations), res.TotalCost, res.Rejected, res.Retransmits, len(res.Unplaced), res.Rounds, res.SearchSpace)
+	} else {
+		fmt.Fprintf(out, "chaos: %d migrations cost %.1f | rejected %d retransmits %d suppressed %d fallbacks %d unplaced %d in %d rounds\n",
+			len(res.Migrations), res.TotalCost, res.Rejected, res.Retransmits,
+			res.Suppressed, res.Fallbacks, len(res.Unplaced), res.Rounds)
+	}
 	return nil
 }
 

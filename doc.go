@@ -28,14 +28,15 @@
 // whose zero value works, a Validate method rejecting nonsensical values
 // (negative probabilities, windows, budgets), and a WithDefaults method
 // filling zero fields. RuntimeOptions, PredictorOptions, migrate.Params,
-// migrate.DistOptions, comm.Options, and faults.Plan all behave this way.
+// migrate.DistOptions, and faults.Plan all behave this way.
 //
 // # Injection hooks
 //
 // Cross-cutting concerns are injected, never global: observability via
-// *Recorder (nil = zero-cost no-op), REQUEST admission via RequestPolicy
-// on migrate.Params / migrate.DistOptions (or after construction with
-// Shim.SetRequestPolicy), and wire faults via faults.Plan compiled into
-// a comm.Options.Injector. The process-wide SetRequestGate hook has been
-// removed in favor of these scoped hooks.
+// *Recorder (nil = zero-cost no-op), REQUEST admission via a per-call
+// RequestPolicy (MigrationOptions.Policy, migrate.DistOptions.RequestPolicy),
+// and wire faults — loss, delay, duplication, reordering, partitions — via
+// a faults.Plan compiled into a comm.Options.Injector, the bus's only
+// source of them. The process-wide SetRequestGate hook has been removed in
+// favor of these scoped hooks.
 package sheriff

@@ -11,6 +11,7 @@ import (
 	"sheriff"
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
+	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
 )
 
@@ -36,11 +37,13 @@ func main() {
 	fmt.Printf("rack 0 sheds %d VMs, rack 1 sheds %d; pod capacity is shared\n",
 		len(sets[0]), len(sets[1]))
 
-	// A bus that drops 20% of messages and delays the rest up to 1 round.
-	bus, err := comm.NewBus(comm.Options{LossRate: 0.2, MaxDelay: 1, Seed: 7})
+	// A fault plan that drops 20% of messages and delays the rest up to 1
+	// round.
+	inj, err := faults.New(faults.Plan{Seed: 7, Drop: 0.2, Jitter: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	bus := comm.NewBus(comm.Options{Injector: inj})
 	res, err := migrate.DistributedVMMigration(cluster, model, bus, shims, sets, migrate.DistOptions{})
 	if err != nil {
 		log.Fatal(err)

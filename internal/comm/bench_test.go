@@ -23,10 +23,7 @@ func busRound(b *Bus, nodes, round int) {
 // overhead budget for the faults hook (<= 2% median over -count 5).
 func BenchmarkBusSendDeliver(b *testing.B) {
 	const nodes = 64
-	bus, err := NewBus(Options{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	bus := NewBus(Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		busRound(bus, nodes, i)
@@ -45,10 +42,7 @@ func (passInjector) Reorder(int, []Message) bool { return false }
 // injector installed — the price of turning the hook on at all.
 func BenchmarkBusSendDeliverInjected(b *testing.B) {
 	const nodes = 64
-	bus, err := NewBus(Options{Seed: 7, Injector: passInjector{}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	bus := NewBus(Options{Injector: passInjector{}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		busRound(bus, nodes, i)

@@ -1,15 +1,15 @@
 // Package comm provides the inter-shim message layer of Sec. V.B: local
 // managers "need to communicate between each other to avoid conflictions",
-// exchanging REQUEST/ACK/REJECT envelopes for VM migration and congestion
-// notifications. The bus is an in-memory, deterministic network with
-// per-node FIFO inboxes and injectable loss and delay, so the protocols
-// built on it can be tested under adverse delivery conditions.
+// exchanging REQUEST/ACK/REJECT envelopes for VM migration. The bus is an
+// in-memory, deterministic network with per-node FIFO inboxes. On its own
+// it is lossless and delivers every message the next round; an Injector
+// (internal/faults compiles one from a seeded fault plan) may drop, delay,
+// duplicate or reorder traffic, so the protocols built on it can be tested
+// under adverse delivery conditions.
 package comm
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 
@@ -19,32 +19,25 @@ import (
 // Type tags a message's protocol role.
 type Type int
 
+// The types start at 1, so a zero Message is not a REQUEST.
 const (
-	// MsgAlert carries an ALERT from a server/switch to its shim.
-	MsgAlert Type = iota
 	// MsgRequest asks a destination shim to accept a VM migration.
-	MsgRequest
+	MsgRequest Type = iota + 1
 	// MsgAck grants a request.
 	MsgAck
 	// MsgReject refuses a request.
 	MsgReject
-	// MsgCongestion carries QCN-style congestion feedback.
-	MsgCongestion
 )
 
 // String names the message type.
 func (t Type) String() string {
 	switch t {
-	case MsgAlert:
-		return "alert"
 	case MsgRequest:
 		return "request"
 	case MsgAck:
 		return "ack"
 	case MsgReject:
 		return "reject"
-	case MsgCongestion:
-		return "congestion"
 	default:
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
@@ -68,7 +61,7 @@ type Verdict struct {
 	Drop  bool
 	Cause string
 	// ExtraDelay holds the message back this many additional Deliver
-	// rounds on top of the bus's own delay draw.
+	// rounds.
 	ExtraDelay int
 	// Duplicates enqueues this many extra copies of the message, each one
 	// Deliver round later than the previous (fabric duplication).
@@ -76,42 +69,26 @@ type Verdict struct {
 }
 
 // Injector perturbs bus traffic — the fault-injection hook behind
-// internal/faults. Judge is consulted once per Send with the current
-// round; Reorder may permute one round's delivery batch in place and
-// reports whether it did. Implementations must be deterministic functions
-// of their seed and call order. A nil Options.Injector means no faults
-// and costs nothing on the send/deliver path.
+// internal/faults, and the bus's only source of loss and delay. Judge is
+// consulted once per Send with the current round; Reorder may permute one
+// round's delivery batch in place and reports whether it did.
+// Implementations must be deterministic functions of their seed and call
+// order. A nil Options.Injector means no faults and costs nothing on the
+// send/deliver path.
 type Injector interface {
 	Judge(round int, m Message) Verdict
 	Reorder(round int, batch []Message) bool
 }
 
-// Options tunes the bus's delivery behaviour.
+// Options wires the bus's observers and faults. The zero Options is a
+// lossless, untraced bus.
 type Options struct {
-	// LossRate drops each message independently with this probability.
-	LossRate float64
-	// MaxDelay holds a delivered message back up to this many Deliver
-	// rounds (uniform); 0 = next round.
-	MaxDelay int
-	// Seed drives loss and delay draws.
-	Seed int64
 	// Recorder, when non-nil, receives a send/deliver/drop event per
 	// message movement; drop causes are seed-deterministic.
 	Recorder *obs.Recorder
 	// Injector, when non-nil, may drop, delay, duplicate, or reorder
 	// traffic per its fault plan (see internal/faults).
 	Injector Injector
-}
-
-// Validate reports whether the options are usable.
-func (o Options) Validate() error {
-	if o.LossRate < 0 || o.LossRate >= 1 {
-		return fmt.Errorf("comm: LossRate must be in [0,1), got %v", o.LossRate)
-	}
-	if o.MaxDelay < 0 {
-		return fmt.Errorf("comm: MaxDelay must be >= 0, got %d", o.MaxDelay)
-	}
-	return nil
 }
 
 // inboxLimit caps each node's queued inbox; messages delivered beyond it
@@ -123,7 +100,6 @@ const inboxLimit = 4096
 // concurrent use; protocols drive it round by round.
 type Bus struct {
 	opts     Options
-	rng      *rand.Rand
 	nextID   int
 	round    int // completed Deliver rounds, stamps event rounds
 	inFlight []pending
@@ -146,14 +122,8 @@ type pending struct {
 // NewBus builds a bus. Nodes are addressed by non-negative integers (rack
 // indices) and their inboxes are made on the first delivery; a message to
 // a negative address is dropped with cause "address".
-func NewBus(opts Options) (*Bus, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return &Bus{
-		opts: opts,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-	}, nil
+func NewBus(opts Options) *Bus {
+	return &Bus{opts: opts}
 }
 
 // event fills the common Event fields for one message: the sender as the
@@ -168,8 +138,8 @@ func (b *Bus) event(kind obs.Kind, m Message) obs.Event {
 }
 
 // Send enqueues a message for delivery and returns its bus ID. The
-// message may be lost (per LossRate) — exactly like a real fabric, the
-// sender is not told.
+// injector may drop the message — exactly like a real fabric, the sender
+// is not told.
 func (b *Bus) Send(m Message) int {
 	m.ID = b.nextID
 	b.nextID++
@@ -178,21 +148,14 @@ func (b *Bus) Send(m Message) int {
 	if rec.Enabled() {
 		rec.Record(b.event(obs.KindSend, m))
 	}
-	if b.opts.LossRate > 0 && b.rng.Float64() < b.opts.LossRate {
-		b.drop(m, "loss", rec)
-		return m.ID
-	}
 	delay := 0
-	if b.opts.MaxDelay > 0 {
-		delay = b.rng.Intn(b.opts.MaxDelay + 1)
-	}
 	if inj := b.opts.Injector; inj != nil {
 		v := inj.Judge(b.round, m)
 		if v.Drop {
 			b.drop(m, v.Cause, rec)
 			return m.ID
 		}
-		delay += v.ExtraDelay
+		delay = v.ExtraDelay
 		for k := 1; k <= v.Duplicates; k++ {
 			b.duplicated++
 			b.inFlight = append(b.inFlight, pending{msg: m, delay: delay + k})
@@ -354,6 +317,3 @@ func (b *Bus) Nodes() []int {
 	}
 	return out
 }
-
-// ErrTimeout reports a request that never received a reply.
-var ErrTimeout = errors.New("comm: request timed out")

@@ -44,9 +44,11 @@ type Plan struct {
 	Drop float64
 	// Links overrides Drop per directed link.
 	Links []LinkDrop
-	// Delay is a fixed extra delivery delay in rounds for every message.
+	// Delay holds every message back this many delivery rounds, at most
+	// MaxRound.
 	Delay int
-	// Jitter adds a uniform extra delay in [0, Jitter] rounds on top.
+	// Jitter adds a uniform extra delay in [0, Jitter] rounds on top, at
+	// most MaxRound.
 	Jitter int
 	// DupRate duplicates each message once with this probability, in [0,1).
 	DupRate float64
@@ -57,27 +59,36 @@ type Plan struct {
 	Partitions []Partition
 }
 
+// MaxRound is the ceiling on every round count a plan names: Delay,
+// Jitter, and the round a partition window ends, Start+Rounds. A protocol
+// round is two bus rounds, so a run at the default DistOptions.MaxRounds
+// spans 60 and no scenario needs more; past the ceiling, the injector's
+// jitter draw and the bus's delay arithmetic would overflow.
+const MaxRound = 1 << 16
+
 // Validate reports whether the plan is usable. Probabilities must lie in
-// [0,1) ([0,1] for LinkDrop, where 1 is a dead link); delays must be
-// non-negative; partition windows must not start before round 0.
+// [0,1) ([0,1] for LinkDrop, where 1 is a dead link); delays must lie in
+// [0, MaxRound]; partition windows must not start before round 0 or end
+// past MaxRound.
 func (p Plan) Validate() error {
-	if p.Drop < 0 || p.Drop >= 1 {
+	// Written as !(in range) so that NaN is refused too.
+	if !(p.Drop >= 0 && p.Drop < 1) {
 		return fmt.Errorf("faults: Drop must be in [0,1), got %v", p.Drop)
 	}
-	if p.DupRate < 0 || p.DupRate >= 1 {
+	if !(p.DupRate >= 0 && p.DupRate < 1) {
 		return fmt.Errorf("faults: DupRate must be in [0,1), got %v", p.DupRate)
 	}
-	if p.ReorderRate < 0 || p.ReorderRate >= 1 {
+	if !(p.ReorderRate >= 0 && p.ReorderRate < 1) {
 		return fmt.Errorf("faults: ReorderRate must be in [0,1), got %v", p.ReorderRate)
 	}
-	if p.Delay < 0 {
-		return fmt.Errorf("faults: Delay must be >= 0, got %d", p.Delay)
+	if p.Delay < 0 || p.Delay > MaxRound {
+		return fmt.Errorf("faults: Delay must be in [0,%d], got %d", MaxRound, p.Delay)
 	}
-	if p.Jitter < 0 {
-		return fmt.Errorf("faults: Jitter must be >= 0, got %d", p.Jitter)
+	if p.Jitter < 0 || p.Jitter > MaxRound {
+		return fmt.Errorf("faults: Jitter must be in [0,%d], got %d", MaxRound, p.Jitter)
 	}
 	for i, l := range p.Links {
-		if l.Drop < 0 || l.Drop > 1 {
+		if !(l.Drop >= 0 && l.Drop <= 1) {
 			return fmt.Errorf("faults: Links[%d].Drop must be in [0,1], got %v", i, l.Drop)
 		}
 	}
@@ -87,6 +98,9 @@ func (p Plan) Validate() error {
 		}
 		if w.Rounds < 0 {
 			return fmt.Errorf("faults: Partitions[%d].Rounds must be >= 0 (0 = default), got %d", i, w.Rounds)
+		}
+		if w.Start > MaxRound-w.Rounds { // Start+Rounds > MaxRound, without the overflow
+			return fmt.Errorf("faults: Partitions[%d] must end by round %d, got %d+%d", i, MaxRound, w.Start, w.Rounds)
 		}
 		if len(w.Nodes) == 0 {
 			return fmt.Errorf("faults: Partitions[%d] isolates no nodes", i)

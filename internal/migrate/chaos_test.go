@@ -49,11 +49,7 @@ func chaosScenario(t *testing.T, plan faults.Plan, rec *obs.Recorder) (*fixture,
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus, err := comm.NewBus(comm.Options{Seed: 3, Recorder: rec, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fx, shims, sets, bus
+	return fx, shims, sets, comm.NewBus(comm.Options{Recorder: rec, Injector: inj})
 }
 
 // resiliencePlan is the acceptance scenario: 20% drop, duplication,

@@ -178,7 +178,7 @@ func (sc *consScenario) runDistributed(t *testing.T) {
 	}
 	// Odd seeds run over a lossy, duplicating, reordering fabric, so
 	// timeouts, retransmissions and the fallback ladder take part.
-	busOpts := comm.Options{Seed: sc.cell.seed}
+	var busOpts comm.Options
 	if sc.cell.seed%2 == 1 {
 		inj, err := faults.New(faults.Plan{Seed: sc.cell.seed, Drop: 0.15, DupRate: 0.2, ReorderRate: 0.2, Jitter: 1})
 		if err != nil {
@@ -186,10 +186,7 @@ func (sc *consScenario) runDistributed(t *testing.T) {
 		}
 		busOpts.Injector = inj
 	}
-	bus, err := comm.NewBus(busOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bus := comm.NewBus(busOpts)
 	before := sc.rec.Seq()
 	res, err := DistributedVMMigration(c, sc.fx.model, bus, shims, sets, DistOptions{
 		Seed:          sc.cell.seed,

@@ -49,8 +49,7 @@ const (
 type core struct {
 	c *dcn.Cluster
 	m *cost.Model
-	// admit is the call-wide admission hook; grant also takes the deciding
-	// shim's own. Nil allows.
+	// admit is the call's admission hook. Nil allows.
 	admit RequestPolicy
 	rec   *obs.Recorder
 	tally *Tally
@@ -173,14 +172,10 @@ func (k *core) rackBase(vm *dcn.VM, dst *dcn.Rack) (base float64, ok bool) {
 	return p.base, p.ok
 }
 
-// admits is the Alg. 4 decision without its effect: the call-wide and the
-// deciding shim's admission policies, then the FCFS capacity check. cause
-// names the refusing stage.
-func (k *core) admits(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
+// admits is the Alg. 4 decision without its effect: the call's admission
+// policy, then the FCFS capacity check. cause names the refusing stage.
+func (k *core) admits(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
 	if k.admit != nil && !k.admit(vm, dst) {
-		return false, causePolicy
-	}
-	if local != nil && !local(vm, dst) {
 		return false, causePolicy
 	}
 	if !Request(vm, dst) {
@@ -191,8 +186,8 @@ func (k *core) admits(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, 
 
 // grant answers one REQUEST at the destination's delegation node: admits,
 // then the move itself.
-func (k *core) grant(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, cause string) {
-	if ok, cause = k.admits(vm, dst, local); !ok {
+func (k *core) grant(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
+	if ok, cause = k.admits(vm, dst); !ok {
 		return false, cause
 	}
 	if err := k.c.Move(vm, dst); err != nil {
@@ -204,10 +199,10 @@ func (k *core) grant(vm *dcn.VM, dst *dcn.Host, local RequestPolicy) (ok bool, c
 // request is the whole handshake where source and destination share an
 // address space: REQUEST, grant, then ACK with the migration tallied, or
 // REJECT with the refusing stage.
-func (k *core) request(vm *dcn.VM, dst *dcn.Host, moveCost float64, shim, round int, local RequestPolicy) bool {
+func (k *core) request(vm *dcn.VM, dst *dcn.Host, moveCost float64, shim, round int) bool {
 	k.rec.Record(obs.Event{Kind: obs.KindRequest, Round: round, Shim: shim, VM: vm.ID, Host: dst.ID, Value: moveCost})
 	from := vm.Host()
-	ok, cause := k.grant(vm, dst, local)
+	ok, cause := k.grant(vm, dst)
 	if !ok {
 		k.tally.Rejected++
 		if k.rec.Enabled() {

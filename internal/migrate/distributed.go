@@ -37,8 +37,7 @@ type DistOptions struct {
 	Seed int64
 	// RequestPolicy, when non-nil, is consulted by every destination shim
 	// before its capacity check — the protocol-wide admission / failure
-	// injection point. Destination shims additionally apply their own
-	// Params.RequestPolicy.
+	// injection point.
 	RequestPolicy RequestPolicy
 	// Recorder, when non-nil, receives request/ack/reject/retry/backoff/
 	// suppress/fallback/unplaced events with protocol round numbers.
@@ -313,7 +312,7 @@ func (p *protocol) answer(shim *Shim, msg comm.Message) {
 		r.answered, r.reply = true, comm.MsgReject
 		vm, dst := p.c.VM(msg.VMID), p.c.Host(msg.HostID)
 		if vm != nil && dst != nil && dst.Rack() == shim.Rack {
-			if ok, _ := p.grant(vm, dst, shim.params.RequestPolicy); ok {
+			if ok, _ := p.grant(vm, dst); ok {
 				r.reply = comm.MsgAck
 			}
 		}
@@ -452,7 +451,7 @@ func (p *protocol) lastRung() error {
 			var lt Tally
 			last := p.core
 			last.tally = &lt
-			if err := last.sequential(vms, hosts, shim.Rack.Index, false, shim.params.RequestPolicy); err != nil {
+			if err := last.sequential(vms, hosts, shim.Rack.Index, false); err != nil {
 				return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
 			}
 			res.Add(&lt)

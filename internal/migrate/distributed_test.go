@@ -6,6 +6,7 @@ import (
 
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
+	"sheriff/internal/faults"
 )
 
 func distSetup(t *testing.T, lossRate float64, seed int64) (*fixture, []*Shim, *comm.Bus) {
@@ -19,11 +20,11 @@ func distSetup(t *testing.T, lossRate float64, seed int64) (*fixture, []*Shim, *
 		}
 		shims = append(shims, s)
 	}
-	bus, err := comm.NewBus(comm.Options{LossRate: lossRate, Seed: seed})
+	inj, err := faults.New(faults.Plan{Seed: seed, Drop: lossRate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fx, shims, bus
+	return fx, shims, comm.NewBus(comm.Options{Injector: inj})
 }
 
 func TestDistributedMigrationReliableBus(t *testing.T) {
@@ -173,10 +174,7 @@ func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
 			}
 			shims[i], sets[i] = s, []*dcn.VM{vm}
 		}
-		bus, err := comm.NewBus(comm.Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		bus := comm.NewBus(comm.Options{})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, DistOptions{})

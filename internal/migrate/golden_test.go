@@ -11,6 +11,7 @@ import (
 
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
+	"sheriff/internal/faults"
 	"sheriff/internal/obs"
 )
 
@@ -69,14 +70,16 @@ func TestDistributedTraceGolden(t *testing.T) {
 	}
 	sets := [][]*dcn.VM{{a, a2}, {b}}
 
-	// A lossy bus (seed-deterministic drops) exercises the timeout/retry
-	// path; both the bus and the protocol share the recorder so the trace
-	// interleaves wire movement with protocol decisions. The seed is
-	// chosen so the run also crosses a message drop and a retry.
-	bus, err := comm.NewBus(comm.Options{LossRate: 0.25, Seed: goldenSeed(), Recorder: rec})
+	// A fault plan dropping a quarter of the messages (seed-deterministic
+	// drops) exercises the timeout/retry path; both the bus and the
+	// protocol share the recorder so the trace interleaves wire movement
+	// with protocol decisions. The seed is chosen so the run also crosses
+	// a message drop and a retry.
+	inj, err := faults.New(faults.Plan{Seed: goldenSeed(), Drop: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bus := comm.NewBus(comm.Options{Recorder: rec, Injector: inj})
 	opts := DistOptions{
 		Recorder:      rec,
 		RequestPolicy: func(vm *dcn.VM, dst *dcn.Host) bool { return vm != a },

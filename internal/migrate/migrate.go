@@ -36,9 +36,9 @@ type Report struct {
 
 // RequestPolicy decides whether a REQUEST handshake may be granted,
 // before the Alg. 4 capacity check. It is the injectable admission /
-// failure-injection point: per-call (MigrationOptions, DistOptions) or
-// per-shim (Params), so concurrent protocol runs never share mutable
-// global state. A nil policy always allows.
+// failure-injection point, set per call (MigrationOptions.Policy,
+// DistOptions.RequestPolicy), so concurrent protocol runs never share
+// mutable global state. A nil policy always allows.
 type RequestPolicy func(vm *dcn.VM, dst *dcn.Host) bool
 
 // Params tunes the shim protocol. Alpha and Beta are the capacity
@@ -54,10 +54,6 @@ type Params struct {
 	// racks reachable through at most this many switches (1 = the paper's
 	// one-hop wired neighbors).
 	NeighborSwitchHops int
-	// RequestPolicy, when non-nil, is consulted on every handshake the
-	// shim answers or commits (ProcessAlerts, DistributedVMMigration
-	// destinations).
-	RequestPolicy RequestPolicy
 	// Recorder, when non-nil, receives request/ack/reject/unplaced events
 	// from the shim's migration rounds.
 	Recorder *obs.Recorder
@@ -149,14 +145,6 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 // (excluding its own).
 func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 
-// SetRequestPolicy installs (or, when nil, removes) the shim's REQUEST
-// admission hook after construction. It replaces the removed process-wide
-// sheriff.SetRequestGate: the hook is scoped to this shim and consulted
-// on every handshake it decides, including the distributed protocol's
-// destination side. Like the rest of the shim it must not race Process-
-// Alerts or a protocol run.
-func (s *Shim) SetRequestPolicy(p RequestPolicy) { s.params.RequestPolicy = p }
-
 // ProcessAlerts runs Alg. 1 over one collection period's alert set:
 // outer-switch alerts feed FLOWREROUTE; host alerts select VMs with the
 // α-knapsack; ToR alerts are pooled and select with the β-knapsack; the
@@ -232,11 +220,7 @@ func (s *Shim) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
 
 // migrationOptions projects the shim's params onto one VMMIGRATION call.
 func (s *Shim) migrationOptions() MigrationOptions {
-	return MigrationOptions{
-		Policy:   s.params.RequestPolicy,
-		Recorder: s.params.Recorder,
-		Shim:     s.Rack.Index,
-	}
+	return MigrationOptions{Recorder: s.params.Recorder, Shim: s.Rack.Index}
 }
 
 // vmsUsingSwitch approximates "VMs with flows out through s_j": with no
@@ -328,7 +312,7 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 	}
 	res := &MigrationResult{}
 	k := core{c: c, m: m, admit: o.Policy, rec: o.Recorder, tally: &res.Tally, scratch: sc}
-	if err := k.sequential(f, candidates, o.Shim, o.ForbidSameRack, nil); err != nil {
+	if err := k.sequential(f, candidates, o.Shim, o.ForbidSameRack); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -338,9 +322,8 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 // and the last rung of the distributed protocol's fallback ladder: match,
 // send each matched pair through the handshake, rematch what was refused
 // or left over, and report unplaced what nothing admits. shim tags the
-// events; forbidSameRack bars a VM's own rack; local is the deciding
-// shim's admission policy.
-func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool, local RequestPolicy) error {
+// events; forbidSameRack bars a VM's own rack.
+func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool) error {
 	remaining := append([]*dcn.VM(nil), f...)
 	// Destinations that rejected a VM are excluded from its later rounds
 	// ("v_i should recalculate possible migration destinations"). The
@@ -373,7 +356,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 				continue
 			}
 			anyMatched = true
-			if !k.request(vm, candidates[j], bases[i][j], shim, round, local) {
+			if !k.request(vm, candidates[j], bases[i][j], shim, round) {
 				exclude(&excluded, vm.ID, j)
 				next = append(next, vm)
 			}

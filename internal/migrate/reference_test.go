@@ -197,7 +197,7 @@ func migResultSignature(res *MigrationResult) string {
 // decision and adds the move.
 func (o *MigrationOptions) decide(vm *dcn.VM, dst *dcn.Host) (ok bool, cause string) {
 	k := core{admit: o.Policy}
-	return k.admits(vm, dst, nil)
+	return k.admits(vm, dst)
 }
 
 // TestMigrateMatchesReference pins Migrate to the frozen implementation

@@ -324,32 +324,23 @@ func (s *Sim) SeedAlerts() [][]*dcn.VM {
 	return out
 }
 
-// RunChaos runs the distributed protocol over a bus perturbed by the
-// seeded fault plan — the `sheriffsim -mode chaos` entry point. The bus
-// inherits the sim seed and the DistOptions recorder, so one recorder
-// captures wire faults and protocol decisions interleaved.
+// RunChaos seeds the paper's 5% alerts and relocates them with the
+// message-passing REQUEST/ACK/REJECT protocol of Alg. 4 over a bus the
+// seeded fault plan perturbs — the `sheriffsim -mode dist` and `-mode
+// chaos` entry point. The zero Plan is a lossless bus. The bus takes the
+// DistOptions recorder, so one recorder captures wire faults and protocol
+// decisions interleaved.
 func (s *Sim) RunChaos(plan faults.Plan, opts migrate.DistOptions) (*migrate.DistResult, error) {
 	inj, err := faults.New(plan)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunDistributed(comm.Options{Seed: s.Config.Seed, Recorder: opts.Recorder, Injector: inj}, opts)
-}
-
-// RunDistributed seeds the paper's 5% alerts and relocates them with the
-// message-passing REQUEST/ACK/REJECT protocol of Alg. 4 over an in-memory
-// bus built from busOpts. Attach the same obs.Recorder to busOpts and
-// opts to get a full wire-plus-decision trace of the run.
-func (s *Sim) RunDistributed(busOpts comm.Options, opts migrate.DistOptions) (*migrate.DistResult, error) {
 	alerts := s.SeedAlerts()
 	vmSets := make([][]*dcn.VM, len(s.Shims))
 	for i, shim := range s.Shims {
 		vmSets[i] = alerts[shim.Rack.Index]
 	}
-	bus, err := comm.NewBus(busOpts)
-	if err != nil {
-		return nil, err
-	}
+	bus := comm.NewBus(comm.Options{Recorder: opts.Recorder, Injector: inj})
 	return migrate.DistributedVMMigration(s.Cluster, s.Model, bus, s.Shims, vmSets, opts)
 }
 

@@ -60,39 +60,58 @@ func TestTraceToFacade(t *testing.T) {
 	}
 }
 
-// TestSetRequestPolicyFacade checks the per-shim admission hook — the
-// replacement for the removed process-wide SetRequestGate — blocks
-// migrations when installed after assembly and stops blocking when
-// cleared, without leaking into other shims.
-func TestSetRequestPolicyFacade(t *testing.T) {
-	cluster, _, shims, err := NewFatTreeCluster(4, 2, 100)
+// TestRequestPolicyFacade checks the per-call admission hook — the
+// replacement for the removed process-wide SetRequestGate: a
+// MigrationOptions.Policy refusing every REQUEST leaves the call's VMs
+// unplaced, each refusal traced with cause "policy", and does not outlive
+// its call — the next Migrate, with no policy, places them.
+func TestRequestPolicyFacade(t *testing.T) {
+	cluster, model, shims, err := NewFatTreeCluster(4, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	populateForTest(cluster, 1)
-	shims[0].SetRequestPolicy(func(*VM, *Host) bool { return false })
+	rec, err := NewRecorder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := shims[0].Rack.Hosts[0].VMs()
+	if len(vms) == 0 {
+		t.Fatal("the populated host holds no VM")
+	}
+	var hosts []*Host
+	for _, r := range shims[0].NeighborRacks() {
+		hosts = append(hosts, r.Hosts...)
+	}
 
-	var alerts []Alert
-	rack := shims[0].Rack
-	h := rack.Hosts[0]
-	for _, vm := range h.VMs() {
-		vm.Alert = 0.95
-	}
-	alerts = append(alerts, Alert{HostID: h.ID, RackIndex: rack.Index, Value: 0.95})
-	rep, err := shims[0].ProcessAlerts(alerts)
+	deny := func(*VM, *Host) bool { return false }
+	res, err := Migrate(cluster, model, vms, hosts, MigrationOptions{Policy: deny, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Migrations) != 0 {
-		t.Fatalf("policy did not block: %d migrations", len(rep.Migrations))
+	if len(res.Migrations) != 0 || len(res.Unplaced) != len(vms) || res.Rejected == 0 {
+		t.Fatalf("policy did not block: %d migrations, %d of %d unplaced, %d rejected",
+			len(res.Migrations), len(res.Unplaced), len(vms), res.Rejected)
 	}
-	shims[0].SetRequestPolicy(nil)
-	rep, err = shims[0].ProcessAlerts(alerts)
+	rejects := 0
+	for _, e := range rec.Events() {
+		if e.Kind == "reject" {
+			rejects++
+			if e.Attrs["cause"] != "policy" {
+				t.Fatalf("reject event with cause %q, want policy", e.Attrs["cause"])
+			}
+		}
+	}
+	if rejects != res.Rejected {
+		t.Fatalf("%d reject events for %d rejections", rejects, res.Rejected)
+	}
+
+	res, err = Migrate(cluster, model, vms, hosts, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Migrations) == 0 {
-		t.Fatal("no migrations after clearing the policy")
+	if len(res.Migrations) == 0 {
+		t.Fatal("no migrations in a call without the policy")
 	}
 }
 

@@ -107,16 +107,17 @@ type (
 	// EventSink receives recorded events (e.g. the JSONL trace writer).
 	EventSink = obs.Sink
 	// RequestPolicy decides whether a destination accepts a REQUEST — the
-	// injectable admission hook on migrate.Params and migrate.DistOptions,
-	// installable per shim after construction via Shim.SetRequestPolicy.
+	// injectable admission hook of one call: MigrationOptions.Policy or
+	// migrate.DistOptions.RequestPolicy.
 	RequestPolicy = migrate.RequestPolicy
 	// PredictorOptions configures NewPredictor (pool family, season
 	// period, fitness window, seed). The zero value builds the paper's
 	// default ARIMA+NARNET pool.
 	PredictorOptions = predictor.Options
-	// FaultPlan declares one seeded wire-fault scenario for chaos runs
-	// (see internal/faults); compile it with faults.New and hand the
-	// injector to comm.Options.
+	// FaultPlan declares one seeded wire-fault scenario (see
+	// internal/faults); compile it with faults.New and hand the injector to
+	// comm.Options. It is the only way to make the bus lose or delay
+	// messages.
 	FaultPlan = faults.Plan
 
 	// MigrationOptions is the per-invocation migration configuration
