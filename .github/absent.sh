@@ -75,5 +75,7 @@ src  \bMsgAlert\b
 src  \bMsgCongestion\b
 doc  ./internal/comm.Options Seed
 doc  ./internal/migrate.Params RequestPolicy
+# One traffic-plane sync: phase 2 walks the dependency-edge table, with no per-period pair map or key sorts.
+src  \b(flowWant|sortKeys|flowByPair)\b
 EOF
 exit $fail

@@ -11,7 +11,8 @@ import "slices"
 // ascending order. Edges come and go while the cluster runs, which is why
 // each VM keeps its own short list instead of a slice of one packed array.
 type DependencyGraph struct {
-	peers [][]int // peers[id]: IDs of the VMs dependent on id, ascending
+	peers   [][]int // peers[id]: IDs of the VMs dependent on id, ascending
+	version uint64  // bumped by every edit of an edge
 }
 
 // NewDependencyGraph returns an empty dependency graph.
@@ -46,14 +47,21 @@ func (d *DependencyGraph) AddDependency(a, b int) {
 func (d *DependencyGraph) link(a, b int) {
 	if i, ok := search(d.peers[a], b); !ok {
 		d.peers[a] = slices.Insert(d.peers[a], i, b)
+		d.version++
 	}
 }
 
 func (d *DependencyGraph) unlink(a, b int) {
 	if i, ok := search(d.Peers(a), b); ok {
 		d.peers[a] = slices.Delete(d.peers[a], i, i+1)
+		d.version++
 	}
 }
+
+// Version counts the graph's edits: it moves whenever an edge is added or
+// removed and stays put otherwise, so a reader that derives a table from
+// the edges rebuilds it only when this differs from the value it built at.
+func (d *DependencyGraph) Version() uint64 { return d.version }
 
 // RemoveDependency deletes the edge a–b if present.
 func (d *DependencyGraph) RemoveDependency(a, b int) {

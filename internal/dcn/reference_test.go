@@ -91,7 +91,8 @@ func (d *referenceDependencyGraph) PeerRacks(c *Cluster, vmID int) []int {
 // twice), edges removed (many of them absent), VMs removed, over IDs that
 // leave holes and reach past the cluster's VMs — and wants every read to
 // agree after every step: Dependent, Peers, Degree, NumEdges, and PeerRacks
-// as a set (the reference lists racks in map order).
+// as a set (the reference lists racks in map order). Version moves at every
+// step that edits the graph and at no other.
 func TestDependencyGraphMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -110,6 +111,7 @@ func TestDependencyGraphMatchesReference(t *testing.T) {
 		got, want := c.Deps, newReferenceDependencyGraph()
 		for step := 0; step < 600; step++ {
 			a, b := rng.Intn(ids), rng.Intn(ids)
+			edges, version := got.NumEdges(), got.Version()
 			switch op := rng.Intn(10); {
 			case op < 6:
 				got.AddDependency(a, b)
@@ -123,6 +125,11 @@ func TestDependencyGraphMatchesReference(t *testing.T) {
 			}
 			if g, w := got.NumEdges(), want.NumEdges(); g != w {
 				t.Fatalf("seed %d step %d: NumEdges = %d, reference %d", seed, step, g, w)
+			}
+			// One call only adds or only removes edges, so it edited the
+			// graph exactly when the edge count moved.
+			if moved := got.Version() != version; moved != (got.NumEdges() != edges) {
+				t.Fatalf("seed %d step %d: Version moved = %v, edges %d -> %d", seed, step, moved, edges, got.NumEdges())
 			}
 			for id := -1; id <= ids; id++ {
 				g, w := got.Peers(id), want.Peers(id)

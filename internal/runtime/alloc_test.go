@@ -69,6 +69,53 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFlowSyncSteadyStateAllocs gates phase 2 at zero heap allocations per
+// period while G_d stands still: the scatter writes the edge table in
+// place, the reconcile walks it, and the table is not rebuilt. Each run
+// syncs against the other of two periods' profiles, so every flow is
+// re-rated and none is admitted or removed.
+func TestFlowSyncSteadyStateAllocs(t *testing.T) {
+	cluster, model := equivParts(t, 9)
+	r, err := New(cluster, model, Options{Seed: 9, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	other := alternateProfiles(t, r)
+	table, flows := &r.sh.edges[0], r.Flows.Flows()
+	rates := make([]float64, len(flows))
+	for i, f := range flows {
+		rates[i] = f.Rate
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		r.sh.cur, other = other, r.sh.cur
+		r.syncFlows()
+	})
+	if allocs != 0 {
+		t.Fatalf("flow sync allocates %.1f objects/period in steady state, want 0", allocs)
+	}
+	if &r.sh.edges[0] != table {
+		t.Fatal("flow sync rebuilt the edge table though G_d did not change")
+	}
+	// 51 runs, an odd number of swaps: the plane carries the other period.
+	after := r.Flows.Flows()
+	if len(after) != len(flows) {
+		t.Fatalf("%d flows after the runs, %d before: the gate admitted or removed some", len(after), len(flows))
+	}
+	rerated := 0
+	for i, f := range after {
+		if f != flows[i] {
+			t.Fatalf("flow %d was replaced under a steady placement", f.ID)
+		}
+		if f.Rate != rates[i] {
+			rerated++
+		}
+	}
+	if rerated == 0 {
+		t.Fatal("no flow was re-rated; the gate did not sync anything")
+	}
+}
+
 // TestCalmPeriodRescansNothing: on a calm fabric — a leaf-spine with
 // no cross-rack dependency, so no flow, and thresholds no forecast reaches,
 // so no alert and no migration — a period writes no link load and moves no

@@ -76,11 +76,11 @@ func BenchmarkRuntimeStep(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowShard is phase 2's scatter alone — every shard's walk over
-// G_d, listing the flows its VMs want — on the 16-pod Fat-Tree of the
-// ft16-surge workload (128 racks, 768 VMs): with the populated dependency
-// graph, and with none, where the walk is one Peers call per VM and nothing
-// else (the ls1000-calm shape).
+// BenchmarkFlowShard is phase 2's scatter alone — every shard's run of
+// the edge table, each dependency pair filled in once — on the 16-pod
+// Fat-Tree of the ft16-surge workload (128 racks, 768 VMs): with the
+// populated dependency graph, and with none, where the table is empty and
+// the scatter does nothing (the ls1000-calm shape).
 func BenchmarkFlowShard(b *testing.B) {
 	for _, deps := range []bool{true, false} {
 		name := "deps"
@@ -111,8 +111,50 @@ func BenchmarkFlowShard(b *testing.B) {
 					r.flowShard(s)
 				}
 			}
+			b.ReportMetric(float64(len(r.sh.edges)), "pairs")
 		})
 	}
+}
+
+// BenchmarkFlowSync is all of phase 2 in steady state on the same 16-pod
+// Fat-Tree: the scatter as a shard round plus the reconcile, which re-rates
+// every flow — the VMs' profiles alternate between two periods' — and
+// admits or removes none:
+//
+//	go test -run - -bench BenchmarkFlowSync -benchmem ./internal/runtime/
+func BenchmarkFlowSync(b *testing.B) {
+	cluster, model, opts := buildBenchParts(b, 16, Options{})
+	r, err := New(cluster, model, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	other := alternateProfiles(b, r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.sh.cur, other = other, r.sh.cur
+		r.syncFlows()
+	}
+	b.ReportMetric(float64(len(r.Flows.Flows())), "flows")
+}
+
+// alternateProfiles warms r up and returns a copy of its VMs' profiles one
+// period before the current ones: syncing the traffic plane on each in turn
+// re-rates flows without moving any.
+func alternateProfiles(tb testing.TB, r *Runtime) []traces.Profile {
+	tb.Helper()
+	var prev []traces.Profile
+	for i := 0; i < 4; i++ {
+		prev = append(prev[:0], r.sh.cur...)
+		if _, err := r.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if len(r.Flows.Flows()) == 0 {
+		tb.Fatal("no flows to sync")
+	}
+	return prev
 }
 
 // BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed

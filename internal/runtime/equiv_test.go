@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"sheriff/internal/alert"
@@ -18,7 +19,8 @@ type equivScenario struct {
 	steps    int
 	external bool // drive via StepExternal instead of Step
 	mutate   func(*Options)
-	parts    partsFunc // nil is equivParts' 4-pod Fat-Tree
+	parts    partsFunc                                    // nil is equivParts' 4-pod Fat-Tree
+	edit     func(t *testing.T, step int, c *dcn.Cluster) // when set, edits the cluster before each step
 }
 
 // partsFunc builds a populated fabric and its cost model from a seed.
@@ -127,6 +129,9 @@ func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options
 func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
 	for step := 0; step < sc.steps; step++ {
+		if sc.edit != nil {
+			sc.edit(t, step, runtimeOf(r).Cluster)
+		}
 		var err error
 		if sc.external {
 			var updates []ExternalUpdate
@@ -154,60 +159,183 @@ func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 // placement, and snapshot are bit-identical to the reference engine's.
 func TestShardedMatchesReference(t *testing.T) {
 	for _, sc := range equivScenarios() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			parts := sc.parts
-			if parts == nil {
-				parts = equivParts
-			}
-			refOpts := Options{}
-			if sc.mutate != nil {
-				sc.mutate(&refOpts)
-			}
-			ref := buildEquivReference(t, parts, 11, refOpts)
-			refHist := driveEquiv(t, ref, sc)
-			refPlaced := placement(ref.Cluster)
+		t.Run(sc.name, func(t *testing.T) { matchReference(t, sc) })
+	}
+}
 
-			snap, err := ref.Snapshot()
-			if err != nil {
+// matchReference runs sc on the reference engine and on the sharded one at
+// 1, 2 and 5 shards, and fails unless every step's StepStats, the final
+// placement and the snapshot bytes agree.
+func matchReference(t *testing.T, sc equivScenario) {
+	t.Helper()
+	parts := sc.parts
+	if parts == nil {
+		parts = equivParts
+	}
+	refOpts := Options{}
+	if sc.mutate != nil {
+		sc.mutate(&refOpts)
+	}
+	ref := buildEquivReference(t, parts, 11, refOpts)
+	refHist := driveEquiv(t, ref, sc)
+	refPlaced := placement(ref.Cluster)
+
+	snap, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSnap, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, shards := range []int{1, 2, 5} {
+		shOpts := Options{Shards: shards}
+		if sc.mutate != nil {
+			sc.mutate(&shOpts)
+		}
+		sh := buildEquivOn(t, parts, 11, shOpts)
+		shHist := driveEquiv(t, sh, sc)
+		if len(shHist) != len(refHist) {
+			t.Fatalf("shards=%d: %d steps, reference has %d", shards, len(shHist), len(refHist))
+		}
+		for i := range refHist {
+			sameStats(t, sc.name, refHist[i], shHist[i])
+		}
+		for id, host := range placement(sh.Cluster) {
+			if refPlaced[id] != host {
+				t.Fatalf("shards=%d: VM %d ends on host %d, on %d under the reference engine", shards, id, host, refPlaced[id])
+			}
+		}
+		snap, err := sh.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(refSnap) {
+			t.Fatalf("shards=%d: snapshot diverged from reference engine", shards)
+		}
+	}
+}
+
+// reverseParts is a 4-pod Fat-Tree filled from its last host to its first,
+// so VM IDs fall as racks rise and a pair's rate comes from its higher-ID
+// endpoint, the one the engine meets first in rack-major order. Random
+// dependencies link VMs on different hosts, most of them across racks.
+func reverseParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+	t.Helper()
+	cluster, model := buildParts(t, 4)
+	rng := rand.New(rand.NewSource(seed))
+	hosts := cluster.Hosts()
+	for i := len(hosts) - 1; i >= 0; i-- {
+		for k := 0; k < 3; k++ {
+			if _, err := cluster.AddVM(hosts[i], 5+15*rng.Float64(), 1+9*rng.Float64(), rng.Float64() < 0.2); err != nil {
 				t.Fatal(err)
 			}
-			refSnap, err := json.Marshal(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+	}
+	vms := cluster.VMs()
+	for _, vm := range vms {
+		if peer := vms[rng.Intn(len(vms))]; peer.Host() != vm.Host() {
+			cluster.Deps.AddDependency(vm.ID, peer.ID)
+		}
+	}
+	return cluster, model
+}
 
-			for _, shards := range []int{1, 2, 5} {
-				shOpts := Options{Shards: shards}
-				if sc.mutate != nil {
-					sc.mutate(&shOpts)
-				}
-				sh := buildEquivOn(t, parts, 11, shOpts)
-				shHist := driveEquiv(t, sh, sc)
-				if len(shHist) != len(refHist) {
-					t.Fatalf("shards=%d: %d steps, reference has %d", shards, len(shHist), len(refHist))
-				}
-				for i := range refHist {
-					sameStats(t, sc.name, refHist[i], shHist[i])
-				}
-				for id, host := range placement(sh.Cluster) {
-					if refPlaced[id] != host {
-						t.Fatalf("shards=%d: VM %d ends on host %d, on %d under the reference engine", shards, id, host, refPlaced[id])
-					}
-				}
-				snap, err := sh.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != string(refSnap) {
-					t.Fatalf("shards=%d: snapshot diverged from reference engine", shards)
+// editDeps edits G_d between periods, the same way on whichever engine's
+// cluster it is handed, choosing from the cluster's state alone: before
+// period 3 it adds a cross-rack dependency, before 5 it removes one, before
+// 7 it removes the VM with the most peers, and before 9 it admits a VM
+// neither engine steps and makes it a peer of one they do.
+func editDeps(t *testing.T, step int, c *dcn.Cluster) {
+	t.Helper()
+	vms := c.VMs()
+	crossRack := func(u, v *dcn.VM) bool { return u.Host().Rack() != v.Host().Rack() }
+	switch step {
+	case 3:
+		u := vms[0]
+		for _, v := range vms[1:] {
+			if crossRack(u, v) && !c.Deps.Dependent(u.ID, v.ID) {
+				c.Deps.AddDependency(u.ID, v.ID)
+				return
+			}
+		}
+	case 5:
+		for _, u := range vms {
+			for _, p := range c.Deps.Peers(u.ID) {
+				if crossRack(u, c.VM(p)) {
+					c.Deps.RemoveDependency(u.ID, p)
+					return
 				}
 			}
-		})
+		}
+	case 7:
+		most := vms[0]
+		for _, vm := range vms {
+			if c.Deps.Degree(vm.ID) > c.Deps.Degree(most.ID) {
+				most = vm
+			}
+		}
+		c.Remove(most)
+	case 9:
+		roomiest := c.Hosts()[0]
+		for _, h := range c.Hosts() {
+			if h.Free() > roomiest.Free() {
+				roomiest = h
+			}
+		}
+		vm, err := c.AddVM(roomiest, 5, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vms {
+			if crossRack(vm, v) {
+				c.Deps.AddDependency(vm.ID, v.ID)
+				return
+			}
+		}
+	}
+}
+
+// TestDependencyEditsMatchReference: G_d edited under a running runtime —
+// a dependency added, one removed, a VM removed with its edges, a peer the
+// engine does not step — leaves the sharded engine bit-identical to the
+// reference engine, which rebuilds its pair map every period, at every
+// shard count. The sharded engine rebuilds its edge table at exactly the
+// periods that follow an edit.
+func TestDependencyEditsMatchReference(t *testing.T) {
+	sc := equivScenario{name: "dependency-edits", steps: 12, parts: reverseParts, edit: editDeps,
+		mutate: func(o *Options) {
+			o.Traces = traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
+		}}
+	matchReference(t, sc)
+
+	opts := Options{Shards: 2}
+	sc.mutate(&opts)
+	r := buildEquivOn(t, reverseParts, 11, opts)
+	migrations := 0
+	for step := 0; step < sc.steps; step++ {
+		table, version := &r.sh.edges[0], r.Cluster.Deps.Version()
+		editDeps(t, step, r.Cluster)
+		edited := r.Cluster.Deps.Version() != version
+		st, err := r.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrations += st.Migrations
+		if rebuilt := &r.sh.edges[0] != table; rebuilt != edited {
+			t.Fatalf("period %d: edge table rebuilt = %v, G_d edited = %v", step, rebuilt, edited)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("period %d: %v", step, err)
+		}
+	}
+	if migrations == 0 {
+		t.Fatal("scenario raised no migrations; no VM changed rack under the table")
 	}
 }
 

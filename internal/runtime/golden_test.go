@@ -263,9 +263,12 @@ func TestRestoreAcrossSnapshotVersions(t *testing.T) {
 }
 
 // hostileDocs are the golden document with one field set to ask Restore
-// for unbounded work: a generator position past the snapshot's step,
+// for unbounded work — a generator position past the snapshot's step,
 // which replaying would spin on, and a trace horizon past traces.MaxHours,
-// which materializing would allocate for.
+// which materializing would allocate for — or for a traffic plane no run
+// writes: a flow pair listed twice, which would collapse into one edge
+// slot, and one flow given to two pairs, which would remove a live flow at
+// the next period.
 func hostileDocs(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
@@ -281,15 +284,19 @@ func hostileDocs(tb testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"generator position past the step": edit(`"gen_pos":32`, `"gen_pos":1099511627776`),
 		"trace horizon past a week":        edit(`"Hours":24`, `"Hours":1073741824`),
+		"flow pair listed twice":           edit(`"flow_pairs":[[1,9,0]]`, `"flow_pairs":[[1,9,0],[1,9,0]]`),
+		"one flow for two pairs":           edit(`"flow_pairs":[[1,9,0]]`, `"flow_pairs":[[1,9,0],[2,9,0]]`),
 	}
 }
 
-// TestRestoreRefusesHostileWork: the two hostile documents are refused by
+// TestRestoreRefusesHostileWork: the hostile documents are refused by
 // name, before any work they ask for.
 func TestRestoreRefusesHostileWork(t *testing.T) {
 	want := map[string]string{
 		"generator position past the step": "generator position 1099511627776, want 0..32",
 		"trace horizon past a week":        "Hours must be in 0..168",
+		"flow pair listed twice":           "snapshot lists pair (1,9) twice",
+		"one flow for two pairs":           "snapshot gives flow 0 to a second pair, (2,9)",
 	}
 	for name, doc := range hostileDocs(t) {
 		t.Run(name, func(t *testing.T) {

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,7 +55,8 @@ type refState struct {
 // this file. It shadows every Runtime method that reaches the step engine.
 type refRuntime struct {
 	*Runtime
-	ref *refState
+	ref        *refState
+	flowByPair map[[2]int]int // dependency pair -> flow ID
 }
 
 // newReference is New for the seed engine.
@@ -62,7 +65,7 @@ func newReference(cluster *dcn.Cluster, model *cost.Model, opts Options) (*refRu
 	if err != nil {
 		return nil, err
 	}
-	r := &refRuntime{Runtime: base}
+	r := &refRuntime{Runtime: base, flowByPair: make(map[[2]int]int)}
 	if err := r.initReference(); err != nil {
 		return nil, err
 	}
@@ -115,8 +118,8 @@ func (r *refRuntime) Run(n int) ([]StepStats, error) {
 }
 
 // Snapshot fills the per-VM and queue rows the way the seed engine holds
-// them — histories, cold-smoothed into Holt states — and leaves the rest
-// of the document to the Runtime.
+// them — histories, cold-smoothed into Holt states — lists its pair map
+// sorted, and leaves the rest of the document to the Runtime.
 func (r *refRuntime) Snapshot() (*Snapshot, error) {
 	var vms []VMSnap
 	for _, st := range r.ref.vms {
@@ -133,7 +136,14 @@ func (r *refRuntime) Snapshot() (*Snapshot, error) {
 		lt := foldHolt(h)
 		queues = append(queues, [3]float64{lt[0], lt[1], float64(len(h))})
 	}
-	return r.snapshotDoc(vms, queues)
+	var pairs [][3]int
+	for pair, id := range r.flowByPair {
+		pairs = append(pairs, [3]int{pair[0], pair[1], id})
+	}
+	slices.SortFunc(pairs, func(a, b [3]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return r.snapshotDoc(vms, queues, pairs)
 }
 
 // foldHolt cold-smooths a full history into its Holt state — how the

@@ -14,7 +14,6 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	stdruntime "runtime"
 	"time"
 
@@ -168,8 +167,6 @@ type Runtime struct {
 	opts       Options
 	gen        traces.Generator // trace family (opts.Traces), built once
 	shims      []*migrate.Shim  // indexed by rack; nil until first alert
-	flowByPair map[[2]int]int   // dependency pair -> flow ID
-	rng        *rand.Rand
 	step       int
 	history    []StepStats
 	histStart  int  // ring head once history is full (HistoryLimit > 0)
@@ -237,13 +234,11 @@ func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	r := &Runtime{
-		Cluster:    cluster,
-		Model:      model,
-		Flows:      flow.NewNetwork(cluster.Graph),
-		opts:       opts,
-		gen:        gen,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		flowByPair: make(map[[2]int]int),
+		Cluster: cluster,
+		Model:   model,
+		Flows:   flow.NewNetwork(cluster.Graph),
+		opts:    opts,
+		gen:     gen,
 	}
 	if opts.DeepPredict {
 		r.deepHist = make([]*timeseries.Series, len(cluster.Racks))

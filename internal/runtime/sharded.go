@@ -65,14 +65,18 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// flowWant is one shard's vote for a dependency flow, emitted in the
-// shard's deterministic iteration order and merged first-encounter-wins by
-// the coordinator.
-type flowWant struct {
-	key      [2]int
-	src, dst int
-	rate     float64
-	ds       bool
+// edge is one slot of the dependency-edge table phase 2 syncs the traffic
+// plane by: one per dependency pair with an endpoint in the engine, and one
+// per other pair still holding a flow, in ascending (a, b) order.
+type edge struct {
+	a, b int   // the pair; a < b for a dependency
+	src  int32 // engine index of the endpoint met first, whose TRF sets the rate; -1 never wants a flow
+	peer int   // the other endpoint's VM ID
+	flow int   // the flow carrying the pair, or -1
+
+	want, ds         bool // this period's wish, as the scatter (flowShard) wrote it
+	srcNode, dstNode int
+	rate             float64
 }
 
 // shardState is the sharded engine's private state.
@@ -122,11 +126,8 @@ type shardState struct {
 	torAlerts    []int
 	maxUtil      []float64
 
-	// Flow-sync scratch, reused across steps.
-	wants    [][]flowWant
-	desired  map[[2]int]flowWant
-	keyBuf   [][2]int
-	admitBuf [][2]int
+	edges       []edge // phase 2's dependency-edge table
+	depsVersion uint64 // G_d's Version when edges was built
 
 	sourceBuf []int // manage-phase scratch: rack nodes handed to RefreshSources
 
@@ -246,8 +247,6 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	sh.serverAlerts = make([]int, ns)
 	sh.torAlerts = make([]int, ns)
 	sh.maxUtil = make([]float64, ns)
-	sh.wants = make([][]flowWant, ns)
-	sh.desired = make(map[[2]int]flowWant)
 
 	sh.workers = pool.NewShards(ns)
 	sh.predictFn = r.predictShard
@@ -256,7 +255,39 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 
 	r.shims = make([]*migrate.Shim, racks)
 	r.sh = sh
+	r.buildEdges(nil)
 	return nil
+}
+
+// buildEdges builds the edge table from G_d as it stands; a pair's rate
+// comes from the endpoint met first in rack-major order, as in the
+// reference engine's walk. flows lists the pairs holding a flow as [a, b,
+// flowID]; a non-dependency keeps its flow in a slot that never wants one.
+func (r *Runtime) buildEdges(flows [][3]int) {
+	sh := r.sh
+	edges := make([]edge, 0, len(sh.edges))
+	for i, vm := range sh.vms {
+		for _, p := range r.Cluster.Deps.Peers(vm.ID) {
+			if uint(p) < uint(len(sh.vmIndex)) && sh.vmIndex[p] >= 0 && int(sh.vmIndex[p]) < i {
+				continue // its slot came from p, which the engine met first
+			}
+			edges = append(edges, edge{a: min(vm.ID, p), b: max(vm.ID, p), src: int32(i), peer: p, flow: -1})
+		}
+	}
+	for _, f := range flows {
+		edges = append(edges, edge{a: f[0], b: f[1], src: -1, flow: f[2]})
+	}
+	// A flow's pair sorts after the dependency slot with its key, if any.
+	slices.SortFunc(edges, func(x, y edge) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), -cmp.Compare(x.src, y.src))
+	})
+	for k := 1; k < len(edges); k++ {
+		if edges[k].a == edges[k-1].a && edges[k].b == edges[k-1].b {
+			edges[k-1].flow = edges[k].flow
+		}
+	}
+	sh.edges = slices.CompactFunc(edges, func(x, y edge) bool { return x.a == y.a && x.b == y.b })
+	sh.depsVersion = r.Cluster.Deps.Version()
 }
 
 // source returns VM i's stream, opening it on the first draw: a
@@ -390,106 +421,79 @@ func (r *Runtime) deepShard(s int) {
 	}
 }
 
-// flowShard is phase 2's scatter: each shard emits its racks' desired
-// dependency flows in rack-major, VM-ascending order. Only reads of the
-// dependency graph and cluster placement happen here; all flow-network
-// mutation is the coordinator's (mergeFlows).
+// flowShard is phase 2's scatter: shard s writes this period's wish into
+// its even share of the edge table's slots. It only reads VM state and
+// placement; all flow-network mutation is the coordinator's (syncFlows).
 func (r *Runtime) flowShard(s int) {
 	sh := r.sh
 	start := time.Now()
-	wants := sh.wants[s][:0]
-	for i := sh.vmLo[s]; i < sh.vmHi[s]; i++ {
-		vm := sh.vms[i]
-		for _, peerID := range r.Cluster.Deps.Peers(vm.ID) {
-			peer := r.Cluster.VM(peerID)
-			if peer == nil || peer.Host() == nil || vm.Host() == nil {
-				continue
-			}
-			a, b := vm.ID, peerID
-			if a > b {
-				a, b = b, a
-			}
-			srcNode := vm.Host().Rack().NodeID
-			dstNode := peer.Host().Rack().NodeID
-			if srcNode == dstNode {
-				continue // intra-rack traffic never crosses the fabric
-			}
-			wants = append(wants, flowWant{
-				key:  [2]int{a, b},
-				src:  srcNode,
-				dst:  dstNode,
-				rate: r.opts.FlowRate(sh.cur[i].TRF),
-				ds:   vm.DelaySensitive || peer.DelaySensitive,
-			})
+	n := len(sh.edges)
+	for k := n * s / sh.n; k < n*(s+1)/sh.n; k++ {
+		e := &sh.edges[k]
+		e.want = false
+		if e.src < 0 {
+			continue
 		}
+		vm, peer := sh.vms[e.src], r.Cluster.VM(e.peer)
+		if peer == nil || peer.Host() == nil || vm.Host() == nil {
+			continue
+		}
+		e.srcNode, e.dstNode = vm.Host().Rack().NodeID, peer.Host().Rack().NodeID
+		e.want = e.srcNode != e.dstNode // intra-rack traffic never crosses the fabric
+		e.rate = r.opts.FlowRate(sh.cur[e.src].TRF)
+		e.ds = vm.DelaySensitive || peer.DelaySensitive
 	}
-	sh.wants[s] = wants
 	sh.dur[s] = time.Since(start)
 }
 
-// mergeFlows is phase 2's gather: concatenating the shard want-lists in
-// shard order reproduces the reference engine's global iteration order, so
-// first-encounter-wins dedup picks the same rate for every pair; the
-// reconcile and admission passes are byte-for-byte the reference logic
-// over reused scratch.
-func (r *Runtime) mergeFlows() {
+// syncFlows is phase 2: the edge table rebuilt if G_d changed, the scatter,
+// then two passes in pair order — the reference engine's reconcile of its
+// sorted keys, then its sorted admissions: the same load sums and flow IDs.
+func (r *Runtime) syncFlows() {
 	sh := r.sh
-	clear(sh.desired)
-	for s := 0; s < sh.n; s++ {
-		for _, w := range sh.wants[s] {
-			if _, ok := sh.desired[w.key]; !ok {
-				sh.desired[w.key] = w
-			}
-		}
+	if r.Cluster.Deps.Version() != sh.depsVersion {
+		r.buildEdges(r.flowPairs())
 	}
-	existing := sh.keyBuf[:0]
-	for key := range r.flowByPair {
-		existing = append(existing, key)
-	}
-	sh.keyBuf = existing
-	sortKeys(existing)
-	for _, key := range existing {
-		id := r.flowByPair[key]
-		f := r.Flows.Flow(id)
-		w, ok := sh.desired[key]
-		if f == nil || !ok || f.Src != w.src || f.Dst != w.dst {
-			if f != nil {
-				r.Flows.RemoveFlow(id)
-			}
-			delete(r.flowByPair, key)
+	sh.workers.Do(sh.flowsFn)
+	for k := range sh.edges {
+		e := &sh.edges[k]
+		if e.flow < 0 {
 			continue
 		}
-		if f.Rate != w.rate {
-			_ = r.Flows.SetRate(f, w.rate)
+		f := r.Flows.Flow(e.flow)
+		if f == nil || !e.want || f.Src != e.srcNode || f.Dst != e.dstNode {
+			if f != nil {
+				r.Flows.RemoveFlow(e.flow)
+			}
+			e.flow = -1
+			continue
 		}
-		delete(sh.desired, key) // handled
+		if f.Rate != e.rate {
+			_ = r.Flows.SetRate(f, e.rate)
+		}
 	}
-	admit := sh.admitBuf[:0]
-	for key := range sh.desired {
-		admit = append(admit, key)
-	}
-	sh.admitBuf = admit
-	sortKeys(admit)
-	for _, key := range admit {
-		w := sh.desired[key]
-		f, err := r.Flows.AddFlow(w.src, w.dst, w.rate, w.ds)
+	for k := range sh.edges {
+		e := &sh.edges[k]
+		if !e.want || e.flow >= 0 {
+			continue
+		}
+		f, err := r.Flows.AddFlow(e.srcNode, e.dstNode, e.rate, e.ds)
 		if err != nil {
 			continue // unroutable pairs are skipped, not fatal
 		}
-		r.flowByPair[key] = f.ID
+		e.flow = f.ID
 	}
 }
 
-// sortKeys orders flow keys by (src, dst). They are map keys, hence unique,
-// so any correct sort gives the same order; this one runs every period and
-// does not allocate.
-func sortKeys(keys [][2]int) {
-	slices.SortFunc(keys, func(a, b [2]int) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
+// flowPairs lists the pairs holding a flow as [a, b, flowID], in pair order.
+func (r *Runtime) flowPairs() [][3]int {
+	var out [][3]int
+	for _, e := range r.sh.edges {
+		if e.flow >= 0 {
+			out = append(out, [3]int{e.a, e.b, e.flow})
 		}
-		return cmp.Compare(a[1], b[1])
-	})
+	}
+	return out
 }
 
 // monitorShard is phase 3's parallel half: per-rack uplink monitors over
@@ -629,8 +633,7 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 
 	// Phase 2 (shard round + serialized merge): traffic plane.
 	phaseStart = time.Now()
-	sh.workers.Do(sh.flowsFn)
-	r.mergeFlows()
+	r.syncFlows()
 	stats.Timings.Flows = time.Since(phaseStart)
 	r.recordShardedPhase(rec, 1, "flows", stats.Timings.Flows)
 

@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
@@ -111,14 +109,14 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	for rk := range sh.qHolt {
 		queues = append(queues, [3]float64{sh.qHolt[rk].level, sh.qHolt[rk].trend, float64(sh.qN[rk])})
 	}
-	return r.snapshotDoc(vms, queues)
+	return r.snapshotDoc(vms, queues, r.flowPairs())
 }
 
-// snapshotDoc is the snapshot around the step engine's own rows — the
-// per-VM forecasting states in ascending VM ID order and the per-rack
-// queue monitors — which it takes as given: cluster, traffic plane, flow
-// pairs and deep pools are the Runtime's whoever steps it.
-func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, error) {
+// snapshotDoc is the snapshot around the step engine's own rows — per-VM
+// forecasting states by ascending VM ID, per-rack queue monitors, flow pairs
+// in pair order — which it takes as given: cluster, traffic plane and deep
+// pools are the Runtime's whoever steps it.
+func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64, pairs [][3]int) (*Snapshot, error) {
 	trOpts := r.opts.Traces
 	snap := &Snapshot{
 		Version:    SnapshotVersion,
@@ -128,16 +126,11 @@ func (r *Runtime) snapshotDoc(vms []VMSnap, queues [][3]float64) (*Snapshot, err
 		CostParams: r.Model.Params(),
 		Cluster:    r.Cluster.Snapshot(),
 		Flows:      r.Flows.Snapshot(),
+		FlowPairs:  pairs,
 		VMs:        vms,
 		Queues:     queues,
 		ModelStale: r.modelStale,
 	}
-	for pair, id := range r.flowByPair {
-		snap.FlowPairs = append(snap.FlowPairs, [3]int{pair[0], pair[1], id})
-	}
-	slices.SortFunc(snap.FlowPairs, func(a, b [3]int) int {
-		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-	})
 	if r.opts.DeepPredict {
 		snap.Deep = make([]*predictor.SelectorState, len(r.deep))
 		snap.DeepHist = make([]timeseries.Bits, len(r.deepHist))
@@ -257,12 +250,21 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	if err := r.Flows.Restore(snap.Flows); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
+	// No run lists a pair twice or gives a flow to two pairs.
+	pairs, flows := make(map[[2]int]bool), make(map[int]bool)
 	for _, p := range snap.FlowPairs {
-		if r.Flows.Flow(p[2]) == nil {
+		pair := [2]int{p[0], p[1]}
+		switch {
+		case r.Flows.Flow(p[2]) == nil:
 			return nil, fmt.Errorf("runtime: snapshot pair (%d,%d) references missing flow %d", p[0], p[1], p[2])
+		case pairs[pair]:
+			return nil, fmt.Errorf("runtime: snapshot lists pair (%d,%d) twice", p[0], p[1])
+		case flows[p[2]]:
+			return nil, fmt.Errorf("runtime: snapshot gives flow %d to a second pair, (%d,%d)", p[2], p[0], p[1])
 		}
-		r.flowByPair[[2]int{p[0], p[1]}] = p[2]
+		pairs[pair], flows[p[2]] = true, true
 	}
+	r.buildEdges(snap.FlowPairs)
 
 	if opts.DeepPredict && snap.Deep != nil {
 		if len(snap.Deep) != len(r.deep) || len(snap.DeepHist) != len(r.deepHist) {
