@@ -17,7 +17,9 @@
 // Floyd–Warshall; this model runs one Dijkstra row per source rack with
 // the same results. A row prepared by RefreshSources is regional: it is
 // swept only as far as the racks of its source's region need. A row read
-// for any other rack is swept in full on demand.
+// for any other rack is swept in full on demand. The physical-distance
+// table of the dependency term is built by its first reader: a model
+// whose VMs have no dependent peers never sweeps it.
 package cost
 
 import (
@@ -106,10 +108,12 @@ type Model struct {
 	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
 
 	// dist is Σ D(e) between racks, row-major by trans row. Distance does
-	// not depend on bandwidth, so it is swept (through trans's tables, before
-	// they take the transmission metric) only when the wiring changes, and
-	// only the rack × rack block anyone reads is kept.
-	dist []float64
+	// not depend on bandwidth, so it is swept only by the first read after
+	// the wiring changed (distances), and only the rack × rack block anyone
+	// reads is kept. distReady is its fast path, as ready is trans's.
+	dist       []float64
+	distReady  atomic.Bool
+	distBuilds int // tables built, under mu
 
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
 	structVer uint64            // Graph.StructVersion behind trans's rows and dist
@@ -187,11 +191,11 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // nodes are ignored. The stop is exact only when every weight is above
 // zero, so rows stay full when one is not (δ = η = 0, say).
 //
-// Physical distance does not depend on bandwidth, so it is swept (from
-// every rack) only when the wiring changed or on first build, and carried
-// over otherwise. A row's region is built on its first regional sweep and
-// kept until the wiring or hops change; in steady state the call allocates
-// nothing.
+// Physical distance does not depend on bandwidth, so the call never sweeps
+// it: a wiring change only drops the distance table, and the first read
+// that needs it builds it again. A row's region is built on its first
+// regional sweep and kept until the wiring or hops change; in steady state
+// the call allocates nothing.
 func (m *Model) RefreshSources(rackNodes []int, hops int) {
 	g := m.cluster.Graph
 	if !m.ready.Load() || g.StructVersion() != m.structVer {
@@ -201,16 +205,10 @@ func (m *Model) RefreshSources(rackNodes []int, hops int) {
 			m.trans = &topology.MultiSource{}
 		}
 		m.trans.Reset(g, racks)
-		m.trans.Reweigh(topology.DistanceCost)
-		m.rows = m.rows[:0]
-		for r := range racks {
-			m.rows = append(m.rows, r)
-		}
-		m.trans.SweepRows(m.rows)
-		m.setDistances(m.trans)
 		m.swept = make([]atomic.Uint64, len(racks))
 		m.gen = 0
 		m.built = nil
+		m.distReady.Store(false)
 	}
 	m.trans.Reweigh(m.transCost)
 	m.gen++
@@ -284,30 +282,60 @@ func (m *Model) inRegion(r, dst int) bool {
 	return j >= 0 && m.serves[r*m.words+j>>6]&(1<<(j&63)) != 0
 }
 
-// setDistances copies the rack × rack block out of a table swept under
-// topology.DistanceCost from every rack, in trans's row order.
-func (m *Model) setDistances(ms *topology.MultiSource) {
-	racks := m.cluster.Graph.RackNodes()
+// distBlock is how many rack rows the distance build sweeps at once. Its
+// search table holds only those rows and is dropped once they are copied
+// out, so building the block never holds a second full-size table.
+const distBlock = 64
+
+// distances returns the rack × rack distance block, building it first when
+// no query has read it since the wiring changed. Like ensure, an atomic
+// load is the fast path and the build runs once, behind the model's lock.
+func (m *Model) distances() []float64 {
+	m.ensure()
+	if m.distReady.Load() {
+		return m.dist
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.distReady.Load() {
+		m.setDistances()
+		m.distBuilds++
+		m.distReady.Store(true)
+	}
+	return m.dist
+}
+
+// setDistances sweeps Σ D(e) from every rack, distBlock rows at a time,
+// into the rack × rack block in trans's row order.
+func (m *Model) setDistances() {
+	g := m.cluster.Graph
+	racks := g.RackNodes()
 	if need := len(racks) * len(racks); cap(m.dist) >= need {
 		m.dist = m.dist[:need]
 	} else {
 		m.dist = make([]float64, need)
 	}
-	for i, a := range racks {
-		for j, b := range racks {
-			m.dist[i*len(racks)+j] = ms.Dist(a, b)
+	var ms *topology.MultiSource
+	for lo := 0; lo < len(racks); lo += distBlock {
+		block := racks[lo:min(lo+distBlock, len(racks))]
+		ms = topology.DijkstraFromInto(g, block, topology.DistanceCost, ms)
+		for i, a := range block {
+			row := m.dist[(lo+i)*len(racks) : (lo+i+1)*len(racks)]
+			for j, b := range racks {
+				row[j] = ms.Dist(a, b)
+			}
 		}
 	}
 }
 
-// distance is Σ D(e) between two rack nodes, Inf for a node that is not a
-// rack.
-func (m *Model) distance(a, b int) float64 {
+// distance is Σ D(e) between two rack nodes in the block dist, Inf for a
+// node that is not a rack.
+func (m *Model) distance(dist []float64, a, b int) float64 {
 	i, j := m.trans.Row(a), m.trans.Row(b)
 	if i < 0 || j < 0 {
 		return topology.Inf
 	}
-	return m.dist[i*len(m.swept)+j]
+	return dist[i*len(m.swept)+j]
 }
 
 // SweepCounts returns how many transmission rows have been swept ahead of
@@ -376,8 +404,7 @@ func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, err
 
 // Distance returns the physical-distance metric Σ D(e) between two racks.
 func (m *Model) Distance(a, b *dcn.Rack) float64 {
-	m.ensure()
-	return m.distance(a.NodeID, b.NodeID)
+	return m.distance(m.distances(), a.NodeID, b.NodeID)
 }
 
 // DependencyCost returns C_d times the net change in distance between the
@@ -390,16 +417,16 @@ func (m *Model) DependencyCost(vm *dcn.VM, src, dst *dcn.Rack) float64 {
 }
 
 // dependencyCost is DependencyCost over the peer racks themselves, summed
-// in the order given.
+// in the order given. Only a VM with peers reads the distance table.
 func (m *Model) dependencyCost(src, dst *dcn.Rack, peerRacks []int) float64 {
-	m.ensure()
-	if src == dst {
+	if src == dst || len(peerRacks) == 0 {
 		return 0
 	}
+	dist := m.distances()
 	total := 0.0
 	for _, idx := range peerRacks {
 		peer := m.cluster.Racks[idx]
-		total += m.distance(dst.NodeID, peer.NodeID) - m.distance(src.NodeID, peer.NodeID)
+		total += m.distance(dist, dst.NodeID, peer.NodeID) - m.distance(dist, src.NodeID, peer.NodeID)
 	}
 	return m.params.Cd * total
 }

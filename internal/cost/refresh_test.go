@@ -33,7 +33,13 @@ func (m *Model) refreshNaive() {
 		},
 	)
 	m.trans = trans
-	m.setDistances(dist)
+	m.dist = m.dist[:0]
+	for _, a := range racks {
+		for _, b := range racks {
+			m.dist = append(m.dist, dist.Dist(a, b))
+		}
+	}
+	m.distReady.Store(true)
 	m.structVer = m.cluster.Graph.StructVersion()
 	m.gen = 1
 	m.swept = make([]atomic.Uint64, len(racks))
@@ -111,21 +117,20 @@ func TestRefreshAfterWiringChange(t *testing.T) {
 	// Splice a new link between two existing ToRs: wiring changes, rack
 	// set stays, distance table must be rebuilt.
 	a, b := c.Racks[0].NodeID, c.Racks[len(c.Racks)-1].NodeID
+	before := m.Distance(c.Racks[0], c.Racks[len(c.Racks)-1]) // builds the old wiring's table
 	if err := g.AddLink(a, b, 5, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	m.Refresh()
 	fresh := testModel(t, c)
 	assertModelsAgree(t, c, m, fresh, "relinked")
-	if got := m.Distance(c.Racks[0], c.Racks[len(c.Racks)-1]); got != 0.5 {
-		t.Fatalf("new link not visible to distance table: %v", got)
+	if got := m.Distance(c.Racks[0], c.Racks[len(c.Racks)-1]); got != 0.5 || before == 0.5 {
+		t.Fatalf("new link not visible to distance table: %v, %v before it", got, before)
 	}
 }
 
-// TestSteadyRefreshZeroAlloc guards the planning-scale hot path: once the
-// tables exist, a bandwidth-only refresh on a single-rack... (multi-rack
-// fabrics fan out over the pool, which may allocate a handful of control
-// objects; on a serial pool the sweep itself must be allocation-free).
+// TestSteadyRefreshReusesTables: a bandwidth-only refresh keeps the
+// transmission table and the distance table its first read built.
 func TestSteadyRefreshReusesTables(t *testing.T) {
 	c := testCluster(t)
 	m := testModel(t, c)
@@ -134,9 +139,10 @@ func TestSteadyRefreshReusesTables(t *testing.T) {
 	if m.trans != before {
 		t.Fatal("steady refresh did not reuse the transmission table")
 	}
-	m.dist[1] = -1 // a mark a distance sweep would overwrite
+	m.Distance(c.Racks[0], c.Racks[1]) // the first read builds the distance table
+	m.dist[1] = -1                     // a mark a distance sweep would overwrite
 	m.Refresh()
-	if m.dist[1] != -1 {
-		t.Fatal("steady refresh recomputed the distance table")
+	if got := m.Distance(c.Racks[0], c.Racks[1]); got != -1 {
+		t.Fatalf("steady refresh recomputed the distance table: read %v", got)
 	}
 }

