@@ -77,5 +77,20 @@ doc  ./internal/comm.Options Seed
 doc  ./internal/migrate.Params RequestPolicy
 # One traffic-plane sync: phase 2 walks the dependency-edge table, with no per-period pair map or key sorts.
 src  \b(flowWant|sortKeys|flowByPair)\b
+# One front door: the root package is what the examples use; examples that need an internal name are Example tests in its package.
+file bench_test.go
+file bench_ext_test.go
+file examples/congestion_control
+file examples/distributed_protocol
+file examples/traffic_forecast
+doc  ./internal/migrate VMMigration
+# The facade names that went (VM and NARNET are left out: the package doc's prose uses both words).
+doc  . Series|NewSeries|ARIMAModel|ARIMAOrder|SARIMAModel|SARIMAOrder|FitARIMA|AutoARIMA|FitSARIMA|NARNETConfig|TrainNARNET
+doc  . Selector|Candidate|Forecaster|PredictorOptions|PredictorPoolDefault|PredictorPoolExtended|NewPredictor|BurstModel|BurstConfig|FitBurst|HoltWintersModel|FitHoltWinters
+doc  . Decomposition|Decompose|DetectPeriod|Severity|ClassifySeverity
+doc  . Rack|Host|CostParams|MigrationTimeline|CostTimelineParams|NewBCubeCluster|MigrationReport|MigrationOptions|MigrationResult|RequestPolicy|Migrate|FaultPlan|LocalSearchRatio
+doc  . Runtime|RuntimeOptions|RuntimeStats|NewRuntime|FlowNetwork|Flow|NewFlowNetwork|Recorder|Event|EventSink|NewRecorder|TraceTo
+doc  . TraceOptions|TraceKind|TraceGenerator|TraceSource|TraceRegime|SurgeParams|TraceDiurnal|TraceLite|TraceSurge|TraceSurgeLite|NewTraceGenerator|ParseTraceKind|TraceKinds
+doc  . FigureTable|GenerateFigure|Figures|EarlyWarnScore|EarlyWarnPoint|ScoreEarlyWarning|EarlyWarnTradeoff|SurgeGridConfig|SurgeGridResult|SurgeGridCell|RunSurgeGrid
 EOF
 exit $fail

@@ -17,26 +17,9 @@
 //     outer-switch congestion. The centralized view reduces to k-median,
 //     solved by p-swap local search with a 3+2/p guarantee.
 //
-// This root package is the stable facade: it re-exports the library's
-// main types as aliases and offers one-call helpers for the common
-// workflows (forecasting a series, building a simulated DCN, running the
-// Sheriff-vs-centralized comparison, regenerating the paper's figures).
-//
-// # Option structs
-//
-// Every configurable surface follows one convention: an options struct
-// whose zero value works, a Validate method rejecting nonsensical values
-// (negative probabilities, windows, budgets), and a WithDefaults method
-// filling zero fields. RuntimeOptions, PredictorOptions, migrate.Params,
-// migrate.DistOptions, and faults.Plan all behave this way.
-//
-// # Injection hooks
-//
-// Cross-cutting concerns are injected, never global: observability via
-// *Recorder (nil = zero-cost no-op), REQUEST admission via a per-call
-// RequestPolicy (MigrationOptions.Policy, migrate.DistOptions.RequestPolicy),
-// and wire faults — loss, delay, duplication, reordering, partitions — via
-// a faults.Plan compiled into a comm.Options.Injector, the bus's only
-// source of them. The process-wide SetRequestGate hook has been removed in
-// favor of these scoped hooks.
+// This root package is the front door the runnable examples use: the
+// alert rule (EvaluateAlert, DefaultThresholds), a Fat-Tree cluster with
+// one shim per rack (NewFatTreeCluster), and the simulated DCN behind the
+// paper's Figs. 9–14 (BuildSimulation, Compare). Its types are aliases of
+// the internal packages', which stay the single source of truth.
 package sheriff

@@ -23,17 +23,6 @@ func ExampleEvaluateAlert() {
 	// fired=false
 }
 
-// ExampleLocalSearchRatio shows the Alg. 5 approximation guarantee 3+2/p.
-func ExampleLocalSearchRatio() {
-	for p := 1; p <= 3; p++ {
-		fmt.Printf("p=%d ratio=%.2f\n", p, sheriff.LocalSearchRatio(p))
-	}
-	// Output:
-	// p=1 ratio=5.00
-	// p=2 ratio=4.00
-	// p=3 ratio=3.67
-}
-
 // ExampleNewFatTreeCluster builds the management substrate: a Fat-Tree
 // cluster with one shim per rack.
 func ExampleNewFatTreeCluster() {

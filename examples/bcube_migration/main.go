@@ -1,6 +1,7 @@
 // BCube migration: the Figs. 10/13/14 study on the server-centric BCube
-// topology — balancing decay plus the Sheriff-vs-centralized sweep, and a
-// look at the k-median destination-planning view of Sec. V.A.
+// topology — balancing decay plus the Sheriff-vs-centralized sweep. The
+// Sec. V.A k-median view of destination planning is the example of
+// internal/centralized's Manager.PlanDestinations.
 package main
 
 import (
@@ -8,10 +9,6 @@ import (
 	"log"
 
 	"sheriff"
-	"sheriff/internal/centralized"
-	"sheriff/internal/cost"
-	"sheriff/internal/dcn"
-	"sheriff/internal/migrate"
 )
 
 func main() {
@@ -38,45 +35,4 @@ func main() {
 		fmt.Printf("%-3d %12.1f  %12.1f  %13d  %13d\n",
 			n, res.SheriffCost, res.CentralCost, res.SheriffSpace, res.CentralSpace)
 	}
-
-	// Part 3: the Sec. V.A k-median view — choose 3 destination nodes for
-	// the alerted source nodes, with the 3+2/p local-search guarantee.
-	cluster, model, _, err := sheriff.NewBCubeCluster(6, 2, 100)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr := centralized.New(cluster, model)
-	sources := []int{0, 7, 14, 21, 28}
-	sol, err := mgr.PlanDestinations(sources, 3, 2, false, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nk-median destinations for sources %v: open %v, cost %.1f (guarantee %.2f×OPT)\n",
-		sources, sol.Open, sol.Cost, sheriff.LocalSearchRatio(2))
-
-	// Migrate one VM along the planned assignment to show the full path:
-	// pick a source whose assigned median is another node.
-	pick := 0
-	for i, srcIdx := range sources {
-		if sol.Assignment[i] != srcIdx {
-			pick = i
-			break
-		}
-	}
-	src := cluster.Racks[sources[pick]]
-	vm, err := cluster.AddVM(src.Hosts[0], 15, 1, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dst := cluster.Racks[sol.Assignment[pick]]
-	res, err := migrate.VMMigration(cluster, model, []*dcn.VM{vm}, dst.Hosts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(res.Migrations) == 1 {
-		m := res.Migrations[0]
-		fmt.Printf("moved %s from node %d to node %d at cost %.2f\n",
-			m.VM.Name, src.Index, dst.Index, m.Cost)
-	}
-	_ = cost.PaperParams() // the cost constants in play: C_r=100, δ=η=1, C_d=1
 }

@@ -4,13 +4,21 @@ import (
 	"math"
 	"testing"
 
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/flow"
 	"sheriff/internal/metrics"
+	"sheriff/internal/migrate"
+	"sheriff/internal/obs"
+	"sheriff/internal/predictor"
+	"sheriff/internal/runtime"
+	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
 // TestEndToEndSheriffScenario exercises the complete story the paper
-// tells, through the public facade only:
+// tells, from the facade's cluster and alert rule through the internal
+// packages behind them:
 //
 //  1. A workload series is forecast with the combined predictor.
 //  2. The predicted profile crosses the threshold → pre-alert.
@@ -21,7 +29,7 @@ import (
 func TestEndToEndSheriffScenario(t *testing.T) {
 	// --- Prediction phase ---
 	trace := traces.CPU(traces.CPUConfig{Hours: 8, Seed: 99}).Values()
-	sel, err := NewPredictor(trace[:400], PredictorOptions{Seed: 99})
+	sel, err := predictor.New(timeseries.New(trace[:400]), predictor.Options{Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +54,7 @@ func TestEndToEndSheriffScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := cluster.Racks[0].Hosts[0]
-	var vms []*VM
+	var vms []*dcn.VM
 	for i := 0; i < 4; i++ {
 		vm, err := cluster.AddVM(hot, 20, float64(i+1), false)
 		if err != nil {
@@ -73,7 +81,7 @@ func TestEndToEndSheriffScenario(t *testing.T) {
 	}
 
 	// --- Traffic plane ---
-	net := NewFlowNetwork(cluster)
+	net := flow.NewNetwork(cluster.Graph)
 	src, dst := cluster.Racks[0].NodeID, cluster.Racks[1].NodeID
 	for i := 0; i < 3; i++ {
 		if _, err := net.AddFlow(src, dst, 0.5, false); err != nil {
@@ -114,7 +122,7 @@ func TestEndToEndRuntimeWithMetrics(t *testing.T) {
 		VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 15,
 		DependencyProb: 0.4, CrossRackDependencyProb: 0.4, Seed: 123,
 	})
-	rt, err := NewRuntime(cluster, model, RuntimeOptions{Seed: 123})
+	rt, err := runtime.New(cluster, model, runtime.Options{Seed: 123})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestEndToEndTimelineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := model.MigrationTimeline(vm, cluster.Racks[2].Hosts[0], CostTimelineParams{})
+	tl, err := model.MigrationTimeline(vm, cluster.Racks[2].Hosts[0], cost.TimelineParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +173,59 @@ func TestEndToEndTimelineThroughFacade(t *testing.T) {
 	}
 	if tl.Downtime > 0.1*tl.Total() {
 		t.Fatalf("downtime %.3f not a small fraction of total %.3f", tl.Downtime, tl.Total())
+	}
+}
+
+// TestRequestPolicyFacade checks the per-call admission hook: a
+// MigrationOptions.Policy refusing every REQUEST leaves the call's VMs
+// unplaced, each refusal traced with cause "policy", and does not outlive
+// its call — the next Migrate, with no policy, places them.
+func TestRequestPolicyFacade(t *testing.T) {
+	cluster, model, shims, err := NewFatTreeCluster(4, 2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.3, Seed: 1})
+	rec, err := obs.New(obs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := shims[0].Rack.Hosts[0].VMs()
+	if len(vms) == 0 {
+		t.Fatal("the populated host holds no VM")
+	}
+	var hosts []*dcn.Host
+	for _, r := range shims[0].NeighborRacks() {
+		hosts = append(hosts, r.Hosts...)
+	}
+
+	deny := func(*dcn.VM, *dcn.Host) bool { return false }
+	res, err := migrate.Migrate(cluster, model, vms, hosts, migrate.MigrationOptions{Policy: deny, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Migrations) != 0 || len(res.Unplaced) != len(vms) || res.Rejected == 0 {
+		t.Fatalf("policy did not block: %d migrations, %d of %d unplaced, %d rejected",
+			len(res.Migrations), len(res.Unplaced), len(vms), res.Rejected)
+	}
+	rejects := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindReject {
+			rejects++
+			if e.Attrs["cause"] != "policy" {
+				t.Fatalf("reject event with cause %q, want policy", e.Attrs["cause"])
+			}
+		}
+	}
+	if rejects != res.Rejected {
+		t.Fatalf("%d reject events for %d rejections", rejects, res.Rejected)
+	}
+
+	res, err = migrate.Migrate(cluster, model, vms, hosts, migrate.MigrationOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Migrations) == 0 {
+		t.Fatal("no migrations in a call without the policy")
 	}
 }

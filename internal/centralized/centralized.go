@@ -35,7 +35,7 @@ func New(c *dcn.Cluster, m *cost.Model) *Manager {
 // Migrate places every candidate VM using the global host pool. The
 // returned result's SearchSpace reflects the full |F|×|hosts| scan.
 func (m *Manager) Migrate(f []*dcn.VM) (*migrate.MigrationResult, error) {
-	return migrate.VMMigration(m.cluster, m.model, f, m.cluster.Hosts())
+	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), migrate.MigrationOptions{})
 }
 
 // MigrateOpts is Migrate with the full options: the centralized baseline

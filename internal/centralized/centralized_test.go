@@ -73,7 +73,7 @@ func TestCentralizedCostAtMostRegional(t *testing.T) {
 	for _, r := range shim.NeighborRacks() {
 		regionalHosts = append(regionalHosts, r.Hosts...)
 	}
-	resR, err := migrate.VMMigration(cR, mR, []*dcn.VM{vmR}, regionalHosts)
+	resR, err := migrate.Migrate(cR, mR, []*dcn.VM{vmR}, regionalHosts, migrate.MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func AblationPrioritySelection(seed int64) (*Table, error) {
 		for _, r := range shim.NeighborRacks() {
 			hosts = append(hosts, r.Hosts...)
 		}
-		res, err := migrate.VMMigration(s.Cluster, s.Model, chosen, hosts)
+		res, err := migrate.Migrate(s.Cluster, s.Model, chosen, hosts, migrate.MigrationOptions{})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -184,7 +184,7 @@ func AblationRegionSize(seed int64) (*Table, error) {
 			for _, r := range shim.NeighborRacks() {
 				hosts = append(hosts, r.Hosts...)
 			}
-			res, err := migrate.VMMigration(s.Cluster, s.Model, vms, hosts)
+			res, err := migrate.Migrate(s.Cluster, s.Model, vms, hosts, migrate.MigrationOptions{})
 			if err != nil {
 				return nil, err
 			}

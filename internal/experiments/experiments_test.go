@@ -37,6 +37,9 @@ func TestRegistryComplete(t *testing.T) {
 	if len(Registry) != len(FigureIDs()) {
 		t.Errorf("registry has %d entries, FigureIDs %d", len(Registry), len(FigureIDs()))
 	}
+	if len(FigureIDs()) != 12 {
+		t.Errorf("%d figures, want the paper's 12 (Figs. 3–14)", len(FigureIDs()))
+	}
 }
 
 func TestFig3RawCPU(t *testing.T) {

@@ -54,13 +54,10 @@ func Fig10BcubeBalancing(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// FatTreePods is the Figs. 11–12 x-axis sweep (the paper plots 8→48; the
-// default here stops at 24 to keep `go test` quick — the benchfig CLI and
-// benches run the full sweep).
+// FatTreePods is the Figs. 11–12 x-axis sweep. The paper plots 8→48; this
+// one stops at 24 to keep `go test` quick. `sheriffsim -mode sweep -sizes
+// 8,16,24,32,40,48 -vms 6` runs the full axis.
 var FatTreePods = []int{8, 12, 16, 20, 24}
-
-// FatTreePodsFull is the paper's full sweep for Figs. 11–12.
-var FatTreePodsFull = []int{8, 16, 24, 32, 40, 48}
 
 // BcubeSizes is the Figs. 13–14 x-axis sweep (switches per level; the
 // paper's axis runs 2→20).

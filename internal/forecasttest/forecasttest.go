@@ -1,6 +1,7 @@
 // Package forecasttest holds what the forecasters' tests share: the
 // driver that checks a ForecastFrom against the allocating oracle it
-// replaced, and the one that calls it concurrently. Only tests import it.
+// replaced, the one that calls it concurrently, and the benchmarks'
+// series. Only tests import it.
 package forecasttest
 
 import (
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"sheriff/internal/timeseries"
+	"sheriff/internal/traces"
 )
 
 type (
@@ -120,4 +122,10 @@ func Concurrent(t *testing.T, name string, f Func, histories []*timeseries.Serie
 			t.Errorf("%s: history %d: %v", name, i, err)
 		}
 	}
+}
+
+// BenchSeries is the first n samples of the seeded weekly switch-traffic
+// trace, 64 samples a day, that the forecasters' benchmarks fit.
+func BenchSeries(n int) *timeseries.Series {
+	return traces.WeeklyTraffic(traces.TrafficConfig{Days: n/64 + 1, PerDay: 64, Seed: 20150707}).Slice(0, n)
 }

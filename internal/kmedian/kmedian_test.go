@@ -238,6 +238,9 @@ func TestApproximationRatio(t *testing.T) {
 	if ApproximationRatio(0) != 5 {
 		t.Errorf("ratio(0) should clamp to p=1")
 	}
+	if r := ApproximationRatio(3); math.Abs(r-(3+2.0/3)) > 1e-12 {
+		t.Errorf("ratio(3) = %v, want 3+2/3", r)
+	}
 }
 
 func TestCombinations(t *testing.T) {

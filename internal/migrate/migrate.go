@@ -263,9 +263,8 @@ type MigrationResult struct {
 // ErrNoCandidates is returned when the destination set is empty.
 var ErrNoCandidates = errors.New("migrate: no candidate destination hosts")
 
-// MigrationOptions configures one VMMIGRATION invocation. It is the
-// single policy-carrying entry-point configuration that replaced the
-// VMMigration / VMMigrationOpts / VMMigrationWith trio.
+// MigrationOptions configures one VMMIGRATION invocation (one Migrate
+// call). The zero value reproduces Alg. 3 exactly.
 type MigrationOptions struct {
 	// ForbidSameRack applies the Eqn. (6) constraint: a VM may only land
 	// in a rack other than its own (v_p ∈ N(v_i)), the setting of the
@@ -285,15 +284,6 @@ type MigrationOptions struct {
 
 // ShimUnknown marks events whose source shim is not identified.
 const ShimUnknown = -1
-
-// VMMigration implements Alg. 3 with default options: while the candidate
-// set is non-empty, build the bipartite cost graph between candidate VMs
-// and destination slots, compute a minimum-weight matching (Kuhn–
-// Munkres), and apply each matched pair through the Alg. 4 REQUEST
-// handshake. It is a thin alias for Migrate.
-func VMMigration(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host) (*MigrationResult, error) {
-	return Migrate(c, m, f, candidates, MigrationOptions{Shim: ShimUnknown})
-}
 
 // Migrate is the unified Alg. 3 entry point: minimum-weight matching of
 // candidate VMs to destination slots by Eqn. (1) cost under the hard

@@ -103,7 +103,7 @@ func TestVMMigrationMovesOverloadedVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := fx.cluster.Racks[1].Hosts[0]
-	res, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst})
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst}, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestVMMigrationPrefersCheaperDestination(t *testing.T) {
 	}
 	samePod := fx.cluster.Racks[1].Hosts[0]
 	crossPod := fx.cluster.Racks[7].Hosts[0]
-	res, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{crossPod, samePod})
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{crossPod, samePod}, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestVMMigrationRespectsCapacity(t *testing.T) {
 	if _, err := fx.cluster.AddVM(dst, 50, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst})
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst}, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestVMMigrationAvoidsDependencyConflicts(t *testing.T) {
 	}
 	fx.cluster.Deps.AddDependency(vm.ID, peer.ID)
 	other := fx.cluster.Racks[1].Hosts[1]
-	res, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst, other})
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{vm}, []*dcn.Host{dst, other}, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestVMMigrationTwoVMsOneSlotEach(t *testing.T) {
 	// Two destinations, each able to hold only one 60-cap VM.
 	d1 := fx.cluster.Racks[1].Hosts[0]
 	d2 := fx.cluster.Racks[1].Hosts[1]
-	res, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{a, b}, []*dcn.Host{d1, d2})
+	res, err := Migrate(fx.cluster, fx.model, []*dcn.VM{a, b}, []*dcn.Host{d1, d2}, MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestVMMigrationNoCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VMMigration(fx.cluster, fx.model, []*dcn.VM{vm}, nil); !errors.Is(err, ErrNoCandidates) {
+	if _, err := Migrate(fx.cluster, fx.model, []*dcn.VM{vm}, nil, MigrationOptions{}); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("want ErrNoCandidates, got %v", err)
 	}
 }

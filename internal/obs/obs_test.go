@@ -131,6 +131,19 @@ func TestJSONLSink(t *testing.T) {
 		got.Host != want.Host || got.Value != want.Value || got.Attrs["cause"] != "capacity" {
 		t.Fatalf("round-trip = %+v, want %+v", got, want)
 	}
+
+	// Every event is one line, in sequence order.
+	r.Record(Event{Kind: KindAck})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if uint64(len(lines)) != r.Seq() {
+		t.Fatalf("%d lines for %d events", len(lines), r.Seq())
+	}
+	for i, line := range lines {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Seq != uint64(i+1) {
+			t.Fatalf("line %d = %q (seq %d, err %v), want seq %d", i+1, line, e.Seq, err, i+1)
+		}
+	}
 }
 
 func TestSinkErrorSurfaces(t *testing.T) {

@@ -70,8 +70,7 @@ const (
 	PoolExtended
 )
 
-// Options configures New, the consolidated constructor behind the facade's
-// NewPredictor. The zero value builds the paper's default pool.
+// Options configures New. The zero value builds the paper's default pool.
 type Options struct {
 	// Pool selects the candidate family. Default PoolDefault.
 	Pool PoolKind
@@ -118,8 +117,7 @@ func (o Options) WithDefaults() Options {
 
 // New builds a dynamic-selection predictor on the training series: it
 // fits the candidate pool the options select and primes a Selector with
-// the history. It subsumes the former facade pair NewCombinedPredictor /
-// NewExtendedPredictor.
+// the history.
 func New(train *timeseries.Series, opts Options) (*Selector, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

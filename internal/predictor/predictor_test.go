@@ -275,6 +275,18 @@ func TestExtendedPool(t *testing.T) {
 	if mse > 25 {
 		t.Fatalf("extended-pool MSE = %.3f, suspiciously bad", mse)
 	}
+
+	// New builds the same family with the season auto-detected.
+	sel, err = New(train, Options{Pool: PoolExtended, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := sel.Predict(); err != nil || math.IsNaN(p) {
+		t.Fatalf("New(PoolExtended).Predict = %v, %v", p, err)
+	}
+	if len(sel.Candidates()) < 5 {
+		t.Fatalf("New(PoolExtended) pool size = %d, want >= 5", len(sel.Candidates()))
+	}
 }
 
 func TestExtendedPoolNoSeason(t *testing.T) {

@@ -262,3 +262,22 @@ func TestRPRateBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func BenchmarkQCNTunnelStep(b *testing.B) {
+	cp, err := NewCongestionPoint(CPConfig{QEq: 600})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rp, err := NewReactionPoint(RPConfig{LineRate: 10, BCLimit: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn, err := NewTunnel(cp, rp, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tn.Step()
+	}
+}

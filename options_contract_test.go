@@ -8,6 +8,7 @@ import (
 	"sheriff/internal/predictor"
 	"sheriff/internal/quant"
 	"sheriff/internal/runtime"
+	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
@@ -78,24 +79,24 @@ func TestOptionsContract(t *testing.T) {
 		},
 		{
 			name:     "PredictorOptions",
-			negative: func() error { return PredictorOptions{Window: -3}.Validate() },
-			zeroOK:   func() error { return PredictorOptions{}.Validate() },
+			negative: func() error { return predictor.Options{Window: -3}.Validate() },
+			zeroOK:   func() error { return predictor.Options{}.Validate() },
 			defaulted: func() (any, any) {
-				return PredictorOptions{}.WithDefaults().Window, 20
+				return predictor.Options{}.WithDefaults().Window, 20
 			},
 			preserved: func() (any, any) {
-				return PredictorOptions{Window: 11}.WithDefaults().Window, 11
+				return predictor.Options{Window: 11}.WithDefaults().Window, 11
 			},
 		},
 		{
 			name:     "TraceOptions",
-			negative: func() error { return TraceOptions{Hours: -1}.Validate() },
-			zeroOK:   func() error { return TraceOptions{}.Validate() },
+			negative: func() error { return traces.Options{Hours: -1}.Validate() },
+			zeroOK:   func() error { return traces.Options{}.Validate() },
 			defaulted: func() (any, any) {
-				return TraceOptions{}.WithDefaults().Hours, 24
+				return traces.Options{}.WithDefaults().Hours, 24
 			},
 			preserved: func() (any, any) {
-				return TraceOptions{Hours: 6}.WithDefaults().Hours, 6
+				return traces.Options{Hours: 6}.WithDefaults().Hours, 6
 			},
 		},
 		{
@@ -122,13 +123,13 @@ func TestOptionsContract(t *testing.T) {
 		},
 		{
 			name:     "BurstConfig",
-			negative: func() error { return BurstConfig{Hold: -1}.Validate() },
-			zeroOK:   func() error { return BurstConfig{}.Validate() },
+			negative: func() error { return predictor.BurstConfig{Hold: -1}.Validate() },
+			zeroOK:   func() error { return predictor.BurstConfig{}.Validate() },
 			defaulted: func() (any, any) {
-				return BurstConfig{}.WithDefaults().Hold, 30
+				return predictor.BurstConfig{}.WithDefaults().Hold, 30
 			},
 			preserved: func() (any, any) {
-				return BurstConfig{Hold: 5}.WithDefaults().Hold, 5
+				return predictor.BurstConfig{Hold: 5}.WithDefaults().Hold, 5
 			},
 		},
 	}
@@ -153,10 +154,11 @@ func TestOptionsContract(t *testing.T) {
 // TestPredictorOptionsRejected pins that the consolidated constructor
 // actually routes through Validate.
 func TestPredictorOptionsRejected(t *testing.T) {
-	if _, err := NewPredictor([]float64{1, 2, 3}, PredictorOptions{Period: -1}); err == nil {
-		t.Fatal("NewPredictor accepted a negative period")
+	data := timeseries.New([]float64{1, 2, 3})
+	if _, err := predictor.New(data, predictor.Options{Period: -1}); err == nil {
+		t.Fatal("predictor.New accepted a negative period")
 	}
-	if _, err := NewPredictor([]float64{1, 2, 3}, PredictorOptions{Pool: predictor.PoolKind(99)}); err == nil {
-		t.Fatal("NewPredictor accepted an unknown pool kind")
+	if _, err := predictor.New(data, predictor.Options{Pool: predictor.PoolKind(99)}); err == nil {
+		t.Fatal("predictor.New accepted an unknown pool kind")
 	}
 }

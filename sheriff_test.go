@@ -1,65 +1,6 @@
 package sheriff
 
-import (
-	"math"
-	"testing"
-
-	"sheriff/internal/traces"
-)
-
-func TestFitARIMAFacade(t *testing.T) {
-	data := traces.WeeklyTraffic(traces.TrafficConfig{Days: 7, PerDay: 64, Seed: 1}).Values()
-	m, err := FitARIMA(data, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := m.Forecast(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fc) != 5 {
-		t.Fatalf("forecast len = %d", len(fc))
-	}
-	for _, v := range fc {
-		if math.IsNaN(v) {
-			t.Fatal("NaN forecast")
-		}
-	}
-}
-
-func TestAutoARIMAFacade(t *testing.T) {
-	data := traces.WeeklyTraffic(traces.TrafficConfig{Days: 7, PerDay: 64, Seed: 2}).Values()
-	if _, err := AutoARIMA(data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrainNARNETFacade(t *testing.T) {
-	data := traces.CPU(traces.CPUConfig{Hours: 4, Seed: 3}).Values()
-	n, err := TrainNARNET(data, 8, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Forecast(3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewPredictorDefaultPoolFacade(t *testing.T) {
-	data := traces.WeeklyTraffic(traces.TrafficConfig{Days: 7, PerDay: 64, Seed: 4}).Values()
-	sel, err := NewPredictor(data[:300], PredictorOptions{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := sel.Predict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(p) {
-		t.Fatal("NaN prediction")
-	}
-	sel.Observe(data[300])
-}
+import "testing"
 
 func TestEvaluateAlertFacade(t *testing.T) {
 	v, fired := EvaluateAlert(Profile{CPU: 0.95}, DefaultThresholds())
@@ -84,16 +25,6 @@ func TestNewFatTreeClusterFacade(t *testing.T) {
 	}
 }
 
-func TestNewBCubeClusterFacade(t *testing.T) {
-	cluster, _, _, err := NewBCubeCluster(4, 2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cluster.Racks) != 16 {
-		t.Fatalf("racks = %d, want 16", len(cluster.Racks))
-	}
-}
-
 func TestBuildSimulationAndCompareFacade(t *testing.T) {
 	s, err := BuildSimulation(SimConfig{Kind: FatTree, Size: 4, Seed: 5})
 	if err != nil {
@@ -106,27 +37,5 @@ func TestBuildSimulationAndCompareFacade(t *testing.T) {
 	}
 	if res.SheriffSpace >= res.CentralSpace {
 		t.Fatalf("regional space %d not below central %d", res.SheriffSpace, res.CentralSpace)
-	}
-}
-
-func TestGenerateFigureFacade(t *testing.T) {
-	tab, err := GenerateFigure("5", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("empty figure")
-	}
-	if _, err := GenerateFigure("99", 6); err == nil {
-		t.Fatal("unknown figure accepted")
-	}
-	if len(Figures()) != 12 {
-		t.Fatalf("figure count = %d, want 12", len(Figures()))
-	}
-}
-
-func TestLocalSearchRatioFacade(t *testing.T) {
-	if LocalSearchRatio(1) != 5 || LocalSearchRatio(2) != 4 {
-		t.Fatal("ratio wrong")
 	}
 }
