@@ -92,5 +92,9 @@ doc  . Rack|Host|CostParams|MigrationTimeline|CostTimelineParams|NewBCubeCluster
 doc  . Runtime|RuntimeOptions|RuntimeStats|NewRuntime|FlowNetwork|Flow|NewFlowNetwork|Recorder|Event|EventSink|NewRecorder|TraceTo
 doc  . TraceOptions|TraceKind|TraceGenerator|TraceSource|TraceRegime|SurgeParams|TraceDiurnal|TraceLite|TraceSurge|TraceSurgeLite|NewTraceGenerator|ParseTraceKind|TraceKinds
 doc  . FigureTable|GenerateFigure|Figures|EarlyWarnScore|EarlyWarnPoint|ScoreEarlyWarning|EarlyWarnTradeoff|SurgeGridConfig|SurgeGridResult|SurgeGridCell|RunSurgeGrid
+# Snapshot rows travel as columns: no row structs beside them, and no reader of the record-per-row versions.
+src  \b(VMSnap|VMRecord|SlotSnap|FlowSnap)\b
+src  type[[:space:]]+LinkLoad\b|\bLinkLoad\{|\]LinkLoad\b
+file internal/runtime/testdata/deep_snapshot.v3.golden.json
 EOF
 exit $fail

@@ -15,6 +15,7 @@ import (
 
 	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
+	"sheriff/internal/timeseries"
 )
 
 // addrWriter is a run's stdout that hands over the -listen address as
@@ -152,10 +153,17 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Runtime.Flows.Loads) == 0 {
+	loads, err := st.Runtime.Flows.Loads.Load.Floats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loads) == 0 {
 		t.Fatal("the snapshot carries no link load to corrupt")
 	}
-	st.Runtime.Flows.Loads[0].Load += 0.25
+	loads[0] += 0.25
+	if st.Runtime.Flows.Loads.Load, err = timeseries.Pack(loads); err != nil {
+		t.Fatal(err)
+	}
 	if blob, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}

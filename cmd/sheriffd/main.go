@@ -178,6 +178,15 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 		blob, rerr := os.ReadFile(*snapshot)
 		switch {
 		case rerr == nil:
+			// An older file's sections do not decode as columns; name its
+			// version rather than the first field that fails.
+			var head struct {
+				Runtime *struct{ Version int } `json:"runtime"`
+			}
+			if json.Unmarshal(blob, &head) == nil && head.Runtime != nil && head.Runtime.Version != runtime.SnapshotVersion {
+				return fmt.Errorf("snapshot %s: runtime snapshot version %d not supported (want %d; older files are refused, not migrated)",
+					*snapshot, head.Runtime.Version, runtime.SnapshotVersion)
+			}
 			var st daemonState
 			if uerr := json.Unmarshal(blob, &st); uerr != nil {
 				return fmt.Errorf("snapshot %s: %w", *snapshot, uerr)
@@ -206,8 +215,20 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 			}
 			startStep = st.Runtime.Step
 			for _, sh := range st.Ingest.Shards {
-				for _, sl := range sh.Slots {
-					admission[sl.VM] = sh.Rack
+				for _, vm := range sh.VM {
+					admission[vm] = sh.Rack
+				}
+			}
+			// Both sections name every VM's admission rack; they must agree
+			// on the VMs and the racks, or the reporters would offer for VMs
+			// triage does not know.
+			rv := st.Runtime.VMs
+			if len(admission) != len(rv.ID) {
+				return fmt.Errorf("snapshot %s: \"ingest\" covers %d VMs, \"runtime.vms\" %d", *snapshot, len(admission), len(rv.ID))
+			}
+			for k, id := range rv.ID {
+				if rk, ok := admission[id]; !ok || rk != rv.Rack[k] {
+					return fmt.Errorf("snapshot %s: \"runtime.vms\" admits VM %d on rack %d, \"ingest\" does not", *snapshot, id, rv.Rack[k])
 				}
 			}
 			fmt.Fprintf(out, "sheriffd: resumed from %s at step %d (no cold fit)\n", *snapshot, startStep)

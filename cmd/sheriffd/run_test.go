@@ -144,13 +144,14 @@ func TestRunRestartKeepsReporterStreams(t *testing.T) {
 	}
 	admitted := map[int]int{}
 	for _, sh := range st.Ingest.Shards {
-		for _, sl := range sh.Slots {
-			admitted[sl.VM] = sh.Rack
+		for _, vm := range sh.VM {
+			admitted[vm] = sh.Rack
 		}
 	}
 	moved := 0
-	for _, vm := range st.Runtime.Cluster.VMs {
-		if cluster.Host(vm.HostID).Rack().Index != admitted[vm.ID] {
+	vms := st.Runtime.Cluster.VMs
+	for i, id := range vms.ID {
+		if cluster.Host(vms.Host[i]).Rack().Index != admitted[id] {
 			moved++
 		}
 	}
@@ -253,17 +254,22 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 		{"null runtime", func(doc map[string]any) { doc["runtime"] = nil }, `"runtime" is missing`},
 		{"null cluster", func(doc map[string]any) { doc["runtime"].(map[string]any)["cluster"] = nil }, `"runtime.cluster" is missing`},
 		{"VM listed twice", func(doc map[string]any) {
-			vms := doc["runtime"].(map[string]any)["vms"].([]any)
-			vms[1] = vms[0]
+			ids := doc["runtime"].(map[string]any)["vms"].(map[string]any)["id"].([]any)
+			ids[1] = ids[0]
 		}, "twice"},
 		{"VM resident on two hosts", func(doc map[string]any) {
-			vms := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].([]any)
-			vms[len(vms)-1].(map[string]any)["id"] = vms[0].(map[string]any)["id"]
+			ids := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].(map[string]any)["id"].([]any)
+			ids[len(ids)-1] = ids[0]
 		}, "lists VM 0 twice, on host 0 and on host 15"},
 		{"wild VM id", func(doc map[string]any) {
-			vms := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].([]any)
-			vms[0].(map[string]any)["id"] = 1 << 40
+			ids := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].(map[string]any)["id"].([]any)
+			ids[0] = 1 << 40
 		}, "VM id 1099511627776 outside"},
+		{"version 4 file", func(doc map[string]any) {
+			rt := doc["runtime"].(map[string]any)
+			rt["version"] = 4
+			rt["vms"] = []any{map[string]any{"id": 0, "rack": 0, "gen_pos": 3, "hist": 3}}
+		}, "runtime snapshot version 4 not supported"},
 		{"dependency on a VM nobody lists", func(doc map[string]any) {
 			doc["runtime"].(map[string]any)["cluster"].(map[string]any)["deps"] = []any{[]any{0, 1 << 40}}
 		}, "dependency 0–1099511627776 names VM 1099511627776"},

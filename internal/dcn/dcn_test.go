@@ -425,7 +425,7 @@ func TestHostResidencyStaysIDOrdered(t *testing.T) {
 			c.Deps.RemoveDependency(live[rng.Intn(len(live))].ID, live[rng.Intn(len(live))].ID)
 			check("RemoveDependency")
 		default:
-			snap := c.Snapshot()
+			snap := snapshotOf(t, c)
 			c2 := testCluster(t, 4)
 			if err := c2.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
@@ -713,7 +713,7 @@ func TestWorkloadStdDevKeptUntilPlacementMoves(t *testing.T) {
 
 	restored := testCluster(t, 4)
 	restored.WorkloadStdDev() // an empty cluster's result, kept
-	if err := restored.Restore(c.Snapshot()); err != nil {
+	if err := restored.Restore(snapshotOf(t, c)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := restored.WorkloadStdDev(), c.WorkloadStdDev(); got != want {

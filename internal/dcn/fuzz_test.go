@@ -23,17 +23,24 @@ func FuzzClusterRestore(f *testing.F) {
 	donor.Remove(donor.VM(1))
 	donor.Deps.AddDependency(0, 2)
 	donor.Deps.AddDependency(4, 2)
-	real, err := json.Marshal(donor.Snapshot())
+	real, err := json.Marshal(snapshotOf(f, donor))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(real)
+	doc := func(vms VMColumns, deps [][2]int) []byte {
+		b, err := json.Marshal(Snapshot{Racks: 8, Hosts: 32, VMs: vms, Deps: deps})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
 	// One VM on two hosts.
-	f.Add([]byte(`{"racks":8,"hosts":32,"vms":[{"id":3,"capacity":5,"host":0},{"id":4,"capacity":5,"host":1},{"id":3,"capacity":5,"host":2}]}`))
+	f.Add(doc(vmColumns(f, vmAt{3, 5, 0}, vmAt{4, 5, 1}, vmAt{3, 5, 2}), nil))
 	// IDs nobody could index a table by.
-	f.Add([]byte(`{"racks":8,"hosts":32,"vms":[{"id":1099511627776,"capacity":5,"host":0},{"id":-3,"capacity":5,"host":1}]}`))
+	f.Add(doc(vmColumns(f, vmAt{1 << 40, 5, 0}, vmAt{-3, 5, 1}), nil))
 	// A dependency on a VM the file does not list.
-	f.Add([]byte(`{"racks":8,"hosts":32,"vms":[{"id":0,"capacity":5,"host":0},{"id":1,"capacity":5,"host":4}],"deps":[[0,1],[1,1099511627776]]}`))
+	f.Add(doc(vmColumns(f, vmAt{0, 5, 0}, vmAt{1, 5, 4}), [][2]int{{0, 1}, {1, 1 << 40}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap Snapshot
 		if json.Unmarshal(data, &snap) != nil {
@@ -43,13 +50,13 @@ func FuzzClusterRestore(f *testing.F) {
 		if c.Restore(&snap) != nil {
 			return
 		}
-		if bound := 4*len(snap.VMs) + 1024; len(c.vms) > bound || len(c.Deps.peers) > bound {
-			t.Fatalf("%d VMs restored into tables of %d VMs and %d peer lists", len(snap.VMs), len(c.vms), len(c.Deps.peers))
+		if bound := 4*len(snap.VMs.ID) + 1024; len(c.vms) > bound || len(c.Deps.peers) > bound {
+			t.Fatalf("%d VMs restored into tables of %d VMs and %d peer lists", len(snap.VMs.ID), len(c.vms), len(c.Deps.peers))
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("restored cluster: %v", err)
 		}
-		first, err := json.Marshal(c.Snapshot())
+		first, err := json.Marshal(snapshotOf(t, c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +68,7 @@ func FuzzClusterRestore(f *testing.F) {
 		if err := c2.Restore(&again); err != nil {
 			t.Fatalf("the cluster's own snapshot does not restore: %v", err)
 		}
-		second, err := json.Marshal(c2.Snapshot())
+		second, err := json.Marshal(snapshotOf(t, c2))
 		if err != nil {
 			t.Fatal(err)
 		}

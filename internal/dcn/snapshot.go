@@ -3,6 +3,8 @@ package dcn
 import (
 	"encoding/json"
 	"fmt"
+
+	"sheriff/internal/timeseries"
 )
 
 // Snapshot is a serializable record of a cluster's logical state: VM
@@ -11,32 +13,49 @@ import (
 // same shape (checked by rack/host counts), which keeps experiment
 // checkpoints small and topology construction in code.
 type Snapshot struct {
-	Racks int        `json:"racks"`
-	Hosts int        `json:"hosts"`
-	VMs   []VMRecord `json:"vms"`
-	Deps  [][2]int   `json:"deps"`
+	Racks int       `json:"racks"`
+	Hosts int       `json:"hosts"`
+	VMs   VMColumns `json:"vms"`
+	Deps  [][2]int  `json:"deps"`
 }
 
-// VMRecord is one VM's serialized placement.
-type VMRecord struct {
-	ID             int     `json:"id"`
-	Name           string  `json:"name"`
-	Capacity       float64 `json:"capacity"`
-	Value          float64 `json:"value"`
-	DelaySensitive bool    `json:"delay_sensitive,omitempty"`
-	Alert          float64 `json:"alert,omitempty"`
-	HostID         int     `json:"host"`
+// VMColumns is the cluster's VMs as columns: entry i of every column is
+// one VM, in ascending ID order. IDs, hosts and names stay decimal and text,
+// so a file can still be searched for a VM; the attribute floats are
+// timeseries.Bits, exact and without the shortest-decimal formatting that
+// was most of the cost of writing them. Alert 0 is no alert.
+type VMColumns struct {
+	ID             []int           `json:"id"`
+	Host           []int           `json:"host"`
+	Name           []string        `json:"name"`
+	DelaySensitive []bool          `json:"delay_sensitive"`
+	Capacity       timeseries.Bits `json:"capacity"`
+	Value          timeseries.Bits `json:"value"`
+	Alert          timeseries.Bits `json:"alert"`
 }
 
 // Snapshot captures the cluster's current VM placements and dependencies.
-func (c *Cluster) Snapshot() *Snapshot {
-	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts)}
-	for _, vm := range c.VMs() {
-		s.VMs = append(s.VMs, VMRecord{
-			ID: vm.ID, Name: vm.Name, Capacity: vm.Capacity, Value: vm.Value,
-			DelaySensitive: vm.DelaySensitive, Alert: vm.Alert, HostID: vm.Host().ID,
-		})
+// It fails when a VM's capacity, value or alert is NaN or ±Inf, which no
+// snapshot can carry.
+func (c *Cluster) Snapshot() (*Snapshot, error) {
+	vms := c.VMs()
+	n := len(vms)
+	cols := VMColumns{
+		ID: make([]int, n), Host: make([]int, n), Name: make([]string, n),
+		DelaySensitive: make([]bool, n),
 	}
+	attrs := make([]float64, 3*n) // capacity, value, alert, a column each
+	for i, vm := range vms {
+		cols.ID[i], cols.Host[i], cols.Name[i], cols.DelaySensitive[i] = vm.ID, vm.Host().ID, vm.Name, vm.DelaySensitive
+		attrs[i], attrs[n+i], attrs[2*n+i] = vm.Capacity, vm.Value, vm.Alert
+	}
+	for i, col := range []*timeseries.Bits{&cols.Capacity, &cols.Value, &cols.Alert} {
+		var err error
+		if *col, err = timeseries.Pack(attrs[i*n : (i+1)*n]); err != nil {
+			return nil, fmt.Errorf("dcn: snapshot VM %s: %w", vmFloatColumns[i], err)
+		}
+	}
+	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts), VMs: cols}
 	// Ascending IDs over ascending peers: each edge once, from its lower
 	// end, already in order.
 	for id, peers := range c.Deps.peers {
@@ -46,7 +65,30 @@ func (c *Cluster) Snapshot() *Snapshot {
 			}
 		}
 	}
-	return s
+	return s, nil
+}
+
+// vmFloatColumns names VMColumns' Bits columns, in the order Snapshot and
+// Restore take them.
+var vmFloatColumns = [3]string{"capacity", "value", "alert"}
+
+// floats unpacks the float columns, index by vmFloatColumns. It fails on
+// one that is not well-formed Bits and on columns of unequal length.
+func (cols *VMColumns) floats() ([3][]float64, error) {
+	var fs [3][]float64
+	for i, col := range []timeseries.Bits{cols.Capacity, cols.Value, cols.Alert} {
+		var err error
+		if fs[i], err = col.Floats(); err != nil {
+			return fs, fmt.Errorf("dcn: snapshot VM %s: %w", vmFloatColumns[i], err)
+		}
+	}
+	n := len(cols.ID)
+	if len(cols.Host) != n || len(cols.Name) != n || len(cols.DelaySensitive) != n ||
+		len(fs[0]) != n || len(fs[1]) != n || len(fs[2]) != n {
+		return fs, fmt.Errorf("dcn: snapshot VM columns of unequal length: %d ids, %d hosts, %d names, %d delay_sensitive, %d capacities, %d values, %d alerts",
+			n, len(cols.Host), len(cols.Name), len(cols.DelaySensitive), len(fs[0]), len(fs[1]), len(fs[2]))
+	}
+	return fs, nil
 }
 
 // Restore applies a snapshot to this cluster. The cluster must be empty
@@ -55,7 +97,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 //
 // IDs index tables here and in the runtime, and a snapshot is a file
 // someone else may have written: before anything is allocated or placed,
-// Restore refuses a VM ID that is negative or too sparse for the number of
+// Restore refuses VM columns of unequal length, a VM ID that is negative or too sparse for the number of
 // VMs listed, a VM listed twice, a negative capacity, a host that does not
 // exist, and a dependency whose endpoint is not a VM the snapshot lists.
 // VMs are placed in ascending ID order whatever order the file lists them
@@ -72,29 +114,35 @@ func (c *Cluster) Restore(s *Snapshot) error {
 	if c.numVMs != 0 {
 		return fmt.Errorf("dcn: Restore requires an empty cluster, have %d VMs", c.numVMs)
 	}
-	bound := 4*len(s.VMs) + 1024
-	size := 0
-	for _, rec := range s.VMs {
-		if rec.ID < 0 || rec.ID >= bound {
-			return fmt.Errorf("dcn: snapshot VM id %d outside [0, %d) for %d VMs (ids index a dense table)", rec.ID, bound, len(s.VMs))
-		}
-		if !(rec.Capacity >= 0) { // a VM that frees room where it lands; also NaN
-			return fmt.Errorf("dcn: snapshot VM %d has capacity %v", rec.ID, rec.Capacity)
-		}
-		if c.Host(rec.HostID) == nil {
-			return fmt.Errorf("dcn: snapshot VM %d references missing host %d", rec.ID, rec.HostID)
-		}
-		size = max(size, rec.ID+1)
+	cols := &s.VMs
+	fs, err := cols.floats()
+	if err != nil {
+		return err
 	}
-	// recOf[id] is one more than the position of the VM's record. A repeated
-	// ID would leave its first copy resident on one host, consuming capacity,
-	// while the table knows only the second.
-	recOf := make([]int32, size)
-	for i, rec := range s.VMs {
-		if first := recOf[rec.ID]; first != 0 {
-			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", rec.ID, s.VMs[first-1].HostID, rec.HostID)
+	capacity, value, alertVal := fs[0], fs[1], fs[2]
+	bound := 4*len(cols.ID) + 1024
+	size := 0
+	for i, id := range cols.ID {
+		if id < 0 || id >= bound {
+			return fmt.Errorf("dcn: snapshot VM id %d outside [0, %d) for %d VMs (ids index a dense table)", id, bound, len(cols.ID))
 		}
-		recOf[rec.ID] = int32(i + 1)
+		if !(capacity[i] >= 0) { // a VM that frees room where it lands
+			return fmt.Errorf("dcn: snapshot VM %d has capacity %v", id, capacity[i])
+		}
+		if c.Host(cols.Host[i]) == nil {
+			return fmt.Errorf("dcn: snapshot VM %d references missing host %d", id, cols.Host[i])
+		}
+		size = max(size, id+1)
+	}
+	// recOf[id] is one more than the VM's position in the columns. A
+	// repeated ID would leave its first copy resident on one host, consuming
+	// capacity, while the table knows only the second.
+	recOf := make([]int32, size)
+	for i, id := range cols.ID {
+		if first := recOf[id]; first != 0 {
+			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", id, cols.Host[first-1], cols.Host[i])
+		}
+		recOf[id] = int32(i + 1)
 	}
 	for _, edge := range s.Deps {
 		for _, id := range edge {
@@ -114,13 +162,13 @@ func (c *Cluster) Restore(s *Snapshot) error {
 		if at == 0 {
 			continue
 		}
-		rec := s.VMs[at-1]
+		i := at - 1
 		vm := &VM{
-			ID: rec.ID, Name: rec.Name, Capacity: rec.Capacity, Value: rec.Value,
-			DelaySensitive: rec.DelaySensitive, Alert: rec.Alert,
+			ID: cols.ID[i], Name: cols.Name[i], Capacity: capacity[i], Value: value[i],
+			DelaySensitive: cols.DelaySensitive[i], Alert: alertVal[i],
 		}
-		if err := c.place(vm, c.hosts[rec.HostID]); err != nil {
-			return fmt.Errorf("dcn: restoring VM %d: %w", rec.ID, err)
+		if err := c.place(vm, c.hosts[cols.Host[i]]); err != nil {
+			return fmt.Errorf("dcn: restoring VM %d: %w", vm.ID, err)
 		}
 		c.vms[vm.ID] = vm
 		c.numVMs++
@@ -131,5 +179,9 @@ func (c *Cluster) Restore(s *Snapshot) error {
 // MarshalJSON serializes the snapshot (Snapshot already has JSON tags;
 // this method exists on Cluster for one-call persistence).
 func (c *Cluster) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
+	s, err := c.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(s)
 }

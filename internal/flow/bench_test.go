@@ -68,7 +68,7 @@ func congestedNetwork(tb testing.TB, g *topology.Graph, flows int) (*Network, *S
 		}
 		admitted++
 	}
-	return n, n.Snapshot()
+	return n, snapshotOf(tb, n)
 }
 
 // rerouteHot is the runtime's congestion remedy: one FLOWREROUTE pass per

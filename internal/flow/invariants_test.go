@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sheriff/internal/timeseries"
 	"sheriff/internal/topology"
 )
 
@@ -102,13 +104,13 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 					}
 					check("UpdateGraphBandwidth")
 				default:
-					snap := n.Snapshot()
+					snap := snapshotOf(t, n)
 					want, _ := json.Marshal(snap)
 					restored := NewNetwork(g)
 					if err := restored.Restore(snap); err != nil {
 						t.Fatalf("Restore: %v", err)
 					}
-					if got, _ := json.Marshal(restored.Snapshot()); string(got) != string(want) {
+					if got, _ := json.Marshal(snapshotOf(t, restored)); string(got) != string(want) {
 						t.Fatalf("snapshot does not re-encode identically after restore")
 					}
 					n = restored
@@ -178,9 +180,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 }
 
 // TestRestoreRefusesALoadBelowZero: the route searches are pruned by a bound
-// that holds only while every load is ≥ 0, so a snapshot with a negative or
-// NaN load is refused, naming the link. A load that is merely wrong is taken
-// verbatim (CheckInvariants reports it).
+// that holds only while every load is ≥ 0, so a snapshot with a negative
+// load is refused, naming the link, and one with a NaN load is refused by
+// the load column's decoder, naming the entry. A load that is merely wrong
+// is taken verbatim (CheckInvariants reports it).
 func TestRestoreRefusesALoadBelowZero(t *testing.T) {
 	ft := fatTree(t, 4)
 	src := NewNetwork(ft.Graph)
@@ -188,17 +191,24 @@ func TestRestoreRefusesALoadBelowZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{-0.4, -1e-300, math.NaN()} {
-		snap := src.Snapshot()
-		snap.Loads[1].Load = bad
+		snap := snapshotOf(t, src)
+		setBits(snap.Loads.Load, 1, bad)
 		n := NewNetwork(ft.Graph)
 		err := n.Restore(snap)
-		want := fmt.Sprintf("on link %d→%d", snap.Loads[1].A, snap.Loads[1].B)
+		want := fmt.Sprintf("on link %d→%d", snap.Loads.A[1], snap.Loads.B[1])
+		if math.IsNaN(bad) {
+			want = "load: timeseries: bits: value 1 is NaN"
+		}
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Restore with load %v: error %v, want one naming the link (%q)", bad, err, want)
 		}
 	}
-	snap := src.Snapshot()
-	snap.Loads[1].Load += 0.25
+	snap := snapshotOf(t, src)
+	loads, err := snap.Loads.Load.Floats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	setBits(snap.Loads.Load, 1, loads[1]+0.25)
 	n := NewNetwork(ft.Graph)
 	if err := n.Restore(snap); err != nil {
 		t.Fatalf("Restore with a drifted load: %v", err)
@@ -226,21 +236,21 @@ func TestRestoreTakesItsOwnZeroLoads(t *testing.T) {
 	if err := src.SetRate(tiny, 1e-13); err != nil {
 		t.Fatal(err)
 	}
-	snap := src.Snapshot()
-	if len(snap.Loads) != len(snap.Flows[0].Path)-1 {
-		t.Fatalf("snapshot carries %d loads, want only the first flow's %d", len(snap.Loads), len(snap.Flows[0].Path)-1)
+	snap := snapshotOf(t, src)
+	if len(snap.Loads.A) != len(snap.Flows.Path[0])-1 {
+		t.Fatalf("snapshot carries %d loads, want only the first flow's %d", len(snap.Loads.A), len(snap.Flows.Path[0])-1)
 	}
 	n := NewNetwork(ft.Graph)
 	if err := n.Restore(snap); err != nil {
 		t.Fatalf("a network refuses its own snapshot: %v", err)
 	}
-	if again := n.Snapshot(); !reflect.DeepEqual(again, snap) {
+	if again := snapshotOf(t, n); !reflect.DeepEqual(again, snap) {
 		t.Fatalf("restored network writes\n%+v\nnot\n%+v", again, snap)
 	}
 
 	for _, bad := range []float64{0, -0.1} {
-		snap := src.Snapshot()
-		snap.Flows[1].Rate = bad
+		snap := snapshotOf(t, src)
+		setBits(snap.Flows.Rate, 1, bad)
 		if err := NewNetwork(ft.Graph).Restore(snap); err == nil || !strings.Contains(err.Error(), "rate") {
 			t.Errorf("Restore with rate %v: error %v, want one naming the rate", bad, err)
 		}
@@ -370,5 +380,56 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapshotOf is Network.Snapshot for a network the test knows is finite.
+func snapshotOf(tb testing.TB, n *Network) *Snapshot {
+	tb.Helper()
+	s, err := n.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// setBits overwrites entry i of a packed column with v's bits, whatever
+// v is: Pack would refuse a NaN, and a test needs a file that holds one.
+func setBits(b timeseries.Bits, i int, v float64) {
+	binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+}
+
+// TestRestoreRefusesUnequalColumns: every column of the flow table holds
+// one entry per flow, and every column of the load table one per link. A
+// column that is short or long is refused by name, before anything is
+// installed.
+func TestRestoreRefusesUnequalColumns(t *testing.T) {
+	ft := fatTree(t, 4)
+	src := NewNetwork(ft.Graph)
+	for _, pair := range [][2]int{{0, 2}, {1, 3}} {
+		if _, err := src.AddFlow(ft.RackIDs[pair[0]][0], ft.RackIDs[pair[1]][1], 0.4, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		cut        func(*Snapshot)
+	}{
+		{"short srcs", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Src = s.Flows.Src[:1] }},
+		{"long paths", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Path = append(s.Flows.Path, nil) }},
+		{"short delay_sensitive", "flow columns of unequal length", func(s *Snapshot) { s.Flows.DelaySensitive = nil }},
+		{"short rates", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Rate = s.Flows.Rate[:8] }},
+		{"short b", "load columns of unequal length", func(s *Snapshot) { s.Loads.B = s.Loads.B[1:] }},
+		{"long loads", "load columns of unequal length", func(s *Snapshot) { s.Loads.Load = append(s.Loads.Load, s.Loads.Load[:8]...) }},
+	} {
+		snap := snapshotOf(t, src)
+		tc.cut(snap)
+		n := NewNetwork(ft.Graph)
+		if err := n.Restore(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+		if len(n.Flows()) != 0 {
+			t.Errorf("%s: refused restore left %d flows behind", tc.name, len(n.Flows()))
+		}
 	}
 }

@@ -101,7 +101,7 @@ func checkUtilizationCache(t *testing.T, g *topology.Graph, ops []byte) {
 			// drop it, not keep the empty fabric's maxima.
 			restored := NewNetwork(g)
 			restored.HotSwitches(0)
-			if err := restored.Restore(n.Snapshot()); err != nil {
+			if err := restored.Restore(snapshotOf(t, n)); err != nil {
 				t.Fatalf("step %d: Restore: %v", step, err)
 			}
 			if restored.readOK {

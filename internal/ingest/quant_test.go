@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sheriff/internal/quant"
@@ -275,10 +276,15 @@ func TestCrossModeSnapshotRestore(t *testing.T) {
 	}
 	i := 0
 	for _, ss := range fsnap.Shards {
-		for _, sl := range ss.Slots {
+		holt, err := ss.Holt.Floats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, vm := range ss.VM {
+			level, trend := holt[2*j], holt[2*j+1]
 			got := quantState(q1)[i]
-			if got.Level != quant.FromFloat(sl.Level) || got.Trend != quant.FromFloat(sl.Trend) {
-				t.Fatalf("VM %d: float state (%v, %v) quantized to (%v, %v)", sl.VM, sl.Level, sl.Trend, got.Level, got.Trend)
+			if got.Level != quant.FromFloat(level) || got.Trend != quant.FromFloat(trend) {
+				t.Fatalf("VM %d: float state (%v, %v) quantized to (%v, %v)", vm, level, trend, got.Level, got.Trend)
 			}
 			i++
 		}
@@ -307,8 +313,9 @@ func TestCrossModeSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRestores: it does not. Restore takes the one version the
-// daemon writes and a mode it can name, nothing older or other.
+// TestV1SnapshotRestores: it does not, and neither does version 2 (one
+// record per slot). Restore takes the one version the daemon writes and a
+// mode it can name, nothing older or other.
 func TestV1SnapshotRestores(t *testing.T) {
 	s := build(t, Options{})
 	s.Offer(Update{VM: 0, Profile: cool()})
@@ -317,14 +324,16 @@ func TestV1SnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Version = 1
-	if err := build(t, Options{}).Restore(snap); err == nil {
-		t.Fatal("v1 snapshot accepted")
+	for _, v := range []int{1, 2} {
+		snap.Version = v
+		if err := build(t, Options{}).Restore(snap); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("v%d snapshot: err = %v, want a refusal", v, err)
+		}
 	}
-	snap.Version = 2
+	snap.Version = SnapshotVersion
 	snap.Mode = "analog"
 	r := build(t, Options{})
 	if err := r.Restore(snap); err == nil {
-		t.Fatal("v2 snapshot with bad mode accepted")
+		t.Fatalf("v%d snapshot with bad mode accepted", SnapshotVersion)
 	}
 }

@@ -2,35 +2,32 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 
 	"sheriff/internal/quant"
+	"sheriff/internal/timeseries"
 )
 
 // SnapshotVersion is the ingest snapshot format version, and the only one
-// Restore takes. Version 2 added the triage mode and the fixed-point state
-// mirror; a version 1 section only ever sat in a daemon file beside a
+// Restore takes. Version 3 carries each shard's slots as columns; versions
+// 1 and 2 (one record per slot) only ever sat in a daemon file beside a
 // runtime section runtime.Restore refuses.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
-// SlotSnap is one VM's serialized triage state. Level/Trend always carry
-// the float view of the state; under TriageQuant they are the exact
-// float64 image of the int32 words (quant.Q.Float is lossless), and
-// QLevel/QTrend carry the words themselves so a same-mode restore is
-// bit-exact without any float round trip.
-type SlotSnap struct {
-	VM      int     `json:"vm"`
-	Level   float64 `json:"level"`
-	Trend   float64 `json:"trend"`
-	Seen    int     `json:"seen"`
-	Alerted bool    `json:"alerted"`
-	QLevel  int32   `json:"qlevel,omitempty"`
-	QTrend  int32   `json:"qtrend,omitempty"`
-}
-
-// ShardSnap is one rack shard's serialized triage state.
+// ShardSnap is one rack shard's triage state as columns: entry i of VM,
+// Seen and Alerted, and entries 2i and 2i+1 of the state column, are the
+// shard's i-th VM. The smoother's (level, trend) pairs travel in the
+// column of the mode the state was captured under, and only there: the
+// Q16.16 words under TriageQuant, the floats as timeseries.Bits under
+// TriageFloat. Under TriageQuant the float view is the words' exact image
+// (quant.Q.Float is lossless), so no float mirror is written.
 type ShardSnap struct {
-	Rack  int        `json:"rack"`
-	Slots []SlotSnap `json:"slots"`
+	Rack    int             `json:"rack"`
+	VM      []int           `json:"vm"`
+	Seen    []int           `json:"seen"`
+	Alerted []bool          `json:"alerted"`
+	Words   []int32         `json:"words,omitempty"`
+	Holt    timeseries.Bits `json:"holt,omitempty"`
 }
 
 // Snapshot is the service's serializable state: every VM's triage
@@ -41,8 +38,8 @@ type ShardSnap struct {
 // Cross-mode restores are deterministic in both directions. A float
 // snapshot restores into a quantized service by quantizing each state
 // word once (quant.FromFloat — the only lossy, deterministic step); a
-// quantized snapshot restores into a float service through the exact
-// float mirror, and because quant.FromFloat(q.Float()) == q, quantized
+// quantized snapshot restores into a float service through the words'
+// exact float image, and because quant.FromFloat(q.Float()) == q, quantized
 // state survives a quantized → float → quantized round trip bit-exactly.
 type Snapshot struct {
 	Version int `json:"version"`
@@ -80,19 +77,39 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("ingest: snapshot with %d unpolled alerts on shard %d (Poll first)", n, sh.rack)
 		}
-		ss := ShardSnap{Rack: sh.rack, Slots: make([]SlotSnap, 0, len(sh.slots))}
-		for _, sl := range sh.slots {
-			sn := SlotSnap{VM: sl.vm, Level: sl.level, Trend: sl.trend, Seen: sl.seen, Alerted: sl.alerted}
-			if s.opts.Mode == TriageQuant {
-				sn.Level, sn.Trend, sn.Seen = sl.q.Level.Float(), sl.q.Trend.Float(), int(sl.q.Seen)
-				sn.QLevel, sn.QTrend = int32(sl.q.Level), int32(sl.q.Trend)
-			}
-			ss.Slots = append(ss.Slots, sn)
-		}
+		ss, err := s.shardSnap(sh)
 		sh.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 		snap.Shards = append(snap.Shards, ss)
 	}
 	return snap, nil
+}
+
+// shardSnap spells one shard's slots as columns. The caller holds the
+// shard's lock.
+func (s *Service) shardSnap(sh *shard) (ShardSnap, error) {
+	n := len(sh.slots)
+	ss := ShardSnap{Rack: sh.rack, VM: make([]int, n), Seen: make([]int, n), Alerted: make([]bool, n)}
+	if s.opts.Mode == TriageQuant {
+		ss.Words = make([]int32, 2*n)
+		for j, sl := range sh.slots {
+			ss.VM[j], ss.Seen[j], ss.Alerted[j] = sl.vm, int(sl.q.Seen), sl.alerted
+			ss.Words[2*j], ss.Words[2*j+1] = int32(sl.q.Level), int32(sl.q.Trend)
+		}
+		return ss, nil
+	}
+	holt := make([]float64, 2*n)
+	for j, sl := range sh.slots {
+		ss.VM[j], ss.Seen[j], ss.Alerted[j] = sl.vm, sl.seen, sl.alerted
+		holt[2*j], holt[2*j+1] = sl.level, sl.trend
+	}
+	var err error
+	if ss.Holt, err = timeseries.Pack(holt); err != nil {
+		return ShardSnap{}, fmt.Errorf("ingest: snapshot rack %d: %w", sh.rack, err)
+	}
+	return ss, nil
 }
 
 // FromSnapshot builds a service over the snapshot's own rack partition
@@ -110,9 +127,7 @@ func FromSnapshot(snap *Snapshot, opts Options) (*Service, error) {
 		if ss.Rack != i {
 			return nil, fmt.Errorf("ingest: snapshot shard %d claims rack %d", i, ss.Rack)
 		}
-		for _, sl := range ss.Slots {
-			vmsByRack[i] = append(vmsByRack[i], sl.VM)
-		}
+		vmsByRack[i] = slices.Clone(ss.VM)
 	}
 	s, err := New(vmsByRack, opts)
 	if err != nil {
@@ -148,38 +163,59 @@ func (s *Service) Restore(snap *Snapshot) error {
 	if len(snap.Shards) != len(s.shard) {
 		return fmt.Errorf("ingest: snapshot covers %d shards, service has %d", len(snap.Shards), len(s.shard))
 	}
+	holts := make([][]float64, len(snap.Shards)) // the float state, per shard, under TriageFloat
 	for i, ss := range snap.Shards {
 		sh := s.shard[i]
 		if ss.Rack != sh.rack {
 			return fmt.Errorf("ingest: snapshot shard %d is rack %d, service shard is rack %d", i, ss.Rack, sh.rack)
 		}
-		if len(ss.Slots) != len(sh.slots) {
-			return fmt.Errorf("ingest: snapshot rack %d covers %d VMs, service has %d", ss.Rack, len(ss.Slots), len(sh.slots))
+		var err error
+		if holts[i], err = ss.Holt.Floats(); err != nil {
+			return fmt.Errorf("ingest: snapshot rack %d holt: %w", ss.Rack, err)
 		}
-		for j, sl := range ss.Slots {
-			if sl.VM != sh.slots[j].vm {
-				return fmt.Errorf("ingest: snapshot rack %d slot %d is VM %d, service has VM %d", ss.Rack, j, sl.VM, sh.slots[j].vm)
+		state, stray, col := len(holts[i]), len(ss.Words), "holt"
+		if mode == TriageQuant {
+			state, stray, col = stray, state, "words"
+		}
+		if n := len(ss.VM); len(ss.Seen) != n || len(ss.Alerted) != n || state != 2*n || stray != 0 {
+			return fmt.Errorf("ingest: snapshot rack %d: columns of unequal length: %d VMs, %d seen, %d alerted, %d words, %d holt values (want two state entries per VM, in the %s column only)",
+				ss.Rack, n, len(ss.Seen), len(ss.Alerted), len(ss.Words), len(holts[i]), col)
+		}
+		if len(ss.VM) != len(sh.slots) {
+			return fmt.Errorf("ingest: snapshot rack %d covers %d VMs, service has %d", ss.Rack, len(ss.VM), len(sh.slots))
+		}
+		for j, vm := range ss.VM {
+			if vm != sh.slots[j].vm {
+				return fmt.Errorf("ingest: snapshot rack %d slot %d is VM %d, service has VM %d", ss.Rack, j, vm, sh.slots[j].vm)
 			}
-			if sl.Seen < 0 {
-				return fmt.Errorf("ingest: snapshot VM %d has negative observation count", sl.VM)
+			if ss.Seen[j] < 0 {
+				return fmt.Errorf("ingest: snapshot VM %d has negative observation count", vm)
 			}
 		}
 	}
 	for i, ss := range snap.Shards {
 		sh := s.shard[i]
 		sh.mu.Lock()
-		for j, sl := range ss.Slots {
-			if s.opts.Mode != TriageQuant {
-				sh.slots[j] = slot{vm: sl.VM, level: sl.Level, trend: sl.Trend, seen: sl.Seen, alerted: sl.Alerted}
-				continue
+		for j, vm := range ss.VM {
+			// The state in both arithmetics: a quantized snapshot's floats
+			// are its words' exact image, and a float snapshot's words are
+			// the one lossy, deterministic conversion, quantizing the float
+			// state at the restore boundary.
+			var level, trend float64
+			var h quant.Holt
+			if mode == TriageQuant {
+				h = quant.Holt{Level: quant.Q(ss.Words[2*j]), Trend: quant.Q(ss.Words[2*j+1])}
+				level, trend = h.Level.Float(), h.Trend.Float()
+			} else {
+				level, trend = holts[i][2*j], holts[i][2*j+1]
+				h = quant.Holt{Level: quant.FromFloat(level), Trend: quant.FromFloat(trend)}
 			}
-			h := quant.Holt{Level: quant.Q(sl.QLevel), Trend: quant.Q(sl.QTrend), Seen: clampSeen(sl.Seen)}
-			if mode == TriageFloat {
-				// The one lossy, deterministic conversion: quantize the
-				// float state at the restore boundary.
-				h.Level, h.Trend = quant.FromFloat(sl.Level), quant.FromFloat(sl.Trend)
+			if s.opts.Mode == TriageQuant {
+				h.Seen = clampSeen(ss.Seen[j])
+				sh.slots[j] = slot{vm: vm, q: h, alerted: ss.Alerted[j]}
+			} else {
+				sh.slots[j] = slot{vm: vm, level: level, trend: trend, seen: ss.Seen[j], alerted: ss.Alerted[j]}
 			}
-			sh.slots[j] = slot{vm: sl.VM, q: h, alerted: sl.Alerted}
 		}
 		sh.mu.Unlock()
 	}

@@ -34,6 +34,12 @@ type Candidate struct {
 	F    Forecaster
 
 	mse *timeseries.RollingMSE
+
+	// The model's state, packed once by NewSelector or Restore (the model
+	// is not written after it is fitted), or why it has none.
+	kind     string
+	model    any
+	modelErr error
 }
 
 // MSE returns the candidate's current windowed MSE (Eqn. 14); +Inf until
@@ -181,6 +187,7 @@ func NewSelector(history *timeseries.Series, cfg Config, candidates ...*Candidat
 			return nil, fmt.Errorf("predictor: candidate %q has nil forecaster", c.Name)
 		}
 		c.mse = timeseries.NewRollingMSE(w)
+		c.packModel()
 	}
 	return &Selector{
 		candidates: candidates,

@@ -128,9 +128,13 @@ func decodeModel[S any](b []byte) (any, error) {
 // State returns the selector as plain data: every candidate's model and
 // rolling fitness window, the shared history, and the selection state, so
 // a selector restored from it predicts and ranks bit-identically to one
-// that never stopped. It is a copy, its long arrays packed. Candidates
-// whose forecaster type has no state (the smoothing family) are an error,
-// and so is a NaN or ±Inf in a packed array.
+// that never stopped. Only what moves is packed here — the history, the
+// MSE rings and the cached predictions. Each candidate's model state was
+// packed once, when the selector was built or restored, and every State
+// shares it: a fitted model is never written again, so the shared arrays
+// are values too. Candidates whose forecaster type has no state (the
+// smoothing family) are an error, and so is a NaN or ±Inf in a packed
+// array.
 func (s *Selector) State() (SelectorState, error) {
 	hist, err := timeseries.Pack(s.history.Raw())
 	if err != nil {
@@ -143,19 +147,15 @@ func (s *Selector) State() (SelectorState, error) {
 		Selection:    s.selection,
 		HasSelection: s.hasSelection,
 	}
+	mses := make([]timeseries.RollingState, len(s.candidates))
 	for i, c := range s.candidates {
-		kind, model, err := modelState(c.F)
-		if err != nil {
+		if c.modelErr != nil {
+			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, c.modelErr)
+		}
+		if mses[i], err = c.mse.State(); err != nil {
 			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
 		}
-		if kind == "" {
-			return SelectorState{}, fmt.Errorf("predictor: candidate %q: forecaster type %T has no serializer", c.Name, c.F)
-		}
-		mse, err := c.mse.State()
-		if err != nil {
-			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
-		}
-		st.Candidates[i] = CandidateState{Name: c.Name, Kind: kind, Model: model, MSE: &mse}
+		st.Candidates[i] = CandidateState{Name: c.Name, Kind: c.kind, Model: c.model, MSE: &mses[i]}
 	}
 	if s.havePred {
 		pred := append([]float64(nil), s.lastPred...)
@@ -167,6 +167,15 @@ func (s *Selector) State() (SelectorState, error) {
 		}
 	}
 	return st, nil
+}
+
+// packModel packs the candidate's model state, or the reason it has none,
+// for every State to share.
+func (c *Candidate) packModel() {
+	c.kind, c.model, c.modelErr = modelState(c.F)
+	if c.modelErr == nil && c.kind == "" {
+		c.modelErr = fmt.Errorf("forecaster type %T has no serializer", c.F)
+	}
 }
 
 // Restore replaces the selector with the one st describes.
@@ -188,6 +197,7 @@ func (s *Selector) Restore(st SelectorState) error {
 			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
 		}
 		cands[i] = &Candidate{Name: cs.Name, F: f, mse: mse}
+		cands[i].packModel()
 	}
 	if st.Selection < 0 || st.Selection >= len(cands) {
 		return fmt.Errorf("predictor: restore: selection %d out of range", st.Selection)

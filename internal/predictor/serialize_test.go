@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sheriff/internal/arima"
+	"sheriff/internal/narnet"
 	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
 )
@@ -157,4 +158,67 @@ func TestSelectorUnmarshalRejectsCorrupt(t *testing.T) {
 			t.Errorf("corrupt selector %q accepted", c)
 		}
 	}
+}
+
+// TestSelectorStateAllocs: a fitted selector's State packs only what
+// moves — the history, each candidate's MSE ring and the cached
+// predictions — and shares every candidate's model state, packed once when
+// the selector was fitted or restored. So it allocates a fixed handful,
+// plus one ring a candidate, whatever the models' sizes, and two States
+// hand out the same model arrays.
+func TestSelectorStateAllocs(t *testing.T) {
+	fitted, err := New(trainSeries(240), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fitted.Predict(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fitted.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := new(Selector)
+	if err := restored.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Selector{"fitted": fitted, "restored": restored} {
+		n := len(s.Candidates())
+		// The history, the candidate slice, the MSE states, a ring a
+		// candidate, and the cached predictions with their pointers.
+		want := float64(5 + n)
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := s.State(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != want {
+			t.Errorf("%s: State allocates %v times for %d candidates, want %v", name, got, n, want)
+		}
+		a, err := s.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Candidates {
+			if shared := modelArray(t, a.Candidates[i].Model); &shared[0] != &modelArray(t, b.Candidates[i].Model)[0] {
+				t.Errorf("%s: candidate %q's model state was packed again", name, a.Candidates[i].Name)
+			}
+		}
+	}
+}
+
+// modelArray is the longest packed array of a pool member's state.
+func modelArray(t *testing.T, model any) timeseries.Bits {
+	t.Helper()
+	switch m := model.(type) {
+	case arima.ModelState:
+		return m.History
+	case narnet.State:
+		return m.W1
+	}
+	t.Fatalf("model state of type %T", model)
+	return nil
 }

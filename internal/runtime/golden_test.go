@@ -84,8 +84,6 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 // restored from that file must write it again — so a file from before a
 // codec change restores after it, and the other way round. Regenerate
 // with: go test ./internal/runtime/ -run TestDeepSnapshotGolden -update
-// (deep_snapshot.v3.golden.json is the last version 3 file and is never
-// regenerated: see TestRestoreAcrossSnapshotVersions).
 func TestDeepSnapshotGolden(t *testing.T) {
 	path := filepath.Join("testdata", "deep_snapshot.golden.json")
 	got := deepGoldenSnapshot(t, false)
@@ -205,61 +203,44 @@ func encodeSnapshot(t *testing.T, r *Runtime) []byte {
 	return blob
 }
 
-// TestRestoreAcrossSnapshotVersions: the version 3 golden (the same state,
-// its long arrays spelled in decimal) restores into the runtime the
-// version 4 golden restores into. Each writes the version 4 file's bytes,
-// and the two step identically from there.
-func TestRestoreAcrossSnapshotVersions(t *testing.T) {
-	read := func(name string, version int) []byte {
-		doc, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
+// TestRestoreRefusesOtherVersions: Restore takes the version Snapshot
+// writes and no other. Versions 3 and 4 (rows as records, floats in
+// decimal) and anything newer are refused by number, not guessed at.
+func TestRestoreRefusesOtherVersions(t *testing.T) {
+	doc := goldenDoc(t)
+	for _, v := range []int{3, 4, SnapshotVersion + 1} {
+		_, err := restoreMutated(t, doc, func(s *Snapshot) { s.Version = v })
+		want := fmt.Sprintf("snapshot version %d not supported", v)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore from a version %d snapshot: err = %v, want a refusal saying %q", v, err, want)
 		}
-		var head struct {
-			Version int `json:"version"`
-		}
-		if err := json.Unmarshal(doc, &head); err != nil {
-			t.Fatal(err)
-		}
-		if head.Version != version {
-			t.Fatalf("%s is a version %d document, want %d", name, head.Version, version)
-		}
-		return bytes.TrimSuffix(doc, []byte("\n"))
 	}
-	v3 := read("deep_snapshot.v3.golden.json", 3)
-	v4 := read("deep_snapshot.golden.json", SnapshotVersion)
-	if bytes.Contains(v3, []byte(`"history":"`)) || !bytes.Contains(v4, []byte(`"history":"`)) {
-		t.Fatal("want decimal histories in the version 3 file and base64 ones in the version 4 file")
-	}
+}
 
-	old, cur := restoreGolden(t, v3), restoreGolden(t, v4)
-	for tag, r := range map[string]*Runtime{"version 3": old, "version 4": cur} {
-		if again := encodeSnapshot(t, r); !bytes.Equal(again, v4) {
-			t.Fatalf("a runtime restored from the %s file writes %d bytes that differ from the version 4 file", tag, len(again))
-		}
+// goldenDoc is testdata/deep_snapshot.golden.json.
+func goldenDoc(tb testing.TB) []byte {
+	tb.Helper()
+	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
-		a, err := old.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameStats(t, fmt.Sprintf("step %d after restore", i+1), *a, *b)
-	}
-	if a, b := encodeSnapshot(t, old), encodeSnapshot(t, cur); !bytes.Equal(a, b) {
-		t.Fatal("the two runtimes' snapshots differ after 16 steps")
-	}
+	return bytes.TrimSuffix(doc, []byte("\n"))
+}
 
-	// Versions on either side of those two are refused, not guessed at.
-	cluster, model := buildParts(t, 2)
-	for _, v := range []int{2, SnapshotVersion + 1} {
-		if _, err := Restore(cluster, model, Options{}, &Snapshot{Version: v}); err == nil || !strings.Contains(err.Error(), "not supported") {
-			t.Fatalf("restore from a version %d snapshot: err = %v, want a refusal", v, err)
-		}
+// editGolden decodes the golden document, lets edit change its columns,
+// and encodes the result.
+func editGolden(tb testing.TB, edit func(*Snapshot)) []byte {
+	tb.Helper()
+	var snap Snapshot
+	if err := json.Unmarshal(goldenDoc(tb), &snap); err != nil {
+		tb.Fatal(err)
 	}
+	edit(&snap)
+	doc, err := json.Marshal(&snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc
 }
 
 // hostileDocs are the golden document with one field set to ask Restore
@@ -271,21 +252,20 @@ func TestRestoreAcrossSnapshotVersions(t *testing.T) {
 // the next period.
 func hostileDocs(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	edit := func(old, new string) []byte {
-		if !bytes.Contains(doc, []byte(old)) {
-			tb.Fatalf("golden document has no %s", old)
+	pair := func(s *Snapshot) [3]int {
+		if len(s.FlowPairs) != 1 || s.FlowPairs[0] != [3]int{1, 9, 0} {
+			tb.Fatalf("golden document's flow pairs are %v, want [[1 9 0]]", s.FlowPairs)
 		}
-		return bytes.Replace(doc, []byte(old), []byte(new), 1)
+		return s.FlowPairs[0]
 	}
 	return map[string][]byte{
-		"generator position past the step": edit(`"gen_pos":32`, `"gen_pos":1099511627776`),
-		"trace horizon past a week":        edit(`"Hours":24`, `"Hours":1073741824`),
-		"flow pair listed twice":           edit(`"flow_pairs":[[1,9,0]]`, `"flow_pairs":[[1,9,0],[1,9,0]]`),
-		"one flow for two pairs":           edit(`"flow_pairs":[[1,9,0]]`, `"flow_pairs":[[1,9,0],[2,9,0]]`),
+		"generator position past the step": editGolden(tb, func(s *Snapshot) { s.VMs.GenPos[0] = 1 << 40 }),
+		"trace horizon past a week":        editGolden(tb, func(s *Snapshot) { s.Traces.Hours = 1 << 30 }),
+		"flow pair listed twice":           editGolden(tb, func(s *Snapshot) { s.FlowPairs = append(s.FlowPairs, pair(s)) }),
+		"one flow for two pairs": editGolden(tb, func(s *Snapshot) {
+			p := pair(s)
+			s.FlowPairs = append(s.FlowPairs, [3]int{2, p[1], p[2]})
+		}),
 	}
 }
 
@@ -301,6 +281,49 @@ func TestRestoreRefusesHostileWork(t *testing.T) {
 	for name, doc := range hostileDocs(t) {
 		t.Run(name, func(t *testing.T) {
 			_, err := restoreMutated(t, doc, func(*Snapshot) {})
+			if err == nil || !strings.Contains(err.Error(), want[name]) {
+				t.Fatalf("err = %v, want one containing %q", err, want[name])
+			}
+		})
+	}
+}
+
+// unequalDocs are the golden document with one column of each section
+// cut short or grown: the runtime's VM and queue columns, the cluster's VM
+// columns, and the traffic plane's flow and load columns.
+func unequalDocs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	return map[string][]byte{
+		"runtime VM racks short": editGolden(tb, func(s *Snapshot) { s.VMs.Rack = s.VMs.Rack[1:] }),
+		"runtime VM trend short": editGolden(tb, func(s *Snapshot) { s.VMs.Trend = s.VMs.Trend[8:] }),
+		"runtime queue holt long": editGolden(tb, func(s *Snapshot) {
+			s.Queues.Holt = append(s.Queues.Holt, s.Queues.Holt[:8]...)
+		}),
+		"cluster VM names long": editGolden(tb, func(s *Snapshot) { s.Cluster.VMs.Name = append(s.Cluster.VMs.Name, "vm-x") }),
+		"flow rates short":      editGolden(tb, func(s *Snapshot) { s.Flows.Flows.Rate = nil }),
+		"link loads short":      editGolden(tb, func(s *Snapshot) { s.Flows.Loads.B = s.Flows.Loads.B[1:] }),
+	}
+}
+
+// TestRestoreRefusesUnequalColumns: every column of a section holds the
+// same number of rows. A document with one cut short or grown is refused
+// by name, by the section that owns it, before any work.
+func TestRestoreRefusesUnequalColumns(t *testing.T) {
+	want := map[string]string{
+		"runtime VM racks short":  "runtime: snapshot VM columns of unequal length",
+		"runtime VM trend short":  "runtime: snapshot VM columns of unequal length",
+		"runtime queue holt long": "runtime: snapshot queue columns of unequal length",
+		"cluster VM names long":   "dcn: snapshot VM columns of unequal length",
+		"flow rates short":        "flow: snapshot flow columns of unequal length",
+		"link loads short":        "flow: snapshot load columns of unequal length",
+	}
+	for name, doc := range unequalDocs(t) {
+		t.Run(name, func(t *testing.T) {
+			var loaded Snapshot
+			if err := json.Unmarshal(doc, &loaded); err != nil {
+				t.Fatal(err)
+			}
+			_, err := restoreSnapshot(t, &loaded, false)
 			if err == nil || !strings.Contains(err.Error(), want[name]) {
 				t.Fatalf("err = %v, want one containing %q", err, want[name])
 			}
@@ -335,9 +358,9 @@ func TestGenPosNeverPassesStep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, vs := range snap.VMs {
-					if vs.GenPos > snap.Step {
-						t.Fatalf("after period %d (%s): VM %d at generator position %d, step %d", i, drive, vs.ID, vs.GenPos, snap.Step)
+				for k, pos := range snap.VMs.GenPos {
+					if pos > snap.Step {
+						t.Fatalf("after period %d (%s): VM %d at generator position %d, step %d", i, drive, snap.VMs.ID[k], pos, snap.Step)
 					}
 				}
 				cluster, model := buildParts(t, 4)
@@ -357,31 +380,27 @@ func TestGenPosNeverPassesStep(t *testing.T) {
 // FuzzRuntimeRestore: arbitrary bytes are either refused — by the
 // decoder, the cluster's Restore or the runtime's, which then returns no
 // runtime — or restore into a runtime whose own snapshot restores into
-// one that writes it again byte for byte. Never a panic. Seeded with both
-// goldens, so the fuzzer starts from every section a deep snapshot has,
-// in both spellings of its long arrays, and with the hostile documents,
-// which Restore must refuse before the work they ask for. A document that
+// one that writes it again byte for byte. Never a panic. Seeded with the
+// golden, so the fuzzer starts from every section a deep snapshot has,
+// with the hostile documents, which Restore must refuse before the work
+// they ask for, and with the documents whose columns disagree in length. A document that
 // asks for more work than a fuzzer can wait on and is still valid — a
 // generator replay past 4,096 steps that its step allows — is skipped:
 // Restore replays the position, by design, at the cost it names.
 func FuzzRuntimeRestore(f *testing.F) {
-	for _, name := range []string{"deep_snapshot.golden.json", "deep_snapshot.v3.golden.json"} {
-		doc, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
+	f.Add(goldenDoc(f))
+	for _, docs := range []map[string][]byte{hostileDocs(f), unequalDocs(f)} {
+		for _, doc := range docs {
+			f.Add(doc)
 		}
-		f.Add(doc)
-	}
-	for _, doc := range hostileDocs(f) {
-		f.Add(doc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded Snapshot
 		if json.Unmarshal(data, &loaded) != nil {
 			return
 		}
-		for _, vs := range loaded.VMs {
-			if vs.GenPos > 1<<12 && vs.GenPos <= loaded.Step {
+		for _, pos := range loaded.VMs.GenPos {
+			if pos > 1<<12 && pos <= loaded.Step {
 				return
 			}
 		}
@@ -405,28 +424,36 @@ func FuzzRuntimeRestore(f *testing.F) {
 }
 
 // TestRestoreRefusesNarrowedCounts: the engine keeps a VM's history length
-// and a rack's queue sample count as int32, the document carries an int and
-// a float64. A count that does not survive the narrowing is refused by
-// name, as is a document without its trace options, which no version this
-// Restore takes was written without.
+// and a rack's queue sample count as int32, the document carries ints. A
+// count that does not survive the narrowing is refused by name, as is a
+// document without its trace options, which no version this Restore takes
+// was written without. A fractional count does not decode: the column is
+// an integer one.
 func TestRestoreRefusesNarrowedCounts(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("testdata", "deep_snapshot.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := goldenDoc(t)
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Snapshot)
 		want   string
 	}{
-		{"hist past int32", func(s *Snapshot) { s.VMs[1].Hist = 1 << 32 }, "VM 1 has history length 4294967296"},
-		{"hist negative", func(s *Snapshot) { s.VMs[1].Hist = -1 }, "history length -1"},
-		{"queue count negative", func(s *Snapshot) { s.Queues[1][2] = -1 }, "rack 1 has queue sample count -1"},
-		{"queue count fractional", func(s *Snapshot) { s.Queues[1][2] = 1.5 }, "rack 1 has queue sample count 1.5"},
-		{"queue count past int32", func(s *Snapshot) { s.Queues[1][2] = 1e12 }, "rack 1 has queue sample count 1e+12"},
+		{"hist past int32", func(s *Snapshot) { s.VMs.Hist[1] = 1 << 32 }, "VM 1 has history length 4294967296"},
+		{"hist negative", func(s *Snapshot) { s.VMs.Hist[1] = -1 }, "history length -1"},
+		{"queue count negative", func(s *Snapshot) { s.Queues.Count[1] = -1 }, "rack 1 has queue sample count -1"},
+		{"queue count fractional", nil, "Go struct field QueueColumns.queues.count of type int"},
+		{"queue count past int32", func(s *Snapshot) { s.Queues.Count[1] = 1e12 }, "rack 1 has queue sample count 1000000000000"},
 		{"no trace options", func(s *Snapshot) { s.Traces = nil }, `"traces" is missing`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.mutate == nil {
+				const mark = 987654321
+				marked := editGolden(t, func(s *Snapshot) { s.Queues.Count[1] = mark })
+				frac := bytes.Replace(marked, []byte(fmt.Sprint(mark)), []byte("1.5"), 1)
+				err := json.Unmarshal(frac, new(Snapshot))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("decoding a fractional count: err = %v, want one containing %q", err, tc.want)
+				}
+				return
+			}
 			_, err := restoreMutated(t, doc, tc.mutate)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)

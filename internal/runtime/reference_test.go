@@ -121,29 +121,33 @@ func (r *refRuntime) Run(n int) ([]StepStats, error) {
 // them — histories, cold-smoothed into Holt states — lists its pair map
 // sorted, and leaves the rest of the document to the Runtime.
 func (r *refRuntime) Snapshot() (*Snapshot, error) {
-	var vms []VMSnap
+	var rows engineRows
 	for _, st := range r.ref.vms {
 		h := st.pred.Histories()
-		vs := VMSnap{ID: st.vm.ID, Rack: st.rack, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
+		rows.vms.ID = append(rows.vms.ID, st.vm.ID)
+		rows.vms.Rack = append(rows.vms.Rack, st.rack)
+		rows.vms.GenPos = append(rows.vms.GenPos, st.gen.Pos())
+		rows.vms.Hist = append(rows.vms.Hist, len(h[0]))
+		p := st.current
+		rows.cur = append(rows.cur, p.CPU, p.Mem, p.IO, p.TRF)
 		for c := 0; c < 4; c++ {
-			vs.Trend[c] = foldHolt(h[c])
+			lt := foldHolt(h[c])
+			rows.trend = append(rows.trend, lt[0], lt[1])
 		}
-		vms = append(vms, vs)
 	}
-	var queues [][3]float64
 	for _, qm := range r.ref.queueMon {
 		h := qm.History()
 		lt := foldHolt(h)
-		queues = append(queues, [3]float64{lt[0], lt[1], float64(len(h))})
+		rows.qCount = append(rows.qCount, len(h))
+		rows.qHolt = append(rows.qHolt, lt[0], lt[1])
 	}
-	var pairs [][3]int
 	for pair, id := range r.flowByPair {
-		pairs = append(pairs, [3]int{pair[0], pair[1], id})
+		rows.pairs = append(rows.pairs, [3]int{pair[0], pair[1], id})
 	}
-	slices.SortFunc(pairs, func(a, b [3]int) int {
+	slices.SortFunc(rows.pairs, func(a, b [3]int) int {
 		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	return r.snapshotDoc(vms, queues, pairs)
+	return r.snapshotDoc(rows)
 }
 
 // foldHolt cold-smooths a full history into its Holt state — how the

@@ -188,9 +188,9 @@ func TestStepExternalFeedsProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vs := range snap.VMs {
-		if vs.GenPos != 0 {
-			t.Fatalf("VM %d generator advanced to %d under StepExternal", vs.ID, vs.GenPos)
+	for k, pos := range snap.VMs.GenPos {
+		if pos != 0 {
+			t.Fatalf("VM %d generator advanced to %d under StepExternal", snap.VMs.ID[k], pos)
 		}
 	}
 }
@@ -229,13 +229,16 @@ func TestNewRejectsWildVMIDs(t *testing.T) {
 		corrupt func(*dcn.Snapshot)
 		want    string
 	}{
-		{"wild VM id", func(s *dcn.Snapshot) { s.VMs[0].ID = 1 << 40 }, "VM id 1099511627776"},
-		{"negative VM id", func(s *dcn.Snapshot) { s.VMs[0].ID = -3 }, "VM id -3"},
+		{"wild VM id", func(s *dcn.Snapshot) { s.VMs.ID[0] = 1 << 40 }, "VM id 1099511627776"},
+		{"negative VM id", func(s *dcn.Snapshot) { s.VMs.ID[0] = -3 }, "VM id -3"},
 		{"wild dependency endpoint", func(s *dcn.Snapshot) { s.Deps = append(s.Deps, [2]int{0, 1 << 40}) }, "dependency 0–1099511627776 names VM 1099511627776"},
 	} {
 		donor, _ := buildParts(t, 4)
 		donor.Populate(dcn.PopulateOptions{VMsPerHost: 1, MinCapacity: 5, MaxCapacity: 20, Seed: 3})
-		snap := donor.Snapshot()
+		snap, err := donor.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
 		tc.corrupt(snap)
 		cluster, _ := buildParts(t, 4)
 		if err := cluster.Restore(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -292,9 +295,9 @@ func TestLazyStreamsMixedDrive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, vs := range snap.VMs {
-			if vs.GenPos != wantPos {
-				t.Fatalf("VM %d: snapshot generator position %d, want %d", vs.ID, vs.GenPos, wantPos)
+		for k, pos := range snap.VMs.GenPos {
+			if pos != wantPos {
+				t.Fatalf("VM %d: snapshot generator position %d, want %d", snap.VMs.ID[k], pos, wantPos)
 			}
 		}
 		blob, err := json.Marshal(snap)

@@ -9,11 +9,11 @@ import (
 )
 
 // Bits holds a []float64 packed for a snapshot: eight little-endian bytes
-// of each value's IEEE-754 bits, in order. It types the long arrays a
-// snapshot carries that nobody reads by eye — histories, weights, error
-// rings — where shortest-decimal formatting would be most of the cost of
-// writing the document. Pack builds one, refusing NaN and ±Inf, and Floats
-// reads it back.
+// of each value's IEEE-754 bits, in order. It types the floats a snapshot
+// carries — every section's float columns, the deep pools' histories,
+// weights and error rings — where shortest-decimal formatting would be
+// most of the cost of writing the document. Pack builds one, refusing NaN
+// and ±Inf, and Floats reads it back.
 //
 // Being a byte slice, it is written by encoding/json's own []byte path: a
 // base64 string (standard alphabet, padded), the very bytes the float

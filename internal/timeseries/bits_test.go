@@ -170,13 +170,15 @@ func TestBitsRejects(t *testing.T) {
 // TestBitsEncodeAllocs: packing costs the packed bytes alone, and
 // encoding/json writes them with no buffer of the codec's own — a
 // document holding a packed array costs what one holding no array does.
+// Under the race detector, whose instrumentation allocates, the counts are
+// taken but not asserted.
 func TestBitsEncodeAllocs(t *testing.T) {
 	v := make([]float64, 1000)
 	if got := testing.AllocsPerRun(20, func() {
 		if _, err := Pack(v); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
+	}); got != 1 && !raceEnabled {
 		t.Fatalf("Pack allocates %v times, want 1", got)
 	}
 	type doc struct {
@@ -195,7 +197,7 @@ func TestBitsEncodeAllocs(t *testing.T) {
 		})
 	}
 	with, without := encode(&doc{A: pack(t, v)}), encode(&doc{})
-	if with != without {
+	if with != without && !raceEnabled {
 		t.Fatalf("encoding a packed array allocates %v times, a document without one %v", with, without)
 	}
 }
