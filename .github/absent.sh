@@ -96,5 +96,7 @@ doc  . FigureTable|GenerateFigure|Figures|EarlyWarnScore|EarlyWarnPoint|ScoreEar
 src  \b(VMSnap|VMRecord|SlotSnap|FlowSnap)\b
 src  type[[:space:]]+LinkLoad\b|\bLinkLoad\{|\]LinkLoad\b
 file internal/runtime/testdata/deep_snapshot.v3.golden.json
+# No severity tier nobody reads: an alert carries its ALERT value, UrgentAt is the one cut.
+src  ClassifySeverity|SeverityCritical
 EOF
 exit $fail

@@ -55,61 +55,11 @@ type Alert struct {
 	SwitchID  int     // offending switch node (FromOuterSwitch / FromLocalToR)
 }
 
-// Severity is the tiered urgency of an alert, derived from the ALERT
-// value: watch (reported activity, monitor), urgent (developing
-// situation), critical (immediate danger).
-type Severity int
-
-const (
-	// SeverityNone: the VM raised no alert (ALERT = 0).
-	SeverityNone Severity = iota
-	// SeverityWatch: an alert fired but stays below the urgent cut.
-	SeverityWatch
-	// SeverityUrgent: the predicted overload is developing (ALERT ≥ 0.8).
-	SeverityUrgent
-	// SeverityCritical: overload is imminent (ALERT ≥ 0.95).
-	SeverityCritical
-)
-
-// Severity classification cuts. ALERT values are profile maxima in
-// [0, 1], so the cuts sit inside the fired range (fired alerts carry the
-// offending component's value, > the 0.9 default threshold in the common
-// configuration, but lower thresholds can fire watch-tier alerts).
-const (
-	UrgentAt   = 0.8
-	CriticalAt = 0.95
-)
-
-// String names the severity tier.
-func (s Severity) String() string {
-	switch s {
-	case SeverityNone:
-		return "none"
-	case SeverityWatch:
-		return "watch"
-	case SeverityUrgent:
-		return "urgent"
-	case SeverityCritical:
-		return "critical"
-	default:
-		return fmt.Sprintf("Severity(%d)", int(s))
-	}
-}
-
-// ClassifySeverity maps an ALERT value onto its tier: none for
-// non-positive values, then watch / urgent / critical at the fixed cuts.
-func ClassifySeverity(v float64) Severity {
-	switch {
-	case v <= 0:
-		return SeverityNone
-	case v >= CriticalAt:
-		return SeverityCritical
-	case v >= UrgentAt:
-		return SeverityUrgent
-	default:
-		return SeverityWatch
-	}
-}
+// UrgentAt is the ALERT value from which an alert reports a developing
+// overload rather than mere activity. ALERT values are profile maxima in
+// [0, 1]: under the 0.9 default threshold every fired alert is urgent,
+// and lower thresholds also fire alerts below the cut.
+const UrgentAt = 0.8
 
 // Thresholds holds per-component trigger levels. The paper's motivating
 // example is 90% CPU/memory utilization.

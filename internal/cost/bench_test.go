@@ -47,23 +47,21 @@ func BenchmarkModelRefresh(b *testing.B) {
 	})
 }
 
-// BenchmarkRefreshSources is the manage phase's refresh on the fabric of
-// the ft16-surge workload (Fat-Tree 16, 128 racks, 320 nodes): 30 sources,
-// about as many racks as price moves in one of its periods, over links
-// whose bandwidths are patched from a seed to look like its loaded state. regional sweeps each row only
-// until its one-hop region is final, as the runtime asks; full sweeps
-// whole rows. Both report nodes settled and µs per row. Record with
-//
-//	go test -run=^$ -bench RefreshSources -benchtime=2000x ./internal/cost/
-func BenchmarkRefreshSources(b *testing.B) {
+// surgeRefresh builds the fabric of BenchmarkRefreshSources and
+// TestRegionalRowsSettledCeiling, the manage phase's refresh on the fabric
+// of the ft16-surge workload (Fat-Tree 16, 128 racks, 320 nodes): links
+// whose bandwidths are patched from a seed to look like its loaded state,
+// and 30 source racks, about as many as price moves in one of its periods.
+func surgeRefresh(tb testing.TB) (*Model, []int) {
+	tb.Helper()
 	const sources = 30
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 16})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := dcn.NewCluster(ft.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// The workload's links after warm-up: about half carry load, most of
 	// those keep half their capacity or more, and a few are full.
@@ -83,8 +81,20 @@ func BenchmarkRefreshSources(b *testing.B) {
 	}
 	m, err := New(c, PaperParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return m, nodes
+}
+
+// BenchmarkRefreshSources times surgeRefresh's refresh. regional sweeps each
+// row until the racks of its one-hop region, or all their neighbours, have
+// settled, dropping every push that cannot reach one of them cheaply
+// enough, as the runtime asks; full sweeps whole rows. Both report nodes settled and µs per row. Record
+// with
+//
+//	go test -run=^$ -bench RefreshSources -benchtime=2000x ./internal/cost/
+func BenchmarkRefreshSources(b *testing.B) {
+	m, nodes := surgeRefresh(b)
 	for _, bc := range []struct {
 		name string
 		hops int
@@ -98,9 +108,25 @@ func BenchmarkRefreshSources(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.RefreshSources(nodes, bc.hops)
 			}
-			rows := float64(b.N * sources)
+			rows := float64(b.N * len(nodes))
 			b.ReportMetric(float64(m.trans.SweptNodes()-settled)/rows, "nodes/row")
 			b.ReportMetric(float64(time.Since(start).Microseconds())/rows, "µs/row")
 		})
 	}
+}
+
+// TestRegionalRowsSettledCeiling holds the regional rows of surgeRefresh to
+// their work: at most 40 of the 320 nodes settled per row, where the two
+// stops and the push bound settle 24.5. A bound that stops dropping
+// pushes breaks it.
+func TestRegionalRowsSettledCeiling(t *testing.T) {
+	const ceiling = 40
+	m, nodes := surgeRefresh(t)
+	before := m.trans.SweptNodes()
+	m.RefreshSources(nodes, 1)
+	got := float64(m.trans.SweptNodes()-before) / float64(len(nodes))
+	if got > ceiling {
+		t.Fatalf("regional rows settled %.1f nodes each, ceiling %d", got, ceiling)
+	}
+	t.Logf("%.1f nodes settled per regional row", got)
 }

@@ -16,8 +16,10 @@
 // transmission cost, never of whichever path is taken. The paper runs
 // Floyd–Warshall; this model runs one Dijkstra row per source rack with
 // the same results. A row prepared by RefreshSources is regional: it is
-// swept only as far as the racks of its source's region need. A row read
-// for any other rack is swept in full on demand. The physical-distance
+// swept only until its answers for the racks of its source's region are
+// final, past no node that cannot reach one of them cheaply (the rules and
+// why they are exact are at the sweep loop in topology's csr.go). A row
+// read for any other rack is swept in full on demand. The physical-distance
 // table of the dependency term is built by its first reader: a model
 // whose VMs have no dependent peers never sweeps it.
 package cost
@@ -90,10 +92,10 @@ type Model struct {
 	// The regions of regional rows, per trans row, built on the row's first
 	// regional sweep and kept until the wiring or the hop radius changes:
 	// serves holds row r's region racks as a bit set over trans rows
-	// (words per row), waitFor[r] the nodes whose settling finalizes the row
-	// for them — every neighbour of every rack of the region — as a slice
-	// of one shared arena. The rest is the building's reused memory, so a
-	// row first named mid-run allocates nothing once the arena has grown.
+	// (words per row), waitFor[r] the same racks as the nodes its sweep
+	// waits for, a slice of one shared arena. The rest is the building's
+	// reused memory, so a row first named mid-run allocates nothing once
+	// the arena has grown.
 	hops    int
 	built   []bool
 	serves  []uint64
@@ -102,7 +104,6 @@ type Model struct {
 	arena   []int32
 	walk    topology.NeighborScratch
 	nbrs    []int
-	marked  []bool
 	until   [][]int32 // RefreshSources scratch, parallel to rows
 
 	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
@@ -179,9 +180,11 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // the named rack nodes are swept now, each only as far as its region
 // needs. A source's region is the racks within hops interior switches of
 // it (topology.Graph.RackNeighbors, the shim's dominating region); its row
-// is swept until every neighbour of every region rack has settled and
-// relaxed its edges, which leaves the row's answers for those racks bit
-// for bit the full row's. hops < 0 sweeps the named rows in full.
+// is swept until those racks, or all their neighbours, have settled,
+// skipping what cannot lead to them cheaply, which leaves the row's
+// answers for them bit for bit the full row's (topology.SweepRowsUntil;
+// the rules and their argument are at its sweep loop, in csr.go). hops < 0
+// sweeps the named rows in full.
 //
 // Every other row, and a regional row read for a rack outside its region,
 // is swept in full by the first query that needs it, against the weights
@@ -249,7 +252,6 @@ func (m *Model) region(r, hops int) []int32 {
 		m.built = make([]bool, len(racks))
 		m.serves = make([]uint64, len(racks)*m.words)
 		m.waitFor = make([][]int32, len(racks))
-		m.marked = make([]bool, g.NumNodes())
 		m.arena = m.arena[:0]
 	}
 	if !m.built[r] {
@@ -259,18 +261,9 @@ func (m *Model) region(r, hops int) []int32 {
 		for _, t := range m.nbrs {
 			j := m.trans.Row(t)
 			set[j>>6] |= 1 << (j & 63)
-			for _, e := range g.Edges(t) {
-				if !m.marked[e.To] {
-					m.marked[e.To] = true
-					m.arena = append(m.arena, int32(e.To))
-				}
-			}
+			m.arena = append(m.arena, int32(t))
 		}
-		wait := m.arena[start:len(m.arena):len(m.arena)]
-		for _, v := range wait {
-			m.marked[v] = false
-		}
-		m.built[r], m.waitFor[r] = true, wait
+		m.built[r], m.waitFor[r] = true, m.arena[start:len(m.arena):len(m.arena)]
 	}
 	return m.waitFor[r]
 }

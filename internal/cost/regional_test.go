@@ -9,10 +9,11 @@ import (
 	"sheriff/internal/topology"
 )
 
-// Regional rows: a row RefreshSources prepares is swept only until every
-// neighbour of every rack of its source's region has settled and relaxed
-// its edges. For those racks it must answer with the bits of a full row;
-// for any other rack it must be swept in full, once, on demand.
+// Regional rows: a row RefreshSources prepares is swept only until the
+// racks of its source's region, or all their neighbours, have settled,
+// dropping the pushes that cannot reach one of them cheaply. For those racks it must answer with
+// the bits of a full row; for any other rack it must be swept in full,
+// once, on demand.
 
 func regionalFabric(t *testing.T, name string) *dcn.Cluster {
 	t.Helper()

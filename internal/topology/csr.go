@@ -91,16 +91,22 @@ func (c *csr) edge(u int, i int32) Edge {
 
 // fillWeights materializes the edge-cost vector for one sweep: one
 // EdgeCost call per directed edge, shared by every source of the sweep.
-// It reports whether every weight is above zero (Inf included), the
-// condition under which a stopped sweep is exact (see sweep).
-func (c *csr) fillWeights(w []wEdge, cost EdgeCost) (positive bool) {
+// In the same pass it records in minIn (len n) the cheapest weight into
+// each node, Inf for a node with no finite in-edge: the goal bound of a
+// stopped sweep (see sweep). It reports whether every weight is above zero
+// (Inf included), the condition under which a stopped sweep is exact.
+func (c *csr) fillWeights(w []wEdge, minIn []float64, cost EdgeCost) (positive bool) {
 	n := len(c.rowStart) - 1
+	for v := range minIn {
+		minIn[v] = Inf
+	}
 	positive = true
 	for u := 0; u < n; u++ {
 		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
-			x := cost(c.edge(u, i))
+			x, v := cost(c.edge(u, i)), c.dstID[i]
 			positive = positive && x > 0
-			w[i] = wEdge{x, c.dstID[i]}
+			minIn[v] = min(minIn[v], x)
+			w[i] = wEdge{x, v}
 		}
 	}
 	return positive
@@ -130,13 +136,15 @@ type heapEnt struct {
 // sweepScratch is the per-worker reusable state of one Dijkstra sweep: the
 // queue storage (no container/heap, no interface boxing) plus an
 // epoch-stamped settled array, so clearing between sweeps is a single
-// counter increment rather than an O(n) wipe. Epochs are even; sweep
-// stamps the nodes it waits for with epoch+1 in the same array, so telling
-// a marked node from a settled or untouched one costs no extra load.
+// counter increment rather than an O(n) wipe. Epochs are multiples of
+// four; sweep stamps the nodes it waits for with epoch+1 (a target),
+// epoch+2 (a target's neighbour) or epoch+3 (both) in the same array, so
+// telling a marked node from a settled or untouched one costs no extra
+// load.
 type sweepScratch struct {
 	heap []heapEnt // cap m+1: sweepTo's heap, or sweep's radix arena
 
-	settled []uint32 // settled[v] == epoch ⇒ v finalized this sweep; epoch+1 ⇒ v marked
+	settled []uint32 // settled[v] == epoch ⇒ v finalized this sweep; epoch+1…+3 ⇒ v marked
 	epoch   uint32
 
 	swept int // nodes settled by sweep, summed over the sweeps of this scratch
@@ -153,13 +161,13 @@ func (s *sweepScratch) ensure(n, m int) {
 	}
 }
 
-// nextEpoch advances the settled epoch by two (the odd value in between
-// is the sweep's mark), wiping the array on wraparound.
+// nextEpoch advances the settled epoch by four (the values in between are
+// the sweep's marks), wiping the array on wraparound.
 func (s *sweepScratch) nextEpoch() uint32 {
-	s.epoch += 2
+	s.epoch += 4
 	if s.epoch == 0 {
 		clear(s.settled)
-		s.epoch = 2
+		s.epoch = 4
 	}
 	return s.epoch
 }
@@ -193,34 +201,78 @@ func (s *sweepScratch) nextEpoch() uint32 {
 // are the ones that meet Inf edges (the reroute pass prices every edge into
 // the hot switch Inf), and the skip spares them the bound and tree loads.
 //
-// The stop: with waitFor empty the sweep runs until the queue drains, the
-// full row. Otherwise it ends once every node of waitFor has settled and
-// relaxed its edges. The nodes are stamped with the odd mark ep+1 in the
-// settled array, so the settle branch tells a marked node by the value it
-// already loaded, and the countdown costs a full sweep one compare per
-// settled node. What a stopped row holds is exact, given every weight > 0:
-// the stopped sweep is a prefix of the full one, a settled node's entry
-// never changes again, and an entry whose every neighbour has settled and
-// relaxed its edges can only be changed by relaxations that never come.
-// Such an entry, and the chain of settled parents behind it, is bit for bit
-// the full row's. Every other entry may be tentative. Unreachable marks
-// never settle, and the row is then the full row.
+// The stops and the bound: with waitFor empty the sweep runs until the
+// queue drains, the full row. Otherwise waitFor names the targets, and the
+// sweep ends at whichever of two stops comes first: every target has
+// settled, or every neighbour of every target has settled and relaxed its
+// edges. The targets and their neighbours are stamped with marks in the
+// settled array (see sweepScratch), so the settle branch tells them by the
+// value it already loaded, and the countdowns cost a full sweep two
+// compares per settled node. Given every weight > 0, either stop leaves
+// each target's distance and parent chain bit for bit the full row's: a
+// settled node's entry never changes again and its parent chain settled
+// before it; and once every neighbour of a target has settled and relaxed
+// its edges, no relaxation of the target's entry is left to come.
+//
+// On the way, the push of a non-target v at nd is dropped when nd exceeds
+// the bound: the largest d̃(t)·(1+1e-9) − minIn(t) over the targets t still
+// open, d̃(t) being t's tentative distance and minIn(t) the cheapest weight
+// into t. A target with minIn Inf has no finite in-edge and never settles;
+// it is left out of the max. The bound is Inf until every other open target
+// has a tentative distance (so for good if one of them is never reached),
+// and then only falls, as d̃ falls and targets close. It is recomputed
+// (goalBound) only when the target that sets it improves or settles, or the
+// last open target is first reached. Why each target's entry is still the
+// full row's — sweepTo's points (1)–(3) with the bound of one open target:
+// (1) a node x on a cheapest src → t path has d(x) + minIn(t) ≤ d(t) ≤
+// d̃(t), since the path's last edge enters t; the slack on d̃(t) absorbs the
+// rounding of the path's sum and of the bound's own product and difference,
+// so no relaxation that gives x its final distance is dropped, and x settles
+// at d(x), by induction along the path; (2) an equal-cost predecessor of
+// such a node lies on such a path itself, so every candidate of the tie rule
+// still relaxes the node; (3) dropping a push never reorders the pops, and
+// with positive weights every equal-cost predecessor pops before the node
+// settles. Targets themselves are never dropped, and a neighbour that
+// settles off every cheapest path relaxes a target to more than its
+// distance. Entries of other nodes may be tentative, or never written, also
+// when neither stop fires and the queue drains.
 //
 // Point-to-point searches run in sweepTo, whose searches settle too few
 // nodes to pay for a refill of the radix queue.
-func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode, waitFor []int32) {
+func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, minIn []float64, tree []treeNode, waitFor []int32) {
 	for i := range tree {
 		tree[i] = treeNode{Inf, -1}
 	}
 	ep := s.nextEpoch()
 	settled := s.settled
 	rowStart := c.rowStart
-	mark, left := ep+1, 0
-	for _, v := range waitFor {
-		if settled[v] != mark {
-			settled[v] = mark
+	// left: targets not yet settled; near: their neighbours not yet
+	// settled and relaxed (links run both ways, so the nodes a target's
+	// edges lead to are those whose edges enter it); open: targets with a
+	// finite minIn still at d̃ = Inf, which keep the bound Inf; arg: the
+	// target that sets the bound, -1 while none does. A mark's bit 0 says
+	// target, bit 1 neighbour.
+	left, near, open := 0, 0, 0
+	for _, t := range waitFor {
+		if settled[t] < ep { // repeats are marked already
+			settled[t] = ep + 1
 			left++
+			if t != src && minIn[t] < Inf {
+				open++
+			}
 		}
+	}
+	for _, t := range waitFor {
+		for _, e := range w[rowStart[t]:rowStart[t+1]] {
+			if v := e.v; settled[v] < ep+2 { // untouched, or a target
+				settled[v] = max(settled[v], ep) + 2
+				near++
+			}
+		}
+	}
+	bound, arg := Inf, int32(-1)
+	if left > 0 && open == 0 {
+		bound, arg = goalBound(waitFor, settled, ep, tree, minIn)
 	}
 	count := 0
 	// The radix queue: head[b] is the newest entry of bucket b in the arena
@@ -269,10 +321,32 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode, wait
 		}
 		settled[u] = ep
 		count++
+		mk := su - ep // 1…3 when u is marked
+		if mk < 4 && mk&1 != 0 {
+			if left--; left == 0 {
+				break
+			}
+			if u == arg {
+				bound, arg = goalBound(waitFor, settled, ep, tree, minIn)
+			}
+		}
 		for _, e := range w[rowStart[u]:rowStart[u+1]] {
 			nd := d + e.w
 			tv := &tree[e.v]
 			if nd < tv.d {
+				if left > 0 { // a stopped sweep: targets and the bound
+					if k := settled[e.v] - ep; k < 4 && k&1 != 0 {
+						if tv.d == Inf {
+							open--
+						}
+						tv.d = nd // goalBound reads it
+						if open == 0 && (arg < 0 || e.v == arg) {
+							bound, arg = goalBound(waitFor, settled, ep, tree, minIn)
+						}
+					} else if nd > bound {
+						continue
+					}
+				}
 				tv.d = nd
 				tv.p = u
 				// Push: the key's bucket is the length of the prefix it
@@ -295,14 +369,30 @@ func (s *sweepScratch) sweep(c *csr, src int32, w []wEdge, tree []treeNode, wait
 				tv.p = u
 			}
 		}
-		if su == mark {
-			if left--; left == 0 {
+		if mk < 4 && mk&2 != 0 {
+			if near--; near == 0 {
 				break
 			}
 		}
 	}
 	s.heap = a[:0]
 	s.swept += count
+}
+
+// goalBound is sweep's push bound over the targets not settled at epoch
+// ep, and the target that sets it: -Inf and -1 when every open target has
+// minIn Inf.
+func goalBound(waitFor []int32, settled []uint32, ep uint32, tree []treeNode, minIn []float64) (bound float64, arg int32) {
+	bound, arg = math.Inf(-1), -1
+	for _, t := range waitFor {
+		if settled[t] == ep || minIn[t] == Inf {
+			continue
+		}
+		if b := tree[t].d*(1+1e-9) - minIn[t]; b > bound {
+			bound, arg = b, t
+		}
+	}
+	return bound, arg
 }
 
 // sweepTo is the point-to-point loop: sweep on a plain 4-ary heap, with a

@@ -34,8 +34,9 @@ type MultiSource struct {
 	rank    []int32    // node ID → row index, -1 when not a source
 	tree    []treeNode // len(sources) interleaved (dist, parent) rows of n
 
-	weights  []wEdge // interleaved (cost, dst) vector of the last Reweigh
-	positive bool    // every weight > 0 (Inf included): stopped sweeps are exact
+	weights  []wEdge   // interleaved (cost, dst) vector of the last Reweigh
+	minIn    []float64 // node ID → a lower bound on every weight into it
+	positive bool      // every weight > 0 (Inf included): stopped sweeps are exact
 	scratch  []*sweepScratch
 	spare    []treeNode // CompleteRow's row, swept aside
 
@@ -96,8 +97,9 @@ func (ms *MultiSource) Reset(g *Graph, sources []int) {
 	for i, s := range ms.sources {
 		ms.rank[s] = int32(i)
 	}
-	ms.tree = ensureTreeNodes(ms.tree, len(sources)*n)
-	ms.weights = ensureWEdges(ms.weights, len(ms.c.dstID))
+	ms.tree = ensureLen(ms.tree, len(sources)*n)
+	ms.weights = ensureLen(ms.weights, len(ms.c.dstID))
+	ms.minIn = ensureLen(ms.minIn, n)
 }
 
 // Reweigh refills the retained weight vector from the graph's current
@@ -105,7 +107,7 @@ func (ms *MultiSource) Reset(g *Graph, sources []int) {
 // before the call keep describing the old weights until swept again.
 func (ms *MultiSource) Reweigh(cost EdgeCost) {
 	ms.mustBeBound()
-	ms.positive = ms.c.fillWeights(ms.weights, cost)
+	ms.positive = ms.c.fillWeights(ms.weights, ms.minIn, cost)
 }
 
 // PositiveWeights reports whether every weight of the vector is above zero
@@ -124,7 +126,10 @@ func (ms *MultiSource) mustBeBound() {
 
 // ReweighEdges is Reweigh for the named edge IDs only: when the caller
 // knows which links' state changed since the vector was last filled, the
-// other weights are already what a full Reweigh would write.
+// other weights are already what a full Reweigh would write. The cheapest
+// weight into each node, which SweepRowsUntil bounds its search with, only
+// takes the min with the new weights: a lower bound still, if a looser one
+// than the next Reweigh records.
 func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 	ms.mustBeBound()
 	for _, id := range ids {
@@ -132,6 +137,8 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 		i := ms.c.rowStart[l.node] + l.pos
 		w := cost(ms.c.edge(int(l.node), i))
 		ms.weights[i].w = w
+		v := ms.weights[i].v
+		ms.minIn[v] = min(ms.minIn[v], w)
 		ms.positive = ms.positive && w > 0
 	}
 }
@@ -143,11 +150,14 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, nil, len(rows)) }
 
 // SweepRowsUntil is SweepRows where the search of rows[i] ends once every
-// node of waitFor[i] has settled and relaxed its edges. Given
-// PositiveWeights, the row's entry for every node whose neighbours all
-// were in waitFor[i] — Dist, Path and PathEdges to it — is then bit for
-// bit the full row's; other entries may be tentative and must not be read.
-// An empty list sweeps the full row.
+// node of waitFor[i] (its targets) has settled, or every neighbour of
+// every target has settled and relaxed its edges, whichever comes first;
+// on the way it drops every push that cannot lead cheaply enough to a
+// target still open (see sweep in csr.go for the rules and why they are
+// exact). Given PositiveWeights, the row's entry for every target — Dist,
+// Path and PathEdges to it — is then bit for bit the full row's; other
+// entries may be tentative and must not be read. An empty list sweeps the
+// full row.
 func (ms *MultiSource) SweepRowsUntil(rows []int, waitFor [][]int32) {
 	ms.runSweeps(rows, waitFor, len(rows))
 }
@@ -159,8 +169,8 @@ func (ms *MultiSource) SweepRowsUntil(rows []int, waitFor [][]int32) {
 // goroutines may go on reading them while the row is completed.
 func (ms *MultiSource) CompleteRow(row int) {
 	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
-	ms.spare = ensureTreeNodes(ms.spare, ms.n)
-	sc.sweep(ms.c, ms.sources[row], ms.weights, ms.spare, nil)
+	ms.spare = ensureLen(ms.spare, ms.n)
+	sc.sweep(ms.c, ms.sources[row], ms.weights, ms.minIn, ms.spare, nil)
 	tree := ms.tree[row*ms.n : (row+1)*ms.n]
 	for v, x := range ms.spare {
 		if tree[v] != x {
@@ -273,7 +283,7 @@ func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, waitFor [][]int32,
 	if rows != nil {
 		i = rows[i]
 	}
-	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.tree[i*ms.n:(i+1)*ms.n], until)
+	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.minIn, ms.tree[i*ms.n:(i+1)*ms.n], until)
 }
 
 func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
@@ -285,18 +295,13 @@ func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
 	return sc
 }
 
-func ensureWEdges(s []wEdge, n int) []wEdge {
+// ensureLen returns s resliced to length n, or a new slice when its
+// capacity is short.
+func ensureLen[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]wEdge, n)
-}
-
-func ensureTreeNodes(s []treeNode, n int) []treeNode {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]treeNode, n)
+	return make([]T, n)
 }
 
 // row returns the shortest-path-tree row for a source node, or nil when

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -299,7 +300,7 @@ func TestStoppedSweepToEqualsFull(t *testing.T) {
 			var st, ref sweepScratch
 			st.ensure(n, m)
 			ref.ensure(n, m)
-			w := make([]wEdge, m)
+			w, minIn := make([]wEdge, m), make([]float64, n)
 			tree, fullRow := make([]treeNode, n), make([]treeNode, n)
 			edgeBlocked, nodeBlocked := make([]bool, m), make([]bool, n)
 			blocked := func(e Edge) float64 {
@@ -317,7 +318,7 @@ func TestStoppedSweepToEqualsFull(t *testing.T) {
 					}
 					edgeBlocked[rng.Intn(m)] = true
 				}
-				c.fillWeights(w, blocked)
+				c.fillWeights(w, minIn, blocked)
 				ref.sweepTo(c, int32(src), -1, w, fullRow, nil, 0)
 				for dst := 0; dst < n; dst++ {
 					st.sweepTo(c, int32(src), int32(dst), w, tree, nil, 0)
@@ -379,6 +380,155 @@ func TestShortestPathAvoidingNodes(t *testing.T) {
 		reached := ms.SweepRowTo(0, d, nil)
 		if got := ms.Path(a, d); reached != (tc.want != nil) || !slices.Equal(got, tc.want) || ms.Dist(a, d) != tc.dist {
 			t.Fatalf("avoiding %v: path %v at %v (reached %v), want %v at %v", tc.avoid, got, ms.Dist(a, d), reached, tc.want, tc.dist)
+		}
+	}
+}
+
+// untilCase is one graph and weight regime of the target-stop test, with
+// the targets its rows must always wait for on top of the random ones.
+type untilCase struct {
+	label   string
+	g       *Graph
+	cost    EdgeCost
+	special []int32
+}
+
+// untilCases are the graphs of TestSweepRowsUntilTargetsEqualFullRow: the
+// stop-rule fabrics under equal-weight ties and under ties with every edge
+// into one node priced Inf (a target no finite edge enters), and the
+// random graphs of TestSweepMatchesReferenceAcrossBinades (keys from
+// subnormal to 1e150, Inf edges), each with one node walled off: every edge
+// into its neighbours, save its own, costs Inf, so it stays unreachable
+// although the edges into it are finite; and small random graphs priced in
+// decimals such as 0.1 and 0.7, whose sums round, the case the bound's
+// slack is for.
+func untilCases(t *testing.T) []untilCase {
+	t.Helper()
+	var out []untilCase
+	fabrics := stopFabrics(t)
+	for _, name := range []string{"fat-tree", "bcube", "leaf-spine", "bcube-8"} {
+		g := fabrics[name]
+		for _, regime := range []string{"ties", "cut"} {
+			rng := rand.New(rand.NewSource(43))
+			cost := stopWeights(rng, g, regime)
+			var special []int32 // the nodes no finite edge enters
+			for v := 0; v < g.NumNodes(); v++ {
+				if !slices.ContainsFunc(g.Neighbors(v), func(u int) bool {
+					e, _ := g.EdgeBetween(u, v)
+					return cost(e) < Inf
+				}) {
+					special = append(special, int32(v))
+				}
+			}
+			if (regime == "cut") != (len(special) > 0) {
+				t.Fatalf("%s/%s: %d nodes no finite edge enters", name, regime, len(special))
+			}
+			out = append(out, untilCase{name + "/" + regime, g, cost, special})
+		}
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(430 + seed))
+		g, base := binadeGraph(rng, 30+rng.Intn(30))
+		walled := rng.Intn(g.NumNodes())
+		guard := map[int]bool{}
+		for _, v := range g.Neighbors(walled) {
+			guard[v] = true
+		}
+		cost := func(e Edge) float64 {
+			if guard[e.To] && e.From != walled {
+				return Inf
+			}
+			return base(e)
+		}
+		out = append(out, untilCase{fmt.Sprintf("binades-%d", seed), g, cost, []int32{int32(walled)}})
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(450 + seed))
+		g := randomEquivGraph(rng, 12+rng.Intn(20))
+		w := make([]float64, g.NumEdges())
+		for id := range w {
+			w[id] = []float64{0.1, 0.2, 0.3, 0.35, 0.6, 0.7, 1.1}[rng.Intn(7)]
+		}
+		cost := func(e Edge) float64 { return w[e.ID] }
+		out = append(out, untilCase{fmt.Sprintf("decimals-%d", seed), g, cost, nil})
+	}
+	return out
+}
+
+// TestSweepRowsUntilTargetsEqualFullRow holds the two stops of a sweep
+// with targets (all targets settled, or all their neighbours settled and
+// relaxed) and its push bound to the full row: from every source, with 1–6
+// random targets, plus the case's special ones from every other source,
+// Dist (as bits), Path and PathEdges of every target are the full row's.
+// Each case runs twice: after Reweigh, and after ReweighEdges has cut some
+// weights tenfold and tripled others, so that the cheapest weight into a
+// node is only a lower bound. All rows share one scratch with full sweeps
+// in between, so no mark survives a sweep. The stops must be at work: the
+// stopped rows settle fewer nodes than full ones.
+func TestSweepRowsUntilTargetsEqualFullRow(t *testing.T) {
+	shared := &sweepScratch{}
+	for _, tc := range untilCases(t) {
+		g, n := tc.g, tc.g.NumNodes()
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		rng := rand.New(rand.NewSource(44))
+		scale := make([]float64, g.NumEdges())
+		for i := range scale {
+			scale[i] = 1
+		}
+		cost := func(e Edge) float64 { return tc.cost(e) * scale[e.ID] }
+		ms := &MultiSource{scratch: []*sweepScratch{shared}}
+		ms.Reset(g, all)
+		ms.Reweigh(cost)
+		for _, pass := range []string{"reweigh", "reweigh-edges"} {
+			if pass == "reweigh-edges" {
+				var ids []int
+				for k := 0; k < g.NumEdges()/4; k++ {
+					id := rng.Intn(g.NumEdges())
+					if tc.cost(g.EdgeAt(id)) < 1e-300 {
+						continue // a tenth of a subnormal is zero
+					}
+					scale[id] = []float64{0.1, 3}[rng.Intn(2)]
+					ids = append(ids, id)
+				}
+				ms.ReweighEdges(ids, cost)
+			}
+			if !ms.PositiveWeights() {
+				t.Fatalf("%s: a weight is not above zero", tc.label)
+			}
+			label := tc.label + "/" + pass
+			full := DijkstraFrom(g, all, cost)
+			settled := 0
+			for src := 0; src < n; src++ {
+				var targets []int32
+				if src%2 == 0 {
+					targets = slices.Clone(tc.special)
+				}
+				for k := rng.Intn(6); k >= 0; k-- {
+					targets = append(targets, int32(rng.Intn(n)))
+				}
+				before := ms.SweptNodes()
+				ms.SweepRowsUntil([]int{src}, [][]int32{targets})
+				settled += ms.SweptNodes() - before
+				for _, dst := range targets {
+					got, want := ms.Dist(src, int(dst)), full.Dist(src, int(dst))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: Dist(%d,%d) = %v, full row %v", label, src, dst, got, want)
+					}
+					samePath(t, label, ms, full, src, int(dst))
+				}
+				if src%7 == 0 {
+					ms.SweepRows([]int{src})
+					if !slices.Equal(ms.row(src), full.row(src)) {
+						t.Fatalf("%s: full sweep from %d after a stopped one differs from a clean full sweep", label, src)
+					}
+				}
+			}
+			if settled >= n*n {
+				t.Fatalf("%s: %d stopped rows settled %d nodes: no row stopped early", label, n, settled)
+			}
 		}
 	}
 }

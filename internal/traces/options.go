@@ -2,6 +2,7 @@ package traces
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -101,8 +102,9 @@ func (p SurgeParams) WithDefaults() SurgeParams {
 	return p
 }
 
-// Validate reports whether the params are usable: negative fields are
-// errors, zero fields mean defaults.
+// Validate reports whether the params are usable: negative fields, NaN and
+// infinities are errors, zero fields mean defaults. (An infinite Intensity
+// times a zero wave is NaN, which no clamp brings back into [0, 1].)
 func (p SurgeParams) Validate() error {
 	if p.MeanDwell < 0 {
 		return fmt.Errorf("traces: MeanDwell must be >= 0 (0 = default), got %d", p.MeanDwell)
@@ -110,16 +112,13 @@ func (p SurgeParams) Validate() error {
 	for _, w := range []struct {
 		name string
 		v    float64
-	}{{"TrainWeight", p.TrainWeight}, {"FlashWeight", p.FlashWeight}, {"BurstWeight", p.BurstWeight}} {
-		if w.v < 0 {
-			return fmt.Errorf("traces: %s must be >= 0, got %v", w.name, w.v)
+	}{{"TrainWeight", p.TrainWeight}, {"FlashWeight", p.FlashWeight}, {"BurstWeight", p.BurstWeight}, {"Intensity", p.Intensity}} {
+		if !(w.v >= 0 && w.v <= math.MaxFloat64) {
+			return fmt.Errorf("traces: %s must be finite and >= 0 (0 = default), got %v", w.name, w.v)
 		}
 	}
-	if p.RackFraction < 0 || p.RackFraction > 1 {
+	if !(p.RackFraction >= 0 && p.RackFraction <= 1) {
 		return fmt.Errorf("traces: RackFraction must be in [0, 1] (0 = default), got %v", p.RackFraction)
-	}
-	if p.Intensity < 0 {
-		return fmt.Errorf("traces: Intensity must be >= 0 (0 = default), got %v", p.Intensity)
 	}
 	return nil
 }
