@@ -98,5 +98,12 @@ src  type[[:space:]]+LinkLoad\b|\bLinkLoad\{|\]LinkLoad\b
 file internal/runtime/testdata/deep_snapshot.v3.golden.json
 # No severity tier nobody reads: an alert carries its ALERT value, UrgentAt is the one cut.
 src  ClassifySeverity|SeverityCritical
+# One triage filter, defined once: no distilled coefficients and no coefficient knobs.
+file internal/experiments/distill.go
+doc  ./internal/ingest.Options Alpha|Beta|Quant
+doc  ./internal/quant WithDefaults|MaxShift|Lead
+doc  ./internal/experiments DistillQuant|DistillConfig
+# No package only its own example drives.
+file internal/qcn
 EOF
 exit $fail

@@ -10,19 +10,14 @@
 //	sheriffsim -mode dist -size 8 -loss 0.05 -trace out.jsonl
 //	sheriffsim -mode chaos -seed 42 -drop 0.2 -dup 0.25 -partition 1:3:0 -trace chaos.jsonl
 //	sheriffsim -mode surge -seed 1 -json surge.jsonl
-//	sheriffsim -mode distill -seed 1
 //
 // Surge mode evaluates the burst-extended predictor pool over the regime
 // grid (diurnal control, training-job waves, flash crowds, correlated
 // rack bursts): each (regime, candidate) cell reports one-step MSE,
 // sliding-window win share, and the operator's early-warning scores
 // (lead time, precision, recall), then a cluster pass drives correlated
-// multi-rack bursts through the sharded step engine.
-//
-// Distill mode distills the deep pool into the fixed-point triage filter
-// and grades it: per-regime alert precision/recall/lead-time of the
-// quantized filter against the pool's alerts. Nothing here is timed; what
-// Sheriff costs is measured by bench/ (BENCHMARK.json).
+// multi-rack bursts through the sharded step engine. Nothing here is
+// timed; what Sheriff costs is measured by bench/ (BENCHMARK.json).
 //
 // -trace writes a JSONL event stream (see internal/obs); with no explicit
 // -mode it implies -mode dist, the message-level protocol whose
@@ -63,7 +58,7 @@ func main() {
 // parseable JSONL trace.
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sheriffsim", flag.ContinueOnError)
-	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, surge, or distill")
+	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, or surge")
 	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
 	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
 	sizes := fs.String("sizes", "", "comma-separated size sweep (mode=sweep)")
@@ -83,11 +78,10 @@ func run(args []string, out io.Writer) (err error) {
 	jitter := fs.Int("jitter", 1, "fault plan: uniform extra delay bound in rounds (mode=chaos)")
 	partition := fs.String("partition", "", "fault plan: partition windows as start:rounds:node,node[;...] (mode=chaos)")
 	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=surge)")
-	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge, distill)")
-	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge, distill; 0 = predictor default)")
-	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge, distill)")
-	intensity := fs.Float64("intensity", 1.5, "surge amplitude scale (mode=surge, distill)")
-	tolerance := fs.Int("tolerance", 0, "alert-matching window in steps vs the pool's alerts (mode=distill; 0 = 3)")
+	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge)")
+	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge; 0 = predictor default)")
+	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge)")
+	intensity := fs.Float64("intensity", 1.5, "surge amplitude scale (mode=surge)")
 	clusterRacks := fs.Int("cluster-racks", 0, "racks in the correlated-burst cluster pass (mode=surge; 0 = 8)")
 	clusterSteps := fs.Int("cluster-steps", 0, "steps in the cluster pass (mode=surge; 0 = 120)")
 	noCluster := fs.Bool("no-cluster", false, "skip the cluster pass (mode=surge)")
@@ -192,15 +186,6 @@ func run(args []string, out io.Writer) (err error) {
 			ClusterSteps: *clusterSteps,
 			SkipCluster:  *noCluster,
 		}, *jsonOut)
-	case "distill":
-		return runDistill(out, experiments.DistillConfig{
-			Seed:      *seed,
-			Hours:     *hours,
-			Window:    *window,
-			MaxLead:   *maxLead,
-			Intensity: *intensity,
-			Tolerance: *tolerance,
-		})
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -258,26 +243,6 @@ func runSurge(out io.Writer, cfg experiments.SurgeConfig, jsonPath string) error
 		return err
 	}
 	return f.Close()
-}
-
-// runDistill distills the fixed-point triage filter from the deep pool
-// and prints the fit and its per-regime fidelity rows — a pure function of
-// the flags, so two runs print the same bytes.
-func runDistill(out io.Writer, cfg experiments.DistillConfig) error {
-	d, err := experiments.DistillQuant(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "ingest distilled: alpha %d/%d beta %d/%d (α %.3f β %.3f) lead %d | fit score %.2f/%d\n",
-		d.Coeffs.AlphaNum, int64(1)<<d.Coeffs.Shift, d.Coeffs.BetaNum, int64(1)<<d.Coeffs.Shift,
-		d.Coeffs.Alpha(), d.Coeffs.Beta(), d.Coeffs.Lead, d.Score, len(d.Regimes))
-	for _, reg := range d.Regimes {
-		fmt.Fprintf(out, "ingest %-12s threshold %.3f alert-at %.3f | pool %3d quant %3d matched %3d | prec %4.2f rec %4.2f lead %5.2f (pool %5.2f)\n",
-			reg.Regime, reg.Threshold, reg.AlertAt,
-			reg.PoolAlerts, reg.QuantAlerts, reg.Matched,
-			reg.Precision, reg.Recall, reg.MeanLead, reg.PoolLead)
-	}
-	return nil
 }
 
 // parsePartitions decodes the -partition spec: semicolon-separated

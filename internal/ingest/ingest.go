@@ -19,8 +19,10 @@
 // millions of updates does not touch the allocator.
 //
 // Triage is a per-VM Holt (double-exponential) smoother over the
-// profile's dominant component, the same α=0.5/β=0.3 filter the runtime
-// uses for cheap trend forecasts. A VM whose one-step-ahead prediction
+// profile's dominant component, the filter the runtime uses for cheap
+// trend forecasts (smoothing.TriageAlpha and TriageBeta; under TriageQuant
+// their Q16.16 snap). A profile with a NaN or ±Inf component is refused at
+// the door, so no VM's smoother ever holds one. A VM whose one-step-ahead prediction
 // crosses HotThreshold raises an edge-triggered pre-alert (cleared when
 // the prediction recedes). It is an early, cheap reading of the signal the
 // Sheriff shims act on, not their input: sheriffd polls the pre-alerts and
@@ -70,20 +72,11 @@ type Options struct {
 	// HotThreshold is the predicted stress above which a VM raises a
 	// pre-alert. Zero means the default (0.9); negative is an error.
 	HotThreshold float64
-	// Alpha and Beta are the Holt triage smoothing factors. Zero means
-	// the defaults (0.5 and 0.3); out of (0,1] is an error.
-	Alpha, Beta float64
 	// Mode selects the triage arithmetic: TriageFloat (default) runs the
 	// float64 Holt smoother, TriageQuant the Q16.16 fixed-point twin with
 	// dyadic coefficients and saturating overflow semantics (see
 	// internal/quant and quant.go in this package).
 	Mode TriageMode
-	// Quant supplies the fixed-point coefficients for TriageQuant —
-	// typically the output of experiments.DistillQuant, which fits them
-	// (plus the alert lead horizon) against the deep pool's alerts. The
-	// zero value snaps Alpha and Beta at quant.DefaultShift with Lead 1,
-	// mirroring the float filter. Ignored under TriageFloat.
-	Quant quant.Coeffs
 	// Recorder receives KindIngest events (drains, drops, alerts) and is
 	// the hub Subscribe attaches sinks to. Nil disables both.
 	Recorder *obs.Recorder
@@ -102,22 +95,10 @@ func (o Options) Validate() error {
 	if o.HotThreshold < 0 {
 		return fmt.Errorf("ingest: HotThreshold must be >= 0 (0 = default), got %v", o.HotThreshold)
 	}
-	check := func(name string, v float64) error {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("ingest: %s must be in (0,1] (0 = default), got %v", name, v)
-		}
-		return nil
-	}
-	if err := check("Alpha", o.Alpha); err != nil {
-		return err
-	}
-	if err := check("Beta", o.Beta); err != nil {
-		return err
-	}
 	if o.Mode != TriageFloat && o.Mode != TriageQuant {
 		return fmt.Errorf("ingest: unknown triage mode %d", int(o.Mode))
 	}
-	return o.Quant.Validate()
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -127,26 +108,18 @@ func (o Options) withDefaults() Options {
 	if o.HotThreshold == 0 {
 		o.HotThreshold = 0.9
 	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.5
-	}
-	if o.Beta == 0 {
-		o.Beta = 0.3
-	}
 	if o.Pool == nil {
 		o.Pool = pool.Shared()
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	if o.Mode == TriageQuant {
-		if o.Quant == (quant.Coeffs{}) {
-			o.Quant = quant.Snap(o.Alpha, o.Beta, quant.DefaultShift)
-		}
-		o.Quant = o.Quant.WithDefaults()
-	}
 	return o
 }
+
+// triageQ is the triage filter's pair snapped to Q16.16, the coefficients
+// of every TriageQuant fold.
+var triageQ = quant.Snap(smoothing.TriageAlpha, smoothing.TriageBeta)
 
 // Stats is a point-in-time snapshot of the service's counters.
 type Stats struct {
@@ -312,7 +285,8 @@ func (s *Service) Shards() int { return len(s.shard) }
 
 // Offer enqueues one update on its VM's rack shard. It returns false
 // without error when the shard queue is full (the update is tail-dropped
-// and counted), and an error for a VM the service was not built for.
+// and counted), and an error for a VM the service was not built for or a
+// profile with a NaN or ±Inf component.
 // The accept path performs no allocation.
 func (s *Service) Offer(u Update) (bool, error) {
 	one := [1]Update{u}
@@ -329,9 +303,16 @@ func (s *Service) locate(vm int) (loc, bool) {
 	return l, l.shard >= 0
 }
 
+// admit resolves an update to its VM's slot, refusing an unknown VM and a
+// profile with a NaN or ±Inf component.
+func (s *Service) admit(u Update) (loc, bool) {
+	l, ok := s.locate(u.VM)
+	return l, ok && u.Profile.Finite()
+}
+
 // OfferBatch offers each update in order and returns how many were
-// accepted. Overflow drops are not errors; an unknown VM is, and stops
-// the batch (the updates before it stay offered). The whole batch shares
+// accepted. Overflow drops are not errors; an unknown VM or a non-finite
+// profile is, and stops the batch (the updates before it stay offered). The whole batch shares
 // one arrival stamp — the updates arrived together — and each run of
 // consecutive updates for one shard takes that shard's lock once, so the
 // per-update accept cost is the table lookup and the queue append.
@@ -341,9 +322,14 @@ func (s *Service) OfferBatch(updates []Update) (int, error) {
 	var err error
 	accepted, i := 0, 0
 	for i < len(updates) {
-		l, ok := s.locate(updates[i].VM)
+		l, ok := s.admit(updates[i])
 		if !ok {
-			err = fmt.Errorf("ingest: unknown VM %d", updates[i].VM)
+			u := updates[i]
+			if _, known := s.locate(u.VM); !known {
+				err = fmt.Errorf("ingest: unknown VM %d", u.VM)
+			} else {
+				err = fmt.Errorf("ingest: VM %d reported a non-finite profile %+v", u.VM, u.Profile)
+			}
 			break
 		}
 		sh := s.shard[l.shard]
@@ -369,7 +355,7 @@ func (s *Service) OfferBatch(updates []Update) (int, error) {
 			if i++; i == len(updates) {
 				break
 			}
-			l, ok = s.locate(updates[i].VM)
+			l, ok = s.admit(updates[i])
 		}
 		sh.mu.Unlock()
 		took := min(i-start, room)
@@ -415,8 +401,8 @@ func (s *Service) ProcessPending() int {
 
 // drainShard runs triage over one shard's queue: each update folds
 // into its VM's smoother — smoothing.HoltStep under TriageFloat,
-// quant.(*Holt).Observe under TriageQuant, where the fold, the lead
-// extrapolation and the threshold compare are all integer — and a
+// quant.(*Holt).Observe under TriageQuant, where the fold, the one-step
+// prediction and the threshold compare are all integer — and a
 // prediction above the threshold raises the edge-triggered pre-alert.
 // The loop is allocation-free in steady state. The shard lock is held
 // for the whole drain, so offers to this shard wait — that is the
@@ -456,10 +442,10 @@ func (s *Service) drainShard(sh *shard, now time.Time) (int, int) {
 		var sig quant.Q
 		var hot bool
 		if quantized {
-			sig = sl.q.Observe(q.qv, s.opts.Quant)
+			sig = sl.q.Observe(q.qv, triageQ)
 			hot = sig > qthresh
 		} else {
-			pred = sl.observe(q.v, s.opts.Alpha, s.opts.Beta)
+			pred = sl.observe(q.v)
 			hot = pred > s.opts.HotThreshold
 		}
 		if hot && !sl.alerted {
@@ -494,11 +480,11 @@ func (sh *shard) observeWait(ns int64, n int) {
 
 // observe folds one observation into the float Holt state and returns
 // the one-step-ahead prediction.
-func (sl *slot) observe(v, alpha, beta float64) float64 {
+func (sl *slot) observe(v float64) float64 {
 	if sl.seen == 0 {
 		sl.level, sl.trend = v, 0
 	} else {
-		sl.level, sl.trend = smoothing.HoltStep(sl.level, sl.trend, v, alpha, beta)
+		sl.level, sl.trend = smoothing.HoltStep(sl.level, sl.trend, v, smoothing.TriageAlpha, smoothing.TriageBeta)
 	}
 	sl.seen++
 	return sl.level + sl.trend

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +65,46 @@ func TestOfferValidationAndCounters(t *testing.T) {
 	}
 	if st.Latency.Count() != 1 {
 		t.Fatalf("latency count %d, want 1", st.Latency.Count())
+	}
+}
+
+// TestOfferRefusesNonFiniteProfiles: a NaN or ±Inf in any component of a
+// reported profile is refused like an unknown VM, in both triage modes.
+// The batch stops there, the updates before it stay offered, the counters
+// still conserve, and the VM's smoother never sees the value: a hot finite
+// stream afterwards still alerts.
+func TestOfferRefusesNonFiniteProfiles(t *testing.T) {
+	for _, mode := range []TriageMode{TriageFloat, TriageQuant} {
+		for comp := 0; comp < 4; comp++ {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				name := fmt.Sprintf("%v/component %d/%v", mode, comp, v)
+				s := build(t, Options{Mode: mode})
+				bad := cool()
+				*[...]*float64{&bad.CPU, &bad.Mem, &bad.IO, &bad.TRF}[comp] = v
+				n, err := s.OfferBatch([]Update{{VM: 1, Profile: cool()}, {VM: 3, Profile: cool()}, {VM: 1, Profile: bad}, {VM: 4, Profile: cool()}})
+				want := "ingest: VM 1 reported a non-finite profile"
+				if n != 2 || err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("%s: OfferBatch = %d, %v; want 2 and %q…", name, n, err, want)
+				}
+				if _, err := s.Offer(Update{VM: 1, Profile: bad}); err == nil {
+					t.Fatalf("%s: Offer accepted the profile", name)
+				}
+				if st := s.Stats(); st.Offered != 2 || st.Accepted != 2 {
+					t.Fatalf("%s: stats %+v, want 2 offered and accepted", name, st)
+				}
+				s.ProcessPending()
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i := 0; i < 4; i++ {
+					s.Offer(Update{VM: 1, Profile: hot()})
+				}
+				s.ProcessPending()
+				if got := s.Poll(); len(got) != 1 || got[0].VM != 1 {
+					t.Fatalf("%s: hot stream afterwards raised %+v, want one alert for VM 1", name, got)
+				}
+			}
+		}
 	}
 }
 
@@ -391,7 +432,7 @@ func TestFromClusterAndNewValidation(t *testing.T) {
 	if _, err := New([][]int{{0}}, Options{QueueLimit: -1}); err == nil {
 		t.Fatal("negative queue limit accepted")
 	}
-	if _, err := New([][]int{{0}}, Options{Alpha: 1.5}); err == nil {
-		t.Fatal("out-of-range alpha accepted")
+	if _, err := New([][]int{{0}}, Options{HotThreshold: -0.1}); err == nil {
+		t.Fatal("negative hot threshold accepted")
 	}
 }

@@ -1,14 +1,12 @@
 // The triage arithmetics. A service in TriageQuant mode folds each VM's
 // quant.Holt (two int32 words) instead of the float level/trend pair;
 // offers convert the observed stress to Q16.16 once at the intake
-// boundary, and from there the smoothing recursion, the lead
-// extrapolation, and the threshold compare are integer-only — the shape
-// of a pipeline that drops onto a programmable-switch datapath. The
-// coefficients are dyadic rationals distilled offline from the deep
-// ARIMA/NARNET pool's alerts (experiments.DistillQuant), so the cheap
-// filter front-runs the expensive pool instead of merely approximating
-// the float filter. Both arithmetics run in the one drain loop
-// (drainShard); this file only names them.
+// boundary, and from there the smoothing recursion, the one-step
+// prediction, and the threshold compare are integer-only — the shape of a
+// pipeline that drops onto a programmable-switch datapath. It is the same
+// filter as TriageFloat: the coefficients are smoothing.TriageAlpha and
+// TriageBeta snapped to n/256 (triageQ). Both arithmetics run in the one
+// drain loop (drainShard); this file only names them.
 package ingest
 
 import (
@@ -24,7 +22,7 @@ const (
 	// with the pre-quantization service.
 	TriageFloat TriageMode = iota
 	// TriageQuant is the Q16.16 fixed-point smoother with dyadic
-	// coefficients (Options.Quant) and saturating arithmetic.
+	// coefficients and saturating arithmetic.
 	TriageQuant
 )
 

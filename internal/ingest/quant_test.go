@@ -33,13 +33,9 @@ func TestQuantOptionsValidation(t *testing.T) {
 	if _, err := New([][]int{{0}}, Options{Mode: TriageMode(7)}); err == nil {
 		t.Error("unknown triage mode accepted")
 	}
-	if _, err := New([][]int{{0}}, Options{Mode: TriageQuant, Quant: quant.Coeffs{AlphaNum: -1}}); err == nil {
-		t.Error("invalid coefficients accepted")
-	}
-	// Zero coefficients under TriageQuant snap to the float path's α/β.
-	s := build(t, Options{Mode: TriageQuant})
-	if got, want := s.opts.Quant, quant.Snap(0.5, 0.3, quant.DefaultShift); got != want {
-		t.Errorf("defaulted coefficients %+v, want %+v", got, want)
+	// The quantized path folds with the float path's α/β snapped to n/256.
+	if want := (quant.Coeffs{AlphaNum: 128, BetaNum: 77}); triageQ != want {
+		t.Errorf("triage coefficients %+v, want %+v", triageQ, want)
 	}
 }
 
@@ -115,31 +111,29 @@ func TestQuantMatchesFloatAtDefaults(t *testing.T) {
 }
 
 // TestDrainQuantMatchesHolt pins the drain's slot state to
-// quant.(*Holt).Observe bit for bit: the service and the method the
-// distiller grades offline must be the same filter, including at the
-// saturation rails (huge Lead drives the signal clamp).
+// quant.(*Holt).Observe at the product coefficients bit for bit,
+// including at the saturation rails.
 func TestDrainQuantMatchesHolt(t *testing.T) {
-	for _, coeffs := range []quant.Coeffs{
-		{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 1},
-		{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 30000},
-		{AlphaNum: 700, BetaNum: 150, Shift: 11, Lead: 1},
-		{AlphaNum: 1, BetaNum: 65536, Shift: 16, Lead: 4},
-	} {
-		s, err := New([][]int{{0}}, Options{Mode: TriageQuant, Quant: coeffs, Clock: fixedClock(), HotThreshold: 1e9})
-		if err != nil {
-			t.Fatal(err)
+	s, err := New([][]int{{0}}, Options{Mode: TriageQuant, Clock: fixedClock(), HotThreshold: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref quant.Holt
+	rng := rand.New(rand.NewSource(21))
+	rails := 0
+	for i := 0; i < 5000; i++ {
+		v := rng.Float64() * 2e5 // wide swings: past the rail at 32768 most of the time
+		s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: v}})
+		s.ProcessPending()
+		if ref.Observe(quant.FromFloat(v), quant.Snap(0.5, 0.3)) == quant.Max {
+			rails++
 		}
-		var ref quant.Holt
-		rng := rand.New(rand.NewSource(21))
-		for i := 0; i < 5000; i++ {
-			v := rng.Float64() * 2e5 // wide swings: the Lead extrapolation hits the rails
-			s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: v}})
-			s.ProcessPending()
-			ref.Observe(quant.FromFloat(v), coeffs)
-			if got := s.shard[0].slots[0].q; got != ref {
-				t.Fatalf("coeffs %+v step %d: drain state %+v, Holt.Observe %+v", coeffs, i, got, ref)
-			}
+		if got := s.shard[0].slots[0].q; got != ref {
+			t.Fatalf("step %d: drain state %+v, Holt.Observe %+v", i, got, ref)
 		}
+	}
+	if rails == 0 {
+		t.Fatal("the stream never drove the signal to the rail")
 	}
 }
 
@@ -151,16 +145,13 @@ func TestQuantAlertsAtTheRail(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		thresh float64
-		coeffs quant.Coeffs
 		surge  float64 // observed stress that must drive the signal to the rail
 	}{
-		{"rail/default", 32768, quant.Coeffs{}, 1e6},
-		{"past-rail/default", 1e9, quant.Coeffs{}, 1e6},
-		{"rail/generic-shift", 32768, quant.Coeffs{AlphaNum: 700, BetaNum: 150, Shift: 11, Lead: 1}, 1e6},
-		{"past-rail/long-lead", 1e9, quant.Coeffs{AlphaNum: 200, BetaNum: 90, Shift: 8, Lead: 30000}, 40},
+		{"rail/default", 32768, 1e6},
+		{"past-rail/default", 1e9, 1e6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New([][]int{{0}}, Options{Mode: TriageQuant, Quant: tc.coeffs, Clock: fixedClock(), HotThreshold: tc.thresh})
+			s, err := New([][]int{{0}}, Options{Mode: TriageQuant, Clock: fixedClock(), HotThreshold: tc.thresh})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +172,7 @@ func TestQuantAlertsAtTheRail(t *testing.T) {
 				if len(got) != 1 || got[0].VM != 0 || got[0].Value != quant.Max.Float() {
 					t.Fatalf("excursion %d raised %+v, want one alert at the rail %v", excursion, got, quant.Max.Float())
 				}
-				// Falling back must clear the latch silently. Zero input
-				// with a long lead swings the signal to the other rail.
+				// Falling back must clear the latch silently.
 				if got := feed(0, 40); len(got) != 0 {
 					t.Fatalf("cooling after excursion %d alerted: %+v", excursion, got)
 				}

@@ -1,8 +1,10 @@
 // Package quant provides the integer-only arithmetic behind Sheriff's
 // line-rate triage predictor: saturating Q16.16 fixed-point values,
-// smoothing coefficients snapped to dyadic rationals (n/2^s, so every
-// multiply is a shift-and-add-friendly integer product), and the
-// quantized Holt double-exponential smoother built from them.
+// smoothing coefficients snapped to dyadic rationals (n/2^8, so every
+// multiply is an integer product and a constant shift), and the
+// quantized Holt double-exponential smoother built from them. The
+// coefficients are compiled in, not fitted: ingest snaps the float triage
+// filter's pair (smoothing.TriageAlpha, smoothing.TriageBeta) once.
 //
 // The design follows the P4 workload-prediction line of work (PAPERS.md):
 // a programmable-switch datapath has no floating point, so a predictor
@@ -19,10 +21,7 @@
 // recursion itself never touches a float.
 package quant
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // FracBits is the number of fractional bits in a Q value (Q16.16).
 const FracBits = 16
@@ -83,50 +82,26 @@ func Add(a, b Q) Q { return sat(int64(a) + int64(b)) }
 // Sub returns a-b, saturating.
 func Sub(a, b Q) Q { return sat(int64(a) - int64(b)) }
 
-// MulInt returns a·n, saturating — the integer extrapolation step
-// (e.g. trend · lead-horizon).
+// MulInt returns a·n, saturating.
 func MulInt(a Q, n int32) Q { return sat(int64(a) * int64(n)) }
 
-// DefaultShift is the default dyadic coefficient resolution: smoothing
-// factors are snapped to multiples of 2^-8, fine enough that the snap
-// error (≤ 2^-9) is far below the trace noise floor.
-const DefaultShift = 8
+// Shift is the coefficient resolution: smoothing factors are dyadic
+// rationals n/2^Shift, multiples of 2^-8, fine enough that the snap error
+// (at most 2^-9) is far below the trace noise floor.
+const Shift = 8
 
-// MaxShift bounds the coefficient resolution so every intermediate
-// product (coefficient ≤ 2^16 times a 32-bit state sum) stays well
-// inside int64.
-const MaxShift = 16
-
-// Coeffs parameterizes the quantized Holt smoother: smoothing factors
-// α = AlphaNum/2^Shift and β = BetaNum/2^Shift snapped to dyadic
-// rationals, plus the alert lead horizon. The zero value means "use the
-// defaults" (α=0.5, β=0.3 at DefaultShift, Lead 1 — the float triage
-// filter's operating point), per the library's option convention.
+// Coeffs holds the quantized Holt smoother's smoothing factors snapped to
+// dyadic rationals, α = AlphaNum/2^Shift and β = BetaNum/2^Shift. Snap
+// builds them; a numerator lies in [0, 2^Shift], and AlphaNum is at least 1.
 type Coeffs struct {
-	// AlphaNum and BetaNum are the dyadic numerators. After WithDefaults
-	// they satisfy 1 <= AlphaNum <= 2^Shift and 0 <= BetaNum <= 2^Shift.
-	AlphaNum int32 `json:"alpha_num"`
-	BetaNum  int32 `json:"beta_num"`
-	// Shift is the shared denominator exponent (coefficients are n/2^Shift).
-	// Zero means DefaultShift.
-	Shift uint32 `json:"shift"`
-	// Lead is the alert horizon in steps: the triage signal extrapolates
-	// level + Lead·trend, so a distilled Lead > 1 lets the one-pass filter
-	// mimic the deep pool's path-max alerts. Zero means 1.
-	Lead int32 `json:"lead"`
+	AlphaNum, BetaNum int32
 }
 
-// Snap returns the coefficients closest to the float smoothing factors at
-// the given resolution (0 = DefaultShift). Factors are clamped to [0, 1]
-// first; α floors at 1/2^shift because a zero α would freeze the level.
-func Snap(alpha, beta float64, shift uint32) Coeffs {
-	if shift == 0 {
-		shift = DefaultShift
-	}
-	if shift > MaxShift {
-		shift = MaxShift
-	}
-	scale := int32(1) << shift
+// Snap returns the coefficients closest to the float smoothing factors.
+// Factors are clamped to [0, 1] first; α floors at 2^-Shift because a zero
+// α would freeze the level.
+func Snap(alpha, beta float64) Coeffs {
+	const scale = 1 << Shift
 	snap := func(f float64) int32 {
 		if math.IsNaN(f) || f <= 0 {
 			return 0
@@ -134,79 +109,19 @@ func Snap(alpha, beta float64, shift uint32) Coeffs {
 		if f >= 1 {
 			return scale
 		}
-		return int32(math.Round(f * float64(scale)))
+		return int32(math.Round(f * scale))
 	}
-	a := snap(alpha)
-	if a == 0 {
-		a = 1
-	}
-	return Coeffs{AlphaNum: a, BetaNum: snap(beta), Shift: shift, Lead: 1}
+	return Coeffs{AlphaNum: max(snap(alpha), 1), BetaNum: snap(beta)}
 }
 
-// Validate reports whether the coefficients are usable: negative fields
-// are errors, zero fields mean defaults, and numerators must not exceed
-// the denominator (factors stay in [0, 1]).
-func (c Coeffs) Validate() error {
-	if c.AlphaNum < 0 || c.BetaNum < 0 {
-		return fmt.Errorf("quant: coefficient numerators must be >= 0, got alpha %d beta %d", c.AlphaNum, c.BetaNum)
-	}
-	if c.Shift > MaxShift {
-		return fmt.Errorf("quant: Shift must be <= %d, got %d", MaxShift, c.Shift)
-	}
-	if c.Lead < 0 {
-		return fmt.Errorf("quant: Lead must be >= 0 (0 = default), got %d", c.Lead)
-	}
-	shift := c.Shift
-	if shift == 0 {
-		shift = DefaultShift
-	}
-	scale := int32(1) << shift
-	if c.AlphaNum > scale || c.BetaNum > scale {
-		return fmt.Errorf("quant: numerators must be <= 2^%d = %d, got alpha %d beta %d", shift, scale, c.AlphaNum, c.BetaNum)
-	}
-	return nil
-}
-
-// WithDefaults returns the coefficients with zero fields replaced by
-// their defaults: an all-zero struct snaps to the float triage filter's
-// α=0.5/β=0.3 operating point, and a zero Shift or Lead takes
-// DefaultShift or 1.
-func (c Coeffs) WithDefaults() Coeffs {
-	if c.AlphaNum == 0 && c.BetaNum == 0 {
-		d := Snap(0.5, 0.3, c.Shift)
-		d.Lead = c.Lead
-		c = d
-	}
-	if c.Shift == 0 {
-		c.Shift = DefaultShift
-	}
-	if c.Lead == 0 {
-		c.Lead = 1
-	}
-	return c
-}
-
-// Alpha returns the effective smoothing factor α as a float.
-func (c Coeffs) Alpha() float64 {
-	c = c.WithDefaults()
-	return float64(c.AlphaNum) / float64(int64(1)<<c.Shift)
-}
-
-// Beta returns the effective smoothing factor β as a float.
-func (c Coeffs) Beta() float64 {
-	c = c.WithDefaults()
-	return float64(c.BetaNum) / float64(int64(1)<<c.Shift)
-}
-
-// dyadicBlend computes (a·x + (2^shift - a)·y) / 2^shift — the
+// dyadicBlend computes (a·x + (2^Shift - a)·y) / 2^Shift — the
 // complementary blend both Holt folds reduce to — with round-half-up and
-// saturation, rewritten as a·(x-y) + (y << shift) so it costs a single
+// saturation, rewritten as a·(x-y) + (y << Shift) so it costs a single
 // multiply. The forms are identical in exact arithmetic, and int64 holds
-// both exactly: callers guarantee shift >= 1 and a <= 2^MaxShift, so
-// with x, y bounded by the 33-bit level+trend sum every term stays below
-// 2^50.
-func dyadicBlend(a, x, y int64, shift uint32) Q {
-	return sat((a*(x-y) + y<<shift + int64(1)<<(shift-1)) >> shift)
+// both exactly: a is at most 2^Shift and x, y are bounded by the 33-bit
+// level+trend sum, so every term stays below 2^42.
+func dyadicBlend(a, x, y int64) Q {
+	return sat((a*(x-y) + y<<Shift + 1<<(Shift-1)) >> Shift)
 }
 
 // Holt is the quantized double-exponential smoother: the integer twin of
@@ -220,40 +135,31 @@ type Holt struct {
 
 // Observe folds one fixed-point observation into the state and returns
 // the updated triage signal (see Signal). The recursion is the Holt
-// update with dyadic coefficients,
+// update with dyadic coefficients (c comes from Snap),
 //
 //	level' = (αn·v + (2^s-αn)·(level+trend)) >> s
 //	trend' = (βn·(level'-level) + (2^s-βn)·trend) >> s
 //
-// all in integer arithmetic with round-half-up and saturation. c must be
-// resolved (WithDefaults) — Service construction and the distiller both
-// guarantee it.
+// all in integer arithmetic with round-half-up and saturation.
 // Intermediates stay in full int64 headroom — only the two state words
-// and the returned signal saturate. The level+trend base is at most
-// 2^32 in magnitude and the numerators at most 2^MaxShift, so every
-// product stays below 2^49: clamping mid-pipeline is unnecessary and
-// would only add double-rounding at the rails.
+// and the returned signal saturate, so clamping mid-pipeline is
+// unnecessary and would only add double-rounding at the rails.
 func (h *Holt) Observe(v Q, c Coeffs) Q {
 	if h.Seen == 0 {
 		h.Level, h.Trend = v, 0
 	} else {
 		prev := int64(h.Level)
 		base := prev + int64(h.Trend)
-		h.Level = dyadicBlend(int64(c.AlphaNum), int64(v), base, c.Shift)
-		h.Trend = dyadicBlend(int64(c.BetaNum), int64(h.Level)-prev, int64(h.Trend), c.Shift)
+		h.Level = dyadicBlend(int64(c.AlphaNum), int64(v), base)
+		h.Trend = dyadicBlend(int64(c.BetaNum), int64(h.Level)-prev, int64(h.Trend))
 	}
 	if h.Seen < math.MaxInt32 {
 		h.Seen++
 	}
-	return h.Signal(c)
+	return h.Signal()
 }
 
-// Signal returns the alert signal level + Lead·trend, saturating: the
-// Lead-step-ahead linear extrapolation of the smoothed state. With
-// Lead 1 it is exactly the one-step-ahead Holt prediction the float
-// triage path compares against its threshold. The extrapolation is a
-// single int64 expression with one final clamp (Lead and Trend are each
-// below 2^31, so the product cannot overflow).
-func (h *Holt) Signal(c Coeffs) Q {
-	return sat(int64(h.Level) + int64(c.Lead)*int64(h.Trend))
-}
+// Signal returns the alert signal level + trend, saturating: exactly the
+// one-step-ahead Holt prediction the float triage path compares against
+// its threshold.
+func (h *Holt) Signal() Q { return Add(h.Level, h.Trend) }

@@ -75,52 +75,26 @@ func TestSaturatingOps(t *testing.T) {
 	}
 }
 
+// factor is a dyadic numerator's value as a float.
+func factor(num int32) float64 { return float64(num) / (1 << Shift) }
+
 func TestSnapCoeffs(t *testing.T) {
-	c := Snap(0.5, 0.3, 0)
-	if c.Shift != DefaultShift || c.Lead != 1 {
-		t.Fatalf("Snap defaults: %+v", c)
-	}
+	c := Snap(0.5, 0.3)
 	if c.AlphaNum != 128 {
-		t.Errorf("alpha 0.5 at shift 8 snapped to %d, want 128", c.AlphaNum)
+		t.Errorf("alpha 0.5 snapped to %d/256, want 128", c.AlphaNum)
 	}
 	if c.BetaNum != 77 { // 0.3·256 = 76.8 rounds to 77
-		t.Errorf("beta 0.3 at shift 8 snapped to %d, want 77", c.BetaNum)
+		t.Errorf("beta 0.3 snapped to %d/256, want 77", c.BetaNum)
 	}
-	if math.Abs(c.Alpha()-0.5) > 1e-12 || math.Abs(c.Beta()-0.3) > 1.0/(1<<DefaultShift) {
-		t.Errorf("snapped factors drifted: alpha %v beta %v", c.Alpha(), c.Beta())
+	if math.Abs(factor(c.AlphaNum)-0.5) > 1e-12 || math.Abs(factor(c.BetaNum)-0.3) > 1.0/(1<<Shift) {
+		t.Errorf("snapped factors drifted: %+v", c)
 	}
 	// Clamps: out-of-range factors pin to the rails, alpha floors at one ULP.
-	if c := Snap(7, -3, 4); c.AlphaNum != 16 || c.BetaNum != 0 {
+	if c := Snap(7, -3); c.AlphaNum != 1<<Shift || c.BetaNum != 0 {
 		t.Errorf("clamped snap: %+v", c)
 	}
-	if c := Snap(0.0001, 0.5, 4); c.AlphaNum != 1 {
+	if c := Snap(0.0001, 0.5); c.AlphaNum != 1 {
 		t.Errorf("tiny alpha should floor at 1, got %d", c.AlphaNum)
-	}
-}
-
-func TestCoeffsOptionConvention(t *testing.T) {
-	if err := (Coeffs{}).Validate(); err != nil {
-		t.Errorf("zero value failed Validate: %v", err)
-	}
-	if err := (Coeffs{AlphaNum: -1}).Validate(); err == nil {
-		t.Error("negative AlphaNum passed Validate")
-	}
-	if err := (Coeffs{Lead: -1}).Validate(); err == nil {
-		t.Error("negative Lead passed Validate")
-	}
-	if err := (Coeffs{Shift: MaxShift + 1}).Validate(); err == nil {
-		t.Error("oversized Shift passed Validate")
-	}
-	if err := (Coeffs{AlphaNum: 300, Shift: 8}).Validate(); err == nil {
-		t.Error("numerator above denominator passed Validate")
-	}
-	d := Coeffs{}.WithDefaults()
-	if d != Snap(0.5, 0.3, DefaultShift) {
-		t.Errorf("zero coeffs defaulted to %+v", d)
-	}
-	set := Coeffs{AlphaNum: 64, BetaNum: 16, Shift: 8, Lead: 4}
-	if got := set.WithDefaults(); got != set {
-		t.Errorf("WithDefaults overwrote set fields: %+v", got)
 	}
 }
 
@@ -141,7 +115,7 @@ func floatHolt(vals []float64, alpha, beta float64) (level, trend float64) {
 // ULPs of the float recursion run at the snapped factors.
 func TestHoltTracksFloatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Snap(0.5, 0.3, DefaultShift)
+	c := Snap(0.5, 0.3)
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(400)
 		vals := make([]float64, n)
@@ -152,7 +126,7 @@ func TestHoltTracksFloatReference(t *testing.T) {
 		for _, v := range vals {
 			h.Observe(FromFloat(v), c)
 		}
-		level, trend := floatHolt(vals, c.Alpha(), c.Beta())
+		level, trend := floatHolt(vals, factor(c.AlphaNum), factor(c.BetaNum))
 		// Each fold contributes at most one rounding step of 2^-17 on the
 		// value; the β recursion compounds it geometrically but 1e-3 is a
 		// generous ceiling for any contraction α, β in (0,1].
@@ -169,7 +143,7 @@ func TestHoltTracksFloatReference(t *testing.T) {
 // pin at the rails instead of wrapping, and recover once inputs return to
 // range.
 func TestHoltSaturation(t *testing.T) {
-	c := Coeffs{AlphaNum: 255, BetaNum: 255, Shift: 8, Lead: 10}
+	c := Coeffs{AlphaNum: 255, BetaNum: 255}
 	var h Holt
 	for i := 0; i < 100; i++ {
 		sig := h.Observe(Max, c)
@@ -195,33 +169,13 @@ func TestHoltSaturation(t *testing.T) {
 	}
 }
 
-// TestHoltSignalLead pins the extrapolation: with a clean linear ramp the
-// Lead-step signal leads the level by Lead·trend.
-func TestHoltSignalLead(t *testing.T) {
-	c := Coeffs{AlphaNum: 256, BetaNum: 256, Shift: 8, Lead: 5}
-	var h Holt
-	for i := 0; i < 50; i++ {
-		h.Observe(FromFloat(float64(i)*0.01), c)
-	}
-	// α=β=1 makes level track the input exactly and trend the last delta.
-	want := h.Level.Float() + 5*h.Trend.Float()
-	if got := h.Signal(c).Float(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("signal %v, want %v", got, want)
-	}
-	one := c
-	one.Lead = 1
-	if got, want := h.Signal(one), Add(h.Level, h.Trend); got != want {
-		t.Fatalf("lead-1 signal %v != level+trend %v", got, want)
-	}
-}
-
 // TestObserveDeterminism: the recursion is pure integer state — identical
 // inputs give bit-identical states, the property the snapshot codec and
-// the cross-engine restore rely on.
+// the cross-engine restore rely on. The signal Observe returns is the
+// one-step prediction level + trend.
 func TestObserveDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := Snap(0.625, 0.125, 8)
-	c.Lead = 3
+	c := Snap(0.625, 0.125)
 	var a, b Holt
 	for i := 0; i < 5000; i++ {
 		v := FromFloat(rng.Float64()*4 - 2)
@@ -229,11 +183,14 @@ func TestObserveDeterminism(t *testing.T) {
 		if sa != sb || a != b {
 			t.Fatalf("step %d: states diverged: %+v vs %+v", i, a, b)
 		}
+		if want := Add(a.Level, a.Trend); sa != want || a.Signal() != want {
+			t.Fatalf("step %d: signal %v (Signal %v) != level+trend %v", i, sa, a.Signal(), want)
+		}
 	}
 }
 
 func BenchmarkHoltObserve(b *testing.B) {
-	c := Coeffs{}.WithDefaults()
+	c := Snap(0.5, 0.3)
 	var h Holt
 	v := FromFloat(0.7)
 	b.ReportAllocs()

@@ -300,9 +300,10 @@ type ExternalUpdate struct {
 // StepExternal advances one collection period using externally supplied
 // profiles: VMs present in updates take their measured profile, VMs
 // absent this period repeat their last observed profile (the shim's
-// collect loop treats silence as "unchanged"). Unknown VM IDs are an
-// error. The synthetic generators do not advance, so a daemon fed real
-// measurements never consumes generator state.
+// collect loop treats silence as "unchanged"). An unknown VM ID or a
+// profile with a NaN or ±Inf component is an error, and the period does
+// not advance. The synthetic generators do not advance, so a daemon fed
+// real measurements never consumes generator state.
 func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 	// Profiles are stamped into a persistent overlay keyed by dense VM
 	// index; bumping the epoch invalidates the previous step's stamps, so a
@@ -316,6 +317,9 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 		}
 		if i < 0 {
 			return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
+		}
+		if !u.Profile.Finite() {
+			return nil, fmt.Errorf("runtime: external update for VM %d has a non-finite profile %+v", u.VM, u.Profile)
 		}
 		sh.extProf[i] = u.Profile
 		sh.extMark[i] = sh.extEpoch

@@ -34,7 +34,7 @@ func buildRuntime(t *testing.T, pods int, seed int64) *Runtime {
 }
 
 func TestEwmaTrendForecast(t *testing.T) {
-	f := ewmaTrend{alpha: 0.5, beta: 0.3}
+	f := holtCoeff
 	// A perfect linear ramp should be extrapolated upward.
 	h := timeseries.FromFunc(20, func(t int) float64 { return float64(t) })
 	out, err := f.ForecastFrom(nil, h, 2)
@@ -237,7 +237,7 @@ func TestRuntimeStepConcurrencyManyRacks(t *testing.T) {
 // (level, trend) over an appended suffix must be bit-exact with a full
 // recompute at every step.
 func TestTrendStateMatchesEwmaTrend(t *testing.T) {
-	cold := ewmaTrend{alpha: 0.5, beta: 0.3}
+	cold := holtCoeff
 	warm := &trendState{ewmaTrend: cold}
 	h := timeseries.New([]float64{3})
 	for step := 0; step < 50; step++ {

@@ -41,10 +41,10 @@ const (
 	queueThreshold = 0.9
 )
 
-// holtCoeff carries the Holt smoothing coefficients shared by every
-// predictor in the system. The tests' seed engine routes its recursion
-// through the same fold method, so the arithmetic is expression-identical.
-var holtCoeff = ewmaTrend{alpha: 0.5, beta: 0.3}
+// holtCoeff carries the triage filter's coefficients for every forecast
+// the engine folds. The tests' seed engine routes its recursion through
+// the same fold method, so the arithmetic is expression-identical.
+var holtCoeff = ewmaTrend{alpha: smoothing.TriageAlpha, beta: smoothing.TriageBeta}
 
 // fold advances one Holt (level, trend) state by one observation with
 // e's coefficients.

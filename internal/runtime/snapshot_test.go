@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -192,6 +193,59 @@ func TestStepExternalFeedsProfiles(t *testing.T) {
 		if pos != 0 {
 			t.Fatalf("VM %d generator advanced to %d under StepExternal", snap.VMs.ID[k], pos)
 		}
+	}
+}
+
+// TestStepExternalRejectsNonFiniteProfile: a NaN or ±Inf in any component
+// of an external profile is an error naming the VM, and the period does
+// not advance, so the VM's forecast state never holds it: a hot finite
+// stream afterwards still raises that VM's server alert.
+func TestStepExternalRejectsNonFiniteProfile(t *testing.T) {
+	cluster, model := buildParts(t, 4)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, Seed: 11})
+	r, err := New(cluster, model, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := cluster.VMs()
+	target := vms[len(vms)/2].ID
+	cool := traces.Profile{CPU: 0.2, Mem: 0.2, IO: 0.1, TRF: 0.1}
+	hot := traces.Profile{CPU: 0.99, Mem: 0.95, IO: 0.5, TRF: 0.5}
+	updates := func(p traces.Profile) []ExternalUpdate {
+		var out []ExternalUpdate
+		for _, vm := range vms {
+			u := ExternalUpdate{VM: vm.ID, Profile: cool}
+			if vm.ID == target {
+				u.Profile = p
+			}
+			out = append(out, u)
+		}
+		return out
+	}
+	for comp := 0; comp < 4; comp++ {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := cool
+			*[...]*float64{&p.CPU, &p.Mem, &p.IO, &p.TRF}[comp] = v
+			want := fmt.Sprintf("runtime: external update for VM %d has a non-finite profile", target)
+			if _, err := r.StepExternal(updates(p)); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("component %d = %v: err = %v, want %q…", comp, v, err, want)
+			}
+		}
+	}
+	if got := len(r.History()); got != 0 {
+		t.Fatalf("refused updates advanced %d periods", got)
+	}
+	// Only the target runs hot, so any server alert is its own.
+	alerts := 0
+	for i := 0; i < 5; i++ {
+		stats, err := r.StepExternal(updates(hot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alerts += stats.ServerAlerts
+	}
+	if alerts == 0 {
+		t.Fatalf("VM %d never alerted on a hot stream after the refused profiles", target)
 	}
 }
 

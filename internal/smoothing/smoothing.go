@@ -105,6 +105,15 @@ type smoothState struct {
 	season []float64 // length Period (HoltWinters only)
 }
 
+// TriageAlpha and TriageBeta are Sheriff's cheap pre-alert filter
+// (§IV.C), the one coefficient pair of the tree: ingest triage and the
+// runtime's per-VM and per-rack forecasts fold with it, and ingest's
+// Q16.16 path snaps it to 128/256 and 77/256 (quant.Snap).
+const (
+	TriageAlpha = 0.5
+	TriageBeta  = 0.3
+)
+
 // HoltStep advances one Holt (level, trend) state by one observation x.
 // It is the tree's one float Holt recursion: ingest triage, the runtime's
 // predictors, Burst and the models here (Holt–Winters passes x - season)

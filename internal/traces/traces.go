@@ -268,6 +268,13 @@ type Profile struct {
 // W = [CPU, MEM, IO, TRF].
 func (p Profile) Components() [4]float64 { return [4]float64{p.CPU, p.Mem, p.IO, p.TRF} }
 
+// Finite reports whether every component is a finite number. x-x is 0
+// for a finite x and NaN for NaN or ±Inf, so the sum is 0 exactly when
+// all four are finite.
+func (p Profile) Finite() bool {
+	return (p.CPU-p.CPU)+(p.Mem-p.Mem)+(p.IO-p.IO)+(p.TRF-p.TRF) == 0
+}
+
 // Max returns the largest component, the quantity the ALERT rule reports.
 func (p Profile) Max() float64 {
 	m := p.CPU

@@ -6,7 +6,6 @@ import (
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
 	"sheriff/internal/predictor"
-	"sheriff/internal/quant"
 	"sheriff/internal/runtime"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
@@ -108,17 +107,6 @@ func TestOptionsContract(t *testing.T) {
 			},
 			preserved: func() (any, any) {
 				return traces.SurgeParams{MeanDwell: 9}.WithDefaults().MeanDwell, 9
-			},
-		},
-		{
-			name:     "quant.Coeffs",
-			negative: func() error { return quant.Coeffs{AlphaNum: -1, Shift: quant.DefaultShift}.Validate() },
-			zeroOK:   func() error { return quant.Coeffs{}.Validate() },
-			defaulted: func() (any, any) {
-				return quant.Coeffs{}.WithDefaults().Shift, uint32(quant.DefaultShift)
-			},
-			preserved: func() (any, any) {
-				return quant.Coeffs{AlphaNum: 3, BetaNum: 2, Shift: 5, Lead: 2}.WithDefaults().Shift, uint32(5)
 			},
 		},
 		{
