@@ -105,5 +105,12 @@ doc  ./internal/quant WithDefaults|MaxShift|Lead
 doc  ./internal/experiments DistillQuant|DistillConfig
 # No package only its own example drives.
 file internal/qcn
+# One offline command: the figures, the prediction study and the traces are sheriffsim modes.
+file cmd/benchfig
+file cmd/predict
+file cmd/tracegen
+# No seed-engine parts in product code: the seed engine's monitors live in the runtime's tests.
+doc  ./internal/alert ProfilePredictor|QueueMonitor|ComponentForecaster
+doc  ./internal/centralized MigrateOpts
 EOF
 exit $fail

@@ -1,4 +1,8 @@
-// Command sheriffsim runs the Sec. VI.B migration simulations.
+// Command sheriffsim runs the paper's offline studies: the Sec. VI.B
+// migration simulations, Figs. 3–14 and the ablations, the Sec. IV.B
+// prediction study and the Sec. VI.A synthetic traces. Each study is a
+// mode with its own flags; a flag the selected mode does not read is an
+// error. -h lists the modes, and -mode NAME -h that mode's flags.
 //
 // Usage:
 //
@@ -10,6 +14,14 @@
 //	sheriffsim -mode dist -size 8 -loss 0.05 -trace out.jsonl
 //	sheriffsim -mode chaos -seed 42 -drop 0.2 -dup 0.25 -partition 1:3:0 -trace chaos.jsonl
 //	sheriffsim -mode surge -seed 1 -json surge.jsonl
+//	sheriffsim -mode fig                    # every figure, Figs. 3–14
+//	sheriffsim -mode fig -fig 11 -seed 42   # one figure at another seed
+//	sheriffsim -mode fig -ablation swap-size
+//	sheriffsim -mode fig -summary           # one line per figure, no data rows
+//	sheriffsim -mode predict -series cpu -horizon 9
+//	sheriffsim -mode predict -file data.csv # "t,value" rows or one value a line
+//	sheriffsim -mode trace -series traffic -days 7 -o traffic.csv
+//	sheriffsim -mode trace -series profile -kind surge -hours 12 -vm 3 -rack 1
 //
 // Surge mode evaluates the burst-extended predictor pool over the regime
 // grid (diurnal control, training-job waves, flash crowds, correlated
@@ -24,8 +36,8 @@
 // REQUEST/ACK/REJECT/retry decisions the trace captures. Chaos mode runs
 // the same protocol under a seeded fault plan (internal/faults): drops,
 // duplication, reordering, delay jitter, and named partition windows.
-// The trace file is closed (and therefore parseable) even when a run
-// fails mid-way.
+// Every output file is closed (and a trace therefore parseable) even when
+// a run fails mid-way.
 package main
 
 import (
@@ -35,15 +47,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"sheriff/internal/arima"
 	"sheriff/internal/experiments"
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
 	"sheriff/internal/obs"
+	"sheriff/internal/predictor"
 	"sheriff/internal/sim"
+	"sheriff/internal/timeseries"
+	"sheriff/internal/traces"
 )
 
 func main() {
@@ -53,149 +70,504 @@ func main() {
 	}
 }
 
-// run carries the whole command behind a returned error so the deferred
-// trace close always fires — a failed simulation still leaves a closed,
-// parseable JSONL trace.
+// A mode is one offline study: flags declares the mode's flags on fs and
+// returns the study, which runs once fs has parsed the command line.
+type mode struct {
+	name, help string
+	flags      func(fs *flag.FlagSet) study
+}
+
+// A study prints to out and opens the files it writes through files.
+type study func(out io.Writer, files *outputs) error
+
+var modes = []mode{
+	{"balance", "Figs. 9/10: workload spread over balancing rounds", balanceFlags},
+	{"compare", "Sheriff against the centralized manager: cost and search space", compareFlags},
+	{"sweep", "compare at each of -sizes", sweepFlags},
+	{"plan", "k-median destination planning: local search against the optimum", planFlags},
+	{"dist", "the Alg. 4 message protocol over a lossy bus", distFlags},
+	{"chaos", "the Alg. 4 protocol under a seeded fault plan", chaosFlags},
+	{"surge", "the regime × predictor early-warning grid and the cluster pass", surgeFlags},
+	{"fig", "Figs. 3–14 and the ablations as text tables", figFlags},
+	{"predict", "Sec. IV.B: the candidate pool's rolling forecast errors on a series", predictFlags},
+	{"trace", "Sec. VI.A: a synthetic series or profile stream as CSV", traceFlags},
+}
+
+// run selects the mode, parses only that mode's flags, and runs it. The
+// files the study opened are closed after it returns, also on failure.
 func run(args []string, out io.Writer) (err error) {
-	fs := flag.NewFlagSet("sheriffsim", flag.ContinueOnError)
-	mode := fs.String("mode", "balance", "balance, compare, sweep, plan, dist, chaos, or surge")
-	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
-	size := fs.Int("size", 8, "pods (fat-tree) or switches per level (bcube)")
-	sizes := fs.String("sizes", "", "comma-separated size sweep (mode=sweep)")
-	rounds := fs.Int("rounds", 24, "balancing rounds (mode=balance)")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	hostsPerRack := fs.Int("hosts", 4, "hosts per rack")
-	vmsPerHost := fs.Int("vms", 4, "VMs per host")
-	k := fs.Int("k", 0, "destination ToRs to plan (mode=plan; 0 = clients/4)")
-	p := fs.Int("p", 1, "Alg. 5 swap size (mode=plan)")
-	exact := fs.Bool("exact", false, "also compute the branch-and-bound optimum (mode=plan)")
-	loss := fs.Float64("loss", 0.05, "bus message loss rate (mode=dist)")
-	trace := fs.String("trace", "", "write a JSONL event trace to this file (implies -mode dist unless -mode is set)")
-	drop := fs.Float64("drop", 0.2, "fault plan: per-message drop probability (mode=chaos)")
-	dup := fs.Float64("dup", 0.1, "fault plan: per-message duplication probability (mode=chaos)")
-	reorder := fs.Float64("reorder", 0.2, "fault plan: per-batch delivery reorder probability (mode=chaos)")
-	delay := fs.Int("delay", 0, "fault plan: fixed extra delivery delay in rounds (mode=chaos)")
-	jitter := fs.Int("jitter", 1, "fault plan: uniform extra delay bound in rounds (mode=chaos)")
-	partition := fs.String("partition", "", "fault plan: partition windows as start:rounds:node,node[;...] (mode=chaos)")
-	jsonOut := fs.String("json", "", "append results as JSON lines to this file (mode=surge)")
-	hours := fs.Int("hours", 12, "trace hours per surge regime; first half trains the pool (mode=surge)")
-	window := fs.Int("window", 0, "selector sliding-MSE window (mode=surge; 0 = predictor default)")
-	maxLead := fs.Int("max-lead", 10, "alert horizon in steps (mode=surge)")
-	intensity := fs.Float64("intensity", 1.5, "surge amplitude scale (mode=surge)")
-	clusterRacks := fs.Int("cluster-racks", 0, "racks in the correlated-burst cluster pass (mode=surge; 0 = 8)")
-	clusterSteps := fs.Int("cluster-steps", 0, "steps in the cluster pass (mode=surge; 0 = 120)")
-	noCluster := fs.Bool("no-cluster", false, "skip the cluster pass (mode=surge)")
-	if perr := fs.Parse(args); perr != nil {
-		if errors.Is(perr, flag.ErrHelp) {
-			return nil
-		}
-		return perr
-	}
-
-	modeSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "mode" {
-			modeSet = true
-		}
-	})
-	if *trace != "" && !modeSet {
-		*mode = "dist"
-	}
-
-	var rec *obs.Recorder
-	if *trace != "" {
-		f, cerr := os.Create(*trace)
-		if cerr != nil {
-			return cerr
-		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		if rec, err = obs.New(obs.Options{Sinks: []obs.Sink{obs.NewJSONL(f)}}); err != nil {
-			return err
-		}
-		defer func() {
-			if terr := rec.Err(); terr != nil && err == nil {
-				err = fmt.Errorf("trace: %w", terr)
-				return
-			}
-			fmt.Fprintf(out, "trace: %d events -> %s\n", rec.Seq(), *trace)
-		}()
-	}
-
-	kind, err := sim.ParseKind(*topo)
+	m, err := selectMode(args)
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{
-		Kind:         kind,
-		Size:         *size,
-		Seed:         *seed,
-		HostsPerRack: *hostsPerRack,
-		VMsPerHost:   *vmsPerHost,
-		Migrate:      migrate.Params{Recorder: rec},
+	fs := flag.NewFlagSet("sheriffsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.String("mode", m.name, "the study to run")
+	st := m.flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			usage(out, m, fs)
+			return nil
+		}
+		if name, ok := strings.CutPrefix(err.Error(), "flag provided but not defined: -"); ok {
+			return fmt.Errorf("-mode %s reads no -%s flag", m.name, name)
+		}
+		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	var files outputs
+	defer func() {
+		if cerr := files.close(); err == nil {
+			err = cerr
+		}
+	}()
+	return st(out, &files)
+}
 
-	switch *mode {
-	case "balance":
+// selectMode finds the mode before any flag is parsed: the one -mode
+// names, else dist when -trace names a file, else balance.
+func selectMode(args []string) (mode, error) {
+	name := "balance"
+	if v, ok := flagValue(args, "mode"); ok {
+		name = v
+	} else if v, ok := flagValue(args, "trace"); ok && v != "" {
+		name = "dist"
+	}
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		if m.name == name {
+			return m, nil
+		}
+		names[i] = m.name
+	}
+	return mode{}, fmt.Errorf("unknown mode %q (want %s)", name, strings.Join(names, ", "))
+}
+
+// flagValue returns the value of the last -name (or --name) before any
+// "--", spelled -name value or -name=value.
+func flagValue(args []string, name string) (value string, found bool) {
+	for i := 0; i < len(args) && args[i] != "--"; i++ {
+		key, ok := strings.CutPrefix(args[i], "-")
+		if !ok {
+			continue
+		}
+		key = strings.TrimPrefix(key, "-")
+		if k, v, eq := strings.Cut(key, "="); eq && k == name {
+			value, found = v, true
+		} else if key == name && i+1 < len(args) {
+			value, found = args[i+1], true
+			i++
+		}
+	}
+	return value, found
+}
+
+// usage lists the modes, then the flags of the selected one.
+func usage(out io.Writer, sel mode, fs *flag.FlagSet) {
+	fmt.Fprintln(out, "usage: sheriffsim [-mode NAME] [flags]; -mode NAME -h lists that mode's flags")
+	fmt.Fprintln(out, "\nmodes:")
+	for _, m := range modes {
+		fmt.Fprintf(out, "  %-8s %s\n", m.name, m.help)
+	}
+	fmt.Fprintf(out, "\nflags of -mode %s:\n", sel.name)
+	fs.SetOutput(out)
+	fs.PrintDefaults()
+}
+
+// outputs holds the files a study writes, for run to close.
+type outputs []*os.File
+
+// open opens path for writing, creating it; extra is os.O_TRUNC or
+// os.O_APPEND.
+func (o *outputs) open(path string, extra int) (io.Writer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|extra, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	*o = append(*o, f)
+	return f, nil
+}
+
+// close closes every file and returns the first error.
+func (o *outputs) close() error {
+	var first error
+	for _, f := range *o {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// clusterFlags declares the flags every cluster simulation reads and
+// returns the study that opens the -trace recorder, builds the sim.Config
+// the flags describe, and hands it to body. The trace line is printed
+// after body returns, also when it failed.
+func clusterFlags(fs *flag.FlagSet, body func(out io.Writer, cfg sim.Config) error) study {
+	var cfg sim.Config
+	topo := fs.String("topology", "fat-tree", "fat-tree or bcube")
+	fs.IntVar(&cfg.Size, "size", 8, "pods (fat-tree) or switches per level (bcube)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&cfg.HostsPerRack, "hosts", 4, "hosts per rack")
+	fs.IntVar(&cfg.VMsPerHost, "vms", 4, "VMs per host")
+	trace := fs.String("trace", "", "write a JSONL event trace to this file")
+	return func(out io.Writer, files *outputs) (err error) {
+		if *trace != "" {
+			f, err := files.open(*trace, os.O_TRUNC)
+			if err != nil {
+				return err
+			}
+			rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.NewJSONL(f)}})
+			if err != nil {
+				return err
+			}
+			cfg.Migrate.Recorder = rec
+			defer func() {
+				if terr := rec.Err(); terr != nil {
+					if err == nil {
+						err = fmt.Errorf("trace: %w", terr)
+					}
+					return
+				}
+				fmt.Fprintf(out, "trace: %d events -> %s\n", rec.Seq(), *trace)
+			}()
+		}
+		if cfg.Kind, err = sim.ParseKind(*topo); err != nil {
+			return err
+		}
+		return body(out, cfg)
+	}
+}
+
+func balanceFlags(fs *flag.FlagSet) study {
+	rounds := fs.Int("rounds", 24, "balancing rounds")
+	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
 		return runBalance(out, cfg, *rounds)
-	case "compare":
-		return runCompare(out, cfg)
-	case "sweep":
-		list, err := parseSizes(*sizes, *size)
+	})
+}
+
+func compareFlags(fs *flag.FlagSet) study {
+	return clusterFlags(fs, runCompare)
+}
+
+func sweepFlags(fs *flag.FlagSet) study {
+	sizes := fs.String("sizes", "", "comma-separated sizes (empty = -size)")
+	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
+		list, err := parseSizes(*sizes, cfg.Size)
 		if err != nil {
 			return err
 		}
 		for _, sz := range list {
-			c := cfg
-			c.Size = sz
-			if err := runCompare(out, c); err != nil {
+			cfg.Size = sz
+			if err := runCompare(out, cfg); err != nil {
 				return err
 			}
 		}
 		return nil
-	case "plan":
+	})
+}
+
+func planFlags(fs *flag.FlagSet) study {
+	k := fs.Int("k", 0, "destination ToRs to plan (0 = clients/4)")
+	p := fs.Int("p", 1, "Alg. 5 swap size")
+	exact := fs.Bool("exact", false, "also compute the branch-and-bound optimum")
+	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
 		return runPlan(out, cfg, *k, *p, *exact)
-	case "dist":
-		return runProtocol(out, *mode, cfg, faults.Plan{Seed: *seed, Drop: *loss}, rec)
-	case "chaos":
+	})
+}
+
+func distFlags(fs *flag.FlagSet) study {
+	loss := fs.Float64("loss", 0.05, "bus message loss rate")
+	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
+		return runProtocol(out, "dist", cfg, faults.Plan{Seed: cfg.Seed, Drop: *loss})
+	})
+}
+
+func chaosFlags(fs *flag.FlagSet) study {
+	var plan faults.Plan
+	fs.Float64Var(&plan.Drop, "drop", 0.2, "per-message drop probability")
+	fs.Float64Var(&plan.DupRate, "dup", 0.1, "per-message duplication probability")
+	fs.Float64Var(&plan.ReorderRate, "reorder", 0.2, "per-batch delivery reorder probability")
+	fs.IntVar(&plan.Delay, "delay", 0, "fixed extra delivery delay in rounds")
+	fs.IntVar(&plan.Jitter, "jitter", 1, "uniform extra delay bound in rounds")
+	partition := fs.String("partition", "", "partition windows as start:rounds:node,node[;...]")
+	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
 		windows, err := parsePartitions(*partition)
 		if err != nil {
 			return err
 		}
-		plan := faults.Plan{
-			Seed:        *seed,
-			Drop:        *drop,
-			DupRate:     *dup,
-			ReorderRate: *reorder,
-			Delay:       *delay,
-			Jitter:      *jitter,
-			Partitions:  windows,
-		}
-		return runProtocol(out, *mode, cfg, plan, rec)
-	case "surge":
-		return runSurge(out, experiments.SurgeConfig{
-			Seed:         *seed,
-			Hours:        *hours,
-			Window:       *window,
-			MaxLead:      *maxLead,
-			Intensity:    *intensity,
-			ClusterRacks: *clusterRacks,
-			ClusterSteps: *clusterSteps,
-			SkipCluster:  *noCluster,
-		}, *jsonOut)
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		plan.Seed, plan.Partitions = cfg.Seed, windows
+		return runProtocol(out, "chaos", cfg, plan)
+	})
+}
+
+func surgeFlags(fs *flag.FlagSet) study {
+	var cfg experiments.SurgeConfig
+	fs.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&cfg.Hours, "hours", 12, "trace hours per regime; the first half trains the pool")
+	fs.IntVar(&cfg.Window, "window", 0, "selector sliding-MSE window (0 = predictor default)")
+	fs.IntVar(&cfg.MaxLead, "max-lead", 10, "alert horizon in steps")
+	fs.Float64Var(&cfg.Intensity, "intensity", 1.5, "surge amplitude scale")
+	fs.IntVar(&cfg.ClusterRacks, "cluster-racks", 0, "racks in the correlated-burst cluster pass (0 = 8)")
+	fs.IntVar(&cfg.ClusterSteps, "cluster-steps", 0, "steps in the cluster pass (0 = 120)")
+	fs.BoolVar(&cfg.SkipCluster, "no-cluster", false, "skip the cluster pass")
+	jsonPath := fs.String("json", "", "append the results as JSON lines to this file")
+	return func(out io.Writer, files *outputs) error {
+		return runSurge(out, files, cfg, *jsonPath)
 	}
+}
+
+func figFlags(fs *flag.FlagSet) study {
+	names := make([]string, 0, len(experiments.Ablations))
+	for name := range experiments.Ablations {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ablations := strings.Join(names, ", ")
+	fig := fs.String("fig", "", "figure to regenerate (3..14); empty = all")
+	ablation := fs.String("ablation", "", "ablation to run ("+ablations+")")
+	seed := fs.Int64("seed", 20150707, "deterministic seed")
+	summary := fs.Bool("summary", false, "print only headers and notes, not data rows")
+	return func(out io.Writer, _ *outputs) error {
+		if *ablation != "" {
+			gen, ok := experiments.Ablations[*ablation]
+			if !ok {
+				return fmt.Errorf("unknown ablation %q (want one of %s)", *ablation, ablations)
+			}
+			return emitTable(out, gen, *seed, *summary)
+		}
+		ids := experiments.FigureIDs()
+		if *fig != "" {
+			ids = []string{*fig}
+		}
+		for _, id := range ids {
+			gen, ok := experiments.Registry[id]
+			if !ok {
+				return fmt.Errorf("unknown figure %q", id)
+			}
+			if err := emitTable(out, gen, *seed, *summary); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func predictFlags(fs *flag.FlagSet) study {
+	name := fs.String("series", "traffic", "synthetic series: traffic, cpu, io")
+	file := fs.String("file", "", `read the series from this CSV file instead ("t,value" rows or one value a line)`)
+	split := fs.Float64("split", 0.7, "train fraction, in (0,1)")
+	seed := fs.Int64("seed", 1, "generator / trainer seed")
+	horizon := fs.Int("horizon", 5, "closing k-step-ahead forecast horizon, at least 1")
+	return func(out io.Writer, _ *outputs) error {
+		if !(*split > 0 && *split < 1) {
+			return fmt.Errorf("-split must be in (0,1), got %v", *split)
+		}
+		if *horizon < 1 {
+			return fmt.Errorf("-horizon must be at least 1, got %d", *horizon)
+		}
+		var s *timeseries.Series
+		if *file != "" {
+			f, err := os.Open(*file)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			if s, err = traces.ReadCSV(f); err != nil {
+				return fmt.Errorf("%s: %w", *file, err)
+			}
+		} else {
+			var ok bool
+			if s, _, ok = synthetic(*name, 7, 64, 24, *seed); !ok {
+				return fmt.Errorf("unknown series %q (want traffic, cpu, io)", *name)
+			}
+		}
+		return runPredict(out, s, *split, *seed, *horizon)
+	}
+}
+
+func traceFlags(fs *flag.FlagSet) study {
+	name := fs.String("series", "traffic", "traffic, cpu, io, or profile")
+	days := fs.Int("days", 7, "series length in days (traffic)")
+	hours := fs.Int("hours", 24, "series length in hours (cpu, io, profile)")
+	perDay := fs.Int("per-day", 64, "samples per day (traffic)")
+	seed := fs.Int64("seed", 1, "generator seed")
+	kind := fs.String("kind", "", "profile generator family: diurnal, lite, surge, surge-lite (profile)")
+	vmID := fs.Int("vm", 0, "VM stream to generate (profile)")
+	rack := fs.Int("rack", 0, "rack of the VM stream (profile; surge kinds correlate bursts by rack)")
+	path := fs.String("o", "-", "output file; - for stdout")
+	return func(out io.Writer, files *outputs) error {
+		for _, l := range []struct {
+			flag string
+			n    int
+		}{{"days", *days}, {"hours", *hours}, {"per-day", *perDay}} {
+			if l.n <= 0 {
+				return fmt.Errorf("-%s must be positive, got %d", l.flag, l.n)
+			}
+		}
+		w := out
+		if *path != "-" {
+			var err error
+			if w, err = files.open(*path, os.O_TRUNC); err != nil {
+				return err
+			}
+		}
+		if *name == "profile" {
+			k, err := traces.ParseKind(*kind)
+			if err != nil {
+				return err
+			}
+			gen, err := traces.New(traces.Options{Kind: k, Seed: *seed, Hours: *hours})
+			if err != nil {
+				return err
+			}
+			src := gen.Source(*vmID, *rack)
+			profiles := make([]traces.Profile, *hours*traces.SamplesPerHour)
+			for i := range profiles {
+				profiles[i] = src.Next()
+			}
+			return traces.WriteProfileCSV(w, profiles)
+		}
+		s, column, ok := synthetic(*name, *days, *perDay, *hours, *seed)
+		if !ok {
+			return fmt.Errorf("unknown series %q (want traffic, cpu, io, profile)", *name)
+		}
+		return traces.WriteCSV(w, column, s)
+	}
+}
+
+// synthetic generates the named synthetic series — days×perDay samples of
+// weekly switch traffic, or hours of CPU or disk I/O — and names its CSV
+// column; ok is false for an unknown name.
+func synthetic(name string, days, perDay, hours int, seed int64) (s *timeseries.Series, column string, ok bool) {
+	switch name {
+	case "traffic":
+		return traces.WeeklyTraffic(traces.TrafficConfig{Days: days, PerDay: perDay, Seed: seed}), "traffic_mb", true
+	case "cpu":
+		return traces.CPU(traces.CPUConfig{Hours: hours, Seed: seed}), "cpu_pct", true
+	case "io":
+		return traces.DiskIO(traces.DiskIOConfig{Hours: hours, Seed: seed}), "io_mbps", true
+	}
+	return nil, "", false
+}
+
+// runPredict fits the extended candidate pool to the train split, prints
+// each candidate's and the dynamic selection's rolling-forecast errors over
+// the test split, then a k-step-ahead forecast from the whole series.
+func runPredict(out io.Writer, series *timeseries.Series, split float64, seed int64, horizon int) error {
+	fmt.Fprintln(out, traces.Describe("series", series))
+	train, test := series.Split(split)
+	if test.Len() == 0 {
+		return errors.New("empty test split")
+	}
+
+	// Detect a dominant season and hand it to the extended pool, which
+	// adds Holt and Holt–Winters beside the ARIMA/NARNET candidates.
+	period := timeseries.DetectPeriod(train, 4, train.Len()/3)
+	if period > 0 {
+		fmt.Fprintf(out, "detected season length: %d samples\n", period)
+	}
+	pool, err := predictor.Pool(train, predictor.Options{Pool: predictor.PoolExtended, Period: period, Seed: seed})
+	if err != nil {
+		return fmt.Errorf("building pool: %w", err)
+	}
+	fmt.Fprintf(out, "candidates: ")
+	for i, c := range pool {
+		if i > 0 {
+			fmt.Fprint(out, ", ")
+		}
+		fmt.Fprint(out, c.Name)
+	}
+	fmt.Fprintln(out)
+
+	for _, c := range pool {
+		pred := rolling(c.F, train, test)
+		if pred == nil {
+			fmt.Fprintf(out, "%-16s rolling forecast failed\n", c.Name)
+			continue
+		}
+		mse, _ := timeseries.MSE(test.Raw(), pred)
+		mae, _ := timeseries.MAE(test.Raw(), pred)
+		fmt.Fprintf(out, "%-16s test MSE %10.4f  MAE %8.4f\n", c.Name, mse, mae)
+	}
+
+	sel, err := predictor.NewSelector(train, predictor.Config{Window: 15}, pool...)
+	if err != nil {
+		return err
+	}
+	combined, shares, err := sel.Run(test)
+	if err != nil {
+		return fmt.Errorf("selector: %w", err)
+	}
+	mse, _ := timeseries.MSE(test.Raw(), combined)
+	fmt.Fprintf(out, "%-16s test MSE %10.4f  selection shares %v\n", "combined", mse, shares)
+
+	best, err := arima.AutoFit(series, arima.DefaultSearchSpace)
+	if err != nil {
+		return fmt.Errorf("closing forecast: %w", err)
+	}
+	fc, err := best.Forecast(horizon)
+	if err != nil {
+		return fmt.Errorf("closing forecast: %w", err)
+	}
+	fmt.Fprintf(out, "%s %d-step-ahead: %v\n", best.Order, horizon, round2(fc))
+	return nil
+}
+
+// rolling forecasts test one step at a time, revealing each true value
+// after predicting it (the paper's Fig. 7 protocol), into one reused
+// buffer; nil when f cannot forecast.
+func rolling(f predictor.Forecaster, train, test *timeseries.Series) []float64 {
+	history := train.Clone()
+	out := make([]float64, test.Len())
+	var fc []float64
+	for t := range out {
+		var err error
+		if fc, err = f.ForecastFrom(fc[:0], history, 1); err != nil {
+			return nil
+		}
+		out[t] = fc[0]
+		history.Append(test.At(t))
+	}
+	return out
+}
+
+func round2(v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(int(x*100+0.5)) / 100
+	}
+	return out
+}
+
+// emitTable prints one figure or ablation table, or with summary only its
+// header and notes.
+func emitTable(out io.Writer, gen func(int64) (*experiments.Table, error), seed int64, summary bool) error {
+	tab, err := gen(seed)
+	if err != nil {
+		return err
+	}
+	if summary {
+		fmt.Fprintf(out, "%s — %s (%d rows)\n", tab.Name, tab.Title, len(tab.Rows))
+		for _, n := range tab.Notes {
+			fmt.Fprintf(out, "  # %s\n", n)
+		}
+		return nil
+	}
+	if _, err := tab.WriteTo(out); err != nil {
+		return fmt.Errorf("write: %w", err)
+	}
+	fmt.Fprintln(out)
+	return nil
 }
 
 // runSurge prints the regime × candidate early-warning grid (winners
 // starred) and the correlated-burst cluster pass; with -json each cell is
 // appended as one JSON line, then one summary line with the winners map
 // and cluster stats. Every figure is seed-deterministic.
-func runSurge(out io.Writer, cfg experiments.SurgeConfig, jsonPath string) error {
+func runSurge(out io.Writer, files *outputs, cfg experiments.SurgeConfig, jsonPath string) error {
 	res, err := experiments.RunSurge(cfg)
 	if err != nil {
 		return err
@@ -222,27 +594,21 @@ func runSurge(out io.Writer, cfg experiments.SurgeConfig, jsonPath string) error
 	if jsonPath == "" {
 		return nil
 	}
-	f, err := os.OpenFile(jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := files.open(jsonPath, os.O_APPEND)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	for _, c := range res.Cells {
 		if err := enc.Encode(c); err != nil {
-			f.Close()
 			return err
 		}
 	}
-	summary := struct {
+	return enc.Encode(struct {
 		Config  experiments.SurgeConfig        `json:"config"`
 		Winners map[string]string              `json:"winners"`
 		Cluster *experiments.SurgeClusterStats `json:"cluster,omitempty"`
-	}{res.Config, res.Winners, res.Cluster}
-	if err := enc.Encode(summary); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	}{res.Config, res.Winners, res.Cluster})
 }
 
 // parsePartitions decodes the -partition spec: semicolon-separated
@@ -287,14 +653,14 @@ func parsePartitions(spec string) ([]faults.Partition, error) {
 // suppression, and fallback ladder, with the backoff seeded by the plan.
 // Each mode prints its own header and summary line; in chaos mode
 // "unplaced 0" is the resilience criterion.
-func runProtocol(out io.Writer, mode string, cfg sim.Config, plan faults.Plan, rec *obs.Recorder) error {
+func runProtocol(out io.Writer, mode string, cfg sim.Config, plan faults.Plan) error {
 	s, err := sim.Build(cfg)
 	if err != nil {
 		return err
 	}
 	n := s.PopulateHotPods(0.5, 0.85, 0.35)
 	fmt.Fprintf(out, "%s size %d: %d racks, %d hosts, %d VMs", cfg.Kind, cfg.Size, len(s.Cluster.Racks), len(s.Cluster.Hosts()), n)
-	opts := migrate.DistOptions{Recorder: rec}
+	opts := migrate.DistOptions{Recorder: cfg.Migrate.Recorder}
 	if mode == "dist" {
 		fmt.Fprintf(out, ", loss %.3f\n", plan.Drop)
 	} else {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,8 @@ var (
 	qualified = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.(?:\(\*([A-Za-z_]\w*)\)|([A-Za-z_]\w*))(?:\.([A-Za-z_]\w*))?`)
 	// treePath is an internal/NAME or cmd/NAME directory mention.
 	treePath = regexp.MustCompile(`\b(?:internal|cmd)/\w+`)
+	// modeFlag is a -mode NAME (or -mode=NAME) on a sheriffsim line.
+	modeFlag = regexp.MustCompile(`(?:^|\s)-mode[ =]([\w-]+)`)
 )
 
 // TestDocIdentifiersResolve keeps the documents honest about the code:
@@ -28,9 +31,28 @@ var (
 // included, so Example and Benchmark names count), and every internal/NAME
 // or cmd/NAME path must exist. A bare pkg.Name may name a method or a field
 // as well as a package-level declaration. Names that BENCHMARK.json
-// declares as metrics (ingest.drain_s) are metrics, not identifiers.
+// declares as metrics (ingest.drain_s) are metrics, not identifiers. Every
+// sheriffsim -mode NAME in those documents, CI and the verify notes must
+// name a mode sheriffsim registers.
 func TestDocIdentifiersResolve(t *testing.T) {
 	metrics := benchmarkMetrics(t)
+	modes := sheriffsimModes(t)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(raw), "\n") {
+			if !strings.Contains(line, "sheriffsim") {
+				continue
+			}
+			for _, m := range modeFlag.FindAllStringSubmatch(line, -1) {
+				if !modes[m[1]] {
+					t.Errorf("%s:%d: sheriffsim has no mode %q", doc, n+1, m[1])
+				}
+			}
+		}
+	}
 	pkgs := map[string]*declSet{}
 	for _, root := range []string{"internal", "cmd"} {
 		entries, err := os.ReadDir(root)
@@ -80,6 +102,40 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sheriffsimModes returns the names in sheriffsim's mode table: the first
+// field of each entry of its modes variable.
+func sheriffsimModes(t *testing.T) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/sheriffsim/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, decl := range f.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			spec := spec.(*ast.ValueSpec)
+			if len(spec.Names) != 1 || spec.Names[0].Name != "modes" || len(spec.Values) != 1 {
+				continue
+			}
+			for _, elt := range spec.Values[0].(*ast.CompositeLit).Elts {
+				lit := elt.(*ast.CompositeLit).Elts[0].(*ast.BasicLit)
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names[name] = true
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("no modes table in cmd/sheriffsim/main.go")
+	}
+	return names
 }
 
 // benchmarkMetrics returns the metric names BENCHMARK.json declares.

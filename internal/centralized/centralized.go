@@ -38,14 +38,6 @@ func (m *Manager) Migrate(f []*dcn.VM) (*migrate.MigrationResult, error) {
 	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), migrate.MigrationOptions{})
 }
 
-// MigrateOpts is Migrate with the full options: the centralized baseline
-// runs under the same Eqn. (6) constraint, admission hook and tracing as
-// the regional scheme, keeping the Figs. 11–14 comparison
-// apples-to-apples.
-func (m *Manager) MigrateOpts(f []*dcn.VM, o migrate.MigrationOptions) (*migrate.MigrationResult, error) {
-	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), o)
-}
-
 // PlanOptions tunes PlanDestinationsOpts.
 type PlanOptions struct {
 	K    int   // destination ToR count (required, 1..racks)

@@ -59,8 +59,8 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Registry maps figure identifiers to their generators, for the benchfig
-// CLI. Generators take a seed so runs are reproducible.
+// Registry maps figure identifiers to their generators, for sheriffsim
+// -mode fig. Generators take a seed so runs are reproducible.
 var Registry = map[string]func(seed int64) (*Table, error){
 	"3":  Fig3RawCPU,
 	"4":  Fig4RawIO,

@@ -36,7 +36,7 @@ type vmState struct {
 	vm      *dcn.VM
 	rack    int
 	gen     traces.Source
-	pred    *alert.ProfilePredictor
+	pred    *profilePredictor
 	current traces.Profile
 	alert   alert.Alert
 	fired   bool
@@ -46,7 +46,7 @@ type vmState struct {
 type refState struct {
 	vms      []*vmState   // all vm states, ascending VM ID (phase-1 work items)
 	byRack   [][]*vmState // the same states grouped by rack index
-	queueMon []*alert.QueueMonitor
+	queueMon []*queueMonitor
 	workers  *pool.Pool
 }
 
@@ -164,7 +164,7 @@ func foldHolt(h []float64) [2]float64 {
 	return [2]float64{level, trend}
 }
 
-// ForecastFrom implements alert.ComponentForecaster.
+// ForecastFrom implements componentForecaster.
 func (e ewmaTrend) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	if h.Len() == 0 {
 		return nil, errors.New("runtime: empty history")
@@ -196,7 +196,7 @@ type trendState struct {
 	level, trend float64
 }
 
-// ForecastFrom implements alert.ComponentForecaster incrementally.
+// ForecastFrom implements componentForecaster incrementally.
 func (ts *trendState) ForecastFrom(dst []float64, h *timeseries.Series, n int) ([]float64, error) {
 	if h.Len() == 0 {
 		return nil, errors.New("runtime: empty history")
@@ -231,7 +231,7 @@ func (r *refRuntime) initReference() error {
 			return err
 		}
 		r.shims = append(r.shims, shim)
-		qm, err := alert.NewQueueMonitor(&trendState{ewmaTrend: holtCoeff}, queueLimit, queueThreshold)
+		qm, err := newQueueMonitor(&trendState{ewmaTrend: holtCoeff}, queueLimit, queueThreshold)
 		if err != nil {
 			return err
 		}
@@ -239,7 +239,7 @@ func (r *refRuntime) initReference() error {
 	}
 	vms := r.Cluster.VMs()
 	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	comp := func() alert.ComponentForecaster {
+	comp := func() componentForecaster {
 		return &trendState{ewmaTrend: holtCoeff}
 	}
 	for _, vm := range vms {
@@ -248,7 +248,7 @@ func (r *refRuntime) initReference() error {
 			vm:   vm,
 			rack: idx,
 			gen:  r.gen.Source(vm.ID, idx),
-			pred: alert.NewProfilePredictor(comp(), comp(), comp(), comp()),
+			pred: newProfilePredictor(comp(), comp(), comp(), comp()),
 		}
 		ref.vms = append(ref.vms, st)
 		ref.byRack[idx] = append(ref.byRack[idx], st)

@@ -15,6 +15,8 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("# comment\n\n0,-3.25\n")
 	f.Add("t,v\n0,NaN\n")
 	f.Add("a,b,c\n")
+	f.Add("1.5\n-2\n")
+	f.Add("value\n1.5\n0,-2\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		s, err := ReadCSV(strings.NewReader(input))
 		if err != nil {

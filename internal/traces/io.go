@@ -26,10 +26,10 @@ func WriteCSV(w io.Writer, name string, s *timeseries.Series) error {
 	return bw.Flush()
 }
 
-// ReadCSV reads a series from "index,value" rows (header optional,
-// detected by a non-numeric second field on the first row). Blank lines
-// and lines starting with '#' are skipped. Values must appear in index
-// order; the index column itself is ignored beyond validation.
+// ReadCSV reads a series from "index,value" rows, rows of one value each,
+// or a mix of the two (header optional, detected by a non-numeric value
+// on the first row). Blank lines and lines starting with '#' are skipped.
+// Values must appear in index order; the index column itself is ignored.
 func ReadCSV(r io.Reader) (*timeseries.Series, error) {
 	sc := bufio.NewScanner(r)
 	var data []float64
@@ -41,10 +41,10 @@ func ReadCSV(r io.Reader) (*timeseries.Series, error) {
 			continue
 		}
 		fields := strings.Split(text, ",")
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("traces: line %d: want 2 fields, got %d", line, len(fields))
+		if len(fields) > 2 {
+			return nil, fmt.Errorf("traces: line %d: want 1 or 2 fields, got %d", line, len(fields))
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
+		v, err := strconv.ParseFloat(strings.TrimSpace(fields[len(fields)-1]), 64)
 		if err != nil {
 			if len(data) == 0 {
 				continue // header row

@@ -56,6 +56,28 @@ func TestReadCSVSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
+// TestReadCSVOneValueRows: a row of one value reads as that value, with
+// or without a header, also mixed with "t,value" rows.
+func TestReadCSVOneValueRows(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+	}{
+		{"plain", "1.5\n-2\n3.25\n"},
+		{"header", "value\n1.5\n-2\n3.25\n"},
+		{"comment and blank", "# one value a line\n\n1.5\n -2 \n3.25\n"},
+		{"mixed", "1.5\n1,-2\n3.25\n"},
+		{"mixed with header", "t,v\n0,1.5\n-2\n2,3.25\n"},
+	} {
+		s, err := ReadCSV(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := s.Values(); len(got) != 3 || got[0] != 1.5 || got[1] != -2 || got[2] != 3.25 {
+			t.Errorf("%s: parsed %v, want [1.5 -2 3.25]", tc.name, got)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
@@ -65,6 +87,9 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("0,1.5\n1,abc\n")); err == nil {
 		t.Error("bad float after data accepted")
+	}
+	if _, err := ReadCSV(strings.NewReader("1.5\nabc\n")); err == nil {
+		t.Error("bad one-value row after data accepted")
 	}
 }
 
