@@ -21,11 +21,12 @@ import (
 // run args again.
 type check func(t *testing.T, args []string, out []byte)
 
-// TestModes drives every mode through run at toy sizes. A row passes when
-// run succeeds and prints something matching want, then passes check; a
-// fail row passes when run fails with an error matching want and prints
-// nothing.
-func TestModes(t *testing.T) {
+// TestRunModes drives every mode through run at toy sizes. A row passes
+// when run succeeds and prints something matching want, then passes check;
+// a fail row passes when run fails with an error matching want and prints
+// nothing. Rows named group/leaf run inside one subtest per group, so each
+// group (fig, predict, trace, ...) is a test of its own.
+func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
 	cpu := traces.CPU(traces.CPUConfig{Hours: 24, Seed: 3})
 	plain := filepath.Join(dir, "cpu.txt")
@@ -141,32 +142,50 @@ func TestModes(t *testing.T) {
 			check: printsProfiles(kind, seed, hours, 3, 1)})
 	}
 
-	for _, tc := range table {
-		t.Run(tc.name, func(t *testing.T) {
-			args := strings.Fields(tc.args)
-			var out bytes.Buffer
-			err := run(args, &out)
-			switch {
-			case tc.fail && err == nil:
-				t.Fatalf("sheriffsim %s succeeded, want an error matching %q", tc.args, tc.want)
-			case tc.fail:
-				if !regexp.MustCompile(tc.want).MatchString(err.Error()) {
-					t.Fatalf("sheriffsim %s: error %q does not match %q", tc.args, err, tc.want)
-				}
-				if out.Len() != 0 {
-					t.Fatalf("sheriffsim %s printed %q before failing", tc.args, out.String())
-				}
-				return
-			case err != nil:
-				t.Fatalf("sheriffsim %s: %v\n%s", tc.args, err, out.String())
+	exec := func(t *testing.T, tc row) {
+		args := strings.Fields(tc.args)
+		var out bytes.Buffer
+		err := run(args, &out)
+		switch {
+		case tc.fail && err == nil:
+			t.Fatalf("sheriffsim %s succeeded, want an error matching %q", tc.args, tc.want)
+		case tc.fail:
+			if !regexp.MustCompile(tc.want).MatchString(err.Error()) {
+				t.Fatalf("sheriffsim %s: error %q does not match %q", tc.args, err, tc.want)
 			}
-			if !regexp.MustCompile(tc.want).Match(out.Bytes()) {
-				t.Fatalf("sheriffsim %s: output does not match %q:\n%s", tc.args, tc.want, out.String())
+			if out.Len() != 0 {
+				t.Fatalf("sheriffsim %s printed %q before failing", tc.args, out.String())
 			}
-			if tc.check != nil {
-				tc.check(t, args, out.Bytes())
+			return
+		case err != nil:
+			t.Fatalf("sheriffsim %s: %v\n%s", tc.args, err, out.String())
+		}
+		if !regexp.MustCompile(tc.want).Match(out.Bytes()) {
+			t.Fatalf("sheriffsim %s: output does not match %q:\n%s", tc.args, tc.want, out.String())
+		}
+		if tc.check != nil {
+			tc.check(t, args, out.Bytes())
+		}
+	}
+	for len(table) > 0 {
+		group, _, grouped := strings.Cut(table[0].name, "/")
+		if !grouped {
+			tc := table[0]
+			t.Run(tc.name, func(t *testing.T) { exec(t, tc) })
+			table = table[1:]
+			continue
+		}
+		n := 0
+		for n < len(table) && strings.HasPrefix(table[n].name, group+"/") {
+			n++
+		}
+		rows := table[:n]
+		t.Run(group, func(t *testing.T) {
+			for _, tc := range rows {
+				t.Run(strings.TrimPrefix(tc.name, group+"/"), func(t *testing.T) { exec(t, tc) })
 			}
 		})
+		table = table[n:]
 	}
 }
 
