@@ -112,5 +112,10 @@ file cmd/tracegen
 # No seed-engine parts in product code: the seed engine's monitors live in the runtime's tests.
 doc  ./internal/alert ProfilePredictor|QueueMonitor|ComponentForecaster
 doc  ./internal/centralized MigrateOpts
+# No step-history ring: the runtime keeps no per-period stats; Run returns those of its own steps.
+# (The brackets keep a grep for the deleted names from finding these guards.)
+doc  ./internal/runtime.Options History[L]imit
+doc  ./internal/runtime.Runtime History
+src  record[H]istory|hist[S]tart|history-[l]imit
 EOF
 exit $fail

@@ -24,7 +24,7 @@
 //	sheriffd -size 8 -steps 30 -deep -listen 127.0.0.1:7070
 //	sheriffd -size 8 -steps 30 -triage quantized
 //	sheriffd -topology bcube -size 4 -traces surge -steps 120 -check
-//	sheriffd -topology leaf-spine -size 1000 -traces lite -history-limit 64 -steps 6   # a large fabric
+//	sheriffd -topology leaf-spine -size 1000 -traces lite -steps 6   # a large fabric
 package main
 
 import (
@@ -92,7 +92,6 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	triage := fs.String("triage", "", "ingest triage arithmetic: float or quantized (\"\" = float); snapshots restore across modes")
 	failStep := fs.Int("fail-step", 0, "inject a failure after this step (testing the crash-safe trace path)")
 	shards := fs.Int("shards", 0, "step-engine shard workers (0 = GOMAXPROCS)")
-	historyLimit := fs.Int("history-limit", 0, "retain only the last N steps of in-memory stats (0 = unbounded)")
 	check := fs.Bool("check", false, "verify the placement, traffic-plane and ingest-conservation invariants after every step; exit non-zero naming the first violation")
 	if perr := fs.Parse(args); perr != nil {
 		if errors.Is(perr, flag.ErrHelp) {
@@ -162,8 +161,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	}
 
 	rtOpts := runtime.Options{Seed: cfg.Seed, Recorder: rec, DeepPredict: *deep,
-		Shards: *shards, HistoryLimit: *historyLimit,
-		Traces: traces.Options{Kind: tkind}}
+		Shards: *shards, Traces: traces.Options{Kind: tkind}}
 	inOpts := ingest.Options{Recorder: rec, Mode: tmode}
 
 	// Restore from the snapshot file when it exists; build fresh otherwise.

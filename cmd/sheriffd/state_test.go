@@ -1,0 +1,210 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	goruntime "runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"sheriff/internal/ingest"
+	"sheriff/internal/sim"
+	"sheriff/internal/timeseries"
+)
+
+// statePeriods is N: each row of TestStateFlatInRunLength runs the daemon
+// for N periods and again for 4N, and holds the two against each other.
+const statePeriods = 1000
+
+// stateHeapSlack is how many more live heap bytes a daemon may hold after
+// 4N periods than after N. It covers state bounded by a high-water mark,
+// not by run length: scratch sized by the busiest period so far, and the
+// recorder's fixed event ring, which holds a different mix of events (and
+// so of attribute maps) at N than at 4N. Anything that keeps more than
+// 44 bytes a period exceeds it over the 3N periods between the samples.
+const stateHeapSlack = 128 << 10
+
+// deepHistoryPerPeriod is how many values a fitted rack's deep pool adds
+// to its history each period: the selector keeps every value it has
+// observed, so a -deep daemon's state grows with run length. ROADMAP
+// item 14 drives it to 0.
+const deepHistoryPerPeriod = 1
+
+// daemonSample is what one run of the daemon leaves to compare: the live
+// heap and goroutine count at its last period, and the snapshot it wrote
+// at shutdown.
+type daemonSample struct {
+	heap       uint64
+	goroutines int
+	snapshot   string
+}
+
+// sampleDaemon runs the daemon for the given periods with -snapshot and
+// -trace in a fresh directory and samples its state at the last period.
+// The heap is read after two collections, so that sync.Pool's victim
+// cache holds nothing.
+func sampleDaemon(t *testing.T, args []string, periods int) daemonSample {
+	t.Helper()
+	dir := t.TempDir()
+	s := daemonSample{snapshot: filepath.Join(dir, "daemon.snap")}
+	args = append([]string{"-steps", strconv.Itoa(periods), "-snapshot", s.snapshot,
+		"-snapshot-every", strconv.Itoa(statePeriods / 4), "-trace", filepath.Join(dir, "trace.jsonl")}, args...)
+	tap := func(step int, _ []ingest.Update) {
+		if step != periods {
+			return
+		}
+		goruntime.GC()
+		goruntime.GC()
+		var ms goruntime.MemStats
+		goruntime.ReadMemStats(&ms)
+		s.heap = ms.HeapAlloc
+		s.goroutines = goruntime.NumGoroutine()
+	}
+	if err := runTapped(args, io.Discard, tap); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// snapshotColumns decodes a daemon snapshot and counts its columns
+// (countColumns).
+func snapshotColumns(t *testing.T, path string) (daemonState, map[string]int) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st daemonState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	cols := make(map[string]int)
+	countColumns(reflect.ValueOf(st), "", cols)
+	return st, cols
+}
+
+// countColumns records the element count of every column under v by its
+// JSON path: a slice's length, or a timeseries.Bits column's floats. A
+// slice of rows (structs, or decoded JSON objects) is walked row by row,
+// so each rack's deep pool is its own set of columns (deep[3].history);
+// a slice of slices (flow paths) counts its rows only. Scalars are not
+// columns: a step counter's digits may grow, its count cannot.
+func countColumns(v reflect.Value, path string, out map[string]int) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			countColumns(v.Elem(), path, out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			countColumns(v.Field(i), path+"."+name, out)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			countColumns(v.MapIndex(k), fmt.Sprintf("%s.%v", path, k), out)
+		}
+	case reflect.Slice:
+		if v.Type() == reflect.TypeOf(timeseries.Bits(nil)) {
+			out[path] = v.Len() / 8
+			return
+		}
+		out[path] = v.Len()
+		switch v.Type().Elem().Kind() {
+		case reflect.Struct, reflect.Pointer, reflect.Interface, reflect.Map:
+			for i := 0; i < v.Len(); i++ {
+				countColumns(v.Index(i), fmt.Sprintf("%s[%d]", path, i), out)
+			}
+		}
+	}
+}
+
+// deepHistory matches a fitted rack's deep pool history column.
+var deepHistory = regexp.MustCompile(`^\.runtime\.deep\[\d+\]\.history$`)
+
+// TestStateFlatInRunLength: a long-lived daemon holds state per VM, rack
+// and link, not per period. Run for N and for 4N periods, it must end with
+// the same goroutines and a snapshot whose every column has as many
+// elements, except the live flows (which come and go with placements:
+// at most one per dependency pair, each loading at most every link) and,
+// under -deep, each fitted rack's pool history, which grows by
+// deepHistoryPerPeriod a period. Without -deep the live heap must also
+// stay within stateHeapSlack.
+func TestStateFlatInRunLength(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		deep bool
+		args []string
+	}{
+		{"fat-tree-4", false, []string{"-topology", "fat-tree", "-size", "4"}},
+		{"fat-tree-4-deep", true, []string{"-topology", "fat-tree", "-size", "4", "-deep"}},
+		{"bcube-4", false, []string{"-topology", "bcube", "-size", "4"}},
+		{"bcube-4-deep", true, []string{"-topology", "bcube", "-size", "4", "-deep"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			short := sampleDaemon(t, row.args, statePeriods)
+			long := sampleDaemon(t, row.args, 4*statePeriods)
+			grown := int64(long.heap) - int64(short.heap)
+			t.Logf("%d -> %d periods: live heap %d -> %d bytes (%+d), goroutines %d -> %d",
+				statePeriods, 4*statePeriods, short.heap, long.heap, grown, short.goroutines, long.goroutines)
+			if long.goroutines != short.goroutines {
+				t.Errorf("goroutines %d after %d periods, %d after %d", short.goroutines, statePeriods, long.goroutines, 4*statePeriods)
+			}
+			if !row.deep && grown > stateHeapSlack {
+				t.Errorf("live heap grew %d bytes from %d to %d periods, want at most %d", grown, statePeriods, 4*statePeriods, stateHeapSlack)
+			}
+
+			st, longCols := snapshotColumns(t, long.snapshot)
+			_, shortCols := snapshotColumns(t, short.snapshot)
+			cluster, _, err := sim.BuildCluster(st.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, links := longCols[".runtime.cluster.deps"], cluster.Graph.NumEdges()
+			fitted := 0
+			for p, n := range longCols {
+				m, ok := shortCols[p]
+				switch {
+				case !ok:
+					t.Errorf("%s: absent after %d periods, %d elements after %d", p, statePeriods, n, 4*statePeriods)
+				case p == ".runtime.flow_pairs" || strings.HasPrefix(p, ".runtime.flows.flows."):
+					if max(m, n) > pairs {
+						t.Errorf("%s: %d -> %d live flows, more than the %d dependency pairs", p, m, n, pairs)
+					}
+				case strings.HasPrefix(p, ".runtime.flows.loads."):
+					if max(m, n) > links {
+						t.Errorf("%s: %d -> %d loaded links, more than the fabric's %d", p, m, n, links)
+					}
+				case row.deep && deepHistory.MatchString(p):
+					fitted++
+					if n-m != 3*statePeriods*deepHistoryPerPeriod {
+						t.Errorf("%s: %d -> %d values over %d periods, want %d a period", p, m, n, 3*statePeriods, deepHistoryPerPeriod)
+					}
+				case n != m:
+					t.Errorf("%s: %d elements after %d periods, %d after %d", p, m, statePeriods, n, 4*statePeriods)
+				}
+			}
+			for p := range shortCols {
+				if _, ok := longCols[p]; !ok {
+					t.Errorf("%s: absent after %d periods, present after %d", p, 4*statePeriods, statePeriods)
+				}
+			}
+			if row.deep && fitted == 0 {
+				t.Error("no rack's deep pool was fitted")
+			}
+		})
+	}
+}

@@ -23,6 +23,11 @@ var (
 	treePath = regexp.MustCompile(`\b(?:internal|cmd)/\w+`)
 	// modeFlag is a -mode NAME (or -mode=NAME) on a sheriffsim line.
 	modeFlag = regexp.MustCompile(`(?:^|\s)-mode[ =]([\w-]+)`)
+	// sheriffdCommand is sheriffd and its arguments, up to the end of the
+	// line or a shell separator; cmd/sheriffd/ (a package) has none.
+	sheriffdCommand = regexp.MustCompile(`\bsheriffd([^/|;&>#\w][^|;&>#]*)?`)
+	// cliFlag is a -flag or --flag, with or without =value.
+	cliFlag = regexp.MustCompile("(?:^|[\\s`(])--?([a-z][\\w-]*)")
 )
 
 // TestDocIdentifiersResolve keeps the documents honest about the code:
@@ -33,22 +38,32 @@ var (
 // as well as a package-level declaration. Names that BENCHMARK.json
 // declares as metrics (ingest.drain_s) are metrics, not identifiers. Every
 // sheriffsim -mode NAME in those documents, CI and the verify notes must
-// name a mode sheriffsim registers.
+// name a mode sheriffsim registers, and every -flag of a sheriffd command
+// there must be a flag sheriffd declares. A command may wrap: a line that
+// ends in a backslash, or leaves a backticked span open, goes on on the
+// next.
 func TestDocIdentifiersResolve(t *testing.T) {
 	metrics := benchmarkMetrics(t)
 	modes := sheriffsimModes(t)
+	flags := sheriffdFlags(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for n, line := range strings.Split(string(raw), "\n") {
-			if !strings.Contains(line, "sheriffsim") {
-				continue
+		for _, line := range logicalLines(string(raw)) {
+			if strings.Contains(line.text, "sheriffsim") {
+				for _, m := range modeFlag.FindAllStringSubmatch(line.text, -1) {
+					if !modes[m[1]] {
+						t.Errorf("%s:%d: sheriffsim has no mode %q", doc, line.n, m[1])
+					}
+				}
 			}
-			for _, m := range modeFlag.FindAllStringSubmatch(line, -1) {
-				if !modes[m[1]] {
-					t.Errorf("%s:%d: sheriffsim has no mode %q", doc, n+1, m[1])
+			for _, cmd := range sheriffdCommand.FindAllStringSubmatch(line.text, -1) {
+				for _, m := range cliFlag.FindAllStringSubmatch(cmd[1], -1) {
+					if !flags[m[1]] {
+						t.Errorf("%s:%d: sheriffd has no flag -%s", doc, line.n, m[1])
+					}
 				}
 			}
 		}
@@ -136,6 +151,76 @@ func sheriffsimModes(t *testing.T) map[string]bool {
 		t.Fatal("no modes table in cmd/sheriffsim/main.go")
 	}
 	return names
+}
+
+// sheriffdFlags returns the flags cmd/sheriffd declares: the name of each
+// fs.Kind("name", ...) call in its main.go, plus -h and -help, which every
+// flag set takes.
+func sheriffdFlags(t *testing.T) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/sheriffd/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{"h": true, "help": true}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names[name] = true
+		}
+		return true
+	})
+	if len(names) == 2 {
+		t.Fatal("no fs flag declarations in cmd/sheriffd/main.go")
+	}
+	return names
+}
+
+// docLine is one line as a reader sees it, numbered by its first line.
+type docLine struct {
+	n    int
+	text string
+}
+
+// logicalLines joins a document's wrapped lines: one that ends in a
+// backslash goes on on the next, as does one that leaves a backticked span
+// open. A code fence's backticks open no span.
+func logicalLines(raw string) []docLine {
+	var out []docLine
+	cur := docLine{}
+	for n, line := range strings.Split(raw, "\n") {
+		if cur.n == 0 {
+			cur = docLine{n: n + 1, text: line}
+		} else {
+			cur.text += " " + strings.TrimSpace(line)
+		}
+		if strings.HasSuffix(cur.text, `\`) {
+			cur.text = strings.TrimSuffix(cur.text, `\`)
+			continue
+		}
+		if strings.Count(cur.text, "`")%2 == 1 && !strings.HasPrefix(strings.TrimSpace(cur.text), "```") {
+			continue
+		}
+		out = append(out, cur)
+		cur = docLine{}
+	}
+	if cur.n != 0 {
+		out = append(out, cur)
+	}
+	return out
 }
 
 // benchmarkMetrics returns the metric names BENCHMARK.json declares.

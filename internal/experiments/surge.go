@@ -294,9 +294,8 @@ func runSurgeCluster(cfg SurgeConfig) (*SurgeClusterStats, error) {
 	th := 0.85
 	rt, err := sim.BuildRuntime(sim.RuntimeConfig{Kind: sim.LeafSpine, Size: cfg.ClusterRacks, Seed: cfg.Seed},
 		runtime.Options{
-			Traces:       trOpts,
-			Thresholds:   alert.Thresholds{CPU: th, Mem: th, IO: th, TRF: th},
-			HistoryLimit: 16,
+			Traces:     trOpts,
+			Thresholds: alert.Thresholds{CPU: th, Mem: th, IO: th, TRF: th},
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: surge cluster: %w", err)

@@ -128,10 +128,12 @@ func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options
 
 func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
+	hist := make([]StepStats, 0, sc.steps)
 	for step := 0; step < sc.steps; step++ {
 		if sc.edit != nil {
 			sc.edit(t, step, runtimeOf(r).Cluster)
 		}
+		var s *StepStats
 		var err error
 		if sc.external {
 			var updates []ExternalUpdate
@@ -143,15 +145,16 @@ func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 				}
 				updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(step, vm.ID)})
 			}
-			_, err = r.StepExternal(updates)
+			s, err = r.StepExternal(updates)
 		} else {
-			_, err = r.Step()
+			s, err = r.Step()
 		}
 		if err != nil {
 			t.Fatalf("%s step %d: %v", sc.name, step, err)
 		}
+		hist = append(hist, *s)
 	}
-	return r.History()
+	return hist
 }
 
 // TestShardedMatchesReference is the engine-equivalence contract: for
@@ -361,33 +364,6 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 		for i := range base {
 			sameStats(t, "shard-count", base[i], got[i])
 		}
-	}
-}
-
-// TestHistoryRing verifies the bounded-history contract: with
-// HistoryLimit set, History() returns exactly the last N steps oldest
-// first; without it, every step is retained.
-func TestHistoryRing(t *testing.T) {
-	r := buildEquivRuntime(t, 5, Options{HistoryLimit: 4})
-	if _, err := r.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	h := r.History()
-	if len(h) != 4 {
-		t.Fatalf("history length = %d, want 4", len(h))
-	}
-	for i, s := range h {
-		if s.Step != 6+i {
-			t.Fatalf("history[%d].Step = %d, want %d", i, s.Step, 6+i)
-		}
-	}
-
-	unbounded := buildEquivRuntime(t, 5, Options{})
-	if _, err := unbounded.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(unbounded.History()); got != 10 {
-		t.Fatalf("unbounded history length = %d, want 10", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestInvariantsHoldThroughSurgeRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := New(cluster, model, Options{Seed: 1, Shards: shards, HistoryLimit: 8,
+			r, err := New(cluster, model, Options{Seed: 1, Shards: shards,
 				Traces: traces.Options{Kind: traces.Surge}})
 			if err != nil {
 				t.Fatal(err)

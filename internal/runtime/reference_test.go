@@ -78,7 +78,6 @@ type engine interface {
 	Step() (*StepStats, error)
 	StepExternal([]ExternalUpdate) (*StepStats, error)
 	Run(int) ([]StepStats, error)
-	History() []StepStats
 	Snapshot() (*Snapshot, error)
 	Close()
 }
@@ -109,12 +108,15 @@ func (r *refRuntime) StepExternal(updates []ExternalUpdate) (*StepStats, error) 
 }
 
 func (r *refRuntime) Run(n int) ([]StepStats, error) {
+	out := make([]StepStats, 0, max(n, 0))
 	for i := 0; i < n; i++ {
-		if _, err := r.Step(); err != nil {
+		s, err := r.Step()
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, *s)
 	}
-	return r.History(), nil
+	return out, nil
 }
 
 // Snapshot fills the per-VM and queue rows the way the seed engine holds
@@ -393,7 +395,6 @@ func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, er
 	for i, d := range []time.Duration{stats.Timings.Predict, stats.Timings.Flows, stats.Timings.Congestion, stats.Timings.Manage} {
 		r.phaseSummaries[i].Observe(d.Seconds())
 	}
-	r.recordHistory(*stats)
 	return stats, nil
 }
 

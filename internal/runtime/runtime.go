@@ -59,11 +59,6 @@ type Options struct {
 	// the size of the shared pool; clamped to the rack count). Step
 	// results are bit-identical for every shard count.
 	Shards int
-	// HistoryLimit bounds the in-memory per-step stats kept by History():
-	// at most the last HistoryLimit steps are retained in a ring. 0 keeps
-	// every step (the seed behavior); streaming consumers should set a
-	// small limit and drain the Recorder instead.
-	HistoryLimit int
 	// Traces selects and tunes the trace-generator family feeding the
 	// synthetic engines (traces.New): Diurnal (default), Lite, Surge, or
 	// SurgeLite, plus the surge regime parameters. Traces.Seed inherits
@@ -80,9 +75,6 @@ func (o Options) Validate() error {
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("runtime: Shards must be >= 0 (0 = default), got %v", o.Shards)
-	}
-	if o.HistoryLimit < 0 {
-		return fmt.Errorf("runtime: HistoryLimit must be >= 0 (0 = unbounded), got %v", o.HistoryLimit)
 	}
 	if err := o.Traces.Validate(); err != nil {
 		return err
@@ -168,8 +160,6 @@ type Runtime struct {
 	gen        traces.Generator // trace family (opts.Traces), built once
 	shims      []*migrate.Shim  // indexed by rack; nil until first alert
 	step       int
-	history    []StepStats
-	histStart  int  // ring head once history is full (HistoryLimit > 0)
 	modelStale bool // link bandwidth changed since the last Model.Refresh
 
 	sh *shardState // the step engine's VM, monitor and scratch arrays
@@ -259,30 +249,6 @@ func (r *Runtime) TraceGen() traces.Generator { return r.gen }
 // than once.
 func (r *Runtime) Close() { r.sh.workers.Close() }
 
-// History returns the per-step statistics retained so far, oldest first.
-// With HistoryLimit set this is at most the last HistoryLimit steps.
-func (r *Runtime) History() []StepStats {
-	if r.histStart == 0 {
-		return r.history
-	}
-	out := make([]StepStats, len(r.history))
-	n := copy(out, r.history[r.histStart:])
-	copy(out[n:], r.history[:r.histStart])
-	return out
-}
-
-// recordHistory appends one step's stats, evicting the oldest entry once
-// the configured limit is reached.
-func (r *Runtime) recordHistory(s StepStats) {
-	lim := r.opts.HistoryLimit
-	if lim <= 0 || len(r.history) < lim {
-		r.history = append(r.history, s)
-		return
-	}
-	r.history[r.histStart] = s
-	r.histStart = (r.histStart + 1) % lim
-}
-
 // Step advances one collection period T. Prediction and monitoring fan
 // out over the engine's shard workers; management is serialized.
 func (r *Runtime) Step() (*StepStats, error) {
@@ -345,14 +311,19 @@ func (r *Runtime) DeepReady(rack int) bool {
 	return r.deep != nil && rack >= 0 && rack < len(r.deep) && r.deep[rack] != nil
 }
 
-// Run advances n steps and returns the retained statistics.
+// Run advances n steps and returns their statistics, oldest first. The
+// runtime keeps no step history of its own: what a caller wants of past
+// periods, it keeps itself.
 func (r *Runtime) Run(n int) ([]StepStats, error) {
+	out := make([]StepStats, 0, max(n, 0))
 	for i := 0; i < n; i++ {
-		if _, err := r.Step(); err != nil {
+		s, err := r.Step()
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, *s)
 	}
-	return r.History(), nil
+	return out, nil
 }
 
 // uplinkUtilization returns the maximum utilization over the rack's ToR

@@ -64,23 +64,33 @@ func TestRuntimeStepProducesStats(t *testing.T) {
 	if stats.WorkloadStdDev < 0 {
 		t.Fatal("negative stddev")
 	}
-	if len(r.History()) != 1 {
-		t.Fatalf("history length = %d", len(r.History()))
+	if r.step != 1 {
+		t.Fatalf("one Step advanced %d periods", r.step)
 	}
 }
 
+// TestRuntimeRunMultipleSteps: Run(n) returns the stats of its own n
+// steps, numbered on from the steps taken before it, and no earlier ones.
 func TestRuntimeRunMultipleSteps(t *testing.T) {
 	r := buildRuntime(t, 4, 2)
-	hist, err := r.Run(10)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(hist) != 10 {
-		t.Fatalf("history = %d steps", len(hist))
-	}
-	for i, s := range hist {
-		if s.Step != i {
-			t.Fatalf("step %d has index %d", i, s.Step)
+	for _, n := range []int{10, 3, 0, 5} {
+		k := r.step
+		hist, err := r.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != n {
+			t.Fatalf("Run(%d) after %d steps returned %d stats", n, k, len(hist))
+		}
+		for i, s := range hist {
+			if s.Step != k+i {
+				t.Fatalf("Run(%d) after %d steps: stats %d has index %d, want %d", n, k, i, s.Step, k+i)
+			}
 		}
 	}
 }

@@ -716,6 +716,5 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 	for i, d := range []time.Duration{stats.Timings.Predict, stats.Timings.Flows, stats.Timings.Congestion, stats.Timings.Manage} {
 		r.phaseSummaries[i].Observe(d.Seconds())
 	}
-	r.recordHistory(*stats)
 	return stats, nil
 }

@@ -60,8 +60,8 @@ type QueueColumns struct {
 
 // Snapshot is the serializable state of a Runtime: everything needed so
 // that a restored runtime's subsequent StepStats are bit-identical
-// (timings aside) to the original continuing. Step history is reporting
-// state, not simulation state, and is not carried.
+// (timings aside) to the original continuing. A step's StepStats go to
+// its caller; the runtime keeps none, so a snapshot carries none.
 //
 // A Snapshot is plain data — encoding it is one reflection pass, with no
 // nested document and no pre-encoded blob underneath — and it is a value:

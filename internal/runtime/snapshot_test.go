@@ -232,8 +232,8 @@ func TestStepExternalRejectsNonFiniteProfile(t *testing.T) {
 			}
 		}
 	}
-	if got := len(r.History()); got != 0 {
-		t.Fatalf("refused updates advanced %d periods", got)
+	if r.step != 0 {
+		t.Fatalf("refused updates advanced %d periods", r.step)
 	}
 	// Only the target runs hot, so any server alert is its own.
 	alerts := 0
