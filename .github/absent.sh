@@ -117,5 +117,21 @@ doc  ./internal/centralized MigrateOpts
 doc  ./internal/runtime.Options History[L]imit
 doc  ./internal/runtime.Runtime History
 src  record[H]istory|hist[S]tart|history-[l]imit
+# Keep only what something reads: the recorder keeps no events and no per-kind summaries, and nothing but a test read P², Decompose, LjungBox or the early-warning curve.
+doc  ./internal/obs.Options Ring
+doc  ./internal/obs.Recorder Events|Stats
+doc  ./internal/obs KindStats
+src  \bNewQuantile\b|\btype[[:space:]]+Quantile\b|\bmetrics\.Quantile\b
+doc  ./internal/timeseries Decompose|Decomposition|LjungBox
+doc  ./internal/experiments EarlyWarnCurve|EarlyWarnPoint
+# One encoding per forecasting type: the state value is the JSON form; the live objects carry no codec of their own.
+doc  ./internal/arima.Model MarshalJSON|UnmarshalJSON
+doc  ./internal/arima.SeasonalModel MarshalJSON|UnmarshalJSON
+doc  ./internal/narnet.Network MarshalJSON|UnmarshalJSON
+doc  ./internal/predictor.Selector MarshalJSON|UnmarshalJSON
+doc  ./internal/predictor.Burst MarshalJSON|UnmarshalJSON
+doc  ./internal/timeseries.RollingMSE MarshalJSON|UnmarshalJSON
+doc  ./internal/dcn.Cluster MarshalJSON|UnmarshalJSON
+src  \bmarshalState\b
 EOF
 exit $fail

@@ -99,6 +99,20 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 		}
 		return perr
 	}
+	// sim.RuntimeConfig reads zero as "the default"; a flag says what it
+	// means or is refused.
+	switch {
+	case !(*depProb > 0 && *depProb <= 1):
+		return fmt.Errorf("-deps %v is outside (0, 1]", *depProb)
+	case *hostsPerRack < 1:
+		return fmt.Errorf("-hosts %d is below 1", *hostsPerRack)
+	case *vmsPerHost < 1:
+		return fmt.Errorf("-vms %d is below 1", *vmsPerHost)
+	case *steps < 0:
+		return fmt.Errorf("-steps %d is negative", *steps)
+	case *snapEvery < 0:
+		return fmt.Errorf("-snapshot-every %d is negative", *snapEvery)
+	}
 	kind, err := sim.ParseKind(*topo)
 	if err != nil {
 		return err

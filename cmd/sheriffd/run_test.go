@@ -347,14 +347,36 @@ func TestRunFailStepLeavesParseableTrace(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; "" means no error
+	}{
+		{[]string{"-topology", "nope"}, "unknown topology"},
+		{[]string{"-badflag"}, "badflag"},
+		{[]string{"-h"}, ""},
+		// Shape flags out of range are refused by name, not rewritten to
+		// a default.
+		{[]string{"-deps", "0"}, "-deps"},
+		{[]string{"-deps", "-1"}, "-deps"},
+		{[]string{"-deps", "3"}, "-deps"},
+		{[]string{"-deps", "NaN"}, "-deps"},
+		{[]string{"-hosts", "0"}, "-hosts"},
+		{[]string{"-vms", "-2"}, "-vms"},
+		{[]string{"-steps", "-1"}, "-steps"},
+		{[]string{"-snapshot-every", "-5"}, "-snapshot-every"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v, want no error", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+	// The edges of the ranges are accepted.
 	var out bytes.Buffer
-	if err := run([]string{"-topology", "nope"}, &out); err == nil {
-		t.Fatal("unknown topology accepted")
-	}
-	if err := run([]string{"-badflag"}, &out); err == nil {
-		t.Fatal("unknown flag accepted")
-	}
-	if err := run([]string{"-h"}, &out); err != nil {
-		t.Fatalf("-h should not be an error, got %v", err)
+	if err := run([]string{"-topology", "fat-tree", "-size", "4", "-deps", "1", "-hosts", "1", "-vms", "1", "-steps", "0", "-snapshot-every", "0"}, &out); err != nil {
+		t.Fatalf("in-range flags refused: %v", err)
 	}
 }

@@ -126,18 +126,14 @@ func TestEndToEndRuntimeWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sd metrics.Summary
-	q, err := metrics.NewQuantile(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sd, up metrics.Summary
 	hist, err := rt.Run(25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range hist {
 		sd.Observe(s.WorkloadStdDev)
-		q.Observe(s.MaxUplinkUtil)
+		up.Observe(s.MaxUplinkUtil)
 	}
 	if sd.Count() != 25 {
 		t.Fatalf("summary count = %d", sd.Count())
@@ -145,11 +141,11 @@ func TestEndToEndRuntimeWithMetrics(t *testing.T) {
 	if sd.Mean() < 0 || math.IsNaN(sd.Mean()) {
 		t.Fatalf("mean stddev = %v", sd.Mean())
 	}
-	if math.IsNaN(q.Value()) {
-		t.Fatal("p95 uplink NaN")
+	if math.IsNaN(up.Max()) {
+		t.Fatal("max uplink NaN")
 	}
-	if q.Value() < 0 {
-		t.Fatalf("p95 uplink = %v", q.Value())
+	if up.Min() < 0 {
+		t.Fatalf("min uplink = %v", up.Min())
 	}
 }
 
@@ -186,7 +182,11 @@ func TestRequestPolicyFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.3, Seed: 1})
-	rec, err := obs.New(obs.Options{})
+	var events []obs.Event
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
+		events = append(events, e)
+		return nil
+	})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRequestPolicyFacade(t *testing.T) {
 			len(res.Migrations), len(res.Unplaced), len(vms), res.Rejected)
 	}
 	rejects := 0
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		if e.Kind == obs.KindReject {
 			rejects++
 			if e.Attrs["cause"] != "policy" {

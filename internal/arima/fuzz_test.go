@@ -2,22 +2,21 @@ package arima
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// stable fails unless v's encoding survives a decode into fresh and a
+// stable fails unless m's encoding survives a decode into fresh and a
 // second encoding unchanged.
-func stable(t *testing.T, v, fresh any) {
+func stable[S any](t *testing.T, m, fresh model[S]) {
 	t.Helper()
-	first, err := json.Marshal(v)
+	first, err := encode(m)
 	if err != nil {
 		t.Fatalf("accepted model does not encode: %v", err)
 	}
-	if err := json.Unmarshal(first, fresh); err != nil {
+	if err := decode(first, fresh); err != nil {
 		t.Fatalf("model's own encoding refused: %v", err)
 	}
-	second, err := json.Marshal(fresh)
+	second, err := encode(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,19 +25,20 @@ func stable(t *testing.T, v, fresh any) {
 	}
 }
 
-// FuzzModelUnmarshalJSON: arbitrary bytes either fail to decode or give a
-// model that re-encodes byte-stably and forecasts — from its own history
-// and from a foreign one — without panicking. Seeded with a fitted model
-// (its history in the base64 spelling Marshal writes) and truncated,
-// empty-history, mismatched-count and overflowing-order variants in the
-// decimal spelling older files hold; then a hand-written base64 history
-// and ones that carry a NaN, a torn float and nothing.
+// FuzzModelUnmarshalJSON: arbitrary bytes either fail to decode into a
+// ModelState and restore, or give a model that re-encodes byte-stably and
+// forecasts — from its own history and from a foreign one — without
+// panicking. Seeded with a fitted model (its history in the base64
+// spelling Marshal writes) and truncated, empty-history, mismatched-count
+// and overflowing-order variants in the decimal spelling older files hold;
+// then a hand-written base64 history and ones that carry a NaN, a torn
+// float and nothing.
 func FuzzModelUnmarshalJSON(f *testing.F) {
 	m, err := Fit(simulateARMA(60, []float64{0.6}, []float64{0.2}, 0.5, 21), Order{P: 1, D: 1, Q: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	blob, err := json.Marshal(m)
+	blob, err := encode(m)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func FuzzModelUnmarshalJSON(f *testing.F) {
 	other := simulateARMA(40, []float64{0.3}, nil, 0.5, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Model
-		if json.Unmarshal(data, &m) != nil {
+		if decode(data, &m) != nil {
 			return
 		}
 		stable(t, &m, new(Model))
@@ -71,7 +71,7 @@ func FuzzSeasonalModelUnmarshalJSON(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	blob, err := json.Marshal(m)
+	blob, err := encode(m)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func FuzzSeasonalModelUnmarshalJSON(f *testing.F) {
 	other := seasonalSeries(60, 12, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m SeasonalModel
-		if json.Unmarshal(data, &m) != nil {
+		if decode(data, &m) != nil {
 			return
 		}
 		stable(t, &m, new(SeasonalModel))

@@ -1,7 +1,6 @@
 package arima
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -68,27 +67,6 @@ func (m *Model) Restore(st ModelState) error {
 	return nil
 }
 
-// MarshalJSON serializes the fitted model, history included, so a shim
-// can persist trained predictors across restarts.
-func (m *Model) MarshalJSON() ([]byte, error) { return marshalState(m.State()) }
-
-// marshalState encodes a State result, passing its error through.
-func marshalState[S any](st S, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
-// UnmarshalJSON restores a model serialized by MarshalJSON.
-func (m *Model) UnmarshalJSON(b []byte) error {
-	var st ModelState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("arima: unmarshal: %w", err)
-	}
-	return m.Restore(st)
-}
-
 // SeasonalState is a fitted SeasonalModel as plain data, and its JSON form.
 type SeasonalState struct {
 	Order     SeasonalOrder   `json:"order"`
@@ -147,16 +125,4 @@ func (m *SeasonalModel) Restore(st SeasonalState) error {
 	m.N = st.N
 	m.history = timeseries.New(hist)
 	return nil
-}
-
-// MarshalJSON serializes the fitted seasonal model.
-func (m *SeasonalModel) MarshalJSON() ([]byte, error) { return marshalState(m.State()) }
-
-// UnmarshalJSON restores a seasonal model serialized by MarshalJSON.
-func (m *SeasonalModel) UnmarshalJSON(b []byte) error {
-	var st SeasonalState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("arima: unmarshal seasonal: %w", err)
-	}
-	return m.Restore(st)
 }

@@ -1,12 +1,9 @@
 package arima
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestUnmarshalResetsForecastContext is the regression test for the
-// serializer/suffix-state interaction: UnmarshalJSON replaces the model
+// serializer/suffix-state interaction: Restore replaces the model
 // coefficients in place, so the incremental forecast context — whose
 // cached innovations were computed under the old coefficients — must be
 // dropped. Before the fix, forecasting from the same *Series pointer
@@ -23,7 +20,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(mB)
+	st, err := mB.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	// Reload mB's parameters into mA in place, then grow the history:
 	// the suffix fast path would otherwise advance innovations computed
 	// under mA's old coefficients.
-	if err := json.Unmarshal(blob, mA); err != nil {
+	if err := mA.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	hist.Append(0.31, -0.12, 0.47)
@@ -47,7 +44,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresh Model
-	if err := json.Unmarshal(blob, &fresh); err != nil {
+	if err := fresh.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fresh.ForecastFrom(nil, hist, 3)
@@ -56,7 +53,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("forecast %d after in-place reload differs from fresh restore: %v vs %v (stale suffix state survived UnmarshalJSON)", i, got[i], want[i])
+			t.Fatalf("forecast %d after in-place reload differs from fresh restore: %v vs %v (stale suffix state survived Restore)", i, got[i], want[i])
 		}
 	}
 }

@@ -6,18 +6,44 @@ import (
 	"testing"
 )
 
+// model is a forecaster with a state value: ModelState for *Model,
+// SeasonalState for *SeasonalModel.
+type model[S any] interface {
+	State() (S, error)
+	Restore(S) error
+}
+
+// encode is a model's JSON form: its state value, encoded.
+func encode[S any](m model[S]) ([]byte, error) {
+	st, err := m.State()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
+
+// decode restores m from a JSON state value, the path a daemon
+// snapshot's deep pools take on restore.
+func decode[S any](b []byte, m model[S]) error {
+	var st S
+	if err := json.Unmarshal(b, &st); err != nil {
+		return err
+	}
+	return m.Restore(st)
+}
+
 func TestModelJSONRoundTrip(t *testing.T) {
 	s := simulateARMA(1000, []float64{0.6}, []float64{0.2}, 0.5, 21)
 	orig, err := Fit(s, Order{P: 1, D: 0, Q: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(orig)
+	blob, err := encode(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var restored Model
-	if err := json.Unmarshal(blob, &restored); err != nil {
+	if err := decode(blob, &restored); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Order != orig.Order || restored.Phi[0] != orig.Phi[0] ||
@@ -42,13 +68,13 @@ func TestModelJSONRoundTrip(t *testing.T) {
 
 func TestModelUnmarshalRejectsCorrupt(t *testing.T) {
 	var m Model
-	if err := json.Unmarshal([]byte(`{"order":{"P":-1,"D":0,"Q":1}}`), &m); err == nil {
+	if err := decode([]byte(`{"order":{"P":-1,"D":0,"Q":1}}`), &m); err == nil {
 		t.Error("invalid order accepted")
 	}
-	if err := json.Unmarshal([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5]}`), &m); err == nil {
+	if err := decode([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5]}`), &m); err == nil {
 		t.Error("coefficient count mismatch accepted")
 	}
-	if err := json.Unmarshal([]byte(`{not json`), &m); err == nil {
+	if err := decode([]byte(`{not json`), &m); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 }
@@ -59,12 +85,12 @@ func TestSeasonalModelJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(orig)
+	blob, err := encode(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var restored SeasonalModel
-	if err := json.Unmarshal(blob, &restored); err != nil {
+	if err := decode(blob, &restored); err != nil {
 		t.Fatal(err)
 	}
 	fo, err := orig.Forecast(12)
@@ -84,7 +110,7 @@ func TestSeasonalModelJSONRoundTrip(t *testing.T) {
 
 func TestSeasonalUnmarshalRejectsCorrupt(t *testing.T) {
 	var m SeasonalModel
-	if err := json.Unmarshal([]byte(`{"order":{"P":1,"SP":2,"Period":12},"phi":[0.1],"sphi":[0.1]}`), &m); err == nil {
+	if err := decode([]byte(`{"order":{"P":1,"SP":2,"Period":12},"phi":[0.1],"sphi":[0.1]}`), &m); err == nil {
 		t.Error("seasonal coefficient mismatch accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package dcn
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"sheriff/internal/timeseries"
@@ -174,14 +173,4 @@ func (c *Cluster) Restore(s *Snapshot) error {
 		c.numVMs++
 	}
 	return nil
-}
-
-// MarshalJSON serializes the snapshot (Snapshot already has JSON tags;
-// this method exists on Cluster for one-call persistence).
-func (c *Cluster) MarshalJSON() ([]byte, error) {
-	s, err := c.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(s)
 }

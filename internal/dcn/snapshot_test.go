@@ -89,7 +89,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	c1 := testCluster(t, 4)
 	c1.Populate(PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 15, Seed: 32})
-	blob, err := json.Marshal(c1)
+	blob, err := json.Marshal(snapshotOf(t, c1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,7 @@
 // different question — when stress actually crossed the line, how many
 // steps of warning did the alert give, and how many alerts cried wolf?
 // ScoreEarlyWarning answers with precision/recall-at-lead-time over
-// overload episodes, and EarlyWarnCurve sweeps the alert threshold to
-// trace the lead-time vs false-alarm trade-off.
+// overload episodes.
 package experiments
 
 import (
@@ -101,35 +100,4 @@ func ScoreEarlyWarning(actual, predicted []float64, threshold float64, maxLead i
 		sc.MeanLead = float64(leadSum) / float64(sc.Detected)
 	}
 	return sc, nil
-}
-
-// EarlyWarnPoint is one threshold's operating point on the lead-time vs
-// false-alarm curve.
-type EarlyWarnPoint struct {
-	Threshold float64 `json:"threshold"`
-	EarlyWarnScore
-}
-
-// EarlyWarnCurve scores the prediction at each alert threshold — the
-// operator's ROC-style trade-off: lowering the threshold buys lead time
-// and recall at the cost of precision. The overload definition (the truth
-// threshold) stays fixed; only the alert trigger sweeps.
-func EarlyWarnCurve(actual, predicted []float64, truthThreshold float64, alertThresholds []float64, maxLead int) ([]EarlyWarnPoint, error) {
-	out := make([]EarlyWarnPoint, 0, len(alertThresholds))
-	for _, th := range alertThresholds {
-		// Alerts fire on the swept threshold; episodes stay defined by the
-		// truth threshold. Scale the predictions so one Score call handles
-		// both: alert iff predicted >= th  <=>  shifted >= truth.
-		shifted := make([]float64, len(predicted))
-		delta := truthThreshold - th
-		for i, p := range predicted {
-			shifted[i] = p + delta
-		}
-		sc, err := ScoreEarlyWarning(actual, shifted, truthThreshold, maxLead)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, EarlyWarnPoint{Threshold: th, EarlyWarnScore: sc})
-	}
-	return out, nil
 }

@@ -111,32 +111,3 @@ func TestEarlyWarnErrors(t *testing.T) {
 		t.Fatal("maxLead 0 accepted")
 	}
 }
-
-// TestEarlyWarnCurve: sweeping the alert threshold down trades precision
-// for alerts — the curve must hold the truth threshold fixed while only
-// the trigger moves.
-func TestEarlyWarnCurve(t *testing.T) {
-	actual := []float64{0, 0, 0, 0, 1, 0, 0, 0}
-	predicted := []float64{0, 0.6, 0, 0.6, 0, 0, 0.6, 0}
-	pts, err := EarlyWarnCurve(actual, predicted, 1, []float64{0.5, 1.0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d, want 2", len(pts))
-	}
-	// At alert threshold 0.5 the 0.6 forecasts fire: three alerts, two in
-	// window of the onset at t=4 (t=1 and t=3), one late false alarm at t=6.
-	lo := pts[0]
-	if lo.Alerts != 3 || lo.TruePositives != 2 || lo.Detected != 1 {
-		t.Fatalf("low threshold: alerts/TP/detected = %d/%d/%d, want 3/2/1", lo.Alerts, lo.TruePositives, lo.Detected)
-	}
-	if !approx(lo.Precision, 2.0/3.0) {
-		t.Fatalf("low threshold precision = %v, want 2/3", lo.Precision)
-	}
-	// At alert threshold 1.0 nothing fires: silent, precise, blind.
-	hi := pts[1]
-	if hi.Alerts != 0 || !approx(hi.Precision, 1) || !approx(hi.Recall, 0) {
-		t.Fatalf("high threshold: alerts/precision/recall = %d/%v/%v, want 0/1/0", hi.Alerts, hi.Precision, hi.Recall)
-	}
-}

@@ -280,9 +280,6 @@ func FromCluster(c *dcn.Cluster, opts Options) (*Service, error) {
 	return New(vmsByRack, opts)
 }
 
-// Shards returns the number of rack shards.
-func (s *Service) Shards() int { return len(s.shard) }
-
 // Offer enqueues one update on its VM's rack shard. It returns false
 // without error when the shard queue is full (the update is tail-dropped
 // and counted), and an error for a VM the service was not built for or a

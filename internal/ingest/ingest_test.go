@@ -224,7 +224,13 @@ func TestTriageAlertsEdgeTriggeredAndSorted(t *testing.T) {
 }
 
 func TestIngestEventsRecorded(t *testing.T) {
-	rec, err := obs.New(obs.Options{})
+	phases := map[string]int{}
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
+		if e.Kind == obs.KindIngest {
+			phases[e.Phase]++
+		}
+		return nil
+	})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +239,6 @@ func TestIngestEventsRecorded(t *testing.T) {
 		s.Offer(Update{VM: 0, Profile: hot()})
 	}
 	s.ProcessPending()
-	phases := map[string]int{}
-	for _, e := range rec.Events() {
-		if e.Kind == obs.KindIngest {
-			phases[e.Phase]++
-		}
-	}
 	if phases["drop"] != 3 || phases["drain"] != 1 || phases["alert"] != 1 {
 		t.Fatalf("ingest event phases %+v, want drop=3 drain=1 alert=1", phases)
 	}

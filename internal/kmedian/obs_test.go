@@ -11,7 +11,11 @@ import (
 // cost, and at least one scan per swap (plus the final proving scans).
 func TestLocalSearchTrace(t *testing.T) {
 	in := lineInstance(24, 4)
-	rec, err := obs.New(obs.Options{})
+	var events []obs.Event
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
+		events = append(events, e)
+		return nil
+	})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +35,7 @@ func TestLocalSearchTrace(t *testing.T) {
 	var lastSwap *obs.Event
 	prev := 0.0
 	first := true
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		e := e
 		switch e.Kind {
 		case obs.KindCost:

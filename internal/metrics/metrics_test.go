@@ -74,94 +74,6 @@ func TestSummaryMatchesTwoPassProperty(t *testing.T) {
 	}
 }
 
-func TestNewQuantileValidation(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.1, 1.5} {
-		if _, err := NewQuantile(p); err == nil {
-			t.Errorf("p=%v accepted", p)
-		}
-	}
-}
-
-func TestQuantileEmpty(t *testing.T) {
-	q, err := NewQuantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(q.Value()) {
-		t.Fatal("empty estimator should be NaN")
-	}
-}
-
-func TestQuantileSmallSampleExact(t *testing.T) {
-	q, err := NewQuantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Observe(3)
-	q.Observe(1)
-	q.Observe(2)
-	if math.Abs(q.Value()-2) > 1e-12 {
-		t.Fatalf("median of {1,2,3} = %v", q.Value())
-	}
-}
-
-func TestQuantileMedianUniform(t *testing.T) {
-	q, err := NewQuantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		q.Observe(rng.Float64())
-	}
-	if math.Abs(q.Value()-0.5) > 0.02 {
-		t.Fatalf("uniform median estimate = %v", q.Value())
-	}
-	if q.Count() != 20000 {
-		t.Fatalf("Count = %d", q.Count())
-	}
-}
-
-func TestQuantileP95Normal(t *testing.T) {
-	q, err := NewQuantile(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	var all []float64
-	for i := 0; i < 20000; i++ {
-		v := rng.NormFloat64()
-		q.Observe(v)
-		all = append(all, v)
-	}
-	sort.Float64s(all)
-	exact := all[int(0.95*float64(len(all)))]
-	if math.Abs(q.Value()-exact) > 0.08 {
-		t.Fatalf("p95 estimate %v vs exact %v", q.Value(), exact)
-	}
-}
-
-func TestQuantileExponentialTail(t *testing.T) {
-	q, err := NewQuantile(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	var all []float64
-	for i := 0; i < 30000; i++ {
-		v := rng.ExpFloat64()
-		q.Observe(v)
-		all = append(all, v)
-	}
-	sort.Float64s(all)
-	exact := all[int(0.99*float64(len(all)))]
-	if math.Abs(q.Value()-exact)/exact > 0.1 {
-		t.Fatalf("p99 estimate %v vs exact %v", q.Value(), exact)
-	}
-}
-
-// ObserveN and Merge are Observe regrouped: same count, mean, variance
-// and extremes as feeding every value one at a time.
 func TestSummaryObserveNAndMergeMatchObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var one, runs, left, right Summary

@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -143,10 +142,8 @@ func TestChaosDuplicateSuppression(t *testing.T) {
 // unplaced — fallback events first, then one unplaced event per VM.
 func TestChaosFallbackThenUnplaced(t *testing.T) {
 	plan := faults.Plan{Seed: 1, Partitions: []faults.Partition{{Name: "all", Start: 0, Rounds: 1000, Nodes: []int{0, 1}}}}
-	rec, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var events []obs.Event
+	rec := recordTo(t, &events)
 	fx, shims, sets, bus := chaosScenario(t, plan, rec)
 	// The partition isolates both shims' racks from the rest of the
 	// fabric but not from each other, and region hosts include the own
@@ -172,7 +169,7 @@ func TestChaosFallbackThenUnplaced(t *testing.T) {
 			len(res.Migrations), len(res.Unplaced), res.Fallbacks, want, want)
 	}
 	var kinds []obs.Kind
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		if e.Kind == obs.KindFallback || e.Kind == obs.KindUnplaced {
 			kinds = append(kinds, e.Kind)
 		}
@@ -196,22 +193,14 @@ func TestChaosFallbackThenUnplaced(t *testing.T) {
 // go test ./internal/migrate/ -run TestChaosTraceGolden -update
 func TestChaosTraceGolden(t *testing.T) {
 	run := func() []byte {
-		rec, err := obs.New(obs.Options{})
+		var buf bytes.Buffer
+		rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.NewJSONL(&buf)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fx, shims, sets, bus := chaosScenario(t, resiliencePlan(13), rec)
 		if _, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, DistOptions{Recorder: rec, Seed: 13}); err != nil {
 			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, e := range rec.Events() {
-			line, err := json.Marshal(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(line)
-			buf.WriteByte('\n')
 		}
 		return buf.Bytes()
 	}

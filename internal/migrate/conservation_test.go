@@ -53,17 +53,15 @@ type consScenario struct {
 	cell    consCell
 	fx      *fixture
 	rec     *obs.Recorder
+	events  []obs.Event // every event rec recorded; events[i].Seq == i+1
 	handled map[int]bool
 	totals  *consTotals
 }
 
 func newConsScenario(t *testing.T, cell consCell, totals *consTotals) *consScenario {
 	t.Helper()
-	rec, err := obs.New(obs.Options{Ring: 1 << 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &consScenario{cell: cell, fx: newFixture(t, 4, 2), rec: rec, handled: map[int]bool{}, totals: totals}
+	sc := &consScenario{cell: cell, fx: newFixture(t, 4, 2), handled: map[int]bool{}, totals: totals}
+	sc.rec = recordTo(t, &sc.events)
 	// Hosts filled to 55–100 %, a quarter of the VMs delay-sensitive, three
 	// in ten alerted at urgent or critical, three in ten at watch: tight
 	// enough that rejections and leftovers both occur.
@@ -201,13 +199,7 @@ func (sc *consScenario) runDistributed(t *testing.T) {
 
 // since returns the events recorded after sequence number seq.
 func (sc *consScenario) since(seq uint64) []obs.Event {
-	var out []obs.Event
-	for _, e := range sc.rec.Events() {
-		if e.Seq > seq {
-			out = append(out, e)
-		}
-	}
-	return out
+	return sc.events[seq:]
 }
 
 // check replays one call's events against what it reported and the

@@ -17,6 +17,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
+// recordTo returns a recorder that appends every event to *events.
+func recordTo(t *testing.T, events *[]obs.Event) *obs.Recorder {
+	t.Helper()
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
+		*events = append(*events, e)
+		return nil
+	})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 // goldenSeed is the pinned bus seed of the golden run (overridable via
 // SHERIFF_GOLDEN_SEED for scenario exploration only — the checked-in
 // golden file corresponds to the default).
@@ -37,10 +50,8 @@ func goldenSeed() int64 {
 // as a golden diff. Regenerate with: go test ./internal/migrate/ -run
 // TestDistributedTraceGolden -update
 func TestDistributedTraceGolden(t *testing.T) {
-	rec, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var events []obs.Event
+	rec := recordTo(t, &events)
 
 	fx := newFixture(t, 4, 2)
 	shims := []*Shim{}
@@ -90,7 +101,7 @@ func TestDistributedTraceGolden(t *testing.T) {
 
 	var buf bytes.Buffer
 	kinds := map[obs.Kind]bool{}
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		kinds[e.Kind] = true
 		line, err := json.Marshal(e)
 		if err != nil {

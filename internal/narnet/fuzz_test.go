@@ -2,24 +2,23 @@ package narnet
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// FuzzNetworkUnmarshalJSON: arbitrary bytes either fail to decode or give
-// a network that re-encodes byte-stably and forecasts — from its own
-// history and from a foreign one — without panicking. Seeded with a
-// trained network (weights and history in the base64 spelling Marshal
-// writes) and truncated, empty-history and mismatched-weight variants in
-// the decimal spelling older files hold; then a hand-written base64
-// network, one that mixes the spellings, and ones whose weights carry a
-// NaN and a torn float.
+// FuzzNetworkUnmarshalJSON: arbitrary bytes either fail to decode into a
+// State and restore, or give a network that re-encodes byte-stably and
+// forecasts — from its own history and from a foreign one — without
+// panicking. Seeded with a trained network (weights and history in the
+// base64 spelling Marshal writes) and truncated, empty-history and
+// mismatched-weight variants in the decimal spelling older files hold;
+// then a hand-written base64 network, one that mixes the spellings, and
+// ones whose weights carry a NaN and a torn float.
 func FuzzNetworkUnmarshalJSON(f *testing.F) {
 	n, err := Train(sineSeries(80, 24, 0.5, 30), Config{Inputs: 4, Hidden: 3, Seed: 30, Epochs: 20})
 	if err != nil {
 		f.Fatal(err)
 	}
-	blob, err := json.Marshal(n)
+	blob, err := encode(n)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,18 +35,18 @@ func FuzzNetworkUnmarshalJSON(f *testing.F) {
 	other := sineSeries(40, 16, 0.5, 7)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var n Network
-		if json.Unmarshal(data, &n) != nil {
+		if decode(data, &n) != nil {
 			return
 		}
-		first, err := json.Marshal(&n)
+		first, err := encode(&n)
 		if err != nil {
 			t.Fatalf("accepted network does not encode: %v", err)
 		}
 		var again Network
-		if err := json.Unmarshal(first, &again); err != nil {
+		if err := decode(first, &again); err != nil {
 			t.Fatalf("network's own encoding refused: %v", err)
 		}
-		second, err := json.Marshal(&again)
+		second, err := encode(&again)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package narnet
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"sheriff/internal/timeseries"
@@ -84,22 +83,4 @@ func (n *Network) Restore(st State) error {
 	// restore could otherwise revalidate it.
 	n.fc = nil
 	return nil
-}
-
-// MarshalJSON serializes the trained network.
-func (n *Network) MarshalJSON() ([]byte, error) {
-	st, err := n.State()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
-// UnmarshalJSON restores a network serialized by MarshalJSON.
-func (n *Network) UnmarshalJSON(b []byte) error {
-	var st State
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("narnet: unmarshal: %w", err)
-	}
-	return n.Restore(st)
 }

@@ -1,12 +1,9 @@
 package narnet
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestUnmarshalResetsDelayLine is the regression test for the
-// serializer/delay-line interaction: UnmarshalJSON replaces the weights
+// serializer/delay-line interaction: Restore replaces the weights
 // and normalization scale in place, so the cached delay line — whose
 // entries were normalized under the old scale — must be dropped. Before
 // the fix, forecasting from the same *Series pointer after a reload
@@ -22,7 +19,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(nB)
+	st, err := nB.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +33,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	// Reload nB into nA in place, then grow the history by fewer points
 	// than the delay line: the append fast path would otherwise keep
 	// entries normalized under nA's old scale.
-	if err := json.Unmarshal(blob, nA); err != nil {
+	if err := nA.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	hist.Append(0.9, 1.4)
@@ -46,7 +43,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresh Network
-	if err := json.Unmarshal(blob, &fresh); err != nil {
+	if err := fresh.Restore(st); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fresh.ForecastFrom(nil, hist, 3)
@@ -55,7 +52,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("forecast %d after in-place reload differs from fresh restore: %v vs %v (stale delay line survived UnmarshalJSON)", i, got[i], want[i])
+			t.Fatalf("forecast %d after in-place reload differs from fresh restore: %v vs %v (stale delay line survived Restore)", i, got[i], want[i])
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package obs is the structured observability layer: a ring-buffered
-// recorder of protocol- and phase-level events with monotonic sequence
-// numbers, per-kind streaming counters (metrics.Summary + P² p95 over
-// event values), and pluggable sinks (the in-memory ring for tests, a
-// JSONL writer for the daemons' -trace flags).
+// Package obs is the structured observability layer: a recorder of
+// protocol- and phase-level events that stamps each with a monotonic
+// sequence number, counts events per kind, and emits them to pluggable
+// sinks (a JSONL writer for the daemons' -trace flags, a TCP fan-out for
+// sheriffd -listen, a Func for any in-process reader). The recorder keeps
+// no events of its own: whoever wants them attaches a sink.
 //
 // The recorder is threaded through the layers that previously swallowed
 // their history — runtime.Step phases, migrate.DistributedVMMigration's
@@ -17,12 +18,9 @@
 package obs
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"sync"
-
-	"sheriff/internal/metrics"
 )
 
 // Kind tags an event's role in the taxonomy. Kinds are short stable
@@ -111,44 +109,9 @@ type Event struct {
 
 // Options configures a Recorder.
 type Options struct {
-	// Ring is the in-memory event buffer capacity; the ring keeps the most
-	// recent Ring events. Zero means the default (4096); negative is an
-	// error.
-	Ring int
 	// Sinks receive every recorded event in sequence order, under the
 	// recorder's lock (sinks need no locking of their own).
 	Sinks []Sink
-}
-
-// Validate reports whether the options are usable. Negative values are
-// errors; zero values mean "use the default".
-func (o Options) Validate() error {
-	if o.Ring < 0 {
-		return fmt.Errorf("obs: Ring must be >= 0 (0 = default), got %d", o.Ring)
-	}
-	return nil
-}
-
-func (o Options) withDefaults() Options {
-	if o.Ring == 0 {
-		o.Ring = 4096
-	}
-	return o
-}
-
-// KindStats is a snapshot of one kind's streaming counter.
-type KindStats struct {
-	Count uint64
-	// Value summarizes the Event.Value distribution for the kind.
-	Value metrics.Summary
-	// P95 is the P² estimate of the 95th percentile of Event.Value.
-	P95 float64
-}
-
-type kindCounter struct {
-	count   uint64
-	summary metrics.Summary
-	p95     *metrics.Quantile
 }
 
 // Recorder is the event collector. It is safe for concurrent use; a nil
@@ -157,23 +120,15 @@ type Recorder struct {
 	mu       sync.Mutex
 	seq      uint64
 	step     int
-	ring     []Event
-	head     int
-	full     bool
-	counters map[Kind]*kindCounter
+	counters map[Kind]uint64
 	sinks    []Sink
 	sinkErr  error
 }
 
-// New builds a recorder.
+// New builds a recorder. The error is always nil.
 func New(opts Options) (*Recorder, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
 	return &Recorder{
-		ring:     make([]Event, 0, opts.Ring),
-		counters: make(map[Kind]*kindCounter),
+		counters: make(map[Kind]uint64),
 		sinks:    append([]Sink(nil), opts.Sinks...),
 	}, nil
 }
@@ -195,8 +150,7 @@ func (r *Recorder) SetStep(step int) {
 }
 
 // Record stamps the event with the next sequence number and the current
-// step context, stores it in the ring, folds it into the per-kind
-// counters, and emits it to every sink.
+// step context, counts it under its kind, and emits it to every sink.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -205,29 +159,7 @@ func (r *Recorder) Record(e Event) {
 	r.seq++
 	e.Seq = r.seq
 	e.Step = r.step
-	if cap(r.ring) > 0 {
-		if len(r.ring) < cap(r.ring) {
-			r.ring = append(r.ring, e)
-		} else {
-			r.ring[r.head] = e
-			r.head++
-			if r.head == cap(r.ring) {
-				r.head = 0
-				r.full = true
-			} else if !r.full && r.head == len(r.ring) {
-				r.full = true
-			}
-		}
-	}
-	c := r.counters[e.Kind]
-	if c == nil {
-		q, _ := metrics.NewQuantile(0.95) // 0.95 is always valid
-		c = &kindCounter{p95: q}
-		r.counters[e.Kind] = c
-	}
-	c.count++
-	c.summary.Observe(e.Value)
-	c.p95.Observe(e.Value)
+	r.counters[e.Kind]++
 	for _, s := range r.sinks {
 		if err := s.Emit(e); err != nil && r.sinkErr == nil {
 			r.sinkErr = err
@@ -247,8 +179,8 @@ func (r *Recorder) AddSink(s Sink) {
 }
 
 // RemoveSink detaches a previously attached sink, comparing by interface
-// identity, and reports whether it was found. Events recorded after
-// RemoveSink returns are not emitted to the sink; an emission already in
+// identity, and reports whether it was found. An event recorded after
+// RemoveSink returns is not emitted to the sink; an emission already in
 // flight on another goroutine completes first (both run under the
 // recorder's lock). Sinks of non-comparable dynamic type (e.g. Func)
 // cannot be removed — wrap them in a pointer type to detach later.
@@ -292,23 +224,6 @@ func (r *Recorder) Seq() uint64 {
 	return r.seq
 }
 
-// Events returns a snapshot of the ring contents in sequence order (the
-// most recent Ring events).
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.ring[:len(r.ring)]...)
-	}
-	out := make([]Event, 0, cap(r.ring))
-	out = append(out, r.ring[r.head:]...)
-	out = append(out, r.ring[:r.head]...)
-	return out
-}
-
 // Count returns how many events of the kind were recorded.
 func (r *Recorder) Count(kind Kind) uint64 {
 	if r == nil {
@@ -316,25 +231,7 @@ func (r *Recorder) Count(kind Kind) uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c := r.counters[kind]; c != nil {
-		return c.count
-	}
-	return 0
-}
-
-// Stats returns the kind's counter snapshot (zero-valued when the kind
-// was never recorded).
-func (r *Recorder) Stats(kind Kind) KindStats {
-	if r == nil {
-		return KindStats{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[kind]
-	if c == nil {
-		return KindStats{}
-	}
-	return KindStats{Count: c.count, Value: c.summary, P95: c.p95.Value()}
+	return r.counters[kind]
 }
 
 // Kinds returns the kinds recorded so far, sorted.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,38 +19,26 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Record(Event{Kind: KindAck})
 	r.SetStep(3)
 	r.AddSink(NewJSONL(&bytes.Buffer{}))
-	if r.Seq() != 0 || r.Events() != nil || r.Count(KindAck) != 0 || r.Err() != nil {
+	if r.Seq() != 0 || r.Count(KindAck) != 0 || r.Err() != nil {
 		t.Fatal("nil recorder retained state")
-	}
-	if got := r.Stats(KindAck); got.Count != 0 {
-		t.Fatalf("nil stats = %+v", got)
 	}
 	if r.Kinds() != nil {
 		t.Fatal("nil recorder has kinds")
 	}
 }
 
-func TestOptionsValidate(t *testing.T) {
-	if err := (Options{Ring: -1}).Validate(); err == nil {
-		t.Fatal("negative ring accepted")
-	}
-	if _, err := New(Options{Ring: -1}); err == nil {
-		t.Fatal("New accepted negative ring")
-	}
-	if err := (Options{}).Validate(); err != nil {
-		t.Fatalf("zero options rejected: %v", err)
-	}
-}
-
 func TestSequenceAndStepStamping(t *testing.T) {
-	r, err := New(Options{Ring: 8})
+	var ev []Event
+	r, err := New(Options{Sinks: []Sink{Func(func(e Event) error {
+		ev = append(ev, e)
+		return nil
+	})}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Record(Event{Kind: KindRequest, Step: 99}) // producer Step is overwritten
 	r.SetStep(7)
 	r.Record(Event{Kind: KindAck})
-	ev := r.Events()
 	if len(ev) != 2 {
 		t.Fatalf("events = %d, want 2", len(ev))
 	}
@@ -62,32 +53,6 @@ func TestSequenceAndStepStamping(t *testing.T) {
 	}
 }
 
-func TestRingKeepsMostRecent(t *testing.T) {
-	r, err := New(Options{Ring: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: KindSend, Value: float64(i)})
-	}
-	ev := r.Events()
-	if len(ev) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if want := uint64(7 + i); e.Seq != want {
-			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, want)
-		}
-		if want := float64(6 + i); e.Value != want {
-			t.Fatalf("event %d value = %v, want %v", i, e.Value, want)
-		}
-	}
-	// Counters survive ring eviction.
-	if got := r.Count(KindSend); got != 10 {
-		t.Fatalf("count = %d, want 10", got)
-	}
-}
-
 func TestKindCounters(t *testing.T) {
 	r, err := New(Options{})
 	if err != nil {
@@ -97,12 +62,14 @@ func TestKindCounters(t *testing.T) {
 		r.Record(Event{Kind: KindSwap, Value: float64(i)})
 	}
 	r.Record(Event{Kind: KindDrop})
-	st := r.Stats(KindSwap)
-	if st.Count != 4 || st.Value.Mean() != 2.5 || st.Value.Min() != 1 || st.Value.Max() != 4 {
-		t.Fatalf("swap stats = %+v", st)
+	if got := r.Count(KindSwap); got != 4 {
+		t.Fatalf("swap count = %d, want 4", got)
 	}
-	if st.P95 < 1 || st.P95 > 4 {
-		t.Fatalf("p95 = %v out of observed range", st.P95)
+	if got := r.Count(KindDrop); got != 1 {
+		t.Fatalf("drop count = %d, want 1", got)
+	}
+	if got := r.Count(KindAck); got != 0 {
+		t.Fatalf("ack count = %d, want 0", got)
 	}
 	kinds := r.Kinds()
 	if len(kinds) != 2 || kinds[0] != KindDrop || kinds[1] != KindSwap {
@@ -156,4 +123,44 @@ func TestSinkErrorSurfaces(t *testing.T) {
 	if !errors.Is(r.Err(), boom) {
 		t.Fatalf("Err() = %v, want %v", r.Err(), boom)
 	}
+}
+
+// TestRecorderRetainsNoEvents checks that recording keeps nothing but the
+// counters: 20,000 events that carry attribute maps, emitted to a
+// discarding sink, leave the live heap where it was.
+func TestRecorderRetainsNoEvents(t *testing.T) {
+	const n, slack = 20000, 64 << 10
+	r, err := New(Options{Sinks: []Sink{Func(func(Event) error { return nil })}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []Kind{KindSend, KindDeliver, KindDrop, KindDup}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	for i := 0; i < n; i++ {
+		r.Record(Event{Kind: kinds[i%len(kinds)], VM: i, Value: float64(i),
+			Attrs: map[string]string{"cause": "loss", "vm": strconv.Itoa(i)}})
+	}
+	after := live()
+	if after > before && after-before > slack {
+		t.Errorf("live heap grew %d bytes over %d events, want <= %d", after-before, n, slack)
+	}
+	if r.Seq() != n {
+		t.Errorf("Seq() = %d, want %d", r.Seq(), n)
+	}
+	for _, k := range kinds {
+		if got := r.Count(k); got != n/uint64(len(kinds)) {
+			t.Errorf("Count(%s) = %d, want %d", k, got, n/len(kinds))
+		}
+	}
+	if got := r.Kinds(); !slices.Equal(got, []Kind{KindDeliver, KindDrop, KindDup, KindSend}) {
+		t.Errorf("Kinds() = %v", got)
+	}
+	runtime.KeepAlive(r)
 }

@@ -34,7 +34,8 @@ func (s *JSONL) Emit(e Event) error {
 	return err
 }
 
-// Func adapts a function to the Sink interface (test helper).
+// Func adapts a function to the Sink interface: how an in-process reader
+// (a test, the benchmark harness) collects the events it wants.
 type Func func(e Event) error
 
 // Emit implements Sink.

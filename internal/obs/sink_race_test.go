@@ -21,7 +21,7 @@ func (s *failSink) Emit(Event) error { s.n.Add(1); return errors.New("failSink: 
 // subscribers while writers hammer Record. Run under -race: the point is
 // that mid-run subscription churn needs no recorder restart.
 func TestAddRemoveSinkDuringRecording(t *testing.T) {
-	r, err := New(Options{Ring: 64})
+	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestErroringSinkDoesNotWedgeLaterSinks(t *testing.T) {
 	before := &countSink{}
 	bad := &failSink{}
 	after := &countSink{}
-	r, err := New(Options{Ring: 16, Sinks: []Sink{before, bad, after}})
+	r, err := New(Options{Sinks: []Sink{before, bad, after}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestErroringSinkDoesNotWedgeLaterSinks(t *testing.T) {
 // TestRemoveSinkSemantics pins down identity comparison and the
 // non-comparable escape hatch.
 func TestRemoveSinkSemantics(t *testing.T) {
-	r, err := New(Options{Ring: 4})
+	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -273,16 +272,4 @@ func (b *Burst) Restore(st BurstConfig) error {
 	b.minLen = 2
 	b.st = nil
 	return nil
-}
-
-// MarshalJSON serializes the resolved config (see State).
-func (b *Burst) MarshalJSON() ([]byte, error) { return json.Marshal(b.State()) }
-
-// UnmarshalJSON restores a model serialized by MarshalJSON.
-func (b *Burst) UnmarshalJSON(data []byte) error {
-	var st BurstConfig
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("predictor: unmarshal burst: %w", err)
-	}
-	return b.Restore(st)
 }

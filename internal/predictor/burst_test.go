@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -141,12 +140,12 @@ func TestBurstSerializeRoundTrip(t *testing.T) {
 		}
 		sel.Observe(test.At(tt))
 	}
-	blob, err := json.Marshal(sel)
+	blob, err := encode(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := new(Selector)
-	if err := json.Unmarshal(blob, restored); err != nil {
+	if err := decode(blob, restored); err != nil {
 		t.Fatal(err)
 	}
 	for tt := test.Len() / 2; tt < test.Len(); tt++ {

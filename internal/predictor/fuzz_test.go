@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzSelectorUnmarshalJSON feeds the deep section's decoder arbitrary
-// bytes: the only outcomes allowed are an error, or a selector that
+// bytes, decoded into a SelectorState and restored as runtime.Restore
+// does: the only outcomes allowed are an error, or a selector that
 // re-encodes byte-stably and survives three predict/observe rounds.
 // Seeds: a fitted pool mid-stream (with and without a pending
 // prediction), the same with a burst candidate, and broken variants of
@@ -50,13 +51,13 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 				s.Observe(0.5 + 0.05*float64(i))
 			}
 		}
-		pending, err := json.Marshal(s)
+		pending, err := encode(s)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(pending)
 		s.Observe(0.8)
-		settled, err := json.Marshal(s)
+		settled, err := encode(s)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -84,18 +85,18 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Selector
-		if json.Unmarshal(data, &s) != nil {
+		if decode(data, &s) != nil {
 			return
 		}
-		first, err := json.Marshal(&s)
+		first, err := encode(&s)
 		if err != nil {
 			t.Fatalf("accepted selector does not encode: %v", err)
 		}
 		var again Selector
-		if err := json.Unmarshal(first, &again); err != nil {
+		if err := decode(first, &again); err != nil {
 			t.Fatalf("selector's own encoding refused: %v", err)
 		}
-		second, err := json.Marshal(&again)
+		second, err := encode(&again)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -228,21 +228,3 @@ func (s *Selector) Restore(st SelectorState) error {
 	s.hasSelection = st.HasSelection
 	return nil
 }
-
-// MarshalJSON serializes the selector's State.
-func (s *Selector) MarshalJSON() ([]byte, error) {
-	st, err := s.State()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
-// UnmarshalJSON restores a selector serialized by MarshalJSON.
-func (s *Selector) UnmarshalJSON(b []byte) error {
-	var st SelectorState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("predictor: unmarshal: %w", err)
-	}
-	return s.Restore(st)
-}

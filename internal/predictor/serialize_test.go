@@ -11,6 +11,25 @@ import (
 	"sheriff/internal/timeseries"
 )
 
+// encode is the selector's JSON form: its State, encoded.
+func encode(s *Selector) ([]byte, error) {
+	st, err := s.State()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
+
+// decode restores s from a JSON SelectorState, the path a daemon
+// snapshot's deep pools take on restore.
+func decode(b []byte, s *Selector) error {
+	var st SelectorState
+	if err := json.Unmarshal(b, &st); err != nil {
+		return err
+	}
+	return s.Restore(st)
+}
+
 func trainSeries(n int) *timeseries.Series {
 	return timeseries.FromFunc(n, func(t int) float64 {
 		return 0.5 + 0.3*math.Sin(2*math.Pi*float64(t)/24) + 0.01*float64(t%7)
@@ -40,12 +59,12 @@ func TestSelectorJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blob, err := json.Marshal(s)
+	blob, err := encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var r Selector
-	if err := json.Unmarshal(blob, &r); err != nil {
+	if err := decode(blob, &r); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,12 +128,12 @@ func TestSelectorRoundTripSeasonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Observe(0.5)
-	blob, err := json.Marshal(s)
+	blob, err := encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var r Selector
-	if err := json.Unmarshal(blob, &r); err != nil {
+	if err := decode(blob, &r); err != nil {
 		t.Fatal(err)
 	}
 	ps, errS := s.Predict()
@@ -128,7 +147,7 @@ func TestSelectorRoundTripSeasonal(t *testing.T) {
 }
 
 // TestSelectorMarshalRejectsUnserializable pins the smoothing-family
-// limitation: marshaling must fail loudly, not drop the candidate.
+// limitation: State must fail loudly, not drop the candidate.
 func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 	train := trainSeries(120)
 	holt, err := smoothing.Fit(train, smoothing.Config{Method: smoothing.Holt})
@@ -139,8 +158,8 @@ func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := json.Marshal(s); err == nil {
-		t.Fatal("marshal of smoothing candidate succeeded, want error")
+	if _, err := s.State(); err == nil {
+		t.Fatal("state of smoothing candidate succeeded, want error")
 	}
 }
 
@@ -154,7 +173,7 @@ func TestSelectorUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	for _, c := range cases {
 		var s Selector
-		if err := json.Unmarshal([]byte(c), &s); err == nil {
+		if err := decode([]byte(c), &s); err == nil {
 			t.Errorf("corrupt selector %q accepted", c)
 		}
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -30,7 +29,7 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 			t.Fatal(err)
 		}
 		s.PopulateHotPods(0.5, 0.85, 0.35)
-		rec, err := obs.New(obs.Options{})
+		rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.NewJSONL(&buf)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,14 +47,6 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 			if _, err := s.RunChaos(plan, opts); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, e := range rec.Events() {
-			line, err := json.Marshal(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(line)
-			buf.WriteByte('\n')
 		}
 	}
 	return buf.Bytes()

@@ -77,22 +77,6 @@ func PACF(s *Series, maxLag int) ([]float64, error) {
 	return pacf, nil
 }
 
-// LjungBox returns the Ljung–Box Q statistic for residual whiteness over
-// the first maxLag autocorrelations. Larger Q indicates more remaining
-// autocorrelation (worse model fit).
-func LjungBox(residuals *Series, maxLag int) (float64, error) {
-	n := residuals.Len()
-	acf, err := ACF(residuals, maxLag)
-	if err != nil {
-		return 0, err
-	}
-	q := 0.0
-	for k := 1; k < len(acf); k++ {
-		q += acf[k] * acf[k] / float64(n-k)
-	}
-	return float64(n) * (float64(n) + 2) * q, nil
-}
-
 // IsStationaryHint applies a cheap heuristic used in automated Box–Jenkins
 // order selection: a series is "probably stationary" when its lag-1
 // autocorrelation is comfortably below 1 and the ACF decays rather than
@@ -113,4 +97,31 @@ func IsStationaryHint(s *Series) bool {
 		}
 	}
 	return high < 4 && !math.IsNaN(acf[1])
+}
+
+// DetectPeriod estimates the dominant season length by scanning the
+// autocorrelation function for its strongest local peak in [minP, maxP].
+// It returns 0 when no lag shows meaningful correlation (< 0.2).
+func DetectPeriod(s *Series, minP, maxP int) int {
+	if minP < 2 {
+		minP = 2
+	}
+	if maxP >= s.Len()/2 {
+		maxP = s.Len()/2 - 1
+	}
+	if maxP < minP {
+		return 0
+	}
+	acf, err := ACF(s, maxP)
+	if err != nil {
+		return 0
+	}
+	best, bestLag := 0.2, 0
+	for lag := minP; lag <= maxP; lag++ {
+		// Local peak: higher than neighbors.
+		if acf[lag] > best && acf[lag] >= acf[lag-1] && (lag+1 > maxP || acf[lag] >= acf[lag+1]) {
+			best, bestLag = acf[lag], lag
+		}
+	}
+	return bestLag
 }

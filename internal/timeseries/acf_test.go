@@ -92,28 +92,6 @@ func TestPACFNeedsLag(t *testing.T) {
 	}
 }
 
-func TestLjungBoxWhiteNoiseSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	wn := FromFunc(2000, func(int) float64 { return rng.NormFloat64() })
-	q, err := LjungBox(wn, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chi-squared(10) 99th percentile ≈ 23.2; white noise should be well
-	// under with high probability at this seed.
-	if q > 30 {
-		t.Errorf("Ljung-Box Q = %.2f for white noise, suspiciously large", q)
-	}
-	// An AR(1) should produce a much larger Q.
-	qa, err := LjungBox(ar1Series(2000, 0.8, 3), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qa < 10*q+100 {
-		t.Errorf("Ljung-Box should flag AR(1): wn=%.2f ar=%.2f", q, qa)
-	}
-}
-
 func TestIsStationaryHint(t *testing.T) {
 	// Random walk: not stationary.
 	rng := rand.New(rand.NewSource(11))
@@ -131,5 +109,28 @@ func TestIsStationaryHint(t *testing.T) {
 	// Very short series defaults to stationary.
 	if !IsStationaryHint(New([]float64{1, 2})) {
 		t.Error("short series should default to stationary")
+	}
+}
+
+func seasonalWithTrend(n, period int, amp, slope, noise float64, seed int64) *Series {
+	rng := rand.New(rand.NewSource(seed))
+	return FromFunc(n, func(t int) float64 {
+		return slope*float64(t) + amp*math.Sin(2*math.Pi*float64(t)/float64(period)) + noise*rng.NormFloat64()
+	})
+}
+
+func TestDetectPeriod(t *testing.T) {
+	s := seasonalWithTrend(600, 24, 10, 0, 1, 9)
+	if got := DetectPeriod(s, 2, 100); got < 22 || got > 26 {
+		t.Fatalf("DetectPeriod = %d, want ≈ 24", got)
+	}
+	rng := rand.New(rand.NewSource(10))
+	noise := FromFunc(600, func(int) float64 { return rng.NormFloat64() })
+	if got := DetectPeriod(noise, 2, 100); got != 0 {
+		t.Fatalf("DetectPeriod on noise = %d, want 0", got)
+	}
+	// Degenerate ranges.
+	if DetectPeriod(New([]float64{1, 2, 3}), 5, 4) != 0 {
+		t.Fatal("invalid range should return 0")
 	}
 }

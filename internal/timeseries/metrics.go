@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -127,7 +126,7 @@ func (r *RollingMSE) Reset() {
 	r.next, r.filled, r.sum = 0, 0, 0
 }
 
-// RollingState is a RollingMSE as plain data: what its JSON form and the
+// RollingState is a RollingMSE as plain data, and its JSON form: what the
 // snapshots that embed it carry. The running sum is carried explicitly
 // rather than recomputed so a roundtrip reproduces Value() bit-identically,
 // including any accumulated floating-point drift of the subtract-and-add
@@ -167,22 +166,4 @@ func (r *RollingMSE) Restore(st RollingState) error {
 	r.filled = st.Filled
 	r.sum = st.Sum
 	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r *RollingMSE) MarshalJSON() ([]byte, error) {
-	st, err := r.State()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *RollingMSE) UnmarshalJSON(data []byte) error {
-	var st RollingState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return r.Restore(st)
 }
