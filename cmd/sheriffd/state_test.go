@@ -24,10 +24,9 @@ const statePeriods = 1000
 
 // stateHeapSlack is how many more live heap bytes a daemon may hold after
 // 4N periods than after N. It covers state bounded by a high-water mark,
-// not by run length: scratch sized by the busiest period so far, and the
-// recorder's fixed event ring, which holds a different mix of events (and
-// so of attribute maps) at N than at 4N. Anything that keeps more than
-// 44 bytes a period exceeds it over the 3N periods between the samples.
+// not by run length: scratch sized by the busiest period so far. Anything
+// that keeps more than 44 bytes a period exceeds it over the 3N periods
+// between the samples.
 const stateHeapSlack = 128 << 10
 
 // deepHistoryPerPeriod is how many values a fitted rack's deep pool adds
