@@ -133,5 +133,10 @@ doc  ./internal/predictor.Burst MarshalJSON|UnmarshalJSON
 doc  ./internal/timeseries.RollingMSE MarshalJSON|UnmarshalJSON
 doc  ./internal/dcn.Cluster MarshalJSON|UnmarshalJSON
 src  \bmarshalState\b
+# One way into the step engine: StepExternal takes what the VMs reported; the runtime opens no trace stream, and its snapshot carries no generator position.
+src  func[[:space:]]+\([a-z]+[[:space:]]+\*?Runtime\)[[:space:]]+(S[t]ep|R[u]n)\(
+src  Gen[P]os|gen_[p]os
+src  \bsh\.(s[r]cs|l[i]te|e[x]ternal)\b
+src  \bK[i]nd\(\)[[:space:]]+Kind\b
 EOF
 exit $fail

@@ -1,14 +1,17 @@
 // Command sheriffd runs the assembled Sheriff system as an ingest/serving
-// daemon in simulated time: per collection period it ingests every VM's
-// workload profile through the rack-sharded ingest front end (triage
-// pre-alerts, tail-drop backpressure), drives the full runtime pipeline
-// from those same profiles, and prints one status line per step.
+// daemon in simulated time: per collection period every VM's reporter
+// (traces.Reporters, one stream per VM from the -traces family) reports a
+// workload profile, the daemon ingests the period's reports through the
+// rack-sharded ingest front end (triage pre-alerts, tail-drop
+// backpressure), steps the runtime (runtime.StepExternal) on those same
+// reports, and prints one status line per step.
 //
 // With -snapshot the daemon is crash-safe: the file is restored at
 // startup if present (forecasting resumes incrementally — warm per-VM
 // histories, fitted deep pools, exact flow state — instead of
-// cold-fitting), rewritten atomically every -snapshot-every steps, and
-// flushed on SIGINT/SIGTERM or normal exit. With -listen it serves the
+// cold-fitting, and each reporter reopens its stream at the file's step),
+// rewritten atomically every -snapshot-every steps, and flushed on
+// SIGINT/SIGTERM or normal exit. With -listen it serves the
 // live JSONL event stream to TCP subscribers, who attach and detach
 // without disturbing the run: a subscriber that stops reading is cut off
 // after one second's stalled write. -trace writes the same stream to a
@@ -36,7 +39,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -74,7 +76,7 @@ func run(args []string, out io.Writer) error { return runTapped(args, out, nil) 
 // runTapped is run with a tap on what the reporters offer at each step,
 // so a test can hold a restarted daemon's offered profiles against an
 // uninterrupted one's. The slice is reused between steps.
-func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest.Update)) (err error) {
+func runTapped(args []string, out io.Writer, tap func(step int, offered []traces.Update)) (err error) {
 	fs := flag.NewFlagSet("sheriffd", flag.ContinueOnError)
 	topo := fs.String("topology", "fat-tree", "fat-tree, bcube, or leaf-spine")
 	size := fs.Int("size", 8, "pods (fat-tree), switches per level (bcube), or leaves (leaf-spine)")
@@ -268,14 +270,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	// kinds keep their rack-correlated bursts), replayed to the resume
 	// point so a restored daemon sees the same tail of profiles the
 	// uninterrupted one would have.
-	vms := rt.Cluster.VMs()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	tgen := rt.TraceGen()
-	gens := make([]traces.Source, len(vms))
-	for i, vm := range vms {
-		gens[i] = tgen.Source(vm.ID, admission[vm.ID])
-		gens[i].Skip(startStep)
-	}
+	reporters := traces.NewReporters(rt.TraceGen(), admission, startStep)
 
 	if *listen != "" {
 		ln, lerr := net.Listen("tcp", *listen)
@@ -308,13 +303,11 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []ingest
 	}
 
 	fmt.Fprintf(out, "sheriffd: %s size %d — %d racks, %d hosts, %d VMs, %d dependency edges\n",
-		*topo, *size, len(rt.Cluster.Racks), len(rt.Cluster.Hosts()), len(vms), rt.Cluster.Deps.NumEdges())
+		*topo, *size, len(rt.Cluster.Racks), len(rt.Cluster.Hosts()), len(admission), rt.Cluster.Deps.NumEdges())
 	fmt.Fprintln(out, "step  pre-alerts srv-alerts tor-alerts sw-alerts  migr     cost  reroutes  hot  stddev  maxuplink")
 
 	var totalMigr, totalReroutes, totalPre int
 	var totalCost float64
-	updates := make([]ingest.Update, 0, len(vms))
-	ext := make([]runtime.ExternalUpdate, 0, len(vms))
 loop:
 	for i := 0; i < *steps; i++ {
 		select {
@@ -323,13 +316,7 @@ loop:
 			break loop
 		default:
 		}
-		updates = updates[:0]
-		ext = ext[:0]
-		for j, vm := range vms {
-			p := gens[j].Next()
-			updates = append(updates, ingest.Update{VM: vm.ID, Profile: p})
-			ext = append(ext, runtime.ExternalUpdate{VM: vm.ID, Profile: p})
-		}
+		updates := reporters.Next()
 		if tap != nil {
 			tap(startStep+i+1, updates)
 		}
@@ -339,7 +326,7 @@ loop:
 		svc.ProcessPending()
 		pre := svc.Poll()
 		totalPre += len(pre)
-		s, serr := rt.StepExternal(ext)
+		s, serr := rt.StepExternal(updates)
 		if serr != nil {
 			return serr
 		}

@@ -60,41 +60,54 @@ func parseTrace(t *testing.T, path string) []obs.Event {
 // TestRunSnapshotRestartContinuesExactly is the daemon warm-restart
 // acceptance test: a run killed after K steps and restarted from its
 // snapshot must produce, step for step, the same status lines as one
-// uninterrupted run — forecasting resumed from warm state, not re-fit.
+// uninterrupted run — forecasting resumed from warm state, not re-fit, and
+// the reporters' streams resumed where they stopped. One row a -traces
+// family: the reporters are what resumes a stream, each kind its own way.
 func TestRunSnapshotRestartContinuesExactly(t *testing.T) {
-	dir := t.TempDir()
-	base := []string{"-size", "4", "-hosts", "2", "-vms", "2", "-seed", "9", "-deep"}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"diurnal-deep", []string{"-deep"}},
+		{"lite", []string{"-traces", "lite"}},
+		{"surge", []string{"-traces", "surge"}},
+		{"surge-lite", []string{"-traces", "surge-lite"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := append([]string{"-size", "4", "-hosts", "2", "-vms", "2", "-seed", "9"}, tc.flags...)
 
-	var full bytes.Buffer
-	if err := run(append([]string{"-steps", "10"}, base...), &full); err != nil {
-		t.Fatal(err)
-	}
+			var full bytes.Buffer
+			if err := run(append([]string{"-steps", "10"}, base...), &full); err != nil {
+				t.Fatal(err)
+			}
 
-	snap := filepath.Join(dir, "daemon.snap")
-	var first bytes.Buffer
-	if err := run(append([]string{"-steps", "6", "-snapshot", snap, "-snapshot-every", "4"}, base...), &first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("shutdown flush left no snapshot: %v", err)
-	}
-	var second bytes.Buffer
-	if err := run(append([]string{"-steps", "4", "-snapshot", snap}, base...), &second); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(second.String(), "resumed from") {
-		t.Fatalf("second run did not resume from the snapshot:\n%s", second.String())
-	}
+			snap := filepath.Join(t.TempDir(), "daemon.snap")
+			var first bytes.Buffer
+			if err := run(append([]string{"-steps", "6", "-snapshot", snap, "-snapshot-every", "4"}, base...), &first); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(snap); err != nil {
+				t.Fatalf("shutdown flush left no snapshot: %v", err)
+			}
+			var second bytes.Buffer
+			if err := run(append([]string{"-steps", "4", "-snapshot", snap}, base...), &second); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(second.String(), "resumed from") {
+				t.Fatalf("second run did not resume from the snapshot:\n%s", second.String())
+			}
 
-	want := stepLines(full.String())
-	got := append(stepLines(first.String()), stepLines(second.String())...)
-	if len(want) != 10 || len(got) != 10 {
-		t.Fatalf("step line counts: uninterrupted %d, split %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("step %d diverged after restart:\n uninterrupted: %s\n split:         %s", i, want[i], got[i])
-		}
+			want := stepLines(full.String())
+			got := append(stepLines(first.String()), stepLines(second.String())...)
+			if len(want) != 10 || len(got) != 10 {
+				t.Fatalf("step line counts: uninterrupted %d, split %d", len(want), len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("step %d diverged after restart:\n uninterrupted: %s\n split:         %s", i, want[i], got[i])
+				}
+			}
+		})
 	}
 }
 

@@ -65,7 +65,10 @@ func TestRunModes(t *testing.T) {
 		{name: "plan", args: "-mode plan -size 4 -exact", want: `ratio 1\.0000`},
 		{name: "dist", args: "-mode dist -size 4 -hosts 2 -vms 2", want: "dist: "},
 		{name: "chaos", args: "-mode chaos -size 8 -seed 42 -partition 1:3:0,1", want: "unplaced 0"},
-		{name: "surge", args: "-mode surge -hours 4 -cluster-racks 2 -cluster-steps 24", want: "surge cluster:"},
+		{name: "surge/grid and cluster", args: "-mode surge -hours 4 -cluster-racks 2 -cluster-steps 24", want: "surge cluster:"},
+		// Negative cluster sizes are refused by name before the grid runs.
+		{name: "surge/cluster-steps -5", args: "-mode surge -cluster-steps -5", want: `^experiments: surge run needs ClusterSteps >= 0 \(0 = 120\), got -5$`, fail: true},
+		{name: "surge/cluster-racks -2", args: "-mode surge -cluster-racks -2", want: `^experiments: surge run needs ClusterRacks >= 0 \(0 = 8\), got -2$`, fail: true},
 		{name: "trace implies dist", args: "-trace " + filepath.Join(dir, "t.jsonl") + " -size 4 -hosts 2 -vms 2",
 			want: `(?m)^dist: .*\ntrace: [1-9]\d* events -> `},
 

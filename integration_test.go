@@ -12,6 +12,7 @@ import (
 	"sheriff/internal/obs"
 	"sheriff/internal/predictor"
 	"sheriff/internal/runtime"
+	"sheriff/internal/sim"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
@@ -126,12 +127,13 @@ func TestEndToEndRuntimeWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reporters := sim.Reporters(rt)
 	var sd, up metrics.Summary
-	hist, err := rt.Run(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range hist {
+	for i := 0; i < 25; i++ {
+		s, err := rt.StepExternal(reporters.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
 		sd.Observe(s.WorkloadStdDev)
 		up.Observe(s.MaxUplinkUtil)
 	}

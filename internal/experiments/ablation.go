@@ -277,11 +277,13 @@ func AblationReroute(seed int64) (*Table, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		hist, err := rt.Run(20)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, s := range hist {
+		defer rt.Close()
+		reporters := sim.Reporters(rt)
+		for i := 0; i < 20; i++ {
+			s, err := rt.StepExternal(reporters.Next())
+			if err != nil {
+				return 0, 0, err
+			}
 			hotSteps += s.HotSwitches
 			reroutes += s.Reroutes
 		}

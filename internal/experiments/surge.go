@@ -170,8 +170,13 @@ func quantile(s *timeseries.Series, q float64) float64 {
 // correlated rack-burst scenario.
 func RunSurge(cfg SurgeConfig) (*SurgeResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Hours < 2 {
+	switch {
+	case cfg.Hours < 2:
 		return nil, fmt.Errorf("experiments: surge run needs Hours >= 2, got %d", cfg.Hours)
+	case cfg.ClusterRacks < 0:
+		return nil, fmt.Errorf("experiments: surge run needs ClusterRacks >= 0 (0 = 8), got %d", cfg.ClusterRacks)
+	case cfg.ClusterSteps < 0:
+		return nil, fmt.Errorf("experiments: surge run needs ClusterSteps >= 0 (0 = 120), got %d", cfg.ClusterSteps)
 	}
 	res := &SurgeResult{Config: cfg, Winners: make(map[string]string)}
 	n := cfg.Hours * traces.SamplesPerHour
@@ -302,18 +307,14 @@ func runSurgeCluster(cfg SurgeConfig) (*SurgeClusterStats, error) {
 	}
 	defer rt.Close()
 
-	// Reconstruct the generator to read the shared regime schedule: the
-	// runtime's streams come from identical options, so RegimeAt matches
-	// step for step.
-	gen, err := traces.New(trOpts)
-	if err != nil {
-		return nil, err
-	}
-	rep, _ := gen.(traces.RegimeReporter)
+	// The VMs report the generator's streams, and its shared regime
+	// schedule labels each step.
+	reporters := sim.Reporters(rt)
+	rep, _ := rt.TraceGen().(traces.RegimeReporter)
 
 	st := &SurgeClusterStats{Racks: cfg.ClusterRacks, VMs: len(rt.Cluster.VMs()), Steps: cfg.ClusterSteps}
 	for i := 0; i < cfg.ClusterSteps; i++ {
-		stats, err := rt.Step()
+		stats, err := rt.StepExternal(reporters.Next())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: surge cluster step %d: %w", i, err)
 		}

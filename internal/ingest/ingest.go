@@ -50,10 +50,7 @@ import (
 
 // Update is one externally reported observation: the VM's workload
 // profile for the current collection period.
-type Update struct {
-	VM      int
-	Profile traces.Profile
-}
+type Update = traces.Update
 
 // Alert is one triage pre-alert: the VM's predicted next-period stress
 // crossed the hot threshold.

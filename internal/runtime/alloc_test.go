@@ -34,17 +34,16 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			opts := c.opts
 			opts.Seed, opts.Shards = 9, 4
 			opts.Thresholds = alert.Thresholds{CPU: 1e-12, Mem: 1e-12, IO: 1e-12, TRF: 1e-12}
-			r, err := New(cluster, model, opts)
+			built, err := New(cluster, model, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
+			defer built.Close()
+			r := drive(built)
 			// Warm until every append capacity has reached its steady
 			// state, and every deep pool is fitted and has forecast.
-			for i := 0; i < opts.DeepFitAfter+10; i++ {
-				if _, err := r.Step(); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := r.Run(opts.DeepFitAfter + 10); err != nil {
+				t.Fatal(err)
 			}
 			if opts.DeepPredict {
 				for rk := range cluster.Racks {
@@ -57,7 +56,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			var stats StepStats
 			allocs := testing.AllocsPerRun(c.runs, func() {
 				stats = StepStats{}
-				r.shardedPredictPhase(&stats, r.opts.Recorder, false)
+				r.shardedPredictPhase(&stats, r.opts.Recorder)
 			})
 			if allocs != 0 {
 				t.Fatalf("sharded predict phase allocates %.1f objects/step in steady state, want 0", allocs)
@@ -120,8 +119,8 @@ func TestFlowSyncSteadyStateAllocs(t *testing.T) {
 // no cross-rack dependency, so no flow, and thresholds no forecast reaches,
 // so no alert and no migration — a period writes no link load and moves no
 // VM, so it rescans no node's utilization maxima and sums no host's
-// workload, driven by the generators or by external profiles. The first
-// period scans every node once: the check that the counters are live.
+// workload, fed every VM's reporter stream or a few made-up profiles. The
+// first period scans every node once: the check that the counters are live.
 func TestCalmPeriodRescansNothing(t *testing.T) {
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 24})
 	if err != nil {
@@ -136,12 +135,13 @@ func TestCalmPeriodRescansNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(cluster, model, Options{Seed: 5, Shards: 3, Traces: traces.Options{Kind: traces.Lite},
+	built, err := New(cluster, model, Options{Seed: 5, Shards: 3, Traces: traces.Options{Kind: traces.Lite},
 		Thresholds: alert.Thresholds{CPU: 2, Mem: 2, IO: 2, TRF: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer built.Close()
+	r := drive(built)
 	if _, err := r.Step(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,22 +55,32 @@ func buildBenchParts(b *testing.B, pods int, opts Options) (*dcn.Cluster, *cost.
 }
 
 // BenchmarkRuntimeStep measures one collection period T on a 48-pod
-// Fat-Tree. Run with a fixed iteration count for before/after comparisons
-// (history length affects per-step cost):
+// Fat-Tree: StepExternal over every VM's reported profile, the profiles
+// drawn with the timer stopped. Run with a fixed iteration count for
+// before/after comparisons (history length affects per-step cost):
 //
 //	go test -run - -bench BenchmarkRuntimeStep -benchtime 10x ./internal/runtime/
 func BenchmarkRuntimeStep(b *testing.B) {
-	r := buildBenchRuntime(b, 48)
-	// Prime past the cold-start window: flow routes are established and
-	// every VM has enough history to extrapolate.
+	benchSteps(b, buildBenchRuntime(b, 48))
+}
+
+// benchSteps primes e past the cold-start window — flow routes are
+// established and every VM has enough history to extrapolate — then times
+// b.N periods of StepExternal. Each period's profiles are drawn from the
+// reporters with the timer stopped.
+func benchSteps(b *testing.B, e engine) {
+	reporters := feed(e)
 	for i := 0; i < 15; i++ {
-		if _, err := r.Step(); err != nil {
+		if _, err := e.StepExternal(reporters.Next()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(); err != nil {
+		b.StopTimer()
+		updates := reporters.Next()
+		b.StartTimer()
+		if _, err := e.StepExternal(updates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,10 +109,8 @@ func BenchmarkFlowShard(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(r.Close)
-			for i := 0; i < 3; i++ {
-				if _, err := r.Step(); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := drive(r).Run(3); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -144,10 +152,11 @@ func BenchmarkFlowSync(b *testing.B) {
 // re-rates flows without moving any.
 func alternateProfiles(tb testing.TB, r *Runtime) []traces.Profile {
 	tb.Helper()
+	d := drive(r)
 	var prev []traces.Profile
 	for i := 0; i < 4; i++ {
 		prev = append(prev[:0], r.sh.cur...)
-		if _, err := r.Step(); err != nil {
+		if _, err := d.Step(); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -165,17 +174,7 @@ func BenchmarkRuntimeStepReference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 15; i++ {
-		if _, err := r.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSteps(b, r)
 }
 
 // BenchmarkRuntimeStepShards pins the shard-count scaling of the default
@@ -183,24 +182,13 @@ func BenchmarkRuntimeStepReference(b *testing.B) {
 func BenchmarkRuntimeStepShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards-"+strconv.Itoa(shards), func(b *testing.B) {
-			r := buildBenchRuntimeOpts(b, 48, Options{Shards: shards})
-			for i := 0; i < 15; i++ {
-				if _, err := r.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSteps(b, buildBenchRuntimeOpts(b, 48, Options{Shards: shards}))
 		})
 	}
 }
 
 // BenchmarkRuntimeStepRecorded is BenchmarkRuntimeStep with an active
-// event recorder (in-memory ring, no sinks) — the enabled-path cost, to
+// event recorder (no sinks) — the enabled-path cost, to
 // compare against the nil-recorder fast path above.
 func BenchmarkRuntimeStepRecorded(b *testing.B) {
 	r := buildBenchRuntime(b, 48)
@@ -209,17 +197,7 @@ func BenchmarkRuntimeStepRecorded(b *testing.B) {
 		b.Fatal(err)
 	}
 	r.opts.Recorder = rec
-	for i := 0; i < 15; i++ {
-		if _, err := r.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSteps(b, r)
 }
 
 var snapshotSink []byte
@@ -244,9 +222,8 @@ func deepSnapParts(b *testing.B) (*dcn.Cluster, *cost.Model) {
 }
 
 // deepSnapRuntime populates that fabric and runs it until every rack's deep
-// pool is fitted, fed the way sheriffd feeds it — the VMs' surge streams
-// through StepExternal — so the runtime opens no trace source of its own
-// and restoring its snapshot replays none.
+// pool is fitted, fed the way sheriffd feeds it: the VMs' surge streams
+// through StepExternal.
 func deepSnapRuntime(b *testing.B) *Runtime {
 	b.Helper()
 	cluster, model := deepSnapParts(b)
@@ -257,19 +234,8 @@ func deepSnapRuntime(b *testing.B) *Runtime {
 		b.Fatal(err)
 	}
 	b.Cleanup(r.Close)
-	vms := cluster.VMs()
-	srcs := make([]traces.Source, len(vms))
-	for i, vm := range vms {
-		srcs[i] = r.TraceGen().Source(vm.ID, vm.Host().Rack().Index)
-	}
-	updates := make([]ExternalUpdate, len(vms))
-	for step := 0; step < r.opts.DeepFitAfter+16; step++ {
-		for i, vm := range vms {
-			updates[i] = ExternalUpdate{VM: vm.ID, Profile: srcs[i].Next()}
-		}
-		if _, err := r.StepExternal(updates); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := drive(r).Run(r.opts.DeepFitAfter + 16); err != nil {
+		b.Fatal(err)
 	}
 	for rk := range cluster.Racks {
 		if !r.DeepReady(rk) {

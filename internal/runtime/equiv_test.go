@@ -17,7 +17,7 @@ import (
 type equivScenario struct {
 	name     string
 	steps    int
-	external bool // drive via StepExternal instead of Step
+	external bool // feed made-up profiles, some VMs silent, instead of the reporters' streams
 	mutate   func(*Options)
 	parts    partsFunc                                    // nil is equivParts' 4-pod Fat-Tree
 	edit     func(t *testing.T, step int, c *dcn.Cluster) // when set, edits the cluster before each step
@@ -126,17 +126,19 @@ func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options
 	return r
 }
 
+// driveEquiv steps r through sc, fed by the reporters feed opens for it
+// (the same streams for either engine) or, in the external scenario, by
+// made-up profiles.
 func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
+	reporters := feed(r)
 	hist := make([]StepStats, 0, sc.steps)
 	for step := 0; step < sc.steps; step++ {
 		if sc.edit != nil {
 			sc.edit(t, step, runtimeOf(r).Cluster)
 		}
-		var s *StepStats
-		var err error
+		var updates []ExternalUpdate
 		if sc.external {
-			var updates []ExternalUpdate
 			for _, vm := range runtimeOf(r).Cluster.VMs() {
 				// Every third VM is silent each step, exercising the
 				// repeat-last-profile path.
@@ -145,10 +147,10 @@ func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 				}
 				updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(step, vm.ID)})
 			}
-			s, err = r.StepExternal(updates)
 		} else {
-			s, err = r.Step()
+			updates = reporters.Next()
 		}
+		s, err := r.StepExternal(updates)
 		if err != nil {
 			t.Fatalf("%s step %d: %v", sc.name, step, err)
 		}
@@ -319,7 +321,7 @@ func TestDependencyEditsMatchReference(t *testing.T) {
 
 	opts := Options{Shards: 2}
 	sc.mutate(&opts)
-	r := buildEquivOn(t, reverseParts, 11, opts)
+	r := drive(buildEquivOn(t, reverseParts, 11, opts))
 	migrations := 0
 	for step := 0; step < sc.steps; step++ {
 		table, version := &r.sh.edges[0], r.Cluster.Deps.Version()
@@ -401,8 +403,9 @@ func TestSnapshotRestoreShardCountChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	resumed := drive(restored)
 	for i := 0; i < after; i++ {
-		s, err := restored.Step()
+		s, err := resumed.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,9 +421,9 @@ func TestSnapshotRestoreShardCountChange(t *testing.T) {
 }
 
 // TestSnapshotRestoreSurgeRegime: a surge-kind runtime snapshots its trace
-// options whole, a restore replays the same regime schedule (and the same
-// correlated rack bursts) bit-exactly, and a restore that asks for a
-// different family is refused.
+// options whole, reporters reopened from the restored runtime's generator
+// continue the same regime schedule (and the same correlated rack bursts)
+// bit-exactly, and a restore that asks for a different family is refused.
 func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 	const seed, before, after = 21, 5, 5
 	trOpts := traces.Options{Kind: traces.Surge,
@@ -455,8 +458,9 @@ func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	resumed := drive(restored)
 	for i := 0; i < after; i++ {
-		s, err := restored.Step()
+		s, err := resumed.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,8 +532,8 @@ func TestRegionalRowsCoverEveryRead(t *testing.T) {
 		cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
 		return cluster, model
 	}
-	r := buildEquivOn(t, parts, 3, Options{Shards: 4, Traces: traces.Options{Kind: traces.Surge,
-		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	r := drive(buildEquivOn(t, parts, 3, Options{Shards: 4, Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}))
 	before, _ := r.Model.SweepCounts() // cost.New's eager rows
 	migrations := 0
 	for i := 0; i < periods; i++ {

@@ -44,8 +44,11 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.Run(steps); err != nil {
-		t.Fatal(err)
+	reporters := feed(e)
+	for i := 0; i < steps; i++ {
+		if _, err := e.StepExternal(reporters.Next()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := runtimeOf(e)
 	for rk := range cluster.Racks {
@@ -244,9 +247,8 @@ func editGolden(tb testing.TB, edit func(*Snapshot)) []byte {
 }
 
 // hostileDocs are the golden document with one field set to ask Restore
-// for unbounded work — a generator position past the snapshot's step,
-// which replaying would spin on, and a trace horizon past traces.MaxHours,
-// which materializing would allocate for — or for a traffic plane no run
+// for unbounded work — a trace horizon past traces.MaxHours, which
+// materializing would allocate for — or for a traffic plane no run
 // writes: a flow pair listed twice, which would collapse into one edge
 // slot, and one flow given to two pairs, which would remove a live flow at
 // the next period.
@@ -259,9 +261,8 @@ func hostileDocs(tb testing.TB) map[string][]byte {
 		return s.FlowPairs[0]
 	}
 	return map[string][]byte{
-		"generator position past the step": editGolden(tb, func(s *Snapshot) { s.VMs.GenPos[0] = 1 << 40 }),
-		"trace horizon past a week":        editGolden(tb, func(s *Snapshot) { s.Traces.Hours = 1 << 30 }),
-		"flow pair listed twice":           editGolden(tb, func(s *Snapshot) { s.FlowPairs = append(s.FlowPairs, pair(s)) }),
+		"trace horizon past a week": editGolden(tb, func(s *Snapshot) { s.Traces.Hours = 1 << 30 }),
+		"flow pair listed twice":    editGolden(tb, func(s *Snapshot) { s.FlowPairs = append(s.FlowPairs, pair(s)) }),
 		"one flow for two pairs": editGolden(tb, func(s *Snapshot) {
 			p := pair(s)
 			s.FlowPairs = append(s.FlowPairs, [3]int{2, p[1], p[2]})
@@ -273,10 +274,9 @@ func hostileDocs(tb testing.TB) map[string][]byte {
 // name, before any work they ask for.
 func TestRestoreRefusesHostileWork(t *testing.T) {
 	want := map[string]string{
-		"generator position past the step": "generator position 1099511627776, want 0..32",
-		"trace horizon past a week":        "Hours must be in 0..168",
-		"flow pair listed twice":           "snapshot lists pair (1,9) twice",
-		"one flow for two pairs":           "snapshot gives flow 0 to a second pair, (2,9)",
+		"trace horizon past a week": "Hours must be in 0..168",
+		"flow pair listed twice":    "snapshot lists pair (1,9) twice",
+		"one flow for two pairs":    "snapshot gives flow 0 to a second pair, (2,9)",
 	}
 	for name, doc := range hostileDocs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -331,62 +331,15 @@ func TestRestoreRefusesUnequalColumns(t *testing.T) {
 	}
 }
 
-// TestGenPosNeverPassesStep: Restore refuses a generator position past the
-// snapshot's step, so every snapshot the engine writes must keep to it. A
-// stream draws once a period under Step and not at all under StepExternal;
-// the streams of the materialized kinds open on their first draw. Each kind
-// is driven both ways, interleaved, and every snapshot restores.
-func TestGenPosNeverPassesStep(t *testing.T) {
-	for _, kind := range []traces.Kind{traces.Diurnal, traces.Lite, traces.Surge, traces.SurgeLite} {
-		t.Run(kind.String(), func(t *testing.T) {
-			r := buildEquivRuntime(t, 3, Options{Shards: 2, Traces: traces.Options{Kind: kind}})
-			var updates []ExternalUpdate
-			for _, vm := range r.Cluster.VMs() {
-				updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(0, vm.ID)})
-			}
-			for i, drive := range []string{"ext", "ext", "step", "ext", "step", "step", "ext"} {
-				var err error
-				if drive == "step" {
-					_, err = r.Step()
-				} else {
-					_, err = r.StepExternal(updates)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap, err := r.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k, pos := range snap.VMs.GenPos {
-					if pos > snap.Step {
-						t.Fatalf("after period %d (%s): VM %d at generator position %d, step %d", i, drive, snap.VMs.ID[k], pos, snap.Step)
-					}
-				}
-				cluster, model := buildParts(t, 4)
-				if err := cluster.Restore(snap.Cluster); err != nil {
-					t.Fatal(err)
-				}
-				restored, err := Restore(cluster, model, Options{}, snap)
-				if err != nil {
-					t.Fatalf("after period %d (%s): own snapshot refused: %v", i, drive, err)
-				}
-				restored.Close()
-			}
-		})
-	}
-}
-
 // FuzzRuntimeRestore: arbitrary bytes are either refused — by the
 // decoder, the cluster's Restore or the runtime's, which then returns no
 // runtime — or restore into a runtime whose own snapshot restores into
 // one that writes it again byte for byte. Never a panic. Seeded with the
 // golden, so the fuzzer starts from every section a deep snapshot has,
 // with the hostile documents, which Restore must refuse before the work
-// they ask for, and with the documents whose columns disagree in length. A document that
-// asks for more work than a fuzzer can wait on and is still valid — a
-// generator replay past 4,096 steps that its step allows — is skipped:
-// Restore replays the position, by design, at the cost it names.
+// they ask for, with the documents whose columns disagree in length, and
+// with a step no run reaches, which restores at once: the runtime replays
+// nothing.
 func FuzzRuntimeRestore(f *testing.F) {
 	f.Add(goldenDoc(f))
 	for _, docs := range []map[string][]byte{hostileDocs(f), unequalDocs(f)} {
@@ -394,15 +347,11 @@ func FuzzRuntimeRestore(f *testing.F) {
 			f.Add(doc)
 		}
 	}
+	f.Add(editGolden(f, func(s *Snapshot) { s.Step = 1 << 40 }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded Snapshot
 		if json.Unmarshal(data, &loaded) != nil {
 			return
-		}
-		for _, pos := range loaded.VMs.GenPos {
-			if pos > 1<<12 && pos <= loaded.Step {
-				return
-			}
 		}
 		r, err := restoreSnapshot(t, &loaded, false)
 		if err != nil {
@@ -467,8 +416,8 @@ func TestRestoreRefusesNarrowedCounts(t *testing.T) {
 // from steps on (under -race, with the shard workers writing) and after.
 func TestSnapshotIsAValue(t *testing.T) {
 	const fitAfter = 24
-	r := buildEquivRuntime(t, 11, Options{Shards: 2, DeepPredict: true, DeepFitAfter: fitAfter,
-		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	r := drive(buildEquivRuntime(t, 11, Options{Shards: 2, DeepPredict: true, DeepFitAfter: fitAfter,
+		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}))
 	if _, err := r.Run(fitAfter + 6); err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,12 @@ func TestInvariantsHoldThroughSurgeRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := New(cluster, model, Options{Seed: 1, Shards: shards,
+			built, err := New(cluster, model, Options{Seed: 1, Shards: shards,
 				Traces: traces.Options{Kind: traces.Surge}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			r := drive(built)
 			if err := r.CheckInvariants(); err != nil {
 				t.Fatalf("%s shards=%d before the first step: %v", name, shards, err)
 			}

@@ -50,7 +50,7 @@ func TestRecorderSharedAcrossRuntimes(t *testing.T) {
 		wg.Add(1)
 		go func(i int, rt *Runtime) {
 			defer wg.Done()
-			_, errs[i] = rt.Run(steps)
+			_, errs[i] = drive(rt).Run(steps)
 		}(i, rt)
 	}
 	// A concurrent reader polls the counters while the writers run.

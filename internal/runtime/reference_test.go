@@ -24,18 +24,18 @@ import (
 // alone: the product no longer compiles it. It is the ground truth the
 // sharded SoA engine is proven bit-exact against (see equiv_test.go), the
 // same convention as kmedian/reference_test.go and
-// topology/reference_test.go. The phase bodies are the seed's, verbatim;
-// only the receiver changed, from the Runtime that once carried both
-// engines to refRuntime below.
+// topology/reference_test.go. The phase bodies are the seed's, verbatim,
+// but for the receiver — from the Runtime that once carried both engines
+// to refRuntime below — and for the seed's own trace streams, which are
+// gone: both engines take every period's profiles through StepExternal.
 
 // vmState is one VM's monitoring stack in the reference engine: its
-// synthetic workload source and the per-component profile predictor.
+// per-component profile predictor over the profiles reported to it.
 // alert/fired are per-step scratch written only by the worker that owns
 // the state during phase 1.
 type vmState struct {
 	vm      *dcn.VM
 	rack    int
-	gen     traces.Source
 	pred    *profilePredictor
 	current traces.Profile
 	alert   alert.Alert
@@ -73,11 +73,10 @@ func newReference(cluster *dcn.Cluster, model *cost.Model, opts Options) (*refRu
 }
 
 // engine is what a test drives when it runs the same scenario on both: the
-// product's *Runtime or the seed engine's *refRuntime.
+// product's *Runtime or the seed engine's *refRuntime, each fed through
+// StepExternal (feed opens the same reporters for either).
 type engine interface {
-	Step() (*StepStats, error)
 	StepExternal([]ExternalUpdate) (*StepStats, error)
-	Run(int) ([]StepStats, error)
 	Snapshot() (*Snapshot, error)
 	Close()
 }
@@ -94,29 +93,22 @@ func runtimeOf(e engine) *Runtime {
 // Close has nothing to release: the seed engine borrows the shared pool.
 func (r *refRuntime) Close() {}
 
-func (r *refRuntime) Step() (*StepStats, error) { return r.advanceRef(nil) }
-
+// StepExternal takes updates for the VMs the engine steps — the ones it
+// was built over, a VM since removed from the cluster among them, as the
+// sharded engine's dense table holds them.
 func (r *refRuntime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
+	stepped := make(map[int]bool, len(r.ref.vms))
+	for _, st := range r.ref.vms {
+		stepped[st.vm.ID] = true
+	}
 	external := make(map[int]traces.Profile, len(updates))
 	for _, u := range updates {
-		if r.Cluster.VM(u.VM) == nil {
+		if !stepped[u.VM] {
 			return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
 		}
 		external[u.VM] = u.Profile
 	}
 	return r.advanceRef(external)
-}
-
-func (r *refRuntime) Run(n int) ([]StepStats, error) {
-	out := make([]StepStats, 0, max(n, 0))
-	for i := 0; i < n; i++ {
-		s, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *s)
-	}
-	return out, nil
 }
 
 // Snapshot fills the per-VM and queue rows the way the seed engine holds
@@ -128,7 +120,6 @@ func (r *refRuntime) Snapshot() (*Snapshot, error) {
 		h := st.pred.Histories()
 		rows.vms.ID = append(rows.vms.ID, st.vm.ID)
 		rows.vms.Rack = append(rows.vms.Rack, st.rack)
-		rows.vms.GenPos = append(rows.vms.GenPos, st.gen.Pos())
 		rows.vms.Hist = append(rows.vms.Hist, len(h[0]))
 		p := st.current
 		rows.cur = append(rows.cur, p.CPU, p.Mem, p.IO, p.TRF)
@@ -249,7 +240,6 @@ func (r *refRuntime) initReference() error {
 		st := &vmState{
 			vm:   vm,
 			rack: idx,
-			gen:  r.gen.Source(vm.ID, idx),
 			pred: newProfilePredictor(comp(), comp(), comp(), comp()),
 		}
 		ref.vms = append(ref.vms, st)
@@ -259,9 +249,8 @@ func (r *refRuntime) initReference() error {
 	return nil
 }
 
-// advanceRef is the seed step body. A nil external map means "pull from
-// the synthetic generators" (Step); non-nil means profiles come from the
-// ingest plane (StepExternal) and the map is read-only under the
+// advanceRef is the seed step body. The reported profiles come keyed by
+// VM ID; a VM with none keeps its last. The map is read-only under the
 // parallel phase.
 func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, error) {
 	ref := r.ref
@@ -271,16 +260,14 @@ func (r *refRuntime) advanceRef(external map[int]traces.Profile) (*StepStats, er
 	rec.SetStep(stats.Step)
 
 	// Phase 1 (parallel): observe, predict, raise alerts per VM. Each
-	// worker touches only the claimed vmState (its generator, predictor,
-	// and VM are owned by that state), so no locking is needed; results
+	// worker touches only the claimed vmState (its predictor and VM are
+	// owned by that state), so no locking is needed; results
 	// are folded in deterministic VM order afterwards.
 	phaseStart := time.Now()
 	ref.workers.ForEach(len(ref.vms), func(i int) {
 		st := ref.vms[i]
 		st.fired = false
-		if external == nil {
-			st.current = st.gen.Next()
-		} else if p, ok := external[st.vm.ID]; ok {
+		if p, ok := external[st.vm.ID]; ok {
 			st.current = p
 		}
 		st.pred.Observe(st.current)

@@ -11,7 +11,7 @@ import (
 // buildHotRuntime builds a runtime whose flows saturate the fabric, so
 // hot-switch machinery has something to detect: a tiny Fat-Tree with many
 // cross-rack dependencies and high flow rates.
-func buildHotRuntime(t *testing.T, opts Options) *Runtime {
+func buildHotRuntime(t *testing.T, opts Options) *fedRuntime {
 	t.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 4})
 	if err != nil {
@@ -35,7 +35,7 @@ func buildHotRuntime(t *testing.T, opts Options) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return drive(r)
 }
 
 func TestRerouteReducesHotSwitchesVsDisabled(t *testing.T) {

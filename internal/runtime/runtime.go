@@ -4,6 +4,11 @@
 // region — VM migration for server/ToR alerts, flow rerouting for hot
 // outer switches (Sec. II–V assembled).
 //
+// The runtime collects profiles; it does not generate them. StepExternal,
+// the one way into a period, takes what the VMs reported. A caller that
+// wants synthetic input draws it from traces.Reporters over TraceGen, the
+// generator Options.Traces selects.
+//
 // There is one step engine, the sharded SoA engine (sharded.go): VM state
 // in flat arrays partitioned into contiguous rack-range shards owned by
 // persistent workers, sized for 5,000-rack / million-VM fabrics. The seed
@@ -59,11 +64,12 @@ type Options struct {
 	// the size of the shared pool; clamped to the rack count). Step
 	// results are bit-identical for every shard count.
 	Shards int
-	// Traces selects and tunes the trace-generator family feeding the
-	// synthetic engines (traces.New): Diurnal (default), Lite, Surge, or
-	// SurgeLite, plus the surge regime parameters. Traces.Seed inherits
-	// Seed when zero, so the default configuration stays bit-exact with
-	// the pre-Options engines.
+	// Traces selects and tunes the trace-generator family (traces.New)
+	// that TraceGen hands the callers' reporters: Diurnal (default), Lite,
+	// Surge, or SurgeLite, plus the surge regime parameters. Traces.Seed
+	// inherits Seed when zero. The runtime draws from none of its streams;
+	// it carries the options so a snapshot names the streams a restarted
+	// caller reopens.
 	Traces traces.Options
 }
 
@@ -103,8 +109,7 @@ func (o Options) WithDefaults() Options {
 	if o.Shards == 0 {
 		o.Shards = stdruntime.GOMAXPROCS(0)
 	}
-	// The trace seed defaults to the runtime seed so pre-Options
-	// configurations replay bit-exactly.
+	// The trace seed defaults to the runtime seed.
 	if o.Traces.Seed == 0 {
 		o.Traces.Seed = o.Seed
 	}
@@ -157,7 +162,7 @@ type Runtime struct {
 	Flows   *flow.Network
 
 	opts       Options
-	gen        traces.Generator // trace family (opts.Traces), built once
+	gen        traces.Generator // trace family (opts.Traces), built once for TraceGen
 	shims      []*migrate.Shim  // indexed by rack; nil until first alert
 	step       int
 	modelStale bool // link bandwidth changed since the last Model.Refresh
@@ -174,7 +179,7 @@ type Runtime struct {
 }
 
 // PhaseSummaries returns streaming duration statistics (in seconds) for
-// the four Step phases, aggregated over every step so far, keyed
+// the four phases of a step, aggregated over every step so far, keyed
 // "predict", "flows", "congestion", "manage", and the shard-round load
 // skew of the fanned-out phases ("predict_skew", "flows_skew",
 // "congestion_skew": max shard time over mean shard time per round,
@@ -240,36 +245,26 @@ func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime
 	return r, nil
 }
 
-// TraceGen returns the trace generator the synthetic engines draw from —
-// the same streams an external reporter should replay when labeling the
-// runtime's predictions against ground truth.
+// TraceGen returns the generator Options.Traces selects: what a caller
+// opens its VMs' reporters from (traces.NewReporters), and what labels the
+// runtime's predictions against ground truth (traces.RegimeReporter).
 func (r *Runtime) TraceGen() traces.Generator { return r.gen }
 
 // Close releases the engine's persistent shard workers. Safe to call more
 // than once.
 func (r *Runtime) Close() { r.sh.workers.Close() }
 
-// Step advances one collection period T. Prediction and monitoring fan
-// out over the engine's shard workers; management is serialized.
-func (r *Runtime) Step() (*StepStats, error) {
-	return r.advanceSharded(false)
-}
-
 // ExternalUpdate is one VM's measured workload profile for the current
-// collection period, delivered by an external ingest plane instead of the
-// built-in synthetic generators.
-type ExternalUpdate struct {
-	VM      int
-	Profile traces.Profile
-}
+// collection period, as its reporter delivered it.
+type ExternalUpdate = traces.Update
 
-// StepExternal advances one collection period using externally supplied
-// profiles: VMs present in updates take their measured profile, VMs
+// StepExternal advances one collection period T from the profiles the VMs
+// reported: VMs present in updates take their measured profile, VMs
 // absent this period repeat their last observed profile (the shim's
 // collect loop treats silence as "unchanged"). An unknown VM ID or a
 // profile with a NaN or ±Inf component is an error, and the period does
-// not advance. The synthetic generators do not advance, so a daemon fed
-// real measurements never consumes generator state.
+// not advance. Prediction and monitoring fan out over the engine's shard
+// workers; management is serialized.
 func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 	// Profiles are stamped into a persistent overlay keyed by dense VM
 	// index; bumping the epoch invalidates the previous step's stamps, so a
@@ -290,7 +285,7 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 		sh.extProf[i] = u.Profile
 		sh.extMark[i] = sh.extEpoch
 	}
-	return r.advanceSharded(true)
+	return r.advanceSharded()
 }
 
 // CheckInvariants verifies what must hold between two steps: the cluster's
@@ -309,21 +304,6 @@ func (r *Runtime) CheckInvariants() error {
 // fitted — after a Restore this is true immediately, without refitting.
 func (r *Runtime) DeepReady(rack int) bool {
 	return r.deep != nil && rack >= 0 && rack < len(r.deep) && r.deep[rack] != nil
-}
-
-// Run advances n steps and returns their statistics, oldest first. The
-// runtime keeps no step history of its own: what a caller wants of past
-// periods, it keeps itself.
-func (r *Runtime) Run(n int) ([]StepStats, error) {
-	out := make([]StepStats, 0, max(n, 0))
-	for i := 0; i < n; i++ {
-		s, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *s)
-	}
-	return out, nil
 }
 
 // uplinkUtilization returns the maximum utilization over the rack's ToR

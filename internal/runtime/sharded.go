@@ -94,12 +94,10 @@ type shardState struct {
 	vms       []*dcn.VM
 	rack      []int32
 	cur       []traces.Profile
-	pred      [][4]holtState   // per-component Holt state, profile order
-	nObs      []int32          // profiles folded per VM
-	srcs      []traces.Source  // per-VM streams, opened on first draw (source); nil when Kind == Lite
-	lite      []traces.LiteGen // Lite fast path: value slice, no per-VM heap state
-	rackStart []int32          // dense VM range of each rack (len racks+1)
-	byID      []int32          // the dense indices in ascending VM ID order, as Snapshot lists them
+	pred      [][4]holtState // per-component Holt state, profile order
+	nObs      []int32        // profiles folded per VM
+	rackStart []int32        // dense VM range of each rack (len racks+1)
+	byID      []int32        // the dense indices in ascending VM ID order, as Snapshot lists them
 
 	// Per-rack monitor state and reused alert buckets.
 	qHolt        []holtState
@@ -111,14 +109,13 @@ type shardState struct {
 	deepVal []float64
 	deepOK  []bool
 
-	// External-profile overlay (StepExternal), epoch-stamped so a steady
+	// Reported-profile overlay (StepExternal), epoch-stamped so a steady
 	// ingest loop never rebuilds a map. vmIndex is indexed by VM ID (the
 	// cluster hands IDs out sequentially) and holds -1 where no VM has it.
 	vmIndex  []int32
 	extProf  []traces.Profile
 	extMark  []uint64
 	extEpoch uint64
-	external bool
 
 	// Per-shard fold outputs for the coordinator.
 	dur          []time.Duration
@@ -186,12 +183,6 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	}
 	sh.extProf = make([]traces.Profile, n)
 	sh.extMark = make([]uint64, n)
-	liteKind := r.gen.Kind() == traces.Lite
-	if liteKind {
-		sh.lite = make([]traces.LiteGen, n)
-	} else {
-		sh.srcs = make([]traces.Source, n)
-	}
 	fill := make([]int32, racks)
 	copy(fill, sh.rackStart[:racks])
 	for k, vm := range vms {
@@ -202,11 +193,6 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 		sh.vms[i] = vm
 		sh.rack[i] = int32(rk)
 		sh.vmIndex[vm.ID] = i
-		if liteKind {
-			// Store the O(1)-state generator by value: a million-VM run
-			// carries 3 words per VM instead of a heap object.
-			sh.lite[i] = *(r.gen.Source(vm.ID, rk).(*traces.LiteGen))
-		}
 	}
 
 	// Shard partition: contiguous rack ranges, balanced by VM count, every
@@ -290,44 +276,22 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 	sh.depsVersion = r.Cluster.Deps.Version()
 }
 
-// source returns VM i's stream, opening it on the first draw: a
-// materialized stream is a normalized week of three series, and a runtime
-// driven by StepExternal never draws from one. An unopened stream stands at
-// position 0. predictShard opens streams inside the shard round; that is
-// race-free because shard s touches only srcs[vmLo[s]:vmHi[s]] and a
-// Generator hands out independent Sources over read-only shared state.
-func (r *Runtime) source(i int) traces.Source {
-	sh := r.sh
-	if sh.srcs[i] == nil {
-		sh.srcs[i] = r.gen.Source(sh.vms[i].ID, int(sh.rack[i]))
-	}
-	return sh.srcs[i]
-}
-
-// predictShard is phase 1 for one shard: observe (generator, or the
-// external overlay), fold the Holt states, and raise server pre-alerts
-// into the shard-owned per-rack buckets — ascending VM ID within each
-// rack, exactly the reference fold order. Deep-pool aggregation rides in
-// the same round (it reads only profiles this shard just wrote).
+// predictShard is phase 1 for one shard: observe (the reported-profile
+// overlay; a VM that reported nothing keeps its last profile), fold the
+// Holt states, and raise server pre-alerts into the shard-owned per-rack
+// buckets — ascending VM ID within each rack, exactly the reference fold
+// order. Deep-pool aggregation rides in the same round (it reads only
+// profiles this shard just wrote).
 func (r *Runtime) predictShard(s int) {
 	sh := r.sh
 	start := time.Now()
 	th := r.opts.Thresholds
 	alerts := 0
 	for i := sh.vmLo[s]; i < sh.vmHi[s]; i++ {
-		var p traces.Profile
-		switch {
-		case sh.external:
-			p = sh.cur[i]
-			if sh.extMark[i] == sh.extEpoch {
-				p = sh.extProf[i]
-			}
-		case sh.lite != nil:
-			p = sh.lite[i].Next()
-		default:
-			p = r.source(i).Next()
+		if sh.extMark[i] == sh.extEpoch {
+			sh.cur[i] = sh.extProf[i]
 		}
-		sh.cur[i] = p
+		p := sh.cur[i]
 		hp := &sh.pred[i]
 		if sh.nObs[i] == 0 {
 			hp[0] = holtState{p.CPU, 0}
@@ -344,22 +308,14 @@ func (r *Runtime) predictShard(s int) {
 		if sh.nObs[i] < 3 {
 			continue // not enough history to extrapolate
 		}
-		f0 := clamp01(hp[0].level + hp[0].trend*1)
-		f1 := clamp01(hp[1].level + hp[1].trend*1)
-		f2 := clamp01(hp[2].level + hp[2].trend*1)
-		f3 := clamp01(hp[3].level + hp[3].trend*1)
-		if !(f0 > th.CPU || f1 > th.Mem || f2 > th.IO || f3 > th.TRF) {
+		v, fired := alert.Evaluate(traces.Profile{
+			CPU: clamp01(hp[0].level + hp[0].trend*1),
+			Mem: clamp01(hp[1].level + hp[1].trend*1),
+			IO:  clamp01(hp[2].level + hp[2].trend*1),
+			TRF: clamp01(hp[3].level + hp[3].trend*1),
+		}, th)
+		if !fired {
 			continue
-		}
-		v := f0
-		if f1 > v {
-			v = f1
-		}
-		if f2 > v {
-			v = f2
-		}
-		if f3 > v {
-			v = f3
 		}
 		vm := sh.vms[i]
 		vm.Alert = v
@@ -565,12 +521,11 @@ func (r *Runtime) recordShardedPhase(rec *obs.Recorder, skewIdx int, name string
 // shardedPredictPhase is phase 1: one shard round plus the deterministic
 // coordinator fold. Factored out so the steady-state allocation gate can
 // drive it directly (TestStepSteadyStateAllocs).
-func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder, external bool) {
+func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder) {
 	sh := r.sh
 	for i := range sh.alertsByRack {
 		sh.alertsByRack[i] = sh.alertsByRack[i][:0]
 	}
-	sh.external = external
 	sh.workers.Do(sh.predictFn)
 	for s := 0; s < sh.n; s++ {
 		stats.ServerAlerts += sh.serverAlerts[s]
@@ -618,7 +573,7 @@ func (r *Runtime) costSources() []int {
 }
 
 // advanceSharded is the sharded step body.
-func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
+func (r *Runtime) advanceSharded() (*StepStats, error) {
 	sh := r.sh
 	stats := &StepStats{Step: r.step}
 	r.step++
@@ -627,7 +582,7 @@ func (r *Runtime) advanceSharded(external bool) (*StepStats, error) {
 
 	// Phase 1 (shard round): observe, predict, raise alerts.
 	phaseStart := time.Now()
-	r.shardedPredictPhase(stats, rec, external)
+	r.shardedPredictPhase(stats, rec)
 	stats.Timings.Predict = time.Since(phaseStart)
 	r.recordShardedPhase(rec, 0, "predict", stats.Timings.Predict)
 

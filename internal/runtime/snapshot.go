@@ -24,27 +24,26 @@ import (
 // Each VM also carries its admission rack. The engine fixes its rack-major
 // VM order — which shard predicts a VM, which rack's bucket its server
 // alert lands in, which endpoint's TRF a dependency flow takes its rate
-// from, which rack its trace source is seeded with — when the runtime is
-// built, and migrations do not move it. A restore therefore has to rebuild
+// from — when the runtime is built, and migrations do not move it. A restore therefore has to rebuild
 // that order from where the VMs were admitted, not from where the restored
 // cluster holds them now, or the resumed run parts from the straight one
 // at the first step the two orders disagree on.
 //
 // Version 5 writes every section's rows as columns (VMColumns here,
 // dcn.VMColumns, flow.FlowColumns and flow.LoadColumns below it), their
-// floats as timeseries.Bits.
-const SnapshotVersion = 5
+// floats as timeseries.Bits. Version 6 drops the per-VM generator
+// position: the runtime draws from no stream, so it has none to carry.
+const SnapshotVersion = 6
 
 // VMColumns is the step engine's per-VM forecasting state as columns, in
 // ascending VM ID order: entry i of ID, Rack (the admission rack, see
-// SnapshotVersion), GenPos (the generator replay position) and Hist (the
-// observation count) is one VM, as are entries 4i..4i+3 of Current (its
-// last observed profile: CPU, Mem, IO, TRF) and 8i..8i+7 of Trend (its
-// per-component Holt level and trend, in profile order).
+// SnapshotVersion) and Hist (the observation count) is one VM, as are
+// entries 4i..4i+3 of Current (its last observed profile: CPU, Mem, IO,
+// TRF) and 8i..8i+7 of Trend (its per-component Holt level and trend, in
+// profile order).
 type VMColumns struct {
 	ID      []int           `json:"id"`
 	Rack    []int           `json:"rack"`
-	GenPos  []int           `json:"gen_pos"`
 	Hist    []int           `json:"hist"`
 	Current timeseries.Bits `json:"current"`
 	Trend   timeseries.Bits `json:"trend"`
@@ -80,7 +79,7 @@ type Snapshot struct {
 	Version    int                        `json:"version"`
 	Step       int                        `json:"step"`
 	Seed       int64                      `json:"seed"`
-	Traces     *traces.Options            `json:"traces,omitempty"` // resolved trace options; replay requires them verbatim
+	Traces     *traces.Options            `json:"traces,omitempty"` // resolved trace options: the streams a restarted caller reopens
 	CostParams cost.Params                `json:"cost_params"`
 	Cluster    *dcn.Snapshot              `json:"cluster"`
 	Flows      *flow.Snapshot             `json:"flows"`
@@ -110,19 +109,13 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	sh := r.sh
 	n := len(sh.byID)
 	rows := engineRows{
-		vms:   VMColumns{ID: make([]int, n), Rack: make([]int, n), GenPos: make([]int, n), Hist: make([]int, n)},
+		vms:   VMColumns{ID: make([]int, n), Rack: make([]int, n), Hist: make([]int, n)},
 		cur:   make([]float64, 0, 4*n),
 		trend: make([]float64, 0, 8*n),
 		pairs: r.flowPairs(),
 	}
 	for k, i := range sh.byID {
-		pos := 0
-		if sh.lite != nil {
-			pos = sh.lite[i].Pos()
-		} else if sh.srcs[i] != nil {
-			pos = sh.srcs[i].Pos()
-		}
-		rows.vms.ID[k], rows.vms.Rack[k], rows.vms.GenPos[k], rows.vms.Hist[k] = sh.vms[i].ID, int(sh.rack[i]), pos, int(sh.nObs[i])
+		rows.vms.ID[k], rows.vms.Rack[k], rows.vms.Hist[k] = sh.vms[i].ID, int(sh.rack[i]), int(sh.nObs[i])
 		p := sh.cur[i]
 		rows.cur = append(rows.cur, p.CPU, p.Mem, p.IO, p.TRF)
 		for _, h := range sh.pred[i] {
@@ -216,9 +209,9 @@ func (snap *Snapshot) unpack() (cur, trend, qHolt []float64, err error) {
 			return nil, nil, nil, fmt.Errorf("runtime: snapshot %s: %w", col.name, err)
 		}
 	}
-	if n := len(vms.ID); len(vms.Rack) != n || len(vms.GenPos) != n || len(vms.Hist) != n || len(cur) != 4*n || len(trend) != 8*n {
-		return nil, nil, nil, fmt.Errorf("runtime: snapshot VM columns of unequal length: %d ids, %d racks, %d gen_pos, %d hist, %d current and %d trend values (want 4 and 8 a VM)",
-			n, len(vms.Rack), len(vms.GenPos), len(vms.Hist), len(cur), len(trend))
+	if n := len(vms.ID); len(vms.Rack) != n || len(vms.Hist) != n || len(cur) != 4*n || len(trend) != 8*n {
+		return nil, nil, nil, fmt.Errorf("runtime: snapshot VM columns of unequal length: %d ids, %d racks, %d hist, %d current and %d trend values (want 4 and 8 a VM)",
+			n, len(vms.Rack), len(vms.Hist), len(cur), len(trend))
 	}
 	if len(qHolt) != 2*len(q.Count) {
 		return nil, nil, nil, fmt.Errorf("runtime: snapshot queue columns of unequal length: %d counts, %d holt values (want 2 a rack)", len(q.Count), len(qHolt))
@@ -229,10 +222,9 @@ func (snap *Snapshot) unpack() (cur, trend, qHolt []float64, err error) {
 // Restore rebuilds a runtime from a snapshot over a cluster that has
 // already been restored from snap.Cluster (same topology construction,
 // then dcn.Cluster.Restore) and a cost model built over that cluster.
-// opts must describe the same regime as the original run — in particular
-// Seed is taken from the snapshot (the generators replay from it),
-// Traces must match the snapshot's regime.
-// The shard count may differ from the run that produced the snapshot (the
+// opts must describe the same regime as the original run: Seed and Traces
+// are taken from the snapshot, and a Traces kind that names another family
+// is refused. The shard count may differ from the run that produced the snapshot (the
 // state is global, so the partition is free to change). A restored runtime
 // resumes forecasting incrementally: per-VM Holt states, queue monitors,
 // flow routes, and any fitted deep pools continue bit-exactly without
@@ -247,9 +239,9 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	if snap.Traces == nil {
 		return nil, fmt.Errorf(`runtime: snapshot "traces" is missing`)
 	}
-	// The resolved trace options travel whole — adopt them verbatim (the
-	// generators must replay the exact streams), but refuse a caller who
-	// explicitly asked for a different family.
+	// The resolved trace options travel whole — adopt them verbatim (a
+	// restarted caller reopens its reporters from them), but refuse a
+	// caller who explicitly asked for a different family.
 	if opts.Traces.Kind != traces.Diurnal && opts.Traces.Kind != snap.Traces.Kind {
 		return nil, fmt.Errorf("runtime: snapshot traces kind %v does not match options kind %v",
 			snap.Traces.Kind, opts.Traces.Kind)
@@ -289,21 +281,9 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 
 	sh := r.sh
 	for k, id := range vms.ID {
-		i := sh.vmIndex[id]
-		pos, hist := vms.GenPos[k], vms.Hist[k]
-		// A stream advances at most once a period (Step draws once per VM,
-		// StepExternal not at all), so its position never passes the step.
-		// Replaying a position costs one draw per profile skipped.
-		if pos < 0 || pos > snap.Step {
-			return nil, fmt.Errorf("runtime: snapshot VM %d has generator position %d, want 0..%d (the step)", id, pos, snap.Step)
-		}
+		i, hist := sh.vmIndex[id], vms.Hist[k]
 		if hist < 0 || hist > math.MaxInt32 {
 			return nil, fmt.Errorf("runtime: snapshot VM %d has history length %d, want 0..%d", id, hist, math.MaxInt32)
-		}
-		if sh.lite != nil {
-			sh.lite[i].Skip(pos)
-		} else if pos > 0 {
-			r.source(int(i)).Skip(pos)
 		}
 		p := cur[4*k : 4*k+4]
 		sh.cur[i] = traces.Profile{CPU: p[0], Mem: p[1], IO: p[2], TRF: p[3]}

@@ -49,10 +49,11 @@ func TestSnapshotRestoreContinuesBitExact(t *testing.T) {
 	const pods, seed, before, after = 4, 7, 6, 5
 	cluster, model := buildParts(t, pods)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
-	orig, err := New(cluster, model, Options{Seed: seed})
+	built, err := New(cluster, model, Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := drive(built)
 	if _, err := orig.Run(before); err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,11 @@ func TestSnapshotRestoreContinuesBitExact(t *testing.T) {
 	if err := freshCluster.Restore(loaded.Cluster); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(freshCluster, freshModel, Options{Seed: seed}, &loaded)
+	back, err := Restore(freshCluster, freshModel, Options{Seed: seed}, &loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := drive(back)
 
 	for i := 0; i < after; i++ {
 		so, err := orig.Step()
@@ -100,10 +102,11 @@ func TestSnapshotRestoreDeepPoolNoRefit(t *testing.T) {
 	opts := Options{Seed: seed, DeepPredict: true, DeepFitAfter: fitAfter}
 	cluster, model := buildParts(t, pods)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
-	orig, err := New(cluster, model, opts)
+	built, err := New(cluster, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := drive(built)
 	// Run past the fit point so at least one rack has a fitted pool.
 	if _, err := orig.Run(fitAfter + 4); err != nil {
 		t.Fatal(err)
@@ -135,10 +138,11 @@ func TestSnapshotRestoreDeepPoolNoRefit(t *testing.T) {
 	if err := freshCluster.Restore(loaded.Cluster); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(freshCluster, freshModel, opts, &loaded)
+	back, err := Restore(freshCluster, freshModel, opts, &loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := drive(back)
 	for i := range freshCluster.Racks {
 		if orig.DeepReady(i) != restored.DeepReady(i) {
 			t.Fatalf("rack %d: deep readiness not restored (orig %v, restored %v) — restore cold-fits",
@@ -183,16 +187,6 @@ func TestStepExternalFeedsProfiles(t *testing.T) {
 	}
 	if alerts == 0 {
 		t.Fatal("saturated external profiles never raised a server alert")
-	}
-	// Generators must not have advanced in external mode.
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, pos := range snap.VMs.GenPos {
-		if pos != 0 {
-			t.Fatalf("VM %d generator advanced to %d under StepExternal", snap.VMs.ID[k], pos)
-		}
 	}
 }
 
@@ -318,89 +312,4 @@ func TestNewRejectsWildVMIDs(t *testing.T) {
 	if _, err := New(cluster, model, Options{Seed: 3}); err == nil || !strings.Contains(err.Error(), "too sparse") {
 		t.Fatalf("New over one VM with id %d = %v, want a too-sparse refusal", last.ID, err)
 	}
-}
-
-// TestLazyStreamsMixedDrive pins the on-demand streams across the two
-// ways of driving a runtime: StepExternal opens none, the first Step opens
-// them all at position 0, and a snapshot taken in either state restores
-// the generator positions — the restored runtime's Step() draws what the
-// original's does. That Step()×N from unopened streams is the eager order
-// bit for bit, at any shard count and under -race, is what
-// TestShardedMatchesReference holds: the reference engine opens every
-// stream when it is built.
-func TestLazyStreamsMixedDrive(t *testing.T) {
-	const seed = 17
-	opts := Options{Seed: seed, Shards: 2, Traces: traces.Options{Kind: traces.Surge,
-		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
-	orig := buildEquivRuntime(t, seed, opts)
-	external := func(r *Runtime, step int) {
-		t.Helper()
-		var updates []ExternalUpdate
-		for _, vm := range r.Cluster.VMs() {
-			updates = append(updates, ExternalUpdate{VM: vm.ID, Profile: externalProfile(step, vm.ID)})
-		}
-		if _, err := r.StepExternal(updates); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restore := func(wantPos int) *Runtime {
-		t.Helper()
-		snap, err := orig.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, pos := range snap.VMs.GenPos {
-			if pos != wantPos {
-				t.Fatalf("VM %d: snapshot generator position %d, want %d", snap.VMs.ID[k], pos, wantPos)
-			}
-		}
-		blob, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var loaded Snapshot
-		if err := json.Unmarshal(blob, &loaded); err != nil {
-			t.Fatal(err)
-		}
-		cluster, model := buildParts(t, 4)
-		if err := cluster.Restore(loaded.Cluster); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Restore(cluster, model, opts, &loaded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(r.Close)
-		return r
-	}
-	stepBoth := func(a, b *Runtime, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			sa, err := a.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := b.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameStats(t, "mixed drive", *sa, *sb)
-		}
-	}
-
-	for step := 0; step < 3; step++ {
-		external(orig, step)
-	}
-	unopened := restore(0)
-	for _, r := range []*Runtime{orig, unopened} {
-		for i, src := range r.sh.srcs {
-			if src != nil {
-				t.Fatalf("stream %d opened though only StepExternal ran", i)
-			}
-		}
-	}
-	stepBoth(orig, unopened, 2)
-
-	external(orig, 5)
-	stepBoth(orig, restore(2), 3)
 }

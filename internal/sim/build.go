@@ -118,6 +118,17 @@ func BuildRuntime(cfg RuntimeConfig, opts runtime.Options) (*runtime.Runtime, er
 	return assemble(cluster, model, cfg, opts)
 }
 
+// Reporters opens the metric reporters of a freshly built runtime's VMs,
+// as sheriffd does on a fresh start: each VM's stream from the runtime's
+// trace generator, keyed by the rack the VM is admitted on, from period 0.
+func Reporters(rt *runtime.Runtime) *traces.Reporters {
+	admission := make(map[int]int)
+	for _, vm := range rt.Cluster.VMs() {
+		admission[vm.ID] = vm.Host().Rack().Index
+	}
+	return traces.NewReporters(rt.TraceGen(), admission, 0)
+}
+
 // assemble populates an empty cluster from cfg and builds the runtime over
 // it and model: BuildRuntime past BuildCluster, so a test can hand it an
 // eager model.

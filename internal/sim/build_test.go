@@ -32,7 +32,7 @@ func TestBuildRuntimeMatchesBuildCluster(t *testing.T) {
 	if len(rt.Cluster.VMs()) == 0 {
 		t.Fatal("BuildRuntime left the cluster empty")
 	}
-	if _, err := rt.Step(); err != nil {
+	if _, err := rt.StepExternal(Reporters(rt).Next()); err != nil {
 		t.Fatal(err)
 	}
 	// BuildCluster gives the same shape, unpopulated — the restore path.
@@ -74,12 +74,13 @@ func TestBuildRuntimeMatchesBuildCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		migrations := 0
+		deferredFeed, eagerFeed := Reporters(deferred), Reporters(eager)
 		for i := 0; i < 60; i++ {
-			got, err := deferred.Step()
+			got, err := deferred.StepExternal(deferredFeed.Next())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eager.Step()
+			want, err := eager.StepExternal(eagerFeed.Next())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +114,9 @@ func TestBuildRuntimeLeafSpineCalm(t *testing.T) {
 	if got := len(rt.Cluster.VMs()); got != 160 {
 		t.Fatalf("VMs = %d, want 160", got)
 	}
+	feed := Reporters(rt)
 	for i := 0; i < 3; i++ {
-		stats, err := rt.Step()
+		stats, err := rt.StepExternal(feed.Next())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,8 +183,6 @@ func (o Options) WithDefaults() Options {
 // default 24 hours on a 2-vCPU Xeon, BenchmarkGeneratorSource), a
 // counter-based one is a few words.
 type Generator interface {
-	// Kind reports the family the generator was built from.
-	Kind() Kind
 	// Source returns VM vmID's profile stream. rack is the VM's rack
 	// index, which drives cross-rack burst correlation in the surge kinds
 	// and is ignored by the others. Sources are independent: each may be
@@ -219,8 +217,6 @@ type diurnalFactory struct {
 	seed   int64
 }
 
-func (f diurnalFactory) Kind() Kind { return Diurnal }
-
 func (f diurnalFactory) Source(vmID, _ int) Source {
 	return f.curves.workloadGen(f.seed + int64(vmID))
 }
@@ -229,8 +225,6 @@ func (f diurnalFactory) Source(vmID, _ int) Source {
 type liteFactory struct {
 	seed int64
 }
-
-func (f liteFactory) Kind() Kind { return Lite }
 
 func (f liteFactory) Source(vmID, _ int) Source {
 	g := NewLiteGen(f.seed + int64(vmID))

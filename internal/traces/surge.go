@@ -196,8 +196,6 @@ func newSurgeFactory(o Options) *surgeFactory {
 	return &surgeFactory{opts: o, curves: newCurves(o.Hours), schedule: buildSchedule(n, o.Seed, o.Surge)}
 }
 
-func (f *surgeFactory) Kind() Kind { return Surge }
-
 func (f *surgeFactory) Source(vmID, rack int) Source {
 	return &SurgeGen{
 		base:     f.curves.workloadGen(f.opts.Seed + int64(vmID)),
@@ -264,8 +262,6 @@ type surgeLiteFactory struct {
 }
 
 func newSurgeLiteFactory(o Options) surgeLiteFactory { return surgeLiteFactory{opts: o} }
-
-func (f surgeLiteFactory) Kind() Kind { return SurgeLite }
 
 // RegimeAt reports the hash-drawn regime of the window containing step t.
 func (f surgeLiteFactory) RegimeAt(t int) Regime {
