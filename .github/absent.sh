@@ -138,5 +138,9 @@ src  func[[:space:]]+\([a-z]+[[:space:]]+\*?Runtime\)[[:space:]]+(S[t]ep|R[u]n)\
 src  Gen[P]os|gen_[p]os
 src  \bsh\.(s[r]cs|l[i]te|e[x]ternal)\b
 src  \bK[i]nd\(\)[[:space:]]+Kind\b
+# One parallel engine per period: the runtime's shard workers. The ingest drain, the cost rows' sweeps and the deep-pool fits run on their caller, and the k-median swap scan is the pool's one fan-out.
+doc  ./internal/pool ForBlocks|Run
+doc  ./internal/ingest.Options Pool
+doc  ./internal/centralized.PlanOptions Pool|MaxSwaps
 EOF
 exit $fail

@@ -359,6 +359,40 @@ func TestRunFailStepLeavesParseableTrace(t *testing.T) {
 	}
 }
 
+// TestRunTraceOrderRepeats: a daemon's JSONL event stream comes in the
+// same order on every run with the same flags. Only the values may differ,
+// because phase and drain events carry wall-clock times.
+func TestRunTraceOrderRepeats(t *testing.T) {
+	type key struct {
+		seq            uint64
+		step           int
+		kind           obs.Kind
+		phase          string
+		shim, vm, host int
+	}
+	dir := t.TempDir()
+	var runs [2][]key
+	for i := range runs {
+		tr := filepath.Join(dir, strconv.Itoa(i)+".jsonl")
+		args := []string{"-topology", "fat-tree", "-size", "8", "-traces", "surge", "-steps", "30", "-trace", tr}
+		if err := run(args, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range parseTrace(t, tr) {
+			runs[i] = append(runs[i], key{e.Seq, e.Step, e.Kind, e.Phase, e.Shim, e.VM, e.Host})
+		}
+	}
+	a, b := runs[0], runs[1]
+	if len(a) != len(b) {
+		t.Fatalf("the two runs traced %d and %d events", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("event %d differs between runs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

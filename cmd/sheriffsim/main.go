@@ -214,6 +214,12 @@ func clusterFlags(fs *flag.FlagSet, body func(out io.Writer, cfg sim.Config) err
 	fs.IntVar(&cfg.VMsPerHost, "vms", 4, "VMs per host")
 	trace := fs.String("trace", "", "write a JSONL event trace to this file")
 	return func(out io.Writer, files *outputs) (err error) {
+		switch {
+		case cfg.HostsPerRack < 1:
+			return fmt.Errorf("-hosts %d is below 1", cfg.HostsPerRack)
+		case cfg.VMsPerHost < 1:
+			return fmt.Errorf("-vms %d is below 1", cfg.VMsPerHost)
+		}
 		if *trace != "" {
 			f, err := files.open(*trace, os.O_TRUNC)
 			if err != nil {
@@ -274,6 +280,12 @@ func planFlags(fs *flag.FlagSet) study {
 	p := fs.Int("p", 1, "Alg. 5 swap size")
 	exact := fs.Bool("exact", false, "also compute the branch-and-bound optimum")
 	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
+		switch {
+		case *k < 0:
+			return fmt.Errorf("-k %d is negative (0 = clients/4)", *k)
+		case *p < 1:
+			return fmt.Errorf("-p %d is below 1", *p)
+		}
 		return runPlan(out, cfg, *k, *p, *exact)
 	})
 }

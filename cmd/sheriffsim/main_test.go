@@ -69,6 +69,15 @@ func TestRunModes(t *testing.T) {
 		// Negative cluster sizes are refused by name before the grid runs.
 		{name: "surge/cluster-steps -5", args: "-mode surge -cluster-steps -5", want: `^experiments: surge run needs ClusterSteps >= 0 \(0 = 120\), got -5$`, fail: true},
 		{name: "surge/cluster-racks -2", args: "-mode surge -cluster-racks -2", want: `^experiments: surge run needs ClusterRacks >= 0 \(0 = 8\), got -2$`, fail: true},
+		// Cluster sizes and planning knobs out of range are refused by
+		// name, never rewritten to a default.
+		{name: "refused/plan -p -2", args: "-mode plan -size 4 -p -2", want: `^-p -2 is below 1$`, fail: true},
+		{name: "refused/plan -p 0", args: "-mode plan -size 4 -p 0", want: `^-p 0 is below 1$`, fail: true},
+		{name: "refused/plan -k -5", args: "-mode plan -size 4 -k -5", want: `^-k -5 is negative \(0 = clients/4\)$`, fail: true},
+		{name: "refused/balance -hosts -1", args: "-mode balance -size 4 -hosts -1", want: `^-hosts -1 is below 1$`, fail: true},
+		{name: "refused/balance -hosts 0", args: "-mode balance -size 4 -hosts 0", want: `^-hosts 0 is below 1$`, fail: true},
+		{name: "refused/compare -vms 0", args: "-mode compare -size 4 -vms 0", want: `^-vms 0 is below 1$`, fail: true},
+		{name: "refused/dist -vms -3", args: "-mode dist -size 4 -vms -3", want: `^-vms -3 is below 1$`, fail: true},
 		{name: "trace implies dist", args: "-trace " + filepath.Join(dir, "t.jsonl") + " -size 4 -hosts 2 -vms 2",
 			want: `(?m)^dist: .*\ntrace: [1-9]\d* events -> `},
 

@@ -1,7 +1,7 @@
 // BCube migration: the Figs. 10/13/14 study on the server-centric BCube
 // topology — balancing decay plus the Sheriff-vs-centralized sweep. The
-// Sec. V.A k-median view of destination planning is the example of
-// internal/centralized's Manager.PlanDestinations.
+// Sec. V.A k-median view of destination planning is internal/centralized's
+// ExampleManager_PlanDestinations.
 package main
 
 import (

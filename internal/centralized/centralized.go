@@ -18,7 +18,6 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/kmedian"
 	"sheriff/internal/migrate"
-	"sheriff/internal/pool"
 )
 
 // Manager is the centralized controller.
@@ -38,7 +37,7 @@ func (m *Manager) Migrate(f []*dcn.VM) (*migrate.MigrationResult, error) {
 	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), migrate.MigrationOptions{})
 }
 
-// PlanOptions tunes PlanDestinationsOpts.
+// PlanOptions tunes PlanDestinations.
 type PlanOptions struct {
 	K    int   // destination ToR count (required, 1..racks)
 	P    int   // Alg. 5 swap size; default 1
@@ -47,24 +46,14 @@ type PlanOptions struct {
 	// 11/13 "global optimal" reference). Feasible far beyond the seed's
 	// enumerator, but still exponential in the worst case.
 	Exact bool
-	// MaxSwaps caps the local search's improving swaps; 0 = default.
-	MaxSwaps int
-	// Pool bounds the parallel swap scan; nil = the shared pool.
-	Pool *pool.Pool
 }
 
 // PlanDestinations solves the Sec. V.A k-median reduction: given the
 // racks that raised alerts (clients C) and all racks as facilities F,
-// pick k destination ToRs minimizing total collapsed pair cost
-// G(v_i, v_p) + C_r. exact=true computes the optimum by branch-and-bound;
-// otherwise Alg. 5 Local Search with swap size p runs.
-func (m *Manager) PlanDestinations(sourceRacks []int, k, p int, exact bool, seed int64) (*kmedian.Solution, error) {
-	return m.PlanDestinationsOpts(sourceRacks, PlanOptions{K: k, P: p, Exact: exact, Seed: seed})
-}
-
-// PlanDestinationsOpts is PlanDestinations with the full option set of the
-// incremental planning engine threaded through.
-func (m *Manager) PlanDestinationsOpts(sourceRacks []int, o PlanOptions) (*kmedian.Solution, error) {
+// pick o.K destination ToRs minimizing total collapsed pair cost
+// G(v_i, v_p) + C_r. o.Exact computes the optimum by branch-and-bound;
+// otherwise Alg. 5 Local Search with swap size o.P runs from o.Seed.
+func (m *Manager) PlanDestinations(sourceRacks []int, o PlanOptions) (*kmedian.Solution, error) {
 	racks := m.cluster.Racks
 	if o.K < 1 || o.K > len(racks) {
 		return nil, fmt.Errorf("centralized: k = %d out of range [1, %d]", o.K, len(racks))
@@ -82,7 +71,5 @@ func (m *Manager) PlanDestinationsOpts(sourceRacks []int, o PlanOptions) (*kmedi
 	if o.Exact {
 		return kmedian.Exact(inst)
 	}
-	return kmedian.LocalSearch(inst, kmedian.Options{
-		P: o.P, Seed: o.Seed, MaxSwaps: o.MaxSwaps, Pool: o.Pool,
-	})
+	return kmedian.LocalSearch(inst, kmedian.Options{P: o.P, Seed: o.Seed})
 }

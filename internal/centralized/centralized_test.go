@@ -89,11 +89,11 @@ func TestPlanDestinationsExactVsLocalSearch(t *testing.T) {
 	c, m := newFixture(t, 4)
 	mgr := New(c, m)
 	sources := []int{0, 2, 5}
-	exact, err := mgr.PlanDestinations(sources, 2, 1, true, 1)
+	exact, err := mgr.PlanDestinations(sources, PlanOptions{K: 2, P: 1, Exact: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := mgr.PlanDestinations(sources, 2, 1, false, 1)
+	ls, err := mgr.PlanDestinations(sources, PlanOptions{K: 2, P: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,39 +111,10 @@ func TestPlanDestinationsExactVsLocalSearch(t *testing.T) {
 func TestPlanDestinationsValidation(t *testing.T) {
 	c, m := newFixture(t, 4)
 	mgr := New(c, m)
-	if _, err := mgr.PlanDestinations([]int{0}, 0, 1, true, 1); err == nil {
+	if _, err := mgr.PlanDestinations([]int{0}, PlanOptions{K: 0, P: 1, Exact: true}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := mgr.PlanDestinations([]int{0}, 99, 1, true, 1); err == nil {
+	if _, err := mgr.PlanDestinations([]int{0}, PlanOptions{K: 99, P: 1, Exact: true}); err == nil {
 		t.Error("k>racks accepted")
-	}
-}
-
-func TestPlanDestinationsOptsMatchesLegacy(t *testing.T) {
-	c, m := newFixture(t, 4)
-	mgr := New(c, m)
-	sources := []int{0, 2, 5, 6}
-	legacy, err := mgr.PlanDestinations(sources, 2, 1, false, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := mgr.PlanDestinationsOpts(sources, PlanOptions{K: 2, P: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Cost != opts.Cost || len(legacy.Open) != len(opts.Open) {
-		t.Fatalf("legacy %v/%v vs opts %v/%v", legacy.Cost, legacy.Open, opts.Cost, opts.Open)
-	}
-	for i := range legacy.Open {
-		if legacy.Open[i] != opts.Open[i] {
-			t.Fatalf("open sets diverge: %v vs %v", legacy.Open, opts.Open)
-		}
-	}
-	bnb, err := mgr.PlanDestinationsOpts(sources, PlanOptions{K: 2, Exact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Cost < bnb.Cost-1e-9 {
-		t.Fatalf("local search %v beat branch-and-bound optimum %v", opts.Cost, bnb.Cost)
 	}
 }

@@ -32,7 +32,7 @@ func ExampleManager_PlanDestinations() {
 	}
 	mgr := centralized.New(cluster, model)
 	sources := []int{0, 7, 14, 21, 28}
-	sol, err := mgr.PlanDestinations(sources, 3, 2, false, 5)
+	sol, err := mgr.PlanDestinations(sources, centralized.PlanOptions{K: 3, P: 2, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sheriff/internal/dcn"
-	"sheriff/internal/pool"
 	"sheriff/internal/topology"
 )
 
@@ -19,20 +18,12 @@ import (
 
 // refreshNaive is the seed's Refresh, kept as the "before" side of
 // BenchmarkModelRefresh and as ground truth for the fused-refresh equivalence
-// test: two independent full sweeps with fresh map-backed tables, run
-// concurrently on the shared pool.
+// test: two independent full sweeps with fresh tables, one after the
+// other.
 func (m *Model) refreshNaive() {
 	racks := m.cluster.Graph.Racks()
-	var trans, dist *topology.MultiSource
-	pool.Shared().Run(
-		func() {
-			trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
-		},
-		func() {
-			dist = topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
-		},
-	)
-	m.trans = trans
+	m.trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
+	dist := topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
 	m.dist = m.dist[:0]
 	for _, a := range racks {
 		for _, b := range racks {

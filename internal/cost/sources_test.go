@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sheriff/internal/dcn"
-	"sheriff/internal/pool"
 	"sheriff/internal/topology"
 )
 
@@ -272,23 +271,26 @@ func TestStaleRowsQueriedConcurrently(t *testing.T) {
 }
 
 // TestRefreshSourcesSteadyStateAllocs is the allocation gate (CI
-// "Allocation gate" step). A refresh that names one rack runs inline and
-// must not allocate. One that names several fans out over the shared pool,
-// whose goroutine hand-off costs a few control objects per call — a fixed
-// price that must not grow with the number of rows.
+// "Allocation gate" step). Every row of a refresh is swept on the caller
+// on the table's one scratch, so once the scratch and the regions are
+// grown a refresh of one rack, of several and of all of them allocates
+// nothing.
 func TestRefreshSourcesSteadyStateAllocs(t *testing.T) {
 	c := testCluster(t)
 	m := testModel(t, c)
 	all := c.Graph.Racks()
-	m.RefreshSources(all, 1) // warm every worker's scratch and every region
-	if got := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:1], 1) }); got != 0 {
-		t.Errorf("RefreshSources(1 rack) allocates %v times per call in steady state, want 0", got)
-	}
-	k := max(2, min(pool.Shared().Workers(), len(all))) // fewest rows that use every worker
-	wide := testing.AllocsPerRun(20, func() { m.RefreshSources(all[:k], 1) })
-	full := testing.AllocsPerRun(20, func() { m.Refresh() })
-	if full > wide {
-		t.Errorf("Refresh (all %d racks) allocates %v times per call, RefreshSources(%d racks) %v: allocation grows with rows", len(all), full, k, wide)
+	m.RefreshSources(all, 1) // grow the scratch and every region
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"RefreshSources(1 rack)", func() { m.RefreshSources(all[:1], 1) }},
+		{fmt.Sprintf("RefreshSources(%d racks)", len(all)), func() { m.RefreshSources(all, 1) }},
+		{"Refresh", m.Refresh},
+	} {
+		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
+			t.Errorf("%s allocates %v times per call in steady state, want 0", tc.name, got)
+		}
 	}
 	var sink float64
 	a, b := c.Racks[0], c.Racks[len(c.Racks)-1]

@@ -367,7 +367,7 @@ func AblationKMedianPlanning(seed int64) (*Table, error) {
 		k = 1
 	}
 	mgr := centralized.New(sB.Cluster, sB.Model)
-	plan, err := mgr.PlanDestinations(sources, k, 2, false, seed)
+	plan, err := mgr.PlanDestinations(sources, centralized.PlanOptions{K: k, P: 2, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

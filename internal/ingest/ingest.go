@@ -3,10 +3,11 @@
 // explicit backpressure, a constant-work triage forecaster per VM, and a
 // streaming subscription API for the resulting alert/trace events.
 //
-// The design borrows three disciplines already proven elsewhere in the
-// tree. Sharding and drain fan-out reuse the internal/pool worker model
-// (one shard per rack, contiguous blocks of shards claimed dynamically,
-// the caller participates). Backpressure is comm.Bus's inbox tail drop:
+// The intake is sharded one shard per rack, each behind its own lock, so
+// offers for different racks from concurrent producers do not contend;
+// ProcessPending drains the shards in rack order on its caller, which
+// keeps the drain's alerts and events in a repeatable order. Backpressure
+// is comm.Bus's inbox tail drop:
 // each shard's pending queue has a hard cap, an offer beyond it is counted
 // and dropped — never blocking the producer and never evicting an
 // already accepted update. The accept/drain path costs what it carries:
@@ -42,7 +43,6 @@ import (
 	"sheriff/internal/dcn"
 	"sheriff/internal/metrics"
 	"sheriff/internal/obs"
-	"sheriff/internal/pool"
 	"sheriff/internal/quant"
 	"sheriff/internal/smoothing"
 	"sheriff/internal/traces"
@@ -77,8 +77,6 @@ type Options struct {
 	// Recorder receives KindIngest events (drains, drops, alerts) and is
 	// the hub Subscribe attaches sinks to. Nil disables both.
 	Recorder *obs.Recorder
-	// Pool bounds the drain fan-out; nil means pool.Shared().
-	Pool *pool.Pool
 	// Clock stamps offered updates for ingest-to-alert latency; nil
 	// means time.Now. Tests inject a fixed clock.
 	Clock func() time.Time
@@ -104,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HotThreshold == 0 {
 		o.HotThreshold = 0.9
-	}
-	if o.Pool == nil {
-		o.Pool = pool.Shared()
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -366,31 +361,26 @@ func (s *Service) OfferBatch(updates []Update) (int, error) {
 	return accepted, err
 }
 
-// ProcessPending drains every shard queue through triage, fanning
-// contiguous blocks of shards out over the worker pool, and returns the
-// number of updates processed. A worker folds its block's counts and
-// publishes them once. Newly raised alerts accumulate for Poll. Dead
-// subscriptions (sinks that returned an error) are detached.
+// ProcessPending drains every shard queue through triage on the caller,
+// in rack order, and returns the number of updates processed. Newly
+// raised alerts accumulate for Poll. Dead subscriptions (sinks that
+// returned an error) are detached.
 func (s *Service) ProcessPending() int {
 	now := s.opts.Clock()
-	var total atomic.Int64
-	s.opts.Pool.ForBlocks(len(s.shard), func(lo, hi int) {
-		processed, raised := 0, 0
-		for _, sh := range s.shard[lo:hi] {
-			n, r := s.drainShard(sh, now)
-			processed += n
-			raised += r
-		}
-		if processed > 0 {
-			s.processed.Add(uint64(processed))
-			total.Add(int64(processed))
-		}
-		if raised > 0 {
-			s.alerts.Add(uint64(raised))
-		}
-	})
+	processed, raised := 0, 0
+	for _, sh := range s.shard {
+		n, r := s.drainShard(sh, now)
+		processed += n
+		raised += r
+	}
+	if processed > 0 {
+		s.processed.Add(uint64(processed))
+	}
+	if raised > 0 {
+		s.alerts.Add(uint64(raised))
+	}
 	s.sweepSubscriptions()
-	return int(total.Load())
+	return processed
 }
 
 // drainShard runs triage over one shard's queue: each update folds

@@ -388,26 +388,32 @@ func TestSnapshotGuards(t *testing.T) {
 }
 
 // TestHotPathZeroAlloc pins the steady-state allocation contract for
-// both triage modes: once queues are warm, an offer+drain cycle does not
-// allocate.
+// both triage modes: once queues are warm, a period's Offer, ProcessPending
+// and Poll over several shards do not allocate.
 func TestHotPathZeroAlloc(t *testing.T) {
 	for _, mode := range []TriageMode{TriageFloat, TriageQuant} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := build(t, Options{Mode: mode})
-			u := Update{VM: 0, Profile: cool()}
-			// Warm up: populate quantile markers and scratch buffers.
-			for i := 0; i < 64; i++ {
-				s.Offer(u)
-				s.ProcessPending()
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if ok, err := s.Offer(u); err != nil || !ok {
-					t.Fatalf("offer failed: %v %v", ok, err)
+			a, b := Update{VM: 0, Profile: cool()}, Update{VM: 3, Profile: cool()}
+			cycle := func() {
+				for _, u := range []Update{a, b} {
+					if ok, err := s.Offer(u); err != nil || !ok {
+						t.Fatalf("offer failed: %v %v", ok, err)
+					}
 				}
-				s.drainShard(s.shard[0], s.opts.Clock())
-			})
-			if allocs != 0 {
-				t.Fatalf("hot path allocates %.1f per offer+drain cycle, want 0", allocs)
+				if n := s.ProcessPending(); n != 2 {
+					t.Fatalf("processed %d updates, want 2", n)
+				}
+				if alerts := s.Poll(); len(alerts) != 0 {
+					t.Fatalf("cool updates raised %v", alerts)
+				}
+			}
+			// Warm up: grow the queues and the wait summaries.
+			for i := 0; i < 64; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("hot path allocates %.1f per offer+drain+poll cycle over %d shards, want 0", allocs, len(s.shard))
 			}
 		})
 	}

@@ -1,9 +1,11 @@
-// Package pool provides the shared bounded worker pool behind Sheriff's
-// parallel phases: the runtime's per-VM prediction fan-out, candidate
-// fitting in the predictor pools, and the cost model's per-source
-// shortest-path refresh.
+// Package pool holds Sheriff's two parallel engines. Shards is the
+// runtime's persistent per-shard worker group, the one parallelism of a
+// daemon period. Pool is a bounded fan-out behind the k-median local
+// search's swap scan, the one offline search that a measured speedup keeps
+// parallel; every other phase (the ingest drain, the cost model's row
+// sweeps, the predictor's candidate fits) runs on its caller.
 //
-// The pool is deliberately minimal: work is distributed over item indices
+// Pool is deliberately minimal: work is distributed over item indices
 // through an atomic counter, the calling goroutine participates as one of
 // the workers (so nested use never deadlocks and single-core runs pay no
 // scheduling detour), and at most Workers goroutines run per call. There
@@ -17,7 +19,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds the concurrency of ForEach/Run calls.
+// Pool bounds the concurrency of ForEach calls.
 type Pool struct {
 	workers int
 }
@@ -40,9 +42,7 @@ var (
 )
 
 // Shared returns the process-wide pool, sized to GOMAXPROCS at first use.
-// All of Sheriff's internal parallel phases draw from this pool so the
-// total goroutine fan-out tracks the hardware rather than the topology
-// size (one goroutine per rack on a 1152-rack Fat-Tree is not a plan).
+// Its fan-out tracks the hardware rather than the problem size.
 func Shared() *Pool {
 	sharedOnce.Do(func() {
 		shared = New(runtime.GOMAXPROCS(0))
@@ -68,7 +68,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	spread(w, func() {
+	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -76,47 +76,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			}
 			fn(i)
 		}
-	})
-}
-
-// blocksPerWorker is how many blocks ForBlocks cuts a range into per
-// worker: enough that a slow block does not leave the others idle, few
-// enough that claims stay rare.
-const blocksPerWorker = 4
-
-// ForBlocks invokes fn(lo, hi) over contiguous blocks [lo, hi) that cover
-// [0, n) once, distributing them over at most Workers goroutines (the
-// caller included) like ForEach and returning when all calls have
-// completed. A worker claims a whole block with one atomic add, so a
-// fan-out over many cheap items pays one claim per block instead of one
-// per item, and fn can fold its items' results locally and publish them
-// once. With one worker, fn(0, n) runs on the caller. fn must be safe to
-// call concurrently with itself for disjoint blocks.
-func (p *Pool) ForBlocks(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
 	}
-	w := min(p.workers, n)
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	size := (n + w*blocksPerWorker - 1) / (w * blocksPerWorker)
-	var next atomic.Int64
-	spread(w, func() {
-		for {
-			lo := int(next.Add(int64(size))) - size
-			if lo >= n {
-				return
-			}
-			fn(lo, min(lo+size, n))
-		}
-	})
-}
-
-// spread runs work on w goroutines, the caller's included, and returns when
-// every one has returned.
-func spread(w int, work func()) {
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
 	for k := 0; k < w-1; k++ {
@@ -127,10 +87,4 @@ func spread(w int, work func()) {
 	}
 	work()
 	wg.Wait()
-}
-
-// Run executes the given tasks with the pool's concurrency bound and
-// returns when all have completed.
-func (p *Pool) Run(tasks ...func()) {
-	p.ForEach(len(tasks), func(i int) { tasks[i]() })
 }

@@ -79,43 +79,3 @@ func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 		t.Fatalf("nested total = %d, want 16", total.Load())
 	}
 }
-
-func TestRunExecutesAllTasks(t *testing.T) {
-	var a, b, c atomic.Bool
-	New(2).Run(
-		func() { a.Store(true) },
-		func() { b.Store(true) },
-		func() { c.Store(true) },
-	)
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("not every task ran")
-	}
-	New(2).Run() // no tasks is a no-op
-}
-
-func TestForBlocksCoversRangeOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 5, 31, 1000} {
-			counts := make([]int32, n)
-			var calls atomic.Int32
-			New(workers).ForBlocks(n, func(lo, hi int) {
-				calls.Add(1)
-				if lo >= hi {
-					t.Errorf("workers=%d n=%d: empty block [%d,%d)", workers, n, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&counts[i], 1)
-				}
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, c)
-				}
-			}
-			// A worker claims several blocks, not one index at a time.
-			if w := min(workers, n); w > 1 && int(calls.Load()) > w*blocksPerWorker {
-				t.Fatalf("workers=%d n=%d: %d blocks, want at most %d", workers, n, calls.Load(), w*blocksPerWorker)
-			}
-		}
-	}
-}

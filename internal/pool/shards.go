@@ -11,8 +11,7 @@ import "sync"
 // steady-state round allocates nothing.
 //
 // The caller participates as shard 0, so n == 1 runs fully inline with no
-// goroutines at all, and nested use of the shared Pool from inside a shard
-// body cannot deadlock. Workers are started lazily on the first Do and
+// goroutines at all. Workers are started lazily on the first Do and
 // parked on their channels between rounds.
 //
 // A Shards is NOT safe for concurrent Do calls: it is a phase barrier for

@@ -14,7 +14,6 @@ import (
 
 	"sheriff/internal/arima"
 	"sheriff/internal/narnet"
-	"sheriff/internal/pool"
 	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
 )
@@ -339,38 +338,24 @@ func (s *Selector) Run(test *timeseries.Series) (pred []float64, winShare map[st
 // extendedPool builds defaultPool plus the exponential-smoothing family:
 // Holt's linear method and, when period >= 2, additive Holt–Winters with
 // that season length. Pass period = 0 to skip the seasonal candidate.
-// The three families fit concurrently on the shared worker pool.
+// The families fit in order on the caller.
 //
 // When every candidate fails, the returned error wraps the underlying
 // per-family fit errors (errors.Join), so callers see why the whole pool
 // died instead of a bare "failed to fit".
 func extendedPool(train *timeseries.Series, period int, seed int64) ([]*Candidate, error) {
-	var (
-		base           []*Candidate
-		baseErr        error
-		holt, hw       *smoothing.Model
-		holtErr, hwErr error
-	)
-	tasks := []func(){
-		func() { base, baseErr = defaultPool(train, seed) },
-		func() { holt, holtErr = smoothing.Fit(train, smoothing.Config{Method: smoothing.Holt}) },
-	}
-	if period >= 2 {
-		tasks = append(tasks, func() {
-			hw, hwErr = smoothing.Fit(train, smoothing.Config{Method: smoothing.HoltWinters, Period: period})
-		})
-	}
-	pool.Shared().Run(tasks...)
-
-	var out []*Candidate
-	if baseErr == nil {
-		out = base
-	}
+	out, baseErr := defaultPool(train, seed)
+	holt, holtErr := smoothing.Fit(train, smoothing.Config{Method: smoothing.Holt})
 	if holtErr == nil {
 		out = append(out, NewCandidate("Holt", holt))
 	}
-	if period >= 2 && hwErr == nil {
-		out = append(out, NewCandidate(fmt.Sprintf("HoltWinters[%d]", period), hw))
+	var hwErr error
+	if period >= 2 {
+		var hw *smoothing.Model
+		hw, hwErr = smoothing.Fit(train, smoothing.Config{Method: smoothing.HoltWinters, Period: period})
+		if hwErr == nil {
+			out = append(out, NewCandidate(fmt.Sprintf("HoltWinters[%d]", period), hw))
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("predictor: every candidate failed to fit: %w",
@@ -381,35 +366,29 @@ func extendedPool(train *timeseries.Series, period int, seed int64) ([]*Candidat
 
 // defaultPool builds the paper's four-candidate pool on a training series:
 // ARIMA(p1,d1,q1), ARIMA(p2,d2,q2), NARNET(ni1,nh1), NARNET(ni2,nh2),
-// fitting the candidates concurrently on the shared worker pool (each fit
-// is independent and deterministic, so the pool order is stable). Any
-// candidate whose fit fails is dropped; at least one must survive, and
-// when none do the returned error wraps every underlying fit error.
+// fitting the candidates in order on the caller (each fit is independent
+// and deterministic). Any candidate whose fit fails is dropped; at least
+// one must survive, and when none do the returned error wraps every
+// underlying fit error.
 func defaultPool(train *timeseries.Series, seed int64) ([]*Candidate, error) {
-	type spec struct {
-		name string
-		fit  func() (Forecaster, error)
+	var (
+		out  []*Candidate
+		errs []error
+	)
+	add := func(name string, f Forecaster, err error) {
+		if err != nil {
+			errs = append(errs, err)
+			return
+		}
+		out = append(out, NewCandidate(name, f))
 	}
-	specs := []spec{}
 	for _, o := range []arima.Order{{P: 1, D: 1, Q: 1}, {P: 2, D: 1, Q: 2}} {
-		o := o
-		specs = append(specs, spec{o.String(), func() (Forecaster, error) { return arima.Fit(train, o) }})
+		m, err := arima.Fit(train, o)
+		add(o.String(), m, err)
 	}
 	for i, nn := range []struct{ ni, nh int }{{8, 20}, {12, 10}} {
-		cfg := narnet.Config{Inputs: nn.ni, Hidden: nn.nh, Seed: seed + int64(i)}
-		specs = append(specs, spec{fmt.Sprintf("NARNET(%d,%d)", nn.ni, nn.nh),
-			func() (Forecaster, error) { return narnet.Train(train, cfg) }})
-	}
-	fitted := make([]Forecaster, len(specs))
-	errs := make([]error, len(specs))
-	pool.Shared().ForEach(len(specs), func(i int) {
-		fitted[i], errs[i] = specs[i].fit()
-	})
-	var out []*Candidate
-	for i, sp := range specs {
-		if errs[i] == nil {
-			out = append(out, NewCandidate(sp.name, fitted[i]))
-		}
+		m, err := narnet.Train(train, narnet.Config{Inputs: nn.ni, Hidden: nn.nh, Seed: seed + int64(i)})
+		add(fmt.Sprintf("NARNET(%d,%d)", nn.ni, nn.nh), m, err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("predictor: every candidate failed to fit: %w", errors.Join(errs...))

@@ -511,7 +511,7 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 
 	res := &PlanningResult{Racks: len(s.Cluster.Racks), Clients: len(clients), K: k}
 	start := time.Now()
-	ls, err := s.Central.PlanDestinationsOpts(clients, centralized.PlanOptions{K: k, P: p, Seed: cfg.Seed})
+	ls, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, P: p, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("sim: planning local search: %w", err)
 	}
@@ -521,7 +521,7 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 
 	if exact {
 		start = time.Now()
-		ex, err := s.Central.PlanDestinationsOpts(clients, centralized.PlanOptions{K: k, Exact: true})
+		ex, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, Exact: true})
 		if err != nil {
 			return nil, fmt.Errorf("sim: planning exact: %w", err)
 		}

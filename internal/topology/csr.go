@@ -133,7 +133,7 @@ type heapEnt struct {
 	next int32
 }
 
-// sweepScratch is the per-worker reusable state of one Dijkstra sweep: the
+// sweepScratch is the reusable state of one Dijkstra sweep: the
 // queue storage (no container/heap, no interface boxing) plus an
 // epoch-stamped settled array, so clearing between sweeps is a single
 // counter increment rather than an O(n) wipe. Epochs are multiples of

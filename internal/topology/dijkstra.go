@@ -1,11 +1,5 @@
 package topology
 
-import (
-	"sync/atomic"
-
-	"sheriff/internal/pool"
-)
-
 // MultiSource holds shortest paths from a designated set of source nodes
 // to every node, computed by Dijkstra per source over the graph's CSR
 // view. For the migration cost model only rack-to-rack paths matter, so
@@ -37,7 +31,7 @@ type MultiSource struct {
 	weights  []wEdge   // interleaved (cost, dst) vector of the last Reweigh
 	minIn    []float64 // node ID → a lower bound on every weight into it
 	positive bool      // every weight > 0 (Inf included): stopped sweeps are exact
-	scratch  []*sweepScratch
+	scratch  *sweepScratch
 	spare    []treeNode // CompleteRow's row, swept aside
 
 	searches, settled int // SweepRowTo calls and the nodes they settled
@@ -46,10 +40,9 @@ type MultiSource struct {
 // DijkstraFrom computes shortest paths from each source under the edge
 // cost. Costs must be non-negative; Inf-cost edges are skipped. The cost
 // closure is evaluated once per directed edge per sweep (not once per
-// relaxation) to fill a flat weight vector; it must be safe for
-// concurrent calls only in the trivial sense that fillWeights runs on the
-// calling goroutine. The per-source searches are independent and run on
-// the shared worker pool with per-worker reusable scratch.
+// relaxation) to fill a flat weight vector, on the calling goroutine. The
+// per-source searches run one after another on the caller, on one reusable
+// scratch.
 func DijkstraFrom(g *Graph, sources []int, cost EdgeCost) *MultiSource {
 	return DijkstraFromInto(g, sources, cost, nil)
 }
@@ -145,8 +138,9 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 
 // SweepRows runs the single-source search of each named row (an index
 // into the Reset source list, see Row) against the retained weights.
-// Several rows fan out over the shared worker pool; one row runs inline
-// on the caller's goroutine, allocation-free. Rows must be distinct.
+// The rows run one after another on the caller's goroutine, on one
+// reusable scratch, allocation-free once the scratch is grown. Rows must be
+// distinct.
 func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, nil, len(rows)) }
 
 // SweepRowsUntil is SweepRows where the search of rows[i] ends once every
@@ -168,7 +162,7 @@ func (ms *MultiSource) SweepRowsUntil(rows []int, waitFor [][]int32) {
 // SweepRowsUntil stop left final are therefore never written, so other
 // goroutines may go on reading them while the row is completed.
 func (ms *MultiSource) CompleteRow(row int) {
-	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
+	sc := ms.ensureScratch()
 	ms.spare = ensureLen(ms.spare, ms.n)
 	sc.sweep(ms.c, ms.sources[row], ms.weights, ms.minIn, ms.spare, nil)
 	tree := ms.tree[row*ms.n : (row+1)*ms.n]
@@ -183,11 +177,10 @@ func (ms *MultiSource) CompleteRow(row int) {
 // (SweepRows, SweepRowsUntil, CompleteRow, DijkstraFrom) have settled in
 // total: divided by the rows swept, the work of one row.
 func (ms *MultiSource) SweptNodes() int {
-	total := 0
-	for _, sc := range ms.scratch {
-		total += sc.swept
+	if ms.scratch == nil {
+		return 0
 	}
-	return total
+	return ms.scratch.swept
 }
 
 // SweepRowTo is the point-to-point form of SweepRows: it runs one row's
@@ -207,7 +200,7 @@ func (ms *MultiSource) SweptNodes() int {
 // could lie on a path no dearer than that one (see sweepTo). With lower
 // nil, or dst not one of its sources, the search is the plain stopped one.
 func (ms *MultiSource) SweepRowTo(row, dst int, lower *MultiSource) bool {
-	sc := ms.scratchFor(0, ms.n, len(ms.c.dstID))
+	sc := ms.ensureScratch()
 	tree := ms.tree[row*ms.n : (row+1)*ms.n]
 	src := ms.sources[row]
 	var h []treeNode
@@ -242,37 +235,18 @@ func (ms *MultiSource) Row(src int) int {
 	return int(ms.rank[src])
 }
 
-// runSweeps runs count searches: of rows[i], or of row i when rows is nil
-// (every row, without materializing the identity list), the i-th stopping
-// after waitFor[i] when waitFor is not nil. Single searches run inline so
-// the steady-state path stays allocation-free.
+// runSweeps runs count searches on the caller, one after another: of
+// rows[i], or of row i when rows is nil (every row, without materializing
+// the identity list), the i-th stopping after waitFor[i] when waitFor is
+// not nil.
 func (ms *MultiSource) runSweeps(rows []int, waitFor [][]int32, count int) {
 	if count == 0 {
 		return
 	}
-	n, m := ms.n, len(ms.c.dstID)
-	if count == 1 {
-		ms.sweepRow(ms.scratchFor(0, n, m), rows, waitFor, 0)
-		return
+	sc := ms.ensureScratch()
+	for i := 0; i < count; i++ {
+		ms.sweepRow(sc, rows, waitFor, i)
 	}
-	w := pool.Shared().Workers()
-	if w > count {
-		w = count
-	}
-	for k := 0; k < w; k++ {
-		ms.scratchFor(k, n, m)
-	}
-	var next atomic.Int64
-	pool.Shared().ForEach(w, func(worker int) {
-		sc := ms.scratch[worker]
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= count {
-				return
-			}
-			ms.sweepRow(sc, rows, waitFor, i)
-		}
-	})
 }
 
 func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, waitFor [][]int32, i int) {
@@ -286,13 +260,14 @@ func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, waitFor [][]int32,
 	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.minIn, ms.tree[i*ms.n:(i+1)*ms.n], until)
 }
 
-func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
-	for len(ms.scratch) <= worker {
-		ms.scratch = append(ms.scratch, &sweepScratch{})
+// ensureScratch returns the table's search state, grown to the bound
+// graph.
+func (ms *MultiSource) ensureScratch() *sweepScratch {
+	if ms.scratch == nil {
+		ms.scratch = &sweepScratch{}
 	}
-	sc := ms.scratch[worker]
-	sc.ensure(n, m)
-	return sc
+	ms.scratch.ensure(ms.n, len(ms.c.dstID))
+	return ms.scratch
 }
 
 // ensureLen returns s resliced to length n, or a new slice when its

@@ -274,7 +274,7 @@ func TestSweepMatchesReferenceAcrossBinades(t *testing.T) {
 	shared := &sweepScratch{}
 	most := 0
 	for _, tc := range cases {
-		tc.ms = &MultiSource{scratch: []*sweepScratch{shared}}
+		tc.ms = &MultiSource{scratch: shared}
 		tc.ms.Reset(tc.g, tc.sources)
 		tc.ms.Reweigh(tc.cost)
 		most = max(most, len(tc.sources))

@@ -97,7 +97,7 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 				tree = &MultiSource{}
 				tree.Reset(g, all)
 				tree.Reweigh(cost)
-				sc := tree.scratchFor(0, n, len(tree.c.dstID))
+				sc := tree.ensureScratch()
 				for src := 0; src < n; src++ {
 					sc.sweepTo(tree.c, int32(src), -1, tree.weights, tree.row(src), nil, 0)
 				}
@@ -479,7 +479,7 @@ func TestSweepRowsUntilTargetsEqualFullRow(t *testing.T) {
 			scale[i] = 1
 		}
 		cost := func(e Edge) float64 { return tc.cost(e) * scale[e.ID] }
-		ms := &MultiSource{scratch: []*sweepScratch{shared}}
+		ms := &MultiSource{scratch: shared}
 		ms.Reset(g, all)
 		ms.Reweigh(cost)
 		for _, pass := range []string{"reweigh", "reweigh-edges"} {
