@@ -4,6 +4,12 @@
 // moving conflict flows onto paths that avoid congested switches, which
 // the paper prefers over VM migration because rerouting is cheaper than a
 // live migration.
+//
+// A flow's route (Flow.Path) is valid until the flow is rerouted or
+// removed: the network keeps the storage of the routes no flow holds any
+// more on a free list, and draws every new route from it, so that a
+// reroute, or an admission after a removal, allocates no path. The list
+// holds at most one route more than the most flows ever live at once.
 package flow
 
 import (
@@ -35,8 +41,14 @@ type Flow struct {
 }
 
 // Path returns the flow's current route (nil if unrouted). The slice is
-// owned by the network; treat it as read-only.
+// owned by the network; treat it as read-only. It is valid until the flow
+// is rerouted or removed: the network then reuses its storage for another
+// route.
 func (f *Flow) Path() []int { return f.path }
+
+// routeBuf is the storage of one route, a path and its edge IDs, kept on
+// the network's free list while no flow holds it.
+type routeBuf struct{ path, edges []int }
 
 // Network tracks flows and per-link load over a topology graph. Link state
 // is dense: one float per directed edge, indexed by topology.Edge.ID, so a
@@ -65,8 +77,11 @@ type Network struct {
 
 	// masked is the table of the queries that price a different metric
 	// than admission (some switches cost Inf): Reroute's one query, or a
-	// whole RerouteAroundHot pass. The two never overlap.
+	// whole RerouteAroundHot pass. The two never overlap. Its weights are
+	// admission's, brought current, with the avoided switches blocked
+	// (topology.MultiSource.WeighFrom); block lists Reroute's.
 	masked *topology.MultiSource
+	block  []int
 
 	// lower makes both tables' searches goal-directed: the static
 	// DistanceCost distances from every rack, which routeCost never
@@ -104,6 +119,14 @@ type Network struct {
 	moved   []*Flow // a pass's result
 	srcs    []int   // a pass's distinct sources: the rows of masked
 	rowFull []bool  // rowFull[r]: row r exhausted its component; still good
+
+	// free holds the storage of the routes no flow holds any more — a
+	// removed flow's, a rerouted flow's old one — for route to fill again.
+	// A route goes on it only after its last read. A new route is made only
+	// when the list is empty, and at most one is held beside the live
+	// flows' (a reroute's new route, found while the old one may still be
+	// restored): hence the package doc's bound.
+	free []routeBuf
 }
 
 // NewNetwork wraps a topology graph. Link loads start at zero.
@@ -213,25 +236,37 @@ func (n *Network) lowerBound(dst int) *topology.MultiSource {
 // switch nodes, and returns it with its edge IDs. The search is point to
 // point: it stops when dst settles.
 func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
-	load := n.loads()
 	lower := n.lowerBound(dst)
+	adm := n.admission()
 	n.one[0] = src
 	if len(avoid) > 0 {
 		// A masked query prices a different metric; it fills its own
-		// table so the admission weights stay valid.
-		n.masked.Reset(n.g, n.one[:])
-		n.masked.Reweigh(func(e topology.Edge) float64 {
-			if avoid[e.To] && e.To != dst && e.To != src {
-				return topology.Inf
+		// table so the admission weights stay valid. The mask exempts the
+		// flow's endpoints.
+		n.block = n.block[:0]
+		for v, ok := range avoid {
+			if ok && v != src && v != dst {
+				n.block = append(n.block, v)
 			}
-			return routeCost(load, e)
-		})
+		}
+		n.masked.Reset(n.g, n.one[:])
+		n.masked.WeighFrom(adm, n.block...)
 		n.masked.SweepRowTo(0, dst, lower)
-		return route(n.masked, src, dst)
+		return n.route(n.masked, src, dst)
 	}
+	adm.Reset(n.g, n.one[:])
+	adm.SweepRowTo(0, dst, lower)
+	return n.route(adm, src, dst)
+}
+
+// admission brings admission's table bound to the current wiring, with its
+// weight vector priced from the current loads, and returns it. Its source
+// set is the caller's to Reset; the weights survive that.
+func (n *Network) admission() *topology.MultiSource {
+	load := n.loads()
 	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
-	n.sweep.Reset(n.g, n.one[:])
 	if ver := n.g.StructVersion(); n.priced == nil || ver != n.pricedVer {
+		n.sweep.Reset(n.g, nil)
 		n.sweep.Reweigh(cost)
 		n.priced = append(n.priced[:0], load...)
 		n.pricedVer = ver
@@ -250,8 +285,7 @@ func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []
 		}
 		n.stale = n.stale[:0]
 	}
-	n.sweep.SweepRowTo(0, dst, lower)
-	return route(n.sweep, src, dst)
+	return n.sweep
 }
 
 // SearchStats returns how many point-to-point route searches the network
@@ -270,14 +304,36 @@ func (n *Network) SearchStats() (searches, settled int) {
 func (n *Network) Rescans() int { return n.marked }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
-// unreachable. The slices are fresh: the flow keeps them.
-func route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
-	path = ms.Path(src, dst)
+// unreachable. The flow keeps the slices: they are the last route on the
+// free list, taken off it, or fresh when the list is empty (or its last
+// route is too short, whose storage is then dropped).
+func (n *Network) route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
+	var buf routeBuf
+	last := len(n.free) - 1
+	if last >= 0 {
+		buf = n.free[last]
+	}
+	path = ms.Path(src, dst, buf.path)
 	if path == nil {
 		return nil, nil
 	}
-	edges, _ = ms.PathEdges(src, dst, make([]int, 0, len(path)-1))
+	if last >= 0 {
+		n.free[last] = routeBuf{}
+		n.free = n.free[:last]
+	}
+	if cap(buf.edges) < len(path)-1 {
+		buf.edges = make([]int, 0, len(path)-1)
+	}
+	edges, _ = ms.PathEdges(src, dst, buf.edges)
 	return path, edges
+}
+
+// recycle puts a route no flow holds any more on the free list. The caller
+// has made its last read of the slices.
+func (n *Network) recycle(path, edges []int) {
+	if cap(path) > 0 {
+		n.free = append(n.free, routeBuf{path, edges})
+	}
 }
 
 func (n *Network) applyPath(f *Flow, path, edges []int) {
@@ -340,13 +396,17 @@ func (n *Network) index(id int) (int, bool) {
 	return i, i < len(n.flows) && n.flows[i].ID == id
 }
 
-// RemoveFlow withdraws a flow and releases its load.
+// RemoveFlow withdraws a flow and releases its load. Its route's storage
+// goes back on the free list.
 func (n *Network) RemoveFlow(id int) {
 	i, ok := n.index(id)
 	if !ok {
 		return
 	}
-	n.clearPath(n.flows[i])
+	f := n.flows[i]
+	path, edges := f.path, f.edges
+	n.clearPath(f)
+	n.recycle(path, edges)
 	n.flows = append(n.flows[:i], n.flows[i+1:]...)
 }
 
@@ -533,6 +593,17 @@ func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
 		return errors.New("flow: unknown flow")
 	}
 	oldPath, oldEdges := f.path, f.edges
+	if err := n.reroute(f, avoid); err != nil {
+		return err
+	}
+	n.recycle(oldPath, oldEdges)
+	return nil
+}
+
+// reroute is Reroute without the recycling: the old route's storage stays
+// with the caller, to recycle after its last read of it.
+func (n *Network) reroute(f *Flow, avoid map[int]bool) error {
+	oldPath, oldEdges := f.path, f.edges
 	n.clearPath(f)
 	path, edges := n.cheapestPath(f.Src, f.Dst, avoid)
 	if path == nil {
@@ -552,11 +623,12 @@ func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
 // overwritten by the next RerouteAroundHot call.
 //
 // A pass prices one weight vector — the admission metric with Inf on every
-// edge into the hot switch — fills it once, and after each move re-prices
-// only the moved flow's old and new links: the metric depends on a link's
-// own load alone, so the patched vector is the vector a fresh fill would
-// give. Each candidate is then one search from its source that stops at
-// its destination. A search that found its destination is spent (the move
+// edge into the hot switch — copied once from admission's, brought current
+// (topology.MultiSource.WeighFrom), and after each move re-prices only the
+// moved flow's old and new links: the metric depends on a link's own load
+// alone, so the patched vector is the vector a fresh fill would give. Each
+// candidate is then one search from its source that stops at its
+// destination. A search that found its destination is spent (the move
 // it led to shifted the loads under it). A search that did not has
 // exhausted the source's component, so its row is complete and is kept for
 // the source's remaining candidates: their answer cannot turn from "no
@@ -586,9 +658,10 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 		}
 		return routeCost(load, e)
 	}
+	adm := n.admission()
 	ms := n.masked
 	ms.Reset(n.g, n.srcs)
-	ms.Reweigh(cost)
+	ms.WeighFrom(adm, hot)
 	for _, f := range n.cands {
 		if n.SwitchUtilization(hot) < target {
 			break
@@ -596,32 +669,35 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 		if f.DelaySensitive {
 			continue // the PRIORITY rule: delay-sensitive flows stay put
 		}
-		old := f.edges
+		oldPath, old := f.path, f.edges
+		var ok bool
 		if f.Src == hot || f.Dst == hot {
 			// The mask exempts a flow's endpoints, so this flow is routed
 			// unmasked, off its own load: admission's metric, and
 			// admission's table. Even a failed attempt takes the flow's
 			// rate off its links and puts it back, which can move a load
 			// by an ulp, so the links are re-priced either way.
-			if err := n.Reroute(f, nil); err == nil {
-				n.moved = append(n.moved, f)
-			}
+			ok = n.reroute(f, nil) == nil
 		} else {
 			row := ms.Row(f.Src)
 			if !n.rowFull[row] {
 				n.rowFull[row] = !ms.SweepRowTo(row, f.Dst, n.lowerBound(f.Dst))
 			}
-			path, edges := route(ms, f.Src, f.Dst)
+			path, edges := n.route(ms, f.Src, f.Dst)
 			if path == nil {
 				continue // no route around the hot switch; flow stays put
 			}
 			n.rowFull[row] = false
 			n.clearPath(f)
 			n.applyPath(f, path, edges)
-			n.moved = append(n.moved, f)
+			ok = true
 		}
 		ms.ReweighEdges(old, cost)
 		ms.ReweighEdges(f.edges, cost)
+		if ok {
+			n.moved = append(n.moved, f)
+			n.recycle(oldPath, old) // after its last read, just above
+		}
 	}
 	return n.moved
 }

@@ -22,7 +22,10 @@ import (
 //   - the count of nodes marked for a rescan is the number of marks, and
 //     every unmarked node's cached congestion reading equals a scan of its
 //     links bit for bit;
-//   - the flow table is strictly ascending by ID, below the next ID.
+//   - the flow table is strictly ascending by ID, below the next ID;
+//   - no two live flows' routes share storage, and no live flow's route is
+//     on the free list, nor any route twice: a route reused while still
+//     read shows up here before it corrupts a load.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and
 // debugging, not for the per-period path.
@@ -88,6 +91,46 @@ func (n *Network) CheckInvariants() error {
 		}
 		if listed != n.ndirty {
 			return fmt.Errorf("flow: %d nodes marked for a rescan, %d counted", listed, n.ndirty)
+		}
+	}
+	return n.checkStorage()
+}
+
+// checkStorage is CheckInvariants' storage clause. Every route slice the
+// network makes starts its backing array, so two slices share storage
+// exactly when their first elements are one.
+func (n *Network) checkStorage() error {
+	type holder struct {
+		kind string // "flow" (i its ID) or "free route" (i its position)
+		i    int
+		what string // "path" or "edges"
+	}
+	owner := make(map[*int]holder)
+	claim := func(s []int, h holder) error {
+		if cap(s) == 0 {
+			return nil
+		}
+		key := &s[:1][0]
+		if prev, ok := owner[key]; ok {
+			return fmt.Errorf("flow: %s %d's %s shares its storage with %s %d's %s", h.kind, h.i, h.what, prev.kind, prev.i, prev.what)
+		}
+		owner[key] = h
+		return nil
+	}
+	for _, f := range n.flows {
+		if err := claim(f.path, holder{"flow", f.ID, "path"}); err != nil {
+			return err
+		}
+		if err := claim(f.edges, holder{"flow", f.ID, "edges"}); err != nil {
+			return err
+		}
+	}
+	for i, b := range n.free {
+		if err := claim(b.path, holder{"free route", i, "path"}); err != nil {
+			return err
+		}
+		if err := claim(b.edges, holder{"free route", i, "edges"}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -127,7 +127,7 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 func freshCheapestPath(n *Network, src, dst int) []int {
 	load := n.loads()
 	cost := func(e topology.Edge) float64 { return routeCost(load, e) }
-	return topology.DijkstraFrom(n.g, []int{src}, cost).Path(src, dst)
+	return topology.DijkstraFrom(n.g, []int{src}, cost).Path(src, dst, nil)
 }
 
 func equalInts(a, b []int) bool {
@@ -176,6 +176,43 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	f.edges = f.edges[:len(f.edges)-1]
 	if n.CheckInvariants() == nil {
 		t.Error("short edge list not reported")
+	}
+	n, f = fresh()
+	n.recycle(f.path, f.edges)
+	if n.CheckInvariants() == nil {
+		t.Error("live flow's route on the free list not reported")
+	}
+	n, f = fresh()
+	n.RemoveFlow(f.ID)
+	n.free = append(n.free, n.free[0])
+	if n.CheckInvariants() == nil {
+		t.Error("route on the free list twice not reported")
+	}
+
+	// Two flows over the one route of a line: sharing storage leaves every
+	// other clause true.
+	g := topology.NewGraph()
+	a, sw, b := g.AddNode(topology.Rack, "a", 0, 0), g.AddNode(topology.Switch, "s", 0, 1), g.AddNode(topology.Rack, "b", 0, 0)
+	for _, l := range [][2]int{{a, sw}, {sw, b}} {
+		if err := g.AddLink(l[0], l[1], 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n = NewNetwork(g)
+	f1, err := n.AddFlow(a, b, 0.2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := n.AddFlow(a, b, 0.3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	f2.path, f2.edges = f1.path, f1.edges
+	if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "shares its storage") {
+		t.Errorf("two flows on one route's storage: CheckInvariants = %v", err)
 	}
 }
 
@@ -298,8 +335,10 @@ func TestLoadVectorFollowsGraphGrowth(t *testing.T) {
 // TestSteadyStateAllocs is the allocation gate for the per-period link-state
 // walks (CI "Allocation gate" step): hot-switch scan with hot switches
 // present, per-edge utilization, re-rating a routed flow, the bandwidth
-// write-back, and the FLOWREROUTE pass, which may allocate the path and
-// edge slices its moved flows keep and nothing else.
+// write-back, and the FLOWREROUTE pass, which allocates nothing: its moved
+// flows' new routes reuse the storage of the routes they left. A removal
+// followed by an admission between the same racks allocates the new *Flow
+// alone: the route reuses the removed flow's storage.
 func TestSteadyStateAllocs(t *testing.T) {
 	ft := fatTree(t, 4)
 	n := NewNetwork(ft.Graph)
@@ -375,8 +414,24 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if perCycle < 8 || moved%(runs+1) != 0 || tried <= moved {
 		t.Fatalf("cycle moved %d flows of %d tried over %d calls: not the steady cycle the gate needs", moved, tried, runs+1)
 	}
-	if want := float64(2 * perCycle); got != want {
-		t.Errorf("a cycle of passes moving %d flows allocates %v times, want %v: the moved flows' path and edge slices and nothing else", perCycle, got, want)
+	if got != 0 {
+		t.Errorf("a cycle of passes moving %d flows allocates %v times, want 0", perCycle, got)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	f := n.Flows()[0]
+	churn := func() {
+		n.RemoveFlow(f.ID)
+		var err error
+		if f, err = n.AddFlow(f.Src, f.Dst, f.Rate, f.DelaySensitive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn() // warm
+	if got := testing.AllocsPerRun(20, churn); got != 1 {
+		t.Errorf("RemoveFlow then AddFlow between the same racks allocates %v times, want 1 (the *Flow)", got)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func cacheFabrics(tb testing.TB) map[string]*topology.Graph {
 // the thresholds that matter (each switch's own utilization, where >= is
 // decided by the last bit) lists exactly the switches a scan finds that
 // hot; and after it every node's cached reading equals a scan bit for bit
-// and none is left marked.
+// and none is left marked. CheckInvariants holds after every operation.
 func checkUtilizationCache(t *testing.T, g *topology.Graph, ops []byte) {
 	racks, switches := g.RackNodes(), g.SwitchNodes()
 	next := func() int {
@@ -110,6 +110,11 @@ func checkUtilizationCache(t *testing.T, g *topology.Graph, ops []byte) {
 			n = restored
 		}
 		if op%2 == 1 {
+			// Odd operations leave the readings unread, marks and all; the
+			// bookkeeping must hold all the same.
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("step %d (op %d): %v", step, op, err)
+			}
 			continue
 		}
 		reads(step, op)

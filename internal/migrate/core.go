@@ -66,8 +66,13 @@ type core struct {
 // price — current iff its stamp is the VM's — then the two matrices price
 // fills and the Hungarian solver's workspace. The matrices and the
 // assignment match returns stay valid until the next match on the same
-// scratch.
+// scratch. remaining and next are sequential's lists of the VMs still to
+// place, this round's and the next's, and call the tally of migrateInto's
+// call.
 type matchScratch struct {
+	remaining, next []*dcn.VM
+	call            Tally
+
 	peerRacks []int
 	prices    []rackPrice
 	stamp     int
@@ -115,10 +120,7 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 // the next call.
 func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) bool) (costs, bases [][]float64, feasible bool) {
 	nv, nh := len(vms), len(hosts)
-	if k.scratch == nil {
-		k.scratch = &matchScratch{}
-	}
-	sc := k.scratch
+	sc := k.ensureScratch()
 	if sc.prices == nil {
 		sc.prices = make([]rackPrice, len(k.c.Racks))
 	}
@@ -155,6 +157,15 @@ func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 		}
 	}
 	return costs, bases, feasible
+}
+
+// ensureScratch returns the core's matching scratch, building one first
+// when the core has none.
+func (k *core) ensureScratch() *matchScratch {
+	if k.scratch == nil {
+		k.scratch = &matchScratch{}
+	}
+	return k.scratch
 }
 
 // rackBase is the Eqn. (1) cost of moving the VM match is pricing into the

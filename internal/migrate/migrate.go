@@ -6,6 +6,13 @@
 // and Alg. 4 (the REQUEST handshake granting destination capacity FCFS).
 // Outer-switch alerts trigger FLOWREROUTE instead of migration, since
 // rerouting is cheaper than a live migration (Sec. III.B).
+//
+// A shim's round runs in memory the shim keeps: Shim.ProcessAlerts returns
+// the shim's own Report, emptied at the top of each call and valid until
+// the shim's next call, so a caller that keeps reports across rounds of one
+// shim copies what it needs. A warmed shim's round over server and ToR
+// alerts allocates nothing. Migrate, the standalone VMMIGRATION call,
+// returns a result of its own.
 package migrate
 
 import (
@@ -112,11 +119,16 @@ type Shim struct {
 	region []*dcn.Host
 
 	// The memory of the management path, reused from round to round: the
-	// Alg. 2 knapsack's, the VMs a round has already selected, and the
-	// Alg. 3 matching step's (matrices, rack prices, solver workspace).
-	knap    knapsack.Scratch
-	inSet   map[int]bool
-	scratch matchScratch
+	// report ProcessAlerts returns, the rack's VMs, the Alg. 2 knapsack's,
+	// the VMs a round has selected (as a set, and as the host and ToR
+	// lists), and the Alg. 3 matching step's (matrices, rack prices, solver
+	// workspace, the VMs left to place).
+	report          Report
+	vms             []*dcn.VM
+	knap            knapsack.Scratch
+	inSet           map[int]bool
+	hostSet, torSet []*dcn.VM
+	scratch         matchScratch
 }
 
 // NewShim builds the shim for one rack.
@@ -149,9 +161,18 @@ func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 // outer-switch alerts feed FLOWREROUTE; host alerts select VMs with the
 // α-knapsack; ToR alerts are pooled and select with the β-knapsack; the
 // merged migration set is handed to VMMIGRATION.
+//
+// The report is the shim's own: ProcessAlerts empties it at the top of
+// every call, and it stays valid until the shim's next call. A
+// VMMIGRATION call that fails leaves it as it was before that call, so on
+// an error it holds the calls that succeeded.
 func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
-	report := &Report{}
-	var hostSet, torSet []*dcn.VM
+	report := &s.report
+	*report = Report{
+		Tally:    Tally{Migrations: report.Migrations[:0], Unplaced: report.Unplaced[:0]},
+		Rerouted: report.Rerouted[:0],
+	}
+	s.hostSet, s.torSet = s.hostSet[:0], s.torSet[:0]
 	clear(s.inSet)
 	torAlerted := false
 	for _, a := range alerts {
@@ -164,31 +185,29 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 		case alert.FromLocalToR:
 			torAlerted = true
 		case alert.FromServer:
-			hostSet = s.appendNew(hostSet, s.overloadSet(a))
+			s.hostSet = s.appendNew(s.hostSet, s.overloadSet(a))
 		}
 	}
 	if torAlerted {
-		// PRIORITY with ω = β over the rack's VMs.
+		// PRIORITY with ω = β over the rack's VMs, listed as Rack.VMs
+		// lists them.
+		s.vms = s.vms[:0]
+		for _, h := range s.Rack.Hosts {
+			s.vms = append(s.vms, h.Residents()...)
+		}
 		budget := s.params.Beta * s.Rack.ToRCapacity
-		torSet = s.appendNew(torSet, s.knap.SelectByBudget(s.Rack.VMs(), budget))
+		s.torSet = s.appendNew(s.torSet, s.knap.SelectByBudget(s.vms, budget))
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
 	// ("release the workload of ToR_i … to neighbor racks").
-	migrate := func(vms []*dcn.VM, hosts []*dcn.Host, o MigrationOptions) error {
-		res, err := migrateOn(&s.scratch, s.cluster, s.model, vms, hosts, o)
-		if err == nil {
-			report.Add(&res.Tally)
-		}
-		return err
-	}
-	if len(hostSet) > 0 {
-		if err := migrate(hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
+	if len(s.hostSet) > 0 {
+		if err := migrateInto(&report.Tally, &s.scratch, s.cluster, s.model, s.hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
 			return report, err
 		}
 	}
-	if len(torSet) > 0 {
-		if err := migrate(torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
+	if len(s.torSet) > 0 {
+		if err := migrateInto(&report.Tally, &s.scratch, s.cluster, s.model, s.torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
 			return report, err
 		}
 	}
@@ -291,21 +310,38 @@ const ShimUnknown = -1
 // whose request is rejected retry in the next round against the remaining
 // slots; VMs no destination admits are reported unplaced.
 func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
-	return migrateOn(nil, c, m, f, candidates, o)
-}
-
-// migrateOn is Migrate over a matching scratch the caller keeps (a shim's),
-// or over one of the call's own when sc is nil.
-func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
-	if len(candidates) == 0 {
-		return nil, ErrNoCandidates
-	}
 	res := &MigrationResult{}
-	k := core{c: c, m: m, admit: o.Policy, rec: o.Recorder, tally: &res.Tally, scratch: sc}
-	if err := k.sequential(f, candidates, o.Shim, o.ForbidSameRack); err != nil {
+	if err := migrateInto(&res.Tally, nil, c, m, f, candidates, o); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// migrateInto is Migrate counting into t, over a matching scratch the
+// caller keeps (a shim's), or over one of the call's own when sc is nil.
+// The call's migrations and unplaced VMs are appended to t's; its cost is
+// summed on its own and then added to t's, so that t sums in the order a
+// fold of per-call results (Tally.Add) would. On an error t is left as it
+// was.
+func migrateInto(t *Tally, sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) error {
+	if len(candidates) == 0 {
+		return ErrNoCandidates
+	}
+	// The call counts into a tally of the scratch's (a core's tally
+	// escapes), appending past the ends of t's slices, which t does not see
+	// until the call has succeeded.
+	k := core{c: c, m: m, admit: o.Policy, rec: o.Recorder, scratch: sc}
+	call := &k.ensureScratch().call
+	*call = Tally{Migrations: t.Migrations, Unplaced: t.Unplaced}
+	k.tally = call
+	if err := k.sequential(f, candidates, o.Shim, o.ForbidSameRack); err != nil {
+		return err
+	}
+	t.Migrations, t.Unplaced = call.Migrations, call.Unplaced
+	t.TotalCost += call.TotalCost
+	t.SearchSpace += call.SearchSpace
+	t.Rejected += call.Rejected
+	return nil
 }
 
 // sequential is the protocol by direct call — the transport of Migrate,
@@ -314,7 +350,11 @@ func migrateOn(sc *matchScratch, c *dcn.Cluster, m *cost.Model, f []*dcn.VM, can
 // or left over, and report unplaced what nothing admits. shim tags the
 // events; forbidSameRack bars a VM's own rack.
 func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidSameRack bool) error {
-	remaining := append([]*dcn.VM(nil), f...)
+	sc := k.ensureScratch()
+	// The VMs left to place and the next round's, in the scratch's two
+	// lists, swapped each round and handed back grown.
+	remaining, next := append(sc.remaining[:0], f...), sc.next[:0]
+	defer func() { sc.remaining, sc.next = remaining, next }()
 	// Destinations that rejected a VM are excluded from its later rounds
 	// ("v_i should recalculate possible migration destinations"). The
 	// exclusion set, keyed by candidate index, only grows, so the loop
@@ -338,7 +378,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 			break
 		}
 		anyMatched := false
-		var next []*dcn.VM
+		next = next[:0]
 		for i, vm := range remaining {
 			j := assign[i]
 			if j < 0 {
@@ -351,7 +391,7 @@ func (k *core) sequential(f []*dcn.VM, candidates []*dcn.Host, shim int, forbidS
 				next = append(next, vm)
 			}
 		}
-		remaining = next
+		remaining, next = next, remaining
 		if !anyMatched {
 			break
 		}

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,7 +9,9 @@ import (
 	"testing"
 
 	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/topology"
 )
 
 // reportSignature renders everything a management round reports, costs by
@@ -124,11 +127,11 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 }
 
 // TestProcessAlertsSteadyStateAllocs is the management path's allocation
-// gate (CI "Allocation gate" step). A warmed shim's server-alert round
-// allocates the same small count however large its region: the Report,
-// the round's selected set, the call's result and working copy, and the
-// Migrations slices they fill. The knapsack, the region, the matrices, the
-// rack prices and the solver workspace are the shim's and allocate nothing.
+// gate (CI "Allocation gate" step). A warmed shim's round allocates nothing
+// however large its region, with server alerts alone or with a ToR alert
+// too: the report, the selected sets, the knapsack, the region, the
+// matrices, the rack prices, the solver workspace and the lists of VMs
+// left to place are the shim's, reused from round to round.
 func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 	fx := newFixture(t, 4, 2)
 	c := fx.cluster
@@ -138,42 +141,186 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts := []alert.Alert{{Kind: alert.FromServer, HostID: h.ID, RackIndex: 0, Value: 0.95}}
-	round := func(s *Shim) func() {
+	server := alert.Alert{Kind: alert.FromServer, HostID: h.ID, RackIndex: 0, Value: 0.95}
+	tor := alert.Alert{Kind: alert.FromLocalToR, RackIndex: 0, Value: 0.92}
+	round := func(s *Shim, alerts []alert.Alert, want int) func() {
 		return func() {
 			rep, err := s.ProcessAlerts(alerts)
-			if err != nil || len(rep.Migrations) != 2 {
-				t.Fatalf("round = %+v, %v; want two migrations", rep, err)
+			if err != nil || len(rep.Migrations) != want {
+				t.Fatalf("round = %+v, %v; want %d migrations", rep, err, want)
 			}
-			for _, m := range rep.Migrations { // undo, so every round is the same
+			for i := len(rep.Migrations) - 1; i >= 0; i-- { // undo, so every round is the same
+				m := rep.Migrations[i]
 				if err := c.Move(m.VM, m.From); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	var counts []float64
-	var regions []int
-	for _, hops := range []int{1, 3} {
-		p := DefaultParams()
-		p.NeighborSwitchHops = hops
-		s, err := NewShim(c, fx.model, c.Racks[0], p)
+	for _, tc := range []struct {
+		name   string
+		alerts []alert.Alert
+		want   int // migrations: two for the server alert, two more for the ToR's
+	}{
+		{"server-alert", []alert.Alert{server}, 2},
+		{"server- and ToR-alert", []alert.Alert{server, tor}, 4},
+	} {
+		var regions []int
+		for _, hops := range []int{1, 3} {
+			p := DefaultParams()
+			p.NeighborSwitchHops = hops
+			s, err := NewShim(c, fx.model, c.Racks[0], p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions = append(regions, len(s.regionHosts(true)))
+			if got := testing.AllocsPerRun(20, round(s, tc.alerts, tc.want)); got != 0 {
+				t.Errorf("a %s round over %d hosts allocates %v times, want 0", tc.name, regions[len(regions)-1], got)
+			}
+			if tc.want == 4 && (len(s.hostSet) == 0 || len(s.torSet) == 0) {
+				t.Fatalf("%s round selected %d host and %d ToR VMs; the gate needs both calls", tc.name, len(s.hostSet), len(s.torSet))
+			}
+		}
+		if regions[0] >= regions[1] {
+			t.Fatalf("regions of %v hosts; the second must be larger", regions)
+		}
+	}
+}
+
+// shimTwins builds two identical clusters on each fabric of matchFabrics,
+// populated with dependent VMs: what one does, the other can replay.
+func shimTwins(t *testing.T) (a, b map[string]*fixture) {
+	build := func() map[string]*fixture {
+		fxs := matchFabrics(t, 3)
+		for _, fx := range fxs {
+			fx.cluster.Populate(dcn.PopulateOptions{VMsPerHost: 4, MinCapacity: 4, MaxCapacity: 30,
+				DelayFraction: 0.1, DependencyProb: 0.5, CrossRackDependencyProb: 0.6, Seed: 31})
+		}
+		return fxs
+	}
+	return build(), build()
+}
+
+// twinVMs returns the VMs of c with the IDs of vms.
+func twinVMs(c *dcn.Cluster, vms []*dcn.VM) []*dcn.VM {
+	out := make([]*dcn.VM, len(vms))
+	for i, vm := range vms {
+		out[i] = c.VM(vm.ID)
+	}
+	return out
+}
+
+// TestProcessAlertsFoldsItsCalls: a round counts its VMMIGRATION calls
+// straight into the shim's report, yet reports exactly what the two
+// Migrate calls it makes, folded with Tally.Add, report on a twin cluster —
+// migrations, unplaced VMs, search space, rejections, and the total cost
+// bit for bit: each call's cost is summed on its own, then added.
+func TestProcessAlertsFoldsItsCalls(t *testing.T) {
+	long, twin := shimTwins(t)
+	for name := range long {
+		a, b := long[name], twin[name]
+		both := 0
+		for round := 0; round < 2; round++ {
+			for _, rack := range a.cluster.Racks {
+				alerts := []alert.Alert{{Kind: alert.FromLocalToR, RackIndex: rack.Index, Value: 0.92}}
+				for _, h := range rack.Hosts {
+					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, RackIndex: rack.Index, Value: 0.9})
+				}
+				sa, err := NewShim(a.cluster, a.model, rack, DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := NewShim(b.cluster, b.model, b.cluster.Racks[rack.Index], DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sa.ProcessAlerts(alerts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want Report
+				for i, set := range [][]*dcn.VM{sa.hostSet, sa.torSet} {
+					if len(set) == 0 {
+						continue
+					}
+					res, err := Migrate(b.cluster, b.model, twinVMs(b.cluster, set), sb.regionHosts(i == 0), sb.migrationOptions())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Add(&res.Tally)
+				}
+				if g, w := reportSignature(got), reportSignature(&want); g != w {
+					t.Fatalf("%s rack %d: the round reports\n  %s\nits two Migrate calls, folded,\n  %s", name, rack.Index, g, w)
+				}
+				if len(sa.hostSet) > 0 && len(sa.torSet) > 0 && len(got.Migrations) > 0 {
+					both++
+				}
+			}
+		}
+		if g, w := placements(a.cluster), placements(b.cluster); g != w {
+			t.Fatalf("%s: placements part:\n  %s\n  %s", name, g, w)
+		}
+		if both == 0 {
+			t.Fatalf("%s: no round selected for both calls; the test does not exercise the fold", name)
+		}
+	}
+}
+
+// TestProcessAlertsKeepsTheCallsThatSucceeded: a shim with no neighbour
+// rack has nowhere to send a ToR alert's VMs, so the round's ToR call fails
+// with ErrNoCandidates. The report it returns holds the host call's results
+// alone — what Migrate reports for that call on a twin cluster — and
+// nothing of the failed call.
+func TestProcessAlertsKeepsTheCallsThatSucceeded(t *testing.T) {
+	build := func() *fixture {
+		g := topology.NewGraph()
+		sw := g.AddNode(topology.Switch, "s", 0, 1)
+		rack := g.AddNode(topology.Rack, "r", 0, 0)
+		if err := g.AddLink(rack, sw, 10, 1); err != nil {
+			t.Fatal(err)
+		}
+		c, err := dcn.NewCluster(g, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
-		regions = append(regions, len(s.regionHosts(true)))
-		counts = append(counts, testing.AllocsPerRun(20, round(s)))
+		for i := 0; i < 4; i++ {
+			if _, err := c.AddVM(c.Racks[0].Hosts[0], 9, float64(i+1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := cost.New(c, cost.PaperParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &fixture{cluster: c, model: m}
 	}
-	if regions[0] >= regions[1] {
-		t.Fatalf("regions of %v hosts; the second must be larger", regions)
+	a, b := build(), build()
+	s, err := NewShim(a.cluster, a.model, a.cluster.Racks[0], DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("a server-alert round allocates %v times over %d hosts and %v over %d", counts[0], regions[0], counts[1], regions[1])
+	if len(s.NeighborRacks()) != 0 {
+		t.Fatalf("shim has neighbour racks %v; the test needs none", s.NeighborRacks())
 	}
-	// The Report, two appends to the selected set, the MigrationResult, the
-	// working copy, two appends to the call's Migrations and one to the
-	// Report's.
-	if counts[0] != 8 {
-		t.Errorf("a server-alert round allocates %v times, want 8", counts[0])
+	host := a.cluster.Racks[0].Hosts[0]
+	rep, err := s.ProcessAlerts([]alert.Alert{
+		{Kind: alert.FromServer, HostID: host.ID, RackIndex: 0, Value: 0.95},
+		{Kind: alert.FromLocalToR, RackIndex: 0, Value: 0.92},
+	})
+	if !errors.Is(err, ErrNoCandidates) {
+		t.Fatalf("ProcessAlerts error = %v, want ErrNoCandidates", err)
+	}
+	if len(s.torSet) == 0 {
+		t.Fatal("the ToR alert selected nothing; the ToR call was never made")
+	}
+	res, err := Migrate(b.cluster, b.model, twinVMs(b.cluster, s.hostSet), b.cluster.Racks[0].Hosts, s.migrationOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Migrations) == 0 {
+		t.Fatal("the host call moved nothing; the report would be empty either way")
+	}
+	if g, w := reportSignature(rep), reportSignature(&Report{Tally: res.Tally}); g != w {
+		t.Fatalf("report after the failed ToR call\n  %s\nthe host call alone\n  %s", g, w)
 	}
 }

@@ -136,6 +136,40 @@ func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
 	}
 }
 
+// WeighFrom fills the retained weight vector from src's instead of from
+// the graph: src's weights with every edge into a blocked node priced Inf,
+// at a copy and one pass over each blocked node's links instead of a cost
+// call per directed edge. The weights are bit for bit those Reweigh fills
+// with src's cost masked to Inf on the edges into the blocked nodes. The
+// cheapest weight into each node is src's, Inf for a blocked node, and
+// PositiveWeights is src's: bounds as tight as src's, which ReweighEdges may
+// have loosened, and a zero weight the mask priced Inf still counts. Blocked
+// nodes outside the graph are ignored. Both tables must be bound to the
+// graph's current wiring.
+func (ms *MultiSource) WeighFrom(src *MultiSource, block ...int) {
+	ms.mustBeBound()
+	src.mustBeBound()
+	if src.c != ms.c {
+		panic("topology: WeighFrom source table is bound to another graph")
+	}
+	copy(ms.weights, src.weights)
+	copy(ms.minIn, src.minIn)
+	ms.positive = src.positive
+	c := ms.c
+	for _, v := range block {
+		if v < 0 || v >= ms.n {
+			continue
+		}
+		// Links are installed in both directions, so the edges into v are
+		// the reverses of the edges out of it.
+		for i := c.rowStart[v]; i < c.rowStart[v+1]; i++ {
+			l := ms.g.loc[ReverseEdge(int(c.edgeID[i]))]
+			ms.weights[c.rowStart[l.node]+l.pos].w = Inf
+		}
+		ms.minIn[v] = Inf
+	}
+}
+
 // SweepRows runs the single-source search of each named row (an index
 // into the Reset source list, see Row) against the retained weights.
 // The rows run one after another on the caller's goroutine, on one
@@ -302,15 +336,17 @@ func (m *MultiSource) Dist(src, dst int) float64 {
 	return t[dst].d
 }
 
-// Path reconstructs one minimal path src → … → dst (inclusive), or nil
-// when unreachable or src is not a source.
-func (m *MultiSource) Path(src, dst int) []int {
+// Path reconstructs one minimal path src → … → dst (inclusive) into buf,
+// or returns nil when unreachable or src is not a source. The path is
+// written over buf[:0] when buf has the room, and into a slice of exactly
+// the path's length otherwise; buf may be nil.
+func (m *MultiSource) Path(src, dst int, buf []int) []int {
 	t := m.row(src)
 	if t == nil || dst < 0 || dst >= m.n {
 		return nil
 	}
 	if src == dst {
-		return []int{src}
+		return append(buf[:0], src)
 	}
 	if t[dst].p < 0 {
 		return nil
@@ -324,7 +360,7 @@ func (m *MultiSource) Path(src, dst int) []int {
 	if cur != src {
 		return nil
 	}
-	out := make([]int, hops+1)
+	out := ensureLen(buf, hops+1)
 	i := hops
 	for cur := dst; ; cur = int(t[cur].p) {
 		out[i] = cur

@@ -48,7 +48,7 @@ func TestDijkstraPathConsistency(t *testing.T) {
 	ms := DijkstraFrom(ft.Graph, racks, DistanceCost)
 	for _, a := range racks {
 		for _, b := range racks {
-			p := ms.Path(a, b)
+			p := ms.Path(a, b, nil)
 			if p == nil {
 				t.Fatalf("nil path %d->%d", a, b)
 			}
@@ -80,7 +80,7 @@ func TestDijkstraSelfPath(t *testing.T) {
 	if d := ms.Dist(r, r); d != 0 {
 		t.Fatalf("self distance = %v", d)
 	}
-	if p := ms.Path(r, r); len(p) != 1 || p[0] != r {
+	if p := ms.Path(r, r, nil); len(p) != 1 || p[0] != r {
 		t.Fatalf("self path = %v", p)
 	}
 }
@@ -96,7 +96,7 @@ func TestDijkstraNonSourceQueries(t *testing.T) {
 	if !math.IsInf(ms.Dist(other, racks[0]), 1) {
 		t.Fatal("non-source Dist should be Inf")
 	}
-	if ms.Path(other, racks[0]) != nil {
+	if ms.Path(other, racks[0], nil) != nil {
 		t.Fatal("non-source Path should be nil")
 	}
 	if !math.IsInf(ms.Dist(racks[0], -1), 1) {
@@ -112,7 +112,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if !math.IsInf(ms.Dist(a, b), 1) {
 		t.Fatal("disconnected should be Inf")
 	}
-	if ms.Path(a, b) != nil {
+	if ms.Path(a, b, nil) != nil {
 		t.Fatal("disconnected path should be nil")
 	}
 }

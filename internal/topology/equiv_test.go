@@ -69,7 +69,7 @@ func assertSameMultiSource(t *testing.T, g *Graph, sources []int, ms *MultiSourc
 			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 				t.Fatalf("%s: Dist(%d,%d) = %v, reference %v", label, s, d, got, want)
 			}
-			gp, wp := ms.Path(s, d), ref.Path(s, d)
+			gp, wp := ms.Path(s, d, nil), ref.Path(s, d)
 			if !slices.Equal(gp, wp) {
 				t.Fatalf("%s: Path(%d,%d) = %v, reference %v", label, s, d, gp, wp)
 			}
@@ -82,7 +82,7 @@ func assertSameMultiSource(t *testing.T, g *Graph, sources []int, ms *MultiSourc
 // edge per hop, each edge joining the hop's endpoints, src → dst order.
 func assertPathEdges(t *testing.T, g *Graph, ms *MultiSource, s, d int, label string) {
 	t.Helper()
-	path := ms.Path(s, d)
+	path := ms.Path(s, d, nil)
 	edges, ok := ms.PathEdges(s, d, nil)
 	if ok != (path != nil) {
 		t.Fatalf("%s: PathEdges(%d,%d) ok = %v, Path = %v", label, s, d, ok, path)
@@ -301,7 +301,7 @@ func TestSweepMatchesReferenceAcrossBinades(t *testing.T) {
 					t.Fatalf("%s: parent of %d from %d = %d, reference %d", tc.label, d, s, got, want)
 				}
 				path := ref.Path(s, d)
-				if got := tc.ms.Path(s, d); !slices.Equal(got, path) {
+				if got := tc.ms.Path(s, d, nil); !slices.Equal(got, path) {
 					t.Fatalf("%s: Path(%d,%d) = %v, reference %v", tc.label, s, d, got, path)
 				}
 				var want []int
@@ -372,7 +372,7 @@ func TestShortestPathAvoidingNodesMatchesReference(t *testing.T) {
 			ms.Reset(g, []int{src})
 			ms.Reweigh(cost)
 			ms.SweepRowTo(0, dst, nil)
-			got, want := ms.Path(src, dst), referenceDijkstraFrom(g, []int{src}, cost).Path(src, dst)
+			got, want := ms.Path(src, dst, nil), referenceDijkstraFrom(g, []int{src}, cost).Path(src, dst)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d avoid %v: %v, reference %v", seed, avoid, got, want)
 			}

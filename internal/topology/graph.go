@@ -5,6 +5,12 @@
 // settings of Sec. VI.B, and Floyd–Warshall all-pairs shortest paths used
 // to collapse the transmission cost g(v_i, v_p, e_ip) into G(v_i, v_p)
 // (Sec. V.A.2).
+//
+// Shortest paths on the per-period path come from MultiSource tables,
+// which allocate nothing once warm: MultiSource.Path and PathEdges write a
+// route into a buffer the caller passes, and MultiSource.WeighFrom prices a
+// table as another table's weights with some nodes blocked (every edge into
+// them Inf), at a copy instead of a cost call per directed edge.
 package topology
 
 import (

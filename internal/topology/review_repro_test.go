@@ -19,7 +19,7 @@ func TestReviewZeroCostParentCycle(t *testing.T) {
 	done := make(chan []int, 1)
 	go func() {
 		ms := DijkstraFrom(g, []int{2}, DistanceCost)
-		done <- ms.Path(2, 0)
+		done <- ms.Path(2, 0, nil)
 	}()
 	select {
 	case p := <-done:

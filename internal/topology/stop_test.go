@@ -114,7 +114,7 @@ func TestSweepRowToEqualsFullRow(t *testing.T) {
 					if got, want := ms.Dist(src, dst), full.Dist(src, dst); got != want {
 						t.Fatalf("%s: stopped Dist(%d,%d) = %v, full %v", label, src, dst, got, want)
 					}
-					if got := ms.Path(src, dst); reached && pathCost(g, got, cost) != full.Dist(src, dst) {
+					if got := ms.Path(src, dst, nil); reached && pathCost(g, got, cost) != full.Dist(src, dst) {
 						t.Fatalf("%s: stopped Path(%d,%d) = %v costs %v, Dist is %v", label, src, dst, got, pathCost(g, got, cost), full.Dist(src, dst))
 					}
 					samePath(t, label, ms, tree, src, dst)
@@ -157,7 +157,7 @@ func pathCost(g *Graph, path []int, cost EdgeCost) float64 {
 // (src, dst) exactly as want does.
 func samePath(t *testing.T, label string, got, want *MultiSource, src, dst int) {
 	t.Helper()
-	if g, w := got.Path(src, dst), want.Path(src, dst); !slices.Equal(g, w) {
+	if g, w := got.Path(src, dst, nil), want.Path(src, dst, nil); !slices.Equal(g, w) {
 		t.Fatalf("%s: Path(%d,%d) = %v, full row %v", label, src, dst, g, w)
 	}
 	g, gOK := got.PathEdges(src, dst, nil)
@@ -378,7 +378,7 @@ func TestShortestPathAvoidingNodes(t *testing.T) {
 			return e.Distance
 		})
 		reached := ms.SweepRowTo(0, d, nil)
-		if got := ms.Path(a, d); reached != (tc.want != nil) || !slices.Equal(got, tc.want) || ms.Dist(a, d) != tc.dist {
+		if got := ms.Path(a, d, nil); reached != (tc.want != nil) || !slices.Equal(got, tc.want) || ms.Dist(a, d) != tc.dist {
 			t.Fatalf("avoiding %v: path %v at %v (reached %v), want %v at %v", tc.avoid, got, ms.Dist(a, d), reached, tc.want, tc.dist)
 		}
 	}
@@ -530,5 +530,98 @@ func TestSweepRowsUntilTargetsEqualFullRow(t *testing.T) {
 				t.Fatalf("%s: %d stopped rows settled %d nodes: no row stopped early", label, n, settled)
 			}
 		}
+	}
+}
+
+// TestWeighFromEqualsMaskedReweigh: a vector copied from another table's
+// with some nodes blocked is, bit for bit, the vector Reweigh fills with
+// that table's cost masked to Inf on every edge into a blocked node — the
+// weights and the cheapest weight into each node — on every fabric and
+// weight regime, with blocks that repeat or fall outside the graph. The
+// copy allocates nothing.
+func TestWeighFromEqualsMaskedReweigh(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for name, g := range stopFabrics(t) {
+		racks := g.RackNodes()
+		for _, regime := range []string{"ties", "spread", "free"} {
+			cost := stopWeights(rng, g, regime)
+			src := &MultiSource{}
+			src.Reset(g, racks)
+			src.Reweigh(cost)
+			for trial := 0; trial < 8; trial++ {
+				var block []int
+				for i := rng.Intn(4); i > 0; i-- {
+					block = append(block, rng.Intn(g.NumNodes()))
+				}
+				if trial%2 == 1 && len(block) > 0 {
+					block = append(block, block[0], -1, g.NumNodes())
+				}
+				blocked := make(map[int]bool)
+				for _, v := range block {
+					blocked[v] = true
+				}
+				want := &MultiSource{}
+				want.Reset(g, racks[:1])
+				want.Reweigh(func(e Edge) float64 {
+					if blocked[e.To] {
+						return Inf
+					}
+					return cost(e)
+				})
+				got := &MultiSource{}
+				got.Reset(g, racks[:1])
+				got.WeighFrom(src, block...)
+				label := fmt.Sprintf("%s/%s block %v", name, regime, block)
+				for i := range want.weights {
+					if w, x := want.weights[i], got.weights[i]; w.v != x.v || math.Float64bits(w.w) != math.Float64bits(x.w) {
+						t.Fatalf("%s: weight %d = %+v, masked fill %+v", label, i, x, w)
+					}
+				}
+				for v := range want.minIn {
+					if math.Float64bits(got.minIn[v]) != math.Float64bits(want.minIn[v]) {
+						t.Fatalf("%s: cheapest weight into %d = %v, masked fill %v", label, v, got.minIn[v], want.minIn[v])
+					}
+				}
+				// Positivity is the source's: a zero weight the mask priced
+				// Inf may leave it false where the fill finds every weight
+				// above zero, never the other way.
+				if got.PositiveWeights() != src.PositiveWeights() || got.PositiveWeights() && !want.PositiveWeights() {
+					t.Fatalf("%s: positive %v, source %v, masked fill %v", label, got.PositiveWeights(), src.PositiveWeights(), want.PositiveWeights())
+				}
+				if allocs := testing.AllocsPerRun(5, func() { got.WeighFrom(src, block...) }); allocs != 0 {
+					t.Fatalf("%s: WeighFrom allocates %v times, want 0", label, allocs)
+				}
+			}
+		}
+	}
+}
+
+// TestPathWritesIntoBuffer: Path writes over buf[:0] when buf has the room,
+// allocating nothing, and otherwise returns a slice of exactly the path's
+// length; its nodes never depend on the buffer.
+func TestPathWritesIntoBuffer(t *testing.T) {
+	ft, err := NewFatTree(FatTreeConfig{Pods: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	racks := ft.Racks()
+	ms := DijkstraFrom(ft.Graph, racks, DistanceCost)
+	a, b := racks[0], racks[len(racks)-1]
+	want := ms.Path(a, b, nil)
+	if len(want) != 5 || cap(want) != len(want) {
+		t.Fatalf("Path with no buffer = %v (cap %d), want a 5-node slice of its own length", want, cap(want))
+	}
+	buf := []int{-7, -7, -7, -7, -7, -7, -7, -7}
+	if got := ms.Path(a, b, buf); !slices.Equal(got, want) || &got[0] != &buf[0] {
+		t.Fatalf("Path into a roomy buffer = %v, not %v written over the buffer", got, want)
+	}
+	if got := ms.Path(a, b, buf[:0:2]); !slices.Equal(got, want) || cap(got) != len(want) || &got[0] == &buf[0] {
+		t.Fatalf("Path into a short buffer = %v (cap %d), want a fresh %v", got, cap(got), want)
+	}
+	if got := ms.Path(a, a, buf); !slices.Equal(got, []int{a}) || &got[0] != &buf[0] {
+		t.Fatalf("Path(a, a) into a buffer = %v, want [%d] written over it", got, a)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ms.Path(a, b, buf) }); allocs != 0 {
+		t.Fatalf("Path into a roomy buffer allocates %v times, want 0", allocs)
 	}
 }
