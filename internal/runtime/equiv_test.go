@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 // bit-exactly against the reference engine.
 type equivScenario struct {
 	name     string
+	seed     int64 // 0 is 11
 	steps    int
 	external bool // feed made-up profiles, some VMs silent, instead of the reporters' streams
 	mutate   func(*Options)
@@ -29,7 +31,7 @@ type partsFunc func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model)
 func equivScenarios() []equivScenario {
 	return []equivScenario{
 		{name: "default", steps: 12},
-		{name: "deep", steps: 14, mutate: func(o *Options) {
+		{name: "deep", steps: 20, mutate: func(o *Options) {
 			o.DeepPredict = true
 			o.DeepFitAfter = 6
 		}},
@@ -54,7 +56,27 @@ func equivScenarios() []equivScenario {
 		{name: "leaf-spine", steps: 4, parts: leafSpineParts, mutate: func(o *Options) {
 			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
 		}},
+		// G_d edited under the running runtime (editDeps).
+		{name: "dependency-edits", steps: 12, parts: reverseParts, edit: editDeps, mutate: func(o *Options) {
+			o.Traces = traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
+		}},
+		// The default regime at the seeds TestShardedDeterministicAcrossShardCounts
+		// and TestSnapshotRestoreShardCountChange run.
+		{name: "seed-3", seed: 3, steps: 10},
+		{name: "seed-13", seed: 13, steps: 10},
 	}
+}
+
+// scenario is the equivScenarios() row called name.
+func scenario(t *testing.T, name string) equivScenario {
+	t.Helper()
+	for _, sc := range equivScenarios() {
+		if sc.name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no scenario %s", name)
+	return equivScenario{}
 }
 
 // leafSpineParts is a 50-rack leaf-spine, 1 host × 2 VMs a rack, sparse
@@ -131,15 +153,30 @@ func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options
 // made-up profiles.
 func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
+	hist, _ := drivePeriods(t, r, sc, 0, sc.steps)
+	return hist
+}
+
+// drivePeriods steps r through sc's periods from..to-1, r standing at
+// period from, and returns their stats and the number of periods that
+// began with G_d edited.
+func drivePeriods(t *testing.T, r engine, sc equivScenario, from, to int) ([]StepStats, int) {
+	t.Helper()
 	reporters := feed(r)
-	hist := make([]StepStats, 0, sc.steps)
-	for step := 0; step < sc.steps; step++ {
+	cluster := runtimeOf(r).Cluster
+	hist := make([]StepStats, 0, to-from)
+	edits := 0
+	for step := from; step < to; step++ {
 		if sc.edit != nil {
-			sc.edit(t, step, runtimeOf(r).Cluster)
+			version := cluster.Deps.Version()
+			sc.edit(t, step, cluster)
+			if cluster.Deps.Version() != version {
+				edits++
+			}
 		}
 		var updates []ExternalUpdate
 		if sc.external {
-			for _, vm := range runtimeOf(r).Cluster.VMs() {
+			for _, vm := range cluster.VMs() {
 				// Every third VM is silent each step, exercising the
 				// repeat-last-profile path.
 				if (vm.ID+step)%3 == 0 {
@@ -156,74 +193,82 @@ func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 		}
 		hist = append(hist, *s)
 	}
-	return hist
+	return hist, edits
+}
+
+// digestRun runs sc on r from its first period and digests the run.
+func digestRun(t *testing.T, r engine, sc equivScenario) scenarioDigest {
+	t.Helper()
+	hist, edits := drivePeriods(t, r, sc, 0, sc.steps)
+	d := scenarioDigest{Name: sc.name, Covers: coverage{DepEdits: edits}}
+	for _, s := range hist {
+		d.observe(t, s)
+	}
+	d.finish(t, runtimeOf(r), r.Snapshot)
+	return d
 }
 
 // TestShardedMatchesReference is the engine-equivalence contract: for
 // every scenario and shard count, the sharded engine's StepStats, final
-// placement, and snapshot are bit-identical to the reference engine's.
+// placement, and snapshot are bit-identical to the reference engine's,
+// and the reference engine's are the digests recorded in
+// testdata/engine_digests.golden.json.
 func TestShardedMatchesReference(t *testing.T) {
+	var want map[string]scenarioDigest
+	if !*updateGolden {
+		want = loadDigests(t)
+	}
+	got := make(map[string]scenarioDigest)
 	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) { matchReference(t, sc) })
+		t.Run(sc.name, func(t *testing.T) {
+			d := matchReference(t, sc)
+			got[sc.name] = d
+			if *updateGolden {
+				return
+			}
+			w, ok := want[sc.name]
+			if !ok {
+				t.Fatalf("%s has no row for %s", digestsPath, sc.name)
+			}
+			sameDigest(t, "reference engine against "+digestsPath, w, d)
+		})
+	}
+	if *updateGolden {
+		writeDigests(t, got)
+		loadDigests(t)
+	} else if len(want) != len(equivScenarios()) {
+		t.Fatalf("%s has rows %v, want one per scenario", digestsPath, sortedNames(want))
 	}
 }
 
 // matchReference runs sc on the reference engine and on the sharded one at
-// 1, 2 and 5 shards, and fails unless every step's StepStats, the final
-// placement and the snapshot bytes agree.
-func matchReference(t *testing.T, sc equivScenario) {
+// 1, 2 and 5 shards, fails unless every step's StepStats, the final
+// placement and the snapshot bytes agree, and returns the reference run's
+// digest.
+func matchReference(t *testing.T, sc equivScenario) scenarioDigest {
 	t.Helper()
 	parts := sc.parts
 	if parts == nil {
 		parts = equivParts
 	}
+	seed := sc.seed
+	if seed == 0 {
+		seed = 11
+	}
 	refOpts := Options{}
 	if sc.mutate != nil {
 		sc.mutate(&refOpts)
 	}
-	ref := buildEquivReference(t, parts, 11, refOpts)
-	refHist := driveEquiv(t, ref, sc)
-	refPlaced := placement(ref.Cluster)
-
-	snap, err := ref.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSnap, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	want := digestRun(t, buildEquivReference(t, parts, seed, refOpts), sc)
 	for _, shards := range []int{1, 2, 5} {
 		shOpts := Options{Shards: shards}
 		if sc.mutate != nil {
 			sc.mutate(&shOpts)
 		}
-		sh := buildEquivOn(t, parts, 11, shOpts)
-		shHist := driveEquiv(t, sh, sc)
-		if len(shHist) != len(refHist) {
-			t.Fatalf("shards=%d: %d steps, reference has %d", shards, len(shHist), len(refHist))
-		}
-		for i := range refHist {
-			sameStats(t, sc.name, refHist[i], shHist[i])
-		}
-		for id, host := range placement(sh.Cluster) {
-			if refPlaced[id] != host {
-				t.Fatalf("shards=%d: VM %d ends on host %d, on %d under the reference engine", shards, id, host, refPlaced[id])
-			}
-		}
-		snap, err := sh.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(refSnap) {
-			t.Fatalf("shards=%d: snapshot diverged from reference engine", shards)
-		}
+		got := digestRun(t, buildEquivOn(t, parts, seed, shOpts), sc)
+		sameDigest(t, fmt.Sprintf("shards=%d against the reference engine", shards), want, got)
 	}
+	return want
 }
 
 // reverseParts is a 4-pod Fat-Tree filled from its last host to its first,
@@ -313,10 +358,7 @@ func editDeps(t *testing.T, step int, c *dcn.Cluster) {
 // shard count. The sharded engine rebuilds its edge table at exactly the
 // periods that follow an edit.
 func TestDependencyEditsMatchReference(t *testing.T) {
-	sc := equivScenario{name: "dependency-edits", steps: 12, parts: reverseParts, edit: editDeps,
-		mutate: func(o *Options) {
-			o.Traces = traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
-		}}
+	sc := scenario(t, "dependency-edits")
 	matchReference(t, sc)
 
 	opts := Options{Shards: 2}
@@ -493,19 +535,31 @@ func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
 	ref := buildEquivReference(t, equivParts, 11, opts)
 	sharded := buildEquivRuntime(t, 11, opts)
+	eager, _ := sharded.Model.SweepCounts() // cost.New's eager rows
 	refHist, shHist := driveEquiv(t, ref, sc), driveEquiv(t, sharded, sc)
-	migrations := 0
+	migrations, alerting := 0, 0
 	for i := range refHist {
 		if refHist[i].Migrations != shHist[i].Migrations || refHist[i].MigrationCost != shHist[i].MigrationCost {
 			t.Fatalf("step %d: engines diverge (%d/%v vs %d/%v)", i,
 				refHist[i].Migrations, refHist[i].MigrationCost, shHist[i].Migrations, shHist[i].MigrationCost)
 		}
 		migrations += shHist[i].Migrations
+		if shHist[i].ServerAlerts+shHist[i].ToRAlerts > 0 {
+			alerting++
+		}
 	}
 	if migrations == 0 {
 		t.Fatal("scenario raised no migrations; nothing priced")
 	}
+	// A full Refresh sweeps every rack's row once in each period with an
+	// alert to manage.
+	full := eager + uint64(alerting*len(sharded.Cluster.Graph.RackNodes()))
 	refAhead, refLate := ref.Model.SweepCounts()
+	t.Logf("full-refresh rows: %d eager + %d alerting periods x %d racks = %d; reference engine swept %d",
+		eager, alerting, len(sharded.Cluster.Graph.RackNodes()), full, refAhead)
+	if full != refAhead {
+		t.Fatalf("full-refresh formula gives %d rows, the reference engine swept %d", full, refAhead)
+	}
 	ahead, late := sharded.Model.SweepCounts()
 	if refLate != 0 {
 		t.Fatalf("reference engine's full Refresh left %d rows for queries to sweep", refLate)

@@ -104,7 +104,9 @@ type engineRows struct {
 }
 
 // Snapshot captures the runtime's full resumable state. It fails when a
-// fitted deep pool contains an unserializable candidate.
+// fitted deep pool contains an unserializable candidate, and when a VM has
+// left or joined the cluster since the runtime was built (the error names
+// it): Restore would refuse that file.
 func (r *Runtime) Snapshot() (*Snapshot, error) {
 	sh := r.sh
 	n := len(sh.byID)
@@ -136,6 +138,9 @@ func (r *Runtime) snapshotDoc(rows engineRows) (*Snapshot, error) {
 	cluster, err := r.Cluster.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: snapshot: %w", err)
+	}
+	if err := sameVMs(rows.vms.ID, cluster.VMs.ID); err != nil {
+		return nil, err
 	}
 	flows, err := r.Flows.Snapshot()
 	if err != nil {
@@ -190,6 +195,26 @@ func (r *Runtime) snapshotDoc(rows engineRows) (*Snapshot, error) {
 		}
 	}
 	return snap, nil
+}
+
+// sameVMs fails unless the engine steps exactly the cluster's VMs, both
+// lists in ascending ID order: Restore rebuilds the engine over the
+// cluster's VMs and refuses a file that lists others. The engine keeps
+// stepping a VM removed from the cluster under it, and does not step one
+// added, so a snapshot taken after either is refused here, naming the VM.
+func sameVMs(stepped, cluster []int) error {
+	i, j := 0, 0
+	for i < len(stepped) || j < len(cluster) {
+		switch {
+		case i < len(stepped) && j < len(cluster) && stepped[i] == cluster[j]:
+			i, j = i+1, j+1
+		case j == len(cluster) || i < len(stepped) && stepped[i] < cluster[j]:
+			return fmt.Errorf("runtime: snapshot: VM %d has left the cluster but is still stepped; a restore could not rebuild it", stepped[i])
+		default:
+			return fmt.Errorf("runtime: snapshot: VM %d joined the cluster after the runtime was built and is not stepped; a restore could not rebuild it", cluster[j])
+		}
+	}
+	return nil
 }
 
 // unpack checks that the VM and queue columns are of equal length and
