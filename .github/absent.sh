@@ -43,9 +43,11 @@ while read -r kind target words; do
 		;;
 	esac
 done <<'EOF'
-# One step engine: the seed engine and the seed oracles are compiled by the tests only.
+# One step engine, in the product and in the tests: the seed runtime engine is gone, and the digests recorded from it (internal/runtime/testdata/engine_digests.golden.json) pin the one left; the other seed oracles are compiled by the tests only.
 file internal/*/reference.go
+file internal/runtime/reference*_test.go
 src  refreshNaive|initReference|advanceRef|refState|trendState
+src  engineRows|snapshotDoc|ewmaTrend|holtCoeff|initSharded|newReference
 doc  ./internal/runtime.Options Reference
 # One handshake per transport, one hot-switch detector.
 doc  ./internal/migrate Coordinator|RoundReport
@@ -109,7 +111,7 @@ file internal/qcn
 file cmd/benchfig
 file cmd/predict
 file cmd/tracegen
-# No seed-engine parts in product code: the seed engine's monitors live in the runtime's tests.
+# No seed-engine parts in product code: the seed engine's monitors went with it.
 doc  ./internal/alert ProfilePredictor|QueueMonitor|ComponentForecaster
 doc  ./internal/centralized MigrateOpts
 # No step-history ring: the runtime keeps no per-period stats; Run returns those of its own steps.

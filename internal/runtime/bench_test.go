@@ -32,7 +32,7 @@ func buildBenchRuntimeOpts(b *testing.B, pods int, opts Options) *Runtime {
 	return r
 }
 
-// buildBenchParts is what both engines are built from: the populated
+// buildBenchParts is what the step benchmarks build on: the populated
 // fabric, its cost model, and the benchmark's seed and thresholds in opts.
 func buildBenchParts(b *testing.B, pods int, opts Options) (*dcn.Cluster, *cost.Model, Options) {
 	b.Helper()
@@ -64,14 +64,14 @@ func BenchmarkRuntimeStep(b *testing.B) {
 	benchSteps(b, buildBenchRuntime(b, 48))
 }
 
-// benchSteps primes e past the cold-start window — flow routes are
+// benchSteps primes r past the cold-start window — flow routes are
 // established and every VM has enough history to extrapolate — then times
 // b.N periods of StepExternal. Each period's profiles are drawn from the
 // reporters with the timer stopped.
-func benchSteps(b *testing.B, e engine) {
-	reporters := feed(e)
+func benchSteps(b *testing.B, r *Runtime) {
+	reporters := feed(r)
 	for i := 0; i < 15; i++ {
-		if _, err := e.StepExternal(reporters.Next()); err != nil {
+		if _, err := r.StepExternal(reporters.Next()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func benchSteps(b *testing.B, e engine) {
 		b.StopTimer()
 		updates := reporters.Next()
 		b.StartTimer()
-		if _, err := e.StepExternal(updates); err != nil {
+		if _, err := r.StepExternal(updates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,17 +164,6 @@ func alternateProfiles(tb testing.TB, r *Runtime) []traces.Profile {
 		tb.Fatal("no flows to sync")
 	}
 	return prev
-}
-
-// BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed
-// engine (reference_test.go) — the "before" side of the sharded-engine
-// speedup and allocation comparison.
-func BenchmarkRuntimeStepReference(b *testing.B) {
-	r, err := newReference(buildBenchParts(b, 48, Options{}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchSteps(b, r)
 }
 
 // BenchmarkRuntimeStepShards pins the shard-count scaling of the default

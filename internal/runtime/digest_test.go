@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"sheriff/internal/dcn"
@@ -90,9 +89,9 @@ func placementDigest(c *dcn.Cluster) string {
 	return digest(b.Bytes())
 }
 
-// finish fills in d's placement and snapshot from the runtime's state at
-// the end of its run.
-func (d *scenarioDigest) finish(t *testing.T, r *Runtime, snapshot func() (*Snapshot, error)) {
+// finish fills in d's placement, deep pools and snapshot from the
+// runtime's state at the end of its run.
+func (d *scenarioDigest) finish(t *testing.T, r *Runtime) {
 	t.Helper()
 	d.Placement = placementDigest(r.Cluster)
 	for rk := range r.Cluster.Racks {
@@ -100,7 +99,7 @@ func (d *scenarioDigest) finish(t *testing.T, r *Runtime, snapshot func() (*Snap
 			d.Covers.DeepPools++
 		}
 	}
-	snap, err := snapshot()
+	snap, err := r.Snapshot()
 	if err != nil {
 		d.SnapshotError = err.Error()
 		return
@@ -190,14 +189,4 @@ func writeDigests(t *testing.T, rows map[string]scenarioDigest) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s (%d scenarios)", digestsPath, len(out))
-}
-
-// sortedNames lists m's keys in order, for messages.
-func sortedNames(m map[string]scenarioDigest) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names
 }

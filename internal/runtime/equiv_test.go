@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sheriff/internal/alert"
@@ -13,8 +15,8 @@ import (
 	"sheriff/internal/traces"
 )
 
-// equivScenario is one regime the sharded engine must reproduce
-// bit-exactly against the reference engine.
+// equivScenario is one regime whose run the step engine must reproduce
+// bit for bit at every shard count and across a restore at every period.
 type equivScenario struct {
 	name     string
 	seed     int64 // 0 is 11
@@ -22,15 +24,67 @@ type equivScenario struct {
 	external bool // feed made-up profiles, some VMs silent, instead of the reporters' streams
 	mutate   func(*Options)
 	parts    partsFunc                                    // nil is equivParts' 4-pod Fat-Tree
+	fabric   fabricFunc                                   // parts' fabric left empty, for restores; nil is buildParts' 4-pod Fat-Tree
 	edit     func(t *testing.T, step int, c *dcn.Cluster) // when set, edits the cluster before each step
 }
 
 // partsFunc builds a populated fabric and its cost model from a seed.
 type partsFunc func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model)
 
+// fabricFunc builds a fabric with no VMs and its cost model.
+type fabricFunc func(t *testing.T) (*dcn.Cluster, *cost.Model)
+
+// options are sc's runtime options at the given shard count.
+func (sc equivScenario) options(shards int) Options {
+	opts := Options{Shards: shards}
+	if sc.mutate != nil {
+		sc.mutate(&opts)
+	}
+	return opts
+}
+
+// build is sc's runtime at the given shard count, before its first period.
+func (sc equivScenario) build(t *testing.T, shards int) *Runtime {
+	t.Helper()
+	parts, seed := sc.parts, sc.seed
+	if parts == nil {
+		parts = equivParts
+	}
+	if seed == 0 {
+		seed = 11
+	}
+	return buildEquivOn(t, parts, seed, sc.options(shards))
+}
+
+// restore decodes doc onto an empty copy of sc's fabric as a runtime at
+// the given shard count.
+func (sc equivScenario) restore(t *testing.T, doc []byte, shards int) *Runtime {
+	t.Helper()
+	var snap Snapshot
+	if err := json.Unmarshal(doc, &snap); err != nil {
+		t.Fatal(err)
+	}
+	fabric := sc.fabric
+	if fabric == nil {
+		fabric = func(t *testing.T) (*dcn.Cluster, *cost.Model) { return buildParts(t, 4) }
+	}
+	cluster, model := fabric(t)
+	if err := cluster.Restore(snap.Cluster); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cluster, model, sc.options(shards), &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
+}
+
 func equivScenarios() []equivScenario {
 	return []equivScenario{
 		{name: "default", steps: 12},
+		// The pools first fit at period 17, once the history is long
+		// enough for ARIMA(1,1,1); three periods then run on them.
 		{name: "deep", steps: 20, mutate: func(o *Options) {
 			o.DeepPredict = true
 			o.DeepFitAfter = 6
@@ -53,7 +107,7 @@ func equivScenarios() []equivScenario {
 		}},
 		// A leaf-spine fabric: sparse racks, a deferred cost model,
 		// thresholds low enough to alert.
-		{name: "leaf-spine", steps: 4, parts: leafSpineParts, mutate: func(o *Options) {
+		{name: "leaf-spine", steps: 4, parts: leafSpineParts, fabric: leafSpineFabric, mutate: func(o *Options) {
 			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
 		}},
 		// G_d edited under the running runtime (editDeps).
@@ -83,6 +137,14 @@ func scenario(t *testing.T, name string) equivScenario {
 // dependencies, over a cost model that sweeps nothing until asked.
 func leafSpineParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
 	t.Helper()
+	cluster, model := leafSpineFabric(t)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.1, CrossRackDependencyProb: 0.1, Seed: seed})
+	return cluster, model
+}
+
+// leafSpineFabric is leafSpineParts' fabric with no VMs.
+func leafSpineFabric(t *testing.T) (*dcn.Cluster, *cost.Model) {
+	t.Helper()
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +153,6 @@ func leafSpineParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.1, CrossRackDependencyProb: 0.1, Seed: seed})
 	model, err := cost.NewDeferred(cluster, cost.PaperParams())
 	if err != nil {
 		t.Fatal(err)
@@ -136,47 +197,34 @@ func buildEquivOn(t *testing.T, parts partsFunc, seed int64, opts Options) *Runt
 	return r
 }
 
-// buildEquivReference is buildEquivOn for the seed engine.
-func buildEquivReference(t *testing.T, parts partsFunc, seed int64, opts Options) *refRuntime {
+// driveEquiv steps r through sc from its first period and returns the
+// periods' stats.
+func driveEquiv(t *testing.T, r *Runtime, sc equivScenario) []StepStats {
 	t.Helper()
-	cluster, model := parts(t, seed)
-	opts.Seed = seed
-	r, err := newReference(cluster, model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return drivePeriods(t, r, sc, 0, sc.steps, nil, nil)
 }
 
-// driveEquiv steps r through sc, fed by the reporters feed opens for it
-// (the same streams for either engine) or, in the external scenario, by
-// made-up profiles.
-func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
-	t.Helper()
-	hist, _ := drivePeriods(t, r, sc, 0, sc.steps)
-	return hist
-}
-
-// drivePeriods steps r through sc's periods from..to-1, r standing at
-// period from, and returns their stats and the number of periods that
-// began with G_d edited.
-func drivePeriods(t *testing.T, r engine, sc equivScenario, from, to int) ([]StepStats, int) {
+// drivePeriods steps r, standing at period from, through sc's periods
+// from..to-1, fed by the reporters feed opens for it or, in the external
+// scenario, by made-up profiles, and returns the periods' stats. The
+// runtime's invariants must hold after every period. When d is set, each
+// period is digested into it; when after is set, it runs after each
+// period with the number of periods done.
+func drivePeriods(t *testing.T, r *Runtime, sc equivScenario, from, to int, d *scenarioDigest, after func(done int)) []StepStats {
 	t.Helper()
 	reporters := feed(r)
-	cluster := runtimeOf(r).Cluster
 	hist := make([]StepStats, 0, to-from)
-	edits := 0
 	for step := from; step < to; step++ {
 		if sc.edit != nil {
-			version := cluster.Deps.Version()
-			sc.edit(t, step, cluster)
-			if cluster.Deps.Version() != version {
-				edits++
+			version := r.Cluster.Deps.Version()
+			sc.edit(t, step, r.Cluster)
+			if d != nil && r.Cluster.Deps.Version() != version {
+				d.Covers.DepEdits++
 			}
 		}
 		var updates []ExternalUpdate
 		if sc.external {
-			for _, vm := range cluster.VMs() {
+			for _, vm := range r.Cluster.VMs() {
 				// Every third VM is silent each step, exercising the
 				// repeat-last-profile path.
 				if (vm.ID+step)%3 == 0 {
@@ -191,28 +239,30 @@ func drivePeriods(t *testing.T, r engine, sc equivScenario, from, to int) ([]Ste
 		if err != nil {
 			t.Fatalf("%s step %d: %v", sc.name, step, err)
 		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("%s after step %d: %v", sc.name, step, err)
+		}
 		hist = append(hist, *s)
+		if d != nil {
+			d.observe(t, *s)
+		}
+		if after != nil {
+			after(step + 1)
+		}
 	}
-	return hist, edits
+	return hist
 }
 
-// digestRun runs sc on r from its first period and digests the run.
-func digestRun(t *testing.T, r engine, sc equivScenario) scenarioDigest {
-	t.Helper()
-	hist, edits := drivePeriods(t, r, sc, 0, sc.steps)
-	d := scenarioDigest{Name: sc.name, Covers: coverage{DepEdits: edits}}
-	for _, s := range hist {
-		d.observe(t, s)
-	}
-	d.finish(t, runtimeOf(r), r.Snapshot)
-	return d
-}
-
-// TestShardedMatchesReference is the engine-equivalence contract: for
-// every scenario and shard count, the sharded engine's StepStats, final
-// placement, and snapshot are bit-identical to the reference engine's,
-// and the reference engine's are the digests recorded in
-// testdata/engine_digests.golden.json.
+// TestShardedMatchesReference is the engine-equivalence contract. The seed
+// engine the sharded one replaced recorded every scenario's run in
+// testdata/engine_digests.golden.json before it was deleted; for every
+// scenario, the engine at 1, 2 and 5 shards, and the 2-shard run split at
+// every period — snapshot, JSON round trip, restore onto a fresh fabric at
+// 1 or 5 shards, run on — must give that record: each period's StepStats,
+// the final placement and the final snapshot, with the runtime's
+// invariants holding after every period. A split at which a VM has left or
+// joined the cluster since the runtime was built must instead be refused
+// by Snapshot, naming the VM.
 func TestShardedMatchesReference(t *testing.T) {
 	var want map[string]scenarioDigest
 	if !*updateGolden {
@@ -221,7 +271,7 @@ func TestShardedMatchesReference(t *testing.T) {
 	got := make(map[string]scenarioDigest)
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			d := matchReference(t, sc)
+			d := matchShardsAndSplits(t, sc)
 			got[sc.name] = d
 			if *updateGolden {
 				return
@@ -230,45 +280,99 @@ func TestShardedMatchesReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s has no row for %s", digestsPath, sc.name)
 			}
-			sameDigest(t, "reference engine against "+digestsPath, w, d)
+			sameDigest(t, digestsPath, w, d)
 		})
 	}
 	if *updateGolden {
 		writeDigests(t, got)
 		loadDigests(t)
 	} else if len(want) != len(equivScenarios()) {
-		t.Fatalf("%s has rows %v, want one per scenario", digestsPath, sortedNames(want))
+		t.Fatalf("%s has %d rows, want one per scenario (%d)", digestsPath, len(want), len(equivScenarios()))
 	}
 }
 
-// matchReference runs sc on the reference engine and on the sharded one at
-// 1, 2 and 5 shards, fails unless every step's StepStats, the final
-// placement and the snapshot bytes agree, and returns the reference run's
-// digest.
-func matchReference(t *testing.T, sc equivScenario) scenarioDigest {
+// matchShardsAndSplits runs sc at 1, 2 and 5 shards, and the 2-shard run
+// split at every period, fails unless every run digests alike, and returns
+// the digest.
+func matchShardsAndSplits(t *testing.T, sc equivScenario) scenarioDigest {
 	t.Helper()
-	parts := sc.parts
-	if parts == nil {
-		parts = equivParts
-	}
-	seed := sc.seed
-	if seed == 0 {
-		seed = 11
-	}
-	refOpts := Options{}
-	if sc.mutate != nil {
-		sc.mutate(&refOpts)
-	}
-	want := digestRun(t, buildEquivReference(t, parts, seed, refOpts), sc)
+	var base scenarioDigest
 	for _, shards := range []int{1, 2, 5} {
-		shOpts := Options{Shards: shards}
-		if sc.mutate != nil {
-			sc.mutate(&shOpts)
+		r := sc.build(t, shards)
+		built := vmIDs(r.Cluster)
+		d := scenarioDigest{Name: sc.name}
+		var split func(done int)
+		if shards == 2 {
+			split = func(done int) {
+				if done < sc.steps {
+					splitAt(t, sc, r, d, built, done, base)
+				}
+			}
 		}
-		got := digestRun(t, buildEquivOn(t, parts, seed, shOpts), sc)
-		sameDigest(t, fmt.Sprintf("shards=%d against the reference engine", shards), want, got)
+		drivePeriods(t, r, sc, 0, sc.steps, &d, split)
+		d.finish(t, r)
+		if shards == 1 {
+			base = d
+			continue
+		}
+		sameDigest(t, fmt.Sprintf("shards=%d", shards), base, d)
 	}
-	return want
+	return base
+}
+
+// splitAt snapshots r, done periods into sc and built over the VMs built,
+// restores the document at 1 shard after an even period and at 5 after an
+// odd one, and runs the rest of sc there; prefix digests r's periods so
+// far, and the whole run must digest as want. When the cluster's VMs are
+// no longer the ones r was built over, the snapshot must instead be
+// refused, naming the first VM that left or joined.
+func splitAt(t *testing.T, sc equivScenario, r *Runtime, prefix scenarioDigest, built []int, done int, want scenarioDigest) {
+	t.Helper()
+	snap, err := r.Snapshot()
+	if moved, ok := firstDifference(built, vmIDs(r.Cluster)); ok {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("VM %d ", moved)) {
+			t.Fatalf("split after period %d: VM %d has left or joined the cluster, but Snapshot returned error %v", done, moved, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("split after period %d: %v", done, err)
+	}
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := 1 + 4*(done%2)
+	restored := sc.restore(t, doc, shards)
+	d := prefix
+	d.Steps = slices.Clone(prefix.Steps)
+	drivePeriods(t, restored, sc, done, sc.steps, &d, nil)
+	d.finish(t, restored)
+	sameDigest(t, fmt.Sprintf("split after period %d onto %d shards", done, shards), want, d)
+}
+
+// vmIDs lists the cluster's VM IDs in ascending order.
+func vmIDs(c *dcn.Cluster) []int {
+	var ids []int
+	for _, vm := range c.VMs() {
+		ids = append(ids, vm.ID)
+	}
+	return ids
+}
+
+// firstDifference is the smallest ID in one of the two lists but not the
+// other, if there is one.
+func firstDifference(a, b []int) (int, bool) {
+	in := func(ids []int, id int) bool { _, ok := slices.BinarySearch(ids, id); return ok }
+	first, found := 0, false
+	for _, ids := range [][2][]int{{a, b}, {b, a}} {
+		for _, id := range ids[0] {
+			if !in(ids[1], id) && (!found || id < first) {
+				first, found = id, true
+			}
+		}
+	}
+	return first, found
 }
 
 // reverseParts is a 4-pod Fat-Tree filled from its last host to its first,
@@ -351,19 +455,15 @@ func editDeps(t *testing.T, step int, c *dcn.Cluster) {
 	}
 }
 
-// TestDependencyEditsMatchReference: G_d edited under a running runtime —
-// a dependency added, one removed, a VM removed with its edges, a peer the
-// engine does not step — leaves the sharded engine bit-identical to the
-// reference engine, which rebuilds its pair map every period, at every
-// shard count. The sharded engine rebuilds its edge table at exactly the
-// periods that follow an edit.
-func TestDependencyEditsMatchReference(t *testing.T) {
+// TestDependencyEditsRebuildEdgeTable: with G_d edited under a running
+// runtime — a dependency added, one removed, a VM removed with its edges,
+// a peer the engine does not step — the engine rebuilds its edge table at
+// exactly the periods that follow an edit, while VMs change rack under it.
+// TestShardedMatchesReference/dependency-edits pins the same run's
+// decisions.
+func TestDependencyEditsRebuildEdgeTable(t *testing.T) {
 	sc := scenario(t, "dependency-edits")
-	matchReference(t, sc)
-
-	opts := Options{Shards: 2}
-	sc.mutate(&opts)
-	r := drive(buildEquivOn(t, reverseParts, 11, opts))
+	r := drive(sc.build(t, 2))
 	migrations := 0
 	for step := 0; step < sc.steps; step++ {
 		table, version := &r.sh.edges[0], r.Cluster.Deps.Version()
@@ -384,18 +484,6 @@ func TestDependencyEditsMatchReference(t *testing.T) {
 	if migrations == 0 {
 		t.Fatal("scenario raised no migrations; no VM changed rack under the table")
 	}
-}
-
-// placement maps every VM to the host it lives on (-1 = none).
-func placement(c *dcn.Cluster) map[int]int {
-	out := make(map[int]int)
-	for _, vm := range c.VMs() {
-		out[vm.ID] = -1
-		if h := vm.Host(); h != nil {
-			out[vm.ID] = h.ID
-		}
-	}
-	return out
 }
 
 // TestShardedDeterministicAcrossShardCounts pins the determinism argument
@@ -524,48 +612,31 @@ func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 }
 
 // TestManagePhaseSweepsOnlyAskingRacks pins the demand-driven cost refresh:
-// over the same alerting run the sharded engine — which hands
-// RefreshSources the racks whose shims are about to price moves — sweeps
-// fewer rows than the reference engine's full Refresh, its queries find the
-// rows they need already swept, and (TestShardedMatchesReference) every
-// decision is still the same.
+// over an alerting run the engine — which hands RefreshSources the racks
+// whose shims are about to price moves — sweeps fewer rows than a full
+// Refresh in every alerting period would (cost.New's eager rows plus one
+// row per rack per period with a server or ToR alert to manage), and its
+// queries find the rows they need already swept.
+// TestShardedMatchesReference pins the decisions.
 func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 	sc := equivScenario{name: "surge", steps: 20}
-	opts := Options{Traces: traces.Options{Kind: traces.Surge,
-		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
-	ref := buildEquivReference(t, equivParts, 11, opts)
-	sharded := buildEquivRuntime(t, 11, opts)
-	eager, _ := sharded.Model.SweepCounts() // cost.New's eager rows
-	refHist, shHist := driveEquiv(t, ref, sc), driveEquiv(t, sharded, sc)
+	r := buildEquivRuntime(t, 11, Options{Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
+	eager, _ := r.Model.SweepCounts()
 	migrations, alerting := 0, 0
-	for i := range refHist {
-		if refHist[i].Migrations != shHist[i].Migrations || refHist[i].MigrationCost != shHist[i].MigrationCost {
-			t.Fatalf("step %d: engines diverge (%d/%v vs %d/%v)", i,
-				refHist[i].Migrations, refHist[i].MigrationCost, shHist[i].Migrations, shHist[i].MigrationCost)
-		}
-		migrations += shHist[i].Migrations
-		if shHist[i].ServerAlerts+shHist[i].ToRAlerts > 0 {
+	for _, s := range driveEquiv(t, r, sc) {
+		migrations += s.Migrations
+		if s.ServerAlerts+s.ToRAlerts > 0 {
 			alerting++
 		}
 	}
 	if migrations == 0 {
 		t.Fatal("scenario raised no migrations; nothing priced")
 	}
-	// A full Refresh sweeps every rack's row once in each period with an
-	// alert to manage.
-	full := eager + uint64(alerting*len(sharded.Cluster.Graph.RackNodes()))
-	refAhead, refLate := ref.Model.SweepCounts()
-	t.Logf("full-refresh rows: %d eager + %d alerting periods x %d racks = %d; reference engine swept %d",
-		eager, alerting, len(sharded.Cluster.Graph.RackNodes()), full, refAhead)
-	if full != refAhead {
-		t.Fatalf("full-refresh formula gives %d rows, the reference engine swept %d", full, refAhead)
-	}
-	ahead, late := sharded.Model.SweepCounts()
-	if refLate != 0 {
-		t.Fatalf("reference engine's full Refresh left %d rows for queries to sweep", refLate)
-	}
-	if ahead+late >= refAhead {
-		t.Fatalf("sharded engine swept %d+%d rows, reference %d: nothing saved", ahead, late, refAhead)
+	full := eager + uint64(alerting*len(r.Cluster.Graph.RackNodes()))
+	ahead, late := r.Model.SweepCounts()
+	if ahead+late >= full {
+		t.Fatalf("engine swept %d+%d rows, a full Refresh %d: nothing saved", ahead, late, full)
 	}
 	if late*10 > ahead {
 		t.Fatalf("%d rows swept on demand against %d named ahead: the manage phase names the wrong racks", late, ahead)

@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden snapshot files")
 // its history and advanced one round: ARIMA(2,1,2) needs 21 points, cannot
 // forecast, and its cached prediction is the NaN the document writes as
 // null.
-func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
+func deepGoldenSnapshot(t *testing.T) []byte {
 	t.Helper()
 	const seed, fitAfter, steps = 1, 24, 32
 	cluster, model := buildParts(t, 2)
@@ -33,24 +33,15 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 	opts := Options{Seed: seed, Shards: 2,
 		DeepPredict: true, DeepFitAfter: fitAfter,
 		Traces: traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}
-	var e engine
-	var err error
-	if reference {
-		e, err = newReference(cluster, model, opts)
-	} else {
-		e, err = New(cluster, model, opts)
-	}
+	built, err := New(cluster, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	reporters := feed(e)
-	for i := 0; i < steps; i++ {
-		if _, err := e.StepExternal(reporters.Next()); err != nil {
-			t.Fatal(err)
-		}
+	defer built.Close()
+	r := drive(built)
+	if _, err := r.Run(steps); err != nil {
+		t.Fatal(err)
 	}
-	r := runtimeOf(e)
 	for rk := range cluster.Racks {
 		if !r.DeepReady(rk) {
 			t.Fatalf("rack %d: deep pool not fitted after %d steps", rk, steps)
@@ -71,7 +62,7 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 	}
 	r.deep[0] = short
 
-	snap, err := e.Snapshot()
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +73,14 @@ func deepGoldenSnapshot(t *testing.T, reference bool) []byte {
 	return blob
 }
 
-// TestDeepSnapshotGolden pins the snapshot document byte for byte: both
-// engines must write testdata/deep_snapshot.golden.json, and a runtime
+// TestDeepSnapshotGolden pins the snapshot document byte for byte: the
+// engine must write testdata/deep_snapshot.golden.json, and a runtime
 // restored from that file must write it again — so a file from before a
 // codec change restores after it, and the other way round. Regenerate
 // with: go test ./internal/runtime/ -run TestDeepSnapshotGolden -update
 func TestDeepSnapshotGolden(t *testing.T) {
 	path := filepath.Join("testdata", "deep_snapshot.golden.json")
-	got := deepGoldenSnapshot(t, false)
+	got := deepGoldenSnapshot(t)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -137,10 +128,7 @@ func TestDeepSnapshotGolden(t *testing.T) {
 	}
 
 	if !bytes.Equal(got, want) {
-		t.Fatalf("sharded engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(got), len(want))
-	}
-	if ref := deepGoldenSnapshot(t, true); !bytes.Equal(ref, want) {
-		t.Fatalf("reference engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(ref), len(want))
+		t.Fatalf("the engine's snapshot (%d bytes) is not the golden file (%d bytes)", len(got), len(want))
 	}
 
 	if again := encodeSnapshot(t, restoreGolden(t, want)); !bytes.Equal(again, want) {

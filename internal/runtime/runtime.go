@@ -11,10 +11,10 @@
 //
 // There is one step engine, the sharded SoA engine (sharded.go): VM state
 // in flat arrays partitioned into contiguous rack-range shards owned by
-// persistent workers, sized for 5,000-rack / million-VM fabrics. The seed
-// engine it replaced — per-VM heap states fanned out over the shared pool
-// — is compiled by the tests only (reference_test.go), as the ground truth
-// the sharded engine is proven bit-exact against.
+// persistent workers, sized for 5,000-rack / million-VM fabrics. Its
+// results do not depend on the shard count. The tests pin them, period by
+// period, to testdata/engine_digests.golden.json, at 1, 2 and 5 shards and
+// across a snapshot and restore after every period.
 package runtime
 
 import (
@@ -117,13 +117,6 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// ewmaTrend is the cheap per-step forecaster's coefficients: exponentially
-// weighted level plus trend (Holt's linear method), adequate for pre-alerts
-// where fitting a full ARIMA per VM per tick would be wasteful.
-type ewmaTrend struct {
-	alpha, beta float64
-}
-
 // PhaseTimings holds one step's wall-clock phase durations. Timings are
 // measurement artifacts: they vary run to run and are excluded from any
 // determinism comparison of StepStats.
@@ -203,23 +196,13 @@ func New(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error
 
 // build is New with the engine's VM order given: admission maps a VM ID
 // to the rack it was admitted on, and a VM it does not list is admitted
-// where it lives now (New: all of them; Restore lists every VM).
+// where it lives now (New: all of them; Restore lists every VM). It
+// validates the options and fills in their defaults, opens the trace
+// generator, and builds an empty traffic plane, the deep-pool arrays and
+// the step engine (newShardState). Shims are built lazily on a rack's
+// first alert (their neighbor scans are O(racks) each — eager
+// construction would be quadratic on a 5,000-rack leaf-spine).
 func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[int]int) (*Runtime, error) {
-	r, err := newRuntime(cluster, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.initSharded(admission); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// newRuntime is everything of a Runtime that does not depend on how VMs
-// are stepped: validated options with defaults, the trace generator, an
-// empty traffic plane and the deep-pool arrays. initSharded adds the step
-// engine; the tests' seed engine (reference_test.go) adds its own.
-func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,12 +211,18 @@ func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
+	sh, err := newShardState(cluster, admission, opts.Shards, opts.DeepPredict)
+	if err != nil {
+		return nil, err
+	}
 	r := &Runtime{
 		Cluster: cluster,
 		Model:   model,
 		Flows:   flow.NewNetwork(cluster.Graph),
 		opts:    opts,
 		gen:     gen,
+		shims:   make([]*migrate.Shim, len(cluster.Racks)),
+		sh:      sh,
 	}
 	if opts.DeepPredict {
 		r.deepHist = make([]*timeseries.Series, len(cluster.Racks))
@@ -242,6 +231,10 @@ func newRuntime(cluster *dcn.Cluster, model *cost.Model, opts Options) (*Runtime
 			r.deepHist[i] = timeseries.New(nil)
 		}
 	}
+	sh.predictFn = r.predictShard
+	sh.flowsFn = r.flowShard
+	sh.monitorFn = r.monitorShard
+	r.buildEdges(nil)
 	return r, nil
 }
 

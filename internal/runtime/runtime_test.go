@@ -7,7 +7,6 @@ import (
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
-	"sheriff/internal/timeseries"
 	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
@@ -23,22 +22,14 @@ type fedRuntime struct {
 // (TraceGen).
 func drive(r *Runtime) *fedRuntime { return &fedRuntime{r, feed(r)} }
 
-// feed opens the reporters of an engine's VMs at its step: each VM's
-// stream keyed by the rack the engine admitted it on, as sheriffd keys
-// them, so a restored runtime's reporters continue its original's.
-func feed(e engine) *traces.Reporters {
-	admission := make(map[int]int)
-	switch e := e.(type) {
-	case *refRuntime:
-		for _, st := range e.ref.vms {
-			admission[st.vm.ID] = st.rack
-		}
-	case *Runtime:
-		for i, vm := range e.sh.vms {
-			admission[vm.ID] = int(e.sh.rack[i])
-		}
+// feed opens the reporters of r's VMs at its step: each VM's stream keyed
+// by the rack the engine admitted it on, as sheriffd keys them, so a
+// restored runtime's reporters continue its original's.
+func feed(r *Runtime) *traces.Reporters {
+	admission := make(map[int]int, len(r.sh.vms))
+	for i, vm := range r.sh.vms {
+		admission[vm.ID] = int(r.sh.rack[i])
 	}
-	r := runtimeOf(e)
 	return traces.NewReporters(r.TraceGen(), admission, r.step)
 }
 
@@ -78,25 +69,6 @@ func buildRuntime(t *testing.T, pods int, seed int64) *fedRuntime {
 		t.Fatal(err)
 	}
 	return drive(r)
-}
-
-func TestEwmaTrendForecast(t *testing.T) {
-	f := holtCoeff
-	// A perfect linear ramp should be extrapolated upward.
-	h := timeseries.FromFunc(20, func(t int) float64 { return float64(t) })
-	out, err := f.ForecastFrom(nil, h, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] <= h.Last() {
-		t.Fatalf("trend forecast %v should exceed last value %v", out[0], h.Last())
-	}
-	if out[1] <= out[0] {
-		t.Fatal("multi-step trend should keep rising")
-	}
-	if _, err := f.ForecastFrom(nil, timeseries.New(nil), 1); err == nil {
-		t.Fatal("empty history accepted")
-	}
 }
 
 func TestRuntimeStepProducesStats(t *testing.T) {
@@ -260,43 +232,5 @@ func TestRuntimeStepConcurrencyManyRacks(t *testing.T) {
 		if !ok || s.Count() != 25 {
 			t.Fatalf("phase %q timing summary missing or incomplete: %+v", phase, sums)
 		}
-	}
-}
-
-// TestTrendStateMatchesEwmaTrend pins the incremental per-component
-// forecaster to the cold ewmaTrend recursion: continuing from cached
-// (level, trend) over an appended suffix must be bit-exact with a full
-// recompute at every step.
-func TestTrendStateMatchesEwmaTrend(t *testing.T) {
-	cold := holtCoeff
-	warm := &trendState{ewmaTrend: cold}
-	h := timeseries.New([]float64{3})
-	for step := 0; step < 50; step++ {
-		w, err := warm.ForecastFrom(nil, h, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := cold.ForecastFrom(nil, h, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w[0] != c[0] || w[1] != c[1] {
-			t.Fatalf("step %d: warm %v != cold %v", step, w, c)
-		}
-		h.Append(3 + 0.5*float64(step) + math.Sin(float64(step)))
-	}
-	// A rewritten history (different last value at the cached position)
-	// must reset the cache rather than continue from stale state.
-	h2 := timeseries.New([]float64{100, 90, 80})
-	w, err := warm.ForecastFrom(nil, h2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cold.ForecastFrom(nil, h2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w[0] != c[0] {
-		t.Fatalf("after history swap: warm %v != cold %v", w[0], c[0])
 	}
 }

@@ -6,17 +6,16 @@
 // Each phase is one batched round: the coordinator wakes every shard, the
 // shards work only on the ranges they own, and the coordinator folds the
 // per-shard results in shard order — which, because shards are contiguous
-// in the global rack-major order, reproduces the global fold of the seed
-// engine (reference_test.go, compiled by the tests only) exactly. Per-VM predictor state is the Holt
-// (level, trend) pair per component — bit-exact with re-smoothing the full
-// history (see TestTrendStateMatchesEwmaTrend) at 1/500th the memory.
+// in the global rack-major order, is the global rack-major fold whatever
+// the shard count. Per-VM predictor state is the Holt (level, trend) pair
+// per component, folded in place one observation a period: the state a
+// forecast and its continuation need, and nothing of the history.
 package runtime
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -41,19 +40,14 @@ const (
 	queueThreshold = 0.9
 )
 
-// holtCoeff carries the triage filter's coefficients for every forecast
-// the engine folds. The tests' seed engine routes its recursion through
-// the same fold method, so the arithmetic is expression-identical.
-var holtCoeff = ewmaTrend{alpha: smoothing.TriageAlpha, beta: smoothing.TriageBeta}
-
-// fold advances one Holt (level, trend) state by one observation with
-// e's coefficients.
-func (e ewmaTrend) fold(level, trend, x float64) (float64, float64) {
-	return smoothing.HoltStep(level, trend, x, e.alpha, e.beta)
-}
-
 // holtState is one component's incremental Holt smoothing state.
 type holtState struct{ level, trend float64 }
+
+// fold advances h by one observation with the triage filter's
+// coefficients, the ones every forecast the engine makes uses.
+func (h *holtState) fold(x float64) {
+	h.level, h.trend = smoothing.HoltStep(h.level, h.trend, x, smoothing.TriageAlpha, smoothing.TriageBeta)
+}
 
 func clamp01(v float64) float64 {
 	if v < 0 {
@@ -134,18 +128,17 @@ type shardState struct {
 	monitorFn func(int)
 }
 
-// initSharded assembles the sharded engine: dense rack-major VM arrays,
-// a contiguous-rack shard partition balanced by VM count, and the
-// persistent worker group. Shims are built lazily on a rack's first alert
-// (their neighbor scans are O(racks) each — eager construction would be
-// quadratic on a 5,000-rack leaf-spine).
-func (r *Runtime) initSharded(admission map[int]int) error {
-	racks := len(r.Cluster.Racks)
+// newShardState builds the engine's state over the cluster's VMs, each in
+// the rack admission names for it or, unlisted, the rack it lives in now:
+// dense rack-major VM arrays, a contiguous-rack shard partition of at most
+// shards shards balanced by VM count, and the persistent worker group.
+// The caller binds the phase closures.
+func newShardState(cluster *dcn.Cluster, admission map[int]int, shards int, deep bool) (*shardState, error) {
+	racks := len(cluster.Racks)
 	if racks == 0 {
-		return fmt.Errorf("runtime: cluster has no racks")
+		return nil, fmt.Errorf("runtime: cluster has no racks")
 	}
-	vms := r.Cluster.VMs()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	vms := cluster.VMs()
 	rackOf := func(vm *dcn.VM) int {
 		if rk, ok := admission[vm.ID]; ok {
 			return rk
@@ -174,7 +167,7 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 		// A restored cluster's IDs come from a file; the table must not be
 		// sized by a wild one.
 		if lo, hi := vms[0].ID, vms[n-1].ID; lo < 0 || hi >= 4*n+1024 {
-			return fmt.Errorf("runtime: VM ids %d..%d too sparse for %d VMs (ids index a dense table)", lo, hi, n)
+			return nil, fmt.Errorf("runtime: VM ids %d..%d too sparse for %d VMs (ids index a dense table)", lo, hi, n)
 		}
 		sh.vmIndex = make([]int32, vms[n-1].ID+1)
 		for i := range sh.vmIndex {
@@ -197,10 +190,7 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 
 	// Shard partition: contiguous rack ranges, balanced by VM count, every
 	// shard owning at least one rack.
-	ns := r.opts.Shards
-	if ns > racks {
-		ns = racks
-	}
+	ns := min(shards, racks)
 	sh.n = ns
 	sh.rackLo = make([]int, ns)
 	sh.rackHi = make([]int, ns)
@@ -225,7 +215,7 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	sh.qHolt = make([]holtState, racks)
 	sh.qN = make([]int32, racks)
 	sh.alertsByRack = make([][]alert.Alert, racks)
-	if r.opts.DeepPredict {
+	if deep {
 		sh.deepVal = make([]float64, racks)
 		sh.deepOK = make([]bool, racks)
 	}
@@ -233,22 +223,14 @@ func (r *Runtime) initSharded(admission map[int]int) error {
 	sh.serverAlerts = make([]int, ns)
 	sh.torAlerts = make([]int, ns)
 	sh.maxUtil = make([]float64, ns)
-
 	sh.workers = pool.NewShards(ns)
-	sh.predictFn = r.predictShard
-	sh.flowsFn = r.flowShard
-	sh.monitorFn = r.monitorShard
-
-	r.shims = make([]*migrate.Shim, racks)
-	r.sh = sh
-	r.buildEdges(nil)
-	return nil
+	return sh, nil
 }
 
 // buildEdges builds the edge table from G_d as it stands; a pair's rate
-// comes from the endpoint met first in rack-major order, as in the
-// reference engine's walk. flows lists the pairs holding a flow as [a, b,
-// flowID]; a non-dependency keeps its flow in a slot that never wants one.
+// comes from the endpoint met first in rack-major order. flows lists the
+// pairs holding a flow as [a, b, flowID]; a non-dependency keeps its flow
+// in a slot that never wants one.
 func (r *Runtime) buildEdges(flows [][3]int) {
 	sh := r.sh
 	edges := make([]edge, 0, len(sh.edges))
@@ -279,9 +261,9 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 // predictShard is phase 1 for one shard: observe (the reported-profile
 // overlay; a VM that reported nothing keeps its last profile), fold the
 // Holt states, and raise server pre-alerts into the shard-owned per-rack
-// buckets — ascending VM ID within each rack, exactly the reference fold
-// order. Deep-pool aggregation rides in the same round (it reads only
-// profiles this shard just wrote).
+// buckets — ascending VM ID within each rack, whatever the shard count.
+// Deep-pool aggregation rides in the same round (it reads only profiles
+// this shard just wrote).
 func (r *Runtime) predictShard(s int) {
 	sh := r.sh
 	start := time.Now()
@@ -299,10 +281,10 @@ func (r *Runtime) predictShard(s int) {
 			hp[2] = holtState{p.IO, 0}
 			hp[3] = holtState{p.TRF, 0}
 		} else {
-			hp[0].level, hp[0].trend = holtCoeff.fold(hp[0].level, hp[0].trend, p.CPU)
-			hp[1].level, hp[1].trend = holtCoeff.fold(hp[1].level, hp[1].trend, p.Mem)
-			hp[2].level, hp[2].trend = holtCoeff.fold(hp[2].level, hp[2].trend, p.IO)
-			hp[3].level, hp[3].trend = holtCoeff.fold(hp[3].level, hp[3].trend, p.TRF)
+			hp[0].fold(p.CPU)
+			hp[1].fold(p.Mem)
+			hp[2].fold(p.IO)
+			hp[3].fold(p.TRF)
 		}
 		sh.nObs[i]++
 		if sh.nObs[i] < 3 {
@@ -334,10 +316,13 @@ func (r *Runtime) predictShard(s int) {
 	sh.dur[s] = time.Since(start)
 }
 
-// deepShard advances the deep forecasting pools of the shard's racks; the
-// semantics mirror the seed engine's deep step (reference_test.go) exactly
-// — same aggregation order, same fit trigger, same seeds — but the obs
-// events are deferred to the coordinator so the trace stays in rack order.
+// deepShard advances the deep forecasting pools of the shard's racks: each
+// rack's aggregate stress (the mean of its VMs' current profile maxima)
+// extends the pre-fit history, triggers the one-time pool fit once there
+// are DeepFitAfter points (seeded by rack, retried next period if the fit
+// fails), or feeds the fitted selector. The prediction is left for the
+// coordinator, which records it and counts warnings in rack order, so the
+// trace does not depend on the shard count.
 func (r *Runtime) deepShard(s int) {
 	sh := r.sh
 	for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {
@@ -403,8 +388,9 @@ func (r *Runtime) flowShard(s int) {
 }
 
 // syncFlows is phase 2: the edge table rebuilt if G_d changed, the scatter,
-// then two passes in pair order — the reference engine's reconcile of its
-// sorted keys, then its sorted admissions: the same load sums and flow IDs.
+// then two passes in pair order — drop, re-create or re-rate the flows
+// held, then admit the pairs that want one — so load sums and flow IDs do
+// not depend on the shard count.
 func (r *Runtime) syncFlows() {
 	sh := r.sh
 	if r.Cluster.Deps.Version() != sh.depsVersion {
@@ -472,7 +458,7 @@ func (r *Runtime) monitorShard(s int) {
 		if sh.qN[rk] == 0 {
 			q.level, q.trend = util, 0
 		} else {
-			q.level, q.trend = holtCoeff.fold(q.level, q.trend, util)
+			q.fold(util)
 		}
 		sh.qN[rk]++
 		occ := clamp01((q.level + q.trend*1) / queueLimit)
@@ -624,13 +610,11 @@ func (r *Runtime) advanceSharded() (*StepStats, error) {
 		}
 	}
 
-	// Phase 4 (serialized): management, identical to the reference engine
-	// except shims materialize on a rack's first alert.
+	// Phase 4 (serialized): management. A rack participates when it has
+	// fresh alerts; its shim is built on its first.
 	phaseStart = time.Now()
 	r.modelStale = true
 	for idx := range sh.alertsByRack {
-		// As in the reference engine, a rack participates when it has fresh
-		// alerts.
 		if len(sh.alertsByRack[idx]) == 0 {
 			continue
 		}

@@ -91,18 +91,6 @@ type Snapshot struct {
 	DeepHist   []timeseries.Bits          `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
-// engineRows is the step engine's own part of a snapshot before its floats
-// are packed: the VM columns' integers with their floats beside them, in
-// VMColumns' layout, the queue monitors likewise, and the flow pairs in
-// pair order.
-type engineRows struct {
-	vms        VMColumns
-	cur, trend []float64
-	qCount     []int
-	qHolt      []float64
-	pairs      [][3]int
-}
-
 // Snapshot captures the runtime's full resumable state. It fails when a
 // fitted deep pool contains an unserializable candidate, and when a VM has
 // left or joined the cluster since the runtime was built (the error names
@@ -110,36 +98,28 @@ type engineRows struct {
 func (r *Runtime) Snapshot() (*Snapshot, error) {
 	sh := r.sh
 	n := len(sh.byID)
-	rows := engineRows{
-		vms:   VMColumns{ID: make([]int, n), Rack: make([]int, n), Hist: make([]int, n)},
-		cur:   make([]float64, 0, 4*n),
-		trend: make([]float64, 0, 8*n),
-		pairs: r.flowPairs(),
-	}
+	vms := VMColumns{ID: make([]int, n), Rack: make([]int, n), Hist: make([]int, n)}
+	cur, trend := make([]float64, 0, 4*n), make([]float64, 0, 8*n)
 	for k, i := range sh.byID {
-		rows.vms.ID[k], rows.vms.Rack[k], rows.vms.Hist[k] = sh.vms[i].ID, int(sh.rack[i]), int(sh.nObs[i])
+		vms.ID[k], vms.Rack[k], vms.Hist[k] = sh.vms[i].ID, int(sh.rack[i]), int(sh.nObs[i])
 		p := sh.cur[i]
-		rows.cur = append(rows.cur, p.CPU, p.Mem, p.IO, p.TRF)
+		cur = append(cur, p.CPU, p.Mem, p.IO, p.TRF)
 		for _, h := range sh.pred[i] {
-			rows.trend = append(rows.trend, h.level, h.trend)
+			trend = append(trend, h.level, h.trend)
 		}
 	}
+	queues := QueueColumns{Count: make([]int, len(sh.qHolt))}
+	qHolt := make([]float64, 0, 2*len(sh.qHolt))
 	for rk, q := range sh.qHolt {
-		rows.qCount = append(rows.qCount, int(sh.qN[rk]))
-		rows.qHolt = append(rows.qHolt, q.level, q.trend)
+		queues.Count[rk] = int(sh.qN[rk])
+		qHolt = append(qHolt, q.level, q.trend)
 	}
-	return r.snapshotDoc(rows)
-}
 
-// snapshotDoc is the snapshot around the step engine's own rows, which it
-// packs and takes as given: cluster, traffic plane and deep pools are the
-// Runtime's whoever steps it.
-func (r *Runtime) snapshotDoc(rows engineRows) (*Snapshot, error) {
 	cluster, err := r.Cluster.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: snapshot: %w", err)
 	}
-	if err := sameVMs(rows.vms.ID, cluster.VMs.ID); err != nil {
+	if err := sameVMs(vms.ID, cluster.VMs.ID); err != nil {
 		return nil, err
 	}
 	flows, err := r.Flows.Snapshot()
@@ -155,9 +135,9 @@ func (r *Runtime) snapshotDoc(rows engineRows) (*Snapshot, error) {
 		CostParams: r.Model.Params(),
 		Cluster:    cluster,
 		Flows:      flows,
-		FlowPairs:  rows.pairs,
-		VMs:        rows.vms,
-		Queues:     QueueColumns{Count: rows.qCount},
+		FlowPairs:  r.flowPairs(),
+		VMs:        vms,
+		Queues:     queues,
 		ModelStale: r.modelStale,
 	}
 	for _, col := range []struct {
@@ -165,9 +145,9 @@ func (r *Runtime) snapshotDoc(rows engineRows) (*Snapshot, error) {
 		dst  *timeseries.Bits
 		v    []float64
 	}{
-		{"VM current", &snap.VMs.Current, rows.cur},
-		{"VM trend", &snap.VMs.Trend, rows.trend},
-		{"queue holt", &snap.Queues.Holt, rows.qHolt},
+		{"VM current", &snap.VMs.Current, cur},
+		{"VM trend", &snap.VMs.Trend, trend},
+		{"queue holt", &snap.Queues.Holt, qHolt},
 	} {
 		if *col.dst, err = timeseries.Pack(col.v); err != nil {
 			return nil, fmt.Errorf("runtime: snapshot %s: %w", col.name, err)

@@ -243,6 +243,33 @@ func TestStepExternalRejectsNonFiniteProfile(t *testing.T) {
 	}
 }
 
+// TestSnapshotNamesAVMThatLeftOrJoined: the engine steps the VMs it was
+// built over. After a VM joins the cluster, or leaves it, a snapshot would
+// list VMs a restore cannot match to the cluster, so Snapshot refuses and
+// names the VM; once the cluster holds the built VMs again, it writes.
+func TestSnapshotNamesAVMThatLeftOrJoined(t *testing.T) {
+	r := buildEquivRuntime(t, 1, Options{})
+	hosts := r.Cluster.Hosts()
+	joined, err := r.Cluster.AddVM(hosts[len(hosts)-1], 0, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("VM %d joined the cluster", joined.ID)
+	if _, err := r.Snapshot(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot after a VM joined: err = %v, want one saying %q", err, want)
+	}
+	r.Cluster.Remove(joined)
+	if _, err := r.Snapshot(); err != nil {
+		t.Fatalf("snapshot over the built VMs: %v", err)
+	}
+	left := r.Cluster.VMs()[0]
+	r.Cluster.Remove(left)
+	want = fmt.Sprintf("VM %d has left the cluster", left.ID)
+	if _, err := r.Snapshot(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot after a VM left: err = %v, want one saying %q", err, want)
+	}
+}
+
 // TestStepExternalRejectsUnknownVM covers the three ways an ID misses the
 // dense VM table: past it, below it, and a hole inside it.
 func TestStepExternalRejectsUnknownVM(t *testing.T) {
