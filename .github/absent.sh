@@ -144,5 +144,11 @@ src  \bK[i]nd\(\)[[:space:]]+Kind\b
 doc  ./internal/pool ForBlocks|Run
 doc  ./internal/ingest.Options Pool
 doc  ./internal/centralized.PlanOptions Pool|MaxSwaps
+# One alert vocabulary: a shim hears server and local-ToR alerts and returns a Tally; a hot outer switch is answered by the runtime's FLOWREROUTE on flows, so no outer-switch alert, ω = 1 rule or rerouted-VM list exists, and the manage phase carries no cost-staleness flag across periods.
+doc  ./internal/alert FromOuterSwitch|SwitchID|VMID|RackIndex
+doc  ./internal/knapsack Priority|Factor|SelectMaxAlert
+doc  ./internal/migrate Rerouted|MigrationResult
+doc  ./internal/centralized.Manager Migrate
+src  \bvmsUsingSwitch\b|\bmodelStale\b|\bModelStale\b|model_stale
 EOF
 exit $fail

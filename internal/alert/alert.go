@@ -5,10 +5,11 @@
 //	ALERT = max(W)  if ∃ x ∈ W with x > THRESHOLD,
 //	        0       otherwise.
 //
-// Alerts come in the three kinds of Sec. III.B — from a server, from the
-// local ToR (predicted uplink congestion), or from an outer switch
-// (congestion feedback) — and are collected by the delegation node every
-// T seconds for the management phase.
+// A delegation node collects two of the three alert kinds of Sec. III.B
+// every T seconds for the management phase: from a server, and from the
+// local ToR (predicted uplink congestion). The third, congestion feedback
+// from an outer switch, reaches no shim: the runtime answers a hot switch
+// itself, by FLOWREROUTE on the flows through it.
 package alert
 
 import (
@@ -25,9 +26,6 @@ const (
 	FromServer Kind = iota
 	// FromLocalToR: the shim predicts uplink congestion at its own ToR.
 	FromLocalToR
-	// FromOuterSwitch: congestion feedback from an aggregation/core or
-	// remote ToR switch.
-	FromOuterSwitch
 )
 
 // String names the alert kind.
@@ -37,8 +35,6 @@ func (k Kind) String() string {
 		return "server"
 	case FromLocalToR:
 		return "local-tor"
-	case FromOuterSwitch:
-		return "outer-switch"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -46,12 +42,9 @@ func (k Kind) String() string {
 
 // Alert is one ALERT message delivered to a delegation node.
 type Alert struct {
-	Kind      Kind
-	Value     float64 // the ALERT value (max of the offending profile)
-	VMID      int     // offending VM (FromServer)
-	HostID    int     // offending host (FromServer)
-	RackIndex int     // rack of origin
-	SwitchID  int     // offending switch node (FromOuterSwitch / FromLocalToR)
+	Kind   Kind
+	Value  float64 // the ALERT value (max of the offending profile)
+	HostID int     // offending host (FromServer)
 }
 
 // UrgentAt is the ALERT value from which an alert reports a developing

@@ -9,8 +9,7 @@ import (
 )
 
 func TestKindString(t *testing.T) {
-	if FromServer.String() != "server" || FromLocalToR.String() != "local-tor" ||
-		FromOuterSwitch.String() != "outer-switch" {
+	if FromServer.String() != "server" || FromLocalToR.String() != "local-tor" {
 		t.Fatal("kind strings wrong")
 	}
 	if Kind(42).String() == "" {

@@ -1,14 +1,10 @@
-// Package centralized implements the global (centralized) optimal manager
-// that the paper compares Sheriff against in Figs. 11–14: a single
-// controller that sees every host in the DCN and solves the same
-// VM-to-destination matching over the global candidate pool. Its search
-// space is |F| × (all hosts), against Sheriff's |F| × (regional hosts);
-// its migration cost is a lower bound on any regional scheme using the
-// same matching machinery.
-//
-// It also exposes the Sec. V.A k-median view: choosing the m destination
-// ToRs that minimize total rack-pair connection cost, solved exactly for
-// small instances and by Local Search otherwise.
+// Package centralized implements the Sec. V.A k-median view of the global
+// (centralized) manager that the paper compares Sheriff against: choosing
+// the m destination ToRs that minimize total rack-pair connection cost,
+// solved exactly by branch-and-bound or by Alg. 5 Local Search. The
+// global arm of the Figs. 11–14 migration comparison is not here: it is
+// one migrate.Migrate call over every host, which sim.Compare makes
+// itself.
 package centralized
 
 import (
@@ -17,10 +13,9 @@ import (
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/kmedian"
-	"sheriff/internal/migrate"
 )
 
-// Manager is the centralized controller.
+// Manager is the centralized planner: it sees every rack of the cluster.
 type Manager struct {
 	cluster *dcn.Cluster
 	model   *cost.Model
@@ -29,12 +24,6 @@ type Manager struct {
 // New builds a centralized manager over the cluster.
 func New(c *dcn.Cluster, m *cost.Model) *Manager {
 	return &Manager{cluster: c, model: m}
-}
-
-// Migrate places every candidate VM using the global host pool. The
-// returned result's SearchSpace reflects the full |F|×|hosts| scan.
-func (m *Manager) Migrate(f []*dcn.VM) (*migrate.MigrationResult, error) {
-	return migrate.Migrate(m.cluster, m.model, f, m.cluster.Hosts(), migrate.MigrationOptions{})
 }
 
 // PlanOptions tunes PlanDestinations.

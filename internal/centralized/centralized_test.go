@@ -5,7 +5,6 @@ import (
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
-	"sheriff/internal/migrate"
 	"sheriff/internal/topology"
 )
 
@@ -24,65 +23,6 @@ func newFixture(t *testing.T, pods int) (*dcn.Cluster, *cost.Model) {
 		t.Fatal(err)
 	}
 	return c, m
-}
-
-func TestMigrateUsesGlobalPool(t *testing.T) {
-	c, m := newFixture(t, 4)
-	vm, err := c.AddVM(c.Racks[0].Hosts[0], 50, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := New(c, m)
-	res, err := mgr.Migrate([]*dcn.VM{vm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Migrations) != 1 {
-		t.Fatalf("migrations = %d", len(res.Migrations))
-	}
-	// Search space covers every host.
-	if res.SearchSpace != len(c.Hosts()) {
-		t.Fatalf("search space = %d, want %d", res.SearchSpace, len(c.Hosts()))
-	}
-}
-
-func TestCentralizedCostAtMostRegional(t *testing.T) {
-	// The centralized manager sees a superset of destinations, so for a
-	// single VM its chosen cost can never exceed the regional shim's.
-	cC, mC := newFixture(t, 4)
-	cR, mR := newFixture(t, 4)
-
-	vmC, err := cC.AddVM(cC.Racks[0].Hosts[0], 50, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmR, err := cR.AddVM(cR.Racks[0].Hosts[0], 50, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resC, err := New(cC, mC).Migrate([]*dcn.VM{vmC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := migrate.NewShim(cR, mR, cR.Racks[0], migrate.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var regionalHosts []*dcn.Host
-	for _, r := range shim.NeighborRacks() {
-		regionalHosts = append(regionalHosts, r.Hosts...)
-	}
-	resR, err := migrate.Migrate(cR, mR, []*dcn.VM{vmR}, regionalHosts, migrate.MigrationOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resC.TotalCost > resR.TotalCost+1e-9 {
-		t.Fatalf("centralized %v > regional %v", resC.TotalCost, resR.TotalCost)
-	}
-	if resC.SearchSpace <= resR.SearchSpace {
-		t.Fatalf("centralized search space %d should exceed regional %d", resC.SearchSpace, resR.SearchSpace)
-	}
 }
 
 func TestPlanDestinationsExactVsLocalSearch(t *testing.T) {

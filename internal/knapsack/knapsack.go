@@ -1,19 +1,18 @@
-// Package knapsack implements the PRIORITY function of the paper's Alg. 2:
-// given a candidate VM set F and a priority factor ω, select the VMs to
-// migrate.
+// Package knapsack implements the PRIORITY function of the paper's Alg. 2
+// for ω = α or β: given a candidate VM set F, eliminate the delay-sensitive
+// VMs, then run a 0/1 knapsack DP with the allowed capacity (α·s.capacity
+// or β·ToR.capacity) as the knapsack size, "picking up as many VMs with
+// lowest value as possible" — i.e. prefer large, low-value VMs. Capacity is
+// discretized to unit granularity (the paper sets Mbps as the minimum
+// capacity unit).
 //
-//   - ω = α or β: after eliminating delay-sensitive VMs, run a 0/1 knapsack
-//     DP with the allowed capacity (α·s.capacity or β·ToR.capacity) as the
-//     knapsack size, "picking up as many VMs with lowest value as possible"
-//     — i.e. prefer large, low-value VMs. Capacity is discretized to unit
-//     granularity (the paper sets Mbps as the minimum capacity unit).
-//   - ω = 1: pick the single VM with the highest ALERT, "to ensure load
-//     balancing at the end host side".
+// The ω = 1 branch (the single highest-ALERT VM) answers an outer-switch
+// alert, and no shim receives one: the runtime answers a hot outer switch
+// by FLOWREROUTE on the flows through it, not on a VM list.
 package knapsack
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -115,25 +114,6 @@ func (s *Scratch) SelectByBudget(vms []*dcn.VM, budget float64) []*dcn.VM {
 	return s.out
 }
 
-// SelectMaxAlert runs the Alg. 2 ω = 1 branch: the single
-// non-delay-sensitive VM with the highest ALERT value (ties broken by
-// lowest VM ID). It returns nil when no candidate remains.
-func SelectMaxAlert(vms []*dcn.VM) []*dcn.VM {
-	var best *dcn.VM
-	for _, vm := range vms {
-		if vm.DelaySensitive {
-			continue
-		}
-		if best == nil || vm.Alert > best.Alert || (vm.Alert == best.Alert && vm.ID < best.ID) {
-			best = vm
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return []*dcn.VM{best}
-}
-
 // eliminateDelaySensitive implements the first line of Alg. 2, appending
 // the remaining VMs to dst.
 func eliminateDelaySensitive(dst, vms []*dcn.VM) []*dcn.VM {
@@ -143,43 +123,4 @@ func eliminateDelaySensitive(dst, vms []*dcn.VM) []*dcn.VM {
 		}
 	}
 	return dst
-}
-
-// Factor identifies which Alg. 2 branch to run.
-type Factor int
-
-const (
-	// Alpha selects by α·(server capacity) — server overload alerts.
-	Alpha Factor = iota
-	// Beta selects by β·(ToR capacity) — local ToR congestion alerts.
-	Beta
-	// One selects the single highest-alert VM.
-	One
-)
-
-// String names the factor.
-func (f Factor) String() string {
-	switch f {
-	case Alpha:
-		return "alpha"
-	case Beta:
-		return "beta"
-	case One:
-		return "1"
-	default:
-		return fmt.Sprintf("Factor(%d)", int(f))
-	}
-}
-
-// Priority dispatches Alg. 2: for Alpha/Beta, budget must be
-// ω × the relevant capacity; for One, budget is ignored.
-func Priority(vms []*dcn.VM, f Factor, budget float64) []*dcn.VM {
-	switch f {
-	case Alpha, Beta:
-		return SelectByBudget(vms, budget)
-	case One:
-		return SelectMaxAlert(vms)
-	default:
-		return nil
-	}
 }

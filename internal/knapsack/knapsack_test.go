@@ -103,76 +103,6 @@ func TestSelectByBudgetTinyCapacityRoundsUp(t *testing.T) {
 	}
 }
 
-func TestSelectMaxAlert(t *testing.T) {
-	vms := []*dcn.VM{
-		vm(0, 5, 1, false),
-		vm(1, 5, 1, false),
-		vm(2, 5, 1, false),
-	}
-	vms[0].Alert = 0.91
-	vms[1].Alert = 0.97
-	vms[2].Alert = 0.93
-	sel := SelectMaxAlert(vms)
-	if len(sel) != 1 || sel[0].ID != 1 {
-		t.Fatalf("selected %v, want VM 1", ids(sel))
-	}
-}
-
-func TestSelectMaxAlertSkipsDelaySensitive(t *testing.T) {
-	vms := []*dcn.VM{vm(0, 5, 1, true), vm(1, 5, 1, false)}
-	vms[0].Alert = 0.99
-	vms[1].Alert = 0.91
-	sel := SelectMaxAlert(vms)
-	if len(sel) != 1 || sel[0].ID != 1 {
-		t.Fatalf("selected %v, want VM 1", ids(sel))
-	}
-}
-
-func TestSelectMaxAlertTieBreaksByID(t *testing.T) {
-	vms := []*dcn.VM{vm(3, 5, 1, false), vm(1, 5, 1, false)}
-	vms[0].Alert = 0.95
-	vms[1].Alert = 0.95
-	sel := SelectMaxAlert(vms)
-	if sel[0].ID != 1 {
-		t.Fatalf("tie should break to lower ID, got %d", sel[0].ID)
-	}
-}
-
-func TestSelectMaxAlertEmpty(t *testing.T) {
-	if SelectMaxAlert(nil) != nil {
-		t.Error("empty input should return nil")
-	}
-	if SelectMaxAlert([]*dcn.VM{vm(0, 1, 1, true)}) != nil {
-		t.Error("all delay-sensitive should return nil")
-	}
-}
-
-func TestPriorityDispatch(t *testing.T) {
-	vms := []*dcn.VM{vm(0, 5, 1, false), vm(1, 5, 2, false)}
-	vms[1].Alert = 0.95
-	if got := Priority(vms, Alpha, 5); len(got) != 1 {
-		t.Errorf("Alpha selected %v", ids(got))
-	}
-	if got := Priority(vms, Beta, 10); len(got) != 2 {
-		t.Errorf("Beta selected %v", ids(got))
-	}
-	if got := Priority(vms, One, 0); len(got) != 1 || got[0].ID != 1 {
-		t.Errorf("One selected %v", ids(got))
-	}
-	if got := Priority(vms, Factor(99), 5); got != nil {
-		t.Errorf("unknown factor selected %v", ids(got))
-	}
-}
-
-func TestFactorString(t *testing.T) {
-	if Alpha.String() != "alpha" || Beta.String() != "beta" || One.String() != "1" {
-		t.Fatal("factor strings wrong")
-	}
-	if Factor(7).String() == "" {
-		t.Fatal("unknown factor should render")
-	}
-}
-
 // bruteBest finds, by exhaustive subset search, the maximal total integer
 // size within budget, and among those the minimal value.
 func bruteBest(vms []*dcn.VM, budget int) (bestSize int, bestValue float64) {

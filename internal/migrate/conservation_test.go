@@ -160,7 +160,7 @@ func (sc *consScenario) runMigrate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Migrate shim %d: %v", sc.cell, i, err)
 		}
-		sc.check(t, fmt.Sprintf("shim %d", i), inputs, before, &res.Tally)
+		sc.check(t, fmt.Sprintf("shim %d", i), inputs, before, res)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 	"sheriff/internal/obs"
 )
 
-// Tally holds what every migration result counts. Report, MigrationResult
-// and DistResult embed it, so one Add folds any of them into any other.
+// Tally holds what every migration result counts: a shim round
+// (Shim.ProcessAlerts) and a VMMIGRATION call (Migrate) return one, and
+// DistResult embeds one, so one Add folds any of them into any other.
 type Tally struct {
 	Migrations  []Migration
 	TotalCost   float64

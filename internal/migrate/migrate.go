@@ -4,15 +4,16 @@
 // sets via the PRIORITY function), Alg. 3 (VMMIGRATION: minimum-weight
 // matching of candidate VMs to destination slots, applied round by round),
 // and Alg. 4 (the REQUEST handshake granting destination capacity FCFS).
-// Outer-switch alerts trigger FLOWREROUTE instead of migration, since
-// rerouting is cheaper than a live migration (Sec. III.B).
+// A shim handles server and local-ToR alerts. Outer-switch congestion
+// reaches no shim: the runtime answers it with FLOWREROUTE on the flows
+// through the hot switch, since rerouting is cheaper than a live migration
+// (Sec. III.B).
 //
 // A shim's round runs in memory the shim keeps: Shim.ProcessAlerts returns
-// the shim's own Report, emptied at the top of each call and valid until
-// the shim's next call, so a caller that keeps reports across rounds of one
-// shim copies what it needs. A warmed shim's round over server and ToR
-// alerts allocates nothing. Migrate, the standalone VMMIGRATION call,
-// returns a result of its own.
+// the shim's own Tally, emptied at the top of each call and valid until
+// the shim's next call, so a caller that keeps tallies across rounds of one
+// shim copies what it needs. A warmed shim's round allocates nothing.
+// Migrate, the standalone VMMIGRATION call, returns a tally of its own.
 package migrate
 
 import (
@@ -33,12 +34,6 @@ type Migration struct {
 	From *dcn.Host
 	To   *dcn.Host
 	Cost float64
-}
-
-// Report summarizes one shim management round (one Alg. 1 execution).
-type Report struct {
-	Tally
-	Rerouted []*dcn.VM
 }
 
 // RequestPolicy decides whether a REQUEST handshake may be granted,
@@ -119,11 +114,11 @@ type Shim struct {
 	region []*dcn.Host
 
 	// The memory of the management path, reused from round to round: the
-	// report ProcessAlerts returns, the rack's VMs, the Alg. 2 knapsack's,
+	// tally ProcessAlerts returns, the rack's VMs, the Alg. 2 knapsack's,
 	// the VMs a round has selected (as a set, and as the host and ToR
 	// lists), and the Alg. 3 matching step's (matrices, rack prices, solver
 	// workspace, the VMs left to place).
-	report          Report
+	tally           Tally
 	vms             []*dcn.VM
 	knap            knapsack.Scratch
 	inSet           map[int]bool
@@ -157,31 +152,22 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, er
 // (excluding its own).
 func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 
-// ProcessAlerts runs Alg. 1 over one collection period's alert set:
-// outer-switch alerts feed FLOWREROUTE; host alerts select VMs with the
-// α-knapsack; ToR alerts are pooled and select with the β-knapsack; the
-// merged migration set is handed to VMMIGRATION.
+// ProcessAlerts runs Alg. 1 over one collection period's alert set: host
+// alerts select VMs with the α-knapsack; ToR alerts are pooled and select
+// with the β-knapsack; the merged migration set is handed to VMMIGRATION.
 //
-// The report is the shim's own: ProcessAlerts empties it at the top of
+// The tally is the shim's own: ProcessAlerts empties it at the top of
 // every call, and it stays valid until the shim's next call. A
 // VMMIGRATION call that fails leaves it as it was before that call, so on
 // an error it holds the calls that succeeded.
-func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
-	report := &s.report
-	*report = Report{
-		Tally:    Tally{Migrations: report.Migrations[:0], Unplaced: report.Unplaced[:0]},
-		Rerouted: report.Rerouted[:0],
-	}
+func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Tally, error) {
+	t := &s.tally
+	*t = Tally{Migrations: t.Migrations[:0], Unplaced: t.Unplaced[:0]}
 	s.hostSet, s.torSet = s.hostSet[:0], s.torSet[:0]
 	clear(s.inSet)
 	torAlerted := false
 	for _, a := range alerts {
 		switch a.Kind {
-		case alert.FromOuterSwitch:
-			// Conflict flows through the hot switch: reroute, do not
-			// migrate. PRIORITY with ω = 1 picks the highest-alert VM.
-			f := s.vmsUsingSwitch(a.SwitchID)
-			report.Rerouted = append(report.Rerouted, knapsack.Priority(f, knapsack.One, 0)...)
 		case alert.FromLocalToR:
 			torAlerted = true
 		case alert.FromServer:
@@ -202,16 +188,16 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Report, error) {
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
 	// ("release the workload of ToR_i … to neighbor racks").
 	if len(s.hostSet) > 0 {
-		if err := migrateInto(&report.Tally, &s.scratch, s.cluster, s.model, s.hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
-			return report, err
+		if err := migrateInto(t, &s.scratch, s.cluster, s.model, s.hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
+			return t, err
 		}
 	}
 	if len(s.torSet) > 0 {
-		if err := migrateInto(&report.Tally, &s.scratch, s.cluster, s.model, s.torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
-			return report, err
+		if err := migrateInto(t, &s.scratch, s.cluster, s.model, s.torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
+			return t, err
 		}
 	}
-	return report, nil
+	return t, nil
 }
 
 // overloadSet is Alg. 1's server-alert branch: PRIORITY with ω = α over the
@@ -242,26 +228,6 @@ func (s *Shim) migrationOptions() MigrationOptions {
 	return MigrationOptions{Recorder: s.params.Recorder, Shim: s.Rack.Index}
 }
 
-// vmsUsingSwitch approximates "VMs with flows out through s_j": with no
-// per-flow state in the simulator, every VM of the rack whose traffic
-// leaves the rack (it has dependent peers in other racks) is a candidate.
-func (s *Shim) vmsUsingSwitch(switchID int) []*dcn.VM {
-	var out []*dcn.VM
-	var buf [8]int
-	for _, vm := range s.Rack.VMs() {
-		for _, peerRack := range s.cluster.Deps.PeerRacks(s.cluster, vm.ID, buf[:0]) {
-			if peerRack != s.Rack.Index {
-				out = append(out, vm)
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		out = s.Rack.VMs()
-	}
-	return out
-}
-
 // regionHosts returns destination hosts in the dominating region. With
 // includeOwn, the rack's own hosts are included (host-overload relief may
 // stay local); otherwise only neighbor racks qualify (ToR relief).
@@ -272,11 +238,6 @@ func (s *Shim) regionHosts(includeOwn bool) []*dcn.Host {
 		return s.region
 	}
 	return s.region[len(s.Rack.Hosts):]
-}
-
-// MigrationResult is the outcome of one VMMIGRATION invocation (Alg. 3).
-type MigrationResult struct {
-	Tally
 }
 
 // ErrNoCandidates is returned when the destination set is empty.
@@ -309,12 +270,12 @@ const ShimUnknown = -1
 // capacity check, round by round through the Alg. 4 REQUEST handshake. VMs
 // whose request is rejected retry in the next round against the remaining
 // slots; VMs no destination admits are reported unplaced.
-func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
-	res := &MigrationResult{}
-	if err := migrateInto(&res.Tally, nil, c, m, f, candidates, o); err != nil {
+func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*Tally, error) {
+	t := &Tally{}
+	if err := migrateInto(t, nil, c, m, f, candidates, o); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return t, nil
 }
 
 // migrateInto is Migrate counting into t, over a matching scratch the

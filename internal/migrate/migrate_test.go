@@ -243,7 +243,7 @@ func TestProcessAlertsServerAlert(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := s.ProcessAlerts([]alert.Alert{{
-		Kind: alert.FromServer, HostID: h.ID, RackIndex: rack.Index, Value: 0.95,
+		Kind: alert.FromServer, HostID: h.ID, Value: 0.95,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestProcessAlertsToRAlert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.ProcessAlerts([]alert.Alert{{Kind: alert.FromLocalToR, RackIndex: rack.Index, Value: 0.92}})
+	rep, err := s.ProcessAlerts([]alert.Alert{{Kind: alert.FromLocalToR, Value: 0.92}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,28 +293,61 @@ func TestProcessAlertsToRAlert(t *testing.T) {
 	}
 }
 
-func TestProcessAlertsOuterSwitchReroutesOnly(t *testing.T) {
+func TestMigrateUsesGlobalPool(t *testing.T) {
 	fx := newFixture(t, 4, 2)
-	rack := fx.cluster.Racks[0]
-	vm, err := fx.cluster.AddVM(rack.Hosts[0], 10, 1, false)
+	c, m := fx.cluster, fx.model
+	vm, err := c.AddVM(c.Racks[0].Hosts[0], 50, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm.Alert = 0.95
-	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams())
+	res, err := Migrate(c, m, []*dcn.VM{vm}, c.Hosts(), MigrationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swID := fx.cluster.Graph.Switches()[0]
-	rep, err := s.ProcessAlerts([]alert.Alert{{Kind: alert.FromOuterSwitch, SwitchID: swID, Value: 0.95}})
+	if len(res.Migrations) != 1 {
+		t.Fatalf("migrations = %d", len(res.Migrations))
+	}
+	// Search space covers every host.
+	if res.SearchSpace != len(c.Hosts()) {
+		t.Fatalf("search space = %d, want %d", res.SearchSpace, len(c.Hosts()))
+	}
+}
+
+func TestCentralizedCostAtMostRegional(t *testing.T) {
+	// A centralized call sees a superset of destinations, so for a single
+	// VM its chosen cost can never exceed the regional shim's.
+	cen, reg := newFixture(t, 4, 2), newFixture(t, 4, 2)
+
+	vmC, err := cen.cluster.AddVM(cen.cluster.Racks[0].Hosts[0], 50, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Migrations) != 0 {
-		t.Fatal("outer-switch alert must not migrate")
+	vmR, err := reg.cluster.AddVM(reg.cluster.Racks[0].Hosts[0], 50, 1, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Rerouted) != 1 || rep.Rerouted[0] != vm {
-		t.Fatalf("rerouted = %v", rep.Rerouted)
+
+	resC, err := Migrate(cen.cluster, cen.model, []*dcn.VM{vmC}, cen.cluster.Hosts(), MigrationOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shim, err := NewShim(reg.cluster, reg.model, reg.cluster.Racks[0], DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regionalHosts []*dcn.Host
+	for _, r := range shim.NeighborRacks() {
+		regionalHosts = append(regionalHosts, r.Hosts...)
+	}
+	resR, err := Migrate(reg.cluster, reg.model, []*dcn.VM{vmR}, regionalHosts, MigrationOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resC.TotalCost > resR.TotalCost+1e-9 {
+		t.Fatalf("centralized %v > regional %v", resC.TotalCost, resR.TotalCost)
+	}
+	if resC.SearchSpace <= resR.SearchSpace {
+		t.Fatalf("centralized search space %d should exceed regional %d", resC.SearchSpace, resR.SearchSpace)
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 )
 
 // referenceVMMigration is the pre-policy VMMigrationWith, byte for byte.
-func referenceVMMigration(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*MigrationResult, error) {
+func referenceVMMigration(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host, o MigrationOptions) (*Tally, error) {
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
-	res := &MigrationResult{}
+	res := &Tally{}
 	rec := o.Recorder
 	remaining := append([]*dcn.VM(nil), f...)
 	// Destinations that rejected a VM are excluded from its later rounds
@@ -179,7 +179,7 @@ func alertEveryNth(c *dcn.Cluster, n int) []*dcn.VM {
 
 // migResultSignature flattens a result into a comparable string: exact
 // migration sequence (VM, destination, cost) plus the counters.
-func migResultSignature(res *MigrationResult) string {
+func migResultSignature(res *Tally) string {
 	var b strings.Builder
 	for _, mg := range res.Migrations {
 		fmt.Fprintf(&b, "%d->%d@%.9f;", mg.VM.ID, mg.To.ID, mg.Cost)

@@ -16,7 +16,7 @@ import (
 
 // reportSignature renders everything a management round reports, costs by
 // their bits.
-func reportSignature(rep *Report) string {
+func reportSignature(rep *Tally) string {
 	var b strings.Builder
 	for _, m := range rep.Migrations {
 		fmt.Fprintf(&b, "m%d:%d>%d@%x ", m.VM.ID, m.From.ID, m.To.ID, math.Float64bits(m.Cost))
@@ -24,10 +24,6 @@ func reportSignature(rep *Report) string {
 	fmt.Fprintf(&b, "| total %x space %d rejected %d | unplaced",
 		math.Float64bits(rep.TotalCost), rep.SearchSpace, rep.Rejected)
 	for _, vm := range rep.Unplaced {
-		fmt.Fprintf(&b, " %d", vm.ID)
-	}
-	b.WriteString(" | rerouted")
-	for _, vm := range rep.Rerouted {
 		fmt.Fprintf(&b, " %d", vm.ID)
 	}
 	return b.String()
@@ -87,11 +83,11 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 			var alerts []alert.Alert
 			for _, h := range a.cluster.Racks[rack].Hosts {
 				if rng.Intn(3) > 0 {
-					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, RackIndex: rack, Value: 0.9})
+					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.9})
 				}
 			}
 			if rng.Intn(3) == 0 {
-				alerts = append(alerts, alert.Alert{Kind: alert.FromLocalToR, RackIndex: rack, Value: 0.92})
+				alerts = append(alerts, alert.Alert{Kind: alert.FromLocalToR, Value: 0.92})
 			}
 			if shims[rack] == nil {
 				s, err := NewShim(a.cluster, a.model, a.cluster.Racks[rack], params(rack))
@@ -141,8 +137,8 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	server := alert.Alert{Kind: alert.FromServer, HostID: h.ID, RackIndex: 0, Value: 0.95}
-	tor := alert.Alert{Kind: alert.FromLocalToR, RackIndex: 0, Value: 0.92}
+	server := alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.95}
+	tor := alert.Alert{Kind: alert.FromLocalToR, Value: 0.92}
 	round := func(s *Shim, alerts []alert.Alert, want int) func() {
 		return func() {
 			rep, err := s.ProcessAlerts(alerts)
@@ -222,9 +218,9 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 		both := 0
 		for round := 0; round < 2; round++ {
 			for _, rack := range a.cluster.Racks {
-				alerts := []alert.Alert{{Kind: alert.FromLocalToR, RackIndex: rack.Index, Value: 0.92}}
+				alerts := []alert.Alert{{Kind: alert.FromLocalToR, Value: 0.92}}
 				for _, h := range rack.Hosts {
-					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, RackIndex: rack.Index, Value: 0.9})
+					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.9})
 				}
 				sa, err := NewShim(a.cluster, a.model, rack, DefaultParams())
 				if err != nil {
@@ -238,7 +234,7 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var want Report
+				var want Tally
 				for i, set := range [][]*dcn.VM{sa.hostSet, sa.torSet} {
 					if len(set) == 0 {
 						continue
@@ -247,7 +243,7 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want.Add(&res.Tally)
+					want.Add(res)
 				}
 				if g, w := reportSignature(got), reportSignature(&want); g != w {
 					t.Fatalf("%s rack %d: the round reports\n  %s\nits two Migrate calls, folded,\n  %s", name, rack.Index, g, w)
@@ -304,8 +300,8 @@ func TestProcessAlertsKeepsTheCallsThatSucceeded(t *testing.T) {
 	}
 	host := a.cluster.Racks[0].Hosts[0]
 	rep, err := s.ProcessAlerts([]alert.Alert{
-		{Kind: alert.FromServer, HostID: host.ID, RackIndex: 0, Value: 0.95},
-		{Kind: alert.FromLocalToR, RackIndex: 0, Value: 0.92},
+		{Kind: alert.FromServer, HostID: host.ID, Value: 0.95},
+		{Kind: alert.FromLocalToR, Value: 0.92},
 	})
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("ProcessAlerts error = %v, want ErrNoCandidates", err)
@@ -320,7 +316,7 @@ func TestProcessAlertsKeepsTheCallsThatSucceeded(t *testing.T) {
 	if len(res.Migrations) == 0 {
 		t.Fatal("the host call moved nothing; the report would be empty either way")
 	}
-	if g, w := reportSignature(rep), reportSignature(&Report{Tally: res.Tally}); g != w {
+	if g, w := reportSignature(rep), reportSignature(res); g != w {
 		t.Fatalf("report after the failed ToR call\n  %s\nthe host call alone\n  %s", g, w)
 	}
 }

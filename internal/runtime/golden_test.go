@@ -196,10 +196,11 @@ func encodeSnapshot(t *testing.T, r *Runtime) []byte {
 
 // TestRestoreRefusesOtherVersions: Restore takes the version Snapshot
 // writes and no other. Versions 3 and 4 (rows as records, floats in
-// decimal) and anything newer are refused by number, not guessed at.
+// decimal), 5 (a per-VM generator position), 6 (a model_stale flag) and
+// anything newer are refused by number, not guessed at.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	doc := goldenDoc(t)
-	for _, v := range []int{3, 4, SnapshotVersion + 1} {
+	for _, v := range []int{3, 4, 5, 6, SnapshotVersion + 1} {
 		_, err := restoreMutated(t, doc, func(s *Snapshot) { s.Version = v })
 		want := fmt.Sprintf("snapshot version %d not supported", v)
 		if err == nil || !strings.Contains(err.Error(), want) {

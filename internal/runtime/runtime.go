@@ -154,11 +154,10 @@ type Runtime struct {
 	Model   *cost.Model
 	Flows   *flow.Network
 
-	opts       Options
-	gen        traces.Generator // trace family (opts.Traces), built once for TraceGen
-	shims      []*migrate.Shim  // indexed by rack; nil until first alert
-	step       int
-	modelStale bool // link bandwidth changed since the last Model.Refresh
+	opts  Options
+	gen   traces.Generator // trace family (opts.Traces), built once for TraceGen
+	shims []*migrate.Shim  // indexed by rack; nil until first alert
+	step  int
 
 	sh *shardState // the step engine's VM, monitor and scratch arrays
 

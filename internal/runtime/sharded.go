@@ -301,7 +301,7 @@ func (r *Runtime) predictShard(s int) {
 		}
 		vm := sh.vms[i]
 		vm.Alert = v
-		a := alert.Alert{Kind: alert.FromServer, Value: v, VMID: vm.ID, RackIndex: int(sh.rack[i])}
+		a := alert.Alert{Kind: alert.FromServer, Value: v}
 		if h := vm.Host(); h != nil {
 			a.HostID = h.ID
 		}
@@ -464,7 +464,7 @@ func (r *Runtime) monitorShard(s int) {
 		occ := clamp01((q.level + q.trend*1) / queueLimit)
 		if occ > queueThreshold {
 			sh.alertsByRack[rk] = append(sh.alertsByRack[rk],
-				alert.Alert{Kind: alert.FromLocalToR, Value: occ, RackIndex: rk})
+				alert.Alert{Kind: alert.FromLocalToR, Value: occ})
 			tor++
 		}
 	}
@@ -613,12 +613,12 @@ func (r *Runtime) advanceSharded() (*StepStats, error) {
 	// Phase 4 (serialized): management. A rack participates when it has
 	// fresh alerts; its shim is built on its first.
 	phaseStart = time.Now()
-	r.modelStale = true
+	stale := true // phase 2 moved the link loads the cost tables were priced on
 	for idx := range sh.alertsByRack {
 		if len(sh.alertsByRack[idx]) == 0 {
 			continue
 		}
-		if r.modelStale {
+		if stale {
 			// Sheriff is regional: a shim prices moves out of its own rack
 			// into its dominating region only, so the cost tables are swept
 			// from the racks about to ask, each only as far as its region.
@@ -626,7 +626,7 @@ func (r *Runtime) advanceSharded() (*StepStats, error) {
 			// be swept in full by its first query, against the same weights.
 			r.Flows.UpdateGraphBandwidth()
 			r.Model.RefreshSources(r.costSources(), r.opts.Migrate.NeighborSwitchHops)
-			r.modelStale = false
+			stale = false
 		}
 		shim := r.shims[idx]
 		if shim == nil {

@@ -33,7 +33,10 @@ import (
 // dcn.VMColumns, flow.FlowColumns and flow.LoadColumns below it), their
 // floats as timeseries.Bits. Version 6 drops the per-VM generator
 // position: the runtime draws from no stream, so it has none to carry.
-const SnapshotVersion = 6
+// Version 7 drops the flag that marked the cost tables stale: every manage
+// phase refreshes them before its first shim asks, so nothing about them
+// carries across periods.
+const SnapshotVersion = 7
 
 // VMColumns is the step engine's per-VM forecasting state as columns, in
 // ascending VM ID order: entry i of ID, Rack (the admission rack, see
@@ -86,7 +89,6 @@ type Snapshot struct {
 	FlowPairs  [][3]int                   `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
 	VMs        VMColumns                  `json:"vms"`
 	Queues     QueueColumns               `json:"queues"`
-	ModelStale bool                       `json:"model_stale"`
 	Deep       []*predictor.SelectorState `json:"deep,omitempty"`      // per-rack fitted selector (null = unfit)
 	DeepHist   []timeseries.Bits          `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
@@ -138,7 +140,6 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 		FlowPairs:  r.flowPairs(),
 		VMs:        vms,
 		Queues:     queues,
-		ModelStale: r.modelStale,
 	}
 	for _, col := range []struct {
 		name string
@@ -282,7 +283,6 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		return nil, err
 	}
 	r.step = snap.Step
-	r.modelStale = snap.ModelStale
 
 	sh := r.sh
 	for k, id := range vms.ID {

@@ -122,7 +122,7 @@ func TestBuildRowsMatchFullRows(t *testing.T) {
 						}
 						fmt.Fprintf(&b, "%x:", math.Float64bits(sd))
 						for _, rep := range reports {
-							b.WriteString(tallyKey(&rep.Tally))
+							b.WriteString(tallyKey(rep))
 							migrations += len(rep.Migrations)
 						}
 					}

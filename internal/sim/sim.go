@@ -235,8 +235,9 @@ func (s *Sim) PopulateSkewed(hotFraction float64) int {
 // every shim inspects its rack, raises a server alert for each host whose
 // utilization exceeds the cluster mean by more than `margin` (as the
 // pre-alert predictor would), and processes the alerts. It returns the
-// workload standard deviation after the round and the per-round report.
-func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Report, error) {
+// workload standard deviation after the round and each alerted shim's
+// tally (the shim's own, valid until that shim's next round).
+func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Tally, error) {
 	mean := 0.0
 	hosts := s.Cluster.Hosts()
 	for _, h := range hosts {
@@ -244,16 +245,15 @@ func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Report, error)
 	}
 	mean /= float64(len(hosts))
 
-	var reports []*migrate.Report
+	var reports []*migrate.Tally
 	for _, shim := range s.Shims {
 		var alerts []alert.Alert
 		for _, h := range shim.Rack.Hosts {
 			if h.Utilization() > mean+margin {
 				alerts = append(alerts, alert.Alert{
-					Kind:      alert.FromServer,
-					HostID:    h.ID,
-					RackIndex: shim.Rack.Index,
-					Value:     h.Utilization(),
+					Kind:   alert.FromServer,
+					HostID: h.ID,
+					Value:  h.Utilization(),
 				})
 			}
 		}
