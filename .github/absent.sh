@@ -150,5 +150,18 @@ doc  ./internal/knapsack Priority|Factor|SelectMaxAlert
 doc  ./internal/migrate Rerouted|MigrationResult
 doc  ./internal/centralized.Manager Migrate
 src  \bvmsUsingSwitch\b|\bmodelStale\b|\bModelStale\b|model_stale
+# One fold, one entry, one rolling loop per forecaster: ForecastFrom is the only way to forecast, predictor.Rolling the only rolling one-step loop beside Selector.Run, a cold ARIMA or smoothing pass is the fold from its start state, and no API stays that no binary reaches.
+src  RollingForecast|func[[:space:]]+rolling\b
+doc  ./internal/arima Forecast|ForecastInterval|SeasonalState
+doc  ./internal/arima.SeasonalModel State|Restore
+doc  ./internal/predictor PredictK|Triggers|SeasonalState
+src  "(sarima|burst)"|\bkind(SARIMA|Burst)\b
+doc  ./internal/predictor.Burst State|Restore
+doc  ./internal/smoothing Forecast
+doc  ./internal/narnet Forecast
+doc  ./internal/timeseries PACF|Lag
+doc  ./internal/linalg Dot|Norm2|FromRows
+doc  ./internal/quant Sub|MulInt
+doc  ./internal/topology NumRacks
 EOF
 exit $fail

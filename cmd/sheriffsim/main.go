@@ -495,8 +495,8 @@ func runPredict(out io.Writer, series *timeseries.Series, split float64, seed in
 	fmt.Fprintln(out)
 
 	for _, c := range pool {
-		pred := rolling(c.F, train, test)
-		if pred == nil {
+		pred, err := predictor.Rolling(c.F, train, test)
+		if err != nil {
 			fmt.Fprintf(out, "%-16s rolling forecast failed\n", c.Name)
 			continue
 		}
@@ -520,30 +520,12 @@ func runPredict(out io.Writer, series *timeseries.Series, split float64, seed in
 	if err != nil {
 		return fmt.Errorf("closing forecast: %w", err)
 	}
-	fc, err := best.Forecast(horizon)
+	fc, err := best.ForecastFrom(nil, series, horizon)
 	if err != nil {
 		return fmt.Errorf("closing forecast: %w", err)
 	}
 	fmt.Fprintf(out, "%s %d-step-ahead: %v\n", best.Order, horizon, round2(fc))
 	return nil
-}
-
-// rolling forecasts test one step at a time, revealing each true value
-// after predicting it (the paper's Fig. 7 protocol), into one reused
-// buffer; nil when f cannot forecast.
-func rolling(f predictor.Forecaster, train, test *timeseries.Series) []float64 {
-	history := train.Clone()
-	out := make([]float64, test.Len())
-	var fc []float64
-	for t := range out {
-		var err error
-		if fc, err = f.ForecastFrom(fc[:0], history, 1); err != nil {
-			return nil
-		}
-		out[t] = fc[0]
-		history.Append(test.At(t))
-	}
-	return out
 }
 
 func round2(v []float64) []float64 {

@@ -272,7 +272,7 @@ func onlyHeaders(t *testing.T, _ []string, out []byte) {
 }
 
 // kStep: two runs print the same bytes, and the closing k-step row is the
-// library's Forecast from the ARIMA fit to series.
+// library's forecast from the ARIMA fit to series.
 func kStep(series *timeseries.Series, horizon int) check {
 	return func(t *testing.T, args []string, out []byte) {
 		sameTwice(t, args, out)
@@ -280,7 +280,7 @@ func kStep(series *timeseries.Series, horizon int) check {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := best.Forecast(horizon)
+		want, err := best.ForecastFrom(nil, series, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,12 @@
 // φ(L) = 1 − φ₁L − … − φ_pLᵖ and θ(L) = 1 + θ₁L + … + θ_qL^q, where {Z_t}
 // is white noise. Parameters are estimated by the Hannan–Rissanen two-stage
 // regression (a standard realization of the Box–Jenkins methodology), and
-// forecasts are minimum mean-square-error (MMSE) predictions: one-step-ahead
-// directly, k-step-ahead by the recursion of the paper's Eqn. (12).
+// forecasts are minimum mean-square-error (MMSE) point predictions:
+// one-step-ahead directly, k-step-ahead by the recursion of the paper's
+// Eqn. (12). ForecastFrom is the one way to forecast. A Model folds each
+// observation through one innovation recursion, which gives Fit its
+// residual variance and a forecast its context; a cold forecast is that
+// fold started from a zero state.
 package arima
 
 import (
@@ -81,9 +85,9 @@ func grow(buf []float64, n int) []float64 {
 // ForecastFrom calls on the same append-only history: the last p values of
 // the differenced series and the last q innovations, which fully determine
 // the MMSE forecast recursion. Advancing it over k freshly appended
-// observations costs O(k) instead of the O(n) full re-derivation, and the
-// continuation is bit-exact with a cold recompute (the residual recursion
-// is Markov in exactly this state).
+// observations costs O(k), and a cold context is the same fold run from
+// zeroState over the whole history (the residual recursion is Markov in
+// exactly this state).
 type suffixState struct {
 	src   *timeseries.Series
 	yLen  int       // observations folded into the state
@@ -128,7 +132,10 @@ func Fit(s *timeseries.Series, order Order) (*Model, error) {
 		N:         s.Len(),
 		history:   s.Clone(),
 	}
-	res := m.residuals(w.Raw())
+	// The in-sample innovations are the forecast fold's, run over s.
+	res := make([]float64, w.Len())
+	m.sc.win = grow(m.sc.win, order.D+1)
+	m.advanceState(m.zeroState(s), s, res)
 	m.Sigma2 = variance(res)
 	if math.IsNaN(m.Sigma2) || math.IsInf(m.Sigma2, 0) {
 		return nil, errors.New("arima: estimation produced non-finite residual variance")
@@ -244,28 +251,6 @@ func stabilize(coef []float64) {
 	}
 }
 
-// residuals computes the one-step in-sample innovations of the fitted ARMA
-// equation on the differenced series w.
-func (m *Model) residuals(w []float64) []float64 {
-	p, q := m.Order.P, m.Order.Q
-	res := make([]float64, len(w))
-	for t := 0; t < len(w); t++ {
-		pred := m.Intercept
-		for i := 1; i <= p; i++ {
-			if t-i >= 0 {
-				pred += m.Phi[i-1] * w[t-i]
-			}
-		}
-		for j := 1; j <= q; j++ {
-			if t-j >= 0 {
-				pred += m.Theta[j-1] * res[t-j]
-			}
-		}
-		res[t] = w[t] - pred
-	}
-	return res
-}
-
 func variance(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
@@ -283,12 +268,6 @@ func variance(v []float64) float64 {
 	return sum / float64(len(v))
 }
 
-// Forecast returns the h-step-ahead MMSE forecasts from the end of the
-// training series, on the original (undifferenced) scale.
-func (m *Model) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(nil, m.history, h)
-}
-
 // ForecastFrom appends to dst the h-step-ahead MMSE forecasts treating
 // history as the observed past, and returns the extended slice (nil on
 // error). One-step-ahead is the direct conditional mean; k-step uses the
@@ -301,7 +280,7 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 // collection loop's append-only pattern), the cached forecast context is
 // advanced over the new suffix in O(new points) instead of re-deriving the
 // full innovation sequence in O(n). Histories that shrank or were mutated
-// in place fall back to the full recompute. Such a warm call works in the
+// in place are folded again from the start. Such a warm call works in the
 // model's scratch and, into a dst with room, allocates nothing.
 func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
@@ -319,55 +298,40 @@ func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	st := m.fc
 	if st == nil || st.src != history || st.yLen > history.Len() ||
 		history.At(st.yLen-1) != st.yLast {
-		var err error
-		if st, err = m.rebuildState(history); err != nil {
-			return nil, err
-		}
+		st = m.zeroState(history)
 		m.fc = st
-	} else if st.yLen < history.Len() {
-		m.advanceState(st, history)
+	}
+	if st.yLen < history.Len() {
+		m.advanceState(st, history, nil)
 	}
 	return m.forecastFromState(dst, st, history, h), nil
 }
 
-// rebuildState derives the forecast context from scratch — the original
-// full O(n) pass over the differenced series and its innovations.
-func (m *Model) rebuildState(history *timeseries.Series) (*suffixState, error) {
-	w, err := timeseries.DiffN(history, m.Order.D)
-	if err != nil {
-		return nil, err
-	}
-	wraw := w.Raw()
-	res := m.residuals(wraw)
-	p, q := m.Order.P, m.Order.Q
-	if len(wraw) < p || len(res) < q {
-		return nil, fmt.Errorf("arima: differenced history too short for %s", m.Order)
-	}
-	st := &suffixState{
+// zeroState is the forecast context before the first differenced value:
+// D observations folded, every tail zero. A cold forecast folds the whole
+// history forward from it, which is how the in-sample innovation
+// recursion starts (a lag before the series start reads as zero).
+func (m *Model) zeroState(history *timeseries.Series) *suffixState {
+	return &suffixState{
 		src:   history,
-		yLen:  history.Len(),
-		yLast: history.Last(),
-		wTail: make([]float64, p),
-		rTail: make([]float64, q),
+		yLen:  m.Order.D,
+		wTail: make([]float64, m.Order.P),
+		rTail: make([]float64, m.Order.Q),
 	}
-	for i := 0; i < p; i++ {
-		st.wTail[i] = wraw[len(wraw)-1-i]
-	}
-	for j := 0; j < q; j++ {
-		st.rTail[j] = res[len(res)-1-j]
-	}
-	return st, nil
 }
 
-// advanceState folds the freshly appended observations into the cached
-// context. Differencing is a local operator — ∇ᵈ at t reads y[t−d..t]
-// alone — so each new differenced value comes from differencing that
-// window in the model's scratch, bit-exact with the global pass, and the
-// innovation recursion continues from the cached tails.
-func (m *Model) advanceState(st *suffixState, history *timeseries.Series) {
+// advanceState folds the observations appended since st.yLen into the
+// context: the model's one innovation recursion, which Fit also runs for
+// its residuals. Differencing is a local operator — ∇ᵈ at t reads
+// y[t−d..t] alone — so each new differenced value comes from differencing
+// that window in the model's scratch, bit-exact with the global pass, and
+// the innovation recursion continues from the cached tails. When res is
+// not nil, the innovation of observation t lands in res[t−st.yLen].
+func (m *Model) advanceState(st *suffixState, history *timeseries.Series, res []float64) {
 	p, q, d := m.Order.P, m.Order.Q, m.Order.D
 	y := history.Raw()
-	for t := st.yLen; t < len(y); t++ {
+	start := st.yLen
+	for t := start; t < len(y); t++ {
 		w := m.sc.win[:copy(m.sc.win, y[t-d:t+1])]
 		for range d {
 			w = timeseries.DiffInPlace(w)
@@ -381,6 +345,9 @@ func (m *Model) advanceState(st *suffixState, history *timeseries.Series) {
 			pred += m.Theta[j-1] * st.rTail[j-1]
 		}
 		r := v - pred
+		if res != nil {
+			res[t-start] = r
+		}
 		if p > 0 {
 			copy(st.wTail[1:], st.wTail[:p-1])
 			st.wTail[0] = v
@@ -432,49 +399,6 @@ func (m *Model) forecastFromState(dst []float64, st *suffixState, history *times
 	timeseries.DiffTailsInPlace(m.sc.tails, m.sc.win[:copy(m.sc.win, y[len(y)-d-1:])])
 	timeseries.IntegrateInPlace(out[len(dst):], m.sc.tails)
 	return out
-}
-
-// ForecastInterval returns the h-step forecasts plus symmetric prediction
-// intervals at roughly 95% coverage (±1.96·σ·√ψ, using the cumulative
-// psi-weight approximation for the forecast-error variance).
-func (m *Model) ForecastInterval(h int) (point, lower, upper []float64, err error) {
-	point, err = m.Forecast(h)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	psi := m.psiWeights(h)
-	lower = make([]float64, h)
-	upper = make([]float64, h)
-	cum := 0.0
-	sigma := math.Sqrt(m.Sigma2)
-	for k := 0; k < h; k++ {
-		cum += psi[k] * psi[k]
-		half := 1.96 * sigma * math.Sqrt(cum)
-		lower[k] = point[k] - half
-		upper[k] = point[k] + half
-	}
-	return point, lower, upper, nil
-}
-
-// psiWeights returns the first h MA(∞) psi weights of the ARMA part
-// (ψ₀ = 1), obtained by the standard recursion ψ_k = θ_k + Σ φ_i ψ_{k−i}.
-func (m *Model) psiWeights(h int) []float64 {
-	psi := make([]float64, h)
-	if h == 0 {
-		return psi
-	}
-	psi[0] = 1
-	for k := 1; k < h; k++ {
-		v := 0.0
-		if k <= m.Order.Q {
-			v = m.Theta[k-1]
-		}
-		for i := 1; i <= m.Order.P && i <= k; i++ {
-			v += m.Phi[i-1] * psi[k-i]
-		}
-		psi[k] = v
-	}
-	return psi
 }
 
 // AIC returns the Akaike information criterion of the fitted model;

@@ -73,23 +73,3 @@ func AutoFit(s *timeseries.Series, space SearchSpace) (*Model, error) {
 	}
 	return best, nil
 }
-
-// RollingForecast produces one-step-ahead out-of-sample predictions over
-// the test series, refitting nothing: at each step the model forecasts one
-// step from the accumulated history (train + revealed test prefix), then
-// the true value is revealed. This is exactly the evaluation protocol of
-// the paper's Figs. 6–8.
-func (m *Model) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
-	history := train.Clone()
-	out := make([]float64, test.Len())
-	var fc []float64
-	for t := 0; t < test.Len(); t++ {
-		var err error
-		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
-			return nil, fmt.Errorf("arima: rolling forecast at step %d: %w", t, err)
-		}
-		out[t] = fc[0]
-		history.Append(test.At(t))
-	}
-	return out, nil
-}

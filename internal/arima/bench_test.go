@@ -24,7 +24,7 @@ func BenchmarkARIMAForecast(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Forecast(10); err != nil {
+		if _, err := m.ForecastFrom(nil, s, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

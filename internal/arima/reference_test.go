@@ -3,10 +3,12 @@ package arima
 // This file keeps the forecast paths as they stood before they ran in the
 // model's scratch: every step sliced the history into a new Series,
 // differenced it into another, and returned fresh ext, extRes and
-// re-integrated slices. They are the oracles of
-// TestForecastMatchesReference; do not "improve" these copies.
+// re-integrated slices, and a cold context came from its own full pass
+// over the differenced history rather than from the fold. They are the
+// oracles of TestForecastMatchesReference; do not "improve" these copies.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,12 +26,11 @@ type refModel struct {
 // forecastFrom is the allocating Model.ForecastFrom, verbatim but for the
 // context it caches into.
 func (r *refModel) forecastFrom(history *timeseries.Series, h int) ([]float64, error) {
-	m := r.m
 	st := r.fc
 	if st == nil || st.src != history || st.yLen > history.Len() ||
 		history.At(st.yLen-1) != st.yLast {
 		var err error
-		if st, err = m.rebuildState(history); err != nil {
+		if st, err = r.rebuildState(history); err != nil {
 			return nil, err
 		}
 		r.fc = st
@@ -39,6 +40,59 @@ func (r *refModel) forecastFrom(history *timeseries.Series, h int) ([]float64, e
 		}
 	}
 	return r.forecastFromState(st, history, h)
+}
+
+// rebuildState derives the forecast context from scratch: the full O(n)
+// pass over the differenced series and its innovations.
+func (r *refModel) rebuildState(history *timeseries.Series) (*suffixState, error) {
+	m := r.m
+	w, err := timeseries.DiffN(history, m.Order.D)
+	if err != nil {
+		return nil, err
+	}
+	wraw := w.Raw()
+	res := r.residuals(wraw)
+	p, q := m.Order.P, m.Order.Q
+	if len(wraw) < p || len(res) < q {
+		return nil, fmt.Errorf("arima: differenced history too short for %s", m.Order)
+	}
+	st := &suffixState{
+		src:   history,
+		yLen:  history.Len(),
+		yLast: history.Last(),
+		wTail: make([]float64, p),
+		rTail: make([]float64, q),
+	}
+	for i := 0; i < p; i++ {
+		st.wTail[i] = wraw[len(wraw)-1-i]
+	}
+	for j := 0; j < q; j++ {
+		st.rTail[j] = res[len(res)-1-j]
+	}
+	return st, nil
+}
+
+// residuals computes the one-step in-sample innovations of the fitted ARMA
+// equation on the differenced series w.
+func (r *refModel) residuals(w []float64) []float64 {
+	m := r.m
+	p, q := m.Order.P, m.Order.Q
+	res := make([]float64, len(w))
+	for t := 0; t < len(w); t++ {
+		pred := m.Intercept
+		for i := 1; i <= p; i++ {
+			if t-i >= 0 {
+				pred += m.Phi[i-1] * w[t-i]
+			}
+		}
+		for j := 1; j <= q; j++ {
+			if t-j >= 0 {
+				pred += m.Theta[j-1] * res[t-j]
+			}
+		}
+		res[t] = w[t] - pred
+	}
+	return res
 }
 
 func (r *refModel) advanceState(st *suffixState, history *timeseries.Series) error {

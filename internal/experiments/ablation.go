@@ -13,6 +13,7 @@ import (
 	"sheriff/internal/kmedian"
 	"sheriff/internal/knapsack"
 	"sheriff/internal/migrate"
+	"sheriff/internal/predictor"
 	"sheriff/internal/runtime"
 	"sheriff/internal/sim"
 	"sheriff/internal/timeseries"
@@ -215,11 +216,11 @@ func AblationSeasonal(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pPred, err := plain.RollingForecast(train, test)
+	pPred, err := predictor.Rolling(plain, train, test)
 	if err != nil {
 		return nil, err
 	}
-	sPred, err := seasonal.RollingForecast(train, test)
+	sPred, err := predictor.Rolling(seasonal, train, test)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func Fig6ARIMA(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig 6 fit: %w", err)
 	}
-	pred, err := model.RollingForecast(train, test)
+	pred, err := predictor.Rolling(model, train, test)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig 6 forecast: %w", err)
 	}
@@ -109,7 +109,7 @@ func Fig7NARNET(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig 7 train: %w", err)
 	}
-	pred, err := net.RollingForecast(train, test)
+	pred, err := predictor.Rolling(net, train, test)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: Fig 7 forecast: %w", err)
 	}
@@ -157,11 +157,11 @@ func Fig8Combined(seed int64) (*Table, error) {
 		return nil, fmt.Errorf("experiments: Fig 8 selector: %w", err)
 	}
 
-	aPred, err := am.RollingForecast(train, test)
+	aPred, err := predictor.Rolling(am, train, test)
 	if err != nil {
 		return nil, err
 	}
-	nPred, err := nn.RollingForecast(train, test)
+	nPred, err := predictor.Rolling(nn, train, test)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// rows builds a matrix from equal-length rows.
+func rows(r [][]float64) *Matrix {
+	m := NewMatrix(len(r), len(r[0]))
+	for i := range r {
+		copy(m.Data[i*m.Cols:], r[i])
+	}
+	return m
+}
+
 func TestNewMatrixZeroed(t *testing.T) {
 	m := NewMatrix(2, 3)
 	for i := 0; i < 2; i++ {
@@ -27,23 +36,6 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatal("FromRows layout wrong")
-	}
-	if _, err := FromRows([][]float64{{1}, {2, 3}}); err == nil {
-		t.Error("ragged rows should error")
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Error("empty FromRows should return 0x0")
-	}
-}
-
 func TestSetAtClone(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(1, 1, 7)
@@ -55,7 +47,7 @@ func TestSetAtClone(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := rows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatal("Transpose wrong")
@@ -63,8 +55,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := rows([][]float64{{1, 2}, {3, 4}})
+	b := rows([][]float64{{5, 6}, {7, 8}})
 	c, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +75,7 @@ func TestMul(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := rows([][]float64{{1, 2}, {3, 4}})
 	v, err := a.MulVec([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +89,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := rows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +101,7 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveRequiresPivoting(t *testing.T) {
 	// Leading zero forces a row swap.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := rows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +112,7 @@ func TestSolveRequiresPivoting(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := rows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
@@ -137,7 +129,7 @@ func TestSolveShapeErrors(t *testing.T) {
 
 func TestLeastSquaresExactFit(t *testing.T) {
 	// y = 2 + 3x, fit with design [1, x].
-	x, _ := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	x := rows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	y := []float64{2, 5, 8, 11}
 	beta, err := LeastSquares(x, y, 0)
 	if err != nil {
@@ -149,7 +141,7 @@ func TestLeastSquaresExactFit(t *testing.T) {
 }
 
 func TestLeastSquaresNoisyFit(t *testing.T) {
-	x, _ := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}})
+	x := rows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}})
 	y := []float64{1.1, 2.9, 5.2, 6.8, 9.1}
 	beta, err := LeastSquares(x, y, 0)
 	if err != nil {
@@ -169,7 +161,7 @@ func TestLeastSquaresUnderdetermined(t *testing.T) {
 func TestLeastSquaresCollinearFallsBackToRidge(t *testing.T) {
 	// Perfectly collinear columns: pure OLS is singular; the automatic
 	// ridge retry should still return a finite solution.
-	x, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	x := rows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	beta, err := LeastSquares(x, []float64{2, 4, 6}, 0)
 	if err != nil {
 		t.Fatalf("ridge fallback failed: %v", err)
@@ -179,24 +171,6 @@ func TestLeastSquaresCollinearFallsBackToRidge(t *testing.T) {
 			t.Fatalf("non-finite beta %v", beta)
 		}
 	}
-}
-
-func TestDotAndNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Error("Dot wrong")
-	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("Norm2 wrong")
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 // Property: Solve(A, A·x) returns x for random well-conditioned A.

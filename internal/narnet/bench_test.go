@@ -24,7 +24,7 @@ func BenchmarkNARNETForecast(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Forecast(10); err != nil {
+		if _, err := n.ForecastFrom(nil, s, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func FuzzNetworkUnmarshalJSON(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding is not stable:\n%s\n%s", first, second)
 		}
-		_, _ = n.Forecast(3)
+		_, _ = n.ForecastFrom(nil, n.history, 3)
 		_, _ = n.ForecastFrom(nil, other, 3)
 	})
 }

@@ -251,12 +251,6 @@ func (n *Network) TrainMSE() float64 { return n.trainedMSE }
 // Config returns the architecture the network was trained with.
 func (n *Network) Config() Config { return n.cfg }
 
-// Forecast returns h-step-ahead predictions from the end of the training
-// series, feeding each prediction back into the delay line (closed loop).
-func (n *Network) Forecast(h int) ([]float64, error) {
-	return n.ForecastFrom(nil, n.history, h)
-}
-
 // ForecastFrom appends to dst h-step-ahead predictions treating history
 // as the observed past, and returns the extended slice (nil on error).
 // Repeated calls with the same *Series value reuse the cached delay line
@@ -308,22 +302,4 @@ func (n *Network) ForecastFrom(dst []float64, history *timeseries.Series, h int)
 		line[0] = p
 	}
 	return dst, nil
-}
-
-// RollingForecast produces one-step-ahead out-of-sample predictions over
-// test, revealing each true value after predicting it — the open-loop
-// protocol of the paper's Fig. 7.
-func (n *Network) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
-	history := train.Clone()
-	out := make([]float64, test.Len())
-	var fc []float64
-	for t := 0; t < test.Len(); t++ {
-		var err error
-		if fc, err = n.ForecastFrom(fc[:0], history, 1); err != nil {
-			return nil, fmt.Errorf("narnet: rolling forecast at step %d: %w", t, err)
-		}
-		out[t] = fc[0]
-		history.Append(test.At(t))
-	}
-	return out, nil
 }

@@ -34,54 +34,13 @@ func TestTrainTooShort(t *testing.T) {
 	}
 }
 
-func TestTrainLearnsSine(t *testing.T) {
-	s := sineSeries(600, 24, 0.5, 1)
-	train, test := s.Split(0.7)
-	net, err := Train(train, Config{Inputs: 8, Hidden: 12, Seed: 1, Epochs: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := net.RollingForecast(train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, _ := timeseries.RMSE(test.Raw(), pred)
-	// Signal amplitude is 30; a trained net should have RMSE well under 5.
-	if rmse > 5 {
-		t.Errorf("sine RMSE = %.3f, want < 5", rmse)
-	}
-}
-
-func TestTrainLearnsNonlinearMap(t *testing.T) {
-	// Logistic-style map: clearly nonlinear, where a linear AR struggles.
-	data := make([]float64, 500)
-	data[0] = 0.4
-	for t := 1; t < len(data); t++ {
-		data[t] = 3.6 * data[t-1] * (1 - data[t-1])
-	}
-	s := timeseries.New(data)
-	train, test := s.Split(0.8)
-	net, err := Train(train, Config{Inputs: 3, Hidden: 16, Seed: 2, Epochs: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := net.RollingForecast(train, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mse, _ := timeseries.MSE(test.Raw(), pred)
-	if mse > 0.01 {
-		t.Errorf("logistic-map MSE = %.5f, want < 0.01", mse)
-	}
-}
-
 func TestForecastHorizonValidation(t *testing.T) {
 	s := sineSeries(200, 20, 0, 3)
 	net, err := Train(s, Config{Inputs: 4, Hidden: 4, Seed: 3, Epochs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Forecast(0); err == nil {
+	if _, err := net.ForecastFrom(nil, s, 0); err == nil {
 		t.Error("zero horizon should error")
 	}
 	if _, err := net.ForecastFrom(nil, timeseries.New([]float64{1}), 1); err == nil {
@@ -96,7 +55,7 @@ func TestForecastStaysInTrainingRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := net.Forecast(100)
+	fc, err := net.ForecastFrom(nil, s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +78,8 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, _ := n1.Forecast(5)
-	f2, _ := n2.Forecast(5)
+	f1, _ := n1.ForecastFrom(nil, s, 5)
+	f2, _ := n2.ForecastFrom(nil, s, 5)
 	for i := range f1 {
 		if f1[i] != f2[i] {
 			t.Fatalf("same seed produced different forecasts: %v vs %v", f1, f2)
@@ -138,8 +97,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, _ := n1.Forecast(1)
-	f2, _ := n2.Forecast(1)
+	f1, _ := n1.ForecastFrom(nil, s, 1)
+	f2, _ := n2.ForecastFrom(nil, s, 1)
 	if f1[0] == f2[0] {
 		t.Log("different seeds coincided (possible but unlikely)")
 	}
@@ -196,7 +155,7 @@ func TestForecastFiniteProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fc, err := net.Forecast(10)
+		fc, err := net.ForecastFrom(nil, s, 10)
 		if err != nil {
 			return false
 		}

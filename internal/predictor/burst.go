@@ -17,20 +17,20 @@ import (
 type BurstConfig struct {
 	// Lambda is the Page–Hinkley detection threshold, in units of the
 	// training series' one-step-difference standard deviation (default 6).
-	Lambda float64 `json:"lambda"`
+	Lambda float64
 	// Delta is the Page–Hinkley drift tolerance in the same units
 	// (default 0.5): residual drifts smaller than this never accumulate.
-	Delta float64 `json:"delta"`
+	Delta float64
 	// Hold is how many steps the forecaster stays in the fast-adapting
 	// regime after a trigger before relaxing back (default 30).
-	Hold int `json:"hold"`
+	Hold int
 	// SlowAlpha/SlowBeta are the steady-state Holt constants
 	// (default 0.30/0.10); FastAlpha/FastBeta apply during the Hold window
 	// after a change point (default 0.80/0.50).
-	SlowAlpha float64 `json:"slow_alpha"`
-	SlowBeta  float64 `json:"slow_beta"`
-	FastAlpha float64 `json:"fast_alpha"`
-	FastBeta  float64 `json:"fast_beta"`
+	SlowAlpha float64
+	SlowBeta  float64
+	FastAlpha float64
+	FastBeta  float64
 }
 
 // WithDefaults returns the configuration with zero fields replaced by
@@ -89,18 +89,18 @@ func (c BurstConfig) Validate() error {
 // the level on the triggering observation. Between changes it behaves like
 // conservative Holt (so it loses the diurnal selection to ARIMA); at a
 // burst onset it re-converges within a few samples, which is where it wins
-// the sliding-window MSE.
-//
-// The detection recursion is deterministic in (resolved config, history),
-// so serialization carries only the config: a restored model replays the
-// history cold and continues bit-identically.
+// the sliding-window MSE. It has no snapshot form: the runtime's deep pool
+// never holds one, and a selector that does refuses to snapshot.
 type Burst struct {
-	cfg    BurstConfig // resolved: Lambda/Delta are absolute here
-	minLen int
+	cfg BurstConfig // resolved: Lambda/Delta are absolute here
 
 	mu sync.Mutex
 	st *burstState
 }
+
+// burstMinLen is the shortest history Burst forecasts from: its Holt state
+// starts from the first two observations.
+const burstMinLen = 2
 
 // burstState is the O(1)-per-observation context cached between
 // ForecastFrom calls on the same append-only history, mirroring the
@@ -117,13 +117,11 @@ type burstState struct {
 	// Page–Hinkley accumulators over the residual stream since the last
 	// trigger (or the fold start): running mean plus the one-sided
 	// cumulative deviations and their extrema.
-	count          int
-	meanSum        float64
-	mUp, mUpMin    float64
-	mDn, mDnMax    float64
-	fastLeft       int // steps remaining in the fast-adapting regime
-	lastTrigger    int // absolute step of the last trigger (-1 = none)
-	triggerCounter int // total triggers folded (for diagnostics)
+	count       int
+	meanSum     float64
+	mUp, mUpMin float64
+	mDn, mDnMax float64
+	fastLeft    int // steps remaining in the fast-adapting regime
 }
 
 // FitBurst resolves the burst config against the training series: the
@@ -155,7 +153,7 @@ func FitBurst(train *timeseries.Series, cfg BurstConfig) (*Burst, error) {
 	}
 	cfg.Lambda *= scale
 	cfg.Delta *= scale
-	return &Burst{cfg: cfg, minLen: 2}, nil
+	return &Burst{cfg: cfg}, nil
 }
 
 // ForecastFrom folds the history through the gated Holt recursion and
@@ -168,8 +166,8 @@ func (b *Burst) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	if h <= 0 {
 		return nil, errors.New("predictor: burst forecast horizon must be positive")
 	}
-	if history.Len() < b.minLen {
-		return nil, fmt.Errorf("predictor: burst history length %d too short (need >= %d)", history.Len(), b.minLen)
+	if history.Len() < burstMinLen {
+		return nil, fmt.Errorf("predictor: burst history length %d too short (need >= %d)", history.Len(), burstMinLen)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -177,18 +175,17 @@ func (b *Burst) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	if st == nil || st.src != history || st.n > history.Len() || st.n < 2 ||
 		history.At(st.n-1) != st.last {
 		st = &burstState{
-			src:         history,
-			level:       history.At(1),
-			trend:       history.At(1) - history.At(0),
-			prevX:       history.At(1),
-			n:           2,
-			lastTrigger: -1,
+			src:   history,
+			level: history.At(1),
+			trend: history.At(1) - history.At(0),
+			prevX: history.At(1),
+			n:     2,
 		}
 		st.last = history.At(1)
 		b.st = st
 	}
 	for t := st.n; t < history.Len(); t++ {
-		b.fold(st, t, history.At(t))
+		b.fold(st, history.At(t))
 	}
 	st.n = history.Len()
 	st.last = history.At(st.n - 1)
@@ -201,7 +198,7 @@ func (b *Burst) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 
 // fold advances the state by one observation: residual → Page–Hinkley →
 // (possibly) trigger and re-anchor → gated Holt update.
-func (b *Burst) fold(st *burstState, t int, x float64) {
+func (b *Burst) fold(st *burstState, x float64) {
 	cfg := b.cfg
 	resid := x - (st.level + st.trend)
 
@@ -225,8 +222,6 @@ func (b *Burst) fold(st *burstState, t int, x float64) {
 		st.count, st.meanSum = 0, 0
 		st.mUp, st.mUpMin, st.mDn, st.mDnMax = 0, 0, 0, 0
 		st.fastLeft = cfg.Hold
-		st.lastTrigger = t
-		st.triggerCounter++
 		st.prevX = x
 		return
 	}
@@ -238,38 +233,4 @@ func (b *Burst) fold(st *burstState, t int, x float64) {
 	}
 	st.level, st.trend = smoothing.HoltStep(st.level, st.trend, x, alpha, beta)
 	st.prevX = x
-}
-
-// Triggers reports how many change points the model has folded so far
-// (diagnostic; resets with a cold re-fold).
-func (b *Burst) Triggers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.st == nil {
-		return 0
-	}
-	return b.st.triggerCounter
-}
-
-// State returns the model as plain data: its resolved (absolute-scale)
-// config, which is also its JSON form. The fold recursion is deterministic
-// in (config, history) and the Selector carries the shared history, so a
-// restored model cold-folds back to the identical state.
-func (b *Burst) State() BurstConfig {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cfg
-}
-
-// Restore replaces the model with the one the resolved config st describes.
-func (b *Burst) Restore(st BurstConfig) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cfg = st.WithDefaults()
-	b.minLen = 2
-	b.st = nil
-	return nil
 }

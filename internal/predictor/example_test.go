@@ -37,11 +37,11 @@ func ExampleSelector() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	aPred, err := am.RollingForecast(train, timeseries.New(test))
+	aPred, err := predictor.Rolling(am, train, timeseries.New(test))
 	if err != nil {
 		log.Fatal(err)
 	}
-	nPred, err := nn.RollingForecast(train, timeseries.New(test))
+	nPred, err := predictor.Rolling(nn, train, timeseries.New(test))
 	if err != nil {
 		log.Fatal(err)
 	}

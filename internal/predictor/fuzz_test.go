@@ -6,43 +6,54 @@ import (
 	"testing"
 
 	"sheriff/internal/arima"
+	"sheriff/internal/narnet"
 )
 
 // FuzzSelectorUnmarshalJSON feeds the deep section's decoder arbitrary
 // bytes, decoded into a SelectorState and restored as runtime.Restore
 // does: the only outcomes allowed are an error, or a selector that
 // re-encodes byte-stably and survives three predict/observe rounds.
-// Seeds: a fitted pool mid-stream (with and without a pending
-// prediction), the same with a burst candidate, and broken variants of
-// the first — truncated, empty history (in the decimal spelling older
-// files hold and in base64), a history carrying a NaN, and counts that
-// disagree; then hand-written pools in each spelling.
+// Seeds: three pools mid-stream (with and without a pending prediction) —
+// the fitted default pool, a pool one of whose members cannot forecast
+// yet, and a small one — and broken variants of each: truncated, empty
+// history (in the decimal spelling older files hold and in base64), a
+// history carrying a NaN, and counts that disagree; then hand-written
+// pools in each spelling, and one candidate of each retired kind.
 func FuzzSelectorUnmarshalJSON(f *testing.F) {
-	train := trainSeries(120)
-	pools := []*Selector{}
-	for _, opts := range []Options{{Window: 5, Seed: 42}, {Window: 5, Seed: 42, Burst: true}} {
-		s, err := New(train, opts)
-		if err != nil {
-			f.Fatal(err)
-		}
-		pools = append(pools, s)
+	fitted, err := New(trainSeries(120), Options{Window: 5, Seed: 42})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// ARIMA(3,2,3) needs 26 observations and its selector starts from 18,
+	// so its cached prediction is null in the pending snapshot.
+	deep, err := arima.Fit(trainSeries(120), arima.Order{P: 3, D: 2, Q: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	nn, err := narnet.Train(trainSeries(120), narnet.Config{Inputs: 2, Hidden: 1, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	waiting, err := NewSelector(trainSeries(18), Config{Window: 4}, NewCandidate("a", deep), NewCandidate("n", nn))
+	if err != nil {
+		f.Fatal(err)
 	}
 	// A pool small enough for the mutator to get somewhere: one ARIMA and
-	// the burst model over 30 points.
+	// one NARNET over 30 points.
 	short := trainSeries(30)
 	am, err := arima.Fit(short, arima.Order{P: 1, D: 1, Q: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	bm, err := FitBurst(short, BurstConfig{})
+	sn, err := narnet.Train(short, narnet.Config{Inputs: 2, Hidden: 1, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	small, err := NewSelector(short, Config{Window: 3}, NewCandidate("a", am), NewCandidate("b", bm))
+	small, err := NewSelector(short, Config{Window: 3}, NewCandidate("a", am), NewCandidate("b", sn))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, s := range append(pools, small) {
+	for _, s := range []*Selector{fitted, waiting, small} {
 		for i := 0; i < 7; i++ {
 			if _, err := s.Predict(); err != nil {
 				f.Fatal(err)
@@ -82,6 +93,8 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"narnet","model":{"config":{"Inputs":2,"Hidden":1},"w1":[1,2],"w2":[1,2],"scale_factor":1},"mse":null}]}`))
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":[1,2,3]},"mse":{"window":"AAAAAAAA8D8BAAAAAAD4fw==","next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))
+	f.Add([]byte(retiredKinds["sarima"]))
+	f.Add([]byte(retiredKinds["burst"]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Selector

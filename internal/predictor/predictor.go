@@ -4,13 +4,17 @@
 // each tracked by its sliding-window mean squared prediction error
 // MSE_f(t, T_p) (Eqn. 14). At every step the candidate with the minimum
 // windowed MSE supplies the prediction.
+//
+// Rolling scores a single forecaster by the paper's rolling one-step
+// protocol; Selector.Run is that protocol for the pool. A Selector's
+// snapshot form (State, Restore) carries ARIMA and NARNET candidates, the
+// ones the runtime's deep pool holds; State refuses a pool with any other.
 package predictor
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"sheriff/internal/arima"
 	"sheriff/internal/narnet"
@@ -243,42 +247,6 @@ func (s *Selector) Predict() (float64, error) {
 	return bestVal, nil
 }
 
-// PredictK returns an h-step-ahead forecast — the paper's K-STEP-AHEAD
-// mode, where later steps reuse earlier predictions as history inside the
-// winning model — together with the name of the candidate that actually
-// produced it. Candidates are tried in ascending windowed-MSE order
-// (ties keep pool order), so when the best candidate cannot forecast the
-// fallback is the next-fittest model, not whichever happens to sit first
-// in the pool. The fitness ranking is still based on one-step errors
-// (Eqn. 14), so PredictK does not change the selection state.
-func (s *Selector) PredictK(h int) ([]float64, string, error) {
-	if h <= 0 {
-		return nil, "", errors.New("predictor: horizon must be positive")
-	}
-	if len(s.candidates) == 0 {
-		return nil, "", errors.New("predictor: empty pool")
-	}
-	order := make([]int, len(s.candidates))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return s.candidates[order[a]].MSE() < s.candidates[order[b]].MSE()
-	})
-	var firstErr error
-	for _, i := range order {
-		fc, err := s.candidates[i].F.ForecastFrom(nil, s.history, h)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return fc, s.candidates[i].Name, nil
-	}
-	return nil, "", fmt.Errorf("predictor: k-step forecast: %w", firstErr)
-}
-
 // Observe reveals the true value for the step last predicted, updating
 // every candidate's fitness and extending the shared history.
 func (s *Selector) Observe(actual float64) {
@@ -333,6 +301,27 @@ func (s *Selector) Run(test *timeseries.Series) (pred []float64, winShare map[st
 		winShare[name] = float64(n) / float64(test.Len())
 	}
 	return pred, winShare, nil
+}
+
+// Rolling is the paper's rolling evaluation protocol (Figs. 6–8) for one
+// forecaster: for each step of test it forecasts one step ahead from
+// train and the test values revealed so far, then reveals the true value.
+// Nothing is refitted, and the history only grows by appends, so a
+// forecaster with a suffix fast path folds each value once. The forecasts
+// share one reused buffer.
+func Rolling(f Forecaster, train, test *timeseries.Series) ([]float64, error) {
+	history := train.Clone()
+	out := make([]float64, test.Len())
+	var fc []float64
+	for t := range out {
+		var err error
+		if fc, err = f.ForecastFrom(fc[:0], history, 1); err != nil {
+			return nil, fmt.Errorf("predictor: rolling forecast at step %d: %w", t, err)
+		}
+		out[t] = fc[0]
+		history.Append(test.At(t))
+	}
+	return out, nil
 }
 
 // extendedPool builds defaultPool plus the exponential-smoothing family:

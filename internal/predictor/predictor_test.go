@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sheriff/internal/arima"
@@ -167,11 +169,11 @@ func TestCombinedBeatsWorstSingleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Individual rolling forecasts.
-	ap, err := am.RollingForecast(train, test)
+	ap, err := Rolling(am, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, err := nn.RollingForecast(train, test)
+	np, err := Rolling(nn, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,96 +305,34 @@ func TestExtendedPoolNoSeason(t *testing.T) {
 	}
 }
 
-func TestPredictK(t *testing.T) {
-	h := timeseries.New([]float64{5, 5, 5})
-	sel, err := NewSelector(h, Config{Window: 3},
-		NewCandidate("a", constantForecaster{5}),
-		NewCandidate("b", constantForecaster{50}))
-	if err != nil {
-		t.Fatal(err)
+// lastValue forecasts the last observation for every step ahead.
+type lastValue struct{}
+
+func (lastValue) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
+	for range h {
+		dst = append(dst, history.Last())
 	}
-	fc, name, err := sel.PredictK(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fc) != 4 {
-		t.Fatalf("len = %d", len(fc))
-	}
-	// Ties break to the first candidate before any observation.
-	if fc[0] != 5 || name != "a" {
-		t.Fatalf("PredictK = %v (%s), want candidate a's 5", fc[0], name)
-	}
-	if _, _, err := sel.PredictK(0); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
+	return dst, nil
 }
 
-func TestPredictKFallsBackOnFailure(t *testing.T) {
-	h := timeseries.New([]float64{1, 2, 3})
-	sel, err := NewSelector(h, Config{},
-		NewCandidate("fail", failingForecaster{}),
-		NewCandidate("ok", constantForecaster{7}))
+// TestRolling: each one-step forecast sees train and the test values
+// revealed before it, none after, and a forecaster's failure comes back
+// wrapped with the step it happened at.
+func TestRolling(t *testing.T) {
+	train, test := timeseries.New([]float64{1, 2, 3}), timeseries.New([]float64{4, 5, 6, 7})
+	got, err := Rolling(lastValue{}, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, name, err := sel.PredictK(2)
-	if err != nil {
-		t.Fatal(err)
+	if want := []float64{3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("Rolling = %v, want %v", got, want)
 	}
-	if fc[0] != 7 || fc[1] != 7 {
-		t.Fatalf("fallback forecast = %v", fc)
+	if train.Len() != 3 {
+		t.Fatalf("Rolling appended to train: %v", train.Raw())
 	}
-	if name != "ok" {
-		t.Fatalf("PredictK reported %q, want the candidate actually used (ok)", name)
-	}
-}
-
-func TestPredictKEmptyPool(t *testing.T) {
-	var sel Selector // zero value: no candidates
-	if _, _, err := sel.PredictK(3); err == nil {
-		t.Fatal("empty-pool PredictK succeeded")
-	}
-}
-
-func TestPredictKOrdersFallbackByMSE(t *testing.T) {
-	h := timeseries.New([]float64{5, 5, 5})
-	// Pool order: fail, far, near. After observations, "near" has the
-	// lower MSE, so the fallback must pick it even though "far" comes
-	// first in the pool.
-	sel, err := NewSelector(h, Config{Window: 5},
-		NewCandidate("fail", failingForecaster{}),
-		NewCandidate("far", constantForecaster{50}),
-		NewCandidate("near", constantForecaster{6}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := sel.Predict(); err != nil {
-			t.Fatal(err)
-		}
-		sel.Observe(5)
-	}
-	fc, name, err := sel.PredictK(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "near" || fc[0] != 6 {
-		t.Fatalf("PredictK used %q (%v), want lowest-MSE candidate near", name, fc[0])
-	}
-}
-
-func TestPredictKAllFailWrapsError(t *testing.T) {
-	h := timeseries.New([]float64{1, 2, 3})
-	sel, err := NewSelector(h, Config{}, NewCandidate("f", failingForecaster{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = sel.PredictK(2)
-	if err == nil {
-		t.Fatal("expected error when every candidate fails")
-	}
-	if !errors.Is(err, errEveryTime) {
-		t.Fatalf("error %v does not wrap the underlying forecast error", err)
+	_, err = Rolling(failingForecaster{}, train, test)
+	if !errors.Is(err, errEveryTime) || !strings.Contains(err.Error(), "step 0") {
+		t.Fatalf("error %v does not wrap the forecast error at step 0", err)
 	}
 }
 

@@ -10,19 +10,19 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// Forecaster kind tags used in the serialized form. Exponential-smoothing
-// candidates have no plain-data state and make State fail with a clear
-// error rather than silently dropping a pool member.
+// Forecaster kind tags used in the serialized form: the runtime's deep
+// pool is the default pool, so ARIMA and NARNET are the kinds a snapshot
+// holds. Other candidates (seasonal ARIMA, the smoothing family, Burst)
+// have no plain-data state and make State fail with a clear error rather
+// than silently dropping a pool member.
 const (
 	kindARIMA  = "arima"
-	kindSARIMA = "sarima"
 	kindNARNET = "narnet"
-	kindBurst  = "burst"
 )
 
 // CandidateState is one pool member as plain data: Model holds the
-// forecaster's own state value (arima.ModelState, arima.SeasonalState,
-// narnet.State or BurstConfig), the kind tag names which for the decoder,
+// forecaster's own state value (arima.ModelState or narnet.State), the
+// kind tag names which for the decoder,
 // and the rolling MSE ring travels whole so fitness ranking resumes
 // exactly where it stopped.
 type CandidateState struct {
@@ -47,20 +47,15 @@ type SelectorState struct {
 }
 
 // modelState returns a pool member's kind tag and state value, or "" for
-// a forecaster type that has none (the smoothing family).
+// a forecaster type that has none.
 func modelState(f Forecaster) (kind string, state any, err error) {
 	switch m := f.(type) {
 	case *arima.Model:
 		state, err = m.State()
 		return kindARIMA, state, err
-	case *arima.SeasonalModel:
-		state, err = m.State()
-		return kindSARIMA, state, err
 	case *narnet.Network:
 		state, err = m.State()
 		return kindNARNET, state, err
-	case *Burst:
-		return kindBurst, m.State(), nil
 	}
 	return "", nil, nil
 }
@@ -71,15 +66,9 @@ func (c CandidateState) forecaster() (Forecaster, error) {
 	case arima.ModelState:
 		m := new(arima.Model)
 		return m, m.Restore(st)
-	case arima.SeasonalState:
-		m := new(arima.SeasonalModel)
-		return m, m.Restore(st)
 	case narnet.State:
 		n := new(narnet.Network)
 		return n, n.Restore(st)
-	case BurstConfig:
-		b := new(Burst)
-		return b, b.Restore(st)
 	}
 	return nil, fmt.Errorf("model state of type %T has no forecaster", c.Model)
 }
@@ -103,12 +92,8 @@ func (c *CandidateState) UnmarshalJSON(b []byte) error {
 	switch raw.Kind {
 	case kindARIMA:
 		model, err = decodeModel[arima.ModelState](raw.Model)
-	case kindSARIMA:
-		model, err = decodeModel[arima.SeasonalState](raw.Model)
 	case kindNARNET:
 		model, err = decodeModel[narnet.State](raw.Model)
-	case kindBurst:
-		model, err = decodeModel[BurstConfig](raw.Model)
 	default:
 		err = fmt.Errorf("unknown kind %q", raw.Kind)
 	}
@@ -132,9 +117,8 @@ func decodeModel[S any](b []byte) (any, error) {
 // MSE rings and the cached predictions. Each candidate's model state was
 // packed once, when the selector was built or restored, and every State
 // shares it: a fitted model is never written again, so the shared arrays
-// are values too. Candidates whose forecaster type has no state (the
-// smoothing family) are an error, and so is a NaN or ±Inf in a packed
-// array.
+// are values too. A candidate that is neither an ARIMA model nor a NARNET
+// has no state and is an error, and so is a NaN or ±Inf in a packed array.
 func (s *Selector) State() (SelectorState, error) {
 	hist, err := timeseries.Pack(s.history.Raw())
 	if err != nil {

@@ -2,7 +2,9 @@ package predictor
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sheriff/internal/arima"
@@ -95,14 +97,17 @@ func TestSelectorJSONRoundTrip(t *testing.T) {
 		if ps != pr {
 			t.Fatalf("step %d: prediction %v != %v", i, pr, ps)
 		}
-		ks, _, errS := s.PredictK(3)
-		kr, _, errR := r.PredictK(3)
-		if (errS == nil) != (errR == nil) {
-			t.Fatalf("step %d: PredictK error mismatch %v vs %v", i, errS, errR)
-		}
-		for j := range ks {
-			if ks[j] != kr[j] {
-				t.Fatalf("step %d: k-step %d: %v != %v", i, j, kr[j], ks[j])
+		// Every candidate's k-step forecast from the shared history, too.
+		for c := range sc {
+			ks, errS := sc[c].F.ForecastFrom(nil, s.history, 3)
+			kr, errR := rc[c].F.ForecastFrom(nil, r.history, 3)
+			if (errS == nil) != (errR == nil) {
+				t.Fatalf("step %d: %s: k-step error mismatch %v vs %v", i, sc[c].Name, errS, errR)
+			}
+			for j := range ks {
+				if ks[j] != kr[j] {
+					t.Fatalf("step %d: %s: k-step %d: %v != %v", i, sc[c].Name, j, kr[j], ks[j])
+				}
 			}
 		}
 		actual := 0.48 + 0.07*float64(i%3)
@@ -111,55 +116,38 @@ func TestSelectorJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSelectorRoundTripSeasonal covers the sarima kind tag.
-func TestSelectorRoundTripSeasonal(t *testing.T) {
-	train := trainSeries(300)
-	sm, err := arima.FitSeasonal(train, arima.SeasonalOrder{
-		Order: arima.Order{P: 1, D: 0, Q: 1}, SP: 1, SD: 0, SQ: 0, Period: 24,
-	})
-	if err != nil {
-		t.Skipf("seasonal fit unavailable: %v", err)
-	}
-	s, err := NewSelector(train, Config{Window: 4}, NewCandidate("SARIMA", sm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Predict(); err != nil {
-		t.Fatal(err)
-	}
-	s.Observe(0.5)
-	blob, err := encode(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Selector
-	if err := decode(blob, &r); err != nil {
-		t.Fatal(err)
-	}
-	ps, errS := s.Predict()
-	pr, errR := r.Predict()
-	if errS != nil || errR != nil {
-		t.Fatalf("predict errors: %v, %v", errS, errR)
-	}
-	if ps != pr {
-		t.Fatalf("seasonal prediction %v != %v", pr, ps)
-	}
-}
-
-// TestSelectorMarshalRejectsUnserializable pins the smoothing-family
-// limitation: State must fail loudly, not drop the candidate.
+// TestSelectorMarshalRejectsUnserializable: only ARIMA models and NARNETs
+// have a snapshot form, so State fails loudly, naming the forecaster's
+// type, for a pool holding a smoothing model, a seasonal ARIMA model or a
+// Burst — it never drops the candidate.
 func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 	train := trainSeries(120)
 	holt, err := smoothing.Fit(train, smoothing.Config{Method: smoothing.Holt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSelector(train, Config{}, NewCandidate("Holt", holt))
+	sarima, err := arima.FitSeasonal(train, arima.SeasonalOrder{
+		Order: arima.Order{P: 1, D: 0, Q: 1}, SP: 1, Period: 24,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.State(); err == nil {
-		t.Fatal("state of smoothing candidate succeeded, want error")
+	burst, err := FitBurst(train, BurstConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]Forecaster{"Holt": holt, "SARIMA": sarima, "Burst": burst} {
+		s, err := NewSelector(train, Config{}, NewCandidate(name, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.State()
+		if err == nil {
+			t.Fatalf("state of a %s candidate succeeded, want error", name)
+		}
+		if typ := fmt.Sprintf("%T", f); !strings.Contains(err.Error(), typ) {
+			t.Errorf("%s: error %q does not name %s", name, err, typ)
+		}
 	}
 }
 
@@ -177,6 +165,24 @@ func TestSelectorUnmarshalRejectsCorrupt(t *testing.T) {
 			t.Errorf("corrupt selector %q accepted", c)
 		}
 	}
+	// A seasonal ARIMA model and a Burst had snapshot kinds of their own
+	// once; the runtime's deep pool never held either, and the kinds are
+	// retired: even a well-formed candidate of each is an unknown kind.
+	for _, kind := range []string{"sarima", "burst"} {
+		var s Selector
+		err := decode([]byte(retiredKinds[kind]), &s)
+		if want := fmt.Sprintf("unknown kind %q", kind); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s candidate: got error %v, want %s", kind, err, want)
+		}
+	}
+}
+
+// retiredKinds holds, by kind tag, a selector document with one candidate
+// of a kind that is no longer decoded, its model as the encoder of that
+// kind wrote it.
+var retiredKinds = map[string]string{
+	"sarima": `{"candidates":[{"name":"SARIMA","kind":"sarima","model":{"order":{"P":1,"D":0,"Q":1,"SP":1,"SD":0,"SQ":0,"Period":24},"phi":[0.5],"theta":[0.1],"sphi":[0.2],"intercept":0,"sigma2":1,"n":3,"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
+	"burst":  `{"candidates":[{"name":"Burst","kind":"burst","model":{"lambda":0.1,"delta":0.01,"hold":30,"slow_alpha":0.3,"slow_beta":0.1,"fast_alpha":0.8,"fast_beta":0.5},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
 }
 
 // TestSelectorStateAllocs: a fitted selector's State packs only what

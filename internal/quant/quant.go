@@ -79,12 +79,6 @@ func sat(v int64) Q {
 // Add returns a+b, saturating.
 func Add(a, b Q) Q { return sat(int64(a) + int64(b)) }
 
-// Sub returns a-b, saturating.
-func Sub(a, b Q) Q { return sat(int64(a) - int64(b)) }
-
-// MulInt returns a·n, saturating.
-func MulInt(a Q, n int32) Q { return sat(int64(a) * int64(n)) }
-
 // Shift is the coefficient resolution: smoothing factors are dyadic
 // rationals n/2^Shift, multiples of 2^-8, fine enough that the snap error
 // (at most 2^-9) is far below the trace noise floor.

@@ -7,13 +7,18 @@
 // floating-point operations per observation.
 //
 // All models satisfy the same ForecastFrom contract as the other
-// predictor families, so they slot into the dynamic selection pool.
+// predictor families, so they slot into the dynamic selection pool;
+// ForecastFrom is the one way to forecast. Each method has one
+// per-observation step: Fit's grid search scores a constant set by folding
+// the series through it, and a forecast folds its history through the same
+// step.
 package smoothing
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sheriff/internal/timeseries"
@@ -83,19 +88,16 @@ type Model struct {
 	Config Config
 	SSE    float64 // in-sample one-step sum of squared errors
 
-	history *timeseries.Series
-
 	mu sync.Mutex
 	fc *smoothState // incremental smoothing state (see ForecastFrom)
 }
 
-// smoothState is the O(1)-per-observation smoothing context cached
-// between ForecastFrom calls on the same append-only history: level,
+// smoothState is the O(1)-per-observation smoothing context: level,
 // trend, and the seasonal offsets fully determine both the forecast and
-// the continuation of the recursion, so appending k observations costs
-// O(k) instead of the O(n) re-smoothing pass. The continuation is
-// bit-exact with a cold pass (exponential smoothing is Markov in exactly
-// this state).
+// the continuation of the recursion (exponential smoothing is Markov in
+// exactly this state). Fit scores each grid point by folding the series
+// through one, and ForecastFrom caches one between calls on the same
+// append-only history, so appending k observations costs O(k).
 type smoothState struct {
 	src    *timeseries.Series
 	n      int     // observations folded into the state
@@ -164,16 +166,16 @@ func Fit(s *timeseries.Series, cfg Config) (*Model, error) {
 	}
 	best := math.Inf(1)
 	var bestCfg Config
+	var st smoothState
 	for _, a := range alphas {
 		for _, b := range betas {
 			for _, g := range gammas {
 				c := cfg
 				c.Alpha, c.Beta, c.Gamma = a, b, g
-				sse, err := run(s, c, 0, nil)
-				if err != nil {
+				if err := st.seed(c, s); err != nil {
 					continue
 				}
-				if sse < best {
+				if sse := st.fold(c, s); sse < best {
 					best = sse
 					bestCfg = c
 				}
@@ -183,87 +185,7 @@ func Fit(s *timeseries.Series, cfg Config) (*Model, error) {
 	if math.IsInf(best, 1) {
 		return nil, errors.New("smoothing: no parameter combination fit the series")
 	}
-	return &Model{Config: bestCfg, SSE: best, history: s.Clone()}, nil
-}
-
-// run smooths through the series with the given constants, returning the
-// one-step SSE; if h > 0 and out != nil, it also writes the h-step
-// forecasts from the series end into out.
-func run(s *timeseries.Series, cfg Config, h int, out []float64) (float64, error) {
-	n := s.Len()
-	switch cfg.Method {
-	case SES:
-		level := s.At(0)
-		sse := 0.0
-		for t := 1; t < n; t++ {
-			e := s.At(t) - level
-			sse += e * e
-			level += cfg.Alpha * e
-		}
-		for k := 0; k < h; k++ {
-			out[k] = level
-		}
-		return sse, nil
-
-	case Holt:
-		level := s.At(1)
-		trend := s.At(1) - s.At(0)
-		sse := 0.0
-		for t := 2; t < n; t++ {
-			pred := level + trend
-			e := s.At(t) - pred
-			sse += e * e
-			level, trend = HoltStep(level, trend, s.At(t), cfg.Alpha, cfg.Beta)
-		}
-		for k := 0; k < h; k++ {
-			out[k] = level + trend*float64(k+1)
-		}
-		return sse, nil
-
-	case HoltWinters:
-		p := cfg.Period
-		if n < 2*p {
-			return 0, fmt.Errorf("smoothing: need >= %d points for period %d", 2*p, p)
-		}
-		// Initialization: first-season mean as level, cross-season slope
-		// as trend, first-season offsets as seasonality.
-		level := 0.0
-		for t := 0; t < p; t++ {
-			level += s.At(t)
-		}
-		level /= float64(p)
-		second := 0.0
-		for t := p; t < 2*p; t++ {
-			second += s.At(t)
-		}
-		second /= float64(p)
-		trend := (second - level) / float64(p)
-		season := make([]float64, p)
-		for t := 0; t < p; t++ {
-			season[t] = s.At(t) - level
-		}
-		sse := 0.0
-		for t := p; t < n; t++ {
-			si := t % p
-			pred := level + trend + season[si]
-			e := s.At(t) - pred
-			sse += e * e
-			level, trend = HoltStep(level, trend, s.At(t)-season[si], cfg.Alpha, cfg.Beta)
-			season[si] = cfg.Gamma*(s.At(t)-level) + (1-cfg.Gamma)*season[si]
-		}
-		for k := 0; k < h; k++ {
-			out[k] = level + trend*float64(k+1) + season[(n+k)%p]
-		}
-		return sse, nil
-
-	default:
-		return 0, fmt.Errorf("smoothing: unknown method %v", cfg.Method)
-	}
-}
-
-// Forecast returns h-step forecasts from the training series end.
-func (m *Model) Forecast(h int) ([]float64, error) {
-	return m.ForecastFrom(nil, m.history, h)
+	return &Model{Config: bestCfg, SSE: best}, nil
 }
 
 // ForecastFrom smooths through the history with the fitted constants and
@@ -274,8 +196,8 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 // path: when the history has only grown since the previous call, the
 // cached level/trend/season state is advanced over the new suffix in
 // O(new points) instead of re-smoothing the whole series. Histories that
-// shrank or were mutated in place fall back to a full pass. A warm call
-// into a dst with room allocates nothing.
+// shrank or were mutated in place are smoothed again from the start. A
+// warm call into a dst with room allocates nothing.
 func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) ([]float64, error) {
 	if h <= 0 {
 		return nil, errors.New("smoothing: forecast horizon must be positive")
@@ -285,25 +207,26 @@ func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.fc == nil {
+		m.fc = new(smoothState)
+	}
 	st := m.fc
-	if st == nil || st.src != history || st.n > history.Len() ||
-		history.At(st.n-1) != st.last {
-		var err error
-		if st, err = m.initState(history); err != nil {
+	if st.src != history || st.n > history.Len() || history.At(st.n-1) != st.last {
+		if err := st.seed(m.Config, history); err != nil {
 			return nil, err
 		}
-		m.fc = st
 	}
-	m.advanceState(st, history)
+	st.fold(m.Config, history)
 	return m.forecastState(dst, st, history.Len(), h), nil
 }
 
-// initState seeds the smoothing recursion exactly as run does: SES starts
-// from the first observation, Holt from the first two, Holt–Winters from
-// the first two seasons.
-func (m *Model) initState(history *timeseries.Series) (*smoothState, error) {
-	st := &smoothState{src: history}
-	switch m.Config.Method {
+// seed sets st to where the recursion starts on history: SES from the
+// first observation, Holt from the first two, Holt–Winters from the first
+// two seasons (first-season mean as level, cross-season slope as trend,
+// first-season offsets as seasonality).
+func (st *smoothState) seed(cfg Config, history *timeseries.Series) error {
+	st.trend = 0
+	switch cfg.Method {
 	case SES:
 		st.level = history.At(0)
 		st.n = 1
@@ -312,10 +235,7 @@ func (m *Model) initState(history *timeseries.Series) (*smoothState, error) {
 		st.trend = history.At(1) - history.At(0)
 		st.n = 2
 	case HoltWinters:
-		p := m.Config.Period
-		if history.Len() < 2*p {
-			return nil, fmt.Errorf("smoothing: need >= %d points for period %d", 2*p, p)
-		}
+		p := cfg.Period
 		level := 0.0
 		for t := 0; t < p; t++ {
 			level += history.At(t)
@@ -328,42 +248,53 @@ func (m *Model) initState(history *timeseries.Series) (*smoothState, error) {
 		second /= float64(p)
 		st.level = level
 		st.trend = (second - level) / float64(p)
-		st.season = make([]float64, p)
+		st.season = slices.Grow(st.season[:0], p)[:p]
 		for t := 0; t < p; t++ {
 			st.season[t] = history.At(t) - level
 		}
 		st.n = p
 	default:
-		return nil, fmt.Errorf("smoothing: unknown method %v", m.Config.Method)
+		return fmt.Errorf("smoothing: unknown method %v", cfg.Method)
 	}
+	st.src = history
 	st.last = history.At(st.n - 1)
-	return st, nil
+	return nil
 }
 
-// advanceState folds observations [st.n, history.Len()) into the state,
-// mirroring run's recursions step for step.
-func (m *Model) advanceState(st *smoothState, history *timeseries.Series) {
-	cfg := m.Config
+// fold folds observations [st.n, history.Len()) into the state and
+// returns the sum of their squared one-step errors.
+func (st *smoothState) fold(cfg Config, history *timeseries.Series) float64 {
 	n := history.Len()
-	switch cfg.Method {
-	case SES:
-		for t := st.n; t < n; t++ {
-			st.level += cfg.Alpha * (history.At(t) - st.level)
-		}
-	case Holt:
-		for t := st.n; t < n; t++ {
-			st.level, st.trend = HoltStep(st.level, st.trend, history.At(t), cfg.Alpha, cfg.Beta)
-		}
-	case HoltWinters:
-		p := cfg.Period
-		for t := st.n; t < n; t++ {
-			si := t % p
-			st.level, st.trend = HoltStep(st.level, st.trend, history.At(t)-st.season[si], cfg.Alpha, cfg.Beta)
-			st.season[si] = cfg.Gamma*(history.At(t)-st.level) + (1-cfg.Gamma)*st.season[si]
-		}
+	sse := 0.0
+	for t := st.n; t < n; t++ {
+		e := st.step(cfg, t, history.At(t))
+		sse += e * e
 	}
 	st.n = n
 	st.last = history.At(n - 1)
+	return sse
+}
+
+// step folds observation t, x, into the state — the method's one
+// recursion — and returns its one-step error: x less the forecast the
+// state made for it.
+func (st *smoothState) step(cfg Config, t int, x float64) float64 {
+	switch cfg.Method {
+	case SES:
+		e := x - st.level
+		st.level += cfg.Alpha * e
+		return e
+	case Holt:
+		e := x - (st.level + st.trend)
+		st.level, st.trend = HoltStep(st.level, st.trend, x, cfg.Alpha, cfg.Beta)
+		return e
+	default: // HoltWinters; seed refuses any other method
+		si := t % cfg.Period
+		e := x - (st.level + st.trend + st.season[si])
+		st.level, st.trend = HoltStep(st.level, st.trend, x-st.season[si], cfg.Alpha, cfg.Beta)
+		st.season[si] = cfg.Gamma*(x-st.level) + (1-cfg.Gamma)*st.season[si]
+		return e
+	}
 }
 
 // forecastState appends the h-step extrapolation from the folded state to
@@ -381,21 +312,4 @@ func (m *Model) forecastState(dst []float64, st *smoothState, n, h int) []float6
 		}
 	}
 	return dst
-}
-
-// RollingForecast produces one-step-ahead predictions over test, matching
-// the other families' evaluation protocol.
-func (m *Model) RollingForecast(train, test *timeseries.Series) ([]float64, error) {
-	history := train.Clone()
-	out := make([]float64, test.Len())
-	var fc []float64
-	for t := 0; t < test.Len(); t++ {
-		var err error
-		if fc, err = m.ForecastFrom(fc[:0], history, 1); err != nil {
-			return nil, fmt.Errorf("smoothing: rolling forecast at step %d: %w", t, err)
-		}
-		out[t] = fc[0]
-		history.Append(test.At(t))
-	}
-	return out, nil
 }

@@ -36,47 +36,6 @@ func ACF(s *Series, maxLag int) ([]float64, error) {
 	return out, nil
 }
 
-// PACF returns the sample partial autocorrelation function at lags
-// 1..maxLag, computed via the Durbin–Levinson recursion. The returned
-// slice has maxLag entries; index i holds the PACF at lag i+1.
-func PACF(s *Series, maxLag int) ([]float64, error) {
-	acf, err := ACF(s, maxLag)
-	if err != nil {
-		return nil, err
-	}
-	if maxLag >= len(acf) {
-		maxLag = len(acf) - 1
-	}
-	if maxLag < 1 {
-		return nil, errors.New("timeseries: PACF needs maxLag >= 1")
-	}
-	pacf := make([]float64, maxLag)
-	phi := make([][]float64, maxLag+1)
-	for i := range phi {
-		phi[i] = make([]float64, maxLag+1)
-	}
-	phi[1][1] = acf[1]
-	pacf[0] = acf[1]
-	for k := 2; k <= maxLag; k++ {
-		num := acf[k]
-		den := 1.0
-		for j := 1; j < k; j++ {
-			num -= phi[k-1][j] * acf[k-j]
-			den -= phi[k-1][j] * acf[j]
-		}
-		if den == 0 {
-			phi[k][k] = 0
-		} else {
-			phi[k][k] = num / den
-		}
-		for j := 1; j < k; j++ {
-			phi[k][j] = phi[k-1][j] - phi[k][k]*phi[k-1][k-j]
-		}
-		pacf[k-1] = phi[k][k]
-	}
-	return pacf, nil
-}
-
 // IsStationaryHint applies a cheap heuristic used in automated Box–Jenkins
 // order selection: a series is "probably stationary" when its lag-1
 // autocorrelation is comfortably below 1 and the ACF decays rather than

@@ -69,29 +69,6 @@ func TestACFMaxLagClamped(t *testing.T) {
 	}
 }
 
-func TestPACFOfAR1CutsOffAfterLag1(t *testing.T) {
-	phi := 0.7
-	s := ar1Series(20000, phi, 7)
-	pacf, err := PACF(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pacf[0]-phi) > 0.05 {
-		t.Errorf("PACF[1] = %.3f, want ≈ %.3f", pacf[0], phi)
-	}
-	for k := 1; k < len(pacf); k++ {
-		if math.Abs(pacf[k]) > 0.06 {
-			t.Errorf("PACF at lag %d = %.3f, want ≈ 0 for AR(1)", k+1, pacf[k])
-		}
-	}
-}
-
-func TestPACFNeedsLag(t *testing.T) {
-	if _, err := PACF(New([]float64{1, 2, 3}), 0); err == nil {
-		t.Fatal("expected error for maxLag < 1")
-	}
-}
-
 func TestIsStationaryHint(t *testing.T) {
 	// Random walk: not stationary.
 	rng := rand.New(rand.NewSource(11))

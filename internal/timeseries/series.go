@@ -1,16 +1,14 @@
 // Package timeseries provides the time-series primitives underlying the
-// Sheriff pre-alert mechanism: series containers, lag and difference
-// operators, autocorrelation estimates, normalization, splitting, and
+// Sheriff pre-alert mechanism: series containers, difference operators,
+// the autocorrelation function, normalization, splitting, and
 // forecast-error metrics.
 //
-// The paper (Sec. IV.B) works with a series {Y_t}, the lag operator
-// L^j Y_t = Y_{t-j}, and the difference operator ∇Y_t = Y_t - Y_{t-1}.
-// Everything here is a direct, allocation-conscious realization of those
-// definitions.
+// The paper (Sec. IV.B) works with a series {Y_t} and the difference
+// operator ∇Y_t = Y_t - Y_{t-1}. Everything here is a direct,
+// allocation-conscious realization of those definitions.
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -71,18 +69,6 @@ func (s *Series) Slice(from, to int) *Series {
 
 // Clone returns a deep copy of the series.
 func (s *Series) Clone() *Series { return New(s.data) }
-
-// Lag returns the series shifted by j: result[t] = s[t-j], defined for
-// t >= j, so the result has Len()-j points. Lag(0) is a copy.
-func (s *Series) Lag(j int) (*Series, error) {
-	if j < 0 {
-		return nil, errors.New("timeseries: negative lag")
-	}
-	if j > len(s.data) {
-		return nil, fmt.Errorf("timeseries: lag %d exceeds series length %d", j, len(s.data))
-	}
-	return New(s.data[:len(s.data)-j]), nil
-}
 
 // Mean returns the arithmetic mean of the series, or 0 for an empty series.
 func (s *Series) Mean() float64 {

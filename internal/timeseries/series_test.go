@@ -78,23 +78,6 @@ func TestSlicePanicsOutOfRange(t *testing.T) {
 	New([]float64{1}).Slice(0, 2)
 }
 
-func TestLag(t *testing.T) {
-	s := New([]float64{10, 20, 30, 40})
-	l, err := s.Lag(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 3 || l.At(0) != 10 || l.At(2) != 30 {
-		t.Fatalf("Lag(1) = %v", l.Values())
-	}
-	if _, err := s.Lag(-1); err == nil {
-		t.Error("negative lag should error")
-	}
-	if _, err := s.Lag(5); err == nil {
-		t.Error("excessive lag should error")
-	}
-}
-
 func TestMeanVarianceStd(t *testing.T) {
 	s := New([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if !almostEqual(s.Mean(), 5, 1e-12) {

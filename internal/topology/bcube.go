@@ -86,9 +86,3 @@ func NewBCube(cfg BCubeConfig) (*BCube, error) {
 	}
 	return b, nil
 }
-
-// NumRacks returns the number of server nodes: n².
-func (b *BCube) NumRacks() int {
-	n := b.Config.SwitchesPerLevel
-	return n * n
-}

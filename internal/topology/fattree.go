@@ -96,6 +96,3 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	}
 	return ft, nil
 }
-
-// NumRacks returns the total number of racks: k²/2.
-func (f *FatTree) NumRacks() int { return f.Config.Pods * f.Config.Pods / 2 }

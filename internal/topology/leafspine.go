@@ -70,6 +70,3 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 	}
 	return ls, nil
 }
-
-// NumRacks returns the number of leaves.
-func (l *LeafSpine) NumRacks() int { return l.Config.Leaves }

@@ -94,9 +94,6 @@ func TestFatTreeCounts(t *testing.T) {
 		if got := len(ft.Racks()); got != wantRacks {
 			t.Errorf("k=%d racks = %d, want %d", k, got, wantRacks)
 		}
-		if ft.NumRacks() != wantRacks {
-			t.Errorf("NumRacks = %d, want %d", ft.NumRacks(), wantRacks)
-		}
 		wantSwitches := k*half + half*half // agg + core
 		if got := len(ft.Switches()); got != wantSwitches {
 			t.Errorf("k=%d switches = %d, want %d", k, got, wantSwitches)
@@ -177,7 +174,7 @@ func TestBCubeCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b.Racks()) != n*n || b.NumRacks() != n*n {
+		if len(b.Racks()) != n*n {
 			t.Errorf("n=%d racks = %d, want %d", n, len(b.Racks()), n*n)
 		}
 		if len(b.Switches()) != 2*n {
@@ -338,8 +335,8 @@ func TestRackNeighborsOneHop(t *testing.T) {
 	}
 	// Three switch hops (ToR→agg→core→agg→ToR) reach cross-pod racks.
 	nb3 := ft.RackNeighbors(tor, 3)
-	if len(nb3) != ft.NumRacks()-1 {
-		t.Fatalf("three-hop neighbors = %d, want %d", len(nb3), ft.NumRacks()-1)
+	if len(nb3) != len(ft.Racks())-1 {
+		t.Fatalf("three-hop neighbors = %d, want %d", len(nb3), len(ft.Racks())-1)
 	}
 }
 
