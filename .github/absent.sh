@@ -163,5 +163,10 @@ doc  ./internal/timeseries PACF|Lag
 doc  ./internal/linalg Dot|Norm2|FromRows
 doc  ./internal/quant Sub|MulInt
 doc  ./internal/topology NumRacks
+# Deep pools in fixed state: a fitted model keeps no copy of its training series, and a selector's state is its refit window and folds, not every value since the fit.
+doc  ./internal/predictor.Selector History
+doc  ./internal/arima.ModelState History
+doc  ./internal/narnet.State History
+src  \b[mn]\.history\b|json:"history"
 EOF
 exit $fail

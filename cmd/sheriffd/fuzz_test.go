@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"os"
@@ -11,10 +12,14 @@ import (
 )
 
 // FuzzDaemonRestore feeds arbitrary bytes to a BCube-4 daemon as its
-// snapshot file. Either the daemon refuses them with an error that names
-// the file (the section that refuses names the field), or it resumes, steps
+// snapshot file, run with -deep when the document says it was written
+// with it. Either the daemon refuses them with an error that names the
+// file (the section that refuses names the field), or it resumes, steps
 // once, and writes a snapshot that a second resume, with no step between,
-// writes again byte for byte. Never a panic. A document that asks for more
+// writes again byte for byte. Never a panic. Seeded with a float, a
+// quantized and a -deep document, and with edits of them: unequal
+// columns, an unknown VM, and deep pools with a refit window shorter than
+// a candidate reads, an ARIMA fold not p+q long and a fold on a NARNET. A document that asks for more
 // replay than a fuzzer can wait on and is still valid — a step past 4,096,
 // whose reporter streams the daemon replays to the resume point — is
 // skipped: the daemon replays it, by design, at the cost it names.
@@ -35,9 +40,10 @@ func FuzzDaemonRestore(f *testing.F) {
 	}
 	doc := seed("float.snap", "-steps", "6")
 	seed("quantized.snap", "-steps", "6", "-triage", "quantized")
+	deep := seed("deep.snap", "-steps", "52", "-deep")
 	// The same document with one section's columns of unequal length, and
 	// with the ingest section naming a VM the cluster does not hold.
-	edit := func(change func(map[string]any)) {
+	editDoc := func(doc []byte, change func(map[string]any)) {
 		var m map[string]any
 		if err := json.Unmarshal(doc, &m); err != nil {
 			f.Fatal(err)
@@ -49,6 +55,7 @@ func FuzzDaemonRestore(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	edit := func(change func(map[string]any)) { editDoc(doc, change) }
 	section := func(m map[string]any, path ...string) map[string]any {
 		for _, p := range path {
 			m = m[p].(map[string]any)
@@ -63,17 +70,53 @@ func FuzzDaemonRestore(f *testing.F) {
 		shard := m["ingest"].(map[string]any)["shards"].([]any)[0].(map[string]any)
 		shard["vm"].([]any)[0] = 1000
 	})
+	// The -deep document with its first fitted pool (ARIMA(1,1,1),
+	// ARIMA(2,1,2), NARNET(8,20), NARNET(12,10)) made hostile.
+	pool := func(m map[string]any) (map[string]any, []any) {
+		for _, p := range section(m, "runtime")["deep"].([]any) {
+			if p, ok := p.(map[string]any); ok {
+				return p, p["candidates"].([]any)
+			}
+		}
+		f.Fatal("the -deep document has no fitted pool")
+		return nil, nil
+	}
+	// cut keeps the last n floats of a packed column.
+	cut := func(col any, n int) string {
+		b, err := base64.StdEncoding.DecodeString(col.(string))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return base64.StdEncoding.EncodeToString(b[len(b)-8*n:])
+	}
+	editDoc(deep, func(m map[string]any) {
+		p, _ := pool(m)
+		p["refit"] = cut(p["refit"], 20)
+	})
+	editDoc(deep, func(m map[string]any) {
+		_, cands := pool(m)
+		c := cands[1].(map[string]any)
+		c["fold"] = cut(c["fold"], 3)
+	})
+	editDoc(deep, func(m map[string]any) {
+		_, cands := pool(m)
+		cands[3].(map[string]any)["fold"] = cands[0].(map[string]any)["fold"]
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st daemonState
 		if json.Unmarshal(data, &st) == nil && st.Runtime != nil && st.Runtime.Step > 1<<12 {
 			return
 		}
+		args := base
+		if st.Deep {
+			args = append([]string{"-deep"}, base...)
+		}
 		snap := filepath.Join(t.TempDir(), "daemon.snap")
 		if err := os.WriteFile(snap, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(append([]string{"-steps", "1", "-snapshot", snap}, base...), io.Discard); err != nil {
+		if err := run(append([]string{"-steps", "1", "-snapshot", snap}, args...), io.Discard); err != nil {
 			if !strings.Contains(err.Error(), "snapshot "+snap) {
 				t.Fatalf("refusal does not name the file: %v", err)
 			}
@@ -83,7 +126,7 @@ func FuzzDaemonRestore(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := run(append([]string{"-steps", "0", "-snapshot", snap}, base...), io.Discard); err != nil {
+		if err := run(append([]string{"-steps", "0", "-snapshot", snap}, args...), io.Discard); err != nil {
 			t.Fatalf("the daemon refuses its own snapshot: %v", err)
 		}
 		second, err := os.ReadFile(snap)

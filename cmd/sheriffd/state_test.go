@@ -29,12 +29,6 @@ const statePeriods = 1000
 // between the samples.
 const stateHeapSlack = 128 << 10
 
-// deepHistoryPerPeriod is how many values a fitted rack's deep pool adds
-// to its history each period: the selector keeps every value it has
-// observed, so a -deep daemon's state grows with run length. ROADMAP
-// item 14 drives it to 0.
-const deepHistoryPerPeriod = 1
-
 // daemonSample is what one run of the daemon leaves to compare: the live
 // heap and goroutine count at its last period, and the snapshot it wrote
 // at shutdown.
@@ -91,7 +85,7 @@ func snapshotColumns(t *testing.T, path string) (daemonState, map[string]int) {
 // countColumns records the element count of every column under v by its
 // JSON path: a slice's length, or a timeseries.Bits column's floats. A
 // slice of rows (structs, or decoded JSON objects) is walked row by row,
-// so each rack's deep pool is its own set of columns (deep[3].history);
+// so each rack's deep pool is its own set of columns (deep[3].refit);
 // a slice of slices (flow paths) counts its rows only. Scalars are not
 // columns: a step counter's digits may grow, its count cannot.
 func countColumns(v reflect.Value, path string, out map[string]int) {
@@ -131,17 +125,17 @@ func countColumns(v reflect.Value, path string, out map[string]int) {
 	}
 }
 
-// deepHistory matches a fitted rack's deep pool history column.
-var deepHistory = regexp.MustCompile(`^\.runtime\.deep\[\d+\]\.history$`)
+// deepRefit matches a fitted rack's deep pool refit window column.
+var deepRefit = regexp.MustCompile(`^\.runtime\.deep\[\d+\]\.refit$`)
 
 // TestStateFlatInRunLength: a long-lived daemon holds state per VM, rack
 // and link, not per period. Run for N and for 4N periods, it must end with
-// the same goroutines and a snapshot whose every column has as many
-// elements, except the live flows (which come and go with placements:
-// at most one per dependency pair, each loading at most every link) and,
-// under -deep, each fitted rack's pool history, which grows by
-// deepHistoryPerPeriod a period. Without -deep the live heap must also
-// stay within stateHeapSlack.
+// the same goroutines, a live heap within stateHeapSlack, and a snapshot
+// whose every column has as many elements, except the live flows (which
+// come and go with placements: at most one per dependency pair, each
+// loading at most every link). Under -deep that holds each fitted rack's
+// pool in fixed state: its refit window and folds are as long after 4N
+// periods as after N.
 func TestStateFlatInRunLength(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -162,7 +156,7 @@ func TestStateFlatInRunLength(t *testing.T) {
 			if long.goroutines != short.goroutines {
 				t.Errorf("goroutines %d after %d periods, %d after %d", short.goroutines, statePeriods, long.goroutines, 4*statePeriods)
 			}
-			if !row.deep && grown > stateHeapSlack {
+			if grown > stateHeapSlack {
 				t.Errorf("live heap grew %d bytes from %d to %d periods, want at most %d", grown, statePeriods, 4*statePeriods, stateHeapSlack)
 			}
 
@@ -175,6 +169,9 @@ func TestStateFlatInRunLength(t *testing.T) {
 			pairs, links := longCols[".runtime.cluster.deps"], cluster.Graph.NumEdges()
 			fitted := 0
 			for p, n := range longCols {
+				if deepRefit.MatchString(p) {
+					fitted++
+				}
 				m, ok := shortCols[p]
 				switch {
 				case !ok:
@@ -186,11 +183,6 @@ func TestStateFlatInRunLength(t *testing.T) {
 				case strings.HasPrefix(p, ".runtime.flows.loads."):
 					if max(m, n) > links {
 						t.Errorf("%s: %d -> %d loaded links, more than the fabric's %d", p, m, n, links)
-					}
-				case row.deep && deepHistory.MatchString(p):
-					fitted++
-					if n-m != 3*statePeriods*deepHistoryPerPeriod {
-						t.Errorf("%s: %d -> %d values over %d periods, want %d a period", p, m, n, 3*statePeriods, deepHistoryPerPeriod)
 					}
 				case n != m:
 					t.Errorf("%s: %d elements after %d periods, %d after %d", p, m, statePeriods, n, 4*statePeriods)

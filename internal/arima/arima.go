@@ -10,7 +10,11 @@
 // Eqn. (12). ForecastFrom is the one way to forecast. A Model folds each
 // observation through one innovation recursion, which gives Fit its
 // residual variance and a forecast its context; a cold forecast is that
-// fold started from a zero state.
+// fold started from a zero state. A Model keeps no copy of the series it
+// was fitted on: its whole forecast context is that fold, the last p
+// differenced values and the last q innovations, which Fold hands out and
+// Resume takes back, so a history whose head was dropped forecasts as the
+// whole series would.
 package arima
 
 import (
@@ -53,8 +57,6 @@ type Model struct {
 	Intercept float64   // constant c of the ARMA equation on ∇ᵈY
 	Sigma2    float64   // residual variance estimate
 	N         int       // number of observations used in fitting
-
-	history *timeseries.Series // original-scale training series
 
 	mu sync.Mutex
 	fc *suffixState // incremental forecast context (see ForecastFrom)
@@ -130,7 +132,6 @@ func Fit(s *timeseries.Series, order Order) (*Model, error) {
 		Theta:     theta,
 		Intercept: intercept,
 		N:         s.Len(),
-		history:   s.Clone(),
 	}
 	// The in-sample innovations are the forecast fold's, run over s.
 	res := make([]float64, w.Len())
@@ -286,15 +287,72 @@ func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	if h <= 0 {
 		return nil, errors.New("arima: forecast horizon must be positive")
 	}
-	// The second test holds where the first overflows: a decoded order
-	// can be anything.
-	if n := history.Len(); n < minObservations(m.Order) || n <= m.Order.D {
-		return nil, fmt.Errorf("arima: history length %d too short for %s", history.Len(), m.Order)
+	if err := m.readable(history); err != nil {
+		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sc.win = grow(m.sc.win, m.Order.D+1)
 	m.sc.tails = grow(m.sc.tails, m.Order.D)
+	return m.forecastFromState(dst, m.context(history), history, h), nil
+}
+
+// Fold appends to dst the model's forecast fold at history's end: the
+// last p differenced values, then the last q innovations, each most
+// recent first — p+q values. It advances the cached context over history
+// first, as a forecast from history would, so the fold is the state the
+// next forecast continues from. Resume takes it back.
+func (m *Model) Fold(dst []float64, history *timeseries.Series) ([]float64, error) {
+	if err := m.readable(history); err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.context(history)
+	return append(append(dst, st.wTail...), st.rTail...), nil
+}
+
+// Resume makes fold, as Fold wrote it, the model's context at history's
+// end: the next forecast from history continues from it instead of
+// folding history from its start. A history that kept only its last
+// values then forecasts bit-identically to the whole series it was cut
+// from. The history must be long enough to forecast from, and fold p+q long.
+func (m *Model) Resume(history *timeseries.Series, fold []float64) error {
+	if err := m.readable(history); err != nil {
+		return err
+	}
+	p, q := m.Order.P, m.Order.Q
+	if len(fold) != p+q {
+		return fmt.Errorf("arima: fold of %d values for %s, want p+q = %d", len(fold), m.Order, p+q)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.fc
+	if st == nil {
+		st = m.zeroState(history)
+		m.fc = st
+	}
+	st.src, st.yLen, st.yLast = history, history.Len(), history.Last()
+	copy(st.wTail, fold[:p])
+	copy(st.rTail, fold[p:])
+	return nil
+}
+
+// readable fails unless the model can forecast from history. The second
+// test holds where the first overflows: a decoded order can be anything.
+func (m *Model) readable(history *timeseries.Series) error {
+	if n := history.Len(); n < minObservations(m.Order) || n <= m.Order.D {
+		return fmt.Errorf("arima: history length %d too short for %s (need >= %d)",
+			n, m.Order, minObservations(m.Order))
+	}
+	return nil
+}
+
+// context returns the forecast context at history's end, under the lock:
+// the cached one advanced over what was appended since, or, for another
+// series or one that shrank or changed in place, the fold run again from
+// the zero state.
+func (m *Model) context(history *timeseries.Series) *suffixState {
+	m.sc.win = grow(m.sc.win, m.Order.D+1)
 	st := m.fc
 	if st == nil || st.src != history || st.yLen > history.Len() ||
 		history.At(st.yLen-1) != st.yLast {
@@ -304,7 +362,7 @@ func (m *Model) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 	if st.yLen < history.Len() {
 		m.advanceState(st, history, nil)
 	}
-	return m.forecastFromState(dst, st, history, h), nil
+	return st
 }
 
 // zeroState is the forecast context before the first differenced value:

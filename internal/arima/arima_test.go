@@ -299,7 +299,8 @@ func TestFitIntegratedSeries(t *testing.T) {
 // appends allocate nothing either.
 func TestForecastFromSteadyStateAllocs(t *testing.T) {
 	const runs = 100
-	ar, err := Fit(integrate(simulateARMA(400, []float64{0.5, -0.2}, []float64{0.3}, 0.2, 3)), Order{P: 2, D: 1, Q: 2})
+	as := integrate(simulateARMA(400, []float64{0.5, -0.2}, []float64{0.3}, 0.2, 3))
+	ar, err := Fit(as, Order{P: 2, D: 1, Q: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestForecastFromSteadyStateAllocs(t *testing.T) {
 		f    func(dst []float64, history *timeseries.Series, h int) ([]float64, error)
 		hist *timeseries.Series
 	}{
-		{"ARIMA(2,1,2)", ar.ForecastFrom, ar.history},
+		{"ARIMA(2,1,2)", ar.ForecastFrom, as},
 		{"SARIMA", sar.ForecastFrom, ss},
 	} {
 		hist := c.hist.Clone()

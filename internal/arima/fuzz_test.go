@@ -26,13 +26,13 @@ func stable(t *testing.T, m, fresh *Model) {
 }
 
 // FuzzModelUnmarshalJSON: arbitrary bytes either fail to decode into a
-// ModelState and restore, or give a model that re-encodes byte-stably and
-// forecasts — from its own history and from a foreign one — without
-// panicking. Seeded with a fitted model (its history in the base64
-// spelling Marshal writes) and truncated, empty-history, mismatched-count
-// and overflowing-order variants in the decimal spelling older files hold;
-// then a hand-written base64 history and ones that carry a NaN, a torn
-// float and nothing.
+// ModelState and restore, or give a model that re-encodes byte-stably,
+// forecasts from a series without panicking, and takes back the fold it
+// hands out at that series' end but no fold of another length. Seeded with
+// a fitted model and truncated, mismatched-count and overflowing-order
+// variants in the decimal spelling; then orders with no ARMA terms, with a
+// coefficient missing and with a huge moving-average part, and a document
+// that still carries the training history older files held.
 func FuzzModelUnmarshalJSON(f *testing.F) {
 	m, err := Fit(simulateARMA(60, []float64{0.6}, []float64{0.2}, 0.5, 21), Order{P: 1, D: 1, Q: 1})
 	if err != nil {
@@ -44,13 +44,13 @@ func FuzzModelUnmarshalJSON(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(`{"order":{"P":1,"D":1,"Q":1},"phi":[0.5],"theta":[0.1],"intercept":0,"sigma2":1,"n":0,"history":[]}`))
-	f.Add([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5],"history":[1,2,3]}`))
-	f.Add([]byte(`{"order":{"P":1,"D":9223372036854775807,"Q":0},"phi":[0.5],"history":[1,2,3]}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"intercept":0,"sigma2":1,"n":3,"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8BAAAAAAD4fw=="}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8A=="}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":""}`))
+	f.Add([]byte(`{"order":{"P":1,"D":1,"Q":1},"phi":[0.5],"theta":[0.1],"intercept":0,"sigma2":1,"n":0}`))
+	f.Add([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5]}`))
+	f.Add([]byte(`{"order":{"P":1,"D":9223372036854775807,"Q":0},"phi":[0.5]}`))
+	f.Add([]byte(`{"order":{"P":0,"D":1,"Q":0},"intercept":0,"sigma2":1,"n":3}`))
+	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":1},"phi":[0.5]}`))
+	f.Add([]byte(`{"order":{"P":0,"D":0,"Q":9223372036854775807},"theta":[0.5]}`))
+	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
 
 	other := simulateARMA(40, []float64{0.3}, nil, 0.5, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -59,7 +59,18 @@ func FuzzModelUnmarshalJSON(f *testing.F) {
 			return
 		}
 		stable(t, &m, new(Model))
-		_, _ = m.ForecastFrom(nil, m.history, 3)
-		_, _ = m.ForecastFrom(nil, other, 3)
+		if _, err := m.ForecastFrom(nil, other, 3); err != nil {
+			return
+		}
+		fold, err := m.Fold(nil, other)
+		if err != nil {
+			t.Fatalf("a model that forecasts from the series refuses to fold it: %v", err)
+		}
+		if err := m.Resume(other, fold); err != nil {
+			t.Fatalf("own fold refused: %v", err)
+		}
+		if err := m.Resume(other, append(fold, 0)); err == nil {
+			t.Fatal("a fold one value too long was taken")
+		}
 	})
 }

@@ -20,10 +20,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := mB.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mB.State()
 
 	// Warm mA's incremental context on a live history pointer.
 	hist := sA.Clone()

@@ -7,11 +7,7 @@ import (
 
 // encode is a model's JSON form: its state value, encoded.
 func encode(m *Model) ([]byte, error) {
-	st, err := m.State()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
+	return json.Marshal(m.State())
 }
 
 // decode restores m from a JSON state value, the path a daemon
@@ -43,11 +39,11 @@ func TestModelJSONRoundTrip(t *testing.T) {
 		t.Fatal("parameters not preserved")
 	}
 	// Forecasts from the restored model must match exactly.
-	fo, err := orig.ForecastFrom(nil, orig.history, 5)
+	fo, err := orig.ForecastFrom(nil, s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := restored.ForecastFrom(nil, restored.history, 5)
+	fr, err := restored.ForecastFrom(nil, s.Clone(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

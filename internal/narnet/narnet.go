@@ -8,6 +8,12 @@
 // series Sheriff predicts. Inputs and targets are normalized to [0,1]
 // internally (the paper normalizes every workload-profile component to
 // [0,1]); predictions are returned on the original scale.
+//
+// A Network keeps no copy of the series it was trained on. Its forecast
+// context is the delay line, a pure function of the history's last ni
+// values, so it has no fold to carry: Fold hands out nothing and Resume
+// takes nothing, and a history that kept only its last values forecasts
+// as the whole series would.
 package narnet
 
 import (
@@ -65,9 +71,8 @@ type Network struct {
 	// w2[h]: weight from hidden h to output; w2[nh] is the output bias.
 	w2 []float64
 
-	scale      timeseries.Scale   // normalization used during training
-	history    *timeseries.Series // original-scale training series
-	trainedMSE float64            // final training MSE (normalized units)
+	scale      timeseries.Scale // normalization used during training
+	trainedMSE float64          // final training MSE (normalized units)
 
 	mu sync.Mutex
 	fc *lineState // cached delay line (see ForecastFrom)
@@ -110,11 +115,10 @@ func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 	}
 
 	net := &Network{
-		cfg:     cfg,
-		w1:      make([]float64, cfg.Hidden*(cfg.Inputs+1)),
-		w2:      make([]float64, cfg.Hidden+1),
-		scale:   scale,
-		history: s.Clone(),
+		cfg:   cfg,
+		w1:    make([]float64, cfg.Hidden*(cfg.Inputs+1)),
+		w2:    make([]float64, cfg.Hidden+1),
+		scale: scale,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	initScale := 1.0 / math.Sqrt(float64(cfg.Inputs+1))
@@ -262,10 +266,10 @@ func (n *Network) ForecastFrom(dst []float64, history *timeseries.Series, h int)
 	if h <= 0 {
 		return nil, errors.New("narnet: forecast horizon must be positive")
 	}
-	ni := n.cfg.Inputs
-	if history.Len() < ni {
-		return nil, fmt.Errorf("narnet: history length %d shorter than delay line %d", history.Len(), ni)
+	if err := n.readable(history); err != nil {
+		return nil, err
 	}
+	ni := n.cfg.Inputs
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.fc
@@ -302,4 +306,38 @@ func (n *Network) ForecastFrom(dst []float64, history *timeseries.Series, h int)
 		line[0] = p
 	}
 	return dst, nil
+}
+
+// Fold appends the network's forecast fold at history's end to dst: none,
+// since the delay line is the history's last ni values. It fails, as a
+// forecast would, when history is shorter than the line.
+func (n *Network) Fold(dst []float64, history *timeseries.Series) ([]float64, error) {
+	return dst, n.readable(history)
+}
+
+// Resume makes the network's context that of history's end. A NARNET
+// carries no fold, so it takes none: it drops the cached delay line, which
+// the next forecast rebuilds from history's last ni values, bit-identical
+// to the line an unbroken run would hold.
+func (n *Network) Resume(history *timeseries.Series, fold []float64) error {
+	if len(fold) != 0 {
+		return fmt.Errorf("narnet: fold of %d values, but a NARNET carries none", len(fold))
+	}
+	if err := n.readable(history); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.fc != nil {
+		n.fc.src = nil
+	}
+	return nil
+}
+
+// readable fails unless history fills the delay line.
+func (n *Network) readable(history *timeseries.Series) error {
+	if history.Len() < n.cfg.Inputs {
+		return fmt.Errorf("narnet: history length %d shorter than delay line %d", history.Len(), n.cfg.Inputs)
+	}
+	return nil
 }

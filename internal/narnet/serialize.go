@@ -6,20 +6,20 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// State is a trained Network as plain data — weights, normalization, and
-// the history needed for closed-loop forecasting — and its JSON form.
+// State is a trained Network as plain data — architecture, weights and
+// normalization — and its JSON form. It carries no series: the delay line
+// a forecast starts from is the last ni values of the history it is given.
 type State struct {
 	Config     Config          `json:"config"`
 	W1         timeseries.Bits `json:"w1"`
 	W2         timeseries.Bits `json:"w2"`
 	Offset     float64         `json:"scale_offset"`
 	Factor     float64         `json:"scale_factor"`
-	History    timeseries.Bits `json:"history"`
 	TrainedMSE float64         `json:"trained_mse"`
 }
 
-// State returns a copy of the trained network's state, its weights and
-// training history packed. It fails when one of them holds a NaN or ±Inf.
+// State returns a copy of the trained network's state, its weights packed.
+// It fails when one of them holds a NaN or ±Inf.
 func (n *Network) State() (State, error) {
 	var err error
 	pack := func(name string, v []float64) timeseries.Bits {
@@ -35,7 +35,6 @@ func (n *Network) State() (State, error) {
 		W2:         pack("w2", n.w2),
 		Offset:     n.scale.Offset,
 		Factor:     n.scale.Factor,
-		History:    pack("history", n.history.Raw()),
 		TrainedMSE: n.trainedMSE,
 	}
 	if err != nil {
@@ -57,7 +56,7 @@ func (n *Network) Restore(st State) error {
 		}
 		return v
 	}
-	w1, w2, hist := unpack("w1", st.W1), unpack("w2", st.W2), unpack("history", st.History)
+	w1, w2 := unpack("w1", st.W1), unpack("w2", st.W2)
 	if err != nil {
 		return err
 	}
@@ -76,7 +75,6 @@ func (n *Network) Restore(st State) error {
 	n.w1 = w1
 	n.w2 = w2
 	n.scale = timeseries.Scale{Offset: st.Offset, Factor: st.Factor}
-	n.history = timeseries.New(hist)
 	n.trainedMSE = st.TrainedMSE
 	// Drop the cached delay line: it holds values normalized under the
 	// previous scale, and a source series pointer from before the

@@ -44,11 +44,11 @@ func TestNetworkJSONRoundTrip(t *testing.T) {
 	if restored.TrainMSE() != orig.TrainMSE() {
 		t.Fatal("train MSE not preserved")
 	}
-	fo, err := orig.ForecastFrom(nil, orig.history, 5)
+	fo, err := orig.ForecastFrom(nil, s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := restored.ForecastFrom(nil, restored.history, 5)
+	fr, err := restored.ForecastFrom(nil, s.Clone(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

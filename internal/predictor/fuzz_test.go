@@ -14,29 +14,34 @@ import (
 // does: the only outcomes allowed are an error, or a selector that
 // re-encodes byte-stably and survives three predict/observe rounds.
 // Seeds: three pools mid-stream (with and without a pending prediction) —
-// the fitted default pool, a pool one of whose members cannot forecast
-// yet, and a small one — and broken variants of each: truncated, empty
-// history (in the decimal spelling older files hold and in base64), a
-// history carrying a NaN, and counts that disagree; then hand-written
-// pools in each spelling, and one candidate of each retired kind.
+// the fitted default pool, a pool that has cut its history back to its
+// refit window, and a small one — and broken variants of each: truncated,
+// an empty refit window (in the decimal spelling and in base64), a window
+// carrying a NaN, and counts that disagree; then hand-written pools in
+// each spelling, one candidate of each retired kind, and the hostile folds
+// TestSelectorRestoreRefusesHostileFolds lists.
 func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	fitted, err := New(trainSeries(120), Options{Window: 5, Seed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}
-	// ARIMA(3,2,3) needs 26 observations and its selector starts from 18,
-	// so its cached prediction is null in the pending snapshot.
-	deep, err := arima.Fit(trainSeries(120), arima.Order{P: 3, D: 2, Q: 3})
+	// ARIMA(1,1,1) and NARNET(2,1) over 20 points, driven past the
+	// compaction at 40.
+	first := trainSeries(20)
+	ca, err := arima.Fit(first, arima.Order{P: 1, D: 1, Q: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	nn, err := narnet.Train(trainSeries(120), narnet.Config{Inputs: 2, Hidden: 1, Seed: 1})
+	cn, err := narnet.Train(first, narnet.Config{Inputs: 2, Hidden: 1, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	waiting, err := NewSelector(trainSeries(18), Config{Window: 4}, NewCandidate("a", deep), NewCandidate("n", nn))
+	compacted, err := NewSelector(first, Config{Window: 4}, NewCandidate("a", ca), NewCandidate("n", cn))
 	if err != nil {
 		f.Fatal(err)
+	}
+	for i := range 23 {
+		compacted.Observe(0.4 + 0.01*float64(i))
 	}
 	// A pool small enough for the mutator to get somewhere: one ARIMA and
 	// one NARNET over 30 points.
@@ -53,7 +58,7 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, s := range []*Selector{fitted, waiting, small} {
+	for _, s := range []*Selector{fitted, compacted, small} {
 		for i := 0; i < 7; i++ {
 			if _, err := s.Predict(); err != nil {
 				f.Fatal(err)
@@ -78,7 +83,7 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 		if err := json.Unmarshal(pending, &doc); err != nil {
 			f.Fatal(err)
 		}
-		for _, edit := range [][2]string{{"history", `[]`}, {"history", `""`}, {"history", `"AAAAAAAA8D8BAAAAAAD4fw=="`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
+		for _, edit := range [][2]string{{"refit", `[]`}, {"refit", `""`}, {"refit", `"AAAAAAAA8D8BAAAAAAD4fw=="`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
 			intact := doc[edit[0]]
 			doc[edit[0]] = json.RawMessage(edit[1])
 			blob, err := json.Marshal(doc)
@@ -89,12 +94,15 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 			doc[edit[0]] = intact
 		}
 	}
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":null,"mse":{"window":[0],"next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))
+	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":null,"mse":{"window":[0],"next":0,"filled":0,"sum":0}}],"refit":[1,2,3]}`))
 	f.Add([]byte(`{"candidates":[{"name":"x","kind":"narnet","model":{"config":{"Inputs":2,"Hidden":1},"w1":[1,2],"w2":[1,2],"scale_factor":1},"mse":null}]}`))
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":[1,2,3]},"mse":{"window":"AAAAAAAA8D8BAAAAAAD4fw==","next":0,"filled":0,"sum":0}}],"history":[1,2,3]}`))
+	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5]},"fold":"AAAAAAAA8D8=","mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
+	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5]},"fold":[1],"mse":{"window":"AAAAAAAA8D8BAAAAAAD4fw==","next":0,"filled":0,"sum":0}}],"refit":[1,2,3]}`))
 	f.Add([]byte(retiredKinds["sarima"]))
 	f.Add([]byte(retiredKinds["burst"]))
+	for _, h := range hostileFolds(f) {
+		f.Add(h.doc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Selector

@@ -6,9 +6,18 @@
 // windowed MSE supplies the prediction.
 //
 // Rolling scores a single forecaster by the paper's rolling one-step
-// protocol; Selector.Run is that protocol for the pool. A Selector's
-// snapshot form (State, Restore) carries ARIMA and NARNET candidates, the
-// ones the runtime's deep pool holds; State refuses a pool with any other.
+// protocol; Selector.Run is that protocol for the pool.
+//
+// A pool of ARIMA and NARNET candidates — the paper's pool, and the one
+// the runtime's deep pool holds — runs in fixed state: the selector keeps
+// at most 2N observations, N being the length it was built on, and when it
+// reaches 2N it cuts them back to the last N, handing each candidate its
+// fold (ARIMA's innovation tails; a NARNET needs none) so that every
+// forecast stays bit-identical to one from the whole series. Its snapshot
+// form (State, Restore) is that state: the last N observations, each
+// candidate's fold and fitness window. State refuses a pool with any other
+// candidate; such a pool keeps the whole series, which a seasonal ARIMA's
+// full pass needs.
 package predictor
 
 import (
@@ -43,6 +52,19 @@ type Candidate struct {
 	kind     string
 	model    any
 	modelErr error
+	// F as a folder, when it is one.
+	fold folder
+}
+
+// folder is a forecaster whose context at a history's end can be carried
+// apart from the history: Fold hands it out (ARIMA's p+q innovation tails,
+// nothing for a NARNET), Resume installs it at the end of a history that
+// kept only its last values. Each fails when the history is shorter than
+// the forecaster reads.
+type folder interface {
+	Forecaster
+	Fold(dst []float64, history *timeseries.Series) ([]float64, error)
+	Resume(history *timeseries.Series, fold []float64) error
 }
 
 // MSE returns the candidate's current windowed MSE (Eqn. 14); +Inf until
@@ -53,12 +75,20 @@ func (c *Candidate) MSE() float64 { return c.mse.Value() }
 type Selector struct {
 	candidates []*Candidate
 	history    *timeseries.Series
+	// refit is N, the history length the selector was built or restored
+	// on, when every candidate is a folder: the history is cut back to its
+	// last N values whenever it reaches 2N. Zero for a pool that keeps the
+	// whole series.
+	refit int
 
 	lastPred     []float64 // cached one-step prediction per candidate
 	havePred     bool      // lastPred is valid for the current history
 	dst          []float64 // the buffer every candidate forecasts into
 	selection    int       // index of last winning candidate
 	hasSelection bool      // a Predict has succeeded since the last failure
+
+	scratch  []float64 // the folds a compaction carries; what State packs
+	foldEnds []int     // where each candidate's fold ends in scratch
 }
 
 // Config configures a Selector.
@@ -177,6 +207,12 @@ func Pool(train *timeseries.Series, opts Options) ([]*Candidate, error) {
 
 // NewSelector builds a Selector over the given candidates, primed with the
 // training history (used as forecasting context for the first step).
+//
+// When every candidate is an ARIMA model or a NARNET, the pool runs in
+// fixed state (see the package doc), and each must be able to forecast
+// from the history it is given: one that reads more values than that is
+// an error, naming it. Such a selector owns its candidates' forecast
+// contexts, so a candidate must not forecast another series meanwhile.
 func NewSelector(history *timeseries.Series, cfg Config, candidates ...*Candidate) (*Selector, error) {
 	if len(candidates) == 0 {
 		return nil, errors.New("predictor: need at least one candidate")
@@ -192,11 +228,66 @@ func NewSelector(history *timeseries.Series, cfg Config, candidates ...*Candidat
 		c.mse = timeseries.NewRollingMSE(w)
 		c.packModel()
 	}
-	return &Selector{
+	s := &Selector{
 		candidates: candidates,
 		history:    history.Clone(),
 		lastPred:   make([]float64, len(candidates)),
-	}, nil
+	}
+	if allFolders(candidates) {
+		s.refit = history.Len()
+		s.foldEnds = make([]int, len(candidates))
+		var err error
+		if s.scratch, err = s.folds(nil); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// allFolders reports whether every candidate is a folder, so that the pool
+// can run in fixed state.
+func allFolders(cands []*Candidate) bool {
+	for _, c := range cands {
+		if c.fold == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// folds appends every candidate's fold at the history's end to dst, in
+// pool order, and records where each ends.
+func (s *Selector) folds(dst []float64) ([]float64, error) {
+	for i, c := range s.candidates {
+		var err error
+		if dst, err = c.fold.Fold(dst, s.history); err != nil {
+			return nil, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
+		}
+		s.foldEnds[i] = len(dst)
+	}
+	return dst, nil
+}
+
+// compact cuts the history back to its last N values. Each candidate's
+// fold is taken at the whole history's end and installed at the cut
+// one's, so every forecast after it is bit-identical to one from the whole
+// series. Neither step can fail: the history holds 2N values, and every
+// candidate reads at most N (NewSelector and Restore refuse a pool that
+// reads more).
+func (s *Selector) compact() {
+	buf, err := s.folds(s.scratch[:0])
+	if err != nil {
+		panic(err)
+	}
+	s.scratch = buf
+	s.history.KeepLast(s.refit)
+	start := 0
+	for i, c := range s.candidates {
+		if err := c.fold.Resume(s.history, buf[start:s.foldEnds[i]]); err != nil {
+			panic(fmt.Errorf("predictor: candidate %q: %w", c.Name, err))
+		}
+		start = s.foldEnds[i]
+	}
 }
 
 // NewCandidate wraps a forecaster for use in a Selector.
@@ -248,7 +339,8 @@ func (s *Selector) Predict() (float64, error) {
 }
 
 // Observe reveals the true value for the step last predicted, updating
-// every candidate's fitness and extending the shared history.
+// every candidate's fitness and extending the shared history — cut back to
+// its last N values when it reaches 2N, for a pool in fixed state.
 func (s *Selector) Observe(actual float64) {
 	if s.havePred {
 		for i, c := range s.candidates {
@@ -259,6 +351,9 @@ func (s *Selector) Observe(actual float64) {
 		s.havePred = false
 	}
 	s.history.Append(actual)
+	if s.refit > 0 && s.history.Len() >= 2*s.refit {
+		s.compact()
+	}
 }
 
 // Observe records a raw prediction error for the candidate.
@@ -277,9 +372,6 @@ func (s *Selector) Selection() string {
 
 // Candidates returns the pool (for inspection and reporting).
 func (s *Selector) Candidates() []*Candidate { return s.candidates }
-
-// History returns a copy of the accumulated history.
-func (s *Selector) History() *timeseries.Series { return s.history.Clone() }
 
 // Run performs the full rolling evaluation over a test series: at each
 // step it predicts, then reveals the truth. It returns the combined

@@ -107,7 +107,7 @@ func TestObserveExtendsHistory(t *testing.T) {
 	h := timeseries.New([]float64{1, 2})
 	sel, _ := NewSelector(h, Config{}, NewCandidate("c", constantForecaster{0}))
 	sel.Observe(3)
-	got := sel.History()
+	got := sel.history
 	if got.Len() != 3 || got.Last() != 3 {
 		t.Fatalf("history = %v", got.Values())
 	}

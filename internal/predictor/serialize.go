@@ -3,7 +3,6 @@ package predictor
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"sheriff/internal/arima"
 	"sheriff/internal/narnet"
@@ -22,25 +21,27 @@ const (
 
 // CandidateState is one pool member as plain data: Model holds the
 // forecaster's own state value (arima.ModelState or narnet.State), the
-// kind tag names which for the decoder,
-// and the rolling MSE ring travels whole so fitness ranking resumes
-// exactly where it stopped.
+// kind tag names which for the decoder, Fold is where the forecaster
+// stands at the end of the refit window (an ARIMA model's p+q innovation
+// tails; a NARNET has none), and the rolling MSE ring travels whole so
+// fitness ranking resumes exactly where it stopped.
 type CandidateState struct {
 	Name  string                   `json:"name"`
 	Kind  string                   `json:"kind"`
 	Model any                      `json:"model"`
+	Fold  timeseries.Bits          `json:"fold,omitempty"`
 	MSE   *timeseries.RollingState `json:"mse"`
 }
 
 // SelectorState is a Selector as plain data, and its JSON form: encoding
-// it is one reflection pass with no Marshaler underneath. LastPred uses
-// NaN for candidates that failed to forecast; since JSON has no NaN, the
-// cached predictions are only carried when valid (HavePred), as pointers
-// with nil standing in for NaN.
+// it is one reflection pass with no Marshaler underneath. Refit is the
+// last N observations, N being the length the selector was built on, so
+// the state does not grow with the selector's uptime. The cached one-step
+// predictions are only carried when valid (HavePred).
 type SelectorState struct {
 	Candidates   []CandidateState `json:"candidates"`
-	History      timeseries.Bits  `json:"history"`
-	LastPred     []*float64       `json:"last_pred,omitempty"`
+	Refit        timeseries.Bits  `json:"refit"`
+	LastPred     timeseries.Bits  `json:"last_pred,omitempty"`
 	HavePred     bool             `json:"have_pred"`
 	Selection    int              `json:"selection"`
 	HasSelection bool             `json:"has_selection"`
@@ -51,8 +52,7 @@ type SelectorState struct {
 func modelState(f Forecaster) (kind string, state any, err error) {
 	switch m := f.(type) {
 	case *arima.Model:
-		state, err = m.State()
-		return kindARIMA, state, err
+		return kindARIMA, m.State(), nil
 	case *narnet.Network:
 		state, err = m.State()
 		return kindNARNET, state, err
@@ -61,7 +61,7 @@ func modelState(f Forecaster) (kind string, state any, err error) {
 }
 
 // forecaster rebuilds the pool member Model describes.
-func (c CandidateState) forecaster() (Forecaster, error) {
+func (c CandidateState) forecaster() (folder, error) {
 	switch st := c.Model.(type) {
 	case arima.ModelState:
 		m := new(arima.Model)
@@ -80,6 +80,7 @@ func (c *CandidateState) UnmarshalJSON(b []byte) error {
 		Name  string                   `json:"name"`
 		Kind  string                   `json:"kind"`
 		Model json.RawMessage          `json:"model"`
+		Fold  timeseries.Bits          `json:"fold"`
 		MSE   *timeseries.RollingState `json:"mse"`
 	}
 	if err := json.Unmarshal(b, &raw); err != nil {
@@ -100,7 +101,7 @@ func (c *CandidateState) UnmarshalJSON(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("predictor: candidate %q: %w", raw.Name, err)
 	}
-	*c = CandidateState{Name: raw.Name, Kind: raw.Kind, Model: model, MSE: raw.MSE}
+	*c = CandidateState{Name: raw.Name, Kind: raw.Kind, Model: model, Fold: raw.Fold, MSE: raw.MSE}
 	return nil
 }
 
@@ -110,45 +111,61 @@ func decodeModel[S any](b []byte) (any, error) {
 	return st, err
 }
 
-// State returns the selector as plain data: every candidate's model and
-// rolling fitness window, the shared history, and the selection state, so
-// a selector restored from it predicts and ranks bit-identically to one
-// that never stopped. Only what moves is packed here — the history, the
-// MSE rings and the cached predictions. Each candidate's model state was
-// packed once, when the selector was built or restored, and every State
-// shares it: a fitted model is never written again, so the shared arrays
-// are values too. A candidate that is neither an ARIMA model nor a NARNET
-// has no state and is an error, and so is a NaN or ±Inf in a packed array.
+// State returns the selector as plain data: every candidate's model, fold
+// and rolling fitness window, the refit window, and the selection state,
+// so a selector restored from it predicts and ranks bit-identically to one
+// that never stopped. Only what moves is packed here — the refit window,
+// the cached predictions and the folds, carved out of one packed buffer,
+// and the MSE rings. Each candidate's model state was packed once, when
+// the selector was built or restored, and every State shares it: a fitted
+// model is never written again, so the shared arrays are values too. A
+// candidate that is neither an ARIMA model nor a NARNET has no state and
+// is an error, and so is a NaN or ±Inf in a packed array.
 func (s *Selector) State() (SelectorState, error) {
-	hist, err := timeseries.Pack(s.history.Raw())
+	for _, c := range s.candidates {
+		if c.modelErr != nil {
+			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, c.modelErr)
+		}
+	}
+	// Every candidate has a snapshot form, so the pool runs in fixed state
+	// and the history holds at least N values.
+	hist := s.history.Raw()
+	buf := append(s.scratch[:0], hist[len(hist)-s.refit:]...)
+	if s.havePred {
+		buf = append(buf, s.lastPred...)
+	}
+	foldStart := len(buf)
+	buf, err := s.folds(buf)
 	if err != nil {
-		return SelectorState{}, fmt.Errorf("predictor: state: history: %w", err)
+		return SelectorState{}, err
+	}
+	s.scratch = buf
+	packed, err := timeseries.Pack(buf)
+	if err != nil {
+		return SelectorState{}, fmt.Errorf("predictor: state: %w", err)
+	}
+	carve := func(from, to int) timeseries.Bits {
+		if from == to {
+			return nil
+		}
+		return packed[8*from : 8*to : 8*to]
 	}
 	st := SelectorState{
 		Candidates:   make([]CandidateState, len(s.candidates)),
-		History:      hist,
+		Refit:        carve(0, s.refit),
+		LastPred:     carve(s.refit, foldStart),
 		HavePred:     s.havePred,
 		Selection:    s.selection,
 		HasSelection: s.hasSelection,
 	}
 	mses := make([]timeseries.RollingState, len(s.candidates))
 	for i, c := range s.candidates {
-		if c.modelErr != nil {
-			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, c.modelErr)
-		}
 		if mses[i], err = c.mse.State(); err != nil {
 			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
 		}
-		st.Candidates[i] = CandidateState{Name: c.Name, Kind: c.kind, Model: c.model, MSE: &mses[i]}
-	}
-	if s.havePred {
-		pred := append([]float64(nil), s.lastPred...)
-		st.LastPred = make([]*float64, len(pred))
-		for i := range pred {
-			if !math.IsNaN(pred[i]) {
-				st.LastPred[i] = &pred[i]
-			}
-		}
+		st.Candidates[i] = CandidateState{Name: c.Name, Kind: c.kind, Model: c.model,
+			Fold: carve(foldStart, s.foldEnds[i]), MSE: &mses[i]}
+		foldStart = s.foldEnds[i]
 	}
 	return st, nil
 }
@@ -160,13 +177,23 @@ func (c *Candidate) packModel() {
 	if c.modelErr == nil && c.kind == "" {
 		c.modelErr = fmt.Errorf("forecaster type %T has no serializer", c.F)
 	}
+	c.fold, _ = c.F.(folder)
 }
 
-// Restore replaces the selector with the one st describes.
+// Restore replaces the selector with the one st describes. Each candidate
+// resumes from its fold at the end of the refit window, so the restored
+// pool never folds the window again from its start; a candidate that reads
+// more values than the window holds, an ARIMA fold whose length is not
+// p+q, and a fold on a NARNET are refused, naming the candidate.
 func (s *Selector) Restore(st SelectorState) error {
 	if len(st.Candidates) == 0 {
 		return fmt.Errorf("predictor: restore: empty candidate pool")
 	}
+	refit, err := st.Refit.Floats()
+	if err != nil {
+		return fmt.Errorf("predictor: restore: refit window: %w", err)
+	}
+	history := timeseries.New(refit)
 	cands := make([]*Candidate, len(st.Candidates))
 	for i, cs := range st.Candidates {
 		f, err := cs.forecaster()
@@ -180,6 +207,13 @@ func (s *Selector) Restore(st SelectorState) error {
 		if err := mse.Restore(*cs.MSE); err != nil {
 			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
 		}
+		fold, err := cs.Fold.Floats()
+		if err == nil {
+			err = f.Resume(history, fold)
+		}
+		if err != nil {
+			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
+		}
 		cands[i] = &Candidate{Name: cs.Name, F: f, mse: mse}
 		cands[i].packModel()
 	}
@@ -188,27 +222,24 @@ func (s *Selector) Restore(st SelectorState) error {
 	}
 	lastPred := make([]float64, len(cands))
 	if st.HavePred {
-		if len(st.LastPred) != len(cands) {
+		pred, err := st.LastPred.Floats()
+		if err != nil {
+			return fmt.Errorf("predictor: restore: cached predictions: %w", err)
+		}
+		if len(pred) != len(cands) {
 			return fmt.Errorf("predictor: restore: %d cached predictions for %d candidates",
-				len(st.LastPred), len(cands))
+				len(pred), len(cands))
 		}
-		for i, p := range st.LastPred {
-			if p == nil {
-				lastPred[i] = math.NaN()
-			} else {
-				lastPred[i] = *p
-			}
-		}
-	}
-	hist, err := st.History.Floats()
-	if err != nil {
-		return fmt.Errorf("predictor: restore: history: %w", err)
+		copy(lastPred, pred)
 	}
 	s.candidates = cands
-	s.history = timeseries.New(hist)
+	s.history = history
+	s.refit = history.Len()
 	s.lastPred = lastPred
 	s.havePred = st.HavePred
 	s.selection = st.Selection
 	s.hasSelection = st.HasSelection
+	s.scratch = nil
+	s.foldEnds = make([]int, len(cands))
 	return nil
 }

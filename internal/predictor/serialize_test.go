@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,20 +179,101 @@ func TestSelectorUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// hostileFold is a selector document Restore must refuse, and what the
+// refusal must say.
+type hostileFold struct {
+	doc  []byte
+	want []string
+}
+
+// hostileFolds are a fitted default pool's state, edited into what no
+// State writes: a refit window shorter than an ARIMA candidate reads, one
+// shorter than a NARNET's delay line (in a pool of NARNETs alone, so no
+// ARIMA is refused first), an ARIMA fold whose length is not p+q, and a
+// fold on a NARNET.
+func hostileFolds(tb testing.TB) map[string]hostileFold {
+	tb.Helper()
+	s, err := New(trainSeries(48), Options{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Predict(); err != nil {
+		tb.Fatal(err)
+	}
+	doc := func(edit func(st *SelectorState)) []byte {
+		st, err := s.State()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if names := fmt.Sprint(st.Candidates[0].Name, st.Candidates[1].Name, st.Candidates[2].Name, st.Candidates[3].Name); names != "ARIMA(1,1,1)ARIMA(2,1,2)NARNET(8,20)NARNET(12,10)" {
+			tb.Fatalf("default pool is %s", names)
+		}
+		edit(&st)
+		b, err := json.Marshal(st)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	last := func(st *SelectorState, n int) { st.Refit = st.Refit[len(st.Refit)-8*n:] }
+	return map[string]hostileFold{
+		"refit window shorter than an ARIMA reads": {
+			doc(func(st *SelectorState) { last(st, 20) }),
+			[]string{`candidate "ARIMA(2,1,2)"`, "history length 20 too short for ARIMA(2,1,2) (need >= 21)"},
+		},
+		"refit window shorter than a delay line": {
+			doc(func(st *SelectorState) {
+				last(st, 10)
+				st.Candidates = st.Candidates[2:]
+				st.LastPred = st.LastPred[16:]
+				st.Selection = 0
+			}),
+			[]string{`candidate "NARNET(12,10)"`, "history length 10 shorter than delay line 12"},
+		},
+		"ARIMA fold not p+q long": {
+			doc(func(st *SelectorState) { st.Candidates[1].Fold = st.Candidates[1].Fold[8:] }),
+			[]string{`candidate "ARIMA(2,1,2)"`, "fold of 3 values for ARIMA(2,1,2), want p+q = 4"},
+		},
+		"fold on a NARNET": {
+			doc(func(st *SelectorState) { st.Candidates[3].Fold = st.Candidates[0].Fold }),
+			[]string{`candidate "NARNET(12,10)"`, "fold of 2 values, but a NARNET carries none"},
+		},
+	}
+}
+
+// TestSelectorRestoreRefusesHostileFolds: Restore refuses each hostile
+// fold, naming the candidate and what is wrong with it.
+func TestSelectorRestoreRefusesHostileFolds(t *testing.T) {
+	for name, h := range hostileFolds(t) {
+		t.Run(name, func(t *testing.T) {
+			err := decode(h.doc, new(Selector))
+			if err == nil {
+				t.Fatal("restored")
+			}
+			for _, w := range h.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not say %q", err, w)
+				}
+			}
+		})
+	}
+}
+
 // retiredKinds holds, by kind tag, a selector document with one candidate
 // of a kind that is no longer decoded, its model as the encoder of that
 // kind wrote it.
 var retiredKinds = map[string]string{
-	"sarima": `{"candidates":[{"name":"SARIMA","kind":"sarima","model":{"order":{"P":1,"D":0,"Q":1,"SP":1,"SD":0,"SQ":0,"Period":24},"phi":[0.5],"theta":[0.1],"sphi":[0.2],"intercept":0,"sigma2":1,"n":3,"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
-	"burst":  `{"candidates":[{"name":"Burst","kind":"burst","model":{"lambda":0.1,"delta":0.01,"hold":30,"slow_alpha":0.3,"slow_beta":0.1,"fast_alpha":0.8,"fast_beta":0.5},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
+	"sarima": `{"candidates":[{"name":"SARIMA","kind":"sarima","model":{"order":{"P":1,"D":0,"Q":1,"SP":1,"SD":0,"SQ":0,"Period":24},"phi":[0.5],"theta":[0.1],"sphi":[0.2],"intercept":0,"sigma2":1,"n":3},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
+	"burst":  `{"candidates":[{"name":"Burst","kind":"burst","model":{"lambda":0.1,"delta":0.01,"hold":30,"slow_alpha":0.3,"slow_beta":0.1,"fast_alpha":0.8,"fast_beta":0.5},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
 }
 
 // TestSelectorStateAllocs: a fitted selector's State packs only what
-// moves — the history, each candidate's MSE ring and the cached
-// predictions — and shares every candidate's model state, packed once when
-// the selector was fitted or restored. So it allocates a fixed handful,
-// plus one ring a candidate, whatever the models' sizes, and two States
-// hand out the same model arrays.
+// moves — the refit window, the cached predictions and the folds, carved
+// out of one packed buffer, and each candidate's MSE ring — and shares
+// every candidate's model state, packed once when the selector was fitted
+// or restored. So it allocates a fixed handful, plus one ring a candidate,
+// whatever the models' sizes, and two States hand out the same model
+// arrays.
 func TestSelectorStateAllocs(t *testing.T) {
 	fitted, err := New(trainSeries(240), Options{Seed: 1})
 	if err != nil {
@@ -209,9 +292,9 @@ func TestSelectorStateAllocs(t *testing.T) {
 	}
 	for name, s := range map[string]*Selector{"fitted": fitted, "restored": restored} {
 		n := len(s.Candidates())
-		// The history, the candidate slice, the MSE states, a ring a
-		// candidate, and the cached predictions with their pointers.
-		want := float64(5 + n)
+		// The packed buffer, the candidate slice, the MSE states and a
+		// ring a candidate.
+		want := float64(3 + n)
 		if got := testing.AllocsPerRun(20, func() {
 			if _, err := s.State(); err != nil {
 				t.Fatal(err)
@@ -228,22 +311,116 @@ func TestSelectorStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range a.Candidates {
-			if shared := modelArray(t, a.Candidates[i].Model); &shared[0] != &modelArray(t, b.Candidates[i].Model)[0] {
+			if modelArray(t, a.Candidates[i].Model) != modelArray(t, b.Candidates[i].Model) {
 				t.Errorf("%s: candidate %q's model state was packed again", name, a.Candidates[i].Name)
 			}
 		}
 	}
 }
 
-// modelArray is the longest packed array of a pool member's state.
-func modelArray(t *testing.T, model any) timeseries.Bits {
+// modelArray is the address of a pool member's first weight array.
+func modelArray(t *testing.T, model any) string {
 	t.Helper()
 	switch m := model.(type) {
 	case arima.ModelState:
-		return m.History
+		return fmt.Sprintf("%p", m.Phi)
 	case narnet.State:
-		return m.W1
+		return fmt.Sprintf("%p", m.W1)
 	}
 	t.Fatalf("model state of type %T", model)
-	return nil
+	return ""
+}
+
+// TestSelectorFixedStateMatchesRolling is the fixed-state oracle. The
+// default pool is fitted on N = 48 points and run 2,000 steps on. Every 7
+// steps a copy is restored from its JSON State — alternately before a
+// Predict and with a prediction pending — and runs beside it for N + 7
+// steps, past a compaction of its own; 7 is coprime to N, so the copies
+// are taken at every phase of the original's compaction cycle. At every
+// step, every candidate's one-step forecast, in the original and in every
+// copy, must be bit for bit what Rolling gives over the whole series from
+// an independent copy of the same fit, and no history may hold more than
+// 2N values.
+func TestSelectorFixedStateMatchesRolling(t *testing.T) {
+	const n, steps, every = 48, 2000, 7
+	rng := rand.New(rand.NewSource(5))
+	series := timeseries.FromFunc(n+steps, func(t int) float64 {
+		return 0.5 + 0.3*math.Sin(2*math.Pi*float64(t)/24) + 0.05*rng.NormFloat64()
+	})
+	train, test := series.Slice(0, n), series.Slice(n, n+steps)
+	opts := Options{Seed: 3}
+	straight, err := New(train, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Pool(train, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != 4 || len(straight.Candidates()) != 4 {
+		t.Fatalf("pools of %d and %d candidates, want the default 4", len(ref), len(straight.Candidates()))
+	}
+	want := make([][]float64, len(ref))
+	for i, c := range ref {
+		if want[i], err = Rolling(c.F, train, test); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type copied struct {
+		sel   *Selector
+		taken int // the step the copy was taken at
+	}
+	var copies []copied
+	take := func(step int) {
+		blob, err := encode(straight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c Selector
+		if err := decode(blob, &c); err != nil {
+			t.Fatal(err)
+		}
+		copies = append(copies, copied{&c, step})
+	}
+	compactions := 0
+	for step := range steps {
+		if step%(2*every) == 0 {
+			take(step)
+		}
+		if _, err := straight.Predict(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step%(2*every) == every {
+			take(step)
+		}
+		sels := []*Selector{straight}
+		for _, c := range copies {
+			sels = append(sels, c.sel)
+		}
+		for k, sel := range sels {
+			if _, err := sel.Predict(); err != nil {
+				t.Fatalf("step %d, selector %d: %v", step, k, err)
+			}
+			for i, c := range sel.Candidates() {
+				if got := sel.lastPred[i]; math.Float64bits(got) != math.Float64bits(want[i][step]) {
+					t.Fatalf("step %d, selector %d: %s forecasts %v, Rolling over the whole series %v", step, k, c.Name, got, want[i][step])
+				}
+			}
+			before := sel.history.Len()
+			sel.Observe(test.At(step))
+			if sel.history.Len() < before {
+				compactions++
+			}
+			if sel.history.Len() > 2*n {
+				t.Fatalf("step %d, selector %d: history holds %d values, want at most %d", step, k, sel.history.Len(), 2*n)
+			}
+		}
+		copies = slices.DeleteFunc(copies, func(c copied) bool { return step-c.taken >= n+every })
+	}
+	// The original compacts every N steps, and each copy taken early
+	// enough to run N steps once.
+	if min := steps/n + (steps-n)/every; compactions < min {
+		t.Fatalf("%d compactions in %d steps, want at least %d", compactions, steps, min)
+	}
 }

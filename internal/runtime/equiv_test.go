@@ -677,3 +677,55 @@ func TestRegionalRowsCoverEveryRead(t *testing.T) {
 		t.Fatalf("%d rows prepared and %d swept on demand, want %d and 0", prepared-before, onDemand, wantPrepared)
 	}
 }
+
+// TestDeepPoolsRestoreEveryPeriod: deep pools in fixed state survive a
+// restore at any point of their compaction cycle. A -deep run of 200
+// periods — the pools fit at period 24 and cut their histories back to 24
+// values every 24 periods after — is split after every period, its
+// snapshot round-tripped through JSON and restored onto a fresh fabric,
+// alternately at 1 and 5 shards, and run on from there. Every period must
+// give the straight run's StepStats, the runtime's invariants must hold
+// after it, and the snapshot after it must be the straight run's byte for
+// byte: it carries each pool's refit window and folds, so forecasts that
+// part show there at once.
+func TestDeepPoolsRestoreEveryPeriod(t *testing.T) {
+	const fitAfter = 24
+	sc := equivScenario{name: "deep-long", steps: 200, mutate: func(o *Options) {
+		o.DeepPredict = true
+		o.DeepFitAfter = fitAfter
+	}}
+	doc := func(r *Runtime) []byte {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	straight := sc.build(t, 2)
+	want := scenarioDigest{Name: sc.name}
+	var docs []string
+	drivePeriods(t, straight, sc, 0, sc.steps, &want, func(int) { docs = append(docs, digest(doc(straight))) })
+	want.finish(t, straight)
+	if want.Covers.DeepPools != len(straight.Cluster.Racks) {
+		t.Fatalf("%d of %d racks have a fitted pool after %d periods", want.Covers.DeepPools, len(straight.Cluster.Racks), sc.steps)
+	}
+
+	r := sc.build(t, 1)
+	got := scenarioDigest{Name: sc.name}
+	for done := 0; done < sc.steps; done++ {
+		drivePeriods(t, r, sc, done, done+1, &got, nil)
+		blob := doc(r)
+		if d := digest(blob); d != docs[done] {
+			t.Fatalf("snapshot after period %d is %s, the straight run's %s", done+1, d, docs[done])
+		}
+		r.Close()
+		r = sc.restore(t, blob, 1+4*(done%2))
+	}
+	got.finish(t, r)
+	sameDigest(t, "split and restored after every period", want, got)
+}

@@ -12,22 +12,16 @@ import (
 
 	"sheriff/internal/dcn"
 	"sheriff/internal/predictor"
-	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden snapshot files")
 
 // deepGoldenSnapshot runs a two-rack surge fabric past the deep fit and
-// returns its snapshot's JSON. No run produces a NaN prediction on its own
-// (a fitted pool's candidates can always forecast from the history they
-// were fitted on), so rack 0's pool is rebuilt over the first 17 points of
-// its history and advanced one round: ARIMA(2,1,2) needs 21 points, cannot
-// forecast, and its cached prediction is the NaN the document writes as
-// null.
+// past the pools' first compaction, and returns its snapshot's JSON.
 func deepGoldenSnapshot(t *testing.T) []byte {
 	t.Helper()
-	const seed, fitAfter, steps = 1, 24, 32
+	const seed, fitAfter, steps = 1, 24, 56
 	cluster, model := buildParts(t, 2)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
 	opts := Options{Seed: seed, Shards: 2,
@@ -47,20 +41,6 @@ func deepGoldenSnapshot(t *testing.T) []byte {
 			t.Fatalf("rack %d: deep pool not fitted after %d steps", rk, steps)
 		}
 	}
-
-	hist := r.deep[0].History().Raw()
-	short, err := predictor.NewSelector(timeseries.New(hist[:17]), predictor.Config{}, r.deep[0].Candidates()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := short.Predict(); err != nil {
-		t.Fatal(err)
-	}
-	short.Observe(hist[17])
-	if _, err := short.Predict(); err != nil {
-		t.Fatal(err)
-	}
-	r.deep[0] = short
 
 	snap, err := r.Snapshot()
 	if err != nil {
@@ -97,34 +77,31 @@ func TestDeepSnapshotGolden(t *testing.T) {
 	want = bytes.TrimSuffix(want, []byte("\n"))
 
 	// The file must hold what the comparison is for before equality with
-	// it means anything.
+	// it means anything: every rack's pool in fixed state, a refit window
+	// of the fit's length, and both model kinds, each ARIMA with its fold.
 	var doc struct {
-		Deep []*struct {
-			Candidates []struct {
-				Kind string `json:"kind"`
-			} `json:"candidates"`
-			LastPred []*float64 `json:"last_pred"`
-		} `json:"deep"`
+		Deep []*predictor.SelectorState `json:"deep"`
 	}
 	if err := json.Unmarshal(want, &doc); err != nil {
 		t.Fatal(err)
 	}
-	nulls, kinds := 0, map[string]bool{}
+	kinds := map[string]bool{}
 	for rk, d := range doc.Deep {
 		if d == nil {
 			t.Fatalf("golden: rack %d has no fitted pool", rk)
 		}
+		if n := len(d.Refit) / 8; n != 24 {
+			t.Fatalf("golden: rack %d's refit window holds %d values, want the fit's 24", rk, n)
+		}
 		for _, c := range d.Candidates {
 			kinds[c.Kind] = true
-		}
-		for _, p := range d.LastPred {
-			if p == nil {
-				nulls++
+			if (len(c.Fold) > 0) != (c.Kind == "arima") {
+				t.Fatalf("golden: rack %d's %s has a fold of %d bytes", rk, c.Name, len(c.Fold))
 			}
 		}
 	}
-	if len(doc.Deep) == 0 || nulls == 0 || !kinds["arima"] || !kinds["narnet"] {
-		t.Fatalf("golden covers %d racks, %d null predictions, kinds %v; want both model kinds and a null", len(doc.Deep), nulls, kinds)
+	if len(doc.Deep) == 0 || !kinds["arima"] || !kinds["narnet"] {
+		t.Fatalf("golden covers %d racks, kinds %v; want both model kinds", len(doc.Deep), kinds)
 	}
 
 	if !bytes.Equal(got, want) {
@@ -196,11 +173,12 @@ func encodeSnapshot(t *testing.T, r *Runtime) []byte {
 
 // TestRestoreRefusesOtherVersions: Restore takes the version Snapshot
 // writes and no other. Versions 3 and 4 (rows as records, floats in
-// decimal), 5 (a per-VM generator position), 6 (a model_stale flag) and
-// anything newer are refused by number, not guessed at.
+// decimal), 5 (a per-VM generator position), 6 (a model_stale flag), 7
+// (deep pools holding every value since their fit) and anything newer are
+// refused by number, not guessed at.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	doc := goldenDoc(t)
-	for _, v := range []int{3, 4, 5, 6, SnapshotVersion + 1} {
+	for _, v := range []int{3, 4, 5, 6, 7, SnapshotVersion + 1} {
 		_, err := restoreMutated(t, doc, func(s *Snapshot) { s.Version = v })
 		want := fmt.Sprintf("snapshot version %d not supported", v)
 		if err == nil || !strings.Contains(err.Error(), want) {

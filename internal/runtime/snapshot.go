@@ -35,8 +35,12 @@ import (
 // position: the runtime draws from no stream, so it has none to carry.
 // Version 7 drops the flag that marked the cost tables stale: every manage
 // phase refreshes them before its first shim asks, so nothing about them
-// carries across periods.
-const SnapshotVersion = 7
+// carries across periods. Version 8 holds each fitted deep pool in fixed
+// state: its refit window (the last N observations, N being the length
+// the pool was fitted on) and each ARIMA candidate's innovation tails, in
+// place of every value observed since the fit and the models' copies of
+// their training series.
+const SnapshotVersion = 8
 
 // VMColumns is the step engine's per-VM forecasting state as columns, in
 // ascending VM ID order: entry i of ID, Rack (the admission rack, see
@@ -73,9 +77,9 @@ type QueueColumns struct {
 //
 // Rows travel as columns, and every float in them — VM and queue states,
 // the cluster's VM attributes, flow rates and link loads, the deep
-// section's histories, weights and MSE rings — is a timeseries.Bits, a
-// base64 string of its bits: formatting shortest decimals was most of the
-// cost of writing a snapshot. Integers stay decimal, so a file can still
+// section's refit windows, folds, weights and MSE rings — is a
+// timeseries.Bits, a base64 string of its bits: formatting shortest
+// decimals was most of the cost of writing a snapshot. Integers stay decimal, so a file can still
 // be searched for a VM, host or flow ID, and so do the models' short
 // coefficient vectors.
 type Snapshot struct {

@@ -60,8 +60,15 @@ type Config struct {
 	Gamma  float64 // seasonal constant in (0,1); 0 = optimize
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable: a method outside
+// SES, Holt and HoltWinters is refused by name, as are constants outside
+// [0,1) and a Holt–Winters season shorter than 2.
 func (c Config) Validate() error {
+	switch c.Method {
+	case SES, Holt, HoltWinters:
+	default:
+		return fmt.Errorf("smoothing: unknown method %v (want %v, %v or %v)", c.Method, SES, Holt, HoltWinters)
+	}
 	check := func(name string, v float64) error {
 		if v < 0 || v >= 1 {
 			return fmt.Errorf("smoothing: %s must be in [0,1), got %v", name, v)

@@ -33,6 +33,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestUnknownMethodRefusedByName: a method outside SES, Holt and
+// HoltWinters is refused by Validate, and so by Fit, naming the method,
+// not left to fail the grid search as a series nothing fits.
+func TestUnknownMethodRefusedByName(t *testing.T) {
+	const want = "smoothing: unknown method Method(7) (want ses, holt or holt-winters)"
+	cfg := Config{Method: 7}
+	if err := cfg.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate: err = %v, want %q", err, want)
+	}
+	series := timeseries.FromFunc(40, func(t int) float64 { return float64(t % 5) })
+	if _, err := Fit(series, cfg); err == nil || err.Error() != want {
+		t.Errorf("Fit: err = %v, want %q", err, want)
+	}
+}
+
 func TestFitTooShort(t *testing.T) {
 	if _, err := Fit(timeseries.New([]float64{1}), Config{Method: SES}); err == nil {
 		t.Error("SES on 1 point accepted")

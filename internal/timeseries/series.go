@@ -48,6 +48,19 @@ func (s *Series) Last() float64 { return s.data[len(s.data)-1] }
 // Append adds observations to the end of the series.
 func (s *Series) Append(values ...float64) { s.data = append(s.data, values...) }
 
+// KeepLast drops all but the last n observations, moving them to the
+// front of the series' own storage, so the appends after it reuse that
+// storage instead of growing it. It panics if n is negative; a series of
+// n or fewer observations is left as it is.
+func (s *Series) KeepLast(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("timeseries: KeepLast(%d)", n))
+	}
+	if drop := len(s.data) - n; drop > 0 {
+		s.data = s.data[:copy(s.data, s.data[drop:])]
+	}
+}
+
 // Values returns a copy of the underlying observations.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.data))

@@ -47,6 +47,36 @@ func TestAppend(t *testing.T) {
 	}
 }
 
+// TestKeepLast: the kept values move to the front of the same storage, in
+// order, and appends after it fill that storage before growing it.
+func TestKeepLast(t *testing.T) {
+	s := New([]float64{1, 2, 3, 4, 5})
+	base := &s.Raw()[0]
+	s.KeepLast(2)
+	if got := s.Values(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Fatalf("KeepLast(2) = %v, want [4 5]", got)
+	}
+	if &s.Raw()[0] != base {
+		t.Fatal("KeepLast moved the series to new storage")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.Append(6, 7, 8)
+		s.KeepLast(2)
+	}); allocs != 0 {
+		t.Fatalf("append after KeepLast allocates %v times, want 0", allocs)
+	}
+	s.KeepLast(5)
+	if s.Len() != 2 || s.Last() != 8 {
+		t.Fatalf("KeepLast past the length changed the series: %v", s.Values())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KeepLast(-1) did not panic")
+		}
+	}()
+	s.KeepLast(-1)
+}
+
 func TestValuesReturnsCopy(t *testing.T) {
 	s := New([]float64{1, 2})
 	v := s.Values()
