@@ -126,7 +126,7 @@ doc  ./internal/obs KindStats
 src  \bNewQuantile\b|\btype[[:space:]]+Quantile\b|\bmetrics\.Quantile\b
 doc  ./internal/timeseries Decompose|Decomposition|LjungBox
 doc  ./internal/experiments EarlyWarnCurve|EarlyWarnPoint
-# One encoding per forecasting type: the state value is the JSON form; the live objects carry no codec of their own.
+# One encoding per forecasting type: the snapshot's columns, which the packer pairs (AppendState, Restore) write and read; the live objects carry no JSON codec of their own.
 doc  ./internal/arima.Model MarshalJSON|UnmarshalJSON
 doc  ./internal/arima.SeasonalModel MarshalJSON|UnmarshalJSON
 doc  ./internal/narnet.Network MarshalJSON|UnmarshalJSON
@@ -165,8 +165,13 @@ doc  ./internal/quant Sub|MulInt
 doc  ./internal/topology NumRacks
 # Deep pools in fixed state: a fitted model keeps no copy of its training series, and a selector's state is its refit window and folds, not every value since the fit.
 doc  ./internal/predictor.Selector History
-doc  ./internal/arima.ModelState History
-doc  ./internal/narnet.State History
 src  \b[mn]\.history\b|json:"history"
+# The deep pools travel as columns: no struct tree per rack and candidate, no model behind an interface picked by a kind tag, and no state value per model.
+src  \bCandidateState\b|\bdecodeModel\b|\bSelectorState\b
+src  =[[:space:]]*"(arima|narnet)"
+src  json:"model"
+doc  ./internal/arima ModelState
+doc  ./internal/narnet State
+doc  ./internal/timeseries RollingState
 EOF
 exit $fail

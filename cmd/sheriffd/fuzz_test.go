@@ -18,8 +18,10 @@ import (
 // once, and writes a snapshot that a second resume, with no step between,
 // writes again byte for byte. Never a panic. Seeded with a float, a
 // quantized and a -deep document, and with edits of them: unequal
-// columns, an unknown VM, and deep pools with a refit window shorter than
-// a candidate reads, an ARIMA fold not p+q long and a fold on a NARNET. A document that asks for more
+// columns, an unknown VM, and a deep pool whose shape asks for a ring
+// longer than the state, an unknown kind, a negative order, a huge hidden
+// layer, an ARIMA fold not p+q long and a ring position at its window's
+// end, or whose models are shorter than its shape promises. A document that asks for more
 // replay than a fuzzer can wait on and is still valid — a step past 4,096,
 // whose reporter streams the daemon replays to the resume point — is
 // skipped: the daemon replays it, by design, at the cost it names.
@@ -70,37 +72,41 @@ func FuzzDaemonRestore(f *testing.F) {
 		shard := m["ingest"].(map[string]any)["shards"].([]any)[0].(map[string]any)
 		shard["vm"].([]any)[0] = 1000
 	})
-	// The -deep document with its first fitted pool (ARIMA(1,1,1),
-	// ARIMA(2,1,2), NARNET(8,20), NARNET(12,10)) made hostile.
-	pool := func(m map[string]any) (map[string]any, []any) {
-		for _, p := range section(m, "runtime")["deep"].([]any) {
-			if p, ok := p.(map[string]any); ok {
-				return p, p["candidates"].([]any)
-			}
+	// The -deep document with its first fitted pool — ARIMA(1,1,1),
+	// ARIMA(2,1,2), NARNET(8,20), NARNET(12,10) — made hostile. at is
+	// where that pool starts in the shape column; from it, candidate c's
+	// kind sits at at+cand[c], its model ints follow, then its fold length
+	// and its MSE ring's size, next slot and fill.
+	cand := [4]int{5, 14, 23, 30}
+	deepShape := func(m map[string]any) (shape []any, at int) {
+		shape = section(m, "runtime", "deep")["shape"].([]any)
+		for at < len(shape) && shape[at].(float64) == 0 {
+			at++
 		}
-		f.Fatal("the -deep document has no fitted pool")
-		return nil, nil
+		if at == len(shape) || shape[at].(float64) != 4 || shape[at+cand[3]+1].(float64) != 12 {
+			f.Fatalf("the -deep document's first fitted pool is not the default pool: %v", shape)
+		}
+		return shape, at
 	}
-	// cut keeps the last n floats of a packed column.
-	cut := func(col any, n int) string {
-		b, err := base64.StdEncoding.DecodeString(col.(string))
+	editShape := func(change func(shape []any, at int)) {
+		editDoc(deep, func(m map[string]any) { change(deepShape(m)) })
+	}
+	editShape(func(shape []any, at int) { shape[at+cand[0]+6] = 1 << 40 })             // a ring longer than the state
+	editShape(func(shape []any, at int) { shape[at+cand[2]] = 9 })                     // an unknown kind
+	editShape(func(shape []any, at int) { shape[at+cand[0]+1] = -1 })                  // a negative order
+	editShape(func(shape []any, at int) { shape[at+cand[3]+2] = 1 << 62 })             // a huge hidden layer
+	editShape(func(shape []any, at int) { shape[at+cand[1]+5] = 3 })                   // an ARIMA fold not p+q long
+	editShape(func(shape []any, at int) { shape[at+cand[2]+5] = shape[at+cand[2]+4] }) // a ring position at the window's end
+	// Models shorter than the shape promises. Every rack before the pool
+	// is unfit, one 0 each, so the pool is rack at's.
+	editDoc(deep, func(m map[string]any) {
+		_, at := deepShape(m)
+		models := section(m, "runtime", "deep")["models"].([]any)
+		b, err := base64.StdEncoding.DecodeString(models[at].(string))
 		if err != nil {
 			f.Fatal(err)
 		}
-		return base64.StdEncoding.EncodeToString(b[len(b)-8*n:])
-	}
-	editDoc(deep, func(m map[string]any) {
-		p, _ := pool(m)
-		p["refit"] = cut(p["refit"], 20)
-	})
-	editDoc(deep, func(m map[string]any) {
-		_, cands := pool(m)
-		c := cands[1].(map[string]any)
-		c["fold"] = cut(c["fold"], 3)
-	})
-	editDoc(deep, func(m map[string]any) {
-		_, cands := pool(m)
-		cands[3].(map[string]any)["fold"] = cands[0].(map[string]any)["fold"]
+		models[at] = base64.StdEncoding.EncodeToString(b[:len(b)-8])
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

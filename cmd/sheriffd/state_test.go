@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	goruntime "runtime"
 	"strconv"
 	"strings"
@@ -84,10 +83,10 @@ func snapshotColumns(t *testing.T, path string) (daemonState, map[string]int) {
 
 // countColumns records the element count of every column under v by its
 // JSON path: a slice's length, or a timeseries.Bits column's floats. A
-// slice of rows (structs, or decoded JSON objects) is walked row by row,
-// so each rack's deep pool is its own set of columns (deep[3].refit);
-// a slice of slices (flow paths) counts its rows only. Scalars are not
-// columns: a step counter's digits may grow, its count cannot.
+// slice of rows (structs, or decoded JSON objects) is walked row by row;
+// a slice of slices (the deep pools' packed models, one a rack) counts its
+// rows only. Scalars are not columns: a step counter's digits may grow,
+// its count cannot.
 func countColumns(v reflect.Value, path string, out map[string]int) {
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
@@ -125,17 +124,15 @@ func countColumns(v reflect.Value, path string, out map[string]int) {
 	}
 }
 
-// deepRefit matches a fitted rack's deep pool refit window column.
-var deepRefit = regexp.MustCompile(`^\.runtime\.deep\[\d+\]\.refit$`)
-
 // TestStateFlatInRunLength: a long-lived daemon holds state per VM, rack
 // and link, not per period. Run for N and for 4N periods, it must end with
 // the same goroutines, a live heap within stateHeapSlack, and a snapshot
 // whose every column has as many elements, except the live flows (which
 // come and go with placements: at most one per dependency pair, each
-// loading at most every link). Under -deep that holds each fitted rack's
-// pool in fixed state: its refit window and folds are as long after 4N
-// periods as after N.
+// loading at most every link, so the flat path column holds at most a
+// node count a pair). Under -deep that holds each fitted rack's pool in
+// fixed state: the deep shape and state columns, which hold every pool's
+// refit window and folds, are as long after 4N periods as after N.
 func TestStateFlatInRunLength(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -166,16 +163,24 @@ func TestStateFlatInRunLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs, links := longCols[".runtime.cluster.deps"], cluster.Graph.NumEdges()
+			pairs, links, nodes := longCols[".runtime.cluster.deps"], cluster.Graph.NumEdges(), cluster.Graph.NumNodes()
 			fitted := 0
-			for p, n := range longCols {
-				if deepRefit.MatchString(p) {
-					fitted++
+			if st.Runtime.Deep != nil {
+				for _, m := range st.Runtime.Deep.Models {
+					if m != nil {
+						fitted++
+					}
 				}
+			}
+			for p, n := range longCols {
 				m, ok := shortCols[p]
 				switch {
 				case !ok:
 					t.Errorf("%s: absent after %d periods, %d elements after %d", p, statePeriods, n, 4*statePeriods)
+				case p == ".runtime.flows.flows.path":
+					if max(m, n) > pairs*nodes {
+						t.Errorf("%s: %d -> %d path nodes, more than the %d dependency pairs' %d nodes each", p, m, n, pairs, nodes)
+					}
 				case p == ".runtime.flow_pairs" || strings.HasPrefix(p, ".runtime.flows.flows."):
 					if max(m, n) > pairs {
 						t.Errorf("%s: %d -> %d live flows, more than the %d dependency pairs", p, m, n, pairs)

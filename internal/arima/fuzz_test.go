@@ -25,14 +25,16 @@ func stable(t *testing.T, m, fresh *Model) {
 	}
 }
 
-// FuzzModelUnmarshalJSON: arbitrary bytes either fail to decode into a
-// ModelState and restore, or give a model that re-encodes byte-stably,
-// forecasts from a series without panicking, and takes back the fold it
-// hands out at that series' end but no fold of another length. Seeded with
-// a fitted model and truncated, mismatched-count and overflowing-order
-// variants in the decimal spelling; then orders with no ARMA terms, with a
-// coefficient missing and with a huge moving-average part, and a document
-// that still carries the training history older files held.
+// FuzzModelUnmarshalJSON: arbitrary bytes either fail to decode as a
+// model's two slices (stateDoc) and restore, or give a model that
+// re-encodes byte-stably, forecasts from a series without panicking, and
+// takes back the fold it hands out at that series' end but no fold of
+// another length. Seeded with a fitted model and a truncated copy, a
+// hand-written one in the decimal spelling, and ones Restore must refuse
+// before reading floats the document does not hold: a coefficient count
+// past the floats, an overflowing differencing order, no ARMA terms, a
+// coefficient missing, an overflowing moving-average part and a negative
+// training length.
 func FuzzModelUnmarshalJSON(f *testing.F) {
 	m, err := Fit(simulateARMA(60, []float64{0.6}, []float64{0.2}, 0.5, 21), Order{P: 1, D: 1, Q: 1})
 	if err != nil {
@@ -44,13 +46,13 @@ func FuzzModelUnmarshalJSON(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(`{"order":{"P":1,"D":1,"Q":1},"phi":[0.5],"theta":[0.1],"intercept":0,"sigma2":1,"n":0}`))
-	f.Add([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5]}`))
-	f.Add([]byte(`{"order":{"P":1,"D":9223372036854775807,"Q":0},"phi":[0.5]}`))
-	f.Add([]byte(`{"order":{"P":0,"D":1,"Q":0},"intercept":0,"sigma2":1,"n":3}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":1},"phi":[0.5]}`))
-	f.Add([]byte(`{"order":{"P":0,"D":0,"Q":9223372036854775807},"theta":[0.5]}`))
-	f.Add([]byte(`{"order":{"P":1,"D":0,"Q":0},"phi":[0.5],"history":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
+	f.Add([]byte(`{"ints":[1,1,1,0],"floats":[0.5,0.1,0,1]}`))
+	f.Add([]byte(`{"ints":[2,0,0,0],"floats":[0.5]}`))
+	f.Add([]byte(`{"ints":[1,9223372036854775807,0,0],"floats":[0.5,0,1]}`))
+	f.Add([]byte(`{"ints":[0,1,0,3],"floats":[0,1]}`))
+	f.Add([]byte(`{"ints":[1,0,1,0],"floats":[0.5,0,1]}`))
+	f.Add([]byte(`{"ints":[0,0,9223372036854775807,0],"floats":[0.5]}`))
+	f.Add([]byte(`{"ints":[1,0,0,-1],"floats":[0.5,0,1]}`))
 
 	other := simulateARMA(40, []float64{0.3}, nil, 0.5, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,56 +1,54 @@
 package arima
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// ModelState is a fitted Model as plain data — its order and parameters —
-// and its JSON form. It carries no series: where a model stands in a
-// history is its fold (Fold, Resume), which the history's owner carries.
-type ModelState struct {
-	Order     Order     `json:"order"`
-	Phi       []float64 `json:"phi,omitempty"`
-	Theta     []float64 `json:"theta,omitempty"`
-	Intercept float64   `json:"intercept"`
-	Sigma2    float64   `json:"sigma2"`
-	N         int       `json:"n"`
+// AppendState appends the fitted model to the two slices a snapshot packs:
+// its order (p, d, q) and training length to ints, its coefficients φ and
+// θ, intercept and residual variance to floats. It carries no series:
+// where a model stands in a history is its fold (Fold, Resume), which the
+// history's owner carries.
+func (m *Model) AppendState(ints []int, floats []float64) ([]int, []float64) {
+	ints = append(ints, m.Order.P, m.Order.D, m.Order.Q, m.N)
+	floats = append(append(floats, m.Phi...), m.Theta...)
+	return ints, append(floats, m.Intercept, m.Sigma2)
 }
 
-// State returns a copy of the fitted model's parameters.
-func (m *Model) State() ModelState {
-	return ModelState{
-		Order:     m.Order,
-		Phi:       slices.Clone(m.Phi),
-		Theta:     slices.Clone(m.Theta),
-		Intercept: m.Intercept,
-		Sigma2:    m.Sigma2,
-		N:         m.N,
+// Restore replaces the model with the one AppendState wrote at the front
+// of ints and floats, and returns what it did not read. An order that is
+// not valid, a negative training length, and an order whose coefficients
+// floats cannot hold are refused before anything is read. The coefficients
+// stay in floats' array, which the model never writes: the caller must not
+// either.
+//
+// The restored model has no forecast context: its first forecast folds
+// the history it is given from the start, unless Resume hands it a fold
+// first.
+func (m *Model) Restore(ints []int, floats []float64) ([]int, []float64, error) {
+	if len(ints) < 4 {
+		return nil, nil, fmt.Errorf("arima: restore: %d ints left, want p, d, q and n", len(ints))
 	}
-}
-
-// Restore replaces the model with the one st describes. The restored
-// model has no forecast context: its first forecast folds the history it
-// is given from the start, unless Resume hands it a fold first.
-func (m *Model) Restore(st ModelState) error {
-	if err := st.Order.Validate(); err != nil {
-		return fmt.Errorf("arima: restore: %w", err)
+	o, n := Order{P: ints[0], D: ints[1], Q: ints[2]}, ints[3]
+	if err := o.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("arima: restore: %w", err)
 	}
-	if len(st.Phi) != st.Order.P || len(st.Theta) != st.Order.Q {
-		return fmt.Errorf("arima: restore: coefficient counts (%d,%d) do not match %s",
-			len(st.Phi), len(st.Theta), st.Order)
+	if n < 0 {
+		return nil, nil, fmt.Errorf("arima: restore: %s fitted on %d observations", o, n)
 	}
+	// p+q+2 floats, in a form that cannot overflow.
+	if o.P > len(floats) || o.Q > len(floats)-o.P || len(floats)-o.P-o.Q < 2 {
+		return nil, nil, fmt.Errorf("arima: restore: %s needs p+q+2 floats, %d left", o, len(floats))
+	}
+	p, q := o.P, o.P+o.Q
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.Order = st.Order
-	m.Phi = st.Phi
-	m.Theta = st.Theta
-	m.Intercept = st.Intercept
-	m.Sigma2 = st.Sigma2
-	m.N = st.N
+	m.Order = o
+	m.Phi = floats[:p:p]
+	m.Theta = floats[p:q:q]
+	m.Intercept, m.Sigma2 = floats[q], floats[q+1]
+	m.N = n
 	// Drop the incremental forecast context: it caches innovations
 	// computed under the previous coefficients, and a source series
 	// pointer from before the restore could otherwise revalidate it.
 	m.fc = nil
-	return nil
+	return ints[4:], floats[q+2:], nil
 }

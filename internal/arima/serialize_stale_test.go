@@ -20,7 +20,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mB.State()
+	ints, floats := mB.AppendState(nil, nil)
 
 	// Warm mA's incremental context on a live history pointer.
 	hist := sA.Clone()
@@ -31,7 +31,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 	// Reload mB's parameters into mA in place, then grow the history:
 	// the suffix fast path would otherwise advance innovations computed
 	// under mA's old coefficients.
-	if err := mA.Restore(st); err != nil {
+	if _, _, err := mA.Restore(ints, floats); err != nil {
 		t.Fatal(err)
 	}
 	hist.Append(0.31, -0.12, 0.47)
@@ -41,7 +41,7 @@ func TestUnmarshalResetsForecastContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresh Model
-	if err := fresh.Restore(st); err != nil {
+	if _, _, err := fresh.Restore(ints, floats); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fresh.ForecastFrom(nil, hist, 3)

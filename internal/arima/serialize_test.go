@@ -2,22 +2,46 @@ package arima
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
+
+	"sheriff/internal/timeseries"
 )
 
-// encode is a model's JSON form: its state value, encoded.
-func encode(m *Model) ([]byte, error) {
-	return json.Marshal(m.State())
+// stateDoc is a model's two slices as a JSON document, spelled as a
+// snapshot spells its columns: the ints decimal, the floats packed (or, on
+// the way in, a decimal array).
+type stateDoc struct {
+	Ints   []int           `json:"ints"`
+	Floats timeseries.Bits `json:"floats"`
 }
 
-// decode restores m from a JSON state value, the path a daemon
-// snapshot's deep pools take on restore.
+// encode is the model's AppendState as a stateDoc.
+func encode(m *Model) ([]byte, error) {
+	ints, floats := m.AppendState(nil, nil)
+	packed, err := timeseries.Pack(floats)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(stateDoc{ints, packed})
+}
+
+// decode restores m from a stateDoc, which it must read to its end.
 func decode(b []byte, m *Model) error {
-	var st ModelState
-	if err := json.Unmarshal(b, &st); err != nil {
+	var d stateDoc
+	if err := json.Unmarshal(b, &d); err != nil {
 		return err
 	}
-	return m.Restore(st)
+	floats, err := d.Floats.Floats()
+	if err != nil {
+		return err
+	}
+	ints, floats, err := m.Restore(d.Ints, floats)
+	if err == nil && (len(ints) != 0 || len(floats) != 0) {
+		err = fmt.Errorf("%d ints and %d floats left over", len(ints), len(floats))
+	}
+	return err
 }
 
 func TestModelJSONRoundTrip(t *testing.T) {
@@ -54,15 +78,21 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModelUnmarshalRejectsCorrupt: Restore refuses an invalid order, a
+// negative training length and coefficients the floats cannot hold, and
+// the document must be JSON.
 func TestModelUnmarshalRejectsCorrupt(t *testing.T) {
-	var m Model
-	if err := decode([]byte(`{"order":{"P":-1,"D":0,"Q":1}}`), &m); err == nil {
-		t.Error("invalid order accepted")
-	}
-	if err := decode([]byte(`{"order":{"P":2,"D":0,"Q":0},"phi":[0.5]}`), &m); err == nil {
-		t.Error("coefficient count mismatch accepted")
-	}
-	if err := decode([]byte(`{not json`), &m); err == nil {
-		t.Error("malformed JSON accepted")
+	for _, c := range []struct{ doc, want string }{
+		{`{"ints":[-1,0,1,0],"floats":[0.1,0,1]}`, "negative order component"},
+		{`{"ints":[1,0,0,-1],"floats":[0.5,0,1]}`, "fitted on -1 observations"},
+		{`{"ints":[2,0,0,0],"floats":[0.5,0,1]}`, "needs p+q+2 floats, 3 left"},
+		{`{"ints":[0,0,9223372036854775807,0],"floats":[0.5]}`, "needs p+q+2 floats, 1 left"},
+		{`{"ints":[1,0],"floats":[0.5,0,1]}`, "2 ints left"},
+		{`{not json`, "invalid character"},
+	} {
+		var m Model
+		if err := decode([]byte(c.doc), &m); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.doc, err, c.want)
+		}
 	}
 }

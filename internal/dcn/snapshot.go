@@ -55,6 +55,9 @@ func (c *Cluster) Snapshot() (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts), VMs: cols}
+	if n := c.Deps.NumEdges(); n > 0 {
+		s.Deps = make([][2]int, 0, n)
+	}
 	// Ascending IDs over ascending peers: each edge once, from its lower
 	// end, already in order.
 	for id, peers := range c.Deps.peers {

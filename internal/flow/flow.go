@@ -120,6 +120,11 @@ type Network struct {
 	srcs    []int   // a pass's distinct sources: the rows of masked
 	rowFull []bool  // rowFull[r]: row r exhausted its component; still good
 
+	// byEnds is every link's ID in (From, To) order, the order Snapshot
+	// lists loads in, sorted for the wiring of byEndsVer (linkOrder).
+	byEnds    []int
+	byEndsVer uint64
+
 	// free holds the storage of the routes no flow holds any more — a
 	// removed flow's, a rerouted flow's old one — for route to fill again.
 	// A route goes on it only after its last read. A new route is made only

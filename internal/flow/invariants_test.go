@@ -274,8 +274,8 @@ func TestRestoreTakesItsOwnZeroLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := snapshotOf(t, src)
-	if len(snap.Loads.A) != len(snap.Flows.Path[0])-1 {
-		t.Fatalf("snapshot carries %d loads, want only the first flow's %d", len(snap.Loads.A), len(snap.Flows.Path[0])-1)
+	if first := snap.Flows.PathEnd[0]; len(snap.Loads.A) != first-1 {
+		t.Fatalf("snapshot carries %d loads, want only the first flow's %d", len(snap.Loads.A), first-1)
 	}
 	n := NewNetwork(ft.Graph)
 	if err := n.Restore(snap); err != nil {
@@ -454,10 +454,12 @@ func setBits(b timeseries.Bits, i int, v float64) {
 	binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 }
 
-// TestRestoreRefusesUnequalColumns: every column of the flow table holds
-// one entry per flow, and every column of the load table one per link. A
-// column that is short or long is refused by name, before anything is
-// installed.
+// TestRestoreRefusesUnequalColumns: every column of the flow table but
+// the flat path column holds one entry per flow, and every column of the
+// load table one per link; the path ends rise through the path column and
+// end at its end. A column that is short or long, and path ends that
+// decrease or run past the column, are refused by name, before anything is
+// installed — a path end of 2⁴⁰ before anything is allocated for it.
 func TestRestoreRefusesUnequalColumns(t *testing.T) {
 	ft := fatTree(t, 4)
 	src := NewNetwork(ft.Graph)
@@ -471,7 +473,10 @@ func TestRestoreRefusesUnequalColumns(t *testing.T) {
 		cut        func(*Snapshot)
 	}{
 		{"short srcs", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Src = s.Flows.Src[:1] }},
-		{"long paths", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Path = append(s.Flows.Path, nil) }},
+		{"long path ends", "flow columns of unequal length", func(s *Snapshot) { s.Flows.PathEnd = append(s.Flows.PathEnd, len(s.Flows.Path)) }},
+		{"path ends decrease", "path end", func(s *Snapshot) { s.Flows.PathEnd[0], s.Flows.PathEnd[1] = s.Flows.PathEnd[1], s.Flows.PathEnd[0] }},
+		{"path end past the column", "path end 1099511627776 of flow 1", func(s *Snapshot) { s.Flows.PathEnd[1] = 1 << 40 }},
+		{"long path column", "path column runs 1 past", func(s *Snapshot) { s.Flows.Path = append(s.Flows.Path, 0) }},
 		{"short delay_sensitive", "flow columns of unequal length", func(s *Snapshot) { s.Flows.DelaySensitive = nil }},
 		{"short rates", "flow columns of unequal length", func(s *Snapshot) { s.Flows.Rate = s.Flows.Rate[:8] }},
 		{"short b", "load columns of unequal length", func(s *Snapshot) { s.Loads.B = s.Loads.B[1:] }},

@@ -9,17 +9,20 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// FlowColumns is the flow table as columns: entry i of every column is
-// one flow, in ascending ID order. Paths travel whole — routes are
+// FlowColumns is the flow table as columns: entry i of every column but
+// Path is one flow, in ascending ID order. Paths travel whole — routes are
 // load-sensitive at admission time and persist across reroutes, so they
 // cannot be recomputed on restore without diverging from the live
-// network. IDs, endpoints and paths stay decimal; rates are
-// timeseries.Bits, exact and without shortest-decimal formatting.
+// network — one after another in Path: flow i's is
+// Path[PathEnd[i-1]:PathEnd[i]] (from 0 for the first flow). IDs,
+// endpoints and paths stay decimal; rates are timeseries.Bits, exact and
+// without shortest-decimal formatting.
 type FlowColumns struct {
 	ID             []int           `json:"id"`
 	Src            []int           `json:"src"`
 	Dst            []int           `json:"dst"`
-	Path           [][]int         `json:"path"`
+	Path           []int           `json:"path"`
+	PathEnd        []int           `json:"path_end"`
 	DelaySensitive []bool          `json:"delay_sensitive"`
 	Rate           timeseries.Bits `json:"rate"`
 }
@@ -45,36 +48,39 @@ type Snapshot struct {
 
 // Snapshot returns a deep copy of the flow table, ordered by flow ID, and
 // the non-zero link loads, ordered by (A, B). It fails when a rate or a
-// load is NaN or ±Inf, which no snapshot can carry.
+// load is NaN or ±Inf, which no snapshot can carry. Its allocations do not
+// depend on the number of flows or links.
 func (n *Network) Snapshot() (*Snapshot, error) {
-	nf := len(n.flows)
+	nf, hops := len(n.flows), 0
+	for _, f := range n.flows {
+		hops += len(f.path)
+	}
 	fc := FlowColumns{ID: make([]int, nf), Src: make([]int, nf), Dst: make([]int, nf),
-		Path: make([][]int, nf), DelaySensitive: make([]bool, nf)}
+		Path: make([]int, 0, hops), PathEnd: make([]int, nf), DelaySensitive: make([]bool, nf)}
 	rates := make([]float64, nf)
 	for i, f := range n.flows {
 		fc.ID[i], fc.Src[i], fc.Dst[i], fc.DelaySensitive[i], rates[i] = f.ID, f.Src, f.Dst, f.DelaySensitive, f.Rate
-		fc.Path[i] = append([]int(nil), f.path...)
+		fc.Path = append(fc.Path, f.path...)
+		fc.PathEnd[i] = len(fc.Path)
 	}
 	var err error
 	if fc.Rate, err = timeseries.Pack(rates); err != nil {
 		return nil, fmt.Errorf("flow: snapshot rate: %w", err)
 	}
-	load := n.loads()
-	var ids []int // the loaded links, by (A, B)
-	for id, l := range load {
+	load, order := n.loads(), n.linkOrder()
+	loaded := 0
+	for _, l := range load {
 		if l != 0 {
-			ids = append(ids, id)
+			loaded++
 		}
 	}
-	slices.SortFunc(ids, func(x, y int) int {
-		ex, ey := n.g.EdgeAt(x), n.g.EdgeAt(y)
-		return cmp.Or(cmp.Compare(ex.From, ey.From), cmp.Compare(ex.To, ey.To))
-	})
-	lc := LoadColumns{A: make([]int, len(ids)), B: make([]int, len(ids))}
-	loads := make([]float64, len(ids))
-	for i, id := range ids {
-		e := n.g.EdgeAt(id)
-		lc.A[i], lc.B[i], loads[i] = e.From, e.To, load[id]
+	lc := LoadColumns{A: make([]int, 0, loaded), B: make([]int, 0, loaded)}
+	loads := make([]float64, 0, loaded)
+	for _, id := range order {
+		if l := load[id]; l != 0 {
+			e := n.g.EdgeAt(id)
+			lc.A, lc.B, loads = append(lc.A, e.From), append(lc.B, e.To), append(loads, l)
+		}
 	}
 	if lc.Load, err = timeseries.Pack(loads); err != nil {
 		return nil, fmt.Errorf("flow: snapshot load: %w", err)
@@ -82,10 +88,29 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 	return &Snapshot{Flows: fc, Loads: lc, NextID: n.nextID}, nil
 }
 
+// linkOrder returns every link's ID in (From, To) order, sorted once for
+// the graph's wiring and again only when the wiring changes.
+func (n *Network) linkOrder() []int {
+	if ver := n.g.StructVersion(); n.byEnds == nil || ver != n.byEndsVer {
+		n.byEnds = make([]int, n.g.NumEdges())
+		for id := range n.byEnds {
+			n.byEnds[id] = id
+		}
+		slices.SortStableFunc(n.byEnds, func(x, y int) int {
+			ex, ey := n.g.EdgeAt(x), n.g.EdgeAt(y)
+			return cmp.Or(cmp.Compare(ex.From, ey.From), cmp.Compare(ex.To, ey.To))
+		})
+		n.byEndsVer = ver
+	}
+	return n.byEnds
+}
+
 // Restore rebuilds the flow table from a snapshot. The network must be
 // empty (freshly constructed over the same topology graph); the columns of
-// each table must be of equal length, and every path must be a walk over
-// existing links with the flow's endpoints at its ends. When the snapshot
+// each table must be of equal length, the path ends must not decrease or
+// run past the path column, and every path must be a walk over existing
+// links with the flow's endpoints at its ends. All of that is checked
+// before anything sized by the columns is allocated. When the snapshot
 // carries link loads they are installed verbatim (preserving the live
 // network's accumulated floating-point state), except that a negative load
 // is refused: the route searches' lower bound rests on load ≥ 0
@@ -110,12 +135,28 @@ func (n *Network) Restore(snap *Snapshot) error {
 		return fmt.Errorf("flow: snapshot load: %w", err)
 	}
 	nf := len(fc.ID)
-	if len(fc.Src) != nf || len(fc.Dst) != nf || len(fc.Path) != nf || len(fc.DelaySensitive) != nf || len(rates) != nf {
-		return fmt.Errorf("flow: snapshot flow columns of unequal length: %d ids, %d srcs, %d dsts, %d paths, %d delay_sensitive, %d rates",
-			nf, len(fc.Src), len(fc.Dst), len(fc.Path), len(fc.DelaySensitive), len(rates))
+	if len(fc.Src) != nf || len(fc.Dst) != nf || len(fc.PathEnd) != nf || len(fc.DelaySensitive) != nf || len(rates) != nf {
+		return fmt.Errorf("flow: snapshot flow columns of unequal length: %d ids, %d srcs, %d dsts, %d path ends, %d delay_sensitive, %d rates",
+			nf, len(fc.Src), len(fc.Dst), len(fc.PathEnd), len(fc.DelaySensitive), len(rates))
 	}
 	if len(lc.B) != len(lc.A) || len(loads) != len(lc.A) {
 		return fmt.Errorf("flow: snapshot load columns of unequal length: %d a, %d b, %d loads", len(lc.A), len(lc.B), len(loads))
+	}
+	from := 0
+	for i, end := range fc.PathEnd {
+		if end < from || end > len(fc.Path) {
+			return fmt.Errorf("flow: snapshot path end %d of flow %d is outside %d..%d", end, fc.ID[i], from, len(fc.Path))
+		}
+		from = end
+	}
+	if from != len(fc.Path) {
+		return fmt.Errorf("flow: snapshot path column runs %d past the last flow's path", len(fc.Path)-from)
+	}
+	path := func(i int) []int {
+		if i == 0 {
+			return fc.Path[:fc.PathEnd[0]]
+		}
+		return fc.Path[fc.PathEnd[i-1]:fc.PathEnd[i]]
 	}
 	seen := make(map[int]bool, nf)
 	routes := make([][]int, nf)
@@ -130,7 +171,7 @@ func (n *Network) Restore(snap *Snapshot) error {
 		if !(rates[i] > 0) { // as AddFlow and SetRate
 			return fmt.Errorf("flow: snapshot flow %d has rate %v, want > 0", id, rates[i])
 		}
-		edges, err := n.pathEdges(id, fc.Src[i], fc.Dst[i], fc.Path[i])
+		edges, err := n.pathEdges(id, fc.Src[i], fc.Dst[i], path(i))
 		if err != nil {
 			return err
 		}
@@ -139,8 +180,8 @@ func (n *Network) Restore(snap *Snapshot) error {
 	covered := make([]bool, len(n.loads())) // links some restored path crosses
 	for i, id := range fc.ID {
 		f := &Flow{ID: id, Src: fc.Src[i], Dst: fc.Dst[i], Rate: rates[i], DelaySensitive: fc.DelaySensitive[i]}
-		if len(fc.Path[i]) > 0 {
-			n.applyPath(f, append([]int(nil), fc.Path[i]...), routes[i])
+		if p := path(i); len(p) > 0 {
+			n.applyPath(f, slices.Clone(p), routes[i])
 		}
 		for _, e := range routes[i] {
 			covered[e] = true

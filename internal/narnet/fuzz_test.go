@@ -5,15 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzNetworkUnmarshalJSON: arbitrary bytes either fail to decode into a
-// State and restore, or give a network that re-encodes byte-stably,
-// forecasts from a series without panicking, and takes back the empty fold
-// it hands out but no values. Seeded with a trained network (weights in
-// the base64 spelling Marshal writes) and truncated, mismatched-weight and
-// zero-scale variants in the decimal spelling older files hold; then a
-// hand-written base64 network, one that mixes the spellings, ones whose
-// weights carry a NaN and a torn float, and one that still carries the
-// training history older files held.
+// FuzzNetworkUnmarshalJSON: arbitrary bytes either fail to decode as a
+// network's two slices (stateDoc) and restore, or give a network that
+// re-encodes byte-stably, forecasts from a series without panicking, and
+// takes back the empty fold it hands out but no values. Seeded with a
+// trained network and a truncated copy, a hand-written NARNET(2,1) in each
+// spelling, and ones Restore must refuse: weights the floats cannot hold,
+// a hidden layer so large its weight count overflows, a zero scale factor,
+// floats carrying a NaN and a torn float, and a missing hidden size.
 func FuzzNetworkUnmarshalJSON(f *testing.F) {
 	n, err := Train(sineSeries(80, 24, 0.5, 30), Config{Inputs: 4, Hidden: 3, Seed: 30, Epochs: 20})
 	if err != nil {
@@ -25,13 +24,13 @@ func FuzzNetworkUnmarshalJSON(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":[1,2,3],"w2":[1,2],"scale_offset":0,"scale_factor":1,"history":[1,2,3],"trained_mse":0}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":2},"w1":[1,2,3],"w2":[1,2],"scale_factor":1}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":[1,2,3],"w2":[1,2],"scale_factor":0}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA","w2":"AAAAAAAA8D8AAAAAAAAAQA==","scale_offset":0,"scale_factor":1,"trained_mse":0}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA","w2":[1,2],"scale_factor":1}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":[1,2,3],"w2":"AAAAAAAA8D8BAAAAAAD4fw==","scale_factor":1}`))
-	f.Add([]byte(`{"config":{"Inputs":2,"Hidden":1},"w1":[1,2,3],"w2":"AAAAAAAA8A==","scale_factor":1}`))
+	f.Add([]byte(`{"ints":[2,1],"floats":[1,2,3,1,2,0,1,0]}`))
+	f.Add([]byte(`{"ints":[2,1],"floats":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAQAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAAA=="}`))
+	f.Add([]byte(`{"ints":[2,2],"floats":[1,2,3,1,2,0,1,0]}`))
+	f.Add([]byte(`{"ints":[2,4611686018427387904],"floats":[1,2,3,1,2,0,1,0]}`))
+	f.Add([]byte(`{"ints":[2,1],"floats":[1,2,3,1,2,0,0,0]}`))
+	f.Add([]byte(`{"ints":[2,1],"floats":"AAAAAAAA8D8BAAAAAAD4fw=="}`))
+	f.Add([]byte(`{"ints":[2],"floats":"AAAAAAAA8A=="}`))
 
 	other := sineSeries(40, 16, 0.5, 7)
 	f.Fuzz(func(t *testing.T, data []byte) {

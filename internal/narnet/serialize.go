@@ -6,79 +6,54 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// State is a trained Network as plain data — architecture, weights and
-// normalization — and its JSON form. It carries no series: the delay line
-// a forecast starts from is the last ni values of the history it is given.
-type State struct {
-	Config     Config          `json:"config"`
-	W1         timeseries.Bits `json:"w1"`
-	W2         timeseries.Bits `json:"w2"`
-	Offset     float64         `json:"scale_offset"`
-	Factor     float64         `json:"scale_factor"`
-	TrainedMSE float64         `json:"trained_mse"`
+// AppendState appends the trained network to the two slices a snapshot
+// packs: its architecture (inputs, hidden) to ints, its weights, its
+// normalization (offset, factor) and its training MSE to floats. It
+// carries no series: the delay line a forecast starts from is the last ni
+// values of the history it is given. The training knobs (epochs, seed,
+// early stopping) are not carried; a restored network's Config holds its
+// architecture alone.
+func (n *Network) AppendState(ints []int, floats []float64) ([]int, []float64) {
+	ints = append(ints, n.cfg.Inputs, n.cfg.Hidden)
+	floats = append(append(floats, n.w1...), n.w2...)
+	return ints, append(floats, n.scale.Offset, n.scale.Factor, n.trainedMSE)
 }
 
-// State returns a copy of the trained network's state, its weights packed.
-// It fails when one of them holds a NaN or ±Inf.
-func (n *Network) State() (State, error) {
-	var err error
-	pack := func(name string, v []float64) timeseries.Bits {
-		b, perr := timeseries.Pack(v)
-		if perr != nil && err == nil {
-			err = fmt.Errorf("narnet: state: %s: %w", name, perr)
-		}
-		return b
+// Restore replaces the network with the one AppendState wrote at the
+// front of ints and floats, and returns what it did not read. An
+// architecture that is not valid, one whose weights floats cannot hold,
+// and a zero scale factor are refused. The weights stay in floats' array,
+// which the network never writes: the caller must not either.
+func (n *Network) Restore(ints []int, floats []float64) ([]int, []float64, error) {
+	if len(ints) < 2 {
+		return nil, nil, fmt.Errorf("narnet: restore: %d ints left, want inputs and hidden", len(ints))
 	}
-	st := State{
-		Config:     n.cfg,
-		W1:         pack("w1", n.w1),
-		W2:         pack("w2", n.w2),
-		Offset:     n.scale.Offset,
-		Factor:     n.scale.Factor,
-		TrainedMSE: n.trainedMSE,
+	cfg := Config{Inputs: ints[0], Hidden: ints[1]}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("narnet: restore: %w", err)
 	}
-	if err != nil {
-		return State{}, err
+	// hidden·(inputs+1) + hidden+1 weights and 3 scalars, hidden·(inputs+2)
+	// + 4 floats, in a form that cannot overflow.
+	if left := len(floats) - 4; left < 0 || cfg.Inputs > left || cfg.Hidden > left/(cfg.Inputs+2) {
+		return nil, nil, fmt.Errorf("narnet: restore: NARNET(%d,%d) needs more than the %d floats left",
+			cfg.Inputs, cfg.Hidden, len(floats))
 	}
-	return st, nil
-}
-
-// Restore replaces the network with the one st describes.
-func (n *Network) Restore(st State) error {
-	if err := st.Config.Validate(); err != nil {
-		return fmt.Errorf("narnet: restore: %w", err)
-	}
-	var err error
-	unpack := func(name string, b timeseries.Bits) []float64 {
-		v, uerr := b.Floats()
-		if uerr != nil && err == nil {
-			err = fmt.Errorf("narnet: restore: %s: %w", name, uerr)
-		}
-		return v
-	}
-	w1, w2 := unpack("w1", st.W1), unpack("w2", st.W2)
-	if err != nil {
-		return err
-	}
-	wantW1 := st.Config.Hidden * (st.Config.Inputs + 1)
-	wantW2 := st.Config.Hidden + 1
-	if len(w1) != wantW1 || len(w2) != wantW2 {
-		return fmt.Errorf("narnet: restore: weight sizes (%d,%d) do not match NARNET(%d,%d)",
-			len(w1), len(w2), st.Config.Inputs, st.Config.Hidden)
-	}
-	if st.Factor == 0 {
-		return fmt.Errorf("narnet: restore: zero scale factor")
+	w1 := cfg.Hidden * (cfg.Inputs + 1)
+	w2 := w1 + cfg.Hidden + 1
+	offset, factor, mse := floats[w2], floats[w2+1], floats[w2+2]
+	if factor == 0 {
+		return nil, nil, fmt.Errorf("narnet: restore: zero scale factor")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg = st.Config
-	n.w1 = w1
-	n.w2 = w2
-	n.scale = timeseries.Scale{Offset: st.Offset, Factor: st.Factor}
-	n.trainedMSE = st.TrainedMSE
+	n.cfg = cfg
+	n.w1 = floats[:w1:w1]
+	n.w2 = floats[w1:w2:w2]
+	n.scale = timeseries.Scale{Offset: offset, Factor: factor}
+	n.trainedMSE = mse
 	// Drop the cached delay line: it holds values normalized under the
 	// previous scale, and a source series pointer from before the
 	// restore could otherwise revalidate it.
 	n.fc = nil
-	return nil
+	return ints[2:], floats[w2+3:], nil
 }

@@ -19,10 +19,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nB.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ints, floats := nB.AppendState(nil, nil)
 
 	// Warm nA's delay-line cache on a live history pointer.
 	hist := sA.Clone()
@@ -33,7 +30,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 	// Reload nB into nA in place, then grow the history by fewer points
 	// than the delay line: the append fast path would otherwise keep
 	// entries normalized under nA's old scale.
-	if err := nA.Restore(st); err != nil {
+	if _, _, err := nA.Restore(ints, floats); err != nil {
 		t.Fatal(err)
 	}
 	hist.Append(0.9, 1.4)
@@ -43,7 +40,7 @@ func TestUnmarshalResetsDelayLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresh Network
-	if err := fresh.Restore(st); err != nil {
+	if _, _, err := fresh.Restore(ints, floats); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fresh.ForecastFrom(nil, hist, 3)

@@ -9,16 +9,19 @@ import (
 	"sheriff/internal/narnet"
 )
 
-// FuzzSelectorUnmarshalJSON feeds the deep section's decoder arbitrary
-// bytes, decoded into a SelectorState and restored as runtime.Restore
-// does: the only outcomes allowed are an error, or a selector that
-// re-encodes byte-stably and survives three predict/observe rounds.
+// FuzzSelectorUnmarshalJSON feeds the pool column decoder arbitrary bytes,
+// decoded as one pool's columns (poolDoc) and restored as runtime.Restore
+// restores each rack's: the only outcomes allowed are an error, or a
+// selector whose columns restore into one that writes them again byte for
+// byte, and that survives three predict/observe rounds.
 // Seeds: three pools mid-stream (with and without a pending prediction) —
 // the fitted default pool, a pool that has cut its history back to its
 // refit window, and a small one — and broken variants of each: truncated,
-// an empty refit window (in the decimal spelling and in base64), a window
-// carrying a NaN, and counts that disagree; then hand-written pools in
-// each spelling, one candidate of each retired kind, and the hostile folds
+// an empty state (in the decimal spelling and in base64), a state carrying
+// a NaN, models shorter than the shape promises, and a shape cut short;
+// then one ARIMA(1,0,0) pool made hostile — an unknown kind, a negative
+// order, a huge hidden size, a ring position at its window's end, and a
+// ring and a fold longer than the state holds — and the hostile folds
 // TestSelectorRestoreRefusesHostileFolds lists.
 func FuzzSelectorUnmarshalJSON(f *testing.F) {
 	fitted, err := New(trainSeries(120), Options{Window: 5, Seed: 42})
@@ -83,7 +86,7 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 		if err := json.Unmarshal(pending, &doc); err != nil {
 			f.Fatal(err)
 		}
-		for _, edit := range [][2]string{{"refit", `[]`}, {"refit", `""`}, {"refit", `"AAAAAAAA8D8BAAAAAAD4fw=="`}, {"last_pred", `[0.5]`}, {"selection", `99`}} {
+		for _, edit := range [][2]string{{"state", `[]`}, {"state", `""`}, {"state", `"AAAAAAAA8D8BAAAAAAD4fw=="`}, {"models", `"AAAAAAAA8D8="`}, {"shape", `[1,2,0,0,0]`}} {
 			intact := doc[edit[0]]
 			doc[edit[0]] = json.RawMessage(edit[1])
 			blob, err := json.Marshal(doc)
@@ -94,12 +97,16 @@ func FuzzSelectorUnmarshalJSON(f *testing.F) {
 			doc[edit[0]] = intact
 		}
 	}
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":null,"mse":{"window":[0],"next":0,"filled":0,"sum":0}}],"refit":[1,2,3]}`))
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"narnet","model":{"config":{"Inputs":2,"Hidden":1},"w1":[1,2],"w2":[1,2],"scale_factor":1},"mse":null}]}`))
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5]},"fold":"AAAAAAAA8D8=","mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`))
-	f.Add([]byte(`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":1,"D":0,"Q":0},"phi":[0.5]},"fold":[1],"mse":{"window":"AAAAAAAA8D8BAAAAAAD4fw==","next":0,"filled":0,"sum":0}}],"refit":[1,2,3]}`))
-	f.Add([]byte(retiredKinds["sarima"]))
-	f.Add([]byte(retiredKinds["burst"]))
+	for _, shape := range []string{
+		"[1,16,0,0,0,9,1,0,0,16,1,1,0,0]",              // an unknown kind
+		"[1,16,0,0,0,1,-1,0,0,16,1,1,0,0]",             // a negative order
+		"[1,16,0,0,0,2,1,4611686018427387904,0,1,0,0]", // a huge hidden size
+		"[1,16,0,0,0,1,1,0,0,16,1,1,1,0]",              // a ring position at the window's end
+		"[1,16,0,0,0,1,1,0,0,16,1,1099511627776,0,0]",  // a ring longer than the state
+		"[1,16,0,0,0,1,1,0,0,16,1099511627776,1,0,0]",  // a fold longer than the state
+	} {
+		f.Add([]byte(arima100(shape, `[0.5,0,1]`)))
+	}
 	for _, h := range hostileFolds(f) {
 		f.Add(h.doc)
 	}

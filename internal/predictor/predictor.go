@@ -14,10 +14,11 @@
 // reaches 2N it cuts them back to the last N, handing each candidate its
 // fold (ARIMA's innovation tails; a NARNET needs none) so that every
 // forecast stays bit-identical to one from the whole series. Its snapshot
-// form (State, Restore) is that state: the last N observations, each
-// candidate's fold and fitness window. State refuses a pool with any other
-// candidate; such a pool keeps the whole series, which a seasonal ARIMA's
-// full pass needs.
+// form (AppendState, Restore) is that state — the last N observations,
+// each candidate's fold and fitness window — beside the candidates'
+// parameters, packed once (Models). AppendState refuses a pool with any
+// other candidate; such a pool keeps the whole series, which a seasonal
+// ARIMA's full pass needs.
 package predictor
 
 import (
@@ -47,13 +48,11 @@ type Candidate struct {
 
 	mse *timeseries.RollingMSE
 
-	// The model's state, packed once by NewSelector or Restore (the model
-	// is not written after it is fitted), or why it has none.
-	kind     string
-	model    any
-	modelErr error
 	// F as a folder, when it is one.
 	fold folder
+	// The candidate's kind and model ints in the shape column, built once
+	// by packModels.
+	shape []int
 }
 
 // folder is a forecaster whose context at a history's end can be carried
@@ -87,8 +86,13 @@ type Selector struct {
 	selection    int       // index of last winning candidate
 	hasSelection bool      // a Predict has succeeded since the last failure
 
-	scratch  []float64 // the folds a compaction carries; what State packs
+	scratch  []float64 // the folds a compaction carries
 	foldEnds []int     // where each candidate's fold ends in scratch
+
+	// Every candidate's parameters, packed once by packModels, or why the
+	// pool has no snapshot form.
+	models    timeseries.Bits
+	modelsErr error
 }
 
 // Config configures a Selector.
@@ -226,13 +230,14 @@ func NewSelector(history *timeseries.Series, cfg Config, candidates ...*Candidat
 			return nil, fmt.Errorf("predictor: candidate %q has nil forecaster", c.Name)
 		}
 		c.mse = timeseries.NewRollingMSE(w)
-		c.packModel()
+		c.fold, _ = c.F.(folder)
 	}
 	s := &Selector{
 		candidates: candidates,
 		history:    history.Clone(),
 		lastPred:   make([]float64, len(candidates)),
 	}
+	s.packModels()
 	if allFolders(candidates) {
 		s.refit = history.Len()
 		s.foldEnds = make([]int, len(candidates))
@@ -468,8 +473,9 @@ func defaultPool(train *timeseries.Series, seed int64) ([]*Candidate, error) {
 		add(o.String(), m, err)
 	}
 	for i, nn := range []struct{ ni, nh int }{{8, 20}, {12, 10}} {
-		m, err := narnet.Train(train, narnet.Config{Inputs: nn.ni, Hidden: nn.nh, Seed: seed + int64(i)})
-		add(fmt.Sprintf("NARNET(%d,%d)", nn.ni, nn.nh), m, err)
+		cfg := narnet.Config{Inputs: nn.ni, Hidden: nn.nh, Seed: seed + int64(i)}
+		m, err := narnet.Train(train, cfg)
+		add(narnetName(cfg), m, err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("predictor: every candidate failed to fit: %w", errors.Join(errs...))

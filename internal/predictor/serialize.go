@@ -1,245 +1,231 @@
 package predictor
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 
 	"sheriff/internal/arima"
 	"sheriff/internal/narnet"
 	"sheriff/internal/timeseries"
 )
 
-// Forecaster kind tags used in the serialized form: the runtime's deep
-// pool is the default pool, so ARIMA and NARNET are the kinds a snapshot
-// holds. Other candidates (seasonal ARIMA, the smoothing family, Burst)
-// have no plain-data state and make State fail with a clear error rather
-// than silently dropping a pool member.
+// A pool in fixed state travels as three columns that the snapshot's owner
+// appends every pool of its own to: an int shape column, a float state
+// column, and the pool's parameters, packed once (Models).
+//
+// The shape of one pool is its candidate count n, its refit window's
+// length N, whether a prediction is pending, the last selection and
+// whether it stands; then, per candidate, its kind, its model's ints (an
+// ARIMA model's p, d, q and training length; a NARNET's inputs and hidden
+// units), its fold's length, and its MSE ring's size, next slot and fill.
+// Its state is the refit window, the n pending predictions when there are
+// any, and per candidate its fold, its MSE ring and the ring's running
+// sum. Its parameters are, per candidate, what the model appends to its
+// floats (arima.Model.AppendState, narnet.Network.AppendState). Names are
+// not carried: each is rebuilt from the kind and the model's ints, as
+// defaultPool names them.
+
+// The kinds a shape column holds. The runtime's deep pool is the default
+// pool, so ARIMA models and NARNETs are the pool members a snapshot holds;
+// other candidates (seasonal ARIMA, the smoothing family, Burst) have no
+// snapshot form, and AppendState refuses a pool with one.
 const (
-	kindARIMA  = "arima"
-	kindNARNET = "narnet"
+	shapeARIMA  = 1
+	shapeNARNET = 2
 )
 
-// CandidateState is one pool member as plain data: Model holds the
-// forecaster's own state value (arima.ModelState or narnet.State), the
-// kind tag names which for the decoder, Fold is where the forecaster
-// stands at the end of the refit window (an ARIMA model's p+q innovation
-// tails; a NARNET has none), and the rolling MSE ring travels whole so
-// fitness ranking resumes exactly where it stopped.
-type CandidateState struct {
-	Name  string                   `json:"name"`
-	Kind  string                   `json:"kind"`
-	Model any                      `json:"model"`
-	Fold  timeseries.Bits          `json:"fold,omitempty"`
-	MSE   *timeseries.RollingState `json:"mse"`
+// poolInts is how many ints of a pool's shape precede its candidates';
+// candInts is the fewest a candidate takes (a NARNET's).
+const (
+	poolInts = 5
+	candInts = 1 + 2 + 1 + 3
+)
+
+// narnetName is a NARNET candidate's name in the default pool.
+func narnetName(cfg narnet.Config) string {
+	return fmt.Sprintf("NARNET(%d,%d)", cfg.Inputs, cfg.Hidden)
 }
 
-// SelectorState is a Selector as plain data, and its JSON form: encoding
-// it is one reflection pass with no Marshaler underneath. Refit is the
-// last N observations, N being the length the selector was built on, so
-// the state does not grow with the selector's uptime. The cached one-step
-// predictions are only carried when valid (HavePred).
-type SelectorState struct {
-	Candidates   []CandidateState `json:"candidates"`
-	Refit        timeseries.Bits  `json:"refit"`
-	LastPred     timeseries.Bits  `json:"last_pred,omitempty"`
-	HavePred     bool             `json:"have_pred"`
-	Selection    int              `json:"selection"`
-	HasSelection bool             `json:"has_selection"`
-}
-
-// modelState returns a pool member's kind tag and state value, or "" for
-// a forecaster type that has none.
-func modelState(f Forecaster) (kind string, state any, err error) {
-	switch m := f.(type) {
-	case *arima.Model:
-		return kindARIMA, m.State(), nil
-	case *narnet.Network:
-		state, err = m.State()
-		return kindNARNET, state, err
-	}
-	return "", nil, nil
-}
-
-// forecaster rebuilds the pool member Model describes.
-func (c CandidateState) forecaster() (folder, error) {
-	switch st := c.Model.(type) {
-	case arima.ModelState:
-		m := new(arima.Model)
-		return m, m.Restore(st)
-	case narnet.State:
-		n := new(narnet.Network)
-		return n, n.Restore(st)
-	}
-	return nil, fmt.Errorf("model state of type %T has no forecaster", c.Model)
-}
-
-// UnmarshalJSON decodes one pool member, picking Model's type by the kind
-// tag.
-func (c *CandidateState) UnmarshalJSON(b []byte) error {
-	var raw struct {
-		Name  string                   `json:"name"`
-		Kind  string                   `json:"kind"`
-		Model json.RawMessage          `json:"model"`
-		Fold  timeseries.Bits          `json:"fold"`
-		MSE   *timeseries.RollingState `json:"mse"`
-	}
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	var (
-		model any
-		err   error
-	)
-	switch raw.Kind {
-	case kindARIMA:
-		model, err = decodeModel[arima.ModelState](raw.Model)
-	case kindNARNET:
-		model, err = decodeModel[narnet.State](raw.Model)
-	default:
-		err = fmt.Errorf("unknown kind %q", raw.Kind)
-	}
-	if err != nil {
-		return fmt.Errorf("predictor: candidate %q: %w", raw.Name, err)
-	}
-	*c = CandidateState{Name: raw.Name, Kind: raw.Kind, Model: model, Fold: raw.Fold, MSE: raw.MSE}
-	return nil
-}
-
-func decodeModel[S any](b []byte) (any, error) {
-	var st S
-	err := json.Unmarshal(b, &st)
-	return st, err
-}
-
-// State returns the selector as plain data: every candidate's model, fold
-// and rolling fitness window, the refit window, and the selection state,
-// so a selector restored from it predicts and ranks bit-identically to one
-// that never stopped. Only what moves is packed here — the refit window,
-// the cached predictions and the folds, carved out of one packed buffer,
-// and the MSE rings. Each candidate's model state was packed once, when
-// the selector was built or restored, and every State shares it: a fitted
-// model is never written again, so the shared arrays are values too. A
-// candidate that is neither an ARIMA model nor a NARNET has no state and
-// is an error, and so is a NaN or ±Inf in a packed array.
-func (s *Selector) State() (SelectorState, error) {
+// packModels builds each candidate's kind and model ints for the shape
+// column, and packs every candidate's parameters into the selector's
+// Models, once: a fitted model is never written again, so every snapshot
+// shares them. A pool with a member of another type, or a NaN or ±Inf
+// parameter, has no snapshot form, and AppendState reports why.
+func (s *Selector) packModels() {
+	var params []float64
 	for _, c := range s.candidates {
-		if c.modelErr != nil {
-			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, c.modelErr)
+		switch m := c.F.(type) {
+		case *arima.Model:
+			c.shape, params = m.AppendState([]int{shapeARIMA}, params)
+		case *narnet.Network:
+			c.shape, params = m.AppendState([]int{shapeNARNET}, params)
+		default:
+			s.modelsErr = fmt.Errorf("predictor: candidate %q: forecaster type %T has no snapshot form", c.Name, c.F)
+			return
 		}
 	}
+	if s.models, s.modelsErr = timeseries.Pack(params); s.modelsErr != nil {
+		s.modelsErr = fmt.Errorf("predictor: models: %w", s.modelsErr)
+	}
+}
+
+// Models returns every candidate's parameters, packed when the pool was
+// fitted or restored and shared by every snapshot; nil when the pool has
+// no snapshot form (AppendState says why).
+func (s *Selector) Models() timeseries.Bits { return s.models }
+
+// AppendState appends the pool's shape to shape and its state to state
+// (see the column layout above), and returns the extended slices. It
+// writes nothing else, so a caller that hands the same buffers back each
+// time allocates nothing. A selector restored from them and Models
+// predicts and ranks bit-identically to one that never stopped. A pool
+// with a candidate that is neither an ARIMA model nor a NARNET is an
+// error, and so is a NaN or ±Inf in the state, which no snapshot carries;
+// on an error the slices come back as they were given.
+func (s *Selector) AppendState(shape []int, state []float64) ([]int, []float64, error) {
+	if s.modelsErr != nil {
+		return shape, state, s.modelsErr
+	}
+	shape0, state0 := len(shape), len(state)
+	fail := func(err error) ([]int, []float64, error) { return shape[:shape0], state[:state0], err }
+	shape = append(shape, len(s.candidates), s.refit, flag(s.havePred), s.selection, flag(s.hasSelection))
 	// Every candidate has a snapshot form, so the pool runs in fixed state
 	// and the history holds at least N values.
 	hist := s.history.Raw()
-	buf := append(s.scratch[:0], hist[len(hist)-s.refit:]...)
+	state = append(state, hist[len(hist)-s.refit:]...)
 	if s.havePred {
-		buf = append(buf, s.lastPred...)
+		state = append(state, s.lastPred...)
 	}
-	foldStart := len(buf)
-	buf, err := s.folds(buf)
-	if err != nil {
-		return SelectorState{}, err
-	}
-	s.scratch = buf
-	packed, err := timeseries.Pack(buf)
-	if err != nil {
-		return SelectorState{}, fmt.Errorf("predictor: state: %w", err)
-	}
-	carve := func(from, to int) timeseries.Bits {
-		if from == to {
-			return nil
+	for _, c := range s.candidates {
+		var err error
+		at := len(state)
+		if state, err = c.fold.Fold(state, s.history); err != nil {
+			return fail(fmt.Errorf("predictor: candidate %q: %w", c.Name, err))
 		}
-		return packed[8*from : 8*to : 8*to]
+		shape = append(append(shape, c.shape...), len(state)-at)
+		shape, state = c.mse.AppendState(shape, state)
 	}
-	st := SelectorState{
-		Candidates:   make([]CandidateState, len(s.candidates)),
-		Refit:        carve(0, s.refit),
-		LastPred:     carve(s.refit, foldStart),
-		HavePred:     s.havePred,
-		Selection:    s.selection,
-		HasSelection: s.hasSelection,
-	}
-	mses := make([]timeseries.RollingState, len(s.candidates))
-	for i, c := range s.candidates {
-		if mses[i], err = c.mse.State(); err != nil {
-			return SelectorState{}, fmt.Errorf("predictor: candidate %q: %w", c.Name, err)
+	for i, x := range state[state0:] {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fail(fmt.Errorf("predictor: state value %d is %v, which has no encoding", i, x))
 		}
-		st.Candidates[i] = CandidateState{Name: c.Name, Kind: c.kind, Model: c.model,
-			Fold: carve(foldStart, s.foldEnds[i]), MSE: &mses[i]}
-		foldStart = s.foldEnds[i]
 	}
-	return st, nil
+	return shape, state, nil
 }
 
-// packModel packs the candidate's model state, or the reason it has none,
-// for every State to share.
-func (c *Candidate) packModel() {
-	c.kind, c.model, c.modelErr = modelState(c.F)
-	if c.modelErr == nil && c.kind == "" {
-		c.modelErr = fmt.Errorf("forecaster type %T has no serializer", c.F)
+func flag(b bool) int {
+	if b {
+		return 1
 	}
-	c.fold, _ = c.F.(folder)
+	return 0
 }
 
-// Restore replaces the selector with the one st describes. Each candidate
-// resumes from its fold at the end of the refit window, so the restored
-// pool never folds the window again from its start; a candidate that reads
-// more values than the window holds, an ARIMA fold whose length is not
-// p+q, and a fold on a NARNET are refused, naming the candidate.
-func (s *Selector) Restore(st SelectorState) error {
-	if len(st.Candidates) == 0 {
-		return fmt.Errorf("predictor: restore: empty candidate pool")
+// Restore replaces the selector with the pool AppendState wrote at the
+// front of shape and state, whose parameters are models, and returns what
+// of shape and state it did not read; models must be read to its end.
+// Each candidate resumes from its fold at the end of the refit window, so
+// the restored pool never folds the window again from its start.
+//
+// The columns are a file someone else may have written. A count, length
+// or position that the columns cannot hold is refused before anything
+// sized by it is allocated, and so are an unknown kind, a model the
+// arima or narnet package refuses, a candidate that reads more values than
+// the window holds, an ARIMA fold that is not p+q long and a fold on a
+// NARNET; the error names the candidate.
+func (s *Selector) Restore(shape []int, models timeseries.Bits, state []float64) ([]int, []float64, error) {
+	if len(shape) < poolInts {
+		return nil, nil, fmt.Errorf("predictor: restore: %d shape ints left, want a pool's %d", len(shape), poolInts)
 	}
-	refit, err := st.Refit.Floats()
+	n, refit, havePred, selection, hasSelection := shape[0], shape[1], shape[2], shape[3], shape[4]
+	shape = shape[poolInts:]
+	switch {
+	case n < 1 || n > len(shape)/candInts:
+		return nil, nil, fmt.Errorf("predictor: restore: pool of %d candidates, %d shape ints left for them", n, len(shape))
+	case refit < 1 || refit > len(state):
+		return nil, nil, fmt.Errorf("predictor: restore: refit window of %d values, %d state values left", refit, len(state))
+	case havePred != 0 && havePred != 1 || hasSelection != 0 && hasSelection != 1:
+		return nil, nil, fmt.Errorf("predictor: restore: flags %d and %d, want 0 or 1", havePred, hasSelection)
+	case selection < 0 || selection >= n:
+		return nil, nil, fmt.Errorf("predictor: restore: selection %d out of range", selection)
+	case havePred == 1 && n > len(state)-refit:
+		return nil, nil, fmt.Errorf("predictor: restore: %d cached predictions, %d state values left", n, len(state)-refit)
+	}
+	params, err := models.Floats()
 	if err != nil {
-		return fmt.Errorf("predictor: restore: refit window: %w", err)
+		return nil, nil, fmt.Errorf("predictor: restore: models: %w", err)
 	}
-	history := timeseries.New(refit)
-	cands := make([]*Candidate, len(st.Candidates))
-	for i, cs := range st.Candidates {
-		f, err := cs.forecaster()
-		if err != nil {
-			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
-		}
-		if cs.MSE == nil {
-			return fmt.Errorf("predictor: restore: candidate %q missing mse state", cs.Name)
-		}
-		mse := new(timeseries.RollingMSE)
-		if err := mse.Restore(*cs.MSE); err != nil {
-			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
-		}
-		fold, err := cs.Fold.Floats()
-		if err == nil {
-			err = f.Resume(history, fold)
-		}
-		if err != nil {
-			return fmt.Errorf("predictor: restore candidate %q: %w", cs.Name, err)
-		}
-		cands[i] = &Candidate{Name: cs.Name, F: f, mse: mse}
-		cands[i].packModel()
+	history := timeseries.New(state[:refit])
+	state = state[refit:]
+	lastPred := make([]float64, n)
+	if havePred == 1 {
+		state = state[copy(lastPred, state):]
 	}
-	if st.Selection < 0 || st.Selection >= len(cands) {
-		return fmt.Errorf("predictor: restore: selection %d out of range", st.Selection)
+	cands := make([]*Candidate, n)
+	for i := range cands {
+		if cands[i], shape, params, state, err = restoreCandidate(i, shape, params, state, history); err != nil {
+			return nil, nil, err
+		}
 	}
-	lastPred := make([]float64, len(cands))
-	if st.HavePred {
-		pred, err := st.LastPred.Floats()
-		if err != nil {
-			return fmt.Errorf("predictor: restore: cached predictions: %w", err)
-		}
-		if len(pred) != len(cands) {
-			return fmt.Errorf("predictor: restore: %d cached predictions for %d candidates",
-				len(pred), len(cands))
-		}
-		copy(lastPred, pred)
+	if len(params) != 0 {
+		return nil, nil, fmt.Errorf("predictor: restore: models hold %d values past the last candidate", len(params))
 	}
 	s.candidates = cands
 	s.history = history
-	s.refit = history.Len()
+	s.refit = refit
 	s.lastPred = lastPred
-	s.havePred = st.HavePred
-	s.selection = st.Selection
-	s.hasSelection = st.HasSelection
+	s.havePred = havePred == 1
+	s.selection = selection
+	s.hasSelection = hasSelection == 1
 	s.scratch = nil
-	s.foldEnds = make([]int, len(cands))
-	return nil
+	s.foldEnds = make([]int, n)
+	s.packModels()
+	return shape, state, nil
+}
+
+// restoreCandidate rebuilds candidate i from the front of the three
+// columns and resumes it at history's end, returning it and what of the
+// columns it did not read.
+func restoreCandidate(i int, shape []int, params, state []float64, history *timeseries.Series) (*Candidate, []int, []float64, []float64, error) {
+	if len(shape) == 0 {
+		return nil, nil, nil, nil, fmt.Errorf("predictor: restore: shape ends before candidate %d", i)
+	}
+	var (
+		f    folder
+		name string
+		err  error
+	)
+	switch kind := shape[0]; kind {
+	case shapeARIMA:
+		m := new(arima.Model)
+		shape, params, err = m.Restore(shape[1:], params)
+		f, name = m, m.Order.String()
+	case shapeNARNET:
+		m := new(narnet.Network)
+		shape, params, err = m.Restore(shape[1:], params)
+		f, name = m, narnetName(m.Config())
+	default:
+		err = fmt.Errorf("unknown kind %d", kind)
+	}
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("predictor: restore candidate %d: %w", i, err)
+	}
+	fail := func(err error) (*Candidate, []int, []float64, []float64, error) {
+		return nil, nil, nil, nil, fmt.Errorf("predictor: restore candidate %q: %w", name, err)
+	}
+	if len(shape) == 0 {
+		return fail(fmt.Errorf("shape ends before its fold"))
+	}
+	foldLen := shape[0]
+	if foldLen < 0 || foldLen > len(state) {
+		return fail(fmt.Errorf("fold of %d values, %d state values left", foldLen, len(state)))
+	}
+	fold := state[:foldLen]
+	mse := new(timeseries.RollingMSE)
+	if shape, state, err = mse.Restore(shape[1:], state[foldLen:]); err != nil {
+		return fail(err)
+	}
+	if err := f.Resume(history, fold); err != nil {
+		return fail(err)
+	}
+	return &Candidate{Name: name, F: f, mse: mse, fold: f}, shape, params, state, nil
 }

@@ -10,28 +10,57 @@ import (
 	"testing"
 
 	"sheriff/internal/arima"
-	"sheriff/internal/narnet"
 	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
 )
 
-// encode is the selector's JSON form: its State, encoded.
+// poolDoc is one pool's three columns as a JSON document, spelled as the
+// runtime's deep section spells them: the shape decimal, the parameters
+// and the state packed (or, on the way in, decimal arrays).
+type poolDoc struct {
+	Shape  []int           `json:"shape"`
+	Models timeseries.Bits `json:"models"`
+	State  timeseries.Bits `json:"state"`
+}
+
+// columns is the selector's AppendState and Models as a poolDoc.
+func columns(s *Selector) (poolDoc, error) {
+	shape, state, err := s.AppendState(nil, nil)
+	if err != nil {
+		return poolDoc{}, err
+	}
+	packed, err := timeseries.Pack(state)
+	if err != nil {
+		return poolDoc{}, err
+	}
+	return poolDoc{shape, s.Models(), packed}, nil
+}
+
+// encode is the selector's columns, encoded.
 func encode(s *Selector) ([]byte, error) {
-	st, err := s.State()
+	d, err := columns(s)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(st)
+	return json.Marshal(d)
 }
 
-// decode restores s from a JSON SelectorState, the path a daemon
-// snapshot's deep pools take on restore.
+// decode restores s from a poolDoc, which it must read to its end, the
+// path a daemon snapshot's deep pools take on restore.
 func decode(b []byte, s *Selector) error {
-	var st SelectorState
-	if err := json.Unmarshal(b, &st); err != nil {
+	var d poolDoc
+	if err := json.Unmarshal(b, &d); err != nil {
 		return err
 	}
-	return s.Restore(st)
+	state, err := d.State.Floats()
+	if err != nil {
+		return err
+	}
+	shape, state, err := s.Restore(d.Shape, d.Models, state)
+	if err == nil && (len(shape) != 0 || len(state) != 0) {
+		err = fmt.Errorf("%d shape ints and %d state values left over", len(shape), len(state))
+	}
+	return err
 }
 
 func trainSeries(n int) *timeseries.Series {
@@ -119,9 +148,10 @@ func TestSelectorJSONRoundTrip(t *testing.T) {
 }
 
 // TestSelectorMarshalRejectsUnserializable: only ARIMA models and NARNETs
-// have a snapshot form, so State fails loudly, naming the forecaster's
-// type, for a pool holding a smoothing model, a seasonal ARIMA model or a
-// Burst — it never drops the candidate.
+// have a snapshot form, so AppendState fails loudly, naming the
+// forecaster's type, for a pool holding a smoothing model, a seasonal
+// ARIMA model or a Burst — it never drops the candidate — and appends
+// nothing.
 func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 	train := trainSeries(120)
 	holt, err := smoothing.Fit(train, smoothing.Config{Method: smoothing.Holt})
@@ -143,40 +173,98 @@ func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.State()
+		shape, state, err := s.AppendState([]int{7}, []float64{7})
 		if err == nil {
 			t.Fatalf("state of a %s candidate succeeded, want error", name)
 		}
 		if typ := fmt.Sprintf("%T", f); !strings.Contains(err.Error(), typ) {
 			t.Errorf("%s: error %q does not name %s", name, err, typ)
 		}
+		if len(shape) != 1 || len(state) != 1 || s.Models() != nil {
+			t.Errorf("%s: a refused pool appended %v and %v, models %v", name, shape, state, s.Models())
+		}
 	}
 }
 
-// TestSelectorUnmarshalRejectsCorrupt exercises the validation paths.
+// TestSelectorUnmarshalRejectsCorrupt exercises the validation paths that
+// no fitted pool's columns reach by an edit of one value: a document that
+// is not JSON, a pool of no candidates, an unknown kind, an ARIMA order
+// the arima package refuses, and models with values past the last
+// candidate.
 func TestSelectorUnmarshalRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		`{not json`,
-		`{"candidates":[]}`,
-		`{"candidates":[{"name":"x","kind":"mystery","model":{}}]}`,
-		`{"candidates":[{"name":"x","kind":"arima","model":{"order":{"P":-1}}}]}`,
-	}
-	for _, c := range cases {
-		var s Selector
-		if err := decode([]byte(c), &s); err == nil {
-			t.Errorf("corrupt selector %q accepted", c)
+	for _, c := range []struct{ doc, want string }{
+		{`{not json`, "invalid character"},
+		{`{"shape":[0,3,0,0,0],"models":[],"state":[1,2,3]}`, "pool of 0 candidates"},
+		{arima100(arima100Shape, `[0.5,0,1]`), ""},
+		{arima100("[1,16,0,0,0,9,1,0,0,16,1,1,0,0]", `[0.5,0,1]`), "candidate 0: unknown kind 9"},
+		{arima100("[1,16,0,0,0,1,-1,0,0,16,1,1,0,0]", `[0.5,0,1]`), "candidate 0: arima: restore: arima: negative order component"},
+		{arima100(arima100Shape, `[0.5,0,1,4]`), "models hold 1 values past the last candidate"},
+		// Eight candidates promised, seven ARIMA(1,0,0)s given: each takes
+		// more than the fewest ints a candidate can.
+		{`{"shape":[8,16,0,0,0` + strings.Repeat(",1,1,0,0,16,1,1,0,0", 7) + `],"models":[0.5,0,1` + strings.Repeat(",0.5,0,1", 6) +
+			`],"state":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16` + strings.Repeat(",0.1,0,0", 7) + `]}`, "shape ends before candidate 7"},
+	} {
+		err := decode([]byte(c.doc), new(Selector))
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: the well-formed pool is refused: %v", c.doc, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.doc, err, c.want)
 		}
 	}
-	// A seasonal ARIMA model and a Burst had snapshot kinds of their own
-	// once; the runtime's deep pool never held either, and the kinds are
-	// retired: even a well-formed candidate of each is an unknown kind.
-	for _, kind := range []string{"sarima", "burst"} {
-		var s Selector
-		err := decode([]byte(retiredKinds[kind]), &s)
-		if want := fmt.Sprintf("unknown kind %q", kind); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s candidate: got error %v, want %s", kind, err, want)
-		}
+}
+
+// arima100Shape is the shape of one ARIMA(1,0,0) fitted on 16 values,
+// with its fold of one value and an MSE ring of one.
+const arima100Shape = "[1,16,0,0,0,1,1,0,0,16,1,1,0,0]"
+
+// arima100 is that pool's document with the given shape and models: its
+// state is the refit window 1..16, the fold 0.1 and an empty ring.
+func arima100(shape, models string) string {
+	return `{"shape":` + shape + `,"models":` + models + `,"state":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,0.1,0,0]}`
+}
+
+// candAt is where candidate i of a pool's columns sits: the offsets of its
+// shape ints (its kind first) and of its fold and MSE ring in the state,
+// and of its parameters in the models.
+type candAt struct {
+	shape, fold, ring, params int
+	foldLen, size, nparams    int
+}
+
+// locate walks a pool's shape as Restore reads it.
+func locate(tb testing.TB, d poolDoc) []candAt {
+	tb.Helper()
+	n, refit := d.Shape[0], d.Shape[1]
+	pos, at, params := poolInts, refit, 0
+	if d.Shape[2] == 1 {
+		at += n
 	}
+	var out []candAt
+	for range n {
+		c := candAt{shape: pos}
+		switch d.Shape[pos] {
+		case shapeARIMA:
+			p, q := d.Shape[pos+1], d.Shape[pos+3]
+			c.nparams, pos = p+q+2, pos+5
+		case shapeNARNET:
+			ni, nh := d.Shape[pos+1], d.Shape[pos+2]
+			c.nparams, pos = nh*(ni+2)+4, pos+3
+		default:
+			tb.Fatalf("kind %d", d.Shape[pos])
+		}
+		c.foldLen, c.size = d.Shape[pos], d.Shape[pos+1]
+		c.fold, c.ring, c.params = at, at+c.foldLen, params
+		pos, at, params = pos+4, at+c.foldLen+c.size+1, params+c.nparams
+		out = append(out, c)
+	}
+	if pos != len(d.Shape) || 8*at != len(d.State) || 8*params != len(d.Models) {
+		tb.Fatalf("pool columns of %d ints, %d and %d bytes; the walk read %d, %d and %d", len(d.Shape), len(d.State), len(d.Models), pos, 8*at, 8*params)
+	}
+	return out
 }
 
 // hostileFold is a selector document Restore must refuse, and what the
@@ -186,11 +274,11 @@ type hostileFold struct {
 	want []string
 }
 
-// hostileFolds are a fitted default pool's state, edited into what no
-// State writes: a refit window shorter than an ARIMA candidate reads, one
-// shorter than a NARNET's delay line (in a pool of NARNETs alone, so no
-// ARIMA is refused first), an ARIMA fold whose length is not p+q, and a
-// fold on a NARNET.
+// hostileFolds are a fitted default pool's columns, edited into what no
+// AppendState writes: a refit window shorter than an ARIMA candidate
+// reads, one shorter than a NARNET's delay line (in a pool of NARNETs
+// alone, so no ARIMA is refused first), an ARIMA fold whose length is not
+// p+q, and a fold on a NARNET.
 func hostileFolds(tb testing.TB) map[string]hostileFold {
 	tb.Helper()
 	s, err := New(trainSeries(48), Options{Seed: 1})
@@ -200,42 +288,55 @@ func hostileFolds(tb testing.TB) map[string]hostileFold {
 	if _, err := s.Predict(); err != nil {
 		tb.Fatal(err)
 	}
-	doc := func(edit func(st *SelectorState)) []byte {
-		st, err := s.State()
+	if names := fmt.Sprint(s.candidates[0].Name, s.candidates[1].Name, s.candidates[2].Name, s.candidates[3].Name); names != "ARIMA(1,1,1)ARIMA(2,1,2)NARNET(8,20)NARNET(12,10)" {
+		tb.Fatalf("default pool is %s", names)
+	}
+	doc := func(edit func(d *poolDoc, at []candAt)) []byte {
+		d, err := columns(s)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if names := fmt.Sprint(st.Candidates[0].Name, st.Candidates[1].Name, st.Candidates[2].Name, st.Candidates[3].Name); names != "ARIMA(1,1,1)ARIMA(2,1,2)NARNET(8,20)NARNET(12,10)" {
-			tb.Fatalf("default pool is %s", names)
-		}
-		edit(&st)
-		b, err := json.Marshal(st)
+		edit(&d, locate(tb, d))
+		b, err := json.Marshal(d)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return b
 	}
-	last := func(st *SelectorState, n int) { st.Refit = st.Refit[len(st.Refit)-8*n:] }
+	refit := func(d *poolDoc, n int) {
+		d.State = d.State[8*(d.Shape[1]-n):]
+		d.Shape[1] = n
+	}
 	return map[string]hostileFold{
 		"refit window shorter than an ARIMA reads": {
-			doc(func(st *SelectorState) { last(st, 20) }),
+			doc(func(d *poolDoc, _ []candAt) { refit(d, 20) }),
 			[]string{`candidate "ARIMA(2,1,2)"`, "history length 20 too short for ARIMA(2,1,2) (need >= 21)"},
 		},
 		"refit window shorter than a delay line": {
-			doc(func(st *SelectorState) {
-				last(st, 10)
-				st.Candidates = st.Candidates[2:]
-				st.LastPred = st.LastPred[16:]
-				st.Selection = 0
+			doc(func(d *poolDoc, at []candAt) {
+				// The NARNETs alone: their shape, their parameters, and
+				// the window, their cached predictions and their rings.
+				window, preds := d.State[8*(d.Shape[1]-10):8*d.Shape[1]], d.State[8*(d.Shape[1]+2):8*(d.Shape[1]+4)]
+				d.Shape = append([]int{2, 10, 1, 0, 1}, d.Shape[at[2].shape:]...)
+				d.Models = d.Models[8*at[2].params:]
+				d.State = append(append(slices.Clone(window), preds...), d.State[8*at[2].fold:]...)
 			}),
 			[]string{`candidate "NARNET(12,10)"`, "history length 10 shorter than delay line 12"},
 		},
 		"ARIMA fold not p+q long": {
-			doc(func(st *SelectorState) { st.Candidates[1].Fold = st.Candidates[1].Fold[8:] }),
+			doc(func(d *poolDoc, at []candAt) {
+				c := at[1]
+				d.Shape[c.shape+5]--
+				d.State = slices.Delete(d.State, 8*c.fold, 8*c.fold+8)
+			}),
 			[]string{`candidate "ARIMA(2,1,2)"`, "fold of 3 values for ARIMA(2,1,2), want p+q = 4"},
 		},
 		"fold on a NARNET": {
-			doc(func(st *SelectorState) { st.Candidates[3].Fold = st.Candidates[0].Fold }),
+			doc(func(d *poolDoc, at []candAt) {
+				c := at[3]
+				d.Shape[c.shape+3] = at[0].foldLen
+				d.State = slices.Insert(d.State, 8*c.fold, d.State[8*at[0].fold:8*at[0].ring]...)
+			}),
 			[]string{`candidate "NARNET(12,10)"`, "fold of 2 values, but a NARNET carries none"},
 		},
 	}
@@ -259,21 +360,11 @@ func TestSelectorRestoreRefusesHostileFolds(t *testing.T) {
 	}
 }
 
-// retiredKinds holds, by kind tag, a selector document with one candidate
-// of a kind that is no longer decoded, its model as the encoder of that
-// kind wrote it.
-var retiredKinds = map[string]string{
-	"sarima": `{"candidates":[{"name":"SARIMA","kind":"sarima","model":{"order":{"P":1,"D":0,"Q":1,"SP":1,"SD":0,"SQ":0,"Period":24},"phi":[0.5],"theta":[0.1],"sphi":[0.2],"intercept":0,"sigma2":1,"n":3},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
-	"burst":  `{"candidates":[{"name":"Burst","kind":"burst","model":{"lambda":0.1,"delta":0.01,"hold":30,"slow_alpha":0.3,"slow_beta":0.1,"fast_alpha":0.8,"fast_beta":0.5},"mse":{"window":"AAAAAAAAAAA=","next":0,"filled":0,"sum":0}}],"refit":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA"}`,
-}
-
-// TestSelectorStateAllocs: a fitted selector's State packs only what
-// moves — the refit window, the cached predictions and the folds, carved
-// out of one packed buffer, and each candidate's MSE ring — and shares
-// every candidate's model state, packed once when the selector was fitted
-// or restored. So it allocates a fixed handful, plus one ring a candidate,
-// whatever the models' sizes, and two States hand out the same model
-// arrays.
+// TestSelectorStateAllocs: a fitted selector's AppendState writes only
+// into the buffers it is handed, so handed them back it allocates nothing,
+// whatever the models' sizes; and every snapshot shares the parameters
+// packed when the pool was fitted or restored, so two calls of Models give
+// the same array.
 func TestSelectorStateAllocs(t *testing.T) {
 	fitted, err := New(trainSeries(240), Options{Seed: 1})
 	if err != nil {
@@ -282,58 +373,38 @@ func TestSelectorStateAllocs(t *testing.T) {
 	if _, err := fitted.Predict(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := fitted.State()
+	blob, err := encode(fitted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := new(Selector)
-	if err := restored.Restore(st); err != nil {
+	if err := decode(blob, restored); err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*Selector{"fitted": fitted, "restored": restored} {
-		n := len(s.Candidates())
-		// The packed buffer, the candidate slice, the MSE states and a
-		// ring a candidate.
-		want := float64(3 + n)
+		shape, state, err := s.AppendState(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := testing.AllocsPerRun(20, func() {
-			if _, err := s.State(); err != nil {
+			if shape, state, err = s.AppendState(shape[:0], state[:0]); err != nil {
 				t.Fatal(err)
 			}
-		}); got != want {
-			t.Errorf("%s: State allocates %v times for %d candidates, want %v", name, got, n, want)
+		}); got != 0 {
+			t.Errorf("%s: AppendState into warm buffers allocates %v times, want 0", name, got)
 		}
-		a, err := s.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Candidates {
-			if modelArray(t, a.Candidates[i].Model) != modelArray(t, b.Candidates[i].Model) {
-				t.Errorf("%s: candidate %q's model state was packed again", name, a.Candidates[i].Name)
-			}
+		if a, b := s.Models(), s.Models(); len(a) == 0 || &a[0] != &b[0] {
+			t.Errorf("%s: the pool's parameters were packed again", name)
 		}
 	}
-}
-
-// modelArray is the address of a pool member's first weight array.
-func modelArray(t *testing.T, model any) string {
-	t.Helper()
-	switch m := model.(type) {
-	case arima.ModelState:
-		return fmt.Sprintf("%p", m.Phi)
-	case narnet.State:
-		return fmt.Sprintf("%p", m.W1)
+	if !slices.Equal(fitted.Models(), restored.Models()) {
+		t.Error("the restored pool's parameters differ from the fitted one's")
 	}
-	t.Fatalf("model state of type %T", model)
-	return ""
 }
 
 // TestSelectorFixedStateMatchesRolling is the fixed-state oracle. The
 // default pool is fitted on N = 48 points and run 2,000 steps on. Every 7
-// steps a copy is restored from its JSON State — alternately before a
+// steps a copy is restored from its columns — alternately before a
 // Predict and with a prediction pending — and runs beside it for N + 7
 // steps, past a compaction of its own; 7 is coprime to N, so the copies
 // are taken at every phase of the original's compaction cycle. At every

@@ -177,3 +177,38 @@ func TestCalmPeriodRescansNothing(t *testing.T) {
 		}
 	}
 }
+
+// snapshotAllocs is the most a warm Snapshot of a fabric whose every rack
+// has a fitted deep pool may allocate: a fixed handful a section, the
+// deep section's included, however many racks, VMs, flows and links there
+// are.
+const snapshotAllocs = 48
+
+// TestSnapshotAllocsFlatInFabric: a warm Runtime.Snapshot with every
+// rack's deep pool fitted allocates as many objects on a BCube-8 (64
+// racks) as on a BCube-4 (16), and at most snapshotAllocs: each rack's
+// pool appends to one shape and one state buffer the runtime keeps, and
+// shares the parameters packed at its fit, and the flow paths are one flat
+// column.
+func TestSnapshotAllocsFlatInFabric(t *testing.T) {
+	var counts []float64
+	for _, size := range []int{4, 8} {
+		r := deepSnapRuntime(t, size)
+		if _, err := r.Snapshot(); err != nil { // grow the runtime's buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := r.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("BCube-%d, %d racks: Snapshot allocates %v objects", size, len(r.Cluster.Racks), allocs)
+		if allocs > snapshotAllocs {
+			t.Errorf("BCube-%d: Snapshot allocates %v objects, want at most %d", size, allocs, snapshotAllocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("Snapshot allocates %v objects on a BCube-4 and %v on a BCube-8, want the same", counts[0], counts[1])
+	}
+}

@@ -191,21 +191,22 @@ func BenchmarkRuntimeStepRecorded(b *testing.B) {
 
 var snapshotSink []byte
 
-// deepSnapParts builds the BENCHMARK.json bc8-deep-snap fabric (BCube-8)
-// with no VMs on it: what a restore starts from.
-func deepSnapParts(b *testing.B) (*dcn.Cluster, *cost.Model) {
-	b.Helper()
-	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 8})
+// deepSnapParts builds a BCube fabric of the given size — 8 is the
+// BENCHMARK.json bc8-deep-snap fabric — with no VMs on it: what a restore
+// starts from.
+func deepSnapParts(tb testing.TB, size int) (*dcn.Cluster, *cost.Model) {
+	tb.Helper()
+	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: size})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cluster, err := dcn.NewCluster(bc.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	model, err := cost.New(cluster, cost.PaperParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return cluster, model
 }
@@ -213,22 +214,22 @@ func deepSnapParts(b *testing.B) (*dcn.Cluster, *cost.Model) {
 // deepSnapRuntime populates that fabric and runs it until every rack's deep
 // pool is fitted, fed the way sheriffd feeds it: the VMs' surge streams
 // through StepExternal.
-func deepSnapRuntime(b *testing.B) *Runtime {
-	b.Helper()
-	cluster, model := deepSnapParts(b)
+func deepSnapRuntime(tb testing.TB, size int) *Runtime {
+	tb.Helper()
+	cluster, model := deepSnapParts(tb, size)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
 	r, err := New(cluster, model, Options{Seed: 1, Shards: 2, DeepPredict: true,
 		Traces: traces.Options{Kind: traces.Surge}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(r.Close)
+	tb.Cleanup(r.Close)
 	if _, err := drive(r).Run(r.opts.DeepFitAfter + 16); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for rk := range cluster.Racks {
 		if !r.DeepReady(rk) {
-			b.Fatalf("rack %d: deep pool not fitted", rk)
+			tb.Fatalf("rack %d: deep pool not fitted", rk)
 		}
 	}
 	return r
@@ -240,7 +241,7 @@ func deepSnapRuntime(b *testing.B) *Runtime {
 //
 //	go test -run - -bench 'Benchmark(Snapshot|Restore)Deep' -benchtime 20x -benchmem ./internal/runtime/
 func BenchmarkSnapshotDeep(b *testing.B) {
-	r := deepSnapRuntime(b)
+	r := deepSnapRuntime(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,7 +260,7 @@ func BenchmarkSnapshotDeep(b *testing.B) {
 // plus the cluster's and the runtime's Restore, what a restart pays before
 // its first period. Building the empty fabric is off the clock.
 func BenchmarkRestoreDeep(b *testing.B) {
-	snap, err := deepSnapRuntime(b).Snapshot()
+	snap, err := deepSnapRuntime(b, 8).Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func BenchmarkRestoreDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cluster, model := deepSnapParts(b)
+		cluster, model := deepSnapParts(b, 8)
 		b.StartTimer()
 		var loaded Snapshot
 		if err := json.Unmarshal(doc, &loaded); err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"sheriff/internal/dcn"
-	"sheriff/internal/predictor"
 	"sheriff/internal/traces"
 )
 
@@ -80,28 +79,33 @@ func TestDeepSnapshotGolden(t *testing.T) {
 	// it means anything: every rack's pool in fixed state, a refit window
 	// of the fit's length, and both model kinds, each ARIMA with its fold.
 	var doc struct {
-		Deep []*predictor.SelectorState `json:"deep"`
+		Deep *DeepColumns `json:"deep"`
 	}
 	if err := json.Unmarshal(want, &doc); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
-	for rk, d := range doc.Deep {
-		if d == nil {
+	if doc.Deep == nil {
+		t.Fatal("golden: no deep section")
+	}
+	kinds := map[int]bool{}
+	pools := deepPools(t, doc.Deep)
+	for rk, p := range pools {
+		if p == nil {
 			t.Fatalf("golden: rack %d has no fitted pool", rk)
 		}
-		if n := len(d.Refit) / 8; n != 24 {
+		if n := doc.Deep.Shape[p.at+1]; n != 24 {
 			t.Fatalf("golden: rack %d's refit window holds %d values, want the fit's 24", rk, n)
 		}
-		for _, c := range d.Candidates {
-			kinds[c.Kind] = true
-			if (len(c.Fold) > 0) != (c.Kind == "arima") {
-				t.Fatalf("golden: rack %d's %s has a fold of %d bytes", rk, c.Name, len(c.Fold))
+		for _, c := range p.cands {
+			kind, folded := doc.Deep.Shape[c.at], doc.Deep.Shape[c.fold] > 0
+			kinds[kind] = true
+			if folded != (kind == kindARIMA) {
+				t.Fatalf("golden: rack %d's candidate of kind %d has a fold of %d values", rk, kind, doc.Deep.Shape[c.fold])
 			}
 		}
 	}
-	if len(doc.Deep) == 0 || !kinds["arima"] || !kinds["narnet"] {
-		t.Fatalf("golden covers %d racks, kinds %v; want both model kinds", len(doc.Deep), kinds)
+	if len(pools) == 0 || !kinds[kindARIMA] || !kinds[kindNARNET] {
+		t.Fatalf("golden covers %d racks, kinds %v; want both model kinds", len(pools), kinds)
 	}
 
 	if !bytes.Equal(got, want) {
@@ -174,11 +178,12 @@ func encodeSnapshot(t *testing.T, r *Runtime) []byte {
 // TestRestoreRefusesOtherVersions: Restore takes the version Snapshot
 // writes and no other. Versions 3 and 4 (rows as records, floats in
 // decimal), 5 (a per-VM generator position), 6 (a model_stale flag), 7
-// (deep pools holding every value since their fit) and anything newer are
-// refused by number, not guessed at.
+// (deep pools holding every value since their fit), 8 (deep pools as a
+// record per rack and candidate) and anything newer are refused by number,
+// not guessed at.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	doc := goldenDoc(t)
-	for _, v := range []int{3, 4, 5, 6, 7, SnapshotVersion + 1} {
+	for _, v := range []int{3, 4, 5, 6, 7, 8, SnapshotVersion + 1} {
 		_, err := restoreMutated(t, doc, func(s *Snapshot) { s.Version = v })
 		want := fmt.Sprintf("snapshot version %d not supported", v)
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -234,6 +239,110 @@ func hostileDocs(tb testing.TB) map[string][]byte {
 			p := pair(s)
 			s.FlowPairs = append(s.FlowPairs, [3]int{2, p[1], p[2]})
 		}),
+	}
+}
+
+// The kinds of pool member in the deep shape column.
+const (
+	kindARIMA  = 1
+	kindNARNET = 2
+)
+
+// poolAt is where one rack's fitted pool sits in the deep shape column:
+// the offset of its first int (the candidate count), and per candidate
+// the offsets of its kind, of its first model int, of its fold length and
+// of its MSE ring's size (next slot and fill follow it).
+type poolAt struct {
+	at    int
+	cands []candAt
+}
+
+type candAt struct{ at, model, fold, ring int }
+
+// deepPools walks the deep shape column as Restore reads it, one entry a
+// rack, nil for a rack whose pool is not fitted.
+func deepPools(tb testing.TB, d *DeepColumns) []*poolAt {
+	tb.Helper()
+	var pools []*poolAt
+	for pos := 0; pos < len(d.Shape); {
+		if d.Shape[pos] == 0 {
+			pools, pos = append(pools, nil), pos+1
+			continue
+		}
+		p := &poolAt{at: pos}
+		n := d.Shape[pos]
+		pos += 5
+		for range n {
+			c := candAt{at: pos, model: pos + 1}
+			switch d.Shape[pos] {
+			case kindARIMA:
+				pos += 5
+			case kindNARNET:
+				pos += 3
+			default:
+				tb.Fatalf("deep shape: kind %d at %d", d.Shape[pos], pos)
+			}
+			c.fold, c.ring = pos, pos+1
+			p.cands, pos = append(p.cands, c), pos+4
+		}
+		pools = append(pools, p)
+	}
+	return pools
+}
+
+// hostileDeepDocs are the golden document with rack 0's pool — ARIMA(1,1,1),
+// ARIMA(2,1,2), NARNET(8,20), NARNET(12,10) — edited into what no
+// snapshot holds, each asking Restore to read or allocate what the columns
+// do not hold: a ring longer than the state, models shorter than the shape
+// promises, an unknown kind, a negative ARIMA order, a hidden layer of 2⁶²
+// units, an ARIMA fold that is not p+q long and a ring position at its
+// window's end.
+func hostileDeepDocs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	edit := func(change func(d *DeepColumns, p *poolAt)) []byte {
+		return editGolden(tb, func(s *Snapshot) {
+			p := deepPools(tb, s.Deep)[0]
+			if p == nil || len(p.cands) != 4 || s.Deep.Shape[p.cands[1].model] != 2 || s.Deep.Shape[p.cands[3].model] != 12 {
+				tb.Fatalf("rack 0's pool is not the default pool: %v", s.Deep.Shape)
+			}
+			change(s.Deep, p)
+		})
+	}
+	return map[string][]byte{
+		"deep ring longer than the state": edit(func(d *DeepColumns, p *poolAt) { d.Shape[p.cands[0].ring] = 1 << 40 }),
+		"deep models short":               edit(func(d *DeepColumns, p *poolAt) { d.Models[0] = d.Models[0][:len(d.Models[0])-8] }),
+		"deep unknown kind":               edit(func(d *DeepColumns, p *poolAt) { d.Shape[p.cands[2].at] = 9 }),
+		"deep negative order":             edit(func(d *DeepColumns, p *poolAt) { d.Shape[p.cands[0].model] = -1 }),
+		"deep huge hidden layer":          edit(func(d *DeepColumns, p *poolAt) { d.Shape[p.cands[3].model+1] = 1 << 62 }),
+		"deep fold not p+q long":          edit(func(d *DeepColumns, p *poolAt) { d.Shape[p.cands[1].fold] = 3 }),
+		"deep ring position at the window": edit(func(d *DeepColumns, p *poolAt) {
+			d.Shape[p.cands[2].ring+1] = d.Shape[p.cands[2].ring]
+		}),
+	}
+}
+
+// TestRestoreRefusesHostileDeepColumns: each hostile deep document is
+// refused, naming the rack and the candidate (by name, or by its place
+// where its name cannot be built), before anything sized by the hostile
+// value is allocated — a ring of 2⁴⁰ floats or a layer of 2⁶² units
+// would not fit in memory.
+func TestRestoreRefusesHostileDeepColumns(t *testing.T) {
+	want := map[string]string{
+		"deep ring longer than the state":  `restore deep pool 0: predictor: restore candidate "ARIMA(1,1,1)": timeseries: rolling mse: ring of 1099511627776 values`,
+		"deep models short":                `restore deep pool 0: predictor: restore candidate 3: narnet: restore: NARNET(12,10) needs more than`,
+		"deep unknown kind":                "restore deep pool 0: predictor: restore candidate 2: unknown kind 9",
+		"deep negative order":              "restore deep pool 0: predictor: restore candidate 0: arima: restore: arima: negative order component",
+		"deep huge hidden layer":           "restore deep pool 0: predictor: restore candidate 3: narnet: restore: NARNET(12,4611686018427387904) needs more than",
+		"deep fold not p+q long":           `restore deep pool 0: predictor: restore candidate "ARIMA(2,1,2)": arima: fold of 3 values for ARIMA(2,1,2), want p+q = 4`,
+		"deep ring position at the window": `restore deep pool 0: predictor: restore candidate "NARNET(8,20)": timeseries: rolling mse: next 20`,
+	}
+	for name, doc := range hostileDeepDocs(t) {
+		t.Run(name, func(t *testing.T) {
+			_, err := restoreMutated(t, doc, func(*Snapshot) {})
+			if err == nil || !strings.Contains(err.Error(), want[name]) {
+				t.Fatalf("err = %v, want one containing %q", err, want[name])
+			}
+		})
 	}
 }
 
@@ -304,12 +413,13 @@ func TestRestoreRefusesUnequalColumns(t *testing.T) {
 // one that writes it again byte for byte. Never a panic. Seeded with the
 // golden, so the fuzzer starts from every section a deep snapshot has,
 // with the hostile documents, which Restore must refuse before the work
-// they ask for, with the documents whose columns disagree in length, and
+// they ask for, with the documents whose columns disagree in length, with
+// the hostile deep columns, which Restore must refuse naming the rack, and
 // with a step no run reaches, which restores at once: the runtime replays
 // nothing.
 func FuzzRuntimeRestore(f *testing.F) {
 	f.Add(goldenDoc(f))
-	for _, docs := range []map[string][]byte{hostileDocs(f), unequalDocs(f)} {
+	for _, docs := range []map[string][]byte{hostileDocs(f), unequalDocs(f), hostileDeepDocs(f)} {
 		for _, doc := range docs {
 			f.Add(doc)
 		}

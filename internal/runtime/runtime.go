@@ -165,6 +165,9 @@ type Runtime struct {
 	// history and, once fitted, the dynamic-selection pool over it.
 	deepHist []*timeseries.Series
 	deep     []*predictor.Selector
+	// The buffers Snapshot appends the deep columns to before packing.
+	deepShape []int
+	deepState []float64
 
 	phaseSummaries [4]metrics.Summary // per-phase duration stats, seconds
 	skewSummaries  [3]metrics.Summary // shard-round load skew

@@ -429,7 +429,16 @@ func (r *Runtime) syncFlows() {
 
 // flowPairs lists the pairs holding a flow as [a, b, flowID], in pair order.
 func (r *Runtime) flowPairs() [][3]int {
-	var out [][3]int
+	n := 0
+	for _, e := range r.sh.edges {
+		if e.flow >= 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([][3]int, 0, n)
 	for _, e := range r.sh.edges {
 		if e.flow >= 0 {
 			out = append(out, [3]int{e.a, e.b, e.flow})

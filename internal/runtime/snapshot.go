@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
@@ -39,8 +40,12 @@ import (
 // state: its refit window (the last N observations, N being the length
 // the pool was fitted on) and each ARIMA candidate's innovation tails, in
 // place of every value observed since the fit and the models' copies of
-// their training series.
-const SnapshotVersion = 8
+// their training series. Version 9 carries the deep section as columns
+// too (DeepColumns): one shape column, one packed parameter array per
+// fitted rack, shared by every snapshot, and one state array for all
+// racks, in place of a record per rack and per candidate; and the flow
+// paths as one flat column with end offsets.
+const SnapshotVersion = 9
 
 // VMColumns is the step engine's per-VM forecasting state as columns, in
 // ascending VM ID order: entry i of ID, Rack (the admission rack, see
@@ -64,6 +69,23 @@ type QueueColumns struct {
 	Holt  timeseries.Bits `json:"holt"`
 }
 
+// DeepColumns is the deep forecasting pools as columns, in rack order.
+// Shape holds, per rack, 0 for a rack whose pool is not fitted, or the
+// fitted pool's shape as predictor.Selector.AppendState writes it (its
+// first int, the candidate count, is never 0); State is every fitted
+// pool's state, one after another. Models[r] is rack r's parameters
+// (predictor.Selector.Models), null for an unfit rack: packed when the
+// pool was fitted or restored, and shared by every snapshot since.
+// HistLen[r] is the length of rack r's pre-fit history, and Hist every
+// rack's, one after another.
+type DeepColumns struct {
+	Shape   []int             `json:"shape"`
+	Models  []timeseries.Bits `json:"models"`
+	State   timeseries.Bits   `json:"state"`
+	HistLen []int             `json:"hist_len"`
+	Hist    timeseries.Bits   `json:"hist"`
+}
+
 // Snapshot is the serializable state of a Runtime: everything needed so
 // that a restored runtime's subsequent StepStats are bit-identical
 // (timings aside) to the original continuing. A step's StepStats go to
@@ -71,30 +93,28 @@ type QueueColumns struct {
 //
 // A Snapshot is plain data — encoding it is one reflection pass, with no
 // nested document and no pre-encoded blob underneath — and it is a value:
-// the runtime it was taken from never writes into it (see Selector.State
-// for what a deep pool's state shares and why that is safe), so a caller
+// the runtime it was taken from never writes into it (the deep pools'
+// parameters it shares are never written after their fit), so a caller
 // may hold it, encode it later, or encode it while the runtime steps on.
 //
 // Rows travel as columns, and every float in them — VM and queue states,
-// the cluster's VM attributes, flow rates and link loads, the deep
-// section's refit windows, folds, weights and MSE rings — is a
-// timeseries.Bits, a base64 string of its bits: formatting shortest
-// decimals was most of the cost of writing a snapshot. Integers stay decimal, so a file can still
-// be searched for a VM, host or flow ID, and so do the models' short
-// coefficient vectors.
+// the cluster's VM attributes, flow rates and link loads, the deep pools'
+// parameters and state — is a timeseries.Bits, a base64 string of its
+// bits: formatting shortest decimals was most of the cost of writing a
+// snapshot. Integers stay decimal, so a file can still be searched for a
+// VM, host or flow ID.
 type Snapshot struct {
-	Version    int                        `json:"version"`
-	Step       int                        `json:"step"`
-	Seed       int64                      `json:"seed"`
-	Traces     *traces.Options            `json:"traces,omitempty"` // resolved trace options: the streams a restarted caller reopens
-	CostParams cost.Params                `json:"cost_params"`
-	Cluster    *dcn.Snapshot              `json:"cluster"`
-	Flows      *flow.Snapshot             `json:"flows"`
-	FlowPairs  [][3]int                   `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
-	VMs        VMColumns                  `json:"vms"`
-	Queues     QueueColumns               `json:"queues"`
-	Deep       []*predictor.SelectorState `json:"deep,omitempty"`      // per-rack fitted selector (null = unfit)
-	DeepHist   []timeseries.Bits          `json:"deep_hist,omitempty"` // per-rack pre-fit history
+	Version    int             `json:"version"`
+	Step       int             `json:"step"`
+	Seed       int64           `json:"seed"`
+	Traces     *traces.Options `json:"traces,omitempty"` // resolved trace options: the streams a restarted caller reopens
+	CostParams cost.Params     `json:"cost_params"`
+	Cluster    *dcn.Snapshot   `json:"cluster"`
+	Flows      *flow.Snapshot  `json:"flows"`
+	FlowPairs  [][3]int        `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
+	VMs        VMColumns       `json:"vms"`
+	Queues     QueueColumns    `json:"queues"`
+	Deep       *DeepColumns    `json:"deep,omitempty"`
 }
 
 // Snapshot captures the runtime's full resumable state. It fails when a
@@ -159,27 +179,45 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 		}
 	}
 	if r.opts.DeepPredict {
-		snap.Deep = make([]*predictor.SelectorState, len(r.deep))
-		snap.DeepHist = make([]timeseries.Bits, len(r.deepHist))
-		for i, sel := range r.deep {
-			if sel == nil {
-				continue
-			}
-			st, err := sel.State()
-			if err != nil {
-				return nil, fmt.Errorf("runtime: snapshot deep pool %d: %w", i, err)
-			}
-			snap.Deep[i] = &st
-		}
-		for i, h := range r.deepHist {
-			b, err := timeseries.Pack(h.Raw())
-			if err != nil {
-				return nil, fmt.Errorf("runtime: snapshot deep history %d: %w", i, err)
-			}
-			snap.DeepHist[i] = b
+		if snap.Deep, err = r.deepColumns(); err != nil {
+			return nil, err
 		}
 	}
 	return snap, nil
+}
+
+// deepColumns appends every rack's pool to the shape and state buffers the
+// runtime keeps for them, and packs each once. Its allocations do not
+// depend on the number of racks.
+func (r *Runtime) deepColumns() (*DeepColumns, error) {
+	d := &DeepColumns{Models: make([]timeseries.Bits, len(r.deep)), HistLen: make([]int, len(r.deep))}
+	shape, state := r.deepShape[:0], r.deepState[:0]
+	for rk, sel := range r.deep {
+		if sel == nil {
+			shape = append(shape, 0)
+			continue
+		}
+		var err error
+		if shape, state, err = sel.AppendState(shape, state); err != nil {
+			return nil, fmt.Errorf("runtime: snapshot deep pool %d: %w", rk, err)
+		}
+		d.Models[rk] = sel.Models()
+	}
+	d.Shape = slices.Clone(shape)
+	var err error
+	if d.State, err = timeseries.Pack(state); err != nil {
+		return nil, fmt.Errorf("runtime: snapshot deep state: %w", err)
+	}
+	hist := state[:0]
+	for rk, h := range r.deepHist {
+		d.HistLen[rk] = h.Len()
+		hist = append(hist, h.Raw()...)
+	}
+	if d.Hist, err = timeseries.Pack(hist); err != nil {
+		return nil, fmt.Errorf("runtime: snapshot deep history: %w", err)
+	}
+	r.deepShape, r.deepState = shape, hist
+	return d, nil
 }
 
 // sameVMs fails unless the engine steps exactly the cluster's VMs, both
@@ -333,26 +371,58 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	r.buildEdges(snap.FlowPairs)
 
 	if opts.DeepPredict && snap.Deep != nil {
-		if len(snap.Deep) != len(r.deep) || len(snap.DeepHist) != len(r.deepHist) {
-			return nil, fmt.Errorf("runtime: snapshot deep state covers %d racks, cluster has %d", len(snap.Deep), len(r.deep))
-		}
-		for i, st := range snap.Deep {
-			if st == nil {
-				continue
-			}
-			sel := new(predictor.Selector)
-			if err := sel.Restore(*st); err != nil {
-				return nil, fmt.Errorf("runtime: restore deep pool %d: %w", i, err)
-			}
-			r.deep[i] = sel
-		}
-		for i, b := range snap.DeepHist {
-			h, err := b.Floats()
-			if err != nil {
-				return nil, fmt.Errorf("runtime: restore deep history %d: %w", i, err)
-			}
-			r.deepHist[i].Append(h...)
+		if err := r.restoreDeep(snap.Deep); err != nil {
+			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// restoreDeep rebuilds every rack's pool and pre-fit history from the deep
+// columns, which must be read to their ends. Each rack's pool is checked
+// against the columns before anything sized by them is allocated
+// (predictor.Selector.Restore), and an error names the rack.
+func (r *Runtime) restoreDeep(d *DeepColumns) error {
+	if len(d.Models) != len(r.deep) || len(d.HistLen) != len(r.deep) {
+		return fmt.Errorf("runtime: snapshot deep columns cover %d and %d racks, cluster has %d", len(d.Models), len(d.HistLen), len(r.deep))
+	}
+	state, err := d.State.Floats()
+	if err != nil {
+		return fmt.Errorf("runtime: snapshot deep state: %w", err)
+	}
+	hist, err := d.Hist.Floats()
+	if err != nil {
+		return fmt.Errorf("runtime: snapshot deep history: %w", err)
+	}
+	shape := d.Shape
+	for rk := range r.deep {
+		switch {
+		case len(shape) == 0:
+			return fmt.Errorf("runtime: snapshot deep shape ends before rack %d", rk)
+		case shape[0] == 0 && d.Models[rk] != nil:
+			return fmt.Errorf("runtime: snapshot deep pool %d is not fitted but has models", rk)
+		case shape[0] == 0:
+			shape = shape[1:]
+			continue
+		}
+		sel := new(predictor.Selector)
+		if shape, state, err = sel.Restore(shape, d.Models[rk], state); err != nil {
+			return fmt.Errorf("runtime: restore deep pool %d: %w", rk, err)
+		}
+		r.deep[rk] = sel
+	}
+	if len(shape) != 0 || len(state) != 0 {
+		return fmt.Errorf("runtime: snapshot deep columns hold %d shape ints and %d state values past the last rack", len(shape), len(state))
+	}
+	for rk, n := range d.HistLen {
+		if n < 0 || n > len(hist) {
+			return fmt.Errorf("runtime: snapshot deep history of rack %d holds %d values, %d left", rk, n, len(hist))
+		}
+		r.deepHist[rk].Append(hist[:n]...)
+		hist = hist[n:]
+	}
+	if len(hist) != 0 {
+		return fmt.Errorf("runtime: snapshot deep history holds %d values past the last rack", len(hist))
+	}
+	return nil
 }

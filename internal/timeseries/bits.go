@@ -10,9 +10,9 @@ import (
 
 // Bits holds a []float64 packed for a snapshot: eight little-endian bytes
 // of each value's IEEE-754 bits, in order. It types the floats a snapshot
-// carries — every section's float columns, the deep pools' histories,
-// weights and error rings — where shortest-decimal formatting would be
-// most of the cost of writing the document. Pack builds one, refusing NaN
+// carries — every section's float columns, the deep pools' parameters
+// and state — where shortest-decimal formatting would be most of the cost
+// of writing the document. Pack builds one, refusing NaN
 // and ±Inf, and Floats reads it back.
 //
 // Being a byte slice, it is written by encoding/json's own []byte path: a
@@ -25,7 +25,7 @@ import (
 //
 // Reading one from a file is as it always was:
 //
-//	jq -r '.runtime.deep[0].history' f.snap | base64 -d | od -An -t f8
+//	jq -r '.runtime.deep.state' f.snap | base64 -d | od -An -t f8
 type Bits []byte
 
 // expMask selects a float64's exponent; all ones there is NaN or ±Inf.

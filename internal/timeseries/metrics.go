@@ -126,44 +126,32 @@ func (r *RollingMSE) Reset() {
 	r.next, r.filled, r.sum = 0, 0, 0
 }
 
-// RollingState is a RollingMSE as plain data, and its JSON form: what the
-// snapshots that embed it carry. The running sum is carried explicitly
-// rather than recomputed so a roundtrip reproduces Value() bit-identically,
-// including any accumulated floating-point drift of the subtract-and-add
-// ring update.
-type RollingState struct {
-	Window Bits    `json:"window"`
-	Next   int     `json:"next"`
-	Filled int     `json:"filled"`
-	Sum    float64 `json:"sum"`
+// AppendState appends the tracker to the two slices a snapshot packs: its
+// ring's size, next slot and fill count to ints, and the ring followed by
+// the running sum to floats. The sum is carried rather than recomputed so
+// that Restore reproduces Value() bit for bit, including any drift the
+// subtract-and-add ring update has accumulated.
+func (r *RollingMSE) AppendState(ints []int, floats []float64) ([]int, []float64) {
+	ints = append(ints, len(r.window), r.next, r.filled)
+	return ints, append(append(floats, r.window...), r.sum)
 }
 
-// State returns the tracker's state, its ring packed. It fails when the
-// ring holds a NaN or ±Inf (an overflowed squared error).
-func (r *RollingMSE) State() (RollingState, error) {
-	w, err := Pack(r.window)
-	if err != nil {
-		return RollingState{}, fmt.Errorf("timeseries: rolling mse: window: %w", err)
+// Restore replaces the tracker with the one AppendState wrote at the
+// front of ints and floats, and returns what it did not read. A ring that
+// floats cannot hold, or a next slot or fill count outside the ring, is
+// refused before anything is allocated.
+func (r *RollingMSE) Restore(ints []int, floats []float64) ([]int, []float64, error) {
+	if len(ints) < 3 {
+		return nil, nil, fmt.Errorf("timeseries: rolling mse: %d ints left, want size, next and filled", len(ints))
 	}
-	return RollingState{Window: w, Next: r.next, Filled: r.filled, Sum: r.sum}, nil
-}
-
-// Restore replaces the tracker's state with st, unpacking the ring.
-func (r *RollingMSE) Restore(st RollingState) error {
-	w, err := st.Window.Floats()
-	if err != nil {
-		return fmt.Errorf("timeseries: rolling mse: window: %w", err)
+	size, next, filled := ints[0], ints[1], ints[2]
+	if size < 1 || size >= len(floats) {
+		return nil, nil, fmt.Errorf("timeseries: rolling mse: ring of %d values, %d floats left for it and the sum", size, len(floats))
 	}
-	if len(w) == 0 {
-		return errors.New("timeseries: RollingMSE with empty window")
+	if next < 0 || next >= size || filled < 0 || filled > size {
+		return nil, nil, fmt.Errorf("timeseries: rolling mse: next %d and filled %d outside a ring of %d", next, filled, size)
 	}
-	if st.Next < 0 || st.Next >= len(w) || st.Filled < 0 || st.Filled > len(w) {
-		return fmt.Errorf("timeseries: RollingMSE state out of range (next=%d filled=%d size=%d)",
-			st.Next, st.Filled, len(w))
-	}
-	r.window = w
-	r.next = st.Next
-	r.filled = st.Filled
-	r.sum = st.Sum
-	return nil
+	r.window = append([]float64(nil), floats[:size]...)
+	r.next, r.filled, r.sum = next, filled, floats[size]
+	return ints[3:], floats[size+1:], nil
 }
