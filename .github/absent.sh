@@ -173,5 +173,8 @@ src  json:"model"
 doc  ./internal/arima ModelState
 doc  ./internal/narnet State
 doc  ./internal/timeseries RollingState
+# A steady period allocates nothing: StepExternal returns its stats by value, and a shim keeps no round memory of its own — every shim of a runtime borrows one migrate.Workspace.
+src  \(\*StepStats,[[:space:]]*error\)
+src  \bs\.(knap|inSet|hostSet|torSet|vms|tally)\b|&s\.scratch\b
 EOF
 exit $fail

@@ -98,8 +98,8 @@ type suffixState struct {
 	rTail []float64 // last q innovations, most recent first
 }
 
-// minObservations returns the minimum series length required to fit o.
-func minObservations(o Order) int {
+// MinObservations returns the minimum series length Fit takes for o.
+func MinObservations(o Order) int {
 	m := o.P
 	if o.Q > m {
 		m = o.Q
@@ -114,9 +114,9 @@ func Fit(s *timeseries.Series, order Order) (*Model, error) {
 	if err := order.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Len() < minObservations(order) {
+	if s.Len() < MinObservations(order) {
 		return nil, fmt.Errorf("arima: series length %d too short for %s (need >= %d)",
-			s.Len(), order, minObservations(order))
+			s.Len(), order, MinObservations(order))
 	}
 	w, err := timeseries.DiffN(s, order.D)
 	if err != nil {
@@ -340,9 +340,9 @@ func (m *Model) Resume(history *timeseries.Series, fold []float64) error {
 // readable fails unless the model can forecast from history. The second
 // test holds where the first overflows: a decoded order can be anything.
 func (m *Model) readable(history *timeseries.Series) error {
-	if n := history.Len(); n < minObservations(m.Order) || n <= m.Order.D {
+	if n := history.Len(); n < MinObservations(m.Order) || n <= m.Order.D {
 		return fmt.Errorf("arima: history length %d too short for %s (need >= %d)",
-			n, m.Order, minObservations(m.Order))
+			n, m.Order, MinObservations(m.Order))
 	}
 	return nil
 }

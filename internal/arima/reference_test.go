@@ -241,7 +241,7 @@ func TestForecastMatchesReference(t *testing.T) {
 		}
 		fitted++
 		ref := &refModel{m: m}
-		forecasttest.MatchReference(t, o.String(), s, minObservations(o), m.ForecastFrom, ref.forecastFrom)
+		forecasttest.MatchReference(t, o.String(), s, MinObservations(o), m.ForecastFrom, ref.forecastFrom)
 	}
 	if fitted < 18 {
 		t.Fatalf("only %d of 24 orders fitted", fitted)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -213,6 +214,11 @@ type Cluster struct {
 	sdAt       uint64
 	sdOK       bool
 	hostSums   int
+
+	// minCap is the smallest positive capacity of any VM placed so far:
+	// with place's capacity check it bounds how many VMs a host can hold
+	// (roomFor).
+	minCap float64
 }
 
 // NewCluster builds a cluster with one Rack per rack-kind vertex of the
@@ -326,9 +332,31 @@ func (c *Cluster) place(vm *VM, h *Host) error {
 	if resident, ok := h.Conflict(c.Deps, vm.ID); ok {
 		return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d", ErrDependencyConflict, vm.ID, resident, h.ID)
 	}
+	if vm.Capacity > 0 && (c.minCap == 0 || vm.Capacity < c.minCap) {
+		c.minCap = vm.Capacity
+	}
+	if len(h.vms) == cap(h.vms) {
+		h.vms = slices.Grow(h.vms, c.roomFor(h)-len(h.vms))
+	}
 	h.insert(vm)
 	vm.host = h
 	return nil
+}
+
+// roomFor is how many VMs host h can ever hold at once, which is what its
+// resident slice grows to when it is full: the host's capacity over the
+// smallest VM capacity placed so far, since place admits no VM the host
+// lacks the room for. The slice grows again only when a smaller VM than
+// any before arrives (or a VM of no capacity, which no count bounds), so
+// migrations onto a host allocate nothing in a steady fabric. It is at
+// least one more than the host holds and at most one more than the
+// cluster's VM count.
+func (c *Cluster) roomFor(h *Host) int {
+	n := len(h.vms) + 1
+	if c.minCap > 0 {
+		n = max(n, int(h.Capacity/c.minCap)+1)
+	}
+	return min(n, max(len(h.vms), len(c.vms))+1)
 }
 
 // Move migrates a VM to the destination host, enforcing capacity and

@@ -123,7 +123,7 @@ func AblationPrioritySelection(seed int64) (*Table, error) {
 			shed += vm.Capacity
 		}
 		var hosts []*dcn.Host
-		shim, err := migrate.NewShim(s.Cluster, s.Model, rack, migrate.DefaultParams())
+		shim, err := migrate.NewShim(s.Cluster, s.Model, rack, migrate.DefaultParams(), nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -10,6 +10,10 @@
 // more on a free list, and draws every new route from it, so that a
 // reroute, or an admission after a removal, allocates no path. The list
 // holds at most one route more than the most flows ever live at once.
+// Flow records are recycled the same way: RemoveFlow puts the *Flow on a
+// free list and AddFlow takes it off again, so an admission after a
+// removal allocates nothing at all, and a removed *Flow may come back as
+// another flow. Hold a flow by its ID across a RemoveFlow, not by pointer.
 package flow
 
 import (
@@ -131,7 +135,11 @@ type Network struct {
 	// when the list is empty, and at most one is held beside the live
 	// flows' (a reroute's new route, found while the old one may still be
 	// restored): hence the package doc's bound.
-	free []routeBuf
+	free    []routeBuf
+	longest int // nodes on the longest route made so far; see route
+	// spare holds the records of removed flows for AddFlow to fill again:
+	// records ever made are at most the most flows ever live at once.
+	spare []*Flow
 }
 
 // NewNetwork wraps a topology graph. Link loads start at zero.
@@ -188,11 +196,18 @@ func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flo
 	if src == dst {
 		return nil, errors.New("flow: src == dst")
 	}
-	f := &Flow{ID: n.nextID, Src: src, Dst: dst, Rate: rate, DelaySensitive: delaySensitive}
 	path, edges := n.cheapestPath(src, dst, nil)
 	if path == nil {
 		return nil, ErrNoRoute
 	}
+	var f *Flow
+	if last := len(n.spare) - 1; last >= 0 {
+		f, n.spare[last] = n.spare[last], nil
+		n.spare = n.spare[:last]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{ID: n.nextID, Src: src, Dst: dst, Rate: rate, DelaySensitive: delaySensitive}
 	n.nextID++
 	n.flows = append(n.flows, f)
 	n.applyPath(f, path, edges)
@@ -310,22 +325,28 @@ func (n *Network) Rescans() int { return n.marked }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
 // unreachable. The flow keeps the slices: they are the last route on the
-// free list, taken off it, or fresh when the list is empty (or its last
-// route is too short, whose storage is then dropped).
+// free list, taken off it, or fresh when the list is empty. Fresh storage
+// has room for the longest route made so far, and a route on the list with
+// less room is dropped, so once the longest route of the fabric has been
+// seen, no admission or reroute makes storage.
 func (n *Network) route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
-	var buf routeBuf
 	last := len(n.free) - 1
-	if last >= 0 {
-		buf = n.free[last]
+	if last >= 0 && cap(n.free[last].path) < n.longest {
+		n.free[last] = routeBuf{}
+		n.free, last = n.free[:last], last-1
 	}
+	if last < 0 {
+		n.free = append(n.free, routeBuf{make([]int, 0, n.longest), make([]int, 0, n.longest)})
+		last = 0
+	}
+	buf := n.free[last]
 	path = ms.Path(src, dst, buf.path)
 	if path == nil {
-		return nil, nil
+		return nil, nil // the route stays on the list for the next search
 	}
-	if last >= 0 {
-		n.free[last] = routeBuf{}
-		n.free = n.free[:last]
-	}
+	n.free[last] = routeBuf{}
+	n.free = n.free[:last]
+	n.longest = max(n.longest, len(path))
 	if cap(buf.edges) < len(path)-1 {
 		buf.edges = make([]int, 0, len(path)-1)
 	}
@@ -402,7 +423,8 @@ func (n *Network) index(id int) (int, bool) {
 }
 
 // RemoveFlow withdraws a flow and releases its load. Its route's storage
-// goes back on the free list.
+// and its record go back on the free lists: the next AddFlow may return the
+// same *Flow as a new flow.
 func (n *Network) RemoveFlow(id int) {
 	i, ok := n.index(id)
 	if !ok {
@@ -412,7 +434,8 @@ func (n *Network) RemoveFlow(id int) {
 	path, edges := f.path, f.edges
 	n.clearPath(f)
 	n.recycle(path, edges)
-	n.flows = append(n.flows[:i], n.flows[i+1:]...)
+	n.flows = slices.Delete(n.flows, i, i+1)
+	n.spare = append(n.spare, f)
 }
 
 // Flow returns the flow with the given ID, or nil.

@@ -25,7 +25,8 @@ import (
 //   - the flow table is strictly ascending by ID, below the next ID;
 //   - no two live flows' routes share storage, and no live flow's route is
 //     on the free list, nor any route twice: a route reused while still
-//     read shows up here before it corrupts a load.
+//     read shows up here before it corrupts a load. Likewise no live flow's
+//     record is on the spare list, nor any record twice.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and
 // debugging, not for the per-period path.
@@ -132,6 +133,16 @@ func (n *Network) checkStorage() error {
 		if err := claim(b.edges, holder{"free route", i, "edges"}); err != nil {
 			return err
 		}
+	}
+	records := make(map[*Flow]bool, len(n.flows)+len(n.spare))
+	for _, f := range n.flows {
+		records[f] = true
+	}
+	for i, f := range n.spare {
+		if records[f] {
+			return fmt.Errorf("flow: spare record %d is live or listed twice (flow %d)", i, f.ID)
+		}
+		records[f] = true
 	}
 	return nil
 }

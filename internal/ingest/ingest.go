@@ -199,6 +199,10 @@ type Service struct {
 
 	subMu sync.Mutex
 	subs  []*Subscription
+
+	// polled is what Poll returns, refilled by every Poll under pollMu.
+	pollMu sync.Mutex
+	polled []Alert
 }
 
 // New builds a service over an explicit rack partition: vmsByRack[i]
@@ -237,10 +241,13 @@ func New(vmsByRack [][]int, opts Options) (*Service, error) {
 		s.vmLoc[i].shard = -1
 	}
 	for i, vms := range vmsByRack {
+		// A drain raises at most one alert per VM it holds, so a shard's
+		// alert list, like Poll's, starts at one entry per VM.
 		sh := &shard{
-			rack:  i,
-			queue: make([]queued, 0, min(len(vms), opts.QueueLimit)),
-			slots: make([]slot, 0, len(vms)),
+			rack:   i,
+			queue:  make([]queued, 0, min(len(vms), opts.QueueLimit)),
+			slots:  make([]slot, 0, len(vms)),
+			alerts: make([]Alert, 0, len(vms)),
 		}
 		for _, vm := range vms {
 			if s.vmLoc[vm].shard >= 0 {
@@ -251,6 +258,7 @@ func New(vmsByRack [][]int, opts Options) (*Service, error) {
 		}
 		s.shard = append(s.shard, sh)
 	}
+	s.polled = make([]Alert, 0, n)
 	return s, nil
 }
 
@@ -478,8 +486,15 @@ func (sl *slot) observe(v float64) float64 {
 // (rack, VM), and clears them. Shards are visited in rack order, so only
 // each shard's own run needs sorting. A shard no drain has raised an alert
 // on since is passed without taking its lock.
+//
+// The slice is the service's and stays valid until the next Poll, which
+// refills it: a caller that keeps alerts across polls copies them. It
+// starts at one entry per VM, so a caller that polls after every drain
+// never makes it grow.
 func (s *Service) Poll() []Alert {
-	var out []Alert
+	s.pollMu.Lock()
+	defer s.pollMu.Unlock()
+	out := s.polled[:0]
 	for _, sh := range s.shard {
 		if !sh.unpolled.Load() {
 			continue
@@ -494,6 +509,7 @@ func (s *Service) Poll() []Alert {
 			slices.SortFunc(out[from:], func(a, b Alert) int { return cmp.Compare(a.VM, b.VM) })
 		}
 	}
+	s.polled = out
 	return out
 }
 

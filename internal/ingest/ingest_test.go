@@ -387,33 +387,54 @@ func TestSnapshotGuards(t *testing.T) {
 	}
 }
 
-// TestHotPathZeroAlloc pins the steady-state allocation contract for
-// both triage modes: once queues are warm, a period's Offer, ProcessPending
-// and Poll over several shards do not allocate.
+// TestHotPathZeroAlloc: once the queues and the wait summaries have grown,
+// an offer+drain+poll cycle allocates nothing, in either triage mode —
+// a quiet one, and one whose updates raise a pre-alert on each of two
+// shards and clear it again, so that Poll returns alerts: the shards'
+// alert lists and the slice Poll returns are sized to the VMs at New.
 func TestHotPathZeroAlloc(t *testing.T) {
 	for _, mode := range []TriageMode{TriageFloat, TriageQuant} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := build(t, Options{Mode: mode})
-			a, b := Update{VM: 0, Profile: cool()}, Update{VM: 3, Profile: cool()}
-			cycle := func() {
-				for _, u := range []Update{a, b} {
-					if ok, err := s.Offer(u); err != nil || !ok {
-						t.Fatalf("offer failed: %v %v", ok, err)
+			offer := func(p traces.Profile, times int) {
+				for i := 0; i < times; i++ {
+					for _, vm := range []int{0, 3} {
+						if ok, err := s.Offer(Update{VM: vm, Profile: p}); err != nil || !ok {
+							t.Fatalf("offer failed: %v %v", ok, err)
+						}
 					}
 				}
-				if n := s.ProcessPending(); n != 2 {
-					t.Fatalf("processed %d updates, want 2", n)
+				if n := s.ProcessPending(); n != 2*times {
+					t.Fatalf("processed %d updates, want %d", n, 2*times)
 				}
+			}
+			quiet := func() {
+				offer(cool(), 1)
 				if alerts := s.Poll(); len(alerts) != 0 {
 					t.Fatalf("cool updates raised %v", alerts)
 				}
 			}
-			// Warm up: grow the queues and the wait summaries.
-			for i := 0; i < 64; i++ {
-				cycle()
+			alerting := func() {
+				offer(hot(), 4)
+				if alerts := s.Poll(); len(alerts) != 2 || alerts[0].VM != 0 || alerts[1].VM != 3 {
+					t.Fatalf("hot updates raised %v, want one alert for VM 0 and one for VM 3", alerts)
+				}
+				offer(cool(), 4)
+				if alerts := s.Poll(); len(alerts) != 0 {
+					t.Fatalf("cool updates raised %v", alerts)
+				}
 			}
-			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-				t.Fatalf("hot path allocates %.1f per offer+drain+poll cycle over %d shards, want 0", allocs, len(s.shard))
+			for _, c := range []struct {
+				name  string
+				cycle func()
+			}{{"quiet", quiet}, {"alerting", alerting}} {
+				// Warm up: grow the queues and the wait summaries.
+				for i := 0; i < 64; i++ {
+					c.cycle()
+				}
+				if allocs := testing.AllocsPerRun(200, c.cycle); allocs != 0 {
+					t.Fatalf("hot path allocates %.1f per %s offer+drain+poll cycle over %d shards, want 0", allocs, c.name, len(s.shard))
+				}
 			}
 		})
 	}

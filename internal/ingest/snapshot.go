@@ -56,7 +56,10 @@ type Snapshot struct {
 
 // Snapshot captures the triage state. It errors while updates are still
 // pending (drain first: a snapshot must not silently forget accepted
-// updates) or alerts are unpolled.
+// updates) or alerts are unpolled. Every shard's columns are cut from one
+// fresh array per column, so a snapshot makes the same handful of
+// allocations however many racks there are, and the snapshot it returns
+// shares nothing with the service.
 func (s *Service) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		Version:   SnapshotVersion,
@@ -66,50 +69,65 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 		Dropped:   s.dropped.Load(),
 		Processed: s.processed.Load(),
 		Alerts:    s.alerts.Load(),
+		Shards:    make([]ShardSnap, len(s.shard)),
 	}
+	n := 0 // a shard's slots are fixed at New, so they are counted unlocked
 	for _, sh := range s.shard {
+		n += len(sh.slots)
+	}
+	quantized := s.opts.Mode == TriageQuant
+	vms, seen, alerted := make([]int, n), make([]int, n), make([]bool, n)
+	var words []int32
+	var holt []float64
+	if quantized {
+		words = make([]int32, 2*n)
+	} else {
+		holt = make([]float64, 2*n)
+	}
+	lo := 0
+	for i, sh := range s.shard {
 		sh.mu.Lock()
-		if n := len(sh.queue); n != 0 {
+		if k := len(sh.queue); k != 0 {
 			sh.mu.Unlock()
-			return nil, fmt.Errorf("ingest: snapshot with %d pending updates on shard %d (ProcessPending first)", n, sh.rack)
+			return nil, fmt.Errorf("ingest: snapshot with %d pending updates on shard %d (ProcessPending first)", k, sh.rack)
 		}
-		if n := len(sh.alerts); n != 0 {
+		if k := len(sh.alerts); k != 0 {
 			sh.mu.Unlock()
-			return nil, fmt.Errorf("ingest: snapshot with %d unpolled alerts on shard %d (Poll first)", n, sh.rack)
+			return nil, fmt.Errorf("ingest: snapshot with %d unpolled alerts on shard %d (Poll first)", k, sh.rack)
 		}
-		ss, err := s.shardSnap(sh)
+		hi := lo + len(sh.slots)
+		ss := &snap.Shards[i]
+		*ss = ShardSnap{Rack: sh.rack, VM: vms[lo:hi:hi], Seen: seen[lo:hi:hi], Alerted: alerted[lo:hi:hi]}
+		for j, sl := range sh.slots {
+			ss.VM[j], ss.Alerted[j] = sl.vm, sl.alerted
+			if quantized {
+				ss.Seen[j] = int(sl.q.Seen)
+				words[2*(lo+j)], words[2*(lo+j)+1] = int32(sl.q.Level), int32(sl.q.Trend)
+			} else {
+				ss.Seen[j] = sl.seen
+				holt[2*(lo+j)], holt[2*(lo+j)+1] = sl.level, sl.trend
+			}
+		}
+		if quantized {
+			ss.Words = words[2*lo : 2*hi : 2*hi]
+		}
 		sh.mu.Unlock()
+		lo = hi
+	}
+	if !quantized {
+		packed, err := timeseries.Pack(holt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ingest: snapshot: %w", err)
 		}
-		snap.Shards = append(snap.Shards, ss)
+		lo := 0
+		for i := range snap.Shards {
+			ss := &snap.Shards[i]
+			hi := lo + 16*len(ss.VM)
+			ss.Holt = packed[lo:hi:hi]
+			lo = hi
+		}
 	}
 	return snap, nil
-}
-
-// shardSnap spells one shard's slots as columns. The caller holds the
-// shard's lock.
-func (s *Service) shardSnap(sh *shard) (ShardSnap, error) {
-	n := len(sh.slots)
-	ss := ShardSnap{Rack: sh.rack, VM: make([]int, n), Seen: make([]int, n), Alerted: make([]bool, n)}
-	if s.opts.Mode == TriageQuant {
-		ss.Words = make([]int32, 2*n)
-		for j, sl := range sh.slots {
-			ss.VM[j], ss.Seen[j], ss.Alerted[j] = sl.vm, int(sl.q.Seen), sl.alerted
-			ss.Words[2*j], ss.Words[2*j+1] = int32(sl.q.Level), int32(sl.q.Trend)
-		}
-		return ss, nil
-	}
-	holt := make([]float64, 2*n)
-	for j, sl := range sh.slots {
-		ss.VM[j], ss.Seen[j], ss.Alerted[j] = sl.vm, sl.seen, sl.alerted
-		holt[2*j], holt[2*j+1] = sl.level, sl.trend
-	}
-	var err error
-	if ss.Holt, err = timeseries.Pack(holt); err != nil {
-		return ShardSnap{}, fmt.Errorf("ingest: snapshot rack %d: %w", sh.rack, err)
-	}
-	return ss, nil
 }
 
 // FromSnapshot builds a service over the snapshot's own rack partition

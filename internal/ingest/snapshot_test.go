@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"sheriff/internal/dcn"
+	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
 
@@ -125,4 +127,69 @@ func encodeService(t *testing.T, s *Service) []byte {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// TestSnapshotAllocsFlatInRacks: Snapshot cuts every shard's columns from
+// one array per column, so it allocates as many objects on a BCube-8 (64
+// racks) as on a BCube-4 (16), at most eight, in either triage mode; and
+// the document it returns is a value: a later drain does not reach it.
+func TestSnapshotAllocsFlatInRacks(t *testing.T) {
+	for _, mode := range []TriageMode{TriageFloat, TriageQuant} {
+		var counts []float64
+		for _, size := range []int{4, 8} {
+			bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: size})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := dcn.NewCluster(bc.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, Seed: 1})
+			s, err := FromCluster(c, Options{Mode: mode, Clock: fixedClock()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(size)))
+			updates := make([]Update, 0, len(c.VMs()))
+			for _, vm := range c.VMs() {
+				updates = append(updates, Update{VM: vm.ID, Profile: traces.Profile{CPU: rng.Float64(), Mem: rng.Float64()}})
+			}
+			if _, err := s.OfferBatch(updates); err != nil {
+				t.Fatal(err)
+			}
+			s.ProcessPending()
+			s.Poll()
+			held, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := json.Marshal(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := s.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v, BCube-%d, %d racks: Snapshot allocates %v objects", mode, size, len(c.Racks), allocs)
+			if allocs > 8 {
+				t.Errorf("%v, BCube-%d: Snapshot allocates %v objects, want at most 8", mode, size, allocs)
+			}
+			counts = append(counts, allocs)
+
+			if _, err := s.OfferBatch(updates); err != nil {
+				t.Fatal(err)
+			}
+			s.ProcessPending()
+			s.Poll()
+			if after, err := json.Marshal(held); err != nil || !bytes.Equal(before, after) {
+				t.Fatalf("%v, BCube-%d: a held snapshot changed when the service drained again (err %v)", mode, size, err)
+			}
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%v: Snapshot allocates %v objects on a BCube-4 and %v on a BCube-8, want the same", mode, counts[0], counts[1])
+		}
+	}
 }

@@ -20,7 +20,7 @@ func chaosScenario(t *testing.T, plan faults.Plan, rec *obs.Recorder) (*fixture,
 	fx := newFixture(t, 4, 2)
 	var shims []*Shim
 	for _, r := range fx.cluster.Racks[:2] {
-		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams())
+		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

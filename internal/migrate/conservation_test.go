@@ -120,7 +120,7 @@ func (sc *consScenario) shims(t *testing.T) []*Shim {
 	t.Helper()
 	var shims []*Shim
 	for _, r := range sc.fx.cluster.Racks {
-		s, err := NewShim(sc.fx.cluster, sc.fx.model, r, DefaultParams())
+		s, err := NewShim(sc.fx.cluster, sc.fx.model, r, DefaultParams(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

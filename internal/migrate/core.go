@@ -55,8 +55,8 @@ type core struct {
 	rec   *obs.Recorder
 	tally *Tally
 
-	// scratch is match's memory. A shim's cores share the shim's, across
-	// calls; a standalone Migrate or DistributedVMMigration builds one on
+	// scratch is match's memory. A shim's cores share its workspace's,
+	// across calls and shims; a standalone Migrate or DistributedVMMigration builds one on
 	// the first match and keeps it across the rounds of the call. A copy of
 	// a core shares it, stamp and all.
 	scratch *matchScratch
@@ -122,7 +122,7 @@ func (k *core) match(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) b
 func (k *core) price(vms []*dcn.VM, hosts []*dcn.Host, barred func(vi, hi int) bool) (costs, bases [][]float64, feasible bool) {
 	nv, nh := len(vms), len(hosts)
 	sc := k.ensureScratch()
-	if sc.prices == nil {
+	if len(sc.prices) < len(k.c.Racks) {
 		sc.prices = make([]rackPrice, len(k.c.Racks))
 	}
 	sc.flat = slices.Grow(sc.flat[:0], 2*nv*nh)[:2*nv*nh]
@@ -239,7 +239,7 @@ func exclude(m *map[int]map[int]bool, vmID, key int) {
 	keys[key] = true
 }
 
-// made returns *m, making it first when it is nil. The shim's and
+// made returns *m, making it first when it is nil. The workspace's and
 // sequential's bookkeeping maps are made on their first write: a nil map
 // reads as empty, and most calls never write most of them.
 func made[K comparable, V any](m *map[K]V) map[K]V {

@@ -14,7 +14,7 @@ func distSetup(t *testing.T, lossRate float64, seed int64) (*fixture, []*Shim, *
 	fx := newFixture(t, 4, 2)
 	var shims []*Shim
 	for _, r := range fx.cluster.Racks {
-		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams())
+		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
 		shims := make([]*Shim, shimCount)
 		sets := make([][]*dcn.VM, shimCount)
 		for i, r := range fx.cluster.Racks[:shimCount] {
-			s, err := NewShim(fx.cluster, fx.model, r, DefaultParams())
+			s, err := NewShim(fx.cluster, fx.model, r, DefaultParams(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

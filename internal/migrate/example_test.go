@@ -31,7 +31,7 @@ func fatTreeShims(pods, hostsPerRack int) (*dcn.Cluster, *cost.Model, []*migrate
 	}
 	shims := make([]*migrate.Shim, 0, len(cluster.Racks))
 	for _, r := range cluster.Racks {
-		s, err := migrate.NewShim(cluster, model, r, migrate.DefaultParams())
+		s, err := migrate.NewShim(cluster, model, r, migrate.DefaultParams(), nil)
 		if err != nil {
 			return nil, nil, nil, err
 		}

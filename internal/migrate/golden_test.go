@@ -56,7 +56,7 @@ func TestDistributedTraceGolden(t *testing.T) {
 	fx := newFixture(t, 4, 2)
 	shims := []*Shim{}
 	for _, r := range fx.cluster.Racks[:2] {
-		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams())
+		s, err := NewShim(fx.cluster, fx.model, r, DefaultParams(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,7 +177,7 @@ func BenchmarkMatch(b *testing.B) {
 	}
 	c.Populate(dcn.PopulateOptions{VMsPerHost: 4, MinCapacity: 5, MaxCapacity: 20,
 		DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
-	shim, err := NewShim(c, m, c.Racks[0], DefaultParams())
+	shim, err := NewShim(c, m, c.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,23 +9,30 @@
 // through the hot switch, since rerouting is cheaper than a live migration
 // (Sec. III.B).
 //
-// A shim's round runs in memory the shim keeps: Shim.ProcessAlerts returns
-// the shim's own Tally, emptied at the top of each call and valid until
-// the shim's next call, so a caller that keeps tallies across rounds of one
-// shim copies what it needs. A warmed shim's round allocates nothing.
-// Migrate, the standalone VMMIGRATION call, returns a tally of its own.
+// A shim's round works in a Workspace it borrows: the tally, the knapsack,
+// the selected sets and the matching step's memory. Management runs one
+// shim at a time, so every shim of a fabric borrows the same one, which
+// grows to the largest round any of them has run, once; a shim keeps only
+// its rack and its region. Shim.ProcessAlerts returns the workspace's
+// Tally, emptied at the top of each round and valid until the next round
+// run in that workspace, so a caller that keeps tallies across rounds
+// copies what it needs. Once the workspace has warmed, a round allocates
+// nothing, whichever shim runs it. Migrate, the standalone VMMIGRATION
+// call, returns a tally of its own.
 package migrate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/knapsack"
 	"sheriff/internal/obs"
+	"sheriff/internal/topology"
 )
 
 // Migration records one applied VM move.
@@ -100,8 +107,9 @@ func (p Params) Validate() error {
 }
 
 // Shim is the delegation node v_i: it monitors one rack and manages its
-// dominating region. ProcessAlerts works in memory the shim keeps from
-// round to round, so one goroutine at a time may use a shim.
+// dominating region. Its rounds work in the workspace it was built over;
+// shims built over one workspace share it, so one goroutine at a time may
+// use any of them.
 type Shim struct {
 	Rack    *dcn.Rack
 	cluster *dcn.Cluster
@@ -112,35 +120,61 @@ type Shim struct {
 	// region is the dominating region's hosts, the rack's own first; see
 	// regionHosts.
 	region []*dcn.Host
+	ws     *Workspace // borrowed, not owned
+}
 
-	// The memory of the management path, reused from round to round: the
-	// tally ProcessAlerts returns, the rack's VMs, the Alg. 2 knapsack's,
-	// the VMs a round has selected (as a set, and as the host and ToR
-	// lists), and the Alg. 3 matching step's (matrices, rack prices, solver
-	// workspace, the VMs left to place).
+// Workspace is the memory of a management round, lent to every shim built
+// over it: the tally the round returns, the rack's VMs, the Alg. 2
+// knapsack's, the VMs a round has selected (as a set, and as the host and
+// ToR lists), the Alg. 3 matching step's (matrices, rack prices, solver
+// workspace, the VMs left to place), and NewShim's region walk. No decision
+// reads what an earlier round left in it, whichever shim ran that round.
+// The zero value is ready; it grows to the largest round run in it and then
+// allocates nothing. One goroutine at a time may use a workspace.
+type Workspace struct {
 	tally           Tally
 	vms             []*dcn.VM
 	knap            knapsack.Scratch
 	inSet           map[int]bool
 	hostSet, torSet []*dcn.VM
-	scratch         matchScratch
+	match           matchScratch
+
+	walk  topology.NeighborScratch
+	nodes []int
 }
 
-// NewShim builds the shim for one rack.
-func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params) (*Shim, error) {
+// NewShim builds the shim for one rack, over the workspace its rounds
+// borrow; a nil ws gives the shim one of its own. Shims that run one at a
+// time (a runtime's, a simulation's) share one workspace. Beside the
+// shim's region walk, which runs in the workspace, it allocates the shim,
+// its neighbour list and its region: three objects.
+func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Workspace) (*Shim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	p = p.WithDefaults()
-	s := &Shim{Rack: rack, cluster: c, model: m, params: p}
-	for _, nodeID := range c.Graph.RackNeighbors(rack.NodeID, p.NeighborSwitchHops) {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	s := &Shim{Rack: rack, cluster: c, model: m, params: p, ws: ws}
+	ws.nodes = c.Graph.AppendRackNeighbors(ws.nodes[:0], rack.NodeID, p.NeighborSwitchHops, &ws.walk)
+	racks, hosts := 0, len(rack.Hosts)
+	for _, nodeID := range ws.nodes {
 		if r := c.RackByNode(nodeID); r != nil {
-			s.neighborRacks = append(s.neighborRacks, r)
+			racks++
+			hosts += len(r.Hosts)
 		}
 	}
-	sort.Slice(s.neighborRacks, func(i, j int) bool {
-		return s.neighborRacks[i].Index < s.neighborRacks[j].Index
-	})
+	if racks > 0 {
+		s.neighborRacks = make([]*dcn.Rack, 0, racks)
+		for _, nodeID := range ws.nodes {
+			if r := c.RackByNode(nodeID); r != nil {
+				s.neighborRacks = append(s.neighborRacks, r)
+			}
+		}
+		slices.SortFunc(s.neighborRacks, func(a, b *dcn.Rack) int { return cmp.Compare(a.Index, b.Index) })
+	}
+	s.region = make([]*dcn.Host, 0, hosts)
 	s.region = append(s.region, rack.Hosts...)
 	for _, r := range s.neighborRacks {
 		s.region = append(s.region, r.Hosts...)
@@ -156,44 +190,46 @@ func (s *Shim) NeighborRacks() []*dcn.Rack { return s.neighborRacks }
 // alerts select VMs with the α-knapsack; ToR alerts are pooled and select
 // with the β-knapsack; the merged migration set is handed to VMMIGRATION.
 //
-// The tally is the shim's own: ProcessAlerts empties it at the top of
-// every call, and it stays valid until the shim's next call. A
-// VMMIGRATION call that fails leaves it as it was before that call, so on
-// an error it holds the calls that succeeded.
+// The tally is the workspace's: ProcessAlerts empties it at the top of
+// every call, and it stays valid until the next round run in the same
+// workspace — by this shim or any other built over it. A VMMIGRATION call
+// that fails leaves it as it was before that call, so on an error it holds
+// the calls that succeeded.
 func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Tally, error) {
-	t := &s.tally
+	ws := s.ws
+	t := &ws.tally
 	*t = Tally{Migrations: t.Migrations[:0], Unplaced: t.Unplaced[:0]}
-	s.hostSet, s.torSet = s.hostSet[:0], s.torSet[:0]
-	clear(s.inSet)
+	ws.hostSet, ws.torSet = ws.hostSet[:0], ws.torSet[:0]
+	clear(ws.inSet)
 	torAlerted := false
 	for _, a := range alerts {
 		switch a.Kind {
 		case alert.FromLocalToR:
 			torAlerted = true
 		case alert.FromServer:
-			s.hostSet = s.appendNew(s.hostSet, s.overloadSet(a))
+			ws.hostSet = ws.appendNew(ws.hostSet, s.overloadSet(a))
 		}
 	}
 	if torAlerted {
 		// PRIORITY with ω = β over the rack's VMs, listed as Rack.VMs
 		// lists them.
-		s.vms = s.vms[:0]
+		ws.vms = ws.vms[:0]
 		for _, h := range s.Rack.Hosts {
-			s.vms = append(s.vms, h.Residents()...)
+			ws.vms = append(ws.vms, h.Residents()...)
 		}
 		budget := s.params.Beta * s.Rack.ToRCapacity
-		s.torSet = s.appendNew(s.torSet, s.knap.SelectByBudget(s.vms, budget))
+		ws.torSet = ws.appendNew(ws.torSet, ws.knap.SelectByBudget(ws.vms, budget))
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
 	// other hosts of this rack; ToR-congestion VMs must leave the rack
 	// ("release the workload of ToR_i … to neighbor racks").
-	if len(s.hostSet) > 0 {
-		if err := migrateInto(t, &s.scratch, s.cluster, s.model, s.hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
+	if len(ws.hostSet) > 0 {
+		if err := migrateInto(t, &ws.match, s.cluster, s.model, ws.hostSet, s.regionHosts(true), s.migrationOptions()); err != nil {
 			return t, err
 		}
 	}
-	if len(s.torSet) > 0 {
-		if err := migrateInto(t, &s.scratch, s.cluster, s.model, s.torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
+	if len(ws.torSet) > 0 {
+		if err := migrateInto(t, &ws.match, s.cluster, s.model, ws.torSet, s.regionHosts(false), s.migrationOptions()); err != nil {
 			return t, err
 		}
 	}
@@ -202,21 +238,22 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Tally, error) {
 
 // overloadSet is Alg. 1's server-alert branch: PRIORITY with ω = α over the
 // alerted host's VMs, or nothing when the host is not in the shim's rack.
-// The slice is the shim's knapsack output, overwritten by the next call.
+// The slice is the workspace's knapsack output, overwritten by the next
+// call.
 func (s *Shim) overloadSet(a alert.Alert) []*dcn.VM {
 	h := s.cluster.Host(a.HostID)
 	if h == nil || h.Rack() != s.Rack {
 		return nil
 	}
-	return s.knap.SelectByBudget(h.Residents(), s.params.Alpha*h.Capacity)
+	return s.ws.knap.SelectByBudget(h.Residents(), s.params.Alpha*h.Capacity)
 }
 
 // appendNew appends to dst the VMs this round has not selected yet,
 // marking them.
-func (s *Shim) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
+func (ws *Workspace) appendNew(dst []*dcn.VM, vms []*dcn.VM) []*dcn.VM {
 	for _, vm := range vms {
-		if !s.inSet[vm.ID] {
-			made(&s.inSet)[vm.ID] = true
+		if !ws.inSet[vm.ID] {
+			made(&ws.inSet)[vm.ID] = true
 			dst = append(dst, vm)
 		}
 	}
@@ -279,7 +316,8 @@ func Migrate(c *dcn.Cluster, m *cost.Model, f []*dcn.VM, candidates []*dcn.Host,
 }
 
 // migrateInto is Migrate counting into t, over a matching scratch the
-// caller keeps (a shim's), or over one of the call's own when sc is nil.
+// caller keeps (a shim's workspace's), or over one of the call's own when
+// sc is nil.
 // The call's migrations and unplaced VMs are appended to t's; its cost is
 // summed on its own and then added to t's, so that t sums in the order a
 // fold of per-call results (Tally.Add) would. On an error t is left as it

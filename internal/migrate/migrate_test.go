@@ -58,7 +58,7 @@ func TestParamsValidate(t *testing.T) {
 
 func TestNewShimNeighbors(t *testing.T) {
 	fx := newFixture(t, 4, 2)
-	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams())
+	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestProcessAlertsServerAlert(t *testing.T) {
 		last = vm
 	}
 	_ = last
-	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams())
+	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestProcessAlertsToRAlert(t *testing.T) {
 		}
 	}
 	before := rack.Used()
-	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams())
+	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestCentralizedCostAtMostRegional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := NewShim(reg.cluster, reg.model, reg.cluster.Racks[0], DefaultParams())
+	shim, err := NewShim(reg.cluster, reg.model, reg.cluster.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestCentralizedCostAtMostRegional(t *testing.T) {
 
 func TestProcessAlertsEmptySet(t *testing.T) {
 	fx := newFixture(t, 4, 2)
-	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams())
+	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestProcessAlertsIgnoresForeignHost(t *testing.T) {
 	if _, err := fx.cluster.AddVM(other, 50, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams())
+	s, err := NewShim(fx.cluster, fx.model, fx.cluster.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestVMMigrationDelaySensitiveExcludedUpstream(t *testing.T) {
 	if _, err := fx.cluster.AddVM(h, 30, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewShim(fx.cluster, fx.model, rack, Params{Alpha: 0.4, Beta: 0.4, NeighborSwitchHops: 1})
+	s, err := NewShim(fx.cluster, fx.model, rack, Params{Alpha: 0.4, Beta: 0.4, NeighborSwitchHops: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -39,11 +40,13 @@ func placements(c *dcn.Cluster) string {
 }
 
 // TestShimReuseMatchesFreshShim is the stale-scratch test of the
-// management path. A shim keeps its knapsack, its round's selected set, its
-// matrices, its rack prices and its solver workspace from one round to the
-// next; none of it may carry a decision over. Two identical clusters take
-// the same 64 rounds of server and ToR alerts: on one, a long-lived shim per
-// rack handles every round; on the other, a fresh NewShim handles each. The
+// management path. A workspace keeps its knapsack, its round's selected
+// set, its matrices, its rack prices and its solver memory from one round
+// to the next, whichever shim ran it; none of it may carry a decision over.
+// Two identical clusters take the same 64 rounds of server and ToR alerts:
+// on one, a long-lived shim per rack handles every round, all of them over
+// one workspace; on the other, a fresh NewShim with a workspace of its own
+// handles each. The
 // reports — migrations, costs, search space, unplaced — and the final
 // placements must be identical. The fabrics have a rack cut off below the
 // bandwidth floor, so some pairs are Forbidden with no base, and the racks'
@@ -76,6 +79,7 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 	for name := range long {
 		a, b := long[name], fresh[name]
 		shims := map[int]*Shim{}
+		var ws Workspace
 		rng := rand.New(rand.NewSource(64))
 		moved := 0
 		for round := 0; round < 64; round++ {
@@ -90,13 +94,13 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 				alerts = append(alerts, alert.Alert{Kind: alert.FromLocalToR, Value: 0.92})
 			}
 			if shims[rack] == nil {
-				s, err := NewShim(a.cluster, a.model, a.cluster.Racks[rack], params(rack))
+				s, err := NewShim(a.cluster, a.model, a.cluster.Racks[rack], params(rack), &ws)
 				if err != nil {
 					t.Fatal(err)
 				}
 				shims[rack] = s
 			}
-			one, err := NewShim(b.cluster, b.model, b.cluster.Racks[rack], params(rack))
+			one, err := NewShim(b.cluster, b.model, b.cluster.Racks[rack], params(rack), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,9 +129,9 @@ func TestShimReuseMatchesFreshShim(t *testing.T) {
 // TestProcessAlertsSteadyStateAllocs is the management path's allocation
 // gate (CI "Allocation gate" step). A warmed shim's round allocates nothing
 // however large its region, with server alerts alone or with a ToR alert
-// too: the report, the selected sets, the knapsack, the region, the
-// matrices, the rack prices, the solver workspace and the lists of VMs
-// left to place are the shim's, reused from round to round.
+// too: the region is the shim's, and the report, the selected sets, the
+// knapsack, the matrices, the rack prices, the solver memory and the lists
+// of VMs left to place are its workspace's, reused from round to round.
 func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 	fx := newFixture(t, 4, 2)
 	c := fx.cluster
@@ -165,7 +169,7 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 		for _, hops := range []int{1, 3} {
 			p := DefaultParams()
 			p.NeighborSwitchHops = hops
-			s, err := NewShim(c, fx.model, c.Racks[0], p)
+			s, err := NewShim(c, fx.model, c.Racks[0], p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,13 +177,79 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(20, round(s, tc.alerts, tc.want)); got != 0 {
 				t.Errorf("a %s round over %d hosts allocates %v times, want 0", tc.name, regions[len(regions)-1], got)
 			}
-			if tc.want == 4 && (len(s.hostSet) == 0 || len(s.torSet) == 0) {
-				t.Fatalf("%s round selected %d host and %d ToR VMs; the gate needs both calls", tc.name, len(s.hostSet), len(s.torSet))
+			if tc.want == 4 && (len(s.ws.hostSet) == 0 || len(s.ws.torSet) == 0) {
+				t.Fatalf("%s round selected %d host and %d ToR VMs; the gate needs both calls", tc.name, len(s.ws.hostSet), len(s.ws.torSet))
 			}
 		}
 		if regions[0] >= regions[1] {
 			t.Fatalf("regions of %v hosts; the second must be larger", regions)
 		}
+	}
+}
+
+// TestSharedWorkspaceWarmsOnce: shims built over one workspace share its
+// memory, the tally their rounds return included. Once one shim's rounds
+// have warmed it, another shim's first round of the same size allocates
+// nothing, and building a shim over the warmed workspace allocates the
+// shim, its neighbour list and its region alone.
+func TestSharedWorkspaceWarmsOnce(t *testing.T) {
+	fx := newFixture(t, 4, 2)
+	c := fx.cluster
+	for _, h := range c.Hosts() { // size every host's resident list
+		vm, err := c.AddVM(h, 9, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Remove(vm)
+	}
+	var alerts [2][]alert.Alert
+	for rack := range alerts {
+		h := c.Racks[rack].Hosts[0]
+		for i := 0; i < 4; i++ {
+			if _, err := c.AddVM(h, 9, float64(i+1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alerts[rack] = []alert.Alert{{Kind: alert.FromServer, HostID: h.ID, Value: 0.95}, {Kind: alert.FromLocalToR, Value: 0.92}}
+	}
+	var ws Workspace
+	build := func(rack int) *Shim {
+		s, err := NewShim(c, fx.model, c.Racks[rack], DefaultParams(), &ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	round := func(s *Shim) *Tally {
+		rep, err := s.ProcessAlerts(alerts[s.Rack.Index])
+		if err != nil || len(rep.Migrations) != 4 {
+			t.Fatalf("rack %d round = %+v, %v; want 4 migrations", s.Rack.Index, rep, err)
+		}
+		for i := len(rep.Migrations) - 1; i >= 0; i-- { // undo, so every round is the same
+			m := rep.Migrations[i]
+			if err := c.Move(m.VM, m.From); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rep
+	}
+	first := build(0)
+	for i := 0; i < 3; i++ {
+		round(first)
+	}
+	if got := testing.AllocsPerRun(20, func() { build(1) }); got != 3 {
+		t.Errorf("NewShim over a warmed workspace allocates %v objects, want 3 (the shim, its neighbours, its region)", got)
+	}
+	second := build(1)
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	rep := round(second)
+	goruntime.ReadMemStats(&m1)
+	if got := m1.Mallocs - m0.Mallocs; got != 0 {
+		t.Errorf("the second shim's first round allocates %d objects in a workspace the first shim warmed, want 0", got)
+	}
+	if rep != round(first) {
+		t.Error("two shims over one workspace return different tallies; the tally is the workspace's")
 	}
 }
 
@@ -222,11 +292,11 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 				for _, h := range rack.Hosts {
 					alerts = append(alerts, alert.Alert{Kind: alert.FromServer, HostID: h.ID, Value: 0.9})
 				}
-				sa, err := NewShim(a.cluster, a.model, rack, DefaultParams())
+				sa, err := NewShim(a.cluster, a.model, rack, DefaultParams(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sb, err := NewShim(b.cluster, b.model, b.cluster.Racks[rack.Index], DefaultParams())
+				sb, err := NewShim(b.cluster, b.model, b.cluster.Racks[rack.Index], DefaultParams(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +305,7 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 					t.Fatal(err)
 				}
 				var want Tally
-				for i, set := range [][]*dcn.VM{sa.hostSet, sa.torSet} {
+				for i, set := range [][]*dcn.VM{sa.ws.hostSet, sa.ws.torSet} {
 					if len(set) == 0 {
 						continue
 					}
@@ -248,7 +318,7 @@ func TestProcessAlertsFoldsItsCalls(t *testing.T) {
 				if g, w := reportSignature(got), reportSignature(&want); g != w {
 					t.Fatalf("%s rack %d: the round reports\n  %s\nits two Migrate calls, folded,\n  %s", name, rack.Index, g, w)
 				}
-				if len(sa.hostSet) > 0 && len(sa.torSet) > 0 && len(got.Migrations) > 0 {
+				if len(sa.ws.hostSet) > 0 && len(sa.ws.torSet) > 0 && len(got.Migrations) > 0 {
 					both++
 				}
 			}
@@ -291,7 +361,7 @@ func TestProcessAlertsKeepsTheCallsThatSucceeded(t *testing.T) {
 		return &fixture{cluster: c, model: m}
 	}
 	a, b := build(), build()
-	s, err := NewShim(a.cluster, a.model, a.cluster.Racks[0], DefaultParams())
+	s, err := NewShim(a.cluster, a.model, a.cluster.Racks[0], DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +376,10 @@ func TestProcessAlertsKeepsTheCallsThatSucceeded(t *testing.T) {
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("ProcessAlerts error = %v, want ErrNoCandidates", err)
 	}
-	if len(s.torSet) == 0 {
+	if len(s.ws.torSet) == 0 {
 		t.Fatal("the ToR alert selected nothing; the ToR call was never made")
 	}
-	res, err := Migrate(b.cluster, b.model, twinVMs(b.cluster, s.hostSet), b.cluster.Racks[0].Hosts, s.migrationOptions())
+	res, err := Migrate(b.cluster, b.model, twinVMs(b.cluster, s.ws.hostSet), b.cluster.Racks[0].Hosts, s.migrationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

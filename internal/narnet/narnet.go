@@ -91,14 +91,18 @@ type lineState struct {
 	loop  []float64 // the closed-loop copy of line a forecast feeds
 }
 
-// Train fits a NARNET to the series. The series must contain at least
+// MinSeries returns the minimum series length Train takes for cfg:
 // cfg.Inputs + 10 observations.
+func MinSeries(cfg Config) int { return cfg.Inputs + 10 }
+
+// Train fits a NARNET to the series. The series must contain at least
+// MinSeries(cfg) observations.
 func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if s.Len() < cfg.Inputs+10 {
+	if s.Len() < MinSeries(cfg) {
 		return nil, fmt.Errorf("narnet: series length %d too short for %d inputs", s.Len(), cfg.Inputs)
 	}
 	norm, scale := s.Normalized()

@@ -450,6 +450,27 @@ func extendedPool(train *timeseries.Series, period int, seed int64) ([]*Candidat
 	return out, nil
 }
 
+// The default pool's members, in pool order: ARIMA(1,1,1), ARIMA(2,1,2),
+// NARNET(8,20) and NARNET(12,10), each NARNET seeded by its position.
+var (
+	defaultARIMA  = []arima.Order{{P: 1, D: 1, Q: 1}, {P: 2, D: 1, Q: 2}}
+	defaultNARNET = []narnet.Config{{Inputs: 8, Hidden: 20}, {Inputs: 12, Hidden: 10}}
+)
+
+// MinFitLength is the shortest training series on which every candidate
+// of the default pool can fit: on a shorter one some candidate refuses the
+// series, and the pool would be fitted without it.
+func MinFitLength() int {
+	n := 0
+	for _, o := range defaultARIMA {
+		n = max(n, arima.MinObservations(o))
+	}
+	for _, cfg := range defaultNARNET {
+		n = max(n, narnet.MinSeries(cfg))
+	}
+	return n
+}
+
 // defaultPool builds the paper's four-candidate pool on a training series:
 // ARIMA(p1,d1,q1), ARIMA(p2,d2,q2), NARNET(ni1,nh1), NARNET(ni2,nh2),
 // fitting the candidates in order on the caller (each fit is independent
@@ -468,12 +489,12 @@ func defaultPool(train *timeseries.Series, seed int64) ([]*Candidate, error) {
 		}
 		out = append(out, NewCandidate(name, f))
 	}
-	for _, o := range []arima.Order{{P: 1, D: 1, Q: 1}, {P: 2, D: 1, Q: 2}} {
+	for _, o := range defaultARIMA {
 		m, err := arima.Fit(train, o)
 		add(o.String(), m, err)
 	}
-	for i, nn := range []struct{ ni, nh int }{{8, 20}, {12, 10}} {
-		cfg := narnet.Config{Inputs: nn.ni, Hidden: nn.nh, Seed: seed + int64(i)}
+	for i, cfg := range defaultNARNET {
+		cfg.Seed = seed + int64(i)
 		m, err := narnet.Train(train, cfg)
 		add(narnetName(cfg), m, err)
 	}

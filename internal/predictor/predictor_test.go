@@ -219,6 +219,24 @@ func TestDefaultPool(t *testing.T) {
 	}
 }
 
+// TestMinFitLength: on a series MinFitLength long every candidate of the
+// default pool fits, and one value shorter some candidate refuses it.
+func TestMinFitLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := timeseries.FromFunc(MinFitLength(), func(t int) float64 {
+		return 50 + 20*math.Sin(float64(t)/3) + rng.NormFloat64()
+	})
+	want := len(defaultARIMA) + len(defaultNARNET)
+	pool, err := defaultPool(s, 1)
+	if err != nil || len(pool) != want {
+		t.Fatalf("on %d values the pool fits %d of %d candidates (%v)", s.Len(), len(pool), want, err)
+	}
+	s.KeepLast(s.Len() - 1)
+	if pool, _ := defaultPool(s, 1); len(pool) == want {
+		t.Fatalf("on %d values every candidate fits; MinFitLength %d is not the least", s.Len(), MinFitLength())
+	}
+}
+
 func TestDefaultPoolTooShort(t *testing.T) {
 	if _, err := defaultPool(timeseries.New([]float64{1, 2}), 1); err == nil {
 		t.Fatal("expected error on tiny series")

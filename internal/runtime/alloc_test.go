@@ -1,11 +1,16 @@
 package runtime
 
 import (
+	"fmt"
+	goruntime "runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/ingest"
 	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
@@ -157,7 +162,7 @@ func TestCalmPeriodRescansNothing(t *testing.T) {
 	}
 	rescanned, sums := r.Flows.Rescans(), cluster.HostSums()
 	for i := 0; i < 12; i++ {
-		var st *StepStats
+		var st StepStats
 		if i%2 == 0 {
 			st, err = r.Step()
 		} else {
@@ -167,7 +172,7 @@ func TestCalmPeriodRescansNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.ServerAlerts+st.ToRAlerts+st.SwitchAlerts+st.Migrations != 0 || len(r.Flows.Flows()) != 0 {
-			t.Fatalf("period %d is not calm: %+v, %d flows", st.Step, *st, len(r.Flows.Flows()))
+			t.Fatalf("period %d is not calm: %+v, %d flows", st.Step, st, len(r.Flows.Flows()))
 		}
 		if got := r.Flows.Rescans() - rescanned; got != 0 {
 			t.Fatalf("calm period %d rescanned %d nodes, want 0", st.Step, got)
@@ -210,5 +215,93 @@ func TestSnapshotAllocsFlatInFabric(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("Snapshot allocates %v objects on a BCube-4 and %v on a BCube-8, want the same", counts[0], counts[1])
+	}
+}
+
+// TestPeriodAllocatesNothing is the whole-period allocation gate: on a
+// Fat-Tree 8 surge fabric, a daemon period — the reporters' draw, the
+// ingest offer, drain and poll, then StepExternal — allocates nothing,
+// counted as runtime.MemStats.Mallocs over consecutive periods rather than
+// averaged per run. It holds the per-layer gates' promises together: one
+// management workspace for every shim, recycled flow records and routes,
+// the alert buckets and Poll's slice sized at build, and StepStats
+// returned by value.
+//
+// Memory that grows to a high-water mark — the most flows ever live, the
+// largest matching, the most reroute sources — still grows while the
+// fabric sets new marks, so the fabric warms until every rack's shim
+// exists and then for settleAfterShims periods more; the surge is stormy
+// (short regimes, twice the amplitude) so that its marks are set early and
+// the counted periods still migrate and reroute. The engine runs one shard
+// and the collector is off while counting: a blocking channel hand-off
+// between shard workers, or a collection, can make the Go runtime allocate
+// for itself, which no change to this program could remove.
+func TestPeriodAllocatesNothing(t *testing.T) {
+	const periods, settleAfterShims = 128, 1024
+	for _, seed := range []int64{1, 7} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			cluster, _ := buildParts(t, 8)
+			cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20,
+				DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: seed})
+			model, err := cost.NewDeferred(cluster, cost.PaperParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(cluster, model, Options{Seed: seed, Shards: 1, Traces: traces.Options{Kind: traces.Surge,
+				Surge: traces.SurgeParams{MeanDwell: 20, Intensity: 2}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			svc, err := ingest.FromCluster(cluster, ingest.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reporters := feed(r)
+			var st StepStats
+			alerts := 0
+			period := func() {
+				updates := reporters.Next()
+				if _, err := svc.OfferBatch(updates); err != nil {
+					t.Fatal(err)
+				}
+				svc.ProcessPending()
+				alerts += len(svc.Poll())
+				if st, err = r.StepExternal(updates); err != nil {
+					t.Fatal(err)
+				}
+			}
+			warm := 0
+			for ; slices.Contains(r.shims, nil); warm++ {
+				if warm == 4000 {
+					t.Fatal("some rack's shim was never built; the fabric does not alert everywhere")
+				}
+				period()
+			}
+			for i := 0; i < settleAfterShims; i++ {
+				period()
+			}
+
+			alerts = 0
+			migrations, reroutes := 0, 0
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			for i := 0; i < periods; i++ {
+				period()
+				migrations += st.Migrations
+				reroutes += st.Reroutes
+			}
+			goruntime.ReadMemStats(&m1)
+			got := m1.Mallocs - m0.Mallocs
+			t.Logf("every shim built after %d periods; %d periods from period %d on made %d allocations (%d pre-alerts, %d migrations, %d reroutes)",
+				warm, periods, warm+settleAfterShims, got, alerts, migrations, reroutes)
+			if migrations == 0 || reroutes == 0 || alerts == 0 {
+				t.Fatalf("%d pre-alerts, %d migrations, %d reroutes: the periods do not exercise every layer", alerts, migrations, reroutes)
+			}
+			if got != 0 {
+				t.Errorf("%d periods allocate %d objects, want 0", periods, got)
+			}
+		})
 	}
 }

@@ -83,11 +83,12 @@ func (sc equivScenario) restore(t *testing.T, doc []byte, shards int) *Runtime {
 func equivScenarios() []equivScenario {
 	return []equivScenario{
 		{name: "default", steps: 12},
-		// The pools first fit at period 17, once the history is long
-		// enough for ARIMA(1,1,1); three periods then run on them.
-		{name: "deep", steps: 20, mutate: func(o *Options) {
+		// The pools fit at period 22, on the shortest history every
+		// candidate fits on (predictor.MinFitLength); four periods then
+		// run on them.
+		{name: "deep", steps: 26, mutate: func(o *Options) {
 			o.DeepPredict = true
-			o.DeepFitAfter = 6
+			o.DeepFitAfter = 22
 		}},
 		{name: "no-reroute", steps: 10, mutate: func(o *Options) {
 			o.DisableReroute = true
@@ -242,9 +243,9 @@ func drivePeriods(t *testing.T, r *Runtime, sc equivScenario, from, to int, d *s
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("%s after step %d: %v", sc.name, step, err)
 		}
-		hist = append(hist, *s)
+		hist = append(hist, s)
 		if d != nil {
-			d.observe(t, *s)
+			d.observe(t, s)
 		}
 		if after != nil {
 			after(step + 1)
@@ -539,7 +540,7 @@ func TestSnapshotRestoreShardCountChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotHist = append(gotHist, *s)
+		gotHist = append(gotHist, s)
 	}
 
 	if len(gotHist) != len(wantHist) {
@@ -594,7 +595,7 @@ func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotHist = append(gotHist, *s)
+		gotHist = append(gotHist, s)
 	}
 	for i := range wantHist {
 		sameStats(t, "surge-restart", wantHist[i], gotHist[i])

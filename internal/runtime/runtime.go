@@ -58,7 +58,9 @@ type Options struct {
 	// without refitting.
 	DeepPredict bool
 	// DeepFitAfter is the rack-history length that triggers the deep
-	// fit (default 48, minimum large enough for the NARNET delay lines).
+	// fit (default 48). A set value must be at least
+	// predictor.MinFitLength, the shortest history every candidate of the
+	// pool fits on.
 	DeepFitAfter int
 	// Shards is the number of persistent shard workers (0 = GOMAXPROCS,
 	// the size of the shared pool; clamped to the rack count). Step
@@ -78,6 +80,10 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.DeepFitAfter < 0 {
 		return fmt.Errorf("runtime: DeepFitAfter must be >= 0 (0 = default), got %v", o.DeepFitAfter)
+	}
+	if least := predictor.MinFitLength(); o.DeepFitAfter != 0 && o.DeepFitAfter < least {
+		return fmt.Errorf("runtime: DeepFitAfter %d is shorter than %d, the shortest history every deep-pool candidate fits on (0 = default)",
+			o.DeepFitAfter, least)
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("runtime: Shards must be >= 0 (0 = default), got %v", o.Shards)
@@ -157,6 +163,7 @@ type Runtime struct {
 	opts  Options
 	gen   traces.Generator // trace family (opts.Traces), built once for TraceGen
 	shims []*migrate.Shim  // indexed by rack; nil until first alert
+	ws    migrate.Workspace
 	step  int
 
 	sh *shardState // the step engine's VM, monitor and scratch arrays
@@ -259,8 +266,13 @@ type ExternalUpdate = traces.Update
 // collect loop treats silence as "unchanged"). An unknown VM ID or a
 // profile with a NaN or ±Inf component is an error, and the period does
 // not advance. Prediction and monitoring fan out over the engine's shard
-// workers; management is serialized.
-func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
+// workers; management is serialized, every shim's round in the one
+// migrate.Workspace the runtime keeps.
+//
+// The stats are returned by value. Once every rack's shim exists and the
+// engine, flow and workspace memory has grown to the fabric's high-water
+// mark, a period allocates nothing.
+func (r *Runtime) StepExternal(updates []ExternalUpdate) (StepStats, error) {
 	// Profiles are stamped into a persistent overlay keyed by dense VM
 	// index; bumping the epoch invalidates the previous step's stamps, so a
 	// steady ingest loop allocates nothing.
@@ -272,10 +284,10 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (*StepStats, error) {
 			i = sh.vmIndex[u.VM]
 		}
 		if i < 0 {
-			return nil, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
+			return StepStats{}, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
 		}
 		if !u.Profile.Finite() {
-			return nil, fmt.Errorf("runtime: external update for VM %d has a non-finite profile %+v", u.VM, u.Profile)
+			return StepStats{}, fmt.Errorf("runtime: external update for VM %d has a non-finite profile %+v", u.VM, u.Profile)
 		}
 		sh.extProf[i] = u.Profile
 		sh.extMark[i] = sh.extEpoch

@@ -3,10 +3,12 @@ package runtime
 import (
 	"math"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/predictor"
 	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
@@ -34,7 +36,7 @@ func feed(r *Runtime) *traces.Reporters {
 }
 
 // Step advances one period on the reporters' profiles.
-func (d *fedRuntime) Step() (*StepStats, error) { return d.StepExternal(d.reporters.Next()) }
+func (d *fedRuntime) Step() (StepStats, error) { return d.StepExternal(d.reporters.Next()) }
 
 // Run advances n periods and returns their statistics, oldest first.
 func (d *fedRuntime) Run(n int) ([]StepStats, error) {
@@ -44,7 +46,7 @@ func (d *fedRuntime) Run(n int) ([]StepStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *s)
+		out = append(out, s)
 	}
 	return out, nil
 }
@@ -199,6 +201,20 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.FlowRate(0.5) <= 0 {
 		t.Fatal("default flow rate non-positive")
+	}
+}
+
+// TestDeepFitAfterBelowPoolMinimumRefused: a DeepFitAfter shorter than
+// the history every deep-pool candidate fits on is refused, naming the
+// option; the minimum itself is taken.
+func TestDeepFitAfterBelowPoolMinimumRefused(t *testing.T) {
+	least := predictor.MinFitLength()
+	err := Options{DeepPredict: true, DeepFitAfter: least - 1}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "DeepFitAfter") {
+		t.Fatalf("DeepFitAfter %d: err = %v, want a refusal naming DeepFitAfter", least-1, err)
+	}
+	if err := (Options{DeepPredict: true, DeepFitAfter: least}).Validate(); err != nil {
+		t.Fatalf("DeepFitAfter %d refused: %v", least, err)
 	}
 }
 

@@ -93,7 +93,7 @@ type shardState struct {
 	rackStart []int32        // dense VM range of each rack (len racks+1)
 	byID      []int32        // the dense indices in ascending VM ID order, as Snapshot lists them
 
-	// Per-rack monitor state and reused alert buckets.
+	// Per-rack monitor state and the alert buckets, reused every period.
 	qHolt        []holtState
 	qN           []int32
 	alertsByRack [][]alert.Alert
@@ -214,7 +214,16 @@ func newShardState(cluster *dcn.Cluster, admission map[int]int, shards int, deep
 
 	sh.qHolt = make([]holtState, racks)
 	sh.qN = make([]int32, racks)
+	// A rack's bucket holds at most one server alert per VM admitted on it
+	// and one ToR alert: carved to that size out of one array, it never
+	// grows.
+	buckets := make([]alert.Alert, n+racks)
 	sh.alertsByRack = make([][]alert.Alert, racks)
+	for rk := range sh.alertsByRack {
+		lo := int(sh.rackStart[rk]) + rk
+		hi := int(sh.rackStart[rk+1]) + rk + 1
+		sh.alertsByRack[rk] = buckets[lo:lo:hi]
+	}
 	if deep {
 		sh.deepVal = make([]float64, racks)
 		sh.deepOK = make([]bool, racks)
@@ -568,16 +577,16 @@ func (r *Runtime) costSources() []int {
 }
 
 // advanceSharded is the sharded step body.
-func (r *Runtime) advanceSharded() (*StepStats, error) {
+func (r *Runtime) advanceSharded() (StepStats, error) {
 	sh := r.sh
-	stats := &StepStats{Step: r.step}
+	stats := StepStats{Step: r.step}
 	r.step++
 	rec := r.opts.Recorder
 	rec.SetStep(stats.Step)
 
 	// Phase 1 (shard round): observe, predict, raise alerts.
 	phaseStart := time.Now()
-	r.shardedPredictPhase(stats, rec)
+	r.shardedPredictPhase(&stats, rec)
 	stats.Timings.Predict = time.Since(phaseStart)
 	r.recordShardedPhase(rec, 0, "predict", stats.Timings.Predict)
 
@@ -640,16 +649,16 @@ func (r *Runtime) advanceSharded() (*StepStats, error) {
 		shim := r.shims[idx]
 		if shim == nil {
 			var err error
-			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.opts.Migrate)
+			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.opts.Migrate, &r.ws)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: shim %d: %w", idx, err)
+				return StepStats{}, fmt.Errorf("runtime: shim %d: %w", idx, err)
 			}
 			r.shims[idx] = shim
 		}
 		shimStart := time.Now()
 		rep, err := shim.ProcessAlerts(sh.alertsByRack[idx])
 		if err != nil {
-			return nil, fmt.Errorf("runtime: shim %d: %w", idx, err)
+			return StepStats{}, fmt.Errorf("runtime: shim %d: %w", idx, err)
 		}
 		rec.Record(obs.Event{Kind: obs.KindManage, Phase: "manage",
 			Shim: idx, VM: -1, Host: -1, Value: time.Since(shimStart).Seconds()})

@@ -90,7 +90,7 @@ func TestSnapshotRestoreContinuesBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameStats(t, "step", *so, *sr)
+		sameStats(t, "step", so, sr)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestSnapshotRestoreDeepPoolNoRefit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameStats(t, "deep step", *so, *sr)
+		sameStats(t, "deep step", so, sr)
 	}
 }
 

@@ -85,8 +85,8 @@ func TestBuildRuntimeMatchesBuildCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 			got.Timings, want.Timings = runtime.PhaseTimings{}, runtime.PhaseTimings{}
-			if *got != *want {
-				t.Fatalf("%v step %d over the deferred model: %+v, over cost.New: %+v", kind, i, *got, *want)
+			if got != want {
+				t.Fatalf("%v step %d over the deferred model: %+v, over cost.New: %+v", kind, i, got, want)
 			}
 			migrations += got.Migrations
 		}

@@ -142,7 +142,9 @@ func Build(cfg Config) (*Sim, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for _, r := range cluster.Racks {
-		shim, err := migrate.NewShim(cluster, model, r, cfg.Migrate)
+		// A workspace per shim: BalancingRound returns every alerted
+		// shim's tally, which lives in the shim's workspace.
+		shim, err := migrate.NewShim(cluster, model, r, cfg.Migrate, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +238,7 @@ func (s *Sim) PopulateSkewed(hotFraction float64) int {
 // utilization exceeds the cluster mean by more than `margin` (as the
 // pre-alert predictor would), and processes the alerts. It returns the
 // workload standard deviation after the round and each alerted shim's
-// tally (the shim's own, valid until that shim's next round).
+// tally (in the shim's own workspace, valid until that shim's next round).
 func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Tally, error) {
 	mean := 0.0
 	hosts := s.Cluster.Hosts()

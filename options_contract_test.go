@@ -60,7 +60,7 @@ func TestOptionsContract(t *testing.T) {
 				return runtime.Options{}.WithDefaults().DeepFitAfter, 48
 			},
 			preserved: func() (any, any) {
-				return runtime.Options{DeepFitAfter: 12}.WithDefaults().DeepFitAfter, 12
+				return runtime.Options{DeepFitAfter: 30}.WithDefaults().DeepFitAfter, 30
 			},
 		},
 		{

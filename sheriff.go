@@ -51,7 +51,10 @@ func EvaluateAlert(p Profile, th Thresholds) (value float64, fired bool) {
 }
 
 // NewFatTreeCluster builds a k-pod Fat-Tree cluster with the given host
-// shape and returns it with its cost model and one shim per rack.
+// shape and returns it with its cost model and one shim per rack. The
+// shims share one workspace (see migrate.Workspace): run them one at a
+// time, as they share the cluster anyway, and read a round's report before
+// the next round, which reuses it.
 func NewFatTreeCluster(pods, hostsPerRack int, hostCapacity float64) (*Cluster, *CostModel, []*Shim, error) {
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: pods})
 	if err != nil {
@@ -71,8 +74,9 @@ func NewFatTreeCluster(pods, hostsPerRack int, hostCapacity float64) (*Cluster, 
 	}
 	shims := make([]*Shim, 0, len(cluster.Racks))
 	params := migrate.DefaultParams()
+	ws := &migrate.Workspace{} // the shims run one at a time
 	for _, r := range cluster.Racks {
-		s, err := migrate.NewShim(cluster, model, r, params)
+		s, err := migrate.NewShim(cluster, model, r, params, ws)
 		if err != nil {
 			return nil, nil, nil, err
 		}
