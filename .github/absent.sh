@@ -176,5 +176,8 @@ doc  ./internal/timeseries RollingState
 # A steady period allocates nothing: StepExternal returns its stats by value, and a shim keeps no round memory of its own — every shim of a runtime borrows one migrate.Workspace.
 src  \(\*StepStats,[[:space:]]*error\)
 src  \bs\.(knap|inSet|hostSet|torSet|vms|tally)\b|&s\.scratch\b
+# Each update touched once less on the calm path: StepExternal writes the reported profiles into the engine's cur in place, with no overlay beside it, and a drain pass folds queue wait once into the service's summary and histogram, not into every shard's.
+src  \b(extProf|extMark|extEpoch)\b
+src  \bsh\.(wait|waitHist)\b
 EOF
 exit $fail

@@ -13,9 +13,11 @@
 // already accepted update. The accept/drain path costs what it carries:
 // a shard's queue starts at one entry per VM and grows by append to its
 // high-water mark (never past the cap), an offer resolves its VM through
-// a dense table and a batch takes a shard's lock once per run of
-// consecutive updates for that shard, and queue wait is accounted once
-// per run of updates sharing an arrival stamp. Once queues are at their
+// a dense table, reads each update once and takes a shard's lock once per
+// run of consecutive updates for that shard, and queue wait is accounted
+// once per drain pass: one fold per distinct arrival stamp, into one
+// service-wide summary, however many shards the stamp reached. Events are
+// built only when a recorder is attached. Once queues are at their
 // high-water mark the path is allocation-free, so a daemon ingesting
 // millions of updates does not touch the allocator.
 //
@@ -152,9 +154,8 @@ type slot struct {
 	alerted      bool
 }
 
-// shard is one rack's intake lane, about a kilobyte (the wait histogram)
-// plus 24 bytes per queue entry and 48 per VM. All fields past the lock
-// are guarded by it.
+// shard is one rack's intake lane, under a hundred bytes plus 24 per
+// queue entry and 48 per VM. All fields past the lock are guarded by it.
 type shard struct {
 	rack int
 
@@ -167,10 +168,6 @@ type shard struct {
 	queue  []queued
 	slots  []slot
 	alerts []Alert // raised, not yet polled
-	// Queue wait of every update drained here: seconds in the summary,
-	// nanoseconds in the histogram. Stats merges the shards'.
-	wait     metrics.Summary
-	waitHist metrics.LogHistogram
 }
 
 // loc addresses one VM's triage slot; shard is -1 for an ID no VM has.
@@ -203,6 +200,13 @@ type Service struct {
 	// polled is what Poll returns, refilled by every Poll under pollMu.
 	pollMu sync.Mutex
 	polled []Alert
+
+	// Queue wait of every update drained: seconds in the summary,
+	// nanoseconds in the histogram, folded by each drain pass under waitMu.
+	// A pass holding a shard lock may take waitMu, never the reverse.
+	waitMu   sync.Mutex
+	wait     metrics.Summary
+	waitHist metrics.LogHistogram
 }
 
 // New builds a service over an explicit rack partition: vmsByRack[i]
@@ -300,67 +304,57 @@ func (s *Service) locate(vm int) (loc, bool) {
 	return l, l.shard >= 0
 }
 
-// admit resolves an update to its VM's slot, refusing an unknown VM and a
-// profile with a NaN or ±Inf component.
-func (s *Service) admit(u Update) (loc, bool) {
-	l, ok := s.locate(u.VM)
-	return l, ok && u.Profile.Finite()
-}
-
 // OfferBatch offers each update in order and returns how many were
 // accepted. Overflow drops are not errors; an unknown VM or a non-finite
-// profile is, and stops the batch (the updates before it stay offered). The whole batch shares
-// one arrival stamp — the updates arrived together — and each run of
-// consecutive updates for one shard takes that shard's lock once, so the
-// per-update accept cost is the table lookup and the queue append.
+// profile is, and stops the batch (the updates before it stay offered).
+// The whole batch shares one arrival stamp — the updates arrived together
+// — and each run of consecutive updates for one shard takes that shard's
+// lock once, so the per-update accept cost is one read of the update, the
+// table lookup and the queue append.
 func (s *Service) OfferBatch(updates []Update) (int, error) {
 	at := int64(s.opts.Clock().Sub(s.epoch))
 	quantized := s.opts.Mode == TriageQuant
-	var err error
-	accepted, i := 0, 0
-	for i < len(updates) {
-		l, ok := s.admit(updates[i])
-		if !ok {
-			u := updates[i]
-			if _, known := s.locate(u.VM); !known {
-				err = fmt.Errorf("ingest: unknown VM %d", u.VM)
-			} else {
-				err = fmt.Errorf("ingest: VM %d reported a non-finite profile %+v", u.VM, u.Profile)
-			}
+	var sh *shard // the shard the current run holds locked
+	accepted, start, room, i := 0, 0, 0, 0
+	for ; i < len(updates); i++ {
+		u := &updates[i]
+		p := u.Profile // read once, for the check and the stress both
+		l, ok := s.locate(u.VM)
+		if !ok || !p.Finite() {
 			break
 		}
-		sh := s.shard[l.shard]
-		start, run := i, l.shard
-		sh.mu.Lock()
-		// Tail drop: once the queue is full it stays full for the rest of
-		// the run, so a run is an accepted prefix and a dropped suffix.
-		room := s.opts.QueueLimit - len(sh.queue)
-		for ok && l.shard == run {
-			if i-start < room {
-				q := queued{slot: l.slot, at: at}
-				if quantized {
-					// The one float→fixed conversion on the quantized path:
-					// everything downstream of the intake boundary is integer
-					// arithmetic. Only the fixed-point image is queued — the
-					// drain never reads the float.
-					q.qv = quant.FromFloat(updates[i].Profile.Max())
-				} else {
-					q.v = updates[i].Profile.Max()
-				}
-				sh.queue = append(sh.queue, q)
+		if next := s.shard[l.shard]; next != sh {
+			if sh != nil {
+				accepted += s.endRun(sh, updates[start:i], room)
 			}
-			if i++; i == len(updates) {
-				break
-			}
-			l, ok = s.admit(updates[i])
+			sh, start = next, i
+			sh.mu.Lock()
+			room = s.opts.QueueLimit - len(sh.queue)
 		}
-		sh.mu.Unlock()
-		took := min(i-start, room)
-		accepted += took
-		// Drop events go out after the unlock: a subscriber's sink must
-		// never run under a shard lock on the offer path.
-		for _, u := range updates[start+took : i] {
-			s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "drop", Shim: sh.rack, VM: u.VM, Host: -1, Value: 1})
+		if i-start < room {
+			q := queued{slot: l.slot, at: at}
+			if quantized {
+				// The one float→fixed conversion on the quantized path:
+				// everything downstream of the intake boundary is integer
+				// arithmetic. Only the fixed-point image is queued — the
+				// drain never reads the float.
+				q.qv = quant.FromFloat(p.Max())
+			} else {
+				q.v = p.Max()
+			}
+			sh.queue = append(sh.queue, q)
+		}
+	}
+	if sh != nil {
+		accepted += s.endRun(sh, updates[start:i], room)
+	}
+	var err error
+	if i < len(updates) {
+		u := updates[i]
+		if _, known := s.locate(u.VM); !known {
+			err = fmt.Errorf("ingest: unknown VM %d", u.VM)
+		} else {
+			err = fmt.Errorf("ingest: VM %d reported a non-finite profile %+v", u.VM, u.Profile)
 		}
 	}
 	s.offered.Add(uint64(i))
@@ -369,18 +363,40 @@ func (s *Service) OfferBatch(updates []Update) (int, error) {
 	return accepted, err
 }
 
+// endRun releases the shard a run of offers held and returns how many of
+// the run it accepted. Tail drop: once the queue is full it stays full for
+// the rest of the run, so a run is an accepted prefix of room updates and
+// a dropped suffix. Drop events go out after the unlock: a subscriber's
+// sink must never run under a shard lock on the offer path.
+func (s *Service) endRun(sh *shard, run []Update, room int) int {
+	sh.mu.Unlock()
+	took := min(len(run), room)
+	if s.rec.Enabled() {
+		for _, u := range run[took:] {
+			s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "drop", Shim: sh.rack, VM: u.VM, Host: -1, Value: 1})
+		}
+	}
+	return took
+}
+
 // ProcessPending drains every shard queue through triage on the caller,
 // in rack order, and returns the number of updates processed. Newly
 // raised alerts accumulate for Poll. Dead subscriptions (sinks that
 // returned an error) are detached.
+//
+// The pass reads the clock once, so every update offered under one
+// arrival stamp waited the same time, whichever shard queued it: the
+// shards' waits gather by stamp on the caller's stack (waitRuns) and fold
+// into the service's summary and histogram once, after the last shard.
 func (s *Service) ProcessPending() int {
-	now := s.opts.Clock()
+	runs := waitRuns{now: int64(s.opts.Clock().Sub(s.epoch))}
 	processed, raised := 0, 0
 	for _, sh := range s.shard {
-		n, r := s.drainShard(sh, now)
+		n, r := s.drainShard(sh, &runs)
 		processed += n
 		raised += r
 	}
+	s.foldWait(&runs)
 	if processed > 0 {
 		s.processed.Add(uint64(processed))
 	}
@@ -401,20 +417,19 @@ func (s *Service) ProcessPending() int {
 // backpressure contract: accepted updates are processed exactly once,
 // in order, before anything newer.
 //
-// Queue wait is accounted per run of updates sharing an arrival stamp
-// (a batch stamps once), each run folded with its length as weight, so
-// the summaries weigh every update and cost one fold per batch.
+// Each run of updates sharing an arrival stamp (a batch stamps once) is
+// added to runs with its length, for the caller to fold once per pass
+// (foldWait).
 //
 // It returns how many updates it processed and how many alerts it raised;
 // the caller adds them to the service's counters.
-func (s *Service) drainShard(sh *shard, now time.Time) (int, int) {
+func (s *Service) drainShard(sh *shard, runs *waitRuns) (int, int) {
 	sh.mu.Lock()
 	n := len(sh.queue)
 	if n == 0 {
 		sh.mu.Unlock()
 		return 0, 0
 	}
-	nowNs := int64(now.Sub(s.epoch))
 	quantized := s.opts.Mode == TriageQuant
 	// The quantized signal saturates at quant.Max, the hottest state it
 	// can represent, so a threshold at or past the rail is held one step
@@ -425,7 +440,7 @@ func (s *Service) drainShard(sh *shard, now time.Time) (int, int) {
 	for i := range sh.queue {
 		q := &sh.queue[i]
 		if q.at != runAt {
-			sh.observeWait(nowNs-runAt, runLen)
+			s.addWait(runs, runAt, runLen)
 			runAt, runLen = q.at, 0
 		}
 		runLen++
@@ -450,24 +465,63 @@ func (s *Service) drainShard(sh *shard, now time.Time) (int, int) {
 		}
 		sl.alerted = hot
 	}
-	sh.observeWait(nowNs-runAt, runLen)
+	s.addWait(runs, runAt, runLen)
 	sh.queue = sh.queue[:0]
 	if raised > 0 {
 		sh.unpolled.Store(true)
 	}
 	sh.mu.Unlock()
 
-	s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "drain", Shim: sh.rack, VM: -1, Host: -1, Value: float64(n)})
+	if s.rec.Enabled() {
+		s.rec.Record(obs.Event{Kind: obs.KindIngest, Phase: "drain", Shim: sh.rack, VM: -1, Host: -1, Value: float64(n)})
+	}
 	return n, raised
 }
 
-// observeWait folds n updates that each waited ns nanoseconds. A batch
-// stamped after ProcessPending read its clock but drained by that pass
-// would read negative; it waited no time at all.
-func (sh *shard) observeWait(ns int64, n int) {
-	ns = max(ns, 0)
-	sh.wait.ObserveN(time.Duration(ns).Seconds(), n)
-	sh.waitHist.ObserveN(ns, uint64(n))
+// waitRuns is one drain pass's queue wait, gathered by arrival stamp: n[i]
+// updates arrived at at[i] and were drained at now, all in nanoseconds
+// since the service's epoch. A batch that reached every shard is one
+// entry, so a period's pass usually folds one. It lives on the caller's
+// stack.
+type waitRuns struct {
+	now int64
+	at  [8]int64
+	n   [8]int
+	k   int
+}
+
+// addWait adds n updates stamped at to w, folding w first when it holds
+// as many distinct stamps as it has room for.
+func (s *Service) addWait(w *waitRuns, at int64, n int) {
+	for i := w.k - 1; i >= 0; i-- {
+		if w.at[i] == at {
+			w.n[i] += n
+			return
+		}
+	}
+	if w.k == len(w.at) {
+		s.foldWait(w)
+	}
+	w.at[w.k], w.n[w.k] = at, n
+	w.k++
+}
+
+// foldWait folds w's runs into the service's wait summary and histogram,
+// each run once with its count as weight, and empties w. A batch stamped
+// after the pass read its clock but drained by it would read negative; it
+// waited no time at all.
+func (s *Service) foldWait(w *waitRuns) {
+	if w.k == 0 {
+		return
+	}
+	s.waitMu.Lock()
+	for i := range w.k {
+		ns := max(w.now-w.at[i], 0)
+		s.wait.ObserveN(time.Duration(ns).Seconds(), w.n[i])
+		s.waitHist.ObserveN(ns, uint64(w.n[i]))
+	}
+	s.waitMu.Unlock()
+	w.k = 0
 }
 
 // observe folds one observation into the float Holt state and returns
@@ -522,17 +576,17 @@ func (s *Service) Stats() Stats {
 		Processed: s.processed.Load(),
 		Alerts:    s.alerts.Load(),
 	}
-	var hist metrics.LogHistogram
 	for _, sh := range s.shard {
 		sh.mu.Lock()
 		st.Pending += len(sh.queue)
-		st.Latency.Merge(sh.wait)
-		hist.Merge(&sh.waitHist)
 		sh.mu.Unlock()
 	}
+	s.waitMu.Lock()
+	st.Latency = s.wait
 	if st.Latency.Count() > 0 {
-		st.LatencyP99 = hist.Quantile(0.99) / 1e9
+		st.LatencyP99 = s.waitHist.Quantile(0.99) / 1e9
 	}
+	s.waitMu.Unlock()
 	return st
 }
 

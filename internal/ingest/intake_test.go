@@ -3,11 +3,13 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"sheriff/internal/metrics"
 	"sheriff/internal/obs"
 	"sheriff/internal/traces"
 )
@@ -174,10 +176,16 @@ func TestQueueGrowthStopsAtLimit(t *testing.T) {
 		if got := len(s.shard[0].queue); got != limit {
 			t.Fatalf("queue holds %d, want %d", got, limit)
 		}
-		// The drain itself: ProcessPending's fan-out allocates its closure.
-		if got, _ := s.drainShard(s.shard[0], s.opts.Clock()); got != limit {
+		// The drain itself, then the wait fold ProcessPending runs after
+		// its shard loop.
+		runs := waitRuns{now: int64(s.opts.Clock().Sub(s.epoch))}
+		if got, _ := s.drainShard(s.shard[0], &runs); got != limit {
 			t.Fatalf("processed %d, want %d", got, limit)
 		}
+		if runs.k != 1 || runs.n[0] != limit {
+			t.Fatalf("the drain gathered %d stamps, the first of %d updates; want one of %d", runs.k, runs.n[0], limit)
+		}
+		s.foldWait(&runs)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
@@ -388,8 +396,10 @@ func TestConcurrentOffersConserve(t *testing.T) {
 
 // TestServiceFootprint holds construction to what the service carries:
 // the end-to-end harness's ls1000-calm shape (1000 racks × 8 VMs, default
-// Options, so QueueLimit 4096) must not retain more than a few megabytes.
-// Queues preallocated at the limit took 261 KB a rack, 251 MB in all.
+// Options, so QueueLimit 4096) retains about 1 MB, one table entry, slot
+// and first queue entry per VM and under a hundred bytes a shard. Queues
+// preallocated at the limit took 261 KB a rack, 251 MB in all; a wait
+// histogram in every shard, 2.1 MB.
 func TestServiceFootprint(t *testing.T) {
 	vmsByRack := make([][]int, 1000)
 	for r := range vmsByRack {
@@ -406,10 +416,12 @@ func TestServiceFootprint(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	const budget = 4 << 20
-	if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got > budget {
+	const budget = 3 << 19 // 1.5 MiB
+	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if got > budget {
 		t.Fatalf("New retains %d bytes for 1000 racks × 8 VMs, budget %d", got, budget)
 	}
+	t.Logf("New retains %d bytes for 1000 racks × 8 VMs", got)
 	runtime.KeepAlive(s)
 }
 
@@ -460,4 +472,184 @@ func TestPollSkipsQuietShards(t *testing.T) {
 	if got := poll(0, 1, 2); len(got) != 0 {
 		t.Fatalf("Poll after a latched drain = %+v, want nothing", got)
 	}
+}
+
+// waitOracle recomputes the service's queue-wait statistics the slow way:
+// every drained update's wait observed on its own.
+type waitOracle struct {
+	sum  metrics.Summary
+	hist metrics.LogHistogram
+}
+
+// observe adds n updates that waited ns nanoseconds, zero for a wait that
+// reads negative.
+func (o *waitOracle) observe(ns int64, n int) {
+	ns = max(ns, 0)
+	for range n {
+		o.sum.Observe(time.Duration(ns).Seconds())
+		o.hist.ObserveN(ns, 1)
+	}
+}
+
+// check holds st's latency to the recomputation: count, min, max and p99
+// exactly, the mean to 1e-12 relative (the service folds one run per
+// distinct stamp, so its Welford sums round in a different order).
+func (o *waitOracle) check(t *testing.T, tag string, st Stats) {
+	t.Helper()
+	got, want := &st.Latency, &o.sum
+	if got.Count() != want.Count() || got.Min() != want.Min() || got.Max() != want.Max() {
+		t.Fatalf("%s: latency %s, want %s", tag, got.String(), want.String())
+	}
+	p99 := 0.0
+	if want.Count() > 0 {
+		p99 = o.hist.Quantile(0.99) / 1e9
+	}
+	if st.LatencyP99 != p99 {
+		t.Fatalf("%s: p99 %v, want %v", tag, st.LatencyP99, p99)
+	}
+	if m := want.Mean(); math.Abs(got.Mean()-m) > 1e-12*math.Abs(m) {
+		t.Fatalf("%s: mean %v, want %v", tag, got.Mean(), m)
+	}
+}
+
+// TestWaitAccountingMatchesPerUpdate interleaves offers at varied stamps
+// (a clock that also steps back, so some waits read negative), drains and
+// Stats reads at random, with queues small enough to tail-drop, and holds
+// every Stats to the per-update recomputation. Between drains there are
+// often more distinct stamps than a drain pass gathers before it folds.
+func TestWaitAccountingMatchesPerUpdate(t *testing.T) {
+	const limit = 10
+	base := time.Unix(1700000000, 0)
+	var now time.Duration
+	s := build(t, Options{QueueLimit: limit, Clock: func() time.Time { return base.Add(now) }})
+	rng := rand.New(rand.NewPCG(5, 7))
+	shardOf := []int{0, 0, 0, 1, 1} // VM → shard, as build partitions them
+	var pending [2][]int64          // the stamps each shard's queue holds
+	var o waitOracle
+	for op := 0; op < 3000; op++ {
+		// Mostly forward, sometimes back by up to 2 ms.
+		now += time.Duration(rng.IntN(3000)-600) * time.Microsecond
+		switch k := rng.IntN(10); {
+		case k < 8:
+			batch := make([]Update, 1+rng.IntN(6))
+			for i := range batch {
+				batch[i] = Update{VM: rng.IntN(5), Profile: cool()}
+			}
+			if _, err := s.OfferBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range batch {
+				if q := &pending[shardOf[u.VM]]; len(*q) < limit {
+					*q = append(*q, int64(now))
+				}
+			}
+		case k < 9:
+			s.ProcessPending()
+			for i, q := range pending {
+				for _, at := range q {
+					o.observe(int64(now)-at, 1)
+				}
+				pending[i] = q[:0]
+			}
+		default:
+			o.check(t, fmt.Sprintf("op %d", op), s.Stats())
+		}
+	}
+	s.ProcessPending()
+	for _, q := range pending {
+		for _, at := range q {
+			o.observe(int64(now)-at, 1)
+		}
+	}
+	st := s.Stats()
+	if st.Dropped == 0 || st.Latency.Count() < 1000 {
+		t.Fatalf("the script dropped %d and drained %d; want drops and a long record", st.Dropped, st.Latency.Count())
+	}
+	o.check(t, "end", st)
+}
+
+// TestWaitAccountingConcurrentOffers: producers offer at once, each batch
+// at a stamp of its own, so a shard's queue interleaves stamps, while a
+// reader calls Stats throughout (run it under -race). Drains run between
+// rounds, with the producers parked, so the clock's log tells each round's
+// stamps and the drain's now, and the recomputation is exact.
+func TestWaitAccountingConcurrentOffers(t *testing.T) {
+	const (
+		racks, perRack = 6, 4
+		producers      = 4
+		rounds         = 150
+	)
+	base := time.Unix(1700000000, 0)
+	var clockMu sync.Mutex
+	var tick time.Duration
+	var log []time.Duration // every instant the clock handed out, in order
+	clock := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		tick += time.Duration(1+len(log)*7919%997) * time.Microsecond
+		log = append(log, tick)
+		return base.Add(tick)
+	}
+	vmsByRack := make([][]int, racks)
+	for r := range vmsByRack {
+		for v := 0; v < perRack; v++ {
+			vmsByRack[r] = append(vmsByRack[r], r*perRack+v)
+		}
+	}
+	s, err := New(vmsByRack, Options{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Stats()
+			}
+		}
+	}()
+	var o waitOracle
+	seen := len(log) // the epoch New read
+	for round := 0; round < rounds; round++ {
+		size := 1 + round%9 // every producer's batch this round
+		var wg sync.WaitGroup
+		for g := 0; g < producers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(round), uint64(g)))
+				batch := make([]Update, size)
+				for i := range batch {
+					batch[i] = Update{VM: rng.IntN(racks * perRack), Profile: cool()}
+				}
+				if n, err := s.OfferBatch(batch); err != nil || n != size {
+					t.Errorf("producer %d accepted %d of %d, %v", g, n, size, err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		s.ProcessPending()
+		clockMu.Lock()
+		offers, drain := log[seen:len(log)-1], log[len(log)-1]
+		seen = len(log)
+		clockMu.Unlock()
+		if len(offers) != producers {
+			t.Fatalf("round %d: %d offer stamps, want %d", round, len(offers), producers)
+		}
+		for _, at := range offers {
+			o.observe(int64(drain-at), size)
+		}
+		if round%10 == 9 {
+			o.check(t, fmt.Sprintf("round %d", round), s.Stats())
+		}
+	}
+	close(stop)
+	reader.Wait()
+	o.check(t, "end", s.Stats())
 }

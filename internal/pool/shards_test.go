@@ -1,8 +1,10 @@
 package pool
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestShardsRunsEveryShardOnce(t *testing.T) {
@@ -77,5 +79,42 @@ func TestShardsSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { s.Do(fn) })
 	if allocs != 0 {
 		t.Fatalf("steady-state Do allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkShardsHandoff times the hand-off of a two-shard round after an
+// idle gap, the shape of one engine phase a period: shard 0 runs on the
+// caller at once, shard 1 on its parked worker once the send has woken
+// it. Each shard spins for the sub-benchmark's work. shard1_start_us is
+// how long after Do's start shard 1 began and round_us how long the round
+// took: with work shorter than shard1_start_us the shards run one after
+// the other, and a round costs the hand-off plus one shard's work however
+// the work is split.
+func BenchmarkShardsHandoff(b *testing.B) {
+	const gap = 500 * time.Microsecond
+	for _, work := range []time.Duration{5 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond} {
+		b.Run(fmt.Sprintf("work=%v", work), func(b *testing.B) {
+			s := NewShards(2)
+			defer s.Close()
+			var began [2]time.Time // each written by its own shard only
+			fn := func(shard int) {
+				began[shard] = time.Now()
+				for time.Since(began[shard]) < work {
+				}
+			}
+			s.Do(fn) // starts the worker
+			var start1, round time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				time.Sleep(gap)
+				b.StartTimer()
+				t0 := time.Now()
+				s.Do(fn)
+				round += time.Since(t0)
+				start1 += began[1].Sub(t0)
+			}
+			b.ReportMetric(float64(start1.Nanoseconds())/1e3/float64(b.N), "shard1_start_us")
+			b.ReportMetric(float64(round.Nanoseconds())/1e3/float64(b.N), "round_us")
+		})
 	}
 }

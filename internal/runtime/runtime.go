@@ -263,34 +263,31 @@ type ExternalUpdate = traces.Update
 // StepExternal advances one collection period T from the profiles the VMs
 // reported: VMs present in updates take their measured profile, VMs
 // absent this period repeat their last observed profile (the shim's
-// collect loop treats silence as "unchanged"). An unknown VM ID or a
-// profile with a NaN or ±Inf component is an error, and the period does
-// not advance. Prediction and monitoring fan out over the engine's shard
-// workers; management is serialized, every shim's round in the one
+// collect loop treats silence as "unchanged"). The whole batch is checked
+// before any of it is written: an unknown VM ID or a profile with a NaN or
+// ±Inf component is an error, and then the runtime is left as it was and
+// the period does not advance. A VM listed twice takes its last profile.
+// Prediction and monitoring fan out over the engine's shard workers;
+// management is serialized, every shim's round in the one
 // migrate.Workspace the runtime keeps.
 //
 // The stats are returned by value. Once every rack's shim exists and the
 // engine, flow and workspace memory has grown to the fabric's high-water
 // mark, a period allocates nothing.
 func (r *Runtime) StepExternal(updates []ExternalUpdate) (StepStats, error) {
-	// Profiles are stamped into a persistent overlay keyed by dense VM
-	// index; bumping the epoch invalidates the previous step's stamps, so a
-	// steady ingest loop allocates nothing.
 	sh := r.sh
-	sh.extEpoch++
-	for _, u := range updates {
-		i := int32(-1)
-		if uint(u.VM) < uint(len(sh.vmIndex)) {
-			i = sh.vmIndex[u.VM]
-		}
-		if i < 0 {
+	for k := range updates {
+		u := &updates[k]
+		if uint(u.VM) >= uint(len(sh.vmIndex)) || sh.vmIndex[u.VM] < 0 {
 			return StepStats{}, fmt.Errorf("runtime: external update for unknown VM %d", u.VM)
 		}
 		if !u.Profile.Finite() {
 			return StepStats{}, fmt.Errorf("runtime: external update for VM %d has a non-finite profile %+v", u.VM, u.Profile)
 		}
-		sh.extProf[i] = u.Profile
-		sh.extMark[i] = sh.extEpoch
+	}
+	for k := range updates {
+		u := &updates[k]
+		sh.cur[sh.vmIndex[u.VM]] = u.Profile
 	}
 	return r.advanceSharded()
 }

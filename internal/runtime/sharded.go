@@ -84,7 +84,9 @@ type shardState struct {
 	vmLo, vmHi     []int
 
 	// Per-VM SoA state, rack-major then ascending VM ID. Each entry is
-	// written only by its owning shard during a phase round.
+	// written only by its owning shard during a phase round, except cur,
+	// each VM's last reported profile, which StepExternal writes in place
+	// before the first round: a VM that reports nothing keeps the one it had.
 	vms       []*dcn.VM
 	rack      []int32
 	cur       []traces.Profile
@@ -103,13 +105,9 @@ type shardState struct {
 	deepVal []float64
 	deepOK  []bool
 
-	// Reported-profile overlay (StepExternal), epoch-stamped so a steady
-	// ingest loop never rebuilds a map. vmIndex is indexed by VM ID (the
-	// cluster hands IDs out sequentially) and holds -1 where no VM has it.
-	vmIndex  []int32
-	extProf  []traces.Profile
-	extMark  []uint64
-	extEpoch uint64
+	// vmIndex is indexed by VM ID (the cluster hands IDs out sequentially)
+	// and holds each VM's dense index, -1 where no VM has the ID.
+	vmIndex []int32
 
 	// Per-shard fold outputs for the coordinator.
 	dur          []time.Duration
@@ -174,8 +172,6 @@ func newShardState(cluster *dcn.Cluster, admission map[int]int, shards int, deep
 			sh.vmIndex[i] = -1
 		}
 	}
-	sh.extProf = make([]traces.Profile, n)
-	sh.extMark = make([]uint64, n)
 	fill := make([]int32, racks)
 	copy(fill, sh.rackStart[:racks])
 	for k, vm := range vms {
@@ -267,21 +263,19 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 	sh.depsVersion = r.Cluster.Deps.Version()
 }
 
-// predictShard is phase 1 for one shard: observe (the reported-profile
-// overlay; a VM that reported nothing keeps its last profile), fold the
-// Holt states, and raise server pre-alerts into the shard-owned per-rack
-// buckets — ascending VM ID within each rack, whatever the shard count.
-// Deep-pool aggregation rides in the same round (it reads only profiles
-// this shard just wrote).
+// predictShard is phase 1 for one shard: fold each VM's current profile
+// (StepExternal wrote the reported ones into cur; a VM that reported
+// nothing keeps its last) into its Holt states, and raise server
+// pre-alerts into the shard-owned per-rack buckets — ascending VM ID
+// within each rack, whatever the shard count.
+// Deep-pool aggregation rides in the same round (it reads only the
+// profiles of this shard's racks).
 func (r *Runtime) predictShard(s int) {
 	sh := r.sh
 	start := time.Now()
 	th := r.opts.Thresholds
 	alerts := 0
 	for i := sh.vmLo[s]; i < sh.vmHi[s]; i++ {
-		if sh.extMark[i] == sh.extEpoch {
-			sh.cur[i] = sh.extProf[i]
-		}
 		p := sh.cur[i]
 		hp := &sh.pred[i]
 		if sh.nObs[i] == 0 {

@@ -243,6 +243,66 @@ func TestStepExternalRejectsNonFiniteProfile(t *testing.T) {
 	}
 }
 
+// TestStepExternalRefusedBatchChangesNothing: StepExternal checks a whole
+// batch before it writes a profile, so a batch refused for its last update
+// — an unknown VM, or a non-finite profile — leaves the runtime's snapshot
+// byte for byte as it was, though every update before that one was good.
+func TestStepExternalRefusedBatchChangesNothing(t *testing.T) {
+	cluster, model := buildParts(t, 4)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.3, Seed: 11})
+	r, err := New(cluster, model, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	vms := cluster.VMs()
+	batch := func(p traces.Profile) []ExternalUpdate {
+		out := make([]ExternalUpdate, 0, len(vms)+1)
+		for _, vm := range vms {
+			out = append(out, ExternalUpdate{VM: vm.ID, Profile: p})
+		}
+		return out
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := r.StepExternal(batch(traces.Profile{CPU: 0.2, Mem: 0.2, IO: 0.1, TRF: 0.1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() []byte {
+		t.Helper()
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := snapshot()
+	hot := traces.Profile{CPU: 0.99, Mem: 0.95, IO: 0.5, TRF: 0.5}
+	for _, tc := range []struct {
+		name string
+		last ExternalUpdate
+		want string
+	}{
+		{"unknown VM", ExternalUpdate{VM: 99999, Profile: hot}, "runtime: external update for unknown VM 99999"},
+		{"non-finite", ExternalUpdate{VM: vms[0].ID, Profile: traces.Profile{CPU: 0.5, Mem: math.NaN()}},
+			fmt.Sprintf("runtime: external update for VM %d has a non-finite profile", vms[0].ID)},
+	} {
+		if _, err := r.StepExternal(append(batch(hot), tc.last)); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q…", tc.name, err, tc.want)
+		}
+		if after := snapshot(); string(after) != string(before) {
+			t.Fatalf("%s: the refused batch changed the snapshot", tc.name)
+		}
+	}
+	if r.step != 3 {
+		t.Fatalf("refused batches left the runtime at step %d, want 3", r.step)
+	}
+}
+
 // TestSnapshotNamesAVMThatLeftOrJoined: the engine steps the VMs it was
 // built over. After a VM joins the cluster, or leaves it, a snapshot would
 // list VMs a restore cannot match to the cluster, so Snapshot refuses and

@@ -275,13 +275,18 @@ func (p Profile) Finite() bool {
 	return (p.CPU-p.CPU)+(p.Mem-p.Mem)+(p.IO-p.IO)+(p.TRF-p.TRF) == 0
 }
 
-// Max returns the largest component, the quantity the ALERT rule reports.
+// Max returns the largest component, the quantity the ALERT rule reports;
+// of equal components the first, in CPU, Mem, IO, TRF order, is returned.
 func (p Profile) Max() float64 {
 	m := p.CPU
-	for _, v := range [...]float64{p.Mem, p.IO, p.TRF} {
-		if v > m {
-			m = v
-		}
+	if p.Mem > m {
+		m = p.Mem
+	}
+	if p.IO > m {
+		m = p.IO
+	}
+	if p.TRF > m {
+		m = p.TRF
 	}
 	return m
 }

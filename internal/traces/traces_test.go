@@ -118,6 +118,24 @@ func TestProfileComponentsAndMax(t *testing.T) {
 	if p.Max() != 0.9 {
 		t.Fatalf("Max = %v, want 0.9", p.Max())
 	}
+	// Of equal components the first wins, bits and all: −0 and +0 compare
+	// equal, so the sign Max returns is the first zero's. A NaN CPU is
+	// returned; a later NaN is passed over.
+	neg := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		p    Profile
+		want float64
+	}{
+		{Profile{CPU: neg, Mem: 0, IO: neg, TRF: 0}, neg},
+		{Profile{CPU: 0, Mem: neg, IO: 0, TRF: neg}, 0},
+		{Profile{CPU: -1, Mem: neg, IO: 0, TRF: -2}, neg},
+		{Profile{CPU: math.NaN(), Mem: 1}, math.NaN()},
+		{Profile{CPU: 0.1, Mem: math.NaN(), IO: 0.3, TRF: 0.2}, 0.3},
+	} {
+		if got := tc.p.Max(); math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Fatalf("%+v.Max() = %v (bits %#x), want %v (bits %#x)", tc.p, got, math.Float64bits(got), tc.want, math.Float64bits(tc.want))
+		}
+	}
 }
 
 func TestProfileMaxProperty(t *testing.T) {
