@@ -15,7 +15,7 @@
 // high-water mark (never past the cap), an offer resolves its VM through
 // a dense table, reads each update once and takes a shard's lock once per
 // run of consecutive updates for that shard, and queue wait is accounted
-// once per drain pass: one fold per distinct arrival stamp, into one
+// per run of one arrival stamp over a whole drain pass: one fold into one
 // service-wide summary, however many shards the stamp reached. Events are
 // built only when a recorder is attached. Once queues are at their
 // high-water mark the path is allocation-free, so a daemon ingesting
@@ -386,17 +386,19 @@ func (s *Service) endRun(sh *shard, run []Update, room int) int {
 //
 // The pass reads the clock once, so every update offered under one
 // arrival stamp waited the same time, whichever shard queued it: the
-// shards' waits gather by stamp on the caller's stack (waitRuns) and fold
-// into the service's summary and histogram once, after the last shard.
+// updates of one stamp gather into one pending run on the caller's stack
+// (waitRun), which folds into the service's summary and histogram when
+// the stamp changes and once after the last shard. A period offered as
+// one batch folds once a pass.
 func (s *Service) ProcessPending() int {
-	runs := waitRuns{now: int64(s.opts.Clock().Sub(s.epoch))}
+	run := waitRun{now: int64(s.opts.Clock().Sub(s.epoch))}
 	processed, raised := 0, 0
 	for _, sh := range s.shard {
-		n, r := s.drainShard(sh, &runs)
+		n, r := s.drainShard(sh, &run)
 		processed += n
 		raised += r
 	}
-	s.foldWait(&runs)
+	s.foldWait(&run)
 	if processed > 0 {
 		s.processed.Add(uint64(processed))
 	}
@@ -417,13 +419,13 @@ func (s *Service) ProcessPending() int {
 // backpressure contract: accepted updates are processed exactly once,
 // in order, before anything newer.
 //
-// Each run of updates sharing an arrival stamp (a batch stamps once) is
-// added to runs with its length, for the caller to fold once per pass
-// (foldWait).
+// Each update's wait is added to run, the pass's pending run of one
+// arrival stamp (a batch stamps once); an update under another stamp
+// folds the run first (foldWait).
 //
 // It returns how many updates it processed and how many alerts it raised;
 // the caller adds them to the service's counters.
-func (s *Service) drainShard(sh *shard, runs *waitRuns) (int, int) {
+func (s *Service) drainShard(sh *shard, run *waitRun) (int, int) {
 	sh.mu.Lock()
 	n := len(sh.queue)
 	if n == 0 {
@@ -436,14 +438,13 @@ func (s *Service) drainShard(sh *shard, runs *waitRuns) (int, int) {
 	// below it: a signal pinned to the rail still alerts.
 	qthresh := min(s.qthresh, quant.Max-1)
 	raised := 0
-	runAt, runLen := sh.queue[0].at, 0
 	for i := range sh.queue {
 		q := &sh.queue[i]
-		if q.at != runAt {
-			s.addWait(runs, runAt, runLen)
-			runAt, runLen = q.at, 0
+		if q.at != run.at {
+			s.foldWait(run)
+			run.at = q.at
 		}
-		runLen++
+		run.n++
 		sl := &sh.slots[q.slot]
 		var pred float64
 		var sig quant.Q
@@ -465,7 +466,6 @@ func (s *Service) drainShard(sh *shard, runs *waitRuns) (int, int) {
 		}
 		sl.alerted = hot
 	}
-	s.addWait(runs, runAt, runLen)
 	sh.queue = sh.queue[:0]
 	if raised > 0 {
 		sh.unpolled.Store(true)
@@ -478,50 +478,28 @@ func (s *Service) drainShard(sh *shard, runs *waitRuns) (int, int) {
 	return n, raised
 }
 
-// waitRuns is one drain pass's queue wait, gathered by arrival stamp: n[i]
-// updates arrived at at[i] and were drained at now, all in nanoseconds
-// since the service's epoch. A batch that reached every shard is one
-// entry, so a period's pass usually folds one. It lives on the caller's
-// stack.
-type waitRuns struct {
-	now int64
-	at  [8]int64
-	n   [8]int
-	k   int
+// waitRun is a drain pass's pending queue wait: n updates arrived at at
+// and were drained at now, all in nanoseconds since the service's epoch.
+// It lives on the caller's stack.
+type waitRun struct {
+	now, at int64
+	n       int
 }
 
-// addWait adds n updates stamped at to w, folding w first when it holds
-// as many distinct stamps as it has room for.
-func (s *Service) addWait(w *waitRuns, at int64, n int) {
-	for i := w.k - 1; i >= 0; i-- {
-		if w.at[i] == at {
-			w.n[i] += n
-			return
-		}
-	}
-	if w.k == len(w.at) {
-		s.foldWait(w)
-	}
-	w.at[w.k], w.n[w.k] = at, n
-	w.k++
-}
-
-// foldWait folds w's runs into the service's wait summary and histogram,
-// each run once with its count as weight, and empties w. A batch stamped
-// after the pass read its clock but drained by it would read negative; it
-// waited no time at all.
-func (s *Service) foldWait(w *waitRuns) {
-	if w.k == 0 {
+// foldWait folds w into the service's wait summary and histogram, once
+// with its count as weight, and empties it. A batch stamped after the pass
+// read its clock but drained by it would read negative; it waited no time
+// at all.
+func (s *Service) foldWait(w *waitRun) {
+	if w.n == 0 {
 		return
 	}
+	ns := max(w.now-w.at, 0)
 	s.waitMu.Lock()
-	for i := range w.k {
-		ns := max(w.now-w.at[i], 0)
-		s.wait.ObserveN(time.Duration(ns).Seconds(), w.n[i])
-		s.waitHist.ObserveN(ns, uint64(w.n[i]))
-	}
+	s.wait.ObserveN(time.Duration(ns).Seconds(), w.n)
+	s.waitHist.ObserveN(ns, uint64(w.n))
 	s.waitMu.Unlock()
-	w.k = 0
+	w.n = 0
 }
 
 // observe folds one observation into the float Holt state and returns

@@ -178,14 +178,14 @@ func TestQueueGrowthStopsAtLimit(t *testing.T) {
 		}
 		// The drain itself, then the wait fold ProcessPending runs after
 		// its shard loop.
-		runs := waitRuns{now: int64(s.opts.Clock().Sub(s.epoch))}
-		if got, _ := s.drainShard(s.shard[0], &runs); got != limit {
+		run := waitRun{now: int64(s.opts.Clock().Sub(s.epoch))}
+		if got, _ := s.drainShard(s.shard[0], &run); got != limit {
 			t.Fatalf("processed %d, want %d", got, limit)
 		}
-		if runs.k != 1 || runs.n[0] != limit {
-			t.Fatalf("the drain gathered %d stamps, the first of %d updates; want one of %d", runs.k, runs.n[0], limit)
+		if run.n != limit {
+			t.Fatalf("the drain left %d updates pending under one stamp, want all %d", run.n, limit)
 		}
-		s.foldWait(&runs)
+		s.foldWait(&run)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
@@ -516,7 +516,8 @@ func (o *waitOracle) check(t *testing.T, tag string, st Stats) {
 // (a clock that also steps back, so some waits read negative), drains and
 // Stats reads at random, with queues small enough to tail-drop, and holds
 // every Stats to the per-update recomputation. Between drains there are
-// often more distinct stamps than a drain pass gathers before it folds.
+// often several stamps, interleaved across shards, so a pass folds many
+// runs.
 func TestWaitAccountingMatchesPerUpdate(t *testing.T) {
 	const limit = 10
 	base := time.Unix(1700000000, 0)
