@@ -7,6 +7,8 @@
 #                       REGEX
 #   doc  TARGET WORDS   `go doc -all TARGET` names none of WORDS (a regex
 #                       alternation, matched as whole words)
+#   decl TARGET REGEX   no line of `go doc -u -src TARGET`, the declaration
+#                       with its unexported fields, matches REGEX
 #
 # Usage: bash .github/absent.sh   (from any directory; exits 1 on a hit)
 set -uo pipefail
@@ -34,6 +36,15 @@ while read -r kind target words; do
 			fail=1
 		elif grep -E "\b($words)\b" <<<"$out"; then
 			echo "absent.sh: go doc -all $target names one of $words"
+			fail=1
+		fi
+		;;
+	decl)
+		if ! out=$(go doc -u -src "$target"); then
+			echo "absent.sh: go doc -u -src $target failed"
+			fail=1
+		elif grep -E "$words" <<<"$out"; then
+			echo "absent.sh: the declaration of $target matches $words"
 			fail=1
 		fi
 		;;
@@ -179,5 +190,8 @@ src  \bs\.(knap|inSet|hostSet|torSet|vms|tally)\b|&s\.scratch\b
 # Each update touched once less on the calm path: StepExternal writes the reported profiles into the engine's cur in place, with no overlay beside it, and a drain pass folds queue wait once into the service's summary and histogram, not into every shard's.
 src  \b(extProf|extMark|extEpoch)\b
 src  \bsh\.(wait|waitHist)\b
+# Workload sources in a few hundred bytes: a WorkloadGen draws each sample again from its PCG streams, so it holds no materialized series and no math/rand generator, and a SurgeGen holds its baseline in place.
+decl ./internal/traces.WorkloadGen \*timeseries\.Series|\*rand\.Rand\b
+decl ./internal/traces.SurgeGen \*WorkloadGen\b
 EOF
 exit $fail

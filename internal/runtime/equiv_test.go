@@ -82,11 +82,13 @@ func (sc equivScenario) restore(t *testing.T, doc []byte, shards int) *Runtime {
 
 func equivScenarios() []equivScenario {
 	return []equivScenario{
-		{name: "default", steps: 12},
+		// Seed 26 is the first whose diurnal streams alert, and migrate,
+		// in the first 12 periods on this fabric.
+		{name: "default", seed: 26, steps: 12},
 		// The pools fit at period 22, on the shortest history every
 		// candidate fits on (predictor.MinFitLength); four periods then
 		// run on them.
-		{name: "deep", steps: 26, mutate: func(o *Options) {
+		{name: "deep", seed: 26, steps: 26, mutate: func(o *Options) {
 			o.DeepPredict = true
 			o.DeepFitAfter = 22
 		}},
@@ -98,7 +100,9 @@ func equivScenarios() []equivScenario {
 		{name: "lite", steps: 12, mutate: func(o *Options) {
 			o.Traces = traces.Options{Kind: traces.Lite}
 		}},
-		{name: "surge", steps: 12, mutate: func(o *Options) {
+		// At seed 23 the surges alert, migrate and reroute within 12
+		// periods.
+		{name: "surge", seed: 23, steps: 12, mutate: func(o *Options) {
 			o.Traces = traces.Options{Kind: traces.Surge,
 				Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
 		}},
@@ -111,8 +115,9 @@ func equivScenarios() []equivScenario {
 		{name: "leaf-spine", steps: 4, parts: leafSpineParts, fabric: leafSpineFabric, mutate: func(o *Options) {
 			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
 		}},
-		// G_d edited under the running runtime (editDeps).
-		{name: "dependency-edits", steps: 12, parts: reverseParts, edit: editDeps, mutate: func(o *Options) {
+		// G_d edited under the running runtime (editDeps), at a seed whose
+		// surges move VMs across racks under the edits.
+		{name: "dependency-edits", seed: 3, steps: 12, parts: reverseParts, edit: editDeps, mutate: func(o *Options) {
 			o.Traces = traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
 		}},
 		// The default regime at the seeds TestShardedDeterministicAcrossShardCounts
@@ -621,7 +626,7 @@ func TestSnapshotRestoreSurgeRegime(t *testing.T) {
 // TestShardedMatchesReference pins the decisions.
 func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 	sc := equivScenario{name: "surge", steps: 20}
-	r := buildEquivRuntime(t, 11, Options{Traces: traces.Options{Kind: traces.Surge,
+	r := buildEquivRuntime(t, 23, Options{Traces: traces.Options{Kind: traces.Surge, // the surge row's seed, which migrates
 		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}})
 	eager, _ := r.Model.SweepCounts()
 	migrations, alerting := 0, 0
@@ -652,7 +657,7 @@ func TestManagePhaseSweepsOnlyAskingRacks(t *testing.T) {
 // that starts pricing without being named, or a shim that prices outside
 // its region, shows up here as an on-demand sweep.
 func TestRegionalRowsCoverEveryRead(t *testing.T) {
-	const periods, wantPrepared = 160, 255
+	const periods, wantPrepared = 160, 260
 	parts := func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
 		cluster, model := buildParts(t, 8)
 		cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})

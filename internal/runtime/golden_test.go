@@ -179,11 +179,11 @@ func encodeSnapshot(t *testing.T, r *Runtime) []byte {
 // writes and no other. Versions 3 and 4 (rows as records, floats in
 // decimal), 5 (a per-VM generator position), 6 (a model_stale flag), 7
 // (deep pools holding every value since their fit), 8 (deep pools as a
-// record per rack and candidate) and anything newer are refused by number,
-// not guessed at.
+// record per rack and candidate), 9 (trace options naming the streams
+// before PCG) and anything newer are refused by number, not guessed at.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	doc := goldenDoc(t)
-	for _, v := range []int{3, 4, 5, 6, 7, 8, SnapshotVersion + 1} {
+	for _, v := range []int{3, 4, 5, 6, 7, 8, 9, SnapshotVersion + 1} {
 		_, err := restoreMutated(t, doc, func(s *Snapshot) { s.Version = v })
 		want := fmt.Sprintf("snapshot version %d not supported", v)
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -44,8 +44,11 @@ import (
 // too (DeepColumns): one shape column, one packed parameter array per
 // fitted rack, shared by every snapshot, and one state array for all
 // racks, in place of a record per rack and per candidate; and the flow
-// paths as one flat column with end offsets.
-const SnapshotVersion = 9
+// paths as one flat column with end offsets. Version 10 changes no field:
+// the diurnal and surge streams its trace options name are drawn from PCG
+// streams since, so a restart from a version 9 file would go on with
+// other inputs than the run that wrote it.
+const SnapshotVersion = 10
 
 // VMColumns is the step engine's per-VM forecasting state as columns, in
 // ascending VM ID order: entry i of ID, Rack (the admission rack, see

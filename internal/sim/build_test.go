@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/cost"
@@ -123,5 +125,37 @@ func TestBuildRuntimeLeafSpineCalm(t *testing.T) {
 		if stats.ServerAlerts != 0 || stats.ToRAlerts != 0 || stats.Migrations != 0 {
 			t.Fatalf("step %d: thresholds 2 should be alert-free, got %+v", i, stats)
 		}
+	}
+}
+
+// A snapshot may name any period, and reporters reopened there must not
+// replay every period before it. Opening a source finds each trace's
+// range in one pass over its horizon; skipping to any start replays at
+// most one more. So over a Fat-Tree 8 surge admission, opening the
+// reporters at period 2^40 costs at most about two horizons a source:
+// no more than 2.5 times opening them at period 0, the best of five runs
+// each.
+func TestReportersOpenAtAnyStart(t *testing.T) {
+	rt, err := BuildRuntime(RuntimeConfig{Kind: FatTree, Size: 8, Seed: 1, TraceKind: traces.Surge.String()}, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admission := make(map[int]int)
+	for _, vm := range rt.Cluster.VMs() {
+		admission[vm.ID] = vm.Host().Rack().Index
+	}
+	open := func(start int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 5; i++ {
+			began := time.Now()
+			traces.NewReporters(rt.TraceGen(), admission, start)
+			best = min(best, time.Since(began))
+		}
+		return best
+	}
+	atZero, far := open(0), open(1<<40)
+	t.Logf("%d sources: %v at period 0, %v at period 2^40", len(admission), atZero, far)
+	if far > atZero*5/2 {
+		t.Fatalf("opening %d reporters at period 2^40 took %v, at period 0 %v: more than two horizons a source", len(admission), far, atZero)
 	}
 }

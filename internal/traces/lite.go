@@ -3,8 +3,8 @@ package traces
 import "math"
 
 // Source is the profile stream a runtime VM consumes: WorkloadGen (the
-// materialized, figure-faithful generator) and LiteGen (the O(1)-state
-// hyperscale generator) both satisfy it.
+// figure-faithful generator) and LiteGen (the O(1)-state hyperscale
+// generator) both satisfy it.
 type Source interface {
 	Next() Profile
 	// Pos reports how many profiles Next has produced; a fresh source with
@@ -22,8 +22,9 @@ var (
 
 // LiteGen is a counter-based workload source for hyperscale runs: the
 // profile at step t is a pure function of (seed, t), so per-VM state is
-// two words instead of WorkloadGen's ~35 KB of materialized series, and
-// Skip is O(1) instead of a replay. The shapes mirror WorkloadGen —
+// five words where WorkloadGen keeps about 200 bytes and draws a horizon
+// of samples to open, and Skip is O(1) where WorkloadGen replays up to a
+// horizon. The shapes mirror WorkloadGen —
 // diurnal CPU with decaying-window spikes, inertia-free memory tracking
 // CPU, bursty IO, daily+weekly traffic — but the two generators are NOT
 // sample-compatible; LiteGen trades the AR noise processes for hash noise

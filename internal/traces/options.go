@@ -7,12 +7,12 @@ import (
 )
 
 // Kind names a trace-generator family. The zero value is Diurnal, the
-// figure-faithful materialized generator the paper experiments run on.
+// figure-faithful generator the paper experiments run on.
 type Kind int
 
 const (
-	// Diurnal is the materialized WorkloadGen: diurnal CPU, bursty IO,
-	// weekly traffic with AR noise (Figs. 3–5). The default.
+	// Diurnal is WorkloadGen: diurnal CPU, bursty IO, weekly traffic with
+	// AR noise (Figs. 3–5), repeating with its horizon. The default.
 	Diurnal Kind = iota
 	// Lite is the counter-based hashed generator (O(1) state per VM) for
 	// hyperscale runs. NOT sample-compatible with Diurnal.
@@ -134,20 +134,21 @@ type Options struct {
 	// (Seed + vmID for the per-VM processes; the surge regime schedule
 	// hashes the cluster seed alone so bursts correlate across VMs).
 	Seed int64
-	// Hours is the horizon of the materialized kinds before wrap-around
-	// (default 24, at most MaxHours). The counter-based kinds never wrap
-	// and ignore it.
+	// Hours is the horizon of the diurnal and surge kinds before
+	// wrap-around (default 24, at most MaxHours). The counter-based kinds
+	// never wrap and ignore it.
 	Hours int
 	// Surge tunes the surge kinds' regime process; ignored by the others.
 	Surge SurgeParams
 }
 
 // MaxHours is the longest horizon Options.Hours may ask for: a week, the
-// period of the longest curve (the weekly traffic pattern). A materialized
-// generator holds its curves, and every VM's stream a normalized copy of
-// them, in proportion to the horizon: three float64 series of 1,440
-// samples a day, about 35 KB a VM a day. An unbounded value, say from a
-// snapshot file, would be an unbounded allocation.
+// period of the longest curve (the weekly traffic pattern). A diurnal or
+// surge Generator holds its curves in proportion to the horizon, three
+// float64 series of 1,440 samples a day, and opening or skipping one of
+// its sources draws up to a horizon of samples. An unbounded value, say
+// from a snapshot file, would be an unbounded allocation and an unbounded
+// pass per VM.
 const MaxHours = 7 * 24
 
 // Validate reports whether the options are usable: unknown kinds,
@@ -176,12 +177,13 @@ func (o Options) WithDefaults() Options {
 }
 
 // Generator is a cluster-level trace-generator: one per runtime, handing
-// out per-VM profile Sources. Construction happens once: the materialized
-// kinds compute each trace's seed-independent curve there, and the surge
-// kinds the shared regime schedule. Source is cheap: a materialized source
-// only draws and normalizes its own noise (about 120 µs and 55 KB at the
-// default 24 hours on a 2-vCPU Xeon, BenchmarkGeneratorSource), a
-// counter-based one is a few words.
+// out per-VM profile Sources. Construction happens once: the diurnal and
+// surge kinds compute each trace's seed-independent curve there, and the
+// surge kinds the shared regime schedule. Source is cheap: a diurnal or
+// surge source draws each trace's horizon once to find its range and keeps
+// a few hundred bytes, its PCG streams among them (about 0.1 ms and 208 B
+// in one allocation at the default 24 hours on a 2-vCPU Xeon,
+// BenchmarkGeneratorSource); a counter-based one is a few words.
 type Generator interface {
 	// Source returns VM vmID's profile stream. rack is the VM's rack
 	// index, which drives cross-rack burst correlation in the surge kinds
@@ -209,9 +211,8 @@ func New(o Options) (Generator, error) {
 	}
 }
 
-// diurnalFactory hands out the materialized figure-faithful generators
-// over its shared curves, seeded Seed+vmID exactly as the pre-Options call
-// sites did.
+// diurnalFactory hands out the figure-faithful generators over its shared
+// curves, seeded Seed+vmID exactly as the pre-Options call sites did.
 type diurnalFactory struct {
 	curves *curves
 	seed   int64

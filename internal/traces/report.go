@@ -21,9 +21,9 @@ type Reporters struct {
 
 // NewReporters opens one stream per VM of admission (VM ID to admission
 // rack) from g, each started at period start: a reporter reopened at the
-// period a run stopped at continues it bit-identically. Skipping costs one
-// draw per period skipped on the materialized kinds and nothing on the
-// counter-based ones.
+// period a run stopped at continues it bit-identically. Skipping replays at
+// most one horizon per VM on the diurnal and surge kinds, whatever start
+// is, and costs nothing on the counter-based ones.
 func NewReporters(g Generator, admission map[int]int, start int) *Reporters {
 	ids := make([]int, 0, len(admission))
 	for id := range admission {

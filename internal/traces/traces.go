@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	rand2 "math/rand/v2"
 
 	"sheriff/internal/timeseries"
 )
@@ -64,7 +65,12 @@ func (c CPUConfig) withDefaults() CPUConfig {
 // [0, 100].
 func CPU(cfg CPUConfig) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	return cpuFrom(cfg, cpuCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
+	curve := cpuCurve(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	spike := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
+		return cpuStep(&cfg, curve[t], &spike, rng)
+	})
 }
 
 // cpuCurve is the seed-independent part of the CPU trace: the diurnal
@@ -81,18 +87,24 @@ func cpuCurve(cfg CPUConfig) []float64 {
 	return curve
 }
 
-// cpuFrom draws one seed's spikes and noise onto the curve, which it only
-// reads.
-func cpuFrom(cfg CPUConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
-	spike := 0.0
-	return timeseries.FromFunc(len(curve), func(t int) float64 {
-		if rng.Float64() < cfg.SpikeProb {
-			spike = cfg.SpikeSize * (0.5 + rng.Float64())
-		}
-		spike *= 0.9 // spikes decay geometrically
-		v := curve[t] + spike + cfg.Noise*rng.NormFloat64()
-		return clamp(v, 0, 100)
-	})
+// draws is what one sample of a trace takes from its noise: CPU, DiskIO
+// and WeeklyTraffic pass a *math/rand.Rand, a WorkloadGen one of its PCG
+// streams.
+type draws interface {
+	Float64() float64
+	NormFloat64() float64
+	ExpFloat64() float64
+}
+
+// cpuStep is one CPU sample: curve is the sample's baseline and spike the
+// decaying spike the previous sample left.
+func cpuStep(cfg *CPUConfig, curve float64, spike *float64, r draws) float64 {
+	if r.Float64() < cfg.SpikeProb {
+		*spike = cfg.SpikeSize * (0.5 + r.Float64())
+	}
+	*spike *= 0.9 // spikes decay geometrically
+	v := curve + *spike + cfg.Noise*r.NormFloat64()
+	return clamp(v, 0, 100)
 }
 
 // DiskIOConfig parameterizes the bursty disk-I/O generator.
@@ -128,7 +140,12 @@ func (c DiskIOConfig) withDefaults() DiskIOConfig {
 // heavy right tail like the raw data of Fig. 4).
 func DiskIO(cfg DiskIOConfig) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	return diskIOFrom(cfg, diskIOCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
+	curve := diskIOCurve(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	burst := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
+		return diskIOStep(&cfg, curve[t], &burst, rng)
+	})
 }
 
 // diskIOCurve is the seed-independent part of the I/O trace: the floor
@@ -144,23 +161,20 @@ func diskIOCurve(cfg DiskIOConfig) []float64 {
 	return curve
 }
 
-// diskIOFrom draws one seed's bursts and noise onto the curve, which it
-// only reads.
-func diskIOFrom(cfg DiskIOConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
-	burst := 0.0
-	return timeseries.FromFunc(len(curve), func(t int) float64 {
-		if rng.Float64() < cfg.BurstProb {
-			// Exponential burst sizes give the heavy tail.
-			burst = cfg.BurstMean * rng.ExpFloat64()
-		}
-		burst *= 0.8
-		v := curve[t] + burst
-		v *= 1 + cfg.Noise*rng.NormFloat64()
-		if v < 0 {
-			v = 0
-		}
-		return v
-	})
+// diskIOStep is one I/O sample: curve is the sample's floor and burst the
+// decaying burst the previous sample left.
+func diskIOStep(cfg *DiskIOConfig, curve float64, burst *float64, r draws) float64 {
+	if r.Float64() < cfg.BurstProb {
+		// Exponential burst sizes give the heavy tail.
+		*burst = cfg.BurstMean * r.ExpFloat64()
+	}
+	*burst *= 0.8
+	v := curve + *burst
+	v *= 1 + cfg.Noise*r.NormFloat64()
+	if v < 0 {
+		v = 0
+	}
+	return v
 }
 
 // TrafficConfig parameterizes the weekly switch-traffic generator.
@@ -213,7 +227,12 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 // trend, autocorrelated noise, and a slow nonlinear amplitude modulation.
 func WeeklyTraffic(cfg TrafficConfig) *timeseries.Series {
 	cfg = cfg.withDefaults()
-	return weeklyTrafficFrom(cfg, weeklyTrafficCurve(cfg), rand.New(rand.NewSource(cfg.Seed)))
+	curve := weeklyTrafficCurve(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ar := 0.0
+	return timeseries.FromFunc(len(curve), func(t int) float64 {
+		return trafficStep(&cfg, curve[t], &ar, rng)
+	})
 }
 
 // weeklyTrafficCurve is the seed-independent part of the traffic trace:
@@ -240,18 +259,15 @@ func weeklyTrafficCurve(cfg TrafficConfig) []float64 {
 	return curve
 }
 
-// weeklyTrafficFrom draws one seed's AR(1) noise onto the curve, which it
-// only reads.
-func weeklyTrafficFrom(cfg TrafficConfig, curve []float64, rng *rand.Rand) *timeseries.Series {
-	ar := 0.0
-	return timeseries.FromFunc(len(curve), func(t int) float64 {
-		ar = cfg.NoisePhi*ar + cfg.NoiseSigma*rng.NormFloat64()
-		v := curve[t] + ar
-		if v < 0 {
-			v = 0
-		}
-		return v
-	})
+// trafficStep is one traffic sample: curve is the sample's level and ar
+// the AR(1) noise the previous sample left.
+func trafficStep(cfg *TrafficConfig, curve float64, ar *float64, r draws) float64 {
+	*ar = cfg.NoisePhi**ar + cfg.NoiseSigma*r.NormFloat64()
+	v := curve + *ar
+	if v < 0 {
+		v = 0
+	}
+	return v
 }
 
 // Profile bundles one synchronized sample of the four workload-profile
@@ -292,14 +308,49 @@ func (p Profile) Max() float64 {
 }
 
 // WorkloadGen produces correlated normalized workload profiles for one VM,
-// used to drive simulations. Each component follows its own generator;
-// memory tracks CPU with inertia (memory-bound apps hold allocations).
+// used to drive simulations. Each component follows its own trace, min/max
+// normalized over the trace's horizon as timeseries.(*Series).Normalize
+// would; memory tracks CPU with inertia (memory-bound apps hold
+// allocations).
+//
+// No trace is kept: each sample is drawn again from the trace's stream, a
+// PCG of 16 bytes, and one pass at construction finds each trace's range.
+// A trace reaching the end of its horizon restarts its stream and carry,
+// so every trace repeats with its horizon as a materialized one would;
+// memory restarts with CPU. Skip therefore replays at most one horizon.
 type WorkloadGen struct {
-	cpu, io, trf *timeseries.Series
-	mem          float64
-	rng          *rand.Rand
-	t            int
+	c    *curves
+	seed int64
+	t    int // profiles produced
+	// i is the position in the CPU and IO horizon, j in the traffic one.
+	i, j                  int
+	cpuR, ioR, trfR, memR stream
+	spike, burst, ar, mem float64 // each trace's carry from its last sample
+	cpuSc, ioSc, trfSc    timeseries.Scale
 }
+
+// stream is one trace's noise: a PCG, seeded in O(1), behind the draws a
+// step takes.
+type stream struct{ pcg rand2.PCG }
+
+// restart seeds the stream of trace k of the VM seeded seed. The splitmix
+// hashes set VMs of consecutive seeds, and a VM's four traces, far apart.
+func (s *stream) restart(seed int64, k uint64) {
+	h := mix64(uint64(seed))
+	s.pcg.Seed(h, mix64(h^k))
+}
+
+func (s *stream) Float64() float64     { return rand2.New(&s.pcg).Float64() }
+func (s *stream) NormFloat64() float64 { return rand2.New(&s.pcg).NormFloat64() }
+func (s *stream) ExpFloat64() float64  { return rand2.New(&s.pcg).ExpFloat64() }
+
+// The traces' stream indices.
+const (
+	cpuStream = iota
+	ioStream
+	trfStream
+	memStream
+)
 
 // NewWorkloadGen builds a workload generator with the given horizon (in
 // hours) and seed. A Generator opening many of them computes the shared
@@ -331,43 +382,90 @@ func newCurves(hours int) *curves {
 
 // workloadGen builds one seed's generator over the curves.
 func (c *curves) workloadGen(seed int64) *WorkloadGen {
-	// Opening a fabric's sources builds one of these per VM, so it keeps
-	// what it allocates to what it retains: one generator reseeded for each
-	// trace (Seed leaves it as NewSource would), each trace normalized in
-	// its own storage.
-	rng := rand.New(rand.NewSource(seed))
-	cpu := cpuFrom(c.cpuCfg, c.cpu, rng)
-	cpu.Normalize()
-	rng.Seed(seed + 1)
-	io := diskIOFrom(c.ioCfg, c.io, rng)
-	io.Normalize()
-	rng.Seed(seed + 2)
-	trf := weeklyTrafficFrom(c.trfCfg, c.trf, rng)
-	trf.Normalize()
-	rng.Seed(seed + 3)
-	return &WorkloadGen{
-		cpu: cpu,
-		io:  io,
-		trf: trf,
-		mem: 0.4,
-		rng: rng,
+	g := new(WorkloadGen)
+	g.init(c, seed)
+	return g
+}
+
+// init sets g, where it will stay, to seed's generator over the curves:
+// one pass over each horizon finds the trace's range, then every trace
+// restarts.
+func (g *WorkloadGen) init(c *curves, seed int64) {
+	*g = WorkloadGen{c: c, seed: seed}
+	g.restartCPU()
+	g.restartTraffic()
+	cpu, io, trf := newSpan(), newSpan(), newSpan()
+	for i := range c.cpu {
+		cpu.add(cpuStep(&c.cpuCfg, c.cpu[i], &g.spike, &g.cpuR))
+		io.add(diskIOStep(&c.ioCfg, c.io[i], &g.burst, &g.ioR))
 	}
+	for j := range c.trf {
+		trf.add(trafficStep(&c.trfCfg, c.trf[j], &g.ar, &g.trfR))
+	}
+	g.cpuSc, g.ioSc, g.trfSc = cpu.scale(), io.scale(), trf.scale()
+	g.restartCPU()
+	g.restartTraffic()
+}
+
+// restartCPU starts the CPU and IO horizon over, and memory with it.
+func (g *WorkloadGen) restartCPU() {
+	g.i = 0
+	g.cpuR.restart(g.seed, cpuStream)
+	g.ioR.restart(g.seed, ioStream)
+	g.memR.restart(g.seed, memStream)
+	g.spike, g.burst, g.mem = 0, 0, 0.4
+}
+
+// restartTraffic starts the traffic horizon over.
+func (g *WorkloadGen) restartTraffic() {
+	g.j = 0
+	g.trfR.restart(g.seed, trfStream)
+	g.ar = 0
+}
+
+// stepCPU draws the CPU, memory and IO samples at position i.
+func (g *WorkloadGen) stepCPU() (cpu, mem, io float64) {
+	c := g.c
+	cpu = g.cpuSc.Apply(cpuStep(&c.cpuCfg, c.cpu[g.i], &g.spike, &g.cpuR))
+	// Memory follows CPU with inertia plus small noise.
+	g.mem = clamp(0.9*g.mem+0.1*cpu+0.02*g.memR.NormFloat64(), 0, 1)
+	io = g.ioSc.Apply(diskIOStep(&c.ioCfg, c.io[g.i], &g.burst, &g.ioR))
+	g.i++
+	return cpu, g.mem, io
+}
+
+// stepTraffic draws the traffic sample at position j.
+func (g *WorkloadGen) stepTraffic() float64 {
+	c := g.c
+	trf := g.trfSc.Apply(trafficStep(&c.trfCfg, c.trf[g.j], &g.ar, &g.trfR))
+	g.j++
+	return trf
 }
 
 // Next returns the next synchronized workload profile. It wraps around at
-// the end of the underlying traces, so it never runs out.
+// the end of each trace's horizon, so it never runs out.
 func (g *WorkloadGen) Next() Profile {
-	i := g.t
+	if g.i == len(g.c.cpu) {
+		g.restartCPU()
+	}
+	if g.j == len(g.c.trf) {
+		g.restartTraffic()
+	}
 	g.t++
-	at := func(s *timeseries.Series) float64 { return s.At(i % s.Len()) }
-	cpu := at(g.cpu)
-	// Memory follows CPU with inertia plus small noise.
-	g.mem = clamp(0.9*g.mem+0.1*cpu+0.02*g.rng.NormFloat64(), 0, 1)
-	return Profile{CPU: cpu, Mem: g.mem, IO: at(g.io), TRF: at(g.trf)}
+	cpu, mem, io := g.stepCPU()
+	return Profile{CPU: cpu, Mem: mem, IO: io, TRF: g.stepTraffic()}
 }
 
-// Len reports the number of distinct samples before the generator wraps.
-func (g *WorkloadGen) Len() int { return g.cpu.Len() }
+// Len reports the number of profiles after which the stream repeats: the
+// least common multiple of the CPU and traffic horizons.
+func (g *WorkloadGen) Len() int {
+	a, b := len(g.c.cpu), len(g.c.trf)
+	x, y := a, b
+	for y != 0 {
+		x, y = y, x%y
+	}
+	return a / x * b
+}
 
 // Pos reports how many profiles Next has produced. Together with the
 // constructor arguments it fully determines the generator's state: a
@@ -376,11 +474,57 @@ func (g *WorkloadGen) Len() int { return g.cpu.Len() }
 func (g *WorkloadGen) Pos() int { return g.t }
 
 // Skip advances the generator by n profiles, discarding them. Used to
-// replay a deterministic generator to a snapshotted position.
+// replay a deterministic generator to a snapshotted position. A trace that
+// would pass the end of its horizon restarts and replays only its
+// position in the new one, so Skip draws at most one horizon whatever n.
 func (g *WorkloadGen) Skip(n int) {
-	for i := 0; i < n; i++ {
-		g.Next()
+	if n <= 0 {
+		return
 	}
+	g.t += n
+	k := n
+	if l := len(g.c.cpu); k > l-g.i {
+		k = (k - (l - g.i)) % l
+		g.restartCPU()
+	}
+	for ; k > 0; k-- {
+		g.stepCPU()
+	}
+	k = n
+	if l := len(g.c.trf); k > l-g.j {
+		k = (k - (l - g.j)) % l
+		g.restartTraffic()
+	}
+	for ; k > 0; k-- {
+		g.stepTraffic()
+	}
+}
+
+// span is a trace's range as timeseries.(*Series).Min and Max find it.
+type span struct{ lo, hi float64 }
+
+func newSpan() span { return span{math.Inf(1), math.Inf(-1)} }
+
+func (s *span) add(v float64) {
+	if v < s.lo {
+		s.lo = v
+	}
+	if v > s.hi {
+		s.hi = v
+	}
+}
+
+// scale is the transform timeseries.(*Series).Normalize applies to a
+// series of this range.
+func (s span) scale() timeseries.Scale {
+	sc := timeseries.Scale{Offset: s.lo, Factor: s.hi - s.lo}
+	if sc.Factor == 0 || math.IsInf(s.lo, 0) {
+		sc = timeseries.Scale{Offset: s.lo, Factor: 1}
+		if math.IsInf(s.lo, 0) {
+			sc.Offset = 0
+		}
+	}
+	return sc
 }
 
 func clamp(v, lo, hi float64) float64 {

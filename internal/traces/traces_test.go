@@ -2,7 +2,7 @@ package traces
 
 import (
 	"math"
-	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,19 +191,127 @@ func TestWorkloadGenDeterministic(t *testing.T) {
 	}
 }
 
-// The generator reseeds one rand.Rand and normalizes in place; its stream
-// must be the one four separate generators and three copies gave.
-func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
-	for _, seed := range []int64{0, 11, -7} {
-		const hours = 2
-		cpu, _ := CPU(CPUConfig{Hours: hours, Seed: seed}).Normalized()
-		io, _ := DiskIO(DiskIOConfig{Hours: hours, Seed: seed + 1}).Normalized()
-		trf, _ := WeeklyTraffic(TrafficConfig{Days: hours/24 + 1, PerDay: SamplesPerDay, Seed: seed + 2}).Normalized()
-		want := &WorkloadGen{cpu: cpu, io: io, trf: trf, mem: 0.4, rng: rand.New(rand.NewSource(seed + 3))}
-		got := NewWorkloadGen(hours, seed)
-		for i := 0; i < 2*got.Len()+5; i++ {
-			if g, w := got.Next(), want.Next(); g != w {
-				t.Fatalf("seed %d step %d: %+v, separate generators give %+v", seed, i, g, w)
+// referenceGen is what a WorkloadGen streams, as tables: each trace's
+// horizon drawn from the same PCG seeds through the same steps, normalized
+// by timeseries.(*Series).Normalize and read modulo its length, with
+// memory drawn beside CPU and restarted at its wrap.
+type referenceGen struct {
+	cpu, io, trf *timeseries.Series
+	mem          float64
+	memR         stream
+	seed         int64
+	t            int
+}
+
+func newReferenceGen(hours int, seed int64) *referenceGen {
+	c := newCurves(hours)
+	var cpuR, ioR, trfR stream
+	cpuR.restart(seed, cpuStream)
+	ioR.restart(seed, ioStream)
+	trfR.restart(seed, trfStream)
+	var spike, burst, ar float64
+	g := &referenceGen{
+		cpu: timeseries.FromFunc(len(c.cpu), func(t int) float64 {
+			return cpuStep(&c.cpuCfg, c.cpu[t], &spike, &cpuR)
+		}),
+		io: timeseries.FromFunc(len(c.io), func(t int) float64 {
+			return diskIOStep(&c.ioCfg, c.io[t], &burst, &ioR)
+		}),
+		trf: timeseries.FromFunc(len(c.trf), func(t int) float64 {
+			return trafficStep(&c.trfCfg, c.trf[t], &ar, &trfR)
+		}),
+		seed: seed,
+	}
+	g.cpu.Normalize()
+	g.io.Normalize()
+	g.trf.Normalize()
+	return g
+}
+
+func (g *referenceGen) Next() Profile {
+	i := g.t % g.cpu.Len()
+	if i == 0 {
+		g.memR.restart(g.seed, memStream)
+		g.mem = 0.4
+	}
+	cpu := g.cpu.At(i)
+	g.mem = clamp(0.9*g.mem+0.1*cpu+0.02*g.memR.NormFloat64(), 0, 1)
+	p := Profile{CPU: cpu, Mem: g.mem, IO: g.io.At(i), TRF: g.trf.At(g.t % g.trf.Len())}
+	g.t++
+	return p
+}
+
+// The streamed generator must give, bit for bit, what the materialized
+// series give, over three of its periods: every trace wraps at least three
+// times, and the CPU and traffic horizons differ.
+func TestWorkloadGenMatchesReference(t *testing.T) {
+	for _, hours := range []int{1, 2, 24, 25} {
+		for _, seed := range []int64{0, 11, -7} {
+			got, want := NewWorkloadGen(hours, seed), newReferenceGen(hours, seed)
+			for i := 0; i < 3*got.Len(); i++ {
+				if g, w := got.Next(), want.Next(); g != w {
+					t.Fatalf("hours %d seed %d step %d: %+v, the normalized series give %+v", hours, seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// Skip(n) must leave a source where n calls of Next leave it, from the
+// start of a horizon and from inside one, for n short of, at and past
+// every trace's wrap.
+func TestSkipMatchesNext(t *testing.T) {
+	for _, kind := range []Kind{Diurnal, Surge} {
+		for _, hours := range []int{1, 24} {
+			gen, err := New(Options{Kind: kind, Seed: 5, Hours: hours})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := NewWorkloadGen(hours, 0)
+			l, lc, lt := base.Len(), len(base.c.cpu), len(base.c.trf)
+			for _, from := range []int{0, 7} {
+				for _, n := range []int{0, 1, l - 1, l, 2*l + 3, lc - 1, lc, lc + 1, lt - 1, lt, lt + 1} {
+					stepped, skipped := gen.Source(3, 1), gen.Source(3, 1)
+					stepped.Skip(from)
+					skipped.Skip(from)
+					for i := 0; i < n; i++ {
+						stepped.Next()
+					}
+					skipped.Skip(n)
+					if stepped.Pos() != skipped.Pos() {
+						t.Fatalf("%v hours %d from %d n %d: Pos %d after Next, %d after Skip", kind, hours, from, n, stepped.Pos(), skipped.Pos())
+					}
+					for i := 0; i < lt+1; i++ {
+						if a, b := stepped.Next(), skipped.Next(); a != b {
+							t.Fatalf("%v hours %d from %d n %d step %d: %+v after Next, %+v after Skip", kind, hours, from, n, i, a, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A snapshot may name any step: a source skipped 2^40 profiles stands
+// where one skipped that many modulo its period does, and got there
+// without replaying them.
+func TestSkipHostileStep(t *testing.T) {
+	const far = 1 << 40
+	for _, kind := range []Kind{Diurnal, Surge} {
+		gen, err := New(Options{Kind: kind, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := NewWorkloadGen(24, 0).Len()
+		a, b := gen.Source(9, 2), gen.Source(9, 2)
+		a.Skip(far)
+		b.Skip(far % period)
+		if a.Pos() != far {
+			t.Fatalf("%v: Pos after Skip(2^40) = %d", kind, a.Pos())
+		}
+		for i := 0; i < period+1; i++ {
+			if x, y := a.Next(), b.Next(); x != y {
+				t.Fatalf("%v step %d: %+v after Skip(2^40), %+v after Skip(2^40 mod %d)", kind, i, x, y, period)
 			}
 		}
 	}
@@ -212,8 +320,7 @@ func TestWorkloadGenMatchesSeparateGenerators(t *testing.T) {
 // A Generator computes each trace's seed-independent curve once and every
 // Source adds only its own noise. Several Sources of one Generator (so
 // that one writing the shared curves would show) must stream, bit for bit,
-// what a standalone generator of the same seed gives, and opening one must
-// allocate only what it keeps.
+// what a standalone generator of the same seed gives.
 func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 	for _, kind := range []Kind{Diurnal, Surge} {
 		for _, hours := range []int{1, 24, 48} {
@@ -230,7 +337,9 @@ func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 					base := NewWorkloadGen(hours, seed+int64(vm))
 					var want Source = base
 					if kind == Surge {
-						want = &SurgeGen{base: base, schedule: schedule, vmSeed: seed + int64(vm), rack: rack}
+						sg := &SurgeGen{schedule: schedule, rack: rack}
+						sg.base.init(newCurves(hours), seed+int64(vm))
+						want = sg
 					}
 					for i := 0; i < 2*base.Len()+5; i++ {
 						if g, w := got.Next(), want.Next(); g != w {
@@ -241,17 +350,40 @@ func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// Three series and their headers, the Rand and its source, the
-	// generator, and the surge wrapper around it; the curves are the
-	// Generator's. Separate generators and copies made the diurnal one 18.
-	for kind, most := range map[Kind]float64{Diurnal: 9, Surge: 10} {
+// An open source holds its position, four PCG streams, the traces' carries
+// and scales, and a pointer to the Generator's curves: a few hundred
+// bytes in one allocation, whatever the horizon, and Next allocates
+// nothing. What opening a source allocates bounds what it retains.
+func TestSourceFootprint(t *testing.T) {
+	for _, hours := range []int{24, MaxHours} {
+		gen, err := New(Options{Kind: Surge, Seed: 1, Hours: hours})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			sourceSink = gen.Source(i, i%8)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 512 {
+			t.Errorf("hours %d: opening a surge source allocates %d B, want at most 512", hours, per)
+		}
+	}
+	for _, kind := range []Kind{Diurnal, Surge} {
 		gen, err := New(Options{Kind: kind, Seed: 11, Hours: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(20, func() { gen.Source(3, 1) }); n > most {
-			t.Errorf("%v Source allocates %v objects, want %v", kind, n, most)
+		if n := testing.AllocsPerRun(20, func() { sourceSink = gen.Source(3, 1) }); n != 1 {
+			t.Errorf("%v Source allocates %v objects, want 1", kind, n)
+		}
+		src := gen.Source(3, 1)
+		if n := testing.AllocsPerRun(200, func() { src.Next() }); n != 0 {
+			t.Errorf("%v Next allocates %v objects, want 0", kind, n)
 		}
 	}
 }
