@@ -120,11 +120,19 @@ func equivScenarios() []equivScenario {
 		{name: "dependency-edits", seed: 3, steps: 12, parts: reverseParts, edit: editDeps, mutate: func(o *Options) {
 			o.Traces = traces.Options{Kind: traces.Surge, Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}
 		}},
-		// The default regime at the seeds TestShardedDeterministicAcrossShardCounts
-		// and TestSnapshotRestoreShardCountChange run.
-		{name: "seed-3", seed: 3, steps: 10},
-		{name: "seed-13", seed: 13, steps: 10},
+		// The runs TestShardedDeterministicAcrossShardCounts and
+		// TestSnapshotRestoreShardCountChange make: the default regime with
+		// thresholds low enough that it migrates on both sides of the
+		// latter's split after period 6.
+		{name: "seed-3", seed: 3, steps: 10, mutate: lowThresholds},
+		{name: "seed-13", seed: 13, steps: 10, mutate: lowThresholds},
 	}
+}
+
+// lowThresholds alerts the default regime's diurnal streams, which stay
+// below the default 0.9 for the first periods at most seeds.
+func lowThresholds(o *Options) {
+	o.Thresholds = alert.Thresholds{CPU: 0.45, Mem: 0.45, IO: 0.45, TRF: 0.45}
 }
 
 // scenario is the equivScenarios() row called name.
@@ -494,11 +502,15 @@ func TestDependencyEditsRebuildEdgeTable(t *testing.T) {
 
 // TestShardedDeterministicAcrossShardCounts pins the determinism argument
 // directly: the shard count is a pure performance knob, invisible in
-// results.
+// results, also in the periods that migrate.
 func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
-	base := driveEquiv(t, buildEquivRuntime(t, 3, Options{Shards: 1}), equivScenario{name: "base", steps: 10})
+	sc := scenario(t, "seed-3")
+	base := driveEquiv(t, sc.build(t, 1), sc)
+	if migrated(base) == 0 {
+		t.Fatalf("%s raised no migrations; the manage phase never ran", sc.name)
+	}
 	for _, shards := range []int{2, 3, 8} {
-		got := driveEquiv(t, buildEquivRuntime(t, 3, Options{Shards: shards}), equivScenario{name: "base", steps: 10})
+		got := driveEquiv(t, sc.build(t, shards), sc)
 		for i := range base {
 			sameStats(t, "shard-count", base[i], got[i])
 		}
@@ -508,15 +520,23 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 // TestSnapshotRestoreShardCountChange runs 6 steps on a 3-shard runtime,
 // snapshots, restores onto a 7-shard runtime, runs 4 more, and requires
 // the concatenated trajectory to be bit-identical to a straight 10-step
-// run — the shard partition is orthogonal to snapshot state.
+// run — the shard partition is orthogonal to snapshot state. Both halves
+// migrate, so the restored runtime carries moved VMs and opened shims and
+// then moves more.
 func TestSnapshotRestoreShardCountChange(t *testing.T) {
-	const seed, before, after = 13, 6, 4
+	const before, after = 6, 4
+	sc := scenario(t, "seed-13")
+	if sc.steps != before+after {
+		t.Fatalf("%s runs %d periods, want %d", sc.name, sc.steps, before+after)
+	}
 
-	straight := buildEquivRuntime(t, seed, Options{Shards: 2})
-	wantHist := driveEquiv(t, straight, equivScenario{name: "straight", steps: before + after})
+	wantHist := driveEquiv(t, sc.build(t, 2), sc)
+	if migrated(wantHist[:before]) == 0 || migrated(wantHist[before:]) == 0 {
+		t.Fatalf("%s must migrate before and after period %d", sc.name, before)
+	}
 
-	part := buildEquivRuntime(t, seed, Options{Shards: 3})
-	gotHist := append([]StepStats(nil), driveEquiv(t, part, equivScenario{name: "part1", steps: before})...)
+	part := sc.build(t, 3)
+	gotHist := append([]StepStats(nil), drivePeriods(t, part, sc, 0, before, nil, nil)...)
 
 	snap, err := part.Snapshot()
 	if err != nil {
@@ -526,20 +546,7 @@ func TestSnapshotRestoreShardCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded Snapshot
-	if err := json.Unmarshal(blob, &loaded); err != nil {
-		t.Fatal(err)
-	}
-	freshCluster, freshModel := buildParts(t, 4)
-	if err := freshCluster.Restore(loaded.Cluster); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(freshCluster, freshModel, Options{Seed: seed, Shards: 7}, &loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	resumed := drive(restored)
+	resumed := drive(sc.restore(t, blob, 7))
 	for i := 0; i < after; i++ {
 		s, err := resumed.Step()
 		if err != nil {
@@ -554,6 +561,15 @@ func TestSnapshotRestoreShardCountChange(t *testing.T) {
 	for i := range wantHist {
 		sameStats(t, "restart", wantHist[i], gotHist[i])
 	}
+}
+
+// migrated is the number of VMs hist's periods moved.
+func migrated(hist []StepStats) int {
+	n := 0
+	for _, s := range hist {
+		n += s.Migrations
+	}
+	return n
 }
 
 // TestSnapshotRestoreSurgeRegime: a surge-kind runtime snapshots its trace

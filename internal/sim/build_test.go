@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -129,12 +128,11 @@ func TestBuildRuntimeLeafSpineCalm(t *testing.T) {
 }
 
 // A snapshot may name any period, and reporters reopened there must not
-// replay every period before it. Opening a source finds each trace's
-// range in one pass over its horizon; skipping to any start replays at
-// most one more. So over a Fat-Tree 8 surge admission, opening the
-// reporters at period 2^40 costs at most about two horizons a source:
-// no more than 2.5 times opening them at period 0, the best of five runs
-// each.
+// replay every period before it. A source's profile repeats with the
+// period of its horizons and a skip replays at most one of them, so over a
+// Fat-Tree 8 surge admission reporters opened at period 2^40 draw what
+// reporters opened at 2^40 mod that period draw. A skip that replayed
+// every period would not finish.
 func TestReportersOpenAtAnyStart(t *testing.T) {
 	rt, err := BuildRuntime(RuntimeConfig{Kind: FatTree, Size: 8, Seed: 1, TraceKind: traces.Surge.String()}, runtime.Options{})
 	if err != nil {
@@ -144,18 +142,18 @@ func TestReportersOpenAtAnyStart(t *testing.T) {
 	for _, vm := range rt.Cluster.VMs() {
 		admission[vm.ID] = vm.Host().Rack().Index
 	}
-	open := func(start int) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 5; i++ {
-			began := time.Now()
-			traces.NewReporters(rt.TraceGen(), admission, start)
-			best = min(best, time.Since(began))
+	const far = 1 << 40
+	period := traces.NewWorkloadGen(traces.Options{}.WithDefaults().Hours, 0).Len()
+	began := time.Now()
+	a := traces.NewReporters(rt.TraceGen(), admission, far)
+	t.Logf("%d sources opened at period 2^40 in %v", len(admission), time.Since(began))
+	b := traces.NewReporters(rt.TraceGen(), admission, far%period)
+	for step := 0; step < 3; step++ {
+		x, y := a.Next(), b.Next()
+		for i := range x {
+			if x[i] != y[i] {
+				t.Fatalf("period 2^40+%d: VM %d drew %+v, at 2^40 mod %d it draws %+v", step, x[i].VM, x[i].Profile, period, y[i].Profile)
+			}
 		}
-		return best
-	}
-	atZero, far := open(0), open(1<<40)
-	t.Logf("%d sources: %v at period 0, %v at period 2^40", len(admission), atZero, far)
-	if far > atZero*5/2 {
-		t.Fatalf("opening %d reporters at period 2^40 took %v, at period 0 %v: more than two horizons a source", len(admission), far, atZero)
 	}
 }

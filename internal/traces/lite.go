@@ -22,7 +22,7 @@ var (
 
 // LiteGen is a counter-based workload source for hyperscale runs: the
 // profile at step t is a pure function of (seed, t), so per-VM state is
-// five words where WorkloadGen keeps about 200 bytes and draws a horizon
+// five words where WorkloadGen keeps 208 bytes (TestSourceFootprint) and draws a horizon
 // of samples to open, and Skip is O(1) where WorkloadGen replays up to a
 // horizon. The shapes mirror WorkloadGen —
 // diurnal CPU with decaying-window spikes, inertia-free memory tracking

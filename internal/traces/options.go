@@ -181,9 +181,10 @@ func (o Options) WithDefaults() Options {
 // surge kinds compute each trace's seed-independent curve there, and the
 // surge kinds the shared regime schedule. Source is cheap: a diurnal or
 // surge source draws each trace's horizon once to find its range and keeps
-// a few hundred bytes, its PCG streams among them (about 0.1 ms and 208 B
-// in one allocation at the default 24 hours on a 2-vCPU Xeon,
-// BenchmarkGeneratorSource); a counter-based one is a few words.
+// 208 bytes, its PCG streams among them, in one allocation (about 0.1 ms
+// at the default 24 hours on a 2-vCPU Xeon, BenchmarkGeneratorSource;
+// TestSourceFootprint bounds it at 512 B); a counter-based one is a few
+// words.
 type Generator interface {
 	// Source returns VM vmID's profile stream. rack is the VM's rack
 	// index, which drives cross-rack burst correlation in the surge kinds

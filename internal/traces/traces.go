@@ -318,6 +318,8 @@ func (p Profile) Max() float64 {
 // A trace reaching the end of its horizon restarts its stream and carry,
 // so every trace repeats with its horizon as a materialized one would;
 // memory restarts with CPU. Skip therefore replays at most one horizon.
+// With its carries, positions and scales, an open source is 208 bytes
+// (TestSourceFootprint bounds it at 512).
 type WorkloadGen struct {
 	c    *curves
 	seed int64

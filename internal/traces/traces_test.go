@@ -353,8 +353,8 @@ func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 }
 
 // An open source holds its position, four PCG streams, the traces' carries
-// and scales, and a pointer to the Generator's curves: a few hundred
-// bytes in one allocation, whatever the horizon, and Next allocates
+// and scales, and a pointer to the Generator's curves: 208 bytes in one
+// allocation (bounded here at 512), whatever the horizon, and Next allocates
 // nothing. What opening a source allocates bounds what it retains.
 func TestSourceFootprint(t *testing.T) {
 	for _, hours := range []int{24, MaxHours} {
