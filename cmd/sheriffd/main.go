@@ -90,7 +90,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []traces
 	snapEvery := fs.Int("snapshot-every", 10, "steps between periodic snapshots (with -snapshot)")
 	listen := fs.String("listen", "", "serve the live JSONL event stream to TCP subscribers on this address")
 	deep := fs.Bool("deep", false, "enable per-rack deep forecasting pools (ARIMA/NARNET dynamic selection)")
-	tracesKind := fs.String("traces", "", "trace-generator family: diurnal, lite, surge, surge-lite (\"\" = diurnal)")
+	tracesKind := fs.String("traces", "", "trace-generator family: diurnal, lite, or surge (\"\" = diurnal)")
 	triage := fs.String("triage", "", "ingest triage arithmetic: float or quantized (\"\" = float); snapshots restore across modes")
 	failStep := fs.Int("fail-step", 0, "inject a failure after this step (testing the crash-safe trace path)")
 	shards := fs.Int("shards", 0, "step-engine shard workers (0 = GOMAXPROCS)")

@@ -71,7 +71,6 @@ func TestRunSnapshotRestartContinuesExactly(t *testing.T) {
 		{"diurnal-deep", []string{"-deep"}},
 		{"lite", []string{"-traces", "lite"}},
 		{"surge", []string{"-traces", "surge"}},
-		{"surge-lite", []string{"-traces", "surge-lite"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]string{"-size", "4", "-hosts", "2", "-vms", "2", "-seed", "9"}, tc.flags...)
@@ -399,6 +398,7 @@ func TestRunFlagErrors(t *testing.T) {
 		want string // substring of the error; "" means no error
 	}{
 		{[]string{"-topology", "nope"}, "unknown topology"},
+		{[]string{"-traces", "surge-lite"}, `unknown kind "surge-lite"`},
 		{[]string{"-badflag"}, "badflag"},
 		{[]string{"-h"}, ""},
 		// Shape flags out of range are refused by name, not rewritten to

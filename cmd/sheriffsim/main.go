@@ -406,7 +406,7 @@ func traceFlags(fs *flag.FlagSet) study {
 	hours := fs.Int("hours", 24, "series length in hours (cpu, io, profile)")
 	perDay := fs.Int("per-day", 64, "samples per day (traffic)")
 	seed := fs.Int64("seed", 1, "generator seed")
-	kind := fs.String("kind", "", "profile generator family: diurnal, lite, surge, surge-lite (profile)")
+	kind := fs.String("kind", "", "profile generator family: diurnal, lite, or surge (profile)")
 	vmID := fs.Int("vm", 0, "VM stream to generate (profile)")
 	rack := fs.Int("rack", 0, "rack of the VM stream (profile; surge kinds correlate bursts by rack)")
 	path := fs.String("o", "-", "output file; - for stdout")

@@ -78,6 +78,7 @@ func TestRunModes(t *testing.T) {
 		{name: "refused/balance -hosts 0", args: "-mode balance -size 4 -hosts 0", want: `^-hosts 0 is below 1$`, fail: true},
 		{name: "refused/compare -vms 0", args: "-mode compare -size 4 -vms 0", want: `^-vms 0 is below 1$`, fail: true},
 		{name: "refused/dist -vms -3", args: "-mode dist -size 4 -vms -3", want: `^-vms -3 is below 1$`, fail: true},
+		{name: "refused/trace -kind surge-lite", args: "-mode trace -series profile -kind surge-lite", want: `^traces: unknown kind "surge-lite" \(want diurnal, lite, or surge\)$`, fail: true},
 		{name: "trace implies dist", args: "-trace " + filepath.Join(dir, "t.jsonl") + " -size 4 -hosts 2 -vms 2",
 			want: `(?m)^dist: .*\ntrace: [1-9]\d* events -> `},
 

@@ -39,9 +39,9 @@ var (
 // declares as metrics (ingest.drain_s) are metrics, not identifiers. Every
 // sheriffsim -mode NAME in those documents, CI and the verify notes must
 // name a mode sheriffsim registers, and every -flag of a sheriffd command
-// there must be a flag sheriffd declares. A command may wrap: a line that
-// ends in a backslash, or leaves a backticked span open, goes on on the
-// next.
+// there must be a flag sheriffd declares (or -h and -help, which every flag
+// set takes). A command may wrap: a line that ends in a backslash, or
+// leaves a backticked span open, goes on on the next.
 func TestDocIdentifiersResolve(t *testing.T) {
 	metrics := benchmarkMetrics(t)
 	modes := sheriffsimModes(t)
@@ -61,7 +61,7 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			}
 			for _, cmd := range sheriffdCommand.FindAllStringSubmatch(line.text, -1) {
 				for _, m := range cliFlag.FindAllStringSubmatch(cmd[1], -1) {
-					if !flags[m[1]] {
+					if _, ok := flags[m[1]]; !ok && m[1] != "h" && m[1] != "help" {
 						t.Errorf("%s:%d: sheriffd has no flag -%s", doc, line.n, m[1])
 					}
 				}
@@ -119,14 +119,23 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	}
 }
 
-// sheriffsimModes returns the names in sheriffsim's mode table: the first
-// field of each entry of its modes variable.
+// sheriffsimModes returns the names in sheriffsim's mode table.
 func sheriffsimModes(t *testing.T) map[string]bool {
-	f, err := parser.ParseFile(token.NewFileSet(), "cmd/sheriffsim/main.go", nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := map[string]bool{}
+	for _, m := range sheriffsimTable(t, parseMain(t, "cmd/sheriffsim/main.go")) {
+		names[m.name] = true
+	}
+	return names
+}
+
+// simMode is one entry of sheriffsim's mode table: its name and the
+// function that declares its flags.
+type simMode struct{ name, flags string }
+
+// sheriffsimTable reads sheriffsim's mode table: the first field of each
+// entry of its modes variable, and the last, its flags function.
+func sheriffsimTable(t *testing.T, f *ast.File) []simMode {
+	var table []simMode
 	for _, decl := range f.Decls {
 		gen, ok := decl.(*ast.GenDecl)
 		if !ok || gen.Tok != token.VAR {
@@ -138,55 +147,106 @@ func sheriffsimModes(t *testing.T) map[string]bool {
 				continue
 			}
 			for _, elt := range spec.Values[0].(*ast.CompositeLit).Elts {
-				lit := elt.(*ast.CompositeLit).Elts[0].(*ast.BasicLit)
-				name, err := strconv.Unquote(lit.Value)
+				fields := elt.(*ast.CompositeLit).Elts
+				name, err := strconv.Unquote(fields[0].(*ast.BasicLit).Value)
 				if err != nil {
 					t.Fatal(err)
 				}
-				names[name] = true
+				table = append(table, simMode{name, fields[len(fields)-1].(*ast.Ident).Name})
 			}
 		}
 	}
-	if len(names) == 0 {
+	if len(table) == 0 {
 		t.Fatal("no modes table in cmd/sheriffsim/main.go")
 	}
-	return names
+	return table
+}
+
+// sheriffsimFlags returns the flags run declares for every sheriffsim mode,
+// and each mode's own: those its flags function declares, also through
+// the functions it hands fs to.
+func sheriffsimFlags(t *testing.T) (common map[string]string, perMode map[string]map[string]string) {
+	f := parseMain(t, "cmd/sheriffsim/main.go")
+	funcs := map[string]*ast.FuncDecl{}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+			funcs[fn.Name.Name] = fn
+		}
+	}
+	common = map[string]string{}
+	fsFlags(funcs["run"], nil, common)
+	perMode = map[string]map[string]string{}
+	for _, m := range sheriffsimTable(t, f) {
+		flags := map[string]string{}
+		fsFlags(funcs[m.flags], funcs, flags)
+		if len(flags) == 0 {
+			t.Fatalf("sheriffsim mode %s declares no flags in %s", m.name, m.flags)
+		}
+		perMode[m.name] = flags
+	}
+	return common, perMode
 }
 
 // sheriffdFlags returns the flags cmd/sheriffd declares: the name of each
-// fs.Kind("name", ...) call in its main.go, plus -h and -help, which every
-// flag set takes.
-func sheriffdFlags(t *testing.T) map[string]bool {
-	f, err := parser.ParseFile(token.NewFileSet(), "cmd/sheriffd/main.go", nil, parser.SkipObjectResolution)
+// fs.Kind("name", ...) call in its main.go, and its kind.
+func sheriffdFlags(t *testing.T) map[string]string {
+	flags := map[string]string{}
+	fsFlags(parseMain(t, "cmd/sheriffd/main.go"), nil, flags)
+	if len(flags) == 0 {
+		t.Fatal("no fs flag declarations in cmd/sheriffd/main.go")
+	}
+	return flags
+}
+
+// parseMain parses one file of a command.
+func parseMain(t *testing.T, path string) *ast.File {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{"h": true, "help": true}
-	ast.Inspect(f, func(n ast.Node) bool {
+	return f
+}
+
+// fsFlags adds to into each flag an fs.Kind("name", ...) call under n
+// declares, name → kind (int for fs.Int and fs.IntVar), and follows every
+// call of a function in funcs that is handed fs.
+func fsFlags(n ast.Node, funcs map[string]*ast.FuncDecl, into map[string]string) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
-			return true
-		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				t.Fatal(err)
+		switch fun := call.Fun.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := fun.X.(*ast.Ident); !ok || x.Name != "fs" {
+				return true
 			}
-			names[name] = true
+			at := 0
+			if strings.HasSuffix(fun.Sel.Name, "Var") {
+				at = 1 // fs.IntVar(&v, "name", ...)
+			}
+			if len(call.Args) <= at {
+				return true
+			}
+			if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					into[name] = strings.ToLower(strings.TrimSuffix(fun.Sel.Name, "Var"))
+				}
+			}
+		case *ast.Ident:
+			callee, ok := funcs[fun.Name]
+			if !ok {
+				return true
+			}
+			for _, arg := range call.Args {
+				if id, ok := arg.(*ast.Ident); ok && id.Name == "fs" {
+					fsFlags(callee, funcs, into)
+					break
+				}
+			}
 		}
 		return true
 	})
-	if len(names) == 2 {
-		t.Fatal("no fs flag declarations in cmd/sheriffd/main.go")
-	}
-	return names
 }
 
 // docLine is one line as a reader sees it, numbered by its first line.

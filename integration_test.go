@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/flow"
 	"sheriff/internal/metrics"
@@ -148,29 +147,6 @@ func TestEndToEndRuntimeWithMetrics(t *testing.T) {
 	}
 	if up.Min() < 0 {
 		t.Fatalf("min uplink = %v", up.Min())
-	}
-}
-
-// TestEndToEndTimelineThroughFacade drives the Fig. 2 timeline on a real
-// migration path.
-func TestEndToEndTimelineThroughFacade(t *testing.T) {
-	cluster, model, _, err := NewFatTreeCluster(4, 2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := cluster.AddVM(cluster.Racks[0].Hosts[0], 15, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl, err := model.MigrationTimeline(vm, cluster.Racks[2].Hosts[0], cost.TimelineParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Total() <= 0 || tl.Downtime <= 0 {
-		t.Fatalf("timeline = %+v", tl)
-	}
-	if tl.Downtime > 0.1*tl.Total() {
-		t.Fatalf("downtime %.3f not a small fraction of total %.3f", tl.Downtime, tl.Total())
 	}
 }
 

@@ -56,8 +56,8 @@ func (tw *twin) vmOn(rack *dcn.Rack) *dcn.VM {
 }
 
 // assertPairAgrees compares every query kind that reads the transmission
-// rows — TransmissionCost, RackPairCost, Migration and MigrationTimeline —
-// between the two twins for the rack pair (i, j).
+// rows — TransmissionCost, RackPairCost and Migration — between the two
+// twins for the rack pair (i, j).
 func assertPairAgrees(t *testing.T, full, reg *twin, i, j int, label string) {
 	t.Helper()
 	fa, fb := full.c.Racks[i], full.c.Racks[j]
@@ -78,11 +78,6 @@ func assertPairAgrees(t *testing.T, full, reg *twin, i, j int, label string) {
 	rm, re := reg.m.Migration(rv, rb.Hosts[0])
 	if (fe == nil) != (re == nil) || fm != rm {
 		t.Fatalf("%s: Migration(vm %d → rack %d) = %v/%v, full row %v/%v", label, fv.ID, j, rm, re, fm, fe)
-	}
-	ftl, fe := full.m.MigrationTimeline(fv, fb.Hosts[0], TimelineParams{})
-	rtl, re := reg.m.MigrationTimeline(rv, rb.Hosts[0], TimelineParams{})
-	if (fe == nil) != (re == nil) || (fe == nil && *ftl != *rtl) {
-		t.Fatalf("%s: MigrationTimeline(vm %d → rack %d) = %+v/%v, full row %+v/%v", label, fv.ID, j, rtl, re, ftl, fe)
 	}
 }
 

@@ -332,9 +332,6 @@ func TestDistanceTableOnlyForPeers(t *testing.T) {
 			if _, err := m.Migration(vm, r.Hosts[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.MigrationTimeline(vm, r.Hosts[0], TimelineParams{}); err != nil {
-				t.Fatal(err)
-			}
 			if _, err := m.RackMigration(vm.Host().Rack(), r, vm.Capacity, nil); err != nil {
 				t.Fatal(err)
 			}

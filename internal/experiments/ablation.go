@@ -167,7 +167,7 @@ func AblationRegionSize(seed int64) (*Table, error) {
 	for hops := 1; hops <= 3; hops++ {
 		s, err := sim.Build(sim.Config{
 			Kind: sim.FatTree, Size: 8, Seed: seed,
-			Migrate: migrate.Params{Alpha: 0.2, Beta: 0.2, NeighborSwitchHops: hops},
+			Migrate: migrate.Params{NeighborSwitchHops: hops},
 		})
 		if err != nil {
 			return nil, err

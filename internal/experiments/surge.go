@@ -37,10 +37,6 @@ type SurgeConfig struct {
 	// within MaxLead steps of an overload onset (default 10). It is also
 	// the forecast path length used to raise alerts.
 	MaxLead int `json:"max_lead"`
-	// Threshold is the overload level; 0 picks the 95th percentile of
-	// each regime's training half, so every regime has a meaningful line
-	// to cross.
-	Threshold float64 `json:"threshold"`
 	// Intensity scales the surge amplitudes (default 1.5).
 	Intensity float64 `json:"intensity"`
 	// ClusterRacks / ClusterSteps size the sharded-engine pass driving
@@ -187,10 +183,9 @@ func RunSurge(cfg SurgeConfig) (*SurgeResult, error) {
 			return nil, fmt.Errorf("experiments: surge regime %s: %w", reg.name, err)
 		}
 		train, test := stress.Split(0.5)
-		threshold := cfg.Threshold
-		if threshold == 0 {
-			threshold = quantile(train, 0.95)
-		}
+		// The overload level is the 95th percentile of the regime's
+		// training half, so every regime has a meaningful line to cross.
+		threshold := quantile(train, 0.95)
 
 		popts := predictor.Options{Burst: true, Seed: cfg.Seed + 1, Window: cfg.Window}
 		cands, err := predictor.Pool(train, popts)

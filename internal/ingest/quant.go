@@ -9,10 +9,7 @@
 // drain loop (drainShard); this file only names them.
 package ingest
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // TriageMode selects the per-update triage arithmetic.
 type TriageMode int
@@ -38,12 +35,13 @@ func (m TriageMode) String() string {
 	}
 }
 
-// ParseTriageMode resolves a mode name; "" means TriageFloat.
+// ParseTriageMode resolves a mode by the name its String returns; ""
+// means TriageFloat.
 func ParseTriageMode(s string) (TriageMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	switch s {
 	case "", "float":
 		return TriageFloat, nil
-	case "quantized", "quant", "fixed", "fixed-point":
+	case "quantized":
 		return TriageQuant, nil
 	default:
 		return 0, fmt.Errorf("ingest: unknown triage mode %q (want float or quantized)", s)

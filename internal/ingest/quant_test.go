@@ -11,21 +11,30 @@ import (
 	"sheriff/internal/traces"
 )
 
+// TestParseTriageMode: every mode parses back from its String, "" is
+// TriageFloat, and no other spelling is accepted: the dropped aliases are
+// refused with an error naming the modes.
 func TestParseTriageMode(t *testing.T) {
-	for s, want := range map[string]TriageMode{
-		"": TriageFloat, "float": TriageFloat, "Float": TriageFloat,
-		"quantized": TriageQuant, "quant": TriageQuant, "fixed-point": TriageQuant,
-	} {
-		got, err := ParseTriageMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseTriageMode(%q) = %v, %v; want %v", s, got, err, want)
+	modes := []TriageMode{TriageFloat, TriageQuant}
+	for _, m := range modes {
+		if got, err := ParseTriageMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseTriageMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	if _, err := ParseTriageMode("analog"); err == nil {
-		t.Error("unknown mode accepted")
+	if got, err := ParseTriageMode(""); err != nil || got != TriageFloat {
+		t.Errorf("ParseTriageMode(\"\") = %v, %v; want TriageFloat", got, err)
 	}
-	if TriageFloat.String() != "float" || TriageQuant.String() != "quantized" {
-		t.Errorf("mode names: %q %q", TriageFloat, TriageQuant)
+	for _, name := range []string{"analog", "quant", "fixed", "fixed-point", "Float"} {
+		_, err := ParseTriageMode(name)
+		if err == nil {
+			t.Errorf("ParseTriageMode accepted %q", name)
+			continue
+		}
+		for _, m := range modes {
+			if !strings.Contains(err.Error(), m.String()) {
+				t.Errorf("ParseTriageMode(%q) = %v, which does not name %s", name, err, m)
+			}
+		}
 	}
 }
 

@@ -50,15 +50,20 @@ type Migration struct {
 // mutable global state. A nil policy always allows.
 type RequestPolicy func(vm *dcn.VM, dst *dcn.Host) bool
 
-// Params tunes the shim protocol. Alpha and Beta are the capacity
-// portions of Alg. 1/2 ("we present α, β as different portion of capacity
-// for migration since it is not necessary to migrate all VMs").
+// alpha and beta are the capacity portions of Alg. 1/2 ("we present α, β
+// as different portion of capacity for migration since it is not necessary
+// to migrate all VMs"): a host alert unloads up to alpha of the server's
+// capacity, a ToR alert up to beta of the ToR's.
+const (
+	alpha float64 = 0.2
+	beta  float64 = 0.2
+)
+
+// Params tunes the shim protocol.
 //
 // Zero numeric fields mean "use the default" (applied by WithDefaults at
 // construction); negative values are a Validate error.
 type Params struct {
-	Alpha float64 // portion of server capacity to unload on a host alert
-	Beta  float64 // portion of ToR capacity to unload on a ToR alert
 	// NeighborSwitchHops bounds the shim's dominating region: destination
 	// racks reachable through at most this many switches (1 = the paper's
 	// one-hop wired neighbors).
@@ -68,24 +73,16 @@ type Params struct {
 	Recorder *obs.Recorder
 }
 
-// DefaultParams matches the regional scheme: one-hop neighbors,
-// α = β = 0.2.
+// DefaultParams matches the regional scheme: one-hop neighbors.
 func DefaultParams() Params {
-	return Params{Alpha: 0.2, Beta: 0.2, NeighborSwitchHops: 1}
+	return Params{NeighborSwitchHops: 1}
 }
 
 // WithDefaults returns p with zero numeric fields replaced by the
 // DefaultParams values. Negative fields are left for Validate to reject.
 func (p Params) WithDefaults() Params {
-	d := DefaultParams()
-	if p.Alpha == 0 {
-		p.Alpha = d.Alpha
-	}
-	if p.Beta == 0 {
-		p.Beta = d.Beta
-	}
 	if p.NeighborSwitchHops == 0 {
-		p.NeighborSwitchHops = d.NeighborSwitchHops
+		p.NeighborSwitchHops = DefaultParams().NeighborSwitchHops
 	}
 	return p
 }
@@ -94,12 +91,6 @@ func (p Params) WithDefaults() Params {
 // fields are accepted (they mean "use the default"); negative or
 // out-of-range values are errors.
 func (p Params) Validate() error {
-	if p.Alpha < 0 || p.Alpha > 1 {
-		return fmt.Errorf("migrate: Alpha must be in [0,1] (0 = default), got %v", p.Alpha)
-	}
-	if p.Beta < 0 || p.Beta > 1 {
-		return fmt.Errorf("migrate: Beta must be in [0,1] (0 = default), got %v", p.Beta)
-	}
 	if p.NeighborSwitchHops < 0 {
 		return fmt.Errorf("migrate: NeighborSwitchHops must be >= 0 (0 = default), got %d", p.NeighborSwitchHops)
 	}
@@ -217,7 +208,7 @@ func (s *Shim) ProcessAlerts(alerts []alert.Alert) (*Tally, error) {
 		for _, h := range s.Rack.Hosts {
 			ws.vms = append(ws.vms, h.Residents()...)
 		}
-		budget := s.params.Beta * s.Rack.ToRCapacity
+		budget := beta * s.Rack.ToRCapacity
 		ws.torSet = ws.appendNew(ws.torSet, ws.knap.SelectByBudget(ws.vms, budget))
 	}
 	// Host-overload VMs may be relieved anywhere in the region, including
@@ -245,7 +236,7 @@ func (s *Shim) overloadSet(a alert.Alert) []*dcn.VM {
 	if h == nil || h.Rack() != s.Rack {
 		return nil
 	}
-	return s.ws.knap.SelectByBudget(h.Residents(), s.params.Alpha*h.Capacity)
+	return s.ws.knap.SelectByBudget(h.Residents(), alpha*h.Capacity)
 }
 
 // appendNew appends to dst the VMs this round has not selected yet,

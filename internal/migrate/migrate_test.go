@@ -40,18 +40,11 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{}).Validate(); err != nil {
 		t.Fatalf("zero params invalid: %v", err)
 	}
-	bad := []Params{
-		{Alpha: -0.1, Beta: 0.2, NeighborSwitchHops: 1},
-		{Alpha: 0.2, Beta: 1.5, NeighborSwitchHops: 1},
-		{Alpha: 0.2, Beta: 0.2, NeighborSwitchHops: -1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, p)
-		}
+	if err := (Params{NeighborSwitchHops: -1}).Validate(); err == nil {
+		t.Error("Validate accepted NeighborSwitchHops -1")
 	}
 	def := (Params{}).WithDefaults()
-	if def.Alpha != DefaultParams().Alpha || def.NeighborSwitchHops != DefaultParams().NeighborSwitchHops {
+	if def.NeighborSwitchHops != DefaultParams().NeighborSwitchHops {
 		t.Fatalf("WithDefaults() = %+v, want DefaultParams()", def)
 	}
 }
@@ -387,18 +380,21 @@ func TestProcessAlertsIgnoresForeignHost(t *testing.T) {
 
 func TestVMMigrationDelaySensitiveExcludedUpstream(t *testing.T) {
 	// PRIORITY (not VMMIGRATION) excludes delay-sensitive VMs; confirm the
-	// shim pipeline as a whole never moves one.
+	// shim pipeline as a whole moves the other VM and never the
+	// delay-sensitive one. Either fits the α budget of a 100-capacity host
+	// (20) alone, so only the exclusion keeps the delay-sensitive one home.
 	fx := newFixture(t, 4, 2)
 	rack := fx.cluster.Racks[0]
 	h := rack.Hosts[0]
-	ds, err := fx.cluster.AddVM(h, 30, 1, true)
+	ds, err := fx.cluster.AddVM(h, 15, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.cluster.AddVM(h, 30, 2, false); err != nil {
+	other, err := fx.cluster.AddVM(h, 15, 2, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewShim(fx.cluster, fx.model, rack, Params{Alpha: 0.4, Beta: 0.4, NeighborSwitchHops: 1}, nil)
+	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,5 +409,8 @@ func TestVMMigrationDelaySensitiveExcludedUpstream(t *testing.T) {
 	}
 	if ds.Host() != h {
 		t.Fatal("delay-sensitive VM moved")
+	}
+	if len(rep.Migrations) != 1 || rep.Migrations[0].VM != other || other.Host() == h {
+		t.Fatalf("the round moved %d VMs, want only VM %d off host %d: %+v", len(rep.Migrations), other.ID, h.ID, rep.Migrations)
 	}
 }

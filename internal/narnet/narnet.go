@@ -31,19 +31,19 @@ type Config struct {
 	Inputs int // ni: tapped-delay inputs
 	Hidden int // nh: hidden units (paper uses 20 in Fig. 7)
 
-	Epochs        int     // training epochs (default 400)
-	ValidFraction float64 // trailing fraction held out for early stopping (default 0.15)
-	Patience      int     // epochs without validation improvement before stop (default 30)
-	Seed          int64   // weight-initialization seed (deterministic)
+	Epochs   int   // training epochs (default 400)
+	Patience int   // epochs without validation improvement before stop (default 30)
+	Seed     int64 // weight-initialization seed (deterministic)
 }
+
+// validFraction is the trailing fraction of the samples Train holds out
+// for early stopping.
+const validFraction float64 = 0.15
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Epochs <= 0 {
 		out.Epochs = 400
-	}
-	if out.ValidFraction <= 0 || out.ValidFraction >= 0.5 {
-		out.ValidFraction = 0.15
 	}
 	if out.Patience <= 0 {
 		out.Patience = 30
@@ -108,7 +108,7 @@ func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 	norm, scale := s.Normalized()
 	x, y := makeDataset(norm, cfg.Inputs)
 
-	nValid := int(float64(len(y)) * cfg.ValidFraction)
+	nValid := int(float64(len(y)) * validFraction)
 	if nValid < 1 {
 		nValid = 1
 	}

@@ -10,77 +10,23 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// BurstConfig tunes the burst/change-point forecaster. Zero values mean
-// defaults; the detection scales (Lambda, Delta) are resolved against the
-// training series at fit time, so the same relative config works on
-// normalized workloads and raw traffic alike.
-type BurstConfig struct {
-	// Lambda is the Page–Hinkley detection threshold, in units of the
-	// training series' one-step-difference standard deviation (default 6).
-	Lambda float64
-	// Delta is the Page–Hinkley drift tolerance in the same units
-	// (default 0.5): residual drifts smaller than this never accumulate.
-	Delta float64
-	// Hold is how many steps the forecaster stays in the fast-adapting
-	// regime after a trigger before relaxing back (default 30).
-	Hold int
-	// SlowAlpha/SlowBeta are the steady-state Holt constants
-	// (default 0.30/0.10); FastAlpha/FastBeta apply during the Hold window
-	// after a change point (default 0.80/0.50).
-	SlowAlpha float64
-	SlowBeta  float64
-	FastAlpha float64
-	FastBeta  float64
-}
-
-// WithDefaults returns the configuration with zero fields replaced by
-// their defaults.
-func (c BurstConfig) WithDefaults() BurstConfig {
-	if c.Lambda == 0 {
-		c.Lambda = 6
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.5
-	}
-	if c.Hold == 0 {
-		c.Hold = 30
-	}
-	if c.SlowAlpha == 0 {
-		c.SlowAlpha = 0.30
-	}
-	if c.SlowBeta == 0 {
-		c.SlowBeta = 0.10
-	}
-	if c.FastAlpha == 0 {
-		c.FastAlpha = 0.80
-	}
-	if c.FastBeta == 0 {
-		c.FastBeta = 0.50
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable.
-func (c BurstConfig) Validate() error {
-	if c.Lambda < 0 || c.Delta < 0 {
-		return fmt.Errorf("predictor: burst Lambda/Delta must be >= 0, got %v/%v", c.Lambda, c.Delta)
-	}
-	if c.Hold < 0 {
-		return fmt.Errorf("predictor: burst Hold must be >= 0, got %d", c.Hold)
-	}
-	for _, a := range []struct {
-		name string
-		v    float64
-	}{
-		{"SlowAlpha", c.SlowAlpha}, {"SlowBeta", c.SlowBeta},
-		{"FastAlpha", c.FastAlpha}, {"FastBeta", c.FastBeta},
-	} {
-		if a.v < 0 || a.v >= 1 {
-			return fmt.Errorf("predictor: burst %s must be in [0, 1) (0 = default), got %v", a.name, a.v)
-		}
-	}
-	return nil
-}
+// The burst forecaster's constants. burstLambda, the Page–Hinkley
+// detection threshold, and burstDelta, its drift tolerance (residual
+// drifts smaller than this never accumulate), are in units of the training
+// series' one-step-difference standard deviation: FitBurst resolves them
+// against the series, so the same constants work on normalized workloads
+// and raw traffic alike. burstHold is how many steps the forecaster stays
+// in the fast-adapting regime after a trigger before relaxing back. The
+// slow Holt pair holds in steady state, the fast pair during the hold.
+const (
+	burstLambda    float64 = 6
+	burstDelta     float64 = 0.5
+	burstHold              = 30
+	burstSlowAlpha float64 = 0.30
+	burstSlowBeta  float64 = 0.10
+	burstFastAlpha float64 = 0.80
+	burstFastBeta  float64 = 0.50
+)
 
 // Burst is the change-point forecaster: a two-sided Page–Hinkley test on
 // the one-step Holt residuals detects regime shifts (training-job waves,
@@ -92,7 +38,9 @@ func (c BurstConfig) Validate() error {
 // the sliding-window MSE. It has no snapshot form: the runtime's deep pool
 // never holds one, and a selector that does refuses to snapshot.
 type Burst struct {
-	cfg BurstConfig // resolved: Lambda/Delta are absolute here
+	// lambda and delta are burstLambda and burstDelta resolved against
+	// the training series: absolute thresholds.
+	lambda, delta float64
 
 	mu sync.Mutex
 	st *burstState
@@ -124,19 +72,15 @@ type burstState struct {
 	fastLeft    int // steps remaining in the fast-adapting regime
 }
 
-// FitBurst resolves the burst config against the training series: the
-// relative Lambda/Delta scales become absolute thresholds via the standard
-// deviation of the training one-step differences. The training data is not
-// otherwise memorized — the model folds whatever history ForecastFrom is
-// handed.
-func FitBurst(train *timeseries.Series, cfg BurstConfig) (*Burst, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// FitBurst resolves the burst constants against the training series: the
+// relative burstLambda/burstDelta scales become absolute thresholds via
+// the standard deviation of the training one-step differences. The
+// training data is not otherwise memorized — the model folds whatever
+// history ForecastFrom is handed.
+func FitBurst(train *timeseries.Series) (*Burst, error) {
 	if train.Len() < 4 {
 		return nil, fmt.Errorf("predictor: burst fit needs >= 4 points, got %d", train.Len())
 	}
-	cfg = cfg.WithDefaults()
 	diff := make([]float64, train.Len()-1)
 	for t := 1; t < train.Len(); t++ {
 		diff[t-1] = train.At(t) - train.At(t-1)
@@ -151,9 +95,7 @@ func FitBurst(train *timeseries.Series, cfg BurstConfig) (*Burst, error) {
 	if scale <= 0 || math.IsNaN(scale) {
 		scale = 1e-9 // constant series: any deviation is a change
 	}
-	cfg.Lambda *= scale
-	cfg.Delta *= scale
-	return &Burst{cfg: cfg}, nil
+	return &Burst{lambda: burstLambda * scale, delta: burstDelta * scale}, nil
 }
 
 // ForecastFrom folds the history through the gated Holt recursion and
@@ -199,36 +141,35 @@ func (b *Burst) ForecastFrom(dst []float64, history *timeseries.Series, h int) (
 // fold advances the state by one observation: residual → Page–Hinkley →
 // (possibly) trigger and re-anchor → gated Holt update.
 func (b *Burst) fold(st *burstState, x float64) {
-	cfg := b.cfg
 	resid := x - (st.level + st.trend)
 
 	st.count++
 	st.meanSum += resid
 	mean := st.meanSum / float64(st.count)
 	dev := resid - mean
-	st.mUp += dev - cfg.Delta
+	st.mUp += dev - b.delta
 	if st.mUp < st.mUpMin {
 		st.mUpMin = st.mUp
 	}
-	st.mDn += dev + cfg.Delta
+	st.mDn += dev + b.delta
 	if st.mDn > st.mDnMax {
 		st.mDnMax = st.mDn
 	}
-	if st.mUp-st.mUpMin > cfg.Lambda || st.mDnMax-st.mDn > cfg.Lambda {
+	if st.mUp-st.mUpMin > b.lambda || st.mDnMax-st.mDn > b.lambda {
 		// Change point: re-anchor on the triggering observation with the
 		// local slope, reset the detector, and open the fast window.
 		st.level = x
 		st.trend = x - st.prevX
 		st.count, st.meanSum = 0, 0
 		st.mUp, st.mUpMin, st.mDn, st.mDnMax = 0, 0, 0, 0
-		st.fastLeft = cfg.Hold
+		st.fastLeft = burstHold
 		st.prevX = x
 		return
 	}
 
-	alpha, beta := cfg.SlowAlpha, cfg.SlowBeta
+	alpha, beta := burstSlowAlpha, burstSlowBeta
 	if st.fastLeft > 0 {
-		alpha, beta = cfg.FastAlpha, cfg.FastBeta
+		alpha, beta = burstFastAlpha, burstFastBeta
 		st.fastLeft--
 	}
 	st.level, st.trend = smoothing.HoltStep(st.level, st.trend, x, alpha, beta)

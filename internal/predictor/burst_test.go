@@ -22,11 +22,11 @@ func stepSeries(n, onset int, lo, hi float64) *timeseries.Series {
 // triggered reports whether the last observation b folded was a change
 // point: a trigger opens the fast window at the full Hold, and any other
 // fold leaves the window shut or shortens it.
-func triggered(b *Burst) bool { return b.st.fastLeft == b.cfg.Hold }
+func triggered(b *Burst) bool { return b.st.fastLeft == burstHold }
 
 func TestBurstDetectsStep(t *testing.T) {
 	s := stepSeries(400, 200, 0.2, 0.7)
-	b, err := FitBurst(s.Slice(0, 100), BurstConfig{})
+	b, err := FitBurst(s.Slice(0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBurstQuietOnRamp(t *testing.T) {
 	// A gentle constant-slope ramp is exactly what Holt tracks: the
 	// residual stream stays near zero and the detector must stay quiet.
 	s := timeseries.FromFunc(400, func(t int) float64 { return 0.2 + 0.0005*float64(t) })
-	b, err := FitBurst(s.Slice(0, 100), BurstConfig{})
+	b, err := FitBurst(s.Slice(0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBurstRecoversFromSpike(t *testing.T) {
 		}
 		return 0.3 + 0.01*math.Sin(float64(t)/5)
 	})
-	b, err := FitBurst(s.Slice(0, 100), BurstConfig{})
+	b, err := FitBurst(s.Slice(0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBurstRecoversFromSpike(t *testing.T) {
 
 func TestBurstIncrementalMatchesCold(t *testing.T) {
 	s := stepSeries(300, 150, 0.25, 0.65)
-	warm, err := FitBurst(s.Slice(0, 50), BurstConfig{})
+	warm, err := FitBurst(s.Slice(0, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBurstIncrementalMatchesCold(t *testing.T) {
 	}
 	// Cold: a fresh model folding each prefix from scratch.
 	for i, tt := 0, 50; tt < 300; i, tt = i+1, tt+1 {
-		cold, err := FitBurst(s.Slice(0, 50), BurstConfig{})
+		cold, err := FitBurst(s.Slice(0, 50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestBurstWinsSelectionUnderSurge(t *testing.T) {
 func TestForecastFromSteadyStateAllocs(t *testing.T) {
 	const runs = 100
 	s := stepSeries(120, 80, 1, 5)
-	b, err := FitBurst(s.Slice(0, 60), BurstConfig{})
+	b, err := FitBurst(s.Slice(0, 60))
 	if err != nil {
 		t.Fatal(err)
 	}

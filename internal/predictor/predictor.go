@@ -126,8 +126,7 @@ type Options struct {
 	// Seed drives NARNET weight initialization.
 	Seed int64
 	// Burst appends the change-point forecaster (Page–Hinkley gating a
-	// fast-adapting Holt — see Burst), at the zero BurstConfig's
-	// defaults, to whichever pool Pool selects. It
+	// fast-adapting Holt — see Burst) to whichever pool Pool selects. It
 	// composes with either kind; the default pool stays burst-free so
 	// existing scenarios and serialized deep pools are untouched.
 	Burst bool
@@ -200,7 +199,7 @@ func Pool(train *timeseries.Series, opts Options) ([]*Candidate, error) {
 		return nil, err
 	}
 	if opts.Burst {
-		bm, berr := FitBurst(train, BurstConfig{})
+		bm, berr := FitBurst(train)
 		if berr != nil {
 			return nil, berr
 		}

@@ -164,7 +164,7 @@ func TestSelectorMarshalRejectsUnserializable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst, err := FitBurst(train, BurstConfig{})
+	burst, err := FitBurst(train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,8 @@ type Options struct {
 	// results are bit-identical for every shard count.
 	Shards int
 	// Traces selects and tunes the trace-generator family (traces.New)
-	// that TraceGen hands the callers' reporters: Diurnal (default), Lite,
-	// Surge, or SurgeLite, plus the surge regime parameters. Traces.Seed
+	// that TraceGen hands the callers' reporters: Diurnal (default), Lite
+	// or Surge, plus the surge regime parameters. Traces.Seed
 	// inherits Seed when zero. The runtime draws from none of its streams;
 	// it carries the options so a snapshot names the streams a restarted
 	// caller reopens.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
@@ -11,14 +10,14 @@ import (
 	"sheriff/internal/traces"
 )
 
-// ParseKind decodes a topology name ("fat-tree"/"ft" or "bcube"/"bc").
+// ParseKind resolves a topology by the name its String returns.
 func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(s) {
-	case "fat-tree", "fattree", "ft":
+	switch s {
+	case "fat-tree":
 		return FatTree, nil
-	case "bcube", "bc":
+	case "bcube":
 		return BCube, nil
-	case "leaf-spine", "leafspine", "ls":
+	case "leaf-spine":
 		return LeafSpine, nil
 	default:
 		return 0, fmt.Errorf("sim: unknown topology %q (want fat-tree, bcube, or leaf-spine)", s)

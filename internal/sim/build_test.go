@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,17 +11,26 @@ import (
 	"sheriff/internal/traces"
 )
 
+// TestParseKind: every topology parses back from its String, and no other
+// spelling is accepted: the dropped aliases are refused with an error
+// naming the topologies.
 func TestParseKind(t *testing.T) {
-	for in, want := range map[string]Kind{
-		"fat-tree": FatTree, "FT": FatTree, "bcube": BCube, "BC": BCube, "leaf-spine": LeafSpine, "ls": LeafSpine,
-	} {
-		got, err := ParseKind(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseKind(%q) = %v, %v", in, got, err)
+	kinds := []Kind{FatTree, BCube, LeafSpine}
+	for _, k := range kinds {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	if _, err := ParseKind("torus"); err == nil {
-		t.Fatal("unknown topology accepted")
+	for _, name := range []string{"torus", "fattree", "ft", "FT", "bc", "leafspine", "ls"} {
+		_, err := ParseKind(name)
+		if err == nil {
+			t.Fatalf("ParseKind accepted %q", name)
+		}
+		for _, k := range kinds {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseKind(%q) = %v, which does not name %s", name, err, k)
+			}
+		}
 	}
 }
 

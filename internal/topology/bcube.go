@@ -16,28 +16,16 @@ import "fmt"
 // unlike the global view of the centralized manager.
 type BCubeConfig struct {
 	SwitchesPerLevel int // n: switches in each of the two levels
-
-	Level0Capacity float64 // level-0 (group) link capacity (default 1)
-	Level1Capacity float64 // level-1 (cross-group) link capacity (default 10)
-	Level0Distance float64 // default 1
-	Level1Distance float64 // default 2
 }
 
-func (c BCubeConfig) withDefaults() BCubeConfig {
-	if c.Level0Capacity == 0 {
-		c.Level0Capacity = 1
-	}
-	if c.Level1Capacity == 0 {
-		c.Level1Capacity = 10
-	}
-	if c.Level0Distance == 0 {
-		c.Level0Distance = 1
-	}
-	if c.Level1Distance == 0 {
-		c.Level1Distance = 2
-	}
-	return c
-}
+// A BCube's links: a level-0 (group) link has capacity 1 and distance 1,
+// a level-1 (cross-group) link capacity 10 and distance 2.
+const (
+	bcubeLevel0Capacity float64 = 1
+	bcubeLevel1Capacity float64 = 10
+	bcubeLevel0Distance float64 = 1
+	bcubeLevel1Distance float64 = 2
+)
 
 // BCube describes a built BCube(n,1) topology.
 type BCube struct {
@@ -58,7 +46,6 @@ func NewBCube(cfg BCubeConfig) (*BCube, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: BCube needs >= 2 switches per level, got %d", n)
 	}
-	cfg = cfg.withDefaults()
 	g := NewGraph()
 	b := &BCube{Graph: g, Config: cfg}
 
@@ -76,10 +63,10 @@ func NewBCube(cfg BCubeConfig) (*BCube, error) {
 		for j := 0; j < n; j++ {
 			id := g.AddNode(Rack, fmt.Sprintf("srv-%d-%d", i, j), i, 0)
 			b.RackIDs[i][j] = id
-			if err := g.AddLink(id, b.Level0IDs[i], cfg.Level0Capacity, cfg.Level0Distance); err != nil {
+			if err := g.AddLink(id, b.Level0IDs[i], bcubeLevel0Capacity, bcubeLevel0Distance); err != nil {
 				return nil, err
 			}
-			if err := g.AddLink(id, b.Level1IDs[j], cfg.Level1Capacity, cfg.Level1Distance); err != nil {
+			if err := g.AddLink(id, b.Level1IDs[j], bcubeLevel1Capacity, bcubeLevel1Distance); err != nil {
 				return nil, err
 			}
 		}

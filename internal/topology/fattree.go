@@ -9,19 +9,18 @@ import "fmt"
 type FatTreeConfig struct {
 	Pods int // k: number of pods; must be even and >= 2
 
-	EdgeCapacity float64 // ToR–aggregation link capacity (default 1)
-	CoreCapacity float64 // aggregation–core link capacity (default 10)
 	EdgeDistance float64 // physical distance of a ToR–agg link (default 1)
 	CoreDistance float64 // physical distance of an agg–core link (default 2)
 }
 
+// A Fat-Tree's link capacities: 1 between a ToR and an aggregation switch,
+// 10 between an aggregation and a core switch.
+const (
+	fatTreeEdgeCapacity float64 = 1
+	fatTreeCoreCapacity float64 = 10
+)
+
 func (c FatTreeConfig) withDefaults() FatTreeConfig {
-	if c.EdgeCapacity == 0 {
-		c.EdgeCapacity = 1
-	}
-	if c.CoreCapacity == 0 {
-		c.CoreCapacity = 10
-	}
 	if c.EdgeDistance == 0 {
 		c.EdgeDistance = 1
 	}
@@ -80,7 +79,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		// Full bipartite ToR–aggregation wiring within the pod.
 		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {
-				if err := g.AddLink(ft.RackIDs[pod][i], ft.AggIDs[pod][j], cfg.EdgeCapacity, cfg.EdgeDistance); err != nil {
+				if err := g.AddLink(ft.RackIDs[pod][i], ft.AggIDs[pod][j], fatTreeEdgeCapacity, cfg.EdgeDistance); err != nil {
 					return nil, err
 				}
 			}
@@ -88,7 +87,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		// Aggregation j connects to every core switch in group j.
 		for j := 0; j < half; j++ {
 			for i := 0; i < half; i++ {
-				if err := g.AddLink(ft.AggIDs[pod][j], ft.CoreIDs[j][i], cfg.CoreCapacity, cfg.CoreDistance); err != nil {
+				if err := g.AddLink(ft.AggIDs[pod][j], ft.CoreIDs[j][i], fatTreeCoreCapacity, cfg.CoreDistance); err != nil {
 					return nil, err
 				}
 			}

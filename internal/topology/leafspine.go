@@ -10,10 +10,13 @@ import "fmt"
 type LeafSpineConfig struct {
 	Leaves int // number of leaf (rack) switches; >= 1
 	Spines int // number of spine switches; default max(4, Leaves/64), capped at 64
-
-	LeafCapacity float64 // leaf–spine link capacity (default 1)
-	LeafDistance float64 // physical distance of a leaf–spine link (default 1)
 }
+
+// A leaf–spine link's capacity and physical distance.
+const (
+	leafSpineCapacity float64 = 1
+	leafSpineDistance float64 = 1
+)
 
 func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 	if c.Spines == 0 {
@@ -24,12 +27,6 @@ func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 		if c.Spines > 64 {
 			c.Spines = 64
 		}
-	}
-	if c.LeafCapacity == 0 {
-		c.LeafCapacity = 1
-	}
-	if c.LeafDistance == 0 {
-		c.LeafDistance = 1
 	}
 	return c
 }
@@ -63,7 +60,7 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 	for i := range ls.RackIDs {
 		ls.RackIDs[i] = g.AddNode(Rack, fmt.Sprintf("leaf-%d", i), i, 0)
 		for _, sp := range ls.SpineIDs {
-			if err := g.AddLink(ls.RackIDs[i], sp, cfg.LeafCapacity, cfg.LeafDistance); err != nil {
+			if err := g.AddLink(ls.RackIDs[i], sp, leafSpineCapacity, leafSpineDistance); err != nil {
 				return nil, err
 			}
 		}

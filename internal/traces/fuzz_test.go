@@ -61,11 +61,11 @@ func FuzzReadProfileCSV(f *testing.F) {
 func FuzzOptions(f *testing.F) {
 	f.Add(int(Diurnal), int64(1), 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(int(Surge), int64(7), 2, 45, 0.3, 0.2, 0.3, 0.4, 1.0)
-	f.Add(int(SurgeLite), int64(-3), 0, 1, 0.0, 0.0, 5.0, 1.0, 3.0)
+	f.Add(int(Surge), int64(-3), 0, 1, 0.0, 0.0, 5.0, 1.0, 3.0)
 	f.Add(int(Lite), int64(42), MaxHours, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(int(Surge), int64(2), 1, 3, 1.0, 0.0, 0.0, 0.0, 1e6)
 	f.Add(int(Surge), int64(0), 1, 3, 1.0, 0.0, 0.0, 0.0, math.NaN())
-	f.Add(int(SurgeLite), int64(0), 0, 3, 1.0, 0.0, 0.0, 0.0, math.Inf(1))
+	f.Add(int(Surge), int64(0), 0, 3, 1.0, 0.0, 0.0, 0.0, math.Inf(1))
 	f.Fuzz(func(t *testing.T, kind int, seed int64, hours, dwell int, train, flash, burst, fraction, intensity float64) {
 		o := Options{Kind: Kind(kind), Seed: seed, Hours: hours, Surge: SurgeParams{
 			MeanDwell: dwell, TrainWeight: train, FlashWeight: flash, BurstWeight: burst,

@@ -3,7 +3,6 @@ package traces
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Kind names a trace-generator family. The zero value is Diurnal, the
@@ -22,10 +21,6 @@ const (
 	// drives surge components on top of the diurnal baseline. Rack-burst
 	// windows hit a correlated subset of racks.
 	Surge
-	// SurgeLite is the closed-form surge variant: the LiteGen baseline plus
-	// hash-drawn per-window regimes, O(1) state and O(1) Skip, for
-	// hyperscale surge runs. NOT sample-compatible with Surge.
-	SurgeLite
 )
 
 // String returns the canonical kind name accepted by ParseKind.
@@ -37,33 +32,29 @@ func (k Kind) String() string {
 		return "lite"
 	case Surge:
 		return "surge"
-	case SurgeLite:
-		return "surge-lite"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
-// ParseKind resolves a kind name; "" means Diurnal.
+// ParseKind resolves a kind by the name its String returns; "" means
+// Diurnal.
 func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "diurnal", "default":
+	if s == "" {
 		return Diurnal, nil
-	case "lite":
-		return Lite, nil
-	case "surge":
-		return Surge, nil
-	case "surge-lite", "surgelite", "lite-surge":
-		return SurgeLite, nil
-	default:
-		return 0, fmt.Errorf("traces: unknown kind %q (want diurnal, lite, surge, or surge-lite)", s)
 	}
+	for _, k := range Kinds() {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("traces: unknown kind %q (want diurnal, lite, or surge)", s)
 }
 
 // Kinds returns every built-in kind in grid order.
-func Kinds() []Kind { return []Kind{Diurnal, Lite, Surge, SurgeLite} }
+func Kinds() []Kind { return []Kind{Diurnal, Lite, Surge} }
 
-// SurgeParams tunes the surge kinds' regime process and burst shapes.
+// SurgeParams tunes the surge kind's regime process and burst shapes.
 // The zero value means "use the defaults". Weights are relative regime
 // propensities: when all three are zero the default mix applies, and
 // setting only one weight yields a single-regime trace (the basis of the
@@ -135,10 +126,10 @@ type Options struct {
 	// hashes the cluster seed alone so bursts correlate across VMs).
 	Seed int64
 	// Hours is the horizon of the diurnal and surge kinds before
-	// wrap-around (default 24, at most MaxHours). The counter-based kinds
-	// never wrap and ignore it.
+	// wrap-around (default 24, at most MaxHours). The counter-based Lite
+	// never wraps and ignores it.
 	Hours int
-	// Surge tunes the surge kinds' regime process; ignored by the others.
+	// Surge tunes the surge kind's regime process; ignored by the others.
 	Surge SurgeParams
 }
 
@@ -156,7 +147,7 @@ const MaxHours = 7 * 24
 // mean defaults.
 func (o Options) Validate() error {
 	switch o.Kind {
-	case Diurnal, Lite, Surge, SurgeLite:
+	case Diurnal, Lite, Surge:
 	default:
 		return fmt.Errorf("traces: unknown kind %d", int(o.Kind))
 	}
@@ -179,15 +170,14 @@ func (o Options) WithDefaults() Options {
 // Generator is a cluster-level trace-generator: one per runtime, handing
 // out per-VM profile Sources. Construction happens once: the diurnal and
 // surge kinds compute each trace's seed-independent curve there, and the
-// surge kinds the shared regime schedule. Source is cheap: a diurnal or
+// surge kind the shared regime schedule. Source is cheap: a diurnal or
 // surge source draws each trace's horizon once to find its range and keeps
 // 208 bytes, its PCG streams among them, in one allocation (about 0.1 ms
 // at the default 24 hours on a 2-vCPU Xeon, BenchmarkGeneratorSource;
-// TestSourceFootprint bounds it at 512 B); a counter-based one is a few
-// words.
+// TestSourceFootprint bounds it at 512 B); a Lite one is a few words.
 type Generator interface {
 	// Source returns VM vmID's profile stream. rack is the VM's rack
-	// index, which drives cross-rack burst correlation in the surge kinds
+	// index, which drives cross-rack burst correlation in the surge kind
 	// and is ignored by the others. Sources are independent: each may be
 	// advanced (and Skip-replayed) on its own goroutine.
 	Source(vmID int, rack int) Source
@@ -205,8 +195,6 @@ func New(o Options) (Generator, error) {
 		return liteFactory{seed: o.Seed}, nil
 	case Surge:
 		return newSurgeFactory(o), nil
-	case SurgeLite:
-		return newSurgeLiteFactory(o), nil
 	default:
 		return diurnalFactory{curves: newCurves(o.Hours), seed: o.Seed}, nil
 	}

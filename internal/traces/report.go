@@ -23,7 +23,7 @@ type Reporters struct {
 // rack) from g, each started at period start: a reporter reopened at the
 // period a run stopped at continues it bit-identically. Skipping replays at
 // most one horizon per VM on the diurnal and surge kinds, whatever start
-// is, and costs nothing on the counter-based ones.
+// is, and costs nothing on Lite.
 func NewReporters(g Generator, admission map[int]int, start int) *Reporters {
 	ids := make([]int, 0, len(admission))
 	for id := range admission {

@@ -14,18 +14,13 @@ import (
 // subset of racks for the whole episode). Per-VM noise rides on splitmix
 // hashes of (seed, vm, t), so a Source's output is a pure function of its
 // construction parameters and position — Skip replays bit-identically.
-//
-// SurgeLite is the closed-form variant: the same regime vocabulary drawn
-// per fixed-length window from a hash instead of a materialized Markov
-// walk, over the LiteGen baseline. State stays O(1) per VM and Skip is
-// O(1), the hyperscale discipline of lite.go.
 
 // Regime is one state of the surge process.
 type Regime uint8
 
 const (
-	// RegimeCalm is the baseline regime: the underlying diurnal (or lite)
-	// process, unmodified.
+	// RegimeCalm is the baseline regime: the underlying diurnal process,
+	// unmodified.
 	RegimeCalm Regime = iota
 	// RegimeTrain is a training-job wave: a cluster-wide sawtooth plateau
 	// on CPU/memory (epoch waves of a large distributed training job).
@@ -234,7 +229,7 @@ func (g *SurgeGen) Pos() int { return g.base.t }
 func (g *SurgeGen) Skip(n int) { g.base.Skip(n) }
 
 // RegimeReporter is satisfied by generators that expose their regime
-// timeline (the surge kinds): the ground truth evaluation harnesses label
+// timeline (the surge kind): the ground truth evaluation harnesses label
 // surge windows with. Diurnal and Lite generators do not implement it.
 type RegimeReporter interface {
 	// RegimeAt reports the cluster-wide regime at absolute step t.
@@ -246,101 +241,10 @@ func (f *surgeFactory) RegimeAt(t int) Regime {
 	return f.schedule.regime[t%len(f.schedule.regime)]
 }
 
-// surgeLiteFactory is the SurgeLite generator: hash-drawn fixed-window
-// regimes over the LiteGen baseline. No materialized state beyond the
-// options themselves.
-type surgeLiteFactory struct {
-	opts Options
-}
-
-func newSurgeLiteFactory(o Options) surgeLiteFactory { return surgeLiteFactory{opts: o} }
-
-// RegimeAt reports the hash-drawn regime of the window containing step t.
-func (f surgeLiteFactory) RegimeAt(t int) Regime {
-	p := f.opts.Surge
-	return liteRegimeAt(f.opts.Seed, int64(t)/int64(p.MeanDwell), p)
-}
-
-func (f surgeLiteFactory) Source(vmID, rack int) Source {
-	return &SurgeLiteGen{
-		base:   NewLiteGen(f.opts.Seed + int64(vmID)),
-		seed:   f.opts.Seed,
-		vmSeed: f.opts.Seed + int64(vmID),
-		rack:   rack,
-		params: f.opts.Surge,
-	}
-}
-
-// liteRegimeAt draws the regime of window w from the weight mix — the
-// closed-form stand-in for the Markov walk. Windows are MeanDwell samples
-// long; roughly half come up calm under the default mix (the draw is
-// against calm's implicit weight 1), so the timeline alternates episodes
-// and quiet the way the materialized schedule does, without sequential
-// state.
-func liteRegimeAt(seed int64, w int64, p SurgeParams) Regime {
-	total := p.TrainWeight + p.FlashWeight + p.BurstWeight
-	if total == 0 {
-		return RegimeCalm
-	}
-	u := u01(mix64(uint64(seed)^uint64(w)*0xd6e8feb86659fd93)) * (1 + total)
-	switch {
-	case u < 1:
-		return RegimeCalm
-	case u < 1+p.TrainWeight:
-		return RegimeTrain
-	case u < 1+p.TrainWeight+p.FlashWeight:
-		return RegimeFlash
-	default:
-		return RegimeBurst
-	}
-}
-
-// SurgeLiteGen is the O(1)-state surge stream: profile at step t is a pure
-// function of (seed, vmID, rack, t), so Skip is a counter bump.
-type SurgeLiteGen struct {
-	base   LiteGen
-	seed   int64
-	vmSeed int64
-	rack   int
-	params SurgeParams
-	t      int64
-}
-
-// At returns the profile at absolute step t without advancing the stream.
-func (g *SurgeLiteGen) At(t int64) Profile {
-	p := g.base.At(t)
-	dwell := int64(g.params.MeanDwell)
-	w := t / dwell
-	reg := liteRegimeAt(g.seed, w, g.params)
-	if reg == RegimeCalm {
-		return p
-	}
-	member := reg != RegimeBurst ||
-		burstMember(g.seed, uint16(uint64(w)), g.rack, g.params.RackFraction)
-	noise := u01(mix64(uint64(g.vmSeed)*0x2545f4914f6cdd1d ^ uint64(w)))
-	return applySurge(p, reg, int(t%dwell), member, g.params.Intensity, noise)
-}
-
-// Next returns the next profile and advances the counter.
-func (g *SurgeLiteGen) Next() Profile {
-	p := g.At(g.t)
-	g.t++
-	return p
-}
-
-// Pos reports how many profiles Next has produced.
-func (g *SurgeLiteGen) Pos() int { return int(g.t) }
-
-// Skip advances the stream by n profiles in O(1).
-func (g *SurgeLiteGen) Skip(n int) { g.t += int64(n) }
-
 var (
 	_ Source         = (*SurgeGen)(nil)
-	_ Source         = (*SurgeLiteGen)(nil)
 	_ Generator      = (*surgeFactory)(nil)
-	_ Generator      = surgeLiteFactory{}
 	_ RegimeReporter = (*surgeFactory)(nil)
-	_ RegimeReporter = surgeLiteFactory{}
 	_ Generator      = diurnalFactory{}
 	_ Generator      = liteFactory{}
 )

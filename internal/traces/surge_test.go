@@ -12,6 +12,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestParseKindRoundTrip: every kind parses back from its String, "" is
+// Diurnal, and no other spelling is accepted: the dropped aliases and the
+// deleted surge-lite family are refused with an error naming the kinds.
 func TestParseKindRoundTrip(t *testing.T) {
 	for _, k := range Kinds() {
 		got, err := ParseKind(k.String())
@@ -25,8 +28,16 @@ func TestParseKindRoundTrip(t *testing.T) {
 	if k, err := ParseKind(""); err != nil || k != Diurnal {
 		t.Fatalf("ParseKind(\"\") = %v, %v; want Diurnal", k, err)
 	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("ParseKind accepted an unknown kind")
+	for _, name := range []string{"bogus", "default", "surge-lite", "surgelite", "lite-surge", "Surge"} {
+		_, err := ParseKind(name)
+		if err == nil {
+			t.Fatalf("ParseKind accepted %q", name)
+		}
+		for _, k := range Kinds() {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseKind(%q) = %v, which does not name %s", name, err, k)
+			}
+		}
 	}
 }
 
@@ -92,56 +103,53 @@ func TestNewMatchesLegacyConstructors(t *testing.T) {
 // seeds give different ones, and Skip(Pos()) replay continues
 // bit-identically — the snapshot/restore contract every Source honors.
 func TestSurgeDeterminism(t *testing.T) {
-	for _, kind := range []Kind{Surge, SurgeLite} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			opts := Options{Kind: kind, Seed: 42, Hours: 6}
-			a, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
+	t.Run(Surge.String(), func(t *testing.T) {
+		opts := Options{Kind: Surge, Seed: 42, Hours: 6}
+		a, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa, sb := a.Source(3, 1), b.Source(3, 1)
+		for i := 0; i < 500; i++ {
+			if x, y := sa.Next(), sb.Next(); x != y {
+				t.Fatalf("step %d: same options diverged: %+v != %+v", i, x, y)
 			}
-			b, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sa, sb := a.Source(3, 1), b.Source(3, 1)
-			for i := 0; i < 500; i++ {
-				if x, y := sa.Next(), sb.Next(); x != y {
-					t.Fatalf("step %d: same options diverged: %+v != %+v", i, x, y)
-				}
-			}
+		}
 
-			other, err := New(Options{Kind: kind, Seed: 43, Hours: 6})
-			if err != nil {
-				t.Fatal(err)
+		other, err := New(Options{Kind: Surge, Seed: 43, Hours: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		so := other.Source(3, 1)
+		ref := a.Source(3, 1)
+		same := 0
+		for i := 0; i < 500; i++ {
+			if so.Next() == ref.Next() {
+				same++
 			}
-			so := other.Source(3, 1)
-			ref := a.Source(3, 1)
-			same := 0
-			for i := 0; i < 500; i++ {
-				if so.Next() == ref.Next() {
-					same++
-				}
-			}
-			if same == 500 {
-				t.Fatal("different seeds produced identical streams")
-			}
+		}
+		if same == 500 {
+			t.Fatal("different seeds produced identical streams")
+		}
 
-			// Pos/Skip replay: advance 137 steps, then replay a fresh source
-			// to that position and compare the continuation.
-			run := a.Source(5, 2)
-			for i := 0; i < 137; i++ {
-				run.Next()
+		// Pos/Skip replay: advance 137 steps, then replay a fresh source
+		// to that position and compare the continuation.
+		run := a.Source(5, 2)
+		for i := 0; i < 137; i++ {
+			run.Next()
+		}
+		replay := a.Source(5, 2)
+		replay.Skip(run.Pos())
+		for i := 0; i < 200; i++ {
+			if x, y := run.Next(), replay.Next(); x != y {
+				t.Fatalf("replay step %d: %+v != %+v", i, x, y)
 			}
-			replay := a.Source(5, 2)
-			replay.Skip(run.Pos())
-			for i := 0; i < 200; i++ {
-				if x, y := run.Next(), replay.Next(); x != y {
-					t.Fatalf("replay step %d: %+v != %+v", i, x, y)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSurgeRegimesFire checks the default mix actually produces every
@@ -242,25 +250,6 @@ func TestSurgeRackCorrelation(t *testing.T) {
 	}
 }
 
-// TestSurgeLiteMemoryShape pins the hyperscale contract: SurgeLiteGen
-// Skip is O(1) (counter bump) and At is position-independent.
-func TestSurgeLiteRandomAccess(t *testing.T) {
-	gen, err := New(Options{Kind: SurgeLite, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := gen.Source(9, 4).(*SurgeLiteGen)
-	var seq []Profile
-	for i := 0; i < 300; i++ {
-		seq = append(seq, src.Next())
-	}
-	for _, i := range []int64{0, 17, 123, 299} {
-		if got := src.At(i); got != seq[i] {
-			t.Fatalf("At(%d) = %+v, want %+v", i, got, seq[i])
-		}
-	}
-}
-
 // TestSurgeGolden pins the exact first samples of the surge stream so
 // accidental generator drift (which would silently invalidate recorded
 // benchmarks) fails loudly. Regenerate with -update.
@@ -296,19 +285,17 @@ func TestSurgeGolden(t *testing.T) {
 
 // TestSurgeProfilesInRange: every component stays normalized.
 func TestSurgeProfilesInRange(t *testing.T) {
-	for _, kind := range []Kind{Surge, SurgeLite} {
-		gen, err := New(Options{Kind: kind, Seed: 5, Hours: 6,
-			Surge: SurgeParams{Intensity: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := gen.Source(2, 3)
-		for i := 0; i < 6*SamplesPerHour; i++ {
-			p := src.Next()
-			for _, v := range p.Components() {
-				if v < 0 || v > 1 || math.IsNaN(v) {
-					t.Fatalf("%v step %d out of range: %+v", kind, i, p)
-				}
+	gen, err := New(Options{Kind: Surge, Seed: 5, Hours: 6,
+		Surge: SurgeParams{Intensity: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := gen.Source(2, 3)
+	for i := 0; i < 6*SamplesPerHour; i++ {
+		p := src.Next()
+		for _, v := range p.Components() {
+			if v < 0 || v > 1 || math.IsNaN(v) {
+				t.Fatalf("step %d out of range: %+v", i, p)
 			}
 		}
 	}

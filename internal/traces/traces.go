@@ -28,14 +28,19 @@ const (
 	SamplesPerDay  = 24 * SamplesPerHour
 )
 
+// The CPU trace's shape, in percent: its baseline utilization, its diurnal
+// swing and the magnitude of a load spike.
+const (
+	cpuBase      float64 = 35
+	cpuAmplitude float64 = 25
+	cpuSpikeSize float64 = 30
+)
+
 // CPUConfig parameterizes the diurnal CPU-utilization generator.
 type CPUConfig struct {
 	Hours     int     // trace length in hours (Fig. 3 shows ~24h)
-	Base      float64 // baseline utilization percent (default 35)
-	Amplitude float64 // diurnal swing percent (default 25)
 	Noise     float64 // Gaussian noise std dev in percent (default 6)
 	SpikeProb float64 // per-sample probability of a load spike (default 0.01)
-	SpikeSize float64 // spike magnitude in percent (default 30)
 	Seed      int64
 }
 
@@ -43,20 +48,11 @@ func (c CPUConfig) withDefaults() CPUConfig {
 	if c.Hours <= 0 {
 		c.Hours = 24
 	}
-	if c.Base == 0 {
-		c.Base = 35
-	}
-	if c.Amplitude == 0 {
-		c.Amplitude = 25
-	}
 	if c.Noise == 0 {
 		c.Noise = 6
 	}
 	if c.SpikeProb == 0 {
 		c.SpikeProb = 0.01
-	}
-	if c.SpikeSize == 0 {
-		c.SpikeSize = 30
 	}
 	return c
 }
@@ -74,15 +70,15 @@ func CPU(cfg CPUConfig) *timeseries.Series {
 }
 
 // cpuCurve is the seed-independent part of the CPU trace: the diurnal
-// baseline Base + Amplitude·sin(…) that spikes and noise ride on. cfg has
-// its defaults.
+// baseline cpuBase + cpuAmplitude·sin(…) that spikes and noise ride on.
+// cfg has its defaults.
 func cpuCurve(cfg CPUConfig) []float64 {
 	curve := make([]float64, cfg.Hours*SamplesPerHour)
 	for t := range curve {
 		hour := float64(t) / SamplesPerHour
 		// Peak in the afternoon (hour 14), trough before dawn.
-		diurnal := cfg.Amplitude * math.Sin(2*math.Pi*(hour-8)/24)
-		curve[t] = cfg.Base + diurnal
+		diurnal := cpuAmplitude * math.Sin(2*math.Pi*(hour-8)/24)
+		curve[t] = cpuBase + diurnal
 	}
 	return curve
 }
@@ -100,35 +96,31 @@ type draws interface {
 // decaying spike the previous sample left.
 func cpuStep(cfg *CPUConfig, curve float64, spike *float64, r draws) float64 {
 	if r.Float64() < cfg.SpikeProb {
-		*spike = cfg.SpikeSize * (0.5 + r.Float64())
+		*spike = cpuSpikeSize * (0.5 + r.Float64())
 	}
 	*spike *= 0.9 // spikes decay geometrically
 	v := curve + *spike + cfg.Noise*r.NormFloat64()
 	return clamp(v, 0, 100)
 }
 
+// The I/O trace's shape: its baseline rate in MB/s, the per-sample burst
+// probability and the mean burst magnitude in MB/s.
+const (
+	ioBase      float64 = 120
+	ioBurstProb float64 = 0.03
+	ioBurstMean float64 = 400
+)
+
 // DiskIOConfig parameterizes the bursty disk-I/O generator.
 type DiskIOConfig struct {
-	Hours     int     // trace length in hours (Fig. 4 shows ~24h)
-	Base      float64 // baseline rate MB/s (default 120)
-	BurstProb float64 // per-sample burst probability (default 0.03)
-	BurstMean float64 // mean burst magnitude MB/s (default 400)
-	Noise     float64 // multiplicative noise scale (default 0.25)
-	Seed      int64
+	Hours int     // trace length in hours (Fig. 4 shows ~24h)
+	Noise float64 // multiplicative noise scale (default 0.25)
+	Seed  int64
 }
 
 func (c DiskIOConfig) withDefaults() DiskIOConfig {
 	if c.Hours <= 0 {
 		c.Hours = 24
-	}
-	if c.Base == 0 {
-		c.Base = 120
-	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.03
-	}
-	if c.BurstMean == 0 {
-		c.BurstMean = 400
 	}
 	if c.Noise == 0 {
 		c.Noise = 0.25
@@ -149,14 +141,14 @@ func DiskIO(cfg DiskIOConfig) *timeseries.Series {
 }
 
 // diskIOCurve is the seed-independent part of the I/O trace: the floor
-// Base·(1 + 0.3·cos(…)) that bursts and noise ride on. cfg has its
+// ioBase·(1 + 0.3·cos(…)) that bursts and noise ride on. cfg has its
 // defaults.
 func diskIOCurve(cfg DiskIOConfig) []float64 {
 	curve := make([]float64, cfg.Hours*SamplesPerHour)
 	for t := range curve {
 		hour := float64(t) / SamplesPerHour
 		// Mild diurnal shape: batch jobs at night raise the floor.
-		curve[t] = cfg.Base * (1 + 0.3*math.Cos(2*math.Pi*hour/24))
+		curve[t] = ioBase * (1 + 0.3*math.Cos(2*math.Pi*hour/24))
 	}
 	return curve
 }
@@ -164,9 +156,9 @@ func diskIOCurve(cfg DiskIOConfig) []float64 {
 // diskIOStep is one I/O sample: curve is the sample's floor and burst the
 // decaying burst the previous sample left.
 func diskIOStep(cfg *DiskIOConfig, curve float64, burst *float64, r draws) float64 {
-	if r.Float64() < cfg.BurstProb {
+	if r.Float64() < ioBurstProb {
 		// Exponential burst sizes give the heavy tail.
-		*burst = cfg.BurstMean * r.ExpFloat64()
+		*burst = ioBurstMean * r.ExpFloat64()
 	}
 	*burst *= 0.8
 	v := curve + *burst
@@ -177,17 +169,23 @@ func diskIOStep(cfg *DiskIOConfig, curve float64, burst *float64, r draws) float
 	return v
 }
 
+// The traffic trace's shape: its baseline in MB, the daily swing in MB,
+// the weekend damping fraction, the AR(1) noise coefficient and the
+// strength of the amplitude modulation, in 0..1.
+const (
+	trafficBase      float64 = 45
+	trafficDailyAmp  float64 = 25
+	trafficWeeklyAmp float64 = 0.35
+	trafficNoisePhi  float64 = 0.6
+	trafficNonlinear float64 = 0.35
+)
+
 // TrafficConfig parameterizes the weekly switch-traffic generator.
 type TrafficConfig struct {
 	Days       int     // trace length in days (Fig. 5 shows ~7)
 	PerDay     int     // samples per day (default 64, coarse like Fig. 5)
-	Base       float64 // baseline traffic MB (default 45)
-	DailyAmp   float64 // daily swing MB (default 25)
-	WeeklyAmp  float64 // weekend damping fraction (default 0.35)
 	Trend      float64 // per-day linear growth MB (default 0.4)
-	NoisePhi   float64 // AR(1) noise coefficient (default 0.6)
 	NoiseSigma float64 // AR(1) innovation std dev (default 2.5)
-	Nonlinear  float64 // amplitude-modulation strength 0..1 (default 0.35)
 	Seed       int64
 }
 
@@ -198,26 +196,11 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	if c.PerDay <= 0 {
 		c.PerDay = 64
 	}
-	if c.Base == 0 {
-		c.Base = 45
-	}
-	if c.DailyAmp == 0 {
-		c.DailyAmp = 25
-	}
-	if c.WeeklyAmp == 0 {
-		c.WeeklyAmp = 0.35
-	}
 	if c.Trend == 0 {
 		c.Trend = 0.4
 	}
-	if c.NoisePhi == 0 {
-		c.NoisePhi = 0.6
-	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 2.5
-	}
-	if c.Nonlinear == 0 {
-		c.Nonlinear = 0.35
 	}
 	return c
 }
@@ -236,7 +219,7 @@ func WeeklyTraffic(cfg TrafficConfig) *timeseries.Series {
 }
 
 // weeklyTrafficCurve is the seed-independent part of the traffic trace:
-// Base + Trend·day + the modulated daily swing, which the AR(1) noise
+// trafficBase + Trend·day + the modulated daily swing, which the AR(1) noise
 // rides on. cfg has its defaults.
 func weeklyTrafficCurve(cfg TrafficConfig) []float64 {
 	curve := make([]float64, cfg.Days*cfg.PerDay)
@@ -247,14 +230,14 @@ func weeklyTrafficCurve(cfg TrafficConfig) []float64 {
 		weekday := int(math.Floor(day)) % 7
 		damp := 1.0
 		if weekday >= 5 {
-			damp = 1 - cfg.WeeklyAmp
+			damp = 1 - trafficWeeklyAmp
 		}
 		// Nonlinear amplitude modulation: the daily swing itself swells
 		// and shrinks with a slow envelope, a multiplicative effect a
 		// linear ARIMA cannot express.
-		envelope := 1 + cfg.Nonlinear*math.Sin(2*math.Pi*day/3.3)
-		daily := cfg.DailyAmp * envelope * damp * math.Sin(2*math.Pi*(frac-0.25))
-		curve[t] = cfg.Base + cfg.Trend*day + daily
+		envelope := 1 + trafficNonlinear*math.Sin(2*math.Pi*day/3.3)
+		daily := trafficDailyAmp * envelope * damp * math.Sin(2*math.Pi*(frac-0.25))
+		curve[t] = trafficBase + cfg.Trend*day + daily
 	}
 	return curve
 }
@@ -262,7 +245,7 @@ func weeklyTrafficCurve(cfg TrafficConfig) []float64 {
 // trafficStep is one traffic sample: curve is the sample's level and ar
 // the AR(1) noise the previous sample left.
 func trafficStep(cfg *TrafficConfig, curve float64, ar *float64, r draws) float64 {
-	*ar = cfg.NoisePhi**ar + cfg.NoiseSigma*r.NormFloat64()
+	*ar = trafficNoisePhi**ar + cfg.NoiseSigma*r.NormFloat64()
 	v := curve + *ar
 	if v < 0 {
 		v = 0

@@ -32,13 +32,13 @@ func TestOptionsContract(t *testing.T) {
 	}{
 		{
 			name:     "migrate.Params",
-			negative: func() error { return migrate.Params{Alpha: -0.5}.Validate() },
+			negative: func() error { return migrate.Params{NeighborSwitchHops: -1}.Validate() },
 			zeroOK:   func() error { return migrate.Params{}.Validate() },
 			defaulted: func() (any, any) {
-				return migrate.Params{}.WithDefaults().Alpha, migrate.DefaultParams().Alpha
+				return migrate.Params{}.WithDefaults().NeighborSwitchHops, migrate.DefaultParams().NeighborSwitchHops
 			},
 			preserved: func() (any, any) {
-				return migrate.Params{Alpha: 0.4}.WithDefaults().Alpha, 0.4
+				return migrate.Params{NeighborSwitchHops: 3}.WithDefaults().NeighborSwitchHops, 3
 			},
 		},
 		{
@@ -107,17 +107,6 @@ func TestOptionsContract(t *testing.T) {
 			},
 			preserved: func() (any, any) {
 				return traces.SurgeParams{MeanDwell: 9}.WithDefaults().MeanDwell, 9
-			},
-		},
-		{
-			name:     "BurstConfig",
-			negative: func() error { return predictor.BurstConfig{Hold: -1}.Validate() },
-			zeroOK:   func() error { return predictor.BurstConfig{}.Validate() },
-			defaulted: func() (any, any) {
-				return predictor.BurstConfig{}.WithDefaults().Hold, 30
-			},
-			preserved: func() (any, any) {
-				return predictor.BurstConfig{Hold: 5}.WithDefaults().Hold, 5
 			},
 		},
 	}
