@@ -6,8 +6,8 @@
 # is one guard:
 #
 #   file PATHSPEC       no tracked file matches PATHSPEC
-#   src  REGEX          no tracked non-test Go file outside bench/ matches
-#                       REGEX
+#   src  REGEX [DIR]    no tracked non-test Go file outside bench/ (under
+#                       DIR, when given) matches REGEX
 #   decl TARGET REGEX   no line of `go doc -u -src TARGET`, the declaration
 #                       with its unexported fields, matches REGEX
 #
@@ -26,7 +26,7 @@ while read -r kind target words; do
 		fi
 		;;
 	src)
-		if git grep -nE "$target" -- '*.go' ':!*_test.go' ':!bench'; then
+		if git grep -nE "$target" -- "${words:+$words/}*.go" ':!*_test.go' ':!bench'; then
 			echo "absent.sh: the source above matches $target"
 			fail=1
 		fi
@@ -119,5 +119,8 @@ src  \bsh\.(wait|waitHist)\b
 # Workload sources in a few hundred bytes: a WorkloadGen draws each sample again from its PCG streams, so it holds no materialized series and no math/rand generator, and a SurgeGen holds its baseline in place.
 decl ./internal/traces.WorkloadGen \*timeseries\.Series|\*rand\.Rand\b
 decl ./internal/traces.SurgeGen \*WorkloadGen\b
+# One owner for live subscribers: the recorder detaches a failed subscription itself and closes one by identity, so obs needs no reflect, and ingest keeps no subscriber list for its drain to sweep.
+src  ^[[:space:]]*(import[[:space:]]+)?"reflect"$ internal/obs
+src  \b(sweepSubscriptions|subMu|subs)\b internal/ingest
 EOF
 exit $fail

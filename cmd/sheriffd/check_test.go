@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
 	"sheriff/internal/timeseries"
 )
@@ -92,20 +91,16 @@ func TestRunSurvivesHungSubscriber(t *testing.T) {
 
 // TestSubscriberWriteTimeoutIsASinkError pins what a stalled write turns
 // into: a timeout kept by Subscription.Err, a closed connection, and a
-// subscription that takes no further events. net.Pipe has no buffer, so the
+// subscription that takes no further events, on the recorder alone. net.Pipe has no buffer, so the
 // first event already waits on a reader that never comes.
 func TestSubscriberWriteTimeoutIsASinkError(t *testing.T) {
 	rec, err := obs.New(obs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := ingest.New([][]int{{0, 1}}, ingest.Options{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
 	server, client := net.Pipe()
 	defer client.Close()
-	sub, err := subscribeConn(svc, server)
+	sub, err := subscribeConn(rec, server)
 	if err != nil {
 		t.Fatal(err)
 	}

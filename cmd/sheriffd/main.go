@@ -279,7 +279,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []traces
 		}
 		defer ln.Close()
 		fmt.Fprintf(out, "sheriffd: streaming events on %s\n", ln.Addr())
-		go serveSubscribers(ln, svc)
+		go serveSubscribers(ln, rec)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -395,7 +395,7 @@ func replaceFile(path string, blob []byte) error {
 // serveSubscribers attaches each TCP client to the live event stream.
 // A client that hangs up (or whose writes fail) is detached without
 // disturbing the recorder or other subscribers.
-func serveSubscribers(ln net.Listener, svc *ingest.Service) {
+func serveSubscribers(ln net.Listener, rec *obs.Recorder) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -404,14 +404,14 @@ func serveSubscribers(ln net.Listener, svc *ingest.Service) {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetWriteBuffer(subscriberSendBuffer) // best effort
 		}
-		sub, err := subscribeConn(svc, conn)
+		sub, err := subscribeConn(rec, conn)
 		if err != nil {
 			conn.Close()
 			continue
 		}
 		go func() {
 			io.Copy(io.Discard, conn) // block until the client hangs up, or a failed write closes conn
-			svc.Unsubscribe(sub)
+			sub.Close()
 			conn.Close()
 		}()
 	}
@@ -432,10 +432,10 @@ const subscriberWriteTimeout = time.Second
 // written from inside the recorder's emit path, on the period loop's
 // goroutine, so a write must not block for good: each has a deadline, and a
 // write that fails — the deadline passing, or anything else — closes the
-// connection. The failure is a sink error, which marks the subscription
-// dead (Subscription.Err keeps it) and detaches it at the next drain.
-func subscribeConn(svc *ingest.Service, conn net.Conn) (*ingest.Subscription, error) {
-	return svc.Subscribe(obs.NewJSONL(deadlineWriter{conn}))
+// connection. The failure is a sink error, on which the recorder detaches
+// the subscription at once (Subscription.Err keeps it).
+func subscribeConn(rec *obs.Recorder, conn net.Conn) (*obs.Subscription, error) {
+	return rec.Subscribe(obs.NewJSONL(deadlineWriter{conn}))
 }
 
 type deadlineWriter struct{ conn net.Conn }

@@ -50,7 +50,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"sheriff/internal/arima"
 	"sheriff/internal/experiments"
@@ -714,11 +713,10 @@ func runPlan(out io.Writer, cfg sim.Config, k, p int, exact bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%s size %-3d racks %-5d clients %-4d k %-4d | local-search cost %10.1f swaps %4d in %v",
-		cfg.Kind, cfg.Size, res.Racks, res.Clients, res.K, res.LocalCost, res.LocalSwaps, res.LocalTime.Round(time.Microsecond))
+	fmt.Fprintf(out, "%s size %-3d racks %-5d clients %-4d k %-4d | local-search cost %10.1f swaps %4d",
+		cfg.Kind, cfg.Size, res.Racks, res.Clients, res.K, res.LocalCost, res.LocalSwaps)
 	if res.HasExact {
-		fmt.Fprintf(out, " | optimal cost %10.1f in %v (ratio %.4f)",
-			res.ExactCost, res.ExactTime.Round(time.Microsecond), res.Ratio())
+		fmt.Fprintf(out, " | optimal cost %10.1f (ratio %.4f)", res.ExactCost, res.Ratio())
 	}
 	fmt.Fprintln(out)
 	return nil

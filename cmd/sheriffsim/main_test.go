@@ -62,7 +62,7 @@ func TestRunModes(t *testing.T) {
 		{name: "balance", args: "-mode balance -size 4 -hosts 2 -vms 2 -rounds 4", want: "over 4 rounds"},
 		{name: "compare", args: "-mode compare -size 4 -hosts 2 -vms 2", want: "sheriff cost"},
 		{name: "sweep", args: "-mode sweep -sizes 4,6 -hosts 2 -vms 2", want: "fat-tree size 6"},
-		{name: "plan", args: "-mode plan -size 4 -exact", want: `ratio 1\.0000`},
+		{name: "plan", args: "-mode plan -size 4 -exact -seed 1", want: `ratio 1\.0000`, check: sameTwice},
 		{name: "dist", args: "-mode dist -size 4 -hosts 2 -vms 2", want: "dist: "},
 		{name: "chaos", args: "-mode chaos -size 8 -seed 42 -partition 1:3:0,1", want: "unplaced 0"},
 		{name: "surge/grid and cluster", args: "-mode surge -hours 4 -cluster-racks 2 -cluster-steps 24", want: "surge cluster:"},
@@ -100,6 +100,9 @@ func TestRunModes(t *testing.T) {
 		// count, and notes, and no data row.
 		{name: "fig/9", args: "-mode fig -fig 9 -seed 1", want: "^Fig. 9 — ", check: both(sameTwice, dataRows(25, 25))},
 		{name: "fig/ablation", args: "-mode fig -ablation swap-size -seed 1", want: "^Ablation ", check: dataRows(1, math.MaxInt)},
+		// A9 prints the planner's work, not its wall time: the same bytes
+		// twice, one row per Fat-Tree size.
+		{name: "fig/ablation planning-scale", args: "-mode fig -ablation planning-scale -seed 1", want: "ls_swaps", check: both(sameTwice, dataRows(3, 3))},
 		{name: "fig/summary", args: "-mode fig -summary -seed 1", want: "^Fig. 3 — ", check: onlyHeaders},
 		{name: "fig/unknown figure", args: "-mode fig -fig 99", want: `unknown figure "99"`, fail: true},
 		{name: "fig/unknown ablation", args: "-mode fig -ablation nope", want: `unknown ablation "nope" \(want one of .*planning-scale.*swap-size`, fail: true},

@@ -409,18 +409,18 @@ func AblationKMedianPlanning(seed int64) (*Table, error) {
 }
 
 // AblationPlanningScale sweeps Fat-Tree pod counts through the Sec. V.A
-// destination-planning engine: Local Search cost and wall time at every
-// size, and the branch-and-bound optimum where it is feasible — the
+// destination-planning engine: Local Search cost and accepted swaps at
+// every size, and the branch-and-bound optimum where it is feasible — the
 // planning-side view of the Figs. 11–12 APP-vs-OPT comparison at scales
 // the seed's enumerator (full C(|F|, K) scan) could never reach.
 func AblationPlanningScale(seed int64) (*Table, error) {
 	t := &Table{
 		Name:    "Ablation A9",
 		Title:   "k-median planning at scale: Local Search vs branch-and-bound optimum",
-		Columns: []string{"pods", "racks", "clients", "k", "ls_cost", "ls_ms", "opt_cost", "opt_ms", "ratio"},
+		Columns: []string{"pods", "racks", "clients", "k", "ls_cost", "ls_swaps", "opt_cost", "ratio"},
 		Notes: []string{
-			"5% alerts per rack; k = clients/4; opt columns are 0 where the",
-			"exact reference is skipped (branch-and-bound stays exponential)",
+			"5% alerts per rack; k = clients/4; opt_cost and ratio are 0 where",
+			"the exact reference is skipped (branch-and-bound stays exponential)",
 		},
 	}
 	for _, pods := range []int{4, 8, 16} {
@@ -429,14 +429,13 @@ func AblationPlanningScale(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: planning scale pods=%d: %w", pods, err)
 		}
-		optCost, optMs, ratio := 0.0, 0.0, 0.0
+		optCost, ratio := 0.0, 0.0
 		if res.HasExact {
 			optCost = res.ExactCost
-			optMs = float64(res.ExactTime.Milliseconds())
 			ratio = res.Ratio()
 		}
 		t.AddRow(float64(pods), float64(res.Racks), float64(res.Clients), float64(res.K),
-			res.LocalCost, float64(res.LocalTime.Milliseconds()), optCost, optMs, ratio)
+			res.LocalCost, float64(res.LocalSwaps), optCost, ratio)
 	}
 	return t, nil
 }

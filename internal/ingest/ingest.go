@@ -1,7 +1,8 @@
 // Package ingest is the daemon's metric front end: a batched,
 // rack-sharded intake for externally reported VM workload profiles with
-// explicit backpressure, a constant-work triage forecaster per VM, and a
-// streaming subscription API for the resulting alert/trace events.
+// explicit backpressure and a constant-work triage forecaster per VM. Its
+// drain, drop and alert events go to the recorder it is given, which
+// streams them to whoever subscribed there.
 //
 // The intake is sharded one shard per rack, each behind its own lock, so
 // offers for different racks from concurrent producers do not contend;
@@ -76,8 +77,8 @@ type Options struct {
 	// dyadic coefficients and saturating overflow semantics (see
 	// internal/quant and quant.go in this package).
 	Mode TriageMode
-	// Recorder receives KindIngest events (drains, drops, alerts) and is
-	// the hub Subscribe attaches sinks to. Nil disables both.
+	// Recorder receives KindIngest events (drains, drops, alerts). Nil
+	// disables them.
 	Recorder *obs.Recorder
 	// Clock stamps offered updates for ingest-to-alert latency; nil
 	// means time.Now. Tests inject a fixed clock.
@@ -193,9 +194,6 @@ type Service struct {
 	dropped   atomic.Uint64
 	processed atomic.Uint64
 	alerts    atomic.Uint64
-
-	subMu sync.Mutex
-	subs  []*Subscription
 
 	// polled is what Poll returns, refilled by every Poll under pollMu.
 	pollMu sync.Mutex
@@ -381,8 +379,7 @@ func (s *Service) endRun(sh *shard, run []Update, room int) int {
 
 // ProcessPending drains every shard queue through triage on the caller,
 // in rack order, and returns the number of updates processed. Newly
-// raised alerts accumulate for Poll. Dead subscriptions (sinks that
-// returned an error) are detached.
+// raised alerts accumulate for Poll.
 //
 // The pass reads the clock once, so every update offered under one
 // arrival stamp waited the same time, whichever shard queued it: the
@@ -405,7 +402,6 @@ func (s *Service) ProcessPending() int {
 	if raised > 0 {
 		s.alerts.Add(uint64(raised))
 	}
-	s.sweepSubscriptions()
 	return processed
 }
 
@@ -588,105 +584,4 @@ func (s *Service) CheckInvariants() error {
 			st.Accepted, st.Processed, st.Pending)
 	}
 	return nil
-}
-
-// Subscription is a live event stream handle returned by Subscribe. The
-// wrapped sink receives every recorder event until it returns an error
-// (auto-detach) or Unsubscribe is called.
-type Subscription struct {
-	sink obs.Sink
-	dead atomic.Bool
-
-	errMu sync.Mutex
-	err   error
-}
-
-// Emit implements obs.Sink. A sink error marks the subscription dead —
-// later events are skipped and the next drain detaches it — and is kept
-// for Err. The error is not propagated: a subscriber hanging up is that
-// subscriber's problem, not a recorder-level trace failure.
-func (sub *Subscription) Emit(e obs.Event) error {
-	if sub.dead.Load() {
-		return nil
-	}
-	if err := sub.sink.Emit(e); err != nil {
-		sub.dead.Store(true)
-		sub.errMu.Lock()
-		if sub.err == nil {
-			sub.err = err
-		}
-		sub.errMu.Unlock()
-	}
-	return nil
-}
-
-// Err returns the sink error that killed the subscription, if any.
-func (sub *Subscription) Err() error {
-	sub.errMu.Lock()
-	defer sub.errMu.Unlock()
-	return sub.err
-}
-
-// Subscribe attaches a sink to the service's recorder as a live event
-// stream. The sink starts receiving every subsequent event (ingest
-// events and anything else recorded, e.g. runtime phases sharing the
-// recorder). A sink error detaches the subscription automatically on
-// the next drain instead of wedging the recorder.
-func (s *Service) Subscribe(sink obs.Sink) (*Subscription, error) {
-	if s.rec == nil {
-		return nil, fmt.Errorf("ingest: no recorder configured; nothing to subscribe to")
-	}
-	if sink == nil {
-		return nil, fmt.Errorf("ingest: nil sink")
-	}
-	sub := &Subscription{sink: sink}
-	s.subMu.Lock()
-	s.subs = append(s.subs, sub)
-	s.subMu.Unlock()
-	s.rec.AddSink(sub)
-	return sub, nil
-}
-
-// Unsubscribe detaches a subscription immediately and reports whether
-// it was still attached.
-func (s *Service) Unsubscribe(sub *Subscription) bool {
-	if sub == nil {
-		return false
-	}
-	sub.dead.Store(true)
-	s.subMu.Lock()
-	found := false
-	for i, have := range s.subs {
-		if have == sub {
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-			found = true
-			break
-		}
-	}
-	s.subMu.Unlock()
-	if found {
-		s.rec.RemoveSink(sub)
-	}
-	return found
-}
-
-// sweepSubscriptions detaches subscriptions whose sinks have errored.
-// Removal happens here, outside the recorder's emit path, because
-// RemoveSink takes the recorder lock that Emit runs under.
-func (s *Service) sweepSubscriptions() {
-	s.subMu.Lock()
-	var dead []*Subscription
-	live := s.subs[:0]
-	for _, sub := range s.subs {
-		if sub.dead.Load() {
-			dead = append(dead, sub)
-		} else {
-			live = append(live, sub)
-		}
-	}
-	s.subs = live
-	s.subMu.Unlock()
-	for _, sub := range dead {
-		s.rec.RemoveSink(sub)
-	}
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -241,52 +240,6 @@ func TestIngestEventsRecorded(t *testing.T) {
 	s.ProcessPending()
 	if phases["drop"] != 3 || phases["drain"] != 1 || phases["alert"] != 1 {
 		t.Fatalf("ingest event phases %+v, want drop=3 drain=1 alert=1", phases)
-	}
-}
-
-func TestSubscriptionAutoDetach(t *testing.T) {
-	rec, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := build(t, Options{Recorder: rec})
-	var goodN, badN int
-	good, err := s.Subscribe(obs.Func(func(obs.Event) error { goodN++; return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := s.Subscribe(obs.Func(func(obs.Event) error { badN++; return errors.New("hangup") }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Offer(Update{VM: 0, Profile: cool()})
-	s.ProcessPending() // drain event kills bad, then sweep detaches it
-	if bad.Err() == nil {
-		t.Fatal("bad subscription has no error")
-	}
-	badAt := badN
-	s.Offer(Update{VM: 0, Profile: cool()})
-	s.ProcessPending()
-	if badN != badAt {
-		t.Fatalf("dead subscription still receiving (%d -> %d)", badAt, badN)
-	}
-	if goodN < 2 {
-		t.Fatalf("live subscription starved: %d events", goodN)
-	}
-	if rec.Err() != nil {
-		t.Fatalf("subscriber hangup poisoned the recorder: %v", rec.Err())
-	}
-	if !s.Unsubscribe(good) {
-		t.Fatal("live subscription not found on unsubscribe")
-	}
-	if s.Unsubscribe(bad) {
-		t.Fatal("swept subscription still attached")
-	}
-	goodAt := goodN
-	s.Offer(Update{VM: 0, Profile: cool()})
-	s.ProcessPending()
-	if goodN != goodAt {
-		t.Fatal("unsubscribed sink still receiving")
 	}
 }
 

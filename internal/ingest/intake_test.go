@@ -81,19 +81,17 @@ func TestBatchEqualsOneAtATime(t *testing.T) {
 				drops []string
 			}
 			mk := func() *side {
-				rec, err := obs.New(obs.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sd := &side{svc: build(t, Options{QueueLimit: 6, Mode: mode, Recorder: rec})}
-				if _, err := sd.svc.Subscribe(obs.Func(func(e obs.Event) error {
+				sd := &side{}
+				rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
 					if e.Phase == "drop" {
 						sd.drops = append(sd.drops, fmt.Sprintf("%d/%d", e.Shim, e.VM))
 					}
 					return nil
-				})); err != nil {
+				})}})
+				if err != nil {
 					t.Fatal(err)
 				}
+				sd.svc = build(t, Options{QueueLimit: 6, Mode: mode, Recorder: rec})
 				return sd
 			}
 			batch, loop := mk(), mk()
@@ -239,16 +237,12 @@ func TestLatencyClampedAtZero(t *testing.T) {
 	}
 }
 
-// TestDropEventsOutsideShardLock: a subscriber's sink runs on the offer
-// path for every drop, so it must never run under the shard's lock.
+// TestDropEventsOutsideShardLock: a recorder's sinks run on the offer
+// path for every drop, so they must never run under the shard's lock.
 func TestDropEventsOutsideShardLock(t *testing.T) {
-	rec, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := build(t, Options{QueueLimit: 2, Recorder: rec})
+	var s *Service
 	drops := 0
-	if _, err := s.Subscribe(obs.Func(func(e obs.Event) error {
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
 		if e.Phase == "drop" {
 			drops++
 			if !s.shard[e.Shim].mu.TryLock() {
@@ -258,9 +252,11 @@ func TestDropEventsOutsideShardLock(t *testing.T) {
 			s.shard[e.Shim].mu.Unlock()
 		}
 		return nil
-	})); err != nil {
+	})}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	s = build(t, Options{QueueLimit: 2, Recorder: rec})
 	batch := []Update{{VM: 0}, {VM: 1}, {VM: 2}, {VM: 0}, {VM: 3}, {VM: 1}}
 	if n, err := s.OfferBatch(batch); err != nil || n != 3 {
 		t.Fatalf("accepted %d, %v; want 3", n, err)
@@ -287,24 +283,21 @@ func TestConcurrentOffersConserve(t *testing.T) {
 			vmsByRack[r] = append(vmsByRack[r], r*perRack+v)
 		}
 	}
-	rec, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(vmsByRack, Options{QueueLimit: 5, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dropMu sync.Mutex
 	dropped := make([]int, racks*perRack)
-	if _, err := s.Subscribe(obs.Func(func(e obs.Event) error {
+	rec, err := obs.New(obs.Options{Sinks: []obs.Sink{obs.Func(func(e obs.Event) error {
 		if e.Phase == "drop" {
 			dropMu.Lock()
 			dropped[e.VM]++
 			dropMu.Unlock()
 		}
 		return nil
-	})); err != nil {
+	})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(vmsByRack, Options{QueueLimit: 5, Recorder: rec})
+	if err != nil {
 		t.Fatal(err)
 	}
 

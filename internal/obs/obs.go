@@ -1,9 +1,12 @@
 // Package obs is the structured observability layer: a recorder of
 // protocol- and phase-level events that stamps each with a monotonic
 // sequence number, counts events per kind, and emits them to pluggable
-// sinks (a JSONL writer for the daemons' -trace flags, a TCP fan-out for
-// sheriffd -listen, a Func for any in-process reader). The recorder keeps
-// no events of its own: whoever wants them attaches a sink.
+// sinks (a JSONL writer for the daemons' -trace flags, a Func for any
+// in-process reader). The recorder keeps no events of its own: whoever
+// wants them passes a durable sink to New, or attaches a live
+// subscription (a sheriffd -listen client) with Subscribe. The recorder
+// owns a subscription's whole life: a subscription whose sink fails is
+// detached at once, and its failure never fails the recording.
 //
 // The recorder is threaded through the layers that previously swallowed
 // their history — runtime.Step phases, migrate.DistributedVMMigration's
@@ -18,7 +21,8 @@
 package obs
 
 import (
-	"reflect"
+	"errors"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -110,7 +114,9 @@ type Event struct {
 // Options configures a Recorder.
 type Options struct {
 	// Sinks receive every recorded event in sequence order, under the
-	// recorder's lock (sinks need no locking of their own).
+	// recorder's lock (sinks need no locking of their own). They are
+	// durable: a sink that fails keeps receiving events, and the first
+	// failure is kept for Err.
 	Sinks []Sink
 }
 
@@ -123,6 +129,7 @@ type Recorder struct {
 	counters map[Kind]uint64
 	sinks    []Sink
 	sinkErr  error
+	subs     []*Subscription
 }
 
 // New builds a recorder. The error is always nil.
@@ -150,7 +157,9 @@ func (r *Recorder) SetStep(step int) {
 }
 
 // Record stamps the event with the next sequence number and the current
-// step context, counts it under its kind, and emits it to every sink.
+// step context, counts it under its kind, and emits it to every durable
+// sink, then to every live subscription. A subscription whose sink fails
+// is detached here, before the next event, and keeps the error.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -165,42 +174,61 @@ func (r *Recorder) Record(e Event) {
 			r.sinkErr = err
 		}
 	}
-	r.mu.Unlock()
-}
-
-// AddSink attaches a sink; subsequent events are emitted to it.
-func (r *Recorder) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sinks = append(r.sinks, s)
-	r.mu.Unlock()
-}
-
-// RemoveSink detaches a previously attached sink, comparing by interface
-// identity, and reports whether it was found. An event recorded after
-// RemoveSink returns is not emitted to the sink; an emission already in
-// flight on another goroutine completes first (both run under the
-// recorder's lock). Sinks of non-comparable dynamic type (e.g. Func)
-// cannot be removed — wrap them in a pointer type to detach later.
-func (r *Recorder) RemoveSink(s Sink) bool {
-	if r == nil || s == nil {
-		return false
-	}
-	t := reflect.TypeOf(s)
-	if !t.Comparable() {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, have := range r.sinks {
-		if reflect.TypeOf(have) == t && have == s {
-			r.sinks = append(r.sinks[:i], r.sinks[i+1:]...)
-			return true
+	for i := 0; i < len(r.subs); {
+		sub := r.subs[i]
+		if sub.err = sub.sink.Emit(e); sub.err != nil {
+			r.subs = slices.Delete(r.subs, i, i+1)
+			continue
 		}
+		i++
 	}
-	return false
+	r.mu.Unlock()
+}
+
+// Subscription is a live event stream attached by Subscribe. Its sink
+// receives every event recorded after Subscribe returns, until the sink
+// fails or Close is called. A subscriber's failure is its own: it
+// detaches that subscription and never reaches the recorder's Err.
+type Subscription struct {
+	r    *Recorder
+	sink Sink
+	err  error // the sink's failure; guarded by r.mu
+}
+
+// Subscribe attaches a sink as a live subscription. A nil recorder or a
+// nil sink is refused. Neither Subscribe nor Close may be called from
+// inside a sink's Emit, which runs under the recorder's lock.
+func (r *Recorder) Subscribe(sink Sink) (*Subscription, error) {
+	if r == nil {
+		return nil, errors.New("obs: no recorder; nothing to subscribe to")
+	}
+	if sink == nil {
+		return nil, errors.New("obs: nil sink")
+	}
+	sub := &Subscription{r: r, sink: sink}
+	r.mu.Lock()
+	r.subs = append(r.subs, sub)
+	r.mu.Unlock()
+	return sub, nil
+}
+
+// Close detaches the subscription. An event recorded after Close returns
+// is not emitted to its sink; an emission in flight on another goroutine
+// completes first. Closing a detached subscription does nothing.
+func (sub *Subscription) Close() {
+	r := sub.r
+	r.mu.Lock()
+	if i := slices.Index(r.subs, sub); i >= 0 {
+		r.subs = slices.Delete(r.subs, i, i+1)
+	}
+	r.mu.Unlock()
+}
+
+// Err returns the sink error that detached the subscription, if any.
+func (sub *Subscription) Err() error {
+	sub.r.mu.Lock()
+	defer sub.r.mu.Unlock()
+	return sub.err
 }
 
 // Err returns the first sink error, if any.

@@ -18,7 +18,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 	r.Record(Event{Kind: KindAck})
 	r.SetStep(3)
-	r.AddSink(NewJSONL(&bytes.Buffer{}))
+	if _, err := r.Subscribe(NewJSONL(&bytes.Buffer{})); err == nil {
+		t.Fatal("nil recorder took a subscription")
+	}
 	if r.Seq() != 0 || r.Count(KindAck) != 0 || r.Err() != nil {
 		t.Fatal("nil recorder retained state")
 	}

@@ -2,12 +2,13 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// countSink counts emissions; a pointer type so RemoveSink can find it.
+// countSink counts emissions.
 type countSink struct{ n atomic.Int64 }
 
 func (s *countSink) Emit(Event) error { s.n.Add(1); return nil }
@@ -17,10 +18,11 @@ type failSink struct{ n atomic.Int64 }
 
 func (s *failSink) Emit(Event) error { s.n.Add(1); return errors.New("failSink: boom") }
 
-// TestAddRemoveSinkDuringRecording attaches and detaches streaming
-// subscribers while writers hammer Record. Run under -race: the point is
-// that mid-run subscription churn needs no recorder restart.
-func TestAddRemoveSinkDuringRecording(t *testing.T) {
+// TestSubscribeCloseDuringRecording attaches and closes live subscriptions,
+// and lets failing ones detach themselves, while writers hammer Record. Run
+// under -race: the point is that mid-run subscription churn needs no
+// recorder restart, and that Close racing an auto-detach is harmless.
+func TestSubscribeCloseDuringRecording(t *testing.T) {
 	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -38,24 +40,32 @@ func TestAddRemoveSinkDuringRecording(t *testing.T) {
 	}
 	for c := 0; c < churners; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := &countSink{}
-				r.AddSink(s)
-				if !r.RemoveSink(s) {
-					t.Error("RemoveSink lost an attached sink")
+				var s Sink = &countSink{}
+				if (c+i)%2 == 1 {
+					s = &failSink{}
+				}
+				sub, err := r.Subscribe(s)
+				if err != nil {
+					t.Error(err)
 					return
 				}
+				sub.Close()
+				sub.Close()
+				if f, ok := s.(*failSink); ok && f.n.Load() > 1 {
+					t.Errorf("a failing subscriber took %d events", f.n.Load())
+				}
 			}
-		}()
+		}(c)
 	}
 	wg.Wait()
 	if got := r.Seq(); got != writers*perWriter {
 		t.Fatalf("recorded %d events, want %d", got, writers*perWriter)
 	}
 	if err := r.Err(); err != nil {
-		t.Fatalf("unexpected sink error: %v", err)
+		t.Fatalf("a subscriber's failure reached the recorder: %v", err)
 	}
 }
 
@@ -89,38 +99,80 @@ func TestErroringSinkDoesNotWedgeLaterSinks(t *testing.T) {
 	}
 }
 
-// TestRemoveSinkSemantics pins down identity comparison and the
-// non-comparable escape hatch.
-func TestRemoveSinkSemantics(t *testing.T) {
+// TestSubscriptionSemantics pins what the recorder does with a live
+// subscription: a failing one is detached at its first failure and keeps
+// that error, which never reaches Recorder.Err; a durable sink's error
+// stays sticky there; Close detaches by identity, and closing a detached
+// subscription does nothing.
+func TestSubscriptionSemantics(t *testing.T) {
+	var nilRec *Recorder
+	if _, err := nilRec.Subscribe(&countSink{}); err == nil {
+		t.Error("a nil recorder took a subscription")
+	}
 	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := &countSink{}, &countSink{}
-	r.AddSink(a)
-	r.AddSink(b)
-	if r.RemoveSink(&countSink{}) {
-		t.Error("removed a sink that was never attached")
+	if _, err := r.Subscribe(nil); err == nil {
+		t.Error("Subscribe took a nil sink")
 	}
-	if !r.RemoveSink(a) {
-		t.Error("failed to remove attached sink a")
+	good, bad, twin := &countSink{}, &failSink{}, &countSink{}
+	goodSub, err := r.Subscribe(good)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.Record(Event{Kind: KindAlerts, Value: 1})
-	if got := a.n.Load(); got != 0 {
-		t.Errorf("removed sink still received %d events", got)
+	calls := 0
+	badSub, err := r.Subscribe(Func(func(e Event) error {
+		calls++
+		return fmt.Errorf("hangup %d", calls)
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := b.n.Load(); got != 1 {
-		t.Errorf("remaining sink received %d events, want 1", got)
+	twinSub, err := r.Subscribe(twin)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Func has a non-comparable dynamic type: RemoveSink must decline
-	// rather than panic.
-	f := Func(func(Event) error { return nil })
-	r.AddSink(f)
-	if r.RemoveSink(f) {
-		t.Error("RemoveSink claimed to remove a non-comparable Func sink")
+	for i := 0; i < 3; i++ {
+		r.Record(Event{Kind: KindAlerts, Value: float64(i)})
 	}
-	var nilRec *Recorder
-	if nilRec.RemoveSink(b) {
-		t.Error("nil recorder removed a sink")
+	if calls != 1 {
+		t.Errorf("the failing subscriber took %d events, want 1: none after its failing Emit", calls)
+	}
+	if err := badSub.Err(); err == nil || err.Error() != "hangup 1" {
+		t.Errorf("Err() = %v, want the first error", err)
+	}
+	if err := r.Err(); err != nil {
+		t.Errorf("a subscriber's failure reached the recorder: %v", err)
+	}
+	if good.n.Load() != 3 || twin.n.Load() != 3 {
+		t.Errorf("the subscribers beside the failing one took %d and %d events, want 3", good.n.Load(), twin.n.Load())
+	}
+	badSub.Close() // already detached: a no-op
+	goodSub.Close()
+	goodSub.Close()
+	r.Record(Event{Kind: KindAlerts})
+	if good.n.Load() != 3 || twin.n.Load() != 4 || calls != 1 {
+		t.Errorf("after Close: good %d, twin %d, failing %d events; want 3, 4, 1", good.n.Load(), twin.n.Load(), calls)
+	}
+	if goodSub.Err() != nil || twinSub.Err() != nil {
+		t.Error("a healthy subscription reports an error")
+	}
+
+	// A durable sink's failure is sticky, and a subscriber beside it still
+	// streams.
+	d, err := New(Options{Sinks: []Sink{bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &countSink{}
+	if _, err := d.Subscribe(live); err != nil {
+		t.Fatal(err)
+	}
+	d.Record(Event{Kind: KindAlerts})
+	first := d.Err()
+	d.Record(Event{Kind: KindAlerts})
+	if first == nil || d.Err() != first || bad.n.Load() != 2 || live.n.Load() != 2 {
+		t.Errorf("durable sink: Err %v then %v, %d and %d events; want one sticky error and 2 events each", first, d.Err(), bad.n.Load(), live.n.Load())
 	}
 }

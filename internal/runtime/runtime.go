@@ -38,7 +38,6 @@ import (
 type Options struct {
 	Thresholds alert.Thresholds // ALERT trigger levels (default 0.9)
 	Seed       int64
-	Migrate    migrate.Params
 	// FlowRate maps a dependent VM pair's mean TRF to a flow rate in
 	// link-capacity units (default 0.05 + 0.4·TRF).
 	FlowRate func(trf float64) float64
@@ -47,8 +46,8 @@ type Options struct {
 	DisableReroute bool
 	// Recorder, when non-nil, receives per-step phase timings, per-rack
 	// alert counts, and per-shim manage timings, and is threaded into
-	// every shim (unless Migrate.Recorder is already set) so migration
-	// protocol events carry the current step number.
+	// every shim so migration protocol events carry the current step
+	// number.
 	Recorder *obs.Recorder
 	// DeepPredict enables the per-rack deep forecasting pool: once a
 	// rack has DeepFitAfter observations of aggregate stress, a dynamic
@@ -88,23 +87,14 @@ func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("runtime: Shards must be >= 0 (0 = default), got %v", o.Shards)
 	}
-	if err := o.Traces.Validate(); err != nil {
-		return err
-	}
-	return o.Migrate.Validate()
+	return o.Traces.Validate()
 }
 
 // WithDefaults returns the options with zero fields replaced by their
-// defaults (thresholds 0.9, Holt-style flow-rate mapping),
-// with the recorder threaded into the migrate params unless one is
-// already set there.
+// defaults (thresholds 0.9, Holt-style flow-rate mapping).
 func (o Options) WithDefaults() Options {
 	if o.Thresholds == (alert.Thresholds{}) {
 		o.Thresholds = alert.DefaultThresholds()
-	}
-	o.Migrate = o.Migrate.WithDefaults()
-	if o.Migrate.Recorder == nil {
-		o.Migrate.Recorder = o.Recorder
 	}
 	if o.FlowRate == nil {
 		o.FlowRate = func(trf float64) float64 { return 0.05 + 0.4*trf }
@@ -161,6 +151,7 @@ type Runtime struct {
 	Flows   *flow.Network
 
 	opts  Options
+	mig   migrate.Params   // the shims' parameters: the defaults, with opts.Recorder
 	gen   traces.Generator // trace family (opts.Traces), built once for TraceGen
 	shims []*migrate.Shim  // indexed by rack; nil until first alert
 	ws    migrate.Workspace
@@ -229,6 +220,7 @@ func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[
 		Model:   model,
 		Flows:   flow.NewNetwork(cluster.Graph),
 		opts:    opts,
+		mig:     migrate.Params{Recorder: opts.Recorder}.WithDefaults(),
 		gen:     gen,
 		shims:   make([]*migrate.Shim, len(cluster.Racks)),
 		sh:      sh,

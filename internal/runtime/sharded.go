@@ -637,13 +637,13 @@ func (r *Runtime) advanceSharded() (StepStats, error) {
 			// A source the list missed, or a read outside the region, would
 			// be swept in full by its first query, against the same weights.
 			r.Flows.UpdateGraphBandwidth()
-			r.Model.RefreshSources(r.costSources(), r.opts.Migrate.NeighborSwitchHops)
+			r.Model.RefreshSources(r.costSources(), r.mig.NeighborSwitchHops)
 			stale = false
 		}
 		shim := r.shims[idx]
 		if shim == nil {
 			var err error
-			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.opts.Migrate, &r.ws)
+			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.mig, &r.ws)
 			if err != nil {
 				return StepStats{}, fmt.Errorf("runtime: shim %d: %w", idx, err)
 			}

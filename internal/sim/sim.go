@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/centralized"
@@ -53,10 +52,14 @@ func (k Kind) String() string {
 }
 
 // The paper's workload: a VM needs at most vmMaxCapacity, and
-// alertFraction of the VMs raise migration alerts.
+// alertFraction of the VMs raise migration alerts. A host holds
+// hostCapacity, and two VMs depend on each other with dependencyProb.
 const (
 	vmMaxCapacity = 20
 	alertFraction = 0.05
+
+	hostCapacity   float64 = 100
+	dependencyProb float64 = 0.1
 )
 
 // Config sizes one simulation. Zero fields take the paper's defaults.
@@ -64,33 +67,21 @@ type Config struct {
 	Kind Kind
 	Size int // pods (FatTree) or switches per level (BCube)
 
-	HostsPerRack   int     // default 4 (scaled down from 40 for speed)
-	HostCapacity   float64 // default 100
-	VMsPerHost     int     // default 4
-	DependencyProb float64 // default 0.1
-	Seed           int64
+	HostsPerRack int // default 4 (scaled down from 40 for speed)
+	VMsPerHost   int // default 4
+	Seed         int64
 
 	Migrate migrate.Params
-	Cost    cost.Params
 }
 
 func (c Config) withDefaults() Config {
 	if c.HostsPerRack <= 0 {
 		c.HostsPerRack = 4
 	}
-	if c.HostCapacity <= 0 {
-		c.HostCapacity = 100
-	}
 	if c.VMsPerHost <= 0 {
 		c.VMsPerHost = 4
 	}
-	if c.DependencyProb == 0 {
-		c.DependencyProb = 0.1
-	}
 	c.Migrate = c.Migrate.WithDefaults()
-	if c.Cost == (cost.Params{}) {
-		c.Cost = cost.PaperParams()
-	}
 	return c
 }
 
@@ -123,13 +114,13 @@ func Build(cfg Config) (*Sim, error) {
 	}
 	cluster, err := dcn.NewCluster(g, dcn.Config{
 		HostsPerRack: cfg.HostsPerRack,
-		HostCapacity: cfg.HostCapacity,
-		ToRCapacity:  cfg.HostCapacity * float64(cfg.HostsPerRack),
+		HostCapacity: hostCapacity,
+		ToRCapacity:  hostCapacity * float64(cfg.HostsPerRack),
 	})
 	if err != nil {
 		return nil, err
 	}
-	model, err := cost.NewDeferred(cluster, cfg.Cost)
+	model, err := cost.NewDeferred(cluster, cost.PaperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +150,7 @@ func (s *Sim) Populate() int {
 		VMsPerHost:     s.Config.VMsPerHost,
 		MinCapacity:    1,
 		MaxCapacity:    vmMaxCapacity,
-		DependencyProb: s.Config.DependencyProb,
+		DependencyProb: dependencyProb,
 		Seed:           s.Config.Seed,
 	})
 }
@@ -464,11 +455,9 @@ type PlanningResult struct {
 
 	LocalCost  float64
 	LocalSwaps int
-	LocalTime  time.Duration
 
 	HasExact  bool // false when the exact reference was skipped
 	ExactCost float64
-	ExactTime time.Duration
 }
 
 // Ratio returns LocalCost/ExactCost (1 = optimal), or 0 without an exact
@@ -512,22 +501,18 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 	}
 
 	res := &PlanningResult{Racks: len(s.Cluster.Racks), Clients: len(clients), K: k}
-	start := time.Now()
 	ls, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, P: p, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("sim: planning local search: %w", err)
 	}
-	res.LocalTime = time.Since(start)
 	res.LocalCost = ls.Cost
 	res.LocalSwaps = ls.Swaps
 
 	if exact {
-		start = time.Now()
 		ex, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, Exact: true})
 		if err != nil {
 			return nil, fmt.Errorf("sim: planning exact: %w", err)
 		}
-		res.ExactTime = time.Since(start)
 		res.ExactCost = ex.Cost
 		res.HasExact = true
 		if ls.Cost < ex.Cost-1e-9 {

@@ -104,26 +104,23 @@ func cpuStep(cfg *CPUConfig, curve float64, spike *float64, r draws) float64 {
 }
 
 // The I/O trace's shape: its baseline rate in MB/s, the per-sample burst
-// probability and the mean burst magnitude in MB/s.
+// probability, the mean burst magnitude in MB/s and the noise scale.
 const (
 	ioBase      float64 = 120
 	ioBurstProb float64 = 0.03
 	ioBurstMean float64 = 400
+	ioNoise     float64 = 0.25 // multiplicative noise scale
 )
 
 // DiskIOConfig parameterizes the bursty disk-I/O generator.
 type DiskIOConfig struct {
-	Hours int     // trace length in hours (Fig. 4 shows ~24h)
-	Noise float64 // multiplicative noise scale (default 0.25)
+	Hours int // trace length in hours (Fig. 4 shows ~24h)
 	Seed  int64
 }
 
 func (c DiskIOConfig) withDefaults() DiskIOConfig {
 	if c.Hours <= 0 {
 		c.Hours = 24
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.25
 	}
 	return c
 }
@@ -136,7 +133,7 @@ func DiskIO(cfg DiskIOConfig) *timeseries.Series {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	burst := 0.0
 	return timeseries.FromFunc(len(curve), func(t int) float64 {
-		return diskIOStep(&cfg, curve[t], &burst, rng)
+		return diskIOStep(curve[t], &burst, rng)
 	})
 }
 
@@ -155,14 +152,14 @@ func diskIOCurve(cfg DiskIOConfig) []float64 {
 
 // diskIOStep is one I/O sample: curve is the sample's floor and burst the
 // decaying burst the previous sample left.
-func diskIOStep(cfg *DiskIOConfig, curve float64, burst *float64, r draws) float64 {
+func diskIOStep(curve float64, burst *float64, r draws) float64 {
 	if r.Float64() < ioBurstProb {
 		// Exponential burst sizes give the heavy tail.
 		*burst = ioBurstMean * r.ExpFloat64()
 	}
 	*burst *= 0.8
 	v := curve + *burst
-	v *= 1 + cfg.Noise*r.NormFloat64()
+	v *= 1 + ioNoise*r.NormFloat64()
 	if v < 0 {
 		v = 0
 	}
@@ -350,7 +347,6 @@ func NewWorkloadGen(hours int, seed int64) *WorkloadGen {
 // one writes them after newCurves.
 type curves struct {
 	cpuCfg       CPUConfig
-	ioCfg        DiskIOConfig
 	trfCfg       TrafficConfig
 	cpu, io, trf []float64
 }
@@ -358,10 +354,9 @@ type curves struct {
 func newCurves(hours int) *curves {
 	c := &curves{
 		cpuCfg: CPUConfig{Hours: hours}.withDefaults(),
-		ioCfg:  DiskIOConfig{Hours: hours}.withDefaults(),
 		trfCfg: TrafficConfig{Days: hours/24 + 1, PerDay: SamplesPerDay}.withDefaults(),
 	}
-	c.cpu, c.io, c.trf = cpuCurve(c.cpuCfg), diskIOCurve(c.ioCfg), weeklyTrafficCurve(c.trfCfg)
+	c.cpu, c.io, c.trf = cpuCurve(c.cpuCfg), diskIOCurve(DiskIOConfig{Hours: hours}.withDefaults()), weeklyTrafficCurve(c.trfCfg)
 	return c
 }
 
@@ -382,7 +377,7 @@ func (g *WorkloadGen) init(c *curves, seed int64) {
 	cpu, io, trf := newSpan(), newSpan(), newSpan()
 	for i := range c.cpu {
 		cpu.add(cpuStep(&c.cpuCfg, c.cpu[i], &g.spike, &g.cpuR))
-		io.add(diskIOStep(&c.ioCfg, c.io[i], &g.burst, &g.ioR))
+		io.add(diskIOStep(c.io[i], &g.burst, &g.ioR))
 	}
 	for j := range c.trf {
 		trf.add(trafficStep(&c.trfCfg, c.trf[j], &g.ar, &g.trfR))
@@ -414,7 +409,7 @@ func (g *WorkloadGen) stepCPU() (cpu, mem, io float64) {
 	cpu = g.cpuSc.Apply(cpuStep(&c.cpuCfg, c.cpu[g.i], &g.spike, &g.cpuR))
 	// Memory follows CPU with inertia plus small noise.
 	g.mem = clamp(0.9*g.mem+0.1*cpu+0.02*g.memR.NormFloat64(), 0, 1)
-	io = g.ioSc.Apply(diskIOStep(&c.ioCfg, c.io[g.i], &g.burst, &g.ioR))
+	io = g.ioSc.Apply(diskIOStep(c.io[g.i], &g.burst, &g.ioR))
 	g.i++
 	return cpu, g.mem, io
 }

@@ -215,7 +215,7 @@ func newReferenceGen(hours int, seed int64) *referenceGen {
 			return cpuStep(&c.cpuCfg, c.cpu[t], &spike, &cpuR)
 		}),
 		io: timeseries.FromFunc(len(c.io), func(t int) float64 {
-			return diskIOStep(&c.ioCfg, c.io[t], &burst, &ioR)
+			return diskIOStep(c.io[t], &burst, &ioR)
 		}),
 		trf: timeseries.FromFunc(len(c.trf), func(t int) float64 {
 			return trafficStep(&c.trfCfg, c.trf[t], &ar, &trfR)
