@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -240,6 +241,60 @@ func TestIngestEventsRecorded(t *testing.T) {
 	s.ProcessPending()
 	if phases["drop"] != 3 || phases["drain"] != 1 || phases["alert"] != 1 {
 		t.Fatalf("ingest event phases %+v, want drop=3 drain=1 alert=1", phases)
+	}
+}
+
+// TestSubscriptionAutoDetach checks a live subscriber on the service's
+// recorder: one that hangs up during a drain detaches itself with its
+// error, the service keeps draining and the recorder stays clean, the
+// subscriber beside it keeps streaming until it closes.
+func TestSubscriptionAutoDetach(t *testing.T) {
+	rec, err := obs.New(obs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := build(t, Options{Recorder: rec})
+	var goodN, badN int
+	good, err := rec.Subscribe(obs.Func(func(obs.Event) error { goodN++; return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := rec.Subscribe(obs.Func(func(obs.Event) error { badN++; return errors.New("hangup") }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Offer(Update{VM: 0, Profile: cool()})
+	if n := s.ProcessPending(); n != 1 { // the drain event detaches bad
+		t.Fatalf("processed %d, want 1", n)
+	}
+	if bad.Err() == nil {
+		t.Fatal("bad subscription has no error")
+	}
+	if badN != 1 {
+		t.Fatalf("failing subscription took %d events, want 1", badN)
+	}
+	s.Offer(Update{VM: 0, Profile: cool()})
+	if n := s.ProcessPending(); n != 1 {
+		t.Fatalf("processed %d after the hangup, want 1", n)
+	}
+	if badN != 1 {
+		t.Fatalf("dead subscription still receiving (%d events)", badN)
+	}
+	if goodN < 2 {
+		t.Fatalf("live subscription starved: %d events", goodN)
+	}
+	if rec.Err() != nil {
+		t.Fatalf("subscriber hangup poisoned the recorder: %v", rec.Err())
+	}
+	good.Close()
+	goodAt := goodN
+	s.Offer(Update{VM: 0, Profile: cool()})
+	s.ProcessPending()
+	if goodN != goodAt {
+		t.Fatal("closed subscription still receiving")
+	}
+	if good.Err() != nil {
+		t.Fatalf("closed healthy subscription reports %v", good.Err())
 	}
 }
 

@@ -99,24 +99,16 @@ func TestErroringSinkDoesNotWedgeLaterSinks(t *testing.T) {
 	}
 }
 
-// TestSubscriptionSemantics pins what the recorder does with a live
-// subscription: a failing one is detached at its first failure and keeps
-// that error, which never reaches Recorder.Err; a durable sink's error
-// stays sticky there; Close detaches by identity, and closing a detached
-// subscription does nothing.
+// TestSubscriptionSemantics pins what the recorder does with a failing
+// live subscription: it is detached at its first failure and keeps that
+// error, which never reaches Recorder.Err, while the subscribers beside it
+// keep streaming; a durable sink's error stays sticky in Recorder.Err.
 func TestSubscriptionSemantics(t *testing.T) {
-	var nilRec *Recorder
-	if _, err := nilRec.Subscribe(&countSink{}); err == nil {
-		t.Error("a nil recorder took a subscription")
-	}
 	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Subscribe(nil); err == nil {
-		t.Error("Subscribe took a nil sink")
-	}
-	good, bad, twin := &countSink{}, &failSink{}, &countSink{}
+	good, twin := &countSink{}, &countSink{}
 	goodSub, err := r.Subscribe(good)
 	if err != nil {
 		t.Fatal(err)
@@ -148,19 +140,13 @@ func TestSubscriptionSemantics(t *testing.T) {
 	if good.n.Load() != 3 || twin.n.Load() != 3 {
 		t.Errorf("the subscribers beside the failing one took %d and %d events, want 3", good.n.Load(), twin.n.Load())
 	}
-	badSub.Close() // already detached: a no-op
-	goodSub.Close()
-	goodSub.Close()
-	r.Record(Event{Kind: KindAlerts})
-	if good.n.Load() != 3 || twin.n.Load() != 4 || calls != 1 {
-		t.Errorf("after Close: good %d, twin %d, failing %d events; want 3, 4, 1", good.n.Load(), twin.n.Load(), calls)
-	}
 	if goodSub.Err() != nil || twinSub.Err() != nil {
 		t.Error("a healthy subscription reports an error")
 	}
 
 	// A durable sink's failure is sticky, and a subscriber beside it still
 	// streams.
+	bad := &failSink{}
 	d, err := New(Options{Sinks: []Sink{bad}})
 	if err != nil {
 		t.Fatal(err)
@@ -174,5 +160,57 @@ func TestSubscriptionSemantics(t *testing.T) {
 	d.Record(Event{Kind: KindAlerts})
 	if first == nil || d.Err() != first || bad.n.Load() != 2 || live.n.Load() != 2 {
 		t.Errorf("durable sink: Err %v then %v, %d and %d events; want one sticky error and 2 events each", first, d.Err(), bad.n.Load(), live.n.Load())
+	}
+}
+
+// TestSubscriptionCloseSemantics pins how a subscription leaves: Close
+// detaches that subscription alone, by identity, even beside an equal sink
+// of the same type and for a non-comparable Func; closing twice or closing
+// a subscription that already detached itself does nothing; a nil recorder
+// or a nil sink is refused.
+func TestSubscriptionCloseSemantics(t *testing.T) {
+	var nilRec *Recorder
+	if _, err := nilRec.Subscribe(&countSink{}); err == nil {
+		t.Error("a nil recorder took a subscription")
+	}
+	r, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Subscribe(nil); err == nil {
+		t.Error("Subscribe took a nil sink")
+	}
+	a, b := &countSink{}, &countSink{}
+	aSub, err := r.Subscribe(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Subscribe(b); err != nil {
+		t.Fatal(err)
+	}
+	funcN := 0
+	fSub, err := r.Subscribe(Func(func(Event) error { funcN++; return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failN := 0
+	failSub, err := r.Subscribe(Func(func(Event) error { failN++; return errors.New("hangup") }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Record(Event{Kind: KindAlerts, Value: 1})
+	aSub.Close()
+	aSub.Close()
+	fSub.Close()
+	failSub.Close() // already detached: a no-op
+	r.Record(Event{Kind: KindAlerts, Value: 2})
+	if a.n.Load() != 1 || b.n.Load() != 2 || funcN != 1 || failN != 1 {
+		t.Errorf("after Close: a %d, b %d, Func %d, failing %d events; want 1, 2, 1, 1", a.n.Load(), b.n.Load(), funcN, failN)
+	}
+	if aSub.Err() != nil || fSub.Err() != nil {
+		t.Error("a closed healthy subscription reports an error")
+	}
+	if failSub.Err() == nil {
+		t.Error("Close dropped a detached subscription's error")
 	}
 }
