@@ -21,7 +21,7 @@ import (
 // write-back, snapshot → restore into a fresh network — on the three
 // fabrics, and asserts after each one that every link load is the sum of
 // the flows routed over it, none is negative, and every flow's edge list
-// is its node path (ROADMAP item 4).
+// is its node path (an invariant ROADMAP's correctness needle names).
 func TestInvariantsUnderRandomOperations(t *testing.T) {
 	ft := fatTree(t, 4)
 	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 4})

@@ -1,9 +1,13 @@
 // Package pool holds Sheriff's two parallel engines. Shards is the
 // runtime's persistent per-shard worker group, the one parallelism of a
-// daemon period. Pool is a bounded fan-out behind the k-median local
-// search's swap scan, the one offline search that a measured speedup keeps
-// parallel; every other phase (the ingest drain, the cost model's row
-// sweeps, the predictor's candidate fits) runs on its caller.
+// daemon period. Pool is a bounded fan-out with two call sites, both
+// outside the period: the k-median local search's swap scan, the one
+// offline search that a measured speedup keeps parallel, and a trace
+// Generator's batch of source pre-passes, which runs once, at a fleet's
+// first read after start-up or restart (BenchmarkGeneratorOpenRead in
+// internal/traces at -cpu 1,2). Every other phase (the ingest drain, the
+// cost model's row sweeps, the predictor's candidate fits) runs on its
+// caller.
 //
 // Pool is deliberately minimal: work is distributed over item indices
 // through an atomic counter, the calling goroutine participates as one of
@@ -21,7 +25,7 @@ import (
 
 // Pool bounds the concurrency of ForEach calls.
 type Pool struct {
-	workers int
+	workers int // 0 only in the shared pool: GOMAXPROCS at each call
 }
 
 // New returns a pool that runs at most workers tasks concurrently.
@@ -34,21 +38,19 @@ func New(workers int) *Pool {
 }
 
 // Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-var (
-	sharedOnce sync.Once
-	shared     *Pool
-)
-
-// Shared returns the process-wide pool, sized to GOMAXPROCS at first use.
-// Its fan-out tracks the hardware rather than the problem size.
-func Shared() *Pool {
-	sharedOnce.Do(func() {
-		shared = New(runtime.GOMAXPROCS(0))
-	})
-	return shared
+func (p *Pool) Workers() int {
+	if p.workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p.workers
 }
+
+var shared Pool
+
+// Shared returns the process-wide pool, bounded by GOMAXPROCS as it stands
+// at each ForEach call. Its fan-out tracks the hardware (and a benchmark's
+// -cpu setting) rather than the problem size.
+func Shared() *Pool { return &shared }
 
 // ForEach invokes fn(i) for every i in [0, n), distributing indices over
 // at most Workers goroutines (the caller included) and returning when all
@@ -60,7 +62,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := min(p.workers, n)
+	w := min(p.Workers(), n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -25,6 +25,15 @@ func TestSharedSizedToGOMAXPROCS(t *testing.T) {
 	if Shared() != Shared() {
 		t.Fatal("Shared() is not a singleton")
 	}
+	// The bound follows GOMAXPROCS after first use, as a benchmark's -cpu
+	// list sets it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if got := Shared().Workers(); got != procs {
+			t.Fatalf("under GOMAXPROCS(%d) Shared().Workers() = %d", procs, got)
+		}
+	}
 }
 
 func TestForEachVisitsEveryIndexOnce(t *testing.T) {

@@ -136,8 +136,8 @@ type Options struct {
 // MaxHours is the longest horizon Options.Hours may ask for: a week, the
 // period of the longest curve (the weekly traffic pattern). A diurnal or
 // surge Generator holds its curves in proportion to the horizon, three
-// float64 series of 1,440 samples a day, and opening or skipping one of
-// its sources draws up to a horizon of samples. An unbounded value, say
+// float64 series of 1,440 samples a day, and a source's pre-pass or skip
+// draws up to a horizon of samples. An unbounded value, say
 // from a snapshot file, would be an unbounded allocation and an unbounded
 // pass per VM.
 const MaxHours = 7 * 24
@@ -170,11 +170,16 @@ func (o Options) WithDefaults() Options {
 // Generator is a cluster-level trace-generator: one per runtime, handing
 // out per-VM profile Sources. Construction happens once: the diurnal and
 // surge kinds compute each trace's seed-independent curve there, and the
-// surge kind the shared regime schedule. Source is cheap: a diurnal or
-// surge source draws each trace's horizon once to find its range and keeps
-// 208 bytes, its PCG streams among them, in one allocation (about 0.1 ms
-// at the default 24 hours on a 2-vCPU Xeon, BenchmarkGeneratorSource;
-// TestSourceFootprint bounds it at 512 B); a Lite one is a few words.
+// surge kind the shared regime schedule. Source is O(1): a diurnal or
+// surge source records its seed and joins the Generator's open batch, 208
+// bytes in one allocation (TestSourceFootprint bounds it at 512 B); a Lite
+// one is a few words. Each diurnal or surge source needs a pre-pass, one
+// draw of each trace's horizon to find its range (about 0.1 ms at the
+// default 24 hours on a 2-vCPU Xeon). The first Next or Skip(n > 0) of any
+// source of a batch runs the pre-passes of the whole batch over
+// pool.Shared, and sources opened after that join a new batch; Skip(0) and
+// Pos start nothing. Opening a fleet's sources before reading any of them
+// therefore runs its pre-passes in parallel (BenchmarkGeneratorOpenRead).
 type Generator interface {
 	// Source returns VM vmID's profile stream. rack is the VM's rack
 	// index, which drives cross-rack burst correlation in the surge kind
@@ -196,7 +201,7 @@ func New(o Options) (Generator, error) {
 	case Surge:
 		return newSurgeFactory(o), nil
 	default:
-		return diurnalFactory{curves: newCurves(o.Hours), seed: o.Seed}, nil
+		return &diurnalFactory{curves: newCurves(o.Hours), seed: o.Seed}, nil
 	}
 }
 
@@ -205,10 +210,13 @@ func New(o Options) (Generator, error) {
 type diurnalFactory struct {
 	curves *curves
 	seed   int64
+	opener
 }
 
-func (f diurnalFactory) Source(vmID, _ int) Source {
-	return f.curves.workloadGen(f.seed + int64(vmID))
+func (f *diurnalFactory) Source(vmID, _ int) Source {
+	g := new(WorkloadGen)
+	f.join(g, f.curves, f.seed+int64(vmID))
+	return g
 }
 
 // liteFactory hands out the counter-based hashed generators.

@@ -33,8 +33,12 @@ func NewReporters(g Generator, admission map[int]int, start int) *Reporters {
 	r := &Reporters{srcs: make([]Source, len(ids)), updates: make([]Update, len(ids))}
 	for i, id := range ids {
 		r.srcs[i] = g.Source(id, admission[id])
-		r.srcs[i].Skip(start)
 		r.updates[i].VM = id
+	}
+	// Every source is open before any skips, so the diurnal and surge
+	// kinds run the whole fleet's pre-passes as one batch.
+	for _, src := range r.srcs {
+		src.Skip(start)
 	}
 	return r
 }

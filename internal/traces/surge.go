@@ -184,6 +184,7 @@ type surgeFactory struct {
 	opts     Options
 	curves   *curves
 	schedule *regimeSchedule
+	opener
 }
 
 func newSurgeFactory(o Options) *surgeFactory {
@@ -193,7 +194,7 @@ func newSurgeFactory(o Options) *surgeFactory {
 
 func (f *surgeFactory) Source(vmID, rack int) Source {
 	g := &SurgeGen{schedule: f.schedule, rack: rack}
-	g.base.init(f.curves, f.opts.Seed+int64(vmID))
+	f.join(&g.base, f.curves, f.opts.Seed+int64(vmID))
 	return g
 }
 
@@ -245,6 +246,6 @@ var (
 	_ Source         = (*SurgeGen)(nil)
 	_ Generator      = (*surgeFactory)(nil)
 	_ RegimeReporter = (*surgeFactory)(nil)
-	_ Generator      = diurnalFactory{}
+	_ Generator      = (*diurnalFactory)(nil)
 	_ Generator      = liteFactory{}
 )

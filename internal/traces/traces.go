@@ -18,7 +18,9 @@ import (
 	"math"
 	"math/rand"
 	rand2 "math/rand/v2"
+	"sync"
 
+	"sheriff/internal/pool"
 	"sheriff/internal/timeseries"
 )
 
@@ -294,16 +296,21 @@ func (p Profile) Max() float64 {
 // allocations).
 //
 // No trace is kept: each sample is drawn again from the trace's stream, a
-// PCG of 16 bytes, and one pass at construction finds each trace's range.
-// A trace reaching the end of its horizon restarts its stream and carry,
-// so every trace repeats with its horizon as a materialized one would;
-// memory restarts with CPU. Skip therefore replays at most one horizon.
-// With its carries, positions and scales, an open source is 208 bytes
-// (TestSourceFootprint bounds it at 512).
+// PCG of 16 bytes, and one pass over each trace's horizon (its pre-pass,
+// scan) finds the trace's range. NewWorkloadGen runs the pre-pass at once;
+// a Generator's source defers it to the first read of any source of its
+// batch (see batch). A trace reaching the end of its horizon restarts its
+// stream and carry, so every trace repeats with its horizon as a
+// materialized one would; memory restarts with CPU. Skip therefore replays
+// at most one horizon. With its carries, positions, scales and batch, an
+// open surge source is 208 bytes (TestSourceFootprint bounds it at 512).
 type WorkloadGen struct {
 	c    *curves
 	seed int64
 	t    int // profiles produced
+	// batch is the batch whose pre-pass this source waits for, nil once
+	// the pre-pass has run.
+	batch *batch
 	// i is the position in the CPU and IO horizon, j in the traffic one.
 	i, j                  int
 	cpuR, ioR, trfR, memR stream
@@ -322,7 +329,9 @@ func (s *stream) restart(seed int64, k uint64) {
 	s.pcg.Seed(h, mix64(h^k))
 }
 
-func (s *stream) Float64() float64     { return rand2.New(&s.pcg).Float64() }
+// Float64 is math/rand/v2's (*Rand).Float64 read straight off the PCG,
+// without the Rand wrapper's Source call (TestStreamFloat64MatchesRand).
+func (s *stream) Float64() float64     { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 func (s *stream) NormFloat64() float64 { return rand2.New(&s.pcg).NormFloat64() }
 func (s *stream) ExpFloat64() float64  { return rand2.New(&s.pcg).ExpFloat64() }
 
@@ -335,10 +344,13 @@ const (
 )
 
 // NewWorkloadGen builds a workload generator with the given horizon (in
-// hours) and seed. A Generator opening many of them computes the shared
-// curves once instead.
+// hours) and seed, its pre-pass run. A Generator opening many of them
+// computes the shared curves once instead, and runs their pre-passes as
+// one parallel batch.
 func NewWorkloadGen(hours int, seed int64) *WorkloadGen {
-	return newCurves(hours).workloadGen(seed)
+	g := new(WorkloadGen)
+	g.init(newCurves(hours), seed)
+	return g
 }
 
 // curves are the seed-independent parts of a WorkloadGen's three traces
@@ -360,18 +372,19 @@ func newCurves(hours int) *curves {
 	return c
 }
 
-// workloadGen builds one seed's generator over the curves.
-func (c *curves) workloadGen(seed int64) *WorkloadGen {
-	g := new(WorkloadGen)
-	g.init(c, seed)
-	return g
-}
-
-// init sets g, where it will stay, to seed's generator over the curves:
-// one pass over each horizon finds the trace's range, then every trace
-// restarts.
+// init sets g, where it will stay, to seed's generator over the curves,
+// its pre-pass run.
 func (g *WorkloadGen) init(c *curves, seed int64) {
 	*g = WorkloadGen{c: c, seed: seed}
+	g.scan()
+}
+
+// scan is g's pre-pass: one pass over each horizon finds the trace's
+// range, then every trace restarts. It writes no field but the positions,
+// streams, carries and scales, so a batch may run it on another goroutine
+// while g's owner reads Pos.
+func (g *WorkloadGen) scan() {
+	c := g.c
 	g.restartCPU()
 	g.restartTraffic()
 	cpu, io, trf := newSpan(), newSpan(), newSpan()
@@ -385,6 +398,58 @@ func (g *WorkloadGen) init(c *curves, seed int64) {
 	g.cpuSc, g.ioSc, g.trfSc = cpu.scale(), io.scale(), trf.scale()
 	g.restartCPU()
 	g.restartTraffic()
+}
+
+// ready runs g's pre-pass, with its batch's, unless it has run.
+func (g *WorkloadGen) ready() {
+	if g.batch != nil {
+		g.batch.start()
+		g.batch = nil
+	}
+}
+
+// opener is a Generator's open batch: the sources it has opened since the
+// last of its batches started. Source may be called from any goroutine.
+type opener struct {
+	mu   sync.Mutex
+	open *batch
+}
+
+// batch is a set of sources opened together, their pre-passes not yet
+// run. The first Next or Skip(n > 0) of any member starts the batch: it
+// is detached from its opener, so later sources join a new batch, and
+// every member's pre-pass runs over the shared pool. A member read on
+// another goroutine meanwhile waits for them in start. A batch holds its
+// members until it starts.
+type batch struct {
+	from    *opener
+	once    sync.Once
+	members []*WorkloadGen
+}
+
+// join sets g to seed's generator over the curves, its pre-pass deferred
+// to o's open batch.
+func (o *opener) join(g *WorkloadGen, c *curves, seed int64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.open == nil {
+		o.open = &batch{from: o}
+	}
+	*g = WorkloadGen{c: c, seed: seed, batch: o.open}
+	o.open.members = append(o.open.members, g)
+}
+
+// start runs the pre-pass of every member once and returns when all have
+// run.
+func (b *batch) start() {
+	b.once.Do(func() {
+		b.from.mu.Lock()
+		b.from.open = nil
+		members := b.members
+		b.members = nil
+		b.from.mu.Unlock()
+		pool.Shared().ForEach(len(members), func(i int) { members[i].scan() })
+	})
 }
 
 // restartCPU starts the CPU and IO horizon over, and memory with it.
@@ -425,6 +490,7 @@ func (g *WorkloadGen) stepTraffic() float64 {
 // Next returns the next synchronized workload profile. It wraps around at
 // the end of each trace's horizon, so it never runs out.
 func (g *WorkloadGen) Next() Profile {
+	g.ready()
 	if g.i == len(g.c.cpu) {
 		g.restartCPU()
 	}
@@ -461,6 +527,7 @@ func (g *WorkloadGen) Skip(n int) {
 	if n <= 0 {
 		return
 	}
+	g.ready()
 	g.t += n
 	k := n
 	if l := len(g.c.cpu); k > l-g.i {

@@ -2,8 +2,10 @@ package traces
 
 import (
 	"math"
+	rand2 "math/rand/v2"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +319,27 @@ func TestSkipHostileStep(t *testing.T) {
 	}
 }
 
+// standalone is the source Generator kind's Source(vm, rack) opens, built
+// without a Generator: its curves its own and its pre-pass run at once.
+func standalone(opts Options, vm, rack int) Source {
+	opts = opts.WithDefaults()
+	seed := opts.Seed + int64(vm)
+	if opts.Kind == Diurnal {
+		return NewWorkloadGen(opts.Hours, seed)
+	}
+	sg := &SurgeGen{schedule: buildSchedule(opts.Hours*SamplesPerHour, opts.Seed, opts.Surge), rack: rack}
+	sg.base.init(newCurves(opts.Hours), seed)
+	return sg
+}
+
+// baseOf is a diurnal or surge source's WorkloadGen.
+func baseOf(src Source) *WorkloadGen {
+	if sg, ok := src.(*SurgeGen); ok {
+		return &sg.base
+	}
+	return src.(*WorkloadGen)
+}
+
 // A Generator computes each trace's seed-independent curve once and every
 // Source adds only its own noise. Several Sources of one Generator (so
 // that one writing the shared curves would show) must stream, bit for bit,
@@ -330,18 +353,10 @@ func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				schedule := buildSchedule(hours*SamplesPerHour, seed, opts.WithDefaults().Surge)
 				for vm := 0; vm < 3; vm++ {
 					rack := vm % 2
-					got := gen.Source(vm, rack)
-					base := NewWorkloadGen(hours, seed+int64(vm))
-					var want Source = base
-					if kind == Surge {
-						sg := &SurgeGen{schedule: schedule, rack: rack}
-						sg.base.init(newCurves(hours), seed+int64(vm))
-						want = sg
-					}
-					for i := 0; i < 2*base.Len()+5; i++ {
+					got, want := gen.Source(vm, rack), standalone(opts, vm, rack)
+					for i := 0; i < 2*baseOf(want).Len()+5; i++ {
 						if g, w := got.Next(), want.Next(); g != w {
 							t.Fatalf("%v hours %d seed %d vm %d step %d: Source gives %+v, standalone %+v", kind, hours, seed, vm, i, g, w)
 						}
@@ -352,10 +367,141 @@ func TestGeneratorSourceMatchesStandalone(t *testing.T) {
 	}
 }
 
+// Sources opened together are one batch, whose pre-passes run on the
+// goroutine that reads first while readers of the other members wait.
+// Read at once from several goroutines, each advancing and skipping only
+// its own sources, a batch of diurnal and one of surge sources stream what
+// standalone sources stream, bit for bit. Under -race this is also the
+// check that a member's owner and the batch never touch one field
+// unordered.
+func TestBatchMatchesStandalone(t *testing.T) {
+	const vms, readers = 64, 4
+	type pair struct{ got, want Source }
+	var pairs []pair
+	batches := map[*batch]bool{}
+	for _, kind := range []Kind{Diurnal, Surge} {
+		opts := Options{Kind: kind, Seed: 5, Hours: 2}
+		gen, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vm := 0; vm < vms; vm++ {
+			got := gen.Source(vm, vm%8)
+			batches[baseOf(got).batch] = true
+			pairs = append(pairs, pair{got, standalone(opts, vm, vm%8)})
+		}
+	}
+	if len(batches) != 2 || batches[nil] {
+		t.Fatalf("%d sources of two Generators opened in %d batches, want 2", len(pairs), len(batches))
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			// Reader r owns every readers-th pair, so every reader reads
+			// members of both batches.
+			for k := r; k < len(pairs); k += readers {
+				p := pairs[k]
+				if p.got.Pos() != 0 {
+					t.Errorf("pair %d: Pos %d before any read", k, p.got.Pos())
+					return
+				}
+				for op := 0; op < 40; op++ {
+					if (op+k)%4 == 0 {
+						n := (op*37 + k) % 300
+						p.got.Skip(n)
+						p.want.Skip(n)
+						continue
+					}
+					if g, w := p.got.Next(), p.want.Next(); g != w {
+						t.Errorf("pair %d op %d: batch source gives %+v, standalone %+v", k, op, g, w)
+						return
+					}
+				}
+				if p.got.Pos() != p.want.Pos() {
+					t.Errorf("pair %d: Pos %d, standalone %d", k, p.got.Pos(), p.want.Pos())
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// Skip(0) and Pos start no batch; the first Next starts it and detaches
+// it, so a source opened after that joins a new batch, whose pre-pass
+// waits for its own first read.
+func TestBatchStartsOnFirstRead(t *testing.T) {
+	for _, kind := range []Kind{Diurnal, Surge} {
+		opts := Options{Kind: kind, Seed: 3, Hours: 1}
+		gen, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned := func(src Source) bool { return baseOf(src).cpuSc != (timeseries.Scale{}) }
+		a, b := gen.Source(0, 0), gen.Source(1, 1)
+		first := baseOf(a).batch
+		if first == nil || baseOf(b).batch != first {
+			t.Fatalf("%v: two sources opened together are not one batch", kind)
+		}
+		a.Skip(0)
+		if a.Pos() != 0 || b.Pos() != 0 || scanned(a) || scanned(b) {
+			t.Fatalf("%v: Skip(0) or Pos ran a pre-pass", kind)
+		}
+		c := gen.Source(2, 0)
+		if baseOf(c).batch != first {
+			t.Fatalf("%v: a source opened before the first read joined another batch", kind)
+		}
+		a.Next()
+		if baseOf(a).batch != nil || first.members != nil || !scanned(b) || !scanned(c) {
+			t.Fatalf("%v: the first Next did not run its batch's pre-passes", kind)
+		}
+		d := gen.Source(3, 1)
+		if then := baseOf(d).batch; then == nil || then == first || scanned(d) {
+			t.Fatalf("%v: a source opened after its batch started joined it or ran its pre-pass", kind)
+		}
+		d.Skip(5)
+		if baseOf(d).batch != nil || !scanned(d) {
+			t.Fatalf("%v: Skip(5) did not run the pre-pass", kind)
+		}
+		for vm, src := range []Source{a, b, c, d} {
+			want := standalone(opts, vm, vm%2)
+			want.Skip(src.Pos())
+			for i := 0; i < 100; i++ {
+				if g, w := src.Next(), want.Next(); g != w {
+					t.Fatalf("%v vm %d step %d: %+v, standalone %+v", kind, vm, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// stream.Float64 reads the PCG as math/rand/v2's Rand.Float64 does: the
+// same value, bit for bit, draw after draw.
+func TestStreamFloat64MatchesRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		var s stream
+		s.restart(seed, cpuStream)
+		pcg := s.pcg
+		r := rand2.New(&pcg)
+		for i := 0; i < 1<<20; i++ {
+			if g, w := s.Float64(), r.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d draw %d: %v, math/rand/v2 gives %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
 // An open source holds its position, four PCG streams, the traces' carries
-// and scales, and a pointer to the Generator's curves: 208 bytes in one
-// allocation (bounded here at 512), whatever the horizon, and Next allocates
-// nothing. What opening a source allocates bounds what it retains.
+// and scales, and pointers to the Generator's curves and to its batch: 208
+// bytes in one allocation, whatever the horizon, and Next allocates
+// nothing. Its slot in the batch's member list, held until the batch
+// starts, adds ~20 bytes and an allocation every doubling; the bound here
+// is 512 bytes, and AllocsPerRun's whole-number mean reads 1. What opening
+// a source allocates bounds what it retains.
 func TestSourceFootprint(t *testing.T) {
 	for _, hours := range []int{24, MaxHours} {
 		gen, err := New(Options{Kind: Surge, Seed: 1, Hours: hours})
@@ -388,22 +534,31 @@ func TestSourceFootprint(t *testing.T) {
 	}
 }
 
-// BenchmarkGeneratorSource opens one surge Source at the ft16-surge shape
-// (24 hours, cluster seed 1, 768 VMs on 128 racks): the per-VM cost a
-// daemon pays once per reporter before its first period.
-func BenchmarkGeneratorSource(b *testing.B) {
+// BenchmarkGeneratorOpenRead opens a fleet of surge sources at the
+// ft16-surge shape (24 hours, cluster seed 1, 768 VMs on 128 racks) and
+// reads one profile from each: what a daemon pays for its reporters before
+// its first period. The first read runs the fleet's pre-passes as one
+// batch over pool.Shared, so -cpu 1,2 shows the batch's speedup.
+func BenchmarkGeneratorOpenRead(b *testing.B) {
 	const vms, racks = 768, 128
 	gen, err := New(Options{Kind: Surge, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	srcs := make([]Source, vms)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm := i % vms
-		sourceSink = gen.Source(vm, vm*racks/vms)
+		for vm := range srcs {
+			srcs[vm] = gen.Source(vm, vm*racks/vms)
+		}
+		for _, src := range srcs {
+			profileSink = src.Next()
+		}
 	}
 }
+
+var profileSink Profile
 
 var sourceSink Source
 
