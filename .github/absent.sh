@@ -122,5 +122,10 @@ decl ./internal/traces.SurgeGen \*WorkloadGen\b
 # One owner for live subscribers: the recorder detaches a failed subscription itself and closes one by identity, so obs needs no reflect, and ingest keeps no subscriber list for its drain to sweep.
 src  ^[[:space:]]*(import[[:space:]]+)?"reflect"$ internal/obs
 src  \b(sweepSubscriptions|subMu|subs)\b internal/ingest
+# Snapshot codecs cost what they carry, once: every column is carved from one array per element kind and its floats packed in place (timeseries.AppendPack), so no column is staged in a []float64 for Pack to copy again.
+src  timeseries\.Pack\( internal/runtime
+src  timeseries\.Pack\( internal/dcn
+src  timeseries\.Pack\( internal/flow
+src  timeseries\.Pack\( internal/ingest
 EOF
 exit $fail

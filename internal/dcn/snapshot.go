@@ -35,25 +35,35 @@ type VMColumns struct {
 
 // Snapshot captures the cluster's current VM placements and dependencies.
 // It fails when a VM's capacity, value or alert is NaN or ±Inf, which no
-// snapshot can carry.
+// snapshot can carry, naming the VM. The result is a value that shares
+// nothing with the cluster: its columns are carved from one fresh array per
+// element kind (the IDs and hosts, the names, the flags, the packed
+// attributes), so beside them it allocates the snapshot and the dependency
+// list alone, six objects however many VMs and edges there are.
 func (c *Cluster) Snapshot() (*Snapshot, error) {
-	vms := c.VMs()
-	n := len(vms)
-	cols := VMColumns{
-		ID: make([]int, n), Host: make([]int, n), Name: make([]string, n),
-		DelaySensitive: make([]bool, n),
+	n := c.numVMs
+	ints, names, flags := make([]int, 2*n), make([]string, n), make([]bool, n)
+	bits := make(timeseries.Bits, 3*8*n)
+	cols := VMColumns{ID: timeseries.Carve(&ints, n), Host: ints, Name: names, DelaySensitive: flags}
+	var attrs [3]timeseries.Bits // capacity, value, alert, filled in place
+	for i := range attrs {
+		attrs[i] = timeseries.Carve(&bits, 8*n)[:0]
 	}
-	attrs := make([]float64, 3*n) // capacity, value, alert, a column each
-	for i, vm := range vms {
-		cols.ID[i], cols.Host[i], cols.Name[i], cols.DelaySensitive[i] = vm.ID, vm.Host().ID, vm.Name, vm.DelaySensitive
-		attrs[i], attrs[n+i], attrs[2*n+i] = vm.Capacity, vm.Value, vm.Alert
-	}
-	for i, col := range []*timeseries.Bits{&cols.Capacity, &cols.Value, &cols.Alert} {
-		var err error
-		if *col, err = timeseries.Pack(attrs[i*n : (i+1)*n]); err != nil {
-			return nil, fmt.Errorf("dcn: snapshot VM %s: %w", vmFloatColumns[i], err)
+	i := 0
+	for _, vm := range c.vms { // the dense table: ascending IDs
+		if vm == nil {
+			continue
 		}
+		cols.ID[i], cols.Host[i], cols.Name[i], cols.DelaySensitive[i] = vm.ID, vm.Host().ID, vm.Name, vm.DelaySensitive
+		for k, x := range [3]float64{vm.Capacity, vm.Value, vm.Alert} {
+			var err error
+			if attrs[k], err = timeseries.AppendPack(attrs[k], x); err != nil {
+				return nil, fmt.Errorf("dcn: snapshot VM %d %s: %w", vm.ID, vmFloatColumns[k], err)
+			}
+		}
+		i++
 	}
+	cols.Capacity, cols.Value, cols.Alert = attrs[0], attrs[1], attrs[2]
 	s := &Snapshot{Racks: len(c.Racks), Hosts: len(c.hosts), VMs: cols}
 	if n := c.Deps.NumEdges(); n > 0 {
 		s.Deps = make([][2]int, 0, n)

@@ -132,9 +132,10 @@ type Network struct {
 	// free holds the storage of the routes no flow holds any more — a
 	// removed flow's, a rerouted flow's old one — for route to fill again.
 	// A route goes on it only after its last read. A new route is made only
-	// when the list is empty, and at most one is held beside the live
-	// flows' (a reroute's new route, found while the old one may still be
-	// restored): hence the package doc's bound.
+	// when the list is empty, or in place of one too small for its path,
+	// and at most one is held beside the live flows' (a reroute's new
+	// route, found while the old one may still be restored): hence the
+	// package doc's bound.
 	free    []routeBuf
 	longest int // nodes on the longest route made so far; see route
 	// spare holds the records of removed flows for AddFlow to fill again:
@@ -325,31 +326,29 @@ func (n *Network) Rescans() int { return n.marked }
 
 // route reads a path and its edge IDs off a sweep; both nil when dst is
 // unreachable. The flow keeps the slices: they are the last route on the
-// free list, taken off it, or fresh when the list is empty. Fresh storage
-// has room for the longest route made so far, and a route on the list with
-// less room is dropped, so once the longest route of the fabric has been
-// seen, no admission or reroute makes storage.
+// free list, taken off it, or fresh when the list is empty. A route on the
+// list is kept whatever its room, and grows only when a path does not fit
+// it. Fresh and grown storage has room for twice the longest path made so
+// far, so a route first made for a shortest path still takes a reroute's
+// longer detour: once the most routes ever held at once and the longest
+// path of the fabric have been seen, admissions and reroutes make storage
+// only for the routes made while the longest path was under half as long.
 func (n *Network) route(ms *topology.MultiSource, src, dst int) (path, edges []int) {
-	last := len(n.free) - 1
-	if last >= 0 && cap(n.free[last].path) < n.longest {
+	hops := ms.Hops(src, dst)
+	if hops < 0 {
+		return nil, nil
+	}
+	n.longest = max(n.longest, hops+1)
+	var buf routeBuf
+	if last := len(n.free) - 1; last >= 0 {
+		buf = n.free[last]
 		n.free[last] = routeBuf{}
-		n.free, last = n.free[:last], last-1
+		n.free = n.free[:last]
 	}
-	if last < 0 {
-		n.free = append(n.free, routeBuf{make([]int, 0, n.longest), make([]int, 0, n.longest)})
-		last = 0
+	if cap(buf.path) < hops+1 || cap(buf.edges) < hops {
+		buf = routeBuf{make([]int, 0, 2*n.longest), make([]int, 0, 2*n.longest)}
 	}
-	buf := n.free[last]
 	path = ms.Path(src, dst, buf.path)
-	if path == nil {
-		return nil, nil // the route stays on the list for the next search
-	}
-	n.free[last] = routeBuf{}
-	n.free = n.free[:last]
-	n.longest = max(n.longest, len(path))
-	if cap(buf.edges) < len(path)-1 {
-		buf.edges = make([]int, 0, len(path)-1)
-	}
 	edges, _ = ms.PathEdges(src, dst, buf.edges)
 	return path, edges
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -443,6 +444,102 @@ func TestSteadyStateAllocs(t *testing.T) {
 	churn() // warm
 	if got := testing.AllocsPerRun(20, churn); got != 0 {
 		t.Errorf("RemoveFlow then AddFlow between the same racks allocates %v times, want 0", got)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRouteStorageConverges: a route on the free list is kept whatever its
+// room, and fresh storage has room for twice the longest route made so
+// far, so a detour longer than the shortest paths a route was first made
+// for still fits it. On a reroute-heavy BCube-4 run whose routes were made
+// on shortest paths while it was calm, no admission or reroute makes route
+// storage once the run's longest path is set, however deep the later surges
+// drain the free list.
+func TestRouteStorageConverges(t *testing.T) {
+	bc, err := topology.NewBCube(topology.BCubeConfig{SwitchesPerLevel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	racks := bc.Graph.Racks()
+	rng := rand.New(rand.NewSource(3))
+	n := NewNetwork(bc.Graph)
+	const calm, surge, hot = 8, 64, 0.3
+	moved := 0
+	period := func(live int, reroute bool) {
+		for len(n.flows) > live {
+			n.RemoveFlow(n.flows[rng.Intn(len(n.flows))].ID)
+		}
+		for len(n.flows) < live {
+			a, b := racks[rng.Intn(len(racks))], racks[rng.Intn(len(racks))]
+			if a == b {
+				continue
+			}
+			if _, err := n.AddFlow(a, b, 0.05+0.3*rng.Float64(), rng.Intn(5) == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reroute {
+			for _, sw := range n.HotSwitches(hot) {
+				moved += len(n.RerouteAroundHot(sw, hot))
+			}
+		}
+	}
+	if _, err := n.AddFlow(racks[0], racks[5], 0.1, false); err != nil { // two digits apart: 5 nodes
+		t.Fatal(err)
+	}
+	if n.longest != 5 {
+		t.Fatalf("the first route has %d nodes, want BCube-4's longest shortest path, 5", n.longest)
+	}
+	period(surge+1, false) // a calm ramp, every route on a shortest path, to one past the surges: a reroute holds its new route beside the old
+	for i := 0; i < 64; i++ {
+		n.RemoveFlow(n.flows[rng.Intn(len(n.flows))].ID) // churn below the mark
+		period(calm, true)
+	}
+	// The route arrays the network holds, live and free, by their first
+	// element: an array made during the surges shows as a new one. The
+	// collector is off, so no address is reused.
+	storage := func() map[*int]bool {
+		held := make(map[*int]bool)
+		add := func(s []int) {
+			if cap(s) > 0 {
+				held[&s[:1][0]] = true
+			}
+		}
+		for _, f := range n.flows {
+			add(f.path)
+			add(f.edges)
+		}
+		for _, b := range n.free {
+			add(b.path)
+			add(b.edges)
+		}
+		return held
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	longest, before := n.longest, storage()
+	moved = 0
+	for i := 0; i < 32; i++ {
+		for live := calm; live <= surge; live += 8 {
+			period(live, true)
+		}
+	}
+	made := 0
+	for p := range storage() {
+		if !before[p] {
+			made++
+		}
+	}
+	t.Logf("longest path %d nodes, %d route arrays; the surges moved %d flows and made %d arrays", longest, len(before), moved, made)
+	if moved == 0 {
+		t.Fatal("the surges rerouted no flow")
+	}
+	if n.longest != longest {
+		t.Fatalf("the longest path grew from %d to %d nodes during the surges; churn longer before them", longest, n.longest)
+	}
+	if made != 0 {
+		t.Errorf("the surges made %d route arrays after the longest path was set, want 0", made)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)

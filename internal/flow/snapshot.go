@@ -48,24 +48,15 @@ type Snapshot struct {
 
 // Snapshot returns a deep copy of the flow table, ordered by flow ID, and
 // the non-zero link loads, ordered by (A, B). It fails when a rate or a
-// load is NaN or ±Inf, which no snapshot can carry. Its allocations do not
-// depend on the number of flows or links.
+// load is NaN or ±Inf, which no snapshot can carry. The result is a value
+// that shares nothing with the network: its columns are carved from one
+// fresh array per element kind (every int column, the flags, the packed
+// rates and loads), so it allocates those three and the snapshot, however
+// many flows and links there are.
 func (n *Network) Snapshot() (*Snapshot, error) {
 	nf, hops := len(n.flows), 0
 	for _, f := range n.flows {
 		hops += len(f.path)
-	}
-	fc := FlowColumns{ID: make([]int, nf), Src: make([]int, nf), Dst: make([]int, nf),
-		Path: make([]int, 0, hops), PathEnd: make([]int, nf), DelaySensitive: make([]bool, nf)}
-	rates := make([]float64, nf)
-	for i, f := range n.flows {
-		fc.ID[i], fc.Src[i], fc.Dst[i], fc.DelaySensitive[i], rates[i] = f.ID, f.Src, f.Dst, f.DelaySensitive, f.Rate
-		fc.Path = append(fc.Path, f.path...)
-		fc.PathEnd[i] = len(fc.Path)
-	}
-	var err error
-	if fc.Rate, err = timeseries.Pack(rates); err != nil {
-		return nil, fmt.Errorf("flow: snapshot rate: %w", err)
 	}
 	load, order := n.loads(), n.linkOrder()
 	loaded := 0
@@ -74,16 +65,30 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 			loaded++
 		}
 	}
-	lc := LoadColumns{A: make([]int, 0, loaded), B: make([]int, 0, loaded)}
-	loads := make([]float64, 0, loaded)
+	ints := make([]int, 4*nf+hops+2*loaded)
+	bits := make(timeseries.Bits, 8*(nf+loaded))
+	fc := FlowColumns{ID: timeseries.Carve(&ints, nf), Src: timeseries.Carve(&ints, nf), Dst: timeseries.Carve(&ints, nf),
+		Path: timeseries.Carve(&ints, hops)[:0], PathEnd: timeseries.Carve(&ints, nf), DelaySensitive: make([]bool, nf),
+		Rate: timeseries.Carve(&bits, 8*nf)[:0]}
+	for i, f := range n.flows {
+		fc.ID[i], fc.Src[i], fc.Dst[i], fc.DelaySensitive[i] = f.ID, f.Src, f.Dst, f.DelaySensitive
+		fc.Path = append(fc.Path, f.path...)
+		fc.PathEnd[i] = len(fc.Path)
+		var err error
+		if fc.Rate, err = timeseries.AppendPack(fc.Rate, f.Rate); err != nil {
+			return nil, fmt.Errorf("flow: snapshot flow %d rate: %w", f.ID, err)
+		}
+	}
+	lc := LoadColumns{A: timeseries.Carve(&ints, loaded)[:0], B: ints[:0], Load: bits[:0]}
 	for _, id := range order {
 		if l := load[id]; l != 0 {
 			e := n.g.EdgeAt(id)
-			lc.A, lc.B, loads = append(lc.A, e.From), append(lc.B, e.To), append(loads, l)
+			var err error
+			if lc.Load, err = timeseries.AppendPack(lc.Load, l); err != nil {
+				return nil, fmt.Errorf("flow: snapshot load on link %d→%d: %w", e.From, e.To, err)
+			}
+			lc.A, lc.B = append(lc.A, e.From), append(lc.B, e.To)
 		}
-	}
-	if lc.Load, err = timeseries.Pack(loads); err != nil {
-		return nil, fmt.Errorf("flow: snapshot load: %w", err)
 	}
 	return &Snapshot{Flows: fc, Loads: lc, NextID: n.nextID}, nil
 }
@@ -182,6 +187,7 @@ func (n *Network) Restore(snap *Snapshot) error {
 		f := &Flow{ID: id, Src: fc.Src[i], Dst: fc.Dst[i], Rate: rates[i], DelaySensitive: fc.DelaySensitive[i]}
 		if p := path(i); len(p) > 0 {
 			n.applyPath(f, slices.Clone(p), routes[i])
+			n.longest = max(n.longest, len(p))
 		}
 		for _, e := range routes[i] {
 			covered[e] = true

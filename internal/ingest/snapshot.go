@@ -56,10 +56,12 @@ type Snapshot struct {
 
 // Snapshot captures the triage state. It errors while updates are still
 // pending (drain first: a snapshot must not silently forget accepted
-// updates) or alerts are unpolled. Every shard's columns are cut from one
-// fresh array per column, so a snapshot makes the same handful of
-// allocations however many racks there are, and the snapshot it returns
-// shares nothing with the service.
+// updates) or alerts are unpolled. The result is a value that shares
+// nothing with the service: every shard's columns are carved from one
+// fresh array per element kind (the VM and seen counts, the alert flags,
+// the state words or packed floats), so beside them it allocates the
+// snapshot and its shard list alone, five objects however many racks there
+// are.
 func (s *Service) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		Version:   SnapshotVersion,
@@ -76,15 +78,14 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 		n += len(sh.slots)
 	}
 	quantized := s.opts.Mode == TriageQuant
-	vms, seen, alerted := make([]int, n), make([]int, n), make([]bool, n)
+	ints, alerted := make([]int, 2*n), make([]bool, n)
 	var words []int32
-	var holt []float64
+	var holt timeseries.Bits
 	if quantized {
 		words = make([]int32, 2*n)
 	} else {
-		holt = make([]float64, 2*n)
+		holt = make(timeseries.Bits, 16*n)
 	}
-	lo := 0
 	for i, sh := range s.shard {
 		sh.mu.Lock()
 		if k := len(sh.queue); k != 0 {
@@ -95,37 +96,29 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("ingest: snapshot with %d unpolled alerts on shard %d (Poll first)", k, sh.rack)
 		}
-		hi := lo + len(sh.slots)
+		k := len(sh.slots)
 		ss := &snap.Shards[i]
-		*ss = ShardSnap{Rack: sh.rack, VM: vms[lo:hi:hi], Seen: seen[lo:hi:hi], Alerted: alerted[lo:hi:hi]}
+		*ss = ShardSnap{Rack: sh.rack, VM: timeseries.Carve(&ints, k), Seen: timeseries.Carve(&ints, k), Alerted: timeseries.Carve(&alerted, k)}
+		if quantized {
+			ss.Words = timeseries.Carve(&words, 2*k)
+		} else {
+			ss.Holt = timeseries.Carve(&holt, 16*k)[:0]
+		}
 		for j, sl := range sh.slots {
 			ss.VM[j], ss.Alerted[j] = sl.vm, sl.alerted
 			if quantized {
 				ss.Seen[j] = int(sl.q.Seen)
-				words[2*(lo+j)], words[2*(lo+j)+1] = int32(sl.q.Level), int32(sl.q.Trend)
-			} else {
-				ss.Seen[j] = sl.seen
-				holt[2*(lo+j)], holt[2*(lo+j)+1] = sl.level, sl.trend
+				ss.Words[2*j], ss.Words[2*j+1] = int32(sl.q.Level), int32(sl.q.Trend)
+				continue
+			}
+			ss.Seen[j] = sl.seen
+			var err error
+			if ss.Holt, err = timeseries.AppendPack(ss.Holt, sl.level, sl.trend); err != nil {
+				sh.mu.Unlock()
+				return nil, fmt.Errorf("ingest: snapshot VM %d: %w", sl.vm, err)
 			}
 		}
-		if quantized {
-			ss.Words = words[2*lo : 2*hi : 2*hi]
-		}
 		sh.mu.Unlock()
-		lo = hi
-	}
-	if !quantized {
-		packed, err := timeseries.Pack(holt)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: snapshot: %w", err)
-		}
-		lo := 0
-		for i := range snap.Shards {
-			ss := &snap.Shards[i]
-			hi := lo + 16*len(ss.VM)
-			ss.Holt = packed[lo:hi:hi]
-			lo = hi
-		}
 	}
 	return snap, nil
 }

@@ -118,10 +118,11 @@ type Shim struct {
 // over it: the tally the round returns, the rack's VMs, the Alg. 2
 // knapsack's, the VMs a round has selected (as a set, and as the host and
 // ToR lists), the Alg. 3 matching step's (matrices, rack prices, solver
-// workspace, the VMs left to place), and NewShim's region walk. No decision
-// reads what an earlier round left in it, whichever shim ran that round.
-// The zero value is ready; it grows to the largest round run in it and then
-// allocates nothing. One goroutine at a time may use a workspace.
+// workspace, the VMs left to place), NewShim's region walk, and the chunks
+// NewShim carves the shims built over it from. No decision reads what an
+// earlier round left in it, whichever shim ran that round. The zero value
+// is ready; it grows to the largest round run in it and then allocates
+// nothing. One goroutine at a time may use a workspace.
 type Workspace struct {
 	tally           Tally
 	vms             []*dcn.VM
@@ -132,13 +133,36 @@ type Workspace struct {
 
 	walk  topology.NeighborScratch
 	nodes []int
+
+	// The shims built over the workspace and their neighbour and region
+	// lists, carved from chunks that double when they run out (carve).
+	shims []Shim
+	racks []*dcn.Rack
+	hosts []*dcn.Host
+}
+
+// carve cuts n elements off the unused end of *chunk (its length is what
+// has been cut, its capacity its size), first replacing it with a fresh
+// chunk of at least n and twice the old one's size when fewer than n are
+// left. What it cuts is capped at n, so an append to one list never
+// writes into the next.
+func carve[T any](chunk *[]T, n int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, 2*cap(c)))
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
 // NewShim builds the shim for one rack, over the workspace its rounds
 // borrow; a nil ws gives the shim one of its own. Shims that run one at a
-// time (a runtime's, a simulation's) share one workspace. Beside the
-// shim's region walk, which runs in the workspace, it allocates the shim,
-// its neighbour list and its region: three objects.
+// time (a runtime's, a simulation's) share one workspace. The region walk
+// runs in the workspace, and the shim, its neighbour list and its region
+// are carved from the workspace's chunks, which double when they run out:
+// shims built one after another over one workspace allocate a few chunks
+// between them, not three objects each. A shim over a workspace of its own
+// allocates the workspace and three chunks of exactly its size.
 func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Workspace) (*Shim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -147,7 +171,8 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Worksp
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	s := &Shim{Rack: rack, cluster: c, model: m, params: p, ws: ws}
+	s := &carve(&ws.shims, 1)[0]
+	*s = Shim{Rack: rack, cluster: c, model: m, params: p, ws: ws}
 	ws.nodes = c.Graph.AppendRackNeighbors(ws.nodes[:0], rack.NodeID, p.NeighborSwitchHops, &ws.walk)
 	racks, hosts := 0, len(rack.Hosts)
 	for _, nodeID := range ws.nodes {
@@ -157,7 +182,7 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Worksp
 		}
 	}
 	if racks > 0 {
-		s.neighborRacks = make([]*dcn.Rack, 0, racks)
+		s.neighborRacks = carve(&ws.racks, racks)[:0]
 		for _, nodeID := range ws.nodes {
 			if r := c.RackByNode(nodeID); r != nil {
 				s.neighborRacks = append(s.neighborRacks, r)
@@ -165,7 +190,7 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Worksp
 		}
 		slices.SortFunc(s.neighborRacks, func(a, b *dcn.Rack) int { return cmp.Compare(a.Index, b.Index) })
 	}
-	s.region = make([]*dcn.Host, 0, hosts)
+	s.region = carve(&ws.hosts, hosts)[:0]
 	s.region = append(s.region, rack.Hosts...)
 	for _, r := range s.neighborRacks {
 		s.region = append(s.region, r.Hosts...)

@@ -190,8 +190,10 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 // TestSharedWorkspaceWarmsOnce: shims built over one workspace share its
 // memory, the tally their rounds return included. Once one shim's rounds
 // have warmed it, another shim's first round of the same size allocates
-// nothing, and building a shim over the warmed workspace allocates the
-// shim, its neighbour list and its region alone.
+// nothing, and shims built over the workspace are carved from its chunks,
+// which double when they run out: 64 of them cost at most three chunks
+// (shims, neighbour lists, regions) times seven doublings, where three
+// objects a shim would be 192.
 func TestSharedWorkspaceWarmsOnce(t *testing.T) {
 	fx := newFixture(t, 4, 2)
 	c := fx.cluster
@@ -237,11 +239,16 @@ func TestSharedWorkspaceWarmsOnce(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		round(first)
 	}
-	if got := testing.AllocsPerRun(20, func() { build(1) }); got != 3 {
-		t.Errorf("NewShim over a warmed workspace allocates %v objects, want 3 (the shim, its neighbours, its region)", got)
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	for i := 0; i < 64; i++ {
+		build(i % len(c.Racks))
+	}
+	goruntime.ReadMemStats(&m1)
+	if got := m1.Mallocs - m0.Mallocs; got > 3*7 {
+		t.Errorf("64 shims over a warmed workspace allocate %d objects, want at most 21 (three chunks doubled seven times)", got)
 	}
 	second := build(1)
-	var m0, m1 goruntime.MemStats
 	goruntime.ReadMemStats(&m0)
 	rep := round(second)
 	goruntime.ReadMemStats(&m1)

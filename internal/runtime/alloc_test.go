@@ -183,18 +183,21 @@ func TestCalmPeriodRescansNothing(t *testing.T) {
 	}
 }
 
-// snapshotAllocs is the most a warm Snapshot of a fabric whose every rack
-// has a fitted deep pool may allocate: a fixed handful a section, the
-// deep section's included, however many racks, VMs, flows and links there
-// are.
-const snapshotAllocs = 48
+// snapshotAllocs is what a warm Snapshot of a fabric whose every rack has
+// a fitted deep pool allocates, however many racks, VMs, flows and links
+// there are: the runtime's int and packed arenas, the object holding the
+// snapshot, its trace options and deep section, the deep models list and
+// the flow pairs (five), the cluster's section (six) and the network's
+// (four). ingestSnapshotAllocs is ingest.Service.Snapshot's, held by its
+// own gate (TestSnapshotAllocsFlatInRacks there).
+const snapshotAllocs, ingestSnapshotAllocs = 15, 5
 
 // TestSnapshotAllocsFlatInFabric: a warm Runtime.Snapshot with every
 // rack's deep pool fitted allocates as many objects on a BCube-8 (64
-// racks) as on a BCube-4 (16), and at most snapshotAllocs: each rack's
-// pool appends to one shape and one state buffer the runtime keeps, and
-// shares the parameters packed at its fit, and the flow paths are one flat
-// column.
+// racks) as on a BCube-4 (16), and at most snapshotAllocs: each section
+// carves its columns from one array per element kind, each rack's pool
+// appends to one shape and one state buffer the runtime keeps, and shares
+// the parameters packed at its fit.
 func TestSnapshotAllocsFlatInFabric(t *testing.T) {
 	var counts []float64
 	for _, size := range []int{4, 8} {
@@ -215,6 +218,97 @@ func TestSnapshotAllocsFlatInFabric(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("Snapshot allocates %v objects on a BCube-4 and %v on a BCube-8, want the same", counts[0], counts[1])
+	}
+}
+
+// TestSnapshotWindowAllocs is the snapshotting daemon's window gate: on a
+// BCube-4 deep surge fabric, fed and stepped the way sheriffd steps it, with
+// Runtime.Snapshot and ingest.Service.Snapshot taken every 8th period as
+// -snapshot-every 8 takes them (the encode and the write left out), a
+// window of periods that still migrate and reroute allocates no more than
+// the snapshots' own columns: snapshots × (snapshotAllocs +
+// ingestSnapshotAllocs). Routes and shims are built from storage that is
+// kept, so once the fabric has built every rack's shim and fitted every
+// rack's pool, and set its high-water marks (see TestPeriodAllocatesNothing),
+// the snapshots are all that allocates, the deep pools' staging buffers
+// having grown at a snapshot before the window. One shard and no
+// collector while counting, for the reason given there.
+func TestSnapshotWindowAllocs(t *testing.T) {
+	const settle, periods, every = 512, 256, 8
+	for _, seed := range []int64{1, 7} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			cluster, model := deepSnapParts(t, 4)
+			cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20,
+				DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: seed})
+			r, err := New(cluster, model, Options{Seed: seed, Shards: 1, DeepPredict: true,
+				Traces: traces.Options{Kind: traces.Surge}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			svc, err := ingest.FromCluster(cluster, ingest.Options{Mode: ingest.TriageQuant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reporters := feed(r)
+			var st StepStats
+			migrations, reroutes := 0, 0
+			period := func() {
+				updates := reporters.Next()
+				if _, err := svc.OfferBatch(updates); err != nil {
+					t.Fatal(err)
+				}
+				svc.ProcessPending()
+				svc.Poll()
+				if st, err = r.StepExternal(updates); err != nil {
+					t.Fatal(err)
+				}
+				migrations += st.Migrations
+				reroutes += st.Reroutes
+			}
+			warm := 0
+			for ; slices.Contains(r.shims, nil) || slices.Contains(r.deep, nil); warm++ {
+				if warm == 4000 {
+					t.Fatal("some rack's shim was never built or its pool never fitted")
+				}
+				period()
+			}
+			for i := 0; i < settle; i++ {
+				period()
+			}
+			if _, err := r.Snapshot(); err != nil { // grow the deep pools' staging buffers
+				t.Fatal(err)
+			}
+
+			migrations, reroutes = 0, 0
+			snapshots := 0
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			for i := 1; i <= periods; i++ {
+				period()
+				if i%every != 0 {
+					continue
+				}
+				if _, err := r.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				snapshots++
+			}
+			goruntime.ReadMemStats(&m1)
+			got, want := m1.Mallocs-m0.Mallocs, uint64(snapshots*(snapshotAllocs+ingestSnapshotAllocs))
+			t.Logf("shims and pools ready after %d periods; %d periods from period %d on, with %d snapshots, made %d allocations (%d migrations, %d reroutes)",
+				warm, periods, warm+settle, snapshots, got, migrations, reroutes)
+			if migrations == 0 || reroutes == 0 {
+				t.Fatalf("%d migrations, %d reroutes: the window does not exercise the routes and the shims", migrations, reroutes)
+			}
+			if got > want {
+				t.Errorf("%d periods with %d snapshots allocate %d objects, want at most %d", periods, snapshots, got, want)
+			}
+		})
 	}
 }
 

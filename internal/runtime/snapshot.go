@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
@@ -124,103 +123,126 @@ type Snapshot struct {
 // fitted deep pool contains an unserializable candidate, and when a VM has
 // left or joined the cluster since the runtime was built (the error names
 // it): Restore would refuse that file.
+//
+// The result is a value (see Snapshot). A counting pass sizes the
+// runtime's own columns, which are carved from one fresh []int and one
+// fresh packed array; beside them it allocates one object holding the
+// snapshot, its trace options and its deep section, the deep models list
+// and the flow pairs, and the cluster's and network's sections allocate
+// six and four (dcn.Cluster.Snapshot, flow.Network.Snapshot): fifteen
+// objects, however many racks, VMs, flows and links there are. The deep
+// pools are staged in buffers the runtime keeps (stageDeep).
 func (r *Runtime) Snapshot() (*Snapshot, error) {
-	sh := r.sh
-	n := len(sh.byID)
-	vms := VMColumns{ID: make([]int, n), Rack: make([]int, n), Hist: make([]int, n)}
-	cur, trend := make([]float64, 0, 4*n), make([]float64, 0, 8*n)
-	for k, i := range sh.byID {
-		vms.ID[k], vms.Rack[k], vms.Hist[k] = sh.vms[i].ID, int(sh.rack[i]), int(sh.nObs[i])
-		p := sh.cur[i]
-		cur = append(cur, p.CPU, p.Mem, p.IO, p.TRF)
-		for _, h := range sh.pred[i] {
-			trend = append(trend, h.level, h.trend)
-		}
-	}
-	queues := QueueColumns{Count: make([]int, len(sh.qHolt))}
-	qHolt := make([]float64, 0, 2*len(sh.qHolt))
-	for rk, q := range sh.qHolt {
-		queues.Count[rk] = int(sh.qN[rk])
-		qHolt = append(qHolt, q.level, q.trend)
-	}
-
 	cluster, err := r.Cluster.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: snapshot: %w", err)
-	}
-	if err := sameVMs(vms.ID, cluster.VMs.ID); err != nil {
-		return nil, err
 	}
 	flows, err := r.Flows.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: snapshot: %w", err)
 	}
-	trOpts := r.opts.Traces
-	snap := &Snapshot{
+	var shape []int
+	var state []float64
+	histLen := 0
+	if r.opts.DeepPredict {
+		if shape, state, err = r.stageDeep(); err != nil {
+			return nil, err
+		}
+		for _, h := range r.deepHist {
+			histLen += h.Len()
+		}
+	}
+
+	sh := r.sh
+	n, nq, nr := len(sh.byID), len(sh.qHolt), len(r.deep)
+	ints := make([]int, 3*n+nq+len(shape)+nr)
+	bits := make(timeseries.Bits, 8*(12*n+2*nq+len(state)+histLen))
+	held := new(struct {
+		snap   Snapshot
+		traces traces.Options
+		deep   DeepColumns
+	})
+	held.traces = r.opts.Traces
+	snap := &held.snap
+	*snap = Snapshot{
 		Version:    SnapshotVersion,
 		Step:       r.step,
 		Seed:       r.opts.Seed,
-		Traces:     &trOpts,
+		Traces:     &held.traces,
 		CostParams: r.Model.Params(),
 		Cluster:    cluster,
 		Flows:      flows,
 		FlowPairs:  r.flowPairs(),
-		VMs:        vms,
-		Queues:     queues,
+		VMs: VMColumns{ID: timeseries.Carve(&ints, n), Rack: timeseries.Carve(&ints, n), Hist: timeseries.Carve(&ints, n),
+			Current: timeseries.Carve(&bits, 8*4*n)[:0], Trend: timeseries.Carve(&bits, 8*8*n)[:0]},
+		Queues: QueueColumns{Count: timeseries.Carve(&ints, nq), Holt: timeseries.Carve(&bits, 8*2*nq)[:0]},
 	}
-	for _, col := range []struct {
-		name string
-		dst  *timeseries.Bits
-		v    []float64
-	}{
-		{"VM current", &snap.VMs.Current, cur},
-		{"VM trend", &snap.VMs.Trend, trend},
-		{"queue holt", &snap.Queues.Holt, qHolt},
-	} {
-		if *col.dst, err = timeseries.Pack(col.v); err != nil {
-			return nil, fmt.Errorf("runtime: snapshot %s: %w", col.name, err)
+	vms, queues := &snap.VMs, &snap.Queues
+	for k, i := range sh.byID {
+		id := sh.vms[i].ID
+		vms.ID[k], vms.Rack[k], vms.Hist[k] = id, int(sh.rack[i]), int(sh.nObs[i])
+		p := sh.cur[i]
+		if vms.Current, err = timeseries.AppendPack(vms.Current, p.CPU, p.Mem, p.IO, p.TRF); err != nil {
+			return nil, fmt.Errorf("runtime: snapshot VM %d current: %w", id, err)
+		}
+		for _, h := range sh.pred[i] {
+			if vms.Trend, err = timeseries.AppendPack(vms.Trend, h.level, h.trend); err != nil {
+				return nil, fmt.Errorf("runtime: snapshot VM %d trend: %w", id, err)
+			}
 		}
 	}
-	if r.opts.DeepPredict {
-		if snap.Deep, err = r.deepColumns(); err != nil {
-			return nil, err
+	if err := sameVMs(vms.ID, cluster.VMs.ID); err != nil {
+		return nil, err
+	}
+	for rk, q := range sh.qHolt {
+		queues.Count[rk] = int(sh.qN[rk])
+		if queues.Holt, err = timeseries.AppendPack(queues.Holt, q.level, q.trend); err != nil {
+			return nil, fmt.Errorf("runtime: snapshot queue holt of rack %d: %w", rk, err)
 		}
 	}
+	if !r.opts.DeepPredict {
+		return snap, nil
+	}
+
+	d := &held.deep
+	*d = DeepColumns{Shape: timeseries.Carve(&ints, len(shape)), Models: make([]timeseries.Bits, nr), HistLen: ints,
+		State: timeseries.Carve(&bits, 8*len(state))[:0], Hist: bits[:0]}
+	copy(d.Shape, shape)
+	if d.State, err = timeseries.AppendPack(d.State, state...); err != nil {
+		return nil, fmt.Errorf("runtime: snapshot deep state: %w", err)
+	}
+	for rk, sel := range r.deep {
+		if sel != nil {
+			d.Models[rk] = sel.Models()
+		}
+	}
+	for rk, h := range r.deepHist {
+		d.HistLen[rk] = h.Len()
+		if d.Hist, err = timeseries.AppendPack(d.Hist, h.Raw()...); err != nil {
+			return nil, fmt.Errorf("runtime: snapshot deep history of rack %d: %w", rk, err)
+		}
+	}
+	snap.Deep = d
 	return snap, nil
 }
 
-// deepColumns appends every rack's pool to the shape and state buffers the
-// runtime keeps for them, and packs each once. Its allocations do not
-// depend on the number of racks.
-func (r *Runtime) deepColumns() (*DeepColumns, error) {
-	d := &DeepColumns{Models: make([]timeseries.Bits, len(r.deep)), HistLen: make([]int, len(r.deep))}
-	shape, state := r.deepShape[:0], r.deepState[:0]
+// stageDeep appends every rack's pool to the shape and state buffers the
+// runtime keeps for them, and returns both: Snapshot copies them into its
+// columns, so their growth is the runtime's, once, and not every
+// snapshot's.
+func (r *Runtime) stageDeep() (shape []int, state []float64, err error) {
+	shape, state = r.deepShape[:0], r.deepState[:0]
 	for rk, sel := range r.deep {
 		if sel == nil {
 			shape = append(shape, 0)
 			continue
 		}
-		var err error
 		if shape, state, err = sel.AppendState(shape, state); err != nil {
-			return nil, fmt.Errorf("runtime: snapshot deep pool %d: %w", rk, err)
+			return nil, nil, fmt.Errorf("runtime: snapshot deep pool %d: %w", rk, err)
 		}
-		d.Models[rk] = sel.Models()
 	}
-	d.Shape = slices.Clone(shape)
-	var err error
-	if d.State, err = timeseries.Pack(state); err != nil {
-		return nil, fmt.Errorf("runtime: snapshot deep state: %w", err)
-	}
-	hist := state[:0]
-	for rk, h := range r.deepHist {
-		d.HistLen[rk] = h.Len()
-		hist = append(hist, h.Raw()...)
-	}
-	if d.Hist, err = timeseries.Pack(hist); err != nil {
-		return nil, fmt.Errorf("runtime: snapshot deep history: %w", err)
-	}
-	r.deepShape, r.deepState = shape, hist
-	return d, nil
+	r.deepShape, r.deepState = shape, state
+	return shape, state, nil
 }
 
 // sameVMs fails unless the engine steps exactly the cluster's VMs, both

@@ -6,14 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Bits holds a []float64 packed for a snapshot: eight little-endian bytes
 // of each value's IEEE-754 bits, in order. It types the floats a snapshot
 // carries — every section's float columns, the deep pools' parameters
 // and state — where shortest-decimal formatting would be most of the cost
-// of writing the document. Pack builds one, refusing NaN
-// and ±Inf, and Floats reads it back.
+// of writing the document. Pack builds one and AppendPack extends one,
+// both refusing NaN and ±Inf, and Floats reads it back.
 //
 // Being a byte slice, it is written by encoding/json's own []byte path: a
 // base64 string (standard alphabet, padded), the very bytes the float
@@ -35,13 +36,27 @@ const expMask = 0x7FF << 52
 // carry either, so nothing is written that UnmarshalJSON would not read
 // back.
 func Pack(v []float64) (Bits, error) {
-	b := make(Bits, 8*len(v))
+	b, err := AppendPack(make(Bits, 0, 8*len(v)), v...)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendPack appends v to b packed, as Pack packs it, and returns the
+// extended slice; within b's capacity it writes in place and allocates
+// nothing, so a snapshot can pack all its columns into one array (Carve).
+// On a NaN or ±Inf it returns b unextended and an error naming the value's
+// index in v.
+func AppendPack(b Bits, v ...float64) (Bits, error) {
+	at := len(b)
+	b = slices.Grow(b, 8*len(v))[:at+8*len(v)]
 	for i, x := range v {
 		u := math.Float64bits(x)
 		if u&expMask == expMask {
-			return nil, fmt.Errorf("timeseries: bits: value %d is %v, which has no encoding", i, x)
+			return b[:at], fmt.Errorf("timeseries: bits: value %d is %v, which has no encoding", i, x)
 		}
-		binary.LittleEndian.PutUint64(b[8*i:], u)
+		binary.LittleEndian.PutUint64(b[at+8*i:], u)
 	}
 	return b, nil
 }
@@ -105,4 +120,16 @@ func (b *Bits) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	return errors.New("timeseries: bits: want a base64 string or an array of numbers")
+}
+
+// Carve cuts the first n elements off *arena and returns them, their
+// capacity capped at n, so that appending to one carved column never
+// writes into the next. The snapshot codecs carve every column of one
+// element kind from one array sized by a counting pass: one allocation for
+// all the kind's columns, and a snapshot that shares nothing with the one
+// before it.
+func Carve[S ~[]E, E any](arena *S, n int) S {
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
 }

@@ -164,6 +164,10 @@ func TestBitsRejects(t *testing.T) {
 		if _, err := Pack([]float64{1, v}); err == nil || !strings.Contains(err.Error(), "value 1") {
 			t.Errorf("packing %v: error %v, want one naming value 1", v, err)
 		}
+		head := pack(t, []float64{2})
+		if b, err := AppendPack(head, 1, v); err == nil || !strings.Contains(err.Error(), "value 1") || !bytes.Equal(b, head) {
+			t.Errorf("appending %v: %v, error %v; want the head unextended and an error naming value 1", v, b, err)
+		}
 	}
 }
 
@@ -180,6 +184,17 @@ func TestBitsEncodeAllocs(t *testing.T) {
 		}
 	}); got != 1 && !raceEnabled {
 		t.Fatalf("Pack allocates %v times, want 1", got)
+	}
+	arena := make(Bits, 0, 8*len(v))
+	if b, err := AppendPack(arena[:8], v[1:]...); err != nil || !bytes.Equal(b, pack(t, v)) {
+		t.Fatalf("appending after a packed value = %d bytes, error %v; want Pack's", len(b), err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := AppendPack(arena, v...); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 && !raceEnabled {
+		t.Fatalf("AppendPack within capacity allocates %v times, want 0", got)
 	}
 	type doc struct {
 		N int

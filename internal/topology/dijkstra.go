@@ -336,30 +336,34 @@ func (m *MultiSource) Dist(src, dst int) float64 {
 	return t[dst].d
 }
 
-// Path reconstructs one minimal path src → … → dst (inclusive) into buf,
-// or returns nil when unreachable or src is not a source. The path is
-// written over buf[:0] when buf has the room, and into a slice of exactly
-// the path's length otherwise; buf may be nil.
-func (m *MultiSource) Path(src, dst int, buf []int) []int {
+// Hops returns the number of links on the path Path(src, dst) returns, or
+// -1 when it returns nil: dst unreachable, or src not a source.
+func (m *MultiSource) Hops(src, dst int) int {
 	t := m.row(src)
 	if t == nil || dst < 0 || dst >= m.n {
-		return nil
+		return -1
 	}
-	if src == dst {
-		return append(buf[:0], src)
-	}
-	if t[dst].p < 0 {
-		return nil
-	}
-	hops := 0
-	cur := dst
+	hops, cur := 0, dst
 	for cur != -1 && cur != src {
 		hops++
 		cur = int(t[cur].p)
 	}
 	if cur != src {
+		return -1
+	}
+	return hops
+}
+
+// Path reconstructs one minimal path src → … → dst (inclusive) into buf,
+// or returns nil when unreachable or src is not a source. The path is
+// written over buf[:0] when buf has the room, and into a slice of exactly
+// the path's length otherwise; buf may be nil.
+func (m *MultiSource) Path(src, dst int, buf []int) []int {
+	hops := m.Hops(src, dst)
+	if hops < 0 {
 		return nil
 	}
+	t := m.row(src)
 	out := ensureLen(buf, hops+1)
 	i := hops
 	for cur := dst; ; cur = int(t[cur].p) {
