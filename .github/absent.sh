@@ -6,8 +6,9 @@
 # is one guard:
 #
 #   file PATHSPEC       no tracked file matches PATHSPEC
-#   src  REGEX [DIR]    no tracked non-test Go file outside bench/ (under
-#                       DIR, when given) matches REGEX
+#   src  REGEX [PATH]   no tracked non-test Go file outside bench/ (under
+#                       the directory PATH, or the file PATH when it ends
+#                       in .go, when given) matches REGEX
 #   decl TARGET REGEX   no line of `go doc -u -src TARGET`, the declaration
 #                       with its unexported fields, matches REGEX
 #
@@ -26,7 +27,9 @@ while read -r kind target words; do
 		fi
 		;;
 	src)
-		if git grep -nE "$target" -- "${words:+$words/}*.go" ':!*_test.go' ':!bench'; then
+		spec="${words:+$words/}*.go"
+		[[ $words == *.go ]] && spec=$words
+		if git grep -nE "$target" -- "$spec" ':!*_test.go' ':!bench'; then
 			echo "absent.sh: the source above matches $target"
 			fail=1
 		fi
@@ -127,5 +130,10 @@ src  timeseries\.Pack\( internal/runtime
 src  timeseries\.Pack\( internal/dcn
 src  timeseries\.Pack\( internal/flow
 src  timeseries\.Pack\( internal/ingest
+# An episode's fabric is built at its final size: the constructors cut node names from one string, and a cluster carves its racks, hosts and VMs from one array per kind (or a chunk of VMs), never one object each.
+src  fmt\.Sprintf\( internal/topology/fattree.go
+src  fmt\.Sprintf\( internal/topology/bcube.go
+src  fmt\.Sprintf\( internal/topology/leafspine.go
+src  &(VM|Host|Rack)\{ internal/dcn
 EOF
 exit $fail

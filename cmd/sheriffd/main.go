@@ -31,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -286,6 +287,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []traces
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
+	var snapEnc snapshotEncoder
 	writeSnap := func() error {
 		rs, serr := rt.Snapshot()
 		if serr != nil {
@@ -295,7 +297,7 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []traces
 		if serr != nil {
 			return serr
 		}
-		blob, serr := json.Marshal(daemonState{Config: cfg, Deep: *deep, Runtime: rs, Ingest: is})
+		blob, serr := snapEnc.encode(daemonState{Config: cfg, Deep: *deep, Runtime: rs, Ingest: is})
 		if serr != nil {
 			return serr
 		}
@@ -367,6 +369,29 @@ loop:
 	fmt.Fprintf(out, "ingest: %d offered %d accepted %d dropped %d processed | latency mean %.1fµs p99 %.1fµs\n",
 		st.Offered, st.Accepted, st.Dropped, st.Processed, st.Latency.Mean()*1e6, st.LatencyP99*1e6)
 	return nil
+}
+
+// snapshotEncoder encodes snapshots into a buffer it keeps from one to the
+// next, so a snapshot's bytes are not a fresh buffer the size of the file
+// each time.
+type snapshotEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encode returns v's JSON, byte for byte what json.Marshal returns: the
+// newline json.Encoder ends a document with is left off. The slice is the
+// encoder's and is overwritten by the next call.
+func (e *snapshotEncoder) encode(v any) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	b := e.buf.Bytes()
+	return b[:len(b)-1], nil
 }
 
 // replaceFile puts blob at path so that a crash at any point leaves the

@@ -13,6 +13,7 @@ import (
 
 	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
+	"sheriff/internal/runtime"
 	"sheriff/internal/sim"
 	"sheriff/internal/traces"
 )
@@ -425,5 +426,58 @@ func TestRunFlagErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-topology", "fat-tree", "-size", "4", "-deps", "1", "-hosts", "1", "-vms", "1", "-steps", "0", "-snapshot-every", "0"}, &out); err != nil {
 		t.Fatalf("in-range flags refused: %v", err)
+	}
+}
+
+// TestSnapshotEncoderMatchesMarshal: snapshots encoded one after another
+// through the daemon's kept buffer are each byte for byte json.Marshal's —
+// a larger document after a smaller one and a smaller after a larger.
+func TestSnapshotEncoderMatchesMarshal(t *testing.T) {
+	var docs []daemonState
+	for _, cfg := range []sim.RuntimeConfig{
+		{Kind: sim.FatTree, Size: 4, Seed: 3},
+		{Kind: sim.BCube, Size: 4, Seed: 5, TraceKind: "surge"},
+		{Kind: sim.FatTree, Size: 4, Seed: 3},
+	} {
+		rt, err := sim.BuildRuntime(cfg, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		svc, err := ingest.FromCluster(rt.Cluster, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates := sim.Reporters(rt).Next()
+		if _, err := svc.OfferBatch(updates); err != nil {
+			t.Fatal(err)
+		}
+		svc.ProcessPending()
+		if _, err := rt.StepExternal(updates); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := rt.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, err := svc.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, daemonState{Config: cfg, Runtime: rs, Ingest: is})
+	}
+	var enc snapshotEncoder
+	for i, doc := range docs {
+		got, err := enc.encode(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("document %d: the kept buffer encodes %d bytes, json.Marshal %d, and they differ", i, len(got), len(want))
+		}
 	}
 }

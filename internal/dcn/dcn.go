@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"sheriff/internal/topology"
 )
@@ -21,6 +21,12 @@ import (
 // paper's abstract units (the simulations cap it at 20); Value is the
 // knapsack value used by the PRIORITY function (lower-value VMs are
 // preferred for migration).
+//
+// A cluster makes its VMs many at a time: AddVM carves them from chunks of
+// VMs and their names from one string per chunk, and Restore makes a
+// snapshot's from one array. A VM's pointer and ID stay the VM's for the
+// cluster's life, but its storage is its chunk's: a removed VM, or one
+// held after its cluster is dropped, keeps every VM of its chunk in memory.
 type VM struct {
 	ID             int
 	Name           string
@@ -204,6 +210,14 @@ type Cluster struct {
 	numVMs int
 	hosts  []*Host
 
+	// vmChunk is the chunk AddVM carves VMs from: its length is what has
+	// been carved, and every entry past it already holds the ID and name of
+	// the VM it is kept for (newVMChunk).
+	vmChunk []VM
+	// residents is the chunk hosts' resident lists are carved from when
+	// they fill up (place).
+	residents []*VM
+
 	// placements counts changes to any host's residents (Host.insert and
 	// remove) and restores. WorkloadStdDev keeps its result with the count
 	// it was computed at, sd and sdAt, and sums the hosts again only once
@@ -222,36 +236,39 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster with one Rack per rack-kind vertex of the
-// topology graph, each populated with cfg.HostsPerRack empty hosts.
+// topology graph, each populated with cfg.HostsPerRack empty hosts. The
+// racks, the hosts and the lists of each are carved from one array per
+// kind: a rack's Hosts is its run of Hosts(), which lists them rack by
+// rack.
 func NewCluster(g *topology.Graph, cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nodes := g.RackNodes()
+	if len(nodes) == 0 {
+		return nil, errors.New("dcn: topology has no rack nodes")
+	}
+	per := cfg.HostsPerRack
 	c := &Cluster{
 		Graph:      g,
 		config:     cfg,
+		Racks:      make([]*Rack, len(nodes)),
 		rackByNode: make([]*Rack, g.NumNodes()),
+		hosts:      make([]*Host, len(nodes)*per),
+		Deps:       NewDependencyGraph(),
 	}
-	for i, nodeID := range g.Racks() {
-		r := &Rack{Index: i, NodeID: nodeID, ToRCapacity: cfg.ToRCapacity}
-		for j := 0; j < cfg.HostsPerRack; j++ {
-			h := &Host{
-				ID:       len(c.hosts),
-				Index:    j,
-				Capacity: cfg.HostCapacity,
-				rack:     r,
-				placed:   &c.placements,
-			}
-			r.Hosts = append(r.Hosts, h)
-			c.hosts = append(c.hosts, h)
+	racks, hosts := make([]Rack, len(nodes)), make([]Host, len(c.hosts))
+	for i, nodeID := range nodes {
+		r := &racks[i]
+		*r = Rack{Index: i, NodeID: nodeID, Hosts: c.hosts[i*per : (i+1)*per : (i+1)*per], ToRCapacity: cfg.ToRCapacity}
+		for j := range r.Hosts {
+			id := i*per + j
+			hosts[id] = Host{ID: id, Index: j, Capacity: cfg.HostCapacity, rack: r, placed: &c.placements}
+			r.Hosts[j] = &hosts[id]
 		}
-		c.Racks = append(c.Racks, r)
+		c.Racks[i] = r
 		c.rackByNode[nodeID] = r
 	}
-	if len(c.Racks) == 0 {
-		return nil, errors.New("dcn: topology has no rack nodes")
-	}
-	c.Deps = NewDependencyGraph()
 	return c, nil
 }
 
@@ -307,22 +324,57 @@ var ErrInsufficientCapacity = errors.New("dcn: host lacks capacity for VM")
 var ErrDependencyConflict = errors.New("dcn: dependent VMs cannot share a host")
 
 // AddVM creates a VM and places it on the host. Capacity and dependency
-// constraints are enforced.
+// constraints are enforced. The VM is carved from the cluster's current
+// chunk of VMs (see VM); one that cannot be placed leaves its entry to the
+// next.
 func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (*VM, error) {
-	id := len(c.vms)
-	vm := &VM{
-		ID:             id,
-		Name:           "vm-" + strconv.Itoa(id),
-		Capacity:       capacity,
-		Value:          value,
-		DelaySensitive: delaySensitive,
+	id, n := len(c.vms), len(c.vmChunk)
+	if n == cap(c.vmChunk) || c.vmChunk[:n+1][n].ID != id {
+		c.newVMChunk(id)
+		n = 0
 	}
+	vm := &c.vmChunk[:n+1][n]
+	*vm = VM{ID: id, Name: vm.Name, Capacity: capacity, Value: value, DelaySensitive: delaySensitive}
 	if err := c.place(vm, h); err != nil {
 		return nil, err
 	}
+	c.vmChunk = c.vmChunk[:n+1]
 	c.vms = append(c.vms, vm)
 	c.numVMs++
 	return vm, nil
+}
+
+// minVMChunk is the fewest VMs newVMChunk makes room for. A chunk holds as
+// many VMs as the cluster has made so far when that is more, so the
+// chunks double with the fleet.
+const minVMChunk = 64
+
+// newVMChunk replaces the VM chunk with a fresh one whose entries hold the
+// IDs from id on, each with its name "vm-<ID>" cut from one string.
+func (c *Cluster) newVMChunk(id int) {
+	chunk := make([]VM, max(minVMChunk, id))
+	var digits [20]byte
+	var b strings.Builder
+	b.Grow(len(chunk) * (len("vm-") + decimalLen(id+len(chunk))))
+	for i := range chunk {
+		b.WriteString("vm-")
+		b.Write(strconv.AppendInt(digits[:0], int64(id+i), 10))
+	}
+	names := b.String()
+	for i := range chunk {
+		n := len("vm-") + decimalLen(id+i)
+		chunk[i].ID, chunk[i].Name, names = id+i, names[:n], names[n:]
+	}
+	c.vmChunk = chunk[:0]
+}
+
+// decimalLen is how many digits n >= 0 has in decimal.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 func (c *Cluster) place(vm *VM, h *Host) error {
@@ -336,15 +388,33 @@ func (c *Cluster) place(vm *VM, h *Host) error {
 		c.minCap = vm.Capacity
 	}
 	if len(h.vms) == cap(h.vms) {
-		h.vms = slices.Grow(h.vms, c.roomFor(h)-len(h.vms))
+		h.vms = append(carve(&c.residents, c.roomFor(h))[:0], h.vms...)
 	}
 	h.insert(vm)
 	vm.host = h
 	return nil
 }
 
+// carve cuts n elements off the unused end of *chunk (its length is what
+// has been cut, its capacity its size), first replacing it with a fresh
+// chunk of at least n, of minResidents, and of twice the old one's size
+// when fewer than n are left. What it cuts is capped at n, so an append to
+// one list never writes into the next. A list that outgrows its cut moves
+// to a new one and leaves the old in the chunk.
+func carve[T any](chunk *[]T, n int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, minResidents, 2*cap(c)))
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
+}
+
+// minResidents is the smallest chunk resident lists are carved from.
+const minResidents = 1024
+
 // roomFor is how many VMs host h can ever hold at once, which is what its
-// resident slice grows to when it is full: the host's capacity over the
+// resident slice is carved at when it is full: the host's capacity over the
 // smallest VM capacity placed so far, since place admits no VM the host
 // lacks the room for. The slice grows again only when a smaller VM than
 // any before arrives (or a VM of no capacity, which no count bounds), so

@@ -114,7 +114,10 @@ func (cols *VMColumns) floats() ([3][]float64, error) {
 // exist, and a dependency whose endpoint is not a VM the snapshot lists.
 // VMs are placed in ascending ID order whatever order the file lists them
 // in, so a cluster restored from its own snapshot repeats the placements
-// that built it.
+// that built it. The VMs are made in one array of the snapshot's size and
+// the hosts' resident lists in another, so beyond the dependency edges
+// (each added as AddDependency adds it) Restore allocates the same few
+// objects however many VMs it places.
 func (c *Cluster) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("dcn: restore from nil snapshot")
@@ -170,12 +173,26 @@ func (c *Cluster) Restore(s *Snapshot) error {
 		c.Deps.AddDependency(edge[0], edge[1])
 	}
 	c.vms = make([]*VM, size)
+	vms := make([]VM, len(cols.ID))
+	// Every host's resident list is carved once, at roomFor with the
+	// smallest capacity of the snapshot's VMs, from one chunk.
+	for _, capy := range capacity {
+		if capy > 0 && (c.minCap == 0 || capy < c.minCap) {
+			c.minCap = capy
+		}
+	}
+	room := 0
+	for _, h := range c.hosts {
+		room += c.roomFor(h)
+	}
+	c.residents = make([]*VM, 0, room)
 	for _, at := range recOf {
 		if at == 0 {
 			continue
 		}
 		i := at - 1
-		vm := &VM{
+		vm := &vms[i]
+		*vm = VM{
 			ID: cols.ID[i], Name: cols.Name[i], Capacity: capacity[i], Value: value[i],
 			DelaySensitive: cols.DelaySensitive[i], Alert: alertVal[i],
 		}

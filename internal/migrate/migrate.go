@@ -118,11 +118,18 @@ type Shim struct {
 // over it: the tally the round returns, the rack's VMs, the Alg. 2
 // knapsack's, the VMs a round has selected (as a set, and as the host and
 // ToR lists), the Alg. 3 matching step's (matrices, rack prices, solver
-// workspace, the VMs left to place), NewShim's region walk, and the chunks
-// NewShim carves the shims built over it from. No decision reads what an
-// earlier round left in it, whichever shim ran that round. The zero value
-// is ready; it grows to the largest round run in it and then allocates
-// nothing. One goroutine at a time may use a workspace.
+// workspace, the VMs left to place), and the memory NewShim builds the
+// shims in. No decision reads what an earlier round left in it, whichever
+// shim ran that round. The zero value is ready; it grows to the largest
+// round run in it and then allocates nothing. One goroutine at a time may
+// use a workspace.
+//
+// A copy of a workspace made before either runs a round is a workspace of
+// its own for rounds that shares the original's shim memory: shims that
+// each need their own tally (a simulation's, whose round returns every
+// alerted shim's) are built over copies of one workspace, in one region
+// walk and one set of chunks. Shims built over copies are built one at a
+// time, like shims built over one workspace.
 type Workspace struct {
 	tally           Tally
 	vms             []*dcn.VM
@@ -131,11 +138,16 @@ type Workspace struct {
 	hostSet, torSet []*dcn.VM
 	match           matchScratch
 
+	build *shimMemory // made by the first NewShim over the workspace
+}
+
+// shimMemory is the memory NewShim builds shims in: the region walk, and
+// the shims and their neighbour and region lists, carved from chunks that
+// double when they run out (carve).
+type shimMemory struct {
 	walk  topology.NeighborScratch
 	nodes []int
 
-	// The shims built over the workspace and their neighbour and region
-	// lists, carved from chunks that double when they run out (carve).
 	shims []Shim
 	racks []*dcn.Rack
 	hosts []*dcn.Host
@@ -157,12 +169,13 @@ func carve[T any](chunk *[]T, n int) []T {
 
 // NewShim builds the shim for one rack, over the workspace its rounds
 // borrow; a nil ws gives the shim one of its own. Shims that run one at a
-// time (a runtime's, a simulation's) share one workspace. The region walk
-// runs in the workspace, and the shim, its neighbour list and its region
-// are carved from the workspace's chunks, which double when they run out:
-// shims built one after another over one workspace allocate a few chunks
-// between them, not three objects each. A shim over a workspace of its own
-// allocates the workspace and three chunks of exactly its size.
+// time (a runtime's) share one workspace. The region walk runs in the
+// workspace's shim memory, and the shim, its neighbour list and its region
+// are carved from that memory's chunks, which double when they run out:
+// shims built one after another over one workspace, or over copies of one
+// (see Workspace), allocate a few chunks between them, not three objects
+// each. A shim over a workspace of its own allocates the workspace, its
+// shim memory, the walk's and three chunks of exactly its size.
 func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Workspace) (*Shim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -171,26 +184,30 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Worksp
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	s := &carve(&ws.shims, 1)[0]
+	if ws.build == nil {
+		ws.build = &shimMemory{}
+	}
+	mem := ws.build
+	s := &carve(&mem.shims, 1)[0]
 	*s = Shim{Rack: rack, cluster: c, model: m, params: p, ws: ws}
-	ws.nodes = c.Graph.AppendRackNeighbors(ws.nodes[:0], rack.NodeID, p.NeighborSwitchHops, &ws.walk)
+	mem.nodes = c.Graph.AppendRackNeighbors(mem.nodes[:0], rack.NodeID, p.NeighborSwitchHops, &mem.walk)
 	racks, hosts := 0, len(rack.Hosts)
-	for _, nodeID := range ws.nodes {
+	for _, nodeID := range mem.nodes {
 		if r := c.RackByNode(nodeID); r != nil {
 			racks++
 			hosts += len(r.Hosts)
 		}
 	}
 	if racks > 0 {
-		s.neighborRacks = carve(&ws.racks, racks)[:0]
-		for _, nodeID := range ws.nodes {
+		s.neighborRacks = carve(&mem.racks, racks)[:0]
+		for _, nodeID := range mem.nodes {
 			if r := c.RackByNode(nodeID); r != nil {
 				s.neighborRacks = append(s.neighborRacks, r)
 			}
 		}
 		slices.SortFunc(s.neighborRacks, func(a, b *dcn.Rack) int { return cmp.Compare(a.Index, b.Index) })
 	}
-	s.region = carve(&ws.hosts, hosts)[:0]
+	s.region = carve(&mem.hosts, hosts)[:0]
 	s.region = append(s.region, rack.Hosts...)
 	for _, r := range s.neighborRacks {
 		s.region = append(s.region, r.Hosts...)

@@ -132,14 +132,19 @@ func Build(cfg Config) (*Sim, error) {
 		Central: centralized.New(cluster, model),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	for _, r := range cluster.Racks {
-		// A workspace per shim: BalancingRound returns every alerted
-		// shim's tally, which lives in the shim's workspace.
-		shim, err := migrate.NewShim(cluster, model, r, cfg.Migrate, nil)
-		if err != nil {
+	// A workspace per shim: BalancingRound returns every alerted shim's
+	// tally, which lives in the shim's workspace. Each is a copy of the
+	// first made before any round, so every shim is built in the first's
+	// shim memory: one region walk and one set of chunks for them all.
+	ws := make([]migrate.Workspace, len(cluster.Racks))
+	s.Shims = make([]*migrate.Shim, len(cluster.Racks))
+	for i, r := range cluster.Racks {
+		if i > 0 {
+			ws[i] = ws[0]
+		}
+		if s.Shims[i], err = migrate.NewShim(cluster, model, r, cfg.Migrate, &ws[i]); err != nil {
 			return nil, err
 		}
-		s.Shims = append(s.Shims, shim)
 	}
 	return s, nil
 }

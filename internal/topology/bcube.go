@@ -40,36 +40,41 @@ type BCube struct {
 	Level1IDs []int
 }
 
-// NewBCube builds a BCube(n,1) with n² server nodes.
+// NewBCube builds a BCube(n,1) with n² server nodes, at its final size
+// (sizedGraph), the ID tables rows of one array.
 func NewBCube(cfg BCubeConfig) (*BCube, error) {
 	n := cfg.SwitchesPerLevel
 	if n < 2 {
 		return nil, fmt.Errorf("topology: BCube needs >= 2 switches per level, got %d", n)
 	}
-	g := NewGraph()
-	b := &BCube{Graph: g, Config: cfg}
+	// A switch links to n servers, a server to one switch per level.
+	b := newSizedGraph(n*n, 2*n, 2*n*n, nameLen("srv", n))
+	bc := &BCube{Config: cfg}
 
-	b.Level0IDs = make([]int, n)
-	b.Level1IDs = make([]int, n)
+	ids := make([]int, (n+2)*n)
+	bc.Level0IDs, bc.Level1IDs, ids = ids[:n:n], ids[n:2*n:2*n], ids[2*n:]
+	bc.RackIDs = make([][]int, n)
+	for i := range bc.RackIDs {
+		bc.RackIDs[i], ids = ids[:n:n], ids[n:]
+	}
 	for i := 0; i < n; i++ {
-		b.Level0IDs[i] = g.AddNode(Switch, fmt.Sprintf("l0-%d", i), i, 0)
+		bc.Level0IDs[i] = b.node(Switch, i, 0, n, "l0", i, -1)
 	}
 	for j := 0; j < n; j++ {
-		b.Level1IDs[j] = g.AddNode(Switch, fmt.Sprintf("l1-%d", j), -1, 1)
+		bc.Level1IDs[j] = b.node(Switch, -1, 1, n, "l1", j, -1)
 	}
-	b.RackIDs = make([][]int, n)
 	for i := 0; i < n; i++ {
-		b.RackIDs[i] = make([]int, n)
 		for j := 0; j < n; j++ {
-			id := g.AddNode(Rack, fmt.Sprintf("srv-%d-%d", i, j), i, 0)
-			b.RackIDs[i][j] = id
-			if err := g.AddLink(id, b.Level0IDs[i], bcubeLevel0Capacity, bcubeLevel0Distance); err != nil {
+			id := b.node(Rack, i, 0, 2, "srv", i, j)
+			bc.RackIDs[i][j] = id
+			if err := b.AddLink(id, bc.Level0IDs[i], bcubeLevel0Capacity, bcubeLevel0Distance); err != nil {
 				return nil, err
 			}
-			if err := g.AddLink(id, b.Level1IDs[j], bcubeLevel1Capacity, bcubeLevel1Distance); err != nil {
+			if err := b.AddLink(id, bc.Level1IDs[j], bcubeLevel1Capacity, bcubeLevel1Distance); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return b, nil
+	bc.Graph = b.graph()
+	return bc, nil
 }

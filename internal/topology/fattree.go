@@ -47,6 +47,8 @@ type FatTree struct {
 // and k/2 aggregation switches; there are (k/2)² core switches arranged
 // in k/2 groups of k/2. Every ToR links to every aggregation switch in
 // its pod; aggregation switch j links to all core switches of group j.
+// The graph is built at its final size (sizedGraph), and the ID tables
+// are rows of one array.
 func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	if cfg.Pods < 2 || cfg.Pods%2 != 0 {
 		return nil, fmt.Errorf("topology: Fat-Tree pods must be even and >= 2, got %d", cfg.Pods)
@@ -54,32 +56,35 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	cfg = cfg.withDefaults()
 	k := cfg.Pods
 	half := k / 2
-	g := NewGraph()
-	ft := &FatTree{Graph: g, Config: cfg}
+	// A ToR links to the half aggregation switches of its pod, an
+	// aggregation switch to half ToRs and half cores, a core to one
+	// aggregation switch in every pod.
+	b := newSizedGraph(k*half, k*half+half*half, 2*k*half*half, nameLen("core", k))
+	ft := &FatTree{Config: cfg}
+
+	ids, rows := make([]int, (2*k+half)*half), make([][]int, 2*k+half)
+	for r := range rows {
+		rows[r], ids = ids[:half:half], ids[half:]
+	}
+	ft.CoreIDs, ft.AggIDs, ft.RackIDs = rows[:half:half], rows[half:half+k:half+k], rows[half+k:]
 
 	// Core switches: half groups of half switches.
-	ft.CoreIDs = make([][]int, half)
 	for grp := 0; grp < half; grp++ {
-		ft.CoreIDs[grp] = make([]int, half)
 		for i := 0; i < half; i++ {
-			ft.CoreIDs[grp][i] = g.AddNode(Switch, fmt.Sprintf("core-%d-%d", grp, i), -1, 2)
+			ft.CoreIDs[grp][i] = b.node(Switch, -1, 2, k, "core", grp, i)
 		}
 	}
-	ft.RackIDs = make([][]int, k)
-	ft.AggIDs = make([][]int, k)
 	for pod := 0; pod < k; pod++ {
-		ft.AggIDs[pod] = make([]int, half)
-		ft.RackIDs[pod] = make([]int, half)
 		for j := 0; j < half; j++ {
-			ft.AggIDs[pod][j] = g.AddNode(Switch, fmt.Sprintf("agg-%d-%d", pod, j), pod, 1)
+			ft.AggIDs[pod][j] = b.node(Switch, pod, 1, k, "agg", pod, j)
 		}
 		for i := 0; i < half; i++ {
-			ft.RackIDs[pod][i] = g.AddNode(Rack, fmt.Sprintf("tor-%d-%d", pod, i), pod, 0)
+			ft.RackIDs[pod][i] = b.node(Rack, pod, 0, half, "tor", pod, i)
 		}
 		// Full bipartite ToR–aggregation wiring within the pod.
 		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {
-				if err := g.AddLink(ft.RackIDs[pod][i], ft.AggIDs[pod][j], fatTreeEdgeCapacity, cfg.EdgeDistance); err != nil {
+				if err := b.AddLink(ft.RackIDs[pod][i], ft.AggIDs[pod][j], fatTreeEdgeCapacity, cfg.EdgeDistance); err != nil {
 					return nil, err
 				}
 			}
@@ -87,11 +92,12 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		// Aggregation j connects to every core switch in group j.
 		for j := 0; j < half; j++ {
 			for i := 0; i < half; i++ {
-				if err := g.AddLink(ft.AggIDs[pod][j], ft.CoreIDs[j][i], fatTreeCoreCapacity, cfg.CoreDistance); err != nil {
+				if err := b.AddLink(ft.AggIDs[pod][j], ft.CoreIDs[j][i], fatTreeCoreCapacity, cfg.CoreDistance); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
+	ft.Graph = b.graph()
 	return ft, nil
 }

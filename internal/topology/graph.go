@@ -16,6 +16,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 )
 
@@ -125,6 +126,71 @@ func (g *Graph) AddLink(a, b int, capacity, distance float64) error {
 	g.adj[b] = append(g.adj[b], Edge{ID: id + 1, From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
 	g.invalidateCSR()
 	return nil
+}
+
+// sizedGraph builds a graph whose final size its constructor knows
+// (NewFatTree, NewBCube, NewLeafSpine): the node, edge-location and kind
+// lists are made at their final length, every node's adjacency is carved
+// at its final degree from one edge array of 2 × links, and the node names
+// are cut from one string, so a fabric costs one allocation per element
+// kind whatever its size. Links still go through AddLink, which appends
+// within the capacity carved; a degree given short would only make AddLink
+// grow that node's row, as it does for a graph built by hand.
+type sizedGraph struct {
+	*Graph
+	edges []Edge  // the adjacency array's uncarved tail
+	names []byte  // every node's name, back to back
+	ends  []int32 // ends[id]: where node id's name ends in names
+}
+
+// newSizedGraph starts a graph of the given rack, switch and link counts
+// whose node names are at most nameLen bytes long.
+func newSizedGraph(racks, switches, links, nameLen int) *sizedGraph {
+	n := racks + switches
+	return &sizedGraph{
+		Graph: &Graph{
+			nodes:    make([]Node, 0, n),
+			adj:      make([][]Edge, 0, n),
+			loc:      make([]edgeLoc, 0, 2*links),
+			racks:    make([]int, 0, racks),
+			switches: make([]int, 0, switches),
+		},
+		edges: make([]Edge, 2*links),
+		names: make([]byte, 0, n*nameLen),
+		ends:  make([]int32, 0, n),
+	}
+}
+
+// node adds a node with room for degree edges, named prefix-i, or
+// prefix-i-j when j >= 0, and returns its ID.
+func (b *sizedGraph) node(kind NodeKind, pod, level, degree int, prefix string, i, j int) int {
+	id := b.AddNode(kind, "", pod, level)
+	b.adj[id], b.edges = b.edges[:0:degree], b.edges[degree:]
+	b.names = strconv.AppendInt(append(append(b.names, prefix...), '-'), int64(i), 10)
+	if j >= 0 {
+		b.names = strconv.AppendInt(append(b.names, '-'), int64(j), 10)
+	}
+	b.ends = append(b.ends, int32(len(b.names)))
+	return id
+}
+
+// graph cuts every node's name from one string and returns the graph.
+func (b *sizedGraph) graph() *Graph {
+	names, start := string(b.names), int32(0)
+	for id, end := range b.ends {
+		b.nodes[id].Name, start = names[start:end], end
+	}
+	return b.Graph
+}
+
+// nameLen is the length of the longest name prefix-i-j with i and j below
+// n: the bound newSizedGraph takes.
+func nameLen(prefix string, n int) int {
+	digits := 1
+	for m := n - 1; m >= 10; m /= 10 {
+		digits++
+	}
+	return len(prefix) + 2*(1+digits)
 }
 
 func (g *Graph) invalidateCSR() {
@@ -281,18 +347,18 @@ func (g *Graph) AppendRackNeighbors(out []int, id int, maxSwitchHops int, s *Nei
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		for _, e := range g.adj[cur.node] {
-			n := g.nodes[e.To]
-			if seen[n.ID] == ep {
+			v := e.To
+			if seen[v] == ep {
 				continue
 			}
-			if n.Kind == Rack {
-				seen[n.ID] = ep
-				out = append(out, n.ID)
+			if g.nodes[v].Kind == Rack {
+				seen[v] = ep
+				out = append(out, v)
 				continue // do not traverse through racks
 			}
 			if cur.switchHops < maxSwitchHops {
-				seen[n.ID] = ep
-				queue = append(queue, switchHop{n.ID, cur.switchHops + 1})
+				seen[v] = ep
+				queue = append(queue, switchHop{v, cur.switchHops + 1})
 			}
 		}
 	}

@@ -41,7 +41,8 @@ type LeafSpine struct {
 }
 
 // NewLeafSpine builds the fabric: Spines spine switches at level 1 and
-// Leaves rack switches at level 0, fully bipartite.
+// Leaves rack switches at level 0, fully bipartite, at its final size
+// (sizedGraph).
 func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 	if cfg.Leaves < 1 {
 		return nil, fmt.Errorf("topology: leaf-spine needs at least 1 leaf, got %d", cfg.Leaves)
@@ -50,20 +51,22 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 		return nil, fmt.Errorf("topology: leaf-spine spines must be >= 0 (0 = default), got %d", cfg.Spines)
 	}
 	cfg = cfg.withDefaults()
-	g := NewGraph()
-	ls := &LeafSpine{Graph: g, Config: cfg}
-	ls.SpineIDs = make([]int, cfg.Spines)
+	leaves, spines := cfg.Leaves, cfg.Spines
+	b := newSizedGraph(leaves, spines, leaves*spines, nameLen("spine", max(leaves, spines)))
+	ls := &LeafSpine{Config: cfg}
+	ids := make([]int, spines+leaves)
+	ls.SpineIDs, ls.RackIDs = ids[:spines:spines], ids[spines:]
 	for i := range ls.SpineIDs {
-		ls.SpineIDs[i] = g.AddNode(Switch, fmt.Sprintf("spine-%d", i), -1, 1)
+		ls.SpineIDs[i] = b.node(Switch, -1, 1, leaves, "spine", i, -1)
 	}
-	ls.RackIDs = make([]int, cfg.Leaves)
 	for i := range ls.RackIDs {
-		ls.RackIDs[i] = g.AddNode(Rack, fmt.Sprintf("leaf-%d", i), i, 0)
+		ls.RackIDs[i] = b.node(Rack, i, 0, spines, "leaf", i, -1)
 		for _, sp := range ls.SpineIDs {
-			if err := g.AddLink(ls.RackIDs[i], sp, leafSpineCapacity, leafSpineDistance); err != nil {
+			if err := b.AddLink(ls.RackIDs[i], sp, leafSpineCapacity, leafSpineDistance); err != nil {
 				return nil, err
 			}
 		}
 	}
+	ls.Graph = b.graph()
 	return ls, nil
 }
