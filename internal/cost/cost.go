@@ -27,6 +27,7 @@ package cost
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -67,27 +68,35 @@ func (p Params) Validate() error {
 var ErrBandwidthBelowFloor = errors.New("cost: no path with bandwidth above threshold")
 
 // Model evaluates migration costs over one cluster. Construct with New;
-// call Refresh (or RefreshSources) after changing link bandwidths.
+// call Refresh (or RefreshSources, or MarkSources) after changing link
+// bandwidths.
 //
 // Queries may run from several goroutines at once, and a row they find
-// stale is swept once; Refresh and RefreshSources must not run
-// concurrently with queries or each other.
+// stale is swept once. A refresh can leave its rows pending (MarkSources):
+// then SweepPending calls on their own sweepers may sweep them beside the
+// queries, and a query that reads a pending row sweeps it itself, or waits
+// for the sweeper that claimed it. Whoever sweeps a row sweeps it against
+// the weights of the last refresh, so its bytes do not depend on who did.
+// Refresh, RefreshSources and MarkSources must not run concurrently with
+// queries, sweeps or each other.
 type Model struct {
 	params  Params
 	cluster *dcn.Cluster
 
 	// trans holds Σ (δT+ηP) along the cheapest path from every rack. Its
-	// weight vector is refilled by every refresh; its rows are swept on
-	// demand: swept[r] is the weight generation row r was last swept at,
-	// times two, plus one when the row is full. A full row is current iff
-	// that equals full(); a regional row (RefreshSources) one less, and
-	// then only for the racks of its region. mu serializes the sweeps
-	// queries trigger; the stamp is the lock-free fast path.
-	trans *topology.MultiSource
-	swept []atomic.Uint64
-	gen   uint64
-	mu    sync.Mutex
-	ready atomic.Bool // tables built (false until a deferred model's first use)
+	// weight vector is refilled by every refresh; its rows are swept when
+	// named or read: swept[r] is row r's stamp, the weight generation of its
+	// last state times four plus the state (rowPending…rowFull). A full row
+	// is current iff its stamp is stamp(rowFull); a regional one only for
+	// the racks of its region. mu serializes the sweeps on sweeper 0, the
+	// queries'; the stamp is the lock-free fast path, and a pending row's
+	// claim.
+	trans    *topology.MultiSource
+	swept    []atomic.Uint64
+	gen      uint64
+	regional bool // the last refresh's rows stop at their regions
+	mu       sync.Mutex
+	ready    atomic.Bool // tables built (false until a deferred model's first use)
 
 	// The regions of regional rows, per trans row, built on the row's first
 	// regional sweep and kept until the wiring or the hop radius changes:
@@ -106,7 +115,7 @@ type Model struct {
 	nbrs    []int
 	until   [][]int32 // RefreshSources scratch, parallel to rows
 
-	prepared, onDemand atomic.Uint64 // rows swept by refreshes / by queries
+	prepared, onDemand atomic.Uint64 // rows named by refreshes / swept in full by queries
 
 	// dist is Σ D(e) between racks, row-major by trans row. Distance does
 	// not depend on bandwidth, so it is swept only by the first read after
@@ -118,8 +127,16 @@ type Model struct {
 
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
 	structVer uint64            // Graph.StructVersion behind trans's rows and dist
-	rows      []int             // RefreshSources scratch
+	rows      []int             // the rows the last refresh named, in order
 }
+
+// The states of a trans row, the low two bits of its stamp.
+const (
+	rowPending  = iota // named by the last refresh, not swept yet
+	rowClaimed         // being swept by the one who claimed it
+	rowRegional        // swept for the racks of its region
+	rowFull            // swept in full
+)
 
 // New builds a cost model, computing rack-sourced shortest-path tables.
 func New(c *dcn.Cluster, p Params) (*Model, error) {
@@ -200,6 +217,29 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // regional sweep and kept until the wiring or hops change; in steady state
 // the call allocates nothing.
 func (m *Model) RefreshSources(rackNodes []int, hops int) {
+	m.MarkSources(rackNodes, hops, 1)
+	until := m.until[:0]
+	for _, r := range m.rows {
+		until = append(until, m.targets(r))
+	}
+	m.until = until
+	m.trans.SweepRowsUntil(m.rows, until)
+	for i, r := range m.rows {
+		m.publish(r, until[i])
+	}
+}
+
+// MarkSources is RefreshSources without the sweeps: it refills the
+// weights and builds the named rows' regions as RefreshSources does, and
+// leaves the rows pending. A pending row is swept by whoever claims it
+// first: a SweepPending call, or the first query that reads it, which
+// sweeps it inline; a query that finds it claimed waits for that sweep.
+// Either way the row is swept against this call's weights, into the bytes
+// RefreshSources gives it. sweepers readies the search states of that
+// many sweepers: 0 is the queries', 1…sweepers−1 are SweepPending's. A row
+// no one claims before the next refresh is swept in full by its first
+// query after it, as any stale row is.
+func (m *Model) MarkSources(rackNodes []int, hops, sweepers int) {
 	g := m.cluster.Graph
 	if !m.ready.Load() || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
@@ -214,37 +254,93 @@ func (m *Model) RefreshSources(rackNodes []int, hops int) {
 		m.distReady.Store(false)
 	}
 	m.trans.Reweigh(m.transCost)
+	m.trans.Sweepers(sweepers)
 	m.gen++
-	regional := hops >= 0 && m.trans.PositiveWeights()
-	rows, until := m.rows[:0], m.until[:0]
+	m.regional = hops >= 0 && m.trans.PositiveWeights()
+	rows := m.rows[:0]
 	for _, node := range rackNodes {
 		r := m.trans.Row(node)
-		if r < 0 || m.swept[r].Load()>>1 == m.gen {
+		if r < 0 || m.swept[r].Load()>>2 == m.gen {
 			continue
 		}
-		var wait []int32
-		if regional {
-			wait = m.region(r, hops)
+		if m.regional {
+			m.region(r, hops)
 		}
-		stamp := m.full()
-		if len(wait) > 0 {
-			stamp--
-		}
-		m.swept[r].Store(stamp)
-		rows, until = append(rows, r), append(until, wait)
+		m.swept[r].Store(m.stamp(rowPending))
+		rows = append(rows, r)
 	}
-	m.rows, m.until = rows, until
-	m.trans.SweepRowsUntil(rows, until)
+	m.rows = rows
 	m.prepared.Add(uint64(len(rows)))
 	m.ready.Store(true)
 }
 
-// full is the stamp of a row swept in full at the current weights.
-func (m *Model) full() uint64 { return m.gen<<1 | 1 }
+// SweepPending sweeps, on sweeper k (1 ≤ k < the sweepers MarkSources
+// readied), the rows the last MarkSources left pending, from the back of
+// its list: each it claims first, and a row someone else has claimed is
+// theirs. It may run at the same time as queries and as other sweepers'
+// SweepPending calls.
+func (m *Model) SweepPending(k int) {
+	pending, claimed := m.stamp(rowPending), m.stamp(rowClaimed)
+	for i := len(m.rows) - 1; i >= 0; i-- {
+		if r := m.rows[i]; m.swept[r].CompareAndSwap(pending, claimed) {
+			m.sweep(k, r)
+		}
+	}
+}
 
-// region returns the nodes trans row r's regional sweep waits for under
-// the hop radius, building the row's region on first use.
-func (m *Model) region(r, hops int) []int32 {
+// stamp is the stamp of a row in the given state at the current weights.
+func (m *Model) stamp(state uint64) uint64 { return m.gen<<2 | state }
+
+// targets returns the nodes the sweep of trans row r, named by the last
+// refresh, waits for: its region's when the refresh was regional, none (a
+// full row) when not.
+func (m *Model) targets(r int) []int32 {
+	if m.regional {
+		return m.waitFor[r]
+	}
+	return nil
+}
+
+// publish stamps trans row r swept against its targets: the store is what
+// a reader's load of the stamp synchronizes with.
+func (m *Model) publish(r int, targets []int32) {
+	state := uint64(rowFull)
+	if len(targets) > 0 {
+		state = rowRegional
+	}
+	m.swept[r].Store(m.stamp(state))
+}
+
+// sweep sweeps trans row r, named by the last refresh, on sweeper k, and
+// publishes it.
+func (m *Model) sweep(k, r int) {
+	targets := m.targets(r)
+	m.trans.SweepRowOn(k, r, targets)
+	m.publish(r, targets)
+}
+
+// claim settles trans row r, pending or claimed at the current weights,
+// and returns its stamp: it sweeps the row on the queries' sweeper when
+// it claims it first, and otherwise waits for the sweep of whoever did.
+func (m *Model) claim(r int) uint64 {
+	pending, claimed := m.stamp(rowPending), m.stamp(rowClaimed)
+	if m.swept[r].CompareAndSwap(pending, claimed) {
+		m.mu.Lock()
+		m.sweep(0, r)
+		m.mu.Unlock()
+	}
+	for {
+		if s := m.swept[r].Load(); s != claimed {
+			return s
+		}
+		runtime.Gosched()
+	}
+}
+
+// region builds trans row r's region under the hop radius, on the row's
+// first regional sweep at that radius: the nodes its sweep waits for
+// (waitFor[r]) and the racks it answers for (serves).
+func (m *Model) region(r, hops int) {
 	g := m.cluster.Graph
 	racks := g.RackNodes() // trans's sources, in row order
 	if m.built == nil || hops != m.hops {
@@ -265,7 +361,6 @@ func (m *Model) region(r, hops int) []int32 {
 		}
 		m.built[r], m.waitFor[r] = true, m.arena[start:len(m.arena):len(m.arena)]
 	}
-	return m.waitFor[r]
 }
 
 // inRegion reports whether trans row r, swept regionally, answers for the
@@ -331,27 +426,33 @@ func (m *Model) distance(dist []float64, a, b int) float64 {
 	return dist[i*len(m.swept)+j]
 }
 
-// SweepCounts returns how many transmission rows have been swept ahead of
-// use by Refresh/RefreshSources and how many on demand by a query that
-// found its row stale. A high on-demand share means the caller of
-// RefreshSources is naming the wrong racks.
+// SweepCounts returns how many transmission rows have been named ahead of
+// use by a refresh (Refresh, RefreshSources, MarkSources), whoever swept
+// them, and how many were swept on demand by a query that found its row
+// stale. A high on-demand share means the refresh's caller is naming the
+// wrong racks.
 func (m *Model) SweepCounts() (prepared, onDemand uint64) {
 	return m.prepared.Load(), m.onDemand.Load()
 }
 
 // transFor returns the transmission table with the row of the source rack
-// node current for dst, sweeping it in full first when it is stale, or
-// regional for a region dst is not in. That sweep writes no entry a
-// regional one left final, so queries reading the regional row meanwhile
-// are undisturbed.
+// node current for dst. A pending row is claimed and swept as the refresh
+// named it, or waited for (claim); a stale row, or a regional one read for
+// a rack outside its region, is then swept in full. That sweep writes no
+// entry a regional one left final, so queries reading the regional row
+// meanwhile are undisturbed.
 func (m *Model) transFor(src, dst int) *topology.MultiSource {
 	m.ensure()
 	r := m.trans.Row(src)
 	if r < 0 {
 		return m.trans
 	}
-	full := m.full()
-	if s := m.swept[r].Load(); s == full || s == full-1 && m.inRegion(r, dst) {
+	s := m.swept[r].Load()
+	if s>>2 == m.gen && s&3 < rowRegional {
+		s = m.claim(r)
+	}
+	full := m.stamp(rowFull)
+	if s == full || s == m.stamp(rowRegional) && m.inRegion(r, dst) {
 		return m.trans
 	}
 	m.mu.Lock()

@@ -13,13 +13,18 @@
 // Flow records are recycled the same way: RemoveFlow puts the *Flow on a
 // free list and AddFlow takes it off again, so an admission after a
 // removal allocates nothing at all, and a removed *Flow may come back as
-// another flow. Hold a flow by its ID across a RemoveFlow, not by pointer.
+// another flow. A *Flow is a handle to its flow while the flow is live:
+// SetRate and Reroute check it in O(1), and refuse a removed record on the
+// free list. One held across a RemoveFlow must be dropped there with the
+// ID, as the runtime's edge table does: once AddFlow recycles the record,
+// the handle names the new flow.
 package flow
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -40,8 +45,9 @@ type Flow struct {
 	Rate           float64 // offered rate in capacity units
 	DelaySensitive bool
 
-	path  []int // current route, inclusive of endpoints
-	edges []int // the route's directed-edge IDs: edges[i] is path[i]→path[i+1]
+	path  []int    // current route, inclusive of endpoints
+	edges []int    // the route's directed-edge IDs: edges[i] is path[i]→path[i+1]
+	net   *Network // the network the flow is live in; nil once removed
 }
 
 // Path returns the flow's current route (nil if unrouted). The slice is
@@ -191,8 +197,8 @@ var ErrNoRoute = errors.New("flow: no route between endpoints")
 // (shortest by transmission-aware cost: load-sensitive, so successive
 // flows naturally spread across equal-cost Fat-Tree paths).
 func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flow, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("flow: rate must be > 0, got %v", rate)
+	if err := checkRate(rate); err != nil {
+		return nil, err
 	}
 	if src == dst {
 		return nil, errors.New("flow: src == dst")
@@ -208,11 +214,20 @@ func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flo
 	} else {
 		f = new(Flow)
 	}
-	*f = Flow{ID: n.nextID, Src: src, Dst: dst, Rate: rate, DelaySensitive: delaySensitive}
+	*f = Flow{ID: n.nextID, Src: src, Dst: dst, Rate: rate, DelaySensitive: delaySensitive, net: n}
 	n.nextID++
 	n.flows = append(n.flows, f)
 	n.applyPath(f, path, edges)
 	return f, nil
+}
+
+// checkRate refuses a rate that is not a positive finite number: no link
+// load summed from it would be a load.
+func checkRate(rate float64) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("flow: rate must be a positive finite number, got %v", rate)
+	}
+	return nil
 }
 
 // routeCost is the routing metric: distance-dominant with a load-dependent
@@ -392,7 +407,7 @@ func (n *Network) clearPath(f *Flow) {
 }
 
 // owns reports whether f is a live flow of this network.
-func (n *Network) owns(f *Flow) bool { return f != nil && n.Flow(f.ID) == f }
+func (n *Network) owns(f *Flow) bool { return f != nil && f.net == n }
 
 // SetRate changes a flow's offered rate in place, adjusting the load on
 // its current path without re-routing it.
@@ -400,8 +415,8 @@ func (n *Network) SetRate(f *Flow, rate float64) error {
 	if !n.owns(f) {
 		return errors.New("flow: unknown flow")
 	}
-	if rate <= 0 {
-		return fmt.Errorf("flow: rate must be > 0, got %v", rate)
+	if err := checkRate(rate); err != nil {
+		return err
 	}
 	delta := rate - f.Rate
 	load := n.loads()
@@ -434,6 +449,7 @@ func (n *Network) RemoveFlow(id int) {
 	n.clearPath(f)
 	n.recycle(path, edges)
 	n.flows = slices.Delete(n.flows, i, i+1)
+	f.net = nil
 	n.spare = append(n.spare, f)
 }
 

@@ -304,3 +304,55 @@ func TestLinkUtilizationMissingLink(t *testing.T) {
 		t.Fatalf("missing link utilization = %v", u)
 	}
 }
+
+// TestRemovedHandleRefused: a *Flow held across its RemoveFlow is refused
+// by SetRate and Reroute, also after a later AddFlow has recycled another
+// removed record, and the refusal leaves every load as it was. The
+// recycled record is the new flow's handle.
+func TestRemovedHandleRefused(t *testing.T) {
+	ft := fatTree(t, 4)
+	n := NewNetwork(ft.Graph)
+	src, dst := ft.RackIDs[0][0], ft.RackIDs[1][0]
+	stale, err := n.AddFlow(src, dst, 0.3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := n.AddFlow(src, dst, 0.2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.RemoveFlow(stale.ID)
+	n.RemoveFlow(other.ID)
+	refused := func(when string) {
+		t.Helper()
+		if err := n.SetRate(stale, 0.5); err == nil {
+			t.Fatalf("%s: SetRate accepted a removed flow's handle", when)
+		}
+		if err := n.Reroute(stale, nil); err == nil {
+			t.Fatalf("%s: Reroute accepted a removed flow's handle", when)
+		}
+	}
+	refused("after RemoveFlow")
+
+	kept, err := n.AddFlow(src, dst, 0.4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != other {
+		t.Fatal("AddFlow did not recycle the last removed record")
+	}
+	p := kept.Path()
+	refused("after a recycling AddFlow")
+	if got := n.LinkLoad(p[0], p[1]); math.Abs(got-0.4) > 1e-12 {
+		t.Fatalf("link load = %v after refusals, want the live flow's 0.4", got)
+	}
+	if err := n.SetRate(kept, 0.6); err != nil {
+		t.Fatalf("the recycled record is the new flow's handle: %v", err)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewNetwork(ft.Graph).SetRate(kept, 0.5); err == nil {
+		t.Fatal("another network accepted a flow it does not hold")
+	}
+}

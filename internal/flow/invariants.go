@@ -26,7 +26,10 @@ import (
 //   - no two live flows' routes share storage, and no live flow's route is
 //     on the free list, nor any route twice: a route reused while still
 //     read shows up here before it corrupts a load. Likewise no live flow's
-//     record is on the spare list, nor any record twice.
+//     record is on the spare list, nor any record twice;
+//   - every live flow's record is marked live in this network, and no
+//     spare record is marked live, so that SetRate and Reroute accept
+//     exactly the live flows.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and
 // debugging, not for the per-period path.
@@ -136,11 +139,17 @@ func (n *Network) checkStorage() error {
 	}
 	records := make(map[*Flow]bool, len(n.flows)+len(n.spare))
 	for _, f := range n.flows {
+		if f.net != n {
+			return fmt.Errorf("flow: live flow %d is not marked live in this network", f.ID)
+		}
 		records[f] = true
 	}
 	for i, f := range n.spare {
 		if records[f] {
 			return fmt.Errorf("flow: spare record %d is live or listed twice (flow %d)", i, f.ID)
+		}
+		if f.net != nil {
+			return fmt.Errorf("flow: spare record %d (flow %d) is still marked live", i, f.ID)
 		}
 		records[f] = true
 	}

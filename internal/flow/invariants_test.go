@@ -200,6 +200,17 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	if n.CheckInvariants() == nil {
 		t.Error("record on the spare list twice not reported")
 	}
+	n, f = fresh()
+	n.RemoveFlow(f.ID)
+	f.net = n
+	if n.CheckInvariants() == nil {
+		t.Error("spare record still marked live not reported")
+	}
+	n, f = fresh()
+	f.net = nil
+	if n.CheckInvariants() == nil {
+		t.Error("live flow not marked live not reported")
+	}
 
 	// Two flows over the one route of a line: sharing storage leaves every
 	// other clause true.

@@ -173,8 +173,8 @@ func (n *Network) Restore(snap *Snapshot) error {
 		if id >= snap.NextID {
 			return fmt.Errorf("flow: snapshot flow id %d not below next_id %d", id, snap.NextID)
 		}
-		if !(rates[i] > 0) { // as AddFlow and SetRate
-			return fmt.Errorf("flow: snapshot flow %d has rate %v, want > 0", id, rates[i])
+		if checkRate(rates[i]) != nil { // as AddFlow and SetRate
+			return fmt.Errorf("flow: snapshot flow %d has rate %v, want a positive finite number", id, rates[i])
 		}
 		edges, err := n.pathEdges(id, fc.Src[i], fc.Dst[i], path(i))
 		if err != nil {
@@ -184,7 +184,7 @@ func (n *Network) Restore(snap *Snapshot) error {
 	}
 	covered := make([]bool, len(n.loads())) // links some restored path crosses
 	for i, id := range fc.ID {
-		f := &Flow{ID: id, Src: fc.Src[i], Dst: fc.Dst[i], Rate: rates[i], DelaySensitive: fc.DelaySensitive[i]}
+		f := &Flow{ID: id, Src: fc.Src[i], Dst: fc.Dst[i], Rate: rates[i], DelaySensitive: fc.DelaySensitive[i], net: n}
 		if p := path(i); len(p) > 0 {
 			n.applyPath(f, slices.Clone(p), routes[i])
 			n.longest = max(n.longest, len(p))

@@ -5,9 +5,11 @@
 // offline search that a measured speedup keeps parallel, and a trace
 // Generator's batch of source pre-passes, which runs once, at a fleet's
 // first read after start-up or restart (BenchmarkGeneratorOpenRead in
-// internal/traces at -cpu 1,2). Every other phase (the ingest drain, the
-// cost model's row sweeps, the predictor's candidate fits) runs on its
-// caller.
+// internal/traces at -cpu 1,2). The cost model's row sweeps run on the
+// runtime's Shards: its manage round runs the shims on shard 0 while the
+// other shards sweep the rows the shims are about to read. Every other
+// phase (the ingest drain, the predictor's candidate fits, a refresh
+// outside the runtime) runs on its caller.
 //
 // Pool is deliberately minimal: work is distributed over item indices
 // through an atomic counter, the calling goroutine participates as one of

@@ -235,6 +235,7 @@ func build(cluster *dcn.Cluster, model *cost.Model, opts Options, admission map[
 	sh.predictFn = r.predictShard
 	sh.flowsFn = r.flowShard
 	sh.monitorFn = r.monitorShard
+	sh.manageFn = r.manageShard
 	r.buildEdges(nil)
 	return r, nil
 }
@@ -259,9 +260,10 @@ type ExternalUpdate = traces.Update
 // before any of it is written: an unknown VM ID or a profile with a NaN or
 // ±Inf component is an error, and then the runtime is left as it was and
 // the period does not advance. A VM listed twice takes its last profile.
-// Prediction and monitoring fan out over the engine's shard workers;
-// management is serialized, every shim's round in the one
-// migrate.Workspace the runtime keeps.
+// Prediction and monitoring fan out over the engine's shard workers.
+// Management runs the shims in rack order on the caller, every shim's
+// round in the one migrate.Workspace the runtime keeps, while the other
+// shard workers sweep the cost rows the shims will read.
 //
 // The stats are returned by value. Once every rack's shim exists and the
 // engine, flow and workspace memory has grown to the fabric's high-water
@@ -285,15 +287,25 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (StepStats, error) {
 }
 
 // CheckInvariants verifies what must hold between two steps: the cluster's
-// placement state (dcn.Cluster.CheckInvariants) and the traffic plane's
-// bookkeeping (flow.Network.CheckInvariants). The error names the violated
-// invariant. It costs a walk of every host, VM, flow and link: for tests and
-// `sheriffd -check`, not for the period loop of a production run.
+// placement state (dcn.Cluster.CheckInvariants), the traffic plane's
+// bookkeeping (flow.Network.CheckInvariants), and that every dependency
+// pair holding a flow holds the live flow of its ID by its handle. The
+// error names the violated invariant. It costs a walk of every host, VM,
+// flow, pair and link: for tests and `sheriffd -check`, not for the period
+// loop of a production run.
 func (r *Runtime) CheckInvariants() error {
 	if err := r.Cluster.CheckInvariants(); err != nil {
 		return err
 	}
-	return r.Flows.CheckInvariants()
+	if err := r.Flows.CheckInvariants(); err != nil {
+		return err
+	}
+	for _, e := range r.sh.edges {
+		if (e.f == nil) != (e.flow < 0) || e.f != nil && r.Flows.Flow(e.flow) != e.f {
+			return fmt.Errorf("runtime: pair (%d,%d) holds flow %d by a handle that is not that live flow's", e.a, e.b, e.flow)
+		}
+	}
+	return nil
 }
 
 // DeepReady reports whether the rack's deep forecasting pool has been

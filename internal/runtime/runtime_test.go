@@ -250,3 +250,51 @@ func TestRuntimeStepConcurrencyManyRacks(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowRateOutsideDomainWantsNoFlow: a pair whose FlowRate is not a
+// positive finite number wants no flow, so the flow it held is withdrawn
+// rather than left at its last rate. Here the rate is 0 below TRF 0.5, so
+// on a surge run pairs cross into and out of the zero rate. After every
+// period each flow must be held by its pair at the pair's rate, and the
+// runtime's invariants must hold.
+func TestFlowRateOutsideDomainWantsNoFlow(t *testing.T) {
+	rate := func(trf float64) float64 {
+		if trf < 0.5 {
+			return 0
+		}
+		return 0.05 + 0.4*trf
+	}
+	r := drive(buildEquivRuntime(t, 23, Options{Shards: 2, FlowRate: rate, Traces: traces.Options{Kind: traces.Surge,
+		Surge: traces.SurgeParams{MeanDwell: 4, Intensity: 1.5}}}))
+	zeroed, carried := 0, 0
+	for period := 0; period < 60; period++ {
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+		held := make(map[int]bool)
+		for _, e := range r.sh.edges {
+			if e.src >= 0 && e.srcNode != e.dstNode && e.rate == 0 {
+				zeroed++
+			}
+			if e.f == nil {
+				continue
+			}
+			held[e.flow] = true
+			if e.f.Rate != e.rate {
+				t.Fatalf("period %d: pair (%d,%d) rates %v, its flow %d carries %v", period, e.a, e.b, e.rate, e.flow, e.f.Rate)
+			}
+		}
+		for _, f := range r.Flows.Flows() {
+			if !held[f.ID] {
+				t.Fatalf("period %d: flow %d is held by no pair", period, f.ID)
+			}
+			carried++
+		}
+	}
+	if zeroed == 0 || carried == 0 {
+		t.Fatalf("over 60 periods %d cross-rack pairs rated 0 and %d flows were carried: the rate never crossed its threshold both ways", zeroed, carried)
+	}
+}

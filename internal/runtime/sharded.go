@@ -15,12 +15,14 @@ package runtime
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/dcn"
+	"sheriff/internal/flow"
 	"sheriff/internal/migrate"
 	"sheriff/internal/obs"
 	"sheriff/internal/pool"
@@ -63,10 +65,11 @@ func clamp01(v float64) float64 {
 // plane by: one per dependency pair with an endpoint in the engine, and one
 // per other pair still holding a flow, in ascending (a, b) order.
 type edge struct {
-	a, b int   // the pair; a < b for a dependency
-	src  int32 // engine index of the endpoint met first, whose TRF sets the rate; -1 never wants a flow
-	peer int   // the other endpoint's VM ID
-	flow int   // the flow carrying the pair, or -1
+	a, b int        // the pair; a < b for a dependency
+	src  int32      // engine index of the endpoint met first, whose TRF sets the rate; -1 never wants a flow
+	peer int        // the other endpoint's VM ID
+	flow int        // the flow carrying the pair, or -1
+	f    *flow.Flow // that flow's handle, nil with flow -1
 
 	want, ds         bool // this period's wish, as the scatter (flowShard) wrote it
 	srcNode, dstNode int
@@ -118,12 +121,18 @@ type shardState struct {
 	edges       []edge // phase 2's dependency-edge table
 	depsVersion uint64 // G_d's Version when edges was built
 
-	sourceBuf []int // manage-phase scratch: rack nodes handed to RefreshSources
+	sourceBuf []int // manage-phase scratch: rack nodes handed to MarkSources
+
+	// The manage round's results, written by shard 0 (manageShard).
+	migrations    int
+	migrationCost float64
+	manageErr     error
 
 	// Prebuilt phase closures (method values) so Shards.Do never allocates.
 	predictFn func(int)
 	flowsFn   func(int)
 	monitorFn func(int)
+	manageFn  func(int)
 }
 
 // newShardState builds the engine's state over the cluster's VMs, each in
@@ -235,7 +244,8 @@ func newShardState(cluster *dcn.Cluster, admission map[int]int, shards int, deep
 // buildEdges builds the edge table from G_d as it stands; a pair's rate
 // comes from the endpoint met first in rack-major order. flows lists the
 // pairs holding a flow as [a, b, flowID]; a non-dependency keeps its flow
-// in a slot that never wants one.
+// in a slot that never wants one. Each flow ID is resolved to its handle
+// here, once; a flow the network does not hold leaves its pair without.
 func (r *Runtime) buildEdges(flows [][3]int) {
 	sh := r.sh
 	edges := make([]edge, 0, len(sh.edges))
@@ -260,6 +270,13 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 		}
 	}
 	sh.edges = slices.CompactFunc(edges, func(x, y edge) bool { return x.a == y.a && x.b == y.b })
+	for k := range sh.edges {
+		if e := &sh.edges[k]; e.flow >= 0 {
+			if e.f = r.Flows.Flow(e.flow); e.f == nil {
+				e.flow = -1
+			}
+		}
+	}
 	sh.depsVersion = r.Cluster.Deps.Version()
 }
 
@@ -383,8 +400,10 @@ func (r *Runtime) flowShard(s int) {
 			continue
 		}
 		e.srcNode, e.dstNode = vm.Host().Rack().NodeID, peer.Host().Rack().NodeID
-		e.want = e.srcNode != e.dstNode // intra-rack traffic never crosses the fabric
 		e.rate = r.opts.FlowRate(sh.cur[e.src].TRF)
+		// Intra-rack traffic never crosses the fabric, and a rate that is
+		// not a positive finite number is no traffic a link could carry.
+		e.want = e.srcNode != e.dstNode && e.rate > 0 && e.rate <= math.MaxFloat64
 		e.ds = vm.DelaySensitive || peer.DelaySensitive
 	}
 	sh.dur[s] = time.Since(start)
@@ -393,8 +412,9 @@ func (r *Runtime) flowShard(s int) {
 // syncFlows is phase 2: the edge table rebuilt if G_d changed, the scatter,
 // then two passes in pair order — drop, re-create or re-rate the flows
 // held, then admit the pairs that want one — so load sums and flow IDs do
-// not depend on the shard count.
-func (r *Runtime) syncFlows() {
+// not depend on the shard count. A pair reaches its flow by the handle
+// it holds, and drops the handle with the flow.
+func (r *Runtime) syncFlows() error {
 	sh := r.sh
 	if r.Cluster.Deps.Version() != sh.depsVersion {
 		r.buildEdges(r.flowPairs())
@@ -402,32 +422,33 @@ func (r *Runtime) syncFlows() {
 	sh.workers.Do(sh.flowsFn)
 	for k := range sh.edges {
 		e := &sh.edges[k]
-		if e.flow < 0 {
+		f := e.f
+		if f == nil {
 			continue
 		}
-		f := r.Flows.Flow(e.flow)
-		if f == nil || !e.want || f.Src != e.srcNode || f.Dst != e.dstNode {
-			if f != nil {
-				r.Flows.RemoveFlow(e.flow)
-			}
-			e.flow = -1
+		if !e.want || f.Src != e.srcNode || f.Dst != e.dstNode {
+			r.Flows.RemoveFlow(e.flow)
+			e.flow, e.f = -1, nil
 			continue
 		}
 		if f.Rate != e.rate {
-			_ = r.Flows.SetRate(f, e.rate)
+			if err := r.Flows.SetRate(f, e.rate); err != nil {
+				return fmt.Errorf("runtime: pair (%d,%d): %w", e.a, e.b, err)
+			}
 		}
 	}
 	for k := range sh.edges {
 		e := &sh.edges[k]
-		if !e.want || e.flow >= 0 {
+		if !e.want || e.f != nil {
 			continue
 		}
 		f, err := r.Flows.AddFlow(e.srcNode, e.dstNode, e.rate, e.ds)
 		if err != nil {
 			continue // unroutable pairs are skipped, not fatal
 		}
-		e.flow = f.ID
+		e.flow, e.f = f.ID, f
 	}
+	return nil
 }
 
 // flowPairs lists the pairs holding a flow as [a, b, flowID], in pair order.
@@ -570,6 +591,42 @@ func (r *Runtime) costSources() []int {
 	return out
 }
 
+// manageShard is phase 4's round. Shard 0 runs the shims of the racks
+// with alerts, in rack order, and stops at the first error; the other
+// shards sweep the cost rows MarkSources left pending.
+func (r *Runtime) manageShard(s int) {
+	if s > 0 {
+		r.Model.SweepPending(s)
+		return
+	}
+	sh, rec := r.sh, r.opts.Recorder
+	for idx := range sh.alertsByRack {
+		if len(sh.alertsByRack[idx]) == 0 {
+			continue
+		}
+		shim := r.shims[idx]
+		if shim == nil {
+			var err error
+			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.mig, &r.ws)
+			if err != nil {
+				sh.manageErr = fmt.Errorf("runtime: shim %d: %w", idx, err)
+				return
+			}
+			r.shims[idx] = shim
+		}
+		shimStart := time.Now()
+		rep, err := shim.ProcessAlerts(sh.alertsByRack[idx])
+		if err != nil {
+			sh.manageErr = fmt.Errorf("runtime: shim %d: %w", idx, err)
+			return
+		}
+		rec.Record(obs.Event{Kind: obs.KindManage, Phase: "manage",
+			Shim: idx, VM: -1, Host: -1, Value: time.Since(shimStart).Seconds()})
+		sh.migrations += len(rep.Migrations)
+		sh.migrationCost += rep.TotalCost
+	}
+}
+
 // advanceSharded is the sharded step body.
 func (r *Runtime) advanceSharded() (StepStats, error) {
 	sh := r.sh
@@ -586,7 +643,9 @@ func (r *Runtime) advanceSharded() (StepStats, error) {
 
 	// Phase 2 (shard round + serialized merge): traffic plane.
 	phaseStart = time.Now()
-	r.syncFlows()
+	if err := r.syncFlows(); err != nil {
+		return StepStats{}, err
+	}
 	stats.Timings.Flows = time.Since(phaseStart)
 	r.recordShardedPhase(rec, 1, "flows", stats.Timings.Flows)
 
@@ -622,42 +681,28 @@ func (r *Runtime) advanceSharded() (StepStats, error) {
 		}
 	}
 
-	// Phase 4 (serialized): management. A rack participates when it has
-	// fresh alerts; its shim is built on its first.
+	// Phase 4 (shard round): management. A rack participates when it has
+	// fresh alerts; its shim is built on its first. Phase 2 moved the link
+	// loads the cost tables were priced on, so they are re-priced first.
+	// Sheriff is regional: a shim prices moves out of its own rack into its
+	// dominating region only, so only the rows of the racks about to ask
+	// are named, each to be swept only as far as its region. Shard 0 runs
+	// the shims in rack order and sweeps a named row the first time it
+	// reads it; the other shards sweep the named rows from the back of the
+	// list meanwhile. A source the list missed, or a read outside the
+	// region, is swept in full by its first query, against the same
+	// weights.
 	phaseStart = time.Now()
-	stale := true // phase 2 moved the link loads the cost tables were priced on
-	for idx := range sh.alertsByRack {
-		if len(sh.alertsByRack[idx]) == 0 {
-			continue
+	if slices.ContainsFunc(sh.alertsByRack, func(a []alert.Alert) bool { return len(a) > 0 }) {
+		r.Flows.UpdateGraphBandwidth()
+		r.Model.MarkSources(r.costSources(), r.mig.NeighborSwitchHops, sh.n)
+		sh.migrations, sh.migrationCost = 0, 0
+		sh.workers.Do(sh.manageFn)
+		if err := sh.manageErr; err != nil {
+			sh.manageErr = nil
+			return StepStats{}, err
 		}
-		if stale {
-			// Sheriff is regional: a shim prices moves out of its own rack
-			// into its dominating region only, so the cost tables are swept
-			// from the racks about to ask, each only as far as its region.
-			// A source the list missed, or a read outside the region, would
-			// be swept in full by its first query, against the same weights.
-			r.Flows.UpdateGraphBandwidth()
-			r.Model.RefreshSources(r.costSources(), r.mig.NeighborSwitchHops)
-			stale = false
-		}
-		shim := r.shims[idx]
-		if shim == nil {
-			var err error
-			shim, err = migrate.NewShim(r.Cluster, r.Model, r.Cluster.Racks[idx], r.mig, &r.ws)
-			if err != nil {
-				return StepStats{}, fmt.Errorf("runtime: shim %d: %w", idx, err)
-			}
-			r.shims[idx] = shim
-		}
-		shimStart := time.Now()
-		rep, err := shim.ProcessAlerts(sh.alertsByRack[idx])
-		if err != nil {
-			return StepStats{}, fmt.Errorf("runtime: shim %d: %w", idx, err)
-		}
-		rec.Record(obs.Event{Kind: obs.KindManage, Phase: "manage",
-			Shim: idx, VM: -1, Host: -1, Value: time.Since(shimStart).Seconds()})
-		stats.Migrations += len(rep.Migrations)
-		stats.MigrationCost += rep.TotalCost
+		stats.Migrations, stats.MigrationCost = sh.migrations, sh.migrationCost
 	}
 	stats.Timings.Manage = time.Since(phaseStart)
 	rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "manage",

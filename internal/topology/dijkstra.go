@@ -28,11 +28,12 @@ type MultiSource struct {
 	rank    []int32    // node ID → row index, -1 when not a source
 	tree    []treeNode // len(sources) interleaved (dist, parent) rows of n
 
-	weights  []wEdge   // interleaved (cost, dst) vector of the last Reweigh
-	minIn    []float64 // node ID → a lower bound on every weight into it
-	positive bool      // every weight > 0 (Inf included): stopped sweeps are exact
-	scratch  *sweepScratch
-	spare    []treeNode // CompleteRow's row, swept aside
+	weights  []wEdge         // interleaved (cost, dst) vector of the last Reweigh
+	minIn    []float64       // node ID → a lower bound on every weight into it
+	positive bool            // every weight > 0 (Inf included): stopped sweeps are exact
+	scratch  *sweepScratch   // sweeper 0's search state, the one every sweep but SweepRowOn's runs on
+	others   []*sweepScratch // sweepers 1…: SweepRowOn's, readied by Sweepers
+	spare    []treeNode      // CompleteRow's row, swept aside
 
 	searches, settled int // SweepRowTo calls and the nodes they settled
 }
@@ -207,14 +208,49 @@ func (ms *MultiSource) CompleteRow(row int) {
 	}
 }
 
-// SweptNodes returns how many nodes the full and stopped sweeps
-// (SweepRows, SweepRowsUntil, CompleteRow, DijkstraFrom) have settled in
-// total: divided by the rows swept, the work of one row.
-func (ms *MultiSource) SweptNodes() int {
-	if ms.scratch == nil {
-		return 0
+// Sweepers readies the search states of n sweepers, each grown to the
+// bound graph. Sweeper 0 is the table's own state, which every sweep but
+// SweepRowOn's runs on; sweepers 1…n−1 exist for SweepRowOn alone. Call it
+// on one goroutine, before the sweeps that run at once.
+func (ms *MultiSource) Sweepers(n int) {
+	ms.ensureScratch()
+	for len(ms.others) < n-1 {
+		ms.others = append(ms.others, &sweepScratch{})
 	}
-	return ms.scratch.swept
+	for _, sc := range ms.others[:max(n-1, 0)] {
+		sc.ensure(ms.n, len(ms.c.dstID))
+	}
+}
+
+// SweepRowOn is SweepRowsUntil for one row, on sweeper k's search state
+// (Sweepers). Calls on distinct sweepers for distinct rows may run at the
+// same time, as may reads of rows no call is sweeping: a row is its own
+// stretch of the table, and the weights are only read. Sweeper 0's state
+// is shared with every other kind of sweep, so its calls must not overlap
+// those.
+func (ms *MultiSource) SweepRowOn(k, row int, waitFor []int32) {
+	var sc *sweepScratch
+	if k == 0 {
+		sc = ms.ensureScratch()
+	} else {
+		sc = ms.others[k-1]
+	}
+	sc.sweep(ms.c, ms.sources[row], ms.weights, ms.minIn, ms.tree[row*ms.n:(row+1)*ms.n], waitFor)
+}
+
+// SweptNodes returns how many nodes the full and stopped sweeps
+// (SweepRows, SweepRowsUntil, SweepRowOn, CompleteRow, DijkstraFrom) have
+// settled in total, over every sweeper: divided by the rows swept, the
+// work of one row.
+func (ms *MultiSource) SweptNodes() int {
+	total := 0
+	if ms.scratch != nil {
+		total = ms.scratch.swept
+	}
+	for _, sc := range ms.others {
+		total += sc.swept
+	}
+	return total
 }
 
 // SweepRowTo is the point-to-point form of SweepRows: it runs one row's
