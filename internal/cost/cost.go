@@ -113,7 +113,6 @@ type Model struct {
 	arena   []int32
 	walk    topology.NeighborScratch
 	nbrs    []int
-	until   [][]int32 // RefreshSources scratch, parallel to rows
 
 	prepared, onDemand atomic.Uint64 // rows named by refreshes / swept in full by queries
 
@@ -218,14 +217,8 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // the call allocates nothing.
 func (m *Model) RefreshSources(rackNodes []int, hops int) {
 	m.MarkSources(rackNodes, hops, 1)
-	until := m.until[:0]
 	for _, r := range m.rows {
-		until = append(until, m.targets(r))
-	}
-	m.until = until
-	m.trans.SweepRowsUntil(m.rows, until)
-	for i, r := range m.rows {
-		m.publish(r, until[i])
+		m.sweep(0, r)
 	}
 }
 
@@ -301,22 +294,17 @@ func (m *Model) targets(r int) []int32 {
 	return nil
 }
 
-// publish stamps trans row r swept against its targets: the store is what
-// a reader's load of the stamp synchronizes with.
-func (m *Model) publish(r int, targets []int32) {
+// sweep sweeps trans row r, named by the last refresh, on sweeper k, and
+// stamps it swept: the store is what a reader's load of the stamp
+// synchronizes with.
+func (m *Model) sweep(k, r int) {
+	targets := m.targets(r)
+	m.trans.SweepRowOn(k, r, targets)
 	state := uint64(rowFull)
 	if len(targets) > 0 {
 		state = rowRegional
 	}
 	m.swept[r].Store(m.stamp(state))
-}
-
-// sweep sweeps trans row r, named by the last refresh, on sweeper k, and
-// publishes it.
-func (m *Model) sweep(k, r int) {
-	targets := m.targets(r)
-	m.trans.SweepRowOn(k, r, targets)
-	m.publish(r, targets)
 }
 
 // claim settles trans row r, pending or claimed at the current weights,

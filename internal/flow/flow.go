@@ -15,8 +15,8 @@
 // removal allocates nothing at all, and a removed *Flow may come back as
 // another flow. A *Flow is a handle to its flow while the flow is live:
 // SetRate and Reroute check it in O(1), and refuse a removed record on the
-// free list. One held across a RemoveFlow must be dropped there with the
-// ID, as the runtime's edge table does: once AddFlow recycles the record,
+// free list. One held across a RemoveFlow must be dropped there, as the
+// runtime's edge table does: once AddFlow recycles the record,
 // the handle names the new flow.
 package flow
 
@@ -221,10 +221,14 @@ func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flo
 	return f, nil
 }
 
-// checkRate refuses a rate that is not a positive finite number: no link
-// load summed from it would be a load.
+// ValidRate reports whether rate is a positive finite number, the only
+// rates AddFlow and SetRate take: no link load summed from another would be
+// a load.
+func ValidRate(rate float64) bool { return rate > 0 && !math.IsInf(rate, 1) }
+
+// checkRate refuses a rate ValidRate does not take.
 func checkRate(rate float64) error {
-	if !(rate > 0) || math.IsInf(rate, 1) {
+	if !ValidRate(rate) {
 		return fmt.Errorf("flow: rate must be a positive finite number, got %v", rate)
 	}
 	return nil

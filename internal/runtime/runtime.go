@@ -289,7 +289,7 @@ func (r *Runtime) StepExternal(updates []ExternalUpdate) (StepStats, error) {
 // CheckInvariants verifies what must hold between two steps: the cluster's
 // placement state (dcn.Cluster.CheckInvariants), the traffic plane's
 // bookkeeping (flow.Network.CheckInvariants), and that every dependency
-// pair holding a flow holds the live flow of its ID by its handle. The
+// pair's flow handle is a live flow of the network. The
 // error names the violated invariant. It costs a walk of every host, VM,
 // flow, pair and link: for tests and `sheriffd -check`, not for the period
 // loop of a production run.
@@ -301,8 +301,8 @@ func (r *Runtime) CheckInvariants() error {
 		return err
 	}
 	for _, e := range r.sh.edges {
-		if (e.f == nil) != (e.flow < 0) || e.f != nil && r.Flows.Flow(e.flow) != e.f {
-			return fmt.Errorf("runtime: pair (%d,%d) holds flow %d by a handle that is not that live flow's", e.a, e.b, e.flow)
+		if e.f != nil && r.Flows.Flow(e.f.ID) != e.f {
+			return fmt.Errorf("runtime: pair (%d,%d) holds a handle to flow %d that is not that live flow", e.a, e.b, e.f.ID)
 		}
 	}
 	return nil

@@ -282,9 +282,9 @@ func TestFlowRateOutsideDomainWantsNoFlow(t *testing.T) {
 			if e.f == nil {
 				continue
 			}
-			held[e.flow] = true
+			held[e.f.ID] = true
 			if e.f.Rate != e.rate {
-				t.Fatalf("period %d: pair (%d,%d) rates %v, its flow %d carries %v", period, e.a, e.b, e.rate, e.flow, e.f.Rate)
+				t.Fatalf("period %d: pair (%d,%d) rates %v, its flow %d carries %v", period, e.a, e.b, e.rate, e.f.ID, e.f.Rate)
 			}
 		}
 		for _, f := range r.Flows.Flows() {

@@ -15,7 +15,6 @@ package runtime
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -68,8 +67,7 @@ type edge struct {
 	a, b int        // the pair; a < b for a dependency
 	src  int32      // engine index of the endpoint met first, whose TRF sets the rate; -1 never wants a flow
 	peer int        // the other endpoint's VM ID
-	flow int        // the flow carrying the pair, or -1
-	f    *flow.Flow // that flow's handle, nil with flow -1
+	f    *flow.Flow // the flow carrying the pair, or nil
 
 	want, ds         bool // this period's wish, as the scatter (flowShard) wrote it
 	srcNode, dstNode int
@@ -254,11 +252,13 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 			if uint(p) < uint(len(sh.vmIndex)) && sh.vmIndex[p] >= 0 && int(sh.vmIndex[p]) < i {
 				continue // its slot came from p, which the engine met first
 			}
-			edges = append(edges, edge{a: min(vm.ID, p), b: max(vm.ID, p), src: int32(i), peer: p, flow: -1})
+			edges = append(edges, edge{a: min(vm.ID, p), b: max(vm.ID, p), src: int32(i), peer: p})
 		}
 	}
 	for _, f := range flows {
-		edges = append(edges, edge{a: f[0], b: f[1], src: -1, flow: f[2]})
+		if h := r.Flows.Flow(f[2]); h != nil {
+			edges = append(edges, edge{a: f[0], b: f[1], src: -1, f: h})
+		}
 	}
 	// A flow's pair sorts after the dependency slot with its key, if any.
 	slices.SortFunc(edges, func(x, y edge) int {
@@ -266,17 +266,10 @@ func (r *Runtime) buildEdges(flows [][3]int) {
 	})
 	for k := 1; k < len(edges); k++ {
 		if edges[k].a == edges[k-1].a && edges[k].b == edges[k-1].b {
-			edges[k-1].flow = edges[k].flow
+			edges[k-1].f = edges[k].f
 		}
 	}
 	sh.edges = slices.CompactFunc(edges, func(x, y edge) bool { return x.a == y.a && x.b == y.b })
-	for k := range sh.edges {
-		if e := &sh.edges[k]; e.flow >= 0 {
-			if e.f = r.Flows.Flow(e.flow); e.f == nil {
-				e.flow = -1
-			}
-		}
-	}
 	sh.depsVersion = r.Cluster.Deps.Version()
 }
 
@@ -403,7 +396,7 @@ func (r *Runtime) flowShard(s int) {
 		e.rate = r.opts.FlowRate(sh.cur[e.src].TRF)
 		// Intra-rack traffic never crosses the fabric, and a rate that is
 		// not a positive finite number is no traffic a link could carry.
-		e.want = e.srcNode != e.dstNode && e.rate > 0 && e.rate <= math.MaxFloat64
+		e.want = e.srcNode != e.dstNode && flow.ValidRate(e.rate)
 		e.ds = vm.DelaySensitive || peer.DelaySensitive
 	}
 	sh.dur[s] = time.Since(start)
@@ -427,8 +420,8 @@ func (r *Runtime) syncFlows() error {
 			continue
 		}
 		if !e.want || f.Src != e.srcNode || f.Dst != e.dstNode {
-			r.Flows.RemoveFlow(e.flow)
-			e.flow, e.f = -1, nil
+			r.Flows.RemoveFlow(f.ID)
+			e.f = nil
 			continue
 		}
 		if f.Rate != e.rate {
@@ -446,7 +439,7 @@ func (r *Runtime) syncFlows() error {
 		if err != nil {
 			continue // unroutable pairs are skipped, not fatal
 		}
-		e.flow, e.f = f.ID, f
+		e.f = f
 	}
 	return nil
 }
@@ -455,7 +448,7 @@ func (r *Runtime) syncFlows() error {
 func (r *Runtime) flowPairs() [][3]int {
 	n := 0
 	for _, e := range r.sh.edges {
-		if e.flow >= 0 {
+		if e.f != nil {
 			n++
 		}
 	}
@@ -464,8 +457,8 @@ func (r *Runtime) flowPairs() [][3]int {
 	}
 	out := make([][3]int, 0, n)
 	for _, e := range r.sh.edges {
-		if e.flow >= 0 {
-			out = append(out, [3]int{e.a, e.b, e.flow})
+		if e.f != nil {
+			out = append(out, [3]int{e.a, e.b, e.f.ID})
 		}
 	}
 	return out
