@@ -100,6 +100,7 @@ const inboxLimit = 4096
 // concurrent use; protocols drive it round by round.
 type Bus struct {
 	opts     Options
+	part     partitioner // the injector's partition probe; nil without one
 	nextID   int
 	round    int // completed Deliver rounds, stamps event rounds
 	inFlight []pending
@@ -119,11 +120,41 @@ type pending struct {
 	delay int
 }
 
+// partitioner is the optional probe an Injector may offer: whether a named
+// partition window cuts from→to traffic at a round.
+type partitioner interface {
+	Partitioned(round, from, to int) (string, bool)
+}
+
 // NewBus builds a bus. Nodes are addressed by non-negative integers (rack
 // indices) and their inboxes are made on the first delivery; a message to
 // a negative address is dropped with cause "address".
 func NewBus(opts Options) *Bus {
-	return &Bus{opts: opts}
+	b := &Bus{opts: opts}
+	b.part, _ = opts.Injector.(partitioner)
+	return b
+}
+
+// Reserve makes room, once, for traffic among nodes [0, nodes) that holds
+// up to messages in flight: the inbox table, the in-flight queue, the
+// delivery batch, and a slab the inboxes grow into, an inbox's first two
+// messages a node plus messages more. Within that room sending, delivering
+// and receiving allocate nothing; traffic beyond it (fabric duplicates, a
+// backlog of delayed messages) still grows, doubling. Reserve never shrinks
+// what the bus already holds.
+func (b *Bus) Reserve(nodes, messages int) {
+	if nodes > len(b.inbox) {
+		b.inbox = slices.Grow(b.inbox, nodes-len(b.inbox))[:nodes]
+	}
+	if messages > cap(b.inFlight) {
+		b.inFlight = slices.Grow(b.inFlight, messages-len(b.inFlight))
+	}
+	room := 2*nodes + messages
+	if cap(b.batch) >= messages && len(b.slab) >= room {
+		return
+	}
+	msgs := make([]Message, messages+room)
+	b.batch, b.slab = msgs[:0:messages], msgs[messages:]
 }
 
 // event fills the common Event fields for one message: the sender as the
@@ -252,7 +283,7 @@ func (b *Bus) drop(m Message, cause string, rec *obs.Recorder) int {
 // the bus's slab: one allocation serves many nodes' inboxes, and an inbox
 // that has grown once is reused by every later delivery.
 func (b *Bus) grow(q []Message) []Message {
-	n := max(2*cap(q), 4)
+	n := max(2*cap(q), 2)
 	if len(b.slab) < n {
 		b.slab = make([]Message, max(n, 256))
 	}
@@ -273,13 +304,10 @@ func (b *Bus) Round() int { return b.round }
 // injector reports false. Protocols use this to avoid burning their retry
 // budget on destinations the fabric cannot reach.
 func (b *Bus) Partitioned(from, to int) (string, bool) {
-	type partitioner interface {
-		Partitioned(round, from, to int) (string, bool)
+	if b.part == nil {
+		return "", false
 	}
-	if p, ok := b.opts.Injector.(partitioner); ok {
-		return p.Partitioned(b.round, from, to)
-	}
-	return "", false
+	return b.part.Partitioned(b.round, from, to)
 }
 
 // FaultStats returns (duplicated, reordered) counters: fabric-duplicated

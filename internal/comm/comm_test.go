@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,26 @@ func TestBusSteadyStateAllocs(t *testing.T) {
 			busRound(bus, nodes, round)
 		}); got != 0 {
 			t.Errorf("injector %v: a warm bus round allocates %v times, want 0", inj, got)
+		}
+	}
+}
+
+// TestReservedBusAllocatesNothing pins Reserve: a bus reserved for its
+// nodes and for one message a node carries its first round, as every
+// later one, without allocating.
+func TestReservedBusAllocatesNothing(t *testing.T) {
+	const nodes = 64
+	for _, inj := range []Injector{nil, passInjector{}} {
+		bus := NewBus(Options{Injector: inj})
+		bus.Reserve(nodes, nodes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for round := 0; round < 3; round++ {
+			busRound(bus, nodes, round)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got != 0 {
+			t.Errorf("injector %v: three rounds on a reserved bus allocate %d times, want 0", inj, got)
 		}
 	}
 }

@@ -54,6 +54,20 @@ type Workspace struct {
 	assign        []int
 }
 
+// Reserve sizes w for every instance of at most rows × cols, carving its
+// buffers from one array per element type, so that no solve of that size
+// allocates.
+func (w *Workspace) Reserve(rows, cols int) {
+	width := max(rows, cols)
+	floats := make([]float64, rows*width+rows+1+2*(width+1))
+	w.a, floats = floats[:0:rows*width], floats[rows*width:]
+	w.u, floats = floats[:0:rows+1], floats[rows+1:]
+	w.v, w.minv = floats[:0:width+1], floats[width+1:][:0:width+1]
+	ints := make([]int, 2*(width+1)+rows)
+	w.way, w.matchCol, w.assign = ints[:0:width+1], ints[width+1:][:0:width+1], ints[2*(width+1):][:0:rows]
+	w.used = make([]bool, 0, width+1)
+}
+
 // Solve is the package function over w's memory. The returned Assign is
 // w's and is overwritten by the next solve.
 func (w *Workspace) Solve(cost [][]float64) (Result, error) {

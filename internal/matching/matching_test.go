@@ -3,6 +3,8 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,5 +259,35 @@ func TestSolveInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReservedWorkspaceSolvesWithoutAllocating pins Reserve: a workspace
+// reserved for rows × cols solves every instance within that size, wide or
+// tall, from its first solve on, without allocating, and solves it as a
+// fresh workspace does.
+func TestReservedWorkspaceSolvesWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	instances := [][][]float64{instance(rng, 6, 30, false, false), instance(rng, 6, 4, true, true), instance(rng, 1, 1, false, false)}
+	var w Workspace
+	w.Reserve(6, 30)
+	for _, cost := range instances {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := w.Solve(cost)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("a %d×%d solve in a workspace reserved for 6×30 allocates %d times, want 0", len(cost), len(cost[0]), n)
+		}
+		want, err := Solve(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Assign, want.Assign) || got.Cost != want.Cost {
+			t.Errorf("reserved solve = %v (cost %v), fresh = %v (cost %v)", got.Assign, got.Cost, want.Assign, want.Cost)
+		}
 	}
 }

@@ -56,9 +56,10 @@ type core struct {
 	tally *Tally
 
 	// scratch is match's memory. A shim's cores share its workspace's,
-	// across calls and shims; a standalone Migrate or DistributedVMMigration builds one on
-	// the first match and keeps it across the rounds of the call. A copy of
-	// a core shares it, stamp and all.
+	// across calls and shims; a DistributedVMMigration call's is in its
+	// protocol record, sized as the call loads; a standalone Migrate builds
+	// one on the first match and keeps it across the rounds of the call. A
+	// copy of a core shares it, stamp and all.
 	scratch *matchScratch
 }
 

@@ -90,49 +90,56 @@ func backoffJitter(seed int64, vmID, attempt, span int) int {
 // keeps on it across retries. A VM listed twice for one shim has one.
 type candidate struct {
 	vm         *dcn.VM
-	shim       int   // index of the shim relocating it
-	attempts   int   // timeouts so far
-	deferUntil int   // the protocol round its backoff ends
-	excluded   []int // IDs of the hosts that rejected it
+	shim       int // index of the shim relocating it
+	attempts   int // timeouts so far
+	deferUntil int // the protocol round its backoff ends
+	rejected   int // seq of its latest REJECT, 0 for none
 }
 
 // request is one REQUEST the call sent, stored at its seq. The source
 // settles it on a reply or a timeout; the destination keeps its answer on
 // it, to answer a duplicated REQUEST again instead of moving the VM twice.
 // A seq reaches one destination rack only, so one answer suffices.
+//
+// A REJECT bars its host from the candidate's later proposals: the
+// candidate's REJECTs are chained through their requests, latest first.
 type request struct {
-	cand     int // the source's candidate record
-	dst      *dcn.Host
-	cost     float64
-	age      int
-	settled  bool // the source has its reply, or gave up waiting
-	answered bool // the destination has decided; reply is its answer
-	reply    comm.Type
+	cand       int // the source's candidate record
+	dst        *dcn.Host
+	cost       float64
+	age        int
+	prevReject int  // seq of the candidate's REJECT before this one, 0 for none
+	settled    bool // the source has its reply, or gave up waiting
+	answered   bool // the destination has decided; reply is its answer
+	reply      comm.Type
 }
 
-// protocol is one DistributedVMMigration call, on tables built once per
-// call. remaining and open hold, per shim, the candidates still to propose
-// and the seqs awaiting a reply, ascending: capped segments of one array as
-// long as the shim's VM list, since a listed VM sits in at most one of them.
+// protocol is one DistributedVMMigration call, holding its result, on
+// tables carved once per call at their final size (load). remaining, open
+// and degraded hold, per shim, the candidates still to propose, the seqs
+// awaiting a reply (ascending) and the candidates degraded to the fallback
+// rung (in degrade order): capped segments of one array, each as long as
+// the shim's VM list, since an entry of that list sits in at most one of
+// them at a time and stays in degraded once there.
 type protocol struct {
 	core
+	mem   matchScratch // the call's matching memory; core.scratch points here
 	bus   *comm.Bus
 	shims []*Shim
 	opts  DistOptions
-	res   *DistResult
+	res   DistResult
 
 	cands     []candidate
 	remaining [][]int
 	open      [][]int
+	degraded  [][]int
 	reqs      []request // by seq; seq 0 is never sent
-	fallback  []int     // degraded candidates
 
-	// One proposal's scratch, reused by the next.
+	// One proposal's scratch, reused by the next and by the fallback rung.
 	ready    []int // candidate records
 	readyVMs []*dcn.VM
 	hosts    []*dcn.Host
 	cut      []bool // hosts across an active partition
-	barred   func(vi, hi int) bool
 }
 
 // DistributedVMMigration runs Alg. 3 + Alg. 4 as an actual message
@@ -159,12 +166,9 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 		return nil, err
 	}
 	opts = opts.WithDefaults()
-	res := &DistResult{}
-	p := &protocol{core: core{c: c, m: m, admit: opts.RequestPolicy, rec: opts.Recorder, tally: &res.Tally},
-		bus: bus, shims: shims, opts: opts, res: res}
-	p.barred = func(vi, hi int) bool {
-		return p.cut[hi] || slices.Contains(p.cands[p.ready[vi]].excluded, p.hosts[hi].ID)
-	}
+	p := &protocol{bus: bus, shims: shims, opts: opts}
+	p.core = core{c: c, m: m, admit: opts.RequestPolicy, rec: opts.Recorder, tally: &p.res.Tally, scratch: &p.mem}
+	res := &p.res
 	p.load(vmSets)
 
 	for round := 0; round < opts.MaxRounds; round++ {
@@ -211,21 +215,44 @@ func DistributedVMMigration(c *dcn.Cluster, m *cost.Model, bus *comm.Bus, shims 
 	return res, nil
 }
 
-// load builds the call's tables. A shim's remaining list is its VM set,
-// one candidate record per VM ID.
+// load carves the call's tables, one array per element type, at their
+// final size: what the call knows up front bounds them. A shim's remaining
+// list is its VM set, one candidate record per VM ID. A matching is never
+// larger than the longest VM list by the largest region of a shim with
+// VMs, and on a lossless bus a candidate has one message in flight at a
+// time. Only what faults make grows, doubling: requests beyond two a
+// candidate, and bus traffic beyond the bus's reservation.
 func (p *protocol) load(vmSets [][]*dcn.VM) {
-	total := 0
-	for _, set := range vmSets {
+	total, most, region := 0, 0, 0
+	for i, set := range vmSets {
 		total += len(set)
+		if len(set) > 0 {
+			most = max(most, len(set))
+			region = max(region, len(p.shims[i].regionHosts(true)))
+		}
 	}
-	lists := make([]int, 2*total)
-	p.remaining, p.open = make([][]int, len(p.shims)), make([][]int, len(p.shims))
+	ns := len(p.shims)
+	tables := make([][]int, 3*ns)
+	p.remaining, p.open, p.degraded = tables[:ns:ns], tables[ns:2*ns:2*ns], tables[2*ns:]
+	ints := make([]int, 3*total+most)
+	p.ready = ints[3*total:][:0]
+	vms := make([]*dcn.VM, 0, 3*most+total)
+	p.readyVMs, p.mem.remaining, p.mem.next = carve(&vms, most)[:0], carve(&vms, most)[:0], carve(&vms, most)[:0]
+	p.res.Unplaced = carve(&vms, total)[:0]
+	p.res.Migrations = make([]Migration, 0, total)
 	p.cands = make([]candidate, 0, total)
 	p.reqs = make([]request, 1, 1+2*total)
-	p.res.Migrations = make([]Migration, 0, total)
+	if most > 0 {
+		p.cut = make([]bool, 0, region)
+		p.mem.prices = make([]rackPrice, len(p.c.Racks))
+		p.mem.flat = make([]float64, 0, 2*most*region)
+		p.mem.rows = make([][]float64, 0, 2*most)
+		p.mem.solver.Reserve(most, region)
+		p.bus.Reserve(len(p.c.Racks), total)
+	}
 	at := 0
 	for i, set := range vmSets {
-		first, list := len(p.cands), lists[at:at]
+		first, list := len(p.cands), ints[at:at]
 		for _, vm := range set {
 			ci := slices.IndexFunc(p.cands[first:], func(cd candidate) bool { return cd.vm.ID == vm.ID })
 			if ci < 0 {
@@ -235,9 +262,23 @@ func (p *protocol) load(vmSets [][]*dcn.VM) {
 			list = append(list, first+ci)
 		}
 		n := len(list)
-		p.remaining[i], p.open[i] = lists[at:at+n:at+n], lists[at+n:at+n:at+2*n]
-		at += 2 * n
+		p.remaining[i], p.open[i], p.degraded[i] = ints[at:at+n:at+n], ints[at+n:at+n:at+2*n], ints[at+2*n:at+2*n:at+3*n]
+		at += 3 * n
 	}
+}
+
+// barred reports whether a proposal may not pair ready VM vi with host hi:
+// the host is across an active partition, or it rejected the VM before.
+func (p *protocol) barred(vi, hi int) bool {
+	if p.cut[hi] {
+		return true
+	}
+	for seq := p.cands[p.ready[vi]].rejected; seq != 0; seq = p.reqs[seq].prevReject {
+		if p.reqs[seq].dst == p.hosts[hi] {
+			return true
+		}
+	}
+	return false
 }
 
 // propose is one source shim's turn: its candidates outside a backoff
@@ -349,7 +390,7 @@ func (p *protocol) collect(i, round int) bool {
 		default:
 			r.settled = true
 			p.res.Rejected++
-			cd.excluded = append(cd.excluded, r.dst.ID)
+			r.prevReject, cd.rejected = cd.rejected, msg.Seq
 			p.remaining[i] = append(p.remaining[i], r.cand)
 			p.rec.Record(obs.Event{Kind: obs.KindReject, Round: p.res.Rounds, Shim: shim.Rack.Index, VM: cd.vm.ID, Host: r.dst.ID, Value: r.cost})
 		}
@@ -408,8 +449,9 @@ func (p *protocol) acked(r *request) {
 
 // degrade moves one candidate out of the distributed protocol.
 func (p *protocol) degrade(ci int, cause string) {
-	p.fallback = append(p.fallback, ci)
-	if cd := p.cands[ci]; p.rec.Enabled() {
+	cd := &p.cands[ci]
+	p.degraded[cd.shim] = append(p.degraded[cd.shim], ci)
+	if p.rec.Enabled() {
 		p.rec.Record(obs.Event{Kind: obs.KindFallback, Round: p.res.Rounds, Shim: p.shims[cd.shim].Rack.Index,
 			VM: cd.vm.ID, Host: ShimUnknown, Attrs: map[string]string{"cause": cause}})
 	}
@@ -428,33 +470,27 @@ func (p *protocol) suppress(shim *Shim, msg comm.Message) {
 // degraded VMs with local sequential VMMIGRATION over its own region — no
 // bus, no retries — so a hostile fabric costs optimality, not placement.
 func (p *protocol) lastRung() error {
-	res := p.res
-	var vms []*dcn.VM
+	res := &p.res
 	for i, shim := range p.shims {
-		vms = vms[:0]
-		for _, ci := range p.fallback {
-			if cd := p.cands[ci]; cd.shim == i {
-				vms = append(vms, cd.vm)
-			}
+		if len(p.degraded[i]) == 0 {
+			continue
 		}
+		vms := p.readyVMs[:0]
+		for _, ci := range p.degraded[i] {
+			vms = append(vms, p.cands[ci].vm)
+		}
+		res.Fallbacks += len(vms)
 		hosts := shim.regionHosts(true)
-		switch {
-		case len(vms) == 0:
-		case len(hosts) == 0:
-			res.Fallbacks += len(vms)
+		if len(hosts) == 0 {
 			res.Unplaced = append(res.Unplaced, vms...)
-		default:
-			res.Fallbacks += len(vms)
-			// The shim decides for its whole region. The rung counts into a
-			// tally of its own, folded in afterwards, so that TotalCost sums
-			// in the order it always has.
-			var lt Tally
-			last := p.core
-			last.tally = &lt
-			if err := last.sequential(vms, hosts, shim.Rack.Index, false); err != nil {
-				return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
-			}
-			res.Add(&lt)
+			continue
+		}
+		// The shim decides for its whole region. The rung counts into the
+		// call tally of the matching memory, folded in afterwards, so that
+		// TotalCost sums in the order it always has.
+		o := MigrationOptions{Policy: p.admit, Recorder: p.rec, Shim: shim.Rack.Index}
+		if err := migrateInto(&res.Tally, &p.mem, p.c, p.m, vms, hosts, o); err != nil {
+			return fmt.Errorf("migrate: fallback placement shim %d: %w", shim.Rack.Index, err)
 		}
 	}
 	return nil

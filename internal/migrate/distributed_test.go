@@ -146,13 +146,26 @@ func TestDistributedMigrationEmptySets(t *testing.T) {
 	}
 }
 
+// distAllocSlack is how far apart two calls' allocation counts may lie:
+// the bus traffic beyond its reservation (fabric duplicates, a backlog of
+// delayed messages) may still grow, doubling, on a lossy plan.
+const distAllocSlack = 4
+
 // TestDistributedAllocsDoNotGrowWithShims pins the protocol's bookkeeping
-// to tables built once per call: on Fat-Tree 8, a call with 32 one-VM
-// shims allocates about as often as one with 8. Every host first takes
-// and loses one VM, so its resident slice has room, the moves themselves
-// allocate nothing, and the count is the protocol's.
+// to tables carved once per call: on Fat-Tree 8, a call with 32 one-VM
+// shims allocates as often as one with 8, within distAllocSlack. Every
+// host first takes and loses one VM, so its resident slice has room, the
+// moves themselves allocate nothing, and the count is the protocol's.
+//
+// On the lossless bus every VM finds a host. The lossy plan drops,
+// duplicates, delays and reorders, the VMs are large, and all but one rack
+// of each pod has its free host filled, so a pod's shims race for that
+// host, and six rounds leave requests open: the calls reach retransmits,
+// REJECTs and the fallback rung, the 32-shim one several times as often as
+// the 8-shim one.
 func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
-	allocs := func(shimCount int) uint64 {
+	var retransmits, rejects, fallbacks int
+	allocs := func(shimCount int, plan *faults.Plan) uint64 {
 		fx := newFixture(t, 8, 2)
 		for _, h := range fx.cluster.Hosts() {
 			vm, err := fx.cluster.AddVM(h, 1, 1, false)
@@ -168,28 +181,56 @@ func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vm, err := fx.cluster.AddVM(r.Hosts[0], 20, 1, false)
+			capacity := 20.0
+			if plan != nil {
+				capacity = 60
+				if i%4 != 0 { // a pod holds four racks
+					if _, err := fx.cluster.AddVM(r.Hosts[1], 50, 1, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			vm, err := fx.cluster.AddVM(r.Hosts[0], capacity, 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			shims[i], sets[i] = s, []*dcn.VM{vm}
 		}
-		bus := comm.NewBus(comm.Options{})
+		var busOpts comm.Options
+		opts := DistOptions{Seed: 3}
+		if plan != nil {
+			inj, err := faults.New(*plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			busOpts.Injector, opts.MaxRounds = inj, 6
+		}
+		bus := comm.NewBus(busOpts)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, DistOptions{})
+		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Migrations) != shimCount {
+		if plan == nil && len(res.Migrations) != shimCount {
 			t.Fatalf("%d shims placed %d VMs", shimCount, len(res.Migrations))
 		}
+		retransmits, rejects, fallbacks = retransmits+res.Retransmits, rejects+res.Rejected, fallbacks+res.Fallbacks
+		t.Logf("%d shims, lossy %t: %d allocs; %d migrations, %d retransmits, %d rejects, %d fallbacks",
+			shimCount, plan != nil, after.Mallocs-before.Mallocs, len(res.Migrations), res.Retransmits, res.Rejected, res.Fallbacks)
 		return after.Mallocs - before.Mallocs
 	}
-	few, many := allocs(8), allocs(32)
-	t.Logf("8 shims: %d allocs, 32 shims: %d", few, many)
-	if many >= few+16 {
-		t.Fatalf("a call allocates %d times with 32 shims against %d with 8: the bookkeeping grows with the shims", many, few)
+	lossy := faults.Plan{Seed: 3, Drop: 0.3, DupRate: 0.2, ReorderRate: 0.2, Jitter: 1}
+	for _, plan := range []*faults.Plan{nil, &lossy} {
+		few, many := allocs(8, plan), allocs(32, plan)
+		if many > few+distAllocSlack {
+			t.Fatalf("lossy %t: a call allocates %d times with 32 shims against %d with 8: the bookkeeping grows with the shims",
+				plan != nil, many, few)
+		}
+	}
+	if retransmits == 0 || rejects == 0 || fallbacks == 0 {
+		t.Fatalf("the lossy calls made %d retransmits, %d rejects and %d fallbacks: a path the test pins is missed",
+			retransmits, rejects, fallbacks)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sheriff/internal/dcn"
@@ -56,7 +57,14 @@ func chaosFT8Trace(t *testing.T, seeds ...int64) []byte {
 // Fat-Tree 16 hot-pod cluster and its fault plan.
 func benchChaos(tb testing.TB, seed int64) (*Sim, faults.Plan) {
 	tb.Helper()
-	s, err := Build(Config{Kind: FatTree, Size: 16, Seed: seed})
+	return chaosEpisode(tb, 16, seed)
+}
+
+// chaosEpisode builds one episode of the bench's shape on a Fat-Tree of the
+// given pods: a hot-pod cluster and the bench's fault plan.
+func chaosEpisode(tb testing.TB, pods int, seed int64) (*Sim, faults.Plan) {
+	tb.Helper()
+	s, err := Build(Config{Kind: FatTree, Size: pods, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -102,6 +110,53 @@ func TestChaosUnreportedMoves(t *testing.T) {
 	}
 	if unreported != chaosUnreportedMoves {
 		t.Fatalf("%d VMs moved unreported over 50 episodes, want %d", unreported, chaosUnreportedMoves)
+	}
+}
+
+// chaosAllocSlack is how far apart two chaos episodes' allocation counts
+// may lie: the bus traffic beyond its reservation and the requests beyond
+// two a candidate may still grow, doubling, on a hostile draw.
+const chaosAllocSlack = 4
+
+// chaosAllocBound is the most one chaos episode may allocate. It allocates
+// 24 times: the protocol record and its 13 tables, the bus and its 3, the
+// fault injector's 3, and the alerts' table, their array and the shims'
+// view of them. The bound adds a little over the slack.
+const chaosAllocBound = 30
+
+// TestRunChaosAllocsFlat pins a chaos episode to tables carved once per
+// call: under the bench's plan, a Fat-Tree 8 and a Fat-Tree 16 episode
+// allocate as often as each other at every seed, within chaosAllocSlack,
+// although the Fat-Tree 16 one relocates four times the VMs over eight
+// times the racks through more rounds, retries, rejects and fallbacks.
+func TestRunChaosAllocsFlat(t *testing.T) {
+	var retransmits, rejects, fallbacks int
+	allocs := func(pods int, seed int64) uint64 {
+		s, plan := chaosEpisode(t, pods, seed)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.RunChaos(plan, migrate.DistOptions{Seed: seed})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retransmits, rejects, fallbacks = retransmits+res.Retransmits, rejects+res.Rejected, fallbacks+res.Fallbacks
+		t.Logf("FT%d seed %d: %d allocs, %d B; %d migrations, %d rounds, %d retransmits, %d rejects, %d fallbacks",
+			pods, seed, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc, len(res.Migrations), res.Rounds,
+			res.Retransmits, res.Rejected, res.Fallbacks)
+		return after.Mallocs - before.Mallocs
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		small, large := allocs(8, seed), allocs(16, seed)
+		if large > chaosAllocBound || small > chaosAllocBound {
+			t.Errorf("seed %d: FT8 allocates %d times, FT16 %d: over the bound of %d", seed, small, large, chaosAllocBound)
+		}
+		if max(small, large)-min(small, large) > chaosAllocSlack {
+			t.Errorf("seed %d: FT8 allocates %d times, FT16 %d: the count grows with the episode", seed, small, large)
+		}
+	}
+	if retransmits == 0 || rejects == 0 || fallbacks == 0 {
+		t.Fatalf("%d retransmits, %d rejects, %d fallbacks: the episodes miss a path the test pins", retransmits, rejects, fallbacks)
 	}
 }
 

@@ -289,7 +289,8 @@ func (s *Sim) RunBalancing(rounds int, margin float64) ([]float64, error) {
 // SeedAlerts marks the paper's "5% of VMs in each pod" (here: each rack)
 // as raising migration alerts and returns them indexed by rack index; a
 // rack with no VM has none. Selection is deterministic under the sim seed.
-// The racks' lists are capped segments of one array.
+// The racks' lists are capped segments of one array, whose tail is the
+// scratch a rack's VMs are drawn from.
 func (s *Sim) SeedAlerts() [][]*dcn.VM {
 	alerted := func(vms int) int {
 		n := int(float64(vms) * alertFraction)
@@ -308,8 +309,8 @@ func (s *Sim) SeedAlerts() [][]*dcn.VM {
 		most = max(most, vms)
 	}
 	out := make([][]*dcn.VM, len(s.Cluster.Racks))
-	flat := make([]*dcn.VM, 0, total)
-	vms := make([]*dcn.VM, 0, most)
+	flat := make([]*dcn.VM, 0, total+most)
+	flat, vms := flat[:0:total], flat[total:total:total+most]
 	for _, r := range s.Cluster.Racks {
 		vms = vms[:0]
 		for _, h := range r.Hosts {
