@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sheriff/internal/dcn"
@@ -130,6 +131,8 @@ const chaosAllocBound = 30
 // although the Fat-Tree 16 one relocates four times the VMs over eight
 // times the racks through more rounds, retries, rejects and fallbacks.
 func TestRunChaosAllocsFlat(t *testing.T) {
+	// A collection starting inside an episode allocates for itself.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var retransmits, rejects, fallbacks int
 	allocs := func(pods int, seed int64) uint64 {
 		s, plan := chaosEpisode(t, pods, seed)

@@ -309,8 +309,8 @@ func (s *Sim) SeedAlerts() [][]*dcn.VM {
 		most = max(most, vms)
 	}
 	out := make([][]*dcn.VM, len(s.Cluster.Racks))
-	flat := make([]*dcn.VM, 0, total+most)
-	flat, vms := flat[:0:total], flat[total:total:total+most]
+	arena := make([]*dcn.VM, total+most)
+	flat, vms := arena[:0:total], arena[total:total]
 	for _, r := range s.Cluster.Racks {
 		vms = vms[:0]
 		for _, h := range r.Hosts {
