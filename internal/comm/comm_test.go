@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/obs"
 )
 
@@ -84,21 +85,23 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
+// injectors are the allocation tests' buses: without an injector and with
+// the cheapest one.
+var injectors = map[string]Injector{"none": nil, "pass": passInjector{}}
+
 // TestBusSteadyStateAllocs pins the hot path allocation-free: once every
 // inbox has grown to its round's traffic, a send/deliver/receive round
 // allocates nothing, with and without an injector installed.
 func TestBusSteadyStateAllocs(t *testing.T) {
 	const nodes = 64
-	for _, inj := range []Injector{nil, passInjector{}} {
+	for name, inj := range injectors {
 		bus := NewBus(Options{Injector: inj})
 		round := 0
 		busRound(bus, nodes, round) // warm: the inboxes and the in-flight queue grow once
-		if got := testing.AllocsPerRun(50, func() {
+		alloctest.Count(t, name, func() {
 			round++
 			busRound(bus, nodes, round)
-		}); got != 0 {
-			t.Errorf("injector %v: a warm bus round allocates %v times, want 0", inj, got)
-		}
+		})
 	}
 }
 
@@ -107,20 +110,17 @@ func TestBusSteadyStateAllocs(t *testing.T) {
 // allocating beyond what building and reserving it does.
 func TestReservedBusAllocatesNothing(t *testing.T) {
 	const nodes = 64
-	for _, inj := range []Injector{nil, passInjector{}} {
-		reserve := testing.AllocsPerRun(20, func() {
+	for name, inj := range injectors {
+		alloctest.Count(t, "reserve-"+name, func() {
 			NewBus(Options{Injector: inj}).Reserve(nodes, nodes)
 		})
-		rounds := testing.AllocsPerRun(20, func() {
+		alloctest.Count(t, "rounds-"+name, func() {
 			bus := NewBus(Options{Injector: inj})
 			bus.Reserve(nodes, nodes)
 			for round := 0; round < 3; round++ {
 				busRound(bus, nodes, round)
 			}
 		})
-		if rounds != reserve {
-			t.Errorf("injector %v: a reserved bus allocates %v times with three rounds, %v without: the rounds allocate", inj, rounds, reserve)
-		}
 	}
 }
 

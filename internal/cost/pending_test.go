@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // Pending rows: MarkSources leaves the named rows for whoever claims them
@@ -148,14 +150,12 @@ func TestMarkSourcesSteadyStateAllocs(t *testing.T) {
 	m.MarkSources(all, 1, 2) // grow the sweepers and every region
 	m.SweepPending(1)
 	var sink float64
-	if got := testing.AllocsPerRun(20, func() {
+	alloctest.Count(t, "round", func() {
 		m.MarkSources(all, 1, 2)
 		m.SweepPending(1)
 		m.MarkSources(half, 1, 2)
 		sink += m.RackPairCost(a, b) // claims and sweeps rack a's row
 		m.SweepPending(1)
-	}); got != 0 {
-		t.Errorf("MarkSources + SweepPending + a claiming query allocate %v times per round, want 0", got)
-	}
+	})
 	_ = sink
 }

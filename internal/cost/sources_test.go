@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/dcn"
 	"sheriff/internal/topology"
 )
@@ -280,26 +281,15 @@ func TestRefreshSourcesSteadyStateAllocs(t *testing.T) {
 	m := testModel(t, c)
 	all := c.Graph.Racks()
 	m.RefreshSources(all, 1) // grow the scratch and every region
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"RefreshSources(1 rack)", func() { m.RefreshSources(all[:1], 1) }},
-		{fmt.Sprintf("RefreshSources(%d racks)", len(all)), func() { m.RefreshSources(all, 1) }},
-		{"Refresh", m.Refresh},
-	} {
-		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
-			t.Errorf("%s allocates %v times per call in steady state, want 0", tc.name, got)
-		}
-	}
+	alloctest.Count(t, "refresh-one", func() { m.RefreshSources(all[:1], 1) })
+	alloctest.Count(t, "refresh-all", func() { m.RefreshSources(all, 1) })
+	alloctest.Count(t, "refresh", m.Refresh)
 	var sink float64
 	a, b := c.Racks[0], c.Racks[len(c.Racks)-1]
-	if got := testing.AllocsPerRun(20, func() {
+	alloctest.Count(t, "queries", func() {
 		tc, _ := m.TransmissionCost(a, b, 10)
 		sink += tc + m.RackPairCost(a, b)
-	}); got != 0 {
-		t.Errorf("TransmissionCost + RackPairCost allocate %v times per call, want 0", got)
-	}
+	})
 	_ = sink
 }
 

@@ -3,6 +3,8 @@ package dcn
 import (
 	"strconv"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // TestVMChunksKeepIDsNamesAndHosts: VMs carved across chunk boundaries keep
@@ -53,28 +55,23 @@ func TestVMChunksKeepIDsNamesAndHosts(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocsFlatInVMs: Restore makes the same objects for a fleet of
-// 32 VMs and one of 512 — the VMs in one array, the hosts' resident lists in
-// another. (The snapshots carry no dependencies: each edge is added as
-// AddDependency adds it.)
+// TestRestoreAllocsFlatInVMs: building a cluster and restoring it makes
+// the same objects for a fleet of 32 VMs and one of 512 — the VMs in one
+// array, the hosts' resident lists in another. (The snapshots carry no
+// dependencies: each edge is added as AddDependency adds it.)
 func TestRestoreAllocsFlatInVMs(t *testing.T) {
-	var allocs [2]float64
-	for i, perHost := range []int{1, 16} {
+	for _, perHost := range []int{1, 16} {
 		src := testCluster(t, 4)
 		src.Populate(PopulateOptions{VMsPerHost: perHost, MinCapacity: 1, MaxCapacity: 5, Seed: 3})
 		snap := snapshotOf(t, src)
 		if got, want := len(snap.VMs.ID), 32*perHost; got != want {
 			t.Fatalf("populated %d VMs, want %d", got, want)
 		}
-		allocs[i] = testing.AllocsPerRun(5, func() {
+		alloctest.Count(t, "vms-"+strconv.Itoa(32*perHost), func() {
 			c := testCluster(t, 4)
 			if err := c.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-		}) - testing.AllocsPerRun(5, func() { testCluster(t, 4) })
-	}
-	t.Logf("Restore of 32 and 512 VMs: %v allocations", allocs)
-	if allocs[0] != allocs[1] {
-		t.Errorf("Restore makes %v allocations for 32 VMs and %v for 512, want the same", allocs[0], allocs[1])
+		})
 	}
 }

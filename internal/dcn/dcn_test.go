@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/topology"
 )
 
@@ -586,30 +587,24 @@ func TestDependencyReadsZeroAlloc(t *testing.T) {
 		t.Fatal("no dependencies to read")
 	}
 	sink := 0
-	if n := testing.AllocsPerRun(20, func() {
+	alloctest.Count(t, "peers", func() {
 		for _, vm := range vms {
 			sink += len(c.Deps.Peers(vm.ID))
 		}
-	}); n != 0 {
-		t.Errorf("Peers allocates %v times per sweep over the VMs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() {
+	})
+	alloctest.Count(t, "dependent", func() {
 		for _, vm := range vms {
 			if c.Deps.Dependent(vm.ID, vms[0].ID) {
 				sink++
 			}
 		}
-	}); n != 0 {
-		t.Errorf("Dependent allocates %v times per sweep over the VMs, want 0", n)
-	}
+	})
 	var buf [8]int
-	if n := testing.AllocsPerRun(20, func() {
+	alloctest.Count(t, "peer-racks", func() {
 		for _, vm := range vms {
 			sink += len(c.Deps.PeerRacks(c, vm.ID, buf[:0]))
 		}
-	}); n != 0 {
-		t.Errorf("PeerRacks into a caller's buffer allocates %v times per sweep over the VMs, want 0", n)
-	}
+	})
 	_ = sink
 }
 
@@ -620,12 +615,8 @@ func TestAccountingSteadyStateAllocs(t *testing.T) {
 	c.Populate(PopulateOptions{Seed: 3})
 	h := c.Hosts()[0]
 	var sink float64
-	if n := testing.AllocsPerRun(20, func() { sink += h.Free() + h.Utilization() }); n != 0 {
-		t.Errorf("Host.Free/Utilization allocate %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { sink += c.WorkloadStdDev() }); n != 0 {
-		t.Errorf("Cluster.WorkloadStdDev allocates %v times per call, want 0", n)
-	}
+	alloctest.Count(t, "host", func() { sink += h.Free() + h.Utilization() })
+	alloctest.Count(t, "spread", func() { sink += c.WorkloadStdDev() })
 	_ = sink
 }
 
@@ -653,12 +644,8 @@ func TestRackVMsOneAlloc(t *testing.T) {
 		t.Fatalf("Rack.VMs = %d VMs, want %d", len(got), want)
 	}
 	var sink int
-	if n := testing.AllocsPerRun(20, func() { sink += len(full.VMs()) }); n != 1 {
-		t.Errorf("Rack.VMs allocates %v times on a populated rack, want 1", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { sink += len(empty.VMs()) }); n != 0 {
-		t.Errorf("Rack.VMs allocates %v times on an empty rack, want 0", n)
-	}
+	alloctest.Count(t, "full", func() { sink += len(full.VMs()) })
+	alloctest.Count(t, "empty", func() { sink += len(empty.VMs()) })
 	_ = sink
 }
 

@@ -7,11 +7,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/topology"
 )
@@ -400,9 +400,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	for name, fn := range gates {
 		fn() // warm
-		if got := testing.AllocsPerRun(20, fn); got != 0 {
-			t.Errorf("%s allocates %v times per call in steady state, want 0", name, got)
-		}
+		alloctest.Count(t, name, fn)
 	}
 	_ = sink
 
@@ -431,14 +429,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	cycle() // warm
 	moved, tried = 0, 0
-	const runs = 20
-	got := testing.AllocsPerRun(runs, cycle)
-	perCycle := moved / (runs + 1) // AllocsPerRun warms up with one more call
-	if perCycle < 8 || moved%(runs+1) != 0 || tried <= moved {
-		t.Fatalf("cycle moved %d flows of %d tried over %d calls: not the steady cycle the gate needs", moved, tried, runs+1)
-	}
-	if got != 0 {
-		t.Errorf("a cycle of passes moving %d flows allocates %v times, want 0", perCycle, got)
+	calls := 0
+	alloctest.Count(t, "reroute", func() { cycle(); calls++ })
+	if moved/calls < 8 || moved%calls != 0 || tried <= moved {
+		t.Fatalf("cycle moved %d flows of %d tried over %d calls: not the steady cycle the gate needs", moved, tried, calls)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -453,9 +447,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	churn() // warm
-	if got := testing.AllocsPerRun(20, churn); got != 0 {
-		t.Errorf("RemoveFlow then AddFlow between the same racks allocates %v times, want 0", got)
-	}
+	alloctest.Count(t, "churn", churn)
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -528,14 +520,15 @@ func TestRouteStorageConverges(t *testing.T) {
 		}
 		return held
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	longest, before := n.longest, storage()
 	moved = 0
-	for i := 0; i < 32; i++ {
-		for live := calm; live <= surge; live += 8 {
-			period(live, true)
+	alloctest.Count(t, "surges", func() {
+		for i := 0; i < 32; i++ {
+			for live := calm; live <= surge; live += 8 {
+				period(live, true)
+			}
 		}
-	}
+	})
 	made := 0
 	for p := range storage() {
 		if !before[p] {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/obs"
 	"sheriff/internal/traces"
 )
@@ -440,9 +441,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 				for i := 0; i < 64; i++ {
 					c.cycle()
 				}
-				if allocs := testing.AllocsPerRun(200, c.cycle); allocs != 0 {
-					t.Fatalf("hot path allocates %.1f per %s offer+drain+poll cycle over %d shards, want 0", allocs, c.name, len(s.shard))
-				}
+				alloctest.Count(t, c.name, c.cycle)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/metrics"
 	"sheriff/internal/obs"
 	"sheriff/internal/traces"
@@ -186,9 +187,7 @@ func TestQueueGrowthStopsAtLimit(t *testing.T) {
 		s.foldWait(&run)
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("a cycle at the high-water mark allocates %.1f, want 0", allocs)
-	}
+	alloctest.Count(t, "cycle", cycle)
 	st := s.Stats()
 	// drainShard leaves the service's counters to ProcessPending, so the
 	// latency summary is held to the updates the cycles drained.
@@ -400,21 +399,13 @@ func TestServiceFootprint(t *testing.T) {
 			vmsByRack[r] = append(vmsByRack[r], r*8+v)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s, err := New(vmsByRack, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	const budget = 3 << 19 // 1.5 MiB
-	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if got > budget {
-		t.Fatalf("New retains %d bytes for 1000 racks × 8 VMs, budget %d", got, budget)
-	}
-	t.Logf("New retains %d bytes for 1000 racks × 8 VMs", got)
+	var s *Service
+	alloctest.Count(t, "new", func() {
+		var err error
+		if s, err = New(vmsByRack, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	runtime.KeepAlive(s)
 }
 

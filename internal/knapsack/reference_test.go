@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/dcn"
 )
 
@@ -140,7 +141,5 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	if len(s.SelectByBudget(vms, 40)) == 0 {
 		t.Fatal("instance selects nothing")
 	}
-	if allocs := testing.AllocsPerRun(50, func() { s.SelectByBudget(vms, 40) }); allocs != 0 {
-		t.Errorf("a warm Scratch allocates %v times per selection, want 0", allocs)
-	}
+	alloctest.Count(t, "select", func() { s.SelectByBudget(vms, 40) })
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // referenceSolve is the allocating Solve, verbatim.
@@ -231,11 +233,8 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	if _, err := w.Solve(big); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
+	alloctest.Count(t, "solves", func() {
 		w.Solve(big)
 		w.Solve(small)
 	})
-	if allocs != 0 {
-		t.Errorf("a warm Workspace allocates %v times per two solves, want 0", allocs)
-	}
 }

@@ -1,10 +1,9 @@
 package migrate
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/comm"
 	"sheriff/internal/dcn"
 	"sheriff/internal/faults"
@@ -147,14 +146,11 @@ func TestDistributedMigrationEmptySets(t *testing.T) {
 	}
 }
 
-// distAllocSlack is how far apart two calls' allocation counts may lie:
-// the bus traffic beyond its reservation (fabric duplicates, a backlog of
-// delayed messages) may still grow, doubling, on a lossy plan.
-const distAllocSlack = 4
-
 // TestDistributedAllocsDoNotGrowWithShims pins the protocol's bookkeeping
 // to tables carved once per call: on Fat-Tree 8, a call with 32 one-VM
-// shims allocates as often as one with 8, within distAllocSlack. Every
+// shims allocates as often as one with 8, within a slack the record gives
+// (the bus traffic beyond its reservation — fabric duplicates, a backlog
+// of delayed messages — may still grow, doubling, on a lossy plan). Every
 // host first takes and loses one VM, so its resident slice has room, the
 // moves themselves allocate nothing, and the count is the protocol's.
 //
@@ -165,10 +161,8 @@ const distAllocSlack = 4
 // REJECTs and the fallback rung, the 32-shim one several times as often as
 // the 8-shim one.
 func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
-	// A collection starting inside a call allocates for itself.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var retransmits, rejects, fallbacks int
-	allocs := func(shimCount int, plan *faults.Plan) uint64 {
+	call := func(window string, shimCount int, plan *faults.Plan) {
 		fx := newFixture(t, 8, 2)
 		for _, h := range fx.cluster.Hosts() {
 			vm, err := fx.cluster.AddVM(h, 1, 1, false)
@@ -209,10 +203,11 @@ func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
 			busOpts.Injector, opts.MaxRounds = inj, 6
 		}
 		bus := comm.NewBus(busOpts)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, opts)
-		runtime.ReadMemStats(&after)
+		var res *DistResult
+		var err error
+		alloctest.Count(t, window, func() {
+			res, err = DistributedVMMigration(fx.cluster, fx.model, bus, shims, sets, opts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,18 +215,14 @@ func TestDistributedAllocsDoNotGrowWithShims(t *testing.T) {
 			t.Fatalf("%d shims placed %d VMs", shimCount, len(res.Migrations))
 		}
 		retransmits, rejects, fallbacks = retransmits+res.Retransmits, rejects+res.Rejected, fallbacks+res.Fallbacks
-		t.Logf("%d shims, lossy %t: %d allocs; %d migrations, %d retransmits, %d rejects, %d fallbacks",
-			shimCount, plan != nil, after.Mallocs-before.Mallocs, len(res.Migrations), res.Retransmits, res.Rejected, res.Fallbacks)
-		return after.Mallocs - before.Mallocs
+		t.Logf("%s: %d migrations, %d retransmits, %d rejects, %d fallbacks",
+			window, len(res.Migrations), res.Retransmits, res.Rejected, res.Fallbacks)
 	}
+	call("lossless-8", 8, nil)
+	call("lossless-32", 32, nil)
 	lossy := faults.Plan{Seed: 3, Drop: 0.3, DupRate: 0.2, ReorderRate: 0.2, Jitter: 1}
-	for _, plan := range []*faults.Plan{nil, &lossy} {
-		few, many := allocs(8, plan), allocs(32, plan)
-		if many > few+distAllocSlack {
-			t.Fatalf("lossy %t: a call allocates %d times with 32 shims against %d with 8: the bookkeeping grows with the shims",
-				plan != nil, many, few)
-		}
-	}
+	call("lossy-8", 8, &lossy)
+	call("lossy-32", 32, &lossy)
 	if retransmits == 0 || rejects == 0 || fallbacks == 0 {
 		t.Fatalf("the lossy calls made %d retransmits, %d rejects and %d fallbacks: a path the test pins is missed",
 			retransmits, rejects, fallbacks)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/topology"
@@ -142,21 +143,16 @@ func TestMatchAllocsDoNotGrowWithHosts(t *testing.T) {
 		DependencyProb: 0.5, CrossRackDependencyProb: 0.6, Seed: 6})
 	vms := c.Racks[0].VMs()[:6]
 	k := core{c: c, m: fx.model}
-	allocs := func(hosts []*dcn.Host) float64 {
-		return testing.AllocsPerRun(20, func() {
+	match := func(hosts []*dcn.Host) func() {
+		return func() {
 			if assign, _, err := k.match(vms, hosts, nil); err != nil || assign == nil {
 				t.Fatalf("match = %v, %v", assign, err)
 			}
-		})
+		}
 	}
-	few, many := allocs(c.Hosts()[:16]), allocs(c.Hosts())
-	if few != 0 || many != 0 {
-		t.Errorf("a warm match allocates %v times over 16 hosts and %v over %d, want 0", few, many, len(c.Hosts()))
-	}
-	pricing := testing.AllocsPerRun(20, func() { k.price(vms, c.Hosts(), nil) })
-	if pricing != 0 {
-		t.Errorf("a warm price allocates %v times, want 0", pricing)
-	}
+	alloctest.Count(t, "match-16-hosts", match(c.Hosts()[:16]))
+	alloctest.Count(t, "match-all-hosts", match(c.Hosts()))
+	alloctest.Count(t, "price", func() { k.price(vms, c.Hosts(), nil) })
 }
 
 // BenchmarkMatch is the matching step at the size of a BCube 8 shim's

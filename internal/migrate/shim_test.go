@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	goruntime "runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sheriff/internal/alert"
+	"sheriff/internal/alloctest"
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/topology"
@@ -163,8 +164,8 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 		alerts []alert.Alert
 		want   int // migrations: two for the server alert, two more for the ToR's
 	}{
-		{"server-alert", []alert.Alert{server}, 2},
-		{"server- and ToR-alert", []alert.Alert{server, tor}, 4},
+		{"server", []alert.Alert{server}, 2},
+		{"server+tor", []alert.Alert{server, tor}, 4},
 	} {
 		var regions []int
 		for _, hops := range []int{1, 3} {
@@ -175,9 +176,7 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			regions = append(regions, len(s.regionHosts(true)))
-			if got := testing.AllocsPerRun(20, round(s, tc.alerts, tc.want)); got != 0 {
-				t.Errorf("a %s round over %d hosts allocates %v times, want 0", tc.name, regions[len(regions)-1], got)
-			}
+			alloctest.Count(t, tc.name+"/hops-"+strconv.Itoa(hops), round(s, tc.alerts, tc.want))
 			if tc.want == 4 && (len(s.ws.hostSet) == 0 || len(s.ws.torSet) == 0) {
 				t.Fatalf("%s round selected %d host and %d ToR VMs; the gate needs both calls", tc.name, len(s.ws.hostSet), len(s.ws.torSet))
 			}
@@ -193,7 +192,7 @@ func TestProcessAlertsSteadyStateAllocs(t *testing.T) {
 // have warmed it, another shim's first round of the same size allocates
 // nothing, and shims built over the workspace are carved from its chunks,
 // which double when they run out: 64 of them cost at most three chunks
-// (shims, neighbour lists, regions) times seven doublings, where three
+// (shims, neighbour lists, regions) times seven doublings, 21, where three
 // objects a shim would be 192.
 func TestSharedWorkspaceWarmsOnce(t *testing.T) {
 	fx := newFixture(t, 4, 2)
@@ -240,22 +239,14 @@ func TestSharedWorkspaceWarmsOnce(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		round(first)
 	}
-	var m0, m1 goruntime.MemStats
-	goruntime.ReadMemStats(&m0)
-	for i := 0; i < 64; i++ {
-		build(i % len(c.Racks))
-	}
-	goruntime.ReadMemStats(&m1)
-	if got := m1.Mallocs - m0.Mallocs; got > 3*7 {
-		t.Errorf("64 shims over a warmed workspace allocate %d objects, want at most 21 (three chunks doubled seven times)", got)
-	}
+	alloctest.Count(t, "64-shims", func() {
+		for i := 0; i < 64; i++ {
+			build(i % len(c.Racks))
+		}
+	})
 	second := build(1)
-	goruntime.ReadMemStats(&m0)
-	rep := round(second)
-	goruntime.ReadMemStats(&m1)
-	if got := m1.Mallocs - m0.Mallocs; got != 0 {
-		t.Errorf("the second shim's first round allocates %d objects in a workspace the first shim warmed, want 0", got)
-	}
+	var rep *Tally
+	alloctest.Count(t, "first-round", func() { rep = round(second) })
 	if rep != round(first) {
 		t.Error("two shims over one workspace return different tallies; the tally is the workspace's")
 	}
@@ -269,24 +260,20 @@ func TestWorkspaceCopiesShareShimMemory(t *testing.T) {
 	c := fx.cluster
 	ws := make([]Workspace, len(c.Racks))
 	shims := make([]*Shim, len(c.Racks))
-	var m0, m1 goruntime.MemStats
-	goruntime.ReadMemStats(&m0)
-	for i, r := range c.Racks {
-		if i > 0 {
-			ws[i] = ws[0]
-		}
-		var err error
-		if shims[i], err = NewShim(c, fx.model, r, DefaultParams(), &ws[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	goruntime.ReadMemStats(&m1)
 	// The shim memory, the walk's seen and queue, its node list grown
-	// three times, and three chunks each made six times for 32 shims: a
-	// workspace of its own per shim would make 32 of each.
-	if got := m1.Mallocs - m0.Mallocs; got > 6+3*6 {
-		t.Errorf("32 shims over copies of one workspace allocate %d objects, want at most 24", got)
-	}
+	// three times, and three chunks each made six times for 32 shims, 24:
+	// a workspace of its own per shim would make 32 of each.
+	alloctest.Count(t, "32-shims", func() {
+		for i, r := range c.Racks {
+			if i > 0 {
+				ws[i] = ws[0]
+			}
+			var err error
+			if shims[i], err = NewShim(c, fx.model, r, DefaultParams(), &ws[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	for i, s := range shims {
 		want := append(append([]*dcn.Host(nil), s.Rack.Hosts...), regionOf(s)...)
 		if fresh, err := NewShim(c, fx.model, s.Rack, DefaultParams(), nil); err != nil || !slices.Equal(fresh.regionHosts(true), want) {

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 func TestNilRecorderIsNoOp(t *testing.T) {
@@ -131,28 +133,18 @@ func TestSinkErrorSurfaces(t *testing.T) {
 // counters: 20,000 events that carry attribute maps, emitted to a
 // discarding sink, leave the live heap where it was.
 func TestRecorderRetainsNoEvents(t *testing.T) {
-	const n, slack = 20000, 64 << 10
+	const n = 20000
 	r, err := New(Options{Sinks: []Sink{Func(func(Event) error { return nil })}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := []Kind{KindSend, KindDeliver, KindDrop, KindDup}
-	live := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := live()
-	for i := 0; i < n; i++ {
-		r.Record(Event{Kind: kinds[i%len(kinds)], VM: i, Value: float64(i),
-			Attrs: map[string]string{"cause": "loss", "vm": strconv.Itoa(i)}})
-	}
-	after := live()
-	if after > before && after-before > slack {
-		t.Errorf("live heap grew %d bytes over %d events, want <= %d", after-before, n, slack)
-	}
+	alloctest.Count(t, "events", func() {
+		for i := 0; i < n; i++ {
+			r.Record(Event{Kind: kinds[i%len(kinds)], VM: i, Value: float64(i),
+				Attrs: map[string]string{"cause": "loss", "vm": strconv.Itoa(i)}})
+		}
+	})
 	if r.Seq() != n {
 		t.Errorf("Seq() = %d, want %d", r.Seq(), n)
 	}

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sheriff/internal/alloctest"
 )
 
 func TestShardsRunsEveryShardOnce(t *testing.T) {
@@ -76,10 +78,7 @@ func TestShardsSteadyStateAllocs(t *testing.T) {
 	var sink atomic.Int64
 	fn := func(shard int) { sink.Add(int64(shard)) }
 	s.Do(fn) // warm: lazy worker start
-	allocs := testing.AllocsPerRun(100, func() { s.Do(fn) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Do allocates %.1f/op, want 0", allocs)
-	}
+	alloctest.Count(t, "do", func() { s.Do(fn) })
 }
 
 // BenchmarkShardsHandoff times the hand-off of a two-shard round after an

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
@@ -203,7 +204,7 @@ func TestBurstWinsSelectionUnderSurge(t *testing.T) {
 // point — since the last one. The history is given room first, so that
 // its own appends allocate nothing either.
 func TestForecastFromSteadyStateAllocs(t *testing.T) {
-	const runs = 100
+	const runs = 100 // the record's, for which the history is given room
 	s := stepSeries(120, 80, 1, 5)
 	b, err := FitBurst(s.Slice(0, 60))
 	if err != nil {
@@ -220,7 +221,7 @@ func TestForecastFromSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := 0
-	if got := testing.AllocsPerRun(runs, func() {
+	alloctest.Count(t, "burst", func() {
 		next()
 		if dst, err = b.ForecastFrom(dst[:0], hist, 4); err != nil {
 			t.Fatal(err)
@@ -228,9 +229,7 @@ func TestForecastFromSteadyStateAllocs(t *testing.T) {
 		if triggered(b) {
 			fired++
 		}
-	}); got != 0 {
-		t.Fatalf("a warm ForecastFrom allocates %v times, want 0", got)
-	}
+	})
 	if fired == 0 {
 		t.Fatal("no change point fired during the gate")
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/arima"
 	"sheriff/internal/narnet"
 	"sheriff/internal/smoothing"
@@ -507,7 +508,5 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 	for range 50 {
 		cycle()
 	}
-	if got := testing.AllocsPerRun(500, cycle); got != 0 {
-		t.Fatalf("a warm Predict+Observe allocates %v times, want 0", got)
-	}
+	alloctest.Count(t, "cycle", cycle)
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/arima"
 	"sheriff/internal/smoothing"
 	"sheriff/internal/timeseries"
@@ -386,13 +387,11 @@ func TestSelectorStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(20, func() {
+		alloctest.Count(t, name, func() {
 			if shape, state, err = s.AppendState(shape[:0], state[:0]); err != nil {
 				t.Fatal(err)
 			}
-		}); got != 0 {
-			t.Errorf("%s: AppendState into warm buffers allocates %v times, want 0", name, got)
-		}
+		})
 		if a, b := s.Models(), s.Models(); len(a) == 0 || &a[0] != &b[0] {
 			t.Errorf("%s: the pool's parameters were packed again", name)
 		}

@@ -3,12 +3,12 @@ package sim
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/dcn"
 	"sheriff/internal/faults"
 	"sheriff/internal/migrate"
@@ -114,48 +114,30 @@ func TestChaosUnreportedMoves(t *testing.T) {
 	}
 }
 
-// chaosAllocSlack is how far apart two chaos episodes' allocation counts
-// may lie: the bus traffic beyond its reservation and the requests beyond
-// two a candidate may still grow, doubling, on a hostile draw.
-const chaosAllocSlack = 4
-
-// chaosAllocBound is the most one chaos episode may allocate. It allocates
-// 24 times: the protocol record and its 13 tables, the bus and its 3, the
-// fault injector's 3, and the alerts' table, their array and the shims'
-// view of them. The bound adds a little over the slack.
-const chaosAllocBound = 30
-
 // TestRunChaosAllocsFlat pins a chaos episode to tables carved once per
 // call: under the bench's plan, a Fat-Tree 8 and a Fat-Tree 16 episode
-// allocate as often as each other at every seed, within chaosAllocSlack,
-// although the Fat-Tree 16 one relocates four times the VMs over eight
-// times the racks through more rounds, retries, rejects and fallbacks.
+// allocate as often as each other at every seed, within a slack the record
+// gives (the bus traffic beyond its reservation and the requests beyond two
+// a candidate may still grow, doubling, on a hostile draw), although the
+// Fat-Tree 16 one relocates four times the VMs over eight times the racks
+// through more rounds, retries, rejects and fallbacks. An episode allocates
+// 24 times: the protocol record and its 13 tables, the bus and its 3, the
+// fault injector's 3, and the alerts' table, their array and the shims'
+// view of them; the record's bound adds a little over the slack.
 func TestRunChaosAllocsFlat(t *testing.T) {
-	// A collection starting inside an episode allocates for itself.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var retransmits, rejects, fallbacks int
-	allocs := func(pods int, seed int64) uint64 {
-		s, plan := chaosEpisode(t, pods, seed)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := s.RunChaos(plan, migrate.DistOptions{Seed: seed})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		retransmits, rejects, fallbacks = retransmits+res.Retransmits, rejects+res.Rejected, fallbacks+res.Fallbacks
-		t.Logf("FT%d seed %d: %d allocs, %d B; %d migrations, %d rounds, %d retransmits, %d rejects, %d fallbacks",
-			pods, seed, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc, len(res.Migrations), res.Rounds,
-			res.Retransmits, res.Rejected, res.Fallbacks)
-		return after.Mallocs - before.Mallocs
-	}
 	for seed := int64(1); seed <= 5; seed++ {
-		small, large := allocs(8, seed), allocs(16, seed)
-		if large > chaosAllocBound || small > chaosAllocBound {
-			t.Errorf("seed %d: FT8 allocates %d times, FT16 %d: over the bound of %d", seed, small, large, chaosAllocBound)
-		}
-		if max(small, large)-min(small, large) > chaosAllocSlack {
-			t.Errorf("seed %d: FT8 allocates %d times, FT16 %d: the count grows with the episode", seed, small, large)
+		for _, pods := range []int{8, 16} {
+			s, plan := chaosEpisode(t, pods, seed)
+			var res *migrate.DistResult
+			var err error
+			alloctest.Count(t, fmt.Sprintf("ft%d/seed-%d", pods, seed), func() {
+				res, err = s.RunChaos(plan, migrate.DistOptions{Seed: seed})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			retransmits, rejects, fallbacks = retransmits+res.Retransmits, rejects+res.Rejected, fallbacks+res.Fallbacks
 		}
 	}
 	if retransmits == 0 || rejects == 0 || fallbacks == 0 {

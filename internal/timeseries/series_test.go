@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"sheriff/internal/alloctest"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -59,12 +61,10 @@ func TestKeepLast(t *testing.T) {
 	if &s.Raw()[0] != base {
 		t.Fatal("KeepLast moved the series to new storage")
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
+	alloctest.Count(t, "append", func() {
 		s.Append(6, 7, 8)
 		s.KeepLast(2)
-	}); allocs != 0 {
-		t.Fatalf("append after KeepLast allocates %v times, want 0", allocs)
-	}
+	})
 	s.KeepLast(5)
 	if s.Len() != 2 || s.Last() != 8 {
 		t.Fatalf("KeepLast past the length changed the series: %v", s.Values())

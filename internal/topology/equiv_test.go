@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // Equivalence harness for the CSR routing core: results must be
@@ -391,12 +393,9 @@ func TestDijkstraSteadyStateZeroAlloc(t *testing.T) {
 	src := []int{ft.RackIDs[0][0]}
 	var ms *MultiSource
 	ms = DijkstraFromInto(ft.Graph, src, DistanceCost, ms) // warm: builds CSR + tables
-	allocs := testing.AllocsPerRun(20, func() {
+	alloctest.Count(t, "sweep", func() {
 		ms = DijkstraFromInto(ft.Graph, src, DistanceCost, ms)
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state sweep allocates %v objects/op, want 0", allocs)
-	}
 }
 
 // TestSweepRowsLateEqualsFullSweep is the exactness argument behind the

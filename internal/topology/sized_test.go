@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // The constructors as they were before they built at final size: every
@@ -177,17 +179,12 @@ func TestTopologyBuildAllocsFlat(t *testing.T) {
 		{"leaf-spine", func(l int) error { _, err := NewLeafSpine(LeafSpineConfig{Leaves: l}); return err }, [2]int{10, 1000}},
 	}
 	for _, b := range builders {
-		var allocs [2]float64
-		for i, size := range b.sizes {
-			allocs[i] = testing.AllocsPerRun(5, func() {
+		for _, size := range b.sizes {
+			alloctest.Count(t, fmt.Sprint(b.name, "-", size), func() {
 				if err := b.build(size); err != nil {
 					t.Fatal(err)
 				}
 			})
-		}
-		t.Logf("%s: %v allocations at sizes %v", b.name, allocs, b.sizes)
-		if allocs[0] != allocs[1] {
-			t.Errorf("%s makes %v allocations at size %d and %v at %d, want the same", b.name, allocs[0], b.sizes[0], allocs[1], b.sizes[1])
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"sheriff/internal/alloctest"
 )
 
 // stopFabrics are the fabrics of the stop-rule tests: the three small ones,
@@ -588,9 +590,7 @@ func TestWeighFromEqualsMaskedReweigh(t *testing.T) {
 				if got.PositiveWeights() != src.PositiveWeights() || got.PositiveWeights() && !want.PositiveWeights() {
 					t.Fatalf("%s: positive %v, source %v, masked fill %v", label, got.PositiveWeights(), src.PositiveWeights(), want.PositiveWeights())
 				}
-				if allocs := testing.AllocsPerRun(5, func() { got.WeighFrom(src, block...) }); allocs != 0 {
-					t.Fatalf("%s: WeighFrom allocates %v times, want 0", label, allocs)
-				}
+				alloctest.Count(t, "weigh-from", func() { got.WeighFrom(src, block...) })
 			}
 		}
 	}
@@ -621,7 +621,5 @@ func TestPathWritesIntoBuffer(t *testing.T) {
 	if got := ms.Path(a, a, buf); !slices.Equal(got, []int{a}) || &got[0] != &buf[0] {
 		t.Fatalf("Path(a, a) into a buffer = %v, want [%d] written over it", got, a)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { ms.Path(a, b, buf) }); allocs != 0 {
-		t.Fatalf("Path into a roomy buffer allocates %v times, want 0", allocs)
-	}
+	alloctest.Count(t, "path", func() { ms.Path(a, b, buf) })
 }

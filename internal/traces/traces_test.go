@@ -1,14 +1,15 @@
 package traces
 
 import (
+	"fmt"
 	"math"
 	rand2 "math/rand/v2"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"sheriff/internal/alloctest"
 	"sheriff/internal/timeseries"
 )
 
@@ -499,38 +500,29 @@ func TestStreamFloat64MatchesRand(t *testing.T) {
 // and scales, and pointers to the Generator's curves and to its batch: 208
 // bytes in one allocation, whatever the horizon, and Next allocates
 // nothing. Its slot in the batch's member list, held until the batch
-// starts, adds ~20 bytes and an allocation every doubling; the bound here
-// is 512 bytes, and AllocsPerRun's whole-number mean reads 1. What opening
-// a source allocates bounds what it retains.
+// starts, adds ~20 bytes and an allocation every doubling; the bound is
+// 512 bytes, and the whole-number mean of allocations reads 1. What
+// opening a source allocates bounds what it retains.
 func TestSourceFootprint(t *testing.T) {
 	for _, hours := range []int{24, MaxHours} {
 		gen, err := New(Options{Kind: Surge, Seed: 1, Hours: hours})
 		if err != nil {
 			t.Fatal(err)
 		}
-		const n = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
+		i := 0
+		alloctest.Count(t, fmt.Sprintf("open-%d-hours", hours), func() {
 			sourceSink = gen.Source(i, i%8)
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 512 {
-			t.Errorf("hours %d: opening a surge source allocates %d B, want at most 512", hours, per)
-		}
+			i++
+		})
 	}
 	for _, kind := range []Kind{Diurnal, Surge} {
 		gen, err := New(Options{Kind: kind, Seed: 11, Hours: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(20, func() { sourceSink = gen.Source(3, 1) }); n != 1 {
-			t.Errorf("%v Source allocates %v objects, want 1", kind, n)
-		}
+		alloctest.Count(t, fmt.Sprint("source-", kind), func() { sourceSink = gen.Source(3, 1) })
 		src := gen.Source(3, 1)
-		if n := testing.AllocsPerRun(200, func() { src.Next() }); n != 0 {
-			t.Errorf("%v Next allocates %v objects, want 0", kind, n)
-		}
+		alloctest.Count(t, fmt.Sprint("next-", kind), func() { src.Next() })
 	}
 }
 
