@@ -2,7 +2,8 @@
 // count to the bound testdata/allocs.golden records for it. It is the one
 // place in the tests that counts: no other test file calls
 // testing.AllocsPerRun, debug.SetGCPercent or runtime.ReadMemStats, or
-// reads MemStats.Mallocs (TestOnlyAllocTestCounts). Only tests import it.
+// reads MemStats.Mallocs (TestOnlyAllocTestCounts; cmd/sheriffd's read of
+// the live heap's size is no contract and exempt). Only tests import it.
 //
 // A record line is
 //
