@@ -32,13 +32,14 @@ func allocate(k int) {
 }
 
 // TestCountReadsTheWindow: a window that makes k 64-byte objects reads k
-// by each count measure and 64k bytes by bytes/N, and within its line
-// reports nothing; over its bound, or too far from the window its line
-// names, it fails naming the function that allocated.
+// by each count measure and 64k bytes by bytes/N, and at its exact bound
+// reports nothing; over its bound, under an exact one, or too far from the
+// window its line names, it fails naming the function that allocated.
 func TestCountReadsTheWindow(t *testing.T) {
 	for _, k := range []uint64{0, 1, 7} {
 		for _, c := range []contract{{measure: "allocs", bound: k}, {measure: "allocs", runs: 20, bound: k}, {measure: "bytes", runs: 20, bound: 64 * k}} {
 			tb := &fakeTB{TB: t}
+			c.exact = true
 			if got := c.hold(tb, func() { allocate(int(k)) }); got != c.bound || len(tb.errors) != 0 {
 				t.Errorf("%d objects by %s/%d: read %d, want %d; reported %q", k, c.measure, c.runs, got, c.bound, tb.errors)
 			}
@@ -46,11 +47,16 @@ func TestCountReadsTheWindow(t *testing.T) {
 	}
 	tb := &fakeTB{TB: t}
 	contract{window: "ref", measure: "allocs", bound: 10}.hold(tb, func() {})
-	for _, c := range []contract{{measure: "allocs", runs: 10}, {measure: "allocs", bound: 10, ref: "ref", slack: 1}} {
+	for _, c := range []contract{{measure: "allocs", runs: 10}, {measure: "allocs", bound: 4, exact: true}, {measure: "allocs", bound: 10, ref: "ref", slack: 1}} {
 		c.hold(tb, func() { allocate(3) })
 	}
-	if len(tb.errors) != 2 || !strings.Contains(tb.errors[0], "alloctest.allocate") || !strings.Contains(tb.errors[1], "alloctest.allocate") {
-		t.Errorf("a window over its bound and one off its reference reported %q, want two failures naming alloctest.allocate", tb.errors)
+	for _, err := range tb.errors {
+		if !strings.Contains(err, "alloctest.allocate") {
+			t.Errorf("a failing window reported %q, want alloctest.allocate named", err)
+		}
+	}
+	if len(tb.errors) != 3 {
+		t.Errorf("a window over its bound, one under its exact bound and one off its reference reported %d failures, want 3", len(tb.errors))
 	}
 }
 
@@ -124,9 +130,17 @@ func TestOnlyAllocTestCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := func(key string) uint64 { return contracts[key].bound }
+	for _, seed := range []string{"1", "7"} {
+		got := bound("internal/runtime TestSnapshotWindowAllocs/seed-" + seed + " periods")
+		if want := 32 * (bound("internal/runtime TestSnapshotAllocsFlatInFabric bcube4") + bound("internal/ingest TestSnapshotAllocsFlatInRacks float-bcube4")); got != want {
+			t.Errorf("TestSnapshotWindowAllocs/seed-%s is bound at %d, want its 32 snapshots × the runtime's and ingest's, %d", seed, got, want)
+		}
+	}
 	recorded := map[string]bool{}
-	for _, c := range contracts {
-		recorded[c.pkg+" "+strings.Split(c.test, "/")[0]] = true
+	for key := range contracts {
+		f := strings.Fields(key)
+		recorded[f[0]+" "+strings.Split(f[1], "/")[0]] = true
 	}
 	for tc := range counts {
 		if !recorded[tc] {

@@ -501,8 +501,9 @@ func TestRouteStorageConverges(t *testing.T) {
 		period(calm, true)
 	}
 	// The route arrays the network holds, live and free, by their first
-	// element: an array made during the surges shows as a new one. The
-	// collector is off, so no address is reused.
+	// element: an array made during the surges shows as a new one. before
+	// holds pointers to the arrays it names, so none of their addresses is
+	// reused.
 	storage := func() map[*int]bool {
 		held := make(map[*int]bool)
 		add := func(s []int) {

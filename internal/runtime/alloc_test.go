@@ -204,8 +204,9 @@ func TestSnapshotAllocsFlatInFabric(t *testing.T) {
 // Runtime.Snapshot and ingest.Service.Snapshot taken every 8th period as
 // -snapshot-every 8 takes them (the encode and the write left out), a
 // window of periods that still migrate and reroute allocates no more than
-// the snapshots' own columns: 32 snapshots × (15 + 5), the warm counts of
-// TestSnapshotAllocsFlatInFabric and ingest's TestSnapshotAllocsFlatInRacks.
+// the snapshots' own columns: its bound in testdata/allocs.golden is its
+// 32 snapshots × the warm counts of TestSnapshotAllocsFlatInFabric and
+// ingest's TestSnapshotAllocsFlatInRacks.
 // Routes and shims are built from storage that is kept, so once the fabric
 // has built every rack's shim and fitted every rack's pool, and set its
 // high-water marks (see TestPeriodAllocatesNothing), the snapshots are all
@@ -213,6 +214,9 @@ func TestSnapshotAllocsFlatInFabric(t *testing.T) {
 // snapshot before the window. One shard, for the reason given there.
 func TestSnapshotWindowAllocs(t *testing.T) {
 	const settle, periods, every = 512, 256, 8
+	if periods/every != 32 {
+		t.Fatal("the window's bound in testdata/allocs.golden counts 32 snapshots")
+	}
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			cluster, model := deepSnapParts(t, 4)
