@@ -135,5 +135,8 @@ src  fmt\.Sprintf\( internal/topology/fattree.go
 src  fmt\.Sprintf\( internal/topology/bcube.go
 src  fmt\.Sprintf\( internal/topology/leafspine.go
 src  &(VM|Host|Rack)\{ internal/dcn
+# One snapshot file, one version, one owner: cmd/sheriffd's header carries the file's version and checksum; the sections carry no version and no copy of the cost parameters, and the daemon peeks at no section's version.
+src  "cost_[p]arams"
+src  head\.Runtime\.[V]ersion
 EOF
 exit $fail

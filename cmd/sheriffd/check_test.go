@@ -139,13 +139,9 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	if err := run(append([]string{"-steps", "12", "-check"}, base...), &out); err != nil {
 		t.Fatalf("sound run under -check: %v", err)
 	}
-	blob, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := blob
+	_, orig := readState(t, snap)
 	var st daemonState
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := json.Unmarshal(orig, &st); err != nil {
 		t.Fatal(err)
 	}
 	loads, err := st.Runtime.Flows.Loads.Load.Floats()
@@ -159,9 +155,11 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	if st.Runtime.Flows.Loads.Load, err = timeseries.Pack(loads); err != nil {
 		t.Fatal(err)
 	}
-	if blob, err = json.Marshal(st); err != nil {
+	blob, err := json.Marshal(st)
+	if err != nil {
 		t.Fatal(err)
 	}
+	blob = seal(blob)
 	sound := append([]byte(nil), blob...)
 	if err := os.WriteFile(snap, blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -192,6 +190,7 @@ func TestRunCheckNamesTheViolation(t *testing.T) {
 	if blob, err = json.Marshal(ist); err != nil {
 		t.Fatal(err)
 	}
+	blob = seal(blob)
 	if err := os.WriteFile(snap, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

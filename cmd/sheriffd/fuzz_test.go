@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// FuzzDaemonRestore feeds arbitrary bytes to a BCube-4 daemon as its
-// snapshot file, run with -deep when the document says it was written
-// with it. Either the daemon refuses them with an error that names the
-// file (the section that refuses names the field), or it resumes, steps
-// once, and writes a snapshot that a second resume, with no step between,
-// writes again byte for byte. Never a panic. Seeded with a float, a
+// FuzzDaemonRestore feeds arbitrary bytes to a BCube-4 daemon as the
+// sections of its snapshot file, sealed under this version's header so
+// that they reach the section decoders, run with -deep when the document
+// says it was written with it. Either the daemon refuses them with an
+// error that names the file (the section that refuses names the field),
+// or it resumes, steps once, and writes a snapshot that a second resume,
+// with no step between, writes again byte for byte. Never a panic. Seeded with a float, a
 // quantized and a -deep document, and with edits of them: unequal
 // columns, an unknown VM, and a deep pool whose shape asks for a ring
 // longer than the state, an unknown kind, a negative order, a huge hidden
@@ -33,10 +34,7 @@ func FuzzDaemonRestore(f *testing.F) {
 		if err := run(append(append([]string{"-snapshot", snap}, args...), base...), io.Discard); err != nil {
 			f.Fatal(err)
 		}
-		doc, err := os.ReadFile(snap)
-		if err != nil {
-			f.Fatal(err)
-		}
+		_, doc := readState(f, snap)
 		f.Add(doc)
 		return doc
 	}
@@ -119,7 +117,7 @@ func FuzzDaemonRestore(f *testing.F) {
 			args = append([]string{"-deep"}, base...)
 		}
 		snap := filepath.Join(t.TempDir(), "daemon.snap")
-		if err := os.WriteFile(snap, data, 0o644); err != nil {
+		if err := os.WriteFile(snap, seal(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := run(append([]string{"-steps", "1", "-snapshot", snap}, args...), io.Discard); err != nil {

@@ -11,7 +11,12 @@
 // histories, fitted deep pools, exact flow state — instead of
 // cold-fitting, and each reporter reopens its stream at the file's step),
 // rewritten atomically every -snapshot-every steps, and flushed on
-// SIGINT/SIGTERM or normal exit. With -listen it serves the
+// SIGINT/SIGTERM or normal exit. The file has one version: a header line
+// names it and carries a CRC-32C of the sections below it (the
+// configuration, the runtime's state and ingest's), and a file of another
+// version, or whose sections do not match the checksum, is refused by name
+// before any section is decoded. Each rewrite syncs the file before the
+// rename and the directory after it. With -listen it serves the
 // live JSONL event stream to TCP subscribers, who attach and detach
 // without disturbing the run: a subscriber that stops reading is cut off
 // after one second's stalled write. -trace writes the same stream to a
@@ -36,10 +41,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -58,14 +65,50 @@ func main() {
 	}
 }
 
-// daemonState is the on-disk snapshot: the build configuration (so a
-// restore with different flags fails loudly instead of diverging
+// daemonState is the snapshot file's sections: the build configuration
+// (so a restore with different flags fails loudly instead of diverging
 // silently) plus the runtime and ingest states.
 type daemonState struct {
 	Config  sim.RuntimeConfig `json:"config"`
 	Deep    bool              `json:"deep"`
 	Runtime *runtime.Snapshot `json:"runtime"`
 	Ingest  *ingest.Snapshot  `json:"ingest"`
+}
+
+// snapshotVersion is the snapshot file's one version: the daemon writes
+// it and resumes from no other. It is above every version a section of an
+// older file carried (the runtime's last was 10), and older files are
+// refused, not migrated.
+const snapshotVersion = 11
+
+// headerFormat is a snapshot file's first line: the file's version, then
+// the CRC-32C (Castagnoli) of the sections, the bytes after the line, as
+// eight hex digits. Its length does not depend on the checksum.
+const headerFormat = `{"version":%d,"crc32c":"%08x"}` + "\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// decodeSnapshot checks a snapshot file's header and decodes its sections.
+// The version is checked first and the checksum next, both before any
+// section is decoded: a file from another version, torn, or with a byte
+// changed in its sections is refused by name, never half restored.
+func decodeSnapshot(blob []byte) (st daemonState, err error) {
+	line, sections, _ := bytes.Cut(blob, []byte("\n"))
+	var head struct {
+		Version int    `json:"version"`
+		CRC32C  string `json:"crc32c"`
+	}
+	sum := fmt.Sprintf("%08x", crc32.Checksum(sections, castagnoli))
+	switch err := json.Unmarshal(line, &head); {
+	case err != nil:
+		return st, fmt.Errorf("header: %w", err)
+	case head.Version != snapshotVersion:
+		return st, fmt.Errorf("file version %d not supported (want %d; older files are refused, not migrated)", head.Version, snapshotVersion)
+	case head.CRC32C != sum:
+		return st, fmt.Errorf("checksum mismatch: the sections hash to %s, the header says %q", sum, head.CRC32C)
+	}
+	err = json.Unmarshal(sections, &st)
+	return st, err
 }
 
 // run is the whole daemon behind a returned error so deferred cleanup —
@@ -193,18 +236,9 @@ func runTapped(args []string, out io.Writer, tap func(step int, offered []traces
 		blob, rerr := os.ReadFile(*snapshot)
 		switch {
 		case rerr == nil:
-			// An older file's sections do not decode as columns; name its
-			// version rather than the first field that fails.
-			var head struct {
-				Runtime *struct{ Version int } `json:"runtime"`
-			}
-			if json.Unmarshal(blob, &head) == nil && head.Runtime != nil && head.Runtime.Version != runtime.SnapshotVersion {
-				return fmt.Errorf("snapshot %s: runtime snapshot version %d not supported (want %d; older files are refused, not migrated)",
-					*snapshot, head.Runtime.Version, runtime.SnapshotVersion)
-			}
-			var st daemonState
-			if uerr := json.Unmarshal(blob, &st); uerr != nil {
-				return fmt.Errorf("snapshot %s: %w", *snapshot, uerr)
+			st, derr := decodeSnapshot(blob)
+			if derr != nil {
+				return fmt.Errorf("snapshot %s: %w", *snapshot, derr)
 			}
 			switch {
 			case st.Runtime == nil:
@@ -371,33 +405,41 @@ loop:
 	return nil
 }
 
-// snapshotEncoder encodes snapshots into a buffer it keeps from one to the
-// next, so a snapshot's bytes are not a fresh buffer the size of the file
-// each time.
+// snapshotEncoder encodes snapshot files into a buffer it keeps from one
+// to the next, so a file's bytes are not a fresh buffer its size each time.
 type snapshotEncoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
-// encode returns v's JSON, byte for byte what json.Marshal returns: the
-// newline json.Encoder ends a document with is left off. The slice is the
-// encoder's and is overwritten by the next call.
+// encode returns the snapshot file of v: the header line, then v's JSON
+// byte for byte as json.Marshal returns it. The header is written with a
+// zero checksum ahead of the sections and then overwritten in place, which
+// its fixed length allows. The slice is the encoder's and is overwritten
+// by the next call.
 func (e *snapshotEncoder) encode(v any) ([]byte, error) {
 	if e.enc == nil {
 		e.enc = json.NewEncoder(&e.buf)
 	}
 	e.buf.Reset()
+	fmt.Fprintf(&e.buf, headerFormat, snapshotVersion, 0)
+	n := e.buf.Len()
 	if err := e.enc.Encode(v); err != nil {
 		return nil, err
 	}
 	b := e.buf.Bytes()
-	return b[:len(b)-1], nil
+	b = b[:len(b)-1] // the newline json.Encoder ends a document with
+	fmt.Appendf(b[:0], headerFormat, snapshotVersion, crc32.Checksum(b[n:], castagnoli))
+	return b, nil
 }
 
 // replaceFile puts blob at path so that a crash at any point leaves the
 // old file or the new one, whole: the bytes are on disk before the rename
-// gives them the name. Without the Sync a power loss can leave the name on
-// an empty file, which the next start refuses to resume from.
+// gives them the name, and the name is on disk before replaceFile
+// returns. Without the first Sync a power loss can leave the name on an
+// empty file, which the next start refuses to resume from; without the
+// directory's, it can undo the rename, and the next start resumes from
+// the file before.
 func replaceFile(path string, blob []byte) error {
 	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -414,7 +456,18 @@ func replaceFile(path string, blob []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(f.Name(), path)
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }
 
 // serveSubscribers attaches each TCP client to the live event stream.

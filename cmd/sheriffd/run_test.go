@@ -143,14 +143,7 @@ func TestRunRestartKeepsReporterStreams(t *testing.T) {
 	}
 	// The snapshot must hold a VM that has left the rack it was admitted
 	// in, or the comparison below proves nothing.
-	blob, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st daemonState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := readState(t, snap)
 	cluster, _, err := sim.BuildCluster(st.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +236,8 @@ func TestRunRestartAfterMigrationsContinuesExactly(t *testing.T) {
 
 // TestRunRejectsBrokenSnapshot: whatever a snapshot file holds, the
 // daemon answers with an error that names the file — never a panic, never
-// a half-restored run.
+// a half-restored run. Each edited file is sealed again, so that its edit
+// reaches the check it aims at.
 func TestRunRejectsBrokenSnapshot(t *testing.T) {
 	base := []string{"-size", "4", "-hosts", "2", "-vms", "2"}
 	snap := filepath.Join(t.TempDir(), "daemon.snap")
@@ -251,10 +245,7 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 	if err := run(append([]string{"-steps", "3", "-snapshot", snap}, base...), &out); err != nil {
 		t.Fatal(err)
 	}
-	good, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, good := readState(t, snap)
 	if _, err := os.Stat(snap + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the writer left its temp file behind (stat err %v)", err)
 	}
@@ -278,11 +269,6 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 			ids := doc["runtime"].(map[string]any)["cluster"].(map[string]any)["vms"].(map[string]any)["id"].([]any)
 			ids[0] = 1 << 40
 		}, "VM id 1099511627776 outside"},
-		{"version 4 file", func(doc map[string]any) {
-			rt := doc["runtime"].(map[string]any)
-			rt["version"] = 4
-			rt["vms"] = []any{map[string]any{"id": 0, "rack": 0, "gen_pos": 3, "hist": 3}}
-		}, "runtime snapshot version 4 not supported"},
 		{"dependency on a VM nobody lists", func(doc map[string]any) {
 			doc["runtime"].(map[string]any)["cluster"].(map[string]any)["deps"] = []any{[]any{0, 1 << 40}}
 		}, "dependency 0–1099511627776 names VM 1099511627776"},
@@ -295,23 +281,20 @@ func TestRunRejectsBrokenSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 				tc.mutate(doc)
-				if blob, err = json.Marshal(doc); err != nil {
+				sections, err := json.Marshal(doc)
+				if err != nil {
 					t.Fatal(err)
 				}
+				blob = seal(sections)
 			}
-			if err := os.WriteFile(snap, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err = run(append([]string{"-steps", "1", "-snapshot", snap}, base...), &out)
-			if err == nil || !strings.Contains(err.Error(), snap) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("resume from a snapshot with %s: err = %v, want one naming %s and %q", tc.name, err, snap, tc.want)
-			}
-			after, rerr := os.ReadFile(snap)
-			if rerr != nil || !bytes.Equal(after, blob) {
-				t.Fatalf("refused resume rewrote the snapshot file (read err %v)", rerr)
-			}
+			refusesResume(t, snap, blob, tc.want, base...)
 		})
 	}
+	// A file of an older version, its sections as this version writes
+	// them: refused by the file's number.
+	t.Run("version 4 file", func(t *testing.T) {
+		refusesResume(t, snap, sealAs(4, good), "file version 4 not supported", base...)
+	})
 }
 
 // TestRunSnapshotConfigMismatch pins the refusal to resume a snapshot
@@ -430,8 +413,9 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestSnapshotEncoderMatchesMarshal: snapshots encoded one after another
-// through the daemon's kept buffer are each byte for byte json.Marshal's —
-// a larger document after a smaller one and a smaller after a larger.
+// through the daemon's kept buffer are each byte for byte json.Marshal's,
+// sealed — a larger document after a smaller one and a smaller after a
+// larger.
 func TestSnapshotEncoderMatchesMarshal(t *testing.T) {
 	var docs []daemonState
 	for _, cfg := range []sim.RuntimeConfig{
@@ -476,7 +460,7 @@ func TestSnapshotEncoderMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if want = seal(want); !bytes.Equal(got, want) {
 			t.Fatalf("document %d: the kept buffer encodes %d bytes, json.Marshal %d, and they differ", i, len(got), len(want))
 		}
 	}

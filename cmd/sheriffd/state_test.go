@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	goruntime "runtime"
@@ -68,14 +66,7 @@ func sampleDaemon(t *testing.T, args []string, periods int) daemonSample {
 // (countColumns).
 func snapshotColumns(t *testing.T, path string) (daemonState, map[string]int) {
 	t.Helper()
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st daemonState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := readState(t, path)
 	cols := make(map[string]int)
 	countColumns(reflect.ValueOf(st), "", cols)
 	return st, cols

@@ -10,7 +10,10 @@
 //	package test window measure [=]bound [=window±slack] [norace]
 //
 // keyed by the test's package directory, its t.Name() and the window Count
-// is handed. The counting rules:
+// is handed. The record and the package directory are found from the
+// source paths compiled into the test binary (runtime.Caller), so the
+// binary may run in any directory, though not when built with -trimpath.
+// The counting rules:
 //
 //   - Every window runs at GOMAXPROCS(1) with the collector off, after a
 //     collection that finishes any cycle under way and hands free memory
@@ -71,7 +74,7 @@ type contract struct {
 
 var (
 	loadOnce  sync.Once
-	root, pkg string              // the module root; the test's package directory in it
+	root      string              // the module root
 	contracts map[string]contract // by package, test and window
 	loadErr   error
 	race      bool     // whether the race detector is on
@@ -79,39 +82,35 @@ var (
 )
 
 // Count runs fn as the window the record names for t and window, and fails
-// t when the count breaks the record's line.
+// t when the count breaks the record's line. The test's package is the
+// directory of the file that calls Count, so the test binary may run in
+// any directory.
 func Count(t testing.TB, window string, fn func()) {
 	t.Helper()
 	loadOnce.Do(load)
 	if loadErr != nil {
 		t.Fatal(loadErr)
 	}
-	c, ok := contracts[pkg+" "+t.Name()+" "+window]
+	_, file, _, _ := runtime.Caller(1)
+	pkg, err := filepath.Rel(root, filepath.Dir(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := contracts[filepath.ToSlash(pkg)+" "+t.Name()+" "+window]
 	if !ok {
 		t.Fatalf("%s window %q has no line in %s", t.Name(), window, record)
 	}
 	c.hold(t, fn)
 }
 
-// load reads from the build whether the race detector is on, and finds the
-// module root above the working directory, the test's package in it and the
-// record.
+// load reads from the build whether the race detector is on, and reads the
+// record at the module root, two directories above this file's.
 func load() {
 	info, _ := debug.ReadBuildInfo()
 	race = info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
-	wd, err := os.Getwd()
-	for root = wd; err == nil; root = filepath.Dir(root) {
-		if _, err = os.Stat(filepath.Join(root, "go.mod")); err == nil || root == filepath.Dir(root) {
-			break
-		}
-		err = nil
-	}
-	if err == nil {
-		pkg, _ = filepath.Rel(root, wd) // root is wd or above it
-		pkg = filepath.ToSlash(pkg)
-		contracts, err = read(filepath.Join(root, record))
-	}
-	loadErr = err
+	_, file, _, _ := runtime.Caller(0)
+	root = filepath.Dir(filepath.Dir(filepath.Dir(file)))
+	contracts, loadErr = read(filepath.Join(root, record))
 }
 
 // read parses a record; blank lines and lines starting with # are notes.

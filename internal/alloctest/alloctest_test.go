@@ -6,8 +6,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -58,6 +60,33 @@ func TestCountReadsTheWindow(t *testing.T) {
 	if len(tb.errors) != 3 {
 		t.Errorf("a window over its bound, one under its exact bound and one off its reference reported %d failures, want 3", len(tb.errors))
 	}
+}
+
+// TestCountFromAnyDirectory: a test binary started outside its package
+// directory still finds the record and its own package's lines. The line
+// is set in the loaded record here, since the record has none for this
+// package.
+func TestCountFromAnyDirectory(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	loadOnce = sync.Once{} // load again, from the new directory
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+		loadOnce = sync.Once{}
+	})
+	if loadOnce.Do(load); loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	key := "internal/alloctest " + t.Name() + " none"
+	contracts[key] = contract{text: key + " allocs 0", test: t.Name(), window: "none", measure: "allocs"}
+	Count(t, "none", func() {})
 }
 
 // TestOnlyAllocTestCounts keeps the counting here and the record whole.

@@ -35,11 +35,11 @@ import (
 	"sheriff/internal/topology"
 )
 
-// Params holds the constants of Eqn. (1). The paper's simulation settings
-// (Sec. VI.B) are C_r = 100, δ = η = 1, C_d = 1.
+// Params holds the constants of Eqn. (1) that a caller may set. The
+// paper's simulation settings (Sec. VI.B) are C_r = 100, δ = η = 1, and
+// C_d = 1, which is the constant cd.
 type Params struct {
 	Cr             float64 // computing cost of one live migration
-	Cd             float64 // unit dependency cost per distance in G_d
 	Delta          float64 // δ: weight of transmission time T(e)
 	Eta            float64 // η: weight of utilization rate P(e)
 	BandwidthFloor float64 // B_t: minimum usable available bandwidth
@@ -48,12 +48,16 @@ type Params struct {
 
 // PaperParams returns the simulation constants of Sec. VI.B.
 func PaperParams() Params {
-	return Params{Cr: 100, Cd: 1, Delta: 1, Eta: 1, BandwidthFloor: 0, RefSize: 10}
+	return Params{Cr: 100, Delta: 1, Eta: 1, BandwidthFloor: 0, RefSize: 10}
 }
+
+// cd is C_d, the unit dependency cost per distance in G_d, at the
+// paper's 1.
+const cd = 1
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if p.Cr < 0 || p.Cd < 0 || p.Delta < 0 || p.Eta < 0 {
+	if p.Cr < 0 || p.Delta < 0 || p.Eta < 0 {
 		return fmt.Errorf("cost: negative parameter in %+v", p)
 	}
 	if p.RefSize <= 0 {
@@ -510,7 +514,7 @@ func (m *Model) dependencyCost(src, dst *dcn.Rack, peerRacks []int) float64 {
 		peer := m.cluster.Racks[idx]
 		total += m.distance(dist, dst.NodeID, peer.NodeID) - m.distance(dist, src.NodeID, peer.NodeID)
 	}
-	return m.params.Cd * total
+	return cd * total
 }
 
 // RackMigration is Eqn. (1) between racks, which is all it depends on: the

@@ -108,7 +108,7 @@ func wantDependencyCost(c *dcn.Cluster, truth func(a, b *dcn.Rack) float64, vm *
 		peer := c.Racks[idx]
 		total += truth(dst, peer) - truth(src, peer)
 	}
-	return PaperParams().Cd * total
+	return cd * total
 }
 
 // assertDistancesAgree compares Distance(i, j) and DependencyCost(vm k,

@@ -379,11 +379,6 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal("restore into a used service accepted")
 	}
 	fresh := build(t, Options{})
-	bad := *snap
-	bad.Version = 99
-	if err := fresh.Restore(&bad); err == nil {
-		t.Fatal("unknown snapshot version accepted")
-	}
 	other, err := New([][]int{{0, 1}}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -219,8 +219,8 @@ func TestQuantSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != SnapshotVersion || snap.Mode != "quantized" {
-		t.Fatalf("snapshot header: version %d mode %q", snap.Version, snap.Mode)
+	if snap.Mode != "quantized" {
+		t.Fatalf("snapshot mode %q, want quantized", snap.Mode)
 	}
 	blob, err := json.Marshal(snap)
 	if err != nil {
@@ -312,10 +312,9 @@ func TestCrossModeSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRestores: it does not, and neither does version 2 (one
-// record per slot). Restore takes the one version the daemon writes and a
-// mode it can name, nothing older or other.
-func TestV1SnapshotRestores(t *testing.T) {
+// TestRestoreRefusesUnknownMode: Restore takes a mode it can name,
+// nothing other.
+func TestRestoreRefusesUnknownMode(t *testing.T) {
 	s := build(t, Options{})
 	s.Offer(Update{VM: 0, Profile: cool()})
 	s.ProcessPending()
@@ -323,16 +322,8 @@ func TestV1SnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2} {
-		snap.Version = v
-		if err := build(t, Options{}).Restore(snap); err == nil || !strings.Contains(err.Error(), "not supported") {
-			t.Fatalf("v%d snapshot: err = %v, want a refusal", v, err)
-		}
-	}
-	snap.Version = SnapshotVersion
 	snap.Mode = "analog"
-	r := build(t, Options{})
-	if err := r.Restore(snap); err == nil {
-		t.Fatalf("v%d snapshot with bad mode accepted", SnapshotVersion)
+	if err := build(t, Options{}).Restore(snap); err == nil {
+		t.Fatal("snapshot with bad mode accepted")
 	}
 }

@@ -8,12 +8,6 @@ import (
 	"sheriff/internal/timeseries"
 )
 
-// SnapshotVersion is the ingest snapshot format version, and the only one
-// Restore takes. Version 3 carries each shard's slots as columns; versions
-// 1 and 2 (one record per slot) only ever sat in a daemon file beside a
-// runtime section runtime.Restore refuses.
-const SnapshotVersion = 3
-
 // ShardSnap is one rack shard's triage state as columns: entry i of VM,
 // Seen and Alerted, and entries 2i and 2i+1 of the state column, are the
 // shard's i-th VM. The smoother's (level, trend) pairs travel in the
@@ -42,7 +36,6 @@ type ShardSnap struct {
 // exact float image, and because quant.FromFloat(q.Float()) == q, quantized
 // state survives a quantized → float → quantized round trip bit-exactly.
 type Snapshot struct {
-	Version int `json:"version"`
 	// Mode records the triage arithmetic the state was captured under
 	// ("float" or "quantized").
 	Mode      string      `json:"mode,omitempty"`
@@ -64,7 +57,6 @@ type Snapshot struct {
 // are.
 func (s *Service) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
-		Version:   SnapshotVersion,
 		Mode:      s.opts.Mode.String(),
 		Offered:   s.offered.Load(),
 		Accepted:  s.accepted.Load(),
@@ -160,9 +152,6 @@ func FromSnapshot(snap *Snapshot, opts Options) (*Service, error) {
 func (s *Service) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("ingest: restore from nil snapshot")
-	}
-	if snap.Version != SnapshotVersion {
-		return fmt.Errorf("ingest: snapshot version %d not supported (want %d)", snap.Version, SnapshotVersion)
 	}
 	mode, err := ParseTriageMode(snap.Mode)
 	if err != nil {

@@ -87,9 +87,9 @@ func FuzzIngestRestore(f *testing.F) {
 	unknown := liveSnapshot(f, TriageFloat)
 	unknown.Mode = "analog"
 	seed(unknown)
-	v2 := liveSnapshot(f, TriageFloat)
-	v2.Version = 2
-	seed(v2)
+	stray := liveSnapshot(f, TriageFloat)
+	stray.Shards[0].Words = make([]int32, 2*len(stray.Shards[0].VM))
+	seed(stray)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap Snapshot

@@ -12,49 +12,21 @@ import (
 	"sheriff/internal/traces"
 )
 
-// SnapshotVersion is the snapshot format version Snapshot writes, and the
-// only one Restore takes: older files are refused, not migrated.
-//
-// The per-VM state is the Holt (level, trend) pairs that fully determine
-// the forecast continuation, not the component histories: a million-VM
-// snapshot carries 8 floats per VM instead of 4 unbounded series. Queue
-// monitors are carried the same way. Because the state is global (not per
-// shard), the shard count is free to change between save and restore.
-//
-// Each VM also carries its admission rack. The engine fixes its rack-major
-// VM order — which shard predicts a VM, which rack's bucket its server
-// alert lands in, which endpoint's TRF a dependency flow takes its rate
-// from — when the runtime is built, and migrations do not move it. A restore therefore has to rebuild
-// that order from where the VMs were admitted, not from where the restored
-// cluster holds them now, or the resumed run parts from the straight one
-// at the first step the two orders disagree on.
-//
-// Version 5 writes every section's rows as columns (VMColumns here,
-// dcn.VMColumns, flow.FlowColumns and flow.LoadColumns below it), their
-// floats as timeseries.Bits. Version 6 drops the per-VM generator
-// position: the runtime draws from no stream, so it has none to carry.
-// Version 7 drops the flag that marked the cost tables stale: every manage
-// phase refreshes them before its first shim asks, so nothing about them
-// carries across periods. Version 8 holds each fitted deep pool in fixed
-// state: its refit window (the last N observations, N being the length
-// the pool was fitted on) and each ARIMA candidate's innovation tails, in
-// place of every value observed since the fit and the models' copies of
-// their training series. Version 9 carries the deep section as columns
-// too (DeepColumns): one shape column, one packed parameter array per
-// fitted rack, shared by every snapshot, and one state array for all
-// racks, in place of a record per rack and per candidate; and the flow
-// paths as one flat column with end offsets. Version 10 changes no field:
-// the diurnal and surge streams its trace options name are drawn from PCG
-// streams since, so a restart from a version 9 file would go on with
-// other inputs than the run that wrote it.
-const SnapshotVersion = 10
-
 // VMColumns is the step engine's per-VM forecasting state as columns, in
-// ascending VM ID order: entry i of ID, Rack (the admission rack, see
-// SnapshotVersion) and Hist (the observation count) is one VM, as are
-// entries 4i..4i+3 of Current (its last observed profile: CPU, Mem, IO,
-// TRF) and 8i..8i+7 of Trend (its per-component Holt level and trend, in
-// profile order).
+// ascending VM ID order: entry i of ID, Rack (the admission rack) and Hist
+// (the observation count) is one VM, as are entries 4i..4i+3 of Current
+// (its last observed profile: CPU, Mem, IO, TRF) and 8i..8i+7 of Trend
+// (its per-component Holt level and trend, in profile order).
+//
+// The Holt pairs fully determine the forecast continuation, so a VM costs
+// 12 floats however long it has run. The admission rack is carried
+// because the engine fixes its rack-major VM order — which shard predicts
+// a VM, which rack's bucket its server alert lands in, which endpoint's
+// TRF a dependency flow takes its rate from — when the runtime is built,
+// and migrations do not move it: a restore rebuilds that order from where
+// the VMs were admitted, not from where the restored cluster holds them
+// now, or the resumed run parts from the straight one at the first step
+// the two orders disagree on.
 type VMColumns struct {
 	ID      []int           `json:"id"`
 	Rack    []int           `json:"rack"`
@@ -106,17 +78,15 @@ type DeepColumns struct {
 // snapshot. Integers stay decimal, so a file can still be searched for a
 // VM, host or flow ID.
 type Snapshot struct {
-	Version    int             `json:"version"`
-	Step       int             `json:"step"`
-	Seed       int64           `json:"seed"`
-	Traces     *traces.Options `json:"traces,omitempty"` // resolved trace options: the streams a restarted caller reopens
-	CostParams cost.Params     `json:"cost_params"`
-	Cluster    *dcn.Snapshot   `json:"cluster"`
-	Flows      *flow.Snapshot  `json:"flows"`
-	FlowPairs  [][3]int        `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
-	VMs        VMColumns       `json:"vms"`
-	Queues     QueueColumns    `json:"queues"`
-	Deep       *DeepColumns    `json:"deep,omitempty"`
+	Step      int             `json:"step"`
+	Seed      int64           `json:"seed"`
+	Traces    *traces.Options `json:"traces,omitempty"` // resolved trace options: the streams a restarted caller reopens
+	Cluster   *dcn.Snapshot   `json:"cluster"`
+	Flows     *flow.Snapshot  `json:"flows"`
+	FlowPairs [][3]int        `json:"flow_pairs,omitempty"` // [vmA, vmB, flowID]
+	VMs       VMColumns       `json:"vms"`
+	Queues    QueueColumns    `json:"queues"`
+	Deep      *DeepColumns    `json:"deep,omitempty"`
 }
 
 // Snapshot captures the runtime's full resumable state. It fails when a
@@ -165,14 +135,12 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	held.traces = r.opts.Traces
 	snap := &held.snap
 	*snap = Snapshot{
-		Version:    SnapshotVersion,
-		Step:       r.step,
-		Seed:       r.opts.Seed,
-		Traces:     &held.traces,
-		CostParams: r.Model.Params(),
-		Cluster:    cluster,
-		Flows:      flows,
-		FlowPairs:  r.flowPairs(),
+		Step:      r.step,
+		Seed:      r.opts.Seed,
+		Traces:    &held.traces,
+		Cluster:   cluster,
+		Flows:     flows,
+		FlowPairs: r.flowPairs(),
 		VMs: VMColumns{ID: timeseries.Carve(&ints, n), Rack: timeseries.Carve(&ints, n), Hist: timeseries.Carve(&ints, n),
 			Current: timeseries.Carve(&bits, 8*4*n)[:0], Trend: timeseries.Carve(&bits, 8*8*n)[:0]},
 		Queues: QueueColumns{Count: timeseries.Carve(&ints, nq), Holt: timeseries.Carve(&bits, 8*2*nq)[:0]},
@@ -305,9 +273,6 @@ func (snap *Snapshot) unpack() (cur, trend, qHolt []float64, err error) {
 func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapshot) (*Runtime, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("runtime: restore from nil snapshot")
-	}
-	if snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("runtime: snapshot version %d not supported (want %d; older files are refused, not migrated)", snap.Version, SnapshotVersion)
 	}
 	if snap.Traces == nil {
 		return nil, fmt.Errorf(`runtime: snapshot "traces" is missing`)

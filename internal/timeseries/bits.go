@@ -24,9 +24,9 @@ import (
 // Decoding also accepts the decimal array such a field held before it was
 // typed Bits. A nil Bits encodes as null; Pack never returns one.
 //
-// Reading one from a file is as it always was:
+// Reading one from a daemon's snapshot file, past its header line:
 //
-//	jq -r '.runtime.deep.state' f.snap | base64 -d | od -An -t f8
+//	tail -n +2 f.snap | jq -r '.runtime.deep.state' | base64 -d | od -An -t f8
 type Bits []byte
 
 // expMask selects a float64's exponent; all ones there is NaN or ±Inf.
