@@ -7,7 +7,7 @@
 //
 // A record line is
 //
-//	package test window measure [=]bound [=window±slack] [norace]
+//	package test window measure [=]bound [=window±slack] [norace | race=B]
 //
 // keyed by the test's package directory, its t.Name() and the window Count
 // is handed. The record and the package directory are found from the
@@ -38,6 +38,12 @@
 //   - norace: under the race detector (-race in the build's settings), whose
 //     instrumentation allocates and whose sync.Pool drops items at random,
 //     the count is logged but not held.
+//   - race=B: under the race detector the count is held to at most B in
+//     place of the line's bound, which then holds only without it. The
+//     detector turns the tiny allocator off, so a window of tiny objects
+//     counts more under it; race=B keeps the plain bound at the plain count
+//     and still bounds the race count. A =window±slack relation holds in
+//     both.
 //
 // When a count breaks its line, the failure lists the stacks that allocated
 // in the window, from a heap profile that sampled every allocation while it
@@ -69,7 +75,9 @@ type contract struct {
 	measure, ref       string // measure: allocs, bytes or retained; ref: the W of =W±s
 	line, runs         int    // runs: the N of allocs/N and bytes/N; 0 for one call
 	bound, slack       uint64
+	raceBound          uint64 // race=B's B, held in place of bound under the race detector
 	exact, norace      bool
+	underRace          bool // the line has a race=B
 }
 
 var (
@@ -154,14 +162,22 @@ func (c *contract) parse(measure, bound string, extra []string) (err error) {
 		switch {
 		case f == "norace":
 			c.norace = true
+		case strings.HasPrefix(f, "race="):
+			c.underRace = true
+			if c.raceBound, err = strconv.ParseUint(strings.TrimPrefix(f, "race="), 10, 64); err != nil {
+				return err
+			}
 		case strings.HasPrefix(f, "=") && ok:
 			c.ref = ref
 			if c.slack, err = strconv.ParseUint(slack, 10, 64); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("%q: want =window±slack or norace", f)
+			return fmt.Errorf("%q: want =window±slack, norace or race=B", f)
 		}
+	}
+	if c.norace && c.underRace {
+		return errors.New("norace and race=B: want one")
 	}
 	return nil
 }
@@ -174,8 +190,12 @@ func (c contract) hold(t testing.TB, fn func()) uint64 {
 	if c.ref != "" && !counted {
 		t.Fatalf("%s window %q: window %q was not counted before it", c.test, c.window, c.ref)
 	}
+	bound, exact := c.bound, c.exact
+	if race && c.underRace {
+		bound, exact = c.raceBound, false
+	}
 	n, where := c.count(fn, func(n uint64) bool {
-		return race && c.norace || n <= c.bound && (!c.exact || n == c.bound) && (c.ref == "" || max(n, ref)-min(n, ref) <= c.slack)
+		return race && c.norace || n <= bound && (!exact || n == bound) && (c.ref == "" || max(n, ref)-min(n, ref) <= c.slack)
 	})
 	counts.Store(t.Name()+" "+c.window, n)
 	msg := fmt.Sprintf("%s window %q counted %d against %s:%d, %q", c.test, c.window, n, record, c.line, c.text)

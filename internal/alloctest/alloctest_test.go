@@ -36,7 +36,8 @@ func allocate(k int) {
 // TestCountReadsTheWindow: a window that makes k 64-byte objects reads k
 // by each count measure and 64k bytes by bytes/N, and at its exact bound
 // reports nothing; over its bound, under an exact one, or too far from the
-// window its line names, it fails naming the function that allocated.
+// window its line names, it fails naming the function that allocated. A
+// race=B line holds its bound without the race detector and B under it.
 func TestCountReadsTheWindow(t *testing.T) {
 	for _, k := range []uint64{0, 1, 7} {
 		for _, c := range []contract{{measure: "allocs", bound: k}, {measure: "allocs", runs: 20, bound: k}, {measure: "bytes", runs: 20, bound: 64 * k}} {
@@ -59,6 +60,26 @@ func TestCountReadsTheWindow(t *testing.T) {
 	}
 	if len(tb.errors) != 3 {
 		t.Errorf("a window over its bound, one under its exact bound and one off its reference reported %d failures, want 3", len(tb.errors))
+	}
+
+	var c contract
+	if err := c.parse("allocs", "=3", []string{"race=5"}); err != nil || c.bound != 3 || !c.exact || !c.underRace || c.raceBound != 5 {
+		t.Errorf("=3 race=5 parsed to %+v, %v", c, err)
+	}
+	if err := (&contract{}).parse("allocs", "3", []string{"norace", "race=5"}); err == nil {
+		t.Error("a line with norace and race=B parsed")
+	}
+	loadOnce.Do(load) // reads whether the race detector is on
+	for _, c := range []contract{
+		{measure: "allocs", bound: 3, exact: true, raceBound: 5, underRace: true}, // held in both
+		{measure: "allocs", bound: 2, raceBound: 3, underRace: true},              // over the plain bound only
+		{measure: "allocs", bound: 3, raceBound: 2, underRace: true},              // over the race bound only
+	} {
+		tb := &fakeTB{TB: t}
+		c.hold(tb, func() { allocate(3) })
+		if over := race && c.raceBound < 3 || !race && c.bound < 3; over != (len(tb.errors) > 0) {
+			t.Errorf("3 objects against %d race=%d with the race detector %v: reported %q", c.bound, c.raceBound, race, tb.errors)
+		}
 	}
 }
 

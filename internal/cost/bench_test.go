@@ -101,7 +101,7 @@ func BenchmarkRefreshSources(b *testing.B) {
 	}{{"regional", 1}, {"full", -1}} {
 		b.Run(bc.name, func(b *testing.B) {
 			m.RefreshSources(nodes, bc.hops) // build the regions, warm the scratch
-			settled := m.trans.SweptNodes()
+			settled := m.tab.Load().trans.SweptNodes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			start := time.Now()
@@ -109,7 +109,7 @@ func BenchmarkRefreshSources(b *testing.B) {
 				m.RefreshSources(nodes, bc.hops)
 			}
 			rows := float64(b.N * len(nodes))
-			b.ReportMetric(float64(m.trans.SweptNodes()-settled)/rows, "nodes/row")
+			b.ReportMetric(float64(m.tab.Load().trans.SweptNodes()-settled)/rows, "nodes/row")
 			b.ReportMetric(float64(time.Since(start).Microseconds())/rows, "µs/row")
 		})
 	}
@@ -122,9 +122,9 @@ func BenchmarkRefreshSources(b *testing.B) {
 func TestRegionalRowsSettledCeiling(t *testing.T) {
 	const ceiling = 40
 	m, nodes := surgeRefresh(t)
-	before := m.trans.SweptNodes()
+	before := m.tab.Load().trans.SweptNodes()
 	m.RefreshSources(nodes, 1)
-	got := float64(m.trans.SweptNodes()-before) / float64(len(nodes))
+	got := float64(m.tab.Load().trans.SweptNodes()-before) / float64(len(nodes))
 	if got > ceiling {
 		t.Fatalf("regional rows settled %.1f nodes each, ceiling %d", got, ceiling)
 	}

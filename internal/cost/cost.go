@@ -71,8 +71,9 @@ func (p Params) Validate() error {
 // than a threshold value B_t").
 var ErrBandwidthBelowFloor = errors.New("cost: no path with bandwidth above threshold")
 
-// Model evaluates migration costs over one cluster. Construct with New;
-// call Refresh (or RefreshSources, or MarkSources) after changing link
+// Model evaluates migration costs over one cluster. Construct with New, or
+// with Prepared.Model to read rows prepared once for many clusters; call
+// Refresh (or RefreshSources, or MarkSources) after changing link
 // bandwidths.
 //
 // Queries may run from several goroutines at once, and a row they find
@@ -87,50 +88,67 @@ type Model struct {
 	params  Params
 	cluster *dcn.Cluster
 
-	// trans holds Σ (δT+ηP) along the cheapest path from every rack. Its
-	// weight vector is refilled by every refresh; its rows are swept when
-	// named or read: swept[r] is row r's stamp, the weight generation of its
-	// last state times four plus the state (rowPending…rowFull). A full row
-	// is current iff its stamp is stamp(rowFull); a regional one only for
-	// the racks of its region. mu serializes the sweeps on sweeper 0, the
-	// queries'; the stamp is the lock-free fast path, and a pending row's
-	// claim.
-	trans    *topology.MultiSource
-	swept    []atomic.Uint64
+	// tab holds the transmission rows and their stamps, published whole so
+	// that a model reading prepared rows can swap in its own copy beside
+	// its queries (owned). Its weight vector is refilled by every refresh;
+	// gen counts the refreshes, and regional says the last one's rows stop
+	// at their regions. mu serializes the sweeps on sweeper 0, the
+	// queries'; a row's stamp is the lock-free fast path, and a pending
+	// row's claim.
+	tab      atomic.Pointer[table]
 	gen      uint64
-	regional bool // the last refresh's rows stop at their regions
+	regional bool
 	mu       sync.Mutex
 	ready    atomic.Bool // tables built (false until a deferred model's first use)
 
-	// The regions of regional rows, per trans row, built on the row's first
-	// regional sweep and kept until the wiring or the hop radius changes:
-	// serves holds row r's region racks as a bit set over trans rows
-	// (words per row), waitFor[r] the same racks as the nodes its sweep
-	// waits for, a slice of one shared arena. The rest is the building's
-	// reused memory, so a row first named mid-run allocates nothing once
-	// the arena has grown.
-	hops    int
-	built   []bool
-	serves  []uint64
-	words   int
-	waitFor [][]int32
-	arena   []int32
-	walk    topology.NeighborScratch
-	nbrs    []int
+	// The regions of regional rows, built on each row's first regional
+	// sweep and kept until the wiring or the hop radius changes. walk and
+	// nbrs are the building's reused memory, so a row first named mid-run
+	// allocates nothing once the arena has grown.
+	reg  regions
+	walk topology.NeighborScratch
+	nbrs []int
 
 	prepared, onDemand atomic.Uint64 // rows named by refreshes / swept in full by queries
 
 	// dist is Σ D(e) between racks, row-major by trans row. Distance does
 	// not depend on bandwidth, so it is swept only by the first read after
 	// the wiring changed (distances), and only the rack × rack block anyone
-	// reads is kept. distReady is its fast path, as ready is trans's.
+	// reads is kept. distReady is its fast path, as ready is tab's.
 	dist       []float64
 	distReady  atomic.Bool
 	distBuilds int // tables built, under mu
 
 	transCost topology.EdgeCost // per-edge δT+ηP, built once from params
-	structVer uint64            // Graph.StructVersion behind trans's rows and dist
+	structVer uint64            // Graph.StructVersion behind tab's rows and dist
 	rows      []int             // the rows the last refresh named, in order
+}
+
+// table is a model's transmission rows. trans holds Σ (δT+ηP) along the
+// cheapest path from every rack, its rows swept when named or read:
+// swept[r] is row r's stamp, the weight generation of its last state times
+// four plus the state (rowPending…rowFull). A full row is current iff its
+// stamp is stamp(rowFull); a regional one only for the racks of its region.
+// A shared table is a Prepared's, which no one writes.
+type table struct {
+	trans  *topology.MultiSource
+	swept  []atomic.Uint64
+	shared bool
+}
+
+// regions holds the regions of regional rows, per trans row, at hop radius
+// hops: serves holds row r's region racks as a bit set over trans rows
+// (words per row), waitFor[r] the same racks as the nodes its sweep waits
+// for, a slice of one shared arena. Shared regions are a Prepared's, which
+// no one writes.
+type regions struct {
+	hops    int
+	built   []bool
+	serves  []uint64
+	words   int
+	waitFor [][]int32
+	arena   []int32
+	shared  bool
 }
 
 // The states of a trans row, the low two bits of its stamp.
@@ -172,6 +190,82 @@ func NewDeferred(c *dcn.Cluster, p Params) (*Model, error) {
 		return p.Delta*t + p.Eta*u
 	}
 	return m, nil
+}
+
+// Prepared is a refresh's rows frozen for sharing: the transmission rows
+// RefreshSources swept, their stamps, the weights they were swept against
+// and the regions they answer for. Models over clusters wired and weighted
+// alike read them in place (Model) and copy them only on their first write,
+// so nothing writes them once prepared.
+type Prepared struct {
+	params   Params
+	tab      *table
+	gen      uint64
+	regional bool
+	reg      regions
+	prepared uint64
+}
+
+// Prepare refreshes a model over c as RefreshSources(rackNodes, hops)
+// does, and freezes its rows. The model is dropped, and with it its search
+// state, c and c's graph: what is kept is the rows, their weights and
+// regions, and the flattened view of the graph they are read through.
+func Prepare(c *dcn.Cluster, p Params, rackNodes []int, hops int) (*Prepared, error) {
+	m, err := NewDeferred(c, p)
+	if err != nil {
+		return nil, err
+	}
+	m.RefreshSources(rackNodes, hops)
+	t := m.tab.Load()
+	reg := m.reg
+	reg.shared = true
+	return &Prepared{
+		params: p, tab: &table{trans: t.trans.Freeze(), swept: t.swept, shared: true},
+		gen: m.gen, regional: m.regional, reg: reg, prepared: m.prepared.Load(),
+	}, nil
+}
+
+// Model returns a model over c that reads the prepared rows in place: it
+// answers as a model over c that RefreshSources had just refreshed with
+// the prepared arguments, and counts those rows as prepared
+// (SweepCounts). c's graph must be wired and weighted as the prepared
+// cluster's was (topology.MultiSource.Fits); Model refuses any other.
+//
+// The model takes its own copy of the rows at its first write: a refresh,
+// or a query that sweeps a row in full on demand. That query publishes
+// the whole copy before it stamps the row, so queries beside it read the
+// prepared rows or the copy, never a mix.
+func (pr *Prepared) Model(c *dcn.Cluster) (*Model, error) {
+	m, err := NewDeferred(c, pr.params)
+	if err != nil {
+		return nil, err
+	}
+	if !pr.tab.trans.Fits(c.Graph) {
+		return nil, errors.New("cost: prepared rows read on a fabric wired or weighted otherwise")
+	}
+	m.tab.Store(pr.tab)
+	m.gen, m.regional, m.reg, m.structVer = pr.gen, pr.regional, pr.reg, c.Graph.StructVersion()
+	m.prepared.Store(pr.prepared)
+	m.ready.Store(true)
+	return m, nil
+}
+
+// owned returns the model's table, first replacing a shared one with the
+// model's own copy of it, over its own fabric, whole before it is
+// published: a query still reading the shared rows is undisturbed, and one
+// that loads the table after the swap reads the copy. Call it under mu, or
+// with no query running.
+func (m *Model) owned() *table {
+	t := m.tab.Load()
+	if !t.shared {
+		return t
+	}
+	own := &table{trans: t.trans.Clone(m.cluster.Graph), swept: make([]atomic.Uint64, len(t.swept))}
+	for i := range t.swept {
+		own.swept[i].Store(t.swept[i].Load())
+	}
+	m.tab.Store(own)
+	return own
 }
 
 // ensure builds the tables of a deferred model queried before its first
@@ -221,8 +315,9 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // the call allocates nothing.
 func (m *Model) RefreshSources(rackNodes []int, hops int) {
 	m.MarkSources(rackNodes, hops, 1)
+	t := m.tab.Load()
 	for _, r := range m.rows {
-		m.sweep(0, r)
+		m.sweep(t, 0, r)
 	}
 }
 
@@ -238,32 +333,38 @@ func (m *Model) RefreshSources(rackNodes []int, hops int) {
 // query after it, as any stale row is.
 func (m *Model) MarkSources(rackNodes []int, hops, sweepers int) {
 	g := m.cluster.Graph
+	var t *table
 	if !m.ready.Load() || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
 		racks := g.RackNodes()
-		if m.trans == nil {
-			m.trans = &topology.MultiSource{}
+		t = &table{swept: make([]atomic.Uint64, len(racks))}
+		if old := m.tab.Load(); old != nil && !old.shared {
+			t.trans = old.trans // its arrays are reused
+		} else {
+			t.trans = &topology.MultiSource{}
 		}
-		m.trans.Reset(g, racks)
-		m.swept = make([]atomic.Uint64, len(racks))
+		t.trans.Reset(g, racks)
+		m.tab.Store(t)
 		m.gen = 0
-		m.built = nil
+		m.reg.built = nil
 		m.distReady.Store(false)
+	} else {
+		t = m.owned()
 	}
-	m.trans.Reweigh(m.transCost)
-	m.trans.Sweepers(sweepers)
+	t.trans.Reweigh(m.transCost)
+	t.trans.Sweepers(sweepers)
 	m.gen++
-	m.regional = hops >= 0 && m.trans.PositiveWeights()
+	m.regional = hops >= 0 && t.trans.PositiveWeights()
 	rows := m.rows[:0]
 	for _, node := range rackNodes {
-		r := m.trans.Row(node)
-		if r < 0 || m.swept[r].Load()>>2 == m.gen {
+		r := t.trans.Row(node)
+		if r < 0 || t.swept[r].Load()>>2 == m.gen {
 			continue
 		}
 		if m.regional {
-			m.region(r, hops)
+			m.region(t.trans, r, hops)
 		}
-		m.swept[r].Store(m.stamp(rowPending))
+		t.swept[r].Store(m.stamp(rowPending))
 		rows = append(rows, r)
 	}
 	m.rows = rows
@@ -277,10 +378,11 @@ func (m *Model) MarkSources(rackNodes []int, hops, sweepers int) {
 // theirs. It may run at the same time as queries and as other sweepers'
 // SweepPending calls.
 func (m *Model) SweepPending(k int) {
+	t := m.tab.Load()
 	pending, claimed := m.stamp(rowPending), m.stamp(rowClaimed)
 	for i := len(m.rows) - 1; i >= 0; i-- {
-		if r := m.rows[i]; m.swept[r].CompareAndSwap(pending, claimed) {
-			m.sweep(k, r)
+		if r := m.rows[i]; t.swept[r].CompareAndSwap(pending, claimed) {
+			m.sweep(t, k, r)
 		}
 	}
 }
@@ -293,36 +395,37 @@ func (m *Model) stamp(state uint64) uint64 { return m.gen<<2 | state }
 // full row) when not.
 func (m *Model) targets(r int) []int32 {
 	if m.regional {
-		return m.waitFor[r]
+		return m.reg.waitFor[r]
 	}
 	return nil
 }
 
-// sweep sweeps trans row r, named by the last refresh, on sweeper k, and
-// stamps it swept: the store is what a reader's load of the stamp
+// sweep sweeps row r of table t, named by the last refresh, on sweeper k,
+// and stamps it swept: the store is what a reader's load of the stamp
 // synchronizes with.
-func (m *Model) sweep(k, r int) {
+func (m *Model) sweep(t *table, k, r int) {
 	targets := m.targets(r)
-	m.trans.SweepRowOn(k, r, targets)
+	t.trans.SweepRowOn(k, r, targets)
 	state := uint64(rowFull)
 	if len(targets) > 0 {
 		state = rowRegional
 	}
-	m.swept[r].Store(m.stamp(state))
+	t.swept[r].Store(m.stamp(state))
 }
 
-// claim settles trans row r, pending or claimed at the current weights,
-// and returns its stamp: it sweeps the row on the queries' sweeper when
-// it claims it first, and otherwise waits for the sweep of whoever did.
-func (m *Model) claim(r int) uint64 {
+// claim settles row r of table t, pending or claimed at the current
+// weights, and returns its stamp: it sweeps the row on the queries'
+// sweeper when it claims it first, and otherwise waits for the sweep of
+// whoever did.
+func (m *Model) claim(t *table, r int) uint64 {
 	pending, claimed := m.stamp(rowPending), m.stamp(rowClaimed)
-	if m.swept[r].CompareAndSwap(pending, claimed) {
+	if t.swept[r].CompareAndSwap(pending, claimed) {
 		m.mu.Lock()
-		m.sweep(0, r)
+		m.sweep(t, 0, r)
 		m.mu.Unlock()
 	}
 	for {
-		if s := m.swept[r].Load(); s != claimed {
+		if s := t.swept[r].Load(); s != claimed {
 			return s
 		}
 		runtime.Gosched()
@@ -331,35 +434,40 @@ func (m *Model) claim(r int) uint64 {
 
 // region builds trans row r's region under the hop radius, on the row's
 // first regional sweep at that radius: the nodes its sweep waits for
-// (waitFor[r]) and the racks it answers for (serves).
-func (m *Model) region(r, hops int) {
+// (waitFor[r]) and the racks it answers for (serves). A model reading a
+// Prepared's regions builds its own instead of writing those.
+func (m *Model) region(trans *topology.MultiSource, r, hops int) {
 	g := m.cluster.Graph
 	racks := g.RackNodes() // trans's sources, in row order
-	if m.built == nil || hops != m.hops {
-		m.hops, m.words = hops, (len(racks)+63)/64
-		m.built = make([]bool, len(racks))
-		m.serves = make([]uint64, len(racks)*m.words)
-		m.waitFor = make([][]int32, len(racks))
-		m.arena = m.arena[:0]
+	reg := &m.reg
+	if reg.shared {
+		*reg = regions{}
 	}
-	if !m.built[r] {
-		set := m.serves[r*m.words : (r+1)*m.words]
-		start := len(m.arena)
+	if reg.built == nil || hops != reg.hops {
+		reg.hops, reg.words = hops, (len(racks)+63)/64
+		reg.built = make([]bool, len(racks))
+		reg.serves = make([]uint64, len(racks)*reg.words)
+		reg.waitFor = make([][]int32, len(racks))
+		reg.arena = reg.arena[:0]
+	}
+	if !reg.built[r] {
+		set := reg.serves[r*reg.words : (r+1)*reg.words]
+		start := len(reg.arena)
 		m.nbrs = g.AppendRackNeighbors(m.nbrs[:0], racks[r], hops, &m.walk)
 		for _, t := range m.nbrs {
-			j := m.trans.Row(t)
+			j := trans.Row(t)
 			set[j>>6] |= 1 << (j & 63)
-			m.arena = append(m.arena, int32(t))
+			reg.arena = append(reg.arena, int32(t))
 		}
-		m.built[r], m.waitFor[r] = true, m.arena[start:len(m.arena):len(m.arena)]
+		reg.built[r], reg.waitFor[r] = true, reg.arena[start:len(reg.arena):len(reg.arena)]
 	}
 }
 
 // inRegion reports whether trans row r, swept regionally, answers for the
 // rack node dst.
-func (m *Model) inRegion(r, dst int) bool {
-	j := m.trans.Row(dst)
-	return j >= 0 && m.serves[r*m.words+j>>6]&(1<<(j&63)) != 0
+func (m *Model) inRegion(trans *topology.MultiSource, r, dst int) bool {
+	j := trans.Row(dst)
+	return j >= 0 && m.reg.serves[r*m.reg.words+j>>6]&(1<<(j&63)) != 0
 }
 
 // distBlock is how many rack rows the distance build sweeps at once. Its
@@ -411,11 +519,12 @@ func (m *Model) setDistances() {
 // distance is Σ D(e) between two rack nodes in the block dist, Inf for a
 // node that is not a rack.
 func (m *Model) distance(dist []float64, a, b int) float64 {
-	i, j := m.trans.Row(a), m.trans.Row(b)
+	t := m.tab.Load()
+	i, j := t.trans.Row(a), t.trans.Row(b)
 	if i < 0 || j < 0 {
 		return topology.Inf
 	}
-	return dist[i*len(m.swept)+j]
+	return dist[i*len(t.swept)+j]
 }
 
 // SweepCounts returns how many transmission rows have been named ahead of
@@ -430,35 +539,34 @@ func (m *Model) SweepCounts() (prepared, onDemand uint64) {
 // transFor returns the transmission table with the row of the source rack
 // node current for dst. A pending row is claimed and swept as the refresh
 // named it, or waited for (claim); a stale row, or a regional one read for
-// a rack outside its region, is then swept in full. That sweep writes no
-// entry a regional one left final, so queries reading the regional row
-// meanwhile are undisturbed.
+// a rack outside its region, is then swept in full, into the model's own
+// table (owned). That sweep writes no entry a regional one left final, so
+// queries reading the regional row meanwhile are undisturbed.
 func (m *Model) transFor(src, dst int) *topology.MultiSource {
 	m.ensure()
-	r := m.trans.Row(src)
+	t := m.tab.Load()
+	r := t.trans.Row(src)
 	if r < 0 {
-		return m.trans
+		return t.trans
 	}
-	s := m.swept[r].Load()
+	s := t.swept[r].Load()
 	if s>>2 == m.gen && s&3 < rowRegional {
-		s = m.claim(r)
+		s = m.claim(t, r)
 	}
 	full := m.stamp(rowFull)
-	if s == full || s == m.stamp(rowRegional) && m.inRegion(r, dst) {
-		return m.trans
+	if s == full || s == m.stamp(rowRegional) && m.inRegion(t.trans, r, dst) {
+		return t.trans
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.swept[r].Load() != full {
-		m.trans.CompleteRow(r)
-		m.swept[r].Store(full)
+	t = m.owned()
+	if t.swept[r].Load() != full {
+		t.trans.CompleteRow(r)
+		t.swept[r].Store(full)
 		m.onDemand.Add(1)
 	}
-	return m.trans
+	return t.trans
 }
-
-// Params returns the model constants.
-func (m *Model) Params() Params { return m.params }
 
 // TransmissionCost returns Σ_{e∈P}(δ·T(e) + η·P(e)) along the cheapest
 // path between two racks for a VM of the given size. The path is the one

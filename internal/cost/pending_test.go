@@ -80,11 +80,11 @@ func checkPendingRows(t *testing.T, fabric string, sweepers int) {
 
 		for k, node := range nodes {
 			for _, dst := range targets[k] {
-				sd, rd := serial.m.trans.Dist(node, dst), raced.m.trans.Dist(node, dst)
+				sd, rd := serial.m.tab.Load().trans.Dist(node, dst), raced.m.tab.Load().trans.Dist(node, dst)
 				if math.Float64bits(sd) != math.Float64bits(rd) {
 					t.Fatalf("round %d (hops %d): row of node %d at %d: distance %v, serial sweep %v", round, hops, node, dst, rd, sd)
 				}
-				if sp, rp := serial.m.trans.Path(node, dst, nil), raced.m.trans.Path(node, dst, nil); !slices.Equal(sp, rp) {
+				if sp, rp := serial.m.tab.Load().trans.Path(node, dst, nil), raced.m.tab.Load().trans.Path(node, dst, nil); !slices.Equal(sp, rp) {
 					t.Fatalf("round %d (hops %d): row of node %d at %d: path %v, serial sweep %v", round, hops, node, dst, rp, sp)
 				}
 			}
@@ -95,7 +95,7 @@ func checkPendingRows(t *testing.T, fabric string, sweepers int) {
 	if sp != rp || so != ro {
 		t.Fatalf("raced rows swept %d ahead and %d on demand, serial %d and %d", rp, ro, sp, so)
 	}
-	if s, r := serial.m.trans.SweptNodes(), raced.m.trans.SweptNodes(); s != r {
+	if s, r := serial.m.tab.Load().trans.SweptNodes(), raced.m.tab.Load().trans.SweptNodes(); s != r {
 		t.Fatalf("raced sweeps settled %d nodes, serial %d", r, s)
 	}
 }
@@ -104,7 +104,7 @@ func checkPendingRows(t *testing.T, fabric string, sweepers int) {
 // after the last refresh: its region's when the refresh named it
 // regionally, every rack's when in full.
 func rowTargets(m *Model, node int) []int {
-	targets := m.targets(m.trans.Row(node))
+	targets := m.targets(m.tab.Load().trans.Row(node))
 	if len(targets) == 0 {
 		return m.cluster.Graph.RackNodes()
 	}
@@ -121,19 +121,19 @@ func TestSweepPendingLeavesNoRowPending(t *testing.T) {
 	tw := newTwinOn(t, regionalFabric(t, "fattree4"), PaperParams(), true)
 	nodes := tw.c.Graph.RackNodes()
 	tw.m.MarkSources(nodes, 1, 2)
-	before := tw.m.trans.SweptNodes()
+	before := tw.m.tab.Load().trans.SweptNodes()
 	tw.m.SweepPending(1)
-	if tw.m.trans.SweptNodes() == before {
+	if tw.m.tab.Load().trans.SweptNodes() == before {
 		t.Fatal("SweepPending swept nothing")
 	}
 	for _, node := range nodes {
-		if s := tw.m.swept[tw.m.trans.Row(node)].Load(); s&3 < rowRegional {
+		if s := tw.m.tab.Load().swept[tw.m.tab.Load().trans.Row(node)].Load(); s&3 < rowRegional {
 			t.Fatalf("row of node %d left in state %d", node, s&3)
 		}
 	}
-	settled := tw.m.trans.SweptNodes()
+	settled := tw.m.tab.Load().trans.SweptNodes()
 	tw.m.RackPairCost(tw.c.Racks[0], tw.c.Racks[1])
-	if _, onDemand := tw.m.SweepCounts(); onDemand != 0 || tw.m.trans.SweptNodes() != settled {
+	if _, onDemand := tw.m.SweepCounts(); onDemand != 0 || tw.m.tab.Load().trans.SweptNodes() != settled {
 		t.Fatalf("a query in the region swept again: %d on demand", onDemand)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // other.
 func (m *Model) refreshNaive() {
 	racks := m.cluster.Graph.Racks()
-	m.trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
+	t := &table{trans: topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost), swept: make([]atomic.Uint64, len(racks))}
 	dist := topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
 	m.dist = m.dist[:0]
 	for _, a := range racks {
@@ -33,10 +33,10 @@ func (m *Model) refreshNaive() {
 	m.distReady.Store(true)
 	m.structVer = m.cluster.Graph.StructVersion()
 	m.gen = 1
-	m.swept = make([]atomic.Uint64, len(racks))
-	for i := range m.swept {
-		m.swept[i].Store(m.gen)
+	for i := range t.swept {
+		t.swept[i].Store(m.gen)
 	}
+	m.tab.Store(t)
 	m.ready.Store(true)
 }
 
@@ -125,9 +125,9 @@ func TestRefreshAfterWiringChange(t *testing.T) {
 func TestSteadyRefreshReusesTables(t *testing.T) {
 	c := testCluster(t)
 	m := testModel(t, c)
-	before := m.trans
+	before := m.tab.Load().trans
 	m.Refresh()
-	if m.trans != before {
+	if m.tab.Load().trans != before {
 		t.Fatal("steady refresh did not reuse the transmission table")
 	}
 	m.Distance(c.Racks[0], c.Racks[1]) // the first read builds the distance table

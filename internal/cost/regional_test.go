@@ -120,13 +120,13 @@ func checkRegionalRows(t *testing.T, fabric string, patches int, seed int64, hop
 		}
 		reg.m.ensure() // bind a deferred model's tables, so SweptNodes can be read
 		prepBefore, _ := reg.m.SweepCounts()
-		settledBefore := reg.m.trans.SweptNodes()
+		settledBefore := reg.m.tab.Load().trans.SweptNodes()
 		reg.m.RefreshSources(nodes, hops)
 		prepared, onDemand := reg.m.SweepCounts()
 		if int(prepared-prepBefore) != len(sources) {
 			t.Fatalf("round %d: prepared %d rows for %d sources", round, prepared-prepBefore, len(sources))
 		}
-		rows, settled = rows+len(sources), settled+reg.m.trans.SweptNodes()-settledBefore
+		rows, settled = rows+len(sources), settled+reg.m.tab.Load().trans.SweptNodes()-settledBefore
 		// Every source against every rack of its region: the bits of the
 		// full row, with no sweep on demand.
 		for _, r := range sources {
@@ -175,9 +175,9 @@ func checkZeroWeightsKeepFullRows(t *testing.T) {
 	for k, r := range sources {
 		nodes[k] = reg.c.Racks[r].NodeID
 	}
-	before := reg.m.trans.SweptNodes()
+	before := reg.m.tab.Load().trans.SweptNodes()
 	reg.m.RefreshSources(nodes, 1)
-	if got, want := reg.m.trans.SweptNodes()-before, len(sources)*g.NumNodes(); got != want {
+	if got, want := reg.m.tab.Load().trans.SweptNodes()-before, len(sources)*g.NumNodes(); got != want {
 		t.Fatalf("%d rows settled %d nodes, want every node of every row (%d): a row stopped early", len(sources), got, want)
 	}
 	for _, r := range sources {

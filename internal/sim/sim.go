@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"sheriff/internal/alert"
 	"sheriff/internal/centralized"
@@ -99,32 +100,34 @@ type Sim struct {
 // Build constructs the topology, cluster, cost model and one shim per rack.
 // The cluster starts empty; call Populate or PopulateSkewed before running.
 //
-// The model's rows are prepared here, as the runtime prepares them before
-// its shims price moves: every rack's row, regional at the shims' radius
+// The model's rows are prepared as the runtime prepares them before its
+// shims price moves: every rack's row, regional at the shims' radius
 // (cost.Model.RefreshSources), so the shims' reads never sweep in the
 // timed episode. A read outside a region (Compare's widened region, the
 // centralized manager's cost matrix) sweeps its row in full on demand,
 // with the same answers. The distance table is built by the first query
 // that names a dependent peer.
-func Build(cfg Config) (*Sim, error) {
+//
+// Those rows depend only on the shape, never on the seed. The first Build
+// of a shape sweeps them for its Sim alone; the next Build of the same
+// shape sweeps them once more, on a cluster of their own, and it and every
+// later Sim of the shape read them in place (cost.Prepared) until a Build
+// of another shape drops them. A model copies them at its first write: a
+// refresh, or an on-demand full row.
+func Build(cfg Config) (*Sim, error) { return build(cfg, true) }
+
+// build is Build; with share false the Sim's rows are swept for it alone
+// and the rows Build shares are left as they are.
+func build(cfg Config, share bool) (*Sim, error) {
 	cfg = cfg.withDefaults()
-	g, err := newGraph(cfg.Kind, cfg.Size)
+	cluster, err := newCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := dcn.NewCluster(g, dcn.Config{
-		HostsPerRack: cfg.HostsPerRack,
-		HostCapacity: hostCapacity,
-		ToRCapacity:  hostCapacity * float64(cfg.HostsPerRack),
-	})
+	model, err := newModel(cfg, cluster, share)
 	if err != nil {
 		return nil, err
 	}
-	model, err := cost.NewDeferred(cluster, cost.PaperParams())
-	if err != nil {
-		return nil, err
-	}
-	model.RefreshSources(g.RackNodes(), cfg.Migrate.NeighborSwitchHops)
 	s := &Sim{
 		Config:  cfg,
 		Cluster: cluster,
@@ -147,6 +150,81 @@ func Build(cfg Config) (*Sim, error) {
 		}
 	}
 	return s, nil
+}
+
+// newCluster builds cfg's fabric and an empty cluster over it.
+func newCluster(cfg Config) (*dcn.Cluster, error) {
+	g, err := newGraph(cfg.Kind, cfg.Size)
+	if err != nil {
+		return nil, err
+	}
+	return dcn.NewCluster(g, dcn.Config{
+		HostsPerRack: cfg.HostsPerRack,
+		HostCapacity: hostCapacity,
+		ToRCapacity:  hostCapacity * float64(cfg.HostsPerRack),
+	})
+}
+
+// shape is what a Sim's prepared cost rows depend on: the fabric, the
+// cluster over it and the shims' radius, everything of cfg but the seed
+// and the migration policy's other knobs.
+type shape struct {
+	kind               Kind
+	size, hostsPerRack int
+	hops               int
+}
+
+// prepared is the shape Build last built, and its rows once a Build has
+// repeated it: swept on a cluster of their own that no Sim reaches.
+var prepared struct {
+	sync.Mutex
+	shape shape
+	rows  *cost.Prepared
+}
+
+// newModel returns cluster's cost model with the shims' rows prepared:
+// shared rows when share is set and the last shape Build built was cfg's,
+// and otherwise rows swept for this model alone.
+func newModel(cfg Config, cluster *dcn.Cluster, share bool) (*cost.Model, error) {
+	key := shape{cfg.Kind, cfg.Size, cfg.HostsPerRack, cfg.Migrate.NeighborSwitchHops}
+	if share {
+		rows, err := sharedRows(cfg, key)
+		if err != nil {
+			return nil, err
+		}
+		if rows != nil {
+			return rows.Model(cluster)
+		}
+	}
+	model, err := cost.NewDeferred(cluster, cost.PaperParams())
+	if err != nil {
+		return nil, err
+	}
+	model.RefreshSources(cluster.Graph.RackNodes(), key.hops)
+	return model, nil
+}
+
+// sharedRows returns key's shared rows, sweeping them first when key is
+// the shape Build last built and they are not swept yet. For any other
+// shape it returns nil and records key as the last built, dropping the
+// rows of the shape before.
+func sharedRows(cfg Config, key shape) (*cost.Prepared, error) {
+	prepared.Lock()
+	defer prepared.Unlock()
+	if prepared.shape != key {
+		prepared.shape, prepared.rows = key, nil
+		return nil, nil
+	}
+	if prepared.rows == nil {
+		cluster, err := newCluster(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if prepared.rows, err = cost.Prepare(cluster, cost.PaperParams(), cluster.Graph.RackNodes(), key.hops); err != nil {
+			return nil, err
+		}
+	}
+	return prepared.rows, nil
 }
 
 // Populate fills the cluster uniformly at random.
@@ -378,11 +456,13 @@ type CompareResult struct {
 // migration destinations" path of Alg. 3); the centralized manager solves
 // the whole placement jointly.
 func Compare(cfg Config) (*CompareResult, error) {
-	regional, err := Build(cfg)
+	// Both Sims sweep rows in full (the widened region, the cost matrix),
+	// so shared rows would only add the copy each then takes.
+	regional, err := build(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	global, err := Build(cfg)
+	global, err := build(cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -57,6 +57,28 @@ func buildCSR(g *Graph) *csr {
 	return c
 }
 
+// flattens reports whether c flattens g as it stands: g's links in c's
+// order, with c's capacities, distances and bandwidths.
+func (c *csr) flattens(g *Graph) bool {
+	if len(c.rowStart) != len(g.adj)+1 {
+		return false
+	}
+	for u, es := range g.adj {
+		i := c.rowStart[u]
+		if c.rowStart[u+1]-i != int32(len(es)) {
+			return false
+		}
+		for k, e := range es {
+			j := i + int32(k)
+			if c.dstID[j] != int32(e.To) || c.edgeID[j] != int32(e.ID) ||
+				c.capacity[j] != e.Capacity || c.distance[j] != e.Distance || c.bandwidth[j] != e.Bandwidth {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // edgeIndex returns the index of the first directed edge from→to, or -1.
 // Mirrors Graph.EdgeBetween's first-match rule for parallel links.
 func (c *csr) edgeIndex(from, to int32) int32 {

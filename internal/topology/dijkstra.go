@@ -1,5 +1,7 @@
 package topology
 
+import "slices"
+
 // MultiSource holds shortest paths from a designated set of source nodes
 // to every node, computed by Dijkstra per source over the graph's CSR
 // view. For the migration cost model only rack-to-rack paths matter, so
@@ -18,6 +20,9 @@ package topology
 // sweep at Reweigh time would have produced. A row that has not been swept
 // since the last Reset holds garbage; callers that sweep selectively track
 // which rows are current (cost.Model does).
+//
+// Freeze and Clone share a table's rows: a frozen table reads them in
+// place, a clone holds its own copy.
 type MultiSource struct {
 	g         *Graph
 	c         *csr   // g's CSR view as of Reset
@@ -61,6 +66,42 @@ func DijkstraFromInto(g *Graph, sources []int, cost EdgeCost, prev *MultiSource)
 	ms.Reweigh(cost)
 	ms.runSweeps(nil, nil, len(ms.sources))
 	return ms
+}
+
+// Freeze returns a table that reads ms's rows, ranks and weights in place
+// and is bound to no graph, so it keeps none alive: only the flattened view
+// its paths are read through. It answers reads (Row, Dist, Path,
+// PathEdges), Fits and Clone; it must not be written, nor ms while it is
+// read.
+func (ms *MultiSource) Freeze() *MultiSource {
+	ms.mustBeBound()
+	return &MultiSource{
+		c: ms.c, n: ms.n,
+		sources: ms.sources, rank: ms.rank, tree: ms.tree, weights: ms.weights, minIn: ms.minIn,
+		positive: ms.positive,
+	}
+}
+
+// Fits reports whether g is wired and weighted as the flattened view ms
+// reads its paths through: the same nodes, and the same links with the
+// same capacities, distances and bandwidths, in the same order. For a
+// frozen table that is its graph as it was swept, so a sweep on g would
+// write its rows.
+func (ms *MultiSource) Fits(g *Graph) bool { return ms.c.flattens(g) }
+
+// Clone returns a table bound to g, over g's CSR view, that holds its own
+// copy of ms's rows, ranks and weights and none of its search state. g must
+// be wired as ms's graph is; Fits tells, while their links' state agrees.
+func (ms *MultiSource) Clone(g *Graph) *MultiSource {
+	c := g.ensureCSR()
+	if len(c.rowStart) != len(ms.c.rowStart) || len(c.dstID) != len(ms.c.dstID) {
+		panic("topology: Clone onto a graph wired otherwise")
+	}
+	return &MultiSource{
+		g: g, c: c, structVer: g.structVer, n: ms.n,
+		sources: slices.Clone(ms.sources), rank: slices.Clone(ms.rank), tree: slices.Clone(ms.tree),
+		weights: slices.Clone(ms.weights), minIn: slices.Clone(ms.minIn), positive: ms.positive,
+	}
 }
 
 // Reset points the tables at a graph and source set, reusing backing

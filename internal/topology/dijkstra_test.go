@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -137,5 +139,67 @@ func TestDijkstraSkipsInfEdges(t *testing.T) {
 	ms := DijkstraFrom(g, []int{a}, blocked)
 	if !math.IsInf(ms.Dist(a, b), 1) {
 		t.Fatal("Inf-cost edge should block the path")
+	}
+}
+
+// TestFreezeAndClone: a frozen table reads as the table it froze, paths
+// included, and Fits a graph built alike but not one wired or weighted
+// otherwise. A clone onto a graph built alike reads the same rows; its
+// writes (a reweigh and sweeps at other weights) leave the frozen arrays
+// as they were, and then it answers as a table swept on its own graph
+// does.
+func TestFreezeAndClone(t *testing.T) {
+	build := func(pods int) *Graph {
+		ft, err := NewFatTree(FatTreeConfig{Pods: pods})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft.Graph
+	}
+	cost := func(e Edge) float64 { return 1 + e.Capacity/e.Bandwidth }
+	racks := build(4).RackNodes()
+	lender := DijkstraFrom(build(4), racks, cost)
+	rows := slices.Clone(lender.tree)
+	frozen := lender.Freeze()
+
+	g := build(4)
+	if !frozen.Fits(g) {
+		t.Fatal("a frozen table does not fit a graph built alike")
+	}
+	if frozen.Fits(build(6)) {
+		t.Fatal("a frozen table fits a graph wired otherwise")
+	}
+	other := build(4)
+	other.SetBandwidthAt(3, other.EdgeAt(3).Capacity/2)
+	if frozen.Fits(other) {
+		t.Fatal("a frozen table fits a graph weighted otherwise")
+	}
+
+	cp := frozen.Clone(g)
+	for _, ms := range []*MultiSource{frozen, cp} {
+		for _, x := range racks {
+			for _, y := range racks {
+				pm, _ := ms.PathEdges(x, y, nil)
+				pl, _ := lender.PathEdges(x, y, nil)
+				if ms.Dist(x, y) != lender.Dist(x, y) || fmt.Sprint(pm) != fmt.Sprint(pl) {
+					t.Fatalf("row %d→%d reads %v %v, the lender's %v %v", x, y, ms.Dist(x, y), pm, lender.Dist(x, y), pl)
+				}
+			}
+		}
+	}
+	g.SetBandwidthAt(0, g.EdgeAt(0).Capacity/4)
+	cp.Reweigh(cost)
+	cp.SweepRows([]int{0, 1})
+	cp.CompleteRow(2)
+	fresh := DijkstraFrom(g, racks, cost)
+	for _, r := range []int{0, 1, 2} {
+		for _, y := range racks {
+			if x := racks[r]; cp.Dist(x, y) != fresh.Dist(x, y) {
+				t.Fatalf("after its writes, the clone's row %d→%d reads %v, a sweep on its graph %v", x, y, cp.Dist(x, y), fresh.Dist(x, y))
+			}
+		}
+	}
+	if !slices.Equal(frozen.tree, rows) {
+		t.Fatal("a clone's writes changed the frozen rows")
 	}
 }
