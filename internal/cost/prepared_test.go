@@ -83,3 +83,35 @@ func TestPreparedModelsAnswerAsRefreshed(t *testing.T) {
 		})
 	}
 }
+
+// TestPreparedModelReadsClones: rows prepared on a fabric are read by a
+// model over a clone of that fabric (topology.Graph.Clone), made after the
+// sweep as sim.Build makes it, on each kind of fabric, and answer as a
+// model over a fabric constructed afresh that RefreshSources prepared.
+func TestPreparedModelReadsClones(t *testing.T) {
+	for _, fabric := range []string{"fattree4", "bcube4", "leafspine10"} {
+		built := regionalFabric(t, fabric)
+		racks := built.Graph.RackNodes()
+		pr, err := Prepare(built, PaperParams(), racks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := dcn.NewCluster(built.Graph.Clone(), built.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pr.Model(clone)
+		if err != nil {
+			t.Fatalf("%s: %v", fabric, err)
+		}
+		fresh := regionalFabric(t, fabric)
+		own, err := NewDeferred(fresh, PaperParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		own.RefreshSources(racks, 1)
+		if !slices.Equal(answers(m, clone), answers(own, fresh)) {
+			t.Fatalf("%s: prepared rows read on a clone answer otherwise than a fresh fabric's", fabric)
+		}
+	}
+}

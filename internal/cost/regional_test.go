@@ -35,6 +35,12 @@ func regionalFabric(t *testing.T, name string) *dcn.Cluster {
 			t.Fatal(err)
 		}
 		g = bc.Graph
+	case "leafspine10":
+		ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = ls.Graph
 	default:
 		t.Fatalf("unknown fabric %q", name)
 	}

@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"sheriff/internal/topology"
 )
@@ -338,6 +340,11 @@ func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (
 	if err := c.place(vm, h); err != nil {
 		return nil, err
 	}
+	// The host keeps room for one more VM, so that a move onto a freshly
+	// populated host carves nothing.
+	if len(h.vms) == cap(h.vms) {
+		c.grow(h)
+	}
 	c.vmChunk = c.vmChunk[:n+1]
 	c.vms = append(c.vms, vm)
 	c.numVMs++
@@ -350,22 +357,58 @@ func (c *Cluster) AddVM(h *Host, capacity, value float64, delaySensitive bool) (
 const minVMChunk = 64
 
 // newVMChunk replaces the VM chunk with a fresh one whose entries hold the
-// IDs from id on, each with its name "vm-<ID>" cut from one string.
+// IDs from id on, each with its name "vm-<ID>" from the process's table
+// (vmNamesUpTo).
 func (c *Cluster) newVMChunk(id int) {
 	chunk := make([]VM, max(minVMChunk, id))
-	var digits [20]byte
-	var b strings.Builder
-	b.Grow(len(chunk) * (len("vm-") + decimalLen(id+len(chunk))))
+	names := vmNamesUpTo(id + len(chunk))
 	for i := range chunk {
-		b.WriteString("vm-")
-		b.Write(strconv.AppendInt(digits[:0], int64(id+i), 10))
-	}
-	names := b.String()
-	for i := range chunk {
-		n := len("vm-") + decimalLen(id+i)
-		chunk[i].ID, chunk[i].Name, names = id+i, names[:n], names[n:]
+		chunk[i].ID, chunk[i].Name = id+i, names[id+i]
 	}
 	c.vmChunk = chunk[:0]
+}
+
+// vmNames is every VM name "vm-<ID>" any cluster of the process has made,
+// by ID: immutable strings that every cluster's VMs share, so a cluster
+// formats none. The table only grows; a grown table is a new slice that
+// shares the old one's strings, published whole.
+var vmNames struct {
+	mu    sync.Mutex // serializes growth
+	table atomic.Pointer[[]string]
+}
+
+// vmNamesUpTo returns the name table with at least n names, growing it to
+// at least twice its size when it is shorter: the new names are cut from
+// one string.
+func vmNamesUpTo(n int) []string {
+	if t := vmNames.table.Load(); t != nil && len(*t) >= n {
+		return *t
+	}
+	vmNames.mu.Lock()
+	defer vmNames.mu.Unlock()
+	var old []string
+	if t := vmNames.table.Load(); t != nil {
+		if len(*t) >= n {
+			return *t
+		}
+		old = *t
+	}
+	table := make([]string, max(n, 2*len(old)))
+	from := copy(table, old)
+	var digits [20]byte
+	var b strings.Builder
+	b.Grow((len(table) - from) * (len("vm-") + decimalLen(len(table))))
+	for id := from; id < len(table); id++ {
+		b.WriteString("vm-")
+		b.Write(strconv.AppendInt(digits[:0], int64(id), 10))
+	}
+	names := b.String()
+	for id := from; id < len(table); id++ {
+		n := len("vm-") + decimalLen(id)
+		table[id], names = names[:n], names[n:]
+	}
+	vmNames.table.Store(&table)
+	return table
 }
 
 // decimalLen is how many digits n >= 0 has in decimal.
@@ -388,7 +431,7 @@ func (c *Cluster) place(vm *VM, h *Host) error {
 		c.minCap = vm.Capacity
 	}
 	if len(h.vms) == cap(h.vms) {
-		h.vms = append(carve(&c.residents, c.roomFor(h))[:0], h.vms...)
+		c.grow(h)
 	}
 	h.insert(vm)
 	vm.host = h
@@ -413,14 +456,13 @@ func carve[T any](chunk *[]T, n int) []T {
 // minResidents is the smallest chunk resident lists are carved from.
 const minResidents = 1024
 
-// roomFor is how many VMs host h can ever hold at once, which is what its
-// resident slice is carved at when it is full: the host's capacity over the
-// smallest VM capacity placed so far, since place admits no VM the host
-// lacks the room for. The slice grows again only when a smaller VM than
-// any before arrives (or a VM of no capacity, which no count bounds), so
-// migrations onto a host allocate nothing in a steady fabric. It is at
-// least one more than the host holds and at most one more than the
-// cluster's VM count.
+// roomFor is how many VMs host h can ever hold at once: the host's
+// capacity over the smallest VM capacity placed so far, since place admits
+// no VM the host lacks the room for, and at least one more than it holds.
+// It is the ceiling a resident list grows to (grown); past it a list grows
+// only when a smaller VM than any before arrives (or a VM of no capacity,
+// which no count bounds). It is at most one more than the cluster's VM
+// count.
 func (c *Cluster) roomFor(h *Host) int {
 	n := len(h.vms) + 1
 	if c.minCap > 0 {
@@ -428,6 +470,32 @@ func (c *Cluster) roomFor(h *Host) int {
 	}
 	return min(n, max(len(h.vms), len(c.vms))+1)
 }
+
+// grow makes room in h's full resident list: grown(h) slots, in place
+// when the list is the last one carved from the chunk and the chunk has
+// the room (as when hosts are filled one after another), and otherwise in
+// a list carved afresh, leaving the old one behind.
+func (c *Cluster) grow(h *Host) {
+	n, r := c.grown(h), c.residents
+	if at := len(r) - cap(h.vms); cap(h.vms) > 0 && at >= 0 && &r[at:][0] == &h.vms[0] && cap(r)-at >= n {
+		c.residents = r[:at+n]
+		h.vms = r[at : at+len(h.vms) : at+n]
+		return
+	}
+	h.vms = append(carve(&c.residents, n)[:0], h.vms...)
+}
+
+// grown is the length a full resident list of h grows to: twice what the
+// host holds, at least minList, never past roomFor. A host's list starts
+// at minList and doubles as it fills, so one holding a few VMs keeps a few
+// slots, not roomFor's hundred, and once it has held its most VMs the
+// moves onto it allocate nothing.
+func (c *Cluster) grown(h *Host) int {
+	return min(c.roomFor(h), max(minList, 2*len(h.vms)))
+}
+
+// minList is the length a host's first resident list is carved at.
+const minList = 4
 
 // Move migrates a VM to the destination host, enforcing capacity and
 // dependency constraints. On failure the VM stays where it was.

@@ -115,7 +115,8 @@ func (cols *VMColumns) floats() ([3][]float64, error) {
 // VMs are placed in ascending ID order whatever order the file lists them
 // in, so a cluster restored from its own snapshot repeats the placements
 // that built it. The VMs are made in one array of the snapshot's size and
-// the hosts' resident lists in another, so beyond the dependency edges
+// the hosts' resident lists in another, each list at the count its host
+// holds, so beyond the dependency edges
 // (each added as AddDependency adds it) Restore allocates the same few
 // objects however many VMs it places.
 func (c *Cluster) Restore(s *Snapshot) error {
@@ -151,8 +152,10 @@ func (c *Cluster) Restore(s *Snapshot) error {
 	}
 	// recOf[id] is one more than the VM's position in the columns. A
 	// repeated ID would leave its first copy resident on one host, consuming
-	// capacity, while the table knows only the second.
-	recOf := make([]int32, size)
+	// capacity, while the table knows only the second. held[h] counts the
+	// VMs host h is given; it shares recOf's array.
+	recOf := make([]int32, size+len(c.hosts))
+	recOf, held := recOf[:size:size], recOf[size:]
 	for i, id := range cols.ID {
 		if first := recOf[id]; first != 0 {
 			return fmt.Errorf("dcn: snapshot lists VM %d twice, on host %d and on host %d", id, cols.Host[first-1], cols.Host[i])
@@ -174,18 +177,17 @@ func (c *Cluster) Restore(s *Snapshot) error {
 	}
 	c.vms = make([]*VM, size)
 	vms := make([]VM, len(cols.ID))
-	// Every host's resident list is carved once, at roomFor with the
-	// smallest capacity of the snapshot's VMs, from one chunk.
-	for _, capy := range capacity {
-		if capy > 0 && (c.minCap == 0 || capy < c.minCap) {
-			c.minCap = capy
+	// Every host's resident list is carved once, at the count it is given,
+	// from one chunk; a move onto a full host grows its list (place).
+	for _, h := range cols.Host {
+		held[h]++
+	}
+	c.residents = make([]*VM, 0, len(cols.ID))
+	for i, h := range c.hosts {
+		if held[i] > 0 {
+			h.vms = carve(&c.residents, int(held[i]))[:0]
 		}
 	}
-	room := 0
-	for _, h := range c.hosts {
-		room += c.roomFor(h)
-	}
-	c.residents = make([]*VM, 0, room)
 	for _, at := range recOf {
 		if at == 0 {
 			continue

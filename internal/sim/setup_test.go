@@ -12,14 +12,16 @@ import (
 // TestEpisodeSetupAllocs: building and filling a Fat-Tree 16 episode
 // (benchChaos: 320 nodes, 128 racks, 512 hosts, 3,267 VMs at seed 1) makes
 // a bounded number of allocations — not one or more per node, link, host,
-// VM or shim. The fabric, the cluster, the VMs, the resident lists and the
-// shims are each carved from a few arrays, and the cost model reads the
-// rows Build prepared for the shape, so what is left is a chunk per
-// doubling. The byte count fails if an episode sweeps its own rows again:
-// their table, weights and search state are about 0.8 MB of the 2.4 MB an
-// episode allocated before they were shared. The episode before the
-// windows makes the shape the last built, so that the windows' warm-up
-// prepares the rows and every counted episode reads them.
+// VM or shim. The fabric is a clone of the shape's template; the cluster,
+// the VMs, the resident lists and the shims are each carved from a few
+// arrays; the shims' regions are read from the template's and the cost
+// model reads the rows Build prepared for the shape, so what is left is a
+// chunk per doubling. The byte count fails if an episode sweeps its own
+// rows again (about 0.8 MB of table, weights and search state), carves
+// every host's resident list at roomFor (about 0.5 MB), or builds its
+// fabric from nothing. The episode before the windows makes the shape the
+// last built, so that the windows' warm-up builds the template and every
+// counted episode is stamped from it.
 func TestEpisodeSetupAllocs(t *testing.T) {
 	var vms int
 	episode := func() {

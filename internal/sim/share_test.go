@@ -24,7 +24,25 @@ import (
 func currentRows() (shape, *cost.Prepared) {
 	prepared.Lock()
 	defer prepared.Unlock()
-	return prepared.shape, prepared.rows
+	if prepared.tmpl == nil {
+		return prepared.shape, nil
+	}
+	return prepared.shape, prepared.tmpl.rows
+}
+
+// freshCluster builds an empty cluster of cfg's shape on a fabric of its
+// own.
+func freshCluster(t *testing.T, cfg Config) *dcn.Cluster {
+	t.Helper()
+	g, err := newGraph(cfg.Kind, cfg.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newCluster(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // sharing builds n Sims of cfg's shape that read its shared rows: a Build
@@ -103,10 +121,7 @@ func deepSum(v any) uint64 {
 // demand.
 func sameAnswers(t *testing.T, s *Sim) {
 	t.Helper()
-	c, err := newCluster(s.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := freshCluster(t, s.Config)
 	fresh, err := cost.New(c, cost.PaperParams())
 	if err != nil {
 		t.Fatal(err)
@@ -205,10 +220,7 @@ func TestPreparedRowsStayPristine(t *testing.T) {
 // and the second Sim sweeps nothing. Run it with -race.
 func TestSharedRowsRaceOnDemand(t *testing.T) {
 	sims := sharing(t, Config{Kind: FatTree, Size: 8, Seed: 5}, 2)
-	c, err := newCluster(sims[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := freshCluster(t, sims[0].Config)
 	fresh, err := cost.New(c, cost.PaperParams())
 	if err != nil {
 		t.Fatal(err)
@@ -253,5 +265,87 @@ func TestSharedRowsRaceOnDemand(t *testing.T) {
 	}
 	if _, late := sims[1].Model.SweepCounts(); late != 0 {
 		t.Fatalf("the Sim queried inside its regions swept %d rows on demand", late)
+	}
+}
+
+// fingerprint hashes what a Sim's writes reach: every edge's endpoints and
+// bandwidth, every host's residents, and every shim's neighbour racks. It
+// fails t when a shim's neighbour is not a rack of the Sim's own cluster.
+func fingerprint(t *testing.T, s *Sim) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	put := func(xs ...uint64) {
+		for _, x := range xs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, x))
+		}
+	}
+	g := s.Cluster.Graph
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, e := range g.Edges(u) {
+			put(uint64(e.ID), uint64(e.To), math.Float64bits(e.Bandwidth))
+		}
+	}
+	for _, host := range s.Cluster.Hosts() {
+		put(uint64(len(host.Residents())))
+		for _, vm := range host.Residents() {
+			put(uint64(vm.ID), math.Float64bits(vm.Capacity))
+		}
+	}
+	for _, shim := range s.Shims {
+		put(uint64(shim.Rack.Index), uint64(len(shim.NeighborRacks())))
+		for _, r := range shim.NeighborRacks() {
+			if s.Cluster.Racks[r.Index] != r {
+				t.Fatalf("shim %d's neighbour rack %d is not its cluster's", shim.Rack.Index, r.Index)
+			}
+			put(uint64(r.Index))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestStampedSimsShareNoMutableMemory: Sims stamped from one shape's
+// template, and one stamped after a Sim of another shape dropped that
+// template and the shape built twice rebuilt it, each own their fabric,
+// resident lists and shim regions: a bandwidth set, a move and an added VM
+// on one leave every other Sim's edges, residents and shim neighbours as
+// they were.
+func TestStampedSimsShareNoMutableMemory(t *testing.T) {
+	cfg := Config{Kind: FatTree, Size: 8, Seed: 1}
+	sims := sharing(t, cfg, 2)
+	other, err := Build(Config{Kind: BCube, Size: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims = append(sims, sharing(t, cfg, 1)...)
+	sims = append(sims, other)
+	for _, s := range sims {
+		s.PopulateHotPods(0.5, 0.85, 0.35)
+	}
+	for i, s := range sims[:3] {
+		before := make([]uint64, len(sims))
+		for j, o := range sims {
+			before[j] = fingerprint(t, o)
+		}
+		g := s.Cluster.Graph
+		g.SetBandwidthAt(0, g.EdgeAt(0).Bandwidth/2)
+		hosts := s.Cluster.Hosts()
+		vm := hosts[0].Residents()[0]
+		moved := false
+		for _, dst := range hosts[1:] {
+			if moved = s.Cluster.Move(vm, dst) == nil; moved {
+				break
+			}
+		}
+		if !moved {
+			t.Fatal("no host took a VM")
+		}
+		if _, err := s.Cluster.AddVM(hosts[len(hosts)-1], 1, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		for j, o := range sims {
+			if changed := fingerprint(t, o) != before[j]; changed != (i == j) {
+				t.Fatalf("writes to Sim %d: Sim %d changed %v", i, j, changed)
+			}
+		}
 	}
 }

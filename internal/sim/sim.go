@@ -23,6 +23,7 @@ import (
 	"sheriff/internal/faults"
 	"sheriff/internal/kmedian"
 	"sheriff/internal/migrate"
+	"sheriff/internal/topology"
 )
 
 // Kind selects the simulated topology.
@@ -108,23 +109,48 @@ type Sim struct {
 // with the same answers. The distance table is built by the first query
 // that names a dependent peer.
 //
-// Those rows depend only on the shape, never on the seed. The first Build
-// of a shape sweeps them for its Sim alone; the next Build of the same
-// shape sweeps them once more, on a cluster of their own, and it and every
-// later Sim of the shape read them in place (cost.Prepared) until a Build
-// of another shape drops them. A model copies them at its first write: a
-// refresh, or an on-demand full row.
+// The fabric, those rows and the shims' regions depend only on the shape,
+// never on the seed. The first Build of a shape constructs them for its
+// Sim alone; the next Build of the same shape constructs them once more,
+// on a cluster of their own, and it and every later Sim of the shape are
+// stamped from that state until a Build of another shape drops it: each
+// Sim's fabric is a clone of it (topology.Graph.Clone), its shims read the
+// regions walked once on it, and its model reads the rows in place
+// (cost.Prepared), copying them at its first write: a refresh, or an
+// on-demand full row. Every Sim owns its graph, cluster, shims and model.
 func Build(cfg Config) (*Sim, error) { return build(cfg, true) }
 
-// build is Build; with share false the Sim's rows are swept for it alone
-// and the rows Build shares are left as they are.
+// build is Build; with share false the Sim is constructed for itself alone
+// and the state Build stamps Sims from is left as it is.
 func build(cfg Config, share bool) (*Sim, error) {
 	cfg = cfg.withDefaults()
-	cluster, err := newCluster(cfg)
+	key := shape{cfg.Kind, cfg.Size, cfg.HostsPerRack, cfg.Migrate.NeighborSwitchHops}
+	var tmpl *template
+	var err error
+	if share {
+		if tmpl, err = stamp(cfg, key); err != nil {
+			return nil, err
+		}
+	}
+	var g *topology.Graph
+	if tmpl != nil {
+		g = tmpl.graph.Clone()
+	} else if g, err = newGraph(cfg.Kind, cfg.Size); err != nil {
+		return nil, err
+	}
+	cluster, err := newCluster(cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	model, err := newModel(cfg, cluster, share)
+	var model *cost.Model
+	if tmpl != nil {
+		model, err = tmpl.rows.Model(cluster)
+	} else {
+		model, err = cost.NewDeferred(cluster, cost.PaperParams())
+		if err == nil {
+			model.RefreshSources(cluster.Graph.RackNodes(), key.hops)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +164,7 @@ func build(cfg Config, share bool) (*Sim, error) {
 	// A workspace per shim: BalancingRound returns every alerted shim's
 	// tally, which lives in the shim's workspace. Each is a copy of the
 	// first made before any round, so every shim is built in the first's
-	// shim memory: one region walk and one set of chunks for them all.
+	// shim memory: one set of chunks for them all.
 	ws := make([]migrate.Workspace, len(cluster.Racks))
 	s.Shims = make([]*migrate.Shim, len(cluster.Racks))
 	for i, r := range cluster.Racks {
@@ -152,12 +178,8 @@ func build(cfg Config, share bool) (*Sim, error) {
 	return s, nil
 }
 
-// newCluster builds cfg's fabric and an empty cluster over it.
-func newCluster(cfg Config) (*dcn.Cluster, error) {
-	g, err := newGraph(cfg.Kind, cfg.Size)
-	if err != nil {
-		return nil, err
-	}
+// newCluster builds an empty cluster of cfg's over g.
+func newCluster(cfg Config, g *topology.Graph) (*dcn.Cluster, error) {
 	return dcn.NewCluster(g, dcn.Config{
 		HostsPerRack: cfg.HostsPerRack,
 		HostCapacity: hostCapacity,
@@ -165,66 +187,58 @@ func newCluster(cfg Config) (*dcn.Cluster, error) {
 	})
 }
 
-// shape is what a Sim's prepared cost rows depend on: the fabric, the
-// cluster over it and the shims' radius, everything of cfg but the seed
-// and the migration policy's other knobs.
+// shape is what a Sim's fabric, shim regions and prepared cost rows
+// depend on: the fabric, the cluster over it and the shims' radius,
+// everything of cfg but the seed and the migration policy's other knobs.
 type shape struct {
 	kind               Kind
 	size, hostsPerRack int
 	hops               int
 }
 
-// prepared is the shape Build last built, and its rows once a Build has
-// repeated it: swept on a cluster of their own that no Sim reaches.
-var prepared struct {
-	sync.Mutex
-	shape shape
+// template is a shape's pristine state, built on a cluster no Sim reaches:
+// the fabric Sims clone, and the rows swept on it. No Sim writes it; its
+// fabric only gains the rack-neighbour lists its clones walk.
+type template struct {
+	graph *topology.Graph
 	rows  *cost.Prepared
 }
 
-// newModel returns cluster's cost model with the shims' rows prepared:
-// shared rows when share is set and the last shape Build built was cfg's,
-// and otherwise rows swept for this model alone.
-func newModel(cfg Config, cluster *dcn.Cluster, share bool) (*cost.Model, error) {
-	key := shape{cfg.Kind, cfg.Size, cfg.HostsPerRack, cfg.Migrate.NeighborSwitchHops}
-	if share {
-		rows, err := sharedRows(cfg, key)
-		if err != nil {
-			return nil, err
-		}
-		if rows != nil {
-			return rows.Model(cluster)
-		}
-	}
-	model, err := cost.NewDeferred(cluster, cost.PaperParams())
-	if err != nil {
-		return nil, err
-	}
-	model.RefreshSources(cluster.Graph.RackNodes(), key.hops)
-	return model, nil
+// prepared is the shape Build last built, and its template once a Build
+// has repeated it.
+var prepared struct {
+	sync.Mutex
+	shape shape
+	tmpl  *template
 }
 
-// sharedRows returns key's shared rows, sweeping them first when key is
-// the shape Build last built and they are not swept yet. For any other
-// shape it returns nil and records key as the last built, dropping the
-// rows of the shape before.
-func sharedRows(cfg Config, key shape) (*cost.Prepared, error) {
+// stamp returns key's template, building it first when key is the shape
+// Build last built and it is not built yet. For any other shape it returns
+// nil and records key as the last built, dropping the template of the
+// shape before.
+func stamp(cfg Config, key shape) (*template, error) {
 	prepared.Lock()
 	defer prepared.Unlock()
 	if prepared.shape != key {
-		prepared.shape, prepared.rows = key, nil
+		prepared.shape, prepared.tmpl = key, nil
 		return nil, nil
 	}
-	if prepared.rows == nil {
-		cluster, err := newCluster(cfg)
+	if prepared.tmpl == nil {
+		g, err := newGraph(cfg.Kind, cfg.Size)
 		if err != nil {
 			return nil, err
 		}
-		if prepared.rows, err = cost.Prepare(cluster, cost.PaperParams(), cluster.Graph.RackNodes(), key.hops); err != nil {
+		cluster, err := newCluster(cfg, g)
+		if err != nil {
 			return nil, err
 		}
+		rows, err := cost.Prepare(cluster, cost.PaperParams(), g.RackNodes(), key.hops)
+		if err != nil {
+			return nil, err
+		}
+		prepared.tmpl = &template{graph: g, rows: rows}
 	}
-	return prepared.rows, nil
+	return prepared.tmpl, nil
 }
 
 // Populate fills the cluster uniformly at random.

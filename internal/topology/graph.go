@@ -16,8 +16,10 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeKind distinguishes rack delegation nodes from interior switches.
@@ -82,6 +84,11 @@ type Graph struct {
 	structVer uint64 // bumped by AddNode/AddLink
 	csrMu     sync.Mutex
 	csrRep    *csr
+
+	// regions is the rack-neighbour lists of this wiring, shared with the
+	// graph's clones (Clone) until a structural change; nil on a graph
+	// never cloned, whose every AppendRackNeighbors walks.
+	regions atomic.Pointer[rackRegions]
 }
 
 // edgeLoc places a directed edge in the adjacency: adj[node][pos]. The CSR
@@ -105,7 +112,7 @@ func (g *Graph) AddNode(kind NodeKind, name string, pod, level int) int {
 	} else if kind == Switch {
 		g.switches = append(g.switches, id)
 	}
-	g.invalidateCSR()
+	g.structureChanged()
 	return id
 }
 
@@ -124,7 +131,7 @@ func (g *Graph) AddLink(a, b int, capacity, distance float64) error {
 	g.loc = append(g.loc, edgeLoc{int32(a), int32(len(g.adj[a]))}, edgeLoc{int32(b), int32(len(g.adj[b]))})
 	g.adj[a] = append(g.adj[a], Edge{ID: id, From: a, To: b, Capacity: capacity, Distance: distance, Bandwidth: capacity})
 	g.adj[b] = append(g.adj[b], Edge{ID: id + 1, From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
-	g.invalidateCSR()
+	g.structureChanged()
 	return nil
 }
 
@@ -193,9 +200,49 @@ func nameLen(prefix string, n int) int {
 	return len(prefix) + 2*(1+digits)
 }
 
-func (g *Graph) invalidateCSR() {
+// Clone returns a copy of g that shares no mutable memory with it: the
+// node, edge-location and kind lists copied, and every node's adjacency
+// re-sliced, at its degree, from one copy of the edge array, so a clone
+// costs one allocation per element kind whatever the fabric's size. Node
+// names are immutable strings, shared. The flattened view is built anew
+// on the clone's first sweep. A graph and its clones walk each rack's
+// neighbours once between them (AppendRackNeighbors) until one of them
+// changes structure. Clones of one graph may be made on several
+// goroutines at once: Clone's one write to g, attaching those lists on
+// the first clone, is atomic.
+func (g *Graph) Clone() *Graph {
+	kinds := make([]int, len(g.racks)+len(g.switches))
+	n := copy(kinds, g.racks)
+	copy(kinds[n:], g.switches)
+	c := &Graph{
+		nodes:     slices.Clone(g.nodes),
+		adj:       make([][]Edge, len(g.adj)),
+		loc:       slices.Clone(g.loc),
+		racks:     kinds[:n:n],
+		switches:  kinds[n:],
+		structVer: g.structVer,
+	}
+	edges := make([]Edge, len(g.loc))
+	for u, es := range g.adj {
+		c.adj[u], edges = edges[:len(es):len(es)], edges[len(es):]
+		copy(c.adj[u], es)
+	}
+	r := g.regions.Load()
+	if r == nil {
+		g.regions.CompareAndSwap(nil, &rackRegions{})
+		r = g.regions.Load()
+	}
+	c.regions.Store(r)
+	return c
+}
+
+// structureChanged drops what was derived from the wiring: the flattened
+// view, and the rack-neighbour lists shared with other graphs of the old
+// wiring, which keep them.
+func (g *Graph) structureChanged() {
 	g.structVer++
 	g.csrRep = nil
+	g.regions.Store(nil)
 }
 
 // StructVersion returns a counter bumped by every structural change
@@ -328,8 +375,55 @@ type NeighborScratch struct {
 type switchHop struct{ node, switchHops int }
 
 // AppendRackNeighbors is RackNeighbors appending to out, with the walk's
-// memory in s: allocation-free once s and out have grown.
+// memory in s: allocation-free once s and out have grown. On a graph that
+// has been cloned, or is a clone, a rack's list is read from the lists its
+// wiring shares (rackRegions), walked once for every rack at each radius.
 func (g *Graph) AppendRackNeighbors(out []int, id int, maxSwitchHops int, s *NeighborScratch) []int {
+	if r := g.regions.Load(); r != nil && g.nodes[id].Kind == Rack {
+		return append(out, r.lists(g, maxSwitchHops)[id]...)
+	}
+	return g.walkRackNeighbors(out, id, maxSwitchHops, s)
+}
+
+// rackRegions is the rack-neighbour lists of one wiring, shared by a graph
+// and its clones until one of them changes structure: by hop radius, every
+// rack's list in the order walkRackNeighbors finds it, indexed by node ID
+// (nil for a switch) and cut from one array. The first call at a radius
+// walks every rack, on whichever graph of the wiring asks; the lists are
+// never written after.
+type rackRegions struct {
+	mu     sync.Mutex
+	byHops map[int][][]int
+}
+
+// lists returns the rack-neighbour lists at hops, walking them on g first
+// if no graph of the wiring has asked at that radius.
+func (r *rackRegions) lists(g *Graph, hops int) [][]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if l, ok := r.byHops[hops]; ok {
+		return l
+	}
+	var s NeighborScratch
+	var arena []int
+	ends := make([]int, len(g.racks))
+	for i, id := range g.racks {
+		arena = g.walkRackNeighbors(arena, id, hops, &s)
+		ends[i] = len(arena)
+	}
+	l, start := make([][]int, len(g.nodes)), 0
+	for i, id := range g.racks {
+		l[id], start = arena[start:ends[i]:ends[i]], ends[i]
+	}
+	if r.byHops == nil {
+		r.byHops = make(map[int][][]int)
+	}
+	r.byHops[hops] = l
+	return l
+}
+
+// walkRackNeighbors is AppendRackNeighbors' walk.
+func (g *Graph) walkRackNeighbors(out []int, id int, maxSwitchHops int, s *NeighborScratch) []int {
 	if len(s.seen) < len(g.nodes) {
 		s.seen, s.epoch = make([]uint32, len(g.nodes)), 0
 	}

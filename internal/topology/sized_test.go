@@ -130,30 +130,7 @@ func sizedFabrics(t *testing.T) []sizedFabric {
 func TestSizedConstructorsMatchHandBuilt(t *testing.T) {
 	for _, f := range sizedFabrics(t) {
 		got, want := f.got, f.want
-		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("%s: %d nodes, %d edges; hand-built %d, %d", f.name, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
-		}
-		for id := 0; id < want.NumNodes(); id++ {
-			if g, w := got.Node(id), want.Node(id); g != w {
-				t.Fatalf("%s: node %d = %+v, hand-built %+v", f.name, id, g, w)
-			}
-			if g, w := got.Edges(id), want.Edges(id); !slices.Equal(g, w) {
-				t.Fatalf("%s: node %d edges %v, hand-built %v", f.name, id, g, w)
-			}
-		}
-		for id := 0; id < want.NumEdges(); id++ {
-			if g, w := got.EdgeAt(id), want.EdgeAt(id); g != w {
-				t.Fatalf("%s: EdgeAt(%d) = %+v, hand-built %+v", f.name, id, g, w)
-			}
-		}
-		if !slices.Equal(got.RackNodes(), want.RackNodes()) || !slices.Equal(got.SwitchNodes(), want.SwitchNodes()) {
-			t.Fatalf("%s: kind lists differ from the hand-built graph's", f.name)
-		}
-		gc, wc := got.ensureCSR(), want.ensureCSR()
-		if !slices.Equal(gc.rowStart, wc.rowStart) || !slices.Equal(gc.dstID, wc.dstID) || !slices.Equal(gc.edgeID, wc.edgeID) ||
-			!slices.Equal(gc.capacity, wc.capacity) || !slices.Equal(gc.distance, wc.distance) || !slices.Equal(gc.bandwidth, wc.bandwidth) {
-			t.Fatalf("%s: CSR rows differ from the hand-built graph's", f.name)
-		}
+		sameGraph(t, f.name+" (hand-built)", got, want)
 		// A row is carved at its node's final degree: a link added by hand
 		// afterwards grows that row alone.
 		a, b := 0, got.NumNodes()-1
@@ -162,6 +139,40 @@ func TestSizedConstructorsMatchHandBuilt(t *testing.T) {
 		if !slices.Equal(got.Edges(a+1), before) || got.EdgeAt(got.NumEdges()-2).To != b || got.EdgeAt(got.NumEdges()-1).To != a {
 			t.Fatalf("%s: a link added after construction wrote outside its own rows", f.name)
 		}
+	}
+}
+
+// sameGraph fails t unless got is want as a graph: every node's name,
+// kind, pod and level, every node's edges in order, every edge by ID and
+// its location in the adjacency, the kind lists and the CSR rows.
+func sameGraph(t *testing.T, name string, got, want *Graph) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: %d nodes, %d edges; want %d, %d", name, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for id := 0; id < want.NumNodes(); id++ {
+		if g, w := got.Node(id), want.Node(id); g != w {
+			t.Fatalf("%s: node %d = %+v, want %+v", name, id, g, w)
+		}
+		if g, w := got.Edges(id), want.Edges(id); !slices.Equal(g, w) {
+			t.Fatalf("%s: node %d edges %v, want %v", name, id, g, w)
+		}
+	}
+	for id := 0; id < want.NumEdges(); id++ {
+		if g, w := got.EdgeAt(id), want.EdgeAt(id); g != w {
+			t.Fatalf("%s: EdgeAt(%d) = %+v, want %+v", name, id, g, w)
+		}
+	}
+	if !slices.Equal(got.loc, want.loc) {
+		t.Fatalf("%s: edge locations differ", name)
+	}
+	if !slices.Equal(got.RackNodes(), want.RackNodes()) || !slices.Equal(got.SwitchNodes(), want.SwitchNodes()) {
+		t.Fatalf("%s: kind lists differ", name)
+	}
+	gc, wc := got.ensureCSR(), want.ensureCSR()
+	if !slices.Equal(gc.rowStart, wc.rowStart) || !slices.Equal(gc.dstID, wc.dstID) || !slices.Equal(gc.edgeID, wc.edgeID) ||
+		!slices.Equal(gc.capacity, wc.capacity) || !slices.Equal(gc.distance, wc.distance) || !slices.Equal(gc.bandwidth, wc.bandwidth) {
+		t.Fatalf("%s: CSR rows differ", name)
 	}
 }
 
