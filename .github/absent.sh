@@ -138,5 +138,10 @@ src  &(VM|Host|Rack)\{ internal/dcn
 # One snapshot file, one version, one owner: cmd/sheriffd's header carries the file's version and checksum; the sections carry no version and no copy of the cost parameters, and the daemon peeks at no section's version.
 src  "cost_[p]arams"
 src  head\.Runtime\.[V]ersion
+# One way around a hot switch in the product, FLOWREROUTE's: no avoid-set reroute search beside RerouteAroundHot, and no mask list for it.
+src  avoid[[:space:]]+map\[int\]bool internal/flow
+decl ./internal/flow.Network ^[[:space:]]*block[[:space:]]
+# One running mean: metrics.Summary keeps no variance, min or max that nothing reads.
+decl ./internal/metrics.Summary \bm2\b|^[[:space:]]*min,
 EOF
 exit $fail

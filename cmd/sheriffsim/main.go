@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sheriffsim -mode balance -topology fat-tree -size 8 -rounds 24
-//	sheriffsim -mode compare -topology bcube -size 12
+//	sheriffsim -mode sweep -topology bcube -size 12
 //	sheriffsim -mode sweep -topology fat-tree -sizes 8,16,24,32
 //	sheriffsim -mode plan -topology fat-tree -size 48 -k 32
 //	sheriffsim -mode plan -size 16 -exact   # adds the branch-and-bound OPT
@@ -81,8 +81,7 @@ type study func(out io.Writer, files *outputs) error
 
 var modes = []mode{
 	{"balance", "Figs. 9/10: workload spread over balancing rounds", balanceFlags},
-	{"compare", "Sheriff against the centralized manager: cost and search space", compareFlags},
-	{"sweep", "compare at each of -sizes", sweepFlags},
+	{"sweep", "Sheriff against the centralized manager at -size or each of -sizes: cost and search space", sweepFlags},
 	{"plan", "k-median destination planning: local search against the optimum", planFlags},
 	{"dist", "the Alg. 4 message protocol over a lossy bus", distFlags},
 	{"chaos", "the Alg. 4 protocol under a seeded fault plan", chaosFlags},
@@ -251,10 +250,6 @@ func balanceFlags(fs *flag.FlagSet) study {
 	return clusterFlags(fs, func(out io.Writer, cfg sim.Config) error {
 		return runBalance(out, cfg, *rounds)
 	})
-}
-
-func compareFlags(fs *flag.FlagSet) study {
-	return clusterFlags(fs, runCompare)
 }
 
 func sweepFlags(fs *flag.FlagSet) study {

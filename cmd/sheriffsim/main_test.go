@@ -60,7 +60,7 @@ func TestRunModes(t *testing.T) {
 		// The simulations: the line each exists to print — for the modes
 		// CI smokes, the marker CI greps for.
 		{name: "balance", args: "-mode balance -size 4 -hosts 2 -vms 2 -rounds 4", want: "over 4 rounds"},
-		{name: "compare", args: "-mode compare -size 4 -hosts 2 -vms 2", want: "sheriff cost"},
+		{name: "sweep -size", args: "-mode sweep -size 4 -hosts 2 -vms 2", want: "sheriff cost"},
 		{name: "sweep", args: "-mode sweep -sizes 4,6 -hosts 2 -vms 2", want: "fat-tree size 6"},
 		{name: "plan", args: "-mode plan -size 4 -exact -seed 1", want: `ratio 1\.0000`, check: sameTwice},
 		{name: "dist", args: "-mode dist -size 4 -hosts 2 -vms 2", want: "dist: "},
@@ -76,7 +76,7 @@ func TestRunModes(t *testing.T) {
 		{name: "refused/plan -k -5", args: "-mode plan -size 4 -k -5", want: `^-k -5 is negative \(0 = clients/4\)$`, fail: true},
 		{name: "refused/balance -hosts -1", args: "-mode balance -size 4 -hosts -1", want: `^-hosts -1 is below 1$`, fail: true},
 		{name: "refused/balance -hosts 0", args: "-mode balance -size 4 -hosts 0", want: `^-hosts 0 is below 1$`, fail: true},
-		{name: "refused/compare -vms 0", args: "-mode compare -size 4 -vms 0", want: `^-vms 0 is below 1$`, fail: true},
+		{name: "refused/sweep -vms 0", args: "-mode sweep -size 4 -vms 0", want: `^-vms 0 is below 1$`, fail: true},
 		{name: "refused/dist -vms -3", args: "-mode dist -size 4 -vms -3", want: `^-vms -3 is below 1$`, fail: true},
 		{name: "refused/trace -kind surge-lite", args: "-mode trace -series profile -kind surge-lite", want: `^traces: unknown kind "surge-lite" \(want diurnal, lite, or surge\)$`, fail: true},
 		{name: "trace implies dist", args: "-trace " + filepath.Join(dir, "t.jsonl") + " -size 4 -hosts 2 -vms 2",
@@ -85,12 +85,14 @@ func TestRunModes(t *testing.T) {
 		// The registry: unknown modes, the retired ones among them (what
 		// scale and ingest timed is bench/'s to measure, policy ran the
 		// deleted placement-policy grid, distill fitted triage
-		// coefficients nothing read), flags of another mode, and -h.
+		// coefficients nothing read, compare was sweep at -size), flags of
+		// another mode, and -h.
 		{name: "unknown mode/nope", args: "-mode nope", want: `unknown mode "nope"`, fail: true},
 		{name: "unknown mode/scale", args: "-mode scale", want: `unknown mode "scale"`, fail: true},
 		{name: "unknown mode/ingest", args: "-mode ingest", want: `unknown mode "ingest"`, fail: true},
 		{name: "unknown mode/policy", args: "-mode policy", want: `unknown mode "policy"`, fail: true},
 		{name: "unknown mode/distill", args: "-mode distill", want: `unknown mode "distill"`, fail: true},
+		{name: "unknown mode/compare", args: "-mode compare", want: `unknown mode "compare"`, fail: true},
 		{name: "foreign flag/balance -loss", args: "-mode balance -loss 0.3", want: "^-mode balance reads no -loss flag$", fail: true},
 		{name: "foreign flag/surge -size", args: "-mode surge -size 8", want: "^-mode surge reads no -size flag$", fail: true},
 		{name: "help", args: "-h", want: "flags of -mode balance:", check: listsEveryMode},
@@ -347,27 +349,26 @@ func printsSeries(want *timeseries.Series) check {
 	}
 }
 
-// printsProfiles: sameToFile, and the rows are what the kind's generator
-// streams for the VM.
+// printsProfiles: sameToFile, and the bytes are WriteProfileCSV of what
+// the kind's generator streams for the VM.
 func printsProfiles(kind traces.Kind, seed int64, hours, vm, rack int) check {
 	return func(t *testing.T, args []string, out []byte) {
 		sameToFile(t, args, out)
-		got, err := traces.ReadProfileCSV(bytes.NewReader(out))
-		if err != nil {
-			t.Fatal(err)
-		}
 		gen, err := traces.New(traces.Options{Kind: kind, Seed: seed, Hours: hours})
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := gen.Source(vm, rack)
-		if len(got) != hours*traces.SamplesPerHour {
-			t.Fatalf("%d profiles, want %d", len(got), hours*traces.SamplesPerHour)
+		profiles := make([]traces.Profile, hours*traces.SamplesPerHour)
+		for i := range profiles {
+			profiles[i] = src.Next()
 		}
-		for i, p := range got {
-			if want := src.Next(); p != want {
-				t.Fatalf("profile %d: printed %+v, Source gives %+v", i, p, want)
-			}
+		var want bytes.Buffer
+		if err := traces.WriteProfileCSV(&want, profiles); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, want.Bytes()) {
+			t.Fatalf("printed %d bytes, WriteProfileCSV of the Source's %d profiles gives %d", len(out), len(profiles), want.Len())
 		}
 	}
 }

@@ -296,7 +296,7 @@ func (m *Model) Refresh() { m.RefreshSources(m.cluster.Graph.RackNodes(), -1) }
 // it (topology.Graph.RackNeighbors, the shim's dominating region); its row
 // is swept until those racks, or all their neighbours, have settled,
 // skipping what cannot lead to them cheaply, which leaves the row's
-// answers for them bit for bit the full row's (topology.SweepRowsUntil;
+// answers for them bit for bit the full row's (topology.SweepRowOn;
 // the rules and their argument are at its sweep loop, in csr.go). hops < 0
 // sweeps the named rows in full.
 //

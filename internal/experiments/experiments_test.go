@@ -21,7 +21,11 @@ func TestTableRendering(t *testing.T) {
 	tab := &Table{Name: "Fig. 0", Title: "demo", Columns: []string{"x", "y"}}
 	tab.AddRow(1, 2)
 	tab.Notes = append(tab.Notes, "note")
-	out := tab.String()
+	var sb strings.Builder
+	if _, err := tab.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
 	if !strings.Contains(out, "Fig. 0") || !strings.Contains(out, "demo") ||
 		!strings.Contains(out, "# note") {
 		t.Fatalf("render = %q", out)

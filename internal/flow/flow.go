@@ -14,7 +14,7 @@
 // free list and AddFlow takes it off again, so an admission after a
 // removal allocates nothing at all, and a removed *Flow may come back as
 // another flow. A *Flow is a handle to its flow while the flow is live:
-// SetRate and Reroute check it in O(1), and refuse a removed record on the
+// SetRate checks it in O(1), and refuses a removed record on the
 // free list. One held across a RemoveFlow must be dropped there, as the
 // runtime's edge table does: once AddFlow recycles the record,
 // the handle names the new flow.
@@ -85,13 +85,10 @@ type Network struct {
 	isStale   []bool // edge ID → listed in stale; sized when every link is priced
 	one       [1]int // single-source argument scratch
 
-	// masked is the table of the queries that price a different metric
-	// than admission (some switches cost Inf): Reroute's one query, or a
-	// whole RerouteAroundHot pass. The two never overlap. Its weights are
-	// admission's, brought current, with the avoided switches blocked
-	// (topology.MultiSource.WeighFrom); block lists Reroute's.
+	// masked is the table of a RerouteAroundHot pass, whose metric prices
+	// the hot switch at Inf. Its weights are admission's, brought current,
+	// with the hot switch blocked (topology.MultiSource.WeighFrom).
 	masked *topology.MultiSource
-	block  []int
 
 	// lower makes both tables' searches goal-directed: the static
 	// DistanceCost distances from every rack, which routeCost never
@@ -203,7 +200,7 @@ func (n *Network) AddFlow(src, dst int, rate float64, delaySensitive bool) (*Flo
 	if src == dst {
 		return nil, errors.New("flow: src == dst")
 	}
-	path, edges := n.cheapestPath(src, dst, nil)
+	path, edges := n.cheapestPath(src, dst)
 	if path == nil {
 		return nil, ErrNoRoute
 	}
@@ -272,28 +269,12 @@ func (n *Network) lowerBound(dst int) *topology.MultiSource {
 	return n.lower
 }
 
-// cheapestPath picks the least-loaded shortest path, avoiding the given
-// switch nodes, and returns it with its edge IDs. The search is point to
-// point: it stops when dst settles.
-func (n *Network) cheapestPath(src, dst int, avoid map[int]bool) (path, edges []int) {
+// cheapestPath picks the least-loaded shortest path and returns it with
+// its edge IDs. The search is point to point: it stops when dst settles.
+func (n *Network) cheapestPath(src, dst int) (path, edges []int) {
 	lower := n.lowerBound(dst)
 	adm := n.admission()
 	n.one[0] = src
-	if len(avoid) > 0 {
-		// A masked query prices a different metric; it fills its own
-		// table so the admission weights stay valid. The mask exempts the
-		// flow's endpoints.
-		n.block = n.block[:0]
-		for v, ok := range avoid {
-			if ok && v != src && v != dst {
-				n.block = append(n.block, v)
-			}
-		}
-		n.masked.Reset(n.g, n.one[:])
-		n.masked.WeighFrom(adm, n.block...)
-		n.masked.SweepRowTo(0, dst, lower)
-		return n.route(n.masked, src, dst)
-	}
 	adm.Reset(n.g, n.one[:])
 	adm.SweepRowTo(0, dst, lower)
 	return n.route(adm, src, dst)
@@ -468,33 +449,6 @@ func (n *Network) Flow(id int) *Flow {
 // Flows returns all flows ordered by ID.
 func (n *Network) Flows() []*Flow { return append([]*Flow(nil), n.flows...) }
 
-// LinkLoad returns the offered load on the directed link a→b.
-func (n *Network) LinkLoad(a, b int) float64 {
-	if id := n.g.EdgeIndex(a, b); id >= 0 {
-		return n.loads()[id]
-	}
-	return 0
-}
-
-// LinkUtilization returns load/capacity on the directed link a→b, or 0
-// when the link does not exist.
-func (n *Network) LinkUtilization(a, b int) float64 {
-	e, ok := n.g.EdgeBetween(a, b)
-	if !ok {
-		return 0
-	}
-	return n.EdgeUtilization(e)
-}
-
-// EdgeUtilization returns load/capacity for an already-resolved edge,
-// skipping the O(degree) EdgeBetween lookup LinkUtilization pays.
-func (n *Network) EdgeUtilization(e topology.Edge) float64 {
-	if e.Capacity == 0 {
-		return 0
-	}
-	return n.loads()[e.ID] / e.Capacity
-}
-
 // scanAll returns the largest utilization over node v's incident links,
 // both directions, skipping links without capacity. Link capacity is
 // symmetric (AddLink installs both directions alike), so the inbound
@@ -617,12 +571,8 @@ func (n *Network) HotSwitches(threshold float64) []int {
 	return n.hot
 }
 
-// FlowsThrough returns the flows whose current path crosses the node, in
-// ID order.
-func (n *Network) FlowsThrough(node int) []*Flow {
-	return n.appendFlowsThrough(nil, node)
-}
-
+// appendFlowsThrough appends the flows whose current path crosses the
+// node, in ID order.
 func (n *Network) appendFlowsThrough(out []*Flow, node int) []*Flow {
 	for _, f := range n.flows {
 		if slices.Contains(f.path, node) {
@@ -632,27 +582,14 @@ func (n *Network) appendFlowsThrough(out []*Flow, node int) []*Flow {
 	return out
 }
 
-// Reroute moves one flow onto the cheapest path avoiding the given
-// switches. It returns ErrNoRoute (leaving the flow untouched) when no
-// such path exists.
-func (n *Network) Reroute(f *Flow, avoid map[int]bool) error {
-	if !n.owns(f) {
-		return errors.New("flow: unknown flow")
-	}
-	oldPath, oldEdges := f.path, f.edges
-	if err := n.reroute(f, avoid); err != nil {
-		return err
-	}
-	n.recycle(oldPath, oldEdges)
-	return nil
-}
-
-// reroute is Reroute without the recycling: the old route's storage stays
-// with the caller, to recycle after its last read of it.
-func (n *Network) reroute(f *Flow, avoid map[int]bool) error {
+// reroute moves one flow onto the cheapest path under admission's metric,
+// restoring its old path and returning ErrNoRoute when there is none. The
+// old route's storage stays with the caller, to recycle after its last
+// read of it.
+func (n *Network) reroute(f *Flow) error {
 	oldPath, oldEdges := f.path, f.edges
 	n.clearPath(f)
-	path, edges := n.cheapestPath(f.Src, f.Dst, avoid)
+	path, edges := n.cheapestPath(f.Src, f.Dst)
 	if path == nil {
 		n.applyPath(f, oldPath, oldEdges) // restore
 		return ErrNoRoute
@@ -724,7 +661,7 @@ func (n *Network) RerouteAroundHot(hot int, target float64) []*Flow {
 			// admission's table. Even a failed attempt takes the flow's
 			// rate off its links and puts it back, which can move a load
 			// by an ulp, so the links are re-priced either way.
-			ok = n.reroute(f, nil) == nil
+			ok = n.reroute(f) == nil
 		} else {
 			row := ms.Row(f.Src)
 			if !n.rowFull[row] {

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -15,6 +14,17 @@ func fatTree(t *testing.T, pods int) *topology.FatTree {
 		t.Fatal(err)
 	}
 	return ft
+}
+
+// linkLoad is the offered load on the directed link a→b, which the
+// network must hold.
+func linkLoad(t *testing.T, n *Network, a, b int) float64 {
+	t.Helper()
+	id := n.g.EdgeIndex(a, b)
+	if id < 0 {
+		t.Fatalf("no link %d→%d", a, b)
+	}
+	return n.loads()[id]
 }
 
 func TestAddFlowRoutesShortest(t *testing.T) {
@@ -53,14 +63,14 @@ func TestLoadAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := f.Path()
-	if got := n.LinkLoad(p[0], p[1]); got != 0.4 {
+	if got := linkLoad(t, n, p[0], p[1]); got != 0.4 {
 		t.Fatalf("link load = %v, want 0.4", got)
 	}
-	if got := n.LinkUtilization(p[0], p[1]); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("utilization = %v, want 0.4 (capacity 1)", got)
+	if got := n.OutUtilization(p[0]); math.Abs(got-0.4) > 1e-12 {
+		t.Fatalf("rack uplink utilization = %v, want 0.4 (capacity 1)", got)
 	}
 	n.RemoveFlow(f.ID)
-	if got := n.LinkLoad(p[0], p[1]); got != 0 {
+	if got := linkLoad(t, n, p[0], p[1]); got != 0 {
 		t.Fatalf("load after removal = %v", got)
 	}
 	if n.Flow(f.ID) != nil {
@@ -116,11 +126,11 @@ func TestFlowsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := f.Path()[1]
-	through := n.FlowsThrough(agg)
+	through := n.appendFlowsThrough(nil, agg)
 	if len(through) != 1 || through[0] != f {
-		t.Fatalf("FlowsThrough = %v", through)
+		t.Fatalf("appendFlowsThrough = %v", through)
 	}
-	if len(n.FlowsThrough(ft.RackIDs[3][1])) != 0 {
+	if len(n.appendFlowsThrough(nil, ft.RackIDs[3][1])) != 0 {
 		t.Fatal("unrelated node should carry no flows")
 	}
 }
@@ -133,8 +143,8 @@ func TestRerouteAvoidsSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := f.Path()[1]
-	if err := n.Reroute(f, map[int]bool{hot: true}); err != nil {
-		t.Fatal(err)
+	if moved := n.RerouteAroundHot(hot, 0.1); len(moved) != 1 || moved[0] != f {
+		t.Fatalf("moved %v, want the one flow", moved)
 	}
 	for _, hop := range f.Path() {
 		if hop == hot {
@@ -142,11 +152,14 @@ func TestRerouteAvoidsSwitch(t *testing.T) {
 		}
 	}
 	// Load must have moved with the flow.
-	if n.LinkLoad(ft.RackIDs[0][0], hot) != 0 {
+	if linkLoad(t, n, ft.RackIDs[0][0], hot) != 0 {
 		t.Fatal("old path load not released")
 	}
 }
 
+// TestRerouteNoAlternativeRestores: a flow that starts at the hot node is
+// routed unmasked, off its own load; with one path in the fabric it comes
+// back onto that path, carrying the same load.
 func TestRerouteNoAlternativeRestores(t *testing.T) {
 	// Diamond with a single midpoint: no alternative exists.
 	g := topology.NewGraph()
@@ -164,20 +177,12 @@ func TestRerouteNoAlternativeRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Reroute(f, map[int]bool{s: true}); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("want ErrNoRoute, got %v", err)
+	n.RerouteAroundHot(a, 0.1)
+	if !equalInts(f.Path(), []int{a, s, b}) || linkLoad(t, n, a, s) != 0.5 || linkLoad(t, n, s, b) != 0.5 {
+		t.Fatalf("path %v, loads %v %v: the reroute did not keep the one path's state", f.Path(), linkLoad(t, n, a, s), linkLoad(t, n, s, b))
 	}
-	// Flow must keep its old path and load.
-	if len(f.Path()) != 3 || n.LinkLoad(a, s) != 0.5 {
-		t.Fatal("failed reroute did not restore state")
-	}
-}
-
-func TestRerouteUnknownFlow(t *testing.T) {
-	ft := fatTree(t, 4)
-	n := NewNetwork(ft.Graph)
-	if err := n.Reroute(&Flow{ID: 99}, nil); err == nil {
-		t.Fatal("unknown flow accepted")
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -275,14 +280,14 @@ func TestSetRate(t *testing.T) {
 	if f.Rate != 0.7 {
 		t.Fatalf("rate = %v", f.Rate)
 	}
-	if got := n.LinkLoad(p[0], p[1]); math.Abs(got-0.7) > 1e-12 {
+	if got := linkLoad(t, n, p[0], p[1]); math.Abs(got-0.7) > 1e-12 {
 		t.Fatalf("link load = %v, want 0.7", got)
 	}
 	// Lowering the rate releases load.
 	if err := n.SetRate(f, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.LinkLoad(p[0], p[1]); math.Abs(got-0.1) > 1e-12 {
+	if got := linkLoad(t, n, p[0], p[1]); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("link load after decrease = %v", got)
 	}
 	// Errors: unknown flow, bad rate.
@@ -297,16 +302,8 @@ func TestSetRate(t *testing.T) {
 	}
 }
 
-func TestLinkUtilizationMissingLink(t *testing.T) {
-	ft := fatTree(t, 4)
-	n := NewNetwork(ft.Graph)
-	if u := n.LinkUtilization(ft.RackIDs[0][0], ft.RackIDs[3][1]); u != 0 {
-		t.Fatalf("missing link utilization = %v", u)
-	}
-}
-
 // TestRemovedHandleRefused: a *Flow held across its RemoveFlow is refused
-// by SetRate and Reroute, also after a later AddFlow has recycled another
+// by SetRate, also after a later AddFlow has recycled another
 // removed record, and the refusal leaves every load as it was. The
 // recycled record is the new flow's handle.
 func TestRemovedHandleRefused(t *testing.T) {
@@ -328,9 +325,6 @@ func TestRemovedHandleRefused(t *testing.T) {
 		if err := n.SetRate(stale, 0.5); err == nil {
 			t.Fatalf("%s: SetRate accepted a removed flow's handle", when)
 		}
-		if err := n.Reroute(stale, nil); err == nil {
-			t.Fatalf("%s: Reroute accepted a removed flow's handle", when)
-		}
 	}
 	refused("after RemoveFlow")
 
@@ -343,7 +337,7 @@ func TestRemovedHandleRefused(t *testing.T) {
 	}
 	p := kept.Path()
 	refused("after a recycling AddFlow")
-	if got := n.LinkLoad(p[0], p[1]); math.Abs(got-0.4) > 1e-12 {
+	if got := linkLoad(t, n, p[0], p[1]); math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("link load = %v after refusals, want the live flow's 0.4", got)
 	}
 	if err := n.SetRate(kept, 0.6); err != nil {

@@ -28,7 +28,7 @@ import (
 //     read shows up here before it corrupts a load. Likewise no live flow's
 //     record is on the spare list, nor any record twice;
 //   - every live flow's record is marked live in this network, and no
-//     spare record is marked live, so that SetRate and Reroute accept
+//     spare record is marked live, so that SetRate accepts
 //     exactly the live flows.
 //
 // It is O(flows × path length + links) and allocates; meant for tests and

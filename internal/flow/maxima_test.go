@@ -92,9 +92,7 @@ func checkUtilizationCache(t *testing.T, g *topology.Graph, ops []byte) {
 			if err := n.SetRate(f, rate); err != nil {
 				t.Fatal(err)
 			}
-		case op == 4:
-			_ = n.Reroute(f, map[int]bool{switches[next()%len(switches)]: true})
-		case op == 5:
+		case op == 4 || op == 5:
 			n.RerouteAroundHot(switches[next()%len(switches)], rate)
 		case op == 6:
 			// Into a network whose cache was filled before: Restore must

@@ -59,7 +59,7 @@ func TestRerouteAroundHotSharedSource(t *testing.T) {
 
 // TestRerouteAroundHotNoAlternative: when the hot switch is the only way
 // through, the cached-sweep pass must leave the flow (and its load)
-// untouched, like the exact Reroute's restore path.
+// untouched.
 func TestRerouteAroundHotNoAlternative(t *testing.T) {
 	g := topology.NewGraph()
 	a := g.AddNode(topology.Rack, "a", 0, 0)
@@ -79,7 +79,7 @@ func TestRerouteAroundHotNoAlternative(t *testing.T) {
 	if moved := n.RerouteAroundHot(s, 0.5); len(moved) != 0 {
 		t.Fatalf("moved %v despite no alternative", moved)
 	}
-	if len(f.Path()) != 3 || n.LinkLoad(a, s) != 0.95 {
+	if len(f.Path()) != 3 || linkLoad(t, n, a, s) != 0.95 {
 		t.Fatal("failed pass disturbed flow state")
 	}
 	checkLoadConsistency(t, n)

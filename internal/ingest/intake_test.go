@@ -213,8 +213,8 @@ func TestLatencyWeighsEveryUpdate(t *testing.T) {
 	s.ProcessPending()
 	st := s.Stats()
 	lat := st.Latency
-	if lat.Count() != 5 || lat.Min() != 0.001 || lat.Max() != 0.002 || math.Abs(lat.Mean()-0.0016) > 1e-12 {
-		t.Fatalf("latency %s, want 3 waits of 2 ms and 2 of 1 ms", lat.String())
+	if lat.Count() != 5 || math.Abs(lat.Mean()-0.0016) > 1e-12 {
+		t.Fatalf("latency n=%d mean=%v, want 3 waits of 2 ms and 2 of 1 ms", lat.Count(), lat.Mean())
 	}
 	if math.Abs(st.LatencyP99-0.002) > 0.125*0.002 {
 		t.Fatalf("p99 %v, want 2 ms within the histogram's 12.5 %%", st.LatencyP99)
@@ -231,8 +231,8 @@ func TestLatencyClampedAtZero(t *testing.T) {
 	}
 	s.ProcessPending()
 	st := s.Stats()
-	if st.Latency.Count() != 1 || st.Latency.Min() != 0 || st.LatencyP99 < 0 {
-		t.Fatalf("latency %s p99 %v, want one wait of exactly 0", st.Latency.String(), st.LatencyP99)
+	if st.Latency.Count() != 1 || st.Latency.Mean() != 0 || st.LatencyP99 < 0 {
+		t.Fatalf("latency n=%d mean=%v p99 %v, want one wait of exactly 0", st.Latency.Count(), st.Latency.Mean(), st.LatencyP99)
 	}
 }
 
@@ -475,14 +475,14 @@ func (o *waitOracle) observe(ns int64, n int) {
 	}
 }
 
-// check holds st's latency to the recomputation: count, min, max and p99
-// exactly, the mean to 1e-12 relative (the service folds one run per
-// distinct stamp, so its Welford sums round in a different order).
+// check holds st's latency to the recomputation: count and p99 exactly,
+// the mean to 1e-12 relative (the service folds one run per distinct
+// stamp, so its running mean rounds in a different order).
 func (o *waitOracle) check(t *testing.T, tag string, st Stats) {
 	t.Helper()
 	got, want := &st.Latency, &o.sum
-	if got.Count() != want.Count() || got.Min() != want.Min() || got.Max() != want.Max() {
-		t.Fatalf("%s: latency %s, want %s", tag, got.String(), want.String())
+	if got.Count() != want.Count() {
+		t.Fatalf("%s: latency count %d, want %d", tag, got.Count(), want.Count())
 	}
 	p99 := 0.0
 	if want.Count() > 0 {

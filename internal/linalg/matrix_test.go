@@ -36,16 +36,6 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestSetAtClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(1, 1, 7)
-	c := m.Clone()
-	c.Set(1, 1, 9)
-	if m.At(1, 1) != 7 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m := rows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()

@@ -1,51 +1,37 @@
-// Package metrics provides streaming summaries for simulation and runtime
-// reporting: constant-memory mean/variance (Welford) with min/max, and a
-// logarithmic histogram for tail quantiles of counts and durations. The
-// ingest front end reports its queue-wait tail from the histogram.
+// Package metrics provides streaming summaries for runtime reporting: a
+// constant-memory running mean, and a logarithmic histogram for tail
+// quantiles of counts and durations. The runtime reports its per-phase
+// durations and shard skew as means, and the ingest front end its queue
+// wait as a mean and a tail read from the histogram.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
 
-// Summary accumulates count, mean, variance (Welford's online algorithm),
-// min and max. The zero value is ready to use.
+// Summary accumulates a count and a running mean. The zero value is ready
+// to use.
 type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Observe adds one observation.
 func (s *Summary) Observe(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	s.n++
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
+	s.mean += (v - s.mean) / float64(s.n)
 }
 
 // ObserveN adds n observations of the same value in constant time; the
 // result is the one n calls to Observe(v) give, up to rounding.
 func (s *Summary) ObserveN(v float64, n int) {
 	if n > 0 {
-		s.Merge(Summary{n: n, mean: v, min: v, max: v})
+		s.Merge(Summary{n: n, mean: v})
 	}
 }
 
-// Merge folds another summary's observations into s (Chan et al.'s
-// pairwise update of Welford's state).
+// Merge folds another summary's observations into s.
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return
@@ -55,10 +41,7 @@ func (s *Summary) Merge(o Summary) {
 		return
 	}
 	n := s.n + o.n
-	d := o.mean - s.mean
-	s.mean += d * float64(o.n) / float64(n)
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.min, s.max = math.Min(s.min, o.min), math.Max(s.max, o.max)
+	s.mean += (o.mean - s.mean) * float64(o.n) / float64(n)
 	s.n = n
 }
 
@@ -68,47 +51,13 @@ func (s *Summary) Count() int { return s.n }
 // Mean returns the running mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Variance returns the population variance (0 with fewer than 2 points).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (+Inf when empty).
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return math.Inf(1)
-	}
-	return s.min
-}
-
-// Max returns the largest observation (−Inf when empty).
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.Inf(-1)
-	}
-	return s.max
-}
-
-// String renders the summary compactly.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.Std(), s.Min(), s.Max())
-}
-
 // LogHistogram counts non-negative integer observations (nanoseconds,
 // bytes) in logarithmic buckets, four to a power of two, so a quantile
 // read back from it is within 12.5 % of an observation of that rank.
 // Values below 2^logHistMinExp share the first bucket and values from
 // 2^logHistMaxExp up share the last: in nanoseconds, under 64 ns and over
 // 68 s. It is a plain array of counts: a run of equal observations is
-// one addition, and the histograms of independent lanes merge exactly.
-// The zero value is ready to use.
+// one addition. The zero value is ready to use.
 type LogHistogram struct {
 	counts [logHistBuckets]uint64
 }
@@ -149,13 +98,6 @@ func logHistBounds(i int) (lo, hi float64) {
 // ObserveN adds n observations of v; negative values count as zero.
 func (h *LogHistogram) ObserveN(v int64, n uint64) {
 	h.counts[logHistBucket(v)] += n
-}
-
-// Merge adds another histogram's counts.
-func (h *LogHistogram) Merge(o *LogHistogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
 }
 
 // Count returns the number of observations.

@@ -4,18 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 || s.Variance() != 0 {
+	if s.Count() != 0 || s.Mean() != 0 {
 		t.Fatal("zero value not empty")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Fatal("empty min/max wrong")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Observe(v)
@@ -26,21 +22,9 @@ func TestSummaryBasics(t *testing.T) {
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
-	if math.Abs(s.Variance()-4) > 1e-12 {
-		t.Fatalf("Variance = %v", s.Variance())
-	}
-	if math.Abs(s.Std()-2) > 1e-12 {
-		t.Fatalf("Std = %v", s.Std())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if !strings.Contains(s.String(), "n=8") {
-		t.Fatalf("String = %q", s.String())
-	}
 }
 
-// Property: Welford matches the two-pass computation.
+// Property: the running mean matches the two-pass computation.
 func TestSummaryMatchesTwoPassProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var vals []float64
@@ -59,15 +43,7 @@ func TestSummaryMatchesTwoPassProperty(t *testing.T) {
 			mean += v
 		}
 		mean /= float64(len(vals))
-		variance := 0.0
-		for _, v := range vals {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= float64(len(vals))
-		scale := math.Max(1, math.Abs(mean))
-		return math.Abs(s.Mean()-mean) < 1e-6*scale &&
-			math.Abs(s.Variance()-variance) < 1e-4*math.Max(1, variance)
+		return math.Abs(s.Mean()-mean) < 1e-6*math.Max(1, math.Abs(mean))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -91,9 +67,8 @@ func TestSummaryObserveNAndMergeMatchObserve(t *testing.T) {
 	}
 	left.Merge(right)
 	for name, got := range map[string]Summary{"ObserveN": runs, "Merge": left} {
-		if got.Count() != one.Count() || got.Min() != one.Min() || got.Max() != one.Max() ||
-			math.Abs(got.Mean()-one.Mean()) > 1e-9 || math.Abs(got.Variance()-one.Variance()) > 1e-9 {
-			t.Errorf("%s: %s, one at a time: %s", name, got.String(), one.String())
+		if got.Count() != one.Count() || math.Abs(got.Mean()-one.Mean()) > 1e-9 {
+			t.Errorf("%s: n=%d mean=%v, one at a time: n=%d mean=%v", name, got.Count(), got.Mean(), one.Count(), one.Mean())
 		}
 	}
 	var empty Summary
@@ -105,25 +80,15 @@ func TestSummaryObserveNAndMergeMatchObserve(t *testing.T) {
 }
 
 // The histogram's quantile stays within its stated 12.5 % of the exact
-// order statistic across seven decades, and merging lanes equals
-// observing everything in one.
+// order statistic across seven decades.
 func TestLogHistogramQuantileWithinResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var all, a, b LogHistogram
+	var all LogHistogram
 	var vals []float64
 	for i := 0; i < 20000; i++ {
 		v := int64(math.Exp(rng.Float64()*18 + 5)) // ~150 … 9.7e9
 		vals = append(vals, float64(v))
 		all.ObserveN(v, 1)
-		if i%3 == 0 {
-			a.ObserveN(v, 1)
-		} else {
-			b.ObserveN(v, 1)
-		}
-	}
-	a.Merge(&b)
-	if a != all {
-		t.Fatal("merged lanes differ from one histogram")
 	}
 	sort.Float64s(vals)
 	for _, p := range []float64{0.01, 0.5, 0.9, 0.99, 1} {

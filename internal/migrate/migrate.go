@@ -126,10 +126,9 @@ type Shim struct {
 //
 // A copy of a workspace made before either runs a round is a workspace of
 // its own for rounds that shares the original's shim memory: shims that
-// each need their own tally (a simulation's, whose round returns every
-// alerted shim's) are built over copies of one workspace, in one region
-// walk and one set of chunks. Shims built over copies are built one at a
-// time, like shims built over one workspace.
+// each need their own tally can be built over copies of one workspace, in
+// one region walk and one set of chunks. Shims built over copies are built
+// one at a time, like shims built over one workspace.
 type Workspace struct {
 	tally           Tally
 	vms             []*dcn.VM

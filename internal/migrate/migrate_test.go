@@ -263,7 +263,7 @@ func TestProcessAlertsToRAlert(t *testing.T) {
 			}
 		}
 	}
-	before := rack.Used()
+	before := len(rack.VMs())
 	s, err := NewShim(fx.cluster, fx.model, rack, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -275,8 +275,8 @@ func TestProcessAlertsToRAlert(t *testing.T) {
 	if len(rep.Migrations) == 0 {
 		t.Fatal("ToR alert should migrate VMs out of the rack")
 	}
-	if rack.Used() >= before {
-		t.Fatalf("rack load did not drop: %v -> %v", before, rack.Used())
+	if after := len(rack.VMs()); after >= before {
+		t.Fatalf("rack VMs did not drop: %d -> %d", before, after)
 	}
 	// ToR-alerted VMs must leave the rack entirely.
 	for _, m := range rep.Migrations {

@@ -116,15 +116,12 @@ func TestBuildRowsMatchFullRows(t *testing.T) {
 					s.PopulateSkewed(0.5)
 					var b strings.Builder
 					for round := 0; round < 3; round++ {
-						sd, reports, err := s.BalancingRound(0.05)
+						sd, rep, err := s.BalancingRound(0.05)
 						if err != nil {
 							t.Fatal(err)
 						}
-						fmt.Fprintf(&b, "%x:", math.Float64bits(sd))
-						for _, rep := range reports {
-							b.WriteString(tallyKey(rep))
-							migrations += len(rep.Migrations)
-						}
+						fmt.Fprintf(&b, "%x:%s", math.Float64bits(sd), tallyKey(&rep))
+						migrations += len(rep.Migrations)
 					}
 					bal[i] = b.String() + placementKey(s.Cluster)
 				}

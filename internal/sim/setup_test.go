@@ -53,14 +53,11 @@ func TestBuildConcurrent(t *testing.T) {
 			return "", err
 		}
 		s.PopulateHotPods(0.5, 0.85, 0.35)
-		_, reports, err := s.BalancingRound(0.05)
+		_, rep, err := s.BalancingRound(0.05)
 		if err != nil {
 			return "", err
 		}
-		key := placementKey(s.Cluster)
-		for _, rep := range reports {
-			key += tallyKey(rep)
-		}
+		key := placementKey(s.Cluster) + tallyKey(&rep)
 		res, err := s.RunChaos(faults.Plan{Seed: 4, Drop: 0.2, DupRate: 0.1}, migrate.DistOptions{Seed: 4})
 		if err != nil {
 			return "", err

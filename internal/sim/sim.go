@@ -93,7 +93,6 @@ type Sim struct {
 	Cluster *dcn.Cluster
 	Model   *cost.Model
 	Shims   []*migrate.Shim
-	Central *centralized.Manager
 
 	rng *rand.Rand
 }
@@ -158,20 +157,14 @@ func build(cfg Config, share bool) (*Sim, error) {
 		Config:  cfg,
 		Cluster: cluster,
 		Model:   model,
-		Central: centralized.New(cluster, model),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	// A workspace per shim: BalancingRound returns every alerted shim's
-	// tally, which lives in the shim's workspace. Each is a copy of the
-	// first made before any round, so every shim is built in the first's
-	// shim memory: one set of chunks for them all.
-	ws := make([]migrate.Workspace, len(cluster.Racks))
+	// The shims run one at a time, so they share one workspace, as a
+	// runtime's do: one set of chunks for them all.
+	ws := &migrate.Workspace{}
 	s.Shims = make([]*migrate.Shim, len(cluster.Racks))
 	for i, r := range cluster.Racks {
-		if i > 0 {
-			ws[i] = ws[0]
-		}
-		if s.Shims[i], err = migrate.NewShim(cluster, model, r, cfg.Migrate, &ws[i]); err != nil {
+		if s.Shims[i], err = migrate.NewShim(cluster, model, r, cfg.Migrate, ws); err != nil {
 			return nil, err
 		}
 	}
@@ -325,9 +318,9 @@ func (s *Sim) PopulateSkewed(hotFraction float64) int {
 // every shim inspects its rack, raises a server alert for each host whose
 // utilization exceeds the cluster mean by more than `margin` (as the
 // pre-alert predictor would), and processes the alerts. It returns the
-// workload standard deviation after the round and each alerted shim's
-// tally (in the shim's own workspace, valid until that shim's next round).
-func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Tally, error) {
+// workload standard deviation after the round and the round's tally, the
+// alerted shims' summed in rack order.
+func (s *Sim) BalancingRound(margin float64) (float64, migrate.Tally, error) {
 	mean := 0.0
 	hosts := s.Cluster.Hosts()
 	for _, h := range hosts {
@@ -335,7 +328,7 @@ func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Tally, error) 
 	}
 	mean /= float64(len(hosts))
 
-	var reports []*migrate.Tally
+	var sum migrate.Tally
 	for _, shim := range s.Shims {
 		var alerts []alert.Alert
 		for _, h := range shim.Rack.Hosts {
@@ -352,11 +345,11 @@ func (s *Sim) BalancingRound(margin float64) (float64, []*migrate.Tally, error) 
 		}
 		rep, err := shim.ProcessAlerts(alerts)
 		if err != nil {
-			return 0, nil, fmt.Errorf("sim: shim %d: %w", shim.Rack.Index, err)
+			return 0, migrate.Tally{}, fmt.Errorf("sim: shim %d: %w", shim.Rack.Index, err)
 		}
-		reports = append(reports, rep)
+		sum.Add(rep) // the next shim's round overwrites the shared tally
 	}
-	return s.Cluster.WorkloadStdDev(), reports, nil
+	return s.Cluster.WorkloadStdDev(), sum, nil
 }
 
 // RunBalancing runs `rounds` balancing rounds and returns the workload
@@ -601,7 +594,8 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 	}
 
 	res := &PlanningResult{Racks: len(s.Cluster.Racks), Clients: len(clients), K: k}
-	ls, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, P: p, Seed: cfg.Seed})
+	central := centralized.New(s.Cluster, s.Model)
+	ls, err := central.PlanDestinations(clients, centralized.PlanOptions{K: k, P: p, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("sim: planning local search: %w", err)
 	}
@@ -609,7 +603,7 @@ func ComparePlanning(cfg Config, k, p int, exact bool) (*PlanningResult, error) 
 	res.LocalSwaps = ls.Swaps
 
 	if exact {
-		ex, err := s.Central.PlanDestinations(clients, centralized.PlanOptions{K: k, Exact: true})
+		ex, err := central.PlanDestinations(clients, centralized.PlanOptions{K: k, Exact: true})
 		if err != nil {
 			return nil, fmt.Errorf("sim: planning exact: %w", err)
 		}

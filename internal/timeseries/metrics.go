@@ -118,14 +118,6 @@ func (r *RollingMSE) Value() float64 {
 // Count returns how many errors have been observed (capped at window size).
 func (r *RollingMSE) Count() int { return r.filled }
 
-// Reset clears the tracker.
-func (r *RollingMSE) Reset() {
-	for i := range r.window {
-		r.window[i] = 0
-	}
-	r.next, r.filled, r.sum = 0, 0, 0
-}
-
 // AppendState appends the tracker to the two slices a snapshot packs: its
 // ring's size, next slot and fill count to ints, and the ring followed by
 // the running sum to floats. The sum is carried rather than recomputed so

@@ -83,15 +83,6 @@ func TestRollingMSEWindowEviction(t *testing.T) {
 	}
 }
 
-func TestRollingMSEReset(t *testing.T) {
-	r := NewRollingMSE(4)
-	r.Observe(2)
-	r.Reset()
-	if r.Count() != 0 || !math.IsInf(r.Value(), 1) {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestRollingMSESizeClamp(t *testing.T) {
 	r := NewRollingMSE(0)
 	r.Observe(2)

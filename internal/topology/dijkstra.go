@@ -13,7 +13,7 @@ import "slices"
 //
 // The three steps of a sweep are separable: Reset binds the source set,
 // Reweigh materializes the edge-cost vector, SweepRows runs the searches
-// of the rows asked for (SweepRowsUntil: only until named nodes have
+// of the rows asked for (SweepRowOn: one row, only until named nodes have
 // settled; SweepRowTo: one row, only as far as the one destination the
 // caller will read). The weight vector is retained, so a
 // row swept later — against the same weights — is exactly the row a full
@@ -64,7 +64,7 @@ func DijkstraFromInto(g *Graph, sources []int, cost EdgeCost, prev *MultiSource)
 	}
 	ms.Reset(g, sources)
 	ms.Reweigh(cost)
-	ms.runSweeps(nil, nil, len(ms.sources))
+	ms.runSweeps(nil, len(ms.sources))
 	return ms
 }
 
@@ -146,7 +146,7 @@ func (ms *MultiSource) Reweigh(cost EdgeCost) {
 }
 
 // PositiveWeights reports whether every weight of the vector is above zero
-// (Inf counts as above), as SweepRowsUntil needs to stop exactly. A zero
+// (Inf counts as above), as SweepRowOn needs to stop exactly. A zero
 // weight written by ReweighEdges clears it until the next Reweigh.
 func (ms *MultiSource) PositiveWeights() bool { return ms.positive }
 
@@ -162,7 +162,7 @@ func (ms *MultiSource) mustBeBound() {
 // ReweighEdges is Reweigh for the named edge IDs only: when the caller
 // knows which links' state changed since the vector was last filled, the
 // other weights are already what a full Reweigh would write. The cheapest
-// weight into each node, which SweepRowsUntil bounds its search with, only
+// weight into each node, which SweepRowOn bounds its search with, only
 // takes the min with the new weights: a lower bound still, if a looser one
 // than the next Reweigh records.
 func (ms *MultiSource) ReweighEdges(ids []int, cost EdgeCost) {
@@ -217,25 +217,12 @@ func (ms *MultiSource) WeighFrom(src *MultiSource, block ...int) {
 // The rows run one after another on the caller's goroutine, on one
 // reusable scratch, allocation-free once the scratch is grown. Rows must be
 // distinct.
-func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, nil, len(rows)) }
-
-// SweepRowsUntil is SweepRows where the search of rows[i] ends once every
-// node of waitFor[i] (its targets) has settled, or every neighbour of
-// every target has settled and relaxed its edges, whichever comes first;
-// on the way it drops every push that cannot lead cheaply enough to a
-// target still open (see sweep in csr.go for the rules and why they are
-// exact). Given PositiveWeights, the row's entry for every target — Dist,
-// Path and PathEdges to it — is then bit for bit the full row's; other
-// entries may be tentative and must not be read. An empty list sweeps the
-// full row.
-func (ms *MultiSource) SweepRowsUntil(rows []int, waitFor [][]int32) {
-	ms.runSweeps(rows, waitFor, len(rows))
-}
+func (ms *MultiSource) SweepRows(rows []int) { ms.runSweeps(rows, len(rows)) }
 
 // CompleteRow sweeps one row in full, inline, without writing any entry
 // the full sweep leaves unchanged: the search runs into a spare row and
 // only the entries that differ are copied back. The entries a
-// SweepRowsUntil stop left final are therefore never written, so other
+// SweepRowOn stop left final are therefore never written, so other
 // goroutines may go on reading them while the row is completed.
 func (ms *MultiSource) CompleteRow(row int) {
 	sc := ms.ensureScratch()
@@ -263,12 +250,19 @@ func (ms *MultiSource) Sweepers(n int) {
 	}
 }
 
-// SweepRowOn is SweepRowsUntil for one row, on sweeper k's search state
-// (Sweepers). Calls on distinct sweepers for distinct rows may run at the
-// same time, as may reads of rows no call is sweeping: a row is its own
-// stretch of the table, and the weights are only read. Sweeper 0's state
-// is shared with every other kind of sweep, so its calls must not overlap
-// those.
+// SweepRowOn runs one row's search, on sweeper k's search state
+// (Sweepers), and ends it once every node of waitFor (its targets) has
+// settled, or every neighbour of every target has settled and relaxed its
+// edges, whichever comes first; on the way it drops every push that cannot
+// lead cheaply enough to a target still open (see sweep in csr.go for the
+// rules and why they are exact). Given PositiveWeights, the row's entry
+// for every target — Dist, Path and PathEdges to it — is then bit for bit
+// the full row's; other entries may be tentative and must not be read. An
+// empty list sweeps the full row. Calls on distinct sweepers for distinct
+// rows may run at the same time, as may reads of rows no call is
+// sweeping: a row is its own stretch of the table, and the weights are
+// only read. Sweeper 0's state is shared with every other kind of sweep,
+// so its calls must not overlap those.
 func (ms *MultiSource) SweepRowOn(k, row int, waitFor []int32) {
 	var sc *sweepScratch
 	if k == 0 {
@@ -280,7 +274,7 @@ func (ms *MultiSource) SweepRowOn(k, row int, waitFor []int32) {
 }
 
 // SweptNodes returns how many nodes the full and stopped sweeps
-// (SweepRows, SweepRowsUntil, SweepRowOn, CompleteRow, DijkstraFrom) have
+// (SweepRows, SweepRowOn, CompleteRow, DijkstraFrom) have
 // settled in total, over every sweeper: divided by the rows swept, the
 // work of one row.
 func (ms *MultiSource) SweptNodes() int {
@@ -346,29 +340,21 @@ func (ms *MultiSource) Row(src int) int {
 	return int(ms.rank[src])
 }
 
-// runSweeps runs count searches on the caller, one after another: of
+// runSweeps runs count full searches on the caller, one after another: of
 // rows[i], or of row i when rows is nil (every row, without materializing
-// the identity list), the i-th stopping after waitFor[i] when waitFor is
-// not nil.
-func (ms *MultiSource) runSweeps(rows []int, waitFor [][]int32, count int) {
+// the identity list).
+func (ms *MultiSource) runSweeps(rows []int, count int) {
 	if count == 0 {
 		return
 	}
 	sc := ms.ensureScratch()
 	for i := 0; i < count; i++ {
-		ms.sweepRow(sc, rows, waitFor, i)
+		r := i
+		if rows != nil {
+			r = rows[i]
+		}
+		sc.sweep(ms.c, ms.sources[r], ms.weights, ms.minIn, ms.tree[r*ms.n:(r+1)*ms.n], nil)
 	}
-}
-
-func (ms *MultiSource) sweepRow(sc *sweepScratch, rows []int, waitFor [][]int32, i int) {
-	var until []int32
-	if waitFor != nil {
-		until = waitFor[i]
-	}
-	if rows != nil {
-		i = rows[i]
-	}
-	sc.sweep(ms.c, ms.sources[i], ms.weights, ms.minIn, ms.tree[i*ms.n:(i+1)*ms.n], until)
 }
 
 // ensureScratch returns the table's search state, grown to the bound

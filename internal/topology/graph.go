@@ -346,16 +346,6 @@ func (g *Graph) RackNodes() []int { return g.racks }
 // SwitchNodes is Switches without the copy. Treat it as read-only.
 func (g *Graph) SwitchNodes() []int { return g.switches }
 
-// Neighbors returns the IDs adjacent to a node.
-func (g *Graph) Neighbors(id int) []int {
-	es := g.adj[id]
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.To
-	}
-	return out
-}
-
 // RackNeighbors returns the rack nodes reachable from rack id through at
 // most maxSwitchHops interior switches (one-hop wired neighbors for
 // maxSwitchHops = 1, the paper's "dominating one hop wired neighbors").

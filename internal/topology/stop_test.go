@@ -235,7 +235,7 @@ func TestBoundedSweepRowToEqualsFullRow(t *testing.T) {
 				case "switch":
 					masked[hot] = true
 				case "cut":
-					for _, v := range g.Neighbors(cutOff) {
+					for _, v := range neighbors(g, cutOff) {
 						masked[v] = true
 					}
 				}
@@ -395,7 +395,16 @@ type untilCase struct {
 	special []int32
 }
 
-// untilCases are the graphs of TestSweepRowsUntilTargetsEqualFullRow: the
+// neighbors lists the nodes g links id to, in adjacency order.
+func neighbors(g *Graph, id int) []int {
+	var out []int
+	for _, e := range g.Edges(id) {
+		out = append(out, e.To)
+	}
+	return out
+}
+
+// untilCases are the graphs of TestSweepRowOnTargetsEqualFullRow: the
 // stop-rule fabrics under equal-weight ties and under ties with every edge
 // into one node priced Inf (a target no finite edge enters), and the
 // random graphs of TestSweepMatchesReferenceAcrossBinades (keys from
@@ -415,7 +424,7 @@ func untilCases(t *testing.T) []untilCase {
 			cost := stopWeights(rng, g, regime)
 			var special []int32 // the nodes no finite edge enters
 			for v := 0; v < g.NumNodes(); v++ {
-				if !slices.ContainsFunc(g.Neighbors(v), func(u int) bool {
+				if !slices.ContainsFunc(neighbors(g, v), func(u int) bool {
 					e, _ := g.EdgeBetween(u, v)
 					return cost(e) < Inf
 				}) {
@@ -433,7 +442,7 @@ func untilCases(t *testing.T) []untilCase {
 		g, base := binadeGraph(rng, 30+rng.Intn(30))
 		walled := rng.Intn(g.NumNodes())
 		guard := map[int]bool{}
-		for _, v := range g.Neighbors(walled) {
+		for _, v := range neighbors(g, walled) {
 			guard[v] = true
 		}
 		cost := func(e Edge) float64 {
@@ -457,7 +466,7 @@ func untilCases(t *testing.T) []untilCase {
 	return out
 }
 
-// TestSweepRowsUntilTargetsEqualFullRow holds the two stops of a sweep
+// TestSweepRowOnTargetsEqualFullRow holds the two stops of a sweep
 // with targets (all targets settled, or all their neighbours settled and
 // relaxed) and its push bound to the full row: from every source, with 1–6
 // random targets, plus the case's special ones from every other source,
@@ -467,7 +476,7 @@ func untilCases(t *testing.T) []untilCase {
 // node is only a lower bound. All rows share one scratch with full sweeps
 // in between, so no mark survives a sweep. The stops must be at work: the
 // stopped rows settle fewer nodes than full ones.
-func TestSweepRowsUntilTargetsEqualFullRow(t *testing.T) {
+func TestSweepRowOnTargetsEqualFullRow(t *testing.T) {
 	shared := &sweepScratch{}
 	for _, tc := range untilCases(t) {
 		g, n := tc.g, tc.g.NumNodes()
@@ -512,7 +521,7 @@ func TestSweepRowsUntilTargetsEqualFullRow(t *testing.T) {
 					targets = append(targets, int32(rng.Intn(n)))
 				}
 				before := ms.SweptNodes()
-				ms.SweepRowsUntil([]int{src}, [][]int32{targets})
+				ms.SweepRowOn(0, src, targets)
 				settled += ms.SweptNodes() - before
 				for _, dst := range targets {
 					got, want := ms.Dist(src, int(dst)), full.Dist(src, int(dst))

@@ -39,21 +39,6 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzReadProfileCSV: the profile parser must never panic.
-func FuzzReadProfileCSV(f *testing.F) {
-	f.Add("t,cpu,mem,io,trf\n0,0.1,0.2,0.3,0.4\n")
-	f.Add("0,1,2,3,4\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		profiles, err := ReadProfileCSV(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if len(profiles) == 0 {
-			t.Fatal("successful parse returned no profiles")
-		}
-	})
-}
-
 // FuzzOptions: any kind, seed, horizon and surge parameters either fail
 // Validate or build a generator whose sources' first 64 profiles are
 // finite and lie in [0, 1]. The last two seeds are the NaN and infinite

@@ -85,45 +85,3 @@ func WriteProfileCSV(w io.Writer, profiles []Profile) error {
 	}
 	return bw.Flush()
 }
-
-// ReadProfileCSV reads profiles written by WriteProfileCSV.
-func ReadProfileCSV(r io.Reader) ([]Profile, error) {
-	sc := bufio.NewScanner(r)
-	var out []Profile
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("traces: line %d: want 5 fields, got %d", line, len(fields))
-		}
-		var vals [4]float64
-		ok := true
-		for i := 0; i < 4; i++ {
-			v, err := strconv.ParseFloat(strings.TrimSpace(fields[i+1]), 64)
-			if err != nil {
-				if len(out) == 0 {
-					ok = false // header row
-					break
-				}
-				return nil, fmt.Errorf("traces: line %d: %w", line, err)
-			}
-			vals[i] = v
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, Profile{CPU: vals[0], Mem: vals[1], IO: vals[2], TRF: vals[3]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("traces: no data rows")
-	}
-	return out, nil
-}
