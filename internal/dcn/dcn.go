@@ -50,6 +50,7 @@ type Host struct {
 	Capacity float64
 	rack     *Rack
 	vms      []*VM   // residents, ascending by VM ID
+	used     float64 // the residents' capacities summed in vms' order (sumUsed)
 	placed   *uint64 // the cluster's placement counter, bumped by insert and remove
 }
 
@@ -89,32 +90,43 @@ func (h *Host) insert(vm *VM) {
 	i, ok := h.find(vm.ID)
 	if ok { // same ID again (a snapshot naming a VM twice): last one wins
 		h.vms[i] = vm
+		h.sumUsed()
 		return
 	}
 	h.vms = append(h.vms, nil)
 	copy(h.vms[i+1:], h.vms[i:])
 	h.vms[i] = vm
+	h.sumUsed()
 	*h.placed++
 }
 
 func (h *Host) remove(id int) {
 	if i, ok := h.find(id); ok {
 		h.vms = append(h.vms[:i], h.vms[i+1:]...)
+		h.sumUsed()
 		*h.placed++
 	}
 }
 
-// Used returns the total capacity consumed by resident VMs. Summation
-// follows VM-ID order for bit-level reproducibility; it is recomputed on
-// every call rather than kept as a running sum, whose rounding would
+// sumUsed re-adds the residents' capacities in VM-ID order. It runs at
+// each change of residents, not as a running sum, whose rounding would
 // depend on the order VMs came and went.
-func (h *Host) Used() float64 {
+func (h *Host) sumUsed() {
 	sum := 0.0
 	for _, v := range h.vms {
 		sum += v.Capacity
 	}
-	return sum
+	h.used = sum
 }
+
+// Used returns the total capacity consumed by resident VMs: their
+// capacities summed in VM-ID order, for bit-level reproducibility, as they
+// stood at the host's last change of residents. It is kept, not summed on
+// every call, so readers (a migration pricing every candidate host) only
+// read it; a resident's Capacity changed in place is not seen until the
+// residents next change (Cluster.CheckInvariants sums for itself and
+// reports it).
+func (h *Host) Used() float64 { return h.used }
 
 // Free returns the remaining capacity.
 func (h *Host) Free() float64 { return h.Capacity - h.Used() }

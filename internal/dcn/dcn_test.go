@@ -459,6 +459,7 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 		{"out of order", func(c *Cluster, a, b *Host) { a.vms[0], a.vms[1] = a.vms[1], a.vms[0] }, "host 0 lists vm 0 after vm 1"},
 		{"on no host", func(c *Cluster, a, b *Host) { vm := a.vms[0]; a.remove(vm.ID); vm.host = nil }, "vm 0 is on no host"},
 		{"over capacity", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 100 }, "host 0 holds 110, over capacity 100"},
+		{"used kept stale", func(c *Cluster, a, b *Host) { a.vms[0].Capacity = 20 }, "host 0 keeps 20 used, but its residents sum to 30"},
 		{"peers out of order", func(c *Cluster, a, b *Host) { p := c.Deps.peers[2]; p[0], p[1] = p[1], p[0] }, "vm 2 lists peer 0 after peer 1"},
 		{"self-edge", func(c *Cluster, a, b *Host) { c.Deps.peers[2] = append(c.Deps.peers[2], 2) }, "vm 2 is its own dependency"},
 		{"one-sided edge", func(c *Cluster, a, b *Host) { c.Deps.peers[0] = nil }, "vm 2 lists peer 0, which does not list it back"},

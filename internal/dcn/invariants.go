@@ -42,8 +42,15 @@ func (c *Cluster) CheckInvariants() error {
 				return fmt.Errorf("dcn: vm %d is resident on host %d but points at %s", vm.ID, h.ID, hostName(vm.host))
 			}
 		}
-		if used := h.Used(); used > h.Capacity+1e-9 {
+		used := 0.0
+		for _, vm := range h.vms {
+			used += vm.Capacity
+		}
+		if used > h.Capacity+1e-9 {
 			return fmt.Errorf("dcn: host %d holds %v, over capacity %v", h.ID, used, h.Capacity)
+		}
+		if used != h.used {
+			return fmt.Errorf("dcn: host %d keeps %v used, but its residents sum to %v", h.ID, h.used, used)
 		}
 	}
 	for _, vm := range c.VMs() { // in ID order: the first violation reported is always the same one

@@ -451,6 +451,9 @@ func (s *Service) drainShard(sh *shard, run *waitRun) (int, int) {
 		} else {
 			pred = sl.observe(q.v)
 			hot = pred > s.opts.HotThreshold
+			if sl.seen%smoothing.FlushEvery == 0 {
+				sl.flush()
+			}
 		}
 		if hot && !sl.alerted {
 			if quantized {
@@ -508,6 +511,14 @@ func (sl *slot) observe(v float64) float64 {
 	}
 	sl.seen++
 	return sl.level + sl.trend
+}
+
+// flush zeroes a subnormal level or trend (smoothing.Flush). The drain
+// calls it every smoothing.FlushEvery observations of a slot, by the count
+// its snapshot carries (seen); in observe it would cost observe its
+// inlining in the drain loop.
+func (sl *slot) flush() {
+	sl.level, sl.trend = smoothing.Flush(sl.level), smoothing.Flush(sl.trend)
 }
 
 // Poll returns the alerts raised since the previous Poll, sorted by

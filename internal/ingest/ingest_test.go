@@ -12,6 +12,7 @@ import (
 
 	"sheriff/internal/alloctest"
 	"sheriff/internal/obs"
+	"sheriff/internal/smoothing"
 	"sheriff/internal/traces"
 )
 
@@ -463,5 +464,29 @@ func TestFromClusterAndNewValidation(t *testing.T) {
 	}
 	if _, err := New([][]int{{0}}, Options{HotThreshold: -0.1}); err == nil {
 		t.Fatal("negative hot threshold accepted")
+	}
+}
+
+// TestTriageFlushesSubnormalStates: a VM that reports one constant for
+// 5,000 updates after a warm start has no subnormal Holt state after any
+// flush, which comes every smoothing.FlushEvery updates by its slot's seen
+// count, the count a snapshot carries. Folded without the flush, the trend
+// would sit at ±5e-324 from about the 2,000th update on.
+func TestTriageFlushesSubnormalStates(t *testing.T) {
+	subnormal := func(v float64) bool { return v != 0 && math.Abs(v) < 0x1p-1022 }
+	for _, x := range []float64{0, 0.3, 1} {
+		s := build(t, Options{Clock: fixedClock()})
+		sl := &s.shard[0].slots[0]
+		for _, v := range []float64{0.8, 0.6} {
+			s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: v}})
+			s.ProcessPending()
+		}
+		for sl.seen < 5000 {
+			s.Offer(Update{VM: 0, Profile: traces.Profile{CPU: x}})
+			s.ProcessPending()
+			if sl.seen%smoothing.FlushEvery == 0 && (subnormal(sl.level) || subnormal(sl.trend)) {
+				t.Fatalf("x = %v: state (%g, %g) subnormal after the flush at update %d", x, sl.level, sl.trend, sl.seen)
+			}
+		}
 	}
 }

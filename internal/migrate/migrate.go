@@ -123,12 +123,6 @@ type Shim struct {
 // shim ran that round. The zero value is ready; it grows to the largest
 // round run in it and then allocates nothing. One goroutine at a time may
 // use a workspace.
-//
-// A copy of a workspace made before either runs a round is a workspace of
-// its own for rounds that shares the original's shim memory: shims that
-// each need their own tally can be built over copies of one workspace, in
-// one region walk and one set of chunks. Shims built over copies are built
-// one at a time, like shims built over one workspace.
 type Workspace struct {
 	tally           Tally
 	vms             []*dcn.VM
@@ -137,7 +131,7 @@ type Workspace struct {
 	hostSet, torSet []*dcn.VM
 	match           matchScratch
 
-	build *shimMemory // made by the first NewShim over the workspace
+	build shimMemory
 }
 
 // shimMemory is the memory NewShim builds shims in: the region walk, and
@@ -171,10 +165,10 @@ func carve[T any](chunk *[]T, n int) []T {
 // time (a runtime's) share one workspace. The region walk runs in the
 // workspace's shim memory, and the shim, its neighbour list and its region
 // are carved from that memory's chunks, which double when they run out:
-// shims built one after another over one workspace, or over copies of one
-// (see Workspace), allocate a few chunks between them, not three objects
-// each. A shim over a workspace of its own allocates the workspace, its
-// shim memory, the walk's and three chunks of exactly its size.
+// shims built one after another over one workspace allocate a few chunks
+// between them, not three objects each. A shim over a workspace of its
+// own allocates the workspace, its shim memory, the walk's and three
+// chunks of exactly its size.
 func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Workspace) (*Shim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -183,10 +177,7 @@ func NewShim(c *dcn.Cluster, m *cost.Model, rack *dcn.Rack, p Params, ws *Worksp
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	if ws.build == nil {
-		ws.build = &shimMemory{}
-	}
-	mem := ws.build
+	mem := &ws.build
 	s := &carve(&mem.shims, 1)[0]
 	*s = Shim{Rack: rack, cluster: c, model: m, params: p, ws: ws}
 	mem.nodes = c.Graph.AppendRackNeighbors(mem.nodes[:0], rack.NodeID, p.NeighborSwitchHops, &mem.walk)

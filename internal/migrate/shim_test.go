@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -250,62 +249,6 @@ func TestSharedWorkspaceWarmsOnce(t *testing.T) {
 	if rep != round(first) {
 		t.Error("two shims over one workspace return different tallies; the tally is the workspace's")
 	}
-}
-
-// TestWorkspaceCopiesShareShimMemory: shims built over copies of one
-// workspace, made before any round, are built in one region walk and one
-// set of chunks, and each copy's rounds keep a tally of their own.
-func TestWorkspaceCopiesShareShimMemory(t *testing.T) {
-	fx := newFixture(t, 8, 2) // 32 racks
-	c := fx.cluster
-	ws := make([]Workspace, len(c.Racks))
-	shims := make([]*Shim, len(c.Racks))
-	// The shim memory, the walk's seen and queue, its node list grown
-	// three times, and three chunks each made six times for 32 shims, 24:
-	// a workspace of its own per shim would make 32 of each.
-	alloctest.Count(t, "32-shims", func() {
-		for i, r := range c.Racks {
-			if i > 0 {
-				ws[i] = ws[0]
-			}
-			var err error
-			if shims[i], err = NewShim(c, fx.model, r, DefaultParams(), &ws[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	for i, s := range shims {
-		want := append(append([]*dcn.Host(nil), s.Rack.Hosts...), regionOf(s)...)
-		if fresh, err := NewShim(c, fx.model, s.Rack, DefaultParams(), nil); err != nil || !slices.Equal(fresh.regionHosts(true), want) {
-			t.Fatalf("shim %d over a copy has region %v, a shim of its own %v", i, want, fresh.regionHosts(true))
-		}
-	}
-	var tallies [2]*Tally
-	for i, rack := range []int{0, 9} {
-		h := c.Racks[rack].Hosts[0]
-		for k := 0; k < 4; k++ {
-			if _, err := c.AddVM(h, 9, float64(k+1), false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var err error
-		tallies[i], err = shims[rack].ProcessAlerts([]alert.Alert{{Kind: alert.FromServer, HostID: h.ID, Value: 0.95}})
-		if err != nil || len(tallies[i].Migrations) == 0 {
-			t.Fatalf("rack %d round = %+v, %v; want migrations", rack, tallies[i], err)
-		}
-	}
-	if tallies[0] == tallies[1] || tallies[0].Migrations[0].From.Rack().Index != 0 || tallies[1].Migrations[0].From.Rack().Index != 9 {
-		t.Fatal("rounds over two copies of one workspace share a tally")
-	}
-}
-
-// regionOf lists the hosts of a shim's neighbour racks, in rack order.
-func regionOf(s *Shim) []*dcn.Host {
-	var out []*dcn.Host
-	for _, r := range s.NeighborRacks() {
-		out = append(out, r.Hosts...)
-	}
-	return out
 }
 
 // shimTwins builds two identical clusters on each fabric of matchFabrics,

@@ -106,7 +106,8 @@ func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("narnet: series length %d too short for %d inputs", s.Len(), cfg.Inputs)
 	}
 	norm, scale := s.Normalized()
-	x, y := makeDataset(norm, cfg.Inputs)
+	ni := cfg.Inputs
+	x, y := makeDataset(norm, ni)
 
 	nValid := int(float64(len(y)) * validFraction)
 	if nValid < 1 {
@@ -140,13 +141,14 @@ func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 	sinceBest := 0
 
 	grad := make([]float64, len(net.w1)+len(net.w2))
+	hid := make([]float64, 4*cfg.Hidden)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		trainMSE := net.batchGradient(x[:nTrain], y[:nTrain], grad)
+		trainMSE := net.gradient(x[:nTrain*ni], y[:nTrain], grad, hid)
 		net.trainedMSE = trainMSE
 		trainer.step(grad, net.w1, net.w2)
 
 		if nValid > 0 {
-			validMSE := net.datasetMSE(x[nTrain:], y[nTrain:])
+			validMSE := net.mse(x[nTrain*ni:], y[nTrain:], hid)
 			if validMSE < bestValid-1e-12 {
 				bestValid = validMSE
 				copy(bestW1, net.w1)
@@ -167,19 +169,19 @@ func Train(s *timeseries.Series, cfg Config) (*Network, error) {
 	return net, nil
 }
 
-// makeDataset builds the tapped-delay regression pairs: row t has inputs
-// [Y_{t-1}, …, Y_{t-ni}] and target Y_t.
-func makeDataset(s *timeseries.Series, ni int) (x [][]float64, y []float64) {
+// makeDataset builds the tapped-delay regression pairs as one flat design
+// matrix: row r, x[r*ni : (r+1)*ni], holds the inputs [Y_{t-1}, …, Y_{t-ni}]
+// of target y[r] = Y_t, for t = ni + r.
+func makeDataset(s *timeseries.Series, ni int) (x, y []float64) {
 	n := s.Len() - ni
-	x = make([][]float64, n)
+	x = make([]float64, n*ni)
 	y = make([]float64, n)
 	for r := 0; r < n; r++ {
 		t := ni + r
-		row := make([]float64, ni)
-		for i := 0; i < ni; i++ {
+		row := x[r*ni : (r+1)*ni]
+		for i := range row {
 			row[i] = s.At(t - 1 - i)
 		}
-		x[r] = row
 		y[r] = s.At(t)
 	}
 	return x, y
@@ -205,52 +207,143 @@ func (n *Network) forwardNormalized(row []float64, hidden []float64) float64 {
 	return out
 }
 
-// batchGradient computes the full-batch MSE gradient into grad (layout:
-// w1 then w2) and returns the batch MSE.
-func (n *Network) batchGradient(x [][]float64, y []float64, grad []float64) float64 {
+// The training passes run four rows at a time: each weight is loaded once
+// for the four, and each gradient entry is read and written once for them.
+// Every sum still adds its terms in forwardNormalized's order and the rows
+// in row order, so a block's bits are those of its rows taken one by one;
+// the rows past the last whole block go one by one.
+
+// forward4 evaluates the network on the four rows x holds, back to back,
+// and leaves row k's activation of hidden unit h in hid[4*h+k].
+func (n *Network) forward4(x, hid []float64) (o0, o1, o2, o3 float64) {
 	ni, nh := n.cfg.Inputs, n.cfg.Hidden
-	for i := range grad {
-		grad[i] = 0
+	x0, x1, x2, x3 := x[:ni], x[ni:][:ni], x[2*ni:][:ni], x[3*ni:][:ni]
+	o0 = n.w2[nh] // output bias
+	o1, o2, o3 = o0, o0, o0
+	for h := 0; h < nh; h++ {
+		w := n.w1[h*(ni+1) : (h+1)*(ni+1)]
+		s0 := w[ni] // hidden bias
+		s1, s2, s3 := s0, s0, s0
+		w = w[:ni]
+		for i, wi := range w {
+			s0 += wi * x0[i]
+			s1 += wi * x1[i]
+			s2 += wi * x2[i]
+			s3 += wi * x3[i]
+		}
+		a := hid[4*h : 4*h+4]
+		a[0], a[1], a[2], a[3] = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
+		v := n.w2[h]
+		o0 += v * a[0]
+		o1 += v * a[1]
+		o2 += v * a[2]
+		o3 += v * a[3]
 	}
-	hidden := make([]float64, nh)
+	return o0, o1, o2, o3
+}
+
+// gradient computes the full-batch MSE gradient over the rows of x and y
+// into grad (layout: w1 then w2) and returns the batch MSE. hid is scratch
+// for four rows' activations.
+func (n *Network) gradient(x, y, grad, hid []float64) float64 {
+	ni, nh := n.cfg.Inputs, n.cfg.Hidden
+	clear(grad)
+	g2 := grad[len(n.w1):]
 	sse := 0.0
-	for r := range x {
-		pred := n.forwardNormalized(x[r], hidden)
-		e := pred - y[r]
-		sse += e * e
+	r := 0
+	for ; r+4 <= len(y); r += 4 {
+		blk := x[r*ni : (r+4)*ni]
+		o0, o1, o2, o3 := n.forward4(blk, hid)
+		e0, e1, e2, e3 := o0-y[r], o1-y[r+1], o2-y[r+2], o3-y[r+3]
+		sse += e0 * e0
+		sse += e1 * e1
+		sse += e2 * e2
+		sse += e3 * e3
 		// Output layer gradient.
-		g2 := grad[len(n.w1):]
+		for h := 0; h < nh; h++ {
+			a := hid[4*h : 4*h+4]
+			g := g2[h]
+			g += e0 * a[0]
+			g += e1 * a[1]
+			g += e2 * a[2]
+			g += e3 * a[3]
+			g2[h] = g
+		}
+		g2[nh] += e0
+		g2[nh] += e1
+		g2[nh] += e2
+		g2[nh] += e3
+		// Hidden layer gradient.
+		x0, x1, x2, x3 := blk[:ni], blk[ni:][:ni], blk[2*ni:][:ni], blk[3*ni:][:ni]
+		for h := 0; h < nh; h++ {
+			a := hid[4*h : 4*h+4]
+			v := n.w2[h]
+			d0 := e0 * v * (1 - a[0]*a[0])
+			d1 := e1 * v * (1 - a[1]*a[1])
+			d2 := e2 * v * (1 - a[2]*a[2])
+			d3 := e3 * v * (1 - a[3]*a[3])
+			gw := grad[h*(ni+1) : (h+1)*(ni+1)]
+			gw[ni] += d0
+			gw[ni] += d1
+			gw[ni] += d2
+			gw[ni] += d3
+			gw = gw[:ni]
+			for i, g := range gw {
+				g += d0 * x0[i]
+				g += d1 * x1[i]
+				g += d2 * x2[i]
+				g += d3 * x3[i]
+				gw[i] = g
+			}
+		}
+	}
+	hidden := hid[:nh]
+	for ; r < len(y); r++ {
+		row := x[r*ni : (r+1)*ni]
+		e := n.forwardNormalized(row, hidden) - y[r]
+		sse += e * e
 		for h := 0; h < nh; h++ {
 			g2[h] += e * hidden[h]
 		}
 		g2[nh] += e
-		// Hidden layer gradient.
 		for h := 0; h < nh; h++ {
 			d := e * n.w2[h] * (1 - hidden[h]*hidden[h])
-			base := h * (ni + 1)
-			for i := 0; i < ni; i++ {
-				grad[base+i] += d * x[r][i]
+			gw := grad[h*(ni+1) : (h+1)*(ni+1)]
+			for i, xi := range row {
+				gw[i] += d * xi
 			}
-			grad[base+ni] += d
+			gw[ni] += d
 		}
 	}
-	inv := 1.0 / float64(len(x))
+	inv := 1.0 / float64(len(y))
 	for i := range grad {
 		grad[i] *= inv
 	}
 	return sse * inv
 }
 
-func (n *Network) datasetMSE(x [][]float64, y []float64) float64 {
-	if len(x) == 0 {
+// mse returns the network's MSE over the rows of x and y, or 0 for none.
+// hid is scratch for four rows' activations.
+func (n *Network) mse(x, y, hid []float64) float64 {
+	if len(y) == 0 {
 		return 0
 	}
+	ni := n.cfg.Inputs
 	sse := 0.0
-	for r := range x {
-		e := n.forwardNormalized(x[r], nil) - y[r]
+	r := 0
+	for ; r+4 <= len(y); r += 4 {
+		o0, o1, o2, o3 := n.forward4(x[r*ni:(r+4)*ni], hid)
+		e0, e1, e2, e3 := o0-y[r], o1-y[r+1], o2-y[r+2], o3-y[r+3]
+		sse += e0 * e0
+		sse += e1 * e1
+		sse += e2 * e2
+		sse += e3 * e3
+	}
+	for ; r < len(y); r++ {
+		e := n.forwardNormalized(x[r*ni:(r+1)*ni], nil) - y[r]
 		sse += e * e
 	}
-	return sse / float64(len(x))
+	return sse / float64(len(y))
 }
 
 // TrainMSE returns the final training MSE in normalized units.

@@ -1,6 +1,7 @@
 package narnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,15 +109,30 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestMakeDataset(t *testing.T) {
 	s := timeseries.New([]float64{1, 2, 3, 4, 5})
 	x, y := makeDataset(s, 2)
-	if len(x) != 3 || len(y) != 3 {
-		t.Fatalf("dataset sizes %d/%d, want 3/3", len(x), len(y))
+	if len(x) != 3*2 || len(y) != 3 {
+		t.Fatalf("dataset sizes %d/%d, want 6/3", len(x), len(y))
 	}
 	// Row 0: target Y_2 = 3, inputs [Y_1, Y_0] = [2, 1].
-	if y[0] != 3 || x[0][0] != 2 || x[0][1] != 1 {
-		t.Fatalf("row 0 = %v -> %v", x[0], y[0])
+	if y[0] != 3 || x[0] != 2 || x[1] != 1 {
+		t.Fatalf("row 0 = %v -> %v", x[0:2], y[0])
 	}
-	if y[2] != 5 || x[2][0] != 4 || x[2][1] != 3 {
-		t.Fatalf("row 2 = %v -> %v", x[2], y[2])
+	if y[2] != 5 || x[4] != 4 || x[5] != 3 {
+		t.Fatalf("row 2 = %v -> %v", x[4:6], y[2])
+	}
+}
+
+// TestTrainAllocsFlatInSeriesLength: a fit allocates a fixed set of
+// tables, whatever the series' length: the design matrix is one slice,
+// not one a row. Ten times the series counts the same.
+func TestTrainAllocsFlatInSeriesLength(t *testing.T) {
+	cfg := Config{Inputs: 8, Hidden: 20, Seed: 1, Epochs: 5}
+	for _, n := range []int{48, 480} {
+		s := sineSeries(n, 24, 0.3, 1)
+		alloctest.Count(t, fmt.Sprintf("series-%d", n), func() {
+			if _, err := Train(s, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -1,15 +1,18 @@
 // Package pool holds Sheriff's two parallel engines. Shards is the
 // runtime's persistent per-shard worker group, the one parallelism of a
-// daemon period. Pool is a bounded fan-out with two call sites, both
-// outside the period: the k-median local search's swap scan, the one
-// offline search that a measured speedup keeps parallel, and a trace
-// Generator's batch of source pre-passes, which runs once, at a fleet's
-// first read after start-up or restart (BenchmarkGeneratorOpenRead in
-// internal/traces at -cpu 1,2). The cost model's row sweeps run on the
-// runtime's Shards: its manage round runs the shims on shard 0 while the
-// other shards sweep the rows the shims are about to read. Every other
-// phase (the ingest drain, the predictor's candidate fits, a refresh
-// outside the runtime) runs on its caller.
+// daemon's steady periods. Pool is a bounded fan-out with three call
+// sites: the k-median local search's swap scan, the one offline search
+// that a measured speedup keeps parallel; a trace Generator's batch of
+// source pre-passes, which runs once, at a fleet's first read after
+// start-up or restart (BenchmarkGeneratorOpenRead in internal/traces at
+// -cpu 1,2); and the runtime's deep-pool fit round, which fits the pools
+// of the racks whose histories reached DeepFitAfter in a period, racks
+// claimed one at a time, after that period's predict round
+// (BenchmarkDeepFitPeriod in internal/runtime). The cost model's row
+// sweeps run on the runtime's Shards: its manage round runs the shims on
+// shard 0 while the other shards sweep the rows the shims are about to
+// read. Every other phase (the ingest drain, the candidate fits within
+// one rack's pool, a refresh outside the runtime) runs on its caller.
 //
 // Pool is deliberately minimal: work is distributed over item indices
 // through an atomic counter, the calling goroutine participates as one of

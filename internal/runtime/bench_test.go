@@ -216,23 +216,61 @@ func deepSnapParts(tb testing.TB, size int) (*dcn.Cluster, *cost.Model) {
 // through StepExternal.
 func deepSnapRuntime(tb testing.TB, size int) *Runtime {
 	tb.Helper()
-	cluster, model := deepSnapParts(tb, size)
-	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
-	r, err := New(cluster, model, Options{Seed: 1, Shards: 2, DeepPredict: true,
-		Traces: traces.Options{Kind: traces.Surge}})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	r := newDeepSnapRuntime(tb, size, 2)
 	tb.Cleanup(r.Close)
 	if _, err := drive(r).Run(r.opts.DeepFitAfter + 16); err != nil {
 		tb.Fatal(err)
 	}
-	for rk := range cluster.Racks {
+	for rk := range r.Cluster.Racks {
 		if !r.DeepReady(rk) {
 			tb.Fatalf("rack %d: deep pool not fitted", rk)
 		}
 	}
 	return r
+}
+
+// newDeepSnapRuntime is deepSnapRuntime's runtime before its first period.
+func newDeepSnapRuntime(tb testing.TB, size, shards int) *Runtime {
+	tb.Helper()
+	cluster, model := deepSnapParts(tb, size)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.5, Seed: 1})
+	r, err := New(cluster, model, Options{Seed: 1, Shards: shards, DeepPredict: true,
+		Traces: traces.Options{Kind: traces.Surge}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkDeepFitPeriod times the one period in which every rack's deep
+// pool is fitted, on the BCube(8) fabric of bc8-deep-snap (64 racks, four
+// candidates each), at 1 and 2 shards; the periods before it run with the
+// timer stopped:
+//
+//	go test -run - -bench BenchmarkDeepFitPeriod -benchtime 10x ./internal/runtime/
+func BenchmarkDeepFitPeriod(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run("shards-"+strconv.Itoa(shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := newDeepSnapRuntime(b, 8, shards)
+				d := drive(r)
+				if _, err := d.Run(r.opts.DeepFitAfter - 1); err != nil {
+					b.Fatal(err)
+				}
+				updates := d.reporters.Next()
+				b.StartTimer()
+				if _, err := r.StepExternal(updates); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if !r.DeepReady(0) {
+					b.Fatal("rack 0: deep pool not fitted in the timed period")
+				}
+				r.Close()
+			}
+		})
+	}
 }
 
 // BenchmarkSnapshotDeep measures what a snapshotting daemon's loop stalls

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	stdruntime "runtime"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
 	"sheriff/internal/predictor"
+	"sheriff/internal/smoothing"
 	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
@@ -296,5 +299,83 @@ func TestFlowRateOutsideDomainWantsNoFlow(t *testing.T) {
 	}
 	if zeroed == 0 || carried == 0 {
 		t.Fatalf("over 60 periods %d cross-rack pairs rated 0 and %d flows were carried: the rate never crossed its threshold both ways", zeroed, carried)
+	}
+}
+
+// TestHoltStatesFlushSubnormals: VMs that report one constant profile for
+// 5,000 periods after a warm start, and the rack monitors whose uplinks
+// carry their constant traffic, have no subnormal Holt state after any
+// flush, which comes every smoothing.FlushEvery periods by the period count
+// a snapshot carries. Folded without the flush, the trends (and the levels
+// of the components at 0) would sit at ±5e-324 from about period 2,000 on.
+func TestHoltStatesFlushSubnormals(t *testing.T) {
+	r := buildRuntime(t, 4, 1)
+	subnormal := func(v float64) bool { return v != 0 && math.Abs(v) < 0x1p-1022 }
+	vms := r.Cluster.VMs()
+	updates := make([]ExternalUpdate, len(vms))
+	for p := 0; p < 5000; p++ {
+		for i, vm := range vms {
+			x := [3]float64{0, 0.3, 0.6}[i%3]
+			if p < 4 {
+				x = 0.8 - 0.1*float64(p) // a warm start: trends that are not 0
+			}
+			updates[i] = ExternalUpdate{VM: vm.ID, Profile: traces.Profile{CPU: x, Mem: 0.3, IO: 0, TRF: 0.2}}
+		}
+		if _, err := r.StepExternal(updates); err != nil {
+			t.Fatal(err)
+		}
+		if r.step%smoothing.FlushEvery != 0 {
+			continue
+		}
+		for i, hp := range r.sh.pred {
+			for c, h := range hp {
+				if subnormal(h.level) || subnormal(h.trend) {
+					t.Fatalf("period %d: VM %d component %d holds (%g, %g) after the flush", r.step, r.sh.vms[i].ID, c, h.level, h.trend)
+				}
+			}
+		}
+		for rk, q := range r.sh.qHolt {
+			if subnormal(q.level) || subnormal(q.trend) {
+				t.Fatalf("period %d: rack %d's monitor holds (%g, %g) after the flush", r.step, rk, q.level, q.trend)
+			}
+		}
+	}
+}
+
+// TestDeepFitRoundSameAtAnyShardsAndProcs: the period that fits every
+// rack's deep pool fits them on the shared pool, racks claimed one at a
+// time by whichever worker is free, after the predict round. The pools
+// must not depend on who fitted them: after the fit period, the snapshot
+// is the same bytes at 1, 2 and 5 shards and at GOMAXPROCS 1 and 2.
+func TestDeepFitRoundSameAtAnyShardsAndProcs(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2} {
+		stdruntime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 5} {
+			r := newDeepSnapRuntime(t, 4, shards)
+			if _, err := drive(r).Run(r.opts.DeepFitAfter); err != nil {
+				t.Fatal(err)
+			}
+			for rk := range r.Cluster.Racks {
+				if !r.DeepReady(rk) {
+					t.Fatalf("GOMAXPROCS %d, %d shards: rack %d's pool not fitted in the fit period", procs, shards, rk)
+				}
+			}
+			snap, err := r.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d, %d shards: snapshot after the fit period is %s, at GOMAXPROCS 1 and 1 shard %s", procs, shards, digest(got), digest(want))
+			}
+		}
 	}
 }

@@ -50,6 +50,15 @@ func (h *holtState) fold(x float64) {
 	h.level, h.trend = smoothing.HoltStep(h.level, h.trend, x, smoothing.TriageAlpha, smoothing.TriageBeta)
 }
 
+// flush zeroes a subnormal level or trend (smoothing.Flush). The predict
+// and monitor rounds flush their shard's states every smoothing.FlushEvery
+// periods, by the period count the snapshot carries (Snapshot.Step), in a
+// pass of their own after the fold loop, so the loop checks nothing per
+// state.
+func (h *holtState) flush() {
+	h.level, h.trend = smoothing.Flush(h.level), smoothing.Flush(h.trend)
+}
+
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -102,9 +111,13 @@ type shardState struct {
 	alertsByRack [][]alert.Alert
 
 	// Deep-forecast scratch: the owning shard stores each rack's predicted
-	// value; the coordinator records and counts in rack order, then clears.
+	// value, or marks a rack whose pool is due a fit (fitDeep fits it and
+	// stores its value); the coordinator records and counts in rack order,
+	// then clears.
 	deepVal []float64
 	deepOK  []bool
+	deepDue []bool
+	dueBuf  []int // fitDeep's scratch: the due racks, in rack order
 
 	// vmIndex is indexed by VM ID (the cluster hands IDs out sequentially)
 	// and holds each VM's dense index, -1 where no VM has the ID.
@@ -230,6 +243,7 @@ func newShardState(cluster *dcn.Cluster, admission map[int]int, shards int, deep
 	if deep {
 		sh.deepVal = make([]float64, racks)
 		sh.deepOK = make([]bool, racks)
+		sh.deepDue = make([]bool, racks)
 	}
 	sh.dur = make([]time.Duration, ns)
 	sh.serverAlerts = make([]int, ns)
@@ -322,6 +336,13 @@ func (r *Runtime) predictShard(s int) {
 		sh.alertsByRack[rk] = append(sh.alertsByRack[rk], a)
 		alerts++
 	}
+	if r.step%smoothing.FlushEvery == 0 {
+		for i := sh.vmLo[s]; i < sh.vmHi[s]; i++ {
+			for c := range sh.pred[i] {
+				sh.pred[i][c].flush()
+			}
+		}
+	}
 	if r.opts.DeepPredict {
 		r.deepShard(s)
 	}
@@ -331,11 +352,11 @@ func (r *Runtime) predictShard(s int) {
 
 // deepShard advances the deep forecasting pools of the shard's racks: each
 // rack's aggregate stress (the mean of its VMs' current profile maxima)
-// extends the pre-fit history, triggers the one-time pool fit once there
-// are DeepFitAfter points (seeded by rack, retried next period if the fit
-// fails), or feeds the fitted selector. The prediction is left for the
-// coordinator, which records it and counts warnings in rack order, so the
-// trace does not depend on the shard count.
+// extends the pre-fit history, marks the rack due its one-time pool fit
+// once there are DeepFitAfter points (fitDeep runs it after the round), or
+// feeds the fitted selector. The prediction is left for the coordinator,
+// which records it and counts warnings in rack order, so the trace does not
+// depend on the shard count.
 func (r *Runtime) deepShard(s int) {
 	sh := r.sh
 	for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {
@@ -353,26 +374,54 @@ func (r *Runtime) deepShard(s int) {
 		if sel == nil {
 			h := r.deepHist[rk]
 			h.Append(agg)
-			if h.Len() < r.opts.DeepFitAfter {
-				continue
-			}
-			fitted, err := predictor.New(h, predictor.Options{Seed: r.opts.Seed + int64(rk)})
-			if err != nil {
-				continue // not enough signal yet; retry next step
-			}
-			r.deep[rk] = fitted
-			r.deepHist[rk] = timeseries.New(nil)
-			sel = fitted
-		} else {
-			sel.Observe(agg)
-		}
-		p, err := sel.Predict()
-		if err != nil {
+			sh.deepDue[rk] = h.Len() >= r.opts.DeepFitAfter
 			continue
 		}
-		sh.deepVal[rk] = p
-		sh.deepOK[rk] = true
+		sel.Observe(agg)
+		r.deepPredict(rk, sel)
 	}
+}
+
+// deepPredict leaves rack rk's next deep forecast for the coordinator.
+func (r *Runtime) deepPredict(rk int, sel *predictor.Selector) {
+	if p, err := sel.Predict(); err == nil {
+		r.sh.deepVal[rk] = p
+		r.sh.deepOK[rk] = true
+	}
+}
+
+// fitDeep fits the pools of the racks deepShard marked due, after the
+// predict round and apart from the shard that owns each rack: a fit is
+// tens of milliseconds where the rest of the round is microseconds, and
+// the racks of one period fall due together. pool.Shared claims them one
+// at a time, so both CPUs stay busy to the last fit, where a shard's
+// static share of racks would leave one waiting on the other. Each fit is
+// seeded by its rack and reads only its own history, so the pools do not
+// depend on which worker fits them; a fit that fails is retried next
+// period on a longer history.
+func (r *Runtime) fitDeep() {
+	sh := r.sh
+	due := sh.dueBuf[:0]
+	for rk, ok := range sh.deepDue {
+		if ok {
+			due = append(due, rk)
+			sh.deepDue[rk] = false
+		}
+	}
+	sh.dueBuf = due
+	if len(due) == 0 {
+		return
+	}
+	pool.Shared().ForEach(len(due), func(k int) {
+		rk := due[k]
+		fitted, err := predictor.New(r.deepHist[rk], predictor.Options{Seed: r.opts.Seed + int64(rk)})
+		if err != nil {
+			return // not enough signal yet; retry next period
+		}
+		r.deep[rk] = fitted
+		r.deepHist[rk] = timeseries.New(nil)
+		r.deepPredict(rk, fitted)
+	})
 }
 
 // flowShard is phase 2's scatter: shard s writes this period's wish into
@@ -494,6 +543,11 @@ func (r *Runtime) monitorShard(s int) {
 			tor++
 		}
 	}
+	if r.step%smoothing.FlushEvery == 0 {
+		for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {
+			sh.qHolt[rk].flush()
+		}
+	}
 	sh.maxUtil[s] = maxU
 	sh.torAlerts[s] = tor
 	sh.dur[s] = time.Since(start)
@@ -543,6 +597,7 @@ func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder) {
 		stats.ServerAlerts += sh.serverAlerts[s]
 	}
 	if r.opts.DeepPredict {
+		r.fitDeep()
 		for rk := range sh.deepOK {
 			if !sh.deepOK[rk] {
 				continue

@@ -133,6 +133,26 @@ func HoltStep(level, trend, x, alpha, beta float64) (float64, float64) {
 	return next, beta*(next-level) + (1-beta)*trend
 }
 
+// FlushEvery is the cadence at which a long-lived Holt state is flushed
+// (Flush): every FlushEvery folds, or periods of one fold each, counted by
+// a count the holder's snapshot carries, so that a run split and restored
+// flushes where a straight run does.
+const FlushEvery = 64
+
+// Flush returns v, or zero when v is subnormal. Folding a constant decays
+// a Holt state's trend by 1 − β a fold (and, at x = 0, its level by 1 − α)
+// until, after about 2,000 folds, it is a subnormal number, where the
+// recursion holds it at ±5e-324 for good and every later fold takes the
+// CPU's slow path for subnormal operands. A holder flushes its state on
+// the FlushEvery cadence; a branch in HoltStep itself would cost every
+// fold.
+func Flush(v float64) float64 {
+	if a := math.Abs(v); a < 0x1p-1022 && a != 0 {
+		return 0
+	}
+	return v
+}
+
 // minLen returns the minimum series length for the method.
 func (c Config) minLen() int {
 	switch c.Method {

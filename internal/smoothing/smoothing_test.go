@@ -219,3 +219,41 @@ func TestFitPinsConstantsAndSSE(t *testing.T) {
 		}
 	}
 }
+
+// subnormal reports whether v is a nonzero number below the smallest
+// normal float64.
+func subnormal(v float64) bool { return v != 0 && math.Abs(v) < 0x1p-1022 }
+
+// TestFlushEndsStuckSubnormalStates: folding a constant through HoltStep
+// alone leaves the trend (and, at 0, the level) stuck at a subnormal
+// number, the reason Flush exists; flushed every FlushEvery folds, as the
+// engine and ingest do, no state is subnormal after a flush, over 5,000
+// folds of each constant.
+func TestFlushEndsStuckSubnormalStates(t *testing.T) {
+	for _, x := range []float64{0, 0.3, 1} {
+		var stuck, flushed [2]float64
+		stuck = [2]float64{0.8, 0.05} // a state the constant found warm
+		flushed = stuck
+		for n := 1; n <= 5000; n++ {
+			stuck[0], stuck[1] = HoltStep(stuck[0], stuck[1], x, TriageAlpha, TriageBeta)
+			flushed[0], flushed[1] = HoltStep(flushed[0], flushed[1], x, TriageAlpha, TriageBeta)
+			if n%FlushEvery == 0 {
+				flushed[0], flushed[1] = Flush(flushed[0]), Flush(flushed[1])
+				if subnormal(flushed[0]) || subnormal(flushed[1]) {
+					t.Fatalf("x = %v: state (%g, %g) subnormal after the flush at fold %d", x, flushed[0], flushed[1], n)
+				}
+			}
+		}
+		if !subnormal(stuck[1]) {
+			t.Errorf("x = %v: an unflushed trend ended at %g, not subnormal: the fold no longer shows the stuck state", x, stuck[1])
+		}
+	}
+	for _, c := range []struct{ in, want float64 }{
+		{5e-324, 0}, {-5e-324, 0}, {0x1p-1023, 0},
+		{0x1p-1022, 0x1p-1022}, {-0x1p-1022, -0x1p-1022}, {0.3, 0.3}, {math.Copysign(0, -1), math.Copysign(0, -1)},
+	} {
+		if got := Flush(c.in); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("Flush(%g) = %g, want %g", c.in, got, c.want)
+		}
+	}
+}
